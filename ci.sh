@@ -69,6 +69,20 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# One scratch root for every stage (each takes a subdirectory), removed by
+# the single EXIT trap along with the metrics smoke's background felnode.
+scratch="$(mktemp -d)"
+smokepid=""
+stop_smoke() {
+  if [ -n "$smokepid" ]; then
+    kill "$smokepid" 2>/dev/null || true
+    wait "$smokepid" 2>/dev/null || true
+    smokepid=""
+  fi
+}
+trap 'stop_smoke; rm -rf "$scratch"' EXIT
+stage_dir() { mkdir -p "$scratch/$1" && echo "$scratch/$1"; }
+
 echo "== go build ./..."
 go build ./...
 
@@ -76,8 +90,7 @@ echo "== go vet ./..."
 go vet ./...
 
 echo "== repolint (30s budget)"
-lintdir="$(mktemp -d)"
-trap 'rm -rf "$lintdir"' EXIT
+lintdir="$(stage_dir lint)"
 go build -o "$lintdir/repolint" ./cmd/repolint
 lint_start=$SECONDS
 "$lintdir/repolint"
@@ -87,8 +100,6 @@ if [ "$lint_elapsed" -gt 30 ]; then
   echo "ci.sh: repolint exceeded its 30s budget (${lint_elapsed}s)" >&2
   exit 1
 fi
-rm -rf "$lintdir"
-trap - EXIT
 
 echo "== go test ./..."
 go test ./...
@@ -98,46 +109,36 @@ go test -race ./internal/tensor ./internal/core ./internal/async ./internal/simn
 
 echo "== scale smoke (O(selected) memory under -race, 100k grid row via felbench)"
 go test -race -count=1 -run 'TestPopScaleOSelectedMemory' ./internal/experiments
-scaledir="$(mktemp -d)"
-trap 'rm -rf "$scaledir"' EXIT
+scaledir="$(stage_dir scale)"
 go run ./cmd/felbench -scalebench 100k -out "$scaledir"
 if ! grep -q '"id": "100k"' "$scaledir/BENCH_scale.json"; then
   echo "ci.sh: felbench -scalebench wrote no 100k row" >&2
   exit 1
 fi
-rm -rf "$scaledir"
-trap - EXIT
 
 echo "== perf smoke (one medium bench-grid cell, bit-identity gated)"
-perfdir="$(mktemp -d)"
-trap 'rm -rf "$perfdir"' EXIT
+perfdir="$(stage_dir perf)"
 go run ./cmd/felbench -bench medium -benchprocs 4 -benchpar 8 -benchrepeats 1 -out "$perfdir"
 if ! grep -q '"bit_identical": true' "$perfdir/BENCH_grid.json"; then
   echo "ci.sh: perf smoke cell is not bit-identical to the serial baseline" >&2
   exit 1
 fi
-rm -rf "$perfdir"
-trap - EXIT
 
 echo "== async smoke (alpha=0 equivalence under -race, async-vs-sync gates via felbench)"
 go test -race -count=1 -run 'TestAsyncAlphaZeroFullBufferEquivalence' ./internal/core
-asyncdir="$(mktemp -d)"
-trap 'rm -rf "$asyncdir"' EXIT
+asyncdir="$(stage_dir async)"
 go run ./cmd/felbench -exp async-vs-sync -scale small -out "$asyncdir"
 if ! grep -q '"Pass": true' "$asyncdir/BENCH_async.json"; then
   echo "ci.sh: async-vs-sync gates failed" >&2
   exit 1
 fi
-rm -rf "$asyncdir"
-trap - EXIT
 
 echo "== go test -fuzz smoke (10s total across targets)"
 go test ./internal/wire -run '^$' -fuzz FuzzDecodeFrame -fuzztime 5s
 go test ./internal/async -run '^$' -fuzz FuzzArrivalLogFrame -fuzztime 5s
 
 echo "== felnode -chaos smoke (deterministic replay)"
-chaosdir="$(mktemp -d)"
-trap 'rm -rf "$chaosdir"' EXIT
+chaosdir="$(stage_dir chaos)"
 go build -o "$chaosdir/felnode" ./cmd/felnode
 "$chaosdir/felnode" -chaos corrupt-frames > "$chaosdir/run1.txt"
 "$chaosdir/felnode" -chaos corrupt-frames > "$chaosdir/run2.txt"
@@ -146,24 +147,12 @@ if ! diff -u "$chaosdir/run1.txt" "$chaosdir/run2.txt"; then
   exit 1
 fi
 echo "chaos smoke: corrupt-frames replayed byte-identically"
-rm -rf "$chaosdir"
-trap - EXIT
 
 echo "== felnode loopback smoke (TCP on 127.0.0.1)"
 timeout 120 go run ./cmd/felnode -role loopback -clients 12 -edges 2 -rounds 2
 
 echo "== felnode -metrics smoke (live HTTP endpoint)"
-smokedir="$(mktemp -d)"
-smokepid=""
-cleanup_smoke() {
-  if [ -n "$smokepid" ]; then
-    kill "$smokepid" 2>/dev/null || true
-    wait "$smokepid" 2>/dev/null || true
-    smokepid=""
-  fi
-  rm -rf "$smokedir"
-}
-trap cleanup_smoke EXIT
+smokedir="$(stage_dir smoke)"
 go build -o "$smokedir/felnode" ./cmd/felnode
 "$smokedir/felnode" -role loopback -clients 12 -edges 2 -rounds 2 \
   -metrics 127.0.0.1:19137 -hold 60s > "$smokedir/out.log" 2>&1 &
@@ -188,13 +177,11 @@ if bad="$(grep -Ev '^#|^$|^fel_[a-z0-9_]+(\{[^}]*\})? -?[0-9][0-9eE+.-]*$' <<<"$
   exit 1
 fi
 echo "metrics smoke: $(grep -c '^fel_' <<<"$snapshot") samples parsed, fel_wire_bytes_total present"
-cleanup_smoke
-trap - EXIT
+stop_smoke
 
 echo "== felserve load smoke (loopback subscriber fan-in + leak check under -race)"
 go test -race -count=1 -run 'TestServeLoadSmoke' ./internal/felserve
-loaddir="$(mktemp -d)"
-trap 'rm -rf "$loaddir"' EXIT
+loaddir="$(stage_dir load)"
 go build -o "$loaddir/felnode" ./cmd/felnode
 timeout 300 "$loaddir/felnode" -chaos kill-cloud | tee "$loaddir/killcloud.txt"
 if ! grep -q 'bit-identical=true' "$loaddir/killcloud.txt"; then
@@ -202,7 +189,5 @@ if ! grep -q 'bit-identical=true' "$loaddir/killcloud.txt"; then
   exit 1
 fi
 echo "load smoke: serving layer leak-free under -race, kill-cloud recovery bit-identical"
-rm -rf "$loaddir"
-trap - EXIT
 
 echo "ci.sh: all gates passed"

@@ -67,7 +67,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/nn"
 	"repro/internal/sampling"
-	"repro/internal/stats"
 )
 
 func main() {
@@ -322,12 +321,15 @@ func buildSystem(numClients, numEdges int, seed uint64) *core.System {
 	})
 }
 
-// pinDropSelection pins group formation (the same derivation the cloud
-// would use) and selects every group each round, so an injected disconnect
-// is deterministically in play and the recovery path demonstrably runs.
-// Every process derives the same pin from the shared flags.
+// pinDropSelection pins the cloud's group formation and selects every group
+// each round, so an injected disconnect is deterministically in play and the
+// recovery path demonstrably runs. Every process derives the same pin from
+// the shared flags.
 func pinDropSelection(sys *core.System, cfg *fednode.JobConfig) error {
-	groups := grouping.FormAll(cfg.Grouping, sys.Edges, sys.Classes, stats.NewRNG(cfg.Seed).Split(1))
+	groups, err := cfg.PinAllGroups(sys)
+	if err != nil {
+		return err
+	}
 	var target *grouping.Group
 	for _, g := range groups {
 		for _, c := range g.Clients {
@@ -342,15 +344,6 @@ func pinDropSelection(sys *core.System, cfg *fednode.JobConfig) error {
 	if target.Size() < 3 {
 		return fmt.Errorf("dropclient %d is in a group of %d: dropping it would break the Shamir threshold; pick a client in a larger group",
 			cfg.ForceDrop.Client, target.Size())
-	}
-	sel := make([]int, len(groups))
-	for i := range groups {
-		sel[i] = i
-	}
-	cfg.Groups = groups
-	cfg.FixedSelection = make([][]int, cfg.GlobalRounds)
-	for t := range cfg.FixedSelection {
-		cfg.FixedSelection[t] = sel
 	}
 	return nil
 }

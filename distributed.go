@@ -3,7 +3,6 @@ package groupfel
 import (
 	"net"
 
-	"repro/internal/core"
 	"repro/internal/fednode"
 	"repro/internal/hfl"
 	"repro/internal/simnet"
@@ -74,15 +73,3 @@ func RunNetworkedRound(nw NetworkTransport, sys *System, groups []*Group, select
 func ServeCloud(ln net.Listener, sys *System, cfg NetworkedJobConfig) (*NetworkedReport, error) {
 	return fednode.NewCloud(sys, cfg, nil).Run(ln)
 }
-
-// Checkpointing: resumable training snapshots.
-type (
-	// Checkpoint is a resumable training snapshot.
-	Checkpoint = core.Checkpoint
-)
-
-// CheckpointOf snapshots a finished (or budget-stopped) run.
-func CheckpointOf(res *Result) Checkpoint { return core.FromResult(res) }
-
-// LoadCheckpoint reads a checkpoint written by Checkpoint.Save.
-func LoadCheckpoint(path string) (Checkpoint, error) { return core.LoadCheckpoint(path) }

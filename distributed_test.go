@@ -1,7 +1,6 @@
 package groupfel_test
 
 import (
-	"path/filepath"
 	"testing"
 
 	groupfel "repro"
@@ -29,32 +28,6 @@ func TestPublicAPIDistributedRound(t *testing.T) {
 	}
 	if res.MaskStreams == 0 {
 		t.Fatal("secure aggregation did not run")
-	}
-}
-
-func TestPublicAPICheckpoint(t *testing.T) {
-	sys := newSystem(22)
-	cfg := baseConfig()
-	cfg.GlobalRounds = 3
-	res := groupfel.Train(sys, cfg)
-	ck := groupfel.CheckpointOf(res)
-	path := filepath.Join(t.TempDir(), "ck.gob")
-	if err := ck.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := groupfel.LoadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.RoundsDone != 3 {
-		t.Fatalf("rounds done %d", loaded.RoundsDone)
-	}
-	// Resume and finish.
-	full := baseConfig()
-	full.GlobalRounds = 5
-	resumed := groupfel.Train(sys, loaded.Resume(full))
-	if resumed.RoundsRun != 2 {
-		t.Fatalf("resumed %d rounds, want 2", resumed.RoundsRun)
 	}
 }
 

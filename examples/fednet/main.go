@@ -56,7 +56,10 @@ func main() {
 	// closed connection, detected by the edge and recovered via the secagg
 	// share-reveal exchange. Pin formation + selection so the faulty client
 	// is deterministically in play.
-	groups := groupfel.FormGroups(cfg.Grouping, sys.Edges, sys.Classes, seed)
+	groups, err := cfg.PinAllGroups(sys)
+	if err != nil {
+		panic(err)
+	}
 	var victim int
 	for _, g := range groups {
 		if g.Size() >= 3 {
@@ -64,12 +67,6 @@ func main() {
 			break
 		}
 	}
-	sel := make([]int, len(groups))
-	for i := range sel {
-		sel[i] = i
-	}
-	cfg.Groups = groups
-	cfg.FixedSelection = [][]int{sel, sel, sel}
 	cfg.ForceDrop = &groupfel.NetworkedDrop{Client: victim, Round: 0, GroupRound: 0}
 
 	fmt.Printf("\n== same job with client %d disconnecting mid-round ==\n", victim)

@@ -82,9 +82,8 @@ type asyncGroupRun struct {
 	n     int
 	dim   int
 
-	dropRng   *stats.RNG
-	roundBase uint64
-	delayRng  *stats.RNG
+	dropRng  *stats.RNG
+	delayRng *stats.RNG
 
 	heap arrivalHeap
 	seq  int
@@ -121,9 +120,6 @@ func (e *engine) newAsyncGroupRun(g *grouping.Group, globalParams []float64, rou
 		dropRng: stats.NewRNG(cfg.Seed ^ 0xd20b ^
 			(uint64(round+1) * 0xff51afd7ed558ccd) ^
 			(uint64(g.ID+1) * 0xc4ceb9fe1a85ec53)),
-		roundBase: cfg.Seed ^
-			(uint64(round+1) * 0x9e3779b97f4a7c15) ^
-			(uint64(g.ID+1) * 0xc2b2ae3d27d4eb4f),
 		delayRng:   stats.NewRNG(0),
 		dispatched: make([]int, n),
 		dispVer:    make([]int, n),
@@ -154,7 +150,7 @@ func (r *asyncGroupRun) dispatch(batch []int, now int64) {
 		defer e.release(w)
 		w.model.SetParamVector(sp.group)
 		x, y := e.sys.clientBatchInto(c, &w.batch)
-		w.arena.rng.Reseed(r.roundBase ^ (uint64(c.ID+1) * 0x165667b19e3779f9))
+		w.arena.rng.Reseed(LocalSeed(cfg.Seed, r.round, r.g.ID, c.ID))
 		ctx := LocalContext{
 			ClientID:  c.ID,
 			Anchor:    sp.group,
@@ -305,7 +301,6 @@ func (e *engine) runGroupBuffered(g *grouping.Group, globalParams []float64, rou
 	}
 	rep.ticks = now
 	e.asyncTicks.Add(now)
-	e.asyncRoundTicks.Set(float64(now))
 	return r.sp, rep
 }
 
@@ -366,7 +361,6 @@ func (e *engine) runGroupSemiSync(g *grouping.Group, globalParams []float64, rou
 	}
 	rep.ticks = int64(K) * D
 	e.asyncTicks.Add(rep.ticks)
-	e.asyncRoundTicks.Set(float64(rep.ticks))
 	return r.sp, rep
 }
 
@@ -393,6 +387,5 @@ func (e *engine) syncGroupTicks(g *grouping.Group, round int) int64 {
 		total += roundMax
 	}
 	e.asyncTicks.Add(total)
-	e.asyncRoundTicks.Set(float64(total))
 	return total
 }

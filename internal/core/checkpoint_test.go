@@ -1,84 +1,12 @@
 package core
 
 import (
-	"path/filepath"
 	"testing"
 
 	"repro/internal/compress"
 	"repro/internal/sampling"
 	"repro/internal/simnet"
 )
-
-func TestCheckpointRoundTrip(t *testing.T) {
-	sys := testSystem(10, 0.5, 31)
-	cfg := testConfig()
-	cfg.GlobalRounds = 4
-	res := Train(sys, cfg)
-
-	ck := FromResult(res)
-	path := filepath.Join(t.TempDir(), "ck.gob")
-	if err := ck.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	//lint:ignore float-eq test asserts exact deterministic output
-	if got.RoundsDone != 4 || got.TotalCost != res.TotalCost {
-		t.Fatalf("metadata mismatch: %+v", got)
-	}
-	for i := range res.Params {
-		//lint:ignore float-eq test asserts exact deterministic output
-		if got.Params[i] != res.Params[i] {
-			t.Fatal("params corrupted")
-		}
-	}
-	if len(got.Records) != len(res.Records) {
-		t.Fatal("records lost")
-	}
-}
-
-func TestCheckpointResumeContinuesTraining(t *testing.T) {
-	sys := testSystem(10, 0.5, 32)
-	cfg := testConfig()
-	cfg.GlobalRounds = 8
-
-	// Run 4 rounds, checkpoint, resume for the remaining 4.
-	half := cfg
-	half.GlobalRounds = 4
-	first := Train(sys, half)
-	ck := FromResult(first)
-	resumed := ck.Resume(cfg)
-	if resumed.GlobalRounds != 4 {
-		t.Fatalf("resume rounds = %d, want 4", resumed.GlobalRounds)
-	}
-	second := Train(sys, resumed)
-	if second.RoundsRun != 4 {
-		t.Fatalf("resumed run executed %d rounds", second.RoundsRun)
-	}
-	// The resumed run continues improving from the checkpoint (not from
-	// scratch): its first evaluated accuracy should be at least near the
-	// checkpoint's final accuracy.
-	if second.Records[0].Accuracy < first.FinalAccuracy-0.1 {
-		t.Fatalf("resume lost progress: %.3f vs checkpoint %.3f",
-			second.Records[0].Accuracy, first.FinalAccuracy)
-	}
-}
-
-func TestCheckpointResumeClampsRounds(t *testing.T) {
-	ck := Checkpoint{RoundsDone: 10, Params: []float64{1}}
-	cfg := Config{GlobalRounds: 6}
-	if got := ck.Resume(cfg).GlobalRounds; got != 0 {
-		t.Fatalf("over-complete checkpoint should clamp to 0 rounds, got %d", got)
-	}
-}
-
-func TestLoadCheckpointMissingFile(t *testing.T) {
-	if _, err := LoadCheckpoint(filepath.Join(t.TempDir(), "nope.gob")); err == nil {
-		t.Fatal("expected error")
-	}
-}
 
 func TestTrainWithDropout(t *testing.T) {
 	sys := testSystem(12, 0.5, 33)

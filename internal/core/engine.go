@@ -263,6 +263,18 @@ func (e *engine) forEachClient(n int, fn func(i int)) {
 	}
 }
 
+// LocalSeed derives the local-training RNG seed of client cid training in
+// group gid during global round round (determinism rule 1). Every executor —
+// the sync and async engines here, the networked fednode client — seeds
+// local SGD from this one derivation, which is what lets a clean loopback
+// run follow the in-process trajectory.
+func LocalSeed(seed uint64, round, gid, cid int) uint64 {
+	return seed ^
+		(uint64(round+1) * 0x9e3779b97f4a7c15) ^
+		(uint64(gid+1) * 0xc2b2ae3d27d4eb4f) ^
+		(uint64(cid+1) * 0x165667b19e3779f9)
+}
+
 // runGroup executes lines 8–14 of Alg. 1 for one selected group: K group
 // rounds, each training every member client for E local epochs from the
 // current group model, then weight-averaging by n_i over the clients whose
@@ -280,9 +292,6 @@ func (e *engine) runGroup(g *grouping.Group, globalParams []float64, round int) 
 	dropRng := stats.NewRNG(cfg.Seed ^ 0xd20b ^
 		(uint64(round+1) * 0xff51afd7ed558ccd) ^
 		(uint64(g.ID+1) * 0xc4ceb9fe1a85ec53))
-	roundBase := cfg.Seed ^
-		(uint64(round+1) * 0x9e3779b97f4a7c15) ^
-		(uint64(g.ID+1) * 0xc2b2ae3d27d4eb4f)
 
 	for k := 0; k < cfg.GroupRounds; k++ {
 		// Rule 2: the dropout draws happen serially in client order — the
@@ -296,7 +305,7 @@ func (e *engine) runGroup(g *grouping.Group, globalParams []float64, round int) 
 			defer e.release(w)
 			w.model.SetParamVector(sp.group)
 			x, y := e.sys.clientBatchInto(c, &w.batch)
-			w.arena.rng.Reseed(roundBase ^ (uint64(c.ID+1) * 0x165667b19e3779f9))
+			w.arena.rng.Reseed(LocalSeed(cfg.Seed, round, g.ID, c.ID))
 			ctx := LocalContext{
 				ClientID:  c.ID,
 				Anchor:    sp.group,
@@ -367,20 +376,4 @@ func reduceGroup(g *grouping.Group, sp *groupSpace, par int) {
 	}
 	root := treeFold(sp.nodes, sp.nodeW, live, par)
 	tensor.ScaleInto(1/wsum, root, sp.group)
-}
-
-// aggregateGlobal folds the selected groups' parameters into next with the
-// unbiased estimator weights (Alg. 1 line 15): next = Σ w_si·group_si, as a
-// fixed-pairing tree over selection order so the float sum is replay-stable
-// at any parallelism. The groups' sp.group buffers are consumed as tree
-// nodes — callers recycle the spaces afterwards, never reading group again.
-// nodes is caller-owned scratch of length len(spaces).
-func aggregateGlobal(weights []float64, spaces []*groupSpace, next []float64, nodes [][]float64, par int) {
-	for si, sp := range spaces {
-		nodes[si] = sp.group
-	}
-	root := treeFold(nodes, weights, len(spaces), par)
-	if root != nil {
-		copy(next, root)
-	}
 }

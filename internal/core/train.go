@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strconv"
 	"sync"
 
 	"repro/internal/async"
@@ -185,27 +184,6 @@ func (p *compressorPool) forClient(id int) compress.Compressor {
 		p.byClient[id] = c
 	}
 	return c
-}
-
-// publishSampling exports the current formation's sampling state: one
-// probability, CoV, and size gauge per group. Regrouping republishes, so
-// the gauges always describe the live formation. The sampling-frequency
-// audit (EXPERIMENTS.md) compares fel_core_group_selected_total empirical
-// frequencies against these fel_core_group_prob values.
-//
-// It returns the selection counter handle of every group, aligned with
-// groups, so the round loop increments cached counters instead of paying a
-// strconv render plus registry lookup per selection.
-func publishSampling(reg *metrics.Registry, groups []*grouping.Group, probs []float64) []*metrics.Counter {
-	sel := make([]*metrics.Counter, len(groups))
-	for i, g := range groups {
-		gl := metrics.L("group", strconv.Itoa(g.ID))
-		reg.Gauge("fel_core_group_prob", gl).Set(probs[i])
-		reg.Gauge("fel_core_group_cov", gl).Set(g.CoV())
-		reg.Gauge("fel_core_group_size", gl).Set(float64(g.Size()))
-		sel[i] = reg.Counter("fel_core_group_selected_total", gl)
-	}
-	return sel
 }
 
 func validate(sys *System, cfg Config) {

@@ -3,17 +3,13 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/async"
 	"repro/internal/compress"
 	"repro/internal/cost"
-	"repro/internal/grouping"
-	"repro/internal/metrics"
 	"repro/internal/nn"
 	"repro/internal/sampling"
-	"repro/internal/stats"
 )
 
 // Trainer runs Algorithm 1 one global round at a time. It holds every piece
@@ -26,30 +22,17 @@ import (
 // The determinism argument leans on two properties of the engine (PR 4):
 // per-(seed, round, group, client) RNG streams are re-derived from the
 // round index — stateless across rounds — and all reductions run in fixed
-// order. The only RNG state that survives a round boundary is the
-// sampling stream (two PCG words) and the parent stream, which is consumed
-// exclusively by Split calls whose tags are pure functions of the round
-// index, so resume replays them instead of serializing the parent.
+// order. The only RNG state that survives a round boundary belongs to the
+// Plan, which exports it.
 type Trainer struct {
 	sys   *System
 	cfg   Config
 	local LocalUpdater
 
-	// rng is the parent stream: consumed only by Split(1) (formation),
-	// Split(2) (sampling stream), and Split(100+t) at regroups.
-	rng       *stats.RNG
-	sampleRng *stats.RNG
-	// sampler carries the O(groups) selection scratch across rounds, so a
-	// steady-state Step allocates O(selected), not O(groups).
-	sampler sampling.Sampler
+	// plan is the Alg. 1 control plane: formation, p_g, S_t, weights, fold.
+	plan *Plan
 
-	groups    []*grouping.Group
-	probs     []float64
-	selCtrs   []*metrics.Counter
-	roundsCtr *metrics.Counter
-
-	totalSamples int
-	modelBytes   int
+	modelBytes int
 
 	global       *nn.Sequential
 	globalParams []float64
@@ -61,11 +44,9 @@ type Trainer struct {
 	eng         *engine
 	spaces      []*groupSpace
 	// reports and syncTicks are the async step path's per-selection scratch,
-	// aligned with spaces; adaptive is the online p_g re-estimator (nil for
-	// static sampling).
+	// aligned with spaces.
 	reports   []*asyncGroupReport
 	syncTicks []int64
-	adaptive  *sampling.Adaptive
 	// aggNodes is the global aggregation's tree-node scratch, reused across
 	// rounds so the steady-state Step stays allocation-free.
 	aggNodes [][]float64
@@ -87,17 +68,12 @@ func NewTrainer(sys *System, cfg Config) *Trainer {
 	if tr.local == nil {
 		tr.local = SGDUpdater{}
 	}
-	tr.rng = stats.NewRNG(cfg.Seed)
-
-	// Lines 2–3: group formation at every edge; line 4: sampling vector.
-	tr.groups = grouping.FormAll(cfg.Grouping, sys.Edges, sys.Classes, tr.rng.Split(1))
-	tr.probs = sampling.Probabilities(tr.groups, cfg.Sampling)
-	tr.selCtrs = publishSampling(cfg.Metrics, tr.groups, tr.probs)
-	tr.roundsCtr = cfg.Metrics.Counter("fel_core_rounds_total")
-
-	for _, c := range sys.Clients {
-		tr.totalSamples += c.NumSamples()
+	// Lines 2–4: group formation at every edge, sampling vector.
+	plan, err := NewPlan(sys, cfg, nil, nil)
+	if err != nil {
+		panic(fmt.Sprintf("fel: %v", err))
 	}
+	tr.plan = plan
 
 	tr.global = sys.NewModel(sys.ModelSeed)
 	tr.globalParams = tr.global.ParamVector()
@@ -118,12 +94,8 @@ func NewTrainer(sys *System, cfg Config) *Trainer {
 	}
 	tr.eng = newEngine(sys, cfg, tr.local, tr.compressors)
 	tr.next = make([]float64, len(tr.globalParams))
-	tr.sampleRng = tr.rng.Split(2)
 	if cfg.Async.Mode != async.Sync {
 		tr.res.ArrivalLog = &async.Log{}
-	}
-	if cfg.AdaptiveSampling != nil {
-		tr.adaptive = sampling.NewAdaptive(*cfg.AdaptiveSampling, len(tr.groups))
 	}
 	return tr
 }
@@ -162,38 +134,11 @@ func (tr *Trainer) Step() RoundRecord {
 	}
 	cfg, sys, res, t := tr.cfg, tr.sys, tr.res, tr.t
 
-	// Optional regrouping (Sec. 6.1): the random first pick in Alg. 2
-	// makes each regroup explore a different formation.
-	if cfg.RegroupEvery > 0 && t > 0 && t%cfg.RegroupEvery == 0 {
-		tr.groups = grouping.FormAll(cfg.Grouping, sys.Edges, sys.Classes, tr.rng.Split(uint64(100+t)))
-		tr.probs = sampling.Probabilities(tr.groups, cfg.Sampling)
-		tr.selCtrs = publishSampling(cfg.Metrics, tr.groups, tr.probs)
-		if tr.adaptive != nil {
-			// The EWMAs are keyed by group identity; a new formation starts
-			// the estimator over from the fresh CoV prior.
-			tr.adaptive.Reset(len(tr.groups))
-		}
-	}
-	groups, probs := tr.groups, tr.probs
-	if tr.adaptive != nil {
-		// Round 0 (or right after a regroup) this returns the CoV-derived
-		// base vector verbatim; afterwards, the EWMA-adapted distribution.
-		// Both sampling and the estimator weights below consume the same
-		// vector, keeping the global estimator consistent with how groups
-		// were actually drawn.
-		probs = tr.adaptive.Mix(tr.probs)
-	}
-
-	// Line 6: sample S_t.
-	s := cfg.SampleGroups
-	if s > len(groups) {
-		s = len(groups)
-	}
-	selected := tr.sampler.Sample(tr.sampleRng, probs, s)
-	tr.roundsCtr.Inc()
+	// Line 6: regroup when due (Sec. 6.1), then sample S_t.
+	selected := tr.plan.Next(t)
+	groups := tr.plan.Groups()
 	tr.lastSelected = 0
 	for _, gi := range selected {
-		tr.selCtrs[gi].Inc()
 		tr.lastSelected += groups[gi].Size()
 	}
 
@@ -246,24 +191,22 @@ func (tr *Trainer) Step() RoundRecord {
 		}
 	}
 	res.LogicalTicks += roundTicks
-	if tr.adaptive != nil {
-		// Observe before the global fold below: treeFold consumes the
-		// sp.group buffers in place.
-		for si, gi := range selected {
-			tr.adaptive.Observe(gi, updateNorm(spaces[si].group, tr.globalParams))
-		}
+	if tr.eng.asyncRoundTicks != nil {
+		// Published here, from the barrier value: written per group, the
+		// gauge would keep whichever group happened to finish last.
+		tr.eng.asyncRoundTicks.Set(float64(roundTicks))
 	}
 
-	// Line 15: global aggregation into the reused double buffer.
+	// Line 15: global aggregation into the reused double buffer. The fold
+	// consumes the sp.group buffers as tree nodes — the spaces are recycled
+	// afterwards, never read again.
 	aggSpan := cfg.Metrics.Start("fel_core_global_aggregate_seconds")
-	weights := sampling.Weights(groups, selected, probs, tr.totalSamples, cfg.Weights)
 	tr.next = growFloats(tr.next, len(tr.globalParams))
-	if cap(tr.aggNodes) < len(spaces) {
-		tr.aggNodes = make([][]float64, len(spaces))
+	tr.aggNodes = tr.aggNodes[:0]
+	for _, sp := range spaces {
+		tr.aggNodes = append(tr.aggNodes, sp.group)
 	}
-	aggregateGlobal(weights, spaces, tr.next, tr.aggNodes[:len(spaces)], tr.eng.max)
-	// The unbiased estimator targets the full-population average; the
-	// weights may not sum to 1 in-sample, which is the point (Eq. 4).
+	tr.plan.Fold(tr.aggNodes, tr.globalParams, tr.next, tr.eng.max)
 	tr.globalParams, tr.next = tr.next, tr.globalParams
 	for _, sp := range spaces {
 		tr.eng.putSpace(sp)
@@ -334,25 +277,14 @@ func (tr *Trainer) Step() RoundRecord {
 	return rec
 }
 
-// updateNorm is ‖g − base‖₂, the observed group update magnitude the
-// adaptive sampler treats as utility evidence.
-func updateNorm(g, base []float64) float64 {
-	s := 0.0
-	for i := range g {
-		d := g[i] - base[i]
-		s += d * d
-	}
-	return math.Sqrt(s)
-}
-
 // Finish runs the final evaluation and seals the Result. The trainer must
 // not be stepped afterwards.
 func (tr *Trainer) Finish() *Result {
 	tr.global.SetParamVector(tr.globalParams)
 	res := tr.res
 	res.FinalAccuracy, res.FinalLoss = Evaluate(tr.global, tr.sys.Test, 0)
-	res.Groups = tr.groups
-	res.Probs = tr.probs
+	res.Groups = tr.plan.Groups()
+	res.Probs = tr.plan.Probs()
 	res.TotalCost = tr.acct.Total()
 	res.Params = tr.globalParams
 	return res
@@ -407,12 +339,9 @@ func (tr *Trainer) ExportState() (*TrainerState, error) {
 	if tr.cfg.NewCompressor != nil {
 		return nil, errors.New("core: cannot checkpoint a run with NewCompressor set (per-client residual state is not serializable)")
 	}
-	hi, lo := tr.sampleRng.State()
 	st := &TrainerState{
 		Round:         tr.t,
 		Params:        append([]float64(nil), tr.globalParams...),
-		SampleHi:      hi,
-		SampleLo:      lo,
 		CostTraining:  tr.acct.Training(),
 		CostGroupOps:  tr.acct.GroupOps(),
 		Dropouts:      tr.res.Dropouts,
@@ -433,19 +362,14 @@ func (tr *Trainer) ExportState() (*TrainerState, error) {
 	if tr.res.ArrivalLog != nil {
 		st.AsyncEvents = append([]async.Event(nil), tr.res.ArrivalLog.Events()...)
 	}
-	if tr.adaptive != nil {
-		ast := tr.adaptive.Export()
-		st.Adaptive = &ast
-	}
+	tr.plan.Export(st)
 	return st, nil
 }
 
 // NewTrainerResumed rebuilds a trainer from a snapshot taken by
-// ExportState under the same (System, Config). The parent RNG is replayed —
-// formation split, sampling split, and every regroup split up to the
-// snapshot round — so the stream positions match an uninterrupted run, then
-// the sampling stream is overwritten with the serialized PCG words. The
-// remaining rounds are bit-identical to the run the snapshot came from.
+// ExportState under the same (System, Config). Plan.Restore replays the
+// formation history and reinstates the sampling state; the remaining rounds
+// are bit-identical to the run the snapshot came from.
 //
 // When the snapshot carries SCAFFOLD state, cfg.Local must be a fresh
 // *ScaffoldUpdater for the variates to be restored into.
@@ -460,17 +384,9 @@ func NewTrainerResumed(sys *System, cfg Config, st *TrainerState) (*Trainer, err
 	if st.Round > cfg.GlobalRounds {
 		return nil, fmt.Errorf("core: snapshot round %d exceeds GlobalRounds %d", st.Round, cfg.GlobalRounds)
 	}
-
-	// Replay the regroups the original run performed before the snapshot,
-	// consuming the parent stream exactly as Step would have.
-	for r := 1; r < st.Round; r++ {
-		if cfg.RegroupEvery > 0 && r%cfg.RegroupEvery == 0 {
-			tr.groups = grouping.FormAll(cfg.Grouping, sys.Edges, sys.Classes, tr.rng.Split(uint64(100+r)))
-			tr.probs = sampling.Probabilities(tr.groups, cfg.Sampling)
-			tr.selCtrs = publishSampling(cfg.Metrics, tr.groups, tr.probs)
-		}
+	if err := tr.plan.Restore(st); err != nil {
+		return nil, err
 	}
-	tr.sampleRng.SetState(st.SampleHi, st.SampleLo)
 
 	tr.t = st.Round
 	copy(tr.globalParams, st.Params)
@@ -498,14 +414,6 @@ func NewTrainerResumed(sys *System, cfg Config, st *TrainerState) (*Trainer, err
 			return nil, errors.New("core: snapshot carries an arrival log but the config is synchronous")
 		}
 		tr.res.ArrivalLog.Append(st.AsyncEvents...)
-	}
-	if st.Adaptive != nil {
-		if tr.adaptive == nil {
-			return nil, errors.New("core: snapshot carries adaptive-sampling state but cfg.AdaptiveSampling is nil")
-		}
-		if err := tr.adaptive.Restore(*st.Adaptive); err != nil {
-			return nil, err
-		}
 	}
 	return tr, nil
 }

@@ -11,7 +11,6 @@ import (
 	"repro/internal/grouping"
 	"repro/internal/nn"
 	"repro/internal/sampling"
-	"repro/internal/stats"
 )
 
 // PopScale describes one row of the population-scaling benchmark grid: a
@@ -180,14 +179,16 @@ func PopScaleBench(s PopScale, seed uint64) PopScaleRow {
 	cfg := popScaleConfig(s, seed)
 	row.SelectedGroups = cfg.SampleGroups
 
-	// Standalone formation, isolated so the headline number contains
-	// nothing but Alg. 2 over every edge. Split(1) of the run seed is the
-	// same stream NewTrainer hands its own formation call.
+	// Standalone formation through the control plane NewTrainer builds for
+	// itself below: Alg. 2 over every edge plus the O(groups) p_g pass.
 	t1 := time.Now()
-	groups := grouping.FormAll(cfg.Grouping, sys.Edges, sys.Classes, stats.NewRNG(cfg.Seed).Split(1))
+	plan, err := core.NewPlan(sys, cfg, nil, nil)
+	if err != nil {
+		panic(fmt.Sprintf("popscale: %v", err))
+	}
 	row.GroupingSeconds = time.Since(t1).Seconds()
 	row.GroupingClientsPerSec = float64(s.Clients) / row.GroupingSeconds
-	row.Groups = len(groups)
+	row.Groups = len(plan.Groups())
 
 	tr := core.NewTrainer(sys, cfg)
 	tr.Step() // warm-up: absorbs the t=0 evaluation and steady-states the pools

@@ -32,7 +32,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/nn"
 	"repro/internal/sampling"
-	"repro/internal/stats"
 )
 
 // Context is what a scenario sees when it builds its plan: the formed
@@ -192,20 +191,10 @@ func Run(sc Scenario, logf func(format string, args ...any)) (*Result, error) {
 
 	// Pin formation and selection: every group trains every round, so fault
 	// targets are deterministically in play and replays line up.
-	groups := grouping.FormAll(cfg.Grouping, sys.Edges, sys.Classes, stats.NewRNG(cfg.Seed).Split(1))
-	if len(groups) == 0 {
-		return nil, fmt.Errorf("scenarios: formation produced no groups")
+	groups, err := cfg.PinAllGroups(sys)
+	if err != nil {
+		return nil, fmt.Errorf("scenarios: %w", err)
 	}
-	all := make([]int, len(groups))
-	for i := range groups {
-		all[i] = i
-	}
-	sel := make([][]int, cfg.GlobalRounds)
-	for t := range sel {
-		sel[t] = all
-	}
-	cfg.Groups = groups
-	cfg.FixedSelection = sel
 
 	plan := sc.Plan(&Context{Sys: sys, Groups: groups, Cfg: &cfg})
 	if err := plan.Validate(); err != nil {

@@ -97,7 +97,7 @@ func (c *Client) Run(nw Network, edgeAddr string) ([]float64, error) {
 		ng += ref.samples
 	}
 	w := float64(me.NumSamples()) / float64(ng)
-	threshold := cfg.threshold(n)
+	threshold := secagg.Threshold(cfg.ThresholdFrac, n)
 	c.logf("client %d: joined group %d as member %d/%d", c.id, gid, myIdx, n)
 
 	model := c.sys.NewModel(c.sys.ModelSeed)
@@ -121,7 +121,7 @@ func (c *Client) Run(nw Network, edgeAddr string) ([]float64, error) {
 			core.SGDUpdater{}.LocalTrain(model, x, y, core.LocalContext{
 				ClientID: c.id, Anchor: groupParams,
 				Epochs: cfg.LocalEpochs, BatchSize: cfg.BatchSize, LR: cfg.LR,
-				Rng: stats.NewRNG(localSeed(cfg.Seed, t, gid, c.id)),
+				Rng: stats.NewRNG(core.LocalSeed(cfg.Seed, t, gid, c.id)),
 			})
 			trainSpan.End()
 			if d := cfg.ForceDrop; d != nil && d.Client == c.id && d.Round == t && d.GroupRound == k {

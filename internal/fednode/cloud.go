@@ -3,15 +3,11 @@ package fednode
 import (
 	"fmt"
 	"net"
-	"strconv"
 	"sync"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/grouping"
 	"repro/internal/metrics"
-	"repro/internal/sampling"
-	"repro/internal/stats"
 	"repro/internal/wire"
 )
 
@@ -95,33 +91,19 @@ func (c *Cloud) Run(ln net.Listener) (*Report, error) {
 		c.logf("cloud: edge %d registered (%d/%d)", id, i+1, numEdges)
 	}
 
-	// Formation and sampling state, mirroring core.Train's RNG usage so a
-	// clean loopback run follows the in-process trajectory.
-	rng := stats.NewRNG(cfg.Seed)
-	groups := cfg.Groups
-	if groups == nil {
-		groups = grouping.FormAll(cfg.Grouping, c.sys.Edges, c.sys.Classes, rng.Split(1))
+	// The same control plane the in-process trainer steps: formation, p_g
+	// and every round's S_t come from one core.Plan, published under one
+	// fel_core_* schema, so a clean loopback run follows the in-process
+	// trajectory and one audit recipe (empirical selection frequency vs p_g,
+	// see EXPERIMENTS.md) reads both kinds of run.
+	plan, err := cfg.plan(c.sys, c.meter.Registry())
+	if err != nil {
+		return nil, fmt.Errorf("fednode: %w", err)
 	}
-	if len(groups) == 0 {
-		return nil, fmt.Errorf("fednode: formation produced no groups")
-	}
-	probs := sampling.Probabilities(groups, cfg.Sampling)
-	sampleRng := rng.Split(2)
+	groups := plan.Groups()
 	byID := make(map[int]int, len(groups))
 	for i, g := range groups {
 		byID[g.ID] = i
-	}
-
-	// Publish the sampling vector under the same fel_core_* schema the
-	// in-process trainer uses: the cloud is the Alg. 1 control plane either
-	// way, so one audit recipe (empirical selection frequency vs p_g, see
-	// EXPERIMENTS.md) reads both kinds of run.
-	mreg := c.meter.Registry()
-	for i, g := range groups {
-		gl := metrics.L("group", strconv.Itoa(g.ID))
-		mreg.Gauge("fel_core_group_prob", gl).Set(probs[i])
-		mreg.Gauge("fel_core_group_cov", gl).Set(g.CoV())
-		mreg.Gauge("fel_core_group_size", gl).Set(float64(g.Size()))
 	}
 
 	// Push the assignment: one GroupAssign per group to its edge, then a
@@ -146,10 +128,6 @@ func (c *Cloud) Run(ln net.Listener) (*Report, error) {
 		}
 	}
 
-	totalSamples := 0
-	for _, cl := range c.sys.Clients {
-		totalSamples += cl.NumSamples()
-	}
 	global := c.sys.NewModel(c.sys.ModelSeed)
 	globalParams := global.ParamVector()
 	if cfg.InitParams != nil {
@@ -164,28 +142,7 @@ func (c *Cloud) Run(ln net.Listener) (*Report, error) {
 	bytesMark := c.meter.Written()
 	for t := 0; t < cfg.GlobalRounds; t++ {
 		roundSpan := c.meter.Registry().Start("fel_fednode_round_seconds", metrics.L("role", "cloud"))
-		var selected []int
-		if cfg.FixedSelection != nil {
-			selected = cfg.FixedSelection[t]
-			for _, gi := range selected {
-				if gi < 0 || gi >= len(groups) {
-					return nil, fmt.Errorf("fednode: fixed selection index %d out of range", gi)
-				}
-			}
-		} else {
-			s := cfg.SampleGroups
-			if s > len(groups) {
-				s = len(groups)
-			}
-			selected = sampling.Sample(sampleRng, probs, s)
-		}
-		if len(selected) == 0 {
-			return nil, fmt.Errorf("fednode: round %d selected no groups", t)
-		}
-		mreg.Counter("fel_core_rounds_total").Inc()
-		for _, gi := range selected {
-			mreg.Counter("fel_core_group_selected_total", metrics.L("group", strconv.Itoa(groups[gi].ID))).Inc()
-		}
+		selected := plan.Next(t)
 
 		// Broadcast the global model with each edge's share of the
 		// selection (possibly empty — edges stay in lockstep).
@@ -257,8 +214,8 @@ func (c *Cloud) Run(ln net.Listener) (*Report, error) {
 		}
 
 		// Weighted global aggregation (Alg. 1 line 15 / Eq. 4 / Eq. 35).
-		weights := sampling.Weights(groups, selected, probs, totalSamples, cfg.Weights)
 		next := make([]float64, len(globalParams))
+		updates := make([][]float64, len(selected))
 		stat := RoundStat{Round: t, Selected: len(selected), Accuracy: -1, Loss: -1}
 		for si, gi := range selected {
 			agg, ok := aggs[gi]
@@ -268,13 +225,11 @@ func (c *Cloud) Run(ln net.Listener) (*Report, error) {
 			if len(agg.params) != len(next) {
 				return nil, fmt.Errorf("fednode: group %d aggregate has %d params, want %d", groups[gi].ID, len(agg.params), len(next))
 			}
-			w := weights[si]
-			for j, v := range agg.params {
-				next[j] += w * v
-			}
+			updates[si] = agg.params
 			stat.Dropouts += agg.drops
 			stat.Recoveries += agg.recov
 		}
+		plan.Fold(updates, globalParams, next, 1)
 		globalParams = next
 
 		if cfg.EvalEvery <= 1 || t%cfg.EvalEvery == 0 || t == cfg.GlobalRounds-1 {

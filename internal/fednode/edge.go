@@ -351,7 +351,7 @@ func (e *Edge) runGroup(g *edgeGroup, t int, globalParams []float64, cloud *lock
 	dim := len(globalParams)
 	groupParams := append([]float64(nil), globalParams...)
 	n := len(g.members)
-	threshold := cfg.threshold(n)
+	threshold := secagg.Threshold(cfg.ThresholdFrac, n)
 	roundDrops, roundRecov := 0, 0
 
 	for k := 0; k < cfg.GroupRounds; k++ {

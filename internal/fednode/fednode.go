@@ -33,7 +33,6 @@ package fednode
 
 import (
 	"fmt"
-	"math"
 	"net"
 	"sync"
 	"time"
@@ -126,9 +125,6 @@ func (cfg JobConfig) withDefaults() JobConfig {
 	if cfg.Quantizer == (secagg.Quantizer{}) {
 		cfg.Quantizer = secagg.DefaultQuantizer()
 	}
-	if cfg.ThresholdFrac <= 0 {
-		cfg.ThresholdFrac = 2.0 / 3
-	}
 	if cfg.StragglerTimeout <= 0 {
 		cfg.StragglerTimeout = 5 * time.Second
 	}
@@ -166,19 +162,6 @@ func (cfg JobConfig) validate() error {
 	return nil
 }
 
-// threshold returns the Shamir threshold for a group of n clients, the same
-// clamp as internal/hfl: ceil(frac·n) in [2, n].
-func (cfg JobConfig) threshold(n int) int {
-	t := int(math.Ceil(cfg.ThresholdFrac * float64(n)))
-	if t < 2 {
-		t = 2
-	}
-	if t > n {
-		t = n
-	}
-	return t
-}
-
 // sessionSeed derives the secure-aggregation session seed for (global round
 // t, group round k, group gid). Every member and the edge derive the same
 // value independently, so no key material crosses the wire.
@@ -187,16 +170,6 @@ func sessionSeed(seed uint64, t, k, gid int) uint64 {
 		(uint64(t+1) * 0x9e3779b97f4a7c15) ^
 		(uint64(k+1) * 0xc2b2ae3d27d4eb4f) ^
 		(uint64(gid+1) * 0xff51afd7ed558ccd)
-}
-
-// localSeed derives a client's local-training RNG seed, byte-for-byte the
-// derivation of core.runGroup so a clean loopback run follows the exact
-// trajectory of the in-process trainer (modulo quantization).
-func localSeed(seed uint64, t, gid, cid int) uint64 {
-	return seed ^
-		(uint64(t+1) * 0x9e3779b97f4a7c15) ^
-		(uint64(gid+1) * 0xc2b2ae3d27d4eb4f) ^
-		(uint64(cid+1) * 0x165667b19e3779f9)
 }
 
 // RoundStat reports one global round as observed at the cloud.

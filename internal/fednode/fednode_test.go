@@ -137,7 +137,10 @@ func TestMidRoundDisconnectRecovers(t *testing.T) {
 
 	// Pin formation and selection so the dropped client's group is
 	// deterministically in play every round.
-	groups := grouping.FormAll(jcfg.Grouping, sys.Edges, sys.Classes, stats.NewRNG(jcfg.Seed).Split(1))
+	groups, err := jcfg.PinAllGroups(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var target *grouping.Group
 	for _, g := range groups {
 		if g.Size() >= 3 {
@@ -148,12 +151,6 @@ func TestMidRoundDisconnectRecovers(t *testing.T) {
 	if target == nil {
 		t.Fatal("no group with >= 3 clients")
 	}
-	sel := make([]int, len(groups))
-	for i := range groups {
-		sel[i] = i
-	}
-	jcfg.Groups = groups
-	jcfg.FixedSelection = [][]int{sel, sel}
 	jcfg.ForceDrop = &ForcedDrop{Client: target.Clients[0].ID, Round: 0, GroupRound: 0}
 
 	rep, err := RunJob(NewMemNetwork(), sys, jcfg, "")

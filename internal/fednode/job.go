@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/grouping"
+	"repro/internal/metrics"
 )
 
 // RunJob runs a complete networked job in this process — the cloud, every
@@ -95,6 +96,37 @@ func RunJob(nw Network, sys *core.System, cfg JobConfig, listenAddr string) (*Re
 	rep.Frames = m.Frames()
 	rep.AccountedBytes = m.Accounted()
 	return rep, nil
+}
+
+// plan builds the job's Alg. 1 control plane — the one the in-process
+// trainer steps — publishing its fel_core_* series into reg (nil-safe).
+func (cfg JobConfig) plan(sys *core.System, reg *metrics.Registry) (*core.Plan, error) {
+	return core.NewPlan(sys, core.Config{
+		Seed: cfg.Seed, Grouping: cfg.Grouping, Sampling: cfg.Sampling, Weights: cfg.Weights,
+		SampleGroups: cfg.SampleGroups, Metrics: reg,
+	}, cfg.Groups, cfg.FixedSelection)
+}
+
+// PinAllGroups forms the job's groups exactly as the cloud would, then pins
+// that formation and selects every group in every round, so a fault aimed
+// at any client is deterministically in play and replays line up. Every
+// process of a deployment derives the same pin from the shared config. It
+// returns the pinned groups.
+func (cfg *JobConfig) PinAllGroups(sys *core.System) ([]*grouping.Group, error) {
+	plan, err := cfg.plan(sys, nil)
+	if err != nil {
+		return nil, fmt.Errorf("fednode: %w", err)
+	}
+	all := make([]int, len(plan.Groups()))
+	for i := range all {
+		all[i] = i
+	}
+	cfg.Groups = plan.Groups()
+	cfg.FixedSelection = make([][]int, cfg.GlobalRounds)
+	for t := range cfg.FixedSelection {
+		cfg.FixedSelection[t] = all
+	}
+	return cfg.Groups, nil
 }
 
 // RunRound runs one networked global round over pre-formed groups and an

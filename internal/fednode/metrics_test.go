@@ -11,7 +11,6 @@ import (
 	"repro/internal/grouping"
 	"repro/internal/metrics"
 	"repro/internal/nn"
-	"repro/internal/stats"
 	"repro/internal/wire"
 )
 
@@ -116,7 +115,10 @@ func TestDropoutMetricsMatchReport(t *testing.T) {
 	jcfg := testJobConfig()
 	jcfg.GlobalRounds = 2
 	jcfg.StragglerTimeout = 2 * time.Second
-	groups := grouping.FormAll(jcfg.Grouping, sys.Edges, sys.Classes, stats.NewRNG(jcfg.Seed).Split(1))
+	groups, err := jcfg.PinAllGroups(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var target *grouping.Group
 	for _, g := range groups {
 		if g.Size() >= 3 {
@@ -127,12 +129,6 @@ func TestDropoutMetricsMatchReport(t *testing.T) {
 	if target == nil {
 		t.Fatal("no group with >= 3 clients")
 	}
-	sel := make([]int, len(groups))
-	for i := range groups {
-		sel[i] = i
-	}
-	jcfg.Groups = groups
-	jcfg.FixedSelection = [][]int{sel, sel}
 	jcfg.ForceDrop = &ForcedDrop{Client: target.Clients[0].ID, Round: 0, GroupRound: 0}
 	reg := metrics.New()
 	jcfg.Meter = NewMeter(reg)

@@ -92,8 +92,10 @@ func KillCloudDemo(dir string, seed uint64, logf func(format string, args ...any
 	}
 	crashed.Kill()
 
-	// Restarted cloud: recover everything the checkpoint directory holds.
-	recoveredSvc := New(Config{Dir: dir, CheckpointEvery: 2, Logf: logf})
+	// Restarted cloud: recover everything the checkpoint directory holds. The
+	// scheduler stays parked until the resumed rounds are recorded — a
+	// running scheduler would already be advancing j.Round().
+	recoveredSvc := New(Config{Dir: dir, CheckpointEvery: 2, StartHeld: true, Logf: logf})
 	jobs, err := recoveredSvc.Recover()
 	if err != nil {
 		return nil, err
@@ -111,6 +113,7 @@ func KillCloudDemo(dir string, seed uint64, logf func(format string, args ...any
 		rep.Jobs = append(rep.Jobs, j.Name())
 		rep.ResumedFromRound[j.Name()] = j.Round()
 	}
+	recoveredSvc.Start()
 	recoveredSvc.Wait()
 	for _, j := range jobs {
 		res, err := j.Wait()

@@ -203,17 +203,7 @@ func secureGroupRound(sys *core.System, g *grouping.Group, groupParams []float64
 		return model.ParamVector(), float64(cfg.LocalEpochs) * cfg.Profile.Training(c.NumSamples()), 0, 0, nil
 	}
 
-	threshFrac := cfg.ThresholdFrac
-	if threshFrac <= 0 {
-		threshFrac = 2.0 / 3
-	}
-	threshold := int(math.Ceil(threshFrac * float64(n)))
-	if threshold < 2 {
-		threshold = 2
-	}
-	if threshold > n {
-		threshold = n
-	}
+	threshold := secagg.Threshold(cfg.ThresholdFrac, n)
 	sess := secagg.NewSession(n, dim, threshold, cfg.Seed^(tag*0x9e3779b97f4a7c15)^uint64(g.ID), cfg.Quantizer)
 
 	ng := float64(g.NumSamples())

@@ -2,6 +2,7 @@ package secagg
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"repro/internal/metrics"
@@ -47,6 +48,15 @@ type Session struct {
 
 	ops       OpCounts
 	published OpCounts // high-water mark of counts already flushed by PublishOps
+}
+
+// Threshold returns the Shamir reconstruction threshold for a group of n
+// clients: ceil(frac·n) clamped to [2, n]. frac <= 0 means the 2/3 default.
+func Threshold(frac float64, n int) int {
+	if frac <= 0 {
+		frac = 2.0 / 3
+	}
+	return min(max(int(math.Ceil(frac*float64(n))), 2), n)
 }
 
 // NewSession prepares a secure aggregation session. threshold is the Shamir
