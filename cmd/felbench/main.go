@@ -7,38 +7,18 @@
 //	felbench -list
 //	felbench -exp fig9 -scale small -seed 7
 //	felbench -exp all -scale medium -out results/
-//	felbench -bench all -out results/
-//	felbench -bench medium -benchprocs 4 -benchpar 8 -out results/
-//	felbench -scalebench all -out results/
-//	felbench -load -jobs 4 -subs 250 -out results/
+//	felbench -exp fig7,async-vs-sync -scale small
 //
-// -bench runs the engine benchmark grid: every GOMAXPROCS × MaxParallel
-// combination of the requested workload scales (comma list of small, medium,
-// large, or "all"), each cell measured end to end and compared bit-for-bit
-// against that scale's naive-serial baseline, written as BENCH_grid.json.
-// -benchprocs and -benchpar override the default {1,4,8} × {1,2,8} axes;
-// -benchrepeats sets the per-cell repeat count (minima are reported).
-//
-// -scalebench runs the population-scaling grid over virtual (flyweight)
-// client populations — up to a million clients across hundreds of edges —
-// timing population build, CoV-Grouping formation, and steady-state round
-// cost/allocations, and writes BENCH_scale.json. Takes a comma list of row
-// ids ("10k", "100k", "1m") or "all".
-//
-// -load is the serving-layer load harness: one felserve cloud trains -jobs
-// concurrent federation jobs while -subs loopback subscribers per job follow
-// the model-version stream; it asserts every subscriber lands on the correct
-// final aggregate and that shutdown leaks no goroutines, then writes the
-// measured round throughput as BENCH_serve.json.
+// felbench does not measure performance: that is `go run ./bench` (see
+// bench/README.md), judged against the committed baseline with
+// `go run ./bench -compare`.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 
 	"repro/internal/experiments"
@@ -56,144 +36,6 @@ func idList() string {
 	return b.String()
 }
 
-// parseIntList parses a comma list of positive ints ("1,4,8") for the grid
-// axis flags.
-func parseIntList(flagName, spec string) []int {
-	var out []int
-	for _, f := range strings.Split(spec, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		n, err := strconv.Atoi(f)
-		if err != nil || n < 1 {
-			fmt.Fprintf(os.Stderr, "felbench: -%s wants a comma list of positive ints, got %q\n", flagName, spec)
-			os.Exit(2)
-		}
-		out = append(out, n)
-	}
-	if len(out) == 0 {
-		fmt.Fprintf(os.Stderr, "felbench: -%s is empty\n", flagName)
-		os.Exit(2)
-	}
-	return out
-}
-
-// runBenchGrid runs the engine benchmark grid and writes BENCH_grid.json
-// into dir (current directory when empty). Any cell that fails the
-// bit-identical check against its scale's baseline exits 1.
-func runBenchGrid(spec, procsSpec, parSpec string, repeats int, seed uint64, dir string) {
-	var names []string
-	for _, n := range strings.Split(spec, ",") {
-		if n = strings.TrimSpace(n); n != "" {
-			names = append(names, n)
-		}
-	}
-	scales, err := experiments.BenchScalesByNames(names)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "felbench:", err)
-		os.Exit(2)
-	}
-	procsAxis := parseIntList("benchprocs", procsSpec)
-	parAxis := parseIntList("benchpar", parSpec)
-	fmt.Printf("=== engine bench grid (scales=%s procs=%v par=%v repeats=%d seed=%d) ===\n",
-		spec, procsAxis, parAxis, repeats, seed)
-	res := experiments.BenchGrid(scales, procsAxis, parAxis, repeats, seed, func(line string) { fmt.Println(line) })
-	broken := false
-	for _, c := range res.Cells {
-		if !c.BitIdentical {
-			broken = true
-			fmt.Fprintf(os.Stderr, "felbench: cell scale=%s procs=%d par=%d diverged from the serial baseline — determinism contract broken\n",
-				c.Scale, c.GoMaxProcs, c.MaxParallel)
-		}
-	}
-	writeJSON(dir, "BENCH_grid.json", res)
-	if broken {
-		os.Exit(1)
-	}
-}
-
-// writeJSON writes v as indented JSON into dir/name, creating the results
-// directory if it does not exist yet (a clean checkout has none).
-func writeJSON(dir, name string, v any) {
-	if dir == "" {
-		dir = "."
-	} else if err := os.MkdirAll(dir, 0o755); err != nil {
-		fmt.Fprintln(os.Stderr, "felbench:", err)
-		os.Exit(1)
-	}
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "felbench:", err)
-		os.Exit(1)
-	}
-	path := filepath.Join(dir, name)
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "felbench:", err)
-		os.Exit(1)
-	}
-	fmt.Println("wrote", path)
-}
-
-// runAsyncBench runs the async-vs-sync aggregation grid under the
-// straggler-storm delay model and writes BENCH_async.json into dir
-// (current directory when empty). Exits 1 if any gate fails: the α=0
-// full-buffer cell must be bit-identical to sync, both async modes must
-// finish in strictly fewer logical ticks, and the best async cell must
-// match or beat the synchronous final accuracy.
-func runAsyncBench(sc experiments.Scale, seed uint64, dir string) {
-	fmt.Printf("=== async-vs-sync (scale=%s seed=%d) ===\n", sc.Name, seed)
-	res := experiments.AsyncVsSync(sc, seed, func(line string) { fmt.Println(line) })
-	fmt.Printf("gates: alpha0-bit-identical=%v buffered-fewer-ticks=%v semisync-fewer-ticks=%v equal-or-better-accuracy=%v\n",
-		res.Alpha0BitIdentical, res.BufferedFewerTicks, res.SemiSyncFewerTicks, res.EqualOrBetterAccuracy)
-	writeJSON(dir, "BENCH_async.json", res)
-	if !res.Pass {
-		fmt.Fprintln(os.Stderr, "felbench: async-vs-sync gates failed")
-		os.Exit(1)
-	}
-}
-
-// runScaleBench runs the population-scaling grid and writes
-// BENCH_scale.json into dir (current directory when empty).
-func runScaleBench(spec string, seed uint64, dir string) {
-	var ids []string
-	for _, id := range strings.Split(spec, ",") {
-		if id = strings.TrimSpace(id); id != "" {
-			ids = append(ids, id)
-		}
-	}
-	scales, err := experiments.PopScaleByIDs(ids)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "felbench:", err)
-		os.Exit(2)
-	}
-	fmt.Printf("=== population scaling bench (rows=%s seed=%d) ===\n", spec, seed)
-	res := experiments.PopScaleGrid(scales, seed, func(line string) { fmt.Println(line) })
-	writeJSON(dir, "BENCH_scale.json", res)
-}
-
-// runServeBench runs the felserve load harness and writes BENCH_serve.json
-// into dir (current directory when empty).
-func runServeBench(jobs, subs int, seed uint64, dir string) {
-	const rounds, clients = 8, 12
-	fmt.Printf("=== felserve load harness (%d jobs × %d subscribers, %d rounds each, seed=%d) ===\n",
-		jobs, subs, rounds, seed)
-	res, err := experiments.ServeBench(jobs, subs, rounds, clients, seed)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "felbench:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("rounds:   %d total in %.2fs → %.1f rounds/s\n", res.TotalRounds, res.WallSeconds, res.RoundsPerSec)
-	fmt.Printf("fan-out:  %d subscribers admitted, %d version frames delivered\n", res.Admitted, res.VersionsSent)
-	fmt.Printf("finals:   bit-correct aggregates on every subscriber: %v\n", res.FinalsCorrect)
-	fmt.Printf("teardown: %d leaked goroutines\n", res.LeakedGoroutines)
-	if !res.FinalsCorrect || res.LeakedGoroutines > 0 {
-		fmt.Fprintln(os.Stderr, "felbench: load harness contract violated")
-		os.Exit(1)
-	}
-	writeJSON(dir, "BENCH_serve.json", res)
-}
-
 func main() {
 	var (
 		exp   = flag.String("exp", "", "experiment id (see -list), comma list, or 'all'")
@@ -201,31 +43,11 @@ func main() {
 		seed  = flag.Uint64("seed", 2024, "random seed")
 		out   = flag.String("out", "", "directory to write per-experiment CSV files (optional)")
 		list  = flag.Bool("list", false, "list experiment ids and exit")
-		bench   = flag.String("bench", "", "engine bench grid: comma list of workload scales (small, medium, large) or 'all'; writes BENCH_grid.json")
-		bprocs  = flag.String("benchprocs", "1,4,8", "GOMAXPROCS axis for -bench (comma list)")
-		bpar    = flag.String("benchpar", "1,2,8", "MaxParallel axis for -bench (comma list)")
-		brepeat = flag.Int("benchrepeats", 3, "repeats per -bench cell; minima are reported")
-		scb     = flag.String("scalebench", "", "population-scaling bench: comma list of row ids (10k, 100k, 1m) or 'all'; writes BENCH_scale.json")
-		load  = flag.Bool("load", false, "run the felserve load harness and write BENCH_serve.json")
-		jobs  = flag.Int("jobs", 4, "concurrent jobs for -load")
-		subs  = flag.Int("subs", 250, "loopback subscribers per job for -load")
 	)
 	flag.Parse()
 
 	if *list {
 		fmt.Print(idList())
-		return
-	}
-	if *load {
-		runServeBench(*jobs, *subs, *seed, *out)
-		return
-	}
-	if *scb != "" {
-		runScaleBench(*scb, *seed, *out)
-		return
-	}
-	if *bench != "" {
-		runBenchGrid(*bench, *bprocs, *bpar, *brepeat, *seed, *out)
 		return
 	}
 	if *exp == "" {
@@ -236,12 +58,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "felbench:", err)
 		os.Exit(2)
-	}
-	// async-vs-sync writes a gated JSON artifact rather than a CSV figure,
-	// so it routes around the registry loop.
-	if *exp == "async-vs-sync" {
-		runAsyncBench(sc, *seed, *out)
-		return
 	}
 	reg := experiments.Registry()
 	var ids []string

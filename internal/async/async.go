@@ -30,7 +30,7 @@ import (
 // Mode selects the aggregation semantics of a training run.
 type Mode int
 
-// The three aggregation modes compared by the async-vs-sync bench.
+// The three aggregation modes compared by the async-vs-sync experiment.
 const (
 	// Sync is the paper's bulk-synchronous Alg. 1: every group round waits
 	// for all member updates before aggregating.

@@ -60,8 +60,8 @@ func (h arrivalHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h arrivalHeap) Swap(i, j int)  { h[i], h[j] = h[j], h[i] }
-func (h *arrivalHeap) Push(x any)    { *h = append(*h, x.(arrivalEvent)) }
+func (h arrivalHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *arrivalHeap) Push(x any)   { *h = append(*h, x.(arrivalEvent)) }
 func (h *arrivalHeap) Pop() any {
 	old := *h
 	n := len(old)
@@ -91,12 +91,12 @@ type asyncGroupRun struct {
 	version int // group model version v: increments per nonempty fold
 
 	// Per-client state, indexed by position in g.Clients.
-	dispatched []int   // how many times dispatched (the next ordinal k)
-	dispVer    []int   // model version at dispatch of the in-flight update
-	inflight   []bool  // dispatched, not yet arrived
-	arrived    []bool  // arrived (buffered or dropped), awaiting flush
-	inBuf      []bool  // arrived with a live update in its slot
-	arrivals   int     // arrivals (incl. drops) since the last flush
+	dispatched []int  // how many times dispatched (the next ordinal k)
+	dispVer    []int  // model version at dispatch of the in-flight update
+	inflight   []bool // dispatched, not yet arrived
+	arrived    []bool // arrived (buffered or dropped), awaiting flush
+	inBuf      []bool // arrived with a live update in its slot
+	arrivals   int    // arrivals (incl. drops) since the last flush
 }
 
 func (e *engine) newAsyncGroupRun(g *grouping.Group, globalParams []float64, round int, rep *asyncGroupReport) *asyncGroupRun {

@@ -123,8 +123,10 @@ func newEngine(sys *System, cfg Config, local LocalUpdater, comp *compressorPool
 	// MaxParallel is a bound, not a worker count: results are bit-identical
 	// however many workers actually run, so the pool is free to stay at the
 	// physical CPU count. Beyond it, extra workers only multiply resident
-	// model clones and thread handoffs on the same cores — the bench grid
-	// measured large-scale rounds ~15% slower with 8 workers on one CPU.
+	// model clones and thread handoffs on the same cores — PR 9 measured
+	// large-model rounds ~15% slower with 8 workers on one CPU. A change
+	// here shows in `go run ./bench` workload train-gemm (rounds_per_s,
+	// parallel_speedup).
 	if max > procs && !testUncapWorkers {
 		max = procs
 	}

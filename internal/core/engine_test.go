@@ -88,8 +88,9 @@ func TestEngineWorkerPoolRace(t *testing.T) {
 
 // TestTrainParallelSpeedup checks the engine actually converts cores into
 // wall-clock on multi-core hosts. The threshold is deliberately loose
-// (scheduling noise, small model); the headline numbers live in
-// BenchmarkTrainSmall and results/BENCH_grid.json.
+// (scheduling noise, small model); the headline numbers are
+// BenchmarkTrainSmall and `go run ./bench` workload train-gemm
+// (parallel_speedup, bench/baseline/).
 func TestTrainParallelSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")

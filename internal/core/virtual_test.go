@@ -2,10 +2,14 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
+	"repro/internal/cost"
 	"repro/internal/data"
+	"repro/internal/grouping"
 	"repro/internal/nn"
+	"repro/internal/sampling"
 )
 
 // virtualTestConfig builds the SystemConfig shared by the virtual and
@@ -139,5 +143,105 @@ func TestVirtualTrainerCheckpointResume(t *testing.T) {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 			t.Fatalf("param %d differs after resume: %.17g vs %.17g", i, got[i], want[i])
 		}
+	}
+}
+
+// TestVirtualRoundMemoryOSelected is the O(selected)-memory gate of the
+// flyweight populations: a 4× larger population with the same selection
+// size must not allocate 4× more per round. Steady-state round allocations
+// track the selected set (fixed S, similar group sizes), so the big
+// population is allowed modest growth — worker-buffer regrowth, larger
+// group index slices — but nothing resembling proportional scaling.
+// Population heap, by contrast, must grow with the population: that is
+// where the flyweights live.
+func TestVirtualRoundMemoryOSelected(t *testing.T) {
+	const rounds, sampleGroups = 3, 8
+	type row struct {
+		popHeap            uint64
+		allocs, allocBytes float64
+	}
+	measure := func(clients, edges int) row {
+		// Two GC cycles around each heap read: sync.Pool contents (the GEMM
+		// packing buffers, worker sample arenas) drain through a victim
+		// cache over two collections, so a single GC can leave megabytes of
+		// pool memory in the before reading that the after reading has
+		// freed — underflowing the delta when earlier tests warmed the pools.
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		gen := data.FlatConfig(10, 32, 1)
+		gen.Noise = 1.2
+		sys := NewVirtualSystem(SystemConfig{
+			Generator: gen,
+			Partition: data.PartitionConfig{
+				NumClients: clients, Alpha: 0.5,
+				MinSamples: 20, MaxSamples: 200, MeanSamples: 110, StdSamples: 45,
+				Seed: 102,
+			},
+			NumEdges:  edges,
+			TestSize:  512,
+			NewModel:  func(ms uint64) *nn.Sequential { return nn.NewMLP(32, []int{32}, 10, ms) },
+			ModelSeed: 7,
+		})
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		r := row{popHeap: after.HeapAlloc - before.HeapAlloc}
+
+		tr := NewTrainer(sys, Config{
+			// +2: the warm-up round absorbs the t=0 evaluation, and the
+			// final-round evaluation never lands inside the measured window.
+			GlobalRounds: rounds + 2,
+			GroupRounds:  1, LocalEpochs: 1, BatchSize: 32, LR: 0.05,
+			SampleGroups: sampleGroups,
+			Grouping:     grouping.CoVGrouping{Config: grouping.Config{MinGS: 5, MaxCoV: 0.5, MergeLeftover: true}},
+			Sampling:     sampling.ESRCoV,
+			Weights:      sampling.Biased,
+			Seed:         1,
+			CostProfile:  cost.CIFARProfile(),
+			CostOps:      cost.DefaultOps(),
+			EvalEvery:    rounds + 5,
+		})
+		groups := len(tr.plan.Groups())
+		tr.Step() // warm-up: steady-states the pools
+
+		runtime.ReadMemStats(&before)
+		selected := 0
+		for i := 0; i < rounds; i++ {
+			tr.Step()
+			selected += tr.SelectedClients()
+		}
+		runtime.ReadMemStats(&after)
+		r.allocs = float64(after.Mallocs-before.Mallocs) / rounds
+		r.allocBytes = float64(after.TotalAlloc-before.TotalAlloc) / rounds
+
+		if groups < clients/10 {
+			t.Fatalf("%d clients: implausible group count %d", clients, groups)
+		}
+		if selected <= 0 || selected > rounds*sampleGroups*50 {
+			t.Fatalf("%d clients: %d clients selected over %d rounds, out of range", clients, selected, rounds)
+		}
+		return r
+	}
+	small := measure(20_000, 16)
+	big := measure(80_000, 64)
+
+	// O(selected): per-round allocation may wobble (buffer regrowth, GC
+	// bookkeeping) but must stay far below the 4× population ratio.
+	const slack = 8 << 20
+	if big.allocBytes > 2*small.allocBytes+slack {
+		t.Fatalf("round alloc bytes scaled with population: %.0f at 80k vs %.0f at 20k",
+			big.allocBytes, small.allocBytes)
+	}
+	if big.allocs > 2*small.allocs+4096 {
+		t.Fatalf("round alloc count scaled with population: %.0f at 80k vs %.0f at 20k",
+			big.allocs, small.allocs)
+	}
+	// The flyweight store itself is O(population): 4× clients should cost
+	// at least ~2× heap (loose: GC timing makes exact ratios unstable).
+	if big.popHeap < 2*small.popHeap {
+		t.Fatalf("population heap did not grow with population: %d at 80k vs %d at 20k",
+			big.popHeap, small.popHeap)
 	}
 }

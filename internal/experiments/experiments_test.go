@@ -47,19 +47,30 @@ func TestFig2bRuns(t *testing.T) {
 }
 
 func TestFig5RuntimeOrdering(t *testing.T) {
-	f := Fig5(Small(), testSeed)
-	rg, cov, kld := f.Get("RG"), f.Get("CoVG"), f.Get("KLDG")
-	if rg == nil || cov == nil || kld == nil {
-		t.Fatal("missing series")
+	// Fig5 times each formation once; a single wall-clock sample is at the
+	// mercy of whatever else `go test ./...` is running, so the assertions
+	// use the minimum over three runs at the largest size.
+	best := map[string]float64{}
+	for run := 0; run < 3; run++ {
+		f := Fig5(Small(), testSeed)
+		for _, name := range []string{"RG", "CoVG", "KLDG"} {
+			s := f.Get(name)
+			if s == nil {
+				t.Fatalf("missing series %s", name)
+			}
+			if y, seen := best[name]; !seen || s.FinalY() < y {
+				best[name] = s.FinalY()
+			}
+		}
 	}
+	rg, cov, kld := best["RG"], best["CoVG"], best["KLDG"]
 	// At the largest size: RG fastest, KLDG slowest (paper Fig. 5).
-	last := rg.Len() - 1
-	if !(rg.Y[last] <= cov.Y[last] && cov.Y[last] <= kld.Y[last]) {
-		t.Fatalf("runtime ordering violated: RG %v, CoVG %v, KLDG %v", rg.Y[last], cov.Y[last], kld.Y[last])
+	if !(rg <= cov && cov <= kld) {
+		t.Fatalf("runtime ordering violated: RG %v, CoVG %v, KLDG %v", rg, cov, kld)
 	}
 	// KLDG should be clearly slower than CoVG, not marginally.
-	if kld.Y[last] < 2*cov.Y[last] {
-		t.Fatalf("KLDG (%v) should be well above CoVG (%v)", kld.Y[last], cov.Y[last])
+	if kld < 2*cov {
+		t.Fatalf("KLDG (%v) should be well above CoVG (%v)", kld, cov)
 	}
 }
 
@@ -241,16 +252,19 @@ func TestAblationsRun(t *testing.T) {
 
 func TestRegistryComplete(t *testing.T) {
 	reg := Registry()
-	for _, id := range []string{"fig2a", "fig2b", "fig5", "fig6", "fig7", "fig8",
+	want := []string{"fig2a", "fig2b", "fig5", "fig6", "fig7", "fig8",
 		"fig9", "fig10", "fig11", "fig12", "table1",
-		"abl-variance", "abl-aggregation", "abl-regroup", "abl-gamma"} {
+		"abl-variance", "abl-aggregation", "abl-regroup", "abl-gamma",
+		"theory", "dropout", "costbreak", "fairness", "compression", "multimodel",
+		"async-vs-sync"}
+	for _, id := range want {
 		if _, ok := reg[id]; !ok {
 			t.Errorf("registry missing %s", id)
 		}
 	}
 	ids := IDs()
-	if len(ids) != len(reg) {
-		t.Fatal("IDs incomplete")
+	if len(ids) != len(reg) || len(ids) != len(want) {
+		t.Fatalf("IDs() has %d ids, registry %d, this test names %d", len(ids), len(reg), len(want))
 	}
 	for i := 1; i < len(ids); i++ {
 		if ids[i-1] >= ids[i] {

@@ -16,7 +16,8 @@
 // immediately, generalizing fednode's crash-rejoin adoption.
 //
 // Observability: the service-level registry carries the fel_serve_* schema
-// (jobs submitted/recovered/completed, rounds, checkpoints and their bytes,
+// (jobs submitted/recovered/completed, rounds, checkpoints written, their
+// bytes and how many Recover quarantined as unreadable,
 // subscribers admitted/rejected/active, versions sent); each job's private
 // registry carries its own fel_core_* training stream plus
 // fel_serve_job_* counters, which is what makes the tenant-isolation proof
@@ -75,6 +76,7 @@ type Service struct {
 	roundsCtr  *metrics.Counter
 	ckpts      *metrics.Counter
 	ckptBytes  *metrics.Counter
+	ckptsBad   *metrics.Counter // unreadable checkpoints Recover moved aside
 	activeJobs *metrics.Gauge
 
 	subAdmitted *metrics.Counter
@@ -114,6 +116,7 @@ func New(cfg Config) *Service {
 		roundsCtr:   reg.Counter("fel_serve_rounds_total"),
 		ckpts:       reg.Counter("fel_serve_checkpoints_total"),
 		ckptBytes:   reg.Counter("fel_serve_checkpoint_bytes_total"),
+		ckptsBad:    reg.Counter("fel_serve_checkpoints_quarantined_total"),
 		activeJobs:  reg.Gauge("fel_serve_active_jobs"),
 		subAdmitted: reg.Counter("fel_serve_subscribers_admitted_total"),
 		subActive:   reg.Gauge("fel_serve_subscribers_active"),
@@ -166,7 +169,10 @@ func (s *Service) Submit(spec JobSpec) (*Job, error) {
 
 // Recover scans the checkpoint directory and resubmits every job found
 // there, resumed from its snapshot. Returns the recovered jobs sorted by
-// name. A service without a Dir recovers nothing.
+// name. A service without a Dir recovers nothing. A checkpoint that does
+// not load is renamed to <name>.ckpt.bad and counted in
+// fel_serve_checkpoints_quarantined_total; the scan goes on, so one corrupt
+// file never strands the other tenants.
 func (s *Service) Recover() ([]*Job, error) {
 	if s.cfg.Dir == "" {
 		return nil, nil
@@ -180,7 +186,12 @@ func (s *Service) Recover() ([]*Job, error) {
 	for _, path := range paths {
 		spec, st, err := LoadCheckpoint(path)
 		if err != nil {
-			return jobs, fmt.Errorf("felserve: recover %s: %w", path, err)
+			if rerr := os.Rename(path, path+".bad"); rerr != nil {
+				return jobs, fmt.Errorf("felserve: recover %s: %w (quarantine failed: %v)", path, err, rerr)
+			}
+			s.ckptsBad.Inc()
+			s.logf("recover: quarantined %s as %s.bad: %v", path, filepath.Base(path), err)
+			continue
 		}
 		j, err := newJob(s, spec, st)
 		if err != nil {

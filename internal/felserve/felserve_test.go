@@ -3,6 +3,7 @@ package felserve
 import (
 	"errors"
 	"math"
+	"os"
 	"runtime"
 	"testing"
 	"time"
@@ -67,6 +68,88 @@ func TestKillCloudResume(t *testing.T) {
 		if resumed <= 0 {
 			t.Fatalf("job %s: resumed from round %d — checkpoint never captured progress", name, resumed)
 		}
+	}
+	waitGoroutines(t, before)
+}
+
+// TestRecoverQuarantinesCorruptCheckpoint crashes a three-tenant cloud,
+// truncates the middle tenant's checkpoint, and restarts: Recover must move
+// the bad file aside, count it, and still resume the two tenants on either
+// side of it — each finishing bit-identically to its uninterrupted run.
+func TestRecoverQuarantinesCorruptCheckpoint(t *testing.T) {
+	before := runtime.NumGoroutine()
+	specs := demoSpecs(11)
+	third := specs[0]
+	third.Name, third.SystemSeed, third.Seed = "tenant-c", 13, 300
+	specs = append(specs, third)
+
+	run := func(cfg Config) *Service {
+		cfg.StartHeld = true
+		svc := New(cfg)
+		for _, spec := range specs {
+			if _, err := svc.Submit(spec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		svc.Start()
+		return svc
+	}
+	refSvc := run(Config{})
+	refSvc.Wait()
+	ref := map[string]*core.Result{}
+	for _, spec := range specs {
+		res, err := refSvc.Job(spec.Name).Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref[spec.Name] = res
+	}
+	if err := refSvc.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	crashed := run(Config{Dir: dir, CheckpointEvery: 2, HaltAfterWaves: 5})
+	<-crashed.Halted()
+	crashed.Kill()
+
+	bad := checkpointPath(dir, "tenant-b")
+	info, err := os.Stat(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(bad, info.Size()/2); err != nil {
+		t.Fatal(err)
+	}
+
+	svc := New(Config{Dir: dir, CheckpointEvery: 2, Logf: t.Logf})
+	jobs, err := svc.Recover()
+	if err != nil {
+		t.Fatalf("Recover must survive one corrupt checkpoint: %v", err)
+	}
+	if len(jobs) != 2 || jobs[0].Name() != "tenant-a" || jobs[1].Name() != "tenant-c" {
+		t.Fatalf("recovered %d jobs, want tenant-a and tenant-c", len(jobs))
+	}
+	for _, j := range jobs {
+		res, err := j.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameBits(res.Params, ref[j.Name()].Params) {
+			t.Errorf("job %s: recovered weights differ from the uninterrupted run", j.Name())
+		}
+	}
+	if n := svc.Registry().CounterValue("fel_serve_checkpoints_quarantined_total"); n != 1 {
+		t.Errorf("fel_serve_checkpoints_quarantined_total = %v, want 1", n)
+	}
+	if _, err := os.Stat(bad + ".bad"); err != nil {
+		t.Errorf("quarantined file missing: %v", err)
+	}
+	if _, err := os.Stat(bad); !os.IsNotExist(err) {
+		t.Errorf("corrupt checkpoint still in place (stat err %v)", err)
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
 	}
 	waitGoroutines(t, before)
 }

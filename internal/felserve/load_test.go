@@ -9,8 +9,8 @@ import (
 	"repro/internal/fednode"
 )
 
-// TestServeLoadSmoke is the in-tree slice of the load harness (the felbench
-// `-load` scenario drives the same path harder): hundreds of loopback
+// TestServeLoadSmoke is the serving layer's load gate (`go run ./bench`
+// workload serve-fanout measures the same path): hundreds of loopback
 // subscribers fan in over one listener while two jobs train concurrently.
 // Every subscriber must end on the correct final aggregate, the service
 // counters must balance, and — the leak contract — the goroutine count must

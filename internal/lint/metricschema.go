@@ -26,8 +26,9 @@ var MetricSchema = &Analyzer{
 // metricLayers are the architectural layers allowed in metric names,
 // mirroring the package structure: core training, wire codec, simulated
 // network, federation node, secure aggregation, fault injection, the
-// felserve serving layer (fel_serve_* covers both the service-level schema
-// and the per-job fel_serve_job_* streams), and the buffered-async
+// felserve serving layer (fel_serve_* covers the service-level schema,
+// incl. Recover's fel_serve_checkpoints_quarantined_total, and the per-job
+// fel_serve_job_* streams), and the buffered-async
 // aggregation layer (fel_async_* staleness/buffer/clock instrumentation).
 var metricLayers = map[string]bool{
 	"core": true, "wire": true, "net": true,

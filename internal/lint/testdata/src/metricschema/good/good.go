@@ -8,6 +8,7 @@ func Register(r *metrics.Registry) float64 {
 	r.Counter("fel_fednode_uploads_total", metrics.L("client", "c1"), metrics.L("group", "g1"))
 	r.Gauge("fel_net_queue_depth", 1)
 	r.Counter("fel_serve_rounds_total")
+	r.Counter("fel_serve_checkpoints_quarantined_total")
 	r.Counter("fel_serve_subscribers_rejected_total", metrics.L("reason", "busy"))
 	r.Gauge("fel_serve_active_jobs", 1)
 	r.Histogram("fel_secagg_share_bytes", 32)

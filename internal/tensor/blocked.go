@@ -66,9 +66,11 @@ const (
 // "blocked GEMM enabled" — no package init needed.
 var blockedOff atomic.Bool
 
-// SetBlockedGEMM enables or disables the blocked kernels at runtime. The
-// bench grid uses it to time the naive baseline; results are bit-identical
-// either way, so this is purely a performance switch.
+// SetBlockedGEMM enables or disables the blocked kernels at runtime. Its
+// only callers are the kernel and replay tests, which run both settings to
+// prove results are bit-identical either way — it is purely a performance
+// switch (what the blocked kernels buy end to end is `go run ./bench`
+// workload train-gemm).
 func SetBlockedGEMM(on bool) { blockedOff.Store(!on) }
 
 // BlockedGEMM reports whether the blocked kernels are enabled.
