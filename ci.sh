@@ -25,11 +25,17 @@
 #                        virtual populations; simnet event loop, wire
 #                        codec, fednode cloud/edge/client servers, metrics
 #                        registry, felserve)
-#   6. fuzz smoke      — every fuzz target runs randomized inputs on a 10s
-#                        total budget (FuzzDecodeFrame over the wire codec
-#                        and FuzzArrivalLogFrame over the arrival-log
-#                        frames, both seeded from faultnet's corruption
-#                        mutators)
+#   6. fuzz smoke      — the fuzz targets of the networked path run
+#                        randomized inputs on a 10s total budget:
+#                        FuzzDecodeFrame over the wire codec and
+#                        FuzzArrivalLogFrame over the arrival-log frames
+#                        (both seeded from faultnet's corruption mutators),
+#                        and internal/secagg's FuzzFieldOps,
+#                        FuzzQuantizeRoundTrip and FuzzMaskCancel (random
+#                        seeds, dimensions and drop sets: the masks cancel
+#                        to the plain sum). internal/stats' and
+#                        internal/groupio's targets run their seed corpora
+#                        in stage 4 only.
 #   7. chaos smoke     — felnode -chaos runs a named fault-injection
 #                        scenario twice against a full loopback federation
 #                        and diffs the fault event logs and timing-masked
@@ -105,8 +111,11 @@ echo "== go test -race (tensor, core, async, simnet, wire, fednode, faultnet, me
 go test -race ./internal/tensor ./internal/core ./internal/async ./internal/simnet ./internal/wire ./internal/fednode ./internal/faultnet/... ./internal/metrics ./internal/felserve
 
 echo "== go test -fuzz smoke (10s total across targets)"
-go test ./internal/wire -run '^$' -fuzz FuzzDecodeFrame -fuzztime 5s
-go test ./internal/async -run '^$' -fuzz FuzzArrivalLogFrame -fuzztime 5s
+go test ./internal/wire -run '^$' -fuzz FuzzDecodeFrame -fuzztime 3s
+go test ./internal/async -run '^$' -fuzz FuzzArrivalLogFrame -fuzztime 3s
+go test ./internal/secagg -run '^$' -fuzz FuzzFieldOps -fuzztime 1s
+go test ./internal/secagg -run '^$' -fuzz FuzzQuantizeRoundTrip -fuzztime 1s
+go test ./internal/secagg -run '^$' -fuzz FuzzMaskCancel -fuzztime 2s
 
 echo "== felnode -chaos smoke (deterministic replay)"
 chaosdir="$(stage_dir chaos)"

@@ -137,13 +137,13 @@ func (c *Client) Run(nw Network, edgeAddr string) ([]float64, error) {
 				// (the hfl convention).
 				reply.Floats = params
 			} else {
-				contrib := make([]float64, len(params))
-				for j, v := range params {
-					contrib[j] = w * v
+				// Weight in place: params is this client's own copy.
+				for j := range params {
+					params[j] *= w
 				}
 				sess = secagg.NewSession(n, len(params), threshold, sessionSeed(cfg.Seed, t, k, gid), cfg.Quantizer)
 				sessT, sessK = t, k
-				reply.Words = sess.MaskedUpdate(myIdx, contrib)
+				reply.Words = sess.MaskedUpdate(myIdx, params)
 				sess.PublishOps(c.meter.Registry())
 			}
 			if err := sendFrame(conn, c.meter, reply, cfg.StragglerTimeout); err != nil {

@@ -353,6 +353,7 @@ func (e *Edge) runGroup(g *edgeGroup, t int, globalParams []float64, cloud *lock
 	n := len(g.members)
 	threshold := secagg.Threshold(cfg.ThresholdFrac, n)
 	roundDrops, roundRecov := 0, 0
+	var frame []byte // the broadcast's encoding, reused across group rounds
 
 	for k := 0; k < cfg.GroupRounds; k++ {
 		kSpan := e.meter.Registry().Start("fel_fednode_group_round_seconds", metrics.L("role", "edge"))
@@ -360,12 +361,17 @@ func (e *Edge) runGroup(g *edgeGroup, t int, globalParams []float64, cloud *lock
 		if err := run.to(phaseBroadcast); err != nil {
 			return err
 		}
+		// Every member gets the same frame: encode it once, write it n times.
 		msg := &wire.Message{Type: wire.GlobalModel, Round: uint32(t), Seq: uint32(k), Floats: groupParams}
+		var err error
+		if frame, err = wire.AppendFrame(frame[:0], msg); err != nil {
+			return fmt.Errorf("fednode: group %d broadcast: %w", g.gid, err)
+		}
 		for i := range g.members {
 			if g.dead[i] {
 				continue
 			}
-			if err := sendFrame(g.conns[i], e.meter, msg, cfg.StragglerTimeout); err != nil {
+			if err := sendEncoded(g.conns[i], e.meter, msg.Type, frame, cfg.StragglerTimeout); err != nil {
 				// The connection died between rounds; the member becomes a
 				// dropout now rather than at collect time.
 				e.markDead(g, i, err)
@@ -377,7 +383,7 @@ func (e *Edge) runGroup(g *edgeGroup, t int, globalParams []float64, cloud *lock
 			return err
 		}
 		masked := make([][]uint64, n)
-		plain := make([][]float64, n)
+		var plain []float64 // a singleton group's update, sent in the clear
 		collectErr := make([]error, n)
 		var wg sync.WaitGroup
 		for i := range g.members {
@@ -392,10 +398,15 @@ func (e *Edge) runGroup(g *edgeGroup, t int, globalParams []float64, cloud *lock
 					collectErr[i] = err
 					return
 				}
-				if len(m.Words) > 0 {
+				switch {
+				case n == 1:
+					plain = m.Floats
+				case len(m.Words) != dim:
+					// Like a corrupt frame: the member is a dropout, not a
+					// panic or a truncated sum in Aggregate.
+					collectErr[i] = fmt.Errorf("fednode: masked update has %d words, want %d", len(m.Words), dim)
+				default:
 					masked[i] = m.Words
-				} else {
-					plain[i] = m.Floats
 				}
 			}(i)
 		}
@@ -418,10 +429,10 @@ func (e *Edge) runGroup(g *edgeGroup, t int, globalParams []float64, cloud *lock
 			// lone client trains in the clear (nothing to hide from
 			// itself). A dropped singleton carries the group model over.
 			if len(dropped) == 0 {
-				if len(plain[0]) != dim {
-					return fmt.Errorf("fednode: group %d singleton update has %d params, want %d", g.gid, len(plain[0]), dim)
+				if len(plain) != dim {
+					return fmt.Errorf("fednode: group %d singleton update has %d params, want %d", g.gid, len(plain), dim)
 				}
-				groupParams = plain[0]
+				groupParams = plain
 			}
 			kSpan.End()
 			continue

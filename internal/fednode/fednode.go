@@ -261,20 +261,32 @@ func (r *groupRun) to(next phase) error {
 	return nil
 }
 
-// sendFrame writes one frame to conn under the write deadline, counting it
-// in the meter. A nil deadline disables the timeout.
+// sendFrame encodes msg and writes it to conn as one frame under the write
+// deadline, counting it in the meter. A zero timeout disables the deadline.
 func sendFrame(conn net.Conn, m *Meter, msg *wire.Message, timeout time.Duration) error {
+	frame, err := wire.AppendFrame(nil, msg)
+	if err != nil {
+		return fmt.Errorf("fednode: send %s: %w", msg.Type, err)
+	}
+	return sendEncoded(conn, m, msg.Type, frame, timeout)
+}
+
+// sendEncoded writes one already-encoded frame of type typ to conn in a
+// single Write under the write deadline, counting it in the meter — the
+// send half of sendFrame, for a broadcaster that encodes once and sends the
+// same bytes to many peers.
+func sendEncoded(conn net.Conn, m *Meter, typ wire.Type, frame []byte, timeout time.Duration) error {
 	if timeout > 0 {
 		if err := conn.SetWriteDeadline(time.Now().Add(timeout)); err != nil {
 			return fmt.Errorf("fednode: set write deadline: %w", err)
 		}
 	}
-	n, err := wire.Encode(conn, msg)
+	n, err := conn.Write(frame)
 	if err != nil {
-		return fmt.Errorf("fednode: send %s: %w", msg.Type, err)
+		return fmt.Errorf("fednode: send %s: %w", typ, err)
 	}
 	if m != nil {
-		m.countFrame(msg.Type, n)
+		m.countFrame(typ, n)
 	}
 	return nil
 }

@@ -1,8 +1,10 @@
 package fednode
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -178,5 +180,112 @@ func TestJobSnapshotDeterministic(t *testing.T) {
 		if !strings.Contains(a, want) {
 			t.Fatalf("snapshot is missing %s:\n%s", want, a)
 		}
+	}
+}
+
+// truncatingClient speaks just enough of the protocol to be client id, then
+// answers the first broadcast with a masked update of half the model's
+// length. It returns nil once the edge has hung up on it.
+func truncatingClient(nw Network, edgeAddr string, id int) error {
+	conn, err := nw.Dial(edgeAddr)
+	if err != nil {
+		return err
+	}
+	defer closeQuiet(conn)
+	if _, err := wire.Encode(conn, &wire.Message{Type: wire.GroupAssign, From: int32(id)}); err != nil {
+		return err
+	}
+	if _, err := wire.Decode(conn, 0); err != nil { // the group assignment
+		return err
+	}
+	model, err := wire.Decode(conn, 0)
+	if err != nil {
+		return err
+	}
+	short := &wire.Message{
+		Type: wire.MaskedUpdate, Round: model.Round, Seq: model.Seq, From: int32(id),
+		Words: make([]uint64, len(model.Floats)/2),
+	}
+	if _, err := wire.Encode(conn, short); err != nil {
+		return err
+	}
+	if m, err := wire.Decode(conn, 0); err == nil {
+		return fmt.Errorf("edge kept talking (%s frame) to a client that sent a truncated update", m.Type)
+	}
+	return nil
+}
+
+// TestTruncatedUpdateBecomesDropout sends the edge a well-framed
+// MaskedUpdate carrying too few words. The frame passes the codec, so the
+// edge itself must reject it at collect time exactly like a corrupt frame:
+// the member becomes a secagg dropout, its masks are recovered from the
+// survivors' shares, and the job finishes — where an unchecked vector would
+// index past its end inside Aggregate and take the edge process down.
+func TestTruncatedUpdateBecomesDropout(t *testing.T) {
+	sys := oneEdgeSystem(4, 21)
+	jcfg := testJobConfig()
+	jcfg.GlobalRounds, jcfg.GroupRounds = 2, 1
+	jcfg.StragglerTimeout = 2 * time.Second
+	jcfg.Groups = []*grouping.Group{grouping.NewGroup(0, 0, sys.Edges[0], sys.Classes)}
+	jcfg.FixedSelection = [][]int{{0}, {0}}
+	reg := metrics.New()
+	m := NewMeter(reg)
+
+	nw := NewMemNetwork()
+	cloudLn, err := nw.Listen("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeQuiet(cloudLn)
+	edgeLn, err := nw.Listen("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeQuiet(edgeLn)
+	edgeAddr := edgeLn.Addr().String()
+
+	rogue := sys.Edges[0][0].ID
+	errs := make(chan error, 1+len(sys.Edges[0]))
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		errs <- NewEdge(0, sys, jcfg, m).Run(nw, edgeLn, cloudLn.Addr().String())
+	}()
+	for _, cl := range sys.Edges[0] {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			if id == rogue {
+				errs <- truncatingClient(nw, edgeAddr, id)
+				return
+			}
+			_, err := NewClient(id, sys, jcfg, m).Run(nw, edgeAddr)
+			errs <- err
+		}(cl.ID)
+	}
+	rep, err := NewCloud(sys, jcfg, m).Run(cloudLn)
+	wg.Wait()
+	close(errs)
+	if err != nil {
+		t.Fatalf("cloud: %v", err)
+	}
+	for err := range errs {
+		if err != nil {
+			t.Fatalf("node: %v", err)
+		}
+	}
+	if rep.RoundsRun != jcfg.GlobalRounds {
+		t.Fatalf("ran %d rounds, want %d", rep.RoundsRun, jcfg.GlobalRounds)
+	}
+	// The rogue stays excluded, so both rounds' single group round recover.
+	if rep.Dropouts != 1 || rep.Recoveries != 2 {
+		t.Fatalf("report counts %d dropouts / %d recoveries, want 1 / 2", rep.Dropouts, rep.Recoveries)
+	}
+	if got := reg.CounterValue("fel_fednode_dropouts_total"); got != 1 {
+		t.Fatalf("dropout counter %d, want 1", got)
+	}
+	if got := reg.CounterValue("fel_fednode_straggler_timeouts_total"); got != 0 {
+		t.Fatalf("a rejected update counted %d straggler timeouts", got)
 	}
 }

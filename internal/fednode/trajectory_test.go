@@ -1,0 +1,95 @@
+package fednode
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+	"testing"
+	"time"
+
+	"repro/internal/grouping"
+	"repro/internal/hfl"
+	"repro/internal/stats"
+)
+
+// paramDigest is the SHA-256 of the parameters' IEEE-754 bit patterns: two
+// vectors share a digest only when they are Float64bits-equal.
+func paramDigest(params []float64) string {
+	buf := make([]byte, 8*len(params))
+	for i, v := range params {
+		binary.BigEndian.PutUint64(buf[8*i:], math.Float64bits(v))
+	}
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:8])
+}
+
+// TestTrajectoryPinned pins the final parameters of the executors that run
+// above internal/secagg. Pairwise and personal masks cancel exactly in
+// GF(2⁶¹−1), so what an aggregate dequantises to depends only on the
+// quantised inputs — never on the mask generator, its buffering, or how the
+// frames that carried the masked words were encoded. The digests were
+// recorded before the mask pipeline was rewritten and must never need
+// re-recording for a change confined to secagg, wire or fednode's framing.
+func TestTrajectoryPinned(t *testing.T) {
+	runJob := func(seed uint64, drop bool) string {
+		sys := testSystem(12, 5)
+		jcfg := testJobConfig()
+		jcfg.Seed = seed
+		jcfg.GlobalRounds = 2
+		if drop {
+			jcfg.StragglerTimeout = 2 * time.Second
+			groups, err := jcfg.PinAllGroups(sys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, g := range groups {
+				if g.Size() >= 3 {
+					jcfg.ForceDrop = &ForcedDrop{Client: g.Clients[0].ID, Round: 0, GroupRound: 1}
+					break
+				}
+			}
+			if jcfg.ForceDrop == nil {
+				t.Fatal("no group with >= 3 clients")
+			}
+		}
+		rep, err := RunJob(NewMemNetwork(), sys, jcfg, "")
+		if err != nil {
+			t.Fatalf("RunJob seed %d drop %v: %v", seed, drop, err)
+		}
+		if drop && rep.Recoveries == 0 {
+			t.Fatalf("seed %d: forced drop never triggered recovery", seed)
+		}
+		return paramDigest(rep.Params)
+	}
+	hflRound := func() string {
+		sys := testSystem(12, 1)
+		alg := grouping.CoVGrouping{Config: grouping.Config{MinGS: 3, MaxCoV: 0.6, MergeLeftover: true}}
+		groups := grouping.FormAll(alg, sys.Edges, sys.Classes, stats.NewRNG(3))
+		if len(groups) < 2 {
+			t.Fatalf("need >= 2 groups, got %d", len(groups))
+		}
+		global := sys.NewModel(sys.ModelSeed).ParamVector()
+		res, err := hfl.RunGlobalRound(sys, groups, []int{0, 1}, global, hfl.RoundConfig{
+			GroupRounds: 2, LocalEpochs: 1, BatchSize: 8, LR: 0.05, Seed: 9, DropoutProb: 0.3,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return paramDigest(res.Params)
+	}
+	for _, tc := range []struct {
+		name string
+		got  string
+		want string
+	}{
+		{"fednode/seed42/clean", runJob(42, false), "f484796b291980d6"},
+		{"fednode/seed2024/clean", runJob(2024, false), "aa27c874b484ffeb"},
+		{"fednode/seed42/forcedrop", runJob(42, true), "6b89bfb88df846ec"},
+		{"hfl/round", hflRound(), "1aee0f3864bc08d6"},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s: parameter digest %s, pinned %s", tc.name, tc.got, tc.want)
+		}
+	}
+}

@@ -17,6 +17,8 @@ import "math/bits"
 const P uint64 = (1 << 61) - 1
 
 // Reduce maps x into [0, P).
+//
+//lint:hotpath
 func Reduce(x uint64) uint64 {
 	x = (x >> 61) + (x & P)
 	if x >= P {
@@ -25,21 +27,23 @@ func Reduce(x uint64) uint64 {
 	return x
 }
 
-// Add returns a+b mod P. Inputs must already be reduced.
+// Add returns a+b mod P. Inputs must already be reduced. The wrap is a
+// sign mask, not a branch: on mask words the carry is a coin flip, and a
+// mispredicted branch per element costs more than the addition.
+//
+//lint:hotpath
 func Add(a, b uint64) uint64 {
-	s := a + b
-	if s >= P {
-		s -= P
-	}
-	return s
+	s := a + b - P // negative (top bit set) exactly when a+b < P
+	return s + P&uint64(int64(s)>>63)
 }
 
-// Sub returns a−b mod P. Inputs must already be reduced.
+// Sub returns a−b mod P. Inputs must already be reduced. Branch-free for
+// the same reason as Add.
+//
+//lint:hotpath
 func Sub(a, b uint64) uint64 {
-	if a >= b {
-		return a - b
-	}
-	return a + P - b
+	d := a - b // negative (top bit set) exactly when a < b
+	return d + P&uint64(int64(d)>>63)
 }
 
 // Mul returns a·b mod P using 128-bit intermediate arithmetic and two
@@ -77,10 +81,4 @@ func Inv(a uint64) uint64 {
 }
 
 // Neg returns −a mod P.
-func Neg(a uint64) uint64 {
-	a = Reduce(a)
-	if a == 0 {
-		return 0
-	}
-	return P - a
-}
+func Neg(a uint64) uint64 { return Sub(0, Reduce(a)) }

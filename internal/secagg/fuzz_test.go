@@ -6,20 +6,27 @@ import (
 )
 
 // FuzzQuantizeRoundTrip checks the fixed-point codec on arbitrary values:
-// encode→decode stays within one quantization step of the clipped input.
+// encode→decode stays within one quantization step of the clipped input,
+// and NaN — whose integer conversion Go leaves to the platform — encodes as
+// the defined 0.
 func FuzzQuantizeRoundTrip(f *testing.F) {
 	f.Add(0.0, 1.5)
 	f.Add(-7.99, 7.99)
 	f.Add(1e300, -1e300)
 	f.Add(math.Inf(1), math.Inf(-1))
+	f.Add(math.NaN(), -0.5)
 	f.Fuzz(func(t *testing.T, a, b float64) {
-		if math.IsNaN(a) || math.IsNaN(b) {
-			return // NaN clipping is undefined by contract
-		}
 		q := DefaultQuantizer()
 		in := []float64{a, b}
-		dec := q.Dequantize(q.Quantize(in), 1)
+		enc := q.Quantize(in)
+		dec := q.Dequantize(enc, 1)
 		for i, v := range in {
+			if math.IsNaN(v) {
+				if enc[i] != 0 {
+					t.Fatalf("Quantize(NaN) = %#x, defined as 0", enc[i])
+				}
+				continue
+			}
 			clipped := math.Max(-q.Clip, math.Min(q.Clip, v))
 			if math.Abs(dec[i]-clipped) > 2/q.Scale {
 				t.Fatalf("round trip %v -> %v (clipped %v)", v, dec[i], clipped)
@@ -48,5 +55,27 @@ func FuzzFieldOps(f *testing.F) {
 		if a != 0 && Mul(a, Inv(a)) != 1 {
 			t.Fatal("Inv broken")
 		}
+	})
+}
+
+// FuzzMaskCancel is the property everything above secagg rests on: for any
+// session seed, dimension, group size and admissible drop set, the masks
+// cancel exactly and Aggregate returns the dequantised plain sum of the
+// survivors' quantised updates.
+func FuzzMaskCancel(f *testing.F) {
+	f.Add(uint64(1), uint16(1), uint8(2), uint16(0))
+	f.Add(uint64(2024), uint16(maskChunk), uint8(6), uint16(0b100))
+	f.Add(^uint64(0), uint16(3*maskChunk+5), uint8(12), uint16(0b1010_0101_0101))
+	f.Fuzz(func(t *testing.T, seed uint64, dimRaw uint16, nRaw uint8, dropBits uint16) {
+		n := 2 + int(nRaw)%11
+		dim := int(dimRaw) % (4 * maskChunk)
+		threshold := Threshold(0, n)
+		var dropped []int
+		for i := 0; i < n && len(dropped) < n-threshold; i++ {
+			if dropBits>>i&1 == 1 {
+				dropped = append(dropped, i)
+			}
+		}
+		checkRound(t, n, dim, threshold, seed, dropped)
 	})
 }

@@ -1,6 +1,9 @@
 package secagg
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Quantizer maps float64 update vectors to field elements and back via
 // signed fixed-point encoding. Values are clipped to [−Clip, Clip] and
@@ -28,21 +31,26 @@ func (q Quantizer) Check(parties int) {
 	}
 }
 
-// Quantize encodes v into field elements.
+// Quantize encodes v into field elements. NaN encodes as 0: converting NaN
+// to an integer is platform-defined in Go, and a diverged client's masked
+// words must be the same on every host.
 func (q Quantizer) Quantize(v []float64) []uint64 {
 	out := make([]uint64, len(v))
 	for i, x := range v {
-		if x > q.Clip {
+		switch {
+		case x > q.Clip:
 			x = q.Clip
-		} else if x < -q.Clip {
+		case x < -q.Clip:
 			x = -q.Clip
+		case math.IsNaN(x):
+			x = 0
 		}
+		// |scaled| mod P, negated in the field for a negative value — by
+		// sign mask, because an update's signs are a coin flip per element.
 		scaled := int64(x * q.Scale)
-		if scaled >= 0 {
-			out[i] = Reduce(uint64(scaled))
-		} else {
-			out[i] = Neg(uint64(-scaled))
-		}
+		neg := uint64(scaled >> 63)
+		mag := Reduce((uint64(scaled) ^ neg) - neg)
+		out[i] = Sub(mag&^neg, mag&neg)
 	}
 	return out
 }

@@ -304,6 +304,21 @@ func TestAggregateErrors(t *testing.T) {
 	if _, err := s.Aggregate(masked, []int{9}); err == nil {
 		t.Fatal("expected range error")
 	}
+	// Vectors from peers: short, long and unreduced ones are errors, not an
+	// index panic, a silent truncation or a broken Add precondition.
+	for name, bad := range map[string][]uint64{
+		"short":     masked[1][:5],
+		"long":      append(append([]uint64(nil), masked[1]...), 0),
+		"unreduced": append([]uint64{P}, masked[1][1:]...),
+	} {
+		m4 := [][]uint64{masked[0], bad, masked[2], masked[3]}
+		if _, err := s.Aggregate(m4, nil); err == nil {
+			t.Fatalf("expected an error for a %s vector", name)
+		}
+	}
+	if _, err := s.Aggregate(masked, nil); err != nil {
+		t.Fatalf("well-formed vectors after the rejected ones: %v", err)
+	}
 }
 
 func TestOpCountsQuadratic(t *testing.T) {
@@ -378,10 +393,23 @@ func benchSecAgg(b *testing.B, n int) {
 	}
 }
 
+// BenchmarkMaskStream measures what bench/'s secagg.mask_ns probe measures:
+// one client's MaskedUpdate at the net-loopback workload's shape (median
+// group of 6, the 9 610-parameter model), i.e. n mask streams folded into
+// the quantised update. MB/s is keystream folded per second.
 func BenchmarkMaskStream(b *testing.B) {
+	const n, dim = 6, 9610
+	s := NewSession(n, dim, Threshold(0, n), 2024, DefaultQuantizer())
+	rng := stats.NewRNG(1)
+	update := make([]float64, dim)
+	for i := range update {
+		update[i] = rng.Normal(0, 0.01)
+	}
+	b.SetBytes(n * dim * 8)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MaskStream(uint64(i), 1024)
+		s.MaskedUpdate(i%n, update)
 	}
 }
 

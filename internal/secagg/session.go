@@ -104,40 +104,32 @@ func (s *Session) MaskedUpdate(i int, update []float64) []uint64 {
 		panic(fmt.Sprintf("secagg: update dim %d, want %d", len(update), s.Dim))
 	}
 	y := s.Quant.Quantize(update)
-	// Personal mask.
-	self := MaskStream(s.selfSeeds[i], s.Dim)
-	s.ops.MaskStreams++
-	for d := 0; d < s.Dim; d++ {
-		y[d] = Add(y[d], self[d])
-	}
-	s.ops.FieldOps += s.Dim
+	s.fold(y, s.selfSeeds[i], false) // personal mask
 	// Pairwise masks: +mask for j>i, −mask for j<i, so they cancel in the
 	// full sum.
 	for j := 0; j < s.N; j++ {
-		if j == i {
-			continue
+		if j != i {
+			s.fold(y, DeriveSeed(s.sessionSeed, i, j), j < i)
 		}
-		m := MaskStream(DeriveSeed(s.sessionSeed, i, j), s.Dim)
-		s.ops.MaskStreams++
-		if j > i {
-			for d := 0; d < s.Dim; d++ {
-				y[d] = Add(y[d], m[d])
-			}
-		} else {
-			for d := 0; d < s.Dim; d++ {
-				y[d] = Sub(y[d], m[d])
-			}
-		}
-		s.ops.FieldOps += s.Dim
 	}
 	return y
+}
+
+// fold adds (or, with subtract, removes) the mask stream of seed to acc in
+// one pass and counts the expansion.
+func (s *Session) fold(acc []uint64, seed uint64, subtract bool) {
+	foldMask(acc, newMaskPRG(seed), subtract)
+	s.ops.MaskStreams++
+	s.ops.FieldOps += s.Dim
 }
 
 // Aggregate sums the survivors' masked updates and removes the residual
 // masks: survivors' personal masks (via their Shamir shares) and dropped
 // clients' pairwise masks (via their reconstructed keys). masked[i] must be
-// nil exactly for dropped clients. It returns the dequantized sum of the
-// surviving clients' updates.
+// nil exactly for dropped clients, and every submitted vector must hold Dim
+// reduced field elements — the vectors arrive from peers, so a short, long
+// or unreduced one is an error, not a panic or a silent truncation. It
+// returns the dequantized sum of the surviving clients' updates.
 //
 //lint:deterministic
 func (s *Session) Aggregate(masked [][]uint64, dropped []int) ([]float64, error) {
@@ -162,6 +154,9 @@ func (s *Session) Aggregate(masked [][]uint64, dropped []int) ([]float64, error)
 		if masked[i] == nil {
 			return nil, fmt.Errorf("secagg: surviving client %d missing update", i)
 		}
+		if len(masked[i]) != s.Dim {
+			return nil, fmt.Errorf("secagg: client %d submitted %d words, want %d", i, len(masked[i]), s.Dim)
+		}
 		survivors++
 	}
 	if survivors < s.Threshold {
@@ -173,8 +168,11 @@ func (s *Session) Aggregate(masked [][]uint64, dropped []int) ([]float64, error)
 		if isDropped[i] {
 			continue
 		}
-		for d := 0; d < s.Dim; d++ {
-			sum[d] = Add(sum[d], masked[i][d])
+		for d, w := range masked[i] {
+			if w >= P {
+				return nil, fmt.Errorf("secagg: client %d word %d is not a reduced field element", i, d)
+			}
+			sum[d] = Add(sum[d], w)
 		}
 		s.ops.FieldOps += s.Dim
 	}
@@ -190,12 +188,7 @@ func (s *Session) Aggregate(masked [][]uint64, dropped []int) ([]float64, error)
 		if b != Reduce(s.selfSeeds[i]) {
 			return nil, fmt.Errorf("secagg: personal mask reconstruction failed for client %d", i)
 		}
-		m := MaskStream(s.selfSeeds[i], s.Dim)
-		s.ops.MaskStreams++
-		for d := 0; d < s.Dim; d++ {
-			sum[d] = Sub(sum[d], m[d])
-		}
-		s.ops.FieldOps += s.Dim
+		s.fold(sum, s.selfSeeds[i], true)
 	}
 
 	// Remove dropped clients' pairwise masks with every survivor. The
@@ -210,21 +203,9 @@ func (s *Session) Aggregate(masked [][]uint64, dropped []int) ([]float64, error)
 			if j == dc || isDropped[j] {
 				continue
 			}
-			m := MaskStream(DeriveSeed(s.sessionSeed, dc, j), s.Dim)
-			s.ops.MaskStreams++
-			// Survivor j applied sign(dc-j): if dc > j survivor added
-			// +mask... mask sign convention: client j adds +m for partner
-			// dc>j, −m for dc<j. Undo exactly that contribution.
-			if dc > j {
-				for d := 0; d < s.Dim; d++ {
-					sum[d] = Sub(sum[d], m[d])
-				}
-			} else {
-				for d := 0; d < s.Dim; d++ {
-					sum[d] = Add(sum[d], m[d])
-				}
-			}
-			s.ops.FieldOps += s.Dim
+			// Survivor j added +mask for a partner dc > j and −mask for
+			// dc < j; undo exactly that contribution.
+			s.fold(sum, DeriveSeed(s.sessionSeed, dc, j), dc > j)
 		}
 	}
 

@@ -2,6 +2,8 @@ package wire_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"math"
 	"testing"
@@ -15,14 +17,62 @@ import (
 // claimed payload length.
 const fuzzMaxFrame = 1 << 20
 
-// encodeFrame builds one valid frame for the corpus.
+// encodeFrame builds one valid frame for the corpus, through both entry
+// points of the encoder: Encode's bytes and AppendFrame's behind an
+// unrelated prefix must be the same frame.
 func encodeFrame(tb testing.TB, m *wire.Message) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
 	if _, err := wire.Encode(&buf, m); err != nil {
 		tb.Fatalf("Encode: %v", err)
 	}
+	prefix := []byte("prefix")
+	appended, err := wire.AppendFrame(prefix, m)
+	if err != nil {
+		tb.Fatalf("AppendFrame: %v", err)
+	}
+	if !bytes.HasPrefix(appended, prefix) || !bytes.Equal(appended[len(prefix):], buf.Bytes()) {
+		tb.Fatalf("AppendFrame behind a prefix differs from Encode for %+v", m)
+	}
 	return buf.Bytes()
+}
+
+// TestEncodeBytesPinned holds the encoder to the frames it produced before
+// it became append-style: one digest per message type over the fuzz corpus
+// fixtures, recorded on the make-a-buffer-and-Write implementation. Peers
+// and checkpoint files written by either must stay mutually readable.
+func TestEncodeBytesPinned(t *testing.T) {
+	want := map[wire.Type]string{
+		wire.GlobalModel:     "d46991f6b6c8b4d0",
+		wire.GroupAssign:     "edf6ed76dbb5440b",
+		wire.MaskedUpdate:    "75438d18adc4b03a",
+		wire.ShareReveal:     "b88e1c70af760295",
+		wire.GroupAggregate:  "74bc52468ba44319",
+		wire.GlobalAggregate: "ae6945e5d9479286",
+		wire.Checkpoint:      "9ff9d6daf02118c3",
+		wire.JobControl:      "a58f4242206bb076",
+		wire.ArrivalLog:      "0524d4a78eb42975",
+	}
+	corpus := corpusMessages()
+	if len(corpus) != len(want) {
+		t.Fatalf("corpus has %d messages, %d digests pinned", len(corpus), len(want))
+	}
+	var reused []byte
+	for _, m := range corpus {
+		frame := encodeFrame(t, m)
+		sum := sha256.Sum256(frame)
+		if got := hex.EncodeToString(sum[:8]); got != want[m.Type] {
+			t.Errorf("%s frame digest %s, pinned %s", m.Type, got, want[m.Type])
+		}
+		// A reused buffer — the broadcast path — yields the same bytes.
+		var err error
+		if reused, err = wire.AppendFrame(reused[:0], m); err != nil || !bytes.Equal(reused, frame) {
+			t.Errorf("%s: AppendFrame into a reused buffer differs from Encode (err %v)", m.Type, err)
+		}
+	}
+	if _, err := wire.AppendFrame(nil, &wire.Message{Type: 0}); !errors.Is(err, wire.ErrBadType) {
+		t.Errorf("AppendFrame of type 0: err = %v, want ErrBadType", err)
+	}
 }
 
 // corpusMessages covers all nine message types with every vector population

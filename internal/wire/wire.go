@@ -37,6 +37,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"slices"
 )
 
 // Type identifies one message of the Alg. 1 vocabulary.
@@ -155,15 +156,20 @@ func (m *Message) payloadSize() int {
 	return 8 + 4 + 8*len(m.Floats) + 4 + 8*len(m.Words) + 4 + 4*len(m.Ints)
 }
 
-// Encode writes the message as one frame, returning the bytes written.
-// The write is a single Write call so a frame is never interleaved when the
-// caller serializes access to the writer.
-func Encode(w io.Writer, m *Message) (int, error) {
+// AppendFrame appends the message's frame — header and payload,
+// EncodedSize bytes — to dst and returns the extended slice. It is the one
+// encoder: Encode writes its result, and a sender with the same message for
+// many peers encodes once into a buffer it reuses and writes those bytes to
+// each.
+func AppendFrame(dst []byte, m *Message) ([]byte, error) {
 	if m.Type < 1 || m.Type > typeMax {
-		return 0, fmt.Errorf("%w: %d", ErrBadType, uint8(m.Type))
+		return dst, fmt.Errorf("%w: %d", ErrBadType, uint8(m.Type))
 	}
 	payLen := m.payloadSize()
-	buf := make([]byte, HeaderSize+payLen)
+	start, end := len(dst), len(dst)+HeaderSize+payLen
+	dst = slices.Grow(dst, end-start)[:end]
+	// len == cap: each p[off:] below then needs one bound, not two.
+	buf := dst[start:end:end]
 	p := buf[HeaderSize:]
 	binary.BigEndian.PutUint32(p[0:], m.Seq)
 	binary.BigEndian.PutUint32(p[4:], uint32(m.From))
@@ -193,7 +199,18 @@ func Encode(w io.Writer, m *Message) (int, error) {
 	binary.BigEndian.PutUint32(buf[4:], m.Round)
 	binary.BigEndian.PutUint32(buf[8:], uint32(payLen))
 	binary.BigEndian.PutUint32(buf[12:], crc32.ChecksumIEEE(p))
-	return w.Write(buf)
+	return dst, nil
+}
+
+// Encode writes the message as one frame, returning the bytes written.
+// The write is a single Write call so a frame is never interleaved when the
+// caller serializes access to the writer.
+func Encode(w io.Writer, m *Message) (int, error) {
+	frame, err := AppendFrame(nil, m)
+	if err != nil {
+		return 0, err
+	}
+	return w.Write(frame)
 }
 
 // Decode reads one frame from r. maxFrame bounds the payload length (<= 0
