@@ -2,7 +2,11 @@
 # ci.sh — the repository's full verification gate.
 #
 # Runs, in order:
-#   1. go build        — everything compiles
+#   1. go build        — everything compiles; then internal/tensor and
+#                        internal/nn are cross-compiled for arm64 and the
+#                        disassembly must hold no fused multiply-add: their
+#                        bit-identity contract is architecture-independent
+#                        only while every a·b+c is written float64(a*b) + c
 #   2. go vet + gofmt  — stock vet findings; any file `gofmt -l` lists
 #                        outside internal/lint/testdata fails the stage
 #   3. repolint        — the project's own invariants (internal/lint):
@@ -80,8 +84,18 @@ stop_smoke() {
 trap 'stop_smoke; rm -rf "$scratch"' EXIT
 stage_dir() { mkdir -p "$scratch/$1" && echo "$scratch/$1"; }
 
-echo "== go build ./..."
+echo "== go build ./... + arm64 fused-multiply-add check (tensor, nn)"
 go build ./...
+fmadir="$(stage_dir fma)"
+for pkg in tensor nn; do
+  GOARCH=arm64 go build -o "$fmadir/$pkg.a" "./internal/$pkg"
+  go tool objdump "$fmadir/$pkg.a" > "$fmadir/$pkg.s"
+  if grep -E 'FN?M(ADD|SUB)' "$fmadir/$pkg.s" >&2; then
+    echo "ci.sh: internal/$pkg compiles to fused multiply-adds on arm64; write a*b + c as float64(a*b) + c" >&2
+    exit 1
+  fi
+done
+echo "arm64 check: internal/tensor and internal/nn hold no FMADD/FMSUB/FNMADD/FNMSUB"
 
 echo "== go vet ./... + gofmt"
 go vet ./...

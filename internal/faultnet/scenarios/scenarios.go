@@ -124,14 +124,17 @@ func corruptFrames() Scenario {
 // clientCrashRestart resets one client's connection mid-round-0. The
 // supervisor redials within the restart budget; the edge must replay the
 // assignment, adopt the rejoined connection at the next round boundary, and
-// finish with the client back in its seat.
+// finish with the client back in its seat. The round-1 broadcast is held
+// back well past the restart backoff so that a round boundary is still to
+// come when the redial lands: without it the scenario races the rest of the
+// job — a few milliseconds of local SGD — against that backoff.
 func clientCrashRestart() Scenario {
 	return Scenario{
 		Name:  "client-crash-restart",
 		About: "kill one client's connection in round 0; it restarts, rejoins, and finishes the job",
 		Plan: func(ctx *Context) *faultnet.Plan {
 			targets := mustTargets(ctx, 1, 3)
-			rules := make([]faultnet.Rule, 0, 1)
+			rules := make([]faultnet.Rule, 0, 2)
 			for _, id := range targets {
 				rules = append(rules, faultnet.Rule{
 					From: clientTag(id), To: "edge/*", Type: "MaskedUpdate",
@@ -139,6 +142,11 @@ func clientCrashRestart() Scenario {
 					Action: faultnet.ActionReset, Count: 1,
 				})
 			}
+			rules = append(rules, faultnet.Rule{
+				From: "cloud", To: "edge/*", Type: "GlobalModel",
+				Round: 1, Seq: faultnet.MatchAny,
+				Action: faultnet.ActionDelay, DelayMs: 150, Count: 1,
+			})
 			return &faultnet.Plan{
 				Name: "client-crash-restart", Seed: 11,
 				MaxRestarts: 2, RestartBackoffMs: 10,

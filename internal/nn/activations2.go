@@ -29,7 +29,7 @@ func (t *Tanh) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	out := grad.Clone()
 	for i := range out.Data {
 		y := t.out.Data[i]
-		out.Data[i] *= 1 - y*y
+		out.Data[i] *= 1 - float64(y*y)
 	}
 	return out
 }

@@ -44,10 +44,10 @@ func (o *Adam) Step(model *Sequential) {
 			gj := g.Data[j]
 			//lint:ignore float-eq WeightDecay 0 is the exact sentinel for "decay disabled"
 			if o.WeightDecay != 0 {
-				gj += o.WeightDecay * p.Data[j]
+				gj += float64(o.WeightDecay * p.Data[j])
 			}
-			m.Data[j] = o.Beta1*m.Data[j] + (1-o.Beta1)*gj
-			v.Data[j] = o.Beta2*v.Data[j] + (1-o.Beta2)*gj*gj
+			m.Data[j] = float64(o.Beta1*m.Data[j]) + float64((1-o.Beta1)*gj)
+			v.Data[j] = float64(o.Beta2*v.Data[j]) + float64((1-o.Beta2)*gj*gj)
 			mhat := m.Data[j] / c1
 			vhat := v.Data[j] / c2
 			p.Data[j] -= o.LR * mhat / (math.Sqrt(vhat) + o.Eps)
@@ -94,5 +94,5 @@ func (c CosineDecay) At(t int) float64 {
 		return c.Floor
 	}
 	cosv := 0.5 * (1 + math.Cos(math.Pi*float64(t)/float64(c.Horizon)))
-	return c.Floor + (c.Base-c.Floor)*cosv
+	return c.Floor + float64((c.Base-c.Floor)*cosv)
 }

@@ -167,8 +167,9 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return out
 }
 
-// Backward accumulates dW, dB and returns dX.
-func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
+// backwardParams computes dW and dB, leaving grad reordered to
+// [B*OH*OW, OutC] in c.dy, which Backward goes on to use for dX.
+func (c *Conv2D) backwardParams(grad *tensor.Tensor) {
 	b := c.inShape[0]
 	hw := c.outH * c.outW
 	// Reorder grad [B, OutC, OH, OW] -> dYcols [B*OH*OW, OutC].
@@ -191,10 +192,16 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			c.dB.Data[oc] += v
 		}
 	}
+}
+
+// Backward computes dW and dB (backwardParams) and returns dX.
+func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	c.backwardParams(grad)
+	b := c.inShape[0]
 	// dcols = dy × W, then scatter back.
-	dcols := scratch2(c.reuse, c.dcols, b*hw, c.W.Shape[1])
+	dcols := scratch2(c.reuse, c.dcols, b*c.outH*c.outW, c.W.Shape[1])
 	c.dcols = dcols
-	tensor.MatMul(dcols, dy, c.W)
+	tensor.MatMul(dcols, c.dy, c.W)
 	return c.col2im(dcols, b, c.inShape[1], c.inShape[2], c.inShape[3])
 }
 

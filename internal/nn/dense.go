@@ -64,9 +64,8 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return out
 }
 
-// Backward accumulates dW = xᵀ·grad, dB = column-sum(grad) and returns
-// dX = grad·Wᵀ.
-func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
+// backwardParams computes dW = xᵀ·grad and dB = column-sum(grad).
+func (d *Dense) backwardParams(grad *tensor.Tensor) {
 	tensor.MatMulAT(d.dW, d.x, grad)
 	ncols := d.B.Size()
 	d.dB.Zero()
@@ -76,6 +75,11 @@ func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			d.dB.Data[j] += g
 		}
 	}
+}
+
+// Backward computes dW and dB (backwardParams) and returns dX = grad·Wᵀ.
+func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	d.backwardParams(grad)
 	dx := scratch2(d.reuse, d.dx, grad.Shape[0], d.W.Shape[0])
 	d.dx = dx
 	tensor.MatMulBT(dx, grad, d.W)

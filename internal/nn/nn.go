@@ -20,6 +20,12 @@ import (
 
 // Layer is one differentiable stage of a network. Forward must be called
 // before Backward; layers cache activations internally between the two.
+//
+// Backward computes both gradients a layer owns: the parameter gradients it
+// leaves in Grads, and the input gradient it returns for the layer below.
+// The first layer of a Sequential has no layer below it, so there the input
+// gradient — the gradient with respect to the data — is never computed (see
+// Sequential.Backward).
 type Layer interface {
 	// Forward computes the layer output for a batch. train toggles
 	// training-only behaviour (none of the current layers need it, but the
@@ -68,15 +74,33 @@ func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return x
 }
 
-// Backward propagates grad back through every layer, accumulating parameter
-// gradients.
+// paramBackwarder is implemented by layers that can compute their parameter
+// gradients without also computing the input gradient.
+type paramBackwarder interface{ backwardParams(grad *tensor.Tensor) }
+
+// Backward is the parameter-gradient pass: it propagates grad (the gradient
+// of the loss w.r.t. the network output) back through the layers and leaves
+// every parameter gradient in Grads. Layers 1..n-1 run their full Backward,
+// because the layer below needs their input gradient. Layer 0 feeds nothing:
+// its input gradient would be the gradient w.r.t. the data, which training
+// never reads, so a Dense or Conv2D first layer computes dW and dB only and
+// skips the dX matmul (and, for Conv2D, the col2im scatter). Nothing is
+// returned; a caller that wants the data gradient chains Layers[i].Backward
+// itself.
 //
 //lint:hotpath
-func (s *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	for i := len(s.Layers) - 1; i >= 0; i-- {
+func (s *Sequential) Backward(grad *tensor.Tensor) {
+	if len(s.Layers) == 0 {
+		return
+	}
+	for i := len(s.Layers) - 1; i > 0; i-- {
 		grad = s.Layers[i].Backward(grad)
 	}
-	return grad
+	if first, ok := s.Layers[0].(paramBackwarder); ok {
+		first.backwardParams(grad)
+		return
+	}
+	s.Layers[0].Backward(grad)
 }
 
 // Params returns all trainable tensors in layer order. The list is memoized;

@@ -63,21 +63,22 @@ func BenchmarkForwardResNetLite(b *testing.B) {
 	}
 }
 
-// BenchmarkTrainStepMLPReuse measures the same MLP step with buffer reuse
-// and the in-place loss head — the training engine's zero-alloc hot path.
-func BenchmarkTrainStepMLPReuse(b *testing.B) {
+// benchStepReuse measures one step of the paper-sized MLP (24→32→10) with
+// buffer reuse and the in-place loss head — the training engine's zero-alloc
+// hot path, exactly as core.sgdEpochs strings it together.
+func benchStepReuse(b *testing.B, batch int) {
 	m := NewMLP(24, []int{32}, 10, 1)
 	m.EnableBufferReuse()
 	rng := stats.NewRNG(1)
-	x := tensor.New(32, 24)
+	x := tensor.New(batch, 24)
 	x.RandNormal(rng, 1)
-	y := make([]int, 32)
+	y := make([]int, batch)
 	for i := range y {
 		y[i] = rng.IntN(10)
 	}
 	opt := NewSGD(0.05)
 	var loss SoftmaxCrossEntropy
-	probs := tensor.New(32, 10)
+	probs := tensor.New(batch, 10)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -88,6 +89,15 @@ func BenchmarkTrainStepMLPReuse(b *testing.B) {
 		opt.Step(m)
 	}
 }
+
+// BenchmarkTrainStepMLPReuse is the reuse-mode step at batch 32.
+func BenchmarkTrainStepMLPReuse(b *testing.B) { benchStepReuse(b, 32) }
+
+// BenchmarkTrainStepPaperMLP is the reuse-mode step at batch 16 — the one
+// SGD step every executor of the train-paper, pop-regroup, net-loopback and
+// serve-fanout workloads repeats; all five of its GEMMs sit below
+// blockedMinWork (see internal/tensor/BENCHMARKS.md).
+func BenchmarkTrainStepPaperMLP(b *testing.B) { benchStepReuse(b, 16) }
 
 // BenchmarkParamVectorInto measures the reused-buffer flatten against the
 // allocating BenchmarkParamVectorRoundTrip baseline.

@@ -98,11 +98,11 @@ func (bn *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			ss := 0.0
 			bn.forEach(x, batch, spatial, f, func(i int) {
 				d := x.Data[i] - mean
-				ss += d * d
+				ss += float64(d * d)
 			})
 			vr = ss / n
-			bn.RunMean.Data[f] = (1-bn.Momentum)*bn.RunMean.Data[f] + bn.Momentum*mean
-			bn.RunVar.Data[f] = (1-bn.Momentum)*bn.RunVar.Data[f] + bn.Momentum*vr
+			bn.RunMean.Data[f] = float64((1-bn.Momentum)*bn.RunMean.Data[f]) + float64(bn.Momentum*mean)
+			bn.RunVar.Data[f] = float64((1-bn.Momentum)*bn.RunVar.Data[f]) + float64(bn.Momentum*vr)
 		} else {
 			mean, vr = bn.RunMean.Data[f], bn.RunVar.Data[f]
 		}
@@ -112,7 +112,7 @@ func (bn *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		bn.forEach(x, batch, spatial, f, func(i int) {
 			xh := (x.Data[i] - mean) / std
 			bn.xhat.Data[i] = xh
-			out.Data[i] = g*xh + b
+			out.Data[i] = float64(g*xh) + b
 		})
 	}
 	return out
@@ -128,7 +128,7 @@ func (bn *BatchNorm) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		var sumDy, sumDyXhat float64
 		bn.forEach(grad, batch, spatial, f, func(i int) {
 			sumDy += grad.Data[i]
-			sumDyXhat += grad.Data[i] * bn.xhat.Data[i]
+			sumDyXhat += float64(grad.Data[i] * bn.xhat.Data[i])
 		})
 		bn.dGamma.Data[f] += sumDyXhat
 		bn.dBeta.Data[f] += sumDy

@@ -46,13 +46,13 @@ func (o *SGD) Step(m *Sequential) {
 			if o.Momentum != 0 {
 				v := o.vel[i]
 				for j := range p.Data {
-					gv := g.Data[j] + o.WeightDecay*p.Data[j]
-					v.Data[j] = o.Momentum*v.Data[j] + gv
-					p.Data[j] -= o.LR * v.Data[j]
+					gv := g.Data[j] + float64(o.WeightDecay*p.Data[j])
+					v.Data[j] = float64(o.Momentum*v.Data[j]) + gv
+					p.Data[j] -= float64(o.LR * v.Data[j])
 				}
 			} else {
 				for j := range p.Data {
-					p.Data[j] -= o.LR * (g.Data[j] + o.WeightDecay*p.Data[j])
+					p.Data[j] -= float64(o.LR * (g.Data[j] + float64(o.WeightDecay*p.Data[j])))
 				}
 			}
 			continue
@@ -61,8 +61,8 @@ func (o *SGD) Step(m *Sequential) {
 		if o.Momentum != 0 {
 			v := o.vel[i]
 			for j := range p.Data {
-				v.Data[j] = o.Momentum*v.Data[j] + g.Data[j]
-				p.Data[j] -= o.LR * v.Data[j]
+				v.Data[j] = float64(o.Momentum*v.Data[j]) + g.Data[j]
+				p.Data[j] -= float64(o.LR * v.Data[j])
 			}
 		} else {
 			p.AddScaled(-o.LR, g)
@@ -77,7 +77,7 @@ func ClipGradNorm(m *Sequential, maxNorm float64) float64 {
 	total := 0.0
 	for _, g := range m.Grads() {
 		n := g.Norm()
-		total += n * n
+		total += float64(n * n)
 	}
 	norm := math.Sqrt(total)
 	//lint:ignore float-eq a gradient norm of exactly zero cannot be rescaled; ordering compares handle the rest

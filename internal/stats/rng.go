@@ -87,7 +87,7 @@ func (r *RNG) NormFloat64() float64 { return r.src.NormFloat64() }
 
 // Normal returns a sample from N(mu, sigma^2).
 func (r *RNG) Normal(mu, sigma float64) float64 {
-	return mu + sigma*r.src.NormFloat64()
+	return mu + float64(sigma*r.src.NormFloat64())
 }
 
 // Perm returns a random permutation of [0, n).

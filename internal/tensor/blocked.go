@@ -380,14 +380,14 @@ func microDotQuad(d0, d1, d2, d3, a0, a1, a2, a3, bt []float64, jw, kw, ks int) 
 		for p, bv0 := range c0 {
 			bv1 := c1[p]
 			av0, av1, av2, av3 := x0[p], x1[p], x2[p], x3[p]
-			s00 += av0 * bv0
-			s01 += av0 * bv1
-			s10 += av1 * bv0
-			s11 += av1 * bv1
-			s20 += av2 * bv0
-			s21 += av2 * bv1
-			s30 += av3 * bv0
-			s31 += av3 * bv1
+			s00 += float64(av0 * bv0)
+			s01 += float64(av0 * bv1)
+			s10 += float64(av1 * bv0)
+			s11 += float64(av1 * bv1)
+			s20 += float64(av2 * bv0)
+			s21 += float64(av2 * bv1)
+			s30 += float64(av3 * bv0)
+			s31 += float64(av3 * bv1)
 		}
 		d0[j], d0[j+1] = s00, s01
 		d1[j], d1[j+1] = s10, s11
@@ -398,10 +398,10 @@ func microDotQuad(d0, d1, d2, d3, a0, a1, a2, a3, bt []float64, jw, kw, ks int) 
 		c0 := bt[j*ks : j*ks+kw]
 		s0, s1, s2, s3 := d0[j], d1[j], d2[j], d3[j]
 		for p, bv := range c0 {
-			s0 += a0[p] * bv
-			s1 += a1[p] * bv
-			s2 += a2[p] * bv
-			s3 += a3[p] * bv
+			s0 += float64(a0[p] * bv)
+			s1 += float64(a1[p] * bv)
+			s2 += float64(a2[p] * bv)
+			s3 += float64(a3[p] * bv)
 		}
 		d0[j], d1[j], d2[j], d3[j] = s0, s1, s2, s3
 	}
@@ -419,8 +419,8 @@ func microDotRow(d0, a0, bt []float64, jw, kw, ks int) {
 		s0, s1 := d0[j], d0[j+1]
 		for p, bv0 := range c0 {
 			av := x0[p]
-			s0 += av * bv0
-			s1 += av * c1[p]
+			s0 += float64(av * bv0)
+			s1 += float64(av * c1[p])
 		}
 		d0[j], d0[j+1] = s0, s1
 	}
@@ -428,7 +428,7 @@ func microDotRow(d0, a0, bt []float64, jw, kw, ks int) {
 		c0 := bt[j*ks : j*ks+kw]
 		s0 := d0[j]
 		for p, bv := range c0 {
-			s0 += a0[p] * bv
+			s0 += float64(a0[p] * bv)
 		}
 		d0[j] = s0
 	}

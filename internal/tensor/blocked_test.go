@@ -212,26 +212,48 @@ func TestBlockedSteadyStateAllocs(t *testing.T) {
 }
 
 // benchShapes are the sizes the committed baseline in BENCHMARKS.md refers
-// to: "small" sits below blockedMinWork (dispatch stays naive), "large"
-// matches the big-model layer shapes the bench grid trains.
+// to. The paper_* cases are the five GEMMs of one SGD step of the paper-sized
+// MLP (24→32→10, batch 16) — forward x·W₁ and h·W₂ (MatMul), dW₁ = xᵀ·dh and
+// dW₂ = hᵀ·dy (MatMulAT), dh = dy·W₂ᵀ (MatMulBT) — with the ~50 % exact
+// zeros a post-ReLU left operand has; all sit below blockedMinWork, where
+// only the row kernels run. "medium" and "large" match the big-model layer
+// shapes train-gemm trains.
 var benchShapes = []struct {
 	name    string
 	m, k, n int
+	zeros   float64 // exact-zero fraction of the left operand
 }{
-	{"small_16x24x32", 16, 24, 32},
-	{"medium_48x96x192", 48, 96, 192},
-	{"large_64x256x256", 64, 256, 256},
+	{"paper_16x24x32", 16, 24, 32, 0},
+	{"paper_16x32x10", 16, 32, 10, 0.5},
+	{"paper_24x16x32", 24, 16, 32, 0},
+	{"paper_32x16x10", 32, 16, 10, 0.5},
+	{"paper_16x10x32", 16, 10, 32, 0},
+	{"medium_48x96x192", 48, 96, 192, 0},
+	{"large_64x256x256", 64, 256, 256, 0},
 }
 
-func benchKernels(b *testing.B, run func(dst, a, bb *Tensor)) {
+// benchKernels runs one kernel over benchShapes, blocked and naive; aT/bT say
+// which operand the kernel takes transposed. Below blockedMinWork there is
+// only one path, so the blocked mode is skipped.
+func benchKernels(b *testing.B, aT, bT bool, run func(dst, a, bb *Tensor)) {
 	for _, sh := range benchShapes {
 		for _, mode := range []string{"naive", "blocked"} {
+			if mode == "blocked" && sh.m*sh.k*sh.n < blockedMinWork {
+				continue
+			}
 			b.Run(fmt.Sprintf("%s/%s", sh.name, mode), func(b *testing.B) {
 				defer SetBlockedGEMM(true)
 				SetBlockedGEMM(mode == "blocked")
 				rng := stats.NewRNG(7)
-				a := randomTensor(rng, sh.m, sh.k)
-				bb := randomTensor(rng, sh.k, sh.n)
+				aShape, bShape := []int{sh.m, sh.k}, []int{sh.k, sh.n}
+				if aT {
+					aShape = []int{sh.k, sh.m}
+				}
+				if bT {
+					bShape = []int{sh.n, sh.k}
+				}
+				a, bb := randomTensor(rng, aShape...), randomTensor(rng, bShape...)
+				sparsify(rng, a.Data, sh.zeros)
 				dst := New(sh.m, sh.n)
 				b.SetBytes(int64(8 * sh.m * sh.k * sh.n))
 				b.ResetTimer()
@@ -243,49 +265,9 @@ func benchKernels(b *testing.B, run func(dst, a, bb *Tensor)) {
 	}
 }
 
-func BenchmarkMatMul(b *testing.B) {
-	benchKernels(b, func(dst, a, bb *Tensor) { MatMul(dst, a, bb) })
-}
-
-func BenchmarkMatMulAT(b *testing.B) {
-	for _, sh := range benchShapes {
-		for _, mode := range []string{"naive", "blocked"} {
-			b.Run(fmt.Sprintf("%s/%s", sh.name, mode), func(b *testing.B) {
-				defer SetBlockedGEMM(true)
-				SetBlockedGEMM(mode == "blocked")
-				rng := stats.NewRNG(7)
-				a := randomTensor(rng, sh.k, sh.m)
-				bb := randomTensor(rng, sh.k, sh.n)
-				dst := New(sh.m, sh.n)
-				b.SetBytes(int64(8 * sh.m * sh.k * sh.n))
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					MatMulAT(dst, a, bb)
-				}
-			})
-		}
-	}
-}
-
-func BenchmarkMatMulBT(b *testing.B) {
-	for _, sh := range benchShapes {
-		for _, mode := range []string{"naive", "blocked"} {
-			b.Run(fmt.Sprintf("%s/%s", sh.name, mode), func(b *testing.B) {
-				defer SetBlockedGEMM(true)
-				SetBlockedGEMM(mode == "blocked")
-				rng := stats.NewRNG(7)
-				a := randomTensor(rng, sh.m, sh.k)
-				bb := randomTensor(rng, sh.n, sh.k)
-				dst := New(sh.m, sh.n)
-				b.SetBytes(int64(8 * sh.m * sh.k * sh.n))
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					MatMulBT(dst, a, bb)
-				}
-			})
-		}
-	}
-}
+func BenchmarkMatMul(b *testing.B)   { benchKernels(b, false, false, MatMul) }
+func BenchmarkMatMulAT(b *testing.B) { benchKernels(b, true, false, MatMulAT) }
+func BenchmarkMatMulBT(b *testing.B) { benchKernels(b, false, true, MatMulBT) }
 
 // BenchmarkMatMulSparse measures the zero-skip question per kernel: row
 // kernels (skip) vs blocked kernels (no skip, must not be dispatched here —

@@ -16,13 +16,13 @@ func Axpy(k float64, x, dst []float64) {
 	checkLen("Axpy", len(x), len(dst))
 	i := 0
 	for ; i+4 <= len(dst); i += 4 {
-		dst[i] += k * x[i]
-		dst[i+1] += k * x[i+1]
-		dst[i+2] += k * x[i+2]
-		dst[i+3] += k * x[i+3]
+		dst[i] += float64(k * x[i])
+		dst[i+1] += float64(k * x[i+1])
+		dst[i+2] += float64(k * x[i+2])
+		dst[i+3] += float64(k * x[i+3])
 	}
 	for ; i < len(dst); i++ {
-		dst[i] += k * x[i]
+		dst[i] += float64(k * x[i])
 	}
 }
 
@@ -91,13 +91,13 @@ func AxpbyInto(a float64, x []float64, b float64, y, dst []float64) {
 	checkLen("AxpbyInto", len(y), len(dst))
 	i := 0
 	for ; i+4 <= len(dst); i += 4 {
-		dst[i] = a*x[i] + b*y[i]
-		dst[i+1] = a*x[i+1] + b*y[i+1]
-		dst[i+2] = a*x[i+2] + b*y[i+2]
-		dst[i+3] = a*x[i+3] + b*y[i+3]
+		dst[i] = float64(a*x[i]) + float64(b*y[i])
+		dst[i+1] = float64(a*x[i+1]) + float64(b*y[i+1])
+		dst[i+2] = float64(a*x[i+2]) + float64(b*y[i+2])
+		dst[i+3] = float64(a*x[i+3]) + float64(b*y[i+3])
 	}
 	for ; i < len(dst); i++ {
-		dst[i] = a*x[i] + b*y[i]
+		dst[i] = float64(a*x[i]) + float64(b*y[i])
 	}
 }
 

@@ -95,23 +95,73 @@ func MatMul(dst, a, b *Tensor) {
 	})
 }
 
-// matmulRows computes rows [lo, hi) of dst = a×b with an ikj loop order that
-// streams b row-wise for cache friendliness.
+// The row kernels below skip every exact-zero (±0) entry of the left operand.
+// Against a finite right operand that changes no bit: an accumulator that
+// starts at +0 can never become −0, so the skipped ±0 term would have been
+// absorbed. Against an Inf or NaN right entry it is the semantics, not an
+// optimisation: the skipped 0·Inf / 0·NaN would have been NaN, and a model
+// whose weights have diverged keeps whatever these kernels made of it. So
+// the contract is the reduction itself — each output element is the sum, in
+// ascending p from +0, of float64(a·b) over the non-zero a — and the blocked
+// kernels, which skip nothing, agree with it bit for bit on finite operands
+// only. TestRowKernelsMatchReference pins it, skip rule included.
+
+// matmulRows computes rows [lo, hi) of dst = a×b (a m×k, b k×n).
+//
+//lint:hotpath
 func matmulRows(dst, a, b []float64, lo, hi, k, n int) {
+	accumRows(dst, a, b, lo, hi, k, n, k, 1)
+}
+
+// accumRows is the kernel behind matmulRows and matmulATRows: row i of dst
+// is the sum over p of a[i·rs + p·cs] · (row p of b), so (rs, cs) = (k, 1)
+// reads a as m×k and (1, m) reads it as k×m, transposed. Non-zero a entries
+// are gathered four at a time in ascending p and applied in one pass over
+// the output row, which then lives in a register across the four updates
+// instead of being loaded and stored once per p; the per-element order of
+// additions is the plain p loop's.
+//
+//lint:hotpath
+func accumRows(dst, a, b []float64, lo, hi, k, n, rs, cs int) {
 	for i := lo; i < hi; i++ {
 		drow := dst[i*n : (i+1)*n]
-		for x := range drow {
-			drow[x] = 0
-		}
-		arow := a[i*k : (i+1)*k]
-		for p, av := range arow {
-			//lint:ignore float-eq sparsity fast path: skipping exact zeros changes no bits of the result
-			if av == 0 {
+		clear(drow)
+		var av [4]float64
+		var off [4]int
+		cnt := 0
+		ai := i * rs
+		for p := 0; p < k; p++ {
+			v := a[ai]
+			ai += cs
+			//lint:ignore float-eq zero skip is part of the kernel contract (see above): same entries skipped on every path
+			if v == 0 {
 				continue
 			}
-			brow := b[p*n : (p+1)*n]
+			av[cnt], off[cnt] = v, p*n
+			cnt++
+			if cnt < 4 {
+				continue
+			}
+			cnt = 0
+			// Re-slice to len(drow) so the range index is provably in
+			// bounds for all four b rows.
+			b0 := b[off[0]:][:len(drow)]
+			b1 := b[off[1]:][:len(drow)]
+			b2 := b[off[2]:][:len(drow)]
+			b3 := b[off[3]:][:len(drow)]
+			a0, a1, a2, a3 := av[0], av[1], av[2], av[3]
+			for j, d := range drow {
+				d += float64(a0 * b0[j])
+				d += float64(a1 * b1[j])
+				d += float64(a2 * b2[j])
+				d += float64(a3 * b3[j])
+				drow[j] = d
+			}
+		}
+		for q := 0; q < cnt; q++ {
+			brow := b[off[q]:][:len(drow)]
 			for j, bv := range brow {
-				drow[j] += av * bv
+				drow[j] += float64(av[q] * bv)
 			}
 		}
 	}
@@ -141,25 +191,11 @@ func MatMulAT(dst, a, b *Tensor) {
 	})
 }
 
-// matmulATRows computes rows [lo, hi) of dst = aᵀ×b.
+// matmulATRows computes rows [lo, hi) of dst = aᵀ×b (a k×m, b k×n).
+//
+//lint:hotpath
 func matmulATRows(dst, a, b []float64, lo, hi, k, m, n int) {
-	for i := lo; i < hi; i++ {
-		drow := dst[i*n : (i+1)*n]
-		for x := range drow {
-			drow[x] = 0
-		}
-		for p := 0; p < k; p++ {
-			av := a[p*m+i]
-			//lint:ignore float-eq sparsity fast path: skipping exact zeros changes no bits of the result
-			if av == 0 {
-				continue
-			}
-			brow := b[p*n : (p+1)*n]
-			for j, bv := range brow {
-				drow[j] += av * bv
-			}
-		}
-	}
+	accumRows(dst, a, b, lo, hi, k, n, 1, m)
 }
 
 // MatMulBT computes dst = a × bᵀ for a (m×k) and b (n×k), producing m×n.
@@ -186,23 +222,45 @@ func MatMulBT(dst, a, b *Tensor) {
 	})
 }
 
-// matmulBTRows computes rows [lo, hi) of dst = a×bᵀ. The zero skip mirrors
-// matmulRows/matmulATRows: arow's zero pattern is fixed across the whole j
-// loop, so the branch is predictable after the first column, and ReLU-sparse
-// gradients (the dX = dY·Wᵀ call site) skip about half the multiply-adds.
+// matmulBTRows computes rows [lo, hi) of dst = a×bᵀ (a m×k, b n×k). Both
+// operands are contiguous along p, so this is the dot form: four output
+// columns share one walk of the a row — one load and one zero test per four
+// multiply-adds, and four independent accumulator chains where a single dot
+// product has one — each still a strictly ascending-p reduction.
+//
+//lint:hotpath
 func matmulBTRows(dst, a, b []float64, lo, hi, k, n int) {
 	for i := lo; i < hi; i++ {
 		arow := a[i*k : (i+1)*k]
 		drow := dst[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			brow := b[j*k : (j+1)*k]
-			s := 0.0
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			b0 := b[j*k:][:len(arow)]
+			b1 := b[(j+1)*k:][:len(arow)]
+			b2 := b[(j+2)*k:][:len(arow)]
+			b3 := b[(j+3)*k:][:len(arow)]
+			var s0, s1, s2, s3 float64
 			for p, av := range arow {
-				//lint:ignore float-eq sparsity fast path: skipping exact zeros changes no bits of the result
+				//lint:ignore float-eq zero skip is part of the kernel contract (see matmulRows): same entries skipped on every path
 				if av == 0 {
 					continue
 				}
-				s += av * brow[p]
+				s0 += float64(av * b0[p])
+				s1 += float64(av * b1[p])
+				s2 += float64(av * b2[p])
+				s3 += float64(av * b3[p])
+			}
+			drow[j], drow[j+1], drow[j+2], drow[j+3] = s0, s1, s2, s3
+		}
+		for ; j < n; j++ {
+			brow := b[j*k:][:len(arow)]
+			s := 0.0
+			for p, av := range arow {
+				//lint:ignore float-eq zero skip is part of the kernel contract (see matmulRows): same entries skipped on every path
+				if av == 0 {
+					continue
+				}
+				s += float64(av * brow[p])
 			}
 			drow[j] = s
 		}

@@ -1,0 +1,192 @@
+package tensor
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"repro/internal/stats"
+)
+
+// refGEMM is the contract the row kernels are pinned to: every output
+// element is the sum, in ascending p from +0, of float64(a·b) over the
+// entries of the left operand that are not exactly zero. aT reads a as k×m,
+// bT reads b as n×k.
+func refGEMM(a, b []float64, m, k, n int, aT, bT bool) []float64 {
+	out := make([]float64, m*n)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			s := 0.0
+			for p := 0; p < k; p++ {
+				av := a[i*k+p]
+				if aT {
+					av = a[p*m+i]
+				}
+				//lint:ignore float-eq the reference applies the kernels' own skip rule
+				if av == 0 {
+					continue
+				}
+				bv := b[p*n+j]
+				if bT {
+					bv = b[j*k+p]
+				}
+				s += float64(av * bv)
+			}
+			out[i*n+j] = s
+		}
+	}
+	return out
+}
+
+// sameResult is bitsDiffer with one allowance: two NaNs match whatever their
+// payloads. Which operand's payload an add of two NaNs keeps is decided by
+// the instruction's operand order, i.e. by the register allocator, so no
+// kernel — old or new — can promise it; that a NaN stays a NaN is the part a
+// diverged model depends on.
+func sameResult(got, want []float64) int {
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) && !(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
+			return i
+		}
+	}
+	return -1
+}
+
+// rowKernelOperands are the left/right operand fills of the table test. Each
+// takes fresh random operands (a is the left one, rows×cols as stored) and
+// plants the pattern under test.
+var rowKernelOperands = []struct {
+	name string
+	fill func(rng *stats.RNG, a, b []float64, aCols int)
+}{
+	{"dense", func(*stats.RNG, []float64, []float64, int) {}},
+	{"half_zero", func(rng *stats.RNG, a, _ []float64, _ int) { sparsify(rng, a, 0.5) }},
+	{"mostly_zero", func(rng *stats.RNG, a, _ []float64, _ int) { sparsify(rng, a, 0.9) }},
+	{"zero_row", func(_ *stats.RNG, a, _ []float64, aCols int) {
+		// One stored row of a (an output row for MatMul/BT, one p for AT).
+		clear(a[len(a)/aCols/2*aCols:][:aCols])
+	}},
+	{"all_zero", func(_ *stats.RNG, a, _ []float64, _ int) { clear(a) }},
+	{"neg_zero", func(rng *stats.RNG, a, b []float64, _ int) {
+		negZero := math.Copysign(0, -1)
+		for i := range a {
+			if rng.Float64() < 0.3 {
+				a[i] = negZero
+			}
+		}
+		for i := range b {
+			if rng.Float64() < 0.3 {
+				b[i] = negZero
+			}
+		}
+	}},
+	{"cancel_to_zero", func(_ *stats.RNG, a, b []float64, _ int) {
+		// Partial sums that hit exactly +0 mid-reduction, then meet −0 terms.
+		for i := range a {
+			a[i] = float64(1 - 2*(i%2))
+		}
+		for i := range b {
+			b[i] = float64(i%3) - 1
+		}
+	}},
+	{"inf_nan_right", func(rng *stats.RNG, a, b []float64, _ int) {
+		// Zeros in a against Inf/NaN in b: the skipped 0·Inf must stay
+		// skipped, the unskipped ones must poison the sum.
+		sparsify(rng, a, 0.5)
+		for i := range b {
+			switch r := rng.Float64(); {
+			case r < 0.05:
+				b[i] = math.Inf(1)
+			case r < 0.10:
+				b[i] = math.Inf(-1)
+			case r < 0.15:
+				b[i] = math.NaN()
+			}
+		}
+	}},
+	{"inf_nan_left", func(rng *stats.RNG, a, _ []float64, _ int) {
+		sparsify(rng, a, 0.4)
+		for i := range a {
+			switch r := rng.Float64(); {
+			case r < 0.05:
+				a[i] = math.Inf(1)
+			case r < 0.10:
+				a[i] = math.NaN()
+			}
+		}
+	}},
+}
+
+// TestRowKernelsMatchReference pins MatMul, MatMulAT and MatMulBT to refGEMM
+// at every GEMM shape one SGD step of the paper-sized MLPs produces — forward
+// 16×24×32 and 16×32×10, weight gradients 24×16×32 and 32×16×10, input
+// gradient 16×10×32 — at every tail batch 1..15 of each, at shared dimensions
+// that are not a multiple of the kernels' gather width, and on the row-range
+// calls the parallel fan-out makes above the blocked cutoff.
+func TestRowKernelsMatchReference(t *testing.T) {
+	type shape struct{ m, k, n int }
+	shapes := map[string][]shape{
+		"MatMul":   {{16, 24, 32}, {16, 32, 10}, {16, 64, 128}, {3, 1, 5}, {2, 7, 3}, {5, 13, 1}},
+		"MatMulAT": {{24, 16, 32}, {32, 16, 10}, {64, 16, 128}, {3, 1, 5}, {2, 7, 3}, {5, 13, 1}},
+		"MatMulBT": {{16, 10, 32}, {16, 32, 24}, {16, 128, 64}, {3, 1, 5}, {2, 7, 3}, {5, 13, 1}, {4, 6, 7}},
+	}
+	for batch := 1; batch < 16; batch++ {
+		shapes["MatMul"] = append(shapes["MatMul"], shape{batch, 24, 32}, shape{batch, 32, 10})
+		shapes["MatMulAT"] = append(shapes["MatMulAT"], shape{24, batch, 32}, shape{32, batch, 10})
+		shapes["MatMulBT"] = append(shapes["MatMulBT"], shape{batch, 10, 32})
+	}
+	kernels := []struct {
+		name   string
+		aT, bT bool
+		run    func(dst, a, b *Tensor)
+		rows   func(dst, a, b []float64, lo, hi, m, k, n int)
+	}{
+		{"MatMul", false, false, MatMul,
+			func(dst, a, b []float64, lo, hi, m, k, n int) { matmulRows(dst, a, b, lo, hi, k, n) }},
+		{"MatMulAT", true, false, MatMulAT,
+			func(dst, a, b []float64, lo, hi, m, k, n int) { matmulATRows(dst, a, b, lo, hi, k, m, n) }},
+		{"MatMulBT", false, true, MatMulBT,
+			func(dst, a, b []float64, lo, hi, m, k, n int) { matmulBTRows(dst, a, b, lo, hi, k, n) }},
+	}
+	for _, kern := range kernels {
+		for _, sh := range shapes[kern.name] {
+			for _, op := range rowKernelOperands {
+				name := fmt.Sprintf("%s/%dx%dx%d/%s", kern.name, sh.m, sh.k, sh.n, op.name)
+				rng := stats.NewRNG(uint64(sh.m*10007 + sh.k*101 + sh.n))
+				a, b := randomTensor(rng, sh.m, sh.k), randomTensor(rng, sh.k, sh.n)
+				if kern.aT {
+					a = randomTensor(rng, sh.k, sh.m)
+				}
+				if kern.bT {
+					b = randomTensor(rng, sh.n, sh.k)
+				}
+				op.fill(rng, a.Data, b.Data, a.Shape[1])
+				want := refGEMM(a.Data, b.Data, sh.m, sh.k, sh.n, kern.aT, kern.bT)
+
+				got := New(sh.m, sh.n)
+				got.Fill(math.NaN()) // the kernels must overwrite, not accumulate into, dst
+				if sh.m*sh.k*sh.n < blockedMinWork {
+					kern.run(got, a, b)
+				} else {
+					// Dispatch may pick a blocked kernel here, which skips
+					// nothing; the row kernel is what this test pins.
+					kern.rows(got.Data, a.Data, b.Data, 0, sh.m, sh.m, sh.k, sh.n)
+				}
+				if i := sameResult(got.Data, want); i >= 0 {
+					t.Fatalf("%s: element %d is %x (%v), reference %x (%v)", name, i,
+						math.Float64bits(got.Data[i]), got.Data[i], math.Float64bits(want[i]), want[i])
+				}
+
+				// The same rows as two row-range calls, as parallelRows makes.
+				got.Fill(math.NaN())
+				split := sh.m / 2
+				kern.rows(got.Data, a.Data, b.Data, split, sh.m, sh.m, sh.k, sh.n)
+				kern.rows(got.Data, a.Data, b.Data, 0, split, sh.m, sh.k, sh.n)
+				if i := sameResult(got.Data, want); i >= 0 {
+					t.Fatalf("%s: row-range call: element %d is %x, reference %x", name, i,
+						math.Float64bits(got.Data[i]), math.Float64bits(want[i]))
+				}
+			}
+		}
+	}
+}

@@ -173,7 +173,7 @@ func (t *Tensor) Dot(o *Tensor) float64 {
 	t.mustMatch(o, "Dot")
 	s := 0.0
 	for i, v := range o.Data {
-		s += t.Data[i] * v
+		s += float64(t.Data[i] * v)
 	}
 	return s
 }
@@ -182,7 +182,7 @@ func (t *Tensor) Dot(o *Tensor) float64 {
 func (t *Tensor) Norm() float64 {
 	s := 0.0
 	for _, v := range t.Data {
-		s += v * v
+		s += float64(v * v)
 	}
 	return math.Sqrt(s)
 }
