@@ -6,7 +6,14 @@
 #                        internal/nn are cross-compiled for arm64 and the
 #                        disassembly must hold no fused multiply-add: their
 #                        bit-identity contract is architecture-independent
-#                        only while every a·b+c is written float64(a*b) + c
+#                        only while every a·b+c is written float64(a*b) + c.
+#                        Then `placement` (print-only, never fails; also
+#                        `./ci.sh placement` on its own) builds ./bench and
+#                        prints where grouping.CoVGrouping.Form and
+#                        core.(*Trainer).Step landed mod 64: pop-regroup's
+#                        rounds_per_s swings ±10–20 % on that alone, so
+#                        compare the two lines against the parent commit's
+#                        before believing a pop-regroup delta
 #   2. go vet + gofmt  — stock vet findings; any file `gofmt -l` lists
 #                        outside internal/lint/testdata fails the stage
 #   3. repolint        — the project's own invariants (internal/lint):
@@ -20,15 +27,17 @@
 #                        async-vs-sync gates and the `go test ./bench`
 #                        benchmark smoke)
 #   5. go test -race   — race detector over the concurrency-bearing
-#                        packages (tensor matmul fan-out, core parallel
-#                        training engine incl. the worker pool, pooled
-#                        group spaces, SCAFFOLD's shared state
-#                        (TestEngineWorkerPoolRace), the blocked-vs-naive
-#                        kernel replay, the alpha=0 async ≡ sync property
+#                        packages (core parallel training engine incl. the
+#                        worker pool, pooled group spaces, SCAFFOLD's
+#                        shared state (TestEngineWorkerPoolRace), the
+#                        pinned wide-model replay across MaxParallel and
+#                        GOMAXPROCS, the alpha=0 async ≡ sync property
 #                        and the O(selected) round-memory gate of the
 #                        virtual populations; simnet event loop, wire
 #                        codec, fednode cloud/edge/client servers, metrics
-#                        registry, felserve)
+#                        registry, felserve). internal/tensor is not in
+#                        the list: it starts no goroutine and shares no
+#                        state — a GEMM runs on its caller's goroutine
 #   6. fuzz smoke      — the fuzz targets of the networked path run
 #                        randomized inputs on a 10s total budget:
 #                        FuzzDecodeFrame over the wire codec and
@@ -84,6 +93,25 @@ stop_smoke() {
 trap 'stop_smoke; rm -rf "$scratch"' EXIT
 stage_dir() { mkdir -p "$scratch/$1" && echo "$scratch/$1"; }
 
+# placement prints the addresses mod 64 of the two functions whose 64-byte
+# code placement moves pop-regroup (CHANGES.md, PR 15). It reports, it never
+# judges: every failure inside it is swallowed.
+placement() {
+  local dir
+  dir="$(stage_dir placement)"
+  go build -o "$dir/bench" ./bench || return 0
+  go tool nm "$dir/bench" | while read -r addr _ sym; do
+    case "$sym" in
+      repro/internal/grouping.CoVGrouping.Form | 'repro/internal/core.(*Trainer).Step')
+        echo "placement: $sym at 0x$addr, mod 64 = $(( 0x$addr % 64 ))" ;;
+    esac
+  done || true
+}
+if [ "${1:-}" = placement ]; then
+  placement
+  exit 0
+fi
+
 echo "== go build ./... + arm64 fused-multiply-add check (tensor, nn)"
 go build ./...
 fmadir="$(stage_dir fma)"
@@ -96,6 +124,7 @@ for pkg in tensor nn; do
   fi
 done
 echo "arm64 check: internal/tensor and internal/nn hold no FMADD/FMSUB/FNMADD/FNMSUB"
+placement
 
 echo "== go vet ./... + gofmt"
 go vet ./...
@@ -121,8 +150,8 @@ fi
 echo "== go test ./..."
 go test ./...
 
-echo "== go test -race (tensor, core, async, simnet, wire, fednode, faultnet, metrics, felserve)"
-go test -race ./internal/tensor ./internal/core ./internal/async ./internal/simnet ./internal/wire ./internal/fednode ./internal/faultnet/... ./internal/metrics ./internal/felserve
+echo "== go test -race (core, async, simnet, wire, fednode, faultnet, metrics, felserve)"
+go test -race ./internal/core ./internal/async ./internal/simnet ./internal/wire ./internal/fednode ./internal/faultnet/... ./internal/metrics ./internal/felserve
 
 echo "== go test -fuzz smoke (10s total across targets)"
 go test ./internal/wire -run '^$' -fuzz FuzzDecodeFrame -fuzztime 3s

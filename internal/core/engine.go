@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"strconv"
 	"sync"
 
@@ -107,28 +108,37 @@ type groupSpace struct {
 // single-CPU CI hosts; production runs never do.
 var testUncapWorkers bool
 
+// procs is the effective processor count, min(GOMAXPROCS, NumCPU): the
+// default width of every fan-out in this package (the engine's worker pool,
+// Evaluate, parallelEach), which is the only layer that starts goroutines
+// for compute — a tensor GEMM runs on its caller's. GOMAXPROCS above the
+// physical core count is pure oversubscription for compute-bound work: PR 9
+// measured a medium-scale training round at 0.60× the serial baseline with
+// GOMAXPROCS=8 on one core before this cap.
+func procs() int {
+	return min(runtime.GOMAXPROCS(0), runtime.NumCPU())
+}
+
 // newEngine builds the training engine for one run. MaxParallel <= 0 follows
 // the effective processor count; MaxParallel == 1 is the serial reference
-// path (no goroutines, one worker, zero synchronization overhead).
+// path: one worker, groups and their clients training one after another on
+// the calling goroutine with nothing to synchronize. Only Evaluate, which
+// MaxParallel does not govern, still fans out.
 func newEngine(sys *System, cfg Config, local LocalUpdater, comp *compressorPool) *engine {
-	// Syncing here refreshes the tensor kernels' processor cache at the run
-	// boundary, so a caller that changed GOMAXPROCS (benchmarks, replay
-	// tests) gets kernels that dispatch against the current value without
-	// the hot path ever consulting the runtime.
 	max := cfg.MaxParallel
-	procs := tensor.SyncProcs()
+	cpus := procs()
 	if max <= 0 {
-		max = procs
+		max = cpus
 	}
 	// MaxParallel is a bound, not a worker count: results are bit-identical
 	// however many workers actually run, so the pool is free to stay at the
 	// physical CPU count. Beyond it, extra workers only multiply resident
 	// model clones and thread handoffs on the same cores — PR 9 measured
-	// large-model rounds ~15% slower with 8 workers on one CPU. A change
-	// here shows in `go run ./bench` workload train-gemm (rounds_per_s,
-	// parallel_speedup).
-	if max > procs && !testUncapWorkers {
-		max = procs
+	// large-model rounds ~15% slower with 8 workers on one CPU, PR 18 no
+	// faster and +7% peak RSS with 8 on two. A change here shows in
+	// `go run ./bench` workload train-gemm (rounds_per_s, parallel_speedup).
+	if max > cpus && !testUncapWorkers {
+		max = cpus
 	}
 	e := &engine{
 		sys:        sys,

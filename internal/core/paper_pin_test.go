@@ -1,10 +1,6 @@
 package core
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
-	"math"
 	"testing"
 
 	"repro/internal/cost"
@@ -18,11 +14,10 @@ import (
 // core.Train at the bench's train-paper configuration (MLP 24→32→10, batch
 // 16, CoV-Grouping, ESRCoV sampling, stabilized weights, 5 % dropout, a
 // regroup mid-run; the population is cut to 60 clients and 4 rounds so the
-// test stays fast). Every matrix of that model is below blockedMinWork, so
-// the run lives entirely on the small row kernels and on
-// Sequential.Backward's parameter-gradient pass. The digest was recorded
-// before those were rewritten; a change confined to internal/tensor or
-// internal/nn must never need to re-record it.
+// test stays fast). The run lives on the tensor row kernels at their
+// smallest shapes and on Sequential.Backward's parameter-gradient pass. The
+// digest was recorded before those were rewritten; a change confined to
+// internal/tensor or internal/nn must never need to re-record it.
 func TestPaperShapeTrajectoryPinned(t *testing.T) {
 	gen := data.FlatConfig(10, 24, 11)
 	gen.Noise = 1.9
@@ -50,13 +45,8 @@ func TestPaperShapeTrajectoryPinned(t *testing.T) {
 		CostProfile: cost.CIFARProfile(),
 		CostOps:     cost.DefaultOps(),
 	})
-	buf := make([]byte, 8*len(res.Params))
-	for i, v := range res.Params {
-		binary.BigEndian.PutUint64(buf[8*i:], math.Float64bits(v))
-	}
-	sum := sha256.Sum256(buf)
 	const pinned = "c96c08301504937b"
-	if got := hex.EncodeToString(sum[:8]); got != pinned {
+	if got := paramDigest(res.Params); got != pinned {
 		t.Errorf("parameter digest %s, pinned %s (final accuracy %v)", got, pinned, res.FinalAccuracy)
 	}
 }

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"runtime"
 	"testing"
@@ -8,7 +11,6 @@ import (
 	"repro/internal/compress"
 	"repro/internal/data"
 	"repro/internal/nn"
-	"repro/internal/tensor"
 )
 
 // TestReplayBitIdenticalAcrossParallelism locks in the determinism contract
@@ -84,69 +86,70 @@ func TestReplayBitIdenticalAcrossMaxParallel(t *testing.T) {
 	}
 }
 
-// TestReplayBitIdenticalBlockedKernels runs a model wide enough that the
-// cache-blocked GEMM path actually engages (batch 24 × 64 features × 128
-// hidden clears blockedMinWork with k, n ≥ 4) and asserts the determinism
-// contract across both axes the tensor rewrite added: worker parallelism at
-// GOMAXPROCS 8, and blocked-versus-naive kernel choice. All three runs must
-// produce bit-identical final weights.
-func TestReplayBitIdenticalBlockedKernels(t *testing.T) {
-	old := runtime.GOMAXPROCS(8)
-	defer runtime.GOMAXPROCS(old)
-	defer tensor.SyncProcs()
-
-	wideSystem := func(seed uint64) *System {
-		gen := data.FlatConfig(4, 64, seed)
-		gen.Noise = 0.8
-		part := data.PartitionConfig{
-			NumClients: 10, Alpha: 0.5,
-			MinSamples: 24, MaxSamples: 48, MeanSamples: 32, StdSamples: 8,
-			Seed: seed + 1,
-		}
+// TestReplayWideModelsPinned pins the final weights of two short runs whose
+// GEMMs are far wider than the paper's — MLP 64→128→4 at batch 24, and the
+// bench's train-gemm shape, MLP 256→256→10 at batch 64 — to digests recorded
+// while tensor still dispatched those shapes to cache-blocked tiled kernels
+// fanned out across goroutines. One row kernel per GEMM runs at every shape
+// now; the digests are what says that swap, and any later kernel change, moved
+// no bit, at any worker-pool size and any GOMAXPROCS.
+func TestReplayWideModelsPinned(t *testing.T) {
+	mlpSystem := func(classes, features, hidden int, noise float64, part data.PartitionConfig, seed uint64) *System {
+		gen := data.FlatConfig(classes, features, seed)
+		gen.Noise = noise
+		part.Alpha, part.Seed = 0.5, seed+1
 		return NewSystem(SystemConfig{
 			Generator: gen,
 			Partition: part,
 			NumEdges:  2,
 			TestSize:  200,
 			NewModel: func(s uint64) *nn.Sequential {
-				return nn.NewMLP(64, []int{128}, 4, s)
+				return nn.NewMLP(features, []int{hidden}, classes, s)
 			},
 			ModelSeed: 7,
 		})
 	}
-	run := func(maxParallel int, blocked bool) []float64 {
-		tensor.SetBlockedGEMM(blocked)
-		defer tensor.SetBlockedGEMM(true)
-		sys := wideSystem(3)
-		cfg := testConfig()
-		cfg.GlobalRounds = 2
-		cfg.BatchSize = 24
-		cfg.MaxParallel = maxParallel
-		return Train(sys, cfg).Params
-	}
-
-	base := run(1, true)
-	if len(base) == 0 {
-		t.Fatal("training produced no parameters")
-	}
-	variants := []struct {
-		name    string
-		par     int
-		blocked bool
+	cases := []struct {
+		name   string
+		pinned string
+		batch  int
+		sys    func() *System
 	}{
-		{"MaxParallel=8 blocked", 8, true},
-		{"MaxParallel=1 naive", 1, false},
+		{"mlp64x128x4_batch24", "9068b842a32fea1a", 24, func() *System {
+			return mlpSystem(4, 64, 128, 0.8, data.PartitionConfig{
+				NumClients: 10, MinSamples: 24, MaxSamples: 48, MeanSamples: 32, StdSamples: 8}, 3)
+		}},
+		{"mlp256x256x10_batch64", "1fdc496d89436605", 64, func() *System {
+			return mlpSystem(10, 256, 256, 1.2, data.PartitionConfig{
+				NumClients: 12, MinSamples: 64, MaxSamples: 160, MeanSamples: 112, StdSamples: 24}, 5)
+		}},
 	}
-	for _, v := range variants {
-		again := run(v.par, v.blocked)
-		if len(again) != len(base) {
-			t.Fatalf("%s: parameter count %d, want %d", v.name, len(again), len(base))
-		}
-		for i := range base {
-			if math.Float64bits(again[i]) != math.Float64bits(base[i]) {
-				t.Fatalf("%s: param %d differs: %x vs %x (%.17g vs %.17g)",
-					v.name, i, math.Float64bits(again[i]), math.Float64bits(base[i]), again[i], base[i])
+	old := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(old)
+	for _, c := range cases {
+		for _, procs := range []int{1, 8} {
+			for _, par := range []int{1, 8} {
+				runtime.GOMAXPROCS(procs)
+				cfg := testConfig()
+				cfg.GlobalRounds = 2
+				cfg.BatchSize = c.batch
+				cfg.MaxParallel = par
+				got := paramDigest(Train(c.sys(), cfg).Params)
+				if got != c.pinned {
+					t.Errorf("%s GOMAXPROCS=%d MaxParallel=%d: parameter digest %s, pinned %s", c.name, procs, par, got, c.pinned)
+				}
 			}
 		}
 	}
+}
+
+// paramDigest is the first eight bytes of the SHA-256 of the parameters'
+// big-endian Float64bits, in hex.
+func paramDigest(params []float64) string {
+	buf := make([]byte, 8*len(params))
+	for i, v := range params {
+		binary.BigEndian.PutUint64(buf[8*i:], math.Float64bits(v))
+	}
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:8])
 }

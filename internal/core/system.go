@@ -197,7 +197,7 @@ func (s *System) clientBatchInto(c *data.Client, buf *data.SampleBuffer) (*tenso
 // Evaluate computes accuracy and mean loss of model on ds, batching to
 // bound memory. batch <= 0 defaults to 256.
 //
-// Batches are scored in parallel across tensor.Procs model clones (GOMAXPROCS
+// Batches are scored in parallel across procs() model clones (GOMAXPROCS
 // capped at physical CPUs), each batch writing into its own indexed slot; the
 // final reduction runs in batch order, so the result is bit-identical to a
 // serial evaluation at any parallelism.
@@ -210,7 +210,7 @@ func Evaluate(model *nn.Sequential, ds *data.Dataset, batch int) (acc, loss floa
 		return 0, 0
 	}
 	nb := (n + batch - 1) / batch
-	workers := tensor.Procs()
+	workers := procs()
 	if workers > nb {
 		workers = nb
 	}
@@ -265,11 +265,11 @@ func Evaluate(model *nn.Sequential, ds *data.Dataset, batch int) (acc, loss floa
 }
 
 // parallelEach runs fn(0..n-1) across at most workers goroutines. workers
-// <= 0 defaults to tensor.Procs. Panics inside fn are re-raised on the
+// <= 0 defaults to procs(). Panics inside fn are re-raised on the
 // caller goroutine so test failures surface normally.
 func parallelEach(n, workers int, fn func(i int)) {
 	if workers <= 0 {
-		workers = tensor.Procs()
+		workers = procs()
 	}
 	if workers > n {
 		workers = n

@@ -47,7 +47,11 @@ type Config struct {
 	// RegroupEvery reruns group formation every n global rounds (0 =
 	// never), the paper's Sec. 6.1 suggestion for reusing high-CoV data.
 	RegroupEvery int
-	// MaxParallel bounds worker goroutines (0 = one per physical CPU, via tensor.SyncProcs).
+	// MaxParallel bounds how many clients train at once (0 = one worker per
+	// effective CPU, min(GOMAXPROCS, NumCPU); 1 = serial training on the
+	// calling goroutine). It is the only parallelism knob: GEMMs never fan
+	// out, and evaluation always uses the effective CPU count. Results are
+	// bit-identical at every value.
 	MaxParallel int
 	// InitParams, when non-nil, seeds the global model with these
 	// parameters instead of a fresh initialization (used by two-phase

@@ -10,7 +10,7 @@ import (
 
 // Conv2D is a 2-D convolution over [batch, channels, height, width] inputs,
 // implemented as im2col + matrix multiplication so the heavy lifting runs on
-// the parallel matmul kernels.
+// the tensor matmul kernels.
 type Conv2D struct {
 	InC, OutC   int
 	KH, KW      int

@@ -7,8 +7,8 @@
 // lacks; see DESIGN.md substitution table).
 //
 // All layers are single-goroutine objects: clone a model per concurrent
-// client. Heavy math (matrix multiplies inside dense/conv layers) is
-// parallelized internally by the tensor package.
+// client. Heavy math (matrix multiplies inside dense/conv layers) runs in the
+// tensor package, on the calling goroutine.
 package nn
 
 import (

@@ -95,8 +95,8 @@ func BenchmarkTrainStepMLPReuse(b *testing.B) { benchStepReuse(b, 32) }
 
 // BenchmarkTrainStepPaperMLP is the reuse-mode step at batch 16 — the one
 // SGD step every executor of the train-paper, pop-regroup, net-loopback and
-// serve-fanout workloads repeats; all five of its GEMMs sit below
-// blockedMinWork (see internal/tensor/BENCHMARKS.md).
+// serve-fanout workloads repeats (its five GEMMs are the paper_* shapes of
+// internal/tensor/BENCHMARKS.md).
 func BenchmarkTrainStepPaperMLP(b *testing.B) { benchStepReuse(b, 16) }
 
 // BenchmarkParamVectorInto measures the reused-buffer flatten against the

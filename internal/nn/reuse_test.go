@@ -73,8 +73,6 @@ func TestBufferReuseBitIdentical(t *testing.T) {
 
 // TestConv2DBufferReuseZeroAlloc pins the conv layer's steady state: with
 // reuse on and shapes warmed, a Forward/Backward pair must not allocate.
-// The dims keep every matmul under the blocked/parallel dispatch thresholds,
-// so the assertion isolates the layer's own buffers from kernel scratch.
 func TestConv2DBufferReuseZeroAlloc(t *testing.T) {
 	rng := stats.NewRNG(5)
 	c := NewConv2D(3, 4, 3, 3, 1, 1, rng)

@@ -1,78 +1,14 @@
 package tensor
 
-import (
-	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
-
-// parallelThreshold is the approximate number of multiply-adds below which a
-// matmul runs single-threaded; goroutine fan-out costs more than it saves on
-// tiny matrices.
-const parallelThreshold = 1 << 16
-
-// procs caches the effective worker count for the kernel dispatch.
-// runtime.GOMAXPROCS(0) takes the scheduler lock on every call, which is
-// real contention when many workers dispatch matmuls concurrently — and pure
-// waste on the MaxParallel=1 serial path, which used to consult the runtime
-// once per matmul. The cache is refreshed lazily on first use and by
-// SyncProcs.
-var procs atomic.Int32
-
-// SyncProcs re-reads the effective worker count — min(GOMAXPROCS, NumCPU) —
-// into the dispatch cache and returns it. GOMAXPROCS above the physical core
-// count is pure oversubscription for compute-bound kernels: the goroutine
-// fan-out adds handoffs without adding compute, and the bench grid measured
-// a medium-scale training round at 0.60× the serial baseline with
-// GOMAXPROCS=8 on one core before this cap. Call sites that change
-// GOMAXPROCS and then expect the kernels to notice (the training engine at
-// setup, benchmarks, replay tests) call this once at the boundary; the hot
-// path itself only ever loads the atomic. A stale cache can only mis-pick
-// the serial/parallel path, never change results — every path is
-// bit-identical.
-func SyncProcs() int {
-	n := runtime.GOMAXPROCS(0)
-	if c := runtime.NumCPU(); c < n {
-		n = c
-	}
-	procs.Store(int32(n))
-	return n
-}
-
-// Procs returns the cached effective worker count, syncing on first use.
-// Other packages size their compute fan-out (parallel evaluation, engine
-// defaults) from this so the whole process shares one oversubscription
-// policy.
-func Procs() int { return cachedProcs() }
-
-// cachedProcs returns the cached effective worker count, syncing on first
-// use.
-func cachedProcs() int {
-	p := procs.Load()
-	if p == 0 {
-		return SyncProcs()
-	}
-	return int(p)
-}
-
-// serialRows reports whether a rows×(work) matmul should run inline. Callers
-// dispatch to the named row kernels directly in that case, so the hot path
-// of small matrices never materializes a closure — a per-call heap
-// allocation that would otherwise defeat the training loop's zero-alloc
-// steady state. The cheap size checks run first; the parallelism probe is a
-// cached atomic load, so no path touches the runtime.
-func serialRows(rows, work int) bool {
-	return work < parallelThreshold || rows <= 1 || cachedProcs() <= 1
-}
+import "fmt"
 
 // MatMul computes dst = a × b for 2-D tensors a (m×k) and b (k×n), writing
-// into dst (m×n). dst must not alias a or b. Large dense problems run on the
-// cache-blocked tiled kernels (see blocked.go), fanned out across 2-D tiles;
-// small or very sparse ones stay on the zero-skipping row kernels. Each
-// output element is a sequentially-ordered reduction over p = 0..k-1 on
-// every path, so results are bit-for-bit identical regardless of kernel
-// choice or parallelism.
+// into dst (m×n). dst must not alias a or b. Every shape runs on the calling
+// goroutine through the one zero-skipping row kernel below: each output
+// element is a single reduction over p = 0..k-1 in ascending order, so the
+// result depends on the operands alone. Callers that want more than one
+// core split work above this call — internal/core trains clients and scores
+// evaluation batches in parallel — and a GEMM itself never spawns.
 func MatMul(dst, a, b *Tensor) {
 	m, k := a.Shape[0], a.Shape[1]
 	k2, n := b.Shape[0], b.Shape[1]
@@ -82,17 +18,7 @@ func MatMul(dst, a, b *Tensor) {
 	if dst.Shape[0] != m || dst.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMul dst %v, want [%d %d]", dst.Shape, m, n))
 	}
-	if useBlocked(m, k, n, a.Data, blockedSparseCutoff) {
-		blockedMatMul(dst.Data, a.Data, b.Data, m, k, n)
-		return
-	}
-	if serialRows(m, m*n*k) {
-		matmulRows(dst.Data, a.Data, b.Data, 0, m, k, n)
-		return
-	}
-	parallelRows(m, func(lo, hi int) {
-		matmulRows(dst.Data, a.Data, b.Data, lo, hi, k, n)
-	})
+	accumRows(dst.Data, a.Data, b.Data, 0, m, k, n, k, 1)
 }
 
 // The row kernels below skip every exact-zero (±0) entry of the left operand.
@@ -102,24 +28,17 @@ func MatMul(dst, a, b *Tensor) {
 // optimisation: the skipped 0·Inf / 0·NaN would have been NaN, and a model
 // whose weights have diverged keeps whatever these kernels made of it. So
 // the contract is the reduction itself — each output element is the sum, in
-// ascending p from +0, of float64(a·b) over the non-zero a — and the blocked
-// kernels, which skip nothing, agree with it bit for bit on finite operands
-// only. TestRowKernelsMatchReference pins it, skip rule included.
+// ascending p from +0, of float64(a·b) over the non-zero a — and it holds at
+// every shape, because no other kernel exists for a large or dense problem
+// to be routed to. TestRowKernelsMatchReference pins it, skip rule included.
 
-// matmulRows computes rows [lo, hi) of dst = a×b (a m×k, b k×n).
-//
-//lint:hotpath
-func matmulRows(dst, a, b []float64, lo, hi, k, n int) {
-	accumRows(dst, a, b, lo, hi, k, n, k, 1)
-}
-
-// accumRows is the kernel behind matmulRows and matmulATRows: row i of dst
-// is the sum over p of a[i·rs + p·cs] · (row p of b), so (rs, cs) = (k, 1)
-// reads a as m×k and (1, m) reads it as k×m, transposed. Non-zero a entries
-// are gathered four at a time in ascending p and applied in one pass over
-// the output row, which then lives in a register across the four updates
-// instead of being loaded and stored once per p; the per-element order of
-// additions is the plain p loop's.
+// accumRows is the kernel behind MatMul and MatMulAT. It computes rows
+// [lo, hi) of dst, where row i is the sum over p of a[i·rs + p·cs] · (row p
+// of b), so (rs, cs) = (k, 1) reads a as m×k and (1, m) reads it as k×m,
+// transposed. Non-zero a entries are gathered four at a time in ascending p
+// and applied in one pass over the output row, which then lives in a register
+// across the four updates instead of being loaded and stored once per p; the
+// per-element order of additions is the plain p loop's.
 //
 //lint:hotpath
 func accumRows(dst, a, b []float64, lo, hi, k, n, rs, cs int) {
@@ -133,7 +52,7 @@ func accumRows(dst, a, b []float64, lo, hi, k, n, rs, cs int) {
 		for p := 0; p < k; p++ {
 			v := a[ai]
 			ai += cs
-			//lint:ignore float-eq zero skip is part of the kernel contract (see above): same entries skipped on every path
+			//lint:ignore float-eq zero skip is part of the kernel contract (see above)
 			if v == 0 {
 				continue
 			}
@@ -178,24 +97,7 @@ func MatMulAT(dst, a, b *Tensor) {
 	if dst.Shape[0] != m || dst.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulAT dst %v, want [%d %d]", dst.Shape, m, n))
 	}
-	if useBlocked(m, k, n, a.Data, blockedSparseCutoff) {
-		blockedMatMulAT(dst.Data, a.Data, b.Data, m, k, n)
-		return
-	}
-	if serialRows(m, m*n*k) {
-		matmulATRows(dst.Data, a.Data, b.Data, 0, m, k, m, n)
-		return
-	}
-	parallelRows(m, func(lo, hi int) {
-		matmulATRows(dst.Data, a.Data, b.Data, lo, hi, k, m, n)
-	})
-}
-
-// matmulATRows computes rows [lo, hi) of dst = aᵀ×b (a k×m, b k×n).
-//
-//lint:hotpath
-func matmulATRows(dst, a, b []float64, lo, hi, k, m, n int) {
-	accumRows(dst, a, b, lo, hi, k, n, 1, m)
+	accumRows(dst.Data, a.Data, b.Data, 0, m, k, n, 1, m)
 }
 
 // MatMulBT computes dst = a × bᵀ for a (m×k) and b (n×k), producing m×n.
@@ -209,17 +111,7 @@ func MatMulBT(dst, a, b *Tensor) {
 	if dst.Shape[0] != m || dst.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulBT dst %v, want [%d %d]", dst.Shape, m, n))
 	}
-	if useBlocked(m, k, n, a.Data, sparseCutoffNever) {
-		blockedMatMulBT(dst.Data, a.Data, b.Data, m, k, n)
-		return
-	}
-	if serialRows(m, m*n*k) {
-		matmulBTRows(dst.Data, a.Data, b.Data, 0, m, k, n)
-		return
-	}
-	parallelRows(m, func(lo, hi int) {
-		matmulBTRows(dst.Data, a.Data, b.Data, lo, hi, k, n)
-	})
+	matmulBTRows(dst.Data, a.Data, b.Data, 0, m, k, n)
 }
 
 // matmulBTRows computes rows [lo, hi) of dst = a×bᵀ (a m×k, b n×k). Both
@@ -241,7 +133,7 @@ func matmulBTRows(dst, a, b []float64, lo, hi, k, n int) {
 			b3 := b[(j+3)*k:][:len(arow)]
 			var s0, s1, s2, s3 float64
 			for p, av := range arow {
-				//lint:ignore float-eq zero skip is part of the kernel contract (see matmulRows): same entries skipped on every path
+				//lint:ignore float-eq zero skip is part of the kernel contract (see accumRows)
 				if av == 0 {
 					continue
 				}
@@ -256,7 +148,7 @@ func matmulBTRows(dst, a, b []float64, lo, hi, k, n int) {
 			brow := b[j*k:][:len(arow)]
 			s := 0.0
 			for p, av := range arow {
-				//lint:ignore float-eq zero skip is part of the kernel contract (see matmulRows): same entries skipped on every path
+				//lint:ignore float-eq zero skip is part of the kernel contract (see accumRows)
 				if av == 0 {
 					continue
 				}
@@ -265,33 +157,4 @@ func matmulBTRows(dst, a, b []float64, lo, hi, k, n int) {
 			drow[j] = s
 		}
 	}
-}
-
-// parallelRows partitions [0, rows) across the cached GOMAXPROCS workers.
-// Callers have already decided against the inline path via serialRows. It
-// remains the fan-out for mid-sized problems when blocking is disabled; the
-// blocked path uses 2-D tile dispatch instead (see blockedLoop).
-func parallelRows(rows int, fn func(lo, hi int)) {
-	workers := cachedProcs()
-	if workers > rows {
-		workers = rows
-	}
-	var wg sync.WaitGroup
-	chunk := (rows + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= rows {
-			break
-		}
-		hi := lo + chunk
-		if hi > rows {
-			hi = rows
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }

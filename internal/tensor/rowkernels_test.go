@@ -38,8 +38,17 @@ func refGEMM(a, b []float64, m, k, n int, aT, bT bool) []float64 {
 	return out
 }
 
-// sameResult is bitsDiffer with one allowance: two NaNs match whatever their
-// payloads. Which operand's payload an add of two NaNs keeps is decided by
+// sparsify zeroes out roughly frac of x's entries, deterministically.
+func sparsify(rng *stats.RNG, x []float64, frac float64) {
+	for i := range x {
+		if rng.Float64() < frac {
+			x[i] = 0
+		}
+	}
+}
+
+// sameResult compares bit for bit with one allowance: two NaNs match whatever
+// their payloads. Which operand's payload an add of two NaNs keeps is decided by
 // the instruction's operand order, i.e. by the register allocator, so no
 // kernel — old or new — can promise it; that a NaN stays a NaN is the part a
 // diverged model depends on.
@@ -61,7 +70,7 @@ var rowKernelOperands = []struct {
 }{
 	{"dense", func(*stats.RNG, []float64, []float64, int) {}},
 	{"half_zero", func(rng *stats.RNG, a, _ []float64, _ int) { sparsify(rng, a, 0.5) }},
-	{"mostly_zero", func(rng *stats.RNG, a, _ []float64, _ int) { sparsify(rng, a, 0.9) }},
+	{"mostly_zero", func(rng *stats.RNG, a, _ []float64, _ int) { sparsify(rng, a, 0.95) }},
 	{"zero_row", func(_ *stats.RNG, a, _ []float64, aCols int) {
 		// One stored row of a (an output row for MatMul/BT, one p for AT).
 		clear(a[len(a)/aCols/2*aCols:][:aCols])
@@ -117,23 +126,37 @@ var rowKernelOperands = []struct {
 	}},
 }
 
-// TestRowKernelsMatchReference pins MatMul, MatMulAT and MatMulBT to refGEMM
-// at every GEMM shape one SGD step of the paper-sized MLPs produces — forward
-// 16×24×32 and 16×32×10, weight gradients 24×16×32 and 32×16×10, input
-// gradient 16×10×32 — at every tail batch 1..15 of each, at shared dimensions
-// that are not a multiple of the kernels' gather width, and on the row-range
-// calls the parallel fan-out makes above the blocked cutoff.
+// TestRowKernelsMatchReference pins MatMul, MatMulAT and MatMulBT — the
+// kernels' only oracle — to refGEMM at every GEMM shape the bench workloads
+// run: one SGD step of the paper-sized MLP (forward 16×24×32 and 16×32×10,
+// weight gradients 24×16×32 and 32×16×10, input gradient 16×10×32) at every
+// tail batch 1..15, net-loopback's 16×64×128 / 64×16×128, train-gemm's
+// 64×256×256 / 256×64×256 / 64×10×256 and Evaluate's 256×24×32; at
+// gemmShapes; at shared dimensions that are not a multiple of the kernels'
+// gather width; and on row-range calls, which must produce the same rows.
 func TestRowKernelsMatchReference(t *testing.T) {
 	type shape struct{ m, k, n int }
 	shapes := map[string][]shape{
-		"MatMul":   {{16, 24, 32}, {16, 32, 10}, {16, 64, 128}, {3, 1, 5}, {2, 7, 3}, {5, 13, 1}},
-		"MatMulAT": {{24, 16, 32}, {32, 16, 10}, {64, 16, 128}, {3, 1, 5}, {2, 7, 3}, {5, 13, 1}},
-		"MatMulBT": {{16, 10, 32}, {16, 32, 24}, {16, 128, 64}, {3, 1, 5}, {2, 7, 3}, {5, 13, 1}, {4, 6, 7}},
+		"MatMul":   {{16, 24, 32}, {16, 32, 10}, {16, 64, 128}, {64, 256, 256}, {256, 24, 32}, {3, 1, 5}, {2, 7, 3}, {5, 13, 1}},
+		"MatMulAT": {{24, 16, 32}, {32, 16, 10}, {64, 16, 128}, {256, 64, 256}, {3, 1, 5}, {2, 7, 3}, {5, 13, 1}},
+		"MatMulBT": {{16, 10, 32}, {16, 32, 24}, {16, 128, 64}, {64, 10, 256}, {3, 1, 5}, {2, 7, 3}, {5, 13, 1}, {4, 6, 7}},
 	}
 	for batch := 1; batch < 16; batch++ {
 		shapes["MatMul"] = append(shapes["MatMul"], shape{batch, 24, 32}, shape{batch, 32, 10})
 		shapes["MatMulAT"] = append(shapes["MatMulAT"], shape{24, batch, 32}, shape{32, batch, 10})
 		shapes["MatMulBT"] = append(shapes["MatMulBT"], shape{batch, 10, 32})
+	}
+	// Problems around the powers of two a cache-blocked kernel would tile at
+	// (interiors, exact boundaries, one past, ragged tails), kept from the
+	// retired tiled kernels' golden tests: where an implementation that splits
+	// the reduction would first go wrong.
+	gemmShapes := []shape{
+		{1, 4, 4}, {3, 7, 5}, {4, 128, 128}, {5, 129, 130},
+		{63, 127, 127}, {64, 128, 128}, {65, 129, 129}, {70, 130, 90},
+		{128, 64, 256}, {96, 257, 31}, {33, 300, 17}, {127, 16, 255},
+	}
+	for name := range shapes {
+		shapes[name] = append(shapes[name], gemmShapes...)
 	}
 	kernels := []struct {
 		name   string
@@ -142,9 +165,9 @@ func TestRowKernelsMatchReference(t *testing.T) {
 		rows   func(dst, a, b []float64, lo, hi, m, k, n int)
 	}{
 		{"MatMul", false, false, MatMul,
-			func(dst, a, b []float64, lo, hi, m, k, n int) { matmulRows(dst, a, b, lo, hi, k, n) }},
+			func(dst, a, b []float64, lo, hi, m, k, n int) { accumRows(dst, a, b, lo, hi, k, n, k, 1) }},
 		{"MatMulAT", true, false, MatMulAT,
-			func(dst, a, b []float64, lo, hi, m, k, n int) { matmulATRows(dst, a, b, lo, hi, k, m, n) }},
+			func(dst, a, b []float64, lo, hi, m, k, n int) { accumRows(dst, a, b, lo, hi, k, n, 1, m) }},
 		{"MatMulBT", false, true, MatMulBT,
 			func(dst, a, b []float64, lo, hi, m, k, n int) { matmulBTRows(dst, a, b, lo, hi, k, n) }},
 	}
@@ -165,19 +188,13 @@ func TestRowKernelsMatchReference(t *testing.T) {
 
 				got := New(sh.m, sh.n)
 				got.Fill(math.NaN()) // the kernels must overwrite, not accumulate into, dst
-				if sh.m*sh.k*sh.n < blockedMinWork {
-					kern.run(got, a, b)
-				} else {
-					// Dispatch may pick a blocked kernel here, which skips
-					// nothing; the row kernel is what this test pins.
-					kern.rows(got.Data, a.Data, b.Data, 0, sh.m, sh.m, sh.k, sh.n)
-				}
+				kern.run(got, a, b)
 				if i := sameResult(got.Data, want); i >= 0 {
 					t.Fatalf("%s: element %d is %x (%v), reference %x (%v)", name, i,
 						math.Float64bits(got.Data[i]), got.Data[i], math.Float64bits(want[i]), want[i])
 				}
 
-				// The same rows as two row-range calls, as parallelRows makes.
+				// The same rows as two row-range calls, upper half first.
 				got.Fill(math.NaN())
 				split := sh.m / 2
 				kern.rows(got.Data, a.Data, b.Data, split, sh.m, sh.m, sh.k, sh.n)
@@ -190,3 +207,81 @@ func TestRowKernelsMatchReference(t *testing.T) {
 		}
 	}
 }
+
+// TestMatMulZeroAllocs holds the three entry points to no heap allocation at
+// train-gemm's widest GEMM: they are a shape check and a kernel call, with no
+// dispatch closure, packing buffer or goroutine to pay for.
+func TestMatMulZeroAllocs(t *testing.T) {
+	const m, k, n = 64, 256, 256
+	rng := stats.NewRNG(29)
+	a, at := randomTensor(rng, m, k), randomTensor(rng, k, m)
+	b, bt := randomTensor(rng, k, n), randomTensor(rng, n, k)
+	dst := New(m, n)
+	for _, c := range []struct {
+		name string
+		run  func()
+	}{
+		{"MatMul", func() { MatMul(dst, a, b) }},
+		{"MatMulAT", func() { MatMulAT(dst, at, b) }},
+		{"MatMulBT", func() { MatMulBT(dst, a, bt) }},
+	} {
+		if allocs := testing.AllocsPerRun(10, c.run); allocs > 0 {
+			t.Errorf("%s allocates %.0f times per call at %dx%dx%d, want 0", c.name, allocs, m, k, n)
+		}
+	}
+}
+
+// benchShapes are the sizes BENCHMARKS.md refers to, named for the bench
+// workload that runs them. The paper_* cases are the five GEMMs of one SGD
+// step of the paper-sized MLP (24→32→10, batch 16) — forward x·W₁ and h·W₂
+// (MatMul), dW₁ = xᵀ·dh and dW₂ = hᵀ·dy (MatMulAT), dh = dy·W₂ᵀ (MatMulBT) —
+// with the ~50 % exact zeros a post-ReLU left operand has; gemm_* are the
+// widest three of train-gemm's MLP 256→256→10 at batch 64, loopback_* the
+// first-layer pair of net-loopback's MLP 64→128→10 at batch 16. Each kernel
+// is run at every shape, whichever model's step the shape came from.
+var benchShapes = []struct {
+	name    string
+	m, k, n int
+	zeros   float64 // exact-zero fraction of the left operand
+}{
+	{"paper_16x24x32", 16, 24, 32, 0},
+	{"paper_16x32x10", 16, 32, 10, 0.5},
+	{"paper_24x16x32", 24, 16, 32, 0},
+	{"paper_32x16x10", 32, 16, 10, 0.5},
+	{"paper_16x10x32", 16, 10, 32, 0},
+	{"loopback_16x64x128", 16, 64, 128, 0},
+	{"loopback_64x16x128", 64, 16, 128, 0},
+	{"medium_48x96x192", 48, 96, 192, 0},
+	{"gemm_64x256x256", 64, 256, 256, 0},
+	{"gemm_256x64x256", 256, 64, 256, 0},
+	{"gemm_64x10x256", 64, 10, 256, 0},
+}
+
+// benchKernels runs one kernel over benchShapes; aT/bT say which operand the
+// kernel takes transposed.
+func benchKernels(b *testing.B, aT, bT bool, run func(dst, a, bb *Tensor)) {
+	for _, sh := range benchShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			rng := stats.NewRNG(7)
+			aShape, bShape := []int{sh.m, sh.k}, []int{sh.k, sh.n}
+			if aT {
+				aShape = []int{sh.k, sh.m}
+			}
+			if bT {
+				bShape = []int{sh.n, sh.k}
+			}
+			a, bb := randomTensor(rng, aShape...), randomTensor(rng, bShape...)
+			sparsify(rng, a.Data, sh.zeros)
+			dst := New(sh.m, sh.n)
+			b.SetBytes(int64(8 * sh.m * sh.k * sh.n))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run(dst, a, bb)
+			}
+		})
+	}
+}
+
+func BenchmarkMatMul(b *testing.B)   { benchKernels(b, false, false, MatMul) }
+func BenchmarkMatMulAT(b *testing.B) { benchKernels(b, true, false, MatMulAT) }
+func BenchmarkMatMulBT(b *testing.B) { benchKernels(b, false, true, MatMulBT) }

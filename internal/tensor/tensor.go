@@ -1,7 +1,7 @@
 // Package tensor implements the dense numeric arrays underlying the neural
-// network substrate: shape-checked element-wise arithmetic, parallel blocked
-// matrix multiplication, and the reshaping helpers used by the convolution
-// layers.
+// network substrate: shape-checked element-wise arithmetic, matrix
+// multiplication, and the reshaping helpers used by the convolution layers.
+// Nothing here starts a goroutine; callers parallelise above it.
 //
 // Tensors are row-major float64 arrays. The package favours explicit,
 // allocation-conscious APIs (dst-style in-place variants) because federated
