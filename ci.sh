@@ -2,18 +2,21 @@
 # ci.sh — the repository's full verification gate.
 #
 # Runs, in order:
-#   1. go build        — everything compiles; then internal/tensor and
-#                        internal/nn are cross-compiled for arm64 and the
-#                        disassembly must hold no fused multiply-add: their
-#                        bit-identity contract is architecture-independent
-#                        only while every a·b+c is written float64(a*b) + c.
+#   1. go build        — everything compiles; then internal/tensor,
+#                        internal/nn and internal/grouping are cross-compiled
+#                        for arm64 and the disassembly must hold no fused
+#                        multiply-add: their bit-identity contract is
+#                        architecture-independent only while every a·b+c is
+#                        written float64(a*b) + c.
 #                        Then `placement` (print-only, never fails; also
 #                        `./ci.sh placement` on its own) builds ./bench and
-#                        prints where grouping.CoVGrouping.Form and
-#                        core.(*Trainer).Step landed mod 64: pop-regroup's
-#                        rounds_per_s swings ±10–20 % on that alone, so
-#                        compare the two lines against the parent commit's
-#                        before believing a pop-regroup delta
+#                        prints where grouping.argminScan (where pop-regroup's
+#                        time is), grouping.CoVGrouping.Form and
+#                        core.(*Trainer).Step landed mod 64: a short loop can
+#                        read ±10–20 % across a half-line shift (argminScan
+#                        was measured not to; the rest of the workload was
+#                        not measured), so compare the lines against the
+#                        parent commit's before believing a pop-regroup delta
 #   2. go vet + gofmt  — stock vet findings; any file `gofmt -l` lists
 #                        outside internal/lint/testdata fails the stage
 #   3. repolint        — the project's own invariants (internal/lint):
@@ -93,16 +96,16 @@ stop_smoke() {
 trap 'stop_smoke; rm -rf "$scratch"' EXIT
 stage_dir() { mkdir -p "$scratch/$1" && echo "$scratch/$1"; }
 
-# placement prints the addresses mod 64 of the two functions whose 64-byte
-# code placement moves pop-regroup (CHANGES.md, PR 15). It reports, it never
-# judges: every failure inside it is swallowed.
+# placement prints the addresses mod 64 of the functions whose 64-byte code
+# placement has moved pop-regroup (CHANGES.md, PR 15 and PR 19). It reports,
+# it never judges: every failure inside it is swallowed.
 placement() {
   local dir
   dir="$(stage_dir placement)"
   go build -o "$dir/bench" ./bench || return 0
   go tool nm "$dir/bench" | while read -r addr _ sym; do
     case "$sym" in
-      repro/internal/grouping.CoVGrouping.Form | 'repro/internal/core.(*Trainer).Step')
+      repro/internal/grouping.argminScan | repro/internal/grouping.CoVGrouping.Form | 'repro/internal/core.(*Trainer).Step')
         echo "placement: $sym at 0x$addr, mod 64 = $(( 0x$addr % 64 ))" ;;
     esac
   done || true
@@ -112,10 +115,10 @@ if [ "${1:-}" = placement ]; then
   exit 0
 fi
 
-echo "== go build ./... + arm64 fused-multiply-add check (tensor, nn)"
+echo "== go build ./... + arm64 fused-multiply-add check (tensor, nn, grouping)"
 go build ./...
 fmadir="$(stage_dir fma)"
-for pkg in tensor nn; do
+for pkg in tensor nn grouping; do
   GOARCH=arm64 go build -o "$fmadir/$pkg.a" "./internal/$pkg"
   go tool objdump "$fmadir/$pkg.a" > "$fmadir/$pkg.s"
   if grep -E 'FN?M(ADD|SUB)' "$fmadir/$pkg.s" >&2; then
@@ -123,7 +126,7 @@ for pkg in tensor nn; do
     exit 1
   fi
 done
-echo "arm64 check: internal/tensor and internal/nn hold no FMADD/FMSUB/FNMADD/FNMSUB"
+echo "arm64 check: internal/tensor, internal/nn and internal/grouping hold no FMADD/FMSUB/FNMADD/FNMSUB"
 placement
 
 echo "== go vet ./... + gofmt"

@@ -106,6 +106,15 @@ func (p *Plan) publish() {
 	reg := p.cfg.Metrics
 	p.probs = sampling.Probabilities(p.groups, p.cfg.Sampling)
 	p.selCtrs = make([]*metrics.Counter, len(p.groups))
+	if reg == nil {
+		// Nothing to export: every handle is the one discard counter, and a
+		// label render plus a CoV per group is pure waste at 20k groups.
+		discard := reg.Counter("fel_core_group_selected_total")
+		for i := range p.selCtrs {
+			p.selCtrs[i] = discard
+		}
+		return
+	}
 	for i, g := range p.groups {
 		gl := metrics.L("group", strconv.Itoa(g.ID))
 		reg.Gauge("fel_core_group_prob", gl).Set(p.probs[i])

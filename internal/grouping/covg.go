@@ -59,12 +59,12 @@ type covAccum struct {
 func (ac *covAccum) admit(g *Group, pc poolClient, row []float64) {
 	cross := 0.0
 	for y, n := range row {
-		cross += g.Counts[y] * n
+		cross = float64(g.Counts[y]*n) + cross
 	}
 	ac.sum += pc.cSum
-	ac.sumSq += 2*cross + pc.cSq
+	ac.sumSq += float64(2*cross) + pc.cSq
 	ac.nSum += pc.n
-	ac.nSumSq += pc.n * pc.n
+	ac.nSumSq += float64(pc.n * pc.n)
 	ac.size++
 }
 
@@ -78,7 +78,7 @@ func covSquared(sum, sumSq float64, y int) float64 {
 		return math.Inf(1)
 	}
 	mu := sum / float64(y)
-	v := sumSq/float64(y) - mu*mu
+	v := sumSq/float64(y) - float64(mu*mu)
 	if v < 0 {
 		v = 0
 	}
@@ -96,7 +96,7 @@ func (a CoVGrouping) scoreCurrent(ac covAccum, classes int) float64 {
 	if a.GammaWeight <= 0 {
 		return s
 	}
-	return math.Sqrt(s) + a.GammaWeight*covOfSums(ac.nSum, ac.nSumSq, ac.size)
+	return math.Sqrt(s) + float64(a.GammaWeight*covOfSums(ac.nSum, ac.nSumSq, ac.size))
 }
 
 // scoreWith evaluates the criterion with pool client pc (histogram row)
@@ -104,16 +104,16 @@ func (a CoVGrouping) scoreCurrent(ac covAccum, classes int) float64 {
 func (a CoVGrouping) scoreWith(ac covAccum, gc []float64, pc poolClient, row []float64, classes int) float64 {
 	cross := 0.0
 	for y, n := range row {
-		cross += gc[y] * n
+		cross = float64(gc[y]*n) + cross
 	}
 	sum := ac.sum + pc.cSum
-	sumSq := ac.sumSq + 2*cross + pc.cSq
+	sumSq := ac.sumSq + float64(2*cross) + pc.cSq
 	s := covSquared(sum, sumSq, classes)
 	if a.GammaWeight <= 0 {
 		return s
 	}
 	return math.Sqrt(s) +
-		a.GammaWeight*covOfSums(ac.nSum+pc.n, ac.nSumSq+pc.n*pc.n, ac.size+1)
+		float64(a.GammaWeight*covOfSums(ac.nSum+pc.n, ac.nSumSq+float64(pc.n*pc.n), ac.size+1))
 }
 
 // covOfSums is the CoV of a count list given its running sums, matching
@@ -124,11 +124,88 @@ func covOfSums(sum, sumSq, n float64) float64 {
 		return 0
 	}
 	mu := sum / n
-	v := sumSq/n - mu*mu
+	v := sumSq/n - float64(mu*mu)
 	if v < 0 {
 		v = 0
 	}
 	return math.Sqrt(v) / mu
+}
+
+// argminScan is Alg. 2 line 5 with GammaWeight zero: over the packed
+// histogram rows of pool (row ci is hists[ci*len(gc):(ci+1)*len(gc)]) it
+// returns the index of the candidate whose addition to a group with label
+// histogram gc and running sums acSum, acSumSq minimizes the CoV, with that
+// candidate's post-addition sums. The squared CoV is y·sumSq/sum² − 1, a
+// monotone function of sumSq/sum², so the argmin is found by cross-multiplied
+// comparison — no division and no call in the scan, just the dot product
+// g·c against the packed rows. Ties keep the earlier candidate. A candidate
+// whose post-addition total is zero (no data joining a group with none)
+// compares as NaN and so never displaces an earlier one; the best == -1
+// guard takes it when it comes first, so best is -1 only for an empty pool.
+//
+// The scan walks four candidates per pass with four independent
+// accumulators: one candidate's |Y|-term add chain is latency-bound, four
+// interleaved chains run at the core's issue rate. What is interleaved is
+// the candidates, not the terms — each cross term is still summed in
+// ascending class order and the four tails are compared in ascending
+// candidate order — so the result is bit-identical to scanning one candidate
+// at a time (fractional histograms included), which is what the remainder
+// loop does for the last len(pool) mod 4. The rows are re-sliced to len(gc)
+// once per pass so the inner loops carry no bounds check. Being its own
+// function also takes the scan's speed out of the hands of wherever the
+// linker happens to place Form.
+//
+//lint:hotpath
+func argminScan(hists []float64, pool []poolClient, gc []float64, acSum, acSumSq float64) (best int, bestSum, bestSumSq float64) {
+	best, bestSumSq = -1, math.Inf(1)
+	classes := len(gc)
+	hists = hists[:len(pool)*classes]
+	ci := 0
+	for ; ci+4 <= len(pool); ci += 4 {
+		rows := hists[ci*classes:]
+		r0 := rows[:classes]
+		r1 := rows[classes:][:classes]
+		r2 := rows[2*classes:][:classes]
+		r3 := rows[3*classes:][:classes]
+		var c0, c1, c2, c3 float64
+		for y, g := range gc {
+			c0 = float64(g*r0[y]) + c0
+			c1 = float64(g*r1[y]) + c1
+			c2 = float64(g*r2[y]) + c2
+			c3 = float64(g*r3[y]) + c3
+		}
+		p := pool[ci : ci+4 : ci+4]
+		sum, sumSq := acSum+p[0].cSum, acSumSq+float64(2*c0)+p[0].cSq
+		if best == -1 || sumSq*bestSum*bestSum < bestSumSq*sum*sum {
+			best, bestSum, bestSumSq = ci, sum, sumSq
+		}
+		// best is set from here on: only a pass's first tail can meet -1.
+		sum, sumSq = acSum+p[1].cSum, acSumSq+float64(2*c1)+p[1].cSq
+		if sumSq*bestSum*bestSum < bestSumSq*sum*sum {
+			best, bestSum, bestSumSq = ci+1, sum, sumSq
+		}
+		sum, sumSq = acSum+p[2].cSum, acSumSq+float64(2*c2)+p[2].cSq
+		if sumSq*bestSum*bestSum < bestSumSq*sum*sum {
+			best, bestSum, bestSumSq = ci+2, sum, sumSq
+		}
+		sum, sumSq = acSum+p[3].cSum, acSumSq+float64(2*c3)+p[3].cSq
+		if sumSq*bestSum*bestSum < bestSumSq*sum*sum {
+			best, bestSum, bestSumSq = ci+3, sum, sumSq
+		}
+	}
+	for ; ci < len(pool); ci++ {
+		row := hists[ci*classes:][:classes]
+		cross := 0.0
+		for y, g := range gc {
+			cross = float64(g*row[y]) + cross
+		}
+		sum := acSum + pool[ci].cSum
+		sumSq := acSumSq + float64(2*cross) + pool[ci].cSq
+		if best == -1 || sumSq*bestSum*bestSum < bestSumSq*sum*sum {
+			best, bestSum, bestSumSq = ci, sum, sumSq
+		}
+	}
+	return best, bestSum, bestSumSq
 }
 
 // Form implements Algorithm 2. The candidate evaluation is incremental
@@ -139,7 +216,10 @@ func covOfSums(sum, sumSq, n float64) float64 {
 // contiguous row matrix so the argmin scan is a sequential stream (the
 // pool is consumed by swap-delete, which moves one row per removal); at a
 // million clients this memory layout, not the flop count, is what keeps
-// formation in seconds.
+// formation in seconds. The scan itself — nearly all of a formation's time —
+// is argminScan when GammaWeight is zero: four candidates per pass, each
+// summed and compared in the order a one-at-a-time scan would, so which
+// client is admitted does not depend on how the scan is scheduled.
 func (a CoVGrouping) Form(clients []*data.Client, classes, edge, firstID int, rng *stats.RNG) []*Group {
 	if a.MinGS <= 0 {
 		panic("grouping: MinGS must be positive")
@@ -152,7 +232,7 @@ func (a CoVGrouping) Form(clients []*data.Client, classes, edge, firstID int, rn
 		for y, n := range c.Counts {
 			row[y] = n
 			pc.cSum += n
-			pc.cSq += n * n
+			pc.cSq += float64(n * n)
 		}
 		pool[i] = pc
 	}
@@ -179,6 +259,9 @@ func (a CoVGrouping) Form(clients []*data.Client, classes, edge, firstID int, rn
 		// Line 3: seed the new group with a random client.
 		pick := rng.IntN(len(pool))
 		g := NewGroup(firstID+len(groups), edge, nil, classes)
+		// Most groups stop at MinGS members: one allocation instead of
+		// append growing 1→2→4→8 (never more than the pool still holds).
+		g.Clients = make([]*data.Client, 0, min(a.MinGS, len(pool)))
 		var ac covAccum
 		ac.admit(g, pool[pick], hists[pick*classes:(pick+1)*classes])
 		g.add(pool[pick].c)
@@ -191,26 +274,8 @@ func (a CoVGrouping) Form(clients []*data.Client, classes, edge, firstID int, rn
 			best, bestScore := -1, math.Inf(1)
 			gc := g.Counts[:classes]
 			if a.GammaWeight <= 0 {
-				// Alg. 2 hot path. The squared CoV is y·sumSq/sum² − 1, a
-				// monotone function of sumSq/sum², so the argmin is found by
-				// cross-multiplied comparison — no division and no call in
-				// the scan, just the dot product against the packed rows.
-				// (A zero-total candidate scores +Inf either way: it never
-				// beats a positive-total one because its cross product is
-				// zero, and ties keep the earlier candidate.)
-				bestSum, bestSumSq := 0.0, math.Inf(1)
-				for ci := range pool {
-					row := hists[ci*classes : (ci+1)*classes]
-					cross := 0.0
-					for y, n := range row {
-						cross += gc[y] * n
-					}
-					sum := ac.sum + pool[ci].cSum
-					sumSq := ac.sumSq + 2*cross + pool[ci].cSq
-					if best == -1 || sumSq*bestSum*bestSum < bestSumSq*sum*sum {
-						best, bestSum, bestSumSq = ci, sum, sumSq
-					}
-				}
+				var bestSum, bestSumSq float64
+				best, bestSum, bestSumSq = argminScan(hists, pool, gc, ac.sum, ac.sumSq)
 				bestScore = covSquared(bestSum, bestSumSq, classes)
 			} else {
 				for ci := range pool {

@@ -1,6 +1,7 @@
 package grouping
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -140,6 +141,19 @@ func TestCoVGroupingNoMaxCoV(t *testing.T) {
 		if g.Size() < 15 {
 			t.Errorf("group size %d < 15", g.Size())
 		}
+	}
+}
+
+// TestCoVGroupingMinGSAbovePopulation: a floor no population can meet (MinGS
+// arrives from flags and job specs) yields one group of everyone, and costs
+// no more memory than that group.
+func TestCoVGroupingMinGSAbovePopulation(t *testing.T) {
+	clients, classes := makeClients(t, 12, 0.5, 10)
+	alg := CoVGrouping{Config: Config{MinGS: math.MaxInt, MaxCoV: 0.5, MergeLeftover: true}}
+	groups := alg.Form(clients, classes, 0, 0, stats.NewRNG(1))
+	checkPartition(t, clients, groups)
+	if len(groups) != 1 {
+		t.Fatalf("%d groups, want the whole population in one", len(groups))
 	}
 }
 

@@ -1,6 +1,7 @@
 package grouping
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/data"
@@ -155,4 +156,32 @@ func TestCoVGroupingGreedyLocalOptimum(t *testing.T) {
 	if checks == 0 {
 		t.Fatal("no stuck groups across all seeds: property was never exercised")
 	}
+}
+
+// TestCoVGroupingClassRelabelInvariant is a metamorphic property: renaming
+// the classes — one permutation applied to every client's histogram —
+// changes no membership decision. On integer histograms Alg. 2's criterion
+// arithmetic (the dot product g·c, the running sums, the cross-multiplied
+// comparison's inputs) is exact below 2⁵³, so the order classes are summed in
+// cannot reach the result; that is also why argminScan is free to interleave
+// candidates. The leftover merge scores through stats.CoVOfCounts, whose
+// rounding does follow class order, so there the property additionally needs
+// no two groups to tie within an ulp — true of every seeded case.
+func TestCoVGroupingClassRelabelInvariant(t *testing.T) {
+	propCases(func(t *testing.T, seed uint64, clients []*data.Client, classes int, alg CoVGrouping) {
+		perm := stats.NewRNG(seed + 5000).Perm(classes)
+		relabelled := make([]*data.Client, len(clients))
+		for i, c := range clients {
+			counts := make([]float64, classes)
+			for y, n := range c.Counts {
+				counts[perm[y]] = n
+			}
+			relabelled[i] = &data.Client{ID: c.ID, N: c.N, Counts: counts}
+		}
+		want := alg.Form(clients, classes, 0, 0, stats.NewRNG(seed+6000))
+		got := alg.Form(relabelled, classes, 0, 0, stats.NewRNG(seed+6000))
+		if !bytes.Equal(appendMembership(nil, got), appendMembership(nil, want)) {
+			t.Fatalf("seed %d: relabelling the classes by %v changed the formed membership", seed, perm)
+		}
+	})(t)
 }

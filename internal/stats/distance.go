@@ -86,7 +86,7 @@ func L2Distance(p, q []float64) float64 {
 	d := 0.0
 	for i := range p {
 		diff := p[i] - q[i]
-		d += diff * diff
+		d += float64(diff * diff)
 	}
 	return math.Sqrt(d)
 }
