@@ -36,11 +36,12 @@
 #                        pinned wide-model replay across MaxParallel and
 #                        GOMAXPROCS, the alpha=0 async ≡ sync property
 #                        and the O(selected) round-memory gate of the
-#                        virtual populations; simnet event loop, wire
-#                        codec, fednode cloud/edge/client servers, metrics
-#                        registry, felserve). internal/tensor is not in
-#                        the list: it starts no goroutine and shares no
-#                        state — a GEMM runs on its caller's goroutine
+#                        virtual populations; wire codec, fednode
+#                        cloud/edge/client servers, metrics registry,
+#                        felserve). internal/tensor and internal/simnet are
+#                        not in the list: they start no goroutine and share
+#                        no state — a GEMM runs on its caller's goroutine,
+#                        and simnet is closed-form arithmetic
 #   6. fuzz smoke      — the fuzz targets of the networked path run
 #                        randomized inputs on a 10s total budget:
 #                        FuzzDecodeFrame over the wire codec and
@@ -78,6 +79,10 @@
 # (minutes, see bench/README.md); only its `go test ./bench` smoke rides in
 # stage 4.
 #
+# `./ci.sh reach` is not a stage either: it prints (and never fails on) the
+# top-level funcs no `package main` links — run it before a re-anchor to read
+# which code has traffic instead of guessing.
+#
 # Future PRs inherit this gate: run ./ci.sh before pushing.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -110,10 +115,41 @@ placement() {
     esac
   done || true
 }
-if [ "${1:-}" = placement ]; then
-  placement
-  exit 0
-fi
+# reach prints every top-level func of non-test, non-main source that is
+# linked into no `package main` (bench, cmd/*, examples/*), built without
+# inlining so a called function keeps its symbol: the ledger of code no user
+# can run. It reports, it never judges — test oracles, fuzz seeds and facade
+# exports are listed too (ROADMAP item 6 says which stay and why) — and every
+# failure inside it is swallowed.
+reach() (
+  set +e
+  dir="$(stage_dir reach)"
+  mod="$(go list -m)"
+  for p in $(go list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./...); do
+    go build -gcflags=all=-l -o "$dir/bin" "$p" && go tool nm "$dir/bin"
+  done | awk '$2 ~ /^[Tt]$/ {print $3}' | sed -E 's/\[.*$//' | sort -u > "$dir/linked"
+  total=0
+  for d in $(go list -f '{{if ne .Name "main"}}{{.Dir}}{{end}}' ./...); do
+    pkg="$mod${d#"$PWD"}"
+    while IFS=: read -r file line decl; do
+      # "func (r *T) M(" -> (*T).M, "func (T) M(" -> T.M, "func F(" -> F
+      sym="$(sed -E 's/^func \(([A-Za-z_0-9]+ )?(\*?)([A-Za-z_0-9]+)(\[[^]]*\])?\) ([A-Za-z_0-9]+).*/\2\3.\5/; s/^func ([A-Za-z_0-9]+).*/\1/; s/^\*([^.]+)/(*\1)/' <<<"$decl")"
+      case "$sym" in init) continue ;; esac
+      # a value-receiver method reached only through a pointer links as (*T).M
+      if ! grep -qxF -e "$pkg.$sym" -e "$pkg.(*${sym%%.*}).${sym#*.}" "$dir/linked"; then
+        echo "reach: ${file#"$PWD"/}:$line $pkg.$sym"
+        total=$((total + 1))
+      fi
+    done < <(grep -n '^func ' $(ls "$d"/*.go | grep -v '_test\.go$') /dev/null)
+  done
+  echo "reach: $total top-level funcs of non-test, non-main source are linked into no binary"
+)
+case "${1:-}" in
+  placement | reach)
+    "$1"
+    exit 0
+    ;;
+esac
 
 echo "== go build ./... + arm64 fused-multiply-add check (tensor, nn, grouping)"
 go build ./...
@@ -153,8 +189,8 @@ fi
 echo "== go test ./..."
 go test ./...
 
-echo "== go test -race (core, async, simnet, wire, fednode, faultnet, metrics, felserve)"
-go test -race ./internal/core ./internal/async ./internal/simnet ./internal/wire ./internal/fednode ./internal/faultnet/... ./internal/metrics ./internal/felserve
+echo "== go test -race (core, async, wire, fednode, faultnet, metrics, felserve)"
+go test -race ./internal/core ./internal/async ./internal/wire ./internal/fednode ./internal/faultnet/... ./internal/metrics ./internal/felserve
 
 echo "== go test -fuzz smoke (10s total across targets)"
 go test ./internal/wire -run '^$' -fuzz FuzzDecodeFrame -fuzztime 3s

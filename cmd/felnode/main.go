@@ -58,14 +58,12 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cost"
-	"repro/internal/data"
 	"repro/internal/faultnet"
 	"repro/internal/faultnet/scenarios"
 	"repro/internal/fednode"
 	"repro/internal/felserve"
 	"repro/internal/grouping"
 	"repro/internal/metrics"
-	"repro/internal/nn"
 	"repro/internal/sampling"
 )
 
@@ -123,7 +121,10 @@ func main() {
 		return
 	}
 
-	sys := buildSystem(*clients, *edges, *seed)
+	// Every process derives the same synthetic federation from the shared
+	// flags, so cloud, edges, and clients agree on data, partition, and model
+	// without exchanging any of it.
+	sys := felserve.JobSpec{Clients: *clients, Edges: *edges, SystemSeed: *seed}.System()
 	cfg := fednode.JobConfig{
 		GlobalRounds: *rounds, GroupRounds: *krounds, LocalEpochs: *epochs,
 		BatchSize: *batch, LR: *lr, SampleGroups: *sample,
@@ -297,28 +298,6 @@ func (s *metricsServer) close() {
 	if err := <-s.done; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fmt.Fprintln(os.Stderr, "felnode: metrics server:", err)
 	}
-}
-
-// buildSystem derives the shared synthetic federation: every process calls
-// this with identical flags, so cloud, edges, and clients agree on data,
-// partition, and model without exchanging any of it.
-func buildSystem(numClients, numEdges int, seed uint64) *core.System {
-	gen := data.FlatConfig(4, 10, seed)
-	gen.Noise = 0.8
-	return core.NewSystem(core.SystemConfig{
-		Generator: gen,
-		Partition: data.PartitionConfig{
-			NumClients: numClients, Alpha: 0.5,
-			MinSamples: 10, MaxSamples: 40, MeanSamples: 25, StdSamples: 8,
-			Seed: seed + 1,
-		},
-		NumEdges: numEdges,
-		TestSize: 400,
-		NewModel: func(s uint64) *nn.Sequential {
-			return nn.NewMLP(10, []int{16}, 4, s)
-		},
-		ModelSeed: 7,
-	})
 }
 
 // pinDropSelection pins the cloud's group formation and selects every group

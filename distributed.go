@@ -8,8 +8,8 @@ import (
 	"repro/internal/simnet"
 )
 
-// Distributed execution: Group-FEL rounds as real message exchanges over
-// the simulated edge network with secure aggregation inside groups
+// Distributed execution: Group-FEL rounds as the message flow of Fig. 1,
+// priced on the modelled edge network, with secure aggregation inside groups
 // (internal/hfl). The in-process Train is the fast path; this is the
 // protocol-faithful path.
 type (
@@ -24,7 +24,7 @@ type (
 )
 
 // RunDistributedRound executes one global round of Alg. 1 for the selected
-// groups as a message exchange over the simulated network, with
+// groups as a message exchange priced on the modelled links, with
 // secure-aggregation-masked group aggregation.
 func RunDistributedRound(sys *System, groups []*Group, selected []int, globalParams []float64, cfg DistributedRoundConfig) (*DistributedRoundResult, error) {
 	return hfl.RunGlobalRound(sys, groups, selected, globalParams, cfg)

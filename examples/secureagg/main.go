@@ -1,7 +1,7 @@
 // Secureagg: the group operations whose quadratic cost motivates the whole
 // paper, run for real — a secure aggregation session with a dropout, then
 // backdoor detection catching a poisoned update, and the message-flow
-// timing of one hierarchical round from the network simulator.
+// timing of one hierarchical round from the closed-form link model.
 package main
 
 import (

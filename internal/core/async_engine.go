@@ -80,7 +80,6 @@ type asyncGroupRun struct {
 
 	round int
 	n     int
-	dim   int
 
 	dropRng  *stats.RNG
 	delayRng *stats.RNG
@@ -102,9 +101,8 @@ type asyncGroupRun struct {
 func (e *engine) newAsyncGroupRun(g *grouping.Group, globalParams []float64, round int, rep *asyncGroupReport) *asyncGroupRun {
 	cfg := &e.cfg
 	n := g.Size()
-	dim := len(globalParams)
 	sp := e.getSpace()
-	sp.reserve(n, dim)
+	sp.reserve(n, len(globalParams))
 	copy(sp.group, globalParams)
 	return &asyncGroupRun{
 		e:     e,
@@ -113,13 +111,8 @@ func (e *engine) newAsyncGroupRun(g *grouping.Group, globalParams []float64, rou
 		rep:   rep,
 		round: round,
 		n:     n,
-		dim:   dim,
-		// The same derivations runGroup uses (rules 1–2): the async
-		// executor consumes the identical dropout and training streams, so
-		// a full-buffer run replays the synchronous draws exactly.
-		dropRng: stats.NewRNG(cfg.Seed ^ 0xd20b ^
-			(uint64(round+1) * 0xff51afd7ed558ccd) ^
-			(uint64(g.ID+1) * 0xc4ceb9fe1a85ec53)),
+		// The stream runGroup draws from, so a full buffer replays it.
+		dropRng:    stats.NewRNG(dropSeed(cfg.Seed, round, g.ID)),
 		delayRng:   stats.NewRNG(0),
 		dispatched: make([]int, n),
 		dispVer:    make([]int, n),
@@ -144,32 +137,9 @@ func (r *asyncGroupRun) dispatch(batch []int, now int64) {
 		sp.drop[i] = cfg.DropoutProb > 0 && r.dropRng.Float64() < cfg.DropoutProb
 	}
 	e.forEachClient(len(batch), func(j int) {
-		i := batch[j]
-		c := r.g.Clients[i]
 		w := e.acquire()
 		defer e.release(w)
-		w.model.SetParamVector(sp.group)
-		x, y := e.sys.clientBatchInto(c, &w.batch)
-		w.arena.rng.Reseed(LocalSeed(cfg.Seed, r.round, r.g.ID, c.ID))
-		ctx := LocalContext{
-			ClientID:  c.ID,
-			Anchor:    sp.group,
-			Epochs:    cfg.LocalEpochs,
-			BatchSize: cfg.BatchSize,
-			LR:        cfg.LR,
-			Rng:       w.arena.rng,
-			arena:     w.arena,
-		}
-		trainSpan := e.reg.Start("fel_core_local_train_seconds")
-		e.local.LocalTrain(w.model, x, y, ctx)
-		trainSpan.End()
-		e.epochsCtr.Add(int64(cfg.LocalEpochs))
-		sp.cbytes[i] = 0
-		if sp.drop[i] {
-			return
-		}
-		w.model.ParamVectorInto(sp.slots[i])
-		sp.cbytes[i] = int64(8 * r.dim)
+		e.trainClient(w, r.g, sp, r.round, batch[j])
 	})
 	for _, i := range batch {
 		c := r.g.Clients[i]

@@ -158,20 +158,3 @@ func TestCompressionReducesUplinkBytes(t *testing.T) {
 		t.Fatalf("q8 accuracy %.3f far below dense %.3f", q8.FinalAccuracy, dense.FinalAccuracy)
 	}
 }
-
-func TestOnRoundCallback(t *testing.T) {
-	sys := testSystem(8, 0.5, 60)
-	cfg := testConfig()
-	cfg.GlobalRounds = 4
-	var rounds []int
-	cfg.OnRound = func(r RoundRecord) { rounds = append(rounds, r.Round) }
-	Train(sys, cfg)
-	if len(rounds) != 4 {
-		t.Fatalf("callback fired %d times", len(rounds))
-	}
-	for i, r := range rounds {
-		if r != i {
-			t.Fatalf("rounds out of order: %v", rounds)
-		}
-	}
-}

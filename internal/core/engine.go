@@ -287,6 +287,47 @@ func LocalSeed(seed uint64, round, gid, cid int) uint64 {
 		(uint64(cid+1) * 0x165667b19e3779f9)
 }
 
+// dropSeed derives the dropout stream of group gid in global round round
+// (determinism rule 2). The sync and async engines draw from the same stream
+// in client order, so a full-buffer async run replays the synchronous draws.
+func dropSeed(seed uint64, round, gid int) uint64 {
+	return seed ^ 0xd20b ^
+		(uint64(round+1) * 0xff51afd7ed558ccd) ^
+		(uint64(gid+1) * 0xc4ceb9fe1a85ec53)
+}
+
+// trainClient runs lines 9–13 of Alg. 1 for member i of g on worker w: E
+// local epochs from the group model in sp.group, seeded by LocalSeed. Unless
+// the client's update was drawn as dropped, the trained parameters land in
+// sp.slots[i] — which is returned — priced as a dense uplink; a dropped
+// client trains (work done is work paid for) and returns nil.
+func (e *engine) trainClient(w *worker, g *grouping.Group, sp *groupSpace, round, i int) []float64 {
+	cfg := &e.cfg
+	c := g.Clients[i]
+	w.model.SetParamVector(sp.group)
+	x, y := e.sys.clientBatchInto(c, &w.batch)
+	w.arena.rng.Reseed(LocalSeed(cfg.Seed, round, g.ID, c.ID))
+	ctx := LocalContext{
+		ClientID:  c.ID,
+		Anchor:    sp.group,
+		Epochs:    cfg.LocalEpochs,
+		BatchSize: cfg.BatchSize,
+		LR:        cfg.LR,
+		Rng:       w.arena.rng,
+		arena:     w.arena,
+	}
+	trainSpan := e.reg.Start("fel_core_local_train_seconds")
+	e.local.LocalTrain(w.model, x, y, ctx)
+	trainSpan.End()
+	e.epochsCtr.Add(int64(cfg.LocalEpochs))
+	sp.cbytes[i] = 0
+	if sp.drop[i] {
+		return nil
+	}
+	sp.cbytes[i] = int64(8 * len(sp.group))
+	return w.model.ParamVectorInto(sp.slots[i])
+}
+
 // runGroup executes lines 8–14 of Alg. 1 for one selected group: K group
 // rounds, each training every member client for E local epochs from the
 // current group model, then weight-averaging by n_i over the clients whose
@@ -301,9 +342,7 @@ func (e *engine) runGroup(g *grouping.Group, globalParams []float64, round int) 
 	sp.reserve(n, dim)
 	copy(sp.group, globalParams)
 
-	dropRng := stats.NewRNG(cfg.Seed ^ 0xd20b ^
-		(uint64(round+1) * 0xff51afd7ed558ccd) ^
-		(uint64(g.ID+1) * 0xc4ceb9fe1a85ec53))
+	dropRng := stats.NewRNG(dropSeed(cfg.Seed, round, g.ID))
 
 	for k := 0; k < cfg.GroupRounds; k++ {
 		// Rule 2: the dropout draws happen serially in client order — the
@@ -312,44 +351,22 @@ func (e *engine) runGroup(g *grouping.Group, globalParams []float64, round int) 
 			sp.drop[i] = cfg.DropoutProb > 0 && dropRng.Float64() < cfg.DropoutProb
 		}
 		e.forEachClient(n, func(i int) {
-			c := g.Clients[i]
 			w := e.acquire()
 			defer e.release(w)
-			w.model.SetParamVector(sp.group)
-			x, y := e.sys.clientBatchInto(c, &w.batch)
-			w.arena.rng.Reseed(LocalSeed(cfg.Seed, round, g.ID, c.ID))
-			ctx := LocalContext{
-				ClientID:  c.ID,
-				Anchor:    sp.group,
-				Epochs:    cfg.LocalEpochs,
-				BatchSize: cfg.BatchSize,
-				LR:        cfg.LR,
-				Rng:       w.arena.rng,
-				arena:     w.arena,
-			}
-			trainSpan := e.reg.Start("fel_core_local_train_seconds")
-			e.local.LocalTrain(w.model, x, y, ctx)
-			trainSpan.End()
-			e.epochsCtr.Add(int64(cfg.LocalEpochs))
-			sp.cbytes[i] = 0
-			if sp.drop[i] {
+			slot := e.trainClient(w, g, sp, round, i)
+			if slot == nil || e.comp == nil {
 				return
 			}
-			slot := w.model.ParamVectorInto(sp.slots[i])
-			if e.comp != nil {
-				// The client ships a compressed delta; the edge applies the
-				// decoded delta to its copy of the group model.
-				if cap(w.delta) < dim {
-					w.delta = make([]float64, dim)
-				}
-				w.delta = w.delta[:dim]
-				tensor.SubInto(slot, sp.group, w.delta)
-				enc := e.comp.forClient(c.ID).Compress(w.delta)
-				sp.cbytes[i] = int64(enc.Bytes())
-				tensor.AddInto(sp.group, enc.Decode(), slot)
-			} else {
-				sp.cbytes[i] = int64(8 * dim)
+			// The client ships a compressed delta; the edge applies the
+			// decoded delta to its copy of the group model.
+			if cap(w.delta) < dim {
+				w.delta = make([]float64, dim)
 			}
+			w.delta = w.delta[:dim]
+			tensor.SubInto(slot, sp.group, w.delta)
+			enc := e.comp.forClient(g.Clients[i].ID).Compress(w.delta)
+			sp.cbytes[i] = int64(enc.Bytes())
+			tensor.AddInto(sp.group, enc.Decode(), slot)
 		})
 		// Rules 3–4: reduce the indexed slots with the fixed-pairing tree.
 		aggSpan := e.reg.Start("fel_core_group_aggregate_seconds", e.edgeLabel(g.Edge))

@@ -1,4 +1,4 @@
-// Package fel implements the Group-FEL training loop of Algorithm 1: edge
+// Package core implements the Group-FEL training loop of Algorithm 1: edge
 // servers form client groups, the cloud samples groups per global round,
 // selected groups run K group rounds of E local epochs, and updates are
 // aggregated group-then-globally. Local updates are pluggable (plain SGD,

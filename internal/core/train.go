@@ -68,17 +68,11 @@ type Config struct {
 	// (compute from the cost profile plus link transfers) between the
 	// cloud hops. Purely observational — it does not change training.
 	Topology *simnet.Topology
-	// ModelBytes sizes the model payload for wall-clock accounting; 0
-	// derives it from the parameter count (8 bytes each).
-	ModelBytes int
 	// NewCompressor, when non-nil, compresses every client's update delta
 	// before group aggregation (one stateful compressor per client, so
 	// error-feedback schemes work). The decoded delta is applied to the
 	// group model; Result.UplinkBytes records the wire size saved.
 	NewCompressor func() compress.Compressor
-	// OnRound, when non-nil, is invoked with every round's record as it
-	// completes — live progress for CLIs and dashboards.
-	OnRound OnRoundFunc
 	// Async selects the aggregation semantics (sync, buffered-async, or
 	// semi-sync) plus the staleness discount and the logical-clock delay
 	// model driving arrival order. The zero value is the paper's
@@ -247,9 +241,6 @@ func (r *Result) UniqueParticipants() int {
 	}
 	return n
 }
-
-// OnRoundFunc receives each round's record as training progresses.
-type OnRoundFunc func(RoundRecord)
 
 // RunGroupRounds exposes the inner group-training step (lines 8–14 of
 // Alg. 1) for schedulers that orchestrate groups across multiple models

@@ -85,10 +85,7 @@ func NewTrainer(sys *System, cfg Config) *Trainer {
 	}
 	tr.acct = cost.NewAccountant(cfg.CostProfile, cfg.CostOps)
 	tr.res = &Result{Participation: make(map[int]int)}
-	tr.modelBytes = cfg.ModelBytes
-	if tr.modelBytes <= 0 {
-		tr.modelBytes = 8 * len(tr.globalParams)
-	}
+	tr.modelBytes = 8 * len(tr.globalParams)
 	if cfg.NewCompressor != nil {
 		tr.compressors = &compressorPool{factory: cfg.NewCompressor, byClient: make(map[int]compress.Compressor)}
 	}
@@ -106,8 +103,9 @@ func (tr *Trainer) Round() int { return tr.t }
 
 // SelectedClients returns the number of clients in the groups the most
 // recent Step sampled (0 before the first Step). At scale this — not the
-// population — is what a round's working memory tracks; the popscale
-// benchmark records it next to the per-round allocation numbers.
+// population — is what a round's working memory tracks;
+// TestVirtualRoundMemoryOSelected checks it stays bounded while the
+// population quadruples.
 func (tr *Trainer) SelectedClients() int { return tr.lastSelected }
 
 // Params returns the live global parameter vector. Callers must treat it as
@@ -127,7 +125,7 @@ func (tr *Trainer) Done() bool {
 // Step executes one global round (Alg. 1 lines 6–15): optional regrouping,
 // group sampling, parallel group training, weighted global aggregation, and
 // cost/participation/wall-clock accounting. It must not be called after
-// Done returns true. cfg.OnRound, when set, fires before Step returns.
+// Done returns true.
 func (tr *Trainer) Step() RoundRecord {
 	if tr.Done() {
 		panic("fel: Trainer.Step called after Done")
@@ -271,9 +269,6 @@ func (tr *Trainer) Step() RoundRecord {
 	res.Records = append(res.Records, rec)
 	res.RoundsRun = t + 1
 	tr.t = t + 1
-	if cfg.OnRound != nil {
-		cfg.OnRound(rec)
-	}
 	return rec
 }
 

@@ -138,15 +138,6 @@ func TestBatchPanicsOutOfRange(t *testing.T) {
 	ds.Batch([]int{5})
 }
 
-func TestLabelCounts(t *testing.T) {
-	ds := &Dataset{Y: []int{0, 1, 1, 2, 2, 2}, Classes: 3, SampleShape: []int{1}, X: make([]float64, 6)}
-	c := ds.LabelCounts([]int{0, 1, 2, 3, 4, 5})
-	//lint:ignore float-eq test asserts exact deterministic output
-	if c[0] != 1 || c[1] != 2 || c[2] != 3 {
-		t.Fatalf("LabelCounts = %v", c)
-	}
-}
-
 func TestDirichletPartitionInvariants(t *testing.T) {
 	g := NewGenerator(FlatConfig(10, 4, 3))
 	ds := g.Sample(5000, 0)

@@ -59,15 +59,6 @@ func (d *Dataset) Batch(idx []int) (*tensor.Tensor, []int) {
 	return x, y
 }
 
-// LabelCounts returns the label histogram of the samples at idx.
-func (d *Dataset) LabelCounts(idx []int) []float64 {
-	counts := make([]float64, d.Classes)
-	for _, i := range idx {
-		counts[d.Y[i]]++
-	}
-	return counts
-}
-
 // GeneratorConfig parameterizes a synthetic classification task.
 type GeneratorConfig struct {
 	// Classes is the number of labels.
@@ -174,9 +165,6 @@ func (g *Generator) makeProto(rng *stats.RNG) []float64 {
 	}
 	return p
 }
-
-// Config returns the generator's configuration.
-func (g *Generator) Config() GeneratorConfig { return g.cfg }
 
 // Sample draws n labelled samples with uniformly random labels, using a
 // stream derived from the generator seed and tag (so distinct tags give

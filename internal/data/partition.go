@@ -14,7 +14,7 @@ import (
 // Client is a flyweight: the histogram fields are mandatory, the Indices
 // slice is not. Materialized populations (DirichletPartition) fill Indices
 // with positions into a shared Dataset; virtual populations
-// (VirtualPartition, DirichletHistograms) leave Indices nil and synthesize
+// (VirtualPartition) leave Indices nil and synthesize
 // samples on demand from (seed, ID), so a million-client population costs
 // only its histograms.
 type Client struct {
@@ -144,93 +144,6 @@ func DirichletPartition(ds *Dataset, cfg PartitionConfig) []*Client {
 			remaining--
 		}
 		c.N = len(c.Indices)
-		clients[ci] = c
-	}
-	return clients
-}
-
-// DirichletHistograms replays DirichletPartition's exact draw sequence over
-// a dataset described only by its per-label sample counts, producing
-// flyweight clients (N and Counts, no Indices) whose histograms are
-// bit-identical to the ones DirichletPartition would assign given a dataset
-// with the same label counts and the same cfg. It never materializes a
-// sample: the per-label pools are tracked as scalars, and the pool shuffles
-// are replayed with no-op swaps so the RNG stream stays aligned with the
-// materializing path. labelCounts[y] is the number of samples with label y;
-// its length is the class count.
-//
-// Memory is O(NumClients × classes) regardless of the sample total, which
-// is what lets grouping and sampling run over populations far larger than
-// any dataset that could be held in memory.
-func DirichletHistograms(labelCounts []int, cfg PartitionConfig) []*Client {
-	if cfg.NumClients <= 0 {
-		panic("data: NumClients must be positive")
-	}
-	if cfg.MinSamples <= 0 || cfg.MaxSamples < cfg.MinSamples {
-		panic("data: invalid sample count bounds")
-	}
-	classes := len(labelCounts)
-	total := 0
-	for _, n := range labelCounts {
-		total += n
-	}
-	if total < cfg.NumClients*cfg.MinSamples {
-		panic(fmt.Sprintf("data: dataset of %d samples cannot give %d clients at least %d each",
-			total, cfg.NumClients, cfg.MinSamples))
-	}
-	rng := stats.NewRNG(cfg.Seed)
-
-	// Pool sizes only; replay the pool shuffles to keep the stream aligned.
-	pools := make([]int, classes)
-	copy(pools, labelCounts)
-	for _, n := range pools {
-		rng.Shuffle(n, func(i, j int) {})
-	}
-	remaining := total
-
-	clients := make([]*Client, cfg.NumClients)
-	for ci := 0; ci < cfg.NumClients; ci++ {
-		want := int(rng.Normal(cfg.MeanSamples, cfg.StdSamples))
-		if want < cfg.MinSamples {
-			want = cfg.MinSamples
-		}
-		if want > cfg.MaxSamples {
-			want = cfg.MaxSamples
-		}
-		clientsLeft := cfg.NumClients - ci - 1
-		if maxTake := remaining - clientsLeft*cfg.MinSamples; want > maxTake {
-			want = maxTake
-		}
-		p := rng.Dirichlet(cfg.Alpha, classes)
-		c := &Client{ID: ci, Counts: make([]float64, classes)}
-		for c.N < want {
-			masked := make([]float64, classes)
-			any := false
-			for y := range masked {
-				if pools[y] > 0 {
-					masked[y] = p[y]
-					if p[y] > 0 {
-						any = true
-					}
-				}
-			}
-			if !any {
-				for y := range masked {
-					if pools[y] > 0 {
-						masked[y] = 1
-						any = true
-					}
-				}
-			}
-			if !any {
-				panic("data: sample pools exhausted mid-partition")
-			}
-			y := rng.Categorical(masked)
-			pools[y]--
-			c.Counts[y]++
-			c.N++
-			remaining--
-		}
 		clients[ci] = c
 	}
 	return clients

@@ -17,50 +17,6 @@ func virtualTestPartition(n int, seed uint64) *VirtualPartition {
 	return NewVirtualPartition(gen, part)
 }
 
-// TestDirichletHistogramsMatchPartition pins the exact-replay property:
-// given only a dataset's label counts, DirichletHistograms produces the
-// same per-client (N, Counts) as DirichletPartition given the dataset.
-func TestDirichletHistogramsMatchPartition(t *testing.T) {
-	for seed := uint64(0); seed < 8; seed++ {
-		n := 10 + int(seed%7)
-		g := NewGenerator(FlatConfig(6, 4, seed))
-		ds := g.Sample(n*60, 0)
-		cfg := PartitionConfig{
-			NumClients: n, Alpha: 0.2 + 0.1*float64(seed%4),
-			MinSamples: 10, MaxSamples: 50, MeanSamples: 30, StdSamples: 12,
-			Seed: seed + 17,
-		}
-		materialized := DirichletPartition(ds, cfg)
-
-		labelCounts := make([]int, ds.Classes)
-		for _, y := range ds.Y {
-			labelCounts[y]++
-		}
-		flyweights := DirichletHistograms(labelCounts, cfg)
-
-		if len(flyweights) != len(materialized) {
-			t.Fatalf("seed %d: %d flyweights vs %d clients", seed, len(flyweights), len(materialized))
-		}
-		for i, m := range materialized {
-			f := flyweights[i]
-			if f.ID != m.ID || f.N != m.N {
-				t.Fatalf("seed %d client %d: flyweight (ID=%d N=%d) vs materialized (ID=%d N=%d)",
-					seed, i, f.ID, f.N, m.ID, m.N)
-			}
-			if f.Indices != nil {
-				t.Fatalf("seed %d client %d: flyweight has Indices", seed, i)
-			}
-			for y := range m.Counts {
-				//lint:ignore float-eq exact replay must reproduce identical counts
-				if f.Counts[y] != m.Counts[y] {
-					t.Fatalf("seed %d client %d label %d: flyweight count %v vs materialized %v",
-						seed, i, y, f.Counts[y], m.Counts[y])
-				}
-			}
-		}
-	}
-}
-
 // TestVirtualClientSelfConsistent checks that the flyweight histogram a
 // VirtualPartition reports for a client is exactly the histogram of the
 // samples it materializes for that client.

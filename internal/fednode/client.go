@@ -76,7 +76,7 @@ func (c *Client) Run(nw Network, edgeAddr string) ([]float64, error) {
 
 	// Group assignment: group id, this client's index within the group, and
 	// the full membership (needed to derive the secagg session locally).
-	assign, err := expectFrame(conn, c.meter, cfg.MaxFrame, cfg.RoundTimeout, wire.GroupAssign)
+	assign, err := expectFrame(conn, c.meter, cfg.RoundTimeout, wire.GroupAssign)
 	if err != nil {
 		return nil, fmt.Errorf("fednode: client %d assignment: %w", c.id, err)
 	}
@@ -97,7 +97,7 @@ func (c *Client) Run(nw Network, edgeAddr string) ([]float64, error) {
 		ng += ref.samples
 	}
 	w := float64(me.NumSamples()) / float64(ng)
-	threshold := secagg.Threshold(cfg.ThresholdFrac, n)
+	threshold := secagg.Threshold(0, n)
 	c.logf("client %d: joined group %d as member %d/%d", c.id, gid, myIdx, n)
 
 	model := c.sys.NewModel(c.sys.ModelSeed)
@@ -107,7 +107,7 @@ func (c *Client) Run(nw Network, edgeAddr string) ([]float64, error) {
 	for {
 		// Between requests the client blocks without a deadline: its edge
 		// decides the pace.
-		m, err := readFrame(conn, c.meter, cfg.MaxFrame, 0)
+		m, err := readFrame(conn, c.meter, 0)
 		if err != nil {
 			return nil, fmt.Errorf("fednode: client %d read: %w", c.id, err)
 		}
@@ -141,7 +141,7 @@ func (c *Client) Run(nw Network, edgeAddr string) ([]float64, error) {
 				for j := range params {
 					params[j] *= w
 				}
-				sess = secagg.NewSession(n, len(params), threshold, sessionSeed(cfg.Seed, t, k, gid), cfg.Quantizer)
+				sess = secagg.NewSession(n, len(params), threshold, sessionSeed(cfg.Seed, t, k, gid), secagg.DefaultQuantizer())
 				sessT, sessK = t, k
 				reply.Words = sess.MaskedUpdate(myIdx, params)
 				sess.PublishOps(c.meter.Registry())

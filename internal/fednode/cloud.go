@@ -34,9 +34,6 @@ func NewCloud(sys *core.System, cfg JobConfig, meter *Meter) *Cloud {
 	return &Cloud{sys: sys, cfg: cfg.withDefaults(), meter: meter}
 }
 
-// Meter exposes the byte meter (shared across a loopback cluster).
-func (c *Cloud) Meter() *Meter { return c.meter }
-
 // logf traces when a logger is configured.
 func (c *Cloud) logf(format string, args ...any) {
 	if c.cfg.Logf != nil {
@@ -73,7 +70,7 @@ func (c *Cloud) Run(ln net.Listener) (*Report, error) {
 			return nil, fmt.Errorf("fednode: cloud accept: %w", err)
 		}
 		conn := meter(raw, c.meter)
-		reg, err := expectFrame(conn, c.meter, cfg.MaxFrame, cfg.RoundTimeout, wire.GroupAssign)
+		reg, err := expectFrame(conn, c.meter, cfg.RoundTimeout, wire.GroupAssign)
 		if err != nil {
 			closeQuiet(conn)
 			return nil, fmt.Errorf("fednode: edge registration: %w", err)
@@ -179,7 +176,7 @@ func (c *Cloud) Run(ln net.Listener) (*Report, error) {
 			go func(e int, conn net.Conn, expect int) {
 				defer wg.Done()
 				for r := 0; r < expect; r++ {
-					m, err := expectFrame(conn, c.meter, cfg.MaxFrame, cfg.RoundTimeout, wire.GroupAggregate)
+					m, err := expectFrame(conn, c.meter, cfg.RoundTimeout, wire.GroupAggregate)
 					if err == nil && int(m.Round) != t {
 						err = fmt.Errorf("fednode: edge %d aggregate for round %d during round %d", e, m.Round, t)
 					}
@@ -257,7 +254,7 @@ func (c *Cloud) Run(ln net.Listener) (*Report, error) {
 		}
 	}
 	for e, conn := range conns {
-		if _, err := expectFrame(conn, c.meter, cfg.MaxFrame, cfg.RoundTimeout, wire.GlobalAggregate); err != nil {
+		if _, err := expectFrame(conn, c.meter, cfg.RoundTimeout, wire.GlobalAggregate); err != nil {
 			return nil, fmt.Errorf("fednode: shutdown ack from edge %d: %w", e, err)
 		}
 	}

@@ -99,7 +99,7 @@ func (e *Edge) Run(nw Network, ln net.Listener, cloudAddr string) error {
 			return fmt.Errorf("fednode: edge %d accept: %w", e.id, err)
 		}
 		conn := meter(raw, e.meter)
-		hello, err := expectFrame(conn, e.meter, cfg.MaxFrame, cfg.RoundTimeout, wire.GroupAssign)
+		hello, err := expectFrame(conn, e.meter, cfg.RoundTimeout, wire.GroupAssign)
 		if err != nil {
 			closeQuiet(conn)
 			return fmt.Errorf("fednode: client registration: %w", err)
@@ -124,7 +124,7 @@ func (e *Edge) Run(nw Network, ln net.Listener, cloudAddr string) error {
 	assigns := make(map[int]*wire.Message, len(mine))
 	seats := make(map[int]seat, len(mine))
 	for {
-		m, err := expectFrame(cloudConn, e.meter, cfg.MaxFrame, cfg.RoundTimeout, wire.GroupAssign)
+		m, err := expectFrame(cloudConn, e.meter, cfg.RoundTimeout, wire.GroupAssign)
 		if err != nil {
 			return fmt.Errorf("fednode: edge %d assignment: %w", e.id, err)
 		}
@@ -175,7 +175,7 @@ func (e *Edge) Run(nw Network, ln net.Listener, cloudAddr string) error {
 	for {
 		// Between rounds the edge blocks on the cloud without a deadline:
 		// the cloud decides the job's pace.
-		m, err := readFrame(cloudConn, e.meter, cfg.MaxFrame, 0)
+		m, err := readFrame(cloudConn, e.meter, 0)
 		if err != nil {
 			return fmt.Errorf("fednode: edge %d read from cloud: %w", e.id, err)
 		}
@@ -260,7 +260,7 @@ func (e *Edge) rejoinLoop(ln net.Listener, mine map[int]bool, assigns map[int]*w
 			return
 		}
 		conn := meter(raw, e.meter)
-		hello, err := expectFrame(conn, e.meter, cfg.MaxFrame, cfg.RoundTimeout, wire.GroupAssign)
+		hello, err := expectFrame(conn, e.meter, cfg.RoundTimeout, wire.GroupAssign)
 		if err != nil {
 			closeQuiet(conn)
 			continue
@@ -351,7 +351,7 @@ func (e *Edge) runGroup(g *edgeGroup, t int, globalParams []float64, cloud *lock
 	dim := len(globalParams)
 	groupParams := append([]float64(nil), globalParams...)
 	n := len(g.members)
-	threshold := secagg.Threshold(cfg.ThresholdFrac, n)
+	threshold := secagg.Threshold(0, n)
 	roundDrops, roundRecov := 0, 0
 	var frame []byte // the broadcast's encoding, reused across group rounds
 
@@ -393,7 +393,7 @@ func (e *Edge) runGroup(g *edgeGroup, t int, globalParams []float64, cloud *lock
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				m, err := expectFrame(g.conns[i], e.meter, cfg.MaxFrame, cfg.StragglerTimeout, wire.MaskedUpdate)
+				m, err := expectFrame(g.conns[i], e.meter, cfg.StragglerTimeout, wire.MaskedUpdate)
 				if err != nil {
 					collectErr[i] = err
 					return
@@ -444,7 +444,7 @@ func (e *Edge) runGroup(g *edgeGroup, t int, globalParams []float64, cloud *lock
 				g.gid, t, k, survivors, threshold)
 		}
 
-		sess := secagg.NewSession(n, dim, threshold, sessionSeed(cfg.Seed, t, k, g.gid), cfg.Quantizer)
+		sess := secagg.NewSession(n, dim, threshold, sessionSeed(cfg.Seed, t, k, g.gid), secagg.DefaultQuantizer())
 		if len(dropped) > 0 {
 			if err := run.to(phaseReveal); err != nil {
 				return err
@@ -530,7 +530,7 @@ func (e *Edge) revealShares(g *edgeGroup, sess *secagg.Session, t, k int, droppe
 		if err := sendFrame(g.conns[i], e.meter, req, cfg.StragglerTimeout); err != nil {
 			return fmt.Errorf("fednode: group %d reveal request to client %d: %w", g.gid, g.members[i], err)
 		}
-		reply, err := expectFrame(g.conns[i], e.meter, cfg.MaxFrame, cfg.StragglerTimeout, wire.ShareReveal)
+		reply, err := expectFrame(g.conns[i], e.meter, cfg.StragglerTimeout, wire.ShareReveal)
 		if err != nil {
 			return fmt.Errorf("fednode: group %d reveal reply from client %d: %w", g.gid, g.members[i], err)
 		}

@@ -40,7 +40,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/grouping"
 	"repro/internal/sampling"
-	"repro/internal/secagg"
 	"repro/internal/wire"
 )
 
@@ -74,11 +73,6 @@ type JobConfig struct {
 	// aggregation sessions — the same derivations as core.Train, so results
 	// line up.
 	Seed uint64
-	// Quantizer for masked updates; zero value uses the default.
-	Quantizer secagg.Quantizer
-	// ThresholdFrac is the Shamir threshold as a fraction of group size
-	// (minimum 2); zero means 2/3.
-	ThresholdFrac float64
 	// EvalEvery evaluates the global model every n rounds (0 or 1 = every
 	// round); the final round is always evaluated.
 	EvalEvery int
@@ -105,8 +99,6 @@ type JobConfig struct {
 	// loop (exponential, capped at 1s per step). Defaults: 10 and 25ms.
 	DialAttempts int
 	DialBackoff  time.Duration
-	// MaxFrame bounds accepted frame payloads; 0 uses wire.DefaultMaxFrame.
-	MaxFrame int
 
 	// ForceDrop, when non-nil, injects one mid-round client disconnect.
 	ForceDrop *ForcedDrop
@@ -114,17 +106,14 @@ type JobConfig struct {
 	Logf func(format string, args ...any)
 	// Meter, when non-nil, is the shared observability sink for every node
 	// this process runs: RunJob threads it through the whole loopback
-	// cluster, and Meter.Registry() exposes the counters for snapshots,
-	// felbench JSON dumps, and the felnode -metrics HTTP endpoint. Nil
-	// means each entry point creates a private meter.
+	// cluster, and Meter.Registry() exposes the counters for snapshots and
+	// the felnode -metrics HTTP endpoint. Nil means each entry point creates
+	// a private meter.
 	Meter *Meter
 }
 
 // withDefaults fills zero-valued tuning knobs.
 func (cfg JobConfig) withDefaults() JobConfig {
-	if cfg.Quantizer == (secagg.Quantizer{}) {
-		cfg.Quantizer = secagg.DefaultQuantizer()
-	}
 	if cfg.StragglerTimeout <= 0 {
 		cfg.StragglerTimeout = 5 * time.Second
 	}
@@ -136,9 +125,6 @@ func (cfg JobConfig) withDefaults() JobConfig {
 	}
 	if cfg.DialBackoff <= 0 {
 		cfg.DialBackoff = 25 * time.Millisecond
-	}
-	if cfg.MaxFrame <= 0 {
-		cfg.MaxFrame = wire.DefaultMaxFrame
 	}
 	return cfg
 }
@@ -293,8 +279,9 @@ func sendEncoded(conn net.Conn, m *Meter, typ wire.Type, frame []byte, timeout t
 
 // readFrame reads one frame from conn under the read deadline, classifying
 // any decode failure into mt's fel_wire_decode_errors_total (mt may be
-// nil). A zero timeout blocks indefinitely.
-func readFrame(conn net.Conn, mt *Meter, maxFrame int, timeout time.Duration) (*wire.Message, error) {
+// nil). A zero timeout blocks indefinitely; a frame whose payload exceeds
+// wire.DefaultMaxFrame is refused before it is read.
+func readFrame(conn net.Conn, mt *Meter, timeout time.Duration) (*wire.Message, error) {
 	var zero time.Time
 	deadline := zero
 	if timeout > 0 {
@@ -303,7 +290,7 @@ func readFrame(conn net.Conn, mt *Meter, maxFrame int, timeout time.Duration) (*
 	if err := conn.SetReadDeadline(deadline); err != nil {
 		return nil, fmt.Errorf("fednode: set read deadline: %w", err)
 	}
-	m, err := wire.Decode(conn, maxFrame)
+	m, err := wire.Decode(conn, wire.DefaultMaxFrame)
 	if err != nil && mt != nil {
 		mt.countDecodeError(err)
 	}
@@ -311,8 +298,8 @@ func readFrame(conn net.Conn, mt *Meter, maxFrame int, timeout time.Duration) (*
 }
 
 // expectFrame reads one frame and checks its type.
-func expectFrame(conn net.Conn, mt *Meter, maxFrame int, timeout time.Duration, want wire.Type) (*wire.Message, error) {
-	m, err := readFrame(conn, mt, maxFrame, timeout)
+func expectFrame(conn net.Conn, mt *Meter, timeout time.Duration, want wire.Type) (*wire.Message, error) {
+	m, err := readFrame(conn, mt, timeout)
 	if err != nil {
 		return nil, err
 	}

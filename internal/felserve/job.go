@@ -312,10 +312,3 @@ func (j *Job) fail(err error) {
 	j.mu.Unlock()
 	close(j.done)
 }
-
-// current returns the latest published model version under the job lock.
-func (j *Job) current() (int, []float64) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.version, j.params
-}

@@ -1,21 +1,21 @@
-// Package hfl runs Group-FEL rounds as an actual distributed protocol over
-// the simulated edge network: the cloud pushes the global model to edge
-// servers, edges broadcast to their group's clients, clients train locally
-// and submit *secure-aggregation-masked* updates, edges unmask the group
-// sum and (after K group rounds) return group models to the cloud. It ties
-// together the simnet, secagg, nn, and grouping substrates into the
-// end-to-end system of the paper's Fig. 1, and reports the wall-clock time
-// the message flow would take on the modelled links.
+// Package hfl runs Group-FEL rounds as the distributed protocol of the
+// paper's Fig. 1, one group at a time: the cloud pushes the global model to
+// edge servers, edges broadcast to their group's clients, clients train
+// locally and submit *secure-aggregation-masked* updates, edges unmask the
+// group sum and (after K group rounds) return group models to the cloud,
+// which folds them in the order they arrive. It ties together the secagg,
+// nn, and grouping substrates and prices the message flow on simnet's
+// modelled links — the closed form core.Trainer prices WallClock with.
 //
 // The in-process trainer (internal/core) is the fast path used by the
 // experiment harness; this package exists to demonstrate and test that the
-// same round semantics survive a real message-passing, privacy-preserving
-// execution.
+// same round semantics survive a privacy-preserving execution.
 package hfl
 
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"repro/internal/core"
 	"repro/internal/cost"
@@ -39,8 +39,6 @@ type RoundConfig struct {
 	// Profile supplies per-client compute times; zero value uses the CIFAR
 	// profile.
 	Profile cost.Profile
-	// Quantizer for the masked updates; zero value uses the default.
-	Quantizer secagg.Quantizer
 	// ThresholdFrac is the Shamir threshold as a fraction of group size
 	// (minimum 2 clients); zero means 2/3.
 	ThresholdFrac float64
@@ -55,10 +53,11 @@ type RoundConfig struct {
 type RoundResult struct {
 	// Params is the new global parameter vector.
 	Params []float64
-	// WallClock is the simulated time until the last group model reached
+	// WallClock is the modelled time until the last group model reached
 	// the cloud.
 	WallClock float64
-	// Messages is the number of network messages delivered.
+	// Messages is the number of cloud–edge messages: the global model down
+	// and the group model up, per selected group.
 	Messages int
 	// MaskStreams totals the PRG expansions across all secure
 	// aggregations (quadratic in group sizes).
@@ -85,98 +84,58 @@ func RunGlobalRound(sys *core.System, groups []*grouping.Group, selected []int, 
 	if cfg.Profile.Name == "" {
 		cfg.Profile = cost.CIFARProfile()
 	}
-	if cfg.Quantizer == (secagg.Quantizer{}) {
-		cfg.Quantizer = secagg.DefaultQuantizer()
-	}
 	if cfg.GroupRounds <= 0 || cfg.LocalEpochs <= 0 || cfg.LR <= 0 {
 		return nil, fmt.Errorf("hfl: K, E, LR must be positive")
 	}
 
-	dim := len(globalParams)
-	modelBytes := dim * 8
-	res := &RoundResult{}
+	modelBytes := len(globalParams) * 8
+	res := &RoundResult{Messages: 2 * len(selected)}
 
-	// The heavy lifting (local SGD, masking, unmasking) happens inline in
-	// the node handlers; simnet sequences the message flow and yields the
-	// wall-clock time. Group g's flow:
+	// Group g's flow, priced link by link as it goes:
 	//   cloud --model--> edge --model--> clients (parallel)
-	//   clients train (compute delay), submit masked updates
+	//   clients train (the slowest gates the round), submit masked updates
 	//   edge unmasks the sum, repeats K times, then --group model--> cloud.
-	nt := 0
-	for _, gi := range selected {
-		nt += groups[gi].NumSamples()
-	}
-	next := make([]float64, dim)
-	arrived := 0
-
-	sim2 := simnet.New()
-	type groupUpdate struct {
+	edgeCloud := cfg.Topology.EdgeCloud.TransferTime(modelBytes)
+	clientEdge := 2 * cfg.Topology.ClientEdge.TransferTime(modelBytes)
+	type arrival struct {
+		at     float64
 		gi     int
 		params []float64
 	}
-	sim2.AddNode("cloud", func(s *simnet.Simulator, at float64, msg simnet.Message) {
-		up := msg.Payload.(groupUpdate)
-		w := float64(groups[up.gi].NumSamples()) / float64(nt)
-		for j, v := range up.params {
-			next[j] += w * v
-		}
-		arrived++
-	})
-
-	var firstErr error
+	arrivals := make([]arrival, 0, len(selected))
+	nt := 0
 	for _, gi := range selected {
 		g := groups[gi]
-		edgeName := fmt.Sprintf("edge-%d", g.ID)
-		gi := gi
-		g2 := g
-		sim2.AddNode(edgeName, func(s *simnet.Simulator, at float64, msg simnet.Message) {
-			params := msg.Payload.([]float64)
-			// Run K group rounds. Each round's client compute happens
-			// conceptually in parallel; the slowest client gates the round.
-			// We execute the training inline and advance time via the send
-			// timestamps.
-			groupParams := append([]float64(nil), params...)
-			now := at
-			for k := 0; k < cfg.GroupRounds; k++ {
-				newParams, roundTime, masks, qerr, err := secureGroupRound(sys, g2, groupParams, cfg, uint64(k))
-				if err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					return
-				}
-				res.MaskStreams += masks
-				if qerr > res.QuantError {
-					res.QuantError = qerr
-				}
-				// Broadcast + compute + upload per group round over the
-				// client-edge link.
-				now += 2*cfg.Topology.ClientEdge.TransferTime(modelBytes) + roundTime
-				groupParams = newParams
+		nt += g.NumSamples()
+		groupParams := globalParams
+		now := edgeCloud
+		for k := 0; k < cfg.GroupRounds; k++ {
+			newParams, roundTime, masks, qerr, err := secureGroupRound(sys, g, groupParams, cfg, uint64(k))
+			if err != nil {
+				return nil, err
 			}
-			s.Send(now, simnet.Message{
-				From: edgeName, To: "cloud", Kind: "group-update",
-				Bytes: modelBytes, Payload: groupUpdate{gi: gi, params: groupParams},
-			}, cfg.Topology.EdgeCloud)
-		})
+			res.MaskStreams += masks
+			if qerr > res.QuantError {
+				res.QuantError = qerr
+			}
+			now += clientEdge + roundTime
+			groupParams = newParams
+		}
+		arrivals = append(arrivals, arrival{at: now + edgeCloud, gi: gi, params: groupParams})
 	}
 
-	// Kick off: cloud pushes the global model to every selected edge.
-	for _, gi := range selected {
-		sim2.Send(0, simnet.Message{
-			From: "cloud", To: fmt.Sprintf("edge-%d", groups[gi].ID), Kind: "global-model",
-			Bytes: modelBytes, Payload: globalParams,
-		}, cfg.Topology.EdgeCloud)
+	// The cloud folds the group models as they arrive: by finish time,
+	// selection order breaking ties. Float addition is not associative, so
+	// the order is part of the result.
+	sort.SliceStable(arrivals, func(i, j int) bool { return arrivals[i].at < arrivals[j].at })
+	res.WallClock = arrivals[len(arrivals)-1].at
+	res.Params = make([]float64, len(globalParams))
+	for _, a := range arrivals {
+		w := float64(groups[a.gi].NumSamples()) / float64(nt)
+		for j, v := range a.params {
+			res.Params[j] += w * v
+		}
 	}
-	res.WallClock = sim2.Run()
-	res.Messages = sim2.Delivered
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if arrived != len(selected) {
-		return nil, fmt.Errorf("hfl: %d of %d group updates arrived", arrived, len(selected))
-	}
-	res.Params = next
 	return res, nil
 }
 
@@ -204,7 +163,7 @@ func secureGroupRound(sys *core.System, g *grouping.Group, groupParams []float64
 	}
 
 	threshold := secagg.Threshold(cfg.ThresholdFrac, n)
-	sess := secagg.NewSession(n, dim, threshold, cfg.Seed^(tag*0x9e3779b97f4a7c15)^uint64(g.ID), cfg.Quantizer)
+	sess := secagg.NewSession(n, dim, threshold, cfg.Seed^(tag*0x9e3779b97f4a7c15)^uint64(g.ID), secagg.DefaultQuantizer())
 
 	ng := float64(g.NumSamples())
 	masked := make([][]uint64, n)

@@ -1,6 +1,9 @@
 package hfl
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"testing"
 
@@ -278,6 +281,69 @@ func TestDistributedRoundDropoutDeterministic(t *testing.T) {
 		//lint:ignore float-eq test asserts exact deterministic output
 		if a.Params[j] != b.Params[j] {
 			t.Fatal("dropout path not deterministic")
+		}
+	}
+}
+
+// paramDigest is the SHA-256 of the parameters' IEEE-754 bit patterns: two
+// vectors share a digest only when they are Float64bits-equal.
+func paramDigest(params []float64) string {
+	buf := make([]byte, 8*len(params))
+	for i, v := range params {
+		binary.BigEndian.PutUint64(buf[8*i:], math.Float64bits(v))
+	}
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:8])
+}
+
+// TestRunGlobalRoundArrivalOrderPinned pins a three-group round whose group
+// models reach the cloud in the reverse of their selection order: the
+// selection lists the groups by descending slowest client, so the first
+// selected finishes last. The cloud folds the group models in arrival order
+// and float addition is not associative, so the digests hold that order,
+// along with the modelled wall clock and the message and mask-stream counts.
+func TestRunGlobalRoundArrivalOrderPinned(t *testing.T) {
+	sys := testSystem(18, 1)
+	groups := formGroups(sys)
+	selected := []int{1, 4, 0}
+	prev := math.MaxInt
+	for _, gi := range selected {
+		slowest := 0
+		for _, c := range groups[gi].Clients {
+			if c.NumSamples() > slowest {
+				slowest = c.NumSamples()
+			}
+		}
+		if slowest >= prev {
+			t.Fatalf("group %d's slowest client holds %d samples, the group selected before it %d: arrival order would not be the reverse of selection", gi, slowest, prev)
+		}
+		prev = slowest
+	}
+	global := sys.NewModel(sys.ModelSeed).ParamVector()
+	for _, tc := range []struct {
+		dropout     float64
+		params      string
+		wallClock   uint64
+		maskStreams int
+	}{
+		{0, "c8340e75d8bcb2d5", 0x403719c0f14c5dfd, 124},
+		{0.3, "88a8538358d9ae2c", 0x403719c0f14c5dfd, 114},
+	} {
+		cfg := roundConfig()
+		cfg.DropoutProb = tc.dropout
+		res, err := RunGlobalRound(sys, groups, selected, global, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := paramDigest(res.Params); got != tc.params {
+			t.Errorf("dropout %v: parameter digest %s, pinned %s", tc.dropout, got, tc.params)
+		}
+		if got := math.Float64bits(res.WallClock); got != tc.wallClock {
+			t.Errorf("dropout %v: wall clock bits %#x (%v), pinned %#x", tc.dropout, got, res.WallClock, tc.wallClock)
+		}
+		if res.Messages != 2*len(selected) || res.MaskStreams != tc.maskStreams {
+			t.Errorf("dropout %v: %d messages, %d mask streams; pinned %d and %d",
+				tc.dropout, res.Messages, res.MaskStreams, 2*len(selected), tc.maskStreams)
 		}
 	}
 }

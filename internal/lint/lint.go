@@ -145,20 +145,6 @@ func (p *Package) useOf(id *ast.Ident) types.Object {
 	return nil
 }
 
-// ObjectOf resolves an identifier (definition or use) to its object across
-// both type-checked units.
-func (p *Pass) ObjectOf(id *ast.Ident) types.Object {
-	if p.Pkg.Info != nil {
-		if o := p.Pkg.Info.ObjectOf(id); o != nil {
-			return o
-		}
-	}
-	if p.Pkg.TestInfo != nil {
-		return p.Pkg.TestInfo.ObjectOf(id)
-	}
-	return nil
-}
-
 // ConstValue resolves expr's compile-time constant value, if any.
 func (p *Pass) constTypeAndValue(expr ast.Expr) (types.TypeAndValue, bool) {
 	if p.Pkg.Info != nil {

@@ -60,11 +60,6 @@ func (p *Package) AllFiles() []*ast.File {
 	return out
 }
 
-// IsTestFile reports whether the file containing pos is a _test.go file.
-func (p *Package) IsTestFile(f *ast.File) bool {
-	return strings.HasSuffix(p.Fset.Position(f.Pos()).Filename, "_test.go")
-}
-
 func (p *Package) relFile(filename string) string {
 	if p.Root == "" {
 		return filename

@@ -27,9 +27,9 @@ import (
 // gradient — the gradient with respect to the data — is never computed (see
 // Sequential.Backward).
 type Layer interface {
-	// Forward computes the layer output for a batch. train toggles
-	// training-only behaviour (none of the current layers need it, but the
-	// interface keeps dropout-style layers pluggable).
+	// Forward computes the layer output for a batch. No layer reads train
+	// — none behaves differently while training — but bench/probes.go passes
+	// it, so the argument stays until bench/ is next open to change.
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
 	// Backward consumes the gradient of the loss w.r.t. the layer output
 	// and returns the gradient w.r.t. the layer input, accumulating
@@ -223,13 +223,6 @@ func (s *Sequential) GradVector() []float64 {
 		out = append(out, g.Data...)
 	}
 	return out
-}
-
-// ZeroGrads clears all accumulated gradients.
-func (s *Sequential) ZeroGrads() {
-	for _, g := range s.Grads() {
-		g.Zero()
-	}
 }
 
 // Summary returns a human-readable architecture description: one line per

@@ -1,10 +1,6 @@
 package nn
 
-import (
-	"math"
-
-	"repro/internal/tensor"
-)
+import "repro/internal/tensor"
 
 // SGD is stochastic gradient descent with optional momentum and weight decay.
 // The paper's local update (Alg. 1 line 13) is plain SGD; momentum and decay
@@ -21,10 +17,8 @@ type SGD struct {
 func NewSGD(lr float64) *SGD { return &SGD{LR: lr} }
 
 // Step applies one descent update to every parameter of m using the
-// currently accumulated gradients. Gradients are not cleared; call
-// m.ZeroGrads() if the next batch should start fresh (per-batch backward
-// passes overwrite dense/conv gradients, so the common loop does not need
-// to).
+// currently accumulated gradients. Gradients are not cleared: every
+// layer's Backward overwrites its gradients, so the next batch starts fresh.
 //
 //lint:hotpath
 func (o *SGD) Step(m *Sequential) {
@@ -68,25 +62,4 @@ func (o *SGD) Step(m *Sequential) {
 			p.AddScaled(-o.LR, g)
 		}
 	}
-}
-
-// ClipGradNorm rescales the model's gradients so their global L2 norm is at
-// most maxNorm, returning the pre-clip norm. A non-positive maxNorm is a
-// no-op.
-func ClipGradNorm(m *Sequential, maxNorm float64) float64 {
-	total := 0.0
-	for _, g := range m.Grads() {
-		n := g.Norm()
-		total += float64(n * n)
-	}
-	norm := math.Sqrt(total)
-	//lint:ignore float-eq a gradient norm of exactly zero cannot be rescaled; ordering compares handle the rest
-	if maxNorm <= 0 || norm <= maxNorm || norm == 0 {
-		return norm
-	}
-	scale := maxNorm / norm
-	for _, g := range m.Grads() {
-		g.Scale(scale)
-	}
-	return norm
 }

@@ -1,13 +1,11 @@
-// Package simnet is a small discrete-event simulator of the cloud–edge–
-// client network underlying Group-FEL. It models links with latency and
-// bandwidth, delivers messages between named nodes in timestamp order, and
-// provides closed-form round-time helpers used by the experiment harness to
-// report wall-clock-style communication costs alongside the Eq. 5 compute
-// cost model.
+// Package simnet is the closed-form link model of the cloud–edge–client
+// network underlying Group-FEL: links with latency and bandwidth, the
+// two-tier topology of the paper's Fig. 1, and the round-time helpers the
+// trainer and the experiment harness use to report wall-clock-style
+// communication costs alongside the Eq. 5 compute cost model.
 package simnet
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -21,7 +19,7 @@ type Link struct {
 
 // Validate rejects unusable link parameters: bandwidth must be positive and
 // latency non-negative. Callers should validate once at setup (see
-// Topology.Validate) rather than discover a bad link mid-simulation.
+// Topology.Validate) rather than discover a bad link mid-run.
 func (l Link) Validate() error {
 	if l.Bandwidth <= 0 {
 		return fmt.Errorf("simnet: link bandwidth must be positive (got %g)", l.Bandwidth)
@@ -113,85 +111,4 @@ func (t Topology) GlobalRoundTime(modelBytes, groupRounds int, groupTimes [][]fl
 		}
 	}
 	return down + slowestEdge + up
-}
-
-// Message is a payload in flight between two nodes.
-type Message struct {
-	From, To string
-	Kind     string
-	Bytes    int
-	Payload  any
-}
-
-// Handler processes a message delivered to a node at simulated time `at`.
-type Handler func(s *Simulator, at float64, msg Message)
-
-type event struct {
-	at  float64
-	seq int // FIFO tiebreak for determinism
-	msg Message
-}
-
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	//lint:ignore float-eq exact timestamp ties must fall through to the FIFO seq for determinism
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-
-// Simulator delivers messages between registered nodes in timestamp order.
-type Simulator struct {
-	now      float64
-	seq      int
-	queue    eventHeap
-	handlers map[string]Handler
-	// Delivered counts total messages delivered, for tests and accounting.
-	Delivered int
-}
-
-// New creates an empty simulator at time 0.
-func New() *Simulator {
-	return &Simulator{handlers: make(map[string]Handler)}
-}
-
-// AddNode registers a named node with its message handler.
-func (s *Simulator) AddNode(name string, h Handler) {
-	if _, dup := s.handlers[name]; dup {
-		panic(fmt.Sprintf("simnet: duplicate node %q", name))
-	}
-	s.handlers[name] = h
-}
-
-// Now returns the current simulated time.
-func (s *Simulator) Now() float64 { return s.now }
-
-// Send schedules msg for delivery over link, departing at time `at` (which
-// must not precede the current time).
-func (s *Simulator) Send(at float64, msg Message, link Link) {
-	if at < s.now {
-		panic(fmt.Sprintf("simnet: send at %v before now %v", at, s.now))
-	}
-	if _, ok := s.handlers[msg.To]; !ok {
-		panic(fmt.Sprintf("simnet: unknown destination %q", msg.To))
-	}
-	heap.Push(&s.queue, event{at: at + link.TransferTime(msg.Bytes), seq: s.seq, msg: msg})
-	s.seq++
-}
-
-// Run delivers events until the queue drains, returning the final time.
-func (s *Simulator) Run() float64 {
-	for s.queue.Len() > 0 {
-		e := heap.Pop(&s.queue).(event)
-		s.now = e.at
-		s.Delivered++
-		s.handlers[e.msg.To](s, e.at, e.msg)
-	}
-	return s.now
 }

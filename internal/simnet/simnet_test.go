@@ -76,106 +76,3 @@ func TestGlobalRoundTime(t *testing.T) {
 		t.Fatalf("GlobalRoundTime = %v, want %v", got, want)
 	}
 }
-
-func TestSimulatorDeliversInOrder(t *testing.T) {
-	s := New()
-	var order []string
-	s.AddNode("sink", func(_ *Simulator, at float64, msg Message) {
-		order = append(order, msg.Kind)
-	})
-	fast := Link{Latency: 0.001, Bandwidth: 1e9}
-	slow := Link{Latency: 1, Bandwidth: 1e9}
-	s.AddNode("src", func(_ *Simulator, _ float64, _ Message) {})
-	s.Send(0, Message{From: "src", To: "sink", Kind: "slow"}, slow)
-	s.Send(0, Message{From: "src", To: "sink", Kind: "fast"}, fast)
-	end := s.Run()
-	if len(order) != 2 || order[0] != "fast" || order[1] != "slow" {
-		t.Fatalf("delivery order %v", order)
-	}
-	if math.Abs(end-1) > 1e-9 {
-		t.Fatalf("final time %v, want ~1", end)
-	}
-	if s.Delivered != 2 {
-		t.Fatalf("Delivered = %d", s.Delivered)
-	}
-}
-
-func TestSimulatorFIFOTiebreak(t *testing.T) {
-	s := New()
-	var order []string
-	s.AddNode("sink", func(_ *Simulator, _ float64, msg Message) {
-		order = append(order, msg.Kind)
-	})
-	link := Link{Latency: 0.5, Bandwidth: 1e9}
-	for _, k := range []string{"a", "b", "c"} {
-		s.Send(0, Message{To: "sink", Kind: k}, link)
-	}
-	s.Run()
-	if order[0] != "a" || order[1] != "b" || order[2] != "c" {
-		t.Fatalf("tiebreak order %v", order)
-	}
-}
-
-func TestSimulatorCascade(t *testing.T) {
-	// cloud -> edge -> 3 clients -> edge -> cloud: the full HFL message
-	// flow of Fig. 1, with the final ack arriving after all uploads.
-	topo := Default()
-	s := New()
-	uploads := 0
-	done := false
-	s.AddNode("cloud", func(sim *Simulator, at float64, msg Message) {
-		if msg.Kind == "group-update" {
-			done = true
-		}
-	})
-	s.AddNode("edge", func(sim *Simulator, at float64, msg Message) {
-		switch msg.Kind {
-		case "global-model":
-			for i := 0; i < 3; i++ {
-				sim.Send(at, Message{From: "edge", To: client(i), Kind: "group-model", Bytes: msg.Bytes}, topo.ClientEdge)
-			}
-		case "local-update":
-			uploads++
-			if uploads == 3 {
-				sim.Send(at, Message{From: "edge", To: "cloud", Kind: "group-update", Bytes: msg.Bytes}, topo.EdgeCloud)
-			}
-		}
-	})
-	for i := 0; i < 3; i++ {
-		s.AddNode(client(i), func(sim *Simulator, at float64, msg Message) {
-			sim.Send(at, Message{From: msg.To, To: "edge", Kind: "local-update", Bytes: msg.Bytes}, topo.ClientEdge)
-		})
-	}
-	s.Send(0, Message{From: "cloud", To: "edge", Kind: "global-model", Bytes: 100000}, topo.EdgeCloud)
-	end := s.Run()
-	if !done {
-		t.Fatal("cascade never completed")
-	}
-	want := 2*topo.EdgeCloud.TransferTime(100000) + 2*topo.ClientEdge.TransferTime(100000)
-	if math.Abs(end-want) > 1e-9 {
-		t.Fatalf("cascade time %v, want %v", end, want)
-	}
-}
-
-func client(i int) string {
-	return string(rune('A' + i))
-}
-
-func TestSimulatorPanics(t *testing.T) {
-	s := New()
-	s.AddNode("n", func(*Simulator, float64, Message) {})
-	for _, fn := range []func(){
-		func() { s.AddNode("n", func(*Simulator, float64, Message) {}) },
-		func() { s.Send(0, Message{To: "missing"}, Link{Latency: 0, Bandwidth: 1}) },
-		func() { s.Send(-1, Message{To: "n"}, Link{Latency: 0, Bandwidth: 1}) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			fn()
-		}()
-	}
-}

@@ -112,41 +112,6 @@ func GammaFactor(clientCounts []float64) float64 {
 	return g * g * (1/(g*g) + Variance(fracs))
 }
 
-// WeightedMean returns sum(w_i*x_i)/sum(w_i). It panics if the weight sum is
-// not positive or lengths differ.
-func WeightedMean(xs, ws []float64) float64 {
-	if len(xs) != len(ws) {
-		panic("stats: WeightedMean length mismatch")
-	}
-	num, den := 0.0, 0.0
-	for i := range xs {
-		num += ws[i] * xs[i]
-		den += ws[i]
-	}
-	if den <= 0 {
-		panic("stats: WeightedMean weight sum must be positive")
-	}
-	return num / den
-}
-
-// MinMax returns the smallest and largest element of xs. It panics on an
-// empty slice.
-func MinMax(xs []float64) (lo, hi float64) {
-	if len(xs) == 0 {
-		panic("stats: MinMax of empty slice")
-	}
-	lo, hi = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return lo, hi
-}
-
 // JainIndex returns Jain's fairness index (Σx)²/(n·Σx²) of a non-negative
 // allocation: 1 when perfectly equal, approaching 1/n when one participant
 // takes everything. Used to measure client participation fairness — the

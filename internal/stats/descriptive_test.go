@@ -122,21 +122,6 @@ func TestGammaFactor(t *testing.T) {
 	}
 }
 
-func TestWeightedMean(t *testing.T) {
-	got := WeightedMean([]float64{1, 3}, []float64{1, 3})
-	if !approxEq(got, 2.5, 1e-12) {
-		t.Errorf("WeightedMean = %v, want 2.5", got)
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	lo, hi := MinMax([]float64{3, -1, 7, 2})
-	//lint:ignore float-eq test asserts exact deterministic output
-	if lo != -1 || hi != 7 {
-		t.Errorf("MinMax = (%v, %v), want (-1, 7)", lo, hi)
-	}
-}
-
 func TestJainIndex(t *testing.T) {
 	if got := JainIndex([]float64{5, 5, 5, 5}); !approxEq(got, 1, 1e-12) {
 		t.Errorf("equal allocation index = %v, want 1", got)

@@ -53,31 +53,6 @@ func KLDivergence(p, q []float64) float64 {
 	return d
 }
 
-// JSDivergence returns the Jensen–Shannon divergence, a bounded symmetric
-// variant of KL used by the FedCLAR-style client clustering.
-func JSDivergence(p, q []float64) float64 {
-	if len(p) != len(q) {
-		panic("stats: JSDivergence length mismatch")
-	}
-	m := make([]float64, len(p))
-	for i := range p {
-		m[i] = 0.5 * (p[i] + q[i])
-	}
-	return 0.5*KLDivergence(p, m) + 0.5*KLDivergence(q, m)
-}
-
-// L1Distance returns the total-variation-style L1 distance between vectors.
-func L1Distance(p, q []float64) float64 {
-	if len(p) != len(q) {
-		panic("stats: L1Distance length mismatch")
-	}
-	d := 0.0
-	for i := range p {
-		d += math.Abs(p[i] - q[i])
-	}
-	return d
-}
-
 // L2Distance returns the Euclidean distance between vectors.
 func L2Distance(p, q []float64) float64 {
 	if len(p) != len(q) {

@@ -59,29 +59,9 @@ func TestKLDivergenceZeroSmoothing(t *testing.T) {
 	}
 }
 
-func TestJSDivergenceSymmetricAndBounded(t *testing.T) {
-	err := quick.Check(func(seed uint64) bool {
-		r := NewRNG(seed)
-		p := r.Dirichlet(0.5, 6)
-		q := r.Dirichlet(0.5, 6)
-		a, b := JSDivergence(p, q), JSDivergence(q, p)
-		if !approxEq(a, b, 1e-9) {
-			return false
-		}
-		// JS is bounded by ln 2.
-		return a >= 0 && a <= math.Log(2)+1e-9
-	}, &quick.Config{MaxCount: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestL1L2Distances(t *testing.T) {
+func TestL2Distance(t *testing.T) {
 	p := []float64{1, 2, 3}
 	q := []float64{2, 2, 1}
-	if got := L1Distance(p, q); !approxEq(got, 3, 1e-12) {
-		t.Errorf("L1 = %v, want 3", got)
-	}
 	if got := L2Distance(p, q); !approxEq(got, math.Sqrt(5), 1e-12) {
 		t.Errorf("L2 = %v, want sqrt(5)", got)
 	}
@@ -106,8 +86,6 @@ func TestCosineSimilarity(t *testing.T) {
 func TestDistanceLengthMismatchPanics(t *testing.T) {
 	fns := []func(){
 		func() { KLDivergence([]float64{1}, []float64{0.5, 0.5}) },
-		func() { JSDivergence([]float64{1}, []float64{0.5, 0.5}) },
-		func() { L1Distance([]float64{1}, []float64{1, 2}) },
 		func() { L2Distance([]float64{1}, []float64{1, 2}) },
 		func() { CosineSimilarity([]float64{1}, []float64{1, 2}) },
 	}

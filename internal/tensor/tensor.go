@@ -55,9 +55,6 @@ func FromSlice(data []float64, shape ...int) *Tensor {
 //lint:hotpath
 func (t *Tensor) Size() int { return len(t.Data) }
 
-// Dim returns the i-th dimension.
-func (t *Tensor) Dim(i int) int { return t.Shape[i] }
-
 // Rank returns the number of dimensions.
 func (t *Tensor) Rank() int { return len(t.Shape) }
 
@@ -137,14 +134,6 @@ func (t *Tensor) Add(o *Tensor) {
 	}
 }
 
-// Sub subtracts o from t element-wise.
-func (t *Tensor) Sub(o *Tensor) {
-	t.mustMatch(o, "Sub")
-	for i, v := range o.Data {
-		t.Data[i] -= v
-	}
-}
-
 // Scale multiplies every element by k.
 //
 //lint:hotpath
@@ -160,24 +149,6 @@ func (t *Tensor) AddScaled(k float64, o *Tensor) {
 	Axpy(k, o.Data, t.Data)
 }
 
-// Hadamard multiplies t element-wise by o.
-func (t *Tensor) Hadamard(o *Tensor) {
-	t.mustMatch(o, "Hadamard")
-	for i, v := range o.Data {
-		t.Data[i] *= v
-	}
-}
-
-// Dot returns the inner product of the flattened tensors.
-func (t *Tensor) Dot(o *Tensor) float64 {
-	t.mustMatch(o, "Dot")
-	s := 0.0
-	for i, v := range o.Data {
-		s += float64(t.Data[i] * v)
-	}
-	return s
-}
-
 // Norm returns the Euclidean norm of the flattened tensor.
 func (t *Tensor) Norm() float64 {
 	s := 0.0
@@ -185,17 +156,6 @@ func (t *Tensor) Norm() float64 {
 		s += float64(v * v)
 	}
 	return math.Sqrt(s)
-}
-
-// MaxAbs returns the largest absolute element, or 0 for an empty tensor.
-func (t *Tensor) MaxAbs() float64 {
-	m := 0.0
-	for _, v := range t.Data {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
 }
 
 //lint:hotpath

@@ -10,7 +10,7 @@ import (
 
 func TestNewAndSize(t *testing.T) {
 	x := New(3, 4)
-	if x.Size() != 12 || x.Rank() != 2 || x.Dim(0) != 3 || x.Dim(1) != 4 {
+	if x.Size() != 12 || x.Rank() != 2 || x.Shape[0] != 3 || x.Shape[1] != 4 {
 		t.Fatalf("unexpected metadata: %+v", x)
 	}
 	for _, v := range x.Data {
@@ -79,49 +79,26 @@ func TestElementwiseOps(t *testing.T) {
 			t.Fatalf("Add got %v", a.Data)
 		}
 	}
-	a.Sub(b)
-	for i, w := range []float64{1, 2, 3} {
-		//lint:ignore float-eq test asserts exact deterministic output
-		if a.Data[i] != w {
-			t.Fatalf("Sub got %v", a.Data)
-		}
-	}
 	a.Scale(2)
-	for i, w := range []float64{2, 4, 6} {
+	for i, w := range []float64{10, 14, 18} {
 		//lint:ignore float-eq test asserts exact deterministic output
 		if a.Data[i] != w {
 			t.Fatalf("Scale got %v", a.Data)
 		}
 	}
 	a.AddScaled(0.5, b)
-	for i, w := range []float64{4, 6.5, 9} {
+	for i, w := range []float64{12, 16.5, 21} {
 		//lint:ignore float-eq test asserts exact deterministic output
 		if a.Data[i] != w {
 			t.Fatalf("AddScaled got %v", a.Data)
 		}
 	}
-	a.Hadamard(b)
-	for i, w := range []float64{16, 32.5, 54} {
-		//lint:ignore float-eq test asserts exact deterministic output
-		if a.Data[i] != w {
-			t.Fatalf("Hadamard got %v", a.Data)
-		}
-	}
 }
 
-func TestDotNormMaxAbs(t *testing.T) {
+func TestNorm(t *testing.T) {
 	a := FromSlice([]float64{3, -4}, 2)
-	b := FromSlice([]float64{1, 1}, 2)
-	//lint:ignore float-eq test asserts exact deterministic output
-	if got := a.Dot(b); got != -1 {
-		t.Errorf("Dot = %v", got)
-	}
 	if got := a.Norm(); math.Abs(got-5) > 1e-12 {
 		t.Errorf("Norm = %v", got)
-	}
-	//lint:ignore float-eq test asserts exact deterministic output
-	if got := a.MaxAbs(); got != 4 {
-		t.Errorf("MaxAbs = %v", got)
 	}
 }
 
@@ -129,9 +106,7 @@ func TestShapeMismatchPanics(t *testing.T) {
 	a := New(2)
 	b := New(3)
 	for i, fn := range []func(){
-		func() { a.Add(b) }, func() { a.Sub(b) },
-		func() { a.AddScaled(1, b) }, func() { a.Hadamard(b) },
-		func() { a.Dot(b) },
+		func() { a.Add(b) }, func() { a.AddScaled(1, b) },
 	} {
 		func() {
 			defer func() {

@@ -84,12 +84,6 @@ func Bound(p Params) float64 {
 	return term1 + term2 + term3
 }
 
-// StepSizeOK reports whether η satisfies the Eq. 18 condition
-// η² ≤ η/(2KE), i.e. η ≤ 1/(2KE).
-func StepSizeOK(p Params) bool {
-	return p.Eta <= 1/(2*float64(p.K)*float64(p.E))
-}
-
 // FromSystem fills the structural factors of Params (γ, Γ, Γ_p, ζ_g proxy)
 // from an actual grouping and sampling configuration, leaving the loss
 // constants to the caller. The ζ_g² proxy is the data-weighted mean squared

@@ -77,17 +77,6 @@ func TestBoundInfiniteWhenLambda1Violated(t *testing.T) {
 	}
 }
 
-func TestStepSizeOK(t *testing.T) {
-	p := baseParams()
-	if !StepSizeOK(p) {
-		t.Fatal("eta=0.01, K=5, E=2 satisfies eta <= 1/(2KE) = 0.05")
-	}
-	p.Eta = 0.1
-	if StepSizeOK(p) {
-		t.Fatal("eta=0.1 violates the condition")
-	}
-}
-
 func TestDeriveLambdasPositive(t *testing.T) {
 	lam := Derive(baseParams())
 	for name, v := range map[string]float64{

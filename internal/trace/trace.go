@@ -107,21 +107,6 @@ func sanitizeMD(s string) string {
 	return strings.NewReplacer("|", "\\|", "\r\n", " ", "\n", " ", "\r", " ").Replace(s)
 }
 
-// Markdown renders the figure as a long-form markdown table (series, x, y),
-// the same shape as CSV but paste-able into a README or PR description.
-func (f *Figure) Markdown() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "**%s — %s**\n\n", sanitizeMD(f.ID), sanitizeMD(f.Title))
-	fmt.Fprintf(&b, "| series | %s | %s |\n", sanitizeMD(f.XLabel), sanitizeMD(f.YLabel))
-	b.WriteString("|" + strings.Repeat(" --- |", 3) + "\n")
-	for _, s := range f.Series {
-		for i := range s.X {
-			fmt.Fprintf(&b, "| %s | %g | %g |\n", sanitizeMD(s.Name), s.X[i], s.Y[i])
-		}
-	}
-	return b.String()
-}
-
 // Table mirrors one table of the paper.
 type Table struct {
 	ID     string

@@ -94,23 +94,6 @@ func TestTableMarkdownSanitizesCells(t *testing.T) {
 	}
 }
 
-func TestFigureMarkdown(t *testing.T) {
-	f := &Figure{ID: "fig9", Title: "acc | cost", XLabel: "cost", YLabel: "acc"}
-	s := f.AddSeries("CoV|G")
-	s.Add(1, 0.5)
-	s.Add(2, 0.75)
-	md := f.Markdown()
-	if !strings.Contains(md, `**fig9 — acc \| cost**`) {
-		t.Fatalf("title not sanitized:\n%s", md)
-	}
-	if !strings.Contains(md, "| series | cost | acc |") {
-		t.Fatalf("missing header:\n%s", md)
-	}
-	if !strings.Contains(md, `| CoV\|G | 2 | 0.75 |`) {
-		t.Fatalf("missing sanitized data row:\n%s", md)
-	}
-}
-
 func TestTableRowMismatchPanics(t *testing.T) {
 	tb := &Table{Header: []string{"a", "b"}}
 	defer func() {
