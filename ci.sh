@@ -38,15 +38,19 @@
 #                        and the O(selected) round-memory gate of the
 #                        virtual populations; wire codec, fednode
 #                        cloud/edge/client servers, metrics registry,
-#                        felserve). internal/tensor and internal/simnet are
+#                        felserve — where TestFanoutFramesIdentical has eight
+#                        handlers writing one version's shared frame bytes at
+#                        once). internal/tensor and internal/simnet are
 #                        not in the list: they start no goroutine and share
 #                        no state — a GEMM runs on its caller's goroutine,
 #                        and simnet is closed-form arithmetic
 #   6. fuzz smoke      — the fuzz targets of the networked path run
 #                        randomized inputs on a 10s total budget:
-#                        FuzzDecodeFrame over the wire codec and
+#                        FuzzDecodeFrame over the wire codec,
+#                        FuzzDecodeIntoReuse holding DecodeInto on a dirty
+#                        Message to a fresh Decode of the same bytes, and
 #                        FuzzArrivalLogFrame over the arrival-log frames
-#                        (both seeded from faultnet's corruption mutators),
+#                        (all seeded from faultnet's corruption mutators),
 #                        and internal/secagg's FuzzFieldOps,
 #                        FuzzQuantizeRoundTrip and FuzzMaskCancel (random
 #                        seeds, dimensions and drop sets: the masks cancel
@@ -193,7 +197,8 @@ echo "== go test -race (core, async, wire, fednode, faultnet, metrics, felserve)
 go test -race ./internal/core ./internal/async ./internal/wire ./internal/fednode ./internal/faultnet/... ./internal/metrics ./internal/felserve
 
 echo "== go test -fuzz smoke (10s total across targets)"
-go test ./internal/wire -run '^$' -fuzz FuzzDecodeFrame -fuzztime 3s
+go test ./internal/wire -run '^$' -fuzz FuzzDecodeFrame -fuzztime 2s
+go test ./internal/wire -run '^$' -fuzz FuzzDecodeIntoReuse -fuzztime 1s
 go test ./internal/async -run '^$' -fuzz FuzzArrivalLogFrame -fuzztime 3s
 go test ./internal/secagg -run '^$' -fuzz FuzzFieldOps -fuzztime 1s
 go test ./internal/secagg -run '^$' -fuzz FuzzQuantizeRoundTrip -fuzztime 1s

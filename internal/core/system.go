@@ -194,76 +194,6 @@ func (s *System) clientBatchInto(c *data.Client, buf *data.SampleBuffer) (*tenso
 	return s.ClientBatch(c)
 }
 
-// Evaluate computes accuracy and mean loss of model on ds, batching to
-// bound memory. batch <= 0 defaults to 256.
-//
-// Batches are scored in parallel across procs() model clones (GOMAXPROCS
-// capped at physical CPUs), each batch writing into its own indexed slot; the
-// final reduction runs in batch order, so the result is bit-identical to a
-// serial evaluation at any parallelism.
-func Evaluate(model *nn.Sequential, ds *data.Dataset, batch int) (acc, loss float64) {
-	if batch <= 0 {
-		batch = 256
-	}
-	n := ds.Len()
-	if n == 0 {
-		return 0, 0
-	}
-	nb := (n + batch - 1) / batch
-	workers := procs()
-	if workers > nb {
-		workers = nb
-	}
-	correct := make([]int, nb)
-	losses := make([]float64, nb)
-	var lossFn nn.SoftmaxCrossEntropy
-	evalBatch := func(m *nn.Sequential, bi int, idx []int) []int {
-		lo := bi * batch
-		hi := min(lo+batch, n)
-		idx = idx[:0]
-		for i := lo; i < hi; i++ {
-			idx = append(idx, i)
-		}
-		x, y := ds.Batch(idx)
-		logits := m.Forward(x, false)
-		l, _ := lossFn.Forward(logits, y)
-		losses[bi] = l * float64(hi-lo)
-		c := 0
-		for i, p := range nn.Predict(logits) {
-			if p == y[i] {
-				c++
-			}
-		}
-		correct[bi] = c
-		return idx
-	}
-	if workers <= 1 {
-		idx := make([]int, 0, batch)
-		for bi := 0; bi < nb; bi++ {
-			idx = evalBatch(model, bi, idx)
-		}
-	} else {
-		models := make([]*nn.Sequential, workers)
-		models[0] = model
-		for w := 1; w < workers; w++ {
-			models[w] = model.Clone()
-		}
-		parallelEach(workers, workers, func(w int) {
-			idx := make([]int, 0, batch)
-			for bi := w; bi < nb; bi += workers {
-				idx = evalBatch(models[w], bi, idx)
-			}
-		})
-	}
-	tc := 0
-	tl := 0.0
-	for bi := 0; bi < nb; bi++ {
-		tc += correct[bi]
-		tl += losses[bi]
-	}
-	return float64(tc) / float64(n), tl / float64(n)
-}
-
 // parallelEach runs fn(0..n-1) across at most workers goroutines. workers
 // <= 0 defaults to procs(). Panics inside fn are re-raised on the
 // caller goroutine so test failures surface normally.

@@ -8,7 +8,6 @@ import (
 	"repro/internal/async"
 	"repro/internal/compress"
 	"repro/internal/cost"
-	"repro/internal/nn"
 	"repro/internal/sampling"
 )
 
@@ -34,9 +33,11 @@ type Trainer struct {
 
 	modelBytes int
 
-	global       *nn.Sequential
 	globalParams []float64
 	next         []float64
+	// eval scores globalParams on the test set out of storage it keeps, so
+	// evaluating every round allocates nothing model-sized.
+	eval *evaluator
 
 	acct        *cost.Accountant
 	res         *Result
@@ -75,8 +76,9 @@ func NewTrainer(sys *System, cfg Config) *Trainer {
 	}
 	tr.plan = plan
 
-	tr.global = sys.NewModel(sys.ModelSeed)
-	tr.globalParams = tr.global.ParamVector()
+	model := sys.NewModel(sys.ModelSeed)
+	tr.globalParams = model.ParamVector()
+	tr.eval = newEvaluator(model, sys.Test, 0)
 	if cfg.InitParams != nil {
 		if len(cfg.InitParams) != len(tr.globalParams) {
 			panic(fmt.Sprintf("fel: InitParams length %d, model has %d", len(cfg.InitParams), len(tr.globalParams)))
@@ -130,7 +132,7 @@ func (tr *Trainer) Step() RoundRecord {
 	if tr.Done() {
 		panic("fel: Trainer.Step called after Done")
 	}
-	cfg, sys, res, t := tr.cfg, tr.sys, tr.res, tr.t
+	cfg, res, t := tr.cfg, tr.res, tr.t
 
 	// Line 6: regroup when due (Sec. 6.1), then sample S_t.
 	selected := tr.plan.Next(t)
@@ -260,8 +262,7 @@ func (tr *Trainer) Step() RoundRecord {
 	evalNow := cfg.EvalEvery <= 1 || t%cfg.EvalEvery == 0 || t == cfg.GlobalRounds-1
 	if evalNow {
 		evalSpan := cfg.Metrics.Start("fel_core_eval_seconds")
-		tr.global.SetParamVector(tr.globalParams)
-		rec.Accuracy, rec.Loss = Evaluate(tr.global, sys.Test, 0)
+		rec.Accuracy, rec.Loss = tr.eval.run(tr.globalParams)
 		evalSpan.End()
 	} else {
 		rec.Accuracy, rec.Loss = -1, -1
@@ -275,9 +276,8 @@ func (tr *Trainer) Step() RoundRecord {
 // Finish runs the final evaluation and seals the Result. The trainer must
 // not be stepped afterwards.
 func (tr *Trainer) Finish() *Result {
-	tr.global.SetParamVector(tr.globalParams)
 	res := tr.res
-	res.FinalAccuracy, res.FinalLoss = Evaluate(tr.global, tr.sys.Test, 0)
+	res.FinalAccuracy, res.FinalLoss = tr.eval.run(tr.globalParams)
 	res.Groups = tr.plan.Groups()
 	res.Probs = tr.plan.Probs()
 	res.TotalCost = tr.acct.Total()

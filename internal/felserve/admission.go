@@ -13,15 +13,20 @@ import (
 
 // Admission control: one listener multiplexes subscribers for every job on
 // the service. A subscriber opens a connection, sends a JobControl hello
-// naming its job, and receives an admit or reject verdict. Admitted
+// naming its job, and receives an admit or reject verdict; a connection
+// whose first frame is not a well-formed hello is counted and closed with
+// no verdict. Admitted
 // subscribers immediately get the job's current model version — a late
 // joiner adopts the live model, the serving-layer generalization of
 // fednode's crash-rejoin adoption — and then a GlobalModel frame per
 // published round, coalesced latest-wins: a subscriber that cannot keep up
 // skips intermediate versions instead of buffering them, so no consumer can
-// apply backpressure to training or grow an unbounded queue. When the job
-// finishes, the final model arrives as GlobalAggregate and the connection
-// closes.
+// apply backpressure to training or grow an unbounded queue. A version is
+// encoded once per version, by the job when it publishes, and written to
+// every subscriber: the mailbox carries the frame's bytes, shared and never
+// modified, so the fan-out costs one Write per subscriber and no encoding.
+// When the job finishes, the final model arrives as GlobalAggregate and the
+// connection closes.
 
 // JobControl opcodes, carried in the frame's Seq field.
 const (
@@ -44,17 +49,18 @@ type subscriber struct {
 	notify chan struct{}
 
 	// Guarded by the owning job's mu (offer runs under it); the handler
-	// reads through take, which re-locks.
+	// reads through take, which re-locks. frame is the version's encoding,
+	// shared with every other subscriber of the job and never written.
 	version int
-	params  []float64
+	frame   []byte
 	final   bool
 }
 
 // offer replaces the mailbox contents with a newer version. Callers hold
 // the job's mu. Non-blocking by construction.
-func (sub *subscriber) offer(version int, params []float64, final bool) {
+func (sub *subscriber) offer(version int, frame []byte, final bool) {
 	sub.version = version
-	sub.params = params
+	sub.frame = frame
 	sub.final = sub.final || final
 	select {
 	case sub.notify <- struct{}{}:
@@ -63,10 +69,10 @@ func (sub *subscriber) offer(version int, params []float64, final bool) {
 }
 
 // take reads the mailbox under the job lock.
-func (j *Job) take(sub *subscriber) (version int, params []float64, final bool) {
+func (j *Job) take(sub *subscriber) (version int, frame []byte, final bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return sub.version, sub.params, sub.final
+	return sub.version, sub.frame, sub.final
 }
 
 // addSub admits a subscriber unless the job is at capacity.
@@ -81,7 +87,7 @@ func (j *Job) addSub(maxSubs int) (*subscriber, bool) {
 	j.subs[sub.id] = sub
 	// Seed the mailbox with the current version so the handler's first
 	// wait returns immediately — the late-joiner adoption path.
-	sub.offer(j.version, j.params, j.result != nil || j.err != nil)
+	sub.offer(j.version, j.frame, j.result != nil || j.err != nil)
 	return sub, true
 }
 
@@ -151,15 +157,14 @@ func (s *Service) untrack(conn net.Conn) {
 // handle runs one subscriber session: hello, verdict, then the version
 // stream until the job completes, the peer leaves, or the service stops.
 func (s *Service) handle(conn net.Conn) {
-	hello, err := wire.Decode(conn, 0)
-	if err != nil || hello.Type != wire.JobControl || hello.Seq != opHello {
-		return // malformed or torn hello: drop silently
+	name, ok := readHello(conn)
+	if !ok {
+		// The peer is not speaking the protocol: counted, and dropped
+		// without a verdict frame.
+		s.countRejected("malformed_hello")
+		return
 	}
-	name := make([]byte, 0, len(hello.Ints))
-	for _, b := range hello.Ints {
-		name = append(name, byte(b))
-	}
-	j := s.Job(string(name))
+	j := s.Job(name)
 	if j == nil {
 		s.reject(conn, opRejectUnknown, "unknown_job")
 		return
@@ -188,24 +193,19 @@ func (s *Service) handle(conn net.Conn) {
 			return
 		case <-sub.notify:
 		}
-		version, params, final := j.take(sub)
-		if version > sent || (sent < 0 && params != nil) {
-			typ := wire.GlobalModel
-			if final {
-				typ = wire.GlobalAggregate
-			}
-			m := &wire.Message{Type: typ, Round: uint32(version), Floats: params}
-			if _, err := wire.Encode(conn, m); err != nil {
+		version, frame, final := j.take(sub)
+		if version > sent {
+			if _, err := conn.Write(frame); err != nil {
 				return
 			}
 			sent = version
 			s.versionsCtr.Inc()
 		} else if final {
-			// Already sent this version as GlobalModel; reannounce it as
-			// the final aggregate so the subscriber knows the job is over.
-			m := &wire.Message{Type: wire.GlobalAggregate, Round: uint32(version), Floats: params}
+			// Already sent this version as GlobalModel; the mailbox now
+			// holds its GlobalAggregate encoding, which tells the subscriber
+			// the job is over.
 			//lint:ignore dropped-error the session ends here either way; the peer detects loss via its read
-			wire.Encode(conn, m)
+			conn.Write(frame)
 			return
 		}
 		if final {
@@ -214,9 +214,43 @@ func (s *Service) handle(conn net.Conn) {
 	}
 }
 
+// readHello reads a subscriber's hello and returns the job it names — one
+// byte of the name per element of Ints. A torn or undecodable frame, a frame
+// that is not a hello, a name longer than any JobSpec may carry, or an
+// element that is not a byte makes the hello malformed.
+func readHello(conn net.Conn) (job string, ok bool) {
+	hello, err := wire.Decode(conn, 0)
+	if err != nil || hello.Type != wire.JobControl || hello.Seq != opHello || len(hello.Ints) > maxJobName {
+		return "", false
+	}
+	name := make([]byte, len(hello.Ints))
+	for i, b := range hello.Ints {
+		if b < 0 || b > 255 {
+			return "", false
+		}
+		name[i] = byte(b)
+	}
+	return string(name), true
+}
+
+// nameInts spells a job name the way a hello carries it, one element per
+// byte — readHello's inverse.
+func nameInts(job string) []int32 {
+	ints := make([]int32, len(job))
+	for i := range ints {
+		ints[i] = int32(job[i])
+	}
+	return ints
+}
+
+// countRejected counts one connection turned away before admission.
+func (s *Service) countRejected(reason string) {
+	s.reg.Counter("fel_serve_subscribers_rejected_total", metrics.L("reason", reason)).Inc()
+}
+
 // reject answers a hello with a verdict frame and counts it.
 func (s *Service) reject(conn net.Conn, op uint32, reason string) {
-	s.reg.Counter("fel_serve_subscribers_rejected_total", metrics.L("reason", reason)).Inc()
+	s.countRejected(reason)
 	//lint:ignore dropped-error the connection is being refused; the peer sees the close either way
 	wire.Encode(conn, &wire.Message{Type: wire.JobControl, Seq: op})
 }
@@ -233,17 +267,16 @@ type Subscription struct {
 	conn net.Conn
 	// ID is the service-assigned subscriber id.
 	ID int
+	// msg receives every frame of the version stream, so a steady stream
+	// decodes into the same parameter storage.
+	msg wire.Message
 }
 
 // Subscribe performs the hello/verdict handshake for job on conn. On
 // rejection the returned error matches ErrUnknownJob or ErrJobBusy and the
 // caller still owns (and should close) conn.
 func Subscribe(conn net.Conn, job string) (*Subscription, error) {
-	ints := make([]int32, len(job))
-	for i := 0; i < len(job); i++ {
-		ints[i] = int32(job[i])
-	}
-	if _, err := wire.Encode(conn, &wire.Message{Type: wire.JobControl, Seq: opHello, Ints: ints}); err != nil {
+	if _, err := wire.Encode(conn, &wire.Message{Type: wire.JobControl, Seq: opHello, Ints: nameInts(job)}); err != nil {
 		return nil, fmt.Errorf("felserve: hello: %w", err)
 	}
 	verdict, err := wire.Decode(conn, 0)
@@ -266,9 +299,13 @@ func Subscribe(conn net.Conn, job string) (*Subscription, error) {
 
 // Next blocks for the next model version. final is true when the frame is
 // the job's closing GlobalAggregate; the connection is done after it.
+//
+// params is the subscription's own receive storage: it is valid until the
+// next call to Next, which decodes the following version over it. A caller
+// that keeps a version past that call copies it.
 func (sub *Subscription) Next() (version int, params []float64, final bool, err error) {
-	m, err := wire.Decode(sub.conn, 0)
-	if err != nil {
+	m := &sub.msg
+	if err := wire.DecodeInto(sub.conn, 0, m); err != nil {
 		return 0, nil, false, err
 	}
 	switch m.Type {

@@ -1,0 +1,264 @@
+package felserve
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
+	"net"
+	"runtime"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/fednode"
+	"repro/internal/metrics"
+	"repro/internal/wire"
+)
+
+// frameOf encodes m.
+func frameOf(t *testing.T, m *wire.Message) []byte {
+	t.Helper()
+	frame, err := wire.AppendFrame(nil, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame
+}
+
+// helloFrame is a JobControl frame with the given opcode and name elements:
+// a subscriber's hello, built by hand.
+func helloFrame(t *testing.T, seq uint32, name []int32) []byte {
+	t.Helper()
+	return frameOf(t, &wire.Message{Type: wire.JobControl, Seq: seq, Ints: name})
+}
+
+// readRawFrame reads one frame's bytes off r without decoding them.
+func readRawFrame(r io.Reader) ([]byte, error) {
+	frame := make([]byte, wire.HeaderSize)
+	if _, err := io.ReadFull(r, frame); err != nil {
+		return nil, err
+	}
+	frame = append(frame, make([]byte, binary.BigEndian.Uint32(frame[8:]))...)
+	_, err := io.ReadFull(r, frame[wire.HeaderSize:])
+	return frame, err
+}
+
+// TestMalformedHelloCounted sends the front door everything that is not a
+// hello — garbage, a torn frame, a JobControl frame with another opcode, a
+// name element that is not a byte (which used to be truncated into a valid
+// name and admitted), a name longer than any job's — and requires each to
+// be dropped without a verdict frame and counted, exactly once, under
+// fel_serve_subscribers_rejected_total{reason="malformed_hello"}.
+func TestMalformedHelloCounted(t *testing.T) {
+	before := runtime.NumGoroutine()
+	nw := fednode.NewMemNetwork()
+	ln, err := nw.Listen("cloud")
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := New(Config{StartHeld: true})
+	svc.Serve(ln)
+	spec := demoSpecs(3)[0]
+	if _, err := svc.Submit(spec); err != nil {
+		t.Fatal(err)
+	}
+
+	wrapped := nameInts(spec.Name)
+	wrapped[0] += 256 // byte(wrapped[0]) is still the name's first letter
+	valid := helloFrame(t, opHello, nameInts(spec.Name))
+	probes := []struct {
+		name  string
+		bytes []byte
+		// torn: the handler is left mid-payload, and only the peer's close
+		// ends its read.
+		torn bool
+	}{
+		{name: "garbage prefix", bytes: bytes.Repeat([]byte{0xA5}, wire.HeaderSize)},
+		{name: "torn hello", bytes: valid[:len(valid)-5], torn: true},
+		{name: "wrong opcode", bytes: helloFrame(t, opAdmit, nameInts(spec.Name))},
+		{name: "name element out of byte range", bytes: helloFrame(t, opHello, wrapped)},
+		{name: "name longer than a job's may be", bytes: helloFrame(t, opHello, make([]int32, maxJobName+1))},
+	}
+	rejected := func() int64 {
+		return svc.Registry().CounterValue("fel_serve_subscribers_rejected_total", metrics.L("reason", "malformed_hello"))
+	}
+	for i, p := range probes {
+		conn, err := nw.Dial("cloud")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(p.bytes); err != nil {
+			t.Fatalf("%s: write: %v", p.name, err)
+		}
+		if p.torn {
+			closeQuiet(conn)
+		} else if frame, err := readRawFrame(conn); !errors.Is(err, io.EOF) {
+			t.Fatalf("%s: got a %d-byte answer (err %v), want the connection closed with no verdict", p.name, len(frame), err)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for rejected() != int64(i+1) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: malformed_hello counter reads %d, want %d", p.name, rejected(), i+1)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		closeQuiet(conn)
+	}
+
+	// The front door still admits a well-formed hello afterwards.
+	conn, err := nw.Dial("cloud")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Subscribe(conn, spec.Name); err != nil {
+		t.Fatalf("well-formed hello after the malformed ones: %v", err)
+	}
+	closeQuiet(conn)
+	if got, want := rejected(), int64(len(probes)); got != want {
+		t.Fatalf("malformed_hello counter reads %d after a valid hello, want %d", got, want)
+	}
+	if v := svc.subAdmitted.Value(); v != 1 {
+		t.Fatalf("fel_serve_subscribers_admitted_total = %d, want 1", v)
+	}
+	svc.Kill()
+	waitGoroutines(t, before)
+}
+
+// TestFanoutFramesIdentical holds the fan-out to "encoded once per version,
+// written to every subscriber": raw connections (hello by hand, no
+// Subscription, no decoding) record the byte stream of one job, and every
+// frame any of them received must be, byte for byte, the encoding of that
+// version's parameters as a reference trainer on the same spec computes
+// them. The stream ends in the GlobalAggregate frame of Result.Params, and a
+// subscriber that joins after the job finished gets exactly that frame and
+// then EOF. ci.sh runs this under -race with every handler writing the same
+// frame bytes at once, so a writer that touched them would be reported.
+func TestFanoutFramesIdentical(t *testing.T) {
+	before := runtime.NumGoroutine()
+	spec := demoSpecs(17)[1] // SCAFFOLD with dropout: the busier tenant
+	spec.Rounds = 6
+
+	// want[v] is version v's frame; the reference run shares nothing with
+	// the service but the spec.
+	ref := core.NewTrainer(spec.System(), spec.TrainConfig(nil))
+	encode := func(typ wire.Type, version int, params []float64) []byte {
+		return frameOf(t, &wire.Message{Type: typ, Round: uint32(version), Floats: params})
+	}
+	want := [][]byte{encode(wire.GlobalModel, 0, ref.Params())}
+	for !ref.Done() {
+		ref.Step()
+		want = append(want, encode(wire.GlobalModel, ref.Round(), ref.Params()))
+	}
+	wantFinal := encode(wire.GlobalAggregate, spec.Rounds, ref.Finish().Params)
+
+	nw := fednode.NewMemNetwork()
+	ln, err := nw.Listen("cloud")
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := New(Config{StartHeld: true})
+	svc.Serve(ln)
+	j, err := svc.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// join says hello by hand and checks the verdict.
+	join := func() net.Conn {
+		conn, err := nw.Dial("cloud")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(helloFrame(t, opHello, nameInts(spec.Name))); err != nil {
+			t.Fatal(err)
+		}
+		verdict, err := wire.Decode(conn, 0)
+		if err != nil || verdict.Type != wire.JobControl || verdict.Seq != opAdmit {
+			t.Fatalf("verdict %+v, err %v; want an admit", verdict, err)
+		}
+		return conn
+	}
+	// record reads frames until the connection closes.
+	record := func(conn net.Conn) ([][]byte, error) {
+		var frames [][]byte
+		for {
+			frame, err := readRawFrame(conn)
+			if errors.Is(err, io.EOF) && frame == nil {
+				return frames, nil
+			}
+			if err != nil {
+				return frames, err
+			}
+			frames = append(frames, frame)
+		}
+	}
+	// check holds one recorded stream to the reference frames.
+	check := func(who string, frames [][]byte) {
+		t.Helper()
+		if len(frames) == 0 || !bytes.Equal(frames[len(frames)-1], wantFinal) {
+			t.Errorf("%s: stream of %d frames does not end in the GlobalAggregate frame of Result.Params", who, len(frames))
+			return
+		}
+		last := -1
+		for i, frame := range frames[:len(frames)-1] {
+			v := int(binary.BigEndian.Uint32(frame[4:]))
+			if v <= last || v >= len(want) {
+				t.Errorf("%s: frame %d carries version %d after %d", who, i, v, last)
+				return
+			}
+			last = v
+			if !bytes.Equal(frame, want[v]) {
+				t.Errorf("%s: version %d's frame differs from the encoding of that version's parameters", who, v)
+			}
+		}
+	}
+
+	const subscribers = 8
+	type stream struct {
+		frames [][]byte
+		err    error
+	}
+	streams := make(chan stream, subscribers)
+	for i := 0; i < subscribers; i++ {
+		conn := join()
+		go func() {
+			defer closeQuiet(conn)
+			frames, err := record(conn)
+			streams <- stream{frames, err}
+		}()
+	}
+	svc.Start()
+	res, err := j.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	versions := 0
+	for i := 0; i < subscribers; i++ {
+		s := <-streams
+		if s.err != nil {
+			t.Fatalf("subscriber %d: %v", i, s.err)
+		}
+		check(fmt.Sprintf("subscriber %d", i), s.frames)
+		versions += len(s.frames)
+	}
+	t.Logf("%d subscribers received %d frames of %d versions", subscribers, versions, len(want))
+
+	final, err := wire.Decode(bytes.NewReader(wantFinal), 0)
+	if err != nil || !sameBits(final.Floats, res.Params) {
+		t.Fatalf("the reference aggregate differs from the served job's Result.Params (err %v)", err)
+	}
+
+	late := join()
+	frames, err := record(late)
+	closeQuiet(late)
+	if err != nil || len(frames) != 1 || !bytes.Equal(frames[0], wantFinal) {
+		t.Fatalf("late joiner got %d frames (err %v), want exactly the aggregate frame", len(frames), err)
+	}
+
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitGoroutines(t, before)
+}

@@ -11,14 +11,17 @@
 // admission-control front door multiplexes subscriber connections over any
 // net.Listener, capping subscribers per job and coalescing model-version
 // broadcasts into a one-slot latest-wins queue so slow consumers exert
-// backpressure on themselves, never on training. Late joiners — including
+// backpressure on themselves, never on training. A version is encoded once,
+// when it is published, and those frame bytes are written to every
+// subscriber. Late joiners — including
 // subscribers to already-completed jobs — adopt the current model version
 // immediately, generalizing fednode's crash-rejoin adoption.
 //
 // Observability: the service-level registry carries the fel_serve_* schema
 // (jobs submitted/recovered/completed, rounds, checkpoints written, their
 // bytes and how many Recover quarantined as unreadable,
-// subscribers admitted/rejected/active, versions sent); each job's private
+// subscribers admitted/active and rejected by reason — unknown_job, busy,
+// malformed_hello — versions sent); each job's private
 // registry carries its own fel_core_* training stream plus
 // fel_serve_job_* counters, which is what makes the tenant-isolation proof
 // (byte-identical masked snapshots, concurrent vs. serial) checkable.

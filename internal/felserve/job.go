@@ -12,6 +12,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/nn"
 	"repro/internal/sampling"
+	"repro/internal/wire"
 )
 
 // JobSpec is the complete, serializable description of one federation job.
@@ -77,8 +78,8 @@ func (s JobSpec) Validate() error {
 	switch {
 	case s.Name == "":
 		return fmt.Errorf("felserve: job needs a name")
-	case len(s.Name) > 128:
-		return fmt.Errorf("felserve: job name %q exceeds 128 bytes", s.Name[:16]+"…")
+	case len(s.Name) > maxJobName:
+		return fmt.Errorf("felserve: job name %q exceeds %d bytes", s.Name[:16]+"…", maxJobName)
 	case !nameOK(s.Name):
 		return fmt.Errorf("felserve: job name %q: want [a-zA-Z0-9._-]+, not starting with '.'", s.Name)
 	case s.Clients <= 0 || s.Edges <= 0:
@@ -102,6 +103,10 @@ func (s JobSpec) Validate() error {
 	}
 	return nil
 }
+
+// maxJobName bounds a job name in bytes, for Validate and for the hellos that
+// name a job.
+const maxJobName = 128
 
 // nameOK restricts job names to filename- and wire-safe bytes: the name is
 // the checkpoint filename stem and rides in JobControl hellos.
@@ -195,11 +200,11 @@ type Job struct {
 	mu      sync.Mutex
 	subs    map[int]*subscriber
 	nextSub int
-	// version/params are the latest published model: version counts
-	// published rounds, params is an immutable snapshot shared read-only by
-	// every subscriber sender.
+	// version/frame are the latest published model: version counts
+	// published rounds, frame is that version's one encoding — immutable
+	// once built, written as-is by every subscriber's handler.
 	version int
-	params  []float64
+	frame   []byte
 
 	done   chan struct{} // closed when the job finishes
 	result *core.Result
@@ -271,8 +276,8 @@ func (j *Job) Wait() (*core.Result, error) {
 	return j.result, j.err
 }
 
-// publish snapshots the trainer's current parameters as the next model
-// version and offers it to every subscriber. Non-blocking: a slow
+// publish encodes the trainer's current parameters as the next model
+// version and offers the frame to every subscriber. Non-blocking: a slow
 // subscriber just coalesces to the newest version (its queue is the
 // one-slot latest pointer), which is the backpressure contract — the
 // trainer never waits on a consumer.
@@ -280,10 +285,22 @@ func (j *Job) publish() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.version = j.tr.Round()
-	j.params = append([]float64(nil), j.tr.Params()...)
+	j.announce(wire.GlobalModel, j.tr.Params(), false)
 	j.versionCtr.Inc()
+}
+
+// announce is the one place a version is encoded: it builds the frame for
+// the current version — a fresh buffer, because handlers may still be
+// writing the previous one — and puts it in every subscriber's mailbox.
+// Callers hold j.mu.
+func (j *Job) announce(typ wire.Type, params []float64, final bool) {
+	frame, err := wire.AppendFrame(nil, &wire.Message{Type: typ, Round: uint32(j.version), Floats: params})
+	if err != nil {
+		panic(fmt.Sprintf("felserve: encoding a %s frame: %v", typ, err))
+	}
+	j.frame = frame
 	for _, sub := range j.subs {
-		sub.offer(j.version, j.params, false)
+		sub.offer(j.version, frame, final)
 	}
 }
 
@@ -294,21 +311,18 @@ func (j *Job) finish() {
 	j.mu.Lock()
 	j.result = res
 	j.version = j.tr.Round()
-	j.params = append([]float64(nil), res.Params...)
-	for _, sub := range j.subs {
-		sub.offer(j.version, j.params, true)
-	}
+	j.announce(wire.GlobalAggregate, res.Params, true)
 	j.mu.Unlock()
 	close(j.done)
 }
 
-// fail seals the job with an error (checkpoint write failure).
+// fail seals the job with an error (checkpoint write failure). The trainer
+// has not stepped since the last publish, so the closing aggregate carries
+// that version's parameters.
 func (j *Job) fail(err error) {
 	j.mu.Lock()
 	j.err = err
-	for _, sub := range j.subs {
-		sub.offer(j.version, j.params, true)
-	}
+	j.announce(wire.GlobalAggregate, j.tr.Params(), true)
 	j.mu.Unlock()
 	close(j.done)
 }

@@ -97,16 +97,31 @@ func (r *ReLU) Name() string { return "relu" }
 // already-2-D inputs.
 type Flatten struct {
 	inShape []int
+
+	// Buffer-reuse mode (Sequential.EnableBufferReuse): Forward returns the
+	// same view header on every call, re-pointed at the new input.
+	reuse bool
+	view  *tensor.Tensor
 }
 
 // NewFlatten returns a flattening layer.
 func NewFlatten() *Flatten { return &Flatten{} }
 
+func (f *Flatten) setBufferReuse(on bool) { f.reuse = on }
+
 // Forward flattens all trailing dimensions into one.
 func (f *Flatten) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	f.inShape = append(f.inShape[:0], x.Shape...)
 	batch := x.Shape[0]
-	return x.Reshape(batch, x.Size()/batch)
+	if !f.reuse {
+		return x.Reshape(batch, x.Size()/batch)
+	}
+	if f.view == nil {
+		f.view = &tensor.Tensor{Shape: make([]int, 2)}
+	}
+	f.view.Shape[0], f.view.Shape[1] = batch, x.Size()/batch
+	f.view.Data = x.Data
+	return f.view
 }
 
 // Backward restores the original shape.

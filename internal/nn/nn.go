@@ -196,8 +196,9 @@ func (s *Sequential) SetParamVector(v []float64) {
 // cached output buffers instead of fresh allocations.
 type bufferReuser interface{ setBufferReuse(on bool) }
 
-// EnableBufferReuse switches supporting layers (Dense, ReLU, Conv2D, and the
-// layers inside Residual blocks) into buffer-reuse mode: Forward and Backward
+// EnableBufferReuse switches supporting layers (Dense, ReLU, Conv2D, the
+// layers inside Residual blocks, and the forward halves of MaxPool2D and
+// Flatten) into buffer-reuse mode: Forward and Backward
 // return the same cached tensors on every call with a matching shape instead
 // of freshly allocated ones, which removes the steady-state allocations of
 // the SGD inner loop. For Conv2D that includes the im2col matrix and both

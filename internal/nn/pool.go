@@ -12,10 +12,17 @@ type MaxPool2D struct {
 	K       int
 	argmax  []int
 	inShape []int
+
+	// Buffer-reuse mode (Sequential.EnableBufferReuse): Forward's output is
+	// recycled across calls; every element of it is overwritten.
+	reuse bool
+	out   *tensor.Tensor
 }
 
 // NewMaxPool2D returns a max-pooling layer with window and stride k.
 func NewMaxPool2D(k int) *MaxPool2D { return &MaxPool2D{K: k} }
+
+func (p *MaxPool2D) setBufferReuse(on bool) { p.reuse = on }
 
 // Forward computes window maxima and records argmax indices for backward.
 func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
@@ -28,7 +35,8 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: maxpool window %d too large for %dx%d", p.K, h, w))
 	}
 	p.inShape = append(p.inShape[:0], x.Shape...)
-	out := tensor.New(b, c, oh, ow)
+	out := scratch4(p.reuse, p.out, b, c, oh, ow)
+	p.out = out
 	if cap(p.argmax) < out.Size() {
 		p.argmax = make([]int, out.Size())
 	}

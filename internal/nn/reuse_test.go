@@ -37,6 +37,8 @@ func TestBufferReuseBitIdentical(t *testing.T) {
 			func(b int) []int { return []int{b, 10} }},
 		{"resnetlite", func() *Sequential { return NewResNetLite(3, 8, 8, 10, 3) },
 			func(b int) []int { return []int{b, 3, 8, 8} }},
+		{"cnn5", func() *Sequential { return NewCNN5(3, 8, 8, 10, 3) },
+			func(b int) []int { return []int{b, 3, 8, 8} }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -47,7 +49,7 @@ func TestBufferReuseBitIdentical(t *testing.T) {
 			optR := NewSGD(0.05)
 			rng := stats.NewRNG(11)
 			classes := 4
-			if tc.name == "resnetlite" {
+			if tc.name != "mlp" {
 				classes = 10
 			}
 			for s, batch := range []int{8, 8, 5, 8, 3, 8} {

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/faultnet"
@@ -154,6 +155,49 @@ func FuzzDecodeFrame(f *testing.F) {
 			if m2.Ints[i] != m.Ints[i] {
 				t.Fatalf("int %d changed: %d vs %d", i, m.Ints[i], m2.Ints[i])
 			}
+		}
+	})
+}
+
+// FuzzDecodeIntoReuse is the differential check on storage reuse: for any
+// input, DecodeInto on a deliberately dirty Message — every field set, every
+// vector longer than the corpus frames carry — agrees with a fresh Decode
+// on the error class and, on success, on every field. Seeded like
+// FuzzDecodeFrame.
+func FuzzDecodeIntoReuse(f *testing.F) {
+	rng := stats.NewRNG(0xFE1D)
+	for _, m := range corpusMessages() {
+		frame := encodeFrame(f, m)
+		f.Add(frame)
+		f.Add(faultnet.CorruptBits(frame, 3, rng))
+		f.Add(faultnet.TruncateFrame(frame, rng))
+	}
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{0xFE}, wire.HeaderSize))
+	f.Add(bytes.Repeat([]byte{0x00}, wire.HeaderSize+20))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fresh, errFresh := wire.Decode(bytes.NewReader(data), fuzzMaxFrame)
+		dirty := wire.Message{
+			Type: wire.ArrivalLog, Round: 0xdead, Seq: 0xbeef, From: -77,
+			Floats: []float64{1, 2, 3, 4, 5, 6, 7, 8},
+			Words:  []uint64{9, 10, 11, 12, 13, 14, 15, 16},
+			Ints:   []int32{17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32},
+		}
+		errInto := wire.DecodeInto(bytes.NewReader(data), fuzzMaxFrame, &dirty)
+		if a, b := wire.ErrorClass(errFresh), wire.ErrorClass(errInto); a != b {
+			t.Fatalf("Decode fails with class %q (%v), DecodeInto with %q (%v)", a, errFresh, b, errInto)
+		}
+		if errFresh != nil {
+			return
+		}
+		m := &dirty
+		if m.Type != fresh.Type || m.Round != fresh.Round || m.Seq != fresh.Seq || m.From != fresh.From {
+			t.Fatalf("envelope differs: reused %+v, fresh %+v", m, fresh)
+		}
+		sameBits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+		if !slices.EqualFunc(m.Floats, fresh.Floats, sameBits) || !slices.Equal(m.Words, fresh.Words) || !slices.Equal(m.Ints, fresh.Ints) {
+			t.Fatalf("vectors differ: reused %+v, fresh %+v", m, fresh)
 		}
 	})
 }

@@ -27,6 +27,18 @@
 // feeds it into the per-message-type fel_wire_frames_total and
 // fel_wire_bytes_total counters (internal/metrics), whose sum a clean run's
 // tests pin to the transport byte count exactly.
+//
+// Who owns a decoded Message: Decode hands back a fresh one that is the
+// caller's for good — fednode's edge holds Words across an aggregation, its
+// cloud holds Floats across a fold. DecodeInto is the same decoder writing
+// into a Message the caller already owns, reusing its vectors' capacity, for
+// a reader that consumes one frame before it asks for the next (a felserve
+// subscriber following a version stream): a steady stream of equal-size
+// frames then allocates nothing model-sized. Either way the raw payload
+// bytes live only in a pooled scratch buffer, taken after the header has
+// arrived and returned before the call does — never across the blocking
+// header read, so a reader idle between frames pins no buffer, however
+// many hundred of them there are.
 package wire
 
 import (
@@ -38,6 +50,7 @@ import (
 	"math"
 	"net"
 	"slices"
+	"sync"
 )
 
 // Type identifies one message of the Alg. 1 vocabulary.
@@ -213,92 +226,127 @@ func Encode(w io.Writer, m *Message) (int, error) {
 	return w.Write(frame)
 }
 
-// Decode reads one frame from r. maxFrame bounds the payload length (<= 0
-// uses DefaultMaxFrame). A clean EOF before any header byte returns io.EOF;
-// every other short read returns ErrTruncated.
+// Decode reads one frame from r into a fresh Message the caller owns
+// outright. maxFrame bounds the payload length (<= 0 uses DefaultMaxFrame). A
+// clean EOF before any header byte returns io.EOF; every other short read
+// returns ErrTruncated.
 func Decode(r io.Reader, maxFrame int) (*Message, error) {
+	m := new(Message)
+	if err := DecodeInto(r, maxFrame, m); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// payloads recycles the raw payload buffers between DecodeInto calls: a
+// frame's bytes are dead once its vectors are parsed out of them.
+var payloads = sync.Pool{New: func() any { return new([]byte) }}
+
+// DecodeInto is the decoder: it reads one frame from r into m, overwriting
+// every field and reusing the capacity of m's vectors — a vector grows only
+// when the frame's is longer, and an empty one keeps length 0 (nil in a
+// fresh Message). The previous contents of m.Floats, m.Words and m.Ints are
+// gone after the call, so a caller that decodes a stream into one Message
+// copies out whatever must outlive the next frame. Limits and errors are
+// Decode's; after an error m's contents are unspecified and its storage is
+// still reusable.
+func DecodeInto(r io.Reader, maxFrame int, m *Message) error {
 	if maxFrame <= 0 {
 		maxFrame = DefaultMaxFrame
 	}
 	var hdr [HeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if errors.Is(err, io.EOF) {
-			return nil, io.EOF
+			return io.EOF
 		}
 		// Wrap (not flatten) the transport error: a net.Error timeout must
 		// stay visible through errors.As so callers can tell a straggler
 		// deadline from a torn frame.
-		return nil, fmt.Errorf("%w: header: %w", ErrTruncated, err)
+		return fmt.Errorf("%w: header: %w", ErrTruncated, err)
 	}
 	if got := binary.BigEndian.Uint16(hdr[0:]); got != Magic {
-		return nil, fmt.Errorf("%w: 0x%04x", ErrBadMagic, got)
+		return fmt.Errorf("%w: 0x%04x", ErrBadMagic, got)
 	}
 	if hdr[2] != Version {
-		return nil, fmt.Errorf("%w: got %d, want %d", ErrVersion, hdr[2], Version)
+		return fmt.Errorf("%w: got %d, want %d", ErrVersion, hdr[2], Version)
 	}
 	typ := Type(hdr[3])
 	if typ < 1 || typ > typeMax {
-		return nil, fmt.Errorf("%w: %d", ErrBadType, hdr[3])
+		return fmt.Errorf("%w: %d", ErrBadType, hdr[3])
 	}
 	payLen := int(binary.BigEndian.Uint32(hdr[8:]))
 	if payLen > maxFrame {
-		return nil, fmt.Errorf("%w: payload %d > limit %d", ErrTooLarge, payLen, maxFrame)
+		return fmt.Errorf("%w: payload %d > limit %d", ErrTooLarge, payLen, maxFrame)
 	}
 	if payLen < 20 { // seq + from + three zero-length vector counts
-		return nil, fmt.Errorf("%w: payload %d below minimum 20", ErrMalformed, payLen)
+		return fmt.Errorf("%w: payload %d below minimum 20", ErrMalformed, payLen)
 	}
-	p := make([]byte, payLen)
+	// The scratch is taken only now that a header has arrived: a reader
+	// blocked between frames holds nothing but its own Message.
+	bp := payloads.Get().(*[]byte)
+	defer payloads.Put(bp)
+	if cap(*bp) < payLen {
+		*bp = make([]byte, payLen)
+	}
+	p := (*bp)[:payLen]
 	if _, err := io.ReadFull(r, p); err != nil {
-		return nil, fmt.Errorf("%w: payload: %w", ErrTruncated, err)
+		return fmt.Errorf("%w: payload: %w", ErrTruncated, err)
 	}
 	if got, want := crc32.ChecksumIEEE(p), binary.BigEndian.Uint32(hdr[12:]); got != want {
-		return nil, fmt.Errorf("%w: got 0x%08x, want 0x%08x", ErrChecksum, got, want)
+		return fmt.Errorf("%w: got 0x%08x, want 0x%08x", ErrChecksum, got, want)
 	}
+	m.Type = typ
+	m.Round = binary.BigEndian.Uint32(hdr[4:])
+	return parsePayload(m, p)
+}
 
-	m := &Message{
-		Type:  typ,
-		Round: binary.BigEndian.Uint32(hdr[4:]),
-		Seq:   binary.BigEndian.Uint32(p[0:]),
-		From:  int32(binary.BigEndian.Uint32(p[4:])),
-	}
-	off := 8
-	n, off, err := vectorLen(p, off, 8)
+// parsePayload fills m's Seq, From and vectors from a checksummed payload,
+// allocating only where a vector of m is too short for the frame's.
+//
+//lint:hotpath
+func parsePayload(m *Message, p []byte) error {
+	m.Seq = binary.BigEndian.Uint32(p[0:])
+	m.From = int32(binary.BigEndian.Uint32(p[4:]))
+	n, off, err := vectorLen(p, 8, 8)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if n > 0 {
+	if cap(m.Floats) < n {
 		m.Floats = make([]float64, n)
-		for i := range m.Floats {
-			m.Floats[i] = math.Float64frombits(binary.BigEndian.Uint64(p[off:]))
-			off += 8
-		}
+	}
+	m.Floats = m.Floats[:n]
+	for i := range m.Floats {
+		m.Floats[i] = math.Float64frombits(binary.BigEndian.Uint64(p[off:]))
+		off += 8
 	}
 	n, off, err = vectorLen(p, off, 8)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if n > 0 {
+	if cap(m.Words) < n {
 		m.Words = make([]uint64, n)
-		for i := range m.Words {
-			m.Words[i] = binary.BigEndian.Uint64(p[off:])
-			off += 8
-		}
+	}
+	m.Words = m.Words[:n]
+	for i := range m.Words {
+		m.Words[i] = binary.BigEndian.Uint64(p[off:])
+		off += 8
 	}
 	n, off, err = vectorLen(p, off, 4)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if n > 0 {
+	if cap(m.Ints) < n {
 		m.Ints = make([]int32, n)
-		for i := range m.Ints {
-			m.Ints[i] = int32(binary.BigEndian.Uint32(p[off:]))
-			off += 4
-		}
 	}
-	if off != payLen {
-		return nil, fmt.Errorf("%w: %d trailing payload bytes", ErrMalformed, payLen-off)
+	m.Ints = m.Ints[:n]
+	for i := range m.Ints {
+		m.Ints[i] = int32(binary.BigEndian.Uint32(p[off:]))
+		off += 4
 	}
-	return m, nil
+	if off != len(p) {
+		return fmt.Errorf("%w: %d trailing payload bytes", ErrMalformed, len(p)-off)
+	}
+	return nil
 }
 
 // ErrorClass maps a Decode error to a short stable label, the reason
@@ -337,6 +385,8 @@ func ErrorClass(err error) string {
 
 // vectorLen reads a vector's element count at p[off:] and checks that
 // elemSize·count fits in the remaining payload.
+//
+//lint:hotpath
 func vectorLen(p []byte, off, elemSize int) (n, next int, err error) {
 	if off+4 > len(p) {
 		return 0, 0, fmt.Errorf("%w: vector count past payload end", ErrMalformed)

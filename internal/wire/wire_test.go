@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -218,5 +219,98 @@ func TestServingTypesPinned(t *testing.T) {
 		Floats: []float64{1.5, -2.25}, Words: []uint64{3, 4, 5}, Ints: []int32{6}}
 	if !sameMessage(m, roundTrip(t, m)) {
 		t.Fatal("Checkpoint frame corrupted by round trip")
+	}
+}
+
+// TestDecodeIntoReuse decodes a stream of differently sized frames into one
+// Message. Every frame must come out exactly as a fresh Decode of the same
+// bytes returns it — lengths exact, no stale tail from the longer frame
+// before — with one stated difference: where Decode leaves an empty vector
+// nil, the reused Message keeps its storage at length zero, so DeepEqual is
+// applied after mapping empty to nil.
+func TestDecodeIntoReuse(t *testing.T) {
+	long := &Message{Type: GlobalModel, Round: 7, Seq: 1, From: 3,
+		Floats: make([]float64, 300), Words: make([]uint64, 40), Ints: make([]int32, 17)}
+	for i := range long.Floats {
+		long.Floats[i] = float64(i) + 0.5
+	}
+	for i := range long.Words {
+		long.Words[i] = uint64(i) << 40
+	}
+	for i := range long.Ints {
+		long.Ints[i] = int32(-i)
+	}
+	short := &Message{Type: MaskedUpdate, Round: 8, From: -1,
+		Floats: []float64{1.5, -0.25}, Words: []uint64{9}, Ints: []int32{1, 2, 3}}
+	empty := &Message{Type: GlobalAggregate, Round: 9}
+	frames := make([][]byte, 0, 4)
+	for _, m := range []*Message{long, short, empty, long} {
+		frame, err := AppendFrame(nil, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames = append(frames, frame)
+	}
+	nilEmpty := func(m Message) Message {
+		if len(m.Floats) == 0 {
+			m.Floats = nil
+		}
+		if len(m.Words) == 0 {
+			m.Words = nil
+		}
+		if len(m.Ints) == 0 {
+			m.Ints = nil
+		}
+		return m
+	}
+
+	var m Message
+	var longStorage *float64
+	for i, frame := range frames {
+		fresh, err := Decode(bytes.NewReader(frame), 0)
+		if err != nil {
+			t.Fatalf("frame %d: Decode: %v", i, err)
+		}
+		if err := DecodeInto(bytes.NewReader(frame), 0, &m); err != nil {
+			t.Fatalf("frame %d: DecodeInto: %v", i, err)
+		}
+		if !sameMessage(fresh, &m) {
+			t.Fatalf("frame %d: reused Message %+v, fresh Decode %+v", i, m, *fresh)
+		}
+		if !reflect.DeepEqual(nilEmpty(m), *fresh) {
+			t.Fatalf("frame %d: DeepEqual(reused, fresh) is false beyond nil-vs-empty", i)
+		}
+		switch i {
+		case 0:
+			longStorage = &m.Floats[0]
+		case 3:
+			if &m.Floats[0] != longStorage {
+				t.Error("the second long frame did not reuse the first one's storage")
+			}
+		}
+	}
+	if fresh, err := Decode(bytes.NewReader(frames[2]), 0); err != nil || fresh.Floats != nil || fresh.Words != nil || fresh.Ints != nil {
+		t.Errorf("a fresh Decode of an all-empty frame must leave nil vectors: %+v, err %v", fresh, err)
+	}
+
+	// Steady state: equal-size frames into one Message allocate at most the
+	// 16-byte header (it escapes through the io.Reader call).
+	stream := bytes.NewReader(nil)
+	if allocs := testing.AllocsPerRun(50, func() {
+		stream.Reset(frames[0])
+		if err := DecodeInto(stream, 0, &m); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 1 {
+		t.Errorf("DecodeInto allocates %.1f objects per equal-size frame, want at most 1", allocs)
+	}
+
+	// A valid header over a short payload is ErrTruncated, and the scratch
+	// it borrowed goes back: the next frame decodes as before.
+	if err := DecodeInto(bytes.NewReader(frames[0][:HeaderSize+100]), 0, &m); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("short payload: err = %v, want ErrTruncated", err)
+	}
+	if err := DecodeInto(bytes.NewReader(frames[1]), 0, &m); err != nil || !sameMessage(short, &m) {
+		t.Fatalf("decode after a truncated frame: %+v, err %v", m, err)
 	}
 }
