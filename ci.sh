@@ -7,18 +7,33 @@
 #                        for arm64 and the disassembly must hold no fused
 #                        multiply-add: their bit-identity contract is
 #                        architecture-independent only while every a·b+c is
-#                        written float64(a*b) + c.
+#                        written float64(a*b) + c (the cross-build is also
+#                        what proves internal/tensor's `!amd64` file compiles).
+#                        The mirror image for amd64, where internal/tensor's
+#                        row update is hand-written AVX: the assembler's
+#                        listing (`go tool asm -S`) of internal/tensor's
+#                        *_amd64.s must hold no VFMADD/VFMSUB/VFNMADD/VFNMSUB —
+#                        one would pass every test on an FMA host once someone
+#                        "fixed" the digests, so the gate is on the
+#                        instruction. (`go tool objdump` cannot be the reader:
+#                        its x86 decoder has no VEX tables and prints
+#                        VBROADCASTSD as `SBBL AX, 0x38(SP)`.)
 #                        Then `placement` (print-only, never fails; also
 #                        `./ci.sh placement` on its own) builds ./bench and
 #                        prints where grouping.argminScan (where pop-regroup's
-#                        time is), grouping.CoVGrouping.Form and
-#                        core.(*Trainer).Step landed mod 64: a short loop can
+#                        time is), grouping.CoVGrouping.Form,
+#                        core.(*Trainer).Step and tensor.quadUpdate (where
+#                        the training workloads' time is) landed mod 64: a
+#                        short loop can
 #                        read ±10–20 % across a half-line shift (argminScan
 #                        was measured not to; the rest of the workload was
 #                        not measured), so compare the lines against the
 #                        parent commit's before believing a pop-regroup delta
-#   2. go vet + gofmt  — stock vet findings; any file `gofmt -l` lists
-#                        outside internal/lint/testdata fails the stage
+#   2. go vet + gofmt  — stock vet findings, asmdecl among them: it is what
+#                        holds internal/tensor/quad_amd64.s's frame sizes and
+#                        argument offsets to the Go declarations; any file
+#                        `gofmt -l` lists outside internal/lint/testdata fails
+#                        the stage
 #   3. repolint        — the project's own invariants (internal/lint):
 #                        rng-discipline, goroutine-join, float-eq,
 #                        dropped-error, panic-message, map-order, wallclock,
@@ -44,8 +59,12 @@
 #                        not in the list: they start no goroutine and share
 #                        no state — a GEMM runs on its caller's goroutine,
 #                        and simnet is closed-form arithmetic
-#   6. fuzz smoke      — the fuzz targets of the networked path run
-#                        randomized inputs on a 10s total budget:
+#   6. fuzz smoke      — the fuzz targets of the networked path and of the
+#                        one assembly routine run randomized inputs on a 10s
+#                        total budget: internal/tensor's FuzzQuadUpdate (row
+#                        length, start phase and raw operand bits: the AVX
+#                        row update against the Go expression, bit for bit,
+#                        guard bands intact),
 #                        FuzzDecodeFrame over the wire codec,
 #                        FuzzDecodeIntoReuse holding DecodeInto on a dirty
 #                        Message to a fresh Decode of the same bytes, and
@@ -114,7 +133,7 @@ placement() {
   go build -o "$dir/bench" ./bench || return 0
   go tool nm "$dir/bench" | while read -r addr _ sym; do
     case "$sym" in
-      repro/internal/grouping.argminScan | repro/internal/grouping.CoVGrouping.Form | 'repro/internal/core.(*Trainer).Step')
+      repro/internal/grouping.argminScan | repro/internal/grouping.CoVGrouping.Form | 'repro/internal/core.(*Trainer).Step' | repro/internal/tensor.quadUpdate.abi0)
         echo "placement: $sym at 0x$addr, mod 64 = $(( 0x$addr % 64 ))" ;;
     esac
   done || true
@@ -131,7 +150,7 @@ reach() (
   mod="$(go list -m)"
   for p in $(go list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./...); do
     go build -gcflags=all=-l -o "$dir/bin" "$p" && go tool nm "$dir/bin"
-  done | awk '$2 ~ /^[Tt]$/ {print $3}' | sed -E 's/\[.*$//' | sort -u > "$dir/linked"
+  done | awk '$2 ~ /^[Tt]$/ {print $3}' | sed -E 's/\[.*$//; s/\.abi0$//' | sort -u > "$dir/linked"
   total=0
   for d in $(go list -f '{{if ne .Name "main"}}{{.Dir}}{{end}}' ./...); do
     pkg="$mod${d#"$PWD"}"
@@ -155,7 +174,7 @@ case "${1:-}" in
     ;;
 esac
 
-echo "== go build ./... + arm64 fused-multiply-add check (tensor, nn, grouping)"
+echo "== go build ./... + fused-multiply-add checks (arm64: tensor, nn, grouping; amd64: tensor's assembly)"
 go build ./...
 fmadir="$(stage_dir fma)"
 for pkg in tensor nn grouping; do
@@ -167,6 +186,15 @@ for pkg in tensor nn grouping; do
   fi
 done
 echo "arm64 check: internal/tensor, internal/nn and internal/grouping hold no FMADD/FMSUB/FNMADD/FNMSUB"
+for src in internal/tensor/*_amd64.s; do
+  GOARCH=amd64 go tool asm -S -I "$(go env GOROOT)/pkg/include" -p repro/internal/tensor -o "$fmadir/asm.o" "$src" > "$fmadir/asm.lst"
+  if grep -E 'VFN?M(ADD|SUB)' "$fmadir/asm.lst" >&2; then
+    echo "ci.sh: $src holds a fused multiply-add; the amd64 row update is VMULPD then VADDPD, two roundings like the Go loop" >&2
+    exit 1
+  fi
+  grep -q 'RET' "$fmadir/asm.lst" || { echo "ci.sh: $src: the assembler listing shows no instruction; the check above read nothing" >&2; exit 1; }
+done
+echo "amd64 check: internal/tensor's assembly holds no VFMADD/VFMSUB/VFNMADD/VFNMSUB"
 placement
 
 echo "== go vet ./... + gofmt"
@@ -199,10 +227,11 @@ go test -race ./internal/core ./internal/async ./internal/wire ./internal/fednod
 echo "== go test -fuzz smoke (10s total across targets)"
 go test ./internal/wire -run '^$' -fuzz FuzzDecodeFrame -fuzztime 2s
 go test ./internal/wire -run '^$' -fuzz FuzzDecodeIntoReuse -fuzztime 1s
-go test ./internal/async -run '^$' -fuzz FuzzArrivalLogFrame -fuzztime 3s
+go test ./internal/async -run '^$' -fuzz FuzzArrivalLogFrame -fuzztime 2s
 go test ./internal/secagg -run '^$' -fuzz FuzzFieldOps -fuzztime 1s
 go test ./internal/secagg -run '^$' -fuzz FuzzQuantizeRoundTrip -fuzztime 1s
 go test ./internal/secagg -run '^$' -fuzz FuzzMaskCancel -fuzztime 2s
+go test ./internal/tensor -run '^$' -fuzz FuzzQuadUpdate -fuzztime 1s
 
 echo "== felnode -chaos smoke (deterministic replay)"
 chaosdir="$(stage_dir chaos)"

@@ -33,3 +33,22 @@ func TestByName(t *testing.T) {
 		t.Error("ByName should reject unknown rules")
 	}
 }
+
+// TestLoadHonoursBuildConstraints: the buildtags fixture declares one name in
+// a _amd64.go file and again behind //go:build !amd64 (test files likewise),
+// so it type-checks only if the loader keeps exactly the files the host's
+// build compiles; and its //lint:hotpath function calls the declaration that
+// has no body on amd64, which no analyzer may hold against it.
+func TestLoadHonoursBuildConstraints(t *testing.T) {
+	pkg, err := LoadDir("testdata/src/buildtags", "buildtags")
+	if err != nil {
+		t.Fatalf("loading a package with per-architecture files: %v", err)
+	}
+	if len(pkg.Files) != 2 || len(pkg.TestFiles) != 2 {
+		t.Errorf("loaded %d files and %d test files, want hot.go + one kern file and hot_test.go + one kern test file",
+			len(pkg.Files), len(pkg.TestFiles))
+	}
+	for _, d := range Check([]*Package{pkg}, All()) {
+		t.Errorf("unexpected diagnostic: %s", d)
+	}
+}

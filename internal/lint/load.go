@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -373,7 +374,10 @@ func (l *loader) checkTests(pkg *Package) error {
 	return nil
 }
 
-// goFilesIn lists the .go files of dir in sorted order.
+// goFilesIn lists, in sorted order, the .go files of dir that a build for the
+// host's GOOS/GOARCH compiles, test files included: go/build decides, so
+// _GOOS/_GOARCH file suffixes and //go:build lines are both honoured and a
+// kernel_amd64.go / "!amd64" pair declaring one name loads as one declaration.
 func goFilesIn(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -381,10 +385,16 @@ func goFilesIn(dir string) ([]string, error) {
 	}
 	var names []string
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") || strings.HasPrefix(e.Name(), ".") {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
 			continue
 		}
-		names = append(names, e.Name())
+		match, err := build.Default.MatchFile(dir, e.Name())
+		if err != nil {
+			return nil, fmt.Errorf("lint: build constraints of %s: %w", filepath.Join(dir, e.Name()), err)
+		}
+		if match {
+			names = append(names, e.Name())
+		}
 	}
 	sort.Strings(names)
 	return names, nil

@@ -1,0 +1,10 @@
+//go:build !amd64
+
+package buildtags
+
+var fast = false
+
+//lint:hotpath
+func rowUpdate(d *float64, n int) {
+	panic("buildtags: rowUpdate has no implementation on this architecture")
+}

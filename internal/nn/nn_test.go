@@ -296,24 +296,6 @@ func TestSGDReducesLoss(t *testing.T) {
 	}
 }
 
-func TestSGDMomentumAndDecay(t *testing.T) {
-	m := NewLogistic(2, 2, 4)
-	x := tensor.FromSlice([]float64{1, 0, 0, 1}, 2, 2)
-	labels := []int{0, 1}
-	loss := SoftmaxCrossEntropy{}
-	opt := &SGD{LR: 0.1, Momentum: 0.9, WeightDecay: 1e-3}
-	first := lossOf(m, x, labels)
-	for it := 0; it < 50; it++ {
-		logits := m.Forward(x, true)
-		_, probs := loss.Forward(logits, labels)
-		m.Backward(loss.Backward(probs, labels))
-		opt.Step(m)
-	}
-	if last := lossOf(m, x, labels); last >= first {
-		t.Fatalf("momentum SGD failed: %v -> %v", first, last)
-	}
-}
-
 func TestNumParamsCounts(t *testing.T) {
 	m := NewLogistic(10, 4, 1)
 	if m.NumParams() != 10*4+4 {

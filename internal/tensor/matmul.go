@@ -10,6 +10,7 @@ import "fmt"
 // core split work above this call — internal/core trains clients and scores
 // evaluation batches in parallel — and a GEMM itself never spawns.
 func MatMul(dst, a, b *Tensor) {
+	mustRank2("MatMul", dst, a, b)
 	m, k := a.Shape[0], a.Shape[1]
 	k2, n := b.Shape[0], b.Shape[1]
 	if k != k2 {
@@ -19,6 +20,13 @@ func MatMul(dst, a, b *Tensor) {
 		panic(fmt.Sprintf("tensor: MatMul dst %v, want [%d %d]", dst.Shape, m, n))
 	}
 	accumRows(dst.Data, a.Data, b.Data, 0, m, k, n, k, 1)
+}
+
+// mustRank2 panics unless all three operands of the named product are 2-D.
+func mustRank2(op string, dst, a, b *Tensor) {
+	if len(dst.Shape) != 2 || len(a.Shape) != 2 || len(b.Shape) != 2 {
+		panic(fmt.Sprintf("tensor: %s wants 2-D operands, got dst %v, a %v, b %v", op, dst.Shape, a.Shape, b.Shape))
+	}
 }
 
 // The row kernels below skip every exact-zero (±0) entry of the left operand.
@@ -40,8 +48,19 @@ func MatMul(dst, a, b *Tensor) {
 // across the four updates instead of being loaded and stored once per p; the
 // per-element order of additions is the plain p loop's.
 //
+// That pass has two homes and one meaning. On amd64 with AVX (hasAVX, read
+// from CPUID at init; nothing a caller can set) it is quadUpdate, assembly
+// that does four columns per step with one VMULPD and one VADDPD per term;
+// everywhere else it is the Go loop below. Each lane performs exactly the
+// IEEE multiply and the IEEE add the Go loop performs, in the same term order
+// for every output element, so the two agree in every bit (DESIGN.md §8);
+// the Go loop is the oracle, and TestRowKernelsMatchReference runs both.
+//
 //lint:hotpath
 func accumRows(dst, a, b []float64, lo, hi, k, n, rs, cs int) {
+	if n == 0 {
+		return // no column to write, and quadUpdate is handed &drow[0]
+	}
 	for i := lo; i < hi; i++ {
 		drow := dst[i*n : (i+1)*n]
 		clear(drow)
@@ -62,13 +81,18 @@ func accumRows(dst, a, b []float64, lo, hi, k, n, rs, cs int) {
 				continue
 			}
 			cnt = 0
-			// Re-slice to len(drow) so the range index is provably in
-			// bounds for all four b rows.
+			// Re-slice to len(drow) so all four b rows provably hold a full
+			// output row: the range index below needs no bounds check, and
+			// quadUpdate reads exactly len(drow) elements behind each pointer.
 			b0 := b[off[0]:][:len(drow)]
 			b1 := b[off[1]:][:len(drow)]
 			b2 := b[off[2]:][:len(drow)]
 			b3 := b[off[3]:][:len(drow)]
 			a0, a1, a2, a3 := av[0], av[1], av[2], av[3]
+			if hasAVX {
+				quadUpdate(&drow[0], &b0[0], &b1[0], &b2[0], &b3[0], len(drow), a0, a1, a2, a3)
+				continue
+			}
 			for j, d := range drow {
 				d += float64(a0 * b0[j])
 				d += float64(a1 * b1[j])
@@ -89,6 +113,7 @@ func accumRows(dst, a, b []float64, lo, hi, k, n, rs, cs int) {
 // MatMulAT computes dst = aᵀ × b for a (k×m) and b (k×n), producing m×n.
 // Used for weight gradients: dW = Xᵀ·dY.
 func MatMulAT(dst, a, b *Tensor) {
+	mustRank2("MatMulAT", dst, a, b)
 	k, m := a.Shape[0], a.Shape[1]
 	k2, n := b.Shape[0], b.Shape[1]
 	if k != k2 {
@@ -103,6 +128,7 @@ func MatMulAT(dst, a, b *Tensor) {
 // MatMulBT computes dst = a × bᵀ for a (m×k) and b (n×k), producing m×n.
 // Used for input gradients: dX = dY·Wᵀ.
 func MatMulBT(dst, a, b *Tensor) {
+	mustRank2("MatMulBT", dst, a, b)
 	m, k := a.Shape[0], a.Shape[1]
 	n, k2 := b.Shape[0], b.Shape[1]
 	if k != k2 {

@@ -73,7 +73,9 @@ var rowKernelOperands = []struct {
 	{"mostly_zero", func(rng *stats.RNG, a, _ []float64, _ int) { sparsify(rng, a, 0.95) }},
 	{"zero_row", func(_ *stats.RNG, a, _ []float64, aCols int) {
 		// One stored row of a (an output row for MatMul/BT, one p for AT).
-		clear(a[len(a)/aCols/2*aCols:][:aCols])
+		if len(a) > 0 {
+			clear(a[len(a)/aCols/2*aCols:][:aCols])
+		}
 	}},
 	{"all_zero", func(_ *stats.RNG, a, _ []float64, _ int) { clear(a) }},
 	{"neg_zero", func(rng *stats.RNG, a, b []float64, _ int) {
@@ -133,8 +135,25 @@ var rowKernelOperands = []struct {
 // tail batch 1..15, net-loopback's 16×64×128 / 64×16×128, train-gemm's
 // 64×256×256 / 256×64×256 / 64×10×256 and Evaluate's 256×24×32; at
 // gemmShapes; at shared dimensions that are not a multiple of the kernels'
-// gather width; and on row-range calls, which must produce the same rows.
+// gather width; at the three zero-width products, which must return without
+// touching an element; and on row-range calls, which must produce the same
+// rows. The whole table runs twice: as shipped — accumRows' vector row update
+// where the host has one — and with that update switched off, so the Go loop
+// every other build runs stays under test on an AVX host. The subtests share
+// hasAVX and so do not run in parallel.
 func TestRowKernelsMatchReference(t *testing.T) {
+	t.Run("shipped", checkRowKernels)
+	t.Run("portable", func(t *testing.T) {
+		if !hasAVX {
+			t.Skip("no vector path on this host: the shipped run was the Go loop")
+		}
+		hasAVX = false
+		t.Cleanup(func() { hasAVX = true })
+		checkRowKernels(t)
+	})
+}
+
+func checkRowKernels(t *testing.T) {
 	type shape struct{ m, k, n int }
 	shapes := map[string][]shape{
 		"MatMul":   {{16, 24, 32}, {16, 32, 10}, {16, 64, 128}, {64, 256, 256}, {256, 24, 32}, {3, 1, 5}, {2, 7, 3}, {5, 13, 1}},
@@ -157,6 +176,7 @@ func TestRowKernelsMatchReference(t *testing.T) {
 	}
 	for name := range shapes {
 		shapes[name] = append(shapes[name], gemmShapes...)
+		shapes[name] = append(shapes[name], shape{0, 5, 3}, shape{4, 0, 3}, shape{4, 5, 0})
 	}
 	kernels := []struct {
 		name   string
@@ -186,7 +206,7 @@ func TestRowKernelsMatchReference(t *testing.T) {
 				op.fill(rng, a.Data, b.Data, a.Shape[1])
 				want := refGEMM(a.Data, b.Data, sh.m, sh.k, sh.n, kern.aT, kern.bT)
 
-				got := New(sh.m, sh.n)
+				got := FromSlice(make([]float64, sh.m*sh.n), sh.m, sh.n)
 				got.Fill(math.NaN()) // the kernels must overwrite, not accumulate into, dst
 				kern.run(got, a, b)
 				if i := sameResult(got.Data, want); i >= 0 {

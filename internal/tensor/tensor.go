@@ -10,7 +10,6 @@ package tensor
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/stats"
 )
@@ -147,15 +146,6 @@ func (t *Tensor) Scale(k float64) {
 func (t *Tensor) AddScaled(k float64, o *Tensor) {
 	t.mustMatch(o, "AddScaled")
 	Axpy(k, o.Data, t.Data)
-}
-
-// Norm returns the Euclidean norm of the flattened tensor.
-func (t *Tensor) Norm() float64 {
-	s := 0.0
-	for _, v := range t.Data {
-		s += float64(v * v)
-	}
-	return math.Sqrt(s)
 }
 
 //lint:hotpath

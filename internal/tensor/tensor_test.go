@@ -95,13 +95,6 @@ func TestElementwiseOps(t *testing.T) {
 	}
 }
 
-func TestNorm(t *testing.T) {
-	a := FromSlice([]float64{3, -4}, 2)
-	if got := a.Norm(); math.Abs(got-5) > 1e-12 {
-		t.Errorf("Norm = %v", got)
-	}
-}
-
 func TestShapeMismatchPanics(t *testing.T) {
 	a := New(2)
 	b := New(3)
@@ -137,7 +130,11 @@ func naiveMatMul(a, b *Tensor) *Tensor {
 }
 
 func randomTensor(rng *stats.RNG, shape ...int) *Tensor {
-	x := New(shape...)
+	n := 1
+	for _, d := range shape {
+		n *= d
+	}
+	x := FromSlice(make([]float64, n), shape...) // New refuses the zero dimensions the kernel table includes
 	x.RandNormal(rng, 1)
 	return x
 }
