@@ -8,11 +8,13 @@
 #                        multiply-add: their bit-identity contract is
 #                        architecture-independent only while every a·b+c is
 #                        written float64(a*b) + c (the cross-build is also
-#                        what proves internal/tensor's `!amd64` file compiles).
+#                        what proves the `!amd64` files of internal/tensor,
+#                        internal/grouping and internal/cpu compile).
 #                        The mirror image for amd64, where internal/tensor's
-#                        row update is hand-written AVX: the assembler's
-#                        listing (`go tool asm -S`) of internal/tensor's
-#                        *_amd64.s must hold no VFMADD/VFMSUB/VFNMADD/VFNMSUB —
+#                        row update and internal/grouping's scan filter are
+#                        hand-written AVX: the assembler's listing
+#                        (`go tool asm -S`) of every internal/*/*_amd64.s
+#                        must hold no VFMADD/VFMSUB/VFNMADD/VFNMSUB —
 #                        one would pass every test on an FMA host once someone
 #                        "fixed" the digests, so the gate is on the
 #                        instruction. (`go tool objdump` cannot be the reader:
@@ -20,8 +22,9 @@
 #                        VBROADCASTSD as `SBBL AX, 0x38(SP)`.)
 #                        Then `placement` (print-only, never fails; also
 #                        `./ci.sh placement` on its own) builds ./bench and
-#                        prints where grouping.argminScan (where pop-regroup's
-#                        time is), grouping.CoVGrouping.Form,
+#                        prints where grouping.argminScan and
+#                        grouping.scanFilter (where pop-regroup's time is),
+#                        grouping.CoVGrouping.Form,
 #                        core.(*Trainer).Step and tensor.quadUpdate (where
 #                        the training workloads' time is) landed mod 64: a
 #                        short loop can
@@ -30,8 +33,8 @@
 #                        not measured), so compare the lines against the
 #                        parent commit's before believing a pop-regroup delta
 #   2. go vet + gofmt  — stock vet findings, asmdecl among them: it is what
-#                        holds internal/tensor/quad_amd64.s's frame sizes and
-#                        argument offsets to the Go declarations; any file
+#                        holds the frame sizes and argument offsets of every
+#                        *_amd64.s to the Go declarations; any file
 #                        `gofmt -l` lists outside internal/lint/testdata fails
 #                        the stage
 #   3. repolint        — the project's own invariants (internal/lint):
@@ -60,11 +63,14 @@
 #                        no state — a GEMM runs on its caller's goroutine,
 #                        and simnet is closed-form arithmetic
 #   6. fuzz smoke      — the fuzz targets of the networked path and of the
-#                        one assembly routine run randomized inputs on a 10s
+#                        two assembly routines run randomized inputs on a 10s
 #                        total budget: internal/tensor's FuzzQuadUpdate (row
 #                        length, start phase and raw operand bits: the AVX
 #                        row update against the Go expression, bit for bit,
-#                        guard bands intact),
+#                        guard bands intact), internal/grouping's
+#                        FuzzScanFilter (class and block counts and raw
+#                        operand bits: the block the AVX filter names against
+#                        the first block the Go comparison holds in),
 #                        FuzzDecodeFrame over the wire codec,
 #                        FuzzDecodeIntoReuse holding DecodeInto on a dirty
 #                        Message to a fresh Decode of the same bytes, and
@@ -133,7 +139,7 @@ placement() {
   go build -o "$dir/bench" ./bench || return 0
   go tool nm "$dir/bench" | while read -r addr _ sym; do
     case "$sym" in
-      repro/internal/grouping.argminScan | repro/internal/grouping.CoVGrouping.Form | 'repro/internal/core.(*Trainer).Step' | repro/internal/tensor.quadUpdate.abi0)
+      repro/internal/grouping.argminScan | repro/internal/grouping.scanFilter.abi0 | repro/internal/grouping.CoVGrouping.Form | 'repro/internal/core.(*Trainer).Step' | repro/internal/tensor.quadUpdate.abi0)
         echo "placement: $sym at 0x$addr, mod 64 = $(( 0x$addr % 64 ))" ;;
     esac
   done || true
@@ -174,7 +180,7 @@ case "${1:-}" in
     ;;
 esac
 
-echo "== go build ./... + fused-multiply-add checks (arm64: tensor, nn, grouping; amd64: tensor's assembly)"
+echo "== go build ./... + fused-multiply-add checks (arm64: tensor, nn, grouping; amd64: every internal/*/*_amd64.s)"
 go build ./...
 fmadir="$(stage_dir fma)"
 for pkg in tensor nn grouping; do
@@ -186,15 +192,15 @@ for pkg in tensor nn grouping; do
   fi
 done
 echo "arm64 check: internal/tensor, internal/nn and internal/grouping hold no FMADD/FMSUB/FNMADD/FNMSUB"
-for src in internal/tensor/*_amd64.s; do
-  GOARCH=amd64 go tool asm -S -I "$(go env GOROOT)/pkg/include" -p repro/internal/tensor -o "$fmadir/asm.o" "$src" > "$fmadir/asm.lst"
+for src in internal/*/*_amd64.s; do
+  GOARCH=amd64 go tool asm -S -I "$(go env GOROOT)/pkg/include" -p "repro/$(dirname "$src")" -o "$fmadir/asm.o" "$src" > "$fmadir/asm.lst"
   if grep -E 'VFN?M(ADD|SUB)' "$fmadir/asm.lst" >&2; then
-    echo "ci.sh: $src holds a fused multiply-add; the amd64 row update is VMULPD then VADDPD, two roundings like the Go loop" >&2
+    echo "ci.sh: $src holds a fused multiply-add; the amd64 kernels are VMULPD then VADDPD, two roundings like the Go loops" >&2
     exit 1
   fi
   grep -q 'RET' "$fmadir/asm.lst" || { echo "ci.sh: $src: the assembler listing shows no instruction; the check above read nothing" >&2; exit 1; }
 done
-echo "amd64 check: internal/tensor's assembly holds no VFMADD/VFMSUB/VFNMADD/VFNMSUB"
+echo "amd64 check: $(echo internal/*/*_amd64.s) hold no VFMADD/VFMSUB/VFNMADD/VFNMSUB"
 placement
 
 echo "== go vet ./... + gofmt"
@@ -227,11 +233,12 @@ go test -race ./internal/core ./internal/async ./internal/wire ./internal/fednod
 echo "== go test -fuzz smoke (10s total across targets)"
 go test ./internal/wire -run '^$' -fuzz FuzzDecodeFrame -fuzztime 2s
 go test ./internal/wire -run '^$' -fuzz FuzzDecodeIntoReuse -fuzztime 1s
-go test ./internal/async -run '^$' -fuzz FuzzArrivalLogFrame -fuzztime 2s
+go test ./internal/async -run '^$' -fuzz FuzzArrivalLogFrame -fuzztime 1s
 go test ./internal/secagg -run '^$' -fuzz FuzzFieldOps -fuzztime 1s
 go test ./internal/secagg -run '^$' -fuzz FuzzQuantizeRoundTrip -fuzztime 1s
 go test ./internal/secagg -run '^$' -fuzz FuzzMaskCancel -fuzztime 2s
 go test ./internal/tensor -run '^$' -fuzz FuzzQuadUpdate -fuzztime 1s
+go test ./internal/grouping -run '^$' -fuzz FuzzScanFilter -fuzztime 1s
 
 echo "== felnode -chaos smoke (deterministic replay)"
 chaosdir="$(stage_dir chaos)"

@@ -34,6 +34,7 @@ func TestTrainMetricsSnapshotDeterministic(t *testing.T) {
 		"fel_core_group_prob",
 		"fel_core_local_train_seconds_count",
 		"fel_core_global_aggregate_seconds_count 4",
+		"fel_core_formation_seconds_count 1", // no RegroupEvery: NewTrainer's formation only
 	} {
 		if !strings.Contains(a, want) {
 			t.Fatalf("snapshot is missing %q:\n%s", want, a)

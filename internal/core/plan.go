@@ -91,7 +91,9 @@ func NewPlan(sys *System, cfg Config, pinned []*grouping.Group, fixed [][]int) (
 // form runs group formation (Alg. 1 lines 2–3) on the parent stream's
 // Split(tag) child and republishes the sampling state (line 4).
 func (p *Plan) form(tag uint64) {
+	span := p.cfg.Metrics.Start("fel_core_formation_seconds")
 	p.groups = grouping.FormAll(p.cfg.Grouping, p.sys.Edges, p.sys.Classes, p.rng.Split(tag))
+	span.End()
 	p.publish()
 }
 

@@ -113,6 +113,19 @@ func (vp *VirtualPartition) labels(rng *stats.RNG, dst []int) []int {
 	return dst
 }
 
+// fill synthesizes client id's flyweight into c: its ID, sample count N and,
+// tallied into counts (zeroed, one entry per class), its label histogram.
+// rng is reseeded with the client's label stream first, so any RNG will do.
+func (vp *VirtualPartition) fill(c *Client, counts []float64, id int, rng *stats.RNG) {
+	rng.Reseed(vp.labelSeed(id))
+	want := vp.sampleCount(rng)
+	p := rng.Dirichlet(vp.cfg.Alpha, vp.gen.cfg.Classes)
+	for i := 0; i < want; i++ {
+		counts[rng.Categorical(p)]++
+	}
+	*c = Client{ID: id, N: want, Counts: counts}
+}
+
 // Client synthesizes the flyweight for one client: its ID, sample count N,
 // and label histogram Counts. Indices stays nil — there is no backing
 // dataset. Cost is O(N × classes) time and O(classes) memory; no features
@@ -122,23 +135,27 @@ func (vp *VirtualPartition) Client(id int) *Client {
 	if id < 0 || id >= vp.cfg.NumClients {
 		panic(fmt.Sprintf("data: client id %d out of range [0,%d)", id, vp.cfg.NumClients))
 	}
-	rng := stats.NewRNG(vp.labelSeed(id))
-	want := vp.sampleCount(rng)
-	p := rng.Dirichlet(vp.cfg.Alpha, vp.gen.cfg.Classes)
-	c := &Client{ID: id, N: want, Counts: make([]float64, vp.gen.cfg.Classes)}
-	for i := 0; i < want; i++ {
-		c.Counts[rng.Categorical(p)]++
-	}
+	c := new(Client)
+	vp.fill(c, make([]float64, vp.gen.cfg.Classes), id, stats.NewRNG(0))
 	return c
 }
 
 // Clients synthesizes the whole population's flyweights, fanning the
 // per-client work across GOMAXPROCS goroutines. The result is deterministic
 // (each client is a pure function of its ID) and position i holds client i.
+// The population is two slabs, not two heap objects per client: one []Client
+// and one histogram backing, of which each client's Counts is a window with
+// its capacity capped so an append cannot reach a neighbour. At 100k clients
+// that is what formation's pack step reads and what every GC cycle scans.
 func (vp *VirtualPartition) Clients() []*Client {
-	clients := make([]*Client, vp.cfg.NumClients)
-	parallelIndexed(vp.cfg.NumClients, func(id int) {
-		clients[id] = vp.Client(id)
+	n, k := vp.cfg.NumClients, vp.gen.cfg.Classes
+	slab, counts, clients := make([]Client, n), make([]float64, n*k), make([]*Client, n)
+	parallelRanges(n, func(lo, hi int) {
+		rng := stats.NewRNG(0)
+		for id := lo; id < hi; id++ {
+			vp.fill(&slab[id], counts[id*k:(id+1)*k:(id+1)*k], id, rng)
+			clients[id] = &slab[id]
+		}
 	})
 	return clients
 }
@@ -245,19 +262,18 @@ func (vp *VirtualPartition) MaterializeAll() (*Dataset, []*Client) {
 	return ds, clients
 }
 
-// parallelIndexed runs fn(0..n-1) across GOMAXPROCS goroutines in fixed
-// index blocks. Used for population-wide synthesis where every call writes
-// only its own index; determinism holds because block boundaries are pure
-// functions of n and fn is a pure function of i.
-func parallelIndexed(n int, fn func(i int)) {
+// parallelRanges covers [0, n) with one fn(lo, hi) call per GOMAXPROCS
+// goroutine, in fixed index blocks. Used for population-wide synthesis where
+// every index writes only its own slot; determinism holds because block
+// boundaries are pure functions of n and what fn does at i is a pure
+// function of i.
+func parallelRanges(n int, fn func(lo, hi int)) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
+		fn(0, n)
 		return
 	}
 	var wg sync.WaitGroup
@@ -270,9 +286,7 @@ func parallelIndexed(n int, fn func(i int)) {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				fn(i)
-			}
+			fn(lo, hi)
 		}(lo, hi)
 	}
 	wg.Wait()

@@ -80,14 +80,17 @@ func TestVirtualMaterializeMatchesMaterializeAll(t *testing.T) {
 }
 
 // TestVirtualClientsParallelDeterministic: the parallel population build
-// returns exactly what per-ID synthesis returns, in position.
+// returns exactly what per-ID synthesis returns, in position — and although
+// its histograms share one backing array, appending to one client's Counts
+// reallocates instead of writing into the next client's.
 func TestVirtualClientsParallelDeterministic(t *testing.T) {
 	vp := virtualTestPartition(33, 5)
 	clients := vp.Clients()
+	_ = append(clients[0].Counts, -1)
 	for id, got := range clients {
 		want := vp.Client(id)
-		if got.ID != id || got.N != want.N {
-			t.Fatalf("client %d: parallel (ID=%d N=%d) vs serial (N=%d)", id, got.ID, got.N, want.N)
+		if got.ID != id || got.N != want.N || len(got.Counts) != len(want.Counts) {
+			t.Fatalf("client %d: parallel (ID=%d N=%d, %d classes) vs serial (N=%d, %d classes)", id, got.ID, got.N, len(got.Counts), want.N, len(want.Counts))
 		}
 		for y := range want.Counts {
 			//lint:ignore float-eq both sides replay the same label stream

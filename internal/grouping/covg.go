@@ -1,6 +1,7 @@
 package grouping
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/data"
@@ -25,16 +26,64 @@ type CoVGrouping struct {
 // Name returns "CoVG".
 func (CoVGrouping) Name() string { return "CoVG" }
 
-// poolClient is a pool entry with the candidate-invariant scalars
-// precomputed once per Form call: the histogram total Σ_y c_y, the
-// histogram self-product Σ_y c_y², and the sample count n_i as a float.
-// The histogram itself lives in the pool's contiguous row matrix (see
-// Form), not behind the client pointer, so the greedy scan streams
-// sequential memory instead of chasing a pointer per candidate.
-type poolClient struct {
-	c         *data.Client
-	cSum, cSq float64
-	n         float64
+// lanePool is Form's candidate pool, laid out so that four candidates share
+// a vector. A block of four candidates is classes+3 four-lane rows: the
+// histogram transposed (row y holds the four candidates' class-y counts),
+// then their totals Σ_y c_y, self-products Σ_y c_y² and sample counts n_i —
+// everything about a candidate the greedy loop reads, precomputed once per
+// Form call. Candidate ci is lane ci&3 of block ci>>2 and clients[ci] is its
+// client; the live pool is len(clients) long and the lanes past it are stale.
+// One layout on every architecture: the scan streams sequential memory, the
+// amd64 filter loads a row as one vector, and after packing nothing in Form
+// dereferences a *data.Client (they are 100k scattered cache misses at
+// population scale) except the leftover merge of fewer than MinGS members.
+type lanePool struct {
+	rows    [][4]float64
+	clients []*data.Client
+	classes int
+}
+
+// packPool lays clients out as a lanePool. A histogram shorter than classes
+// is zero-padded; a longer one would spill into its block's Σc rows.
+func packPool(clients []*data.Client, classes int) lanePool {
+	stride := classes + 3
+	p := lanePool{
+		rows:    make([][4]float64, (len(clients)+3)/4*stride),
+		clients: append([]*data.Client(nil), clients...),
+		classes: classes,
+	}
+	for i, c := range clients {
+		if len(c.Counts) > classes {
+			panic(fmt.Sprintf("grouping: client %d carries a %d-class histogram, formation is over %d classes", c.ID, len(c.Counts), classes))
+		}
+		blk, l := p.block(i)
+		var sum, sq float64
+		for y, n := range c.Counts {
+			blk[y][l] = n
+			sum += n
+			sq += float64(n * n)
+		}
+		blk[classes][l], blk[classes+1][l], blk[classes+2][l] = sum, sq, float64(c.NumSamples())
+	}
+	return p
+}
+
+// block returns the rows of candidate ci's block and its lane in them.
+func (p *lanePool) block(ci int) ([][4]float64, int) {
+	stride := p.classes + 3
+	return p.rows[ci>>2*stride:][:stride], ci & 3
+}
+
+// remove swap-deletes candidate ci: the last candidate's lane moves into its.
+func (p *lanePool) remove(ci int) {
+	last := len(p.clients) - 1
+	dst, dl := p.block(ci)
+	src, sl := p.block(last)
+	for r := range dst {
+		dst[r][dl] = src[r][sl]
+	}
+	p.clients[ci] = p.clients[last]
+	p.clients = p.clients[:last]
 }
 
 // covAccum carries the running sums that let one candidate addition be
@@ -43,29 +92,36 @@ type poolClient struct {
 // counts Σ n_i and Σ n_i². The post-addition sums follow algebraically —
 // Σ (g_y+c_y)² = Σ g_y² + 2·(g·c) + Σ c_y² — so only the dot product g·c
 // touches the histogram; everything else about the candidate is a
-// precomputed poolClient scalar. This is what gets Alg. 2 over a million
-// clients in seconds: scoring a candidate costs one length-|Y| dot product
-// plus a handful of scalar ops, where the naive form copies the histogram
-// and rescans it three times.
+// precomputed lane. This is what gets Alg. 2 over a million clients in
+// seconds: scoring a candidate costs one length-|Y| dot product plus a
+// handful of scalar ops, where the naive form copies the histogram and
+// rescans it three times.
 type covAccum struct {
 	sum, sumSq   float64 // over the group's label histogram
 	nSum, nSumSq float64 // over the members' sample counts
 	size         float64
 }
 
-// admit folds pool client pc (histogram row) into the accumulator. Must be
-// called before g.add(pc.c) mutates the histogram the cross term is
-// computed against.
-func (ac *covAccum) admit(g *Group, pc poolClient, row []float64) {
+// admit moves candidate ci out of the pool into g, folding it into the
+// accumulator: what (*Group).add does, read from the candidate's lanes. Each
+// class's cross term is taken against the count its own addition then updates.
+func (p *lanePool) admit(g *Group, ac *covAccum, ci int) {
+	blk, l := p.block(ci)
 	cross := 0.0
-	for y, n := range row {
-		cross = float64(g.Counts[y]*n) + cross
+	for y := range g.Counts[:p.classes] {
+		c := blk[y][l]
+		cross = float64(g.Counts[y]*c) + cross
+		g.Counts[y] += c
 	}
-	ac.sum += pc.cSum
-	ac.sumSq += float64(2*cross) + pc.cSq
-	ac.nSum += pc.n
-	ac.nSumSq += float64(pc.n * pc.n)
+	n := blk[p.classes+2][l]
+	ac.sum += blk[p.classes][l]
+	ac.sumSq += float64(2*cross) + blk[p.classes+1][l]
+	ac.nSum += n
+	ac.nSumSq += float64(n * n)
 	ac.size++
+	g.samples += int(n)
+	g.Clients = append(g.Clients, p.clients[ci])
+	p.remove(ci)
 }
 
 // covSquared converts running sums into the squared coefficient of
@@ -99,21 +155,19 @@ func (a CoVGrouping) scoreCurrent(ac covAccum, classes int) float64 {
 	return math.Sqrt(s) + float64(a.GammaWeight*covOfSums(ac.nSum, ac.nSumSq, ac.size))
 }
 
-// scoreWith evaluates the criterion with pool client pc (histogram row)
-// tentatively added.
-func (a CoVGrouping) scoreWith(ac covAccum, gc []float64, pc poolClient, row []float64, classes int) float64 {
+// scoreWith evaluates the GammaWeight > 0 criterion with the candidate in
+// lane l of blk tentatively added to a group with label histogram gc.
+func (a CoVGrouping) scoreWith(ac covAccum, gc []float64, blk [][4]float64, l int) float64 {
+	classes := len(gc)
 	cross := 0.0
-	for y, n := range row {
-		cross = float64(gc[y]*n) + cross
+	for y, g := range gc {
+		cross = float64(g*blk[y][l]) + cross
 	}
-	sum := ac.sum + pc.cSum
-	sumSq := ac.sumSq + float64(2*cross) + pc.cSq
-	s := covSquared(sum, sumSq, classes)
-	if a.GammaWeight <= 0 {
-		return s
-	}
-	return math.Sqrt(s) +
-		float64(a.GammaWeight*covOfSums(ac.nSum+pc.n, ac.nSumSq+float64(pc.n*pc.n), ac.size+1))
+	sum := ac.sum + blk[classes][l]
+	sumSq := ac.sumSq + float64(2*cross) + blk[classes+1][l]
+	n := blk[classes+2][l]
+	return math.Sqrt(covSquared(sum, sumSq, classes)) +
+		float64(a.GammaWeight*covOfSums(ac.nSum+n, ac.nSumSq+float64(n*n), ac.size+1))
 }
 
 // covOfSums is the CoV of a count list given its running sums, matching
@@ -131,76 +185,88 @@ func covOfSums(sum, sumSq, n float64) float64 {
 	return math.Sqrt(v) / mu
 }
 
-// argminScan is Alg. 2 line 5 with GammaWeight zero: over the packed
-// histogram rows of pool (row ci is hists[ci*len(gc):(ci+1)*len(gc)]) it
-// returns the index of the candidate whose addition to a group with label
-// histogram gc and running sums acSum, acSumSq minimizes the CoV, with that
-// candidate's post-addition sums. The squared CoV is y·sumSq/sum² − 1, a
-// monotone function of sumSq/sum², so the argmin is found by cross-multiplied
-// comparison — no division and no call in the scan, just the dot product
-// g·c against the packed rows. Ties keep the earlier candidate. A candidate
-// whose post-addition total is zero (no data joining a group with none)
-// compares as NaN and so never displaces an earlier one; the best == -1
-// guard takes it when it comes first, so best is -1 only for an empty pool.
+// argminScan is Alg. 2 line 5 with GammaWeight zero: over the first n
+// candidates of a lanePool's rows it returns the index of the candidate
+// whose addition to a group with label histogram gc and running sums acSum,
+// acSumSq minimizes the CoV, with that candidate's post-addition sums. The
+// squared CoV is y·sumSq/sum² − 1, a monotone function of sumSq/sum², so the
+// argmin is found by cross-multiplied comparison — no division and no call
+// per candidate, just the dot product g·c against the rows. Ties keep the
+// earlier candidate. A candidate whose post-addition total is zero (no data
+// joining a group with none) compares as NaN and so never displaces an
+// earlier one; the best == -1 guard takes it when it comes first, so best is
+// -1 only for an empty pool.
 //
-// The scan walks four candidates per pass with four independent
+// The scan walks a block of four candidates per pass with four independent
 // accumulators: one candidate's |Y|-term add chain is latency-bound, four
 // interleaved chains run at the core's issue rate. What is interleaved is
 // the candidates, not the terms — each cross term is still summed in
 // ascending class order and the four tails are compared in ascending
 // candidate order — so the result is bit-identical to scanning one candidate
 // at a time (fractional histograms included), which is what the remainder
-// loop does for the last len(pool) mod 4. The rows are re-sliced to len(gc)
-// once per pass so the inner loops carry no bounds check. Being its own
-// function also takes the scan's speed out of the hands of wherever the
-// linker happens to place Form.
+// loop does for the last n mod 4 lanes, never reading a stale one. The block
+// is re-sliced once per pass and a row is an array, so the inner loop carries
+// no bounds check.
+//
+// This loop is the only place a candidate is compared and best updated. On
+// amd64 with AVX it first asks scanFilter, before every block but the first
+// (whose first lane meets the -1 guard), for the next block in which any
+// lane passes that very comparison against the current best, and resumes
+// there. Skipping the blocks in between is exact: a block none of whose lanes
+// beats the running best leaves it unchanged through all four compares, so
+// each of them saw the best the filter tested (DESIGN.md §8).
 //
 //lint:hotpath
-func argminScan(hists []float64, pool []poolClient, gc []float64, acSum, acSumSq float64) (best int, bestSum, bestSumSq float64) {
+func argminScan(rows [][4]float64, n int, gc []float64, acSum, acSumSq float64) (best int, bestSum, bestSumSq float64) {
 	best, bestSumSq = -1, math.Inf(1)
 	classes := len(gc)
-	hists = hists[:len(pool)*classes]
-	ci := 0
-	for ; ci+4 <= len(pool); ci += 4 {
-		rows := hists[ci*classes:]
-		r0 := rows[:classes]
-		r1 := rows[classes:][:classes]
-		r2 := rows[2*classes:][:classes]
-		r3 := rows[3*classes:][:classes]
+	stride, full := classes+3, n>>2
+	filter := hasAVX && classes > 0
+	for b := 0; b < full; b++ {
+		if filter && b > 0 {
+			b += scanFilter(&rows[b*stride], &gc[0], classes, full-b, acSum, acSumSq, bestSum, bestSumSq)
+			if b == full {
+				break
+			}
+		}
+		blk := rows[b*stride:][:stride]
+		hist := blk[:classes]
 		var c0, c1, c2, c3 float64
 		for y, g := range gc {
-			c0 = float64(g*r0[y]) + c0
-			c1 = float64(g*r1[y]) + c1
-			c2 = float64(g*r2[y]) + c2
-			c3 = float64(g*r3[y]) + c3
+			r := &hist[y]
+			c0 = float64(g*r[0]) + c0
+			c1 = float64(g*r[1]) + c1
+			c2 = float64(g*r[2]) + c2
+			c3 = float64(g*r[3]) + c3
 		}
-		p := pool[ci : ci+4 : ci+4]
-		sum, sumSq := acSum+p[0].cSum, acSumSq+float64(2*c0)+p[0].cSq
+		s, q, ci := &blk[classes], &blk[classes+1], b<<2
+		sum, sumSq := acSum+s[0], acSumSq+float64(2*c0)+q[0]
 		if best == -1 || sumSq*bestSum*bestSum < bestSumSq*sum*sum {
 			best, bestSum, bestSumSq = ci, sum, sumSq
 		}
 		// best is set from here on: only a pass's first tail can meet -1.
-		sum, sumSq = acSum+p[1].cSum, acSumSq+float64(2*c1)+p[1].cSq
+		sum, sumSq = acSum+s[1], acSumSq+float64(2*c1)+q[1]
 		if sumSq*bestSum*bestSum < bestSumSq*sum*sum {
 			best, bestSum, bestSumSq = ci+1, sum, sumSq
 		}
-		sum, sumSq = acSum+p[2].cSum, acSumSq+float64(2*c2)+p[2].cSq
+		sum, sumSq = acSum+s[2], acSumSq+float64(2*c2)+q[2]
 		if sumSq*bestSum*bestSum < bestSumSq*sum*sum {
 			best, bestSum, bestSumSq = ci+2, sum, sumSq
 		}
-		sum, sumSq = acSum+p[3].cSum, acSumSq+float64(2*c3)+p[3].cSq
+		sum, sumSq = acSum+s[3], acSumSq+float64(2*c3)+q[3]
 		if sumSq*bestSum*bestSum < bestSumSq*sum*sum {
 			best, bestSum, bestSumSq = ci+3, sum, sumSq
 		}
 	}
-	for ; ci < len(pool); ci++ {
-		row := hists[ci*classes:][:classes]
+	for ci := full << 2; ci < n; ci++ {
+		// Sliced here, not above the loop: with n mod 4 zero there is no such block.
+		blk, l := rows[full*stride:][:stride], ci&3
 		cross := 0.0
 		for y, g := range gc {
-			cross = float64(g*row[y]) + cross
+			cross = float64(g*blk[y][l]) + cross
 		}
-		sum := acSum + pool[ci].cSum
-		sumSq := acSumSq + float64(2*cross) + pool[ci].cSq
+		sum := acSum + blk[classes][l]
+		sumSq := acSumSq + float64(2*cross) + blk[classes+1][l]
 		if best == -1 || sumSq*bestSum*bestSum < bestSumSq*sum*sum {
 			best, bestSum, bestSumSq = ci, sum, sumSq
 		}
@@ -212,37 +278,19 @@ func argminScan(hists []float64, pool []poolClient, gc []float64, acSum, acSumSq
 // (running sums plus one dot product per candidate, see covAccum), so the
 // whole formation costs O(|K|² · |Y|) instead of the paper's stated
 // O(|K|³ · |Y|) — the greedy decisions are identical up to floating-point
-// rounding of the criterion. Candidate histograms are packed into one
-// contiguous row matrix so the argmin scan is a sequential stream (the
-// pool is consumed by swap-delete, which moves one row per removal); at a
-// million clients this memory layout, not the flop count, is what keeps
-// formation in seconds. The scan itself — nearly all of a formation's time —
-// is argminScan when GammaWeight is zero: four candidates per pass, each
-// summed and compared in the order a one-at-a-time scan would, so which
-// client is admitted does not depend on how the scan is scheduled.
+// rounding of the criterion. Candidates are packed into one lanePool so the
+// argmin scan is a sequential stream (the pool is consumed by swap-delete,
+// which moves one lane per removal); at a million clients this memory
+// layout, not the flop count, is what keeps formation in seconds. The scan
+// itself — nearly all of a formation's time — is argminScan when
+// GammaWeight is zero: four candidates per pass, each summed and compared in
+// the order a one-at-a-time scan would, so which client is admitted does not
+// depend on how the scan is scheduled.
 func (a CoVGrouping) Form(clients []*data.Client, classes, edge, firstID int, rng *stats.RNG) []*Group {
 	if a.MinGS <= 0 {
 		panic("grouping: MinGS must be positive")
 	}
-	pool := make([]poolClient, len(clients))
-	hists := make([]float64, len(clients)*classes)
-	for i, c := range clients {
-		pc := poolClient{c: c, n: float64(c.NumSamples())}
-		row := hists[i*classes : (i+1)*classes]
-		for y, n := range c.Counts {
-			row[y] = n
-			pc.cSum += n
-			pc.cSq += float64(n * n)
-		}
-		pool[i] = pc
-	}
-	// remove swap-deletes pool entry i, keeping the row matrix dense.
-	remove := func(i int) {
-		last := len(pool) - 1
-		pool[i] = pool[last]
-		copy(hists[i*classes:(i+1)*classes], hists[last*classes:(last+1)*classes])
-		pool = pool[:last]
-	}
+	pool := packPool(clients, classes)
 	var groups []*Group
 
 	maxCoV := a.MaxCoV
@@ -255,32 +303,29 @@ func (a CoVGrouping) Form(clients []*data.Client, classes, edge, firstID int, rn
 		maxScore = maxCoV * maxCoV
 	}
 
-	for len(pool) > 0 {
+	for len(pool.clients) > 0 {
 		// Line 3: seed the new group with a random client.
-		pick := rng.IntN(len(pool))
+		pick := rng.IntN(len(pool.clients))
 		g := NewGroup(firstID+len(groups), edge, nil, classes)
 		// Most groups stop at MinGS members: one allocation instead of
 		// append growing 1→2→4→8 (never more than the pool still holds).
-		g.Clients = make([]*data.Client, 0, min(a.MinGS, len(pool)))
+		g.Clients = make([]*data.Client, 0, min(a.MinGS, len(pool.clients)))
 		var ac covAccum
-		ac.admit(g, pool[pick], hists[pick*classes:(pick+1)*classes])
-		g.add(pool[pick].c)
-		remove(pick)
+		pool.admit(g, &ac, pick)
 
 		// Line 4: grow while the requirement is unmet and clients remain.
-		for (a.scoreCurrent(ac, classes) > maxScore || g.Size() < a.MinGS) && len(pool) > 0 {
+		for (a.scoreCurrent(ac, classes) > maxScore || g.Size() < a.MinGS) && len(pool.clients) > 0 {
 			cur := a.scoreCurrent(ac, classes)
 			// Line 5: the candidate minimizing the post-addition criterion.
 			best, bestScore := -1, math.Inf(1)
-			gc := g.Counts[:classes]
 			if a.GammaWeight <= 0 {
 				var bestSum, bestSumSq float64
-				best, bestSum, bestSumSq = argminScan(hists, pool, gc, ac.sum, ac.sumSq)
+				best, bestSum, bestSumSq = argminScan(pool.rows, len(pool.clients), g.Counts, ac.sum, ac.sumSq)
 				bestScore = covSquared(bestSum, bestSumSq, classes)
 			} else {
-				for ci := range pool {
-					s := a.scoreWith(ac, gc, pool[ci], hists[ci*classes:(ci+1)*classes], classes)
-					if s < bestScore {
+				for ci := range pool.clients {
+					blk, l := pool.block(ci)
+					if s := a.scoreWith(ac, g.Counts, blk, l); s < bestScore {
 						best, bestScore = ci, s
 					}
 				}
@@ -288,9 +333,7 @@ func (a CoVGrouping) Form(clients []*data.Client, classes, edge, firstID int, rn
 			// Line 6: accept if it improves the criterion or the group is
 			// still too small.
 			if bestScore < cur || g.Size() < a.MinGS {
-				ac.admit(g, pool[best], hists[best*classes:(best+1)*classes])
-				g.add(pool[best].c)
-				remove(best)
+				pool.admit(g, &ac, best)
 			} else {
 				break // Line 9: finalize.
 			}
