@@ -206,7 +206,6 @@ func BenchmarkFig10(b *testing.B) {
 			// final cost across methods) — the paper's headline comparison.
 			horizon := 0.0
 			for _, s := range f.Series {
-				//lint:ignore float-eq test asserts exact deterministic output
 				if x := s.X[len(s.X)-1]; horizon == 0 || x < horizon {
 					horizon = x
 				}

@@ -1,118 +1,23 @@
 #!/usr/bin/env bash
-# ci.sh — the repository's full verification gate.
+# ci.sh — the repository's full verification gate. What the stages hold and
+# why lives in DESIGN.md (the S-row of each subsystem names its gate; §8 the
+# no-FMA rule of stage 1; S26 repolint); this is only the list:
 #
-# Runs, in order:
-#   1. go build        — everything compiles; then internal/tensor,
-#                        internal/nn and internal/grouping are cross-compiled
-#                        for arm64 and the disassembly must hold no fused
-#                        multiply-add: their bit-identity contract is
-#                        architecture-independent only while every a·b+c is
-#                        written float64(a*b) + c (the cross-build is also
-#                        what proves the `!amd64` files of internal/tensor,
-#                        internal/grouping and internal/cpu compile).
-#                        The mirror image for amd64, where internal/tensor's
-#                        row update and internal/grouping's scan filter are
-#                        hand-written AVX: the assembler's listing
-#                        (`go tool asm -S`) of every internal/*/*_amd64.s
-#                        must hold no VFMADD/VFMSUB/VFNMADD/VFNMSUB —
-#                        one would pass every test on an FMA host once someone
-#                        "fixed" the digests, so the gate is on the
-#                        instruction. (`go tool objdump` cannot be the reader:
-#                        its x86 decoder has no VEX tables and prints
-#                        VBROADCASTSD as `SBBL AX, 0x38(SP)`.)
-#                        Then `placement` (print-only, never fails; also
-#                        `./ci.sh placement` on its own) builds ./bench and
-#                        prints where grouping.argminScan and
-#                        grouping.scanFilter (where pop-regroup's time is),
-#                        grouping.CoVGrouping.Form,
-#                        core.(*Trainer).Step and tensor.quadUpdate (where
-#                        the training workloads' time is) landed mod 64: a
-#                        short loop can
-#                        read ±10–20 % across a half-line shift (argminScan
-#                        was measured not to; the rest of the workload was
-#                        not measured), so compare the lines against the
-#                        parent commit's before believing a pop-regroup delta
-#   2. go vet + gofmt  — stock vet findings, asmdecl among them: it is what
-#                        holds the frame sizes and argument offsets of every
-#                        *_amd64.s to the Go declarations; any file
-#                        `gofmt -l` lists outside internal/lint/testdata fails
-#                        the stage
-#   3. repolint        — the project's own invariants (internal/lint):
-#                        rng-discipline, goroutine-join, float-eq,
-#                        dropped-error, panic-message, map-order, wallclock,
-#                        hotpath-alloc, metric-schema, ignore-audit. Runs as
-#                        its own timed stage with a 30s budget so analysis
-#                        cost stays visible as the codebase grows.
-#   4. go test ./...   — tier-1 tests (includes the module-wide lint pass,
-#                        the GOMAXPROCS replay determinism test, the
-#                        async-vs-sync gates and the `go test ./bench`
-#                        benchmark smoke)
-#   5. go test -race   — race detector over the concurrency-bearing
-#                        packages (core parallel training engine incl. the
-#                        worker pool, pooled group spaces, SCAFFOLD's
-#                        shared state (TestEngineWorkerPoolRace), the
-#                        pinned wide-model replay across MaxParallel and
-#                        GOMAXPROCS, the alpha=0 async ≡ sync property
-#                        and the O(selected) round-memory gate of the
-#                        virtual populations; wire codec, fednode
-#                        cloud/edge/client servers, metrics registry,
-#                        felserve — where TestFanoutFramesIdentical has eight
-#                        handlers writing one version's shared frame bytes at
-#                        once). internal/tensor and internal/simnet are
-#                        not in the list: they start no goroutine and share
-#                        no state — a GEMM runs on its caller's goroutine,
-#                        and simnet is closed-form arithmetic
-#   6. fuzz smoke      — the fuzz targets of the networked path and of the
-#                        two assembly routines run randomized inputs on a 10s
-#                        total budget: internal/tensor's FuzzQuadUpdate (row
-#                        length, start phase and raw operand bits: the AVX
-#                        row update against the Go expression, bit for bit,
-#                        guard bands intact), internal/grouping's
-#                        FuzzScanFilter (class and block counts and raw
-#                        operand bits: the block the AVX filter names against
-#                        the first block the Go comparison holds in),
-#                        FuzzDecodeFrame over the wire codec,
-#                        FuzzDecodeIntoReuse holding DecodeInto on a dirty
-#                        Message to a fresh Decode of the same bytes, and
-#                        FuzzArrivalLogFrame over the arrival-log frames
-#                        (all seeded from faultnet's corruption mutators),
-#                        and internal/secagg's FuzzFieldOps,
-#                        FuzzQuantizeRoundTrip and FuzzMaskCancel (random
-#                        seeds, dimensions and drop sets: the masks cancel
-#                        to the plain sum). internal/stats' and
-#                        internal/groupio's targets run their seed corpora
-#                        in stage 4 only.
-#   7. chaos smoke     — felnode -chaos runs a named fault-injection
-#                        scenario twice against a full loopback federation
-#                        and diffs the fault event logs and timing-masked
-#                        metrics snapshots byte for byte
-#   8. felnode smoke   — a real networked loopback job over 127.0.0.1 TCP
-#                        (2 edges × 12 clients × 2 rounds), which also
-#                        cross-checks accuracy against the in-process
-#                        trainer and transport bytes against the codec's
-#                        accounting
-#   9. metrics smoke   — the same loopback job with -metrics: polls the
-#                        live HTTP endpoint until the snapshot exposes
-#                        fel_wire_bytes_total and checks every line parses
-#                        as Prometheus text exposition
-#  10. load smoke      — the felserve serving layer under -race: hundreds of
-#                        loopback subscribers fan in on a multi-job cloud
-#                        (TestServeLoadSmoke), every subscriber must land on
-#                        the correct final aggregate and the goroutine count
-#                        must settle back to its pre-run level, then the
-#                        kill-cloud chaos exercise proves a crash-restarted
-#                        cloud resumes bit-identically
+#   1. build       go build ./..., the arm64 / amd64 fused-multiply-add checks,
+#                  then the print-only `placement`
+#   2. vet         go vet ./... (asmdecl among it) + gofmt -l
+#   3. repolint    internal/lint's ten analyzers, 30 s budget
+#   4. test        go test ./... — tier-1
+#   5. race        go test -race over the concurrent packages
+#   6. fuzz        10 s across the wire, async, secagg, tensor, grouping targets
+#   7. chaos       felnode -chaos corrupt-frames twice, outputs byte-identical
+#   8. felnode     a loopback TCP job, cross-checked against core.Train
+#   9. metrics     the same job's live /metrics endpoint parses
+#  10. load        felserve under -race, then -chaos kill-cloud
+#  11. results     every deterministic results/medium CSV regenerated and diffed
 #
-# Performance is not a stage: it is judged by `go run ./bench` followed by
-# `go run ./bench -compare bench/baseline/run1.json bench/out/result-seed2024.json`
-# (minutes, see bench/README.md); only its `go test ./bench` smoke rides in
-# stage 4.
-#
-# `./ci.sh reach` is not a stage either: it prints (and never fails on) the
-# top-level funcs no `package main` links — run it before a re-anchor to read
-# which code has traffic instead of guessing.
-#
-# Future PRs inherit this gate: run ./ci.sh before pushing.
+# Not stages (print-only, never fail): `./ci.sh placement`, `./ci.sh reach`.
+# Performance is judged by `go run ./bench` (bench/README.md), not here.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -192,6 +97,9 @@ for pkg in tensor nn grouping; do
   fi
 done
 echo "arm64 check: internal/tensor, internal/nn and internal/grouping hold no FMADD/FMSUB/FNMADD/FNMSUB"
+# The assembler's listing, not `go tool objdump`: its x86 decoder has no VEX
+# tables (it prints VBROADCASTSD as `SBBL AX, 0x38(SP)`), so a grep over its
+# output could never fire.
 for src in internal/*/*_amd64.s; do
   GOARCH=amd64 go tool asm -S -I "$(go env GOROOT)/pkg/include" -p "repro/$(dirname "$src")" -o "$fmadir/asm.o" "$src" > "$fmadir/asm.lst"
   if grep -E 'VFN?M(ADD|SUB)' "$fmadir/asm.lst" >&2; then
@@ -227,6 +135,8 @@ fi
 echo "== go test ./..."
 go test ./...
 
+# internal/tensor and internal/simnet are not listed: they start no goroutine
+# and share no state.
 echo "== go test -race (core, async, wire, fednode, faultnet, metrics, felserve)"
 go test -race ./internal/core ./internal/async ./internal/wire ./internal/fednode ./internal/faultnet/... ./internal/metrics ./internal/felserve
 
@@ -292,5 +202,22 @@ if ! grep -q 'bit-identical=true' "$loaddir/killcloud.txt"; then
   exit 1
 fi
 echo "load smoke: serving layer leak-free under -race, kill-cloud recovery bit-identical"
+
+echo "== results (every deterministic results/medium CSV at -scale medium -seed 2024)"
+# The north star's second fixed point: the figure CSVs are regenerated, not
+# trusted. fig5 times group formation on this host, so only its shape columns
+# (series, client count) are held.
+resdir="$(stage_dir results)"
+go build -o "$resdir/felbench" ./cmd/felbench
+"$resdir/felbench" -exp all -scale medium -seed 2024 -out "$resdir/medium" > /dev/null
+for golden in results/medium/*.csv; do
+  fresh="$resdir/medium/$(basename "$golden")"
+  if [ "$(basename "$golden")" = fig5.csv ]; then
+    diff -u <(cut -d, -f1,2 "$golden") <(cut -d, -f1,2 "$fresh")
+  else
+    diff -u "$golden" "$fresh"
+  fi || { echo "ci.sh: $golden no longer regenerates; a figure moved — find out why before re-recording" >&2; exit 1; }
+done
+echo "results: $(ls results/medium/*.csv | wc -l) CSVs regenerate byte-identically (fig5 on its shape columns)"
 
 echo "ci.sh: all gates passed"

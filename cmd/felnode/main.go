@@ -57,7 +57,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/cost"
 	"repro/internal/faultnet"
 	"repro/internal/faultnet/scenarios"
 	"repro/internal/fednode"
@@ -360,13 +359,7 @@ func runLoopback(sys *core.System, cfg fednode.JobConfig, injected bool) error {
 	}
 	fmt.Printf("byte cross-check: transport bytes == codec-accounted bytes (%d)\n", rep.WireWritten)
 
-	res := core.Train(sys, core.Config{
-		GlobalRounds: cfg.GlobalRounds, GroupRounds: cfg.GroupRounds, LocalEpochs: cfg.LocalEpochs,
-		BatchSize: cfg.BatchSize, LR: cfg.LR, SampleGroups: cfg.SampleGroups,
-		Grouping: cfg.Grouping, Sampling: cfg.Sampling, Weights: cfg.Weights,
-		Seed:        cfg.Seed,
-		CostProfile: cost.CIFARProfile(), CostOps: cost.DefaultOps(),
-	})
+	res := core.Train(sys, cfg.TrainConfig(nil))
 	gap := math.Abs(rep.FinalAccuracy - res.FinalAccuracy)
 	fmt.Printf("in-process Train on same seed: acc=%.4f (gap %.4f)\n", res.FinalAccuracy, gap)
 	if gap > 0.05 {

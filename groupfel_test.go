@@ -73,7 +73,6 @@ func TestPublicAPIFormationAndSampling(t *testing.T) {
 	}
 	// CoV accessor agrees with the helper.
 	for _, g := range groups {
-		//lint:ignore float-eq test asserts exact deterministic output
 		if g.CoV() != groupfel.GroupCoV(g.Counts) {
 			t.Fatal("CoV helper mismatch")
 		}

@@ -21,7 +21,6 @@ func TestStalenessWeight(t *testing.T) {
 		{1, 1, 0.5}, {3, 1, 0.25}, {1, 2, 0.25},
 	}
 	for _, c := range cases {
-		//lint:ignore float-eq exact values by construction
 		if got := async.StalenessWeight(c.tau, c.alpha); got != c.want {
 			t.Errorf("StalenessWeight(%d, %v) = %v, want %v", c.tau, c.alpha, got, c.want)
 		}

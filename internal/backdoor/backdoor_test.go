@@ -127,7 +127,6 @@ func TestDetectNoClipWhenDisabled(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ClipToMedianNorm = false
 	res := Detect(updates, cfg)
-	//lint:ignore float-eq test asserts exact deterministic output
 	if res.ClipNorm != 0 {
 		t.Fatal("ClipNorm should be 0 when disabled")
 	}
@@ -168,19 +167,15 @@ func TestPairwiseOpsQuadratic(t *testing.T) {
 }
 
 func TestMedianHelpers(t *testing.T) {
-	//lint:ignore float-eq test asserts exact deterministic output
 	if median([]float64{3, 1, 2}) != 2 {
 		t.Fatal("odd median")
 	}
-	//lint:ignore float-eq test asserts exact deterministic output
 	if median([]float64{1, 2, 3, 4}) != 2.5 {
 		t.Fatal("even median")
 	}
-	//lint:ignore float-eq test asserts exact deterministic output
 	if median(nil) != 0 {
 		t.Fatal("empty median")
 	}
-	//lint:ignore float-eq test asserts exact deterministic output
 	if medianAbsDev([]float64{1, 1, 1}, 1) != 0 {
 		t.Fatal("MAD of constants")
 	}

@@ -173,11 +173,9 @@ func TestKmeansCosineDegenerate(t *testing.T) {
 
 func TestRecordAtClamps(t *testing.T) {
 	res := &core.Result{Records: []core.RoundRecord{{Round: 0, Accuracy: 0.5}}}
-	//lint:ignore float-eq test asserts exact deterministic output
 	if recordAt(res, 5).Accuracy != 0.5 {
 		t.Fatal("clamp failed")
 	}
-	//lint:ignore float-eq test asserts exact deterministic output
 	if recordAt(&core.Result{}, 0).Accuracy != -1 {
 		t.Fatal("empty result should yield sentinel")
 	}

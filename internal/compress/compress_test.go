@@ -12,12 +12,10 @@ func TestTopKKeepsLargest(t *testing.T) {
 	c := NewTopK(2)
 	out := c.Compress([]float64{0.1, -5, 0.3, 4, -0.2})
 	dec := out.Decode()
-	//lint:ignore float-eq test asserts exact deterministic output
 	if dec[1] != -5 || dec[3] != 4 {
 		t.Fatalf("top-2 wrong: %v", dec)
 	}
 	for _, i := range []int{0, 2, 4} {
-		//lint:ignore float-eq test asserts exact deterministic output
 		if dec[i] != 0 {
 			t.Fatalf("non-top coordinate kept: %v", dec)
 		}
@@ -74,7 +72,6 @@ func TestTopKKLargerThanDim(t *testing.T) {
 	update := []float64{1, 2, 3}
 	dec := c.Compress(update).Decode()
 	for i, v := range update {
-		//lint:ignore float-eq test asserts exact deterministic output
 		if dec[i] != v {
 			t.Fatal("k >= dim should be lossless")
 		}
@@ -132,7 +129,6 @@ func TestUniformZeroVector(t *testing.T) {
 	u := NewUniform(8, 5)
 	dec := u.Compress(make([]float64, 10)).Decode()
 	for _, v := range dec {
-		//lint:ignore float-eq test asserts exact deterministic output
 		if v != 0 {
 			t.Fatal("zero vector must decode to zero")
 		}
@@ -148,7 +144,6 @@ func TestIdentityRoundTrip(t *testing.T) {
 		}
 		dec := (Identity{}).Compress(update).Decode()
 		for i := range update {
-			//lint:ignore float-eq test asserts exact deterministic output
 			if dec[i] != update[i] {
 				return false
 			}

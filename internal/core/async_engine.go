@@ -9,7 +9,7 @@ import (
 	"repro/internal/tensor"
 )
 
-// This file is the async executor: the buffered (FedBuff-style) and
+// This file is the engine's async half: the buffered (FedBuff-style) and
 // semi-synchronous group state machines that replace runGroup's K
 // bulk-synchronous rounds when Config.Async selects them. Both run on a
 // per-group logical clock whose every delay draw is a pure function of
@@ -30,18 +30,6 @@ import (
 //     dispatch batches equal the synchronous client ordering, every
 //     staleness is zero, and the fold is byte-for-byte reduceGroup —
 //     which is what the α=0 equivalence property test pins down.
-
-// asyncGroupReport is what one async group execution hands back to the
-// trainer alongside the groupSpace: the group's slice of the arrival log
-// plus the counters the Result and metrics aggregate.
-type asyncGroupReport struct {
-	events     []async.Event
-	ticks      int64
-	carryovers int
-	lateDrops  int
-	folds      int
-	flushes    int
-}
 
 // arrivalEvent is one in-flight update on the logical clock's heap.
 type arrivalEvent struct {
@@ -76,7 +64,7 @@ type asyncGroupRun struct {
 	e   *engine
 	g   *grouping.Group
 	sp  *groupSpace
-	rep *asyncGroupReport
+	rep *GroupUpdate // the group's arrival-log slice, ticks and deadline counters land here
 
 	round int
 	n     int
@@ -98,10 +86,9 @@ type asyncGroupRun struct {
 	arrivals   int    // arrivals (incl. drops) since the last flush
 }
 
-func (e *engine) newAsyncGroupRun(g *grouping.Group, globalParams []float64, round int, rep *asyncGroupReport) *asyncGroupRun {
+func (e *engine) newAsyncGroupRun(g *grouping.Group, sp *groupSpace, globalParams []float64, round int, rep *GroupUpdate) *asyncGroupRun {
 	cfg := &e.cfg
 	n := g.Size()
-	sp := e.getSpace()
 	sp.reserve(n, len(globalParams))
 	copy(sp.group, globalParams)
 	return &asyncGroupRun{
@@ -165,7 +152,7 @@ func (r *asyncGroupRun) arrive(ev arrivalEvent) {
 	c := r.g.Clients[i]
 	if sp.drop[i] {
 		sp.drops++
-		r.rep.events = append(r.rep.events, async.Event{
+		r.rep.Events = append(r.rep.Events, async.Event{
 			Round: r.round, Group: r.g.ID, Client: c.ID,
 			Kind: async.Drop, Tick: ev.tick,
 		})
@@ -177,7 +164,7 @@ func (r *asyncGroupRun) arrive(ev arrivalEvent) {
 	// moves at flushes, so the version lag is already final here.
 	stale := r.version - r.dispVer[i]
 	r.e.asyncStale.Observe(float64(stale))
-	r.rep.events = append(r.rep.events, async.Event{
+	r.rep.Events = append(r.rep.Events, async.Event{
 		Round: r.round, Group: r.g.ID, Client: c.ID,
 		Kind: async.Arrive, Tick: ev.tick, Stale: stale,
 	})
@@ -211,13 +198,11 @@ func (r *asyncGroupRun) flush(now int64) []int {
 		tensor.ScaleInto(1/wsum, root, sp.group)
 		aggSpan.End()
 		r.version++
-		r.rep.folds += live
 		e.asyncFolds.Add(int64(live))
 	}
-	r.rep.flushes++
 	e.asyncFlushes.Inc()
 	e.asyncDepth.Observe(float64(live))
-	r.rep.events = append(r.rep.events, async.Event{
+	r.rep.Events = append(r.rep.Events, async.Event{
 		Round: r.round, Group: r.g.ID, Client: -1,
 		Kind: async.Flush, Tick: now, Stale: live,
 	})
@@ -240,9 +225,8 @@ func (r *asyncGroupRun) flush(now int64) []int {
 // clients it consumed, anchored on the post-flush model. The heap draining
 // with a nonempty buffer forces a final partial flush so no update is ever
 // abandoned.
-func (e *engine) runGroupBuffered(g *grouping.Group, globalParams []float64, round int) (*groupSpace, *asyncGroupReport) {
-	rep := &asyncGroupReport{}
-	r := e.newAsyncGroupRun(g, globalParams, round, rep)
+func (e *engine) runGroupBuffered(g *grouping.Group, sp *groupSpace, globalParams []float64, round int, rep *GroupUpdate) {
+	r := e.newAsyncGroupRun(g, sp, globalParams, round, rep)
 	threshold := e.cfg.Async.FlushThreshold(r.n)
 	K := e.cfg.GroupRounds
 
@@ -269,9 +253,8 @@ func (e *engine) runGroupBuffered(g *grouping.Group, globalParams []float64, rou
 		}
 		r.dispatch(batch, now)
 	}
-	rep.ticks = now
+	rep.Ticks = now
 	e.asyncTicks.Add(now)
-	return r.sp, rep
 }
 
 // runGroupSemiSync executes one selected group under semi-sync semantics:
@@ -281,9 +264,8 @@ func (e *engine) runGroupBuffered(g *grouping.Group, globalParams []float64, rou
 // folds later at its then-current staleness; updates in flight after the
 // final deadline are discarded as late. The group always spends exactly
 // K·DeadlineTicks logical ticks.
-func (e *engine) runGroupSemiSync(g *grouping.Group, globalParams []float64, round int) (*groupSpace, *asyncGroupReport) {
-	rep := &asyncGroupReport{}
-	r := e.newAsyncGroupRun(g, globalParams, round, rep)
+func (e *engine) runGroupSemiSync(g *grouping.Group, sp *groupSpace, globalParams []float64, round int, rep *GroupUpdate) {
+	r := e.newAsyncGroupRun(g, sp, globalParams, round, rep)
 	K := e.cfg.GroupRounds
 	D := e.cfg.Async.DeadlineTicks
 
@@ -308,9 +290,9 @@ func (e *engine) runGroupSemiSync(g *grouping.Group, globalParams []float64, rou
 		}
 		for i := 0; i < r.n; i++ {
 			if r.inflight[i] {
-				rep.carryovers++
+				rep.Carryovers++
 				e.asyncCarry.Inc()
-				rep.events = append(rep.events, async.Event{
+				rep.Events = append(rep.Events, async.Event{
 					Round: r.round, Group: g.ID, Client: g.Clients[i].ID,
 					Kind: async.Carry, Tick: deadline, Stale: gr,
 				})
@@ -322,16 +304,15 @@ func (e *engine) runGroupSemiSync(g *grouping.Group, globalParams []float64, rou
 	}
 	for r.heap.Len() > 0 {
 		ev := heap.Pop(&r.heap).(arrivalEvent)
-		rep.lateDrops++
+		rep.LateDrops++
 		e.asyncLate.Inc()
-		rep.events = append(rep.events, async.Event{
+		rep.Events = append(rep.Events, async.Event{
 			Round: r.round, Group: g.ID, Client: g.Clients[ev.ci].ID,
 			Kind: async.Late, Tick: ev.tick,
 		})
 	}
-	rep.ticks = int64(K) * D
-	e.asyncTicks.Add(rep.ticks)
-	return r.sp, rep
+	rep.Ticks = int64(K) * D
+	e.asyncTicks.Add(rep.Ticks)
 }
 
 // syncGroupTicks prices the bulk-synchronous schedule on the same logical

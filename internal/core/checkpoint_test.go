@@ -40,7 +40,6 @@ func TestTrainWithTotalDropoutStillFinishes(t *testing.T) {
 		t.Fatalf("run stopped at %d rounds", res.RoundsRun)
 	}
 	for _, p := range res.Params {
-		//lint:ignore float-eq test asserts exact deterministic output
 		if p != p { // NaN check
 			t.Fatal("NaN parameters after total dropout")
 		}
@@ -53,7 +52,6 @@ func TestDropoutDeterministic(t *testing.T) {
 	cfg.DropoutProb = 0.25
 	a := Train(testSystem(10, 0.5, 35), cfg)
 	b := Train(testSystem(10, 0.5, 35), cfg)
-	//lint:ignore float-eq test asserts exact deterministic output
 	if a.Dropouts != b.Dropouts || a.FinalAccuracy != b.FinalAccuracy {
 		t.Fatal("dropout simulation not deterministic")
 	}
@@ -123,7 +121,6 @@ func TestWallClockAccounting(t *testing.T) {
 	}
 	// Without topology: zero.
 	cfg.Topology = nil
-	//lint:ignore float-eq test asserts exact deterministic output
 	if got := Train(testSystem(10, 0.5, 42), cfg); got.WallClock != 0 {
 		t.Fatalf("wall clock %v without topology", got.WallClock)
 	}

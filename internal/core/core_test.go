@@ -69,12 +69,10 @@ func TestTrainDeterministic(t *testing.T) {
 	cfg.GlobalRounds = 4
 	a := Train(sysA, cfg)
 	b := Train(sysB, cfg)
-	//lint:ignore float-eq test asserts exact deterministic output
 	if a.FinalAccuracy != b.FinalAccuracy {
 		t.Fatalf("non-deterministic accuracy: %v vs %v", a.FinalAccuracy, b.FinalAccuracy)
 	}
 	for i := range a.Params {
-		//lint:ignore float-eq test asserts exact deterministic output
 		if a.Params[i] != b.Params[i] {
 			t.Fatal("non-deterministic final parameters")
 		}
@@ -93,7 +91,6 @@ func TestTrainCostMonotoneAndCharged(t *testing.T) {
 		}
 		prev = r.Cost
 	}
-	//lint:ignore float-eq test asserts exact deterministic output
 	if res.TotalCost != prev {
 		t.Fatalf("TotalCost %v != last record %v", res.TotalCost, prev)
 	}
@@ -234,7 +231,6 @@ func TestEvaluateKnownModel(t *testing.T) {
 	copy(v, []float64{10, -10, -10, 10, 0, 0})
 	m.SetParamVector(v)
 	acc, loss := Evaluate(m, ds, 2)
-	//lint:ignore float-eq test asserts exact deterministic output
 	if acc != 1 {
 		t.Fatalf("accuracy %v, want 1", acc)
 	}
@@ -247,7 +243,6 @@ func TestEvaluateEmptyDataset(t *testing.T) {
 	m := nn.NewLogistic(2, 2, 1)
 	ds := &data.Dataset{SampleShape: []int{2}, Classes: 2}
 	acc, loss := Evaluate(m, ds, 0)
-	//lint:ignore float-eq test asserts exact deterministic output
 	if acc != 0 || loss != 0 {
 		t.Fatal("empty dataset should evaluate to zeros")
 	}

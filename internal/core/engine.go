@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"repro/internal/async"
+	"repro/internal/compress"
 	"repro/internal/data"
 	"repro/internal/grouping"
 	"repro/internal/metrics"
@@ -40,7 +41,7 @@ import (
 // Workers are created lazily up to max and recycled through a free list, so
 // the steady state allocates nothing: models reuse their layer buffers
 // (EnableBufferReuse), SGD scratch lives in per-worker arenas, and group
-// aggregation buffers are pooled groupSpaces.
+// aggregation buffers are per-slot groupSpaces.
 type engine struct {
 	sys   *System
 	cfg   Config
@@ -52,24 +53,25 @@ type engine struct {
 	created int
 	free    chan *worker
 
-	spaces sync.Pool
+	// spaces[si] is selection slot si's aggregation space and updates the
+	// result slice RunGroups returns, both reused from round to round.
+	spaces  []*groupSpace
+	updates []GroupUpdate
 
 	reg        *metrics.Registry
 	epochsCtr  *metrics.Counter
-	dropsCtr   *metrics.Counter
 	edgeLabels map[int]metrics.Label
 
 	// fel_async_* handles, registered only when an async mode or a delay
 	// model is configured so synchronous runs publish an unchanged metric
 	// surface (async_engine.go guards every use behind the same condition).
-	asyncStale      *metrics.Histogram
-	asyncDepth      *metrics.Histogram
-	asyncFolds      *metrics.Counter
-	asyncFlushes    *metrics.Counter
-	asyncCarry      *metrics.Counter
-	asyncLate       *metrics.Counter
-	asyncTicks      *metrics.Counter
-	asyncRoundTicks *metrics.Gauge
+	asyncStale   *metrics.Histogram
+	asyncDepth   *metrics.Histogram
+	asyncFolds   *metrics.Counter
+	asyncFlushes *metrics.Counter
+	asyncCarry   *metrics.Counter
+	asyncLate    *metrics.Counter
+	asyncTicks   *metrics.Counter
 }
 
 // worker is one pool slot: a private model clone with buffer reuse enabled
@@ -88,8 +90,8 @@ type worker struct {
 // groupSpace holds one group's aggregation state for a global round: the
 // evolving group parameters, per-client result slots (views into one flat
 // backing array), the tree-reduction node scratch, pre-drawn dropout flags,
-// and per-client uplink byte counts. Spaces are pooled on the engine and stay
-// checked out until the global aggregation has consumed group.
+// and per-client uplink byte counts. The engine keeps one per selection slot;
+// group stays valid until the slot's next round.
 type groupSpace struct {
 	group  []float64
 	flat   []float64
@@ -119,27 +121,21 @@ func procs() int {
 	return min(runtime.GOMAXPROCS(0), runtime.NumCPU())
 }
 
-// newEngine builds the training engine for one run. MaxParallel <= 0 follows
-// the effective processor count; MaxParallel == 1 is the serial reference
-// path: one worker, groups and their clients training one after another on
-// the calling goroutine with nothing to synchronize. Only Evaluate, which
+// NewExecutor builds the in-process Executor: the training engine for one
+// run. MaxParallel <= 0 follows the effective processor count; MaxParallel ==
+// 1 is the serial reference path: one worker, groups and their clients
+// training one after another on the calling goroutine. Only Evaluate, which
 // MaxParallel does not govern, still fans out.
-func newEngine(sys *System, cfg Config, local LocalUpdater, comp *compressorPool) *engine {
-	max := cfg.MaxParallel
-	cpus := procs()
-	if max <= 0 {
-		max = cpus
+func NewExecutor(sys *System, cfg Config) Executor {
+	local := cfg.Local
+	if local == nil {
+		local = SGDUpdater{}
 	}
-	// MaxParallel is a bound, not a worker count: results are bit-identical
-	// however many workers actually run, so the pool is free to stay at the
-	// physical CPU count. Beyond it, extra workers only multiply resident
-	// model clones and thread handoffs on the same cores — PR 9 measured
-	// large-model rounds ~15% slower with 8 workers on one CPU, PR 18 no
-	// faster and +7% peak RSS with 8 on two. A change here shows in
-	// `go run ./bench` workload train-gemm (rounds_per_s, parallel_speedup).
-	if max > cpus && !testUncapWorkers {
-		max = cpus
+	var comp *compressorPool
+	if cfg.NewCompressor != nil {
+		comp = &compressorPool{factory: cfg.NewCompressor, byClient: make(map[int]compress.Compressor)}
 	}
+	max := workerBound(cfg.MaxParallel)
 	e := &engine{
 		sys:        sys,
 		cfg:        cfg,
@@ -149,10 +145,8 @@ func newEngine(sys *System, cfg Config, local LocalUpdater, comp *compressorPool
 		free:       make(chan *worker, max),
 		reg:        cfg.Metrics,
 		epochsCtr:  cfg.Metrics.Counter("fel_core_local_epochs_total"),
-		dropsCtr:   cfg.Metrics.Counter("fel_core_dropouts_total"),
 		edgeLabels: make(map[int]metrics.Label),
 	}
-	e.spaces.New = func() any { return &groupSpace{} }
 	if cfg.Async.Mode != async.Sync || cfg.Async.Delays.Enabled() {
 		e.asyncStale = cfg.Metrics.Histogram("fel_async_staleness")
 		e.asyncDepth = cfg.Metrics.Histogram("fel_async_buffer_depth")
@@ -161,9 +155,24 @@ func newEngine(sys *System, cfg Config, local LocalUpdater, comp *compressorPool
 		e.asyncCarry = cfg.Metrics.Counter("fel_async_carryover_total")
 		e.asyncLate = cfg.Metrics.Counter("fel_async_late_total")
 		e.asyncTicks = cfg.Metrics.Counter("fel_async_ticks_total")
-		e.asyncRoundTicks = cfg.Metrics.Gauge("fel_async_round_ticks")
 	}
 	return e
+}
+
+// workerBound is the number of workers a MaxParallel setting buys — a bound,
+// not a worker count: results are bit-identical however many workers actually
+// run, so the pool is free to stay at the physical CPU count. Beyond it,
+// extra workers only multiply resident model clones and thread handoffs on
+// the same cores — PR 9 measured large-model rounds ~15% slower with 8
+// workers on one CPU, PR 18 no faster and +7% peak RSS with 8 on two. A change
+// here shows in `go run ./bench` workload train-gemm (rounds_per_s,
+// parallel_speedup).
+func workerBound(maxParallel int) int {
+	cpus := procs()
+	if maxParallel <= 0 || (maxParallel > cpus && !testUncapWorkers) {
+		return cpus
+	}
+	return maxParallel
 }
 
 // acquire hands out a pooled worker, creating one lazily while fewer than
@@ -200,14 +209,6 @@ func (e *engine) edgeLabel(edge int) metrics.Label {
 	e.mu.Unlock()
 	return l
 }
-
-// getSpace checks a groupSpace out of the pool; putSpace returns it once the
-// caller has consumed sp.group.
-func (e *engine) getSpace() *groupSpace {
-	return e.spaces.Get().(*groupSpace)
-}
-
-func (e *engine) putSpace(sp *groupSpace) { e.spaces.Put(sp) }
 
 // reserve sizes the space for n clients of dim parameters, reusing backing
 // arrays across rounds.
@@ -331,14 +332,12 @@ func (e *engine) trainClient(w *worker, g *grouping.Group, sp *groupSpace, round
 // runGroup executes lines 8–14 of Alg. 1 for one selected group: K group
 // rounds, each training every member client for E local epochs from the
 // current group model, then weight-averaging by n_i over the clients whose
-// updates arrived (n_i/n_g when nothing drops). The returned space holds the
-// final group parameters in sp.group plus dropout and uplink accounting; the
-// caller returns it to the pool with putSpace once consumed.
-func (e *engine) runGroup(g *grouping.Group, globalParams []float64, round int) *groupSpace {
+// updates arrived (n_i/n_g when nothing drops). It leaves the final group
+// parameters in sp.group plus dropout and uplink accounting.
+func (e *engine) runGroup(g *grouping.Group, sp *groupSpace, globalParams []float64, round int) {
 	cfg := &e.cfg
 	dim := len(globalParams)
 	n := g.Size()
-	sp := e.getSpace()
 	sp.reserve(n, dim)
 	copy(sp.group, globalParams)
 
@@ -373,7 +372,6 @@ func (e *engine) runGroup(g *grouping.Group, globalParams []float64, round int) 
 		reduceGroup(g, sp, e.max)
 		aggSpan.End()
 	}
-	return sp
 }
 
 // reduceGroup folds the per-client parameter slots into sp.group by

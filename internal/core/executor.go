@@ -1,0 +1,63 @@
+package core
+
+import (
+	"repro/internal/async"
+	"repro/internal/grouping"
+)
+
+// Executor is the seam under the Plan: everything below "run these groups
+// from params at round t" (Alg. 1 lines 7–14). Trainer.Step, the only round
+// loop, knows nothing else about where clients train — the engine
+// (NewExecutor) trains them on this process's worker pool, fednode's cloud
+// over its edge connections.
+type Executor interface {
+	// RunGroups trains groups[selected[si]] from params (read-only) for round
+	// t and returns one update per selection slot, in selection order. The
+	// result and all it references belong to the executor and are valid until
+	// its next call; the caller may overwrite the Params vectors (the global
+	// fold uses them as scratch) but must not keep them.
+	RunGroups(t int, groups []*grouping.Group, selected []int, params []float64) ([]GroupUpdate, error)
+}
+
+// GroupUpdate is one selected group's result for a global round.
+type GroupUpdate struct {
+	// Params is the group model after its K group rounds.
+	Params []float64
+	// Drops counts client updates lost; UplinkBytes totals the client→edge
+	// payload of the updates that arrived.
+	Drops       int
+	UplinkBytes int64
+	// Ticks is the group's time on the async logical clock (0 without a
+	// delay model); the rest is an async mode's: semi-sync deadline misses,
+	// discarded updates and the group's slice of the arrival log.
+	Ticks                 int64
+	Carryovers, LateDrops int
+	Events                []async.Event
+}
+
+// RunGroups trains the selected groups in parallel on the worker pool, each
+// selection slot in the aggregation space it keeps from round to round.
+func (e *engine) RunGroups(t int, groups []*grouping.Group, selected []int, params []float64) ([]GroupUpdate, error) {
+	for len(e.spaces) < len(selected) {
+		e.spaces = append(e.spaces, &groupSpace{})
+	}
+	e.updates = append(e.updates[:0], make([]GroupUpdate, len(selected))...)
+	updates := e.updates
+	parallelEach(len(selected), e.cfg.MaxParallel, func(si int) {
+		g, sp, u := groups[selected[si]], e.spaces[si], &updates[si]
+		switch e.cfg.Async.Mode {
+		case async.Buffered:
+			e.runGroupBuffered(g, sp, params, t, u)
+		case async.SemiSync:
+			e.runGroupSemiSync(g, sp, params, t, u)
+		default:
+			e.runGroup(g, sp, params, t)
+			// Observational: price the synchronous barrier on the same
+			// logical clock (identical per-dispatch draws) so tick
+			// comparisons against the async modes are apples-to-apples.
+			u.Ticks = e.syncGroupTicks(g, t)
+		}
+		u.Params, u.Drops, u.UplinkBytes = sp.group, sp.drops, sp.bytes
+	})
+	return updates, nil
+}

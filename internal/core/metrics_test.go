@@ -50,12 +50,10 @@ func TestTrainWithoutMetricsUnchanged(t *testing.T) {
 	bare := Train(testSystem(10, 0.5, 2), cfg)
 	cfg.Metrics = metrics.New()
 	instrumented := Train(testSystem(10, 0.5, 2), cfg)
-	//lint:ignore float-eq test asserts exact deterministic output
 	if bare.FinalAccuracy != instrumented.FinalAccuracy {
 		t.Fatalf("instrumentation changed the trajectory: %v vs %v", bare.FinalAccuracy, instrumented.FinalAccuracy)
 	}
 	for i := range bare.Params {
-		//lint:ignore float-eq test asserts exact deterministic output
 		if bare.Params[i] != instrumented.Params[i] {
 			t.Fatal("instrumentation changed the final parameters")
 		}
@@ -94,7 +92,6 @@ func TestSamplingFrequencyAudit(t *testing.T) {
 	}
 	for i, g := range res.Groups {
 		gl := metrics.L("group", strconv.Itoa(g.ID))
-		//lint:ignore float-eq test asserts exact deterministic output
 		if p := reg.GaugeValue("fel_core_group_prob", gl); p != res.Probs[i] {
 			t.Fatalf("group %d prob gauge %v, result says %v", g.ID, p, res.Probs[i])
 		}

@@ -18,9 +18,9 @@ import (
 // schedule), derives p_g, draws S_t, publishes the fel_core_group_* audit
 // series, and folds the returned group models with Eq. 4 / Eq. 35 weights
 // computed against the very vector the draw used — the coupling the
-// estimator's soundness rests on (Fraboni et al., PAPERS.md). The in-process
-// Trainer and the networked fednode.Cloud are both callers of Next and Fold;
-// neither owns a copy of this logic.
+// estimator's soundness rests on (Fraboni et al., PAPERS.md). Trainer.Step is
+// the one caller of Next and Fold, whatever Executor trains the groups in
+// between.
 //
 // The parent stream is consumed only by Split calls whose tags are pure
 // functions of the round index — Split(1) formation, Split(2) the sampling
@@ -53,9 +53,9 @@ type Plan struct {
 
 // NewPlan forms the groups and derives the sampling state for one run. Of
 // cfg it reads Seed, Grouping, Sampling, Weights, SampleGroups, RegroupEvery,
-// AdaptiveSampling and Metrics. pinned, when non-nil, is used verbatim in
-// place of the initial formation; fixed, when non-nil, replaces sampling —
-// round t selects fixed[t], indices into the group list.
+// AdaptiveSampling, Metrics and (to size fixed) GlobalRounds. pinned, when
+// non-nil, is used verbatim in place of the initial formation; fixed, when
+// non-nil, replaces sampling — round t selects fixed[t], group-list indices.
 func NewPlan(sys *System, cfg Config, pinned []*grouping.Group, fixed [][]int) (*Plan, error) {
 	p := &Plan{sys: sys, cfg: cfg, rng: stats.NewRNG(cfg.Seed), fixed: fixed}
 	p.roundsCtr = cfg.Metrics.Counter("fel_core_rounds_total")
@@ -67,6 +67,9 @@ func NewPlan(sys *System, cfg Config, pinned []*grouping.Group, fixed [][]int) (
 	}
 	if len(p.groups) == 0 {
 		return nil, errors.New("core: formation produced no groups")
+	}
+	if fixed != nil && len(fixed) != cfg.GlobalRounds {
+		return nil, fmt.Errorf("core: fixed selection has %d rounds, want %d", len(fixed), cfg.GlobalRounds)
 	}
 	for t, sel := range fixed {
 		if len(sel) == 0 {

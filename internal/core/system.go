@@ -4,6 +4,11 @@
 // aggregated group-then-globally. Local updates are pluggable (plain SGD,
 // FedProx, SCAFFOLD), sampling and aggregation weighting are pluggable
 // (Sec. 6), and every run is metered by the Eq. 5 cost accountant.
+//
+// There is one round loop, Trainer.Step: Plan.Next draws S_t, an Executor
+// trains the selected groups, Plan.Fold aggregates, accounting and evaluation
+// follow. The engine here is the in-process Executor; internal/fednode's
+// cloud steps the same Trainer over a networked one.
 package core
 
 import (

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -184,39 +185,40 @@ func (p *compressorPool) forClient(id int) compress.Compressor {
 	return c
 }
 
-func validate(sys *System, cfg Config) {
+// validate rejects a configuration no run can start from. With a pinned
+// formation Grouping is never read, with fixed selections SampleGroups. The
+// messages carry no package tag: NewTrainer panics with "fel: " in front,
+// fednode returns "fednode: ".
+func validate(sys *System, cfg Config, pinned, fixed bool) error {
 	switch {
 	case sys == nil:
-		panic("fel: nil system")
+		return errors.New("nil system")
 	case cfg.GlobalRounds <= 0 || cfg.GroupRounds <= 0 || cfg.LocalEpochs <= 0:
-		panic("fel: T, K, E must be positive")
+		return errors.New("T, K, E must be positive")
 	case cfg.LR <= 0:
-		panic("fel: LR must be positive")
-	case cfg.SampleGroups <= 0:
-		panic("fel: SampleGroups must be positive")
-	case cfg.Grouping == nil:
-		panic("fel: Grouping algorithm is required")
+		return errors.New("LR must be positive")
+	case !fixed && cfg.SampleGroups <= 0:
+		return errors.New("SampleGroups must be positive")
+	case !pinned && cfg.Grouping == nil:
+		return errors.New("Grouping algorithm is required")
 	case cfg.CostProfile.Name == "":
-		panic(fmt.Sprintf("fel: CostProfile is required (got %+v)", cfg.CostProfile))
+		return fmt.Errorf("CostProfile is required (got %+v)", cfg.CostProfile)
+	case cfg.Async.Mode != async.Sync && cfg.NewCompressor != nil:
+		// The buffered fold consumes raw slots; the compressed-delta path
+		// rewrites the group model per client, which has no async analogue.
+		return errors.New("NewCompressor requires synchronous aggregation")
 	}
 	if cfg.Topology != nil {
 		if err := cfg.Topology.Validate(); err != nil {
-			panic(fmt.Sprintf("fel: %v", err))
+			return err
 		}
-	}
-	if err := cfg.Async.Validate(); err != nil {
-		panic(fmt.Sprintf("fel: %v", err))
-	}
-	if cfg.Async.Mode != async.Sync && cfg.NewCompressor != nil {
-		// The buffered fold consumes raw slots; the compressed-delta path
-		// rewrites the group model per client, which has no async analogue.
-		panic("fel: NewCompressor requires synchronous aggregation")
 	}
 	if cfg.AdaptiveSampling != nil {
 		if err := cfg.AdaptiveSampling.Validate(); err != nil {
-			panic(fmt.Sprintf("fel: %v", err))
+			return err
 		}
 	}
+	return cfg.Async.Validate()
 }
 
 // FairnessIndex returns Jain's fairness index over all clients'
@@ -240,26 +242,4 @@ func (r *Result) UniqueParticipants() int {
 		}
 	}
 	return n
-}
-
-// RunGroupRounds exposes the inner group-training step (lines 8–14 of
-// Alg. 1) for schedulers that orchestrate groups across multiple models
-// (e.g. internal/multimodel): it runs cfg.GroupRounds × cfg.LocalEpochs of
-// local training for every client of g starting from params and returns
-// the aggregated group parameters plus dropout and uplink accounting.
-func RunGroupRounds(sys *System, cfg Config, g *grouping.Group, params []float64, round int) (newParams []float64, dropouts int, uplinkBytes int64) {
-	local := cfg.Local
-	if local == nil {
-		local = SGDUpdater{}
-	}
-	var pool *compressorPool
-	if cfg.NewCompressor != nil {
-		pool = &compressorPool{factory: cfg.NewCompressor, byClient: make(map[int]compress.Compressor)}
-	}
-	eng := newEngine(sys, cfg, local, pool)
-	sp := eng.runGroup(g, params, round)
-	newParams = append([]float64(nil), sp.group...)
-	dropouts, uplinkBytes = sp.drops, sp.bytes
-	eng.putSpace(sp)
-	return newParams, dropouts, uplinkBytes
 }

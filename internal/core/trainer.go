@@ -6,8 +6,9 @@ import (
 	"sort"
 
 	"repro/internal/async"
-	"repro/internal/compress"
 	"repro/internal/cost"
+	"repro/internal/grouping"
+	"repro/internal/metrics"
 	"repro/internal/sampling"
 )
 
@@ -24,14 +25,13 @@ import (
 // order. The only RNG state that survives a round boundary belongs to the
 // Plan, which exports it.
 type Trainer struct {
-	sys   *System
-	cfg   Config
-	local LocalUpdater
+	cfg Config
 
 	// plan is the Alg. 1 control plane: formation, p_g, S_t, weights, fold.
 	plan *Plan
-
-	modelBytes int
+	// exec trains the groups the plan selects; err is its failure, if any.
+	exec Executor
+	err  error
 
 	globalParams []float64
 	next         []float64
@@ -39,18 +39,16 @@ type Trainer struct {
 	// evaluating every round allocates nothing model-sized.
 	eval *evaluator
 
-	acct        *cost.Accountant
-	res         *Result
-	compressors *compressorPool
-	eng         *engine
-	spaces      []*groupSpace
-	// reports and syncTicks are the async step path's per-selection scratch,
-	// aligned with spaces.
-	reports   []*asyncGroupReport
-	syncTicks []int64
-	// aggNodes is the global aggregation's tree-node scratch, reused across
-	// rounds so the steady-state Step stays allocation-free.
+	acct *cost.Accountant
+	res  *Result
+	// aggNodes is the global fold's tree-node scratch, reused across rounds
+	// so the steady-state Step stays allocation-free.
 	aggNodes [][]float64
+
+	dropsCtr *metrics.Counter
+	// roundTicks is fel_async_round_ticks, nil unless an async mode or a
+	// delay model is configured: synchronous runs publish no fel_async_*.
+	roundTicks *metrics.Gauge
 
 	// lastSelected counts the clients in the most recent round's selected
 	// groups — the set O(selected)-memory claims are measured against.
@@ -59,44 +57,53 @@ type Trainer struct {
 	t int
 }
 
-// NewTrainer prepares a run: group formation, sampling vector, model
-// initialization, cost accountant — everything Train did before its round
-// loop, with the identical parent-RNG consumption order.
+// NewTrainer prepares an in-process run: group formation, sampling vector,
+// model initialization, cost accountant — everything Train did before its
+// round loop, with the identical parent-RNG consumption order. It panics on a
+// configuration NewTrainerOn rejects.
 func NewTrainer(sys *System, cfg Config) *Trainer {
-	validate(sys, cfg)
-	tr := &Trainer{sys: sys, cfg: cfg}
-	tr.local = cfg.Local
-	if tr.local == nil {
-		tr.local = SGDUpdater{}
-	}
-	// Lines 2–4: group formation at every edge, sampling vector.
-	plan, err := NewPlan(sys, cfg, nil, nil)
+	tr, err := NewTrainerOn(sys, cfg, NewExecutor(sys, cfg), nil, nil)
 	if err != nil {
 		panic(fmt.Sprintf("fel: %v", err))
 	}
-	tr.plan = plan
+	return tr
+}
 
+// NewTrainerOn prepares a run whose groups train on exec. pinned, when
+// non-nil, is used verbatim in place of the initial formation; fixed, when
+// non-nil, replaces sampling — round t selects fixed[t], indices into the
+// group list. A configuration no run can start from is an error, worded
+// without a package tag so each caller can add its own.
+func NewTrainerOn(sys *System, cfg Config, exec Executor, pinned []*grouping.Group, fixed [][]int) (*Trainer, error) {
+	if err := validate(sys, cfg, pinned != nil, fixed != nil); err != nil {
+		return nil, err
+	}
+	// Lines 2–4: group formation at every edge, sampling vector.
+	plan, err := NewPlan(sys, cfg, pinned, fixed)
+	if err != nil {
+		return nil, err
+	}
+	tr := &Trainer{cfg: cfg, plan: plan, exec: exec}
 	model := sys.NewModel(sys.ModelSeed)
 	tr.globalParams = model.ParamVector()
 	tr.eval = newEvaluator(model, sys.Test, 0)
 	if cfg.InitParams != nil {
 		if len(cfg.InitParams) != len(tr.globalParams) {
-			panic(fmt.Sprintf("fel: InitParams length %d, model has %d", len(cfg.InitParams), len(tr.globalParams)))
+			return nil, fmt.Errorf("InitParams length %d, model has %d", len(cfg.InitParams), len(tr.globalParams))
 		}
 		copy(tr.globalParams, cfg.InitParams)
 	}
 	tr.acct = cost.NewAccountant(cfg.CostProfile, cfg.CostOps)
 	tr.res = &Result{Participation: make(map[int]int)}
-	tr.modelBytes = 8 * len(tr.globalParams)
-	if cfg.NewCompressor != nil {
-		tr.compressors = &compressorPool{factory: cfg.NewCompressor, byClient: make(map[int]compress.Compressor)}
-	}
-	tr.eng = newEngine(sys, cfg, tr.local, tr.compressors)
 	tr.next = make([]float64, len(tr.globalParams))
+	tr.dropsCtr = cfg.Metrics.Counter("fel_core_dropouts_total")
+	if cfg.Async.Mode != async.Sync || cfg.Async.Delays.Enabled() {
+		tr.roundTicks = cfg.Metrics.Gauge("fel_async_round_ticks")
+	}
 	if cfg.Async.Mode != async.Sync {
 		tr.res.ArrivalLog = &async.Log{}
 	}
-	return tr
+	return tr, nil
 }
 
 // Round returns the index of the next global round Step would run, i.e. the
@@ -110,110 +117,85 @@ func (tr *Trainer) Round() int { return tr.t }
 // population quadruples.
 func (tr *Trainer) SelectedClients() int { return tr.lastSelected }
 
+// Groups returns the live formation — what a networked executor's owner
+// pushes to its edges before the first round. Read-only.
+func (tr *Trainer) Groups() []*grouping.Group { return tr.plan.Groups() }
+
 // Params returns the live global parameter vector. Callers must treat it as
 // read-only; it is the buffer the next Step aggregates into.
 func (tr *Trainer) Params() []float64 { return tr.globalParams }
 
-// Done reports whether the run is over: all GlobalRounds executed, or the
-// cost budget exhausted (the same check the Train loop made at the top of
-// each iteration).
+// Err returns the executor failure that ended the run (a networked one's
+// peer or transport), nil while it is healthy.
+func (tr *Trainer) Err() error { return tr.err }
+
+// Done reports whether the run is over: all GlobalRounds executed, the cost
+// budget exhausted (the same check the Train loop made at the top of each
+// iteration), or the executor failed (see Err).
 func (tr *Trainer) Done() bool {
-	if tr.t >= tr.cfg.GlobalRounds {
+	if tr.err != nil || tr.t >= tr.cfg.GlobalRounds {
 		return true
 	}
 	return tr.cfg.CostBudget > 0 && tr.acct.Total() >= tr.cfg.CostBudget
 }
 
 // Step executes one global round (Alg. 1 lines 6–15): optional regrouping,
-// group sampling, parallel group training, weighted global aggregation, and
-// cost/participation/wall-clock accounting. It must not be called after
-// Done returns true.
+// group sampling, group training on the executor, weighted global
+// aggregation, and cost/participation/wall-clock accounting — the only round
+// loop, inherited whole by every executor. Like bufio.Scanner it reports
+// failure out of band: once Done, executor error (Err) included, Step does
+// nothing and returns the zero record.
 func (tr *Trainer) Step() RoundRecord {
 	if tr.Done() {
-		panic("fel: Trainer.Step called after Done")
+		return RoundRecord{}
 	}
 	cfg, res, t := tr.cfg, tr.res, tr.t
 
 	// Line 6: regroup when due (Sec. 6.1), then sample S_t.
 	selected := tr.plan.Next(t)
 	groups := tr.plan.Groups()
-	tr.lastSelected = 0
-	for _, gi := range selected {
-		tr.lastSelected += groups[gi].Size()
-	}
 
-	// Lines 7–14: each selected group trains in parallel. The engine
-	// hands back pooled spaces, consumed by the global aggregation below
-	// and then recycled.
-	tr.spaces = tr.spaces[:0]
-	tr.reports = tr.reports[:0]
-	tr.syncTicks = tr.syncTicks[:0]
-	for range selected {
-		tr.spaces = append(tr.spaces, nil)
-		tr.reports = append(tr.reports, nil)
-		tr.syncTicks = append(tr.syncTicks, 0)
-	}
-	spaces, reports, syncTicks := tr.spaces, tr.reports, tr.syncTicks
-	parallelEach(len(selected), cfg.MaxParallel, func(si int) {
-		g := groups[selected[si]]
-		switch cfg.Async.Mode {
-		case async.Buffered:
-			spaces[si], reports[si] = tr.eng.runGroupBuffered(g, tr.globalParams, t)
-		case async.SemiSync:
-			spaces[si], reports[si] = tr.eng.runGroupSemiSync(g, tr.globalParams, t)
-		default:
-			spaces[si] = tr.eng.runGroup(g, tr.globalParams, t)
-			// Observational: price the synchronous barrier on the same
-			// logical clock (identical per-dispatch draws) so tick
-			// comparisons against the async modes are apples-to-apples.
-			syncTicks[si] = tr.eng.syncGroupTicks(g, t)
-		}
-	})
-	for _, sp := range spaces {
-		res.Dropouts += sp.drops
-		res.UplinkBytes += sp.bytes
-		tr.eng.dropsCtr.Add(int64(sp.drops))
+	// Lines 7–14: the executor trains every selected group. It owns what it
+	// hands back; the global aggregation below consumes it.
+	updates, err := tr.exec.RunGroups(t, groups, selected, tr.globalParams)
+	if err != nil {
+		tr.err = err
+		return RoundRecord{}
 	}
 	// A round's logical time is the slowest selected group (the cloud
 	// barrier); the per-group event logs merge in selection order, which is
-	// deterministic however the groups were scheduled above.
+	// deterministic however the groups were scheduled.
 	roundTicks := int64(0)
-	for si := range selected {
-		ticks := syncTicks[si]
-		if rep := reports[si]; rep != nil {
-			ticks = rep.ticks
-			res.Carryovers += rep.carryovers
-			res.LateDrops += rep.lateDrops
-			res.ArrivalLog.Append(rep.events...)
+	tr.aggNodes = tr.aggNodes[:0]
+	for si := range updates {
+		u := &updates[si]
+		res.Dropouts += u.Drops
+		res.UplinkBytes += u.UplinkBytes
+		tr.dropsCtr.Add(int64(u.Drops))
+		res.Carryovers += u.Carryovers
+		res.LateDrops += u.LateDrops
+		if res.ArrivalLog != nil {
+			res.ArrivalLog.Append(u.Events...)
 		}
-		if ticks > roundTicks {
-			roundTicks = ticks
-		}
+		roundTicks = max(roundTicks, u.Ticks)
+		tr.aggNodes = append(tr.aggNodes, u.Params)
 	}
 	res.LogicalTicks += roundTicks
-	if tr.eng.asyncRoundTicks != nil {
+	if tr.roundTicks != nil {
 		// Published here, from the barrier value: written per group, the
 		// gauge would keep whichever group happened to finish last.
-		tr.eng.asyncRoundTicks.Set(float64(roundTicks))
+		tr.roundTicks.Set(float64(roundTicks))
 	}
 
 	// Line 15: global aggregation into the reused double buffer. The fold
-	// consumes the sp.group buffers as tree nodes — the spaces are recycled
-	// afterwards, never read again.
+	// consumes the group models as tree nodes.
 	aggSpan := cfg.Metrics.Start("fel_core_global_aggregate_seconds")
-	tr.next = growFloats(tr.next, len(tr.globalParams))
-	tr.aggNodes = tr.aggNodes[:0]
-	for _, sp := range spaces {
-		tr.aggNodes = append(tr.aggNodes, sp.group)
-	}
-	tr.plan.Fold(tr.aggNodes, tr.globalParams, tr.next, tr.eng.max)
+	tr.plan.Fold(tr.aggNodes, tr.globalParams, tr.next, workerBound(cfg.MaxParallel))
 	tr.globalParams, tr.next = tr.next, tr.globalParams
-	for _, sp := range spaces {
-		tr.eng.putSpace(sp)
-	}
+	clear(tr.aggNodes) // the vectors are the executor's: keep no reference past the fold
 	aggSpan.End()
 
-	if gf, ok := tr.local.(globalRoundFinisher); ok {
+	if gf, ok := cfg.Local.(globalRoundFinisher); ok {
 		gf.FinishGlobalRound()
 	}
 
@@ -221,8 +203,11 @@ func (tr *Trainer) Step() RoundRecord {
 	sel := make([][]int, len(selected))
 	covSum := 0.0
 	edgeGroupTimes := map[int][]float64{}
+	modelBytes := 8 * len(tr.globalParams)
+	tr.lastSelected = 0
 	for si, gi := range selected {
 		g := groups[gi]
+		tr.lastSelected += g.Size()
 		counts := make([]int, g.Size())
 		computes := make([]float64, g.Size())
 		for i, c := range g.Clients {
@@ -235,7 +220,7 @@ func (tr *Trainer) Step() RoundRecord {
 		covSum += g.CoV()
 		if cfg.Topology != nil {
 			edgeGroupTimes[g.Edge] = append(edgeGroupTimes[g.Edge],
-				cfg.Topology.GroupRoundTime(tr.modelBytes, computes))
+				cfg.Topology.GroupRoundTime(modelBytes, computes))
 		}
 	}
 	tr.acct.GlobalRound(sel, cfg.GroupRounds, cfg.LocalEpochs)
@@ -251,21 +236,18 @@ func (tr *Trainer) Step() RoundRecord {
 		for _, e := range edges {
 			times = append(times, edgeGroupTimes[e])
 		}
-		res.WallClock += cfg.Topology.GlobalRoundTime(tr.modelBytes, cfg.GroupRounds, times)
+		res.WallClock += cfg.Topology.GlobalRoundTime(modelBytes, cfg.GroupRounds, times)
 	}
 
 	rec := RoundRecord{
-		Round:          t,
+		Round: t, Accuracy: -1, Loss: -1,
 		Cost:           tr.acct.Total(),
 		AvgSelectedCoV: covSum / float64(len(selected)),
 	}
-	evalNow := cfg.EvalEvery <= 1 || t%cfg.EvalEvery == 0 || t == cfg.GlobalRounds-1
-	if evalNow {
+	if cfg.EvalEvery <= 1 || t%cfg.EvalEvery == 0 || t == cfg.GlobalRounds-1 {
 		evalSpan := cfg.Metrics.Start("fel_core_eval_seconds")
 		rec.Accuracy, rec.Loss = tr.eval.run(tr.globalParams)
 		evalSpan.End()
-	} else {
-		rec.Accuracy, rec.Loss = -1, -1
 	}
 	res.Records = append(res.Records, rec)
 	res.RoundsRun = t + 1
@@ -348,7 +330,7 @@ func (tr *Trainer) ExportState() (*TrainerState, error) {
 	for id, n := range tr.res.Participation {
 		st.Participation[id] = n
 	}
-	if sc, ok := tr.local.(*ScaffoldUpdater); ok {
+	if sc, ok := tr.cfg.Local.(*ScaffoldUpdater); ok {
 		st.Scaffold = sc.ExportState()
 	}
 	st.LogicalTicks = tr.res.LogicalTicks
@@ -395,7 +377,7 @@ func NewTrainerResumed(sys *System, cfg Config, st *TrainerState) (*Trainer, err
 		tr.res.Participation[id] = n
 	}
 	if st.Scaffold != nil {
-		sc, ok := tr.local.(*ScaffoldUpdater)
+		sc, ok := tr.cfg.Local.(*ScaffoldUpdater)
 		if !ok {
 			return nil, errors.New("core: snapshot carries SCAFFOLD state but cfg.Local is not *ScaffoldUpdater")
 		}

@@ -1,10 +1,14 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 
+	"repro/internal/async"
 	"repro/internal/compress"
+	"repro/internal/cost"
+	"repro/internal/grouping"
 )
 
 // sameBits fails the test unless a and b are bit-for-bit identical.
@@ -43,7 +47,6 @@ func TestTrainerStepwiseMatchesTrain(t *testing.T) {
 		t.Fatalf("ran %d steps, Round()=%d, want 4", steps, tr.Round())
 	}
 	sameBits(t, "params", want.Params, got.Params)
-	//lint:ignore float-eq test asserts exact deterministic output
 	if want.TotalCost != got.TotalCost || want.FinalAccuracy != got.FinalAccuracy {
 		t.Fatal("stepwise run diverged from Train in cost or accuracy")
 	}
@@ -110,7 +113,6 @@ func TestResumeBitIdentical(t *testing.T) {
 				}
 				res := resumed.Finish()
 				sameBits(t, "final params", full.Params, res.Params)
-				//lint:ignore float-eq resume must reproduce the uninterrupted run exactly
 				if res.TotalCost != full.TotalCost || res.FinalAccuracy != full.FinalAccuracy {
 					t.Fatalf("stop@%d: cost/accuracy diverged: %v/%v vs %v/%v",
 						stopAt, res.TotalCost, res.FinalAccuracy, full.TotalCost, full.FinalAccuracy)
@@ -178,5 +180,95 @@ func TestResumeRejectsMismatchedSnapshot(t *testing.T) {
 	bad.Scaffold = &ScaffoldCheckpoint{C: make([]float64, len(st.Params))}
 	if _, err := NewTrainerResumed(testSystem(10, 0.5, 2), cfg, &bad); err == nil {
 		t.Fatal("resume accepted SCAFFOLD state without a *ScaffoldUpdater")
+	}
+}
+
+// flakyExecutor is the substitute the Executor seam exists for: it hands
+// every call to a real engine until call failAt, which fails.
+type flakyExecutor struct {
+	Executor
+	failAt, calls int
+	err           error
+}
+
+func (f *flakyExecutor) RunGroups(t int, groups []*grouping.Group, selected []int, params []float64) ([]GroupUpdate, error) {
+	f.calls++
+	if f.calls > f.failAt {
+		return nil, f.err
+	}
+	return f.Executor.RunGroups(t, groups, selected, params)
+}
+
+// TestExecutorErrorEndsRun drives a Trainer over an executor that fails in
+// its third round: the failed Step returns the zero record and leaves the
+// global vector untouched, Err reports the cause, Done turns true, and a
+// further Step neither calls the executor nor moves anything — the
+// bufio.Scanner contract fednode's cloud reads a transport failure through.
+func TestExecutorErrorEndsRun(t *testing.T) {
+	cfg := testConfig()
+	cfg.GlobalRounds = 5
+	sys := testSystem(10, 0.5, 2)
+	boom := errors.New("edge 1 hung up")
+	exec := &flakyExecutor{Executor: NewExecutor(sys, cfg), failAt: 2, err: boom}
+	tr, err := NewTrainerOn(sys, cfg, exec, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := NewTrainer(testSystem(10, 0.5, 2), cfg)
+	for i := 0; i < 2; i++ {
+		if got, want := tr.Step(), ref.Step(); got != want {
+			t.Fatalf("round %d through the seam: record %+v, NewTrainer's %+v", i, got, want)
+		}
+	}
+	sameBits(t, "params after two rounds through the seam", ref.Params(), tr.Params())
+	if tr.Err() != nil || tr.Done() {
+		t.Fatalf("healthy run: Err %v, Done %v", tr.Err(), tr.Done())
+	}
+
+	before := append([]float64(nil), tr.Params()...)
+	for attempt := 0; attempt < 2; attempt++ {
+		if rec := tr.Step(); rec != (RoundRecord{}) {
+			t.Fatalf("attempt %d: failed Step returned %+v, want the zero record", attempt, rec)
+		}
+		if !errors.Is(tr.Err(), boom) || !tr.Done() || tr.Round() != 2 {
+			t.Fatalf("attempt %d: Err %v, Done %v, Round %d; want the executor's error, true, 2", attempt, tr.Err(), tr.Done(), tr.Round())
+		}
+		sameBits(t, "params after the failed Step", before, tr.Params())
+		if exec.calls != 3 {
+			t.Fatalf("attempt %d: executor called %d times, want 3 (a Step after the failure is a no-op)", attempt, exec.calls)
+		}
+	}
+}
+
+// TestNewTrainerOnRejectsWithErrors holds the boundary to errors: what
+// NewTrainer panics on, NewTrainerOn returns — and a caller that pins the
+// formation and fixes the selections owes neither Grouping nor SampleGroups.
+func TestNewTrainerOnRejectsWithErrors(t *testing.T) {
+	sys := testSystem(8, 0.5, 11)
+	for name, mutate := range map[string]func(*Config){
+		"T":           func(c *Config) { c.GlobalRounds = 0 },
+		"LR":          func(c *Config) { c.LR = 0 },
+		"S":           func(c *Config) { c.SampleGroups = 0 },
+		"Grouping":    func(c *Config) { c.Grouping = nil },
+		"CostProfile": func(c *Config) { c.CostProfile = cost.Profile{} },
+		"InitParams":  func(c *Config) { c.InitParams = []float64{1, 2, 3} },
+		"Async":       func(c *Config) { c.Async.Mode = async.Buffered; c.Async.BufferFrac = 2 },
+	} {
+		cfg := testConfig()
+		mutate(&cfg)
+		if tr, err := NewTrainerOn(sys, cfg, NewExecutor(sys, cfg), nil, nil); err == nil || tr != nil {
+			t.Errorf("%s: NewTrainerOn returned (%v, %v), want an error", name, tr, err)
+		}
+	}
+	cfg := testConfig()
+	cfg.GlobalRounds = 1
+	pinned := NewTrainer(sys, cfg).Groups()
+	cfg.Grouping, cfg.SampleGroups = nil, 0
+	tr, err := NewTrainerOn(sys, cfg, NewExecutor(sys, cfg), pinned, [][]int{{0}})
+	if err != nil {
+		t.Fatalf("pinned groups and fixed selections without Grouping or SampleGroups: %v", err)
+	}
+	if tr.Step(); tr.SelectedClients() != pinned[0].Size() {
+		t.Fatalf("fixed selection trained %d clients, group 0 has %d", tr.SelectedClients(), pinned[0].Size())
 	}
 }

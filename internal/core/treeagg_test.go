@@ -118,7 +118,6 @@ func TestTreeFoldSerialZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
 		treeFold(nodes, w, n, 1)
-		//lint:ignore float-eq AllocsPerRun returns an exact integer count
 	}); allocs != 0 {
 		t.Fatalf("serial treeFold allocated %.1f times per run, want 0", allocs)
 	}

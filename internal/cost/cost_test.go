@@ -72,7 +72,6 @@ func TestGroupOverheadComposition(t *testing.T) {
 	if got := p.GroupOverhead(10, sc); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("scaffold GroupOverhead = %v, want %v", got, want)
 	}
-	//lint:ignore float-eq test asserts exact deterministic output
 	if got := p.GroupOverhead(10, OpSet{}); got != 0 {
 		t.Fatalf("no-op overhead = %v, want 0", got)
 	}
@@ -117,12 +116,10 @@ func TestAccountantGlobalRound(t *testing.T) {
 func TestAccountantReset(t *testing.T) {
 	a := NewAccountant(CIFARProfile(), DefaultOps())
 	a.GroupRound(2, []int{5, 5}, 1)
-	//lint:ignore float-eq test asserts exact deterministic output
 	if a.Total() == 0 {
 		t.Fatal("expected nonzero total")
 	}
 	a.Reset()
-	//lint:ignore float-eq test asserts exact deterministic output
 	if a.Total() != 0 || a.Training() != 0 || a.GroupOps() != 0 {
 		t.Fatal("Reset incomplete")
 	}
@@ -174,7 +171,6 @@ func TestRestoreResumesAccounting(t *testing.T) {
 	resumed := NewAccountant(p, DefaultOps())
 	resumed.Restore(half.Training(), half.GroupOps())
 	resumed.GlobalRound(samples, 2, 3)
-	//lint:ignore float-eq resume must reproduce the uninterrupted sums exactly
 	if resumed.Total() != full.Total() || resumed.Training() != full.Training() || resumed.GroupOps() != full.GroupOps() {
 		t.Fatalf("resumed accountant diverged: %v vs %v", resumed.Total(), full.Total())
 	}

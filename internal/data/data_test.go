@@ -14,7 +14,6 @@ func TestGeneratorDeterminism(t *testing.T) {
 	a := g1.Sample(20, 1)
 	b := g2.Sample(20, 1)
 	for i := range a.X {
-		//lint:ignore float-eq test asserts exact deterministic output
 		if a.X[i] != b.X[i] {
 			t.Fatal("same seed+tag must produce identical data")
 		}
@@ -32,7 +31,6 @@ func TestGeneratorTagsIndependent(t *testing.T) {
 	b := g.Sample(50, 2)
 	same := 0
 	for i := range a.X {
-		//lint:ignore float-eq test asserts exact deterministic output
 		if a.X[i] == b.X[i] {
 			same++
 		}
@@ -120,7 +118,6 @@ func TestBatchShapesAndContent(t *testing.T) {
 	}
 	dim := ds.Dim()
 	for j := 0; j < dim; j++ {
-		//lint:ignore float-eq test asserts exact deterministic output
 		if x.Data[j] != ds.X[3*dim+j] {
 			t.Fatal("batch features misaligned")
 		}
@@ -162,7 +159,6 @@ func TestDirichletPartitionInvariants(t *testing.T) {
 		}
 		// Counts histogram must agree with actual labels.
 		for y := range counts {
-			//lint:ignore float-eq test asserts exact deterministic output
 			if counts[y] != c.Counts[y] {
 				t.Fatalf("client %d counts mismatch at label %d", c.ID, y)
 			}
@@ -222,7 +218,6 @@ func TestGlobalCounts(t *testing.T) {
 		{Counts: []float64{3, 4}},
 	}
 	g := GlobalCounts(clients, 2)
-	//lint:ignore float-eq test asserts exact deterministic output
 	if g[0] != 4 || g[1] != 6 {
 		t.Fatalf("GlobalCounts = %v", g)
 	}

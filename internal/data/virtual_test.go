@@ -39,7 +39,6 @@ func TestVirtualClientSelfConsistent(t *testing.T) {
 			hist[label]++
 		}
 		for cls := range hist {
-			//lint:ignore float-eq the histogram is derived from the same label stream
 			if hist[cls] != c.Counts[cls] {
 				t.Fatalf("client %d class %d: histogram %v vs Counts %v", id, cls, hist[cls], c.Counts[cls])
 			}
@@ -93,7 +92,6 @@ func TestVirtualClientsParallelDeterministic(t *testing.T) {
 			t.Fatalf("client %d: parallel (ID=%d N=%d, %d classes) vs serial (N=%d, %d classes)", id, got.ID, got.N, len(got.Counts), want.N, len(want.Counts))
 		}
 		for y := range want.Counts {
-			//lint:ignore float-eq both sides replay the same label stream
 			if got.Counts[y] != want.Counts[y] {
 				t.Fatalf("client %d label %d: %v vs %v", id, y, got.Counts[y], want.Counts[y])
 			}

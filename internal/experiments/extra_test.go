@@ -64,7 +64,6 @@ func TestDropoutRobustnessShape(t *testing.T) {
 		t.Fatal("missing series")
 	}
 	// No dropouts at p=0; dropouts increase with p.
-	//lint:ignore float-eq test asserts exact deterministic output
 	if drops.Y[0] != 0 {
 		t.Fatalf("dropouts at p=0: %v", drops.Y[0])
 	}

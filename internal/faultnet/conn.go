@@ -88,9 +88,12 @@ func (c *faultConn) Write(p []byte) (int, error) {
 // the straggler path, end to end.
 func (c *faultConn) waitOut(sleep time.Duration) {
 	if sleep > 0 {
+		//lint:ignore wallclock under core.Train's root via the networked executor; an injected delay moves when a frame lands, not what it holds
 		time.Sleep(sleep)
 	}
+	//lint:ignore wallclock partition heal time: bounds waiting, never feeds a result
 	if until := c.nw.healDeadline(c.out.from, c.out.to); time.Now().Before(until) {
+		//lint:ignore wallclock partition heal time: bounds waiting, never feeds a result
 		time.Sleep(time.Until(until))
 	}
 }

@@ -171,6 +171,7 @@ func (n *Network) dir(from, to string) *dirState {
 // partition blocks both directions between a and b until now+heal.
 func (n *Network) partition(a, b string, heal time.Duration) {
 	key := pairKey(a, b)
+	//lint:ignore wallclock partition heal time: bounds waiting, never feeds a result (see faultConn.waitOut)
 	deadline := time.Now().Add(heal)
 	n.mu.Lock()
 	if deadline.After(n.partitions[key]) {

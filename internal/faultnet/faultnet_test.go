@@ -489,7 +489,6 @@ func TestPlanJSONDefaultsAndDelayOnly(t *testing.T) {
 		t.Fatalf("plan mis-parsed: %+v", p)
 	}
 	r := p.Rules[0]
-	//lint:ignore float-eq test asserts exact deterministic output
 	if r.Round != faultnet.MatchAny || r.Seq != faultnet.MatchAny || r.Prob != 1 || r.Flips != 1 {
 		t.Fatalf("rule defaults not applied: %+v", r)
 	}

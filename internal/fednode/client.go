@@ -47,9 +47,6 @@ func (c *Client) logf(format string, args ...any) {
 // returning (nil, nil).
 func (c *Client) Run(nw Network, edgeAddr string) ([]float64, error) {
 	cfg := c.cfg
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
 	var me *data.Client
 	for _, cl := range c.sys.Clients {
 		if cl.ID == c.id {

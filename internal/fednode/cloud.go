@@ -7,15 +7,15 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/grouping"
 	"repro/internal/metrics"
 	"repro/internal/wire"
 )
 
 // Cloud is the coordinator of a networked Group-FEL job: it registers the
-// edge servers, forms groups and pushes the assignment, then drives T
-// global rounds — global model out, group aggregates back, weighted
-// aggregation, evaluation — and finally broadcasts the converged model and
-// drains every connection before returning.
+// edge servers, pushes the group assignment, steps a core.Trainer through T
+// global rounds over the edge connections (cloudExec), and finally broadcasts
+// the converged model and drains every connection before returning.
 type Cloud struct {
 	sys   *core.System
 	cfg   JobConfig
@@ -47,9 +47,6 @@ func (c *Cloud) logf(format string, args ...any) {
 // every edge connection closed.
 func (c *Cloud) Run(ln net.Listener) (*Report, error) {
 	cfg := c.cfg
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
 	numEdges := len(c.sys.Edges)
 	if numEdges == 0 {
 		return nil, fmt.Errorf("fednode: system has no edges")
@@ -88,23 +85,20 @@ func (c *Cloud) Run(ln net.Listener) (*Report, error) {
 		c.logf("cloud: edge %d registered (%d/%d)", id, i+1, numEdges)
 	}
 
-	// The same control plane the in-process trainer steps: formation, p_g
-	// and every round's S_t come from one core.Plan, published under one
-	// fel_core_* schema, so a clean loopback run follows the in-process
-	// trajectory and one audit recipe (empirical selection frequency vs p_g,
-	// see EXPERIMENTS.md) reads both kinds of run.
-	plan, err := cfg.plan(c.sys, c.meter.Registry())
+	// The one round loop: the cloud steps the core.Trainer the in-process path
+	// steps, over an executor that reaches the groups through the edge
+	// connections. Built only now: a rejected config then closes registered
+	// connections, so every edge unblocks.
+	reg := c.meter.Registry()
+	exec := &cloudExec{timeout: cfg.RoundTimeout, meter: c.meter, conns: conns}
+	tr, err := core.NewTrainerOn(c.sys, cfg.TrainConfig(reg), exec, cfg.Groups, cfg.FixedSelection)
 	if err != nil {
 		return nil, fmt.Errorf("fednode: %w", err)
-	}
-	groups := plan.Groups()
-	byID := make(map[int]int, len(groups))
-	for i, g := range groups {
-		byID[g.ID] = i
 	}
 
 	// Push the assignment: one GroupAssign per group to its edge, then a
 	// sentinel (From = -1) closing the stream.
+	groups := tr.Groups()
 	for e, conn := range conns {
 		for _, g := range groups {
 			if g.Edge != e {
@@ -125,129 +119,34 @@ func (c *Cloud) Run(ln net.Listener) (*Report, error) {
 		}
 	}
 
-	global := c.sys.NewModel(c.sys.ModelSeed)
-	globalParams := global.ParamVector()
-	if cfg.InitParams != nil {
-		if len(cfg.InitParams) != len(globalParams) {
-			return nil, fmt.Errorf("fednode: InitParams length %d, model has %d", len(cfg.InitParams), len(globalParams))
-		}
-		copy(globalParams, cfg.InitParams)
-	}
-
 	rep := &Report{}
 	start := time.Now()
 	bytesMark := c.meter.Written()
-	for t := 0; t < cfg.GlobalRounds; t++ {
-		roundSpan := c.meter.Registry().Start("fel_fednode_round_seconds", metrics.L("role", "cloud"))
-		selected := plan.Next(t)
-
-		// Broadcast the global model with each edge's share of the
-		// selection (possibly empty — edges stay in lockstep).
-		selByEdge := make([][]int32, numEdges)
-		for _, gi := range selected {
-			g := groups[gi]
-			selByEdge[g.Edge] = append(selByEdge[g.Edge], int32(g.ID))
-		}
-		for e, conn := range conns {
-			msg := &wire.Message{Type: wire.GlobalModel, Round: uint32(t), Floats: globalParams, Ints: selByEdge[e]}
-			if err := sendFrame(conn, c.meter, msg, cfg.RoundTimeout); err != nil {
-				return nil, fmt.Errorf("fednode: round %d push to edge %d: %w", t, e, err)
-			}
-		}
-
-		// Collect one GroupAggregate per selected group, concurrently per
-		// edge connection, all readers joined before aggregation.
-		type aggregate struct {
-			gi     int
-			params []float64
-			drops  int
-			recov  int
-		}
-		var mu sync.Mutex
-		aggs := make(map[int]aggregate, len(selected))
-		var firstErr error
-		var wg sync.WaitGroup
-		for e, conn := range conns {
-			expect := len(selByEdge[e])
-			if expect == 0 {
-				continue
-			}
-			wg.Add(1)
-			go func(e int, conn net.Conn, expect int) {
-				defer wg.Done()
-				for r := 0; r < expect; r++ {
-					m, err := expectFrame(conn, c.meter, cfg.RoundTimeout, wire.GroupAggregate)
-					if err == nil && int(m.Round) != t {
-						err = fmt.Errorf("fednode: edge %d aggregate for round %d during round %d", e, m.Round, t)
-					}
-					var gi int
-					if err == nil {
-						var ok bool
-						gi, ok = byID[int(m.From)]
-						if !ok {
-							err = fmt.Errorf("fednode: edge %d reported unknown group %d", e, m.From)
-						}
-					}
-					mu.Lock()
-					if err != nil {
-						if firstErr == nil {
-							firstErr = err
-						}
-						mu.Unlock()
-						return
-					}
-					agg := aggregate{gi: gi, params: m.Floats}
-					if len(m.Ints) == 2 {
-						agg.drops, agg.recov = int(m.Ints[0]), int(m.Ints[1])
-					}
-					aggs[gi] = agg
-					mu.Unlock()
-				}
-			}(e, conn, expect)
-		}
-		wg.Wait()
-		if firstErr != nil {
-			return nil, firstErr
-		}
-
-		// Weighted global aggregation (Alg. 1 line 15 / Eq. 4 / Eq. 35).
-		next := make([]float64, len(globalParams))
-		updates := make([][]float64, len(selected))
-		stat := RoundStat{Round: t, Selected: len(selected), Accuracy: -1, Loss: -1}
-		for si, gi := range selected {
-			agg, ok := aggs[gi]
-			if !ok {
-				return nil, fmt.Errorf("fednode: round %d missing aggregate for group %d", t, groups[gi].ID)
-			}
-			if len(agg.params) != len(next) {
-				return nil, fmt.Errorf("fednode: group %d aggregate has %d params, want %d", groups[gi].ID, len(agg.params), len(next))
-			}
-			updates[si] = agg.params
-			stat.Dropouts += agg.drops
-			stat.Recoveries += agg.recov
-		}
-		plan.Fold(updates, globalParams, next, 1)
-		globalParams = next
-
-		if cfg.EvalEvery <= 1 || t%cfg.EvalEvery == 0 || t == cfg.GlobalRounds-1 {
-			global.SetParamVector(globalParams)
-			stat.Accuracy, stat.Loss = core.Evaluate(global, c.sys.Test, 0)
+	for !tr.Done() {
+		roundSpan := reg.Start("fel_fednode_round_seconds", metrics.L("role", "cloud"))
+		rec := tr.Step()
+		if err := tr.Err(); err != nil {
+			return nil, err
 		}
 		written := c.meter.Written()
-		stat.WireBytes = written - bytesMark
+		stat := RoundStat{
+			Round: rec.Round, Accuracy: rec.Accuracy, Loss: rec.Loss,
+			Selected: len(exec.updates), Dropouts: exec.drops, Recoveries: exec.recoveries,
+			WireBytes: written - bytesMark,
+		}
 		bytesMark = written
 		rep.Rounds = append(rep.Rounds, stat)
-		rep.RoundsRun = t + 1
+		rep.RoundsRun = rec.Round + 1
 		rep.Dropouts += stat.Dropouts
 		rep.Recoveries += stat.Recoveries
 		roundSpan.End()
 		c.logf("cloud: round %d done: acc=%.4f dropouts=%d recoveries=%d bytes=%d",
-			t, stat.Accuracy, stat.Dropouts, stat.Recoveries, stat.WireBytes)
+			rec.Round, stat.Accuracy, stat.Dropouts, stat.Recoveries, stat.WireBytes)
 	}
 
 	// Graceful shutdown: broadcast the final model, then wait for every
 	// edge's ack so all downstream forwards have drained before we close.
-	final := &wire.Message{Type: wire.GlobalAggregate, Round: uint32(cfg.GlobalRounds), Floats: globalParams}
+	final := &wire.Message{Type: wire.GlobalAggregate, Round: uint32(cfg.GlobalRounds), Floats: tr.Params()}
 	for e, conn := range conns {
 		if err := sendFrame(conn, c.meter, final, cfg.RoundTimeout); err != nil {
 			return nil, fmt.Errorf("fednode: final broadcast to edge %d: %w", e, err)
@@ -259,13 +158,94 @@ func (c *Cloud) Run(ln net.Listener) (*Report, error) {
 		}
 	}
 
-	global.SetParamVector(globalParams)
-	rep.FinalAccuracy, rep.FinalLoss = core.Evaluate(global, c.sys.Test, 0)
-	rep.Params = globalParams
+	res := tr.Finish()
+	rep.FinalAccuracy, rep.FinalLoss, rep.Params = res.FinalAccuracy, res.FinalLoss, res.Params
 	rep.WallClock = time.Since(start)
 	rep.WireWritten = c.meter.Written()
 	rep.WireRead = c.meter.Read()
 	rep.Frames = c.meter.Frames()
 	rep.AccountedBytes = c.meter.Accounted()
 	return rep, nil
+}
+
+// cloudExec is the networked core.Executor: a round's groups train behind the
+// edge connections. Beyond the updates it keeps the last round's drops and
+// secagg recoveries as the edges reported them, for the Report.
+type cloudExec struct {
+	timeout time.Duration
+	meter   *Meter
+	conns   []net.Conn
+
+	updates           []core.GroupUpdate
+	drops, recoveries int
+}
+
+// RunGroups broadcasts the global model with each edge's share of the
+// selection (possibly empty — edges stay in lockstep) and collects one
+// GroupAggregate per selected group, one joined reader per edge connection.
+func (x *cloudExec) RunGroups(t int, groups []*grouping.Group, selected []int, params []float64) ([]core.GroupUpdate, error) {
+	selByEdge := make([][]int32, len(x.conns))
+	slot := make(map[int32]int, len(selected)) // group ID → selection slot
+	x.updates = append(x.updates[:0], make([]core.GroupUpdate, len(selected))...)
+	for si, gi := range selected {
+		g := groups[gi]
+		selByEdge[g.Edge] = append(selByEdge[g.Edge], int32(g.ID))
+		slot[int32(g.ID)] = si
+	}
+	for e, conn := range x.conns {
+		msg := &wire.Message{Type: wire.GlobalModel, Round: uint32(t), Floats: params, Ints: selByEdge[e]}
+		if err := sendFrame(conn, x.meter, msg, x.timeout); err != nil {
+			return nil, fmt.Errorf("fednode: round %d push to edge %d: %w", t, e, err)
+		}
+	}
+
+	x.drops, x.recoveries = 0, 0
+	errs := make([]error, len(x.conns))
+	var mu sync.Mutex // updates and the totals: an edge may name any group
+	var wg sync.WaitGroup
+	for e, conn := range x.conns {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range selByEdge[e] {
+				m, err := expectFrame(conn, x.meter, x.timeout, wire.GroupAggregate)
+				if err != nil {
+					errs[e] = err
+					return
+				}
+				si, known := slot[m.From]
+				switch {
+				case int(m.Round) != t:
+					errs[e] = fmt.Errorf("fednode: edge %d aggregate for round %d during round %d", e, m.Round, t)
+				case !known:
+					errs[e] = fmt.Errorf("fednode: edge %d reported unknown group %d", e, m.From)
+				case len(m.Floats) != len(params):
+					errs[e] = fmt.Errorf("fednode: group %d aggregate has %d params, want %d", m.From, len(m.Floats), len(params))
+				}
+				if errs[e] != nil {
+					return
+				}
+				mu.Lock()
+				x.updates[si].Params = m.Floats
+				if len(m.Ints) == 2 {
+					x.updates[si].Drops = int(m.Ints[0])
+					x.drops += int(m.Ints[0])
+					x.recoveries += int(m.Ints[1])
+				}
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	for si, u := range x.updates {
+		if u.Params == nil {
+			return nil, fmt.Errorf("fednode: round %d missing aggregate for group %d", t, groups[selected[si]].ID)
+		}
+	}
+	return x.updates, nil
 }

@@ -2,8 +2,11 @@ package fednode
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
@@ -29,11 +32,11 @@ func controlPlaneLines(snapshot string) string {
 	return b.String()
 }
 
-// TestControlPlaneConformance holds the networked cloud to the in-process
-// trainer's control plane: on the same System and seed, every
+// TestControlPlaneConformance is the executor table: it holds the networked
+// executor to the in-process one. On the same System and seed, every
 // fel_core_group_{prob,cov,size,selected_total} and fel_core_rounds_total
-// line the two executors publish must be byte-equal — same formation, same
-// p_g, same S_t every round.
+// line the two publish must be byte-equal — same formation, same p_g, same
+// S_t every round.
 func TestControlPlaneConformance(t *testing.T) {
 	schemes := []struct {
 		m sampling.Method
@@ -51,8 +54,7 @@ func TestControlPlaneConformance(t *testing.T) {
 				jcfg.GlobalRounds = 4
 				jcfg.Seed, jcfg.Sampling, jcfg.Weights = seed, sc.m, sc.w
 
-				tcfg := trainConfig(jcfg)
-				tcfg.Metrics = metrics.New()
+				tcfg := jcfg.TrainConfig(metrics.New())
 				core.Train(sys, tcfg)
 				want := controlPlaneLines(metrics.MaskTimings(tcfg.Metrics.Snapshot()))
 
@@ -72,4 +74,77 @@ func TestControlPlaneConformance(t *testing.T) {
 			})
 		}
 	}
+
+	// What the networked executor inherits from the one round loop rather
+	// than implements: the Trainer's dropout counter under a forced
+	// disconnect, the one evaluation schedule, and final weights that do not
+	// depend on how many processors fold them.
+	t.Run("dropouts", func(t *testing.T) {
+		sys := testSystem(12, 5)
+		jcfg := testJobConfig()
+		jcfg.GlobalRounds = 2
+		jcfg.StragglerTimeout = 2 * time.Second
+		groups, err := jcfg.PinAllGroups(sys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range groups {
+			if g.Size() >= 3 {
+				jcfg.ForceDrop = &ForcedDrop{Client: g.Clients[0].ID, Round: 0, GroupRound: 0}
+				break
+			}
+		}
+		if jcfg.ForceDrop == nil {
+			t.Fatal("no group with >= 3 clients")
+		}
+		reg := metrics.New()
+		jcfg.Meter = NewMeter(reg)
+		rep, err := RunJob(NewMemNetwork(), sys, jcfg, "")
+		if err != nil {
+			t.Fatalf("RunJob: %v", err)
+		}
+		if got := reg.CounterValue("fel_core_dropouts_total"); rep.Dropouts != 1 || got != int64(rep.Dropouts) {
+			t.Fatalf("fel_core_dropouts_total %d, Report.Dropouts %d, want both 1", got, rep.Dropouts)
+		}
+	})
+
+	t.Run("eval-schedule", func(t *testing.T) {
+		sys := testSystem(12, 1)
+		jcfg := testJobConfig()
+		jcfg.GlobalRounds, jcfg.EvalEvery = 6, 4
+		rep, err := RunJob(NewMemNetwork(), sys, jcfg, "")
+		if err != nil {
+			t.Fatalf("RunJob: %v", err)
+		}
+		ref := core.Train(sys, jcfg.TrainConfig(nil))
+		for i, r := range rep.Rounds {
+			evaluated := i%4 == 0 || i == 5
+			if (r.Accuracy != -1) != evaluated || (r.Loss != -1) != evaluated {
+				t.Errorf("round %d: accuracy %v loss %v, evaluated should be %v", i, r.Accuracy, r.Loss, evaluated)
+			}
+			if (ref.Records[i].Accuracy != -1) != evaluated {
+				t.Errorf("round %d: in-process accuracy %v disagrees with the schedule", i, ref.Records[i].Accuracy)
+			}
+		}
+	})
+
+	t.Run("gomaxprocs", func(t *testing.T) {
+		run := func(procs int) []float64 {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			rep, err := RunJob(NewMemNetwork(), testSystem(12, 5), testJobConfig(), "")
+			if err != nil {
+				t.Fatalf("RunJob at GOMAXPROCS %d: %v", procs, err)
+			}
+			return rep.Params
+		}
+		one, eight := run(1), run(8)
+		if len(one) != len(eight) {
+			t.Fatalf("param dims differ: %d vs %d", len(one), len(eight))
+		}
+		for j := range one {
+			if math.Float64bits(one[j]) != math.Float64bits(eight[j]) {
+				t.Fatalf("param %d: %x at GOMAXPROCS 1, %x at 8", j, math.Float64bits(one[j]), math.Float64bits(eight[j]))
+			}
+		}
+	})
 }

@@ -62,9 +62,6 @@ type edgeGroup struct {
 // and all connections are closed.
 func (e *Edge) Run(nw Network, ln net.Listener, cloudAddr string) error {
 	cfg := e.cfg
-	if err := cfg.validate(); err != nil {
-		return err
-	}
 	if e.id < 0 || e.id >= len(e.sys.Edges) {
 		return fmt.Errorf("fednode: edge id %d out of range [0,%d)", e.id, len(e.sys.Edges))
 	}

@@ -6,6 +6,12 @@
 // round, edges drive K secure-aggregation group rounds against their
 // connected clients, and the cloud aggregates the returned group models.
 //
+// The cloud owns no algorithm. Cloud.Run registers the edges, pushes the
+// group assignment, and then steps a core.Trainer — the round loop the
+// in-process path runs — over a core.Executor whose RunGroups is the
+// broadcast-and-collect across the edge connections; a transport failure
+// surfaces as Trainer.Err.
+//
 // Control plane and failure are real here: stragglers are read deadlines,
 // a client dropout is a closed connection or a missed deadline, and the
 // edge recovers by collecting Shamir shares from the survivors
@@ -15,11 +21,10 @@
 // and shares cross the wire, and a loopback run reproduces the in-process
 // trainer (internal/core.Train) up to secure-aggregation quantization.
 //
-// The three execution paths — in-process (core.Train), modeled network
-// (internal/hfl over simnet), and real sockets (this package) — share the
-// same grouping/sampling/secagg substrates; simnet remains the source of
-// *modeled* link times, while this package reports measured wall-clock and
-// bytes on the wire.
+// internal/hfl is the third way to run a round: one modelled-time secure
+// round over simnet's link model, with its own arrival-order fold. simnet
+// remains the source of *modeled* link times, while this package reports
+// measured wall-clock and bytes on the wire.
 //
 // Observability runs through the Meter, a thin façade over an
 // internal/metrics registry: per-message-type frame and byte counters
@@ -52,9 +57,9 @@ type ForcedDrop struct {
 	Client, Round, GroupRound int
 }
 
-// JobConfig parameterizes one networked Group-FEL job. The algorithmic
-// fields mirror core.Config so a loopback run is comparable, seed-for-seed,
-// with the in-process trainer.
+// JobConfig parameterizes one networked Group-FEL job. TrainConfig spells
+// its algorithmic fields as the core.Config the cloud's Trainer runs, so a
+// loopback run is comparable, seed-for-seed, with the in-process trainer.
 type JobConfig struct {
 	// GlobalRounds (T), GroupRounds (K), LocalEpochs (E) as in Alg. 1.
 	GlobalRounds, GroupRounds, LocalEpochs int
@@ -127,25 +132,6 @@ func (cfg JobConfig) withDefaults() JobConfig {
 		cfg.DialBackoff = 25 * time.Millisecond
 	}
 	return cfg
-}
-
-// validate rejects unusable configs with an error (networked mode fails
-// with errors, not panics: a bad config on one node must not take down a
-// deployment with a stack trace).
-func (cfg JobConfig) validate() error {
-	switch {
-	case cfg.GlobalRounds <= 0 || cfg.GroupRounds <= 0 || cfg.LocalEpochs <= 0:
-		return fmt.Errorf("fednode: T, K, E must be positive")
-	case cfg.LR <= 0:
-		return fmt.Errorf("fednode: LR must be positive")
-	case cfg.Groups == nil && cfg.Grouping == nil:
-		return fmt.Errorf("fednode: a Grouping algorithm (or explicit Groups) is required")
-	case cfg.FixedSelection == nil && cfg.SampleGroups <= 0:
-		return fmt.Errorf("fednode: SampleGroups must be positive")
-	case cfg.FixedSelection != nil && len(cfg.FixedSelection) != cfg.GlobalRounds:
-		return fmt.Errorf("fednode: FixedSelection has %d rounds, want %d", len(cfg.FixedSelection), cfg.GlobalRounds)
-	}
-	return nil
 }
 
 // sessionSeed derives the secure-aggregation session seed for (global round
@@ -263,6 +249,7 @@ func sendFrame(conn net.Conn, m *Meter, msg *wire.Message, timeout time.Duration
 // same bytes to many peers.
 func sendEncoded(conn net.Conn, m *Meter, typ wire.Type, frame []byte, timeout time.Duration) error {
 	if timeout > 0 {
+		//lint:ignore wallclock I/O deadline under the networked executor: bounds waiting, never feeds a result (TestTrajectoryPinned)
 		if err := conn.SetWriteDeadline(time.Now().Add(timeout)); err != nil {
 			return fmt.Errorf("fednode: set write deadline: %w", err)
 		}
@@ -285,6 +272,7 @@ func readFrame(conn net.Conn, mt *Meter, timeout time.Duration) (*wire.Message, 
 	var zero time.Time
 	deadline := zero
 	if timeout > 0 {
+		//lint:ignore wallclock I/O deadline under the networked executor: bounds waiting, never feeds a result (TestTrajectoryPinned)
 		deadline = time.Now().Add(timeout)
 	}
 	if err := conn.SetReadDeadline(deadline); err != nil {

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/cost"
 	"repro/internal/data"
 	"repro/internal/grouping"
 	"repro/internal/nn"
@@ -46,17 +45,6 @@ func testJobConfig() JobConfig {
 	}
 }
 
-// trainConfig mirrors a JobConfig for the in-process trainer.
-func trainConfig(j JobConfig) core.Config {
-	return core.Config{
-		GlobalRounds: j.GlobalRounds, GroupRounds: j.GroupRounds, LocalEpochs: j.LocalEpochs,
-		BatchSize: j.BatchSize, LR: j.LR, SampleGroups: j.SampleGroups,
-		Grouping: j.Grouping, Sampling: j.Sampling, Weights: j.Weights,
-		Seed:        j.Seed,
-		CostProfile: cost.CIFARProfile(), CostOps: cost.DefaultOps(),
-	}
-}
-
 // TestLoopbackMatchesTrain is the tentpole equivalence check: a full job
 // over in-memory connections must reproduce the in-process trainer's
 // trajectory, with only secure-aggregation quantization separating the
@@ -75,7 +63,7 @@ func TestLoopbackMatchesTrain(t *testing.T) {
 		t.Fatalf("clean run reported %d dropouts / %d recoveries", rep.Dropouts, rep.Recoveries)
 	}
 
-	res := core.Train(sys, trainConfig(jcfg))
+	res := core.Train(sys, jcfg.TrainConfig(nil))
 	if len(rep.Params) != len(res.Params) {
 		t.Fatalf("param dims differ: %d vs %d", len(rep.Params), len(res.Params))
 	}
@@ -254,5 +242,34 @@ func TestMemNetworkRefusesUnknownAddr(t *testing.T) {
 	}
 	if time.Since(start) > time.Second {
 		t.Fatal("bounded retry took too long")
+	}
+}
+
+// TestRunJobRejectsBadConfig: T/K/E/LR/S and the selection shape are the
+// Trainer's to reject, which the cloud only builds once its edges have
+// registered — so the rejection must also tear the started nodes down, not
+// leave them waiting out their timeouts.
+func TestRunJobRejectsBadConfig(t *testing.T) {
+	for name, tc := range map[string]struct {
+		mutate func(*JobConfig)
+		want   string
+	}{
+		"K":              {func(c *JobConfig) { c.GroupRounds = 0 }, "T, K, E must be positive"},
+		"LR":             {func(c *JobConfig) { c.LR = 0 }, "LR must be positive"},
+		"S":              {func(c *JobConfig) { c.SampleGroups = 0 }, "SampleGroups must be positive"},
+		"Grouping":       {func(c *JobConfig) { c.Grouping = nil }, "Grouping algorithm is required"},
+		"FixedSelection": {func(c *JobConfig) { c.FixedSelection = [][]int{{0}} }, "fixed selection has 1 rounds, want 3"},
+		"InitParams":     {func(c *JobConfig) { c.InitParams = []float64{1} }, "InitParams length 1"},
+	} {
+		jcfg := testJobConfig()
+		tc.mutate(&jcfg)
+		start := time.Now()
+		_, err := RunJob(NewMemNetwork(), testSystem(8, 9), jcfg, "")
+		if err == nil || !strings.HasPrefix(err.Error(), "fednode: ") || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want a fednode: error containing %q", name, err, tc.want)
+		}
+		if d := time.Since(start); d > 10*time.Second {
+			t.Errorf("%s: rejection took %v: the nodes waited out a timeout", name, d)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/cost"
 	"repro/internal/grouping"
 	"repro/internal/metrics"
 )
@@ -19,12 +20,6 @@ import (
 // When RunJob returns, every node goroutine has been joined.
 func RunJob(nw Network, sys *core.System, cfg JobConfig, listenAddr string) (*Report, error) {
 	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if len(sys.Edges) == 0 {
-		return nil, fmt.Errorf("fednode: system has no edges")
-	}
 	m := cfg.Meter
 	if m == nil {
 		m = NewMeter(nil)
@@ -98,13 +93,18 @@ func RunJob(nw Network, sys *core.System, cfg JobConfig, listenAddr string) (*Re
 	return rep, nil
 }
 
-// plan builds the job's Alg. 1 control plane — the one the in-process
-// trainer steps — publishing its fel_core_* series into reg (nil-safe).
-func (cfg JobConfig) plan(sys *core.System, reg *metrics.Registry) (*core.Plan, error) {
-	return core.NewPlan(sys, core.Config{
-		Seed: cfg.Seed, Grouping: cfg.Grouping, Sampling: cfg.Sampling, Weights: cfg.Weights,
-		SampleGroups: cfg.SampleGroups, Metrics: reg,
-	}, cfg.Groups, cfg.FixedSelection)
+// TrainConfig spells the job as the core.Config its cloud's Trainer steps —
+// and, with reg nil, the in-process twin a loopback run is compared against.
+// A job has no cost model of its own: Eq. 5 runs under the CIFAR profile.
+func (cfg JobConfig) TrainConfig(reg *metrics.Registry) core.Config {
+	return core.Config{
+		GlobalRounds: cfg.GlobalRounds, GroupRounds: cfg.GroupRounds, LocalEpochs: cfg.LocalEpochs,
+		BatchSize: cfg.BatchSize, LR: cfg.LR, SampleGroups: cfg.SampleGroups,
+		Grouping: cfg.Grouping, Sampling: cfg.Sampling, Weights: cfg.Weights,
+		Seed: cfg.Seed, EvalEvery: cfg.EvalEvery, InitParams: cfg.InitParams,
+		CostProfile: cost.CIFARProfile(), CostOps: cost.DefaultOps(),
+		Metrics: reg,
+	}
 }
 
 // PinAllGroups forms the job's groups exactly as the cloud would, then pins
@@ -113,7 +113,7 @@ func (cfg JobConfig) plan(sys *core.System, reg *metrics.Registry) (*core.Plan, 
 // process of a deployment derives the same pin from the shared config. It
 // returns the pinned groups.
 func (cfg *JobConfig) PinAllGroups(sys *core.System) ([]*grouping.Group, error) {
-	plan, err := cfg.plan(sys, nil)
+	plan, err := core.NewPlan(sys, cfg.TrainConfig(nil), nil, nil)
 	if err != nil {
 		return nil, fmt.Errorf("fednode: %w", err)
 	}

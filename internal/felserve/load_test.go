@@ -134,7 +134,6 @@ func TestServeLoadSmoke(t *testing.T) {
 	if err := svc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	//lint:ignore float-eq gauge must land on exactly zero
 	if v := svc.subActive.Value(); v != 0 {
 		t.Fatalf("fel_serve_subscribers_active = %g after Close, want 0", v)
 	}

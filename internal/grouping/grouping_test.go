@@ -60,15 +60,12 @@ func TestGroupAccessors(t *testing.T) {
 	if g.Size() != 2 || g.NumSamples() != 10 {
 		t.Fatalf("Size=%d NumSamples=%d", g.Size(), g.NumSamples())
 	}
-	//lint:ignore float-eq test asserts exact deterministic output
 	if g.Counts[0] != 3 || g.Counts[1] != 7 {
 		t.Fatalf("Counts=%v", g.Counts)
 	}
-	//lint:ignore float-eq test asserts exact deterministic output
 	if g.CoV() != stats.CoVOfCounts([]float64{3, 7}) {
 		t.Fatal("CoV mismatch")
 	}
-	//lint:ignore float-eq test asserts exact deterministic output
 	if g.Gamma() != stats.GammaFactor([]float64{4, 6}) {
 		t.Fatal("Gamma mismatch")
 	}

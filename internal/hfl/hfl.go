@@ -10,6 +10,13 @@
 // The in-process trainer (internal/core) is the fast path used by the
 // experiment harness; this package exists to demonstrate and test that the
 // same round semantics survive a privacy-preserving execution.
+//
+// It is deliberately not a core.Executor under core.Trainer (DESIGN.md S32):
+// a round here folds by modelled arrival time with a plain left-to-right
+// sum, held to recorded digests (TestRunGlobalRoundArrivalOrderPinned,
+// fednode's TestTrajectoryPinned), where Plan.Fold sums a fixed-pairing tree
+// — a different rounding of the same aggregate. It stays as the
+// modelled-time secure-round oracle, one round per call.
 package hfl
 
 import (
@@ -86,6 +93,17 @@ func RunGlobalRound(sys *core.System, groups []*grouping.Group, selected []int, 
 	}
 	if cfg.GroupRounds <= 0 || cfg.LocalEpochs <= 0 || cfg.LR <= 0 {
 		return nil, fmt.Errorf("hfl: K, E, LR must be positive")
+	}
+	for _, gi := range selected {
+		if gi < 0 || gi >= len(groups) {
+			return nil, fmt.Errorf("hfl: selected index %d out of range [0,%d)", gi, len(groups))
+		}
+		if groups[gi].Size() == 0 {
+			return nil, fmt.Errorf("hfl: group %d has no clients", groups[gi].ID)
+		}
+	}
+	if want := sys.NewModel(sys.ModelSeed).NumParams(); len(globalParams) != want {
+		return nil, fmt.Errorf("hfl: globalParams has %d values, model has %d", len(globalParams), want)
 	}
 
 	modelBytes := len(globalParams) * 8

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -211,6 +212,26 @@ func TestRunGlobalRoundErrors(t *testing.T) {
 	if _, err := RunGlobalRound(sys, groups, []int{0}, global, bad); err == nil {
 		t.Fatal("expected error for zero LR")
 	}
+	// Caller-supplied shapes the round would otherwise index or panic on.
+	empty := append([]*grouping.Group{grouping.NewGroup(99, 0, nil, sys.Classes)}, groups...)
+	for _, tc := range []struct {
+		name     string
+		groups   []*grouping.Group
+		selected []int
+		params   []float64
+		want     string
+	}{
+		{"selected index past the groups", groups, []int{len(groups)}, global, "out of range"},
+		{"negative selected index", groups, []int{-1}, global, "out of range"},
+		{"empty group", empty, []int{0}, global, "has no clients"},
+		{"short globalParams", groups, []int{0}, global[:len(global)-1], "globalParams has"},
+		{"long globalParams", groups, []int{0}, append(global[:len(global):len(global)], 0), "globalParams has"},
+	} {
+		_, err := RunGlobalRound(sys, tc.groups, tc.selected, tc.params, roundConfig())
+		if err == nil || !strings.HasPrefix(err.Error(), "hfl: ") || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want an hfl: error containing %q", tc.name, err, tc.want)
+		}
+	}
 }
 
 func TestCostProfileDrivesComputeTime(t *testing.T) {
@@ -252,7 +273,6 @@ func TestDistributedRoundWithDropout(t *testing.T) {
 	// The round still moved the model.
 	moved := false
 	for j := range global {
-		//lint:ignore float-eq test asserts exact deterministic output
 		if res.Params[j] != global[j] {
 			moved = true
 			break
@@ -278,7 +298,6 @@ func TestDistributedRoundDropoutDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for j := range a.Params {
-		//lint:ignore float-eq test asserts exact deterministic output
 		if a.Params[j] != b.Params[j] {
 			t.Fatal("dropout path not deterministic")
 		}

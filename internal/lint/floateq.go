@@ -6,18 +6,19 @@ import (
 	"go/types"
 )
 
-// FloatEq forbids == and != between floating-point operands, test files
-// included. Accumulated losses, accuracies, and weights differ in the last
-// ulp across algebraically equivalent reductions, so exact comparison is
-// almost always a bug; use stats.ApproxEqual / stats.NearZero instead.
-// Intentional exact comparisons (sparsity fast paths, resampling loops on
-// exact zeros, tests asserting bit-identical replay) must be annotated with
-// //lint:ignore float-eq <reason>.
+// FloatEq forbids == and != between floating-point operands outside test
+// files. Accumulated losses, accuracies, and weights differ in the last ulp
+// across algebraically equivalent reductions, so exact comparison is almost
+// always a bug; use stats.ApproxEqual / stats.NearZero instead. Intentional
+// exact comparisons (sparsity fast paths, resampling loops on exact zeros)
+// must be annotated with //lint:ignore float-eq <reason>. Tests are exempt:
+// this repository's contract is bit-identity, and an exact compare in a test
+// is how that contract is asserted.
 var FloatEq = &Analyzer{
 	Name: "float-eq",
-	Doc:  "forbid ==/!= on floating-point operands (tests included)",
+	Doc:  "forbid ==/!= on floating-point operands outside tests",
 	Run: func(pass *Pass) {
-		for _, f := range pass.Pkg.AllFiles() {
+		for _, f := range pass.Pkg.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				be, ok := n.(*ast.BinaryExpr)
 				if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {

@@ -9,7 +9,7 @@
 //   - goroutine-join: every go statement's completion token (WaitGroup or
 //     channel, resolved through go/types) is actually waited on by the
 //     spawner or escapes as a join handle, so parallel code cannot leak.
-//   - float-eq: no ==/!= on floating-point operands (test files included);
+//   - float-eq: no ==/!= on floating-point operands outside test files;
 //     numeric comparisons go through the epsilon helpers in internal/stats.
 //   - dropped-error: no silently discarded error returns, in tests either.
 //   - panic-message: panics in library packages carry a "pkg: " prefix.

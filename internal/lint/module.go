@@ -160,7 +160,8 @@ func (m *Module) buildEdges(fi *FuncInfo) {
 		switch n := n.(type) {
 		case *ast.Ident:
 			if fn, ok := pkg.useOf(n).(*types.Func); ok {
-				if p := fn.Pkg(); p != nil && p.Path() == "time" && wallclockFuncs[fn.Name()] {
+				// Package-level functions only: Time.After is a comparison.
+				if p := fn.Pkg(); p != nil && p.Path() == "time" && wallclockFuncs[fn.Name()] && fn.Type().(*types.Signature).Recv() == nil {
 					fi.TimeUses = append(fi.TimeUses, TimeUse{Pos: n.Pos(), Name: fn.Name()})
 				}
 			}

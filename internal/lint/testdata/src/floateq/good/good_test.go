@@ -2,11 +2,10 @@ package good
 
 import "testing"
 
-// Test files are covered too; intentional exact comparisons — bit-for-bit
-// determinism assertions — carry an explicit directive.
-func TestExactCompareNeedsDirective(t *testing.T) {
+// Test files are exempt: a bit-for-bit determinism assertion is an exact
+// compare, and needs no directive.
+func TestExactCompareIsExempt(t *testing.T) {
 	a, b := 0.5, 0.5
-	//lint:ignore float-eq replay assertions compare bit-identical values on purpose
 	if a != b {
 		t.Fatal("identical literals must be bit-identical")
 	}

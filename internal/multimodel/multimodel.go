@@ -101,6 +101,9 @@ func Train(sys *core.System, cfg Config) *Result {
 	}
 	res := &Result{Models: states, Assignments: make([]int, cfg.Models)}
 
+	// One executor — one worker pool — serves every model: a model's picked
+	// groups train in parallel, the models one after another.
+	exec := core.NewExecutor(sys, cfg.Train)
 	for t := 0; t < cfg.Train.GlobalRounds; t++ {
 		assignment := assign(cfg, states, groups, probs, rng.Split(uint64(10+t)))
 		for m, picked := range assignment {
@@ -108,16 +111,20 @@ func Train(sys *core.System, cfg Config) *Result {
 				continue
 			}
 			res.Assignments[m] += len(picked)
-			// Weighted (biased) aggregation over this model's groups.
+			updates, err := exec.RunGroups(t, groups, picked, states[m].Params)
+			if err != nil {
+				panic(fmt.Sprintf("multimodel: %v", err))
+			}
+			// Weighted (biased) aggregation over this model's groups, a plain
+			// sum in pick order — the order results/medium/multimodel.csv pins.
 			next := make([]float64, len(states[m].Params))
 			nt := 0
 			for _, gi := range picked {
 				nt += groups[gi].NumSamples()
 			}
-			for _, gi := range picked {
-				gp, _, _ := core.RunGroupRounds(sys, cfg.Train, groups[gi], states[m].Params, t)
+			for si, gi := range picked {
 				w := float64(groups[gi].NumSamples()) / float64(nt)
-				for j, v := range gp {
+				for j, v := range updates[si].Params {
 					next[j] += w * v
 				}
 			}

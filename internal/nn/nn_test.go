@@ -55,7 +55,6 @@ func TestDenseForwardKnown(t *testing.T) {
 	d.B.Data = []float64{10, 20}
 	x := tensor.FromSlice([]float64{1, 1}, 1, 2)
 	y := d.Forward(x, false)
-	//lint:ignore float-eq test asserts exact deterministic output
 	if y.Data[0] != 14 || y.Data[1] != 26 {
 		t.Fatalf("dense forward = %v, want [14 26]", y.Data)
 	}
@@ -134,7 +133,6 @@ func TestMaxPoolKnown(t *testing.T) {
 	y := p.Forward(x, false)
 	want := []float64{6, 8, 14, 16}
 	for i, w := range want {
-		//lint:ignore float-eq test asserts exact deterministic output
 		if y.Data[i] != w {
 			t.Fatalf("maxpool = %v, want %v", y.Data, want)
 		}
@@ -146,11 +144,9 @@ func TestMaxPoolKnown(t *testing.T) {
 	for _, v := range dx.Data {
 		sum += v
 	}
-	//lint:ignore float-eq test asserts exact deterministic output
 	if sum != 4 {
 		t.Fatalf("maxpool backward mass = %v, want 4", sum)
 	}
-	//lint:ignore float-eq test asserts exact deterministic output
 	if dx.Data[5] != 1 || dx.Data[7] != 1 || dx.Data[13] != 1 || dx.Data[15] != 1 {
 		t.Fatalf("maxpool backward misrouted: %v", dx.Data)
 	}
@@ -160,12 +156,10 @@ func TestGlobalAvgPoolKnown(t *testing.T) {
 	p := NewGlobalAvgPool()
 	x := tensor.FromSlice([]float64{1, 2, 3, 4, 10, 20, 30, 40}, 1, 2, 2, 2)
 	y := p.Forward(x, false)
-	//lint:ignore float-eq test asserts exact deterministic output
 	if y.Data[0] != 2.5 || y.Data[1] != 25 {
 		t.Fatalf("gap = %v", y.Data)
 	}
 	dx := p.Backward(tensor.FromSlice([]float64{4, 8}, 1, 2))
-	//lint:ignore float-eq test asserts exact deterministic output
 	if dx.Data[0] != 1 || dx.Data[4] != 2 {
 		t.Fatalf("gap backward = %v", dx.Data)
 	}
@@ -224,7 +218,6 @@ func TestParamVectorRoundTrip(t *testing.T) {
 	m.SetParamVector(v)
 	got := m.ParamVector()
 	for i := range v {
-		//lint:ignore float-eq test asserts exact deterministic output
 		if got[i] != v[i] {
 			t.Fatal("round trip mismatch")
 		}
@@ -250,7 +243,6 @@ func TestModelCloneIndependent(t *testing.T) {
 	}
 	c.SetParamVector(v)
 	for _, p := range m.ParamVector() {
-		//lint:ignore float-eq test asserts exact deterministic output
 		if p != 0 {
 			return // original untouched, good
 		}

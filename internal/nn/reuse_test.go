@@ -88,7 +88,6 @@ func TestConv2DBufferReuseZeroAlloc(t *testing.T) {
 	if allocs := testing.AllocsPerRun(20, func() {
 		c.Forward(x, true)
 		c.Backward(grad)
-		//lint:ignore float-eq AllocsPerRun returns an exact integer count
 	}); allocs != 0 {
 		t.Fatalf("warm Conv2D step allocated %.1f times per run, want 0", allocs)
 	}

@@ -10,7 +10,6 @@ func TestAdaptiveRoundZeroFallsBackToBase(t *testing.T) {
 	base := []float64{0.4, 0.3, 0.2, 0.1}
 	got := a.Mix(base)
 	for i := range base {
-		//lint:ignore float-eq the contract is the base vector verbatim
 		if got[i] != base[i] {
 			t.Fatalf("round-0 mix[%d] = %v, want base %v exactly", i, got[i], base[i])
 		}
@@ -80,7 +79,6 @@ func TestAdaptiveAllZeroNormsFallBack(t *testing.T) {
 	a.Observe(1, 0)
 	p := a.Mix(base)
 	for i := range base {
-		//lint:ignore float-eq degenerate evidence must return base verbatim
 		if p[i] != base[i] {
 			t.Fatalf("zero-evidence mix %v, want base %v", p, base)
 		}
@@ -100,7 +98,6 @@ func TestAdaptiveExportRestoreRoundTrip(t *testing.T) {
 	}
 	pa, pb := a.Mix(base), b.Mix(base)
 	for i := range pa {
-		//lint:ignore float-eq restore must be bit-exact for replay
 		if pa[i] != pb[i] {
 			t.Fatalf("restored mix diverges at %d: %v vs %v", i, pa[i], pb[i])
 		}
@@ -122,7 +119,6 @@ func TestAdaptiveResetAndSizeMismatch(t *testing.T) {
 	base := []float64{0.5, 0.3, 0.2}
 	p := a.Mix(base)
 	for i := range base {
-		//lint:ignore float-eq reset discards evidence, base verbatim again
 		if p[i] != base[i] {
 			t.Fatalf("post-reset mix %v, want base %v", p, base)
 		}

@@ -270,7 +270,6 @@ func TestStabilizedDampensExplosion(t *testing.T) {
 }
 
 func TestGammaP(t *testing.T) {
-	//lint:ignore float-eq test asserts exact deterministic output
 	if got := GammaP([]float64{0.5, 0.5}); got != 4 {
 		t.Fatalf("GammaP uniform = %v, want 4", got)
 	}

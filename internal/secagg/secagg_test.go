@@ -178,7 +178,6 @@ func TestQuantizeRoundTrip(t *testing.T) {
 func TestQuantizeClips(t *testing.T) {
 	q := Quantizer{Scale: 1 << 16, Clip: 1}
 	dec := q.Dequantize(q.Quantize([]float64{5, -5}), 1)
-	//lint:ignore float-eq test asserts exact deterministic output
 	if dec[0] != 1 || dec[1] != -1 {
 		t.Fatalf("clip failed: %v", dec)
 	}

@@ -11,7 +11,6 @@ func TestTransferTime(t *testing.T) {
 	if got := l.TransferTime(1e6); math.Abs(got-1.01) > 1e-12 {
 		t.Fatalf("TransferTime = %v, want 1.01", got)
 	}
-	//lint:ignore float-eq test asserts exact deterministic output
 	if got := l.TransferTime(0); got != 0.01 {
 		t.Fatalf("zero-byte transfer = %v, want latency", got)
 	}
@@ -60,7 +59,6 @@ func TestGroupRoundTime(t *testing.T) {
 	if math.Abs(got-want) > 1e-12 {
 		t.Fatalf("GroupRoundTime = %v, want %v", got, want)
 	}
-	//lint:ignore float-eq test asserts exact deterministic output
 	if topo.GroupRoundTime(1000, nil) != 0 {
 		t.Fatal("empty group should take no time")
 	}

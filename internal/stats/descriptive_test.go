@@ -22,7 +22,6 @@ func TestMeanVarianceBasics(t *testing.T) {
 }
 
 func TestMeanEmpty(t *testing.T) {
-	//lint:ignore float-eq test asserts exact deterministic output
 	if Mean(nil) != 0 || Variance(nil) != 0 {
 		t.Fatal("empty slice statistics should be 0")
 	}
@@ -50,7 +49,6 @@ func TestCoVScaleInvariance(t *testing.T) {
 }
 
 func TestCoVDegenerate(t *testing.T) {
-	//lint:ignore float-eq test asserts exact deterministic output
 	if got := CoV([]float64{0, 0, 0}); got != 0 {
 		t.Errorf("CoV of all-zero = %v, want 0", got)
 	}
@@ -60,7 +58,6 @@ func TestCoVDegenerate(t *testing.T) {
 }
 
 func TestCoVOfCountsBalanced(t *testing.T) {
-	//lint:ignore float-eq test asserts exact deterministic output
 	if got := CoVOfCounts([]float64{5, 5, 5, 5}); got != 0 {
 		t.Errorf("balanced histogram CoV = %v, want 0", got)
 	}
@@ -133,11 +130,9 @@ func TestJainIndex(t *testing.T) {
 	if mid <= 0.25 || mid >= 1 {
 		t.Errorf("skewed allocation index = %v", mid)
 	}
-	//lint:ignore float-eq test asserts exact deterministic output
 	if JainIndex(nil) != 0 {
 		t.Error("empty allocation")
 	}
-	//lint:ignore float-eq test asserts exact deterministic output
 	if JainIndex([]float64{0, 0}) != 1 {
 		t.Error("all-zero allocation should be trivially fair")
 	}

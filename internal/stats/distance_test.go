@@ -77,7 +77,6 @@ func TestCosineSimilarity(t *testing.T) {
 	if got := CosineSimilarity([]float64{1, 1}, []float64{-1, -1}); !approxEq(got, -1, 1e-12) {
 		t.Errorf("antiparallel cosine = %v, want -1", got)
 	}
-	//lint:ignore float-eq test asserts exact deterministic output
 	if got := CosineSimilarity([]float64{0, 0}, []float64{1, 1}); got != 0 {
 		t.Errorf("zero-vector cosine = %v, want 0", got)
 	}

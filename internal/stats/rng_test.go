@@ -196,7 +196,6 @@ func TestReseedMatchesFreshRNG(t *testing.T) {
 			t.Fatalf("draw %d: reseeded %d, fresh %d", i, a, b)
 		}
 	}
-	//lint:ignore float-eq test asserts exact deterministic output
 	if a, b := r.NormFloat64(), fresh.NormFloat64(); a != b {
 		t.Fatalf("normal draw diverged: %v vs %v", a, b)
 	}
@@ -204,7 +203,6 @@ func TestReseedMatchesFreshRNG(t *testing.T) {
 
 func TestReseedDoesNotAllocate(t *testing.T) {
 	r := NewRNG(7)
-	//lint:ignore float-eq test asserts exact deterministic output
 	if n := testing.AllocsPerRun(100, func() { r.Reseed(42) }); n != 0 {
 		t.Fatalf("Reseed allocated %.1f times per run, want 0", n)
 	}

@@ -118,7 +118,6 @@ func TestKernelsZeroAlloc(t *testing.T) {
 		SubInto(a, a, dst)
 		ScaleSlice(0.999, dst)
 		AxpbyInto(0.5, a, 0.5, a, dst)
-		//lint:ignore float-eq test asserts exact deterministic output
 	}); n != 0 {
 		t.Fatalf("kernels allocated %.1f times per run, want 0", n)
 	}

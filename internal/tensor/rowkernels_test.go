@@ -22,7 +22,6 @@ func refGEMM(a, b []float64, m, k, n int, aT, bT bool) []float64 {
 				if aT {
 					av = a[p*m+i]
 				}
-				//lint:ignore float-eq the reference applies the kernels' own skip rule
 				if av == 0 {
 					continue
 				}

@@ -14,7 +14,6 @@ func TestNewAndSize(t *testing.T) {
 		t.Fatalf("unexpected metadata: %+v", x)
 	}
 	for _, v := range x.Data {
-		//lint:ignore float-eq test asserts exact deterministic output
 		if v != 0 {
 			t.Fatal("New must zero-initialize")
 		}
@@ -32,18 +31,15 @@ func TestNewPanicsOnBadShape(t *testing.T) {
 
 func TestFromSliceAndReshape(t *testing.T) {
 	x := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	//lint:ignore float-eq test asserts exact deterministic output
 	if x.At(1, 2) != 6 {
 		t.Fatalf("At(1,2) = %v", x.At(1, 2))
 	}
 	y := x.Reshape(3, 2)
-	//lint:ignore float-eq test asserts exact deterministic output
 	if y.At(2, 1) != 6 {
 		t.Fatalf("reshaped At(2,1) = %v", y.At(2, 1))
 	}
 	// Views share data.
 	y.Set(0, 0, 99)
-	//lint:ignore float-eq test asserts exact deterministic output
 	if x.Data[0] != 99 {
 		t.Fatal("Reshape must share backing data")
 	}
@@ -62,7 +58,6 @@ func TestCloneIndependence(t *testing.T) {
 	x := FromSlice([]float64{1, 2}, 2)
 	y := x.Clone()
 	y.Data[0] = 42
-	//lint:ignore float-eq test asserts exact deterministic output
 	if x.Data[0] != 1 {
 		t.Fatal("Clone must copy data")
 	}
@@ -74,21 +69,18 @@ func TestElementwiseOps(t *testing.T) {
 	a.Add(b)
 	want := []float64{5, 7, 9}
 	for i := range want {
-		//lint:ignore float-eq test asserts exact deterministic output
 		if a.Data[i] != want[i] {
 			t.Fatalf("Add got %v", a.Data)
 		}
 	}
 	a.Scale(2)
 	for i, w := range []float64{10, 14, 18} {
-		//lint:ignore float-eq test asserts exact deterministic output
 		if a.Data[i] != w {
 			t.Fatalf("Scale got %v", a.Data)
 		}
 	}
 	a.AddScaled(0.5, b)
 	for i, w := range []float64{12, 16.5, 21} {
-		//lint:ignore float-eq test asserts exact deterministic output
 		if a.Data[i] != w {
 			t.Fatalf("AddScaled got %v", a.Data)
 		}
@@ -232,7 +224,6 @@ func TestMatMulDeterministicAcrossRuns(t *testing.T) {
 	MatMul(d1, a1, b1)
 	MatMul(d2, a2, b2)
 	for i := range d1.Data {
-		//lint:ignore float-eq test asserts exact deterministic output
 		if d1.Data[i] != d2.Data[i] {
 			t.Fatal("MatMul is not bit-deterministic")
 		}

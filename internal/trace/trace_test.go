@@ -9,12 +9,10 @@ func TestSeriesAddAndFinal(t *testing.T) {
 	s := &Series{Name: "a"}
 	s.Add(1, 10)
 	s.Add(2, 20)
-	//lint:ignore float-eq test asserts exact deterministic output
 	if s.Len() != 2 || s.FinalY() != 20 {
 		t.Fatalf("Len=%d FinalY=%v", s.Len(), s.FinalY())
 	}
 	empty := &Series{}
-	//lint:ignore float-eq test asserts exact deterministic output
 	if empty.FinalY() != 0 {
 		t.Fatal("empty FinalY should be 0")
 	}
@@ -29,7 +27,6 @@ func TestSeriesYAtX(t *testing.T) {
 		{0, 0}, {1, 0.2}, {2, 0.2}, {3, 0.5}, {4.9, 0.5}, {5, 0.6}, {100, 0.6},
 	}
 	for _, c := range cases {
-		//lint:ignore float-eq test asserts exact deterministic output
 		if got := s.YAtX(c.x); got != c.want {
 			t.Errorf("YAtX(%v) = %v, want %v", c.x, got, c.want)
 		}
