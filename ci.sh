@@ -6,15 +6,15 @@
 #   1. build       go build ./..., the arm64 / amd64 fused-multiply-add checks,
 #                  then the print-only `placement`
 #   2. vet         go vet ./... (asmdecl among it) + gofmt -l
-#   3. repolint    internal/lint's ten analyzers, 30 s budget
-#   4. test        go test ./... — tier-1
-#   5. race        go test -race over the concurrent packages
-#   6. fuzz        10 s across the wire, async, secagg, tensor, grouping targets
-#   7. chaos       felnode -chaos corrupt-frames twice, outputs byte-identical
-#   8. felnode     a loopback TCP job, cross-checked against core.Train
-#   9. metrics     the same job's live /metrics endpoint parses
-#  10. load        felserve under -race, then -chaos kill-cloud
-#  11. results     every deterministic results/medium CSV regenerated and diffed
+#   3. test        go test ./... — tier-1; internal/lint's TestRepoIsLintClean
+#                  is the module-wide repolint pass, run here and nowhere else
+#   4. race        go test -race over the concurrent packages
+#   5. fuzz        10 s across the wire, async, secagg, tensor, grouping targets
+#   6. chaos       felnode -chaos corrupt-frames twice, outputs byte-identical
+#   7. felnode     a loopback TCP job, cross-checked against core.Train
+#   8. metrics     the same job's live /metrics endpoint parses
+#   9. load        felserve under -race, then -chaos kill-cloud
+#  10. results     every deterministic results/medium CSV regenerated and diffed
 #
 # Not stages (print-only, never fail): `./ci.sh placement`, `./ci.sh reach`.
 # Performance is judged by `go run ./bench` (bench/README.md), not here.
@@ -120,18 +120,6 @@ if [ -n "$unformatted" ]; then
   exit 1
 fi
 
-echo "== repolint (30s budget)"
-lintdir="$(stage_dir lint)"
-go build -o "$lintdir/repolint" ./cmd/repolint
-lint_start=$SECONDS
-"$lintdir/repolint"
-lint_elapsed=$(( SECONDS - lint_start ))
-echo "repolint: module-wide pass took ${lint_elapsed}s"
-if [ "$lint_elapsed" -gt 30 ]; then
-  echo "ci.sh: repolint exceeded its 30s budget (${lint_elapsed}s)" >&2
-  exit 1
-fi
-
 echo "== go test ./..."
 go test ./...
 
@@ -151,24 +139,23 @@ go test ./internal/tensor -run '^$' -fuzz FuzzQuadUpdate -fuzztime 1s
 go test ./internal/grouping -run '^$' -fuzz FuzzScanFilter -fuzztime 1s
 
 echo "== felnode -chaos smoke (deterministic replay)"
-chaosdir="$(stage_dir chaos)"
-go build -o "$chaosdir/felnode" ./cmd/felnode
-"$chaosdir/felnode" -chaos corrupt-frames > "$chaosdir/run1.txt"
-"$chaosdir/felnode" -chaos corrupt-frames > "$chaosdir/run2.txt"
-if ! diff -u "$chaosdir/run1.txt" "$chaosdir/run2.txt"; then
+# One felnode binary serves this stage and the three after it.
+nodedir="$(stage_dir felnode)"
+go build -o "$nodedir/felnode" ./cmd/felnode
+"$nodedir/felnode" -chaos corrupt-frames > "$nodedir/run1.txt"
+"$nodedir/felnode" -chaos corrupt-frames > "$nodedir/run2.txt"
+if ! diff -u "$nodedir/run1.txt" "$nodedir/run2.txt"; then
   echo "ci.sh: chaos scenario replay is not deterministic" >&2
   exit 1
 fi
 echo "chaos smoke: corrupt-frames replayed byte-identically"
 
 echo "== felnode loopback smoke (TCP on 127.0.0.1)"
-timeout 120 go run ./cmd/felnode -role loopback -clients 12 -edges 2 -rounds 2
+timeout 120 "$nodedir/felnode" -role loopback -clients 12 -edges 2 -rounds 2
 
 echo "== felnode -metrics smoke (live HTTP endpoint)"
-smokedir="$(stage_dir smoke)"
-go build -o "$smokedir/felnode" ./cmd/felnode
-"$smokedir/felnode" -role loopback -clients 12 -edges 2 -rounds 2 \
-  -metrics 127.0.0.1:19137 -hold 60s > "$smokedir/out.log" 2>&1 &
+"$nodedir/felnode" -role loopback -clients 12 -edges 2 -rounds 2 \
+  -metrics 127.0.0.1:19137 -hold 60s > "$nodedir/metrics.log" 2>&1 &
 smokepid=$!
 snapshot=""
 for _ in $(seq 1 120); do
@@ -181,7 +168,7 @@ for _ in $(seq 1 120); do
 done
 if [ -z "$snapshot" ]; then
   echo "ci.sh: metrics endpoint never served fel_wire_bytes_total" >&2
-  cat "$smokedir/out.log" >&2 || true
+  cat "$nodedir/metrics.log" >&2 || true
   exit 1
 fi
 if bad="$(grep -Ev '^#|^$|^fel_[a-z0-9_]+(\{[^}]*\})? -?[0-9][0-9eE+.-]*$' <<<"$snapshot")" && [ -n "$bad" ]; then
@@ -194,10 +181,8 @@ stop_smoke
 
 echo "== felserve load smoke (loopback subscriber fan-in + leak check under -race)"
 go test -race -count=1 -run 'TestServeLoadSmoke' ./internal/felserve
-loaddir="$(stage_dir load)"
-go build -o "$loaddir/felnode" ./cmd/felnode
-timeout 300 "$loaddir/felnode" -chaos kill-cloud | tee "$loaddir/killcloud.txt"
-if ! grep -q 'bit-identical=true' "$loaddir/killcloud.txt"; then
+timeout 300 "$nodedir/felnode" -chaos kill-cloud | tee "$nodedir/killcloud.txt"
+if ! grep -q 'bit-identical=true' "$nodedir/killcloud.txt"; then
   echo "ci.sh: kill-cloud recovery was not bit-identical" >&2
   exit 1
 fi

@@ -1,6 +1,8 @@
 // Command repolint runs the repository's custom static-analysis suite
 // (internal/lint) over every package of the module and reports violations
-// with file:line:col positions, so it can gate CI (see ci.sh).
+// with file:line:col positions. The gate itself is the same pass run by
+// internal/lint's TestRepoIsLintClean under go test ./...; this is the pass
+// with the diagnostics on stdout.
 //
 // Usage:
 //
@@ -11,7 +13,8 @@
 //	0 — the tree is clean (no diagnostics)
 //	1 — one or more violations were reported
 //	2 — the run itself failed (unknown analyzer name, module load or
-//	    type-check error)
+//	    type-check error, `go list -export std` failing or naming no export
+//	    data for an import)
 package main
 
 import (
@@ -27,13 +30,9 @@ import (
 func main() {
 	dir := flag.String("dir", ".", "directory inside the module to lint (the whole module is loaded)")
 	names := flag.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
-	rules := flag.String("rules", "", "alias for -analyzers (kept for older scripts)")
 	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array on stdout")
 	list := flag.Bool("list", false, "list available analyzers and exit")
 	flag.Parse()
-	if *names == "" {
-		names = rules
-	}
 
 	if *list {
 		for _, a := range lint.All() {

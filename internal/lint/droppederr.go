@@ -108,23 +108,8 @@ func resultHasError(pass *Pass, call *ast.CallExpr) bool {
 	return isErrorType(t)
 }
 
-// calleeFunc resolves the called function object, if statically known.
-func calleeFunc(pass *Pass, call *ast.CallExpr) *types.Func {
-	var id *ast.Ident
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		id = fun
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	default:
-		return nil
-	}
-	fn, _ := pass.UseOf(id).(*types.Func)
-	return fn
-}
-
 func calleeName(pass *Pass, call *ast.CallExpr) string {
-	if fn := calleeFunc(pass, call); fn != nil {
+	if fn := calleeOf(pass.Pkg, call); fn != nil {
 		return fn.FullName()
 	}
 	return "call"
@@ -149,7 +134,7 @@ var fprinters = map[string]bool{
 // builder/buffer, or any method on strings.Builder / bytes.Buffer (both
 // documented to never return a non-nil error).
 func allowedUnchecked(pass *Pass, call *ast.CallExpr) bool {
-	fn := calleeFunc(pass, call)
+	fn := calleeOf(pass.Pkg, call)
 	if fn == nil {
 		return false
 	}

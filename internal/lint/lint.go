@@ -1,7 +1,10 @@
 // Package lint implements repolint, the repository's own static-analysis
 // pass. It is built entirely on the standard library (go/ast, go/parser,
-// go/types) so the module stays dependency-free, and it encodes project
-// invariants that ordinary go vet does not know about:
+// go/types, go/importer) so the module stays dependency-free: module packages
+// are type-checked from source, standard-library types are read from the
+// export data the toolchain compiled (one `go list -export std` per process,
+// so the go tool must be on PATH at run time, as it is under go test). It
+// encodes project invariants that ordinary go vet does not know about:
 //
 //   - rng-discipline: all stochasticity flows through the seeded
 //     repro/internal/stats.RNG, so experiment runs are replayable and the
@@ -36,11 +39,12 @@
 package lint
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"slices"
 )
 
 // Diagnostic is one reported violation. File is relative to the module root
@@ -145,7 +149,7 @@ func (p *Package) useOf(id *ast.Ident) types.Object {
 	return nil
 }
 
-// ConstValue resolves expr's compile-time constant value, if any.
+// constTypeAndValue resolves expr's compile-time constant value, if any.
 func (p *Pass) constTypeAndValue(expr ast.Expr) (types.TypeAndValue, bool) {
 	if p.Pkg.Info != nil {
 		if tv, ok := p.Pkg.Info.Types[expr]; ok {
@@ -223,18 +227,9 @@ func Check(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 			IgnoreAudit.Run(&Pass{Analyzer: IgnoreAudit, Pkg: pkg, Mod: mod, diags: &diags, ranRules: ranRules})
 		}
 	}
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		if a.Col != b.Col {
-			return a.Col < b.Col
-		}
-		return a.Rule < b.Rule
+	slices.SortFunc(diags, func(a, b Diagnostic) int {
+		return cmp.Or(cmp.Compare(a.File, b.File), cmp.Compare(a.Line, b.Line),
+			cmp.Compare(a.Col, b.Col), cmp.Compare(a.Rule, b.Rule))
 	})
 	return diags
 }

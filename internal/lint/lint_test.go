@@ -1,6 +1,12 @@
 package lint
 
-import "testing"
+import (
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
 
 // TestRepoIsLintClean is the tier-1 gate: it loads every package of the
 // module and runs the full analyzer suite. Any violation anywhere in the
@@ -14,11 +20,36 @@ func TestRepoIsLintClean(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading module: %v", err)
 	}
-	if len(pkgs) < 10 {
-		t.Fatalf("loaded only %d packages; the module walker is missing code", len(pkgs))
+	list := exec.Command("go", "list", "./...")
+	list.Dir = root
+	out, err := list.Output()
+	if err != nil {
+		t.Fatalf("go list ./...: %v", err)
+	}
+	if want := len(strings.Fields(string(out))); len(pkgs) != want {
+		t.Fatalf("loaded %d packages, go list ./... names %d; the module walker and the build disagree about what the module is", len(pkgs), want)
 	}
 	for _, d := range Check(pkgs, All()) {
 		t.Errorf("%s", d)
+	}
+}
+
+// TestLoadUnresolvableImport: an import that is neither the fixture's own
+// package tree nor a standard-library package has no export data, and there
+// is no other importer to fall back on — the load fails, naming the import,
+// and no half-typed package reaches an analyzer.
+func TestLoadUnresolvableImport(t *testing.T) {
+	dir := t.TempDir()
+	src := "package orphan\n\nimport \"example.com/nowhere\"\n\nvar _ = nowhere.X\n"
+	if err := os.WriteFile(filepath.Join(dir, "orphan.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := LoadDir(dir, "orphan")
+	if err == nil || pkg != nil {
+		t.Fatalf("LoadDir = %v, %v; want no package and an error", pkg, err)
+	}
+	if !strings.Contains(err.Error(), `"example.com/nowhere"`) {
+		t.Errorf("error does not name the import: %v", err)
 	}
 }
 

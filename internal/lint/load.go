@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/build"
@@ -8,11 +9,15 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Package is one loaded and type-checked package.
@@ -55,10 +60,7 @@ type ignoreEntry struct {
 // AllFiles returns the type-checked files followed by the parse-only test
 // files, for syntactic rules that apply to both.
 func (p *Package) AllFiles() []*ast.File {
-	out := make([]*ast.File, 0, len(p.Files)+len(p.TestFiles))
-	out = append(out, p.Files...)
-	out = append(out, p.TestFiles...)
-	return out
+	return slices.Concat(p.Files, p.TestFiles)
 }
 
 func (p *Package) relFile(filename string) string {
@@ -93,6 +95,15 @@ func (p *Package) collectDirectives(f *ast.File) {
 				continue
 			}
 			pos := p.Fset.Position(c.Pos())
+			bad := func(msg string) {
+				p.directiveDiags = append(p.directiveDiags, Diagnostic{
+					Rule:    "lint-directive",
+					File:    p.relFile(pos.Filename),
+					Line:    pos.Line,
+					Col:     pos.Column,
+					Message: msg,
+				})
+			}
 			if m := annotationRe.FindStringSubmatch(c.Text); m != nil {
 				byLine := p.annots[pos.Filename]
 				if byLine == nil {
@@ -103,24 +114,12 @@ func (p *Package) collectDirectives(f *ast.File) {
 				continue
 			}
 			if !strings.HasPrefix(c.Text, "//lint:ignore") {
-				p.directiveDiags = append(p.directiveDiags, Diagnostic{
-					Rule:    "lint-directive",
-					File:    p.relFile(pos.Filename),
-					Line:    pos.Line,
-					Col:     pos.Column,
-					Message: "unknown directive: want //lint:ignore <rule> <reason>, //lint:hotpath, or //lint:deterministic",
-				})
+				bad("unknown directive: want //lint:ignore <rule> <reason>, //lint:hotpath, or //lint:deterministic")
 				continue
 			}
 			m := ignoreRe.FindStringSubmatch(c.Text)
 			if m == nil || m[1] == "" || m[2] == "" {
-				p.directiveDiags = append(p.directiveDiags, Diagnostic{
-					Rule:    "lint-directive",
-					File:    p.relFile(pos.Filename),
-					Line:    pos.Line,
-					Col:     pos.Column,
-					Message: "malformed directive: want //lint:ignore <rule> <reason>",
-				})
+				bad("malformed directive: want //lint:ignore <rule> <reason>")
 				continue
 			}
 			p.ignores[pos.Filename] = append(p.ignores[pos.Filename],
@@ -178,12 +177,7 @@ func (p *Package) FuncAnnotations(fd *ast.FuncDecl) []string {
 
 // HasAnnotation reports whether fd carries the named //lint: annotation.
 func (p *Package) HasAnnotation(fd *ast.FuncDecl, name string) bool {
-	for _, a := range p.FuncAnnotations(fd) {
-		if a == name {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(p.FuncAnnotations(fd), name)
 }
 
 // FindModuleRoot walks upward from dir until it finds a go.mod.
@@ -218,14 +212,15 @@ func modulePath(root string) (string, error) {
 	return string(m[1]), nil
 }
 
-// loader type-checks module packages on demand. Stdlib imports are resolved
-// by the source importer; module-internal imports recurse into the loader
-// itself, so packages are checked in dependency order with shared results.
+// loader type-checks module packages from source, on demand and in
+// dependency order, so one *types.Func stands for a module function wherever
+// it is used. Every other import is read from the export data the toolchain
+// compiled for it.
 type loader struct {
 	root    string
 	module  string
 	fset    *token.FileSet
-	std     types.ImporterFrom
+	std     types.Importer
 	pkgs    map[string]*Package // by import path
 	loading map[string]bool
 }
@@ -236,28 +231,57 @@ func newLoader(root, module string) *loader {
 		root:    root,
 		module:  module,
 		fset:    fset,
-		std:     importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
+		std:     importer.ForCompiler(fset, "gc", openExport),
 		pkgs:    make(map[string]*Package),
 		loading: make(map[string]bool),
 	}
 }
 
-// Import implements types.Importer over both module and stdlib packages.
-func (l *loader) Import(path string) (*types.Package, error) {
-	return l.ImportFrom(path, l.root, 0)
+// stdExports maps each standard-library import path to its export file. The
+// one `go list` it costs runs on the first import that needs it and never
+// again in the process, however many loaders follow.
+var stdExports = sync.OnceValues(func() (map[string]string, error) {
+	out, err := exec.Command("go", "list", "-export", "-f", "{{.ImportPath}}\t{{.Export}}", "std").Output()
+	if err != nil {
+		var exit *exec.ExitError
+		if errors.As(err, &exit) {
+			err = fmt.Errorf("%w: %s", err, exit.Stderr)
+		}
+		return nil, fmt.Errorf("lint: go list -export std: %w", err)
+	}
+	exports := make(map[string]string)
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		if path, file, ok := strings.Cut(line, "\t"); ok && file != "" {
+			exports[path] = file
+		}
+	}
+	return exports, nil
+})
+
+// openExport is the gc importer's lookup. There is no second importer to fall
+// back on: a path the toolchain built no export data for is an error.
+func openExport(path string) (io.ReadCloser, error) {
+	exports, err := stdExports()
+	if err != nil {
+		return nil, err
+	}
+	file, ok := exports[path]
+	if !ok {
+		return nil, fmt.Errorf("lint: no export data for %q: neither a package of the module nor of the standard library", path)
+	}
+	return os.Open(file)
 }
 
-// ImportFrom implements types.ImporterFrom.
-func (l *loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
+// Import implements types.Importer over both module and stdlib packages.
+func (l *loader) Import(path string) (*types.Package, error) {
 	if path == l.module || strings.HasPrefix(path, l.module+"/") {
-		rel := strings.TrimPrefix(strings.TrimPrefix(path, l.module), "/")
-		pkg, err := l.load(filepath.Join(l.root, filepath.FromSlash(rel)), path)
+		pkg, err := l.load(filepath.Join(l.root, filepath.FromSlash(strings.TrimPrefix(path, l.module))), path)
 		if err != nil {
 			return nil, err
 		}
 		return pkg.Types, nil
 	}
-	return l.std.ImportFrom(path, dir, mode)
+	return l.std.Import(path)
 }
 
 // load parses and type-checks the package in dir. Non-test files form the
@@ -292,12 +316,7 @@ func (l *loader) load(dir, importPath string) (*Package, error) {
 		}
 	}
 	if len(pkg.Files) > 0 {
-		pkg.Info = &types.Info{
-			Types:      make(map[ast.Expr]types.TypeAndValue),
-			Defs:       make(map[*ast.Ident]types.Object),
-			Uses:       make(map[*ast.Ident]types.Object),
-			Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		}
+		pkg.Info = newInfo()
 		var typeErrs []error
 		conf := types.Config{
 			Importer: l,
@@ -359,17 +378,12 @@ func (l *loader) checkTests(pkg *Package) error {
 		return nil
 	}
 	if len(inPkg) > 0 {
-		files := make([]*ast.File, 0, len(pkg.Files)+len(inPkg))
-		files = append(files, pkg.Files...)
-		files = append(files, inPkg...)
-		if err := check(pkg.Path+" [test]", files); err != nil {
+		if err := check(pkg.Path+" [test]", slices.Concat(pkg.Files, inPkg)); err != nil {
 			return err
 		}
 	}
 	if len(ext) > 0 {
-		if err := check(pkg.Path+"_test", ext); err != nil {
-			return err
-		}
+		return check(pkg.Path+"_test", ext)
 	}
 	return nil
 }

@@ -60,7 +60,7 @@ func panicHasPrefix(pass *Pass, arg ast.Expr) bool {
 			return panicHasPrefix(pass, arg.X)
 		}
 	case *ast.CallExpr:
-		if fn := calleeFunc(pass, arg); fn != nil {
+		if fn := calleeOf(pass.Pkg, arg); fn != nil {
 			switch fn.FullName() {
 			case "fmt.Sprintf", "fmt.Errorf":
 				if len(arg.Args) > 0 {

@@ -87,20 +87,3 @@ func (SoftmaxCrossEntropy) BackwardInPlace(probs *tensor.Tensor, labels []int) {
 	}
 	probs.Scale(inv)
 }
-
-// Predict returns the argmax class per row of logits (or probabilities).
-func Predict(logits *tensor.Tensor) []int {
-	b, c := logits.Shape[0], logits.Shape[1]
-	out := make([]int, b)
-	for i := 0; i < b; i++ {
-		row := logits.Data[i*c : (i+1)*c]
-		best := 0
-		for j, v := range row {
-			if v > row[best] {
-				best = j
-			}
-		}
-		out[i] = best
-	}
-	return out
-}

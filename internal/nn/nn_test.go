@@ -198,14 +198,6 @@ func TestSoftmaxNumericalStability(t *testing.T) {
 	}
 }
 
-func TestPredict(t *testing.T) {
-	logits := tensor.FromSlice([]float64{1, 3, 2, 9, 0, -1}, 2, 3)
-	got := Predict(logits)
-	if got[0] != 1 || got[1] != 0 {
-		t.Fatalf("Predict = %v", got)
-	}
-}
-
 func TestParamVectorRoundTrip(t *testing.T) {
 	m := NewMLP(4, []int{5}, 3, 1)
 	v := m.ParamVector()
@@ -276,10 +268,10 @@ func TestSGDReducesLoss(t *testing.T) {
 	if last >= first/4 {
 		t.Fatalf("SGD failed to learn: loss %v -> %v", first, last)
 	}
-	preds := Predict(m.Forward(x, false))
+	logits := m.Forward(x, false)
 	correct := 0
-	for i, p := range preds {
-		if p == labels[i] {
+	for i, label := range labels {
+		if (logits.Data[2*i+1] > logits.Data[2*i]) == (label == 1) {
 			correct++
 		}
 	}
