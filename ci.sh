@@ -44,7 +44,7 @@ placement() {
   go build -o "$dir/bench" ./bench || return 0
   go tool nm "$dir/bench" | while read -r addr _ sym; do
     case "$sym" in
-      repro/internal/grouping.argminScan | repro/internal/grouping.scanFilter.abi0 | repro/internal/grouping.CoVGrouping.Form | 'repro/internal/core.(*Trainer).Step' | repro/internal/tensor.quadUpdate.abi0)
+      repro/internal/grouping.argminScan | repro/internal/grouping.scanFilter.abi0 | repro/internal/grouping.CoVGrouping.Form | 'repro/internal/core.(*Trainer).Step' | repro/internal/tensor.accumRows | repro/internal/tensor.quadUpdate.abi0)
         echo "placement: $sym at 0x$addr, mod 64 = $(( 0x$addr % 64 ))" ;;
     esac
   done || true
@@ -85,10 +85,10 @@ case "${1:-}" in
     ;;
 esac
 
-echo "== go build ./... + fused-multiply-add checks (arm64: tensor, nn, grouping; amd64: every internal/*/*_amd64.s)"
+echo "== go build ./... + fused-multiply-add checks (arm64: tensor, nn, grouping, core, sampling, secagg; amd64: every internal/*/*_amd64.s)"
 go build ./...
 fmadir="$(stage_dir fma)"
-for pkg in tensor nn grouping; do
+for pkg in tensor nn grouping core sampling secagg; do
   GOARCH=arm64 go build -o "$fmadir/$pkg.a" "./internal/$pkg"
   go tool objdump "$fmadir/$pkg.a" > "$fmadir/$pkg.s"
   if grep -E 'FN?M(ADD|SUB)' "$fmadir/$pkg.s" >&2; then
@@ -96,7 +96,7 @@ for pkg in tensor nn grouping; do
     exit 1
   fi
 done
-echo "arm64 check: internal/tensor, internal/nn and internal/grouping hold no FMADD/FMSUB/FNMADD/FNMSUB"
+echo "arm64 check: internal/{tensor,nn,grouping,core,sampling,secagg} hold no FMADD/FMSUB/FNMADD/FNMSUB"
 # The assembler's listing, not `go tool objdump`: its x86 decoder has no VEX
 # tables (it prints VBROADCASTSD as `SBBL AX, 0x38(SP)`), so a grep over its
 # output could never fire.
@@ -134,8 +134,9 @@ go test ./internal/wire -run '^$' -fuzz FuzzDecodeIntoReuse -fuzztime 1s
 go test ./internal/async -run '^$' -fuzz FuzzArrivalLogFrame -fuzztime 1s
 go test ./internal/secagg -run '^$' -fuzz FuzzFieldOps -fuzztime 1s
 go test ./internal/secagg -run '^$' -fuzz FuzzQuantizeRoundTrip -fuzztime 1s
-go test ./internal/secagg -run '^$' -fuzz FuzzMaskCancel -fuzztime 2s
+go test ./internal/secagg -run '^$' -fuzz FuzzMaskCancel -fuzztime 1s
 go test ./internal/tensor -run '^$' -fuzz FuzzQuadUpdate -fuzztime 1s
+go test ./internal/tensor -run '^$' -fuzz FuzzAccumRows -fuzztime 1s
 go test ./internal/grouping -run '^$' -fuzz FuzzScanFilter -fuzztime 1s
 
 echo "== felnode -chaos smoke (deterministic replay)"

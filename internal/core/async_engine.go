@@ -185,8 +185,8 @@ func (r *asyncGroupRun) flush(now int64) []int {
 		if !r.inBuf[i] {
 			continue
 		}
-		w := float64(r.g.Clients[i].NumSamples()) *
-			async.StalenessWeight(r.version-r.dispVer[i], alpha)
+		w := float64(float64(r.g.Clients[i].NumSamples()) *
+			async.StalenessWeight(r.version-r.dispVer[i], alpha))
 		sp.nodes[live] = sp.slots[i]
 		sp.nodeW[live] = w
 		wsum += w

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/compress"
@@ -110,8 +111,10 @@ func TestWallClockAccounting(t *testing.T) {
 	topo := simnet.Default()
 	cfg.Topology = &topo
 	res := Train(sys, cfg)
-	if res.WallClock <= 0 {
-		t.Fatal("no wall clock recorded with topology set")
+	// Pinned to the bit: the round time folds client, group and edge times in
+	// a fixed order (edges sorted), so no refactor of Step may move it.
+	if got := math.Float64bits(res.WallClock); got != 0x4065268a3827b9ae {
+		t.Fatalf("wall clock bits %#x (%v) after 4 rounds, pinned 0x4065268a3827b9ae", got, res.WallClock)
 	}
 	// More rounds take longer.
 	cfg.GlobalRounds = 8

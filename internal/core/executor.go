@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/async"
 	"repro/internal/grouping"
 )
@@ -41,7 +43,8 @@ func (e *engine) RunGroups(t int, groups []*grouping.Group, selected []int, para
 	for len(e.spaces) < len(selected) {
 		e.spaces = append(e.spaces, &groupSpace{})
 	}
-	e.updates = append(e.updates[:0], make([]GroupUpdate, len(selected))...)
+	e.updates = slices.Grow(e.updates[:0], len(selected))[:len(selected)]
+	clear(e.updates) // last round's results: every field is set or accumulated below
 	updates := e.updates
 	parallelEach(len(selected), e.cfg.MaxParallel, func(si int) {
 		g, sp, u := groups[selected[si]], e.spaces[si], &updates[si]

@@ -131,7 +131,7 @@ func (p ProxUpdater) LocalTrain(model *nn.Sequential, x *tensor.Tensor, y []int,
 		for i, par := range params {
 			g := grads[i]
 			for j := range par.Data {
-				g.Data[j] += p.Mu * (par.Data[j] - ctx.Anchor[off+j])
+				g.Data[j] += float64(p.Mu * (par.Data[j] - ctx.Anchor[off+j]))
 			}
 			off += par.Size()
 		}
@@ -228,7 +228,7 @@ func (s *ScaffoldUpdater) LocalTrain(model *nn.Sequential, x *tensor.Tensor, y [
 	end := model.ParamVector()
 	inv := 1 / (float64(steps) * ctx.LR)
 	for j := 0; j < dim; j++ {
-		newCi := ci[j] - c[j] + (start[j]-end[j])*inv
+		newCi := ci[j] - c[j] + float64((start[j]-end[j])*inv)
 		st.pending[j] += newCi - ci[j]
 		ci[j] = newCi
 	}
@@ -272,7 +272,7 @@ func (s *ScaffoldUpdater) FinishGlobalRound() {
 	next := make([]float64, len(s.c))
 	inv := 1 / float64(n)
 	for j := range next {
-		next[j] = s.c[j] + s.deltaC[j]*inv
+		next[j] = s.c[j] + float64(s.deltaC[j]*inv)
 	}
 	s.c = next
 }

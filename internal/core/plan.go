@@ -200,7 +200,7 @@ func updateNorm(g, base []float64) float64 {
 	s := 0.0
 	for i := range g {
 		d := g[i] - base[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return math.Sqrt(s)
 }

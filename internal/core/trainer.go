@@ -202,41 +202,21 @@ func (tr *Trainer) Step() RoundRecord {
 	// Cost, participation, and wall-clock accounting (Eq. 5).
 	sel := make([][]int, len(selected))
 	covSum := 0.0
-	edgeGroupTimes := map[int][]float64{}
-	modelBytes := 8 * len(tr.globalParams)
 	tr.lastSelected = 0
 	for si, gi := range selected {
 		g := groups[gi]
 		tr.lastSelected += g.Size()
 		counts := make([]int, g.Size())
-		computes := make([]float64, g.Size())
 		for i, c := range g.Clients {
 			counts[i] = c.NumSamples()
-			computes[i] = float64(cfg.LocalEpochs)*cfg.CostProfile.Training(c.NumSamples()) +
-				cfg.CostProfile.GroupOverhead(g.Size(), cfg.CostOps)
 			res.Participation[c.ID]++
 		}
 		sel[si] = counts
 		covSum += g.CoV()
-		if cfg.Topology != nil {
-			edgeGroupTimes[g.Edge] = append(edgeGroupTimes[g.Edge],
-				cfg.Topology.GroupRoundTime(modelBytes, computes))
-		}
 	}
 	tr.acct.GlobalRound(sel, cfg.GroupRounds, cfg.LocalEpochs)
 	if cfg.Topology != nil {
-		// Iterate edges in sorted order: GlobalRoundTime folds per-edge
-		// times into a float sum, and map order would leak into WallClock.
-		edges := make([]int, 0, len(edgeGroupTimes))
-		for e := range edgeGroupTimes {
-			edges = append(edges, e)
-		}
-		sort.Ints(edges)
-		times := make([][]float64, 0, len(edges))
-		for _, e := range edges {
-			times = append(times, edgeGroupTimes[e])
-		}
-		res.WallClock += cfg.Topology.GlobalRoundTime(modelBytes, cfg.GroupRounds, times)
+		res.WallClock += tr.roundWallClock(groups, selected, sel)
 	}
 
 	rec := RoundRecord{
@@ -253,6 +233,37 @@ func (tr *Trainer) Step() RoundRecord {
 	res.RoundsRun = t + 1
 	tr.t = t + 1
 	return rec
+}
+
+// roundWallClock prices one global round on cfg.Topology: every selected
+// client's compute time (counts[si] holds group selected[si]'s sample counts),
+// each group's round time at its edge, the edges folded into the cloud's.
+func (tr *Trainer) roundWallClock(groups []*grouping.Group, selected []int, counts [][]int) float64 {
+	cfg := tr.cfg
+	modelBytes := 8 * len(tr.globalParams)
+	edgeGroupTimes := map[int][]float64{}
+	for si, gi := range selected {
+		g := groups[gi]
+		computes := make([]float64, g.Size())
+		for i, n := range counts[si] {
+			computes[i] = float64(float64(cfg.LocalEpochs)*cfg.CostProfile.Training(n)) +
+				cfg.CostProfile.GroupOverhead(g.Size(), cfg.CostOps)
+		}
+		edgeGroupTimes[g.Edge] = append(edgeGroupTimes[g.Edge],
+			cfg.Topology.GroupRoundTime(modelBytes, computes))
+	}
+	// Iterate edges in sorted order: GlobalRoundTime folds per-edge
+	// times into a float sum, and map order would leak into WallClock.
+	edges := make([]int, 0, len(edgeGroupTimes))
+	for e := range edgeGroupTimes {
+		edges = append(edges, e)
+	}
+	sort.Ints(edges)
+	times := make([][]float64, 0, len(edges))
+	for _, e := range edges {
+		times = append(times, edgeGroupTimes[e])
+	}
+	return cfg.Topology.GlobalRoundTime(modelBytes, cfg.GroupRounds, times)
 }
 
 // Finish runs the final evaluation and seals the Result. The trainer must

@@ -68,7 +68,7 @@ func SCProfile() Profile {
 
 // Training returns H_i(n) for one local epoch over n samples.
 func (p Profile) Training(n int) float64 {
-	return p.TrainBase + p.TrainPerSample*float64(n)
+	return p.TrainBase + float64(p.TrainPerSample*float64(n))
 }
 
 // SecAgg returns the per-client secure aggregation overhead for a group of

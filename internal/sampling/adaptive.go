@@ -82,7 +82,7 @@ func (a *Adaptive) Observe(g int, norm float64) {
 		a.seen[g] = true
 		return
 	}
-	a.norms[g] = (1-a.cfg.Beta)*a.norms[g] + a.cfg.Beta*norm
+	a.norms[g] = float64((1-a.cfg.Beta)*a.norms[g]) + float64(a.cfg.Beta*norm)
 }
 
 // Mix returns the selection probabilities for the next round: the base
@@ -128,7 +128,7 @@ func (a *Adaptive) Mix(base []float64) []float64 {
 	}
 	uniform := 1 / float64(n)
 	for g := 0; g < n; g++ {
-		a.mixed[g] = (1-a.cfg.Explore)*(a.mixed[g]/total) + a.cfg.Explore*uniform
+		a.mixed[g] = float64((1-a.cfg.Explore)*(a.mixed[g]/total)) + float64(a.cfg.Explore*uniform)
 	}
 	return a.mixed
 }

@@ -253,7 +253,7 @@ func Weights(groups []*grouping.Group, selected []int, p []float64, totalSamples
 			// correction finite; this is exactly the instability Eq. 35's
 			// normalization then absorbs.
 			pg := math.Max(p[gi], 1e-12)
-			out[i] = (1 / (pg * s)) * (float64(groups[gi].NumSamples()) / n)
+			out[i] = float64((1 / (pg * s)) * (float64(groups[gi].NumSamples()) / n))
 			sum += out[i]
 		}
 		if scheme == Stabilized {

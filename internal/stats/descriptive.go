@@ -124,7 +124,7 @@ func JainIndex(xs []float64) float64 {
 	sum, ss := 0.0, 0.0
 	for _, x := range xs {
 		sum += x
-		ss += x * x
+		ss += float64(x * x)
 	}
 	//lint:ignore float-eq a sum of squares is exactly zero iff every term is zero
 	if ss == 0 {

@@ -40,15 +40,25 @@ func mustRank2(op string, dst, a, b *Tensor) {
 // every shape, because no other kernel exists for a large or dense problem
 // to be routed to. TestRowKernelsMatchReference pins it, skip rule included.
 
+// stage is the capacity of accumRows' staging area, a power of two: 512 bytes
+// of stack, and the paper-sized rows (k <= 32) compress in one chunk.
+const stage = 32
+
 // accumRows is the kernel behind MatMul and MatMulAT. It computes rows
 // [lo, hi) of dst, where row i is the sum over p of a[i·rs + p·cs] · (row p
 // of b), so (rs, cs) = (k, 1) reads a as m×k and (1, m) reads it as k×m,
-// transposed. Non-zero a entries are gathered four at a time in ascending p
-// and applied in one pass over the output row, which then lives in a register
-// across the four updates instead of being loaded and stored once per p; the
-// per-element order of additions is the plain p loop's.
+// transposed. Each row is two passes. The compress pass walks p ascending and
+// writes every (a entry, offset of b's row p) to the next staging slot, zero
+// or not, advancing the slot count by v != 0 as an integer: no branch tests
+// the loaded value, which on a post-ReLU operand is a coin flip no predictor
+// wins. The update pass is count-driven: the staged entries are applied four
+// at a time in one pass over the output row, which then lives in a register
+// across the four updates instead of being loaded and stored once per p. A
+// row longer than the staging is taken in chunks, the <= 3 entries short of a
+// quad carried to the front, so the per-element order of additions is the
+// plain p loop's at every k.
 //
-// That pass has two homes and one meaning. On amd64 with AVX (hasAVX, read
+// The update has two homes and one meaning. On amd64 with AVX (hasAVX, read
 // from CPUID at init; nothing a caller can set) it is quadUpdate, assembly
 // that does four columns per step with one VMULPD and one VADDPD per term;
 // everywhere else it is the Go loop below. Each lane performs exactly the
@@ -61,44 +71,53 @@ func accumRows(dst, a, b []float64, lo, hi, k, n, rs, cs int) {
 	if n == 0 {
 		return // no column to write, and quadUpdate is handed &drow[0]
 	}
+	var av [stage]float64
+	var off [stage]int
 	for i := lo; i < hi; i++ {
 		drow := dst[i*n : (i+1)*n]
 		clear(drow)
-		var av [4]float64
-		var off [4]int
-		cnt := 0
-		ai := i * rs
-		for p := 0; p < k; p++ {
-			v := a[ai]
-			ai += cs
-			//lint:ignore float-eq zero skip is part of the kernel contract (see above)
-			if v == 0 {
-				continue
+		cnt, ai, bo := 0, i*rs, 0
+		for p := 0; p < k; {
+			// Compress as many entries as there are free slots: cnt stays below
+			// stage at every store, and the mask only tells the compiler so.
+			for end := min(k, p+stage-cnt); p < end; p++ {
+				v := a[ai]
+				av[cnt&(stage-1)], off[cnt&(stage-1)] = v, bo
+				ai += cs
+				bo += n
+				nz := 0
+				//lint:ignore float-eq zero skip is part of the kernel contract (see above)
+				if v != 0 {
+					nz = 1
+				}
+				cnt += nz
 			}
-			av[cnt], off[cnt] = v, p*n
-			cnt++
-			if cnt < 4 {
-				continue
+			// Update by full quads, then carry the <= 3 entries left to the front.
+			q := 0
+			for ; q+4 <= cnt; q += 4 {
+				// Re-slice to len(drow) so all four b rows provably hold a full
+				// output row: the range index below needs no bounds check, and
+				// quadUpdate reads exactly len(drow) elements behind each pointer.
+				b0 := b[off[q]:][:len(drow)]
+				b1 := b[off[q+1]:][:len(drow)]
+				b2 := b[off[q+2]:][:len(drow)]
+				b3 := b[off[q+3]:][:len(drow)]
+				a0, a1, a2, a3 := av[q], av[q+1], av[q+2], av[q+3]
+				if hasAVX {
+					quadUpdate(&drow[0], &b0[0], &b1[0], &b2[0], &b3[0], len(drow), a0, a1, a2, a3)
+					continue
+				}
+				for j, d := range drow {
+					d += float64(a0 * b0[j])
+					d += float64(a1 * b1[j])
+					d += float64(a2 * b2[j])
+					d += float64(a3 * b3[j])
+					drow[j] = d
+				}
 			}
-			cnt = 0
-			// Re-slice to len(drow) so all four b rows provably hold a full
-			// output row: the range index below needs no bounds check, and
-			// quadUpdate reads exactly len(drow) elements behind each pointer.
-			b0 := b[off[0]:][:len(drow)]
-			b1 := b[off[1]:][:len(drow)]
-			b2 := b[off[2]:][:len(drow)]
-			b3 := b[off[3]:][:len(drow)]
-			a0, a1, a2, a3 := av[0], av[1], av[2], av[3]
-			if hasAVX {
-				quadUpdate(&drow[0], &b0[0], &b1[0], &b2[0], &b3[0], len(drow), a0, a1, a2, a3)
-				continue
-			}
-			for j, d := range drow {
-				d += float64(a0 * b0[j])
-				d += float64(a1 * b1[j])
-				d += float64(a2 * b2[j])
-				d += float64(a3 * b3[j])
-				drow[j] = d
+			cnt -= q
+			for j := 0; j < cnt; j++ {
+				av[j], off[j] = av[q+j], off[q+j]
 			}
 		}
 		for q := 0; q < cnt; q++ {

@@ -18,6 +18,26 @@ var quadCorners = []float64{
 	math.MaxFloat64, -math.MaxFloat64, 1, -1.5, 1e-300, 3e200,
 }
 
+// cornerBytes is quadCorners plus a signalling NaN as little-endian bit
+// patterns: the seed the raw-byte fuzz targets start from.
+func cornerBytes() []byte {
+	var out []byte
+	for _, c := range quadCorners {
+		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(c))
+	}
+	return binary.LittleEndian.AppendUint64(out, 0x7ff0000000000001)
+}
+
+// floatAt reads the eight bytes of data starting at pos as a float64 bit
+// pattern; the input repeats when it runs out.
+func floatAt(data []byte, pos int) float64 {
+	var w [8]byte
+	for i := range w {
+		w[i] = data[(pos+i)%len(data)]
+	}
+	return math.Float64frombits(binary.LittleEndian.Uint64(w[:]))
+}
+
 // quadGuard is how many sentinel elements sit on each side of the output row:
 // an assembly routine that runs past either end fails no bounds check.
 const quadGuard = 8
@@ -93,10 +113,7 @@ func FuzzQuadUpdate(f *testing.F) {
 	if !hasAVX {
 		f.Skip("hasAVX is false: no assembly row update on this host")
 	}
-	var corners []byte
-	for _, c := range quadCorners {
-		corners = binary.LittleEndian.AppendUint64(corners, math.Float64bits(c))
-	}
+	corners := cornerBytes()
 	f.Add(uint8(67), uint8(3), corners)
 	f.Add(uint8(10), uint8(1), corners[8:])
 	f.Add(uint8(3), uint8(2), corners[:5*8])
@@ -107,12 +124,8 @@ func FuzzQuadUpdate(f *testing.F) {
 		}
 		pos := 0
 		next := func() float64 {
-			var w [8]byte
-			for i := range w {
-				w[i] = data[(pos+i)%len(data)]
-			}
 			pos += 8
-			return math.Float64frombits(binary.LittleEndian.Uint64(w[:]))
+			return floatAt(data, pos-8)
 		}
 		checkQuadUpdate(t, int(n)%68, int(off)%4, next)
 	})

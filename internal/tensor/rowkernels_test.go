@@ -60,24 +60,40 @@ func sameResult(got, want []float64) int {
 	return -1
 }
 
-// rowKernelOperands are the left/right operand fills of the table test. Each
-// takes fresh random operands (a is the left one, rows×cols as stored) and
-// plants the pattern under test.
+// operandFill plants one pattern in fresh random operands: a is the left one,
+// aCols wide as stored, and pOf maps an index into a to the reduction index p
+// the kernel under test reads that entry at.
+type operandFill func(rng *stats.RNG, a, b []float64, aCols int, pOf func(int) int)
+
+// dropP zeroes the left entries whose reduction index satisfies drop: every
+// output row then meets the same run of zeros and non-zeros along p, placed
+// against accumRows' staging boundary.
+func dropP(drop func(p int) bool) operandFill {
+	return func(_ *stats.RNG, a, _ []float64, _ int, pOf func(int) int) {
+		for i := range a {
+			if drop(pOf(i)) {
+				a[i] = 0
+			}
+		}
+	}
+}
+
+// rowKernelOperands are the left/right operand fills of the table test.
 var rowKernelOperands = []struct {
 	name string
-	fill func(rng *stats.RNG, a, b []float64, aCols int)
+	fill operandFill
 }{
-	{"dense", func(*stats.RNG, []float64, []float64, int) {}},
-	{"half_zero", func(rng *stats.RNG, a, _ []float64, _ int) { sparsify(rng, a, 0.5) }},
-	{"mostly_zero", func(rng *stats.RNG, a, _ []float64, _ int) { sparsify(rng, a, 0.95) }},
-	{"zero_row", func(_ *stats.RNG, a, _ []float64, aCols int) {
+	{"dense", func(*stats.RNG, []float64, []float64, int, func(int) int) {}},
+	{"half_zero", func(rng *stats.RNG, a, _ []float64, _ int, _ func(int) int) { sparsify(rng, a, 0.5) }},
+	{"mostly_zero", func(rng *stats.RNG, a, _ []float64, _ int, _ func(int) int) { sparsify(rng, a, 0.95) }},
+	{"zero_row", func(_ *stats.RNG, a, _ []float64, aCols int, _ func(int) int) {
 		// One stored row of a (an output row for MatMul/BT, one p for AT).
 		if len(a) > 0 {
 			clear(a[len(a)/aCols/2*aCols:][:aCols])
 		}
 	}},
-	{"all_zero", func(_ *stats.RNG, a, _ []float64, _ int) { clear(a) }},
-	{"neg_zero", func(rng *stats.RNG, a, b []float64, _ int) {
+	{"all_zero", func(_ *stats.RNG, a, _ []float64, _ int, _ func(int) int) { clear(a) }},
+	{"neg_zero", func(rng *stats.RNG, a, b []float64, _ int, _ func(int) int) {
 		negZero := math.Copysign(0, -1)
 		for i := range a {
 			if rng.Float64() < 0.3 {
@@ -90,7 +106,7 @@ var rowKernelOperands = []struct {
 			}
 		}
 	}},
-	{"cancel_to_zero", func(_ *stats.RNG, a, b []float64, _ int) {
+	{"cancel_to_zero", func(_ *stats.RNG, a, b []float64, _ int, _ func(int) int) {
 		// Partial sums that hit exactly +0 mid-reduction, then meet −0 terms.
 		for i := range a {
 			a[i] = float64(1 - 2*(i%2))
@@ -99,7 +115,7 @@ var rowKernelOperands = []struct {
 			b[i] = float64(i%3) - 1
 		}
 	}},
-	{"inf_nan_right", func(rng *stats.RNG, a, b []float64, _ int) {
+	{"inf_nan_right", func(rng *stats.RNG, a, b []float64, _ int, _ func(int) int) {
 		// Zeros in a against Inf/NaN in b: the skipped 0·Inf must stay
 		// skipped, the unskipped ones must poison the sum.
 		sparsify(rng, a, 0.5)
@@ -114,7 +130,7 @@ var rowKernelOperands = []struct {
 			}
 		}
 	}},
-	{"inf_nan_left", func(rng *stats.RNG, a, _ []float64, _ int) {
+	{"inf_nan_left", func(rng *stats.RNG, a, _ []float64, _ int, _ func(int) int) {
 		sparsify(rng, a, 0.4)
 		for i := range a {
 			switch r := rng.Float64(); {
@@ -125,6 +141,13 @@ var rowKernelOperands = []struct {
 			}
 		}
 	}},
+	// The first chunk of a row longer than the staging ends 1, 2 or 3 entries
+	// past a quad, which the next chunk must pick up in order.
+	{"carry_1", dropP(func(p int) bool { return 1 <= p && p < 4 })},
+	{"carry_2", dropP(func(p int) bool { return 2 <= p && p < 4 })},
+	{"carry_3", dropP(func(p int) bool { return p == 3 })},
+	{"zeros_across_chunk", dropP(func(p int) bool { return stage-5 <= p && p < stage+5 })},
+	{"full_stage_then_zeros", dropP(func(p int) bool { return p >= stage })},
 }
 
 // TestRowKernelsMatchReference pins MatMul, MatMulAT and MatMulBT — the
@@ -134,7 +157,8 @@ var rowKernelOperands = []struct {
 // tail batch 1..15, net-loopback's 16×64×128 / 64×16×128, train-gemm's
 // 64×256×256 / 256×64×256 / 64×10×256 and Evaluate's 256×24×32; at
 // gemmShapes; at shared dimensions that are not a multiple of the kernels'
-// gather width; at the three zero-width products, which must return without
+// gather width, and on either side of accumRows' staging capacity; at the
+// three zero-width products, which must return without
 // touching an element; and on row-range calls, which must produce the same
 // rows. The whole table runs twice: as shipped — accumRows' vector row update
 // where the host has one — and with that update switched off, so the Go loop
@@ -173,6 +197,12 @@ func checkRowKernels(t *testing.T) {
 		{63, 127, 127}, {64, 128, 128}, {65, 129, 129}, {70, 130, 90},
 		{128, 64, 256}, {96, 257, 31}, {33, 300, 17}, {127, 16, 255},
 	}
+	// Reductions one short of accumRows' staging, exactly it, one past, and
+	// two chunks and a ragged third.
+	for _, k := range []int{stage - 1, stage, stage + 1, 2*stage + 3} {
+		shapes["MatMul"] = append(shapes["MatMul"], shape{3, k, 5})
+		shapes["MatMulAT"] = append(shapes["MatMulAT"], shape{3, k, 5})
+	}
 	for name := range shapes {
 		shapes[name] = append(shapes[name], gemmShapes...)
 		shapes[name] = append(shapes[name], shape{0, 5, 3}, shape{4, 0, 3}, shape{4, 5, 0})
@@ -202,7 +232,11 @@ func checkRowKernels(t *testing.T) {
 				if kern.bT {
 					b = randomTensor(rng, sh.n, sh.k)
 				}
-				op.fill(rng, a.Data, b.Data, a.Shape[1])
+				pOf := func(i int) int { return i % sh.k }
+				if kern.aT {
+					pOf = func(i int) int { return i / sh.m }
+				}
+				op.fill(rng, a.Data, b.Data, a.Shape[1], pOf)
 				want := refGEMM(a.Data, b.Data, sh.m, sh.k, sh.n, kern.aT, kern.bT)
 
 				got := FromSlice(make([]float64, sh.m*sh.n), sh.m, sh.n)
@@ -225,6 +259,47 @@ func checkRowKernels(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzAccumRows is the table test's differential from raw bytes: the left
+// operand's bit patterns are read eight bytes at a time (the input repeats
+// when it runs out), so ±0, subnormals, infinities and quiet and signalling
+// NaNs land on every side of a quad and of the staging boundary; m, k (up to
+// past two chunks) and n come from the input too, aT picks the (rs, cs)
+// reading, and the result is held to refGEMM with the vector row update on
+// (where the host has one) and off.
+func FuzzAccumRows(f *testing.F) {
+	corners := cornerBytes()
+	f.Add(uint8(3), uint8(2*stage+3), uint8(5), false, corners)
+	f.Add(uint8(5), uint8(stage+1), uint8(9), true, corners[8:])
+	f.Add(uint8(1), uint8(stage), uint8(1), false, corners[:3*8])
+	f.Add(uint8(2), uint8(7), uint8(4), true, corners[:8])
+	f.Fuzz(func(t *testing.T, mb, kb, nb uint8, aT bool, data []byte) {
+		if len(data) < 8 {
+			return
+		}
+		m, k, n := int(mb)%7, int(kb)%(2*stage+8), int(nb)%11
+		a := make([]float64, m*k)
+		for i := range a {
+			a[i] = floatAt(data, 8*i)
+		}
+		b := randomTensor(stats.NewRNG(uint64(len(data))), k, n).Data
+		want := refGEMM(a, b, m, k, n, aT, false)
+		rs, cs := k, 1
+		if aT {
+			rs, cs = 1, m
+		}
+		shipped := hasAVX
+		defer func() { hasAVX = shipped }()
+		for _, hasAVX = range []bool{shipped, false} {
+			got := make([]float64, m*n)
+			accumRows(got, a, b, 0, m, k, n, rs, cs)
+			if i := sameResult(got, want); i >= 0 {
+				t.Fatalf("%dx%dx%d aT=%v hasAVX=%v: element %d is %x (%v), reference %x (%v)", m, k, n, aT, hasAVX, i,
+					math.Float64bits(got[i]), got[i], math.Float64bits(want[i]), want[i])
+			}
+		}
+	})
 }
 
 // TestMatMulZeroAllocs holds the three entry points to no heap allocation at
@@ -258,46 +333,73 @@ func TestMatMulZeroAllocs(t *testing.T) {
 // widest three of train-gemm's MLP 256→256→10 at batch 64, loopback_* the
 // first-layer pair of net-loopback's MLP 64→128→10 at batch 16. Each kernel
 // is run at every shape, whichever model's step the shape came from.
+//
+// A fresh shape is run twice: as name, one left operand multiplied forever,
+// and as name_fresh, cycling through freshLefts left operands with the same
+// zero fraction and a different zero pattern each. A training step never
+// sees the same activations twice, and a fixed operand lets the branch
+// predictor learn every zero test of a data-dependent gather by heart
+// (BENCHMARKS.md, fourth section), so judge such a gather on name_fresh.
 var benchShapes = []struct {
 	name    string
 	m, k, n int
 	zeros   float64 // exact-zero fraction of the left operand
+	fresh   bool
 }{
-	{"paper_16x24x32", 16, 24, 32, 0},
-	{"paper_16x32x10", 16, 32, 10, 0.5},
-	{"paper_24x16x32", 24, 16, 32, 0},
-	{"paper_32x16x10", 32, 16, 10, 0.5},
-	{"paper_16x10x32", 16, 10, 32, 0},
-	{"loopback_16x64x128", 16, 64, 128, 0},
-	{"loopback_64x16x128", 64, 16, 128, 0},
-	{"medium_48x96x192", 48, 96, 192, 0},
-	{"gemm_64x256x256", 64, 256, 256, 0},
-	{"gemm_256x64x256", 256, 64, 256, 0},
-	{"gemm_64x10x256", 64, 10, 256, 0},
+	{"paper_16x24x32", 16, 24, 32, 0, true},
+	{"paper_16x32x10", 16, 32, 10, 0.5, true},
+	{"paper_24x16x32", 24, 16, 32, 0, true},
+	{"paper_32x16x10", 32, 16, 10, 0.5, true},
+	{"paper_16x10x32", 16, 10, 32, 0, true},
+	{"loopback_16x64x128", 16, 64, 128, 0, false},
+	{"loopback_64x16x128", 64, 16, 128, 0, false},
+	{"medium_48x96x192", 48, 96, 192, 0, false},
+	{"gemm_64x256x256", 64, 256, 256, 0, true},
+	{"gemm_256x64x256", 256, 64, 256, 0, false},
+	{"gemm_64x10x256", 64, 10, 256, 0, false},
 }
+
+// freshLefts is how many left operands a *_fresh benchmark cycles through
+// (a power of two): 64 × 512 zero tests is beyond any predictor's history.
+const freshLefts = 64
 
 // benchKernels runs one kernel over benchShapes; aT/bT say which operand the
 // kernel takes transposed.
 func benchKernels(b *testing.B, aT, bT bool, run func(dst, a, bb *Tensor)) {
 	for _, sh := range benchShapes {
-		b.Run(sh.name, func(b *testing.B) {
-			rng := stats.NewRNG(7)
-			aShape, bShape := []int{sh.m, sh.k}, []int{sh.k, sh.n}
-			if aT {
-				aShape = []int{sh.k, sh.m}
+		for _, lefts := range []int{1, freshLefts} {
+			name := sh.name
+			if lefts > 1 {
+				if !sh.fresh {
+					continue
+				}
+				name += "_fresh"
 			}
-			if bT {
-				bShape = []int{sh.n, sh.k}
-			}
-			a, bb := randomTensor(rng, aShape...), randomTensor(rng, bShape...)
-			sparsify(rng, a.Data, sh.zeros)
-			dst := New(sh.m, sh.n)
-			b.SetBytes(int64(8 * sh.m * sh.k * sh.n))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				run(dst, a, bb)
-			}
-		})
+			b.Run(name, func(b *testing.B) {
+				rng := stats.NewRNG(7)
+				aShape, bShape := []int{sh.m, sh.k}, []int{sh.k, sh.n}
+				if aT {
+					aShape = []int{sh.k, sh.m}
+				}
+				if bT {
+					bShape = []int{sh.n, sh.k}
+				}
+				as := make([]*Tensor, lefts)
+				as[0] = randomTensor(rng, aShape...)
+				bb := randomTensor(rng, bShape...)
+				sparsify(rng, as[0].Data, sh.zeros)
+				for i := 1; i < lefts; i++ {
+					as[i] = randomTensor(rng, aShape...)
+					sparsify(rng, as[i].Data, sh.zeros)
+				}
+				dst := New(sh.m, sh.n)
+				b.SetBytes(int64(8 * sh.m * sh.k * sh.n))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					run(dst, as[i&(lefts-1)], bb)
+				}
+			})
+		}
 	}
 }
 
