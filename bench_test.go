@@ -338,7 +338,7 @@ func BenchmarkDropoutRobustness(b *testing.B) {
 }
 
 // BenchmarkSecureDistributedRound times one protocol-faithful global round
-// (simnet + secagg) to quantify the overhead of the secure path relative
+// (modelled links + secagg) to quantify the overhead of the secure path relative
 // to the in-process trainer.
 func BenchmarkSecureDistributedRound(b *testing.B) {
 	sc := benchScale()

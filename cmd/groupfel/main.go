@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/baselines"
 	"repro/internal/experiments"
-	"repro/internal/simnet"
 )
 
 func main() {
@@ -74,8 +73,6 @@ func main() {
 	opts.MaxCoV = sc.MaxCoV
 	base := sc.BaseConfig(tk, *seed)
 	base.DropoutProb = *dropout
-	topo := simnet.Default()
-	base.Topology = &topo
 	res := baselines.Run(name, sys, base, opts)
 
 	fmt.Println("\nround  accuracy   loss     cost        selCoV")
@@ -88,6 +85,6 @@ func main() {
 	fmt.Printf("\ngroups=%d  rounds run=%d  dropped updates=%d\n", len(res.Groups), res.RoundsRun, res.Dropouts)
 	fmt.Printf("final accuracy=%.4f  loss=%.4f  total cost=%.1f\n",
 		res.FinalAccuracy, res.FinalLoss, res.TotalCost)
-	fmt.Printf("participation: %d/%d clients, Jain fairness %.3f; simulated wall clock %.0f s\n",
-		res.UniqueParticipants(), len(sys.Clients), res.FairnessIndex(sys), res.WallClock)
+	fmt.Printf("participation: %d/%d clients, Jain fairness %.3f\n",
+		res.UniqueParticipants(), len(sys.Clients), res.FairnessIndex(sys))
 }

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/fednode"
 	"repro/internal/hfl"
-	"repro/internal/simnet"
 )
 
 // Distributed execution: Group-FEL rounds as the message flow of Fig. 1,
@@ -18,9 +17,9 @@ type (
 	// DistributedRoundResult reports the outcome and wall-clock time.
 	DistributedRoundResult = hfl.RoundResult
 	// NetworkTopology models client–edge and edge–cloud links.
-	NetworkTopology = simnet.Topology
+	NetworkTopology = hfl.Topology
 	// NetworkLink is one latency/bandwidth link.
-	NetworkLink = simnet.Link
+	NetworkLink = hfl.Link
 )
 
 // RunDistributedRound executes one global round of Alg. 1 for the selected
@@ -31,7 +30,7 @@ func RunDistributedRound(sys *System, groups []*Group, selected []int, globalPar
 }
 
 // DefaultTopology returns edge-computing-typical link parameters.
-func DefaultTopology() NetworkTopology { return simnet.Default() }
+func DefaultTopology() NetworkTopology { return hfl.DefaultTopology() }
 
 // Networked execution: Group-FEL over real net.Conn transports — TCP
 // sockets between processes, or in-memory pipes inside one — with the wire

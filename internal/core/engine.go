@@ -21,7 +21,7 @@ import (
 // across goroutines while keeping every result bit-for-bit identical to the
 // serial schedule at any MaxParallel.
 //
-// The determinism contract rests on four rules:
+// The determinism contract rests on six rules:
 //
 //  1. Every client's RNG is derived from (seed, round, group, client), never
 //     from which worker runs it, and each worker's model is fully overwritten
@@ -37,6 +37,16 @@ import (
 //     count, so floating-point operation order never depends on scheduling —
 //     the tree levels may fan out across goroutines and still produce the
 //     same bits as the inline fold.
+//  5. Arrival order is decided by (tick, dispatch ordinal) on the group's
+//     event heap, every delay a pure function of (seed, round, group,
+//     client, dispatch ordinal) — never by goroutine scheduling. Training
+//     fans out over the worker pool only within a dispatch batch, between
+//     clock events.
+//  6. A client is redispatched only by the flush that consumed its previous
+//     update, anchored on the post-flush group model. At a full buffer every
+//     flush consumes every client in client order at staleness zero: that is
+//     the synchronous group round of Alg. 1, and the only way this engine
+//     runs one (async_engine.go).
 //
 // Workers are created lazily up to max and recycled through a free list, so
 // the steady state allocates nothing: models reuse their layer buffers
@@ -62,9 +72,9 @@ type engine struct {
 	epochsCtr  *metrics.Counter
 	edgeLabels map[int]metrics.Label
 
-	// fel_async_* handles, registered only when an async mode or a delay
-	// model is configured so synchronous runs publish an unchanged metric
-	// surface (async_engine.go guards every use behind the same condition).
+	// fel_async_* handles: the nil registry's discard instruments unless an
+	// async mode or a delay model is configured, so the paper's configuration
+	// publishes no fel_async_* series and the machine never asks.
 	asyncStale   *metrics.Histogram
 	asyncDepth   *metrics.Histogram
 	asyncFolds   *metrics.Counter
@@ -87,21 +97,48 @@ type worker struct {
 	batch data.SampleBuffer
 }
 
-// groupSpace holds one group's aggregation state for a global round: the
-// evolving group parameters, per-client result slots (views into one flat
-// backing array), the tree-reduction node scratch, pre-drawn dropout flags,
-// and per-client uplink byte counts. The engine keeps one per selection slot;
-// group stays valid until the slot's next round.
+// groupSpace is one selection slot's group-round machine (async_engine.go)
+// and everything it runs in, reused from round to round so a warm slot
+// allocates nothing: the evolving group parameters, per-client result slots
+// (views into one flat backing array), the tree-reduction node scratch, then
+// the run state — logical-clock heap, per-client bookkeeping (pre-drawn
+// dropout flag and uplink bytes included), the batch scratch — and the
+// round's outcome. group and events stay valid until the slot's next round.
 type groupSpace struct {
-	group  []float64
-	flat   []float64
-	slots  [][]float64
-	nodes  [][]float64
-	nodeW  []float64
-	drop   []bool
-	cbytes []int64
-	drops  int
-	bytes  int64
+	e *engine
+
+	group []float64
+	flat  []float64
+	slots [][]float64
+	nodes [][]float64
+	nodeW []float64
+
+	g        *grouping.Group
+	round    int
+	dropRng  *stats.RNG
+	delayRng *stats.RNG
+	heap     arrivalHeap
+	seq      int // next dispatch ordinal within the group
+	version  int // group model version v: increments per nonempty fold
+	arrivals int // arrivals (incl. drops) since the last flush
+	clients  []clientRun
+	batch    []int // client indices, in client order: next to dispatch, or just consumed
+
+	drops       int
+	bytes       int64
+	ticks       int64
+	carry, late int
+	events      []async.Event
+}
+
+// clientRun is one member's place in the group round.
+type clientRun struct {
+	dispatched int   // how many times dispatched (the next ordinal k)
+	dispVer    int   // model version at dispatch of the latest update
+	inflight   bool  // dispatched, not yet arrived
+	arrived    bool  // arrived (buffered or dropped), awaiting flush
+	drop       bool  // the latest update was drawn as lost (rule 2)
+	bytes      int64 // uplink size of the latest update, 0 when dropped
 }
 
 // testUncapWorkers lifts the physical-CPU cap on the worker pool. The test
@@ -147,16 +184,25 @@ func NewExecutor(sys *System, cfg Config) Executor {
 		epochsCtr:  cfg.Metrics.Counter("fel_core_local_epochs_total"),
 		edgeLabels: make(map[int]metrics.Label),
 	}
-	if cfg.Async.Mode != async.Sync || cfg.Async.Delays.Enabled() {
-		e.asyncStale = cfg.Metrics.Histogram("fel_async_staleness")
-		e.asyncDepth = cfg.Metrics.Histogram("fel_async_buffer_depth")
-		e.asyncFolds = cfg.Metrics.Counter("fel_async_folds_total")
-		e.asyncFlushes = cfg.Metrics.Counter("fel_async_flushes_total")
-		e.asyncCarry = cfg.Metrics.Counter("fel_async_carryover_total")
-		e.asyncLate = cfg.Metrics.Counter("fel_async_late_total")
-		e.asyncTicks = cfg.Metrics.Counter("fel_async_ticks_total")
-	}
+	areg := asyncRegistry(cfg)
+	e.asyncStale = areg.Histogram("fel_async_staleness")
+	e.asyncDepth = areg.Histogram("fel_async_buffer_depth")
+	e.asyncFolds = areg.Counter("fel_async_folds_total")
+	e.asyncFlushes = areg.Counter("fel_async_flushes_total")
+	e.asyncCarry = areg.Counter("fel_async_carryover_total")
+	e.asyncLate = areg.Counter("fel_async_late_total")
+	e.asyncTicks = areg.Counter("fel_async_ticks_total")
 	return e
+}
+
+// asyncRegistry is where a run's fel_async_* series go: cfg.Metrics when an
+// async mode or a delay model is configured, the nil (discard) registry
+// otherwise.
+func asyncRegistry(cfg Config) *metrics.Registry {
+	if cfg.Async.Mode != async.Sync || cfg.Async.Delays.Enabled() {
+		return cfg.Metrics
+	}
+	return nil
 }
 
 // workerBound is the number of workers a MaxParallel setting buys — a bound,
@@ -210,35 +256,41 @@ func (e *engine) edgeLabel(edge int) metrics.Label {
 	return l
 }
 
-// reserve sizes the space for n clients of dim parameters, reusing backing
-// arrays across rounds.
-func (sp *groupSpace) reserve(n, dim int) {
+// begin readies the space to run group g from params in global round round:
+// storage for its n clients of len(params) parameters, backing arrays kept,
+// and the run state of a group nobody has dispatched yet.
+func (sp *groupSpace) begin(g *grouping.Group, params []float64, round int) {
+	n, dim := g.Size(), len(params)
+	sp.g, sp.round = g, round
 	sp.group = growFloats(sp.group, dim)
+	copy(sp.group, params)
 	if cap(sp.flat) < n*dim {
 		sp.flat = make([]float64, n*dim)
 	}
 	sp.flat = sp.flat[:n*dim]
 	if cap(sp.slots) < n {
 		sp.slots = make([][]float64, n)
+		sp.nodes = make([][]float64, n)
+		sp.nodeW = make([]float64, n)
+		sp.clients = make([]clientRun, n)
+		sp.batch = make([]int, 0, n)
+		sp.heap = make(arrivalHeap, 0, n)
 	}
 	sp.slots = sp.slots[:n]
 	for i := range sp.slots {
 		sp.slots[i] = sp.flat[i*dim : (i+1)*dim : (i+1)*dim]
 	}
-	if cap(sp.nodes) < n {
-		sp.nodes = make([][]float64, n)
-		sp.nodeW = make([]float64, n)
-	}
 	sp.nodes = sp.nodes[:n]
 	sp.nodeW = sp.nodeW[:n]
-	if cap(sp.drop) < n {
-		sp.drop = make([]bool, n)
-		sp.cbytes = make([]int64, n)
-	}
-	sp.drop = sp.drop[:n]
-	sp.cbytes = sp.cbytes[:n]
-	sp.drops = 0
-	sp.bytes = 0
+	sp.clients = sp.clients[:n]
+	clear(sp.clients)
+	// The dropout stream is per (round, group) and drawn in dispatch order
+	// (rule 2); at a full buffer that is client order, K times over.
+	sp.dropRng.Reseed(dropSeed(sp.e.cfg.Seed, round, g.ID))
+	sp.heap = sp.heap[:0]
+	sp.seq, sp.version, sp.arrivals = 0, 0, 0
+	sp.drops, sp.bytes, sp.ticks, sp.carry, sp.late = 0, 0, 0, 0, 0
+	sp.events = sp.events[:0]
 }
 
 // forEachClient runs fn(0..n-1), inline when the engine is serial and on one
@@ -278,9 +330,9 @@ func (e *engine) forEachClient(n int, fn func(i int)) {
 
 // LocalSeed derives the local-training RNG seed of client cid training in
 // group gid during global round round (determinism rule 1). Every executor —
-// the sync and async engines here, the networked fednode client — seeds
-// local SGD from this one derivation, which is what lets a clean loopback
-// run follow the in-process trajectory.
+// the engine here, the networked fednode client — seeds local SGD from this
+// one derivation, which is what lets a clean loopback run follow the
+// in-process trajectory.
 func LocalSeed(seed uint64, round, gid, cid int) uint64 {
 	return seed ^
 		(uint64(round+1) * 0x9e3779b97f4a7c15) ^
@@ -289,25 +341,26 @@ func LocalSeed(seed uint64, round, gid, cid int) uint64 {
 }
 
 // dropSeed derives the dropout stream of group gid in global round round
-// (determinism rule 2). The sync and async engines draw from the same stream
-// in client order, so a full-buffer async run replays the synchronous draws.
+// (determinism rule 2).
 func dropSeed(seed uint64, round, gid int) uint64 {
 	return seed ^ 0xd20b ^
 		(uint64(round+1) * 0xff51afd7ed558ccd) ^
 		(uint64(gid+1) * 0xc4ceb9fe1a85ec53)
 }
 
-// trainClient runs lines 9–13 of Alg. 1 for member i of g on worker w: E
-// local epochs from the group model in sp.group, seeded by LocalSeed. Unless
-// the client's update was drawn as dropped, the trained parameters land in
-// sp.slots[i] — which is returned — priced as a dense uplink; a dropped
-// client trains (work done is work paid for) and returns nil.
-func (e *engine) trainClient(w *worker, g *grouping.Group, sp *groupSpace, round, i int) []float64 {
+// trainClient runs lines 9–13 of Alg. 1 for member i of sp's group on worker
+// w: E local epochs from the group model in sp.group, seeded by LocalSeed.
+// Unless the client's update was drawn as dropped, what the edge receives
+// lands in sp.slots[i] — the trained parameters priced as a dense uplink, or
+// with a compressor the group model plus the decoded delta at the encoding's
+// size; a dropped client trains (work done is work paid for) and ships
+// nothing.
+func (e *engine) trainClient(w *worker, sp *groupSpace, i int) {
 	cfg := &e.cfg
-	c := g.Clients[i]
+	c := sp.g.Clients[i]
 	w.model.SetParamVector(sp.group)
 	x, y := e.sys.clientBatchInto(c, &w.batch)
-	w.arena.rng.Reseed(LocalSeed(cfg.Seed, round, g.ID, c.ID))
+	w.arena.rng.Reseed(LocalSeed(cfg.Seed, sp.round, sp.g.ID, c.ID))
 	ctx := LocalContext{
 		ClientID:  c.ID,
 		Anchor:    sp.group,
@@ -321,86 +374,24 @@ func (e *engine) trainClient(w *worker, g *grouping.Group, sp *groupSpace, round
 	e.local.LocalTrain(w.model, x, y, ctx)
 	trainSpan.End()
 	e.epochsCtr.Add(int64(cfg.LocalEpochs))
-	sp.cbytes[i] = 0
-	if sp.drop[i] {
-		return nil
-	}
-	sp.cbytes[i] = int64(8 * len(sp.group))
-	return w.model.ParamVectorInto(sp.slots[i])
-}
-
-// runGroup executes lines 8–14 of Alg. 1 for one selected group: K group
-// rounds, each training every member client for E local epochs from the
-// current group model, then weight-averaging by n_i over the clients whose
-// updates arrived (n_i/n_g when nothing drops). It leaves the final group
-// parameters in sp.group plus dropout and uplink accounting.
-func (e *engine) runGroup(g *grouping.Group, sp *groupSpace, globalParams []float64, round int) {
-	cfg := &e.cfg
-	dim := len(globalParams)
-	n := g.Size()
-	sp.reserve(n, dim)
-	copy(sp.group, globalParams)
-
-	dropRng := stats.NewRNG(dropSeed(cfg.Seed, round, g.ID))
-
-	for k := 0; k < cfg.GroupRounds; k++ {
-		// Rule 2: the dropout draws happen serially in client order — the
-		// same Float64 sequence the serial loop consumes.
-		for i := range sp.drop {
-			sp.drop[i] = cfg.DropoutProb > 0 && dropRng.Float64() < cfg.DropoutProb
-		}
-		e.forEachClient(n, func(i int) {
-			w := e.acquire()
-			defer e.release(w)
-			slot := e.trainClient(w, g, sp, round, i)
-			if slot == nil || e.comp == nil {
-				return
-			}
-			// The client ships a compressed delta; the edge applies the
-			// decoded delta to its copy of the group model.
-			if cap(w.delta) < dim {
-				w.delta = make([]float64, dim)
-			}
-			w.delta = w.delta[:dim]
-			tensor.SubInto(slot, sp.group, w.delta)
-			enc := e.comp.forClient(g.Clients[i].ID).Compress(w.delta)
-			sp.cbytes[i] = int64(enc.Bytes())
-			tensor.AddInto(sp.group, enc.Decode(), slot)
-		})
-		// Rules 3–4: reduce the indexed slots with the fixed-pairing tree.
-		aggSpan := e.reg.Start("fel_core_group_aggregate_seconds", e.edgeLabel(g.Edge))
-		reduceGroup(g, sp, e.max)
-		aggSpan.End()
-	}
-}
-
-// reduceGroup folds the per-client parameter slots into sp.group by
-// sample-count-weighted average over the clients whose updates arrived,
-// accumulating the space's dropout and uplink accounting as it goes. The
-// surviving slots, gathered in client order, feed the fixed-pairing tree
-// fold (treeagg.go), which overwrites them in place — safe, because every
-// slot is fully rewritten by ParamVectorInto before the next group round
-// reads it. The pairing depends only on the survivor count, so the result
-// is bit-identical at any MaxParallel. When every client dropped (wsum 0)
-// the group model carries over unchanged.
-func reduceGroup(g *grouping.Group, sp *groupSpace, par int) {
-	live := 0
-	wsum := 0.0
-	for i, c := range g.Clients {
-		if sp.drop[i] {
-			sp.drops++
-			continue
-		}
-		sp.bytes += sp.cbytes[i]
-		w := float64(c.NumSamples())
-		wsum += w
-		sp.nodes[live] = sp.slots[i]
-		sp.nodeW[live] = w
-		live++
-	}
-	if wsum <= 0 {
+	run := &sp.clients[i]
+	run.bytes = 0
+	if run.drop {
 		return
 	}
-	root := treeFold(sp.nodes, sp.nodeW, live, par)
-	tensor.ScaleInto(1/wsum, root, sp.group)
+	slot := w.model.ParamVectorInto(sp.slots[i])
+	run.bytes = int64(8 * len(slot))
+	if e.comp == nil {
+		return
+	}
+	// The client ships a compressed delta; the edge applies the decoded
+	// delta to its copy of the group model.
+	if cap(w.delta) < len(slot) {
+		w.delta = make([]float64, len(slot))
+	}
+	w.delta = w.delta[:len(slot)]
+	tensor.SubInto(slot, sp.group, w.delta)
+	enc := e.comp.forClient(c.ID).Compress(w.delta)
+	run.bytes = int64(enc.Bytes())
+	tensor.AddInto(sp.group, enc.Decode(), slot)
 }

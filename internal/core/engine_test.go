@@ -5,7 +5,9 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
+	"repro/internal/async"
 	"repro/internal/compress"
 )
 
@@ -120,5 +122,45 @@ func TestTrainParallelSpeedup(t *testing.T) {
 		serial, parallel, speedup, runtime.GOMAXPROCS(0))
 	if speedup < 1.2 {
 		t.Errorf("parallel training speedup %.2fx < 1.2x at GOMAXPROCS=%d", speedup, runtime.GOMAXPROCS(0))
+	}
+}
+
+// TestGroupSpaceSteadyState: a selection slot's group-round machine keeps its
+// run state — per-client bookkeeping, event heap, batch scratch, result
+// slots, arrival events — in the same backing arrays from round to round.
+// Three rounds warm the slot; replaying the same three (same draws, so the
+// same event counts) may move none of them, whichever trigger flushes.
+func TestGroupSpaceSteadyState(t *testing.T) {
+	modes := asyncModeConfigs()
+	modes["sync"] = async.Config{Delays: async.StragglerStorm()}
+	for name, acfg := range modes {
+		sys := asyncTestSystem(9, 5)
+		cfg := asyncTestConfig()
+		cfg.MaxParallel = 1
+		cfg.Async = acfg
+		tr := NewTrainer(sys, cfg)
+		e := NewExecutor(sys, cfg).(*engine)
+		run := func(round int) [5]unsafe.Pointer {
+			if _, err := e.RunGroups(round, tr.Groups(), []int{0}, tr.Params()); err != nil {
+				t.Fatal(err)
+			}
+			sp := e.spaces[0]
+			return [5]unsafe.Pointer{
+				unsafe.Pointer(unsafe.SliceData(sp.clients)),
+				unsafe.Pointer(unsafe.SliceData(sp.heap)),
+				unsafe.Pointer(unsafe.SliceData(sp.batch)),
+				unsafe.Pointer(unsafe.SliceData(sp.flat)),
+				unsafe.Pointer(unsafe.SliceData(sp.events)),
+			}
+		}
+		var warm [5]unsafe.Pointer
+		for round := 0; round < 3; round++ {
+			warm = run(round)
+		}
+		for round := 0; round < 3; round++ {
+			if got := run(round); got != warm {
+				t.Errorf("%s: round %d moved the slot's run state: %v, warm %v", name, round, got, warm)
+			}
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/async"
 	"repro/internal/grouping"
+	"repro/internal/stats"
 )
 
 // Executor is the seam under the Plan: everything below "run these groups
@@ -29,8 +30,8 @@ type GroupUpdate struct {
 	// payload of the updates that arrived.
 	Drops       int
 	UplinkBytes int64
-	// Ticks is the group's time on the async logical clock (0 without a
-	// delay model); the rest is an async mode's: semi-sync deadline misses,
+	// Ticks is the group's time on the logical clock (0 without a delay
+	// model); the rest is an async mode's: semi-sync deadline misses,
 	// discarded updates and the group's slice of the arrival log.
 	Ticks                 int64
 	Carryovers, LateDrops int
@@ -38,29 +39,27 @@ type GroupUpdate struct {
 }
 
 // RunGroups trains the selected groups in parallel on the worker pool, each
-// selection slot in the aggregation space it keeps from round to round.
+// selection slot on the group-round machine it keeps from round to round;
+// the mode only picks the machine's flush trigger.
 func (e *engine) RunGroups(t int, groups []*grouping.Group, selected []int, params []float64) ([]GroupUpdate, error) {
 	for len(e.spaces) < len(selected) {
-		e.spaces = append(e.spaces, &groupSpace{})
+		e.spaces = append(e.spaces, &groupSpace{e: e, dropRng: stats.NewRNG(0), delayRng: stats.NewRNG(0)})
 	}
 	e.updates = slices.Grow(e.updates[:0], len(selected))[:len(selected)]
-	clear(e.updates) // last round's results: every field is set or accumulated below
 	updates := e.updates
 	parallelEach(len(selected), e.cfg.MaxParallel, func(si int) {
-		g, sp, u := groups[selected[si]], e.spaces[si], &updates[si]
-		switch e.cfg.Async.Mode {
-		case async.Buffered:
-			e.runGroupBuffered(g, sp, params, t, u)
-		case async.SemiSync:
-			e.runGroupSemiSync(g, sp, params, t, u)
-		default:
-			e.runGroup(g, sp, params, t)
-			// Observational: price the synchronous barrier on the same
-			// logical clock (identical per-dispatch draws) so tick
-			// comparisons against the async modes are apples-to-apples.
-			u.Ticks = e.syncGroupTicks(g, t)
+		sp := e.spaces[si]
+		sp.begin(groups[selected[si]], params, t)
+		if e.cfg.Async.Mode == async.SemiSync {
+			sp.runDeadlines()
+		} else {
+			sp.runBuffered()
 		}
-		u.Params, u.Drops, u.UplinkBytes = sp.group, sp.drops, sp.bytes
+		e.asyncTicks.Add(sp.ticks)
+		updates[si] = GroupUpdate{
+			Params: sp.group, Drops: sp.drops, UplinkBytes: sp.bytes,
+			Ticks: sp.ticks, Carryovers: sp.carry, LateDrops: sp.late, Events: sp.events,
+		}
 	})
 	return updates, nil
 }

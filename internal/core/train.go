@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/async"
@@ -11,7 +12,6 @@ import (
 	"repro/internal/grouping"
 	"repro/internal/metrics"
 	"repro/internal/sampling"
-	"repro/internal/simnet"
 	"repro/internal/stats"
 )
 
@@ -64,11 +64,6 @@ type Config struct {
 	// secure-aggregation substrate's dropout recovery enables). Dropped
 	// clients still pay their training cost — work done is work paid for.
 	DropoutProb float64
-	// Topology, when non-nil, adds simulated wall-clock accounting: each
-	// global round's time is the slowest selected group's K group rounds
-	// (compute from the cost profile plus link transfers) between the
-	// cloud hops. Purely observational — it does not change training.
-	Topology *simnet.Topology
 	// NewCompressor, when non-nil, compresses every client's update delta
 	// before group aggregation (one stateful compressor per client, so
 	// error-feedback schemes work). The decoded delta is applied to the
@@ -77,9 +72,9 @@ type Config struct {
 	// Async selects the aggregation semantics (sync, buffered-async, or
 	// semi-sync) plus the staleness discount and the logical-clock delay
 	// model driving arrival order. The zero value is the paper's
-	// bulk-synchronous Alg. 1. With a delay model configured, sync runs
-	// also price their rounds on the same clock (Result.LogicalTicks) so
-	// the modes compare on identical draws.
+	// bulk-synchronous Alg. 1 — the same group-round machine at a full
+	// buffer, so with a delay model configured a sync run's rounds cost the
+	// barrier's ticks on the same clock and draws (Result.LogicalTicks).
 	Async async.Config
 	// AdaptiveSampling, when non-nil, re-estimates the group selection
 	// probabilities online from an EWMA of observed group update norms
@@ -125,20 +120,15 @@ type Result struct {
 	// Participation maps client ID to the number of global rounds the
 	// client trained in (fairness accounting; see FairnessIndex).
 	Participation map[int]int
-	// WallClock is the simulated wall-clock time of the whole run under
-	// the network topology model (0 when no topology configured).
-	WallClock float64
 	// UplinkBytes totals the client→edge update payload; with a compressor
 	// configured it reflects the compressed wire size.
 	UplinkBytes int64
 	// Params is the final global parameter vector.
 	Params []float64
-	// LogicalTicks totals the run's time on the async logical clock: per
-	// global round, the slowest selected group's ticks. Sync runs
-	// accumulate it too when a delay model is configured (each round
-	// priced at the barrier: max member delay per group round), so
-	// async-vs-sync tick comparisons share the same draws. 0 without a
-	// delay model.
+	// LogicalTicks totals the run's time on the logical clock: per global
+	// round, the slowest selected group's ticks (in a sync run each group
+	// round costs its slowest member's delay — the barrier — on the draws
+	// the async modes make). 0 without a delay model.
 	LogicalTicks int64
 	// Carryovers counts semi-sync deadline misses (one per update per
 	// deadline it overran); LateDrops counts updates discarded after the
@@ -195,8 +185,10 @@ func validate(sys *System, cfg Config, pinned, fixed bool) error {
 		return errors.New("nil system")
 	case cfg.GlobalRounds <= 0 || cfg.GroupRounds <= 0 || cfg.LocalEpochs <= 0:
 		return errors.New("T, K, E must be positive")
-	case cfg.LR <= 0:
-		return errors.New("LR must be positive")
+	case !(cfg.LR > 0) || math.IsInf(cfg.LR, 1):
+		return fmt.Errorf("LR must be positive and finite, got %v", cfg.LR)
+	case math.IsNaN(cfg.DropoutProb):
+		return errors.New("DropoutProb is NaN")
 	case !fixed && cfg.SampleGroups <= 0:
 		return errors.New("SampleGroups must be positive")
 	case !pinned && cfg.Grouping == nil:
@@ -204,14 +196,9 @@ func validate(sys *System, cfg Config, pinned, fixed bool) error {
 	case cfg.CostProfile.Name == "":
 		return fmt.Errorf("CostProfile is required (got %+v)", cfg.CostProfile)
 	case cfg.Async.Mode != async.Sync && cfg.NewCompressor != nil:
-		// The buffered fold consumes raw slots; the compressed-delta path
-		// rewrites the group model per client, which has no async analogue.
+		// The compressed-delta uplink is defined for the full buffer only:
+		// nothing says what a stale error-feedback residual should mean.
 		return errors.New("NewCompressor requires synchronous aggregation")
-	}
-	if cfg.Topology != nil {
-		if err := cfg.Topology.Validate(); err != nil {
-			return err
-		}
 	}
 	if cfg.AdaptiveSampling != nil {
 		if err := cfg.AdaptiveSampling.Validate(); err != nil {

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/async"
 	"repro/internal/cost"
@@ -46,8 +45,8 @@ type Trainer struct {
 	aggNodes [][]float64
 
 	dropsCtr *metrics.Counter
-	// roundTicks is fel_async_round_ticks, nil unless an async mode or a
-	// delay model is configured: synchronous runs publish no fel_async_*.
+	// roundTicks is fel_async_round_ticks on asyncRegistry: the paper's
+	// configuration publishes no fel_async_*.
 	roundTicks *metrics.Gauge
 
 	// lastSelected counts the clients in the most recent round's selected
@@ -97,9 +96,7 @@ func NewTrainerOn(sys *System, cfg Config, exec Executor, pinned []*grouping.Gro
 	tr.res = &Result{Participation: make(map[int]int)}
 	tr.next = make([]float64, len(tr.globalParams))
 	tr.dropsCtr = cfg.Metrics.Counter("fel_core_dropouts_total")
-	if cfg.Async.Mode != async.Sync || cfg.Async.Delays.Enabled() {
-		tr.roundTicks = cfg.Metrics.Gauge("fel_async_round_ticks")
-	}
+	tr.roundTicks = asyncRegistry(cfg).Gauge("fel_async_round_ticks")
 	if cfg.Async.Mode != async.Sync {
 		tr.res.ArrivalLog = &async.Log{}
 	}
@@ -141,8 +138,8 @@ func (tr *Trainer) Done() bool {
 
 // Step executes one global round (Alg. 1 lines 6–15): optional regrouping,
 // group sampling, group training on the executor, weighted global
-// aggregation, and cost/participation/wall-clock accounting — the only round
-// loop, inherited whole by every executor. Like bufio.Scanner it reports
+// aggregation, and cost/participation accounting — the only round loop,
+// inherited whole by every executor. Like bufio.Scanner it reports
 // failure out of band: once Done, executor error (Err) included, Step does
 // nothing and returns the zero record.
 func (tr *Trainer) Step() RoundRecord {
@@ -181,11 +178,9 @@ func (tr *Trainer) Step() RoundRecord {
 		tr.aggNodes = append(tr.aggNodes, u.Params)
 	}
 	res.LogicalTicks += roundTicks
-	if tr.roundTicks != nil {
-		// Published here, from the barrier value: written per group, the
-		// gauge would keep whichever group happened to finish last.
-		tr.roundTicks.Set(float64(roundTicks))
-	}
+	// Published here, from the barrier value: written per group, the gauge
+	// would keep whichever group happened to finish last.
+	tr.roundTicks.Set(float64(roundTicks))
 
 	// Line 15: global aggregation into the reused double buffer. The fold
 	// consumes the group models as tree nodes.
@@ -199,7 +194,7 @@ func (tr *Trainer) Step() RoundRecord {
 		gf.FinishGlobalRound()
 	}
 
-	// Cost, participation, and wall-clock accounting (Eq. 5).
+	// Cost and participation accounting (Eq. 5).
 	sel := make([][]int, len(selected))
 	covSum := 0.0
 	tr.lastSelected = 0
@@ -215,9 +210,6 @@ func (tr *Trainer) Step() RoundRecord {
 		covSum += g.CoV()
 	}
 	tr.acct.GlobalRound(sel, cfg.GroupRounds, cfg.LocalEpochs)
-	if cfg.Topology != nil {
-		res.WallClock += tr.roundWallClock(groups, selected, sel)
-	}
 
 	rec := RoundRecord{
 		Round: t, Accuracy: -1, Loss: -1,
@@ -233,37 +225,6 @@ func (tr *Trainer) Step() RoundRecord {
 	res.RoundsRun = t + 1
 	tr.t = t + 1
 	return rec
-}
-
-// roundWallClock prices one global round on cfg.Topology: every selected
-// client's compute time (counts[si] holds group selected[si]'s sample counts),
-// each group's round time at its edge, the edges folded into the cloud's.
-func (tr *Trainer) roundWallClock(groups []*grouping.Group, selected []int, counts [][]int) float64 {
-	cfg := tr.cfg
-	modelBytes := 8 * len(tr.globalParams)
-	edgeGroupTimes := map[int][]float64{}
-	for si, gi := range selected {
-		g := groups[gi]
-		computes := make([]float64, g.Size())
-		for i, n := range counts[si] {
-			computes[i] = float64(float64(cfg.LocalEpochs)*cfg.CostProfile.Training(n)) +
-				cfg.CostProfile.GroupOverhead(g.Size(), cfg.CostOps)
-		}
-		edgeGroupTimes[g.Edge] = append(edgeGroupTimes[g.Edge],
-			cfg.Topology.GroupRoundTime(modelBytes, computes))
-	}
-	// Iterate edges in sorted order: GlobalRoundTime folds per-edge
-	// times into a float sum, and map order would leak into WallClock.
-	edges := make([]int, 0, len(edgeGroupTimes))
-	for e := range edgeGroupTimes {
-		edges = append(edges, e)
-	}
-	sort.Ints(edges)
-	times := make([][]float64, 0, len(edges))
-	for _, e := range edges {
-		times = append(times, edgeGroupTimes[e])
-	}
-	return cfg.Topology.GlobalRoundTime(modelBytes, cfg.GroupRounds, times)
 }
 
 // Finish runs the final evaluation and seals the Result. The trainer must
@@ -295,10 +256,9 @@ type TrainerState struct {
 	SampleHi, SampleLo uint64
 	// CostTraining and CostGroupOps are the accountant's components.
 	CostTraining, CostGroupOps float64
-	// Dropouts, UplinkBytes, WallClock mirror the Result accumulators.
+	// Dropouts, UplinkBytes mirror the Result accumulators.
 	Dropouts    int
 	UplinkBytes int64
-	WallClock   float64
 	// Participation maps client ID to rounds participated.
 	Participation map[int]int
 	// Records is the per-round history so far.
@@ -334,7 +294,6 @@ func (tr *Trainer) ExportState() (*TrainerState, error) {
 		CostGroupOps:  tr.acct.GroupOps(),
 		Dropouts:      tr.res.Dropouts,
 		UplinkBytes:   tr.res.UplinkBytes,
-		WallClock:     tr.res.WallClock,
 		Participation: make(map[int]int, len(tr.res.Participation)),
 		Records:       append([]RoundRecord(nil), tr.res.Records...),
 	}
@@ -381,7 +340,6 @@ func NewTrainerResumed(sys *System, cfg Config, st *TrainerState) (*Trainer, err
 	tr.acct.Restore(st.CostTraining, st.CostGroupOps)
 	tr.res.Dropouts = st.Dropouts
 	tr.res.UplinkBytes = st.UplinkBytes
-	tr.res.WallClock = st.WallClock
 	tr.res.RoundsRun = st.Round
 	tr.res.Records = append([]RoundRecord(nil), st.Records...)
 	for id, n := range st.Participation {

@@ -248,6 +248,9 @@ func TestNewTrainerOnRejectsWithErrors(t *testing.T) {
 	for name, mutate := range map[string]func(*Config){
 		"T":           func(c *Config) { c.GlobalRounds = 0 },
 		"LR":          func(c *Config) { c.LR = 0 },
+		"LR NaN":      func(c *Config) { c.LR = math.NaN() },
+		"LR +Inf":     func(c *Config) { c.LR = math.Inf(1) },
+		"Dropout NaN": func(c *Config) { c.DropoutProb = math.NaN() },
 		"S":           func(c *Config) { c.SampleGroups = 0 },
 		"Grouping":    func(c *Config) { c.Grouping = nil },
 		"CostProfile": func(c *Config) { c.CostProfile = cost.Profile{} },

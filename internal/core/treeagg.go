@@ -7,7 +7,7 @@ import (
 )
 
 // Deterministic tree reduction for the two aggregation points of Alg. 1: the
-// per-group weighted average over client slots (reduceGroup) and the global
+// per-group weighted average over client slots (groupSpace.flush) and the global
 // weighted fold over group parameters (aggregateGlobal).
 //
 // The old reducers ran a serial left fold (Axpy chain) — deterministic, but

@@ -1,7 +1,7 @@
 // Package fednode runs Group-FEL as a real networked service: a cloud
 // coordinator, edge servers, and clients exchanging wire-framed bytes over
 // net.Conn — TCP sockets in production, in-memory pipes in tests — instead
-// of the closed-form link model of internal/simnet. It is the deployment
+// of the closed-form link model of internal/hfl. It is the deployment
 // shape of the paper's Fig. 1: the cloud forms groups and samples them each
 // round, edges drive K secure-aggregation group rounds against their
 // connected clients, and the cloud aggregates the returned group models.
@@ -22,7 +22,7 @@
 // trainer (internal/core.Train) up to secure-aggregation quantization.
 //
 // internal/hfl is the third way to run a round: one modelled-time secure
-// round over simnet's link model, with its own arrival-order fold. simnet
+// round over its own link model, with its own arrival-order fold. It
 // remains the source of *modeled* link times, while this package reports
 // measured wall-clock and bytes on the wire.
 //

@@ -26,7 +26,7 @@ import (
 //	                      Words=[SystemSeed, Seed]
 //	Seq 1  trainer        Words=[sampleHi, sampleLo, costTrainingBits,
 //	                      costGroupOpsBits, dropouts, uplinkBytes,
-//	                      wallClockBits]; Floats=global params
+//	                      0 (reserved)]; Floats=global params
 //	Seq 2  records        Ints=round ids; Floats=[acc, loss, cost, cov]×n
 //	Seq 3  participation  Ints=[client id, rounds]×n, ascending id
 //	Seq 4  scaffold c     From=1 if the server variate exists, else 0;
@@ -49,7 +49,8 @@ import (
 // their encoding (and the golden file) byte-for-byte unchanged.
 //
 // EOF terminates the sequence. Decoding is strict: unknown kinds, missing
-// mandatory frames, or cross-frame round disagreement are errors.
+// mandatory frames, a non-zero reserved word, or cross-frame round
+// disagreement are errors.
 const (
 	ckptFormat uint8 = 1
 
@@ -111,7 +112,7 @@ func EncodeCheckpoint(w io.Writer, spec JobSpec, st *core.TrainerState) (int, er
 			st.SampleHi, st.SampleLo,
 			math.Float64bits(st.CostTraining), math.Float64bits(st.CostGroupOps),
 			uint64(st.Dropouts), uint64(st.UplinkBytes),
-			math.Float64bits(st.WallClock),
+			0, // reserved (format 1 once kept a modelled wall clock here); decode rejects anything else
 		},
 		Floats: st.Params,
 	}); err != nil {
@@ -260,15 +261,14 @@ func DecodeCheckpoint(r io.Reader) (JobSpec, *core.TrainerState, error) {
 			spec.LR, spec.MaxCoV, spec.DropoutProb = m.Floats[0], m.Floats[1], m.Floats[2]
 			spec.SystemSeed, spec.Seed = m.Words[0], m.Words[1]
 		case ckptTrainer:
-			if len(m.Words) != 7 {
-				return spec, nil, fmt.Errorf("felserve: malformed trainer frame (%d words)", len(m.Words))
+			if len(m.Words) != 7 || m.Words[6] != 0 {
+				return spec, nil, fmt.Errorf("felserve: malformed trainer frame (%d words; the seventh is reserved and must be 0)", len(m.Words))
 			}
 			st.SampleHi, st.SampleLo = m.Words[0], m.Words[1]
 			st.CostTraining = math.Float64frombits(m.Words[2])
 			st.CostGroupOps = math.Float64frombits(m.Words[3])
 			st.Dropouts = int(m.Words[4])
 			st.UplinkBytes = int64(m.Words[5])
-			st.WallClock = math.Float64frombits(m.Words[6])
 			st.Params = m.Floats
 		case ckptRecords:
 			if len(m.Floats) != 4*len(m.Ints) {

@@ -8,7 +8,9 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/async"
 	"repro/internal/core"
+	"repro/internal/wire"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -96,8 +98,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatal("round or sampling stream corrupted")
 	}
 	if math.Float64bits(gotSt.CostTraining) != math.Float64bits(st.CostTraining) ||
-		math.Float64bits(gotSt.CostGroupOps) != math.Float64bits(st.CostGroupOps) ||
-		math.Float64bits(gotSt.WallClock) != math.Float64bits(st.WallClock) {
+		math.Float64bits(gotSt.CostGroupOps) != math.Float64bits(st.CostGroupOps) {
 		t.Fatal("cost components corrupted")
 	}
 	if gotSt.Dropouts != st.Dropouts || gotSt.UplinkBytes != st.UplinkBytes {
@@ -169,5 +170,60 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 	}
 	if _, _, err := DecodeCheckpoint(bytes.NewReader(raw[:40])); err == nil {
 		t.Fatal("decode accepted a checkpoint missing mandatory frames")
+	}
+}
+
+// TestCheckpointRejectsValidFramesBadValues: the CRC vouches for the bytes,
+// not for what they say. A well-framed file whose reserved trainer word is
+// set fails the decode, and one whose spec frame carries a non-finite
+// learning rate or dropout probability decodes but cannot become a job —
+// Recover quarantines both instead of training to NaN.
+func TestCheckpointRejectsValidFramesBadValues(t *testing.T) {
+	spec := goldenSpec()
+	st := goldenState(t, spec)
+	var good bytes.Buffer
+	if _, err := EncodeCheckpoint(&good, spec, st); err != nil {
+		t.Fatal(err)
+	}
+	var reframed bytes.Buffer
+	for r := bytes.NewReader(good.Bytes()); r.Len() > 0; {
+		m, err := wire.Decode(r, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Seq == ckptTrainer {
+			m.Words[6] = math.Float64bits(12.5) // what a modelled wall clock once looked like
+		}
+		if _, err := wire.Encode(&reframed, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := DecodeCheckpoint(&reframed); err == nil {
+		t.Fatal("decode accepted a non-zero reserved trainer word")
+	}
+
+	svc := New(Config{StartHeld: true})
+	defer svc.Kill()
+	for name, mutate := range map[string]func(*JobSpec){
+		"LR NaN":          func(s *JobSpec) { s.LR = math.NaN() },
+		"LR +Inf":         func(s *JobSpec) { s.LR = math.Inf(1) },
+		"DropoutProb NaN": func(s *JobSpec) { s.DropoutProb = math.NaN() },
+		"BufferFrac NaN": func(s *JobSpec) {
+			s.Async = async.Config{Mode: async.Buffered, BufferFrac: math.NaN()}
+		},
+	} {
+		bad := spec
+		mutate(&bad)
+		var buf bytes.Buffer
+		if _, err := EncodeCheckpoint(&buf, bad, st); err != nil {
+			t.Fatal(err)
+		}
+		gotSpec, gotSt, err := DecodeCheckpoint(&buf)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", name, err)
+		}
+		if _, err := newJob(svc, gotSpec, gotSt); err == nil {
+			t.Errorf("%s: a recovered spec with a non-finite field became a job", name)
+		}
 	}
 }

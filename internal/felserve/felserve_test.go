@@ -242,8 +242,11 @@ func TestSubmitValidation(t *testing.T) {
 		func(s *JobSpec) { s.Clients = 0 },
 		func(s *JobSpec) { s.Rounds = 0 },
 		func(s *JobSpec) { s.LR = 0 },
+		func(s *JobSpec) { s.LR = math.NaN() },
+		func(s *JobSpec) { s.LR = math.Inf(1) },
 		func(s *JobSpec) { s.SampleGroups = 0 },
 		func(s *JobSpec) { s.DropoutProb = 1 },
+		func(s *JobSpec) { s.DropoutProb = math.NaN() },
 	} {
 		bad := good
 		bad.Name = "other"

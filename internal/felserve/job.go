@@ -2,6 +2,7 @@ package felserve
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/async"
@@ -86,11 +87,11 @@ func (s JobSpec) Validate() error {
 		return fmt.Errorf("felserve: job %q: Clients and Edges must be positive", s.Name)
 	case s.Rounds <= 0 || s.GroupRounds <= 0 || s.LocalEpochs <= 0:
 		return fmt.Errorf("felserve: job %q: Rounds, GroupRounds, LocalEpochs must be positive", s.Name)
-	case s.LR <= 0:
-		return fmt.Errorf("felserve: job %q: LR must be positive", s.Name)
+	case !(s.LR > 0) || math.IsInf(s.LR, 1):
+		return fmt.Errorf("felserve: job %q: LR must be positive and finite", s.Name)
 	case s.SampleGroups <= 0:
 		return fmt.Errorf("felserve: job %q: SampleGroups must be positive", s.Name)
-	case s.DropoutProb < 0 || s.DropoutProb >= 1:
+	case !(s.DropoutProb >= 0 && s.DropoutProb < 1):
 		return fmt.Errorf("felserve: job %q: DropoutProb must be in [0,1)", s.Name)
 	}
 	if err := s.Async.Validate(); err != nil {

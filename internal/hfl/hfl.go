@@ -4,8 +4,8 @@
 // locally and submit *secure-aggregation-masked* updates, edges unmask the
 // group sum and (after K group rounds) return group models to the cloud,
 // which folds them in the order they arrive. It ties together the secagg,
-// nn, and grouping substrates and prices the message flow on simnet's
-// modelled links — the closed form core.Trainer prices WallClock with.
+// nn, and grouping substrates and prices the message flow on the modelled
+// links of topology.go — the repository's one modelled clock in seconds.
 //
 // The in-process trainer (internal/core) is the fast path used by the
 // experiment harness; this package exists to demonstrate and test that the
@@ -28,7 +28,6 @@ import (
 	"repro/internal/cost"
 	"repro/internal/grouping"
 	"repro/internal/secagg"
-	"repro/internal/simnet"
 	"repro/internal/stats"
 )
 
@@ -41,8 +40,8 @@ type RoundConfig struct {
 	LR        float64
 	// Seed drives local shuffling and the secure aggregation sessions.
 	Seed uint64
-	// Topology models the links; zero value uses simnet.Default().
-	Topology simnet.Topology
+	// Topology models the links; zero value uses DefaultTopology().
+	Topology Topology
 	// Profile supplies per-client compute times; zero value uses the CIFAR
 	// profile.
 	Profile cost.Profile
@@ -82,8 +81,8 @@ func RunGlobalRound(sys *core.System, groups []*grouping.Group, selected []int, 
 	if len(selected) == 0 {
 		return nil, fmt.Errorf("hfl: no groups selected")
 	}
-	if cfg.Topology == (simnet.Topology{}) {
-		cfg.Topology = simnet.Default()
+	if cfg.Topology == (Topology{}) {
+		cfg.Topology = DefaultTopology()
 	}
 	if err := cfg.Topology.Validate(); err != nil {
 		return nil, fmt.Errorf("hfl: %w", err)
@@ -151,7 +150,7 @@ func RunGlobalRound(sys *core.System, groups []*grouping.Group, selected []int, 
 	for _, a := range arrivals {
 		w := float64(groups[a.gi].NumSamples()) / float64(nt)
 		for j, v := range a.params {
-			res.Params[j] += w * v
+			res.Params[j] += float64(w * v)
 		}
 	}
 	return res, nil
@@ -212,7 +211,7 @@ func secureGroupRound(sys *core.System, g *grouping.Group, groupParams []float64
 		w := float64(c.NumSamples()) / ng
 		contrib := model.ParamVector()
 		for j := range contrib {
-			contrib[j] *= w
+			contrib[j] = float64(contrib[j] * w)
 			plain[j] += contrib[j]
 		}
 		masked[i] = sess.MaskedUpdate(i, contrib)

@@ -1,4 +1,4 @@
-package simnet
+package hfl
 
 import (
 	"math"
@@ -29,10 +29,10 @@ func TestLinkValidate(t *testing.T) {
 }
 
 func TestTopologyValidate(t *testing.T) {
-	if err := Default().Validate(); err != nil {
+	if err := DefaultTopology().Validate(); err != nil {
 		t.Fatalf("default topology rejected: %v", err)
 	}
-	bad := Default()
+	bad := DefaultTopology()
 	bad.EdgeCloud.Bandwidth = 0
 	err := bad.Validate()
 	if err == nil {
@@ -48,29 +48,5 @@ func TestTransferTimeOnUnvalidatedLinkIsInf(t *testing.T) {
 	// unusable bandwidth surfaces as an infinite transfer time instead.
 	if got := (Link{Latency: 0, Bandwidth: 0}).TransferTime(1); !math.IsInf(got, 1) {
 		t.Fatalf("TransferTime on zero bandwidth = %v, want +Inf", got)
-	}
-}
-
-func TestGroupRoundTime(t *testing.T) {
-	topo := Default()
-	compute := []float64{1, 3, 2}
-	got := topo.GroupRoundTime(1000, compute)
-	want := 2*topo.ClientEdge.TransferTime(1000) + 3 // slowest client gates
-	if math.Abs(got-want) > 1e-12 {
-		t.Fatalf("GroupRoundTime = %v, want %v", got, want)
-	}
-	if topo.GroupRoundTime(1000, nil) != 0 {
-		t.Fatal("empty group should take no time")
-	}
-}
-
-func TestGlobalRoundTime(t *testing.T) {
-	topo := Default()
-	// Two edges: edge 0 has groups taking 2 and 5 per group round, edge 1
-	// has one group taking 4. K=3 group rounds.
-	got := topo.GlobalRoundTime(1000, 3, [][]float64{{2, 5}, {4}})
-	want := 2*topo.EdgeCloud.TransferTime(1000) + 3*5
-	if math.Abs(got-want) > 1e-12 {
-		t.Fatalf("GlobalRoundTime = %v, want %v", got, want)
 	}
 }
