@@ -85,10 +85,10 @@ case "${1:-}" in
     ;;
 esac
 
-echo "== go build ./... + fused-multiply-add checks (arm64: tensor, nn, grouping, core, sampling, secagg, async, hfl; amd64: every internal/*/*_amd64.s)"
+echo "== go build ./... + fused-multiply-add checks (arm64: tensor, nn, grouping, core, sampling, secagg, async, hfl, cost, theory, stats, data, compress; amd64: every internal/*/*_amd64.s)"
 go build ./...
 fmadir="$(stage_dir fma)"
-for pkg in tensor nn grouping core sampling secagg async hfl; do
+for pkg in tensor nn grouping core sampling secagg async hfl cost theory stats data compress; do
   GOARCH=arm64 go build -o "$fmadir/$pkg.a" "./internal/$pkg"
   go tool objdump "$fmadir/$pkg.a" > "$fmadir/$pkg.s"
   if grep -E 'FN?M(ADD|SUB)' "$fmadir/$pkg.s" >&2; then
@@ -96,7 +96,7 @@ for pkg in tensor nn grouping core sampling secagg async hfl; do
     exit 1
   fi
 done
-echo "arm64 check: internal/{tensor,nn,grouping,core,sampling,secagg,async,hfl} hold no FMADD/FMSUB/FNMADD/FNMSUB"
+echo "arm64 check: internal/{tensor,nn,grouping,core,sampling,secagg,async,hfl,cost,theory,stats,data,compress} hold no FMADD/FMSUB/FNMADD/FNMSUB"
 # The assembler's listing, not `go tool objdump`: its x86 decoder has no VEX
 # tables (it prints VBROADCASTSD as `SBBL AX, 0x38(SP)`), so a grep over its
 # output could never fire.

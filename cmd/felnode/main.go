@@ -211,9 +211,7 @@ func runChaos(arg string, seed uint64, seedSet, verbose bool) error {
 		sc = scenarios.FromPlan(plan)
 	} else if named, ok := scenarios.ByName(arg); ok {
 		sc = named
-		// Harness-driven scenarios (RunFunc) own their seeds; only
-		// plan-based ones expose the override hook.
-		if seedSet && sc.Plan != nil {
+		if seedSet {
 			orig := sc.Plan
 			sc.Plan = func(ctx *scenarios.Context) *faultnet.Plan {
 				p := orig(ctx)

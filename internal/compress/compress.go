@@ -185,7 +185,7 @@ func (u *Uniform) Compress(update []float64) Compressed {
 	for i, v := range update {
 		x := v / scale * levels // in [-levels, levels]
 		lo := math.Floor(x)
-		frac := x - lo
+		frac := float64(x) - lo
 		l := lo
 		if u.rng.Float64() < frac {
 			l = lo + 1

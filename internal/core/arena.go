@@ -35,8 +35,6 @@ func newSGDArena() *sgdArena {
 // ensureOrder returns the identity permutation [0..n), reusing the backing
 // array. The contents are reset every call because successive epochs shuffle
 // in place and each client must start from the identity.
-//
-//lint:hotpath
 func (a *sgdArena) ensureOrder(n int) []int {
 	if cap(a.order) < n {
 		a.order = make([]int, n)
@@ -50,8 +48,6 @@ func (a *sgdArena) ensureOrder(n int) []int {
 
 // ensure sizes the batch buffers for rows samples shaped like src's trailing
 // dimensions, reusing prior allocations whenever the shape repeats.
-//
-//lint:hotpath
 func (b *sgdBatch) ensure(rows int, src *tensor.Tensor) {
 	if b.x == nil || b.x.Shape[0] != rows || !sameTrailing(b.x.Shape, src.Shape) {
 		shape := make([]int, len(src.Shape))
@@ -67,8 +63,6 @@ func (b *sgdBatch) ensure(rows int, src *tensor.Tensor) {
 
 // ensureProbs returns a probability buffer shaped like logits, reused across
 // steps with a stable batch shape.
-//
-//lint:hotpath
 func (b *sgdBatch) ensureProbs(logits *tensor.Tensor) *tensor.Tensor {
 	if b.probs == nil || !b.probs.SameShape(logits) {
 		b.probs = tensor.New(logits.Shape...)
@@ -78,8 +72,6 @@ func (b *sgdBatch) ensureProbs(logits *tensor.Tensor) *tensor.Tensor {
 
 // sameTrailing reports whether two shapes agree in every dimension after the
 // leading (batch) one.
-//
-//lint:hotpath
 func sameTrailing(a, b []int) bool {
 	if len(a) != len(b) {
 		return false
@@ -94,8 +86,6 @@ func sameTrailing(a, b []int) bool {
 
 // growFloats returns a zeroed slice of length n, reusing buf's backing array
 // when it is large enough.
-//
-//lint:hotpath
 func growFloats(buf []float64, n int) []float64 {
 	if cap(buf) < n {
 		return make([]float64, n)

@@ -262,13 +262,47 @@ func TestAsyncTrainerResume(t *testing.T) {
 	}
 }
 
+// checkAsyncAccounting holds an async run's books to each other: every
+// arrival folds exactly once (Σ flush folds == arrivals), and the
+// fel_async_{folds,flushes,carryover,late}_total counters count what the
+// arrival log and the Result count.
+func checkAsyncAccounting(t *testing.T, res *Result, reg *metrics.Registry) {
+	t.Helper()
+	counts := res.ArrivalLog.Counts()
+	folds := 0
+	for _, e := range res.ArrivalLog.Events() {
+		if e.Kind == async.Flush {
+			folds += e.Stale
+		}
+	}
+	if folds != counts[async.Arrive] {
+		t.Errorf("%d folds for %d arrivals; every arrival must fold exactly once", folds, counts[async.Arrive])
+	}
+	for _, c := range []struct {
+		name string
+		want int
+	}{
+		{"fel_async_folds_total", folds},
+		{"fel_async_flushes_total", counts[async.Flush]},
+		{"fel_async_carryover_total", res.Carryovers},
+		{"fel_async_late_total", res.LateDrops},
+	} {
+		if got := reg.CounterValue(c.name); got != int64(c.want) {
+			t.Errorf("%s = %d, want %d", c.name, got, c.want)
+		}
+	}
+}
+
 // TestAsyncSemiSyncCarriesAndLateDrops forces the carryover machinery: a
 // deadline shorter than the base delay means no update ever makes its own
 // round, so every fold happens at positive staleness and the final
-// deadline strands in-flight updates as late drops.
+// deadline strands in-flight updates as late drops. With no dropout the
+// books balance (checkAsyncAccounting).
 func TestAsyncSemiSyncCarriesAndLateDrops(t *testing.T) {
 	cfg := asyncTestConfig()
 	cfg.DropoutProb = 0
+	reg := metrics.New()
+	cfg.Metrics = reg
 	cfg.Async = async.Config{
 		Mode: async.SemiSync, Alpha: 0.5, DeadlineTicks: 8,
 		// Delays of 10..20 against a K·D = 16 horizon: every update misses
@@ -291,12 +325,15 @@ func TestAsyncSemiSyncCarriesAndLateDrops(t *testing.T) {
 	if res.LogicalTicks != want {
 		t.Fatalf("semi-sync logical ticks %d, want %d", res.LogicalTicks, want)
 	}
+	checkAsyncAccounting(t, res, reg)
 }
 
 // TestAsyncTicksBeatSyncUnderStragglers is the scheduling win in
 // miniature: under the straggler-storm clock the synchronous barrier pays
 // the max of every round's draws while buffered chains only pay their own,
-// so async completes the same workload in strictly fewer logical ticks.
+// so async completes the same workload in strictly fewer logical ticks. The
+// half buffer folds lagged updates, every dispatch lands once as an arrival
+// or a drop, and the books balance (checkAsyncAccounting).
 func TestAsyncTicksBeatSyncUnderStragglers(t *testing.T) {
 	sys := asyncTestSystem(12, 13)
 	ref := asyncTestConfig()
@@ -308,6 +345,8 @@ func TestAsyncTicksBeatSyncUnderStragglers(t *testing.T) {
 	}
 	cfg := asyncTestConfig()
 	cfg.GlobalRounds = 3
+	reg := metrics.New()
+	cfg.Metrics = reg
 	cfg.Async = async.Config{
 		Mode: async.Buffered, Alpha: 0.5, BufferFrac: 0.5,
 		Delays: async.StragglerStorm(),
@@ -316,6 +355,20 @@ func TestAsyncTicksBeatSyncUnderStragglers(t *testing.T) {
 	if res.LogicalTicks >= sync.LogicalTicks {
 		t.Fatalf("buffered ticks %d, want < sync %d", res.LogicalTicks, sync.LogicalTicks)
 	}
+	maxStale := 0
+	for _, e := range res.ArrivalLog.Events() {
+		if e.Kind == async.Arrive {
+			maxStale = max(maxStale, e.Stale)
+		}
+	}
+	if maxStale == 0 {
+		t.Error("buffered run observed no staleness; BufferFrac 0.5 should lag some dispatches")
+	}
+	counts := res.ArrivalLog.Counts()
+	if got, want := counts[async.Arrive]+counts[async.Drop], res.RoundsRun*cfg.GroupRounds*12; got != want {
+		t.Errorf("%d arrivals + drops, want one per dispatch: T·K·n = %d", got, want)
+	}
+	checkAsyncAccounting(t, res, reg)
 }
 
 // TestAsyncConfigValidation exercises the config guards end to end.

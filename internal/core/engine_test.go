@@ -18,8 +18,8 @@ func init() { testUncapWorkers = true }
 
 // TestSGDEpochsSteadyStateAllocs locks in the zero-alloc hot path: once a
 // worker's arena and the model's reuse buffers are warm, an entire local
-// training pass (shuffle, batch fill incl. tail batch, forward, loss,
-// backward, SGD step) must not allocate.
+// training pass through SGDUpdater (shuffle, batch fill incl. tail batch,
+// forward, loss, backward, SGD step) must not allocate.
 func TestSGDEpochsSteadyStateAllocs(t *testing.T) {
 	sys := testSystem(6, 0.5, 9)
 	model := sys.NewModel(sys.ModelSeed)
@@ -40,7 +40,7 @@ func TestSGDEpochsSteadyStateAllocs(t *testing.T) {
 	}
 	run := func() {
 		arena.rng.Reseed(123)
-		sgdEpochs(model, x, y, ctx, nil)
+		SGDUpdater{}.LocalTrain(model, x, y, ctx)
 	}
 	run() // warm the arena and reuse buffers
 	if allocs := testing.AllocsPerRun(20, run); allocs > 0 {
@@ -129,7 +129,10 @@ func TestTrainParallelSpeedup(t *testing.T) {
 // run state — per-client bookkeeping, event heap, batch scratch, result
 // slots, arrival events — in the same backing arrays from round to round.
 // Three rounds warm the slot; replaying the same three (same draws, so the
-// same event counts) may move none of them, whichever trigger flushes.
+// same event counts) may move none of them, whichever trigger flushes. The
+// machine's two ends then allocate nothing on the warm slot: begin, readying
+// it for a round, and flush, folding a full buffer n_i-weighted into the
+// group model. What a round allocates beyond them is dispatch's.
 func TestGroupSpaceSteadyState(t *testing.T) {
 	modes := asyncModeConfigs()
 	modes["sync"] = async.Config{Delays: async.StragglerStorm()}
@@ -161,6 +164,16 @@ func TestGroupSpaceSteadyState(t *testing.T) {
 			if got := run(round); got != warm {
 				t.Errorf("%s: round %d moved the slot's run state: %v, warm %v", name, round, got, warm)
 			}
+		}
+		sp := e.spaces[0]
+		if allocs := testing.AllocsPerRun(10, func() {
+			sp.begin(sp.g, tr.Params(), 0)
+			for i := range sp.clients {
+				sp.clients[i].arrived = true
+			}
+			sp.flush(0)
+		}); allocs != 0 {
+			t.Errorf("%s: begin + a full-buffer flush on the warm slot allocate %.1f objects, want 0", name, allocs)
 		}
 	}
 }

@@ -102,8 +102,6 @@ func (e *evaluator) run(params []float64) (acc, loss float64) {
 }
 
 // score runs batch bi through w's model and fills the batch's slots.
-//
-//lint:hotpath
 func (e *evaluator) score(w *evalWorker, bi int) {
 	y := e.ys[bi]
 	logits := w.model.Forward(e.xs[bi], false)

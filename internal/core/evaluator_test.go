@@ -88,3 +88,20 @@ func TestEvaluatorPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestEvaluatorScoreZeroAllocs holds what TestEvaluatorPinned's bound leaves
+// room for to nothing: scoring every batch, the 144-row tail included, on a
+// warm worker — forward pass, loss head, argmax — allocates no object.
+func TestEvaluatorScoreZeroAllocs(t *testing.T) {
+	ds := data.NewGenerator(data.FlatConfig(10, 24, 77)).Sample(400, 1)
+	model := nn.NewMLP(24, []int{32}, 10, 1)
+	ev := newEvaluator(model, ds, 0)
+	ev.run(model.ParamVector())
+	if allocs := testing.AllocsPerRun(10, func() {
+		for bi := range ev.xs {
+			ev.score(ev.workers[0], bi)
+		}
+	}); allocs != 0 {
+		t.Fatalf("scoring %d batches on a warm worker allocates %.1f objects, want 0", len(ev.xs), allocs)
+	}
+}

@@ -47,8 +47,6 @@ type LocalUpdater interface {
 // All scratch state — shuffle order, the batch tensor, the tail batch for
 // n % bs leftovers, the loss-head probability buffer, the optimizer — comes
 // from the context's arena, so the steady-state loop allocates nothing.
-//
-//lint:hotpath
 func sgdEpochs(model *nn.Sequential, x *tensor.Tensor, y []int, ctx LocalContext, adjust func(model *nn.Sequential)) int {
 	n := x.Shape[0]
 	bs := ctx.BatchSize
@@ -107,8 +105,6 @@ type SGDUpdater struct{}
 func (SGDUpdater) Name() string { return "SGD" }
 
 // LocalTrain runs E epochs of mini-batch SGD.
-//
-//lint:hotpath
 func (SGDUpdater) LocalTrain(model *nn.Sequential, x *tensor.Tensor, y []int, ctx LocalContext) {
 	sgdEpochs(model, x, y, ctx, nil)
 }

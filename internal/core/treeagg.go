@@ -8,7 +8,7 @@ import (
 
 // Deterministic tree reduction for the two aggregation points of Alg. 1: the
 // per-group weighted average over client slots (groupSpace.flush) and the global
-// weighted fold over group parameters (aggregateGlobal).
+// weighted fold over group parameters (Plan.Fold).
 //
 // The old reducers ran a serial left fold (Axpy chain) — deterministic, but
 // strictly sequential: every partial sum depended on the previous one, so the
@@ -34,8 +34,6 @@ const treeParMin = 1 << 16
 
 // foldWeightedPairs folds node pairs [lo, hi) of tree level 0 in place:
 // nodes[2j] = w[2j]·nodes[2j] + w[2j+1]·nodes[2j+1].
-//
-//lint:hotpath
 func foldWeightedPairs(nodes [][]float64, w []float64, lo, hi int) {
 	for j := lo; j < hi; j++ {
 		tensor.AxpbyInto(w[2*j], nodes[2*j], w[2*j+1], nodes[2*j+1], nodes[2*j])
@@ -44,8 +42,6 @@ func foldWeightedPairs(nodes [][]float64, w []float64, lo, hi int) {
 
 // foldSumPairs folds node pairs [lo, hi) of an upper tree level in place:
 // nodes[2j] = nodes[2j] + nodes[2j+1].
-//
-//lint:hotpath
 func foldSumPairs(nodes [][]float64, lo, hi int) {
 	for j := lo; j < hi; j++ {
 		tensor.AddInto(nodes[2*j], nodes[2*j+1], nodes[2*j])
@@ -53,9 +49,10 @@ func foldSumPairs(nodes [][]float64, lo, hi int) {
 }
 
 // foldPairs runs one tree level: pairs adjacent nodes, weighted (level 0) or
-// plain sums (higher levels). Small levels run inline through the hotpath
-// helpers — no closure, no goroutine, zero allocations — so the serial
-// training path keeps its zero-alloc steady state. Large levels chunk the
+// plain sums (higher levels). Small levels run inline through the two fold
+// helpers — no closure, no goroutine, zero allocations
+// (TestTreeFoldSerialZeroAlloc) — so the serial training path keeps its
+// zero-alloc steady state. Large levels chunk the
 // pairs across up to par goroutines; every pair writes only its own nodes[2j],
 // so the fan-out changes scheduling, never operation order.
 func foldPairs(nodes [][]float64, w []float64, pairs, dim, par int, weighted bool) {

@@ -75,7 +75,7 @@ func (p Profile) Training(n int) float64 {
 // size gs.
 func (p Profile) SecAgg(gs int) float64 {
 	s := float64(gs)
-	return p.SecAggQuad*s*s + p.SecAggLin*s
+	return float64(p.SecAggQuad*s*s) + float64(p.SecAggLin*s)
 }
 
 // ScaffoldSecAgg returns the secure aggregation overhead when control
@@ -87,7 +87,7 @@ func (p Profile) ScaffoldSecAgg(gs int) float64 {
 // Backdoor returns the per-client backdoor detection overhead.
 func (p Profile) Backdoor(gs int) float64 {
 	s := float64(gs)
-	return p.BackdoorQuad*s*s + p.BackdoorLin*s
+	return float64(p.BackdoorQuad*s*s) + float64(p.BackdoorLin*s)
 }
 
 // OpSet selects which group operations run during group aggregation.
@@ -111,7 +111,7 @@ func (p Profile) GroupOverhead(gs int, ops OpSet) float64 {
 	o := 0.0
 	if ops.SecAgg {
 		if ops.Scaffold {
-			o += p.ScaffoldSecAgg(gs)
+			o += float64(p.ScaffoldSecAgg(gs))
 		} else {
 			o += p.SecAgg(gs)
 		}
@@ -149,7 +149,7 @@ func (a *Accountant) GroupRound(groupSize int, clientSamples []int, localEpochs 
 	overhead := a.profile.GroupOverhead(groupSize, a.ops)
 	for _, n := range clientSamples {
 		a.groupOps += overhead
-		a.training += float64(localEpochs) * a.profile.Training(n)
+		a.training += float64(float64(localEpochs) * a.profile.Training(n))
 	}
 	a.total = a.training + a.groupOps
 }

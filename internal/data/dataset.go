@@ -128,15 +128,15 @@ func (g *Generator) makeProto(rng *stats.RNG) []float64 {
 		for m := 0; m < modes; m++ {
 			fy := float64(rng.IntN(3)) // spatial frequencies 0..2
 			fx := float64(rng.IntN(3))
-			phy := rng.Float64() * 2 * math.Pi
-			phx := rng.Float64() * 2 * math.Pi
+			phy := float64(rng.Float64()) * 2 * math.Pi
+			phx := float64(rng.Float64()) * 2 * math.Pi
 			amp := rng.Normal(0, 1)
 			for y := 0; y < h; y++ {
 				for x := 0; x < w; x++ {
 					v := amp *
-						math.Cos(2*math.Pi*fy*float64(y)/float64(h)+phy) *
-						math.Cos(2*math.Pi*fx*float64(x)/float64(w)+phx)
-					p[base+y*w+x] += v
+						math.Cos(2*math.Pi*fy*float64(y)/float64(h)+float64(phy)) *
+						math.Cos(2*math.Pi*fx*float64(x)/float64(w)+float64(phx))
+					p[base+y*w+x] += float64(v)
 				}
 			}
 		}
@@ -155,7 +155,7 @@ func (g *Generator) makeProto(rng *stats.RNG) []float64 {
 	mean /= float64(len(p))
 	for _, v := range p {
 		d := v - mean
-		ss += d * d
+		ss += float64(d * d)
 	}
 	std := math.Sqrt(ss / float64(len(p)))
 	if std > 0 {

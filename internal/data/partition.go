@@ -30,8 +30,6 @@ type Client struct {
 }
 
 // NumSamples returns the client's data entry count n_i.
-//
-//lint:hotpath
 func (c *Client) NumSamples() int { return c.N }
 
 // PartitionConfig controls the non-IID partition of a dataset.

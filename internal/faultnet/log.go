@@ -46,12 +46,6 @@ func (l *Log) add(e Event) {
 	l.mu.Unlock()
 }
 
-// Record appends an externally observed event. Harness-driven scenarios
-// (no faultnet transport in the loop) use it to publish their replay
-// artifact through the same sorted-log rendering contract injected faults
-// get, so the byte-identical-replay tests apply unchanged.
-func (l *Log) Record(e Event) { l.add(e) }
-
 // Events returns the injected faults sorted by (link, frame, action).
 func (l *Log) Events() []Event {
 	l.mu.Lock()

@@ -79,15 +79,6 @@ type Scenario struct {
 	// exceed the straggler deadline: past the deadline a delay is
 	// semantically a dropout, and the trajectory is supposed to change.
 	NoBaseline bool
-	// RunFunc, when non-nil, replaces the loopback federation entirely: the
-	// scenario drives its own harness and synthesizes the Result (report,
-	// log, registry) itself. Tune and Plan are ignored, and so are the
-	// faultnet universal invariants — the injected-fault/registry agreement
-	// check is meaningless for a run with no faultnet transport in the
-	// loop. Expect still runs, and the suite's replay test still compares
-	// the rendered Log byte for byte, so a RunFunc scenario must fill Log
-	// deterministically (faultnet.Log.Record).
-	RunFunc func(logf func(format string, args ...any)) (*Result, error)
 }
 
 // Casualty is a client whose supervisor gave up: its process error after
@@ -168,20 +159,6 @@ func baseJobConfig() fednode.JobConfig {
 func Run(sc Scenario, logf func(format string, args ...any)) (*Result, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
-	}
-	if sc.RunFunc != nil {
-		res, err := sc.RunFunc(logf)
-		if err != nil {
-			return nil, fmt.Errorf("scenarios: %s: %w", sc.Name, err)
-		}
-		res.Name = sc.Name
-		if sc.Expect != nil {
-			if err := sc.Expect(res); err != nil {
-				return nil, fmt.Errorf("scenarios: %s: %w", sc.Name, err)
-			}
-		}
-		logf("scenario %s: ok (%d events, %d rounds)", sc.Name, res.Log.Len(), res.Report.RoundsRun)
-		return res, nil
 	}
 	sys := baseSystem(24, 1)
 	cfg := baseJobConfig()

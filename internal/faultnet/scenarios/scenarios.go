@@ -47,7 +47,6 @@ func All() []Scenario {
 		clientCrashRestart(),
 		edgePartitionHeal(),
 		stragglerStorm(),
-		stragglerStormAsync(),
 		slowLinks(),
 		mixed(),
 	}

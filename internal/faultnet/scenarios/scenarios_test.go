@@ -19,12 +19,11 @@ import (
 // when the redial lands, so its wire-frame totals may legitimately differ
 // between runs even though its fault log cannot.
 var snapshotStable = map[string]bool{
-	"corrupt-frames":        true,
-	"edge-partition-heal":   true,
-	"straggler-storm":       true,
-	"straggler-storm-async": true,
-	"slow-links":            true,
-	"mixed":                 true,
+	"corrupt-frames":      true,
+	"edge-partition-heal": true,
+	"straggler-storm":     true,
+	"slow-links":          true,
+	"mixed":               true,
 }
 
 // TestChaosSuite runs every named scenario twice. The first run proves the

@@ -59,7 +59,7 @@ func (c *Client) Run(nw Network, edgeAddr string) ([]float64, error) {
 	}
 
 	tag := fmt.Sprintf("client/%d", c.id)
-	raw, err := dialRetry(nw, tag, edgeAddr, cfg.DialAttempts, cfg.DialBackoff, c.meter,
+	raw, err := DialRetry(nw, tag, edgeAddr, cfg.DialAttempts, cfg.DialBackoff, c.meter,
 		stats.NewRNG(dialSeed(cfg.Seed, tag)))
 	if err != nil {
 		return nil, err

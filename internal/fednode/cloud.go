@@ -62,7 +62,7 @@ func (c *Cloud) Run(ln net.Listener) (*Report, error) {
 		}
 	}()
 	for i := 0; i < numEdges; i++ {
-		raw, err := acceptRetry(ln, cfg.DialAttempts, cfg.DialBackoff, c.meter)
+		raw, err := AcceptRetry(ln, cfg.DialAttempts, cfg.DialBackoff, c.meter)
 		if err != nil {
 			return nil, fmt.Errorf("fednode: cloud accept: %w", err)
 		}

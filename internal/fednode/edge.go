@@ -67,7 +67,7 @@ func (e *Edge) Run(nw Network, ln net.Listener, cloudAddr string) error {
 	}
 
 	tag := fmt.Sprintf("edge/%d", e.id)
-	rawCloud, err := dialRetry(nw, tag, cloudAddr, cfg.DialAttempts, cfg.DialBackoff, e.meter,
+	rawCloud, err := DialRetry(nw, tag, cloudAddr, cfg.DialAttempts, cfg.DialBackoff, e.meter,
 		stats.NewRNG(dialSeed(cfg.Seed, tag)))
 	if err != nil {
 		return err
@@ -91,7 +91,7 @@ func (e *Edge) Run(nw Network, ln net.Listener, cloudAddr string) error {
 		}
 	}()
 	for len(clientConns) < len(mine) {
-		raw, err := acceptRetry(ln, cfg.DialAttempts, cfg.DialBackoff, e.meter)
+		raw, err := AcceptRetry(ln, cfg.DialAttempts, cfg.DialBackoff, e.meter)
 		if err != nil {
 			return fmt.Errorf("fednode: edge %d accept: %w", e.id, err)
 		}

@@ -235,8 +235,8 @@ func TestMemNetworkRefusesUnknownAddr(t *testing.T) {
 		t.Fatal("dial of unregistered address succeeded")
 	}
 	start := time.Now()
-	if _, err := dialRetry(nw, "test", "nowhere", 3, time.Millisecond, nil, nil); err == nil {
-		t.Fatal("dialRetry of unregistered address succeeded")
+	if _, err := DialRetry(nw, "test", "nowhere", 3, time.Millisecond, nil, nil); err == nil {
+		t.Fatal("DialRetry of unregistered address succeeded")
 	} else if !strings.Contains(err.Error(), "after 3 attempts") {
 		t.Fatalf("unexpected retry error: %v", err)
 	}

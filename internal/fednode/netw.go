@@ -297,12 +297,13 @@ func dialSeed(seed uint64, tag string) uint64 {
 	return seed ^ h
 }
 
-// dialRetry dials addr as fromTag with bounded, jittered exponential
+// DialRetry dials addr on nw as fromTag with bounded, jittered exponential
 // backoff, absorbing the startup races of a distributed launch (an edge
 // dialing the cloud before its listener is up), transient refusals, and
-// partition-heal reconnect bursts. Retries land in m's
-// fel_net_dial_retries_total (m may be nil).
-func dialRetry(nw Network, fromTag, addr string, attempts int, backoff time.Duration, m *Meter, rng *stats.RNG) (net.Conn, error) {
+// partition-heal reconnect bursts; the serving layer and load harnesses reuse
+// it so their connection storms get the same stampede-free schedule. Retries
+// land in m's fel_net_dial_retries_total; m and rng may be nil.
+func DialRetry(nw Network, fromTag, addr string, attempts int, backoff time.Duration, m *Meter, rng *stats.RNG) (net.Conn, error) {
 	var err error
 	for i := 0; i < attempts; i++ {
 		if i > 0 {
@@ -320,10 +321,10 @@ func dialRetry(nw Network, fromTag, addr string, attempts int, backoff time.Dura
 	return nil, fmt.Errorf("fednode: dial %s failed after %d attempts: %w", addr, attempts, err)
 }
 
-// acceptRetry accepts one connection, retrying transient (timeout-class)
-// failures with bounded backoff; any other error is fatal. Retries land in
-// m's fel_net_accept_retries_total (m may be nil).
-func acceptRetry(ln net.Listener, attempts int, backoff time.Duration, m *Meter) (net.Conn, error) {
+// AcceptRetry accepts one connection from ln, retrying transient
+// (timeout-class) failures with bounded backoff; any other error is fatal.
+// Retries land in m's fel_net_accept_retries_total (m may be nil).
+func AcceptRetry(ln net.Listener, attempts int, backoff time.Duration, m *Meter) (net.Conn, error) {
 	var err error
 	for i := 0; i < attempts; i++ {
 		if i > 0 {
@@ -345,23 +346,6 @@ func acceptRetry(ln net.Listener, attempts int, backoff time.Duration, m *Meter)
 		}
 	}
 	return nil, fmt.Errorf("fednode: accept failed after %d attempts: %w", attempts, err)
-}
-
-// DialRetry dials addr on nw as fromTag with bounded, jittered exponential
-// backoff — the session-establishment hook the serving layer
-// (internal/felserve) and load harnesses reuse so their connection storms
-// get the same stampede-free schedule the federation protocol uses.
-// Retries land in m's fel_net_dial_retries_total; m and rng may be nil.
-func DialRetry(nw Network, fromTag, addr string, attempts int, backoff time.Duration, m *Meter, rng *stats.RNG) (net.Conn, error) {
-	return dialRetry(nw, fromTag, addr, attempts, backoff, m, rng)
-}
-
-// AcceptRetry accepts one connection from ln, retrying transient
-// (timeout-class) failures with bounded backoff; any other error is fatal.
-// The exported counterpart of the protocol's accept loop, for serving-layer
-// listeners. Retries land in m's fel_net_accept_retries_total; m may be nil.
-func AcceptRetry(ln net.Listener, attempts int, backoff time.Duration, m *Meter) (net.Conn, error) {
-	return acceptRetry(ln, attempts, backoff, m)
 }
 
 // closeQuiet closes c on a shutdown path where the close error changes

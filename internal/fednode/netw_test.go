@@ -102,7 +102,7 @@ func TestConcurrentReconnectsAfterHeal(t *testing.T) {
 		go func(id int) {
 			defer dialWG.Done()
 			tag := fmt.Sprintf("client/%d", id)
-			conn, err := dialRetry(nw, tag, "edge", 10, 10*time.Millisecond, m,
+			conn, err := DialRetry(nw, tag, "edge", 10, 10*time.Millisecond, m,
 				stats.NewRNG(dialSeed(99, tag)))
 			if err != nil {
 				errs <- fmt.Errorf("client %d: %w", id, err)

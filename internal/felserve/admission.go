@@ -216,11 +216,12 @@ func (s *Service) handle(conn net.Conn) {
 
 // readHello reads a subscriber's hello and returns the job it names — one
 // byte of the name per element of Ints. A torn or undecodable frame, a frame
-// that is not a hello, a name longer than any JobSpec may carry, or an
-// element that is not a byte makes the hello malformed.
+// larger than a hello can be (so a name longer than any JobSpec may carry),
+// a frame that is not a hello, or an element that is not a byte makes the
+// hello malformed.
 func readHello(conn net.Conn) (job string, ok bool) {
-	hello, err := wire.Decode(conn, 0)
-	if err != nil || hello.Type != wire.JobControl || hello.Seq != opHello || len(hello.Ints) > maxJobName {
+	hello, err := wire.Decode(conn, maxHelloPayload)
+	if err != nil || hello.Type != wire.JobControl || hello.Seq != opHello {
 		return "", false
 	}
 	name := make([]byte, len(hello.Ints))

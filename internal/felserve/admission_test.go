@@ -48,8 +48,10 @@ func readRawFrame(r io.Reader) ([]byte, error) {
 // TestMalformedHelloCounted sends the front door everything that is not a
 // hello — garbage, a torn frame, a JobControl frame with another opcode, a
 // name element that is not a byte (which used to be truncated into a valid
-// name and admitted), a name longer than any job's — and requires each to
-// be dropped without a verdict frame and counted, exactly once, under
+// name and admitted), a name longer than any job's, a bare header announcing
+// a 64 MiB payload (which used to be allocated before the peer said a word)
+// — and requires each to be dropped without a verdict frame and counted,
+// exactly once, under
 // fel_serve_subscribers_rejected_total{reason="malformed_hello"}.
 func TestMalformedHelloCounted(t *testing.T) {
 	before := runtime.NumGoroutine()
@@ -68,6 +70,8 @@ func TestMalformedHelloCounted(t *testing.T) {
 	wrapped := nameInts(spec.Name)
 	wrapped[0] += 256 // byte(wrapped[0]) is still the name's first letter
 	valid := helloFrame(t, opHello, nameInts(spec.Name))
+	oversize := append([]byte(nil), valid[:wire.HeaderSize]...)
+	binary.BigEndian.PutUint32(oversize[8:], wire.DefaultMaxFrame)
 	probes := []struct {
 		name  string
 		bytes []byte
@@ -80,6 +84,9 @@ func TestMalformedHelloCounted(t *testing.T) {
 		{name: "wrong opcode", bytes: helloFrame(t, opAdmit, nameInts(spec.Name))},
 		{name: "name element out of byte range", bytes: helloFrame(t, opHello, wrapped)},
 		{name: "name longer than a job's may be", bytes: helloFrame(t, opHello, make([]int32, maxJobName+1))},
+		// A header alone, announcing the largest frame wire accepts: refused
+		// before any payload buffer is taken, not read into 64 MiB.
+		{name: "header announcing a 64 MiB hello", bytes: oversize},
 	}
 	rejected := func() int64 {
 		return svc.Registry().CounterValue("fel_serve_subscribers_rejected_total", metrics.L("reason", "malformed_hello"))
@@ -89,7 +96,12 @@ func TestMalformedHelloCounted(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := conn.Write(p.bytes); err != nil {
+		// Bounded, so a handler that never answers fails the probe, not the run.
+		if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		// A frame refused at its header is hung up on before the rest is read.
+		if _, err := conn.Write(p.bytes); err != nil && !errors.Is(err, io.ErrClosedPipe) {
 			t.Fatalf("%s: write: %v", p.name, err)
 		}
 		if p.torn {

@@ -109,6 +109,12 @@ func (s JobSpec) Validate() error {
 // name a job.
 const maxJobName = 128
 
+// maxHelloPayload is the largest payload a hello can carry: Seq, From and the
+// three vector counts, then one 4-byte Ints element per name byte. readHello
+// decodes with it as the frame limit, so a header announcing more is refused
+// before the peer is admitted and before any payload buffer is taken.
+const maxHelloPayload = 20 + 4*maxJobName
+
 // nameOK restricts job names to filename- and wire-safe bytes: the name is
 // the checkpoint filename stem and rides in JobControl hellos.
 func nameOK(name string) bool {

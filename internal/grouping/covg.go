@@ -215,8 +215,6 @@ func covOfSums(sum, sumSq, n float64) float64 {
 // there. Skipping the blocks in between is exact: a block none of whose lanes
 // beats the running best leaves it unchanged through all four compares, so
 // each of them saw the best the filter tested (DESIGN.md §8).
-//
-//lint:hotpath
 func argminScan(rows [][4]float64, n int, gc []float64, acSum, acSumSq float64) (best int, bestSum, bestSumSq float64) {
 	best, bestSumSq = -1, math.Inf(1)
 	classes := len(gc)

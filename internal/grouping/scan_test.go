@@ -148,6 +148,29 @@ func checkArgminScan(t *testing.T) {
 	}
 }
 
+// TestArgminScanZeroAllocs holds the scan nearly all of a formation's time is
+// spent in to no heap allocation per call, as shipped (through scanFilter on
+// an AVX host) and as the Go loop alone, over a pop-regroup edge: enough
+// blocks that the filter skips most of them.
+func TestArgminScanZeroAllocs(t *testing.T) {
+	clients := popRegroupEdge(1250)
+	pool := packPool(clients, 10)
+	gc := make([]float64, 10)
+	copy(gc, clients[0].Counts)
+	acSum, acSumSq := 0.0, 0.0
+	for _, g := range gc {
+		acSum += g
+		acSumSq += g * g
+	}
+	portably(t, func(t *testing.T) {
+		if allocs := testing.AllocsPerRun(20, func() {
+			argminScan(pool.rows, len(clients), gc, acSum, acSumSq)
+		}); allocs != 0 {
+			t.Fatalf("argminScan allocates %.1f times per scan of %d candidates, want 0", allocs, len(clients))
+		}
+	})
+}
+
 // checkLanes fails unless every live candidate's lanes hold its client's
 // histogram (zero-padded to the pool's width), Σc, Σc² and n_i.
 func checkLanes(t *testing.T, p *lanePool, when string) {

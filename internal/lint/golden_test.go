@@ -35,8 +35,6 @@ func TestGoldenFixtures(t *testing.T) {
 		{MapOrder, "maporder/good"},
 		{Wallclock, "wallclock/bad"},
 		{Wallclock, "wallclock/good"},
-		{HotpathAlloc, "hotpathalloc/bad"},
-		{HotpathAlloc, "hotpathalloc/good"},
 		{MetricSchema, "metricschema/bad"},
 		{MetricSchema, "metricschema/good"},
 		{FloatEq, "suppress/bad"},

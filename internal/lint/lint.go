@@ -21,11 +21,8 @@
 //     determinism violation — iteration order would leak into results.
 //   - wallclock: time.Now/Since/Sleep/... must not be reachable, through
 //     the module call graph, from functions marked //lint:deterministic.
-//   - hotpath-alloc: functions marked //lint:hotpath must be statically
-//     free of allocation at detectable sites and may only call module
-//     functions that are themselves hotpath-annotated.
 //   - metric-schema: literal metric names handed to internal/metrics follow
-//     fel_<layer>_<name> with a known layer and canonical label order.
+//     fel_<layer>_<name> with a known layer and the suffix of their kind.
 //   - ignore-audit: every //lint:ignore directive still suppresses at
 //     least one diagnostic of a rule that ran; stale ignores are flagged.
 //
@@ -33,9 +30,11 @@
 //
 //	//lint:ignore <rule> <reason>
 //
-// comment on the offending line or the line directly above it. Function
-// roles are declared with //lint:hotpath and //lint:deterministic on the
-// declaration (doc comment or the line above).
+// comment on the offending line or the line directly above it. The one
+// function role, //lint:deterministic, is declared on the declaration (doc
+// comment or the line above). Steady-state allocation is not a lint rule:
+// the testing.AllocsPerRun tests beside each hot function measure what
+// escape analysis decided (DESIGN.md S26).
 package lint
 
 import (
@@ -80,7 +79,6 @@ func All() []*Analyzer {
 		PanicMessage,
 		MapOrder,
 		Wallclock,
-		HotpathAlloc,
 		MetricSchema,
 		IgnoreAudit,
 	}

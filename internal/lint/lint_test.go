@@ -68,8 +68,8 @@ func TestByName(t *testing.T) {
 // TestLoadHonoursBuildConstraints: the buildtags fixture declares one name in
 // a _amd64.go file and again behind //go:build !amd64 (test files likewise),
 // so it type-checks only if the loader keeps exactly the files the host's
-// build compiles; and its //lint:hotpath function calls the declaration that
-// has no body on amd64, which no analyzer may hold against it.
+// build compiles; and its //lint:deterministic root calls the declaration
+// that has no body on amd64, which no analyzer may hold against it.
 func TestLoadHonoursBuildConstraints(t *testing.T) {
 	pkg, err := LoadDir("testdata/src/buildtags", "buildtags")
 	if err != nil {

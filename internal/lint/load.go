@@ -75,14 +75,13 @@ func (p *Package) relFile(filename string) string {
 
 var ignoreRe = regexp.MustCompile(`^//lint:ignore(?:\s+(\S+))?(?:\s+(\S.*))?$`)
 
-// annotationRe matches the function-level annotation vocabulary:
-// //lint:hotpath and //lint:deterministic, each with an optional trailing
-// rationale.
-var annotationRe = regexp.MustCompile(`^//lint:(hotpath|deterministic)(?:\s+\S.*)?$`)
+// annotationRe matches the function-level annotation vocabulary, which is
+// //lint:deterministic with an optional trailing rationale.
+var annotationRe = regexp.MustCompile(`^//lint:(deterministic)(?:\s+\S.*)?$`)
 
 // collectDirectives scans a parsed file for //lint: comments. A well-formed
-// ignore names a rule and gives a non-empty reason; hotpath/deterministic
-// annotations mark the function they precede. Anything else starting with
+// ignore names a rule and gives a non-empty reason; a deterministic
+// annotation marks the function it precedes. Anything else starting with
 // //lint: is itself reported so directives cannot silently rot.
 func (p *Package) collectDirectives(f *ast.File) {
 	if p.ignores == nil {
@@ -114,7 +113,7 @@ func (p *Package) collectDirectives(f *ast.File) {
 				continue
 			}
 			if !strings.HasPrefix(c.Text, "//lint:ignore") {
-				bad("unknown directive: want //lint:ignore <rule> <reason>, //lint:hotpath, or //lint:deterministic")
+				bad("unknown directive: want //lint:ignore <rule> <reason> or //lint:deterministic")
 				continue
 			}
 			m := ignoreRe.FindStringSubmatch(c.Text)
@@ -155,9 +154,9 @@ func (p *Package) suppressed(rule string, pos token.Position) bool {
 	return found
 }
 
-// FuncAnnotations returns the //lint: annotations (hotpath, deterministic)
-// attached to fd: any annotation line inside fd's doc comment or on the line
-// directly above the declaration.
+// FuncAnnotations returns the //lint: annotations attached to fd: any
+// annotation line inside fd's doc comment or on the line directly above the
+// declaration.
 func (p *Package) FuncAnnotations(fd *ast.FuncDecl) []string {
 	pos := p.Fset.Position(fd.Pos())
 	byLine := p.annots[pos.Filename]

@@ -12,14 +12,13 @@ import (
 // internal/metrics registry against the schema PR 3 enforces at runtime:
 // names match fel_<layer>_<name> with a layer from the known set, use only
 // [a-z0-9_], never end in '_', counters end in _total, and Start spans end
-// in _seconds. Labels built in-line with metrics.L must be passed in
-// canonical (sorted-by-key) order so series identity never depends on call
-// sites. Catching these statically means a misspelled layer or a drifting
-// suffix fails repolint instead of panicking the first process that happens
-// to register the metric.
+// in _seconds. The registry's own check (metrics.validName) sees the prefix
+// and the characters but neither the layer nor the suffix, so a misspelled
+// layer or a drifting suffix fails here or nowhere. Label order needs no
+// rule: the registry sorts every label set before it names a series.
 var MetricSchema = &Analyzer{
 	Name: "metric-schema",
-	Doc:  "literal metric names must match fel_<layer>_<name> with a known layer, canonical suffixes, and sorted labels",
+	Doc:  "literal metric names must match fel_<layer>_<name> with a known layer and canonical suffixes",
 	Run:  runMetricSchema,
 }
 
@@ -71,7 +70,6 @@ func runMetricSchema(pass *Pass) {
 				return true // dynamic names are the registry's runtime problem
 			}
 			checkMetricName(pass, call.Args[0].Pos(), name, kind)
-			checkLabelOrder(pass, call.Args[1:])
 			return true
 		})
 	}
@@ -123,42 +121,5 @@ func checkMetricName(pass *Pass, pos token.Pos, name, kind string) {
 		if strings.HasSuffix(name, "_total") {
 			pass.Reportf(pos, "%s metric %q must not end in _total (reserved for counters)", kind, name)
 		}
-	}
-}
-
-// checkLabelOrder flags in-line metrics.L(key, value) label arguments whose
-// constant keys are not in strictly increasing order: label order determines
-// series identity, so call sites must agree on the canonical (sorted) form.
-func checkLabelOrder(pass *Pass, args []ast.Expr) {
-	prevKey := ""
-	havePrev := false
-	for _, arg := range args {
-		call, ok := ast.Unparen(arg).(*ast.CallExpr)
-		if !ok || len(call.Args) < 1 {
-			return
-		}
-		sel := ast.Unparen(call.Fun)
-		var fnIdent *ast.Ident
-		switch fun := sel.(type) {
-		case *ast.Ident:
-			fnIdent = fun
-		case *ast.SelectorExpr:
-			fnIdent = fun.Sel
-		default:
-			return
-		}
-		fn, ok := pass.UseOf(fnIdent).(*types.Func)
-		if !ok || fn.Name() != "L" || !declaredInMetrics(fn) {
-			return // not an in-line label list; nothing to order-check
-		}
-		key, ok := constStringValue(pass, call.Args[0])
-		if !ok {
-			return
-		}
-		if havePrev && key <= prevKey {
-			pass.Reportf(call.Args[0].Pos(), "label key %q is out of canonical order (previous key %q); pass metrics.L labels sorted by key", key, prevKey)
-			return
-		}
-		prevKey, havePrev = key, true
 	}
 }

@@ -9,10 +9,9 @@ import (
 // Module is the whole-program view shared by the flow-sensitive analyzers:
 // an index of every function declaration, an intra-module call graph whose
 // interface-method calls are resolved to every module implementation (class
-// hierarchy analysis over go/types), the //lint:hotpath and
-// //lint:deterministic annotation sets, and a file → package index so
-// diagnostics reported across package boundaries find the right
-// //lint:ignore scope.
+// hierarchy analysis over go/types), the //lint:deterministic roots, and a
+// file → package index so diagnostics reported across package boundaries
+// find the right //lint:ignore scope.
 //
 // The graph covers non-test code only: test functions are neither roots nor
 // edges, so a test calling time.Now never taints a deterministic path.
@@ -37,8 +36,7 @@ type FuncInfo struct {
 	Decl *ast.FuncDecl
 	Pkg  *Package
 
-	// Hotpath and Deterministic mirror the //lint: annotations on the decl.
-	Hotpath       bool
+	// Deterministic mirrors a //lint:deterministic annotation on the decl.
 	Deterministic bool
 
 	// Callees are the statically resolved outgoing edges: direct calls to
@@ -116,7 +114,6 @@ func NewModule(pkgs []*Package) *Module {
 					Obj:           obj,
 					Decl:          fd,
 					Pkg:           pkg,
-					Hotpath:       pkg.HasAnnotation(fd, "hotpath"),
 					Deterministic: pkg.HasAnnotation(fd, "deterministic"),
 				}
 				m.funcs[obj] = fi

@@ -5,11 +5,11 @@
 // parses every .go file reports both names as redeclared.
 package buildtags
 
-// scale is a hot path whose inner step lives in assembly on one architecture:
-// the body-less declaration is outside the analyzer's reach, like the stdlib,
-// and must raise no finding.
+// scale is a deterministic root whose inner step lives in assembly on one
+// architecture: the body-less declaration is outside the call graph, like the
+// stdlib, and must raise no finding.
 //
-//lint:hotpath
+//lint:deterministic
 func scale(d []float64) {
 	if fast && len(d) > 0 {
 		rowUpdate(&d[0], len(d))

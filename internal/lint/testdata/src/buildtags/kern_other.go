@@ -4,7 +4,6 @@ package buildtags
 
 var fast = false
 
-//lint:hotpath
 func rowUpdate(d *float64, n int) {
 	panic("buildtags: rowUpdate has no implementation on this architecture")
 }

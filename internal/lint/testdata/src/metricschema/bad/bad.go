@@ -12,7 +12,6 @@ func Register(r *metrics.Registry) {
 	r.Counter("fel_core_rounds_")      // want "must not end with '_'"
 	stop := r.Start("fel_core_train_total") // want "must end in _seconds"
 	stop()
-	r.Counter("fel_core_steps_total", metrics.L("group", "g1"), metrics.L("client", "c1")) // want "out of canonical order"
 	r.Counter("fel_async_folds")       // want "must end in _total"
 	r.Histogram("fel_async_late_total", 1) // want "must not end in _total"
 }

@@ -7,6 +7,10 @@ package bad
 //lint:ignore
 // want "malformed directive"
 
+// A retired annotation is no directive at all.
+//lint:hotpath
+// want "unknown directive"
+
 // Suppressed is exempted with a well-formed, reasoned directive.
 func Suppressed(a, b float64) bool {
 	//lint:ignore float-eq testing that a reasoned directive suppresses the diagnostic

@@ -24,8 +24,6 @@ func (l SoftmaxCrossEntropy) Forward(logits *tensor.Tensor, labels []int) (float
 // must be shaped like logits) instead of allocating, returning the mean
 // cross-entropy loss. The SGD inner loop pairs it with BackwardInPlace so
 // the loss head stays allocation-free.
-//
-//lint:hotpath
 func (SoftmaxCrossEntropy) ForwardInto(probs, logits *tensor.Tensor, labels []int) float64 {
 	b, c := logits.Shape[0], logits.Shape[1]
 	if len(labels) != b {
@@ -77,8 +75,6 @@ func (l SoftmaxCrossEntropy) Backward(probs *tensor.Tensor, labels []int) *tenso
 // BackwardInPlace converts probs into the gradient of the mean loss w.r.t.
 // the logits, in place: (softmax − onehot)/B. The probabilities are consumed;
 // use Backward when they must survive.
-//
-//lint:hotpath
 func (SoftmaxCrossEntropy) BackwardInPlace(probs *tensor.Tensor, labels []int) {
 	b, c := probs.Shape[0], probs.Shape[1]
 	inv := 1.0 / float64(b)

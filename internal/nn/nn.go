@@ -65,8 +65,6 @@ func NewSequential(layers ...Layer) *Sequential {
 }
 
 // Forward runs the batch x through every layer.
-//
-//lint:hotpath
 func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	for _, l := range s.Layers {
 		x = l.Forward(x, train)
@@ -87,8 +85,6 @@ type paramBackwarder interface{ backwardParams(grad *tensor.Tensor) }
 // skips the dX matmul (and, for Conv2D, the col2im scatter). Nothing is
 // returned; a caller that wants the data gradient chains Layers[i].Backward
 // itself.
-//
-//lint:hotpath
 func (s *Sequential) Backward(grad *tensor.Tensor) {
 	if len(s.Layers) == 0 {
 		return
@@ -105,8 +101,6 @@ func (s *Sequential) Backward(grad *tensor.Tensor) {
 
 // Params returns all trainable tensors in layer order. The list is memoized;
 // callers must treat it as read-only.
-//
-//lint:hotpath
 func (s *Sequential) Params() []*tensor.Tensor {
 	if s.params == nil {
 		for _, l := range s.Layers {
@@ -121,8 +115,6 @@ func (s *Sequential) Params() []*tensor.Tensor {
 
 // Grads returns all gradient tensors in layer order. The list is memoized;
 // callers must treat it as read-only.
-//
-//lint:hotpath
 func (s *Sequential) Grads() []*tensor.Tensor {
 	if s.grads == nil {
 		for _, l := range s.Layers {
@@ -142,8 +134,6 @@ func (s *Sequential) Clone() *Sequential {
 }
 
 // NumParams returns the total number of scalar parameters.
-//
-//lint:hotpath
 func (s *Sequential) NumParams() int {
 	s.Params()
 	return s.numParams
@@ -160,8 +150,6 @@ func (s *Sequential) ParamVector() []float64 {
 // reallocating only when dst's capacity is short. Passing a reused buffer
 // makes the per-client parameter export in the training hot loop
 // allocation-free; ParamVectorInto(nil) is equivalent to ParamVector.
-//
-//lint:hotpath
 func (s *Sequential) ParamVectorInto(dst []float64) []float64 {
 	n := s.NumParams()
 	if cap(dst) < n {

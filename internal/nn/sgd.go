@@ -12,8 +12,6 @@ func NewSGD(lr float64) *SGD { return &SGD{LR: lr} }
 // Step applies one descent update to every parameter of m using the
 // currently accumulated gradients. Gradients are not cleared: every
 // layer's Backward overwrites its gradients, so the next batch starts fresh.
-//
-//lint:hotpath
 func (o *SGD) Step(m *Sequential) {
 	grads := m.Grads()
 	for i, p := range m.Params() {

@@ -17,8 +17,6 @@ import "math/bits"
 const P uint64 = (1 << 61) - 1
 
 // Reduce maps x into [0, P).
-//
-//lint:hotpath
 func Reduce(x uint64) uint64 {
 	x = (x >> 61) + (x & P)
 	if x >= P {
@@ -30,8 +28,6 @@ func Reduce(x uint64) uint64 {
 // Add returns a+b mod P. Inputs must already be reduced. The wrap is a
 // sign mask, not a branch: on mask words the carry is a coin flip, and a
 // mispredicted branch per element costs more than the addition.
-//
-//lint:hotpath
 func Add(a, b uint64) uint64 {
 	s := a + b - P // negative (top bit set) exactly when a+b < P
 	return s + P&uint64(int64(s)>>63)
@@ -39,8 +35,6 @@ func Add(a, b uint64) uint64 {
 
 // Sub returns a−b mod P. Inputs must already be reduced. Branch-free for
 // the same reason as Add.
-//
-//lint:hotpath
 func Sub(a, b uint64) uint64 {
 	d := a - b // negative (top bit set) exactly when a < b
 	return d + P&uint64(int64(d)>>63)

@@ -242,9 +242,15 @@ func TestOpCountsUnchanged(t *testing.T) {
 // fixed-size objects, measured here rather than assumed — and nothing
 // proportional to the vector. MaskedUpdate therefore allocates the returned
 // vector plus n stream states, and Aggregate its sum, its result, its share
-// bookkeeping and n stream states, whatever the dimension.
+// bookkeeping and n stream states, whatever the dimension. Folding on a
+// stream already keyed allocates the keystream chunk alone, one object for
+// four chunks' worth of accumulator.
 func TestMaskPipelineAllocs(t *testing.T) {
 	acc := make([]uint64, 4*maskChunk)
+	prg := newMaskPRG(7)
+	if n := testing.AllocsPerRun(50, func() { foldMask(acc, prg, true) }); n != 1 {
+		t.Errorf("foldMask on a keyed stream allocates %v objects, want exactly its keystream chunk", n)
+	}
 	perStream := int(testing.AllocsPerRun(50, func() { foldMask(acc, newMaskPRG(7), false) }))
 	for _, n := range []int{2, 12} {
 		var maskAllocs, aggAllocs [2]int

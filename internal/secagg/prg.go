@@ -33,11 +33,9 @@ func newMaskPRG(seed uint64) cipher.Stream {
 // 64-bit keystream words from prg, reduces each into the field, and adds it
 // to (or, with subtract, removes it from) acc element-wise — one pass, no
 // mask-sized slice. acc must hold reduced elements. The keystream buffer is
-// the only allocation (it escapes through the cipher.Stream interface), so
-// TestMaskPipelineAllocs rather than the lint rule's allocation scan is
-// what guards this path against model-sized buffers.
-//
-//lint:hotpath
+// the only allocation (it escapes through the cipher.Stream interface):
+// TestMaskPipelineAllocs pins it at that one object per call and guards the
+// path against model-sized buffers.
 func foldMask(acc []uint64, prg cipher.Stream, subtract bool) {
 	var buf [8 * maskChunk]byte
 	for len(acc) > 0 {

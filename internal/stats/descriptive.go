@@ -22,9 +22,9 @@ func Variance(xs []float64) float64 {
 	}
 	m := Mean(xs)
 	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
+	for _, d := range xs {
+		d -= m
+		s += float64(d * d)
 	}
 	return s / float64(len(xs))
 }
@@ -71,7 +71,7 @@ func CoVOfCounts(counts []float64) float64 {
 	ss := 0.0
 	for _, c := range counts {
 		d := c - mu
-		ss += d * d
+		ss += float64(d * d)
 	}
 	sigma := math.Sqrt(ss / m)
 	return sigma / mu

@@ -44,7 +44,7 @@ func KLDivergence(p, q []float64) float64 {
 		if qq < eps {
 			qq = eps
 		}
-		d += p[i] * math.Log(p[i]/qq)
+		d += float64(p[i] * math.Log(p[i]/qq))
 	}
 	if d < 0 {
 		// Tiny negative values can appear from smoothing; clamp.
@@ -75,9 +75,9 @@ func CosineSimilarity(a, b []float64) float64 {
 	}
 	dot, na, nb := 0.0, 0.0, 0.0
 	for i := range a {
-		dot += a[i] * b[i]
-		na += a[i] * a[i]
-		nb += b[i] * b[i]
+		dot += float64(a[i] * b[i])
+		na += float64(a[i] * a[i])
+		nb += float64(b[i] * b[i])
 	}
 	//lint:ignore float-eq a sum of squares is exactly zero iff the vector is all zeros
 	if na == 0 || nb == 0 {

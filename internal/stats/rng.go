@@ -94,8 +94,6 @@ func (r *RNG) Normal(mu, sigma float64) float64 {
 func (r *RNG) Perm(n int) []int { return r.src.Perm(n) }
 
 // Shuffle pseudo-randomizes the order of n elements using swap.
-//
-//lint:hotpath
 func (r *RNG) Shuffle(n int, swap func(i, j int)) { r.src.Shuffle(n, swap) }
 
 // Gamma samples from a Gamma(shape, 1) distribution using the
@@ -117,16 +115,16 @@ func (r *RNG) Gamma(shape float64) float64 {
 	c := 1.0 / math.Sqrt(9*d)
 	for {
 		x := r.NormFloat64()
-		v := 1 + c*x
+		v := 1 + float64(c*x)
 		if v <= 0 {
 			continue
 		}
 		v = v * v * v
 		u := r.Float64()
-		if u < 1-0.0331*x*x*x*x {
+		if u < 1-float64(0.0331*x*x*x*x) {
 			return d * v
 		}
-		if u > 0 && math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
+		if u > 0 && math.Log(u) < float64(0.5*x*x)+float64(d*(1-float64(v)+math.Log(v))) {
 			return d * v
 		}
 	}

@@ -10,8 +10,6 @@ import "fmt"
 // floating-point operation order, so results stay bit-for-bit deterministic.
 
 // Axpy computes dst += k·x (the BLAS axpy). Slices must have equal length.
-//
-//lint:hotpath
 func Axpy(k float64, x, dst []float64) {
 	checkLen("Axpy", len(x), len(dst))
 	i := 0
@@ -27,8 +25,6 @@ func Axpy(k float64, x, dst []float64) {
 }
 
 // ScaleInto computes dst = k·x, overwriting dst.
-//
-//lint:hotpath
 func ScaleInto(k float64, x, dst []float64) {
 	checkLen("ScaleInto", len(x), len(dst))
 	i := 0
@@ -44,8 +40,6 @@ func ScaleInto(k float64, x, dst []float64) {
 }
 
 // SubInto computes dst = a − b, the delta a client ships before compression.
-//
-//lint:hotpath
 func SubInto(a, b, dst []float64) {
 	checkLen("SubInto", len(a), len(dst))
 	checkLen("SubInto", len(b), len(dst))
@@ -62,8 +56,6 @@ func SubInto(a, b, dst []float64) {
 }
 
 // AddInto computes dst = a + b, the edge-side decode of a shipped delta.
-//
-//lint:hotpath
 func AddInto(a, b, dst []float64) {
 	checkLen("AddInto", len(a), len(dst))
 	checkLen("AddInto", len(b), len(dst))
@@ -84,8 +76,6 @@ func AddInto(a, b, dst []float64) {
 // an intermediate scaled copy. dst may alias x or y. Per element the
 // operation order is fixed (a·x, then b·y, then one add), so results are
 // deterministic regardless of call site.
-//
-//lint:hotpath
 func AxpbyInto(a float64, x []float64, b float64, y, dst []float64) {
 	checkLen("AxpbyInto", len(x), len(dst))
 	checkLen("AxpbyInto", len(y), len(dst))
@@ -102,8 +92,6 @@ func AxpbyInto(a float64, x []float64, b float64, y, dst []float64) {
 }
 
 // ScaleSlice computes x *= k in place.
-//
-//lint:hotpath
 func ScaleSlice(k float64, x []float64) {
 	i := 0
 	for ; i+4 <= len(x); i += 4 {
@@ -117,7 +105,6 @@ func ScaleSlice(k float64, x []float64) {
 	}
 }
 
-//lint:hotpath
 func checkLen(op string, n, want int) {
 	if n != want {
 		panic(fmt.Sprintf("tensor: %s length mismatch %d vs %d", op, n, want))

@@ -65,8 +65,6 @@ const stage = 32
 // IEEE multiply and the IEEE add the Go loop performs, in the same term order
 // for every output element, so the two agree in every bit (DESIGN.md §8);
 // the Go loop is the oracle, and TestRowKernelsMatchReference runs both.
-//
-//lint:hotpath
 func accumRows(dst, a, b []float64, lo, hi, k, n, rs, cs int) {
 	if n == 0 {
 		return // no column to write, and quadUpdate is handed &drow[0]
@@ -164,8 +162,6 @@ func MatMulBT(dst, a, b *Tensor) {
 // columns share one walk of the a row — one load and one zero test per four
 // multiply-adds, and four independent accumulator chains where a single dot
 // product has one — each still a strictly ascending-p reduction.
-//
-//lint:hotpath
 func matmulBTRows(dst, a, b []float64, lo, hi, k, n int) {
 	for i := lo; i < hi; i++ {
 		arow := a[i*k : (i+1)*k]

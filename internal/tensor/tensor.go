@@ -50,8 +50,6 @@ func FromSlice(data []float64, shape ...int) *Tensor {
 }
 
 // Size returns the total number of elements.
-//
-//lint:hotpath
 func (t *Tensor) Size() int { return len(t.Data) }
 
 // Rank returns the number of dimensions.
@@ -80,8 +78,6 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 }
 
 // SameShape reports whether two tensors have identical shapes.
-//
-//lint:hotpath
 func (t *Tensor) SameShape(o *Tensor) bool {
 	if len(t.Shape) != len(o.Shape) {
 		return false
@@ -134,21 +130,16 @@ func (t *Tensor) Add(o *Tensor) {
 }
 
 // Scale multiplies every element by k.
-//
-//lint:hotpath
 func (t *Tensor) Scale(k float64) {
 	ScaleSlice(k, t.Data)
 }
 
 // AddScaled accumulates k*o into t: t += k*o.
-//
-//lint:hotpath
 func (t *Tensor) AddScaled(k float64, o *Tensor) {
 	t.mustMatch(o, "AddScaled")
 	Axpy(k, o.Data, t.Data)
 }
 
-//lint:hotpath
 func (t *Tensor) mustMatch(o *Tensor, op string) {
 	if len(t.Data) != len(o.Data) {
 		panic(fmt.Sprintf("tensor: %s size mismatch %v vs %v", op, t.Shape, o.Shape))

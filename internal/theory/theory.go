@@ -57,13 +57,13 @@ func Derive(p Params) Lambdas {
 	}
 	var out Lambdas
 	out.LambdaSigma = 5 * k * eta * eta * e * e *
-		(1 + ((1+6*k)*e+9*k)*10*eta*eta*e*l*l + 18*k/(gs*e))
-	out.Lambda2 = 3*out.LambdaSigma*p.Gamma*l*l + 5*eta*eta*e*e*l*l
+		(1 + float64((float64((1+float64(6*k))*e)+float64(9*k))*10*eta*eta*e*l*l) + 18*k/(gs*e))
+	out.Lambda2 = float64(3*out.LambdaSigma*p.Gamma*l*l) + float64(5*eta*eta*e*e*l*l)
 	out.Lambda3 = 2700 * math.Pow(eta, 4) * p.Gamma * k * k * math.Pow(e, 4) * l * l
 	out.Lambda4 = 90 * eta * eta * k * k * e * e * l * l
-	out.LambdaF = 30 * eta * eta * k * k * (1 + 90*p.Gamma*eta*eta*e*e*l*l)
-	out.LambdaS = eta * p.Gamma * p.GammaBig * k * k * (1 + 10*eta*eta*e*e*l*l*p.Sigma2)
-	out.Lambda1 = 0.5 - 3*out.LambdaF*eta*p.Gamma*p.GammaBig*k*e*l*l
+	out.LambdaF = 30 * eta * eta * k * k * (1 + float64(90*p.Gamma*eta*eta*e*e*l*l))
+	out.LambdaS = eta * p.Gamma * p.GammaBig * k * k * (1 + float64(10*eta*eta*e*e*l*l*p.Sigma2))
+	out.Lambda1 = 0.5 - float64(3*out.LambdaF*eta*p.Gamma*p.GammaBig*k*e*l*l)
 	return out
 }
 
@@ -79,7 +79,7 @@ func Bound(p Params) float64 {
 	t, k, e := float64(p.T), float64(p.K), float64(p.E)
 	term1 := p.F0MinusFStar / (lam.Lambda1 * p.Eta * t * k * e)
 	term2 := lam.LambdaS * (p.GammaP / float64(p.S)) / (lam.Lambda1 * t * k * e)
-	term3 := p.Gamma * p.GammaBig * (lam.Lambda2*p.Sigma2 + lam.Lambda3*p.Zeta2 + lam.Lambda4*p.ZetaG2) /
+	term3 := p.Gamma * p.GammaBig * (float64(lam.Lambda2*p.Sigma2) + float64(lam.Lambda3*p.Zeta2) + float64(lam.Lambda4*p.ZetaG2)) /
 		(lam.Lambda1 * t)
 	return term1 + term2 + term3
 }
@@ -126,7 +126,7 @@ func FromSystem(groups []*grouping.Group, p []float64, base Params) Params {
 		z := 0.0
 		for _, g := range groups {
 			c := g.CoV()
-			z += float64(g.NumSamples()) / total * c * c
+			z += float64(float64(g.NumSamples()) / total * c * c)
 		}
 		out.ZetaG2 = z
 	}

@@ -302,8 +302,6 @@ func DecodeInto(r io.Reader, maxFrame int, m *Message) error {
 
 // parsePayload fills m's Seq, From and vectors from a checksummed payload,
 // allocating only where a vector of m is too short for the frame's.
-//
-//lint:hotpath
 func parsePayload(m *Message, p []byte) error {
 	m.Seq = binary.BigEndian.Uint32(p[0:])
 	m.From = int32(binary.BigEndian.Uint32(p[4:]))
@@ -385,8 +383,6 @@ func ErrorClass(err error) string {
 
 // vectorLen reads a vector's element count at p[off:] and checks that
 // elemSize·count fits in the remaining payload.
-//
-//lint:hotpath
 func vectorLen(p []byte, off, elemSize int) (n, next int, err error) {
 	if off+4 > len(p) {
 		return 0, 0, fmt.Errorf("%w: vector count past payload end", ErrMalformed)
