@@ -9,7 +9,8 @@
 #   3. test        go test ./... — tier-1; internal/lint's TestRepoIsLintClean
 #                  is the module-wide repolint pass, run here and nowhere else
 #   4. race        go test -race over the concurrent packages
-#   5. fuzz        10 s across the wire, async, secagg, tensor, grouping targets
+#   5. fuzz        10 s across the wire, async, secagg, tensor, grouping and
+#                  felserve (whole checkpoint files) targets
 #   6. chaos       felnode -chaos corrupt-frames twice, outputs byte-identical
 #   7. felnode     a loopback TCP job, cross-checked against core.Train
 #   8. metrics     the same job's live /metrics endpoint parses
@@ -128,7 +129,7 @@ echo "== go test -race (core, async, wire, fednode, faultnet, metrics, felserve)
 go test -race ./internal/core ./internal/async ./internal/wire ./internal/fednode ./internal/faultnet/... ./internal/metrics ./internal/felserve
 
 echo "== go test -fuzz smoke (10s total across targets)"
-go test ./internal/wire -run '^$' -fuzz FuzzDecodeFrame -fuzztime 2s
+go test ./internal/wire -run '^$' -fuzz FuzzDecodeFrame -fuzztime 1s
 go test ./internal/wire -run '^$' -fuzz FuzzDecodeIntoReuse -fuzztime 1s
 go test ./internal/async -run '^$' -fuzz FuzzArrivalLogFrame -fuzztime 1s
 go test ./internal/secagg -run '^$' -fuzz FuzzFieldOps -fuzztime 1s
@@ -137,6 +138,9 @@ go test ./internal/secagg -run '^$' -fuzz FuzzMaskCancel -fuzztime 1s
 go test ./internal/tensor -run '^$' -fuzz FuzzQuadUpdate -fuzztime 1s
 go test ./internal/tensor -run '^$' -fuzz FuzzAccumRows -fuzztime 1s
 go test ./internal/grouping -run '^$' -fuzz FuzzScanFilter -fuzztime 1s
+# Its seeds are whole files of tens of KB: minimising each new input for the
+# default 60 s would spend the whole second on one input instead of fuzzing.
+go test ./internal/felserve -run '^$' -fuzz FuzzLoadCheckpoint -fuzztime 1s -fuzzminimizetime 100x
 
 echo "== felnode -chaos smoke (deterministic replay)"
 # One felnode binary serves this stage and the three after it.

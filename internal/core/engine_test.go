@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/async"
 	"repro/internal/compress"
+	"repro/internal/tensor"
 )
 
 // The test binary lifts the engine's physical-CPU worker cap so the -race
@@ -19,32 +20,45 @@ func init() { testUncapWorkers = true }
 // TestSGDEpochsSteadyStateAllocs locks in the zero-alloc hot path: once a
 // worker's arena and the model's reuse buffers are warm, an entire local
 // training pass through SGDUpdater (shuffle, batch fill incl. tail batch,
-// forward, loss, backward, SGD step) must not allocate.
+// forward, loss, backward, SGD step) must not allocate — also when the
+// worker alternates between two clients whose tail batches differ in length.
 func TestSGDEpochsSteadyStateAllocs(t *testing.T) {
+	const bs = 7 // deliberately misaligned so the tail-batch path runs
 	sys := testSystem(6, 0.5, 9)
 	model := sys.NewModel(sys.ModelSeed)
 	model.EnableBufferReuse()
 	arena := newSGDArena()
-	c := sys.Clients[0]
-	x, y := sys.ClientBatch(c)
-	if x.Shape[0]%7 == 0 {
-		t.Fatalf("client 0 has %d samples; pick a batch size that forces a tail batch", x.Shape[0])
+	type client struct {
+		id int
+		x  *tensor.Tensor
+		y  []int
 	}
-	ctx := LocalContext{
-		ClientID:  c.ID,
-		Epochs:    2,
-		BatchSize: 7, // deliberately misaligned so the tail-batch path runs
-		LR:        0.05,
-		Rng:       arena.rng,
-		arena:     arena,
+	var clients []client
+	for _, c := range sys.Clients {
+		x, y := sys.ClientBatch(c)
+		tail := x.Shape[0] % bs
+		if tail != 0 && (len(clients) == 0 || tail != clients[0].x.Shape[0]%bs) {
+			clients = append(clients, client{c.ID, x, y})
+		}
+		if len(clients) == 2 {
+			break
+		}
+	}
+	if len(clients) != 2 {
+		t.Fatalf("no two clients with distinct non-zero tails at batch size %d; pick another system seed", bs)
 	}
 	run := func() {
-		arena.rng.Reseed(123)
-		SGDUpdater{}.LocalTrain(model, x, y, ctx)
+		for _, c := range clients {
+			arena.rng.Reseed(123)
+			SGDUpdater{}.LocalTrain(model, c.x, c.y, LocalContext{
+				ClientID: c.id, Epochs: 2, BatchSize: bs, LR: 0.05,
+				Rng: arena.rng, arena: arena,
+			})
+		}
 	}
 	run() // warm the arena and reuse buffers
 	if allocs := testing.AllocsPerRun(20, run); allocs > 0 {
-		t.Fatalf("sgdEpochs steady state allocates %.1f objects per pass, want 0", allocs)
+		t.Fatalf("sgdEpochs steady state allocates %.1f objects per pair of passes, want 0", allocs)
 	}
 }
 

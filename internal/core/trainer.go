@@ -231,7 +231,13 @@ func (tr *Trainer) Step() RoundRecord {
 // not be stepped afterwards.
 func (tr *Trainer) Finish() *Result {
 	res := tr.res
-	res.FinalAccuracy, res.FinalLoss = tr.eval.run(tr.globalParams)
+	if n := len(res.Records); n > 0 && res.Records[n-1].Round == tr.t-1 && res.Records[n-1].Accuracy >= 0 {
+		// The last Step already scored these parameters (it always scores
+		// round GlobalRounds-1); only a CostBudget stop can leave them unscored.
+		res.FinalAccuracy, res.FinalLoss = res.Records[n-1].Accuracy, res.Records[n-1].Loss
+	} else {
+		res.FinalAccuracy, res.FinalLoss = tr.eval.run(tr.globalParams)
+	}
 	res.Groups = tr.plan.Groups()
 	res.Probs = tr.plan.Probs()
 	res.TotalCost = tr.acct.Total()
@@ -245,8 +251,9 @@ func (tr *Trainer) Finish() *Result {
 // PCG words, the cost components, the accumulated Result accounting, and —
 // when the local updater is SCAFFOLD — the control variates. Group
 // formation is deliberately absent: it is replayed from the seed (including
-// every regroup before Round), which keeps the snapshot O(model), not
-// O(clients × model).
+// every regroup before Round). What remains is O(model + rounds) — the
+// global vector and one Records entry per round so far — plus, under
+// SCAFFOLD, one variate per client.
 type TrainerState struct {
 	// Round is the next global round to run (= rounds already executed).
 	Round int

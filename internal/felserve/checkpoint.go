@@ -1,12 +1,10 @@
 package felserve
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"path/filepath"
 	"sort"
 
@@ -16,10 +14,10 @@ import (
 	"repro/internal/wire"
 )
 
-// Checkpoint file format: a flat sequence of wire.Checkpoint frames (the
-// same versioned, CRC-framed codec the federation protocol speaks), one
-// file per job, written atomically via temp-file + rename. Frame kinds are
-// carried in Seq; every frame's Round is the snapshot's round boundary.
+// Checkpoint encoding: a flat sequence of wire.Checkpoint frames (the same
+// versioned, CRC-framed codec the federation protocol speaks); ckptfile.go
+// lays it out in the job's file. Frame kinds are carried in Seq; every
+// frame's Round is the snapshot's round boundary.
 //
 //	Seq 0  spec           From=format version; Ints=[11 spec fields, name
 //	                      bytes]; Floats=[LR, MaxCoV, DropoutProb];
@@ -48,9 +46,12 @@ import (
 // uninterrupted one. Synchronous jobs emit none of the above, which keeps
 // their encoding (and the golden file) byte-for-byte unchanged.
 //
-// EOF terminates the sequence. Decoding is strict: unknown kinds, missing
-// mandatory frames, a non-zero reserved word, or cross-frame round
-// disagreement are errors.
+// EOF terminates the sequence. Decoding is strict: unknown kinds, a missing
+// mandatory frame (spec, trainer, records, participation; the arrival log of
+// an async job), a frame the encoder would not have written (an async frame
+// configuring neither async nor adaptive sampling, adaptive state or an
+// arrival log without it), a non-zero reserved word, or cross-frame round
+// disagreement are errors — so whatever decodes re-encodes to itself.
 const (
 	ckptFormat uint8 = 1
 
@@ -71,15 +72,24 @@ func checkpointPath(dir, name string) string {
 
 // EncodeCheckpoint writes the checkpoint frame sequence for (spec, st) to
 // w, returning the bytes written. Exposed (capitalized) for the golden-file
-// codec test; services use SaveCheckpoint.
+// codec test; files are written by SaveCheckpoint and the service's
+// per-job writer (ckptfile.go).
 func EncodeCheckpoint(w io.Writer, spec JobSpec, st *core.TrainerState) (int, error) {
+	b, err := appendCheckpoint(nil, spec, st)
+	if err != nil {
+		return 0, err
+	}
+	return w.Write(b)
+}
+
+// appendCheckpoint appends the checkpoint frame sequence for (spec, st) to
+// dst: the encoder, which a writer with a buffer of its own calls directly.
+func appendCheckpoint(dst []byte, spec JobSpec, st *core.TrainerState) ([]byte, error) {
 	round := uint32(st.Round)
-	total := 0
-	emit := func(m *wire.Message) error {
+	emit := func(m *wire.Message) (err error) {
 		m.Type = wire.Checkpoint
 		m.Round = round
-		n, err := wire.Encode(w, m)
-		total += n
+		dst, err = wire.AppendFrame(dst, m)
 		return err
 	}
 
@@ -103,7 +113,7 @@ func EncodeCheckpoint(w io.Writer, spec JobSpec, st *core.TrainerState) (int, er
 		Floats: []float64{spec.LR, spec.MaxCoV, spec.DropoutProb},
 		Words:  []uint64{spec.SystemSeed, spec.Seed},
 	}); err != nil {
-		return total, err
+		return dst, err
 	}
 
 	if err := emit(&wire.Message{
@@ -116,7 +126,7 @@ func EncodeCheckpoint(w io.Writer, spec JobSpec, st *core.TrainerState) (int, er
 		},
 		Floats: st.Params,
 	}); err != nil {
-		return total, err
+		return dst, err
 	}
 
 	recInts := make([]int32, len(st.Records))
@@ -126,7 +136,7 @@ func EncodeCheckpoint(w io.Writer, spec JobSpec, st *core.TrainerState) (int, er
 		recFloats = append(recFloats, r.Accuracy, r.Loss, r.Cost, r.AvgSelectedCoV)
 	}
 	if err := emit(&wire.Message{Seq: ckptRecords, Ints: recInts, Floats: recFloats}); err != nil {
-		return total, err
+		return dst, err
 	}
 
 	ids := make([]int, 0, len(st.Participation))
@@ -139,7 +149,7 @@ func EncodeCheckpoint(w io.Writer, spec JobSpec, st *core.TrainerState) (int, er
 		partInts = append(partInts, int32(id), int32(st.Participation[id]))
 	}
 	if err := emit(&wire.Message{Seq: ckptParticipation, Ints: partInts}); err != nil {
-		return total, err
+		return dst, err
 	}
 
 	if st.Scaffold != nil {
@@ -148,11 +158,11 @@ func EncodeCheckpoint(w io.Writer, spec JobSpec, st *core.TrainerState) (int, er
 			hasC = 1
 		}
 		if err := emit(&wire.Message{Seq: ckptScaffoldC, From: hasC, Floats: st.Scaffold.C}); err != nil {
-			return total, err
+			return dst, err
 		}
 		for i, id := range st.Scaffold.ClientIDs {
 			if err := emit(&wire.Message{Seq: ckptScaffoldCI, From: int32(id), Floats: st.Scaffold.CI[i]}); err != nil {
-				return total, err
+				return dst, err
 			}
 		}
 	}
@@ -175,7 +185,7 @@ func EncodeCheckpoint(w io.Writer, spec JobSpec, st *core.TrainerState) (int, er
 				uint64(st.LogicalTicks), uint64(st.Carryovers), uint64(st.LateDrops),
 			},
 		}); err != nil {
-			return total, err
+			return dst, err
 		}
 		if st.Adaptive != nil {
 			seenInts := make([]int32, len(st.Adaptive.Seen))
@@ -185,7 +195,7 @@ func EncodeCheckpoint(w io.Writer, spec JobSpec, st *core.TrainerState) (int, er
 				}
 			}
 			if err := emit(&wire.Message{Seq: ckptAdaptive, Floats: st.Adaptive.Norms, Ints: seenInts}); err != nil {
-				return total, err
+				return dst, err
 			}
 		}
 		// The cumulative arrival log rides as its own frame type so a
@@ -193,15 +203,14 @@ func EncodeCheckpoint(w io.Writer, spec JobSpec, st *core.TrainerState) (int, er
 		// zero events still gets one empty frame (presence ≠ absence).
 		if spec.Async.Mode != async.Sync {
 			for _, lm := range async.EventsToMessages(st.AsyncEvents, round) {
-				n, err := wire.Encode(w, lm)
-				total += n
-				if err != nil {
-					return total, err
+				var err error
+				if dst, err = wire.AppendFrame(dst, lm); err != nil {
+					return dst, err
 				}
 			}
 		}
 	}
-	return total, nil
+	return dst, nil
 }
 
 // DecodeCheckpoint reads a checkpoint frame sequence until EOF and
@@ -324,6 +333,9 @@ func DecodeCheckpoint(r io.Reader) (JobSpec, *core.TrainerState, error) {
 				},
 			}
 			spec.Adaptive = m.Ints[1] != 0
+			if spec.Async == (async.Config{}) && !spec.Adaptive {
+				return spec, nil, fmt.Errorf("felserve: async frame configures neither async nor adaptive sampling")
+			}
 			spec.AdaptiveBeta = math.Float64frombits(m.Words[7])
 			spec.AdaptiveExplore = math.Float64frombits(m.Words[8])
 			st.LogicalTicks = int64(m.Words[9])
@@ -347,58 +359,15 @@ func DecodeCheckpoint(r io.Reader) (JobSpec, *core.TrainerState, error) {
 		}
 		seen[m.Seq] = true
 	}
-	if !seen[ckptSpec] || !seen[ckptTrainer] {
-		return spec, nil, fmt.Errorf("felserve: checkpoint missing mandatory frames (spec=%v trainer=%v)",
-			seen[ckptSpec], seen[ckptTrainer])
+	if !seen[ckptSpec] || !seen[ckptTrainer] || !seen[ckptRecords] || !seen[ckptParticipation] {
+		return spec, nil, fmt.Errorf("felserve: checkpoint missing mandatory frames (spec=%v trainer=%v records=%v participation=%v)",
+			seen[ckptSpec], seen[ckptTrainer], seen[ckptRecords], seen[ckptParticipation])
+	}
+	if st.Adaptive != nil && !seen[ckptAsync] {
+		return spec, nil, fmt.Errorf("felserve: adaptive frame without an async frame")
+	}
+	if (st.AsyncEvents != nil) != (spec.Async.Mode != async.Sync) {
+		return spec, nil, fmt.Errorf("felserve: arrival log present=%v for a job in %v mode", st.AsyncEvents != nil, spec.Async.Mode)
 	}
 	return spec, st, nil
-}
-
-// SaveCheckpoint atomically writes the job's checkpoint file into dir:
-// encode into a temp file in the same directory, fsync, then rename over
-// <name>.ckpt, so a crash mid-write leaves the previous checkpoint intact.
-// Returns the encoded byte count.
-func SaveCheckpoint(dir string, spec JobSpec, st *core.TrainerState) (int, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return 0, err
-	}
-	tmp, err := os.CreateTemp(dir, "."+spec.Name+".tmp-*")
-	if err != nil {
-		return 0, err
-	}
-	bw := bufio.NewWriter(tmp)
-	n, err := EncodeCheckpoint(bw, spec, st)
-	if err == nil {
-		err = bw.Flush()
-	}
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		//lint:ignore dropped-error the write already failed; removing the temp is best-effort cleanup
-		os.Remove(tmp.Name())
-		return n, err
-	}
-	if err := os.Rename(tmp.Name(), checkpointPath(dir, spec.Name)); err != nil {
-		//lint:ignore dropped-error the rename already failed; removing the temp is best-effort cleanup
-		os.Remove(tmp.Name())
-		return n, err
-	}
-	return n, nil
-}
-
-// LoadCheckpoint reads a job checkpoint file written by SaveCheckpoint.
-func LoadCheckpoint(path string) (JobSpec, *core.TrainerState, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return JobSpec{}, nil, err
-	}
-	spec, st, err := DecodeCheckpoint(bufio.NewReader(f))
-	if cerr := f.Close(); err == nil && cerr != nil {
-		err = cerr
-	}
-	return spec, st, err
 }

@@ -227,3 +227,59 @@ func TestCheckpointRejectsValidFramesBadValues(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeCheckpointRejectsUnencodable: well-framed sequences describing a
+// state EncodeCheckpoint never writes fail the decode, because that state
+// would not survive a re-encode — FuzzLoadCheckpoint's property, which
+// mutated bytes seldom reach through the CRCs.
+func TestDecodeCheckpointRejectsUnencodable(t *testing.T) {
+	spec := goldenSpec()
+	st := goldenState(t, spec)
+	var good bytes.Buffer
+	if _, err := EncodeCheckpoint(&good, spec, st); err != nil {
+		t.Fatal(err)
+	}
+	var frames []*wire.Message
+	for r := bytes.NewReader(good.Bytes()); r.Len() > 0; {
+		m, err := wire.Decode(r, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames = append(frames, m)
+	}
+	round := uint32(st.Round)
+	without := func(seq uint32) []*wire.Message {
+		var out []*wire.Message
+		for _, m := range frames {
+			if m.Seq != seq {
+				out = append(out, m)
+			}
+		}
+		return out
+	}
+	with := func(extra ...*wire.Message) []*wire.Message {
+		return append(append([]*wire.Message(nil), frames...), extra...)
+	}
+	for name, seq := range map[string][]*wire.Message{
+		"as encoded":                frames,
+		"no records frame":          without(ckptRecords),
+		"no participation frame":    without(ckptParticipation),
+		"arrival log in a sync job": with(async.EventsToMessages(nil, round)...),
+		"adaptive state, no async frame": with(&wire.Message{
+			Type: wire.Checkpoint, Round: round, Seq: ckptAdaptive}),
+		"async frame configuring nothing": with(&wire.Message{
+			Type: wire.Checkpoint, Round: round, Seq: ckptAsync,
+			Ints: []int32{0, 0}, Words: make([]uint64, 12)}),
+	} {
+		var buf bytes.Buffer
+		for _, m := range seq {
+			if _, err := wire.Encode(&buf, m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, _, err := DecodeCheckpoint(&buf)
+		if (err == nil) != (name == "as encoded") {
+			t.Errorf("%s: decode error %v", name, err)
+		}
+	}
+}

@@ -5,8 +5,10 @@
 // fairly (one round per runnable job per wave, waves executed in parallel);
 // every job's cross-round state — global model, sampling-stream PCG words,
 // SCAFFOLD variates, cost counters — is serialized through the wire codec
-// (wire.Checkpoint frames) into a durable per-job checkpoint file, so a
-// cloud killed mid-round and restarted resumes every in-flight job with
+// (wire.Checkpoint frames) into a durable per-job checkpoint file — two
+// slots overwritten alternately in place, so each checkpoint is one write and
+// one fsync and a torn write leaves the previous checkpoint (ckptfile.go) —
+// so a cloud killed mid-round and restarted resumes every in-flight job with
 // final weights bit-identical to an uninterrupted run; and an
 // admission-control front door multiplexes subscriber connections over any
 // net.Listener, capping subscribers per job and coalescing model-version
@@ -19,7 +21,8 @@
 //
 // Observability: the service-level registry carries the fel_serve_* schema
 // (jobs submitted/recovered/completed, rounds, checkpoints written, their
-// bytes and how many Recover quarantined as unreadable,
+// bytes, how many Recover quarantined as unreadable and how many it resumed
+// from the older slot because the newest was torn,
 // subscribers admitted/active and rejected by reason — unknown_job, busy,
 // malformed_hello — versions sent); each job's private
 // registry carries its own fel_core_* training stream plus
@@ -44,9 +47,11 @@ type Config struct {
 	// in-memory only and cannot be recovered).
 	Dir string
 	// CheckpointEvery writes a job's checkpoint every n completed rounds
-	// (<= 0 means every round). The final round always checkpoints before
-	// the job is retired, and a job's checkpoint file is removed once the
-	// job completes.
+	// (<= 0 means every round), synchronously, in the round's turn: the
+	// write overwrites the older of the two slots in the job's file and
+	// syncs it. The final round always checkpoints before the job is
+	// retired, and a job's checkpoint file is removed once the job
+	// completes. No file exists before a job's first due checkpoint.
 	CheckpointEvery int
 	// MaxSubscribersPerJob caps admitted subscribers per job (<= 0: 4096).
 	MaxSubscribersPerJob int
@@ -70,6 +75,7 @@ type Config struct {
 // Service is a running multi-job federation cloud.
 type Service struct {
 	cfg Config
+	fs  fileSystem // the checkpoint writers' file system
 	reg *metrics.Registry
 
 	submitted  *metrics.Counter
@@ -80,6 +86,7 @@ type Service struct {
 	ckpts      *metrics.Counter
 	ckptBytes  *metrics.Counter
 	ckptsBad   *metrics.Counter // unreadable checkpoints Recover moved aside
+	ckptsOlder *metrics.Counter // checkpoints Recover read from the older slot, the newest being torn
 	activeJobs *metrics.Gauge
 
 	subAdmitted *metrics.Counter
@@ -104,13 +111,17 @@ type Service struct {
 
 // New starts a service. The scheduler goroutine runs until Close or Kill
 // (or the configured HaltAfterWaves crash point).
-func New(cfg Config) *Service {
+func New(cfg Config) *Service { return newService(cfg, osFS{}) }
+
+// newService is New with the checkpoint writers' file system given.
+func newService(cfg Config, fs fileSystem) *Service {
 	reg := cfg.Registry
 	if reg == nil {
 		reg = metrics.New()
 	}
 	s := &Service{
 		cfg:         cfg,
+		fs:          fs,
 		reg:         reg,
 		submitted:   reg.Counter("fel_serve_jobs_submitted_total"),
 		recovered:   reg.Counter("fel_serve_jobs_recovered_total"),
@@ -120,6 +131,7 @@ func New(cfg Config) *Service {
 		ckpts:       reg.Counter("fel_serve_checkpoints_total"),
 		ckptBytes:   reg.Counter("fel_serve_checkpoint_bytes_total"),
 		ckptsBad:    reg.Counter("fel_serve_checkpoints_quarantined_total"),
+		ckptsOlder:  reg.Counter("fel_serve_checkpoint_fallbacks_total"),
 		activeJobs:  reg.Gauge("fel_serve_active_jobs"),
 		subAdmitted: reg.Counter("fel_serve_subscribers_admitted_total"),
 		subActive:   reg.Gauge("fel_serve_subscribers_active"),
@@ -172,8 +184,11 @@ func (s *Service) Submit(spec JobSpec) (*Job, error) {
 
 // Recover scans the checkpoint directory and resubmits every job found
 // there, resumed from its snapshot. Returns the recovered jobs sorted by
-// name. A service without a Dir recovers nothing. A checkpoint that does
-// not load is renamed to <name>.ckpt.bad and counted in
+// name. A service without a Dir recovers nothing. A job resumes from the
+// newest valid slot of its file and goes on overwriting that file; one
+// resumed from the older slot because the newest was torn mid-write is
+// counted in fel_serve_checkpoint_fallbacks_total. A checkpoint with no
+// valid slot is renamed to <name>.ckpt.bad and counted in
 // fel_serve_checkpoints_quarantined_total; the scan goes on, so one corrupt
 // file never strands the other tenants.
 func (s *Service) Recover() ([]*Job, error) {
@@ -187,7 +202,7 @@ func (s *Service) Recover() ([]*Job, error) {
 	sort.Strings(paths)
 	jobs := make([]*Job, 0, len(paths))
 	for _, path := range paths {
-		spec, st, err := LoadCheckpoint(path)
+		spec, st, read, err := loadCheckpoint(path)
 		if err != nil {
 			if rerr := os.Rename(path, path+".bad"); rerr != nil {
 				return jobs, fmt.Errorf("felserve: recover %s: %w (quarantine failed: %v)", path, err, rerr)
@@ -196,9 +211,16 @@ func (s *Service) Recover() ([]*Job, error) {
 			s.logf("recover: quarantined %s as %s.bad: %v", path, filepath.Base(path), err)
 			continue
 		}
+		if read.fellBack {
+			s.ckptsOlder.Inc()
+			s.logf("recover: %s: the newest slot is torn; resuming from the older one", path)
+		}
 		j, err := newJob(s, spec, st)
 		if err != nil {
 			return jobs, err
+		}
+		if path == checkpointPath(s.cfg.Dir, spec.Name) {
+			j.ckpt.slot, j.ckpt.newest = read.size, read.slot
 		}
 		if err := s.register(j); err != nil {
 			return jobs, err
@@ -306,9 +328,12 @@ func (s *Service) turn(j *Job) {
 	if every <= 0 {
 		every = 1
 	}
-	if s.cfg.Dir != "" && (finished || j.tr.Round()%every == 0) {
+	if j.ckpt != nil && (finished || j.tr.Round()%every == 0) {
 		if err := s.checkpointJob(j); err != nil {
 			s.logf("job %s: checkpoint failed: %v", j.Name(), err)
+			if cerr := j.ckpt.close(); cerr != nil {
+				s.logf("job %s: closing checkpoint: %v", j.Name(), cerr)
+			}
 			s.failed.Inc()
 			s.activeJobs.Add(-1)
 			j.fail(err)
@@ -319,9 +344,9 @@ func (s *Service) turn(j *Job) {
 		j.finish()
 		s.completed.Inc()
 		s.activeJobs.Add(-1)
-		if s.cfg.Dir != "" {
-			// A finished job must not be resurrected by Recover.
-			if err := os.Remove(checkpointPath(s.cfg.Dir, j.Name())); err != nil && !os.IsNotExist(err) {
+		// A finished job must not be resurrected by Recover.
+		if j.ckpt != nil {
+			if err := j.ckpt.remove(); err != nil {
 				s.logf("job %s: removing checkpoint: %v", j.Name(), err)
 			}
 		}
@@ -329,14 +354,13 @@ func (s *Service) turn(j *Job) {
 	}
 }
 
-// checkpointJob snapshots j's trainer and writes the job's checkpoint file
-// atomically (temp file + rename in the checkpoint directory).
+// checkpointJob snapshots j's trainer into the job's checkpoint file.
 func (s *Service) checkpointJob(j *Job) error {
 	st, err := j.tr.ExportState()
 	if err != nil {
 		return err
 	}
-	n, err := SaveCheckpoint(s.cfg.Dir, j.Spec, st)
+	n, err := j.ckpt.save(j.Spec, st)
 	if err != nil {
 		return err
 	}
@@ -363,14 +387,16 @@ func (s *Service) Wait() {
 
 // Close shuts the service down gracefully: the scheduler drains its current
 // wave and stops, every unfinished job gets a final checkpoint (when a Dir
-// is configured), and all listeners, subscriber connections, and handler
-// goroutines are joined. Safe to call more than once.
+// is configured), every checkpoint file is closed, and all listeners,
+// subscriber connections, and handler goroutines are joined. Safe to call
+// more than once.
 func (s *Service) Close() error { return s.stop(true) }
 
 // Kill is the crash path: like Close but without the exit checkpoints, so
 // the on-disk state is whatever the last due checkpoint wrote — exactly
-// what a SIGKILL would leave behind. Jobs still in flight never complete on
-// this instance; a new service pointed at the same Dir recovers them.
+// what a SIGKILL would leave behind (the files are still closed). Jobs still
+// in flight never complete on this instance; a new service pointed at the
+// same Dir recovers them.
 func (s *Service) Kill() {
 	//lint:ignore dropped-error the crash path takes no exit checkpoints, so stop has nothing to fail
 	s.stop(false)
@@ -395,14 +421,17 @@ func (s *Service) stop(graceful bool) error {
 	<-s.schedDone
 
 	var firstErr error
-	if graceful && s.cfg.Dir != "" {
-		for _, j := range s.snapshotOrder() {
-			if j.Done() {
-				continue
-			}
+	for _, j := range s.snapshotOrder() {
+		if j.ckpt == nil {
+			continue
+		}
+		if graceful && !j.Done() {
 			if err := s.checkpointJob(j); err != nil && firstErr == nil {
 				firstErr = fmt.Errorf("felserve: exit checkpoint for %s: %w", j.Name(), err)
 			}
+		}
+		if err := j.ckpt.close(); err != nil && graceful && firstErr == nil {
+			firstErr = fmt.Errorf("felserve: closing checkpoint of %s: %w", j.Name(), err)
 		}
 	}
 

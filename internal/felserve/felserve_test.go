@@ -1,7 +1,9 @@
 package felserve
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"runtime"
@@ -11,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fednode"
 	"repro/internal/metrics"
+	"repro/internal/wire"
 )
 
 // waitGoroutines fails the test if the goroutine count does not settle back
@@ -72,12 +75,12 @@ func TestKillCloudResume(t *testing.T) {
 	waitGoroutines(t, before)
 }
 
-// TestRecoverQuarantinesCorruptCheckpoint crashes a three-tenant cloud,
-// truncates the middle tenant's checkpoint, and restarts: Recover must move
-// the bad file aside, count it, and still resume the two tenants on either
-// side of it — each finishing bit-identically to its uninterrupted run.
-func TestRecoverQuarantinesCorruptCheckpoint(t *testing.T) {
-	before := runtime.NumGoroutine()
+// crashThreeTenants runs three tenants uninterrupted for reference, then
+// crashes a cloud serving them at round 5, past its round-4 checkpoint: each
+// file holds round 2 in slot 0 and round 4 in slot 1. It returns the
+// reference results and the checkpoint directory.
+func crashThreeTenants(t *testing.T) (map[string]*core.Result, string) {
+	t.Helper()
 	specs := demoSpecs(11)
 	third := specs[0]
 	third.Name, third.SystemSeed, third.Seed = "tenant-c", 13, 300
@@ -112,24 +115,27 @@ func TestRecoverQuarantinesCorruptCheckpoint(t *testing.T) {
 	crashed := run(Config{Dir: dir, CheckpointEvery: 2, HaltAfterWaves: 5})
 	<-crashed.Halted()
 	crashed.Kill()
+	return ref, dir
+}
 
-	bad := checkpointPath(dir, "tenant-b")
-	info, err := os.Stat(bad)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(bad, info.Size()/2); err != nil {
-		t.Fatal(err)
-	}
-
-	svc := New(Config{Dir: dir, CheckpointEvery: 2, Logf: t.Logf})
+// recoverAndFinish restarts a cloud on dir, checks which jobs Recover
+// resumed and from which round, and requires each to finish bit-identically
+// to its uninterrupted run. It returns the service's registry.
+func recoverAndFinish(t *testing.T, dir string, ref map[string]*core.Result, wantRounds map[string]int) *metrics.Registry {
+	t.Helper()
+	svc := New(Config{Dir: dir, CheckpointEvery: 2, StartHeld: true, Logf: t.Logf})
 	jobs, err := svc.Recover()
 	if err != nil {
 		t.Fatalf("Recover must survive one corrupt checkpoint: %v", err)
 	}
-	if len(jobs) != 2 || jobs[0].Name() != "tenant-a" || jobs[1].Name() != "tenant-c" {
-		t.Fatalf("recovered %d jobs, want tenant-a and tenant-c", len(jobs))
+	got := map[string]int{}
+	for _, j := range jobs {
+		got[j.Name()] = j.Round()
 	}
+	if fmt.Sprint(got) != fmt.Sprint(wantRounds) {
+		t.Fatalf("recovered jobs at rounds %v, want %v", got, wantRounds)
+	}
+	svc.Start()
 	for _, j := range jobs {
 		res, err := j.Wait()
 		if err != nil {
@@ -139,8 +145,40 @@ func TestRecoverQuarantinesCorruptCheckpoint(t *testing.T) {
 			t.Errorf("job %s: recovered weights differ from the uninterrupted run", j.Name())
 		}
 	}
-	if n := svc.Registry().CounterValue("fel_serve_checkpoints_quarantined_total"); n != 1 {
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return svc.Registry()
+}
+
+// TestRecoverQuarantinesCorruptCheckpoint crashes a three-tenant cloud,
+// corrupts both slots of the middle tenant's checkpoint, and restarts:
+// Recover must move the bad file aside, count it, and still resume the two
+// tenants on either side of it — each finishing bit-identically to its
+// uninterrupted run.
+func TestRecoverQuarantinesCorruptCheckpoint(t *testing.T) {
+	before := runtime.NumGoroutine()
+	ref, dir := crashThreeTenants(t)
+
+	bad := checkpointPath(dir, "tenant-b")
+	b, err := os.ReadFile(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := binary.BigEndian.Uint64(b[len(slotMagic):])
+	for i := uint64(0); i < 2; i++ {
+		b[slotHeaderSize+i*size+wire.HeaderSize+3] ^= 0x40 // a payload byte of the spec frame
+	}
+	if err := os.WriteFile(bad, b, 0o600); err != nil {
+		t.Fatal(err)
+	}
+
+	reg := recoverAndFinish(t, dir, ref, map[string]int{"tenant-a": 4, "tenant-c": 4})
+	if n := reg.CounterValue("fel_serve_checkpoints_quarantined_total"); n != 1 {
 		t.Errorf("fel_serve_checkpoints_quarantined_total = %v, want 1", n)
+	}
+	if n := reg.CounterValue("fel_serve_checkpoint_fallbacks_total"); n != 0 {
+		t.Errorf("fel_serve_checkpoint_fallbacks_total = %v, want 0", n)
 	}
 	if _, err := os.Stat(bad + ".bad"); err != nil {
 		t.Errorf("quarantined file missing: %v", err)
@@ -148,8 +186,39 @@ func TestRecoverQuarantinesCorruptCheckpoint(t *testing.T) {
 	if _, err := os.Stat(bad); !os.IsNotExist(err) {
 		t.Errorf("corrupt checkpoint still in place (stat err %v)", err)
 	}
-	if err := svc.Close(); err != nil {
+	waitGoroutines(t, before)
+}
+
+// TestRecoverFallsBackToOlderSlot crashes the same cloud and halves the
+// middle tenant's file, which cuts off its newest slot: Recover must resume
+// that tenant from the older slot's round 2 — counted as a fallback, not a
+// quarantine — and every tenant must finish bit-identically.
+func TestRecoverFallsBackToOlderSlot(t *testing.T) {
+	before := runtime.NumGoroutine()
+	ref, dir := crashThreeTenants(t)
+
+	torn := checkpointPath(dir, "tenant-b")
+	info, err := os.Stat(torn)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if err := os.Truncate(torn, info.Size()/2); err != nil {
+		t.Fatal(err)
+	}
+
+	reg := recoverAndFinish(t, dir, ref, map[string]int{"tenant-a": 4, "tenant-b": 2, "tenant-c": 4})
+	if n := reg.CounterValue("fel_serve_checkpoint_fallbacks_total"); n != 1 {
+		t.Errorf("fel_serve_checkpoint_fallbacks_total = %v, want 1", n)
+	}
+	if n := reg.CounterValue("fel_serve_checkpoints_quarantined_total"); n != 0 {
+		t.Errorf("fel_serve_checkpoints_quarantined_total = %v, want 0", n)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 0 {
+		t.Errorf("checkpoint directory holds %d entries after every job finished, want 0", len(entries))
 	}
 	waitGoroutines(t, before)
 }

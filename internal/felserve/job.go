@@ -195,9 +195,10 @@ func (s JobSpec) TrainConfig(reg *metrics.Registry) core.Config {
 type Job struct {
 	Spec JobSpec
 
-	svc *Service
-	reg *metrics.Registry
-	tr  *core.Trainer
+	svc  *Service
+	reg  *metrics.Registry
+	tr   *core.Trainer
+	ckpt *ckptWriter // nil when the service keeps no checkpoints
 
 	// Per-job fel_serve_job_* stream, isolated from other tenants.
 	roundsCtr  *metrics.Counter
@@ -233,6 +234,9 @@ func newJob(svc *Service, spec JobSpec, st *core.TrainerState) (*Job, error) {
 	j.roundsCtr = j.reg.Counter("fel_serve_job_rounds_total")
 	j.ckptCtr = j.reg.Counter("fel_serve_job_checkpoints_total")
 	j.versionCtr = j.reg.Counter("fel_serve_job_versions_total")
+	if svc.cfg.Dir != "" {
+		j.ckpt = &ckptWriter{fs: svc.fs, dir: svc.cfg.Dir, name: spec.Name}
+	}
 	sys := spec.System()
 	cfg := spec.TrainConfig(j.reg)
 	if st == nil {
