@@ -75,9 +75,6 @@ func BenchmarkTrainSmall(b *testing.B) {
 			cfg.Weights = sampling.Biased
 			cfg.MaxParallel = mode.maxParallel
 			cfg.EvalEvery = cfg.GlobalRounds // time training, not evaluation
-			for _, c := range sys.Clients {
-				sys.ClientBatch(c) // warm the batch cache outside the timer
-			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			var res *core.Result

@@ -9,8 +9,9 @@
 #   3. test        go test ./... — tier-1; internal/lint's TestRepoIsLintClean
 #                  is the module-wide repolint pass, run here and nowhere else
 #   4. race        go test -race over the concurrent packages
-#   5. fuzz        10 s across the wire, async, secagg, tensor, grouping and
-#                  felserve (whole checkpoint files) targets
+#   5. fuzz        11 s across the wire, async, secagg, tensor, grouping,
+#                  felserve (whole checkpoint files) and faultnet (whole plan
+#                  files) targets
 #   6. chaos       felnode -chaos corrupt-frames twice, outputs byte-identical
 #   7. felnode     a loopback TCP job, cross-checked against core.Train
 #   8. metrics     the same job's live /metrics endpoint parses
@@ -125,10 +126,10 @@ echo "== go test ./..."
 go test ./...
 
 # internal/tensor is not listed: it starts no goroutine and shares no state.
-echo "== go test -race (core, async, wire, fednode, faultnet, metrics, felserve)"
-go test -race ./internal/core ./internal/async ./internal/wire ./internal/fednode ./internal/faultnet/... ./internal/metrics ./internal/felserve
+echo "== go test -race (core, async, wire, fednode, faultnet, metrics, felserve, grouping, data)"
+go test -race ./internal/core ./internal/async ./internal/wire ./internal/fednode ./internal/faultnet/... ./internal/metrics ./internal/felserve ./internal/grouping ./internal/data
 
-echo "== go test -fuzz smoke (10s total across targets)"
+echo "== go test -fuzz smoke (11s total across targets)"
 go test ./internal/wire -run '^$' -fuzz FuzzDecodeFrame -fuzztime 1s
 go test ./internal/wire -run '^$' -fuzz FuzzDecodeIntoReuse -fuzztime 1s
 go test ./internal/async -run '^$' -fuzz FuzzArrivalLogFrame -fuzztime 1s
@@ -141,6 +142,7 @@ go test ./internal/grouping -run '^$' -fuzz FuzzScanFilter -fuzztime 1s
 # Its seeds are whole files of tens of KB: minimising each new input for the
 # default 60 s would spend the whole second on one input instead of fuzzing.
 go test ./internal/felserve -run '^$' -fuzz FuzzLoadCheckpoint -fuzztime 1s -fuzzminimizetime 100x
+go test ./internal/faultnet -run '^$' -fuzz FuzzLoadPlan -fuzztime 1s
 
 echo "== felnode -chaos smoke (deterministic replay)"
 # One felnode binary serves this stage and the three after it.

@@ -291,6 +291,68 @@ func TestClientBatchCached(t *testing.T) {
 	}
 }
 
+// TestNewSystemCompactsPartition holds NewSystem's layout: Train is exactly
+// the assigned samples, client i's rows are one contiguous range in client
+// order holding what the pool held at its drawn indices, and ClientBatch —
+// a SubSystem's too — is a view into Train, not a copy.
+func TestNewSystemCompactsPartition(t *testing.T) {
+	const numClients, seed = 9, 21
+	sys := testSystem(numClients, 0.5, seed)
+	gen := data.FlatConfig(4, 10, seed)
+	gen.Noise = 0.8
+	part := data.PartitionConfig{
+		NumClients: numClients, Alpha: 0.5,
+		MinSamples: 10, MaxSamples: 40, MeanSamples: 25, StdSamples: 8,
+		Seed: seed + 1,
+	}
+	pool := data.NewGenerator(gen).Sample(numClients*part.MaxSamples, 0)
+	drawn := data.DirichletPartition(pool, part)
+
+	total := 0
+	for _, c := range drawn {
+		total += c.N
+	}
+	if sys.Train.Len() != total || len(sys.Train.X) != total*sys.Train.Dim() {
+		t.Fatalf("Train holds %d rows (%d floats), want exactly the %d assigned", sys.Train.Len(), len(sys.Train.X), total)
+	}
+	sub := sys.SubSystem(sys.Clients[numClients/2:], 1)
+	dim, off := sys.Train.Dim(), 0
+	for ci, c := range sys.Clients {
+		if c.ID != ci || c.N != drawn[ci].N {
+			t.Fatalf("client %d: ID %d, N %d, want N %d", ci, c.ID, c.N, drawn[ci].N)
+		}
+		for j, i := range c.Indices {
+			if i != off+j {
+				t.Fatalf("client %d: Indices[%d] = %d, want %d", ci, j, i, off+j)
+			}
+		}
+		wantX, wantY := pool.Batch(drawn[ci].Indices)
+		x, y := sys.ClientBatch(c)
+		if len(y) != c.N || len(x.Data) != c.N*dim || x.Shape[0] != c.N {
+			t.Fatalf("client %d: batch of %d labels, %d floats, shape %v", ci, len(y), len(x.Data), x.Shape)
+		}
+		for j := range wantY {
+			if y[j] != wantY[j] {
+				t.Fatalf("client %d: label %d is %d, want %d", ci, j, y[j], wantY[j])
+			}
+		}
+		for j := range wantX.Data {
+			if math.Float64bits(x.Data[j]) != math.Float64bits(wantX.Data[j]) {
+				t.Fatalf("client %d: feature %d differs from the pool's row", ci, j)
+			}
+		}
+		if &x.Data[0] != &sys.Train.X[off*dim] || &y[0] != &sys.Train.Y[off] {
+			t.Fatalf("client %d: ClientBatch is a copy, not a view into Train", ci)
+		}
+		if ci >= numClients/2 {
+			if sx, sy := sub.ClientBatch(c); sx != x || &sy[0] != &y[0] {
+				t.Fatalf("client %d: the SubSystem's batch is not the parent's view", ci)
+			}
+		}
+		off += c.N
+	}
+}
+
 func TestCoVGroupingOutperformsRandomUnderSkew(t *testing.T) {
 	// The headline claim at miniature scale: with skewed data and a fixed
 	// cost budget, CoVG+ESRCoV reaches at least the accuracy of RG+Random.

@@ -30,8 +30,11 @@ import (
 //  2. Dropout decisions are pre-drawn serially in client order from the
 //     group's dropout RNG — the exact draw sequence of the serial loop —
 //     before any goroutine starts.
-//  3. Each client writes its trained parameters into its own indexed slot;
-//     no shared accumulator is touched concurrently.
+//  3. Each client writes its trained parameters into its own indexed slot
+//     of its group's machine; no shared accumulator is touched concurrently.
+//     A machine is borrowed per group run and begin resets everything the
+//     run reads, so which pooled machine runs a group cannot leak into
+//     results either.
 //  4. The weighted reduction over slots is a fixed-pairing tree fold
 //     (treeagg.go): the pairing is a pure function of the surviving client
 //     count, so floating-point operation order never depends on scheduling —
@@ -50,8 +53,9 @@ import (
 //
 // Workers are created lazily up to max and recycled through a free list, so
 // the steady state allocates nothing: models reuse their layer buffers
-// (EnableBufferReuse), SGD scratch lives in per-worker arenas, and group
-// aggregation buffers are per-slot groupSpaces.
+// (EnableBufferReuse), SGD scratch lives in per-worker arenas, and a group
+// round's n×dim storage lives in group-round machines recycled through a
+// second free list, one machine per group in flight.
 type engine struct {
 	sys   *System
 	cfg   Config
@@ -63,9 +67,18 @@ type engine struct {
 	created int
 	free    chan *worker
 
-	// spaces[si] is selection slot si's aggregation space and updates the
-	// result slice RunGroups returns, both reused from round to round.
-	spaces  []*groupSpace
+	// idle holds the group-round machines no group is running. RunGroups
+	// borrows one per group and returns it once the group's update is out,
+	// so at most its fan-out width ever exist. It is a plain list, not a
+	// sync.Pool, whose per-P and victim caches keep more n×dim matrices
+	// alive than a round uses (EXPERIMENTS.md: replacing such a pool cut
+	// train-gemm's peak RSS 18 %).
+	idle []*groupSpace
+
+	// slots[si] is the storage selection slot si's update aliases, and
+	// updates the result slice RunGroups returns, both reused from round to
+	// round.
+	slots   []groupSlot
 	updates []GroupUpdate
 
 	reg        *metrics.Registry
@@ -97,13 +110,22 @@ type worker struct {
 	batch data.SampleBuffer
 }
 
-// groupSpace is one selection slot's group-round machine (async_engine.go)
-// and everything it runs in, reused from round to round so a warm slot
-// allocates nothing: the evolving group parameters, per-client result slots
-// (views into one flat backing array), the tree-reduction node scratch, then
-// the run state — logical-clock heap, per-client bookkeeping (pre-drawn
-// dropout flag and uplink bytes included), the batch scratch — and the
-// round's outcome. group and events stay valid until the slot's next round.
+// groupSlot is what one selection slot keeps from round to round: exactly
+// what its GroupUpdate aliases, the group model and the arrival events, each
+// O(dim) or O(events) — never a per-client array.
+type groupSlot struct {
+	group  []float64
+	events []async.Event
+}
+
+// groupSpace is one group-round machine (async_engine.go) and the n×dim
+// storage it runs in, borrowed from the engine's free list for one group's
+// run and reused from run to run so a warm machine allocates nothing: the
+// per-client result slots (views into one flat backing array), the
+// tree-reduction node scratch, then the run state — logical-clock heap,
+// per-client bookkeeping (pre-drawn dropout flag and uplink bytes included),
+// the batch scratch — and the run's outcome. group and events belong to the
+// borrowing slot (begin takes them, end hands them back).
 type groupSpace struct {
 	e *engine
 
@@ -256,14 +278,35 @@ func (e *engine) edgeLabel(edge int) metrics.Label {
 	return l
 }
 
-// begin readies the space to run group g from params in global round round:
-// storage for its n clients of len(params) parameters, backing arrays kept,
-// and the run state of a group nobody has dispatched yet.
-func (sp *groupSpace) begin(g *grouping.Group, params []float64, round int) {
+// borrowSpace hands out an idle group-round machine, creating one when every
+// existing machine is running a group.
+func (e *engine) borrowSpace() *groupSpace {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if n := len(e.idle); n > 0 {
+		sp := e.idle[n-1]
+		e.idle = e.idle[:n-1]
+		return sp
+	}
+	return &groupSpace{e: e, dropRng: stats.NewRNG(0), delayRng: stats.NewRNG(0)}
+}
+
+func (e *engine) returnSpace(sp *groupSpace) {
+	e.mu.Lock()
+	e.idle = append(e.idle, sp)
+	e.mu.Unlock()
+}
+
+// begin readies the machine to run group g from params in global round
+// round for slot: the slot's group vector and event log taken over, storage
+// for its n clients of len(params) parameters, backing arrays kept, and the
+// run state of a group nobody has dispatched yet.
+func (sp *groupSpace) begin(slot *groupSlot, g *grouping.Group, params []float64, round int) {
 	n, dim := g.Size(), len(params)
 	sp.g, sp.round = g, round
-	sp.group = growFloats(sp.group, dim)
+	sp.group = growFloats(slot.group, dim)
 	copy(sp.group, params)
+	sp.events = slot.events[:0]
 	if cap(sp.flat) < n*dim {
 		sp.flat = make([]float64, n*dim)
 	}
@@ -290,7 +333,19 @@ func (sp *groupSpace) begin(g *grouping.Group, params []float64, round int) {
 	sp.heap = sp.heap[:0]
 	sp.seq, sp.version, sp.arrivals = 0, 0, 0
 	sp.drops, sp.bytes, sp.ticks, sp.carry, sp.late = 0, 0, 0, 0, 0
-	sp.events = sp.events[:0]
+}
+
+// end closes the run: the group vector and events go back to slot, and the
+// returned update aliases them. The machine keeps no reference to either,
+// so it can run another slot's group next.
+func (sp *groupSpace) end(slot *groupSlot) GroupUpdate {
+	slot.group, slot.events = sp.group, sp.events
+	u := GroupUpdate{
+		Params: sp.group, Drops: sp.drops, UplinkBytes: sp.bytes,
+		Ticks: sp.ticks, Carryovers: sp.carry, LateDrops: sp.late, Events: sp.events,
+	}
+	sp.g, sp.group, sp.events = nil, nil, nil
+	return u
 }
 
 // forEachClient runs fn(0..n-1), inline when the engine is serial and on one

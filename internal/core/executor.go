@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/async"
 	"repro/internal/grouping"
-	"repro/internal/stats"
 )
 
 // Executor is the seam under the Plan: everything below "run these groups
@@ -38,28 +37,27 @@ type GroupUpdate struct {
 	Events                []async.Event
 }
 
-// RunGroups trains the selected groups in parallel on the worker pool, each
-// selection slot on the group-round machine it keeps from round to round;
+// RunGroups trains the selected groups in parallel, each on a group-round
+// machine borrowed for its run and each update kept in its selection slot;
 // the mode only picks the machine's flush trigger.
 func (e *engine) RunGroups(t int, groups []*grouping.Group, selected []int, params []float64) ([]GroupUpdate, error) {
-	for len(e.spaces) < len(selected) {
-		e.spaces = append(e.spaces, &groupSpace{e: e, dropRng: stats.NewRNG(0), delayRng: stats.NewRNG(0)})
+	if n := len(selected) - len(e.slots); n > 0 {
+		e.slots = append(e.slots, make([]groupSlot, n)...)
 	}
 	e.updates = slices.Grow(e.updates[:0], len(selected))[:len(selected)]
 	updates := e.updates
 	parallelEach(len(selected), e.cfg.MaxParallel, func(si int) {
-		sp := e.spaces[si]
-		sp.begin(groups[selected[si]], params, t)
+		sp := e.borrowSpace()
+		defer e.returnSpace(sp)
+		slot := &e.slots[si]
+		sp.begin(slot, groups[selected[si]], params, t)
 		if e.cfg.Async.Mode == async.SemiSync {
 			sp.runDeadlines()
 		} else {
 			sp.runBuffered()
 		}
 		e.asyncTicks.Add(sp.ticks)
-		updates[si] = GroupUpdate{
-			Params: sp.group, Drops: sp.drops, UplinkBytes: sp.bytes,
-			Ticks: sp.ticks, Carryovers: sp.carry, LateDrops: sp.late, Events: sp.events,
-		}
+		updates[si] = sp.end(slot)
 	})
 	return updates, nil
 }

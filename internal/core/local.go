@@ -84,7 +84,7 @@ func sgdEpochs(model *nn.Sequential, x *tensor.Tensor, y []int, ctx LocalContext
 			}
 			logits := model.Forward(xb, true)
 			probs := buf.ensureProbs(logits)
-			lossFn.ForwardInto(probs, logits, yb)
+			lossFn.ProbsInto(probs, logits, yb)
 			lossFn.BackwardInPlace(probs, yb)
 			model.Backward(probs)
 			if adjust != nil {

@@ -23,15 +23,17 @@ import (
 // System bundles the federated population: the train/test data, the
 // partitioned clients, their edge assignment, and the model architecture.
 //
-// A System is either materialized (Train holds every sample, clients carry
-// Indices into it) or virtual (Train is nil, vp synthesizes any client's
-// samples on demand from (seed, client ID)). The two are interchangeable
-// everywhere in the training loop, and at matched seeds they train
-// bit-identically; only their memory profiles differ — O(population ×
-// samples) versus O(population histograms + selected clients' samples).
+// A System is either materialized (Train holds every assigned sample, client
+// by client, and clients carry Indices into it) or virtual (Train is nil, vp
+// synthesizes any client's samples on demand from (seed, client ID)). The
+// two are interchangeable everywhere in the training loop, and at matched
+// seeds they train bit-identically; only their memory profiles differ —
+// O(assigned samples) versus O(population histograms + selected clients'
+// samples).
 type System struct {
-	// Train is the shared sample pool of a materialized system; nil when the
-	// system is virtual.
+	// Train is the sample pool of a materialized system, exactly Σ n_i rows
+	// with each client's one contiguous range; nil when the system is
+	// virtual.
 	Train   *data.Dataset
 	Test    *data.Dataset
 	Clients []*data.Client
@@ -45,10 +47,10 @@ type System struct {
 	// vp synthesizes client samples for a virtual system.
 	vp *data.VirtualPartition
 
-	// cached per-client batches of a materialized system (built lazily,
-	// guarded by mu).
-	mu      sync.Mutex
-	batches map[int]*clientBatch
+	// views[id] is client id's full batch of a materialized system, a
+	// read-only view into Train built once with the system and shared by
+	// its SubSystems.
+	views []clientBatch
 }
 
 type clientBatch struct {
@@ -67,7 +69,10 @@ type SystemConfig struct {
 }
 
 // NewSystem samples the dataset, partitions it across clients and edges,
-// and prepares the model factory.
+// and prepares the model factory. The partition is drawn from a pool with
+// MaxSamples of headroom per client, then compacted: Train keeps only the
+// assigned rows, client by client in draw order, and each client's Indices
+// is rewritten to its range there — the layout Materialize produces.
 func NewSystem(cfg SystemConfig) *System {
 	if cfg.NumEdges <= 0 {
 		panic("fel: NumEdges must be positive")
@@ -76,11 +81,10 @@ func NewSystem(cfg SystemConfig) *System {
 		panic("fel: NewModel is required")
 	}
 	gen := data.NewGenerator(cfg.Generator)
-	// Train pool sized for the partition with headroom.
-	trainSize := cfg.Partition.NumClients * cfg.Partition.MaxSamples
-	train := gen.Sample(trainSize, 0)
+	pool := gen.Sample(cfg.Partition.NumClients*cfg.Partition.MaxSamples, 0)
 	test := gen.Sample(cfg.TestSize, 1)
-	clients := data.DirichletPartition(train, cfg.Partition)
+	clients := data.DirichletPartition(pool, cfg.Partition)
+	train := compactPartition(pool, clients)
 	return &System{
 		Train:     train,
 		Test:      test,
@@ -89,7 +93,63 @@ func NewSystem(cfg SystemConfig) *System {
 		Classes:   cfg.Generator.Classes,
 		NewModel:  cfg.NewModel,
 		ModelSeed: cfg.ModelSeed,
+		views:     batchViews(train, clients),
 	}
+}
+
+// compactPartition copies the clients' samples out of the partitioned pool
+// into a dataset of exactly Σ n_i rows — clients in slice order, each
+// client's rows in its Indices order — and rewrites every Indices, in place,
+// to its contiguous range there. The pool's unassigned rows are left behind.
+func compactPartition(pool *data.Dataset, clients []*data.Client) *data.Dataset {
+	total := 0
+	for _, c := range clients {
+		total += len(c.Indices)
+	}
+	dim := pool.Dim()
+	train := &data.Dataset{
+		X:           make([]float64, total*dim),
+		Y:           make([]int, total),
+		SampleShape: pool.SampleShape,
+		Classes:     pool.Classes,
+	}
+	off := 0
+	for _, c := range clients {
+		for j, i := range c.Indices {
+			copy(train.X[off*dim:(off+1)*dim], pool.X[i*dim:(i+1)*dim])
+			train.Y[off] = pool.Y[i]
+			c.Indices[j] = off
+			off++
+		}
+	}
+	return train
+}
+
+// batchViews builds every client's full batch as a view into train, indexed
+// by client ID. Each client's Indices must be one ascending contiguous
+// range, as compactPartition and MaterializeAll lay them out. The views'
+// capacities are capped, so an append cannot reach a neighbour's rows.
+func batchViews(train *data.Dataset, clients []*data.Client) []clientBatch {
+	ids := 0
+	for _, c := range clients {
+		ids = max(ids, c.ID+1)
+	}
+	views := make([]clientBatch, ids)
+	dim := train.Dim()
+	shape := append([]int{0}, train.SampleShape...)
+	for _, c := range clients {
+		lo := 0
+		if len(c.Indices) > 0 {
+			lo = c.Indices[0]
+		}
+		hi := lo + len(c.Indices)
+		shape[0] = hi - lo
+		views[c.ID] = clientBatch{
+			x: tensor.FromSlice(train.X[lo*dim:hi*dim:hi*dim], shape...),
+			y: train.Y[lo:hi:hi],
+		}
+	}
+	return views
 }
 
 // NewVirtualSystem builds a System whose client population is virtual:
@@ -146,13 +206,14 @@ func (s *System) Materialize() *System {
 		Classes:   s.Classes,
 		NewModel:  s.NewModel,
 		ModelSeed: s.ModelSeed,
+		views:     batchViews(train, clients),
 	}
 }
 
 // SubSystem returns a System restricted to the given clients, sharing the
-// train/test datasets (or virtual synthesis recipe) and model factory. Used
-// by cluster-based methods (FedCLAR) that train separate models on client
-// subsets.
+// train/test datasets and batch views (or virtual synthesis recipe) and
+// model factory. Used by cluster-based methods (FedCLAR) that train
+// separate models on client subsets.
 func (s *System) SubSystem(clients []*data.Client, numEdges int) *System {
 	return &System{
 		Train:     s.Train,
@@ -163,35 +224,28 @@ func (s *System) SubSystem(clients []*data.Client, numEdges int) *System {
 		NewModel:  s.NewModel,
 		ModelSeed: s.ModelSeed,
 		vp:        s.vp,
+		views:     s.views,
 	}
 }
 
 // ClientBatch returns the full batch (features + labels) of one client.
-// Safe for concurrent use. On a materialized system the batch is gathered
-// once and cached forever; on a virtual system it is synthesized into fresh
-// storage on every call — cold paths only. The engine's hot path goes
-// through clientBatchInto with a per-worker buffer instead.
+// Safe for concurrent use; callers must treat the result as read-only. On a
+// materialized system it is the client's view into Train, the same tensor
+// on every call and allocation-free; on a virtual system it is synthesized
+// into fresh storage on every call — cold paths only. The engine's hot path
+// goes through clientBatchInto with a per-worker buffer instead.
 func (s *System) ClientBatch(c *data.Client) (*tensor.Tensor, []int) {
 	if s.vp != nil {
 		return s.vp.Materialize(c.ID)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.batches == nil {
-		s.batches = make(map[int]*clientBatch)
-	}
-	if b, ok := s.batches[c.ID]; ok {
-		return b.x, b.y
-	}
-	x, y := s.Train.Batch(c.Indices)
-	s.batches[c.ID] = &clientBatch{x: x, y: y}
-	return x, y
+	v := &s.views[c.ID]
+	return v.x, v.y
 }
 
 // clientBatchInto returns the client's batch for training, using buf as the
 // backing storage when the system is virtual. The materialized path ignores
-// buf and returns the shared cached batch — callers must treat the result
-// as read-only in both cases.
+// buf and returns the client's view into Train — callers must treat the
+// result as read-only in both cases.
 func (s *System) clientBatchInto(c *data.Client, buf *data.SampleBuffer) (*tensor.Tensor, []int) {
 	if s.vp != nil {
 		return s.vp.MaterializeInto(c.ID, buf)

@@ -36,8 +36,8 @@ func virtualTestConfig(numClients int, seed uint64) SystemConfig {
 // TestVirtualTrainBitIdenticalToMaterialized is the correctness gate of the
 // flyweight refactor: training on a virtual population (samples synthesized
 // per selection into worker buffers) must produce Float64bits-identical
-// weights to training on its materialized copy (samples gathered from a
-// shared dataset), with every stateful feature that could diverge switched
+// weights to training on its materialized copy (samples read through views
+// into a shared dataset), with every stateful feature that could diverge switched
 // on — client dropout, periodic regrouping, and SCAFFOLD variates — across
 // serial and parallel engines.
 func TestVirtualTrainBitIdenticalToMaterialized(t *testing.T) {
@@ -243,5 +243,61 @@ func TestVirtualRoundMemoryOSelected(t *testing.T) {
 	if big.popHeap < 2*small.popHeap {
 		t.Fatalf("population heap did not grow with population: %d at 80k vs %d at 20k",
 			big.popHeap, small.popHeap)
+	}
+}
+
+// TestSelectionSlotMemoryODim is the per-slot half of the O(selected)
+// memory model: a selection slot keeps only what its GroupUpdate aliases,
+// the group vector, while the n×dim client storage of a group round lives
+// in machines bounded by RunGroups' fan-out width. At MaxParallel 1 there is
+// one machine whatever S is, so going from S = 2 to S = 8 on a warm
+// wide-model Trainer grows retained heap by about ΔS·dim floats. Keeping the
+// client storage per slot would grow it by ΔS·|g|·dim, at least MinGS times
+// more.
+func TestSelectionSlotMemoryODim(t *testing.T) {
+	const minGS = 8
+	sys := NewSystem(SystemConfig{
+		Generator: data.FlatConfig(10, 32, 3),
+		Partition: data.PartitionConfig{
+			NumClients: 96, Alpha: 0.5,
+			MinSamples: 8, MaxSamples: 16, MeanSamples: 12, StdSamples: 3,
+			Seed: 4,
+		},
+		NumEdges:  2,
+		TestSize:  64,
+		NewModel:  func(s uint64) *nn.Sequential { return nn.NewMLP(32, []int{512}, 10, s) },
+		ModelSeed: 7,
+	})
+	retained := func(s int) (heap int64, dim int) {
+		cfg := testConfig()
+		cfg.GlobalRounds, cfg.GroupRounds, cfg.SampleGroups = 4, 1, s
+		cfg.MaxParallel = 1
+		cfg.Grouping = grouping.RandomGrouping{Config: grouping.Config{MinGS: minGS}}
+		cfg.Sampling = sampling.Random
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		tr := NewTrainer(sys, cfg)
+		tr.Step()
+		tr.Step()
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		for _, g := range tr.Groups() {
+			if g.Size() < minGS {
+				t.Fatalf("group %d has %d clients, want at least %d", g.ID, g.Size(), minGS)
+			}
+		}
+		dim = len(tr.Params())
+		runtime.KeepAlive(tr)
+		return int64(after.HeapAlloc) - int64(before.HeapAlloc), dim
+	}
+	small, dim := retained(2)
+	big, _ := retained(8)
+	perSlot := float64(big-small) / 6 / float64(8*dim)
+	t.Logf("dim %d: retained %d B at S=2, %d B at S=8: %.2f dim-vectors per extra slot", dim, small, big, perSlot)
+	if perSlot > 2 {
+		t.Fatalf("each extra selection slot retains %.2f dim-vectors, want ≈ 1 (the group model); %d would be per-client storage", perSlot, minGS)
 	}
 }

@@ -2,6 +2,7 @@ package faultnet_test
 
 import (
 	"errors"
+	"math"
 	"net"
 	"os"
 	"strings"
@@ -514,6 +515,19 @@ func TestPlanValidateRejectsBadRules(t *testing.T) {
 		{Name: "bad-type", Rules: []faultnet.Rule{{From: "*", To: "*", Action: faultnet.ActionReset, Type: "Nope"}}},
 		{Name: "no-from", Rules: []faultnet.Rule{{To: "*", Action: faultnet.ActionReset}}},
 		{Name: "bad-prob", Rules: []faultnet.Rule{{From: "*", To: "*", Action: faultnet.ActionReset, Prob: 1.5}}},
+		{Name: "negative-prob", Rules: []faultnet.Rule{{From: "*", To: "*", Action: faultnet.ActionReset, Prob: -0.5}}},
+		{Name: "nan-prob", Rules: []faultnet.Rule{{From: "*", To: "*", Action: faultnet.ActionReset, Prob: math.NaN()}}},
+		{Name: "max-jitter", Rules: []faultnet.Rule{{From: "*", To: "*", Action: faultnet.ActionDelay, JitterMs: math.MaxInt}}},
+		{Name: "negative-delay", Rules: []faultnet.Rule{{From: "*", To: "*", Action: faultnet.ActionDelay, DelayMs: -5, JitterMs: 3}}},
+		{Name: "negative-jitter", Rules: []faultnet.Rule{{From: "*", To: "*", Action: faultnet.ActionDelay, DelayMs: 5, JitterMs: -3}}},
+		{Name: "delay-past-duration", Rules: []faultnet.Rule{{From: "*", To: "*", Action: faultnet.ActionDelay, DelayMs: 1 << 44}}},
+		{Name: "heal-past-duration", Rules: []faultnet.Rule{{From: "*", To: "*", Action: faultnet.ActionPartition, HealMs: 1 << 44}}},
+		{Name: "negative-count", Rules: []faultnet.Rule{{From: "*", To: "*", Action: faultnet.ActionReset, Count: -1}}},
+		{Name: "huge-flips", Rules: []faultnet.Rule{{From: "*", To: "*", Action: faultnet.ActionCorrupt, Flips: 1 << 40}}},
+		{Name: "negative-flips", Rules: []faultnet.Rule{{From: "*", To: "*", Action: faultnet.ActionCorrupt, Flips: -2}}},
+		{Name: "negative-backoff", RestartBackoffMs: -1, Rules: []faultnet.Rule{{From: "*", To: "*", Action: faultnet.ActionReset}}},
+		{Name: "huge-backoff", RestartBackoffMs: math.MaxInt, Rules: []faultnet.Rule{{From: "*", To: "*", Action: faultnet.ActionReset}}},
+		{Name: "negative-restarts", MaxRestarts: -1, Rules: []faultnet.Rule{{From: "*", To: "*", Action: faultnet.ActionReset}}},
 	}
 	for _, p := range bad {
 		p := p

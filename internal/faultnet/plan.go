@@ -3,6 +3,7 @@ package faultnet
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 
@@ -99,7 +100,27 @@ func (r Rule) withDefaults() Rule {
 	return r
 }
 
-// validate rejects rules the injector cannot execute.
+// Bounds on a rule's magnitudes. A wait past an hour is a hung run, not a
+// straggler, and the bound keeps delay plus jitter, a heal and a restart
+// backoff far inside time.Duration. A thousand flipped bits already defeats
+// any frame's CRC many times over, and the injector draws one position per
+// flip per frame.
+const (
+	maxWaitMs = 3_600_000
+	maxFlips  = 1024
+)
+
+// checkRange rejects a plan value outside [0, hi].
+func checkRange(name string, v, hi int) error {
+	if v < 0 || v > hi {
+		return fmt.Errorf("faultnet: %s %d outside [0,%d]", name, v, hi)
+	}
+	return nil
+}
+
+// validate rejects rules the injector cannot execute. It sees the rule as
+// written, before withDefaults, so a negative prob or flips is an error
+// rather than a default.
 func (r Rule) validate() error {
 	switch r.Action {
 	case ActionDelay:
@@ -120,8 +141,19 @@ func (r Rule) validate() error {
 	if r.Type != "" && wireTypeByName(r.Type) == 0 {
 		return fmt.Errorf("faultnet: unknown wire type %q", r.Type)
 	}
-	if r.Prob < 0 || r.Prob > 1 {
+	if !(r.Prob >= 0 && r.Prob <= 1) {
 		return fmt.Errorf("faultnet: prob %g outside [0,1]", r.Prob)
+	}
+	for _, err := range []error{
+		checkRange("count", r.Count, math.MaxInt),
+		checkRange("delay_ms", r.DelayMs, maxWaitMs),
+		checkRange("jitter_ms", r.JitterMs, maxWaitMs),
+		checkRange("heal_ms", r.HealMs, maxWaitMs),
+		checkRange("flips", r.Flips, maxFlips),
+	} {
+		if err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -184,16 +216,23 @@ type Plan struct {
 	Rules []Rule `json:"rules"`
 }
 
-// Validate checks every rule and applies defaults in place.
+// Validate checks the recovery knobs and every rule, and applies rule
+// defaults in place.
 func (p *Plan) Validate() error {
 	if len(p.Rules) == 0 {
 		return fmt.Errorf("faultnet: plan %q has no rules", p.Name)
 	}
+	if err := checkRange("max_restarts", p.MaxRestarts, math.MaxInt); err != nil {
+		return fmt.Errorf("faultnet: plan %q: %w", p.Name, err)
+	}
+	if err := checkRange("restart_backoff_ms", p.RestartBackoffMs, maxWaitMs); err != nil {
+		return fmt.Errorf("faultnet: plan %q: %w", p.Name, err)
+	}
 	for i := range p.Rules {
-		p.Rules[i] = p.Rules[i].withDefaults()
 		if err := p.Rules[i].validate(); err != nil {
 			return fmt.Errorf("faultnet: plan %q rule %d: %w", p.Name, i, err)
 		}
+		p.Rules[i] = p.Rules[i].withDefaults()
 	}
 	return nil
 }

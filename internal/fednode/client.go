@@ -14,9 +14,9 @@ import (
 // Client is one federated client process: it registers with its edge,
 // receives its group assignment, answers each group-round broadcast with
 // local SGD and a masked (or, in a singleton group, plaintext) update, and
-// serves share-reveal requests during dropout recovery. Local training uses
-// the same seed derivation as core.runGroup, so a clean loopback run
-// follows the in-process trainer's trajectory.
+// serves share-reveal requests during dropout recovery. Local training is
+// seeded by core.LocalSeed, the derivation the in-process engine uses, so a
+// clean loopback run follows the in-process trainer's trajectory.
 type Client struct {
 	id    int
 	sys   *core.System

@@ -22,17 +22,34 @@ func (l SoftmaxCrossEntropy) Forward(logits *tensor.Tensor, labels []int) (float
 
 // ForwardInto is Forward writing the softmax probabilities into probs (which
 // must be shaped like logits) instead of allocating, returning the mean
-// cross-entropy loss. The SGD inner loop pairs it with BackwardInPlace so
-// the loss head stays allocation-free.
-func (SoftmaxCrossEntropy) ForwardInto(probs, logits *tensor.Tensor, labels []int) float64 {
+// cross-entropy loss: ProbsInto plus the loss, for callers that report it.
+func (l SoftmaxCrossEntropy) ForwardInto(probs, logits *tensor.Tensor, labels []int) float64 {
+	l.ProbsInto(probs, logits, labels)
+	c := logits.Shape[1]
+	loss := 0.0
+	for i, y := range labels {
+		p := probs.Data[i*c+y]
+		if p < 1e-15 {
+			p = 1e-15
+		}
+		loss -= math.Log(p)
+	}
+	return loss / float64(len(labels))
+}
+
+// ProbsInto writes the softmax probabilities of logits into probs (which must
+// be shaped like logits) and checks every label is a class index, without
+// computing the loss. The SGD inner loop pairs it with BackwardInPlace, which
+// needs only the probabilities, so the loss head stays allocation-free and
+// pays no logarithm per row.
+func (SoftmaxCrossEntropy) ProbsInto(probs, logits *tensor.Tensor, labels []int) {
 	b, c := logits.Shape[0], logits.Shape[1]
 	if len(labels) != b {
 		panic(fmt.Sprintf("nn: %d labels for batch of %d", len(labels), b))
 	}
 	if !probs.SameShape(logits) {
-		panic(fmt.Sprintf("nn: ForwardInto probs %v, logits %v", probs.Shape, logits.Shape))
+		panic(fmt.Sprintf("nn: ProbsInto probs %v, logits %v", probs.Shape, logits.Shape))
 	}
-	loss := 0.0
 	for i := 0; i < b; i++ {
 		row := logits.Data[i*c : (i+1)*c]
 		maxv := row[0]
@@ -51,17 +68,10 @@ func (SoftmaxCrossEntropy) ForwardInto(probs, logits *tensor.Tensor, labels []in
 		for j := range prow {
 			prow[j] /= sum
 		}
-		y := labels[i]
-		if y < 0 || y >= c {
+		if y := labels[i]; y < 0 || y >= c {
 			panic(fmt.Sprintf("nn: label %d out of range [0,%d)", y, c))
 		}
-		p := prow[y]
-		if p < 1e-15 {
-			p = 1e-15
-		}
-		loss -= math.Log(p)
 	}
-	return loss / float64(b)
 }
 
 // Backward returns the gradient of the mean loss w.r.t. the logits given the

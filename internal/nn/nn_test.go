@@ -198,6 +198,43 @@ func TestSoftmaxNumericalStability(t *testing.T) {
 	}
 }
 
+// TestProbsIntoMatchesForwardInto: the probabilities-only entry local SGD
+// uses writes Float64bits the same probabilities as ForwardInto, and keeps
+// its label-range check.
+func TestProbsIntoMatchesForwardInto(t *testing.T) {
+	const b, c = 9, 7
+	rng := stats.NewRNG(5)
+	logits := tensor.New(b, c)
+	labels := make([]int, b)
+	for i := range logits.Data {
+		logits.Data[i] = rng.Normal(0, 4)
+	}
+	logits.Data[3] = 800 // one row far past exp's range before the max shift
+	for i := range labels {
+		labels[i] = rng.IntN(c)
+	}
+	var loss SoftmaxCrossEntropy
+	want, got := tensor.New(b, c), tensor.New(b, c)
+	loss.ForwardInto(want, logits, labels)
+	loss.ProbsInto(got, logits, labels)
+	for i := range want.Data {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+			t.Fatalf("prob %d: ProbsInto %x, ForwardInto %x", i, math.Float64bits(got.Data[i]), math.Float64bits(want.Data[i]))
+		}
+	}
+	for _, bad := range []int{-1, c} {
+		labels[b-1] = bad
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("label %d: ProbsInto did not panic", bad)
+				}
+			}()
+			loss.ProbsInto(got, logits, labels)
+		}()
+	}
+}
+
 func TestParamVectorRoundTrip(t *testing.T) {
 	m := NewMLP(4, []int{5}, 3, 1)
 	v := m.ParamVector()

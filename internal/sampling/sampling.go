@@ -107,9 +107,10 @@ func Probabilities(groups []*grouping.Group, m Method) []float64 {
 }
 
 // Sample draws s distinct group indices without replacement, each draw
-// proportional to the remaining probability mass. It panics if s exceeds
-// the number of groups with positive probability is insufficient; indices
-// with zero probability are never drawn unless required to fill s.
+// proportional to the remaining probability mass. When the groups with
+// positive probability run out before s are drawn, the rest are filled
+// uniformly from the unchosen zero-probability groups, which are never drawn
+// otherwise. It panics only when s ≤ 0 or s > len(p).
 //
 // Each call allocates O(len(p)) scratch; round loops that sample every
 // global round should hold a Sampler instead, whose scratch persists across
