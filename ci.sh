@@ -9,7 +9,7 @@
 #   3. test        go test ./... — tier-1; internal/lint's TestRepoIsLintClean
 #                  is the module-wide repolint pass, run here and nowhere else
 #   4. race        go test -race over the concurrent packages
-#   5. fuzz        11 s across the wire, async, secagg, tensor, grouping,
+#   5. fuzz        12 s across the wire, async, secagg, tensor, grouping,
 #                  felserve (whole checkpoint files) and faultnet (whole plan
 #                  files) targets
 #   6. chaos       felnode -chaos corrupt-frames twice, outputs byte-identical
@@ -129,13 +129,14 @@ go test ./...
 echo "== go test -race (core, async, wire, fednode, faultnet, metrics, felserve, grouping, data)"
 go test -race ./internal/core ./internal/async ./internal/wire ./internal/fednode ./internal/faultnet/... ./internal/metrics ./internal/felserve ./internal/grouping ./internal/data
 
-echo "== go test -fuzz smoke (11s total across targets)"
+echo "== go test -fuzz smoke (12s total across targets)"
 go test ./internal/wire -run '^$' -fuzz FuzzDecodeFrame -fuzztime 1s
 go test ./internal/wire -run '^$' -fuzz FuzzDecodeIntoReuse -fuzztime 1s
 go test ./internal/async -run '^$' -fuzz FuzzArrivalLogFrame -fuzztime 1s
 go test ./internal/secagg -run '^$' -fuzz FuzzFieldOps -fuzztime 1s
 go test ./internal/secagg -run '^$' -fuzz FuzzQuantizeRoundTrip -fuzztime 1s
 go test ./internal/secagg -run '^$' -fuzz FuzzMaskCancel -fuzztime 1s
+go test ./internal/secagg -run '^$' -fuzz FuzzMaskedUpdateIntoReuse -fuzztime 1s
 go test ./internal/tensor -run '^$' -fuzz FuzzQuadUpdate -fuzztime 1s
 go test ./internal/tensor -run '^$' -fuzz FuzzAccumRows -fuzztime 1s
 go test ./internal/grouping -run '^$' -fuzz FuzzScanFilter -fuzztime 1s

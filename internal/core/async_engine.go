@@ -93,8 +93,8 @@ func (sp *groupSpace) dispatch(now int64) {
 		sp.clients[i].drop = cfg.DropoutProb > 0 && sp.dropRng.Float64() < cfg.DropoutProb
 	}
 	e.forEachClient(len(sp.batch), func(j int) {
-		w := e.acquire()
-		defer e.release(w)
+		w := e.workers.Acquire()
+		defer e.workers.Release(w)
 		e.trainClient(w, sp, sp.batch[j])
 	})
 	for _, i := range sp.batch {

@@ -294,7 +294,9 @@ func TestClientBatchCached(t *testing.T) {
 // TestNewSystemCompactsPartition holds NewSystem's layout: Train is exactly
 // the assigned samples, client i's rows are one contiguous range in client
 // order holding what the pool held at its drawn indices, and ClientBatch —
-// a SubSystem's too — is a view into Train, not a copy.
+// a SubSystem's too — is a view into Train, not a copy. Compaction keeps
+// client IDs dense, sys.Clients[i].ID == i, which is how fednode looks a
+// group member up.
 func TestNewSystemCompactsPartition(t *testing.T) {
 	const numClients, seed = 9, 21
 	sys := testSystem(numClients, 0.5, seed)
@@ -319,7 +321,7 @@ func TestNewSystemCompactsPartition(t *testing.T) {
 	dim, off := sys.Train.Dim(), 0
 	for ci, c := range sys.Clients {
 		if c.ID != ci || c.N != drawn[ci].N {
-			t.Fatalf("client %d: ID %d, N %d, want N %d", ci, c.ID, c.N, drawn[ci].N)
+			t.Fatalf("sys.Clients[%d]: ID %d, N %d, want ID %d, N %d", ci, c.ID, c.N, ci, drawn[ci].N)
 		}
 		for j, i := range c.Indices {
 			if i != off+j {

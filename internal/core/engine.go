@@ -8,10 +8,8 @@ import (
 
 	"repro/internal/async"
 	"repro/internal/compress"
-	"repro/internal/data"
 	"repro/internal/grouping"
 	"repro/internal/metrics"
-	"repro/internal/nn"
 	"repro/internal/stats"
 	"repro/internal/tensor"
 )
@@ -51,11 +49,14 @@ import (
 //     the synchronous group round of Alg. 1, and the only way this engine
 //     runs one (async_engine.go).
 //
-// Workers are created lazily up to max and recycled through a free list, so
-// the steady state allocates nothing: models reuse their layer buffers
-// (EnableBufferReuse), SGD scratch lives in per-worker arenas, and a group
-// round's n×dim storage lives in group-round machines recycled through a
-// second free list, one machine per group in flight.
+// Workers (worker.go) are created lazily up to max and recycled through the
+// engine's WorkerPool, so the steady state allocates nothing: models reuse
+// their layer buffers (EnableBufferReuse), SGD scratch lives in per-worker
+// arenas, and a group round's n×dim storage lives in group-round machines
+// recycled through a second free list, one machine per group in flight. A
+// Worker's sample buffer is what bounds a round's data footprint on a
+// virtual system: at most max workers × one client batch exist at any
+// instant, independent of the population size.
 type engine struct {
 	sys   *System
 	cfg   Config
@@ -63,10 +64,10 @@ type engine struct {
 	comp  *compressorPool
 	max   int
 
-	mu      sync.Mutex
-	created int
-	free    chan *worker
+	workers *WorkerPool
 
+	// mu guards idle and edgeLabels.
+	mu sync.Mutex
 	// idle holds the group-round machines no group is running. RunGroups
 	// borrows one per group and returns it once the group's update is out,
 	// so at most its fan-out width ever exist. It is a plain list, not a
@@ -95,19 +96,6 @@ type engine struct {
 	asyncCarry   *metrics.Counter
 	asyncLate    *metrics.Counter
 	asyncTicks   *metrics.Counter
-}
-
-// worker is one pool slot: a private model clone with buffer reuse enabled
-// and the SGD scratch arena, plus a delta buffer for the compression path
-// and the sample buffer virtual clients materialize into. The batch buffer
-// is what bounds a round's data footprint on a virtual system: at most
-// max workers × one client batch exist at any instant, independent of the
-// population size.
-type worker struct {
-	model *nn.Sequential
-	arena *sgdArena
-	delta []float64
-	batch data.SampleBuffer
 }
 
 // groupSlot is what one selection slot keeps from round to round: exactly
@@ -201,7 +189,7 @@ func NewExecutor(sys *System, cfg Config) Executor {
 		local:      local,
 		comp:       comp,
 		max:        max,
-		free:       make(chan *worker, max),
+		workers:    newWorkerPool(sys, max),
 		reg:        cfg.Metrics,
 		epochsCtr:  cfg.Metrics.Counter("fel_core_local_epochs_total"),
 		edgeLabels: make(map[int]metrics.Label),
@@ -242,28 +230,6 @@ func workerBound(maxParallel int) int {
 	}
 	return maxParallel
 }
-
-// acquire hands out a pooled worker, creating one lazily while fewer than
-// max exist, and blocking on the free list otherwise.
-func (e *engine) acquire() *worker {
-	select {
-	case w := <-e.free:
-		return w
-	default:
-	}
-	e.mu.Lock()
-	if e.created < e.max {
-		e.created++
-		e.mu.Unlock()
-		m := e.sys.NewModel(e.sys.ModelSeed)
-		m.EnableBufferReuse()
-		return &worker{model: m, arena: newSGDArena()}
-	}
-	e.mu.Unlock()
-	return <-e.free
-}
-
-func (e *engine) release(w *worker) { e.free <- w }
 
 // edgeLabel caches the metrics label for an edge so the per-group aggregation
 // span does not re-render strconv output every group round.
@@ -410,23 +376,18 @@ func dropSeed(seed uint64, round, gid int) uint64 {
 // with a compressor the group model plus the decoded delta at the encoding's
 // size; a dropped client trains (work done is work paid for) and ships
 // nothing.
-func (e *engine) trainClient(w *worker, sp *groupSpace, i int) {
+func (e *engine) trainClient(w *Worker, sp *groupSpace, i int) {
 	cfg := &e.cfg
 	c := sp.g.Clients[i]
-	w.model.SetParamVector(sp.group)
-	x, y := e.sys.clientBatchInto(c, &w.batch)
-	w.arena.rng.Reseed(LocalSeed(cfg.Seed, sp.round, sp.g.ID, c.ID))
-	ctx := LocalContext{
+	x, y := w.Load(e.sys, c, sp.group)
+	trainSpan := e.reg.Start("fel_core_local_train_seconds")
+	w.Train(e.local, x, y, LocalSeed(cfg.Seed, sp.round, sp.g.ID, c.ID), LocalContext{
 		ClientID:  c.ID,
 		Anchor:    sp.group,
 		Epochs:    cfg.LocalEpochs,
 		BatchSize: cfg.BatchSize,
 		LR:        cfg.LR,
-		Rng:       w.arena.rng,
-		arena:     w.arena,
-	}
-	trainSpan := e.reg.Start("fel_core_local_train_seconds")
-	e.local.LocalTrain(w.model, x, y, ctx)
+	})
 	trainSpan.End()
 	e.epochsCtr.Add(int64(cfg.LocalEpochs))
 	run := &sp.clients[i]
@@ -434,7 +395,7 @@ func (e *engine) trainClient(w *worker, sp *groupSpace, i int) {
 	if run.drop {
 		return
 	}
-	slot := w.model.ParamVectorInto(sp.slots[i])
+	slot := w.Model.ParamVectorInto(sp.slots[i])
 	run.bytes = int64(8 * len(slot))
 	if e.comp == nil {
 		return

@@ -27,8 +27,8 @@ type LocalContext struct {
 	Rng *stats.RNG
 
 	// arena, when non-nil, supplies the worker's reusable SGD scratch
-	// buffers. The parallel engine sets it; external callers leave it nil
-	// and sgdEpochs falls back to a private arena.
+	// buffers. Worker.Train sets it; other callers leave it nil and
+	// sgdEpochs falls back to a private arena.
 	arena *sgdArena
 }
 

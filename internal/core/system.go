@@ -51,6 +51,10 @@ type System struct {
 	// read-only view into Train built once with the system and shared by
 	// its SubSystems.
 	views []clientBatch
+
+	// workers is the pool Workers hands out, built on first use.
+	workersOnce sync.Once
+	workers     *WorkerPool
 }
 
 type clientBatch struct {
@@ -226,6 +230,16 @@ func (s *System) SubSystem(clients []*data.Client, numEdges int) *System {
 		vp:        s.vp,
 		views:     s.views,
 	}
+}
+
+// Workers returns the System's shared WorkerPool, procs() wide and built on
+// first use. Every in-process trainer outside the engine borrows from it —
+// fednode's Client, however many of them one process hosts — so together
+// they build at most procs() models, never one per client. The engine keeps
+// its own pool, sized by Config.MaxParallel.
+func (s *System) Workers() *WorkerPool {
+	s.workersOnce.Do(func() { s.workers = newWorkerPool(s, procs()) })
+	return s.workers
 }
 
 // ClientBatch returns the full batch (features + labels) of one client.

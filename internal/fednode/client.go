@@ -2,6 +2,7 @@ package fednode
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/data"
@@ -17,6 +18,16 @@ import (
 // serves share-reveal requests during dropout recovery. Local training is
 // seeded by core.LocalSeed, the derivation the in-process engine uses, so a
 // clean loopback run follows the in-process trainer's trajectory.
+//
+// A Client holds no model between requests. Each broadcast borrows a
+// core.Worker from its System's shared pool (core.System.Workers) for
+// train → parameters → scale → mask → encode, and returns it before the
+// reply is written, so a slow link never holds a compute slot, and however
+// many clients one process hosts they build at most that pool's width of
+// models between them. The update's vectors and the encoded reply come from
+// pools and live for that one exchange; between requests a client keeps its
+// connection, the one Message it decodes every frame into, and the secagg
+// session of its latest masked update.
 type Client struct {
 	id    int
 	sys   *core.System
@@ -42,18 +53,35 @@ func (c *Client) logf(format string, args ...any) {
 	}
 }
 
+// membership is what a client's group assignment fixes for the rest of the
+// job, plus the secagg session of its latest masked update, which a
+// share-reveal request for that group round needs again.
+type membership struct {
+	me        *data.Client
+	gid, idx  int
+	n         int     // group size
+	weight    float64 // n_i / n_g
+	threshold int
+
+	sess         *secagg.Session
+	sessT, sessK int
+}
+
+// update is one exchange's scratch: the trained parameters, then their
+// masked words. Both are dead once the reply is encoded.
+type update struct {
+	params []float64
+	words  []uint64
+}
+
+var updates = sync.Pool{New: func() any { return new(update) }}
+
 // Run dials the edge at edgeAddr and participates until the final global
 // model arrives, returning it — or until the injected ForceDrop disconnect,
 // returning (nil, nil).
 func (c *Client) Run(nw Network, edgeAddr string) ([]float64, error) {
 	cfg := c.cfg
-	var me *data.Client
-	for _, cl := range c.sys.Clients {
-		if cl.ID == c.id {
-			me = cl
-			break
-		}
-	}
+	me := clientByID(c.sys, c.id)
 	if me == nil {
 		return nil, fmt.Errorf("fednode: client %d not in system", c.id)
 	}
@@ -77,81 +105,53 @@ func (c *Client) Run(nw Network, edgeAddr string) ([]float64, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fednode: client %d assignment: %w", c.id, err)
 	}
-	gid := int(assign.From)
-	myIdx := int(assign.Seq)
-	members := intsToIDs(assign.Ints)
-	n := len(members)
-	if myIdx < 0 || myIdx >= n || members[myIdx] != c.id {
-		return nil, fmt.Errorf("fednode: client %d assignment is inconsistent (index %d of %v)", c.id, myIdx, members)
+	st := &membership{me: me, gid: int(assign.From), idx: int(assign.Seq), n: len(assign.Ints), sessT: -1, sessK: -1}
+	if st.idx < 0 || st.idx >= st.n || int(assign.Ints[st.idx]) != c.id {
+		return nil, fmt.Errorf("fednode: client %d assignment is inconsistent (index %d of %v)", c.id, st.idx, assign.Ints)
 	}
-	refs := clientsByID(c.sys)
 	ng := 0
-	for _, id := range members {
-		ref := refs[id]
+	for _, id := range assign.Ints {
+		ref := clientByID(c.sys, int(id))
 		if ref == nil {
 			return nil, fmt.Errorf("fednode: client %d: unknown group member %d", c.id, id)
 		}
-		ng += ref.samples
+		ng += ref.NumSamples()
 	}
-	w := float64(me.NumSamples()) / float64(ng)
-	threshold := secagg.Threshold(0, n)
-	c.logf("client %d: joined group %d as member %d/%d", c.id, gid, myIdx, n)
+	st.weight = float64(me.NumSamples()) / float64(ng)
+	st.threshold = secagg.Threshold(0, st.n)
+	c.logf("client %d: joined group %d as member %d/%d", c.id, st.gid, st.idx, st.n)
 
-	model := c.sys.NewModel(c.sys.ModelSeed)
-	var sess *secagg.Session
-	sessT, sessK := -1, -1
-
+	var m wire.Message // every frame from the edge decodes into this one
 	for {
 		// Between requests the client blocks without a deadline: its edge
 		// decides the pace.
-		m, err := readFrame(conn, c.meter, 0)
-		if err != nil {
+		if err := readFrame(conn, c.meter, 0, &m); err != nil {
 			return nil, fmt.Errorf("fednode: client %d read: %w", c.id, err)
 		}
 		switch m.Type {
 		case wire.GlobalModel:
 			t, k := int(m.Round), int(m.Seq)
-			groupParams := m.Floats
-			model.SetParamVector(groupParams)
-			x, y := c.sys.ClientBatch(me)
-			trainSpan := c.meter.Registry().Start("fel_fednode_local_train_seconds", metrics.L("role", "client"))
-			core.SGDUpdater{}.LocalTrain(model, x, y, core.LocalContext{
-				ClientID: c.id, Anchor: groupParams,
-				Epochs: cfg.LocalEpochs, BatchSize: cfg.BatchSize, LR: cfg.LR,
-				Rng: stats.NewRNG(core.LocalSeed(cfg.Seed, t, gid, c.id)),
-			})
-			trainSpan.End()
-			if d := cfg.ForceDrop; d != nil && d.Client == c.id && d.Round == t && d.GroupRound == k {
+			frame, err := c.answer(&m, st)
+			if err != nil {
+				return nil, err
+			}
+			if frame == nil {
 				// Fault injection: vanish after training, before submitting —
 				// the edge must recover via secagg dropout handling.
 				c.logf("client %d: injected disconnect in round %d.%d", c.id, t, k)
 				return nil, nil
 			}
-			params := model.ParamVector()
-			reply := &wire.Message{Type: wire.MaskedUpdate, Round: m.Round, Seq: m.Seq, From: int32(c.id)}
-			if n == 1 {
-				// Singleton group: nothing to hide from itself; ship plaintext
-				// (the hfl convention).
-				reply.Floats = params
-			} else {
-				// Weight in place: params is this client's own copy.
-				for j := range params {
-					params[j] *= w
-				}
-				sess = secagg.NewSession(n, len(params), threshold, sessionSeed(cfg.Seed, t, k, gid), secagg.DefaultQuantizer())
-				sessT, sessK = t, k
-				reply.Words = sess.MaskedUpdate(myIdx, params)
-				sess.PublishOps(c.meter.Registry())
-			}
-			if err := sendFrame(conn, c.meter, reply, cfg.StragglerTimeout); err != nil {
+			err = sendEncoded(conn, c.meter, wire.MaskedUpdate, *frame, cfg.StragglerTimeout)
+			frames.Put(frame)
+			if err != nil {
 				return nil, fmt.Errorf("fednode: client %d submit round %d.%d: %w", c.id, t, k, err)
 			}
 		case wire.ShareReveal:
 			t, k := int(m.Round), int(m.Seq)
-			if sess == nil || sessT != t || sessK != k {
+			if st.sess == nil || st.sessT != t || st.sessK != k {
 				return nil, fmt.Errorf("fednode: client %d asked to reveal shares for round %d.%d without a session", c.id, t, k)
 			}
-			shares, err := sess.HeldShares(myIdx, intsToIDs(m.Ints))
+			shares, err := st.sess.HeldShares(st.idx, intsToIDs(m.Ints))
 			if err != nil {
 				return nil, fmt.Errorf("fednode: client %d reveal: %w", c.id, err)
 			}
@@ -171,4 +171,53 @@ func (c *Client) Run(nw Network, edgeAddr string) ([]float64, error) {
 			return nil, fmt.Errorf("fednode: client %d unexpected %s frame", c.id, m.Type)
 		}
 	}
+}
+
+// answer runs the client's side of one group-round broadcast m on a worker
+// borrowed from the System's pool: local SGD from the group model, then the
+// trained parameters, weighted by n_i/n_g and masked unless the group is a
+// singleton, encoded as the reply. It returns the frame, from the frames
+// pool — the caller writes it and puts it back — or nil when the injected
+// ForceDrop fires after training. The worker is back in the pool on every
+// return, before the caller's write.
+func (c *Client) answer(m *wire.Message, st *membership) (*[]byte, error) {
+	cfg := c.cfg
+	t, k := int(m.Round), int(m.Seq)
+	pool := c.sys.Workers()
+	w := pool.Acquire()
+	defer pool.Release(w)
+
+	if dim := w.Model.NumParams(); len(m.Floats) != dim {
+		return nil, fmt.Errorf("fednode: client %d: round %d.%d model has %d params, want %d", c.id, t, k, len(m.Floats), dim)
+	}
+	x, y := w.Load(c.sys, st.me, m.Floats)
+	trainSpan := c.meter.Registry().Start("fel_fednode_local_train_seconds", metrics.L("role", "client"))
+	w.Train(core.SGDUpdater{}, x, y, core.LocalSeed(cfg.Seed, t, st.gid, c.id), core.LocalContext{
+		ClientID: c.id, Anchor: m.Floats,
+		Epochs: cfg.LocalEpochs, BatchSize: cfg.BatchSize, LR: cfg.LR,
+	})
+	trainSpan.End()
+	if d := cfg.ForceDrop; d != nil && d.Client == c.id && d.Round == t && d.GroupRound == k {
+		return nil, nil
+	}
+
+	u := updates.Get().(*update)
+	defer updates.Put(u)
+	u.params = w.Model.ParamVectorInto(u.params)
+	reply := wire.Message{Type: wire.MaskedUpdate, Round: m.Round, Seq: m.Seq, From: int32(c.id)}
+	if st.n == 1 {
+		// Singleton group: nothing to hide from itself; ship plaintext
+		// (the hfl convention).
+		reply.Floats = u.params
+	} else {
+		for j := range u.params {
+			u.params[j] *= st.weight
+		}
+		st.sess = secagg.NewSession(st.n, len(u.params), st.threshold, sessionSeed(cfg.Seed, t, k, st.gid), secagg.DefaultQuantizer())
+		st.sessT, st.sessK = t, k
+		u.words = st.sess.MaskedUpdateInto(u.words, st.idx, u.params)
+		reply.Words = u.words
+		st.sess.PublishOps(c.meter.Registry())
+	}
+	return encodeFrame(&reply)
 }

@@ -116,7 +116,6 @@ func (e *Edge) Run(nw Network, ln net.Listener, cloudAddr string) error {
 
 	// Receive the group assignment and forward each member its group view
 	// (group id, its index, the full membership).
-	refs := clientsByID(e.sys)
 	groups := make(map[int]*edgeGroup)
 	assigns := make(map[int]*wire.Message, len(mine))
 	seats := make(map[int]seat, len(mine))
@@ -133,13 +132,13 @@ func (e *Edge) Run(nw Network, ln net.Listener, cloudAddr string) error {
 		g.conns = make([]net.Conn, len(g.members))
 		g.dead = make([]bool, len(g.members))
 		for i, cid := range g.members {
-			ref := refs[cid]
+			ref := clientByID(e.sys, cid)
 			conn := clientConns[cid]
 			if ref == nil || conn == nil {
 				return fmt.Errorf("fednode: group %d member %d unknown at edge %d", g.gid, cid, e.id)
 			}
-			g.samples[i] = ref.samples
-			g.ng += ref.samples
+			g.samples[i] = ref.NumSamples()
+			g.ng += g.samples[i]
 			g.conns[i] = conn
 			seats[cid] = seat{g: g, idx: i}
 		}
@@ -165,15 +164,15 @@ func (e *Edge) Run(nw Network, ln net.Listener, cloudAddr string) error {
 	defer func() {
 		closeQuiet(ln)
 		<-acceptDone
-		drainRejoins(rejoinCh)
+		e.drainRejoins(rejoinCh)
 	}()
 
 	cloud := &lockedConn{conn: cloudConn}
 	for {
 		// Between rounds the edge blocks on the cloud without a deadline:
 		// the cloud decides the job's pace.
-		m, err := readFrame(cloudConn, e.meter, 0)
-		if err != nil {
+		m := new(wire.Message)
+		if err := readFrame(cloudConn, e.meter, 0, m); err != nil {
 			return fmt.Errorf("fednode: edge %d read from cloud: %w", e.id, err)
 		}
 		switch m.Type {
@@ -210,7 +209,7 @@ func (e *Edge) Run(nw Network, ln net.Listener, cloudAddr string) error {
 			// cloud, and drain.
 			e.adoptRejoins(rejoinCh, seats, clientConns)
 			for cid, conn := range clientConns {
-				if deadConn(groups, cid) {
+				if s, ok := seats[cid]; ok && s.g.dead[s.idx] {
 					continue
 				}
 				if err := sendFrame(conn, e.meter, m, cfg.RoundTimeout); err != nil {
@@ -247,7 +246,8 @@ type rejoin struct {
 // validates the hello, replays the client's stored group assignment, and
 // queues the connection for adoption. A malformed or foreign hello just
 // drops the connection — a chaos run must not let one corrupted
-// registration kill the edge. The loop exits when ln closes.
+// registration kill the edge — and every drop is counted by reason
+// (rejectRejoin). The loop exits when ln closes.
 func (e *Edge) rejoinLoop(ln net.Listener, mine map[int]bool, assigns map[int]*wire.Message, ch chan<- rejoin, done chan<- struct{}) {
 	defer close(done)
 	cfg := e.cfg
@@ -259,17 +259,17 @@ func (e *Edge) rejoinLoop(ln net.Listener, mine map[int]bool, assigns map[int]*w
 		conn := meter(raw, e.meter)
 		hello, err := expectFrame(conn, e.meter, cfg.RoundTimeout, wire.GroupAssign)
 		if err != nil {
-			closeQuiet(conn)
+			e.rejectRejoin(conn, "bad_hello")
 			continue
 		}
 		cid := int(hello.From)
 		assign := assigns[cid]
 		if !mine[cid] || assign == nil {
-			closeQuiet(conn)
+			e.rejectRejoin(conn, "foreign")
 			continue
 		}
 		if err := sendFrame(conn, e.meter, assign, cfg.RoundTimeout); err != nil {
-			closeQuiet(conn)
+			e.rejectRejoin(conn, "replay")
 			continue
 		}
 		select {
@@ -278,9 +278,21 @@ func (e *Edge) rejoinLoop(ln net.Listener, mine map[int]bool, assigns map[int]*w
 		default:
 			// The adoption queue is full (a client redialing faster than
 			// rounds turn over); drop this attempt, it can redial.
-			closeQuiet(conn)
+			e.rejectRejoin(conn, "queue_full")
 		}
 	}
+}
+
+// rejectRejoin closes a rejoin connection the edge will not adopt and counts
+// it in fel_fednode_rejoin_rejected_total{reason}: "bad_hello" (the first
+// frame was not a registration — its decode error, if any, is also in
+// fel_wire_decode_errors_total), "foreign" (an id this edge did not assign a
+// seat to), "replay" (the assignment replay failed), "queue_full" (the
+// adoption queue was full), or "shutdown" (queued, but the job ended before
+// the next round boundary).
+func (e *Edge) rejectRejoin(conn net.Conn, reason string) {
+	e.meter.reg.Counter("fel_fednode_rejoin_rejected_total", metrics.L("reason", reason)).Inc()
+	closeQuiet(conn)
 }
 
 // adoptRejoins plugs queued crash-restarted clients back into their group
@@ -294,7 +306,7 @@ func (e *Edge) adoptRejoins(ch <-chan rejoin, seats map[int]seat, clientConns ma
 		case r := <-ch:
 			s, ok := seats[r.cid]
 			if !ok {
-				closeQuiet(r.conn)
+				e.rejectRejoin(r.conn, "foreign")
 				continue
 			}
 			if old := s.g.conns[s.idx]; old != nil && old != r.conn {
@@ -314,27 +326,15 @@ func (e *Edge) adoptRejoins(ch <-chan rejoin, seats map[int]seat, clientConns ma
 // drainRejoins closes rejoin connections that arrived too late to adopt.
 // The rejoin loop has already exited when this runs, so the channel has no
 // senders left.
-func drainRejoins(ch <-chan rejoin) {
+func (e *Edge) drainRejoins(ch <-chan rejoin) {
 	for {
 		select {
 		case r := <-ch:
-			closeQuiet(r.conn)
+			e.rejectRejoin(r.conn, "shutdown")
 		default:
 			return
 		}
 	}
-}
-
-// deadConn reports whether client cid has been marked dead in any group.
-func deadConn(groups map[int]*edgeGroup, cid int) bool {
-	for _, g := range groups {
-		for i, id := range g.members {
-			if id == cid && g.dead[i] {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // runGroup executes K group rounds for one group in global round t and

@@ -12,6 +12,14 @@
 // broadcast-and-collect across the edge connections; a transport failure
 // surfaces as Trainer.Err.
 //
+// A client holds no model between requests. Every client one process hosts
+// trains on a worker borrowed from its System's shared pool
+// (core.System.Workers, procs() wide) for the one broadcast it is answering
+// and returns it before writing the reply, and its update vectors and reply
+// frame are pooled for that exchange — so a loopback job of hundreds of
+// clients holds procs() models, not one per client, and a warm exchange
+// allocates nothing model-sized on the client's side.
+//
 // Control plane and failure are real here: stragglers are read deadlines,
 // a client dropout is a closed connection or a missed deadline, and the
 // edge recovers by collecting Shamir shares from the survivors
@@ -43,6 +51,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/data"
 	"repro/internal/grouping"
 	"repro/internal/sampling"
 	"repro/internal/wire"
@@ -233,14 +242,32 @@ func (r *groupRun) to(next phase) error {
 	return nil
 }
 
+// frames recycles encoded frames between sends: a frame's bytes are dead
+// once the Write that carries them returns.
+var frames = sync.Pool{New: func() any { return new([]byte) }}
+
+// encodeFrame encodes msg into a frame from the frames pool; the caller puts
+// it back once the bytes are written.
+func encodeFrame(msg *wire.Message) (*[]byte, error) {
+	bp := frames.Get().(*[]byte)
+	frame, err := wire.AppendFrame((*bp)[:0], msg)
+	if err != nil {
+		frames.Put(bp)
+		return nil, fmt.Errorf("fednode: send %s: %w", msg.Type, err)
+	}
+	*bp = frame
+	return bp, nil
+}
+
 // sendFrame encodes msg and writes it to conn as one frame under the write
 // deadline, counting it in the meter. A zero timeout disables the deadline.
 func sendFrame(conn net.Conn, m *Meter, msg *wire.Message, timeout time.Duration) error {
-	frame, err := wire.AppendFrame(nil, msg)
+	bp, err := encodeFrame(msg)
 	if err != nil {
-		return fmt.Errorf("fednode: send %s: %w", msg.Type, err)
+		return err
 	}
-	return sendEncoded(conn, m, msg.Type, frame, timeout)
+	defer frames.Put(bp)
+	return sendEncoded(conn, m, msg.Type, *bp, timeout)
 }
 
 // sendEncoded writes one already-encoded frame of type typ to conn in a
@@ -264,11 +291,12 @@ func sendEncoded(conn net.Conn, m *Meter, typ wire.Type, frame []byte, timeout t
 	return nil
 }
 
-// readFrame reads one frame from conn under the read deadline, classifying
-// any decode failure into mt's fel_wire_decode_errors_total (mt may be
-// nil). A zero timeout blocks indefinitely; a frame whose payload exceeds
-// wire.DefaultMaxFrame is refused before it is read.
-func readFrame(conn net.Conn, mt *Meter, timeout time.Duration) (*wire.Message, error) {
+// readFrame reads one frame from conn into m under the read deadline,
+// classifying any decode failure into mt's fel_wire_decode_errors_total (mt
+// may be nil). A zero timeout blocks indefinitely; a frame whose payload
+// exceeds wire.DefaultMaxFrame is refused before it is read. m's previous
+// vectors are overwritten (wire.DecodeInto).
+func readFrame(conn net.Conn, mt *Meter, timeout time.Duration, m *wire.Message) error {
 	var zero time.Time
 	deadline := zero
 	if timeout > 0 {
@@ -276,19 +304,20 @@ func readFrame(conn net.Conn, mt *Meter, timeout time.Duration) (*wire.Message, 
 		deadline = time.Now().Add(timeout)
 	}
 	if err := conn.SetReadDeadline(deadline); err != nil {
-		return nil, fmt.Errorf("fednode: set read deadline: %w", err)
+		return fmt.Errorf("fednode: set read deadline: %w", err)
 	}
-	m, err := wire.Decode(conn, wire.DefaultMaxFrame)
+	err := wire.DecodeInto(conn, wire.DefaultMaxFrame, m)
 	if err != nil && mt != nil {
 		mt.countDecodeError(err)
 	}
-	return m, err
+	return err
 }
 
-// expectFrame reads one frame and checks its type.
+// expectFrame reads one frame into a fresh Message the caller keeps, and
+// checks its type.
 func expectFrame(conn net.Conn, mt *Meter, timeout time.Duration, want wire.Type) (*wire.Message, error) {
-	m, err := readFrame(conn, mt, timeout)
-	if err != nil {
+	m := new(wire.Message)
+	if err := readFrame(conn, mt, timeout, m); err != nil {
 		return nil, err
 	}
 	if m.Type != want {
@@ -310,18 +339,15 @@ func (l *lockedConn) send(m *Meter, msg *wire.Message, timeout time.Duration) er
 	return sendFrame(l.conn, m, msg, timeout)
 }
 
-// clientsByID indexes a system's clients for id lookup.
-func clientsByID(sys *core.System) map[int]*clientRef {
-	m := make(map[int]*clientRef, len(sys.Clients))
-	for _, c := range sys.Clients {
-		m[c.ID] = &clientRef{id: c.ID, samples: c.NumSamples()}
+// clientByID returns client id of sys, or nil when sys has no such client.
+// Client IDs are dense — sys.Clients[id].ID == id, as both partitions
+// number them (data.DirichletPartition, data.VirtualPartition) — so the
+// lookup is an index, checked, not a scan or a map.
+func clientByID(sys *core.System, id int) *data.Client {
+	if id < 0 || id >= len(sys.Clients) || sys.Clients[id].ID != id {
+		return nil
 	}
-	return m
-}
-
-type clientRef struct {
-	id      int
-	samples int
+	return sys.Clients[id]
 }
 
 // intsToIDs converts a wire id list to ints.

@@ -289,3 +289,114 @@ func TestTruncatedUpdateBecomesDropout(t *testing.T) {
 		t.Fatalf("a rejected update counted %d straggler timeouts", got)
 	}
 }
+
+// TestRejoinRejectionsCounted dials a registered edge's listener the way a
+// broken crash-restart would — a hello naming a client this edge never
+// seated, then sixteen bytes that are no frame header — and requires each
+// rejection counted exactly once under its reason, while the job the edge is
+// serving finishes untouched. The test speaks the cloud's side: an
+// assignment, then the shutdown broadcast once both rejections are in.
+func TestRejoinRejectionsCounted(t *testing.T) {
+	sys := oneEdgeSystem(3, 21)
+	jcfg := testJobConfig()
+	reg := metrics.New()
+	m := NewMeter(reg)
+	nw := NewMemNetwork()
+	cloudLn, err := nw.Listen("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeQuiet(cloudLn)
+	edgeLn, err := nw.Listen("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeQuiet(edgeLn)
+	edgeAddr := edgeLn.Addr().String()
+
+	errs := make(chan error, 1+len(sys.Clients))
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		errs <- NewEdge(0, sys, jcfg, m).Run(nw, edgeLn, cloudLn.Addr().String())
+	}()
+	for _, cl := range sys.Clients {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			_, err := NewClient(id, sys, jcfg, m).Run(nw, edgeAddr)
+			errs <- err
+		}(cl.ID)
+	}
+
+	cloud, err := cloudLn.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeQuiet(cloud)
+	if hello, err := wire.Decode(cloud, 0); err != nil || hello.Type != wire.GroupAssign {
+		t.Fatalf("edge registration: %v", err)
+	}
+	members := make([]int32, len(sys.Clients))
+	for i, cl := range sys.Clients {
+		members[i] = int32(cl.ID)
+	}
+	for _, msg := range []*wire.Message{
+		{Type: wire.GroupAssign, From: 0, Ints: members},
+		{Type: wire.GroupAssign, From: -1},
+	} {
+		// A pipe write returns once the edge has read the frame: after the
+		// sentinel, registration is over and every dial meets the rejoin loop.
+		if _, err := wire.Encode(cloud, msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	rogue := func(first []byte) {
+		conn, err := nw.Dial(edgeAddr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer closeQuiet(conn)
+		if _, err := conn.Write(first); err != nil {
+			t.Fatal(err)
+		}
+		// The edge counts a rejection before it closes the connection.
+		if _, err := conn.Read(make([]byte, 1)); err == nil {
+			t.Fatal("the edge answered a connection it should have rejected")
+		}
+	}
+	foreign, err := wire.AppendFrame(nil, &wire.Message{Type: wire.GroupAssign, From: 999})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rogue(foreign)
+	rogue([]byte(strings.Repeat("\xff", wire.HeaderSize)))
+
+	params := sys.NewModel(sys.ModelSeed).ParamVector()
+	if _, err := wire.Encode(cloud, &wire.Message{Type: wire.GlobalAggregate, Floats: params}); err != nil {
+		t.Fatal(err)
+	}
+	if ack, err := wire.Decode(cloud, 0); err != nil || ack.Type != wire.GlobalAggregate {
+		t.Fatalf("shutdown ack: %v", err)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatalf("node: %v", err)
+		}
+	}
+	for reason, want := range map[string]int64{"bad_hello": 1, "foreign": 1, "replay": 0, "queue_full": 0, "shutdown": 0} {
+		if got := reg.CounterValue("fel_fednode_rejoin_rejected_total", metrics.L("reason", reason)); got != want {
+			t.Errorf("fel_fednode_rejoin_rejected_total{reason=%q} = %d, want %d", reason, got, want)
+		}
+	}
+	if got := reg.CounterValue("fel_wire_decode_errors_total", metrics.L("reason", "bad_magic")); got != 1 {
+		t.Errorf("fel_wire_decode_errors_total{reason=\"bad_magic\"} = %d, want 1", got)
+	}
+	if got := reg.CounterValue("fel_fednode_rejoins_total"); got != 0 {
+		t.Errorf("%d rejoins adopted, want 0", got)
+	}
+}

@@ -1,6 +1,7 @@
 package secagg
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -63,6 +64,7 @@ func FuzzFieldOps(f *testing.F) {
 // cancel exactly and Aggregate returns the dequantised plain sum of the
 // survivors' quantised updates.
 func FuzzMaskCancel(f *testing.F) {
+	f.Add(uint64(1), uint16(0), uint8(0), uint16(0))
 	f.Add(uint64(1), uint16(1), uint8(2), uint16(0))
 	f.Add(uint64(2024), uint16(maskChunk), uint8(6), uint16(0b100))
 	f.Add(^uint64(0), uint16(3*maskChunk+5), uint8(12), uint16(0b1010_0101_0101))
@@ -77,5 +79,56 @@ func FuzzMaskCancel(f *testing.F) {
 			}
 		}
 		checkRound(t, n, dim, threshold, seed, dropped)
+	})
+}
+
+// FuzzMaskedUpdateIntoReuse holds the reusing forms to the allocating ones:
+// QuantizeInto and MaskedUpdateInto into a dirty buffer longer than the
+// update — and then again into their own previous output — must return
+// exactly the words of Quantize and MaskedUpdate, in dst's storage, with
+// NaN, ±Inf and values either side of the clip among the inputs.
+func FuzzMaskedUpdateIntoReuse(f *testing.F) {
+	f.Add(uint64(1), uint16(1), uint8(0), 0.5, -0.25, uint64(0), uint8(0))
+	f.Add(uint64(2024), uint16(maskChunk+3), uint8(4), 7.999, -8.001, ^uint64(0), uint8(9))
+	f.Add(^uint64(0), uint16(3*maskChunk), uint8(9), math.NaN(), math.Inf(-1), P, uint8(255))
+	f.Fuzz(func(t *testing.T, seed uint64, dimRaw uint16, nRaw uint8, a, b float64, dirt uint64, extra uint8) {
+		n := 2 + int(nRaw)%6
+		dim := int(dimRaw) % (3*maskChunk + 5)
+		q := DefaultQuantizer()
+		edges := []float64{a, b, math.NaN(), math.Inf(1), math.Inf(-1), q.Clip, -q.Clip,
+			math.Nextafter(q.Clip, 0), math.Nextafter(-q.Clip, -math.MaxFloat64), -a * b}
+		update := make([]float64, dim)
+		for j := range update {
+			update[j] = edges[j%len(edges)]
+		}
+		dst := make([]uint64, dim+int(extra))
+		for j := range dst {
+			dst[j] = dirt ^ uint64(j)
+		}
+		same := func(what string, got, want []uint64) {
+			t.Helper()
+			if len(got) != len(want) {
+				t.Fatalf("%s: %d words, want %d", what, len(got), len(want))
+			}
+			if dim > 0 && &got[0] != &dst[0] {
+				t.Fatalf("%s: wrote into fresh storage, not the %d-word buffer it was given", what, cap(dst))
+			}
+			for j := range want {
+				if got[j] != want[j] {
+					t.Fatalf("%s: word %d = %#x, want %#x (input %v)", what, j, got[j], want[j], update[j])
+				}
+			}
+		}
+		want := q.Quantize(update)
+		got := q.QuantizeInto(dst, update)
+		same("QuantizeInto (dirty buffer)", got, want)
+		same("QuantizeInto (reused)", q.QuantizeInto(got, update), want)
+
+		s := NewSession(n, dim, Threshold(0, n), seed, q)
+		for i := 0; i < n; i++ {
+			want := s.MaskedUpdate(i, update)
+			got := s.MaskedUpdateInto(dst[:cap(dst)], i, update)
+			same(fmt.Sprintf("MaskedUpdateInto client %d", i), got, want)
+		}
 	})
 }

@@ -241,10 +241,11 @@ func TestOpCountsUnchanged(t *testing.T) {
 // mask stream costs its cipher state and the fold's keystream chunk —
 // fixed-size objects, measured here rather than assumed — and nothing
 // proportional to the vector. MaskedUpdate therefore allocates the returned
-// vector plus n stream states, and Aggregate its sum, its result, its share
-// bookkeeping and n stream states, whatever the dimension. Folding on a
-// stream already keyed allocates the keystream chunk alone, one object for
-// four chunks' worth of accumulator.
+// vector plus n stream states, MaskedUpdateInto into a buffer of Dim words
+// (QuantizeInto under it) the n stream states alone, and Aggregate its sum,
+// its result, its share bookkeeping and n stream states, whatever the
+// dimension. Folding on a stream already keyed allocates the keystream chunk
+// alone, one object for four chunks' worth of accumulator.
 func TestMaskPipelineAllocs(t *testing.T) {
 	acc := make([]uint64, 4*maskChunk)
 	prg := newMaskPRG(7)
@@ -253,7 +254,7 @@ func TestMaskPipelineAllocs(t *testing.T) {
 	}
 	perStream := int(testing.AllocsPerRun(50, func() { foldMask(acc, newMaskPRG(7), false) }))
 	for _, n := range []int{2, 12} {
-		var maskAllocs, aggAllocs [2]int
+		var maskAllocs, intoAllocs, aggAllocs [2]int
 		for di, dim := range []int{maskChunk, 100 * maskChunk} {
 			s := NewSession(n, dim, Threshold(0, n), 5, DefaultQuantizer())
 			update := make([]float64, dim)
@@ -262,6 +263,8 @@ func TestMaskPipelineAllocs(t *testing.T) {
 				masked[i] = s.MaskedUpdate(i, update)
 			}
 			maskAllocs[di] = int(testing.AllocsPerRun(20, func() { s.MaskedUpdate(1, update) }))
+			words := make([]uint64, dim)
+			intoAllocs[di] = int(testing.AllocsPerRun(20, func() { words = s.MaskedUpdateInto(words, 1, update) }))
 			aggAllocs[di] = int(testing.AllocsPerRun(20, func() {
 				if _, err := s.Aggregate(masked, nil); err != nil {
 					t.Fatal(err)
@@ -271,6 +274,10 @@ func TestMaskPipelineAllocs(t *testing.T) {
 		if want := 1 + n*perStream; maskAllocs[0] != want || maskAllocs[1] != want {
 			t.Errorf("n=%d: MaskedUpdate allocates %v objects at dim %d and %v at dim %d, want 1 + n·%v = %v at both",
 				n, maskAllocs[0], maskChunk, maskAllocs[1], 100*maskChunk, perStream, want)
+		}
+		if want := n * perStream; intoAllocs[0] != want || intoAllocs[1] != want {
+			t.Errorf("n=%d: MaskedUpdateInto a reused buffer allocates %v objects at dim %d and %v at dim %d, want n·%v = %v at both",
+				n, intoAllocs[0], maskChunk, intoAllocs[1], 100*maskChunk, perStream, want)
 		}
 		// sum, result, isDropped, and one share slice per survivor.
 		if want := 3 + n + n*perStream; aggAllocs[0] != want || aggAllocs[1] != want {

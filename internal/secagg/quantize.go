@@ -35,7 +35,17 @@ func (q Quantizer) Check(parties int) {
 // to an integer is platform-defined in Go, and a diverged client's masked
 // words must be the same on every host.
 func (q Quantizer) Quantize(v []float64) []uint64 {
-	out := make([]uint64, len(v))
+	return q.QuantizeInto(make([]uint64, len(v)), v)
+}
+
+// QuantizeInto is Quantize writing into dst's storage: the result is dst
+// resized to len(v), reallocated only when its capacity is short. Every
+// element is overwritten, so whatever dst held does not matter.
+func (q Quantizer) QuantizeInto(dst []uint64, v []float64) []uint64 {
+	if cap(dst) < len(v) {
+		dst = make([]uint64, len(v))
+	}
+	out := dst[:len(v)]
 	for i, x := range v {
 		switch {
 		case x > q.Clip:

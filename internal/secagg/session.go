@@ -97,13 +97,22 @@ func NewSession(n, dim, threshold int, seed uint64, q Quantizer) *Session {
 //
 //lint:deterministic
 func (s *Session) MaskedUpdate(i int, update []float64) []uint64 {
+	return s.MaskedUpdateInto(make([]uint64, s.Dim), i, update)
+}
+
+// MaskedUpdateInto is MaskedUpdate writing into dst's storage: the result is
+// dst resized to Dim, reallocated only when its capacity is short, and
+// whatever dst held does not matter.
+//
+//lint:deterministic
+func (s *Session) MaskedUpdateInto(dst []uint64, i int, update []float64) []uint64 {
 	if i < 0 || i >= s.N {
 		panic(fmt.Sprintf("secagg: client %d out of range", i))
 	}
 	if len(update) != s.Dim {
 		panic(fmt.Sprintf("secagg: update dim %d, want %d", len(update), s.Dim))
 	}
-	y := s.Quant.Quantize(update)
+	y := s.Quant.QuantizeInto(dst, update)
 	s.fold(y, s.selfSeeds[i], false) // personal mask
 	// Pairwise masks: +mask for j>i, −mask for j<i, so they cancel in the
 	// full sum.

@@ -32,9 +32,10 @@
 // caller's for good — fednode's edge holds Words across an aggregation, its
 // cloud holds Floats across a fold. DecodeInto is the same decoder writing
 // into a Message the caller already owns, reusing its vectors' capacity, for
-// a reader that consumes one frame before it asks for the next (a felserve
-// subscriber following a version stream): a steady stream of equal-size
-// frames then allocates nothing model-sized. Either way the raw payload
+// a reader that consumes one frame before it asks for the next: a felserve
+// subscriber following a version stream, and a fednode client, which trains
+// on each broadcast and has its reply on the wire before it reads again. A
+// steady stream of equal-size frames then allocates nothing model-sized. Either way the raw payload
 // bytes live only in a pooled scratch buffer, taken after the header has
 // arrived and returned before the call does — never across the blocking
 // header read, so a reader idle between frames pins no buffer, however
