@@ -3,8 +3,9 @@
 # why lives in DESIGN.md (the S-row of each subsystem names its gate; §8 the
 # no-FMA rule of stage 1; S26 repolint); this is only the list:
 #
-#   1. build       go build ./..., the arm64 / amd64 fused-multiply-add checks,
-#                  then the print-only `placement`
+#   1. build       go build ./..., the arm64 fused-multiply-add check of 16
+#                  packages and the amd64 one of the assembly, then the
+#                  print-only `placement`
 #   2. vet         go vet ./... (asmdecl among it) + gofmt -l
 #   3. test        go test ./... — tier-1; internal/lint's TestRepoIsLintClean
 #                  is the module-wide repolint pass, run here and nowhere else
@@ -87,10 +88,10 @@ case "${1:-}" in
     ;;
 esac
 
-echo "== go build ./... + fused-multiply-add checks (arm64: tensor, nn, grouping, core, sampling, secagg, async, hfl, cost, theory, stats, data, compress; amd64: every internal/*/*_amd64.s)"
+echo "== go build ./... + fused-multiply-add checks (arm64: tensor, nn, grouping, core, sampling, secagg, async, hfl, cost, theory, stats, data, compress, baselines, backdoor, multimodel; amd64: every internal/*/*_amd64.s)"
 go build ./...
 fmadir="$(stage_dir fma)"
-for pkg in tensor nn grouping core sampling secagg async hfl cost theory stats data compress; do
+for pkg in tensor nn grouping core sampling secagg async hfl cost theory stats data compress baselines backdoor multimodel; do
   GOARCH=arm64 go build -o "$fmadir/$pkg.a" "./internal/$pkg"
   go tool objdump "$fmadir/$pkg.a" > "$fmadir/$pkg.s"
   if grep -E 'FN?M(ADD|SUB)' "$fmadir/$pkg.s" >&2; then
@@ -98,7 +99,7 @@ for pkg in tensor nn grouping core sampling secagg async hfl cost theory stats d
     exit 1
   fi
 done
-echo "arm64 check: internal/{tensor,nn,grouping,core,sampling,secagg,async,hfl,cost,theory,stats,data,compress} hold no FMADD/FMSUB/FNMADD/FNMSUB"
+echo "arm64 check: internal/{tensor,nn,grouping,core,sampling,secagg,async,hfl,cost,theory,stats,data,compress,baselines,backdoor,multimodel} hold no FMADD/FMSUB/FNMADD/FNMSUB"
 # The assembler's listing, not `go tool objdump`: its x86 decoder has no VEX
 # tables (it prints VBROADCASTSD as `SBBL AX, 0x38(SP)`), so a grep over its
 # output could never fire.

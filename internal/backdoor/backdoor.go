@@ -90,7 +90,7 @@ func Detect(updates [][]float64, cfg Config) Result {
 
 	med := median(append([]float64(nil), res.Scores...))
 	mad := medianAbsDev(res.Scores, med)
-	threshold := med - cfg.MADFactor*mad - cfg.MinFlagGap
+	threshold := med - float64(cfg.MADFactor*mad) - cfg.MinFlagGap
 
 	for i := 0; i < n; i++ {
 		if res.Scores[i] < threshold {
@@ -131,7 +131,7 @@ func Detect(updates [][]float64, cfg Config) Result {
 func l2(v []float64) float64 {
 	s := 0.0
 	for _, x := range v {
-		s += x * x
+		s += float64(x * x)
 	}
 	return math.Sqrt(s)
 }

@@ -83,9 +83,9 @@ func TrainFedCLAR(sys *core.System, cfg core.Config, opts Options) *core.Result 
 			if rr.Accuracy < 0 {
 				evaluated = false
 			}
-			accNum += cr.weight * rr.Accuracy
-			lossNum += cr.weight * rr.Loss
-			covNum += cr.weight * rr.AvgSelectedCoV
+			accNum += float64(cr.weight * rr.Accuracy)
+			lossNum += float64(cr.weight * rr.Loss)
+			covNum += float64(cr.weight * rr.AvgSelectedCoV)
 		}
 		if evaluated && totalData > 0 {
 			rec.Accuracy = accNum / totalData
@@ -99,8 +99,8 @@ func TrainFedCLAR(sys *core.System, cfg core.Config, opts Options) *core.Result 
 
 	finalAcc, finalLoss, finalCost := 0.0, 0.0, baseCost
 	for _, cr := range runs {
-		finalAcc += cr.weight * cr.res.FinalAccuracy
-		finalLoss += cr.weight * cr.res.FinalLoss
+		finalAcc += float64(cr.weight * cr.res.FinalAccuracy)
+		finalLoss += float64(cr.weight * cr.res.FinalLoss)
 		finalCost += cr.res.TotalCost
 	}
 	if totalData > 0 {
@@ -152,7 +152,7 @@ func kmeansCosine(vecs [][]float64, k int, rng *stats.RNG) []int {
 		nv := append([]float64(nil), v...)
 		norm := 0.0
 		for _, x := range nv {
-			norm += x * x
+			norm += float64(x * x)
 		}
 		norm = math.Sqrt(norm)
 		if norm > 0 {

@@ -213,9 +213,11 @@ func (c *Client) answer(m *wire.Message, st *membership) (*[]byte, error) {
 		for j := range u.params {
 			u.params[j] *= st.weight
 		}
+		maskSpan := c.meter.Registry().Start("fel_fednode_secagg_seconds", metrics.L("role", "client"))
 		st.sess = secagg.NewSession(st.n, len(u.params), st.threshold, sessionSeed(cfg.Seed, t, k, st.gid), secagg.DefaultQuantizer())
 		st.sessT, st.sessK = t, k
 		u.words = st.sess.MaskedUpdateInto(u.words, st.idx, u.params)
+		maskSpan.End()
 		reply.Words = u.words
 		st.sess.PublishOps(c.meter.Registry())
 	}

@@ -456,7 +456,9 @@ func (e *Edge) runGroup(g *edgeGroup, t int, globalParams []float64, cloud *lock
 		if err := run.to(phaseAggregate); err != nil {
 			return err
 		}
+		aggSpan := e.meter.Registry().Start("fel_fednode_secagg_seconds", metrics.L("role", "edge"))
 		sum, err := sess.Aggregate(masked, dropped)
+		aggSpan.End()
 		if err != nil {
 			return fmt.Errorf("fednode: group %d round %d.%d aggregate: %w", g.gid, t, k, err)
 		}

@@ -107,6 +107,40 @@ func TestSecaggOpsQuadratic(t *testing.T) {
 	}
 }
 
+// TestSecaggSpansCounted pins what fel_fednode_secagg_seconds times on a
+// clean job over one group of four and two singletons, every group selected
+// every round: one client observation per masked exchange and one edge
+// observation per aggregated group round, while the singletons — which ship
+// plaintext — train without masking.
+func TestSecaggSpansCounted(t *testing.T) {
+	sys := oneEdgeSystem(6, 21)
+	jcfg := testJobConfig()
+	jcfg.GlobalRounds, jcfg.GroupRounds = 2, 2
+	edge := sys.Edges[0]
+	jcfg.Groups = []*grouping.Group{
+		grouping.NewGroup(0, 0, edge[:4], sys.Classes),
+		grouping.NewGroup(1, 0, edge[4:5], sys.Classes),
+		grouping.NewGroup(2, 0, edge[5:], sys.Classes),
+	}
+	jcfg.FixedSelection = [][]int{{0, 1, 2}, {0, 1, 2}}
+	reg := metrics.New()
+	jcfg.Meter = NewMeter(reg)
+	if _, err := RunJob(NewMemNetwork(), sys, jcfg, ""); err != nil {
+		t.Fatalf("RunJob: %v", err)
+	}
+	groupRounds := jcfg.GlobalRounds * jcfg.GroupRounds
+	snap := reg.Snapshot()
+	for series, want := range map[string]int{
+		`fel_fednode_secagg_seconds_count{role="client"}`:      4 * groupRounds,
+		`fel_fednode_secagg_seconds_count{role="edge"}`:        groupRounds,
+		`fel_fednode_local_train_seconds_count{role="client"}`: 6 * groupRounds,
+	} {
+		if line := fmt.Sprintf("%s %d\n", series, want); !strings.Contains(snap, line) {
+			t.Errorf("snapshot lacks %q:\n%s", line, snap)
+		}
+	}
+}
+
 // TestDropoutMetricsMatchReport injects the mid-round disconnect from
 // TestMidRoundDisconnectRecovers and asserts the fel_fednode_* counters
 // agree with the Report: one dropout, a recovery per remaining group round
@@ -176,7 +210,7 @@ func TestJobSnapshotDeterministic(t *testing.T) {
 	if a != b {
 		t.Fatalf("masked snapshots differ between identical seeded runs:\n--- a ---\n%s\n--- b ---\n%s", a, b)
 	}
-	for _, want := range []string{"fel_wire_bytes_total", "fel_net_written_bytes_total", "fel_fednode_round_seconds_count", "fel_secagg_mask_streams_total", "fel_core_group_selected_total", "fel_core_group_prob"} {
+	for _, want := range []string{"fel_wire_bytes_total", "fel_net_written_bytes_total", "fel_fednode_round_seconds_count", "fel_fednode_secagg_seconds_count", "fel_secagg_mask_streams_total", "fel_core_group_selected_total", "fel_core_group_prob"} {
 		if !strings.Contains(a, want) {
 			t.Fatalf("snapshot is missing %s:\n%s", want, a)
 		}

@@ -25,11 +25,12 @@ func paramDigest(params []float64) string {
 }
 
 // TestTrajectoryPinned pins the final parameters of the executors that run
-// above internal/secagg. Pairwise and personal masks cancel exactly in
-// GF(2⁶¹−1), so what an aggregate dequantises to depends only on the
-// quantised inputs — never on the mask generator, its buffering, or how the
-// frames that carried the masked words were encoded. The digests were
-// recorded before the mask pipeline was rewritten and must never need
+// above internal/secagg. Pairwise and personal masks cancel exactly in the
+// masking ring, so what an aggregate dequantises to depends only on the
+// quantised inputs — never on the mask generator, the ring it folds in, its
+// buffering, or how the frames that carried the masked words were encoded.
+// The digests were recorded before the mask pipeline was rewritten, while
+// the masks still lived in GF(2⁶¹−1) rather than Z₂⁶⁴, and must never need
 // re-recording for a change confined to secagg, wire or fednode's framing.
 func TestTrajectoryPinned(t *testing.T) {
 	runJob := func(seed uint64, drop bool) string {

@@ -125,7 +125,7 @@ func Train(sys *core.System, cfg Config) *Result {
 			for si, gi := range picked {
 				w := float64(groups[gi].NumSamples()) / float64(nt)
 				for j, v := range updates[si].Params {
-					next[j] += w * v
+					next[j] += float64(w * v)
 				}
 			}
 			states[m].Params = next

@@ -4,6 +4,12 @@
 // sharing providing dropout recovery. The server learns only the sum of the
 // surviving clients' updates.
 //
+// Two algebraic structures, each where it is needed. Masked vectors live in
+// Z₂⁶⁴ (Bonawitz et al. mask in Z_R for any R): a keystream word is a
+// uniform ring element as read, folding a mask is one machine add, and the
+// masked sum wraps for free. Shamir sharing needs division, so its secrets
+// and shares live in the prime field GF(2⁶¹−1) below.
+//
 // This is the group operation whose cost the paper measures in Fig. 8 and
 // models as quadratic in group size (each client exchanges masks/shares
 // with every other client). The session records operation counts so the
@@ -12,8 +18,8 @@ package secagg
 
 import "math/bits"
 
-// P is the field modulus, the Mersenne prime 2⁶¹−1. Mersenne reduction
-// keeps multiplication branch-light and fast.
+// P is the Shamir field's modulus, the Mersenne prime 2⁶¹−1. Mersenne
+// reduction keeps multiplication branch-light and fast.
 const P uint64 = (1 << 61) - 1
 
 // Reduce maps x into [0, P).
@@ -26,8 +32,8 @@ func Reduce(x uint64) uint64 {
 }
 
 // Add returns a+b mod P. Inputs must already be reduced. The wrap is a
-// sign mask, not a branch: on mask words the carry is a coin flip, and a
-// mispredicted branch per element costs more than the addition.
+// sign mask, not a branch: the operands are Shamir polynomial values of
+// secrets, and arithmetic on a secret should not branch on it.
 func Add(a, b uint64) uint64 {
 	s := a + b - P // negative (top bit set) exactly when a+b < P
 	return s + P&uint64(int64(s)>>63)

@@ -9,10 +9,13 @@ import (
 	"repro/internal/stats"
 )
 
-// The reference pipeline: every piece the streamed one fuses or makes
-// branch-free, written the obvious way. It derives the keystream from the
-// AES block function directly (not cipher.NewCTR), materialises each mask,
-// and adds it in a second pass with branching field arithmetic.
+// The reference pipeline: every piece the streamed one fuses, written the
+// obvious way. It derives the keystream from the AES block function
+// directly (not cipher.NewCTR), materialises each mask, and adds it in a
+// second pass. Beside it, a field codec and branching field arithmetic in
+// GF(2⁶¹−1) are the independent oracle for what Aggregate returns: while
+// Quantizer.Check holds every sum below P/2, the field and Z₂⁶⁴ must decode
+// it to the same float, bit for bit.
 
 func refAdd(a, b uint64) uint64 {
 	s := a + b
@@ -41,22 +44,27 @@ func refMaskStream(seed uint64, dim int) []uint64 {
 	for blk := uint64(0); len(out) < dim; blk++ {
 		binary.BigEndian.PutUint64(ctr[8:], blk) // SP 800-38A: big-endian counter block from zero
 		block.Encrypt(ks[:], ctr[:])
-		out = append(out, Reduce(binary.LittleEndian.Uint64(ks[:8])), Reduce(binary.LittleEndian.Uint64(ks[8:])))
+		out = append(out, binary.LittleEndian.Uint64(ks[:8]), binary.LittleEndian.Uint64(ks[8:]))
 	}
 	return out[:dim]
+}
+
+// refClip is the clipped, NaN-zeroed fixed-point integer of x.
+func refClip(q Quantizer, x float64) int64 {
+	x = math.Max(-q.Clip, math.Min(q.Clip, x))
+	if math.IsNaN(x) {
+		x = 0
+	}
+	return int64(x * q.Scale)
 }
 
 func refQuantize(q Quantizer, v []float64) []uint64 {
 	out := make([]uint64, len(v))
 	for i, x := range v {
-		x = math.Max(-q.Clip, math.Min(q.Clip, x))
-		if math.IsNaN(x) {
-			x = 0
-		}
-		if scaled := int64(x * q.Scale); scaled >= 0 {
-			out[i] = Reduce(uint64(scaled))
+		if scaled := refClip(q, x); scaled >= 0 {
+			out[i] = uint64(scaled)
 		} else {
-			out[i] = Neg(uint64(-scaled))
+			out[i] = -uint64(-scaled)
 		}
 	}
 	return out
@@ -67,9 +75,9 @@ func refMaskedUpdate(s *Session, i int, update []float64) []uint64 {
 	apply := func(seed uint64, subtract bool) {
 		for d, m := range refMaskStream(seed, s.Dim) {
 			if subtract {
-				y[d] = refSub(y[d], m)
+				y[d] -= m
 			} else {
-				y[d] = refAdd(y[d], m)
+				y[d] += m
 			}
 		}
 	}
@@ -82,11 +90,38 @@ func refMaskedUpdate(s *Session, i int, update []float64) []uint64 {
 	return y
 }
 
+// fieldQuantize and fieldDequantize are the Mersenne-field codec: a negative
+// value is its negation mod P, and a sum above P/2 decodes as negative.
+func fieldQuantize(q Quantizer, v []float64) []uint64 {
+	out := make([]uint64, len(v))
+	for i, x := range v {
+		if scaled := refClip(q, x); scaled >= 0 {
+			out[i] = Reduce(uint64(scaled))
+		} else {
+			out[i] = Neg(uint64(-scaled))
+		}
+	}
+	return out
+}
+
+func fieldDequantize(q Quantizer, v []uint64) []float64 {
+	out := make([]float64, len(v))
+	for i, x := range v {
+		if x > P/2 {
+			out[i] = -float64(P-x) / q.Scale
+		} else {
+			out[i] = float64(x) / q.Scale
+		}
+	}
+	return out
+}
+
 // checkRound runs one session over random updates with the given clients
 // dropped and checks the streamed pipeline end to end: every masked word
 // equals the expand-then-add reference's, and Aggregate returns — to the
-// last bit — the dequantised plain sum of the survivors' quantised updates.
-// It returns the session for its operation counts.
+// last bit — what the Mersenne-field pipeline decodes from the field sum of
+// the survivors' field-quantised updates. It returns the session for its
+// operation counts.
 func checkRound(t testing.TB, n, dim, threshold int, seed uint64, dropped []int) *Session {
 	t.Helper()
 	s := NewSession(n, dim, threshold, seed, DefaultQuantizer())
@@ -101,6 +136,12 @@ func checkRound(t testing.TB, n, dim, threshold int, seed uint64, dropped []int)
 		update := make([]float64, dim)
 		for d := range update {
 			update[d] = rng.Normal(0, 3) // wide enough that some coordinates clip
+			switch d % 29 {
+			case 7:
+				update[d] = math.NaN()
+			case 19:
+				update[d] = math.Inf(1 - 2*(i%2))
+			}
 		}
 		if isDropped[i] {
 			continue
@@ -112,7 +153,7 @@ func checkRound(t testing.TB, n, dim, threshold int, seed uint64, dropped []int)
 				t.Fatalf("n=%d dim=%d client %d word %d: fused fold %#x, expand-then-add reference %#x", n, dim, i, d, masked[i][d], want[d])
 			}
 		}
-		for d, w := range refQuantize(s.Quant, update) {
+		for d, w := range fieldQuantize(s.Quant, update) {
 			plain[d] = refAdd(plain[d], w)
 		}
 	}
@@ -120,10 +161,10 @@ func checkRound(t testing.TB, n, dim, threshold int, seed uint64, dropped []int)
 	if err != nil {
 		t.Fatalf("n=%d dim=%d dropped=%v: %v", n, dim, dropped, err)
 	}
-	want := s.Quant.Dequantize(plain, n-len(dropped))
+	want := fieldDequantize(s.Quant, plain)
 	for d := range want {
 		if math.Float64bits(got[d]) != math.Float64bits(want[d]) {
-			t.Fatalf("n=%d dim=%d dropped=%v: aggregate[%d] = %v, plain sum %v", n, dim, dropped, d, got[d], want[d])
+			t.Fatalf("n=%d dim=%d dropped=%v: aggregate[%d] = %v, field-pipeline sum %v", n, dim, dropped, d, got[d], want[d])
 		}
 	}
 	return s
@@ -145,7 +186,7 @@ func TestStreamedPipelineMatchesReference(t *testing.T) {
 	}
 }
 
-// TestQuantizeMatchesReference pins the branch-free sign handling and the
+// TestQuantizeMatchesReference pins the two's-complement encoding and the
 // defined NaN encoding against the branching definition.
 func TestQuantizeMatchesReference(t *testing.T) {
 	q := DefaultQuantizer()
@@ -187,15 +228,14 @@ func TestFieldAddSubMatchReference(t *testing.T) {
 // mask must agree on, in the shape of the SP 800-38A AES-128-CTR vectors:
 // a fixed key (the seed, little-endian, zero-extended), the zero counter
 // block, and the first four output blocks read as eight little-endian
-// words reduced into the field (the literals also come out of `openssl enc
-// -aes-128-ctr` over zeros with that key and IV). A refactor that changes
-// any of those choices changes the masked words on the wire and must fail
-// here.
+// words, as they are (the literals are `openssl enc -aes-128-ctr` over
+// zeros with that key and IV). A refactor that changes any of those
+// choices changes the masked words on the wire and must fail here.
 func TestMaskStreamKnownAnswer(t *testing.T) {
 	const seed = 0x0706050403020100
 	want := []uint64{
-		0x0b22485fbca61638, 0x02ab38a95b9a7d57, 0x0dd28c31287a2293, 0x1c545fbaae8a2a1b,
-		0x07044a5a9753aea6, 0x053206c437f24dbc, 0x145897042f9a1e14, 0x0b714f2e0142eb9d,
+		0x4b22485fbca61636, 0x22ab38a95b9a7d56, 0xadd28c31287a228e, 0x1c545fbaae8a2a1b,
+		0x87044a5a9753aea2, 0xe53206c437f24db5, 0x345897042f9a1e13, 0x8b714f2e0142eb99,
 	}
 	got := MaskStream(seed, len(want))
 	ref := refMaskStream(seed, len(want))

@@ -7,9 +7,9 @@ import (
 	"encoding/binary"
 )
 
-// maskChunk is the number of field elements foldMask draws from the
-// keystream at a time: a 512-byte buffer that stays in L1 beside the
-// accumulator it is folded into.
+// maskChunk is the number of mask words foldMask draws from the keystream
+// at a time: a 512-byte buffer that stays in L1 beside the accumulator it is
+// folded into.
 const maskChunk = 64
 
 // newMaskPRG keys the mask generator: AES-128 in counter mode (the PRG
@@ -30,36 +30,55 @@ func newMaskPRG(seed uint64) cipher.Stream {
 }
 
 // foldMask is the one mask generator: it reads len(acc) little-endian
-// 64-bit keystream words from prg, reduces each into the field, and adds it
-// to (or, with subtract, removes it from) acc element-wise — one pass, no
-// mask-sized slice. acc must hold reduced elements. The keystream buffer is
-// the only allocation (it escapes through the cipher.Stream interface):
-// TestMaskPipelineAllocs pins it at that one object per call and guards the
-// path against model-sized buffers.
+// 64-bit keystream words from prg and adds each to (or, with subtract,
+// removes it from) acc element-wise in Z₂⁶⁴ — one wrapping machine add per
+// word, one pass, no mask-sized slice. Every keystream word is already a
+// ring element, uniformly distributed, so nothing is reduced. The keystream
+// buffer is the only allocation (it escapes through the cipher.Stream
+// interface): TestMaskPipelineAllocs pins it at that one object per call
+// and guards the path against model-sized buffers.
 func foldMask(acc []uint64, prg cipher.Stream, subtract bool) {
 	var buf [8 * maskChunk]byte
+	var neg uint64 // all ones to subtract: w^neg − neg is −w
+	if subtract {
+		neg = ^uint64(0)
+	}
 	for len(acc) > 0 {
 		n := min(len(acc), maskChunk)
 		ks := buf[:8*n]
 		clear(ks)
 		prg.XORKeyStream(ks, ks)
-		if subtract {
-			for d := range acc[:n] {
-				acc[d] = Sub(acc[d], Reduce(binary.LittleEndian.Uint64(ks[8*d:])))
-			}
-		} else {
-			for d := range acc[:n] {
-				acc[d] = Add(acc[d], Reduce(binary.LittleEndian.Uint64(ks[8*d:])))
-			}
-		}
+		foldWords(acc[:n], ks, neg)
 		acc = acc[n:]
 	}
 }
 
-// MaskStream expands a 64-bit seed into dim field elements: the mask
-// generator folded into a zero vector. Both endpoints of a pairwise mask
-// derive the same stream from the agreed seed, so the masks cancel in the
-// sum.
+// foldWords adds the little-endian words of ks (8·len(acc) bytes), each
+// negated when neg is all ones, to acc. Eight words a step through array
+// pointers, so the loop body holds no bounds check; the tail of a vector
+// whose length is not a multiple of eight goes word by word.
+func foldWords(acc []uint64, ks []byte, neg uint64) {
+	for len(acc) >= 8 {
+		a, k := (*[8]uint64)(acc), (*[64]byte)(ks)
+		a[0] += (binary.LittleEndian.Uint64(k[0:]) ^ neg) - neg
+		a[1] += (binary.LittleEndian.Uint64(k[8:]) ^ neg) - neg
+		a[2] += (binary.LittleEndian.Uint64(k[16:]) ^ neg) - neg
+		a[3] += (binary.LittleEndian.Uint64(k[24:]) ^ neg) - neg
+		a[4] += (binary.LittleEndian.Uint64(k[32:]) ^ neg) - neg
+		a[5] += (binary.LittleEndian.Uint64(k[40:]) ^ neg) - neg
+		a[6] += (binary.LittleEndian.Uint64(k[48:]) ^ neg) - neg
+		a[7] += (binary.LittleEndian.Uint64(k[56:]) ^ neg) - neg
+		acc, ks = acc[8:], ks[64:]
+	}
+	for d := range acc {
+		acc[d] += (binary.LittleEndian.Uint64(ks[8*d:]) ^ neg) - neg
+	}
+}
+
+// MaskStream expands a 64-bit seed into dim words of Z₂⁶⁴: the mask
+// generator folded into a zero vector, i.e. the raw little-endian keystream.
+// Both endpoints of a pairwise mask derive the same stream from the agreed
+// seed, so the masks cancel in the sum.
 func MaskStream(seed uint64, dim int) []uint64 {
 	out := make([]uint64, dim)
 	foldMask(out, newMaskPRG(seed), false)

@@ -5,10 +5,13 @@ import (
 	"math"
 )
 
-// Quantizer maps float64 update vectors to field elements and back via
-// signed fixed-point encoding. Values are clipped to [−Clip, Clip] and
-// scaled by Scale; negative values wrap modulo P. Correct dequantization of
-// a sum of k vectors requires k·Clip·Scale < P/2, which Check enforces.
+// Quantizer maps float64 update vectors to words of Z₂⁶⁴ and back via
+// signed fixed-point encoding: values are clipped to [−Clip, Clip], scaled
+// by Scale and truncated to an integer, whose two's complement is the word.
+// Sums wrap modulo 2⁶⁴ and decode as signed integers, so a sum of k vectors
+// decodes exactly while k·Clip·Scale < 2⁶³. Check enforces the stricter
+// P/2 the Shamir field gives, the bound every admitted configuration has
+// always met, so a sum decodes to the same integer in either ring.
 type Quantizer struct {
 	// Scale is the fixed-point multiplier (resolution = 1/Scale).
 	Scale float64
@@ -20,18 +23,18 @@ type Quantizer struct {
 // up to ~10⁵ clipped updates decode exactly.
 func DefaultQuantizer() Quantizer { return Quantizer{Scale: 1 << 20, Clip: 8} }
 
-// Check panics if a sum over parties vectors could overflow the field's
-// signed range.
+// Check panics if a sum over parties vectors could leave the signed range
+// below P/2.
 func (q Quantizer) Check(parties int) {
 	if q.Scale <= 0 || q.Clip <= 0 {
 		panic("secagg: Quantizer needs positive Scale and Clip")
 	}
 	if float64(parties)*q.Clip*q.Scale >= float64(P/2) {
-		panic(fmt.Sprintf("secagg: %d parties × Clip %g × Scale %g overflows field", parties, q.Clip, q.Scale))
+		panic(fmt.Sprintf("secagg: %d parties × Clip %g × Scale %g reaches P/2", parties, q.Clip, q.Scale))
 	}
 }
 
-// Quantize encodes v into field elements. NaN encodes as 0: converting NaN
+// Quantize encodes v into words of Z₂⁶⁴. NaN encodes as 0: converting NaN
 // to an integer is platform-defined in Go, and a diverged client's masked
 // words must be the same on every host.
 func (q Quantizer) Quantize(v []float64) []uint64 {
@@ -55,30 +58,19 @@ func (q Quantizer) QuantizeInto(dst []uint64, v []float64) []uint64 {
 		case math.IsNaN(x):
 			x = 0
 		}
-		// |scaled| mod P, negated in the field for a negative value — by
-		// sign mask, because an update's signs are a coin flip per element.
-		scaled := int64(x * q.Scale)
-		neg := uint64(scaled >> 63)
-		mag := Reduce((uint64(scaled) ^ neg) - neg)
-		out[i] = Sub(mag&^neg, mag&neg)
+		out[i] = uint64(int64(x * q.Scale))
 	}
 	return out
 }
 
-// Dequantize decodes a field-element vector that encodes a sum of at most
-// maxParties quantized updates back to floats, interpreting values above
-// P/2 as negative.
+// Dequantize decodes a vector of Z₂⁶⁴ words that encodes a sum of at most
+// maxParties quantized updates back to floats, reading each word as a
+// two's-complement integer.
 func (q Quantizer) Dequantize(v []uint64, maxParties int) []float64 {
 	q.Check(maxParties)
 	out := make([]float64, len(v))
-	half := P / 2
 	for i, x := range v {
-		x = Reduce(x)
-		if x > half {
-			out[i] = -float64(P-x) / q.Scale
-		} else {
-			out[i] = float64(x) / q.Scale
-		}
+		out[i] = float64(int64(x)) / q.Scale
 	}
 	return out
 }

@@ -87,9 +87,6 @@ func TestMaskStreamDeterministicAndSeedSensitive(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatal("MaskStream not deterministic")
 		}
-		if a[i] >= P {
-			t.Fatal("MaskStream element out of field")
-		}
 		if a[i] == c[i] {
 			same++
 		}
@@ -303,12 +300,21 @@ func TestAggregateErrors(t *testing.T) {
 	if _, err := s.Aggregate(masked, []int{9}); err == nil {
 		t.Fatal("expected range error")
 	}
-	// Vectors from peers: short, long and unreduced ones are errors, not an
-	// index panic, a silent truncation or a broken Add precondition.
+	// A dropped index listed twice would remove that client's pairwise masks
+	// twice and return garbage; it is an error like an out-of-range one.
+	m5 := [][]uint64{masked[0], masked[1], nil, masked[3]}
+	if _, err := s.Aggregate(m5, []int{2, 2}); err == nil {
+		t.Fatal("expected an error for a repeated dropped index")
+	}
+	if _, err := s.Aggregate(m5, []int{2}); err != nil {
+		t.Fatalf("the same drop listed once: %v", err)
+	}
+	// Vectors from peers: short and long ones are errors, not an index panic
+	// or a silent truncation. There is no unreduced word to reject: masked
+	// vectors live in Z₂⁶⁴, where every 64-bit word is a ring element.
 	for name, bad := range map[string][]uint64{
-		"short":     masked[1][:5],
-		"long":      append(append([]uint64(nil), masked[1]...), 0),
-		"unreduced": append([]uint64{P}, masked[1][1:]...),
+		"short": masked[1][:5],
+		"long":  append(append([]uint64(nil), masked[1]...), 0),
 	} {
 		m4 := [][]uint64{masked[0], bad, masked[2], masked[3]}
 		if _, err := s.Aggregate(m4, nil); err == nil {

@@ -19,7 +19,8 @@ type OpCounts struct {
 	SharesDealt int
 	// SharesUsed is the number of shares consumed during reconstruction.
 	SharesUsed int
-	// FieldOps approximates the element-wise field additions performed.
+	// FieldOps approximates the element-wise additions performed: mask
+	// words folded and masked vectors summed, in Z₂⁶⁴.
 	FieldOps int
 }
 
@@ -30,8 +31,8 @@ type OpCounts struct {
 //  1. setup: every client i derives a pairwise seed with every j (stand-in
 //     for the DH round) and a personal mask seed b_i, then Shamir-shares
 //     its secret key s_i and b_i with the group (threshold T).
-//  2. MaskedUpdate(i, v): client i submits v blinded by its personal mask
-//     and all pairwise masks.
+//  2. MaskedUpdate(i, v): client i submits v, quantized into Z₂⁶⁴, blinded
+//     by its personal mask and all pairwise masks.
 //  3. Aggregate(masked, dropped): the server removes the personal masks of
 //     survivors (reconstructing b_i from shares) and the pairwise masks of
 //     dropped clients (reconstructing s_i), yielding exactly the sum of
@@ -134,11 +135,13 @@ func (s *Session) fold(acc []uint64, seed uint64, subtract bool) {
 
 // Aggregate sums the survivors' masked updates and removes the residual
 // masks: survivors' personal masks (via their Shamir shares) and dropped
-// clients' pairwise masks (via their reconstructed keys). masked[i] must be
-// nil exactly for dropped clients, and every submitted vector must hold Dim
-// reduced field elements — the vectors arrive from peers, so a short, long
-// or unreduced one is an error, not a panic or a silent truncation. It
-// returns the dequantized sum of the surviving clients' updates.
+// clients' pairwise masks (via their reconstructed keys). The sum is taken
+// in Z₂⁶⁴, where every 64-bit word is a ring element. masked[i] must be nil
+// exactly for dropped clients, dropped must name each client at most once,
+// and every submitted vector must hold Dim words — the vectors arrive from
+// peers, so a short or long one is an error, not a panic or a silent
+// truncation. It returns the dequantized sum of the surviving clients'
+// updates.
 //
 //lint:deterministic
 func (s *Session) Aggregate(masked [][]uint64, dropped []int) ([]float64, error) {
@@ -149,6 +152,9 @@ func (s *Session) Aggregate(masked [][]uint64, dropped []int) ([]float64, error)
 	for _, d := range dropped {
 		if d < 0 || d >= s.N {
 			return nil, fmt.Errorf("secagg: dropped index %d out of range", d)
+		}
+		if isDropped[d] {
+			return nil, fmt.Errorf("secagg: dropped index %d listed twice", d)
 		}
 		isDropped[d] = true
 	}
@@ -178,10 +184,7 @@ func (s *Session) Aggregate(masked [][]uint64, dropped []int) ([]float64, error)
 			continue
 		}
 		for d, w := range masked[i] {
-			if w >= P {
-				return nil, fmt.Errorf("secagg: client %d word %d is not a reduced field element", i, d)
-			}
-			sum[d] = Add(sum[d], w)
+			sum[d] += w
 		}
 		s.ops.FieldOps += s.Dim
 	}

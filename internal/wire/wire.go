@@ -66,7 +66,7 @@ const (
 	// cloud→edge formation results, and edge→client index assignment.
 	GroupAssign
 	// MaskedUpdate is a client's secure-aggregation-masked local update
-	// (field elements in Words; plaintext Floats only for singleton groups).
+	// (words of Z₂⁶⁴ in Words; plaintext Floats only for singleton groups).
 	MaskedUpdate
 	// ShareReveal is the dropout-recovery exchange: edge→survivor names the
 	// dropped indices, survivor→edge returns its held Shamir shares.
@@ -144,8 +144,8 @@ var (
 // Message is one protocol message. Round is the global round t; Seq is the
 // group round k (or a secondary counter); From names the subject — a client
 // index, group id, or edge id depending on Type. The three vectors carry
-// model parameters (Floats), field elements or Shamir shares (Words), and
-// id lists (Ints).
+// model parameters (Floats), masked words or Shamir shares (Words), and id
+// lists (Ints).
 type Message struct {
 	Type  Type
 	Round uint32
@@ -153,7 +153,8 @@ type Message struct {
 	From  int32
 	// Floats holds model parameter vectors.
 	Floats []float64
-	// Words holds prime-field elements (masked updates) or share pairs.
+	// Words holds masked updates (words of Z₂⁶⁴) or Shamir share pairs
+	// (elements of GF(2⁶¹−1)).
 	Words []uint64
 	// Ints holds id lists (group members, selected groups, dropped indices).
 	Ints []int32

@@ -37,7 +37,7 @@ func NewCostAccountant(p CostProfile, ops CostOps) *CostAccountant {
 type (
 	// SecAggSession runs one secure aggregation among a group.
 	SecAggSession = secagg.Session
-	// SecAggQuantizer maps float updates to field elements.
+	// SecAggQuantizer maps float updates to fixed-point words of Z₂⁶⁴.
 	SecAggQuantizer = secagg.Quantizer
 )
 
