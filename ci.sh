@@ -10,8 +10,8 @@
 #   3. test        go test ./... — tier-1; internal/lint's TestRepoIsLintClean
 #                  is the module-wide repolint pass, run here and nowhere else
 #   4. race        go test -race over the concurrent packages
-#   5. fuzz        12 s across the wire, async, secagg, tensor, grouping,
-#                  felserve (whole checkpoint files) and faultnet (whole plan
+#   5. fuzz        12 s across the wire, secagg, tensor, grouping, felserve
+#                  (whole checkpoint files, 2 s) and faultnet (whole plan
 #                  files) targets
 #   6. chaos       felnode -chaos corrupt-frames twice, outputs byte-identical
 #   7. felnode     a loopback TCP job, cross-checked against core.Train
@@ -133,7 +133,6 @@ go test -race ./internal/core ./internal/async ./internal/wire ./internal/fednod
 echo "== go test -fuzz smoke (12s total across targets)"
 go test ./internal/wire -run '^$' -fuzz FuzzDecodeFrame -fuzztime 1s
 go test ./internal/wire -run '^$' -fuzz FuzzDecodeIntoReuse -fuzztime 1s
-go test ./internal/async -run '^$' -fuzz FuzzArrivalLogFrame -fuzztime 1s
 go test ./internal/secagg -run '^$' -fuzz FuzzFieldOps -fuzztime 1s
 go test ./internal/secagg -run '^$' -fuzz FuzzQuantizeRoundTrip -fuzztime 1s
 go test ./internal/secagg -run '^$' -fuzz FuzzMaskCancel -fuzztime 1s
@@ -143,7 +142,7 @@ go test ./internal/tensor -run '^$' -fuzz FuzzAccumRows -fuzztime 1s
 go test ./internal/grouping -run '^$' -fuzz FuzzScanFilter -fuzztime 1s
 # Its seeds are whole files of tens of KB: minimising each new input for the
 # default 60 s would spend the whole second on one input instead of fuzzing.
-go test ./internal/felserve -run '^$' -fuzz FuzzLoadCheckpoint -fuzztime 1s -fuzzminimizetime 100x
+go test ./internal/felserve -run '^$' -fuzz FuzzLoadCheckpoint -fuzztime 2s -fuzzminimizetime 100x
 go test ./internal/faultnet -run '^$' -fuzz FuzzLoadPlan -fuzztime 1s
 
 echo "== felnode -chaos smoke (deterministic replay)"

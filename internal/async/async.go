@@ -2,25 +2,24 @@
 // the paper's bulk-synchronous Alg. 1 (ROADMAP item 5, FedBuff-style):
 // client updates are folded into a group buffer as they "arrive", each
 // weighted by a staleness discount w(τ) = 1/(1+τ)^α, with arrival order
-// driven by a seeded logical clock over simulated link delays and recorded
-// to an arrival Log so any run replays bit-identically from (seed, config).
+// driven by a seeded logical clock over simulated link delays, so any run
+// replays bit-identically from (seed, config).
 //
-// The package owns the mode vocabulary, the staleness function, the delay
-// model (the logical clock's tick source), and the arrival-log event record
-// plus its deterministic byte and wire encodings. The group-round state
-// machine that runs these semantics lives in internal/core
-// (async_engine.go) and is the only one there: the modes are its flush
-// triggers — an arrival count (Sync, the full buffer, and Buffered) or a
-// deadline (SemiSync). Keeping the two packages apart lets the wire and
-// serving layers speak arrival logs without importing the trainer.
+// The package owns the mode vocabulary, the staleness function and the delay
+// model (the logical clock's tick source). The group-round state machine
+// that runs these semantics lives in internal/core (async_engine.go) and is
+// the only one there: the modes are its flush triggers — an arrival count
+// (Sync, the full buffer, and Buffered) or a deadline (SemiSync). What
+// happened in a run is counted, not logged: the fel_async_* counters and
+// histograms of the run's metrics registry.
 //
 // Determinism contract: every delay draw comes from a dedicated RNG
 // reseeded with DispatchSeed(seed, round, group, client, k) — a pure
 // function of the dispatch coordinates, never of scheduling — and arrival
 // ties break on dispatch order. Two runs of the same (System, Config)
-// therefore produce byte-identical logs and Float64bits-identical weights
-// at any MaxParallel, and a run resumed from a checkpoint appends to its
-// log exactly what the uninterrupted run would have written.
+// therefore fold the same updates in the same order to Float64bits-identical
+// weights at any MaxParallel, and a run resumed from a checkpoint continues
+// exactly as the uninterrupted run would have.
 package async
 
 import (
@@ -35,7 +34,8 @@ type Mode int
 const (
 	// Sync is the paper's bulk-synchronous Alg. 1: every group round waits
 	// for all member updates before aggregating — the buffer at its full
-	// size, whatever BufferFrac says, with no arrival log kept.
+	// size, whatever BufferFrac says. Nothing depends on arrival order, so
+	// no staleness, fold or flush is observed.
 	Sync Mode = iota
 	// Buffered is FedBuff-style buffered asynchrony: the group model is
 	// re-aggregated whenever BufferFrac of the membership has checked in,
@@ -74,7 +74,8 @@ type Config struct {
 	// group size: the buffer folds once ceil(BufferFrac·n) updates have
 	// arrived since the last flush (dropped updates count as arrivals —
 	// the loss is observed). 0 means 1.0, the full buffer: the synchronous
-	// group round, plus the arrival log.
+	// group round, plus the fel_async_* staleness, fold and flush
+	// observations.
 	BufferFrac float64
 	// DeadlineTicks is the SemiSync per-round deadline on the logical
 	// clock. Must be positive in SemiSync mode.

@@ -12,9 +12,9 @@ import (
 // bulk-synchronous group rounds, ceil(BufferFrac·n) for async.Buffered
 // (FedBuff-style); runDeadlines flushes on async.SemiSync's per-round
 // deadline. The machine runs on a per-group logical clock (rule 5,
-// engine.go), and outside Sync records its arrival order for an async.Log,
-// so a run replays bit-identically from its configuration at any
-// MaxParallel.
+// engine.go), so a run replays bit-identically from its configuration at any
+// MaxParallel; outside Sync it counts what arrived, folded, carried over and
+// came late in the fel_async_* series.
 
 // arrivalEvent is one in-flight update on the logical clock's heap.
 type arrivalEvent struct {
@@ -67,17 +67,11 @@ func (h *arrivalHeap) pop() arrivalEvent {
 	return top
 }
 
-// logged reports whether the run records arrival events and the fel_async_*
-// observations: every mode but Sync, where each flush consumes the whole
-// membership in client order and nothing depends on the order of arrival.
-func (sp *groupSpace) logged() bool { return sp.e.cfg.Async.Mode != async.Sync }
-
-func (sp *groupSpace) logEvent(kind async.Kind, client int, tick int64, stale int) {
-	sp.events = append(sp.events, async.Event{
-		Round: sp.round, Group: sp.g.ID, Client: client,
-		Kind: kind, Tick: tick, Stale: stale,
-	})
-}
+// observes reports whether the run makes the fel_async_* staleness, fold and
+// flush observations: every mode but Sync, where each flush consumes the
+// whole membership in client order and nothing depends on the order of
+// arrival.
+func (sp *groupSpace) observes() bool { return sp.e.cfg.Async.Mode != async.Sync }
 
 // dispatch trains the clients in sp.batch from the current group model and
 // schedules their arrivals. The batch is in client order — rule 2's serial
@@ -115,21 +109,15 @@ func (sp *groupSpace) arrive(ev arrivalEvent) {
 	c := &sp.clients[i]
 	c.inflight, c.arrived = false, true
 	sp.arrivals++
-	id := sp.g.Clients[i].ID
 	if c.drop {
 		sp.drops++
-		if sp.logged() {
-			sp.logEvent(async.Drop, id, ev.tick, 0)
-		}
 		return
 	}
 	sp.bytes += c.bytes
-	if sp.logged() {
+	if sp.observes() {
 		// The flush that consumes this arrival is the next one, and v only
 		// moves at flushes, so the version lag is already final here.
-		stale := sp.version - c.dispVer
-		sp.e.asyncStale.Observe(float64(stale))
-		sp.logEvent(async.Arrive, id, ev.tick, stale)
+		sp.e.asyncStale.Observe(float64(sp.version - c.dispVer))
 	}
 }
 
@@ -142,7 +130,7 @@ func (sp *groupSpace) arrive(ev arrivalEvent) {
 // fully rewritten by trainClient before it is read again. The version
 // advances only on a nonempty fold; when every arrival was a dropout the
 // group model carries over.
-func (sp *groupSpace) flush(now int64) {
+func (sp *groupSpace) flush() {
 	e := sp.e
 	aggSpan := e.reg.Start("fel_core_group_aggregate_seconds", e.edgeLabel(sp.g.Edge))
 	alpha := e.cfg.Async.Alpha
@@ -174,13 +162,12 @@ func (sp *groupSpace) flush(now int64) {
 		folded = live
 	}
 	aggSpan.End()
-	if !sp.logged() {
+	if !sp.observes() {
 		return
 	}
 	e.asyncFolds.Add(int64(folded))
 	e.asyncFlushes.Inc()
 	e.asyncDepth.Observe(float64(live))
-	sp.logEvent(async.Flush, -1, now, live)
 }
 
 // runBuffered runs the group on the arrival-count trigger: every client is
@@ -212,7 +199,7 @@ func (sp *groupSpace) runBuffered() {
 		if sp.arrivals < threshold && len(sp.heap) > 0 {
 			continue
 		}
-		sp.flush(ev.tick)
+		sp.flush()
 		owing := sp.batch[:0]
 		for _, i := range sp.batch {
 			if sp.clients[i].dispatched < cfg.GroupRounds {
@@ -227,7 +214,7 @@ func (sp *groupSpace) runBuffered() {
 // runDeadlines runs the group on the deadline trigger (semi-sync): K rounds
 // of DeadlineTicks each. Clients with nothing in flight dispatch at every
 // round start; arrivals before the deadline fold at the deadline; an update
-// still in flight at a deadline logs a carryover (per deadline missed) and
+// still in flight at a deadline counts a carryover (per deadline missed) and
 // folds later at its then-current staleness; updates in flight after the
 // final deadline are discarded as late. The group always spends exactly
 // K·DeadlineTicks logical ticks.
@@ -251,16 +238,12 @@ func (sp *groupSpace) runDeadlines() {
 			if sp.clients[i].inflight {
 				sp.carry++
 				e.asyncCarry.Inc()
-				sp.logEvent(async.Carry, sp.g.Clients[i].ID, deadline, gr)
 			}
 		}
-		sp.flush(deadline)
+		sp.flush()
 	}
-	for len(sp.heap) > 0 {
-		ev := sp.heap.pop()
-		sp.late++
-		e.asyncLate.Inc()
-		sp.logEvent(async.Late, sp.g.Clients[ev.ci].ID, ev.tick, 0)
-	}
+	sp.late = len(sp.heap)
+	e.asyncLate.Add(int64(sp.late))
+	sp.heap = sp.heap[:0]
 	sp.ticks = int64(K) * D
 }

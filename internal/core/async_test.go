@@ -1,10 +1,10 @@
 package core
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -85,7 +85,7 @@ func sameFloatBits(a, b []float64) bool {
 // membership in canonical client order, so no permutation and no worker
 // interleaving may leak into the fold. Sync runs on the same machine with
 // the threshold fixed at n (async_engine.go), so this holds by construction;
-// the test keeps FlushThreshold and the logging path honest.
+// the test keeps FlushThreshold and the counted path honest.
 func TestAsyncAlphaZeroFullBufferEquivalence(t *testing.T) {
 	for n := 1; n <= 33; n++ {
 		sys := asyncTestSystem(n, uint64(100+n))
@@ -98,6 +98,8 @@ func TestAsyncAlphaZeroFullBufferEquivalence(t *testing.T) {
 		for _, par := range []int{1, 2, 8} {
 			cfg := asyncTestConfig()
 			cfg.MaxParallel = par
+			reg := metrics.New()
+			cfg.Metrics = reg
 			cfg.Async = async.Config{
 				Mode:       async.Buffered,
 				Alpha:      0,
@@ -117,9 +119,7 @@ func TestAsyncAlphaZeroFullBufferEquivalence(t *testing.T) {
 			if res.LogicalTicks != sync.LogicalTicks || res.LogicalTicks == 0 {
 				t.Fatalf("n=%d par=%d: async ticks %d, sync %d", n, par, res.LogicalTicks, sync.LogicalTicks)
 			}
-			if res.ArrivalLog == nil || res.ArrivalLog.Len() == 0 {
-				t.Fatalf("n=%d par=%d: async run recorded no arrival log", n, par)
-			}
+			checkAsyncAccounting(t, res, reg)
 		}
 	}
 }
@@ -184,29 +184,34 @@ func asyncModeConfigs() map[string]async.Config {
 
 // TestAsyncReplayIdentical is the replay regression: for each async mode,
 // two runs from the same seed — and runs at MaxParallel 1 vs 8 — produce
-// byte-identical arrival logs and Float64bits-equal final weights.
+// byte-identical timing-masked metric snapshots, the staleness and
+// buffer-depth histograms of every arrival and flush among them, and
+// Float64bits-equal final weights.
 func TestAsyncReplayIdentical(t *testing.T) {
 	for name, acfg := range asyncModeConfigs() {
 		t.Run(name, func(t *testing.T) {
 			sys := asyncTestSystem(12, 3)
-			var refLog []byte
+			var refSnap string
 			var refParams []float64
 			for i, par := range []int{1, 1, 8} {
 				cfg := asyncTestConfig()
 				cfg.GlobalRounds = 3
 				cfg.MaxParallel = par
+				reg := metrics.New()
+				cfg.Metrics = reg
 				cfg.Async = acfg
 				res := Train(sys, cfg)
-				if res.ArrivalLog == nil || res.ArrivalLog.Len() == 0 {
-					t.Fatal("no arrival log recorded")
+				snap := metrics.MaskTimings(reg.Snapshot())
+				if seriesValue(t, reg, "fel_async_staleness_count") == 0 || seriesValue(t, reg, "fel_async_buffer_depth_count") == 0 {
+					t.Fatalf("no arrival or flush observed:\n%s", snap)
 				}
 				if i == 0 {
-					refLog = res.ArrivalLog.Bytes()
+					refSnap = snap
 					refParams = res.Params
 					continue
 				}
-				if !bytes.Equal(refLog, res.ArrivalLog.Bytes()) {
-					t.Fatalf("run %d (par %d): arrival log diverges:\n%s", i, par, res.ArrivalLog)
+				if snap != refSnap {
+					t.Fatalf("run %d (par %d): masked metric snapshot diverges:\n%s\nfirst run:\n%s", i, par, snap, refSnap)
 				}
 				if !sameFloatBits(refParams, res.Params) {
 					t.Fatalf("run %d (par %d): final weights diverge", i, par)
@@ -217,10 +222,9 @@ func TestAsyncReplayIdentical(t *testing.T) {
 }
 
 // TestAsyncTrainerResume checks the mid-run boundary: exporting after 2 of
-// 4 rounds and resuming yields the same final weights and the same
-// complete arrival log as the uninterrupted run — including the adaptive
-// sampler's EWMA state, which must survive the checkpoint for the
-// remaining selections to replay.
+// 4 rounds and resuming yields the same final weights and logical-clock
+// totals as the uninterrupted run — which takes the adaptive sampler's EWMA
+// state surviving the checkpoint for the remaining selections to replay.
 func TestAsyncTrainerResume(t *testing.T) {
 	for name, acfg := range asyncModeConfigs() {
 		t.Run(name, func(t *testing.T) {
@@ -250,9 +254,6 @@ func TestAsyncTrainerResume(t *testing.T) {
 			if !sameFloatBits(full.Params, res.Params) {
 				t.Fatal("resumed weights diverge from uninterrupted run")
 			}
-			if !bytes.Equal(full.ArrivalLog.Bytes(), res.ArrivalLog.Bytes()) {
-				t.Fatalf("resumed arrival log diverges:\nfull:\n%sresumed:\n%s", full.ArrivalLog, res.ArrivalLog)
-			}
 			if full.Carryovers != res.Carryovers || full.LateDrops != res.LateDrops || full.LogicalTicks != res.LogicalTicks {
 				t.Fatalf("resumed counters diverge: carry %d/%d late %d/%d ticks %d/%d",
 					full.Carryovers, res.Carryovers, full.LateDrops, res.LateDrops,
@@ -262,35 +263,45 @@ func TestAsyncTrainerResume(t *testing.T) {
 	}
 }
 
-// checkAsyncAccounting holds an async run's books to each other: every
-// arrival folds exactly once (Σ flush folds == arrivals), and the
-// fel_async_{folds,flushes,carryover,late}_total counters count what the
-// arrival log and the Result count.
+// checkAsyncAccounting holds an async run's books to each other. arrive
+// observes one staleness per update that lands, so every arrival folds
+// exactly once when fel_async_folds_total equals the fel_async_staleness
+// count; each flush observes one buffer depth; and the carryover and late
+// counters count what the Result counts.
 func checkAsyncAccounting(t *testing.T, res *Result, reg *metrics.Registry) {
 	t.Helper()
-	counts := res.ArrivalLog.Counts()
-	folds := 0
-	for _, e := range res.ArrivalLog.Events() {
-		if e.Kind == async.Flush {
-			folds += e.Stale
-		}
-	}
-	if folds != counts[async.Arrive] {
-		t.Errorf("%d folds for %d arrivals; every arrival must fold exactly once", folds, counts[async.Arrive])
-	}
 	for _, c := range []struct {
 		name string
-		want int
+		want float64
 	}{
-		{"fel_async_folds_total", folds},
-		{"fel_async_flushes_total", counts[async.Flush]},
-		{"fel_async_carryover_total", res.Carryovers},
-		{"fel_async_late_total", res.LateDrops},
+		{"fel_async_folds_total", seriesValue(t, reg, "fel_async_staleness_count")},
+		{"fel_async_flushes_total", seriesValue(t, reg, "fel_async_buffer_depth_count")},
+		{"fel_async_carryover_total", float64(res.Carryovers)},
+		{"fel_async_late_total", float64(res.LateDrops)},
 	} {
-		if got := reg.CounterValue(c.name); got != int64(c.want) {
-			t.Errorf("%s = %d, want %d", c.name, got, c.want)
+		if got := reg.CounterValue(c.name); float64(got) != c.want {
+			t.Errorf("%s = %d, want %v", c.name, got, c.want)
 		}
 	}
+	if reg.CounterValue("fel_async_flushes_total") == 0 {
+		t.Error("the run flushed no buffer")
+	}
+}
+
+// seriesValue reads one sample of reg's snapshot, such as a histogram's
+// name_count; a series the registry does not hold reads 0.
+func seriesValue(t *testing.T, reg *metrics.Registry, series string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(reg.Snapshot(), "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", series, err)
+			}
+			return f
+		}
+	}
+	return 0
 }
 
 // TestAsyncSemiSyncCarriesAndLateDrops forces the carryover machinery: a
@@ -315,10 +326,6 @@ func TestAsyncSemiSyncCarriesAndLateDrops(t *testing.T) {
 	}
 	if res.LateDrops == 0 {
 		t.Fatal("tight deadline produced no late drops")
-	}
-	counts := res.ArrivalLog.Counts()
-	if counts[async.Carry] != res.Carryovers || counts[async.Late] != res.LateDrops {
-		t.Fatalf("log counts %v disagree with result (carry %d, late %d)", counts, res.Carryovers, res.LateDrops)
 	}
 	// Every group spends exactly K·D ticks per global round, and rounds sum.
 	want := int64(res.RoundsRun) * int64(cfg.GroupRounds) * cfg.Async.DeadlineTicks
@@ -355,17 +362,11 @@ func TestAsyncTicksBeatSyncUnderStragglers(t *testing.T) {
 	if res.LogicalTicks >= sync.LogicalTicks {
 		t.Fatalf("buffered ticks %d, want < sync %d", res.LogicalTicks, sync.LogicalTicks)
 	}
-	maxStale := 0
-	for _, e := range res.ArrivalLog.Events() {
-		if e.Kind == async.Arrive {
-			maxStale = max(maxStale, e.Stale)
-		}
-	}
-	if maxStale == 0 {
+	if seriesValue(t, reg, "fel_async_staleness_sum") == 0 {
 		t.Error("buffered run observed no staleness; BufferFrac 0.5 should lag some dispatches")
 	}
-	counts := res.ArrivalLog.Counts()
-	if got, want := counts[async.Arrive]+counts[async.Drop], res.RoundsRun*cfg.GroupRounds*12; got != want {
+	arrivals := int(seriesValue(t, reg, "fel_async_staleness_count"))
+	if got, want := arrivals+res.Dropouts, res.RoundsRun*cfg.GroupRounds*12; got != want {
 		t.Errorf("%d arrivals + drops, want one per dispatch: T·K·n = %d", got, want)
 	}
 	checkAsyncAccounting(t, res, reg)
@@ -436,9 +437,6 @@ func TestSyncGroupRoundPinned(t *testing.T) {
 		if res.LogicalTicks != 2088 || res.Dropouts != 55 || res.UplinkBytes != 6720 {
 			t.Errorf("par=%d: ticks %d, dropouts %d, uplink %d; pinned 2088, 55, 6720",
 				par, res.LogicalTicks, res.Dropouts, res.UplinkBytes)
-		}
-		if res.ArrivalLog != nil {
-			t.Errorf("par=%d: a sync run recorded an arrival log", par)
 		}
 		if got := paramDigest(res.Params); got != "50c4b7c60f875c71" {
 			t.Errorf("par=%d: parameter digest %s, pinned 50c4b7c60f875c71", par, got)

@@ -76,10 +76,10 @@ type engine struct {
 	// train-gemm's peak RSS 18 %).
 	idle []*groupSpace
 
-	// slots[si] is the storage selection slot si's update aliases, and
-	// updates the result slice RunGroups returns, both reused from round to
-	// round.
-	slots   []groupSlot
+	// slots[si] is the group vector selection slot si's update aliases —
+	// O(dim), never a per-client array — and updates the result slice
+	// RunGroups returns, both reused from round to round.
+	slots   [][]float64
 	updates []GroupUpdate
 
 	reg        *metrics.Registry
@@ -98,22 +98,14 @@ type engine struct {
 	asyncTicks   *metrics.Counter
 }
 
-// groupSlot is what one selection slot keeps from round to round: exactly
-// what its GroupUpdate aliases, the group model and the arrival events, each
-// O(dim) or O(events) — never a per-client array.
-type groupSlot struct {
-	group  []float64
-	events []async.Event
-}
-
 // groupSpace is one group-round machine (async_engine.go) and the n×dim
 // storage it runs in, borrowed from the engine's free list for one group's
 // run and reused from run to run so a warm machine allocates nothing: the
 // per-client result slots (views into one flat backing array), the
 // tree-reduction node scratch, then the run state — logical-clock heap,
 // per-client bookkeeping (pre-drawn dropout flag and uplink bytes included),
-// the batch scratch — and the run's outcome. group and events belong to the
-// borrowing slot (begin takes them, end hands them back).
+// the batch scratch — and the run's outcome. group belongs to the borrowing
+// selection slot (begin takes it, RunGroups hands it back).
 type groupSpace struct {
 	e *engine
 
@@ -138,7 +130,6 @@ type groupSpace struct {
 	bytes       int64
 	ticks       int64
 	carry, late int
-	events      []async.Event
 }
 
 // clientRun is one member's place in the group round.
@@ -264,15 +255,14 @@ func (e *engine) returnSpace(sp *groupSpace) {
 }
 
 // begin readies the machine to run group g from params in global round
-// round for slot: the slot's group vector and event log taken over, storage
-// for its n clients of len(params) parameters, backing arrays kept, and the
-// run state of a group nobody has dispatched yet.
-func (sp *groupSpace) begin(slot *groupSlot, g *grouping.Group, params []float64, round int) {
+// round in a selection slot's group vector: storage for its n clients of
+// len(params) parameters, backing arrays kept, and the run state of a group
+// nobody has dispatched yet.
+func (sp *groupSpace) begin(group []float64, g *grouping.Group, params []float64, round int) {
 	n, dim := g.Size(), len(params)
 	sp.g, sp.round = g, round
-	sp.group = growFloats(slot.group, dim)
+	sp.group = growFloats(group, dim)
 	copy(sp.group, params)
-	sp.events = slot.events[:0]
 	if cap(sp.flat) < n*dim {
 		sp.flat = make([]float64, n*dim)
 	}
@@ -301,16 +291,14 @@ func (sp *groupSpace) begin(slot *groupSlot, g *grouping.Group, params []float64
 	sp.drops, sp.bytes, sp.ticks, sp.carry, sp.late = 0, 0, 0, 0, 0
 }
 
-// end closes the run: the group vector and events go back to slot, and the
-// returned update aliases them. The machine keeps no reference to either,
-// so it can run another slot's group next.
-func (sp *groupSpace) end(slot *groupSlot) GroupUpdate {
-	slot.group, slot.events = sp.group, sp.events
+// end closes the run: the returned update's Params is the group vector,
+// which the machine lets go of, so it can run another slot's group next.
+func (sp *groupSpace) end() GroupUpdate {
 	u := GroupUpdate{
 		Params: sp.group, Drops: sp.drops, UplinkBytes: sp.bytes,
-		Ticks: sp.ticks, Carryovers: sp.carry, LateDrops: sp.late, Events: sp.events,
+		Ticks: sp.ticks, Carryovers: sp.carry, LateDrops: sp.late,
 	}
-	sp.g, sp.group, sp.events = nil, nil, nil
+	sp.g, sp.group = nil, nil
 	return u
 }
 

@@ -139,14 +139,13 @@ func TestTrainParallelSpeedup(t *testing.T) {
 // TestGroupSpaceSteadyState: the group-round machine a group borrows keeps
 // its run state — per-client bookkeeping, event heap, batch scratch, result
 // slots — in the same backing arrays from round to round, and the selection
-// slot keeps its group vector and arrival events the same way. At
-// MaxParallel 1 one machine runs every group and is back on the free list
-// when RunGroups returns. Three rounds warm it; replaying the same three
-// (same draws, so the same event counts) may move none of them, whichever
-// trigger flushes. The machine's two ends then allocate nothing warm: begin,
-// readying it for a slot's round, and flush, folding a full buffer
-// n_i-weighted into the group model. What a round allocates beyond them is
-// dispatch's.
+// slot keeps its group vector the same way. At MaxParallel 1 one machine
+// runs every group and is back on the free list when RunGroups returns.
+// Three rounds warm it; replaying the same three (same draws, so the same
+// event counts) may move none of them, whichever trigger flushes. The
+// machine's two ends then allocate nothing warm: begin, readying it for a
+// slot's round, and flush, folding a full buffer n_i-weighted into the group
+// model. What a round allocates beyond them is dispatch's.
 func TestGroupSpaceSteadyState(t *testing.T) {
 	modes := asyncModeConfigs()
 	modes["sync"] = async.Config{Delays: async.StragglerStorm()}
@@ -157,24 +156,23 @@ func TestGroupSpaceSteadyState(t *testing.T) {
 		cfg.Async = acfg
 		tr := NewTrainer(sys, cfg)
 		e := NewExecutor(sys, cfg).(*engine)
-		run := func(round int) [6]unsafe.Pointer {
+		run := func(round int) [5]unsafe.Pointer {
 			if _, err := e.RunGroups(round, tr.Groups(), []int{0}, tr.Params()); err != nil {
 				t.Fatal(err)
 			}
 			if len(e.idle) != 1 {
 				t.Fatalf("%s: %d idle machines after a serial round, want 1", name, len(e.idle))
 			}
-			sp, slot := e.idle[0], &e.slots[0]
-			return [6]unsafe.Pointer{
+			sp := e.idle[0]
+			return [5]unsafe.Pointer{
 				unsafe.Pointer(unsafe.SliceData(sp.clients)),
 				unsafe.Pointer(unsafe.SliceData(sp.heap)),
 				unsafe.Pointer(unsafe.SliceData(sp.batch)),
 				unsafe.Pointer(unsafe.SliceData(sp.flat)),
-				unsafe.Pointer(unsafe.SliceData(slot.group)),
-				unsafe.Pointer(unsafe.SliceData(slot.events)),
+				unsafe.Pointer(unsafe.SliceData(e.slots[0])),
 			}
 		}
-		var warm [6]unsafe.Pointer
+		var warm [5]unsafe.Pointer
 		for round := 0; round < 3; round++ {
 			warm = run(round)
 		}
@@ -183,14 +181,14 @@ func TestGroupSpaceSteadyState(t *testing.T) {
 				t.Errorf("%s: round %d moved the run state: %v, warm %v", name, round, got, warm)
 			}
 		}
-		sp, slot, g := e.idle[0], &e.slots[0], tr.Groups()[0]
+		sp, g := e.idle[0], tr.Groups()[0]
 		if allocs := testing.AllocsPerRun(10, func() {
-			sp.begin(slot, g, tr.Params(), 0)
+			sp.begin(e.slots[0], g, tr.Params(), 0)
 			for i := range sp.clients {
 				sp.clients[i].arrived = true
 			}
-			sp.flush(0)
-			sp.end(slot)
+			sp.flush()
+			e.slots[0] = sp.end().Params
 		}); allocs != 0 {
 			t.Errorf("%s: begin + a full-buffer flush on the warm machine allocate %.1f objects, want 0", name, allocs)
 		}

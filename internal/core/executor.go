@@ -30,11 +30,9 @@ type GroupUpdate struct {
 	Drops       int
 	UplinkBytes int64
 	// Ticks is the group's time on the logical clock (0 without a delay
-	// model); the rest is an async mode's: semi-sync deadline misses,
-	// discarded updates and the group's slice of the arrival log.
+	// model); the rest is semi-sync's: deadline misses and discarded updates.
 	Ticks                 int64
 	Carryovers, LateDrops int
-	Events                []async.Event
 }
 
 // RunGroups trains the selected groups in parallel, each on a group-round
@@ -42,22 +40,22 @@ type GroupUpdate struct {
 // the mode only picks the machine's flush trigger.
 func (e *engine) RunGroups(t int, groups []*grouping.Group, selected []int, params []float64) ([]GroupUpdate, error) {
 	if n := len(selected) - len(e.slots); n > 0 {
-		e.slots = append(e.slots, make([]groupSlot, n)...)
+		e.slots = append(e.slots, make([][]float64, n)...)
 	}
 	e.updates = slices.Grow(e.updates[:0], len(selected))[:len(selected)]
 	updates := e.updates
 	parallelEach(len(selected), e.cfg.MaxParallel, func(si int) {
 		sp := e.borrowSpace()
 		defer e.returnSpace(sp)
-		slot := &e.slots[si]
-		sp.begin(slot, groups[selected[si]], params, t)
+		sp.begin(e.slots[si], groups[selected[si]], params, t)
 		if e.cfg.Async.Mode == async.SemiSync {
 			sp.runDeadlines()
 		} else {
 			sp.runBuffered()
 		}
 		e.asyncTicks.Add(sp.ticks)
-		updates[si] = sp.end(slot)
+		updates[si] = sp.end()
+		e.slots[si] = updates[si].Params
 	})
 	return updates, nil
 }

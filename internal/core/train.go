@@ -134,10 +134,6 @@ type Result struct {
 	// deadline it overran); LateDrops counts updates discarded after the
 	// final deadline of their group's schedule.
 	Carryovers, LateDrops int
-	// ArrivalLog is the run's replay log in async modes: every arrival,
-	// dropout, flush, carryover, and late drop in deterministic order.
-	// Nil in sync mode.
-	ArrivalLog *async.Log
 }
 
 // Train runs Algorithm 1 on the system. Given equal (System, Config) inputs

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/async"
 	"repro/internal/cost"
 	"repro/internal/grouping"
 	"repro/internal/metrics"
@@ -97,9 +96,6 @@ func NewTrainerOn(sys *System, cfg Config, exec Executor, pinned []*grouping.Gro
 	tr.next = make([]float64, len(tr.globalParams))
 	tr.dropsCtr = cfg.Metrics.Counter("fel_core_dropouts_total")
 	tr.roundTicks = asyncRegistry(cfg).Gauge("fel_async_round_ticks")
-	if cfg.Async.Mode != async.Sync {
-		tr.res.ArrivalLog = &async.Log{}
-	}
 	return tr, nil
 }
 
@@ -160,8 +156,7 @@ func (tr *Trainer) Step() RoundRecord {
 		return RoundRecord{}
 	}
 	// A round's logical time is the slowest selected group (the cloud
-	// barrier); the per-group event logs merge in selection order, which is
-	// deterministic however the groups were scheduled.
+	// barrier).
 	roundTicks := int64(0)
 	tr.aggNodes = tr.aggNodes[:0]
 	for si := range updates {
@@ -171,9 +166,6 @@ func (tr *Trainer) Step() RoundRecord {
 		tr.dropsCtr.Add(int64(u.Drops))
 		res.Carryovers += u.Carryovers
 		res.LateDrops += u.LateDrops
-		if res.ArrivalLog != nil {
-			res.ArrivalLog.Append(u.Events...)
-		}
 		roundTicks = max(roundTicks, u.Ticks)
 		tr.aggNodes = append(tr.aggNodes, u.Params)
 	}
@@ -249,11 +241,14 @@ func (tr *Trainer) Finish() *Result {
 // boundary. Everything a resumed run needs that cannot be re-derived from
 // (System, Config) is here: the global parameters, the sampling stream's
 // PCG words, the cost components, the accumulated Result accounting, and —
-// when the local updater is SCAFFOLD — the control variates. Group
-// formation is deliberately absent: it is replayed from the seed (including
-// every regroup before Round). What remains is O(model + rounds) — the
-// global vector and one Records entry per round so far — plus, under
-// SCAFFOLD, one variate per client.
+// when the local updater is SCAFFOLD — the control variates, and under
+// adaptive sampling the EWMA norms. Group formation is deliberately absent:
+// it is replayed from the seed (including every regroup before Round). So is
+// what a round did, async arrivals included: it is state only where a later
+// round reads it, and the fel_async_* series count it. What remains is
+// O(model + rounds) — the global vector and one Records entry per round so
+// far, which a resumed run's Result must carry — plus, under SCAFFOLD, one
+// variate per client that has trained.
 type TrainerState struct {
 	// Round is the next global round to run (= rounds already executed).
 	Round int
@@ -272,11 +267,8 @@ type TrainerState struct {
 	Records []RoundRecord
 	// Scaffold is non-nil when the run trains with SCAFFOLD.
 	Scaffold *ScaffoldCheckpoint
-	// AsyncEvents is the cumulative arrival log in async modes (nil for
-	// sync runs); LogicalTicks, Carryovers, and LateDrops mirror the
-	// Result accumulators. Restoring the log on resume is what makes a
-	// resumed run's complete log byte-identical to the uninterrupted one.
-	AsyncEvents  []async.Event
+	// LogicalTicks, Carryovers, and LateDrops mirror the Result
+	// accumulators.
 	LogicalTicks int64
 	Carryovers   int
 	LateDrops    int
@@ -313,9 +305,6 @@ func (tr *Trainer) ExportState() (*TrainerState, error) {
 	st.LogicalTicks = tr.res.LogicalTicks
 	st.Carryovers = tr.res.Carryovers
 	st.LateDrops = tr.res.LateDrops
-	if tr.res.ArrivalLog != nil {
-		st.AsyncEvents = append([]async.Event(nil), tr.res.ArrivalLog.Events()...)
-	}
 	tr.plan.Export(st)
 	return st, nil
 }
@@ -331,7 +320,10 @@ func NewTrainerResumed(sys *System, cfg Config, st *TrainerState) (*Trainer, err
 	if cfg.NewCompressor != nil {
 		return nil, errors.New("core: cannot resume a run with NewCompressor set")
 	}
-	tr := NewTrainer(sys, cfg)
+	tr, err := NewTrainerOn(sys, cfg, NewExecutor(sys, cfg), nil, nil)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
 	if len(st.Params) != len(tr.globalParams) {
 		return nil, fmt.Errorf("core: snapshot has %d params, model has %d", len(st.Params), len(tr.globalParams))
 	}
@@ -362,11 +354,5 @@ func NewTrainerResumed(sys *System, cfg Config, st *TrainerState) (*Trainer, err
 	tr.res.LogicalTicks = st.LogicalTicks
 	tr.res.Carryovers = st.Carryovers
 	tr.res.LateDrops = st.LateDrops
-	if len(st.AsyncEvents) > 0 {
-		if tr.res.ArrivalLog == nil {
-			return nil, errors.New("core: snapshot carries an arrival log but the config is synchronous")
-		}
-		tr.res.ArrivalLog.Append(st.AsyncEvents...)
-	}
 	return tr, nil
 }

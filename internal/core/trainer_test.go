@@ -241,8 +241,9 @@ func TestExecutorErrorEndsRun(t *testing.T) {
 }
 
 // TestNewTrainerOnRejectsWithErrors holds the boundary to errors: what
-// NewTrainer panics on, NewTrainerOn returns — and a caller that pins the
-// formation and fixes the selections owes neither Grouping nor SampleGroups.
+// NewTrainer panics on, NewTrainerOn and NewTrainerResumed return — and a
+// caller that pins the formation and fixes the selections owes neither
+// Grouping nor SampleGroups.
 func TestNewTrainerOnRejectsWithErrors(t *testing.T) {
 	sys := testSystem(8, 0.5, 11)
 	for name, mutate := range map[string]func(*Config){
@@ -261,6 +262,9 @@ func TestNewTrainerOnRejectsWithErrors(t *testing.T) {
 		mutate(&cfg)
 		if tr, err := NewTrainerOn(sys, cfg, NewExecutor(sys, cfg), nil, nil); err == nil || tr != nil {
 			t.Errorf("%s: NewTrainerOn returned (%v, %v), want an error", name, tr, err)
+		}
+		if tr, err := NewTrainerResumed(sys, cfg, &TrainerState{}); err == nil || tr != nil {
+			t.Errorf("%s: NewTrainerResumed returned (%v, %v), want an error", name, tr, err)
 		}
 	}
 	cfg := testConfig()

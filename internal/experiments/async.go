@@ -6,6 +6,7 @@ import (
 	"repro/internal/async"
 	"repro/internal/core"
 	"repro/internal/grouping"
+	"repro/internal/metrics"
 	"repro/internal/sampling"
 	"repro/internal/trace"
 )
@@ -16,6 +17,7 @@ type asyncRun struct {
 	mode     async.Config
 	adaptive bool
 	res      *core.Result
+	reg      *metrics.Registry
 }
 
 // asyncVsSyncRuns trains the same federation — same formation, sampling,
@@ -45,6 +47,8 @@ func asyncVsSyncRuns(sc Scale, seed uint64) []asyncRun {
 		if r.adaptive {
 			cfg.AdaptiveSampling = &sampling.AdaptiveConfig{Beta: 0.3, Explore: 0.1}
 		}
+		r.reg = metrics.New()
+		cfg.Metrics = r.reg
 		r.res = core.Train(sc.NewSystem(CIFAR, 0.05, seed), cfg)
 	}
 	return runs
@@ -52,6 +56,9 @@ func asyncVsSyncRuns(sc Scale, seed uint64) []asyncRun {
 
 // asyncTable renders one row per run. Every cell is seed-deterministic
 // (logical ticks, not wall time), so the CSV is a golden like the figures.
+// arrival_events counts what an async group round does — an arrival folded,
+// a dropout observed, a flush, a carryover or a late drop — from the run's
+// counters; a sync run's barrier has none.
 func asyncTable(runs []asyncRun) *trace.Table {
 	t := &trace.Table{
 		ID:    "async-vs-sync",
@@ -62,8 +69,9 @@ func asyncTable(runs []asyncRun) *trace.Table {
 	}
 	for _, r := range runs {
 		events := 0
-		if r.res.ArrivalLog != nil {
-			events = r.res.ArrivalLog.Len()
+		if r.mode.Mode != async.Sync {
+			events = int(r.reg.CounterValue("fel_async_folds_total")+r.reg.CounterValue("fel_async_flushes_total")) +
+				r.res.Dropouts + r.res.Carryovers + r.res.LateDrops
 		}
 		t.AddRow(r.name, r.mode.Mode.String(), fmt.Sprint(r.adaptive),
 			fmt.Sprint(r.mode.Alpha), fmt.Sprint(r.mode.BufferFrac), fmt.Sprint(r.mode.DeadlineTicks),

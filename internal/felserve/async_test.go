@@ -1,7 +1,6 @@
 package felserve
 
 import (
-	"bytes"
 	"math"
 	"runtime"
 	"testing"
@@ -12,7 +11,7 @@ import (
 
 // asyncJobSpec is the checkpoint-format workout for the async frames: a
 // buffered FedBuff job with staleness discounting, straggler delays, and
-// the adaptive sampler, so kinds 6 and 7 plus ArrivalLog chunks all appear.
+// the adaptive sampler, so kinds 6 and 7 both appear.
 func asyncJobSpec() JobSpec {
 	return JobSpec{
 		Name: "async-job", Clients: 10, Edges: 2,
@@ -29,8 +28,8 @@ func asyncJobSpec() JobSpec {
 }
 
 // TestAsyncCheckpointRoundTrip: the async frame vocabulary survives
-// save/load bit for bit — spec knobs, logical-clock totals, adaptive EWMA
-// state, and the complete arrival log.
+// save/load bit for bit — spec knobs, logical-clock totals and adaptive EWMA
+// state.
 func TestAsyncCheckpointRoundTrip(t *testing.T) {
 	spec := asyncJobSpec()
 	tr := core.NewTrainer(spec.System(), spec.TrainConfig(nil))
@@ -40,9 +39,6 @@ func TestAsyncCheckpointRoundTrip(t *testing.T) {
 	st, err := tr.ExportState()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(st.AsyncEvents) == 0 {
-		t.Fatal("mid-run async snapshot carries no arrival events")
 	}
 	if st.Adaptive == nil {
 		t.Fatal("adaptive snapshot missing")
@@ -63,14 +59,6 @@ func TestAsyncCheckpointRoundTrip(t *testing.T) {
 		t.Fatalf("clock totals corrupted: %d/%d/%d vs %d/%d/%d",
 			gotSt.LogicalTicks, gotSt.Carryovers, gotSt.LateDrops,
 			st.LogicalTicks, st.Carryovers, st.LateDrops)
-	}
-	if len(gotSt.AsyncEvents) != len(st.AsyncEvents) {
-		t.Fatalf("arrival log length %d, want %d", len(gotSt.AsyncEvents), len(st.AsyncEvents))
-	}
-	for i := range st.AsyncEvents {
-		if gotSt.AsyncEvents[i] != st.AsyncEvents[i] {
-			t.Fatalf("arrival event %d changed: %+v vs %+v", i, gotSt.AsyncEvents[i], st.AsyncEvents[i])
-		}
 	}
 	if gotSt.Adaptive == nil {
 		t.Fatal("adaptive state lost in round trip")
@@ -129,9 +117,9 @@ func asyncDemoSpecs(seed uint64) []JobSpec {
 // TestAsyncKillRecoverBitIdentical is the satellite replay gate at the
 // service layer: crash a cloud mid-buffer (past its last checkpoint),
 // recover from disk, and the finished jobs must match an uninterrupted
-// reference bit for bit — final weights, logical-clock totals, AND the
-// complete arrival log byte for byte, which is only possible if the
-// checkpoint's arrival-log and staleness frames restore exactly.
+// reference bit for bit — final weights and logical-clock totals, which is
+// only possible if the checkpoint's async and adaptive frames restore
+// exactly.
 func TestAsyncKillRecoverBitIdentical(t *testing.T) {
 	before := runtime.NumGoroutine()
 	specs := asyncDemoSpecs(31)
@@ -149,9 +137,6 @@ func TestAsyncKillRecoverBitIdentical(t *testing.T) {
 		res, err := refSvc.Job(spec.Name).Wait()
 		if err != nil {
 			t.Fatal(err)
-		}
-		if res.ArrivalLog == nil || res.ArrivalLog.Len() == 0 {
-			t.Fatalf("job %s: reference run has no arrival log", spec.Name)
 		}
 		ref[spec.Name] = res
 	}
@@ -199,9 +184,6 @@ func TestAsyncKillRecoverBitIdentical(t *testing.T) {
 			t.Errorf("job %s: clock totals %d/%d/%d, want %d/%d/%d", j.Name(),
 				res.LogicalTicks, res.Carryovers, res.LateDrops,
 				want.LogicalTicks, want.Carryovers, want.LateDrops)
-		}
-		if !bytes.Equal(res.ArrivalLog.Bytes(), want.ArrivalLog.Bytes()) {
-			t.Errorf("job %s: recovered arrival log is not byte-identical", j.Name())
 		}
 	}
 	if err := rec.Close(); err != nil {

@@ -40,18 +40,18 @@ import (
 //	Seq 7  adaptive       Floats=EWMA norms; Ints=seen flags (present only
 //	                      when the snapshot carries adaptive state)
 //
-// Async jobs additionally append wire.ArrivalLog frames after the
-// Checkpoint frames — the cumulative replay log, chunked, Seq numbering
-// the chunks — so a resumed run's complete log stays byte-identical to the
-// uninterrupted one. Synchronous jobs emit none of the above, which keeps
-// their encoding (and the golden file) byte-for-byte unchanged.
+// A checkpoint carries state, not history: no frame records the async
+// arrivals (the fel_async_* series count them), so an async job's checkpoint
+// grows with its rounds only by its records, like a synchronous one's. Async
+// files from before the arrival log was retired end in frames of wire type 9,
+// which no longer exists: they fail the decode and Recover quarantines them.
 //
-// EOF terminates the sequence. Decoding is strict: unknown kinds, a missing
-// mandatory frame (spec, trainer, records, participation; the arrival log of
-// an async job), a frame the encoder would not have written (an async frame
-// configuring neither async nor adaptive sampling, adaptive state or an
-// arrival log without it), a non-zero reserved word, or cross-frame round
-// disagreement are errors — so whatever decodes re-encodes to itself.
+// EOF terminates the sequence. Decoding is strict: frames of another type,
+// unknown kinds, a missing mandatory frame (spec, trainer, records,
+// participation), a frame the encoder would not have written (an async frame
+// configuring neither async nor adaptive sampling, adaptive state without
+// it), a non-zero reserved word, or cross-frame round disagreement are
+// errors — so whatever decodes re-encodes to itself.
 const (
 	ckptFormat uint8 = 1
 
@@ -198,17 +198,6 @@ func appendCheckpoint(dst []byte, spec JobSpec, st *core.TrainerState) ([]byte, 
 				return dst, err
 			}
 		}
-		// The cumulative arrival log rides as its own frame type so a
-		// recovered job's replay stays byte-identical; an async job with
-		// zero events still gets one empty frame (presence ≠ absence).
-		if spec.Async.Mode != async.Sync {
-			for _, lm := range async.EventsToMessages(st.AsyncEvents, round) {
-				var err error
-				if dst, err = wire.AppendFrame(dst, lm); err != nil {
-					return dst, err
-				}
-			}
-		}
 	}
 	return dst, nil
 }
@@ -228,7 +217,7 @@ func DecodeCheckpoint(r io.Reader) (JobSpec, *core.TrainerState, error) {
 		if err != nil {
 			return spec, nil, err
 		}
-		if m.Type != wire.Checkpoint && m.Type != wire.ArrivalLog {
+		if m.Type != wire.Checkpoint {
 			return spec, nil, fmt.Errorf("felserve: checkpoint stream has %s frame", m.Type)
 		}
 		if round < 0 {
@@ -236,17 +225,6 @@ func DecodeCheckpoint(r io.Reader) (JobSpec, *core.TrainerState, error) {
 			st.Round = round
 		} else if int(m.Round) != round {
 			return spec, nil, fmt.Errorf("felserve: checkpoint frames disagree on round: %d vs %d", m.Round, round)
-		}
-		if m.Type == wire.ArrivalLog {
-			ev, err := async.EventsFromMessage(m)
-			if err != nil {
-				return spec, nil, fmt.Errorf("felserve: arrival-log frame: %w", err)
-			}
-			if st.AsyncEvents == nil {
-				st.AsyncEvents = []async.Event{}
-			}
-			st.AsyncEvents = append(st.AsyncEvents, ev...)
-			continue
 		}
 		switch m.Seq {
 		case ckptSpec:
@@ -365,9 +343,6 @@ func DecodeCheckpoint(r io.Reader) (JobSpec, *core.TrainerState, error) {
 	}
 	if st.Adaptive != nil && !seen[ckptAsync] {
 		return spec, nil, fmt.Errorf("felserve: adaptive frame without an async frame")
-	}
-	if (st.AsyncEvents != nil) != (spec.Async.Mode != async.Sync) {
-		return spec, nil, fmt.Errorf("felserve: arrival log present=%v for a job in %v mode", st.AsyncEvents != nil, spec.Async.Mode)
 	}
 	return spec, st, nil
 }

@@ -2,10 +2,12 @@ package felserve
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/async"
@@ -149,7 +151,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 
 // TestCheckpointRejectsCorruption: a flipped byte anywhere must fail the
 // decode (the wire codec's CRC does the heavy lifting), and a truncated
-// file must be rejected rather than half-loaded.
+// file, or one ending in a frame of a retired type, must be rejected rather
+// than half-loaded.
 func TestCheckpointRejectsCorruption(t *testing.T) {
 	spec := goldenSpec()
 	st := goldenState(t, spec)
@@ -170,6 +173,16 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 	}
 	if _, _, err := DecodeCheckpoint(bytes.NewReader(raw[:40])); err == nil {
 		t.Fatal("decode accepted a checkpoint missing mandatory frames")
+	}
+	// Async checkpoints from before the arrival log was retired end in
+	// frames of wire type 9, which the codec no longer knows.
+	retired, err := wire.AppendFrame(slices.Clone(raw), &wire.Message{Type: wire.JobControl, Round: uint32(st.Round)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	retired[len(raw)+3] = 9
+	if _, _, err := DecodeCheckpoint(bytes.NewReader(retired)); !errors.Is(err, wire.ErrBadType) {
+		t.Fatalf("decode of a checkpoint ending in a type-9 frame: %v, want ErrBadType", err)
 	}
 }
 
@@ -261,10 +274,9 @@ func TestDecodeCheckpointRejectsUnencodable(t *testing.T) {
 		return append(append([]*wire.Message(nil), frames...), extra...)
 	}
 	for name, seq := range map[string][]*wire.Message{
-		"as encoded":                frames,
-		"no records frame":          without(ckptRecords),
-		"no participation frame":    without(ckptParticipation),
-		"arrival log in a sync job": with(async.EventsToMessages(nil, round)...),
+		"as encoded":             frames,
+		"no records frame":       without(ckptRecords),
+		"no participation frame": without(ckptParticipation),
 		"adaptive state, no async frame": with(&wire.Message{
 			Type: wire.Checkpoint, Round: round, Seq: ckptAdaptive}),
 		"async frame configuring nothing": with(&wire.Message{

@@ -42,8 +42,7 @@ import (
 // present. Loading takes the valid slot with the higher round; when the other
 // slot is neither valid nor the zeros of a new file, the write into it was
 // torn (or the file cut short), and Recover counts the fallback. A file
-// without the magic is in the older layout — one frame sequence to EOF — and
-// loads as such.
+// without the magic does not decode.
 const (
 	slotMagic      = "FELSLOT1"
 	slotHeaderSize = 16
@@ -226,7 +225,7 @@ func SaveCheckpoint(dir string, spec JobSpec, st *core.TrainerState) (int, error
 }
 
 // LoadCheckpoint reads a job checkpoint file written by SaveCheckpoint or a
-// service: the newest valid slot, or the whole file in the older layout.
+// service: the newest valid slot.
 func LoadCheckpoint(path string) (JobSpec, *core.TrainerState, error) {
 	spec, st, _, err := loadCheckpoint(path)
 	return spec, st, err
@@ -234,8 +233,8 @@ func LoadCheckpoint(path string) (JobSpec, *core.TrainerState, error) {
 
 // slotRead says where in its file a loaded checkpoint was found.
 type slotRead struct {
-	// size is the file's slot size S, 0 for the older layout or a file that
-	// is not its full 16+2S bytes — one a writer must not reuse in place.
+	// size is the file's slot size S, 0 for a file that is not its full
+	// 16+2S bytes — one a writer must not reuse in place.
 	size int64
 	// slot is the slot the checkpoint came from.
 	slot int
@@ -256,8 +255,7 @@ func loadCheckpoint(path string) (JobSpec, *core.TrainerState, slotRead, error) 
 // decodeCheckpointFile decodes a checkpoint file's bytes.
 func decodeCheckpointFile(b []byte) (JobSpec, *core.TrainerState, slotRead, error) {
 	if len(b) < slotHeaderSize || string(b[:len(slotMagic)]) != slotMagic {
-		spec, st, err := DecodeCheckpoint(bytes.NewReader(b))
-		return spec, st, slotRead{}, err
+		return JobSpec{}, nil, slotRead{}, errors.New("felserve: checkpoint file does not start with " + slotMagic)
 	}
 	size := binary.BigEndian.Uint64(b[len(slotMagic):])
 	body := b[slotHeaderSize:]

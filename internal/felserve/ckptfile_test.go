@@ -251,11 +251,16 @@ var cuts = map[string]func(p []byte) int{
 // the previous one when that write was torn or failed — never quarantine,
 // and every job must finish with the result of an uninterrupted run, unless
 // it never had a checkpoint file in place. Every file handle must be closed
-// after each instance. The async tenants' arrival logs grow their
-// checkpoints fast enough that both a fresh file and a slot doubling are in
-// the history.
+// after each instance. The tenants train with SCAFFOLD, one group of 30
+// clients a round: a client's variate joins the checkpoint when it first
+// trains, which grows each checkpoint past its slot (10.5 KB at round 2,
+// 16.5 KB or more by round 8), so both a fresh file and a slot doubling are
+// in the history.
 func TestCheckpointCrashEnumeration(t *testing.T) {
 	specs := asyncDemoSpecs(41)
+	for i := range specs {
+		specs[i].Scaffold, specs[i].Clients, specs[i].SampleGroups = true, 30, 1
+	}
 	ref := map[string]*core.Result{}
 	for _, spec := range specs {
 		ref[spec.Name] = core.Train(spec.System(), spec.TrainConfig(nil))
@@ -415,9 +420,6 @@ func diffResult(a, b *core.Result) string {
 		return "participation counts"
 	case a.LogicalTicks != b.LogicalTicks || a.Carryovers != b.Carryovers || a.LateDrops != b.LateDrops:
 		return "async clock totals"
-	case (a.ArrivalLog == nil) != (b.ArrivalLog == nil) ||
-		a.ArrivalLog != nil && !bytes.Equal(a.ArrivalLog.Bytes(), b.ArrivalLog.Bytes()):
-		return "arrival logs"
 	}
 	return ""
 }
@@ -474,47 +476,56 @@ func TestCheckpointHandlesClosed(t *testing.T) {
 // TestCheckpointWriteCounts: through the seam, a steady-state checkpoint is
 // one WriteAt and one Sync on the file the job keeps open, and a 1300-round
 // job — its records growing every round, as in the serve-fanout workload —
-// creates and renames its file only O(log size) times.
+// creates and renames its file only O(log size) times. A semi-sync job's
+// checkpoint grows by its records alone, as a synchronous one's does, so
+// after 1300 rounds both are under 64 KiB.
 func TestCheckpointWriteCounts(t *testing.T) {
-	spec := JobSpec{
+	semi := asyncDemoSpecs(41)[1]
+	semi.Rounds, semi.EvalEvery = 1300, 1300
+	for _, spec := range []JobSpec{{
 		Name: "long", Clients: 24, Edges: 2, SystemSeed: 5, Seed: 6,
 		Rounds: 1300, GroupRounds: 2, LocalEpochs: 1,
 		BatchSize: 16, LR: 0.05, SampleGroups: 2, EvalEvery: 1300,
+	}, semi} {
+		fs := newFaultFS("", -1, nil)
+		svc := newService(Config{Dir: t.TempDir(), CheckpointEvery: 5}, fs)
+		j, err := svc.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := j.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		if err := svc.Close(); err != nil {
+			t.Fatal(err)
+		}
+		ops := strings.Join(fs.ops[spec.Name], " ")
+		creates := strings.Count(ops, "create write sync rename syncdir")
+		steady := strings.Count(strings.ReplaceAll(ops, "create write sync rename syncdir", ""), "write sync")
+		if strings.Count(ops, "create") != creates || strings.Count(ops, "rename") != creates {
+			t.Fatalf("%s: a file is made other than by create, write, sync, rename, sync-dir: %s", spec.Name, ops)
+		}
+		if creates+steady != spec.Rounds/5 || len(fs.ops[spec.Name]) != 5*creates+2*steady {
+			t.Fatalf("%s: %d creates + %d steady saves for %d due checkpoints, %d operations in all",
+				spec.Name, creates, steady, spec.Rounds/5, len(fs.ops[spec.Name]))
+		}
+		st, err := svc.Job(spec.Name).tr.ExportState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var final bytes.Buffer
+		if _, err := EncodeCheckpoint(&final, spec, st); err != nil {
+			t.Fatal(err)
+		}
+		// One file at the start, then one per doubling from 4 KiB to the final size.
+		if bound := 1 + int(math.Ceil(math.Log2(float64(final.Len()+termSize)/slotMinSize))); creates > bound {
+			t.Fatalf("%s: %d files created for a final checkpoint of %d bytes, want at most %d", spec.Name, creates, final.Len(), bound)
+		}
+		if final.Len() > 64<<10 {
+			t.Fatalf("%s: the final checkpoint is %d bytes, want at most 64 KiB", spec.Name, final.Len())
+		}
+		t.Logf("%s: %d files created, %d steady-state saves, final checkpoint %d bytes", spec.Name, creates, steady, final.Len())
 	}
-	fs := newFaultFS("", -1, nil)
-	svc := newService(Config{Dir: t.TempDir(), CheckpointEvery: 5}, fs)
-	j, err := svc.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := j.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if err := svc.Close(); err != nil {
-		t.Fatal(err)
-	}
-	ops := strings.Join(fs.ops[spec.Name], " ")
-	creates := strings.Count(ops, "create write sync rename syncdir")
-	steady := strings.Count(strings.ReplaceAll(ops, "create write sync rename syncdir", ""), "write sync")
-	if strings.Count(ops, "create") != creates || strings.Count(ops, "rename") != creates {
-		t.Fatalf("a file is made other than by create, write, sync, rename, sync-dir: %s", ops)
-	}
-	if creates+steady != spec.Rounds/5 || len(fs.ops[spec.Name]) != 5*creates+2*steady {
-		t.Fatalf("%d creates + %d steady saves for %d due checkpoints, %d operations in all", creates, steady, spec.Rounds/5, len(fs.ops[spec.Name]))
-	}
-	st, err := svc.Job(spec.Name).tr.ExportState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var final bytes.Buffer
-	if _, err := EncodeCheckpoint(&final, spec, st); err != nil {
-		t.Fatal(err)
-	}
-	// One file at the start, then one per doubling from 4 KiB to the final size.
-	if bound := 1 + int(math.Ceil(math.Log2(float64(final.Len()+termSize)/slotMinSize))); creates > bound {
-		t.Fatalf("%d files created for a final checkpoint of %d bytes, want at most %d", creates, final.Len(), bound)
-	}
-	t.Logf("%d files created, %d steady-state saves, final checkpoint %d bytes", creates, steady, final.Len())
 }
 
 // slotFile lays checkpoints out as a slot file with slot size size; a nil
@@ -541,7 +552,8 @@ func terminated(frames []byte, round int) []byte {
 // FuzzLoadCheckpoint feeds whole checkpoint files to the loader: it must
 // never panic, and whatever state it returns must survive a re-encode and
 // decode unchanged. Seeds: the golden checkpoint in both slots, with the
-// newer slot torn, and in the older one-sequence layout.
+// newer slot torn, and an async job's first checkpoint — the async and
+// adaptive frames the golden lacks — alone in a new file.
 func FuzzLoadCheckpoint(f *testing.F) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "checkpoint.golden"))
 	if err != nil {
@@ -550,7 +562,19 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	slot := terminated(golden, 3)
 	f.Add(slotFile(len(slot), slot, slot))
 	f.Add(slotFile(len(slot), slot, slot[:len(slot)/2]))
-	f.Add(golden)
+	aspec := asyncJobSpec()
+	tr := core.NewTrainer(aspec.System(), aspec.TrainConfig(nil))
+	tr.Step()
+	st, err := tr.ExportState()
+	if err != nil {
+		f.Fatal(err)
+	}
+	frames, err := appendCheckpoint(nil, aspec, st)
+	if err != nil {
+		f.Fatal(err)
+	}
+	aslot := terminated(frames, st.Round)
+	f.Add(slotFile(len(aslot), aslot))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		spec, st, _, err := decodeCheckpointFile(b)
 		if err != nil {
@@ -606,8 +630,6 @@ func diffCheckpoint(as JobSpec, a *core.TrainerState, bs JobSpec, b *core.Traine
 		return "participation"
 	case (a.Scaffold == nil) != (b.Scaffold == nil):
 		return "scaffold presence"
-	case !slices.Equal(a.AsyncEvents, b.AsyncEvents) || (a.AsyncEvents == nil) != (b.AsyncEvents == nil):
-		return "arrival log"
 	case a.LogicalTicks != b.LogicalTicks || a.Carryovers != b.Carryovers || a.LateDrops != b.LateDrops:
 		return "async totals"
 	case (a.Adaptive == nil) != (b.Adaptive == nil):
@@ -629,55 +651,4 @@ func diffCheckpoint(as JobSpec, a *core.TrainerState, bs JobSpec, b *core.Traine
 		return "adaptive"
 	}
 	return ""
-}
-
-// TestRecoverOlderLayoutFile: a checkpoint file in the older layout — one
-// frame sequence to EOF — still recovers, the job finishes with the result
-// of an uninterrupted run, and its first checkpoint after recovery rewrites
-// the file in the two-slot layout.
-func TestRecoverOlderLayoutFile(t *testing.T) {
-	spec := goldenSpec()
-	st := goldenState(t, spec)
-	dir := t.TempDir()
-	var old bytes.Buffer
-	if _, err := EncodeCheckpoint(&old, spec, st); err != nil {
-		t.Fatal(err)
-	}
-	path := checkpointPath(dir, spec.Name)
-	if err := os.WriteFile(path, old.Bytes(), 0o600); err != nil {
-		t.Fatal(err)
-	}
-	svc := New(Config{Dir: dir, CheckpointEvery: 1, HaltAfterWaves: 1, StartHeld: true})
-	jobs, err := svc.Recover()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(jobs) != 1 || jobs[0].Round() != st.Round {
-		t.Fatalf("recovered %d jobs, want %s at round %d", len(jobs), spec.Name, st.Round)
-	}
-	svc.Start()
-	<-svc.Halted()
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(b, []byte(slotMagic)) {
-		t.Fatal("the first checkpoint after recovery left the file in the older layout")
-	}
-	svc.Kill()
-
-	rec := New(Config{Dir: dir, CheckpointEvery: 1})
-	if jobs, err = rec.Recover(); err != nil || len(jobs) != 1 {
-		t.Fatalf("recovering the rewritten file: %d jobs, %v", len(jobs), err)
-	}
-	res, err := jobs[0].Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := diffResult(res, core.Train(spec.System(), spec.TrainConfig(nil))); d != "" {
-		t.Fatalf("the recovered job finished with %s that differ from the uninterrupted run", d)
-	}
-	if err := rec.Close(); err != nil {
-		t.Fatal(err)
-	}
 }

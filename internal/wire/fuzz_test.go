@@ -52,7 +52,6 @@ func TestEncodeBytesPinned(t *testing.T) {
 		wire.GlobalAggregate: "ae6945e5d9479286",
 		wire.Checkpoint:      "9ff9d6daf02118c3",
 		wire.JobControl:      "a58f4242206bb076",
-		wire.ArrivalLog:      "0524d4a78eb42975",
 	}
 	corpus := corpusMessages()
 	if len(corpus) != len(want) {
@@ -76,12 +75,11 @@ func TestEncodeBytesPinned(t *testing.T) {
 	}
 }
 
-// corpusMessages covers all nine message types with every vector population
+// corpusMessages covers all eight message types with every vector population
 // the codec distinguishes: floats only, words only, ints only, all three,
-// all empty, and special float values. The Checkpoint entries mirror the
-// felserve spec/async frame shapes and the ArrivalLog entry mirrors the
-// internal/async event encoding (5 ints + 1 word per event), so the fuzzer
-// starts at the exact payload layouts the serving layer persists.
+// all empty, and special float values. The Checkpoint entry mirrors the
+// felserve spec frame's shape, so the fuzzer starts at a payload layout the
+// serving layer persists.
 func corpusMessages() []*wire.Message {
 	return []*wire.Message{
 		{Type: wire.GlobalModel, Round: 0, Seq: 0, From: -1, Floats: []float64{0.5, -1.25, 3e-9}},
@@ -94,13 +92,6 @@ func corpusMessages() []*wire.Message {
 			Floats: []float64{0.05, 0, 1.5}, Words: []uint64{0xdeadbeef, 7},
 			Ints: []int32{6, 2, 1, 16, 0, 3, 1, 0, 0, 1, 0}},
 		{Type: wire.JobControl, Round: 0, Seq: 1, From: 12, Ints: []int32{104, 105}},
-		{Type: wire.ArrivalLog, Round: 7, Seq: 0, From: -1,
-			Words: []uint64{12, 30, 30},
-			Ints: []int32{
-				7, 0, 3, 0, 0, // arrive
-				7, 0, 5, 1, 0, // drop
-				7, 0, -1, 2, 2, // flush
-			}},
 	}
 }
 
@@ -179,7 +170,7 @@ func FuzzDecodeIntoReuse(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fresh, errFresh := wire.Decode(bytes.NewReader(data), fuzzMaxFrame)
 		dirty := wire.Message{
-			Type: wire.ArrivalLog, Round: 0xdead, Seq: 0xbeef, From: -77,
+			Type: wire.JobControl, Round: 0xdead, Seq: 0xbeef, From: -77,
 			Floats: []float64{1, 2, 3, 4, 5, 6, 7, 8},
 			Words:  []uint64{9, 10, 11, 12, 13, 14, 15, 16},
 			Ints:   []int32{17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32},

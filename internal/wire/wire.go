@@ -2,8 +2,7 @@
 // mode (internal/fednode): a versioned, length-prefixed frame format for
 // the Alg. 1 message vocabulary — GlobalModel, GroupAssign, MaskedUpdate,
 // ShareReveal, GroupAggregate, GlobalAggregate — plus the serving-layer
-// extensions Checkpoint, JobControl (internal/felserve), and ArrivalLog
-// (internal/async replay logs) — carrying float
+// extensions Checkpoint and JobControl (internal/felserve) — carrying float
 // parameter vectors, field-element words, and integer id lists between the
 // cloud, edge servers, and clients over any io.Reader/io.Writer (TCP in
 // production, net.Pipe in tests) or into durable checkpoint files.
@@ -12,7 +11,7 @@
 //
 //	magic   uint16  0xFE1D
 //	version uint8   1
-//	type    uint8   message type (1..9)
+//	type    uint8   message type (1..8)
 //	round   uint32  global round id
 //	paylen  uint32  payload byte count
 //	crc     uint32  IEEE CRC32 of the payload
@@ -84,13 +83,8 @@ const (
 	// hello naming its job (Seq carries the opcode) and the service's
 	// admit/reject verdict.
 	JobControl
-	// ArrivalLog carries a chunk of an async-mode arrival log
-	// (internal/async): 5 Ints + 1 Word per event, Seq numbering the
-	// chunks. Framed into checkpoint files alongside Checkpoint records
-	// so buffered-async jobs resume with a byte-identical replay log.
-	ArrivalLog
 
-	typeMax = ArrivalLog
+	typeMax = JobControl
 )
 
 // String returns the wire name of the type.
@@ -112,8 +106,6 @@ func (t Type) String() string {
 		return "Checkpoint"
 	case JobControl:
 		return "JobControl"
-	case ArrivalLog:
-		return "ArrivalLog"
 	}
 	return fmt.Sprintf("Type(%d)", uint8(t))
 }
