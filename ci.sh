@@ -13,7 +13,8 @@
 #   5. fuzz        12 s across the wire, secagg, tensor, grouping, felserve
 #                  (whole checkpoint files, 2 s) and faultnet (whole plan
 #                  files) targets
-#   6. chaos       felnode -chaos corrupt-frames twice, outputs byte-identical
+#   6. chaos       felnode -chaos <name> twice for each of the six named
+#                  scenarios, outputs byte-identical (simulated time: seconds for all six)
 #   7. felnode     a loopback TCP job, cross-checked against core.Train
 #   8. metrics     the same job's live /metrics endpoint parses
 #   9. load        felserve under -race, then -chaos kill-cloud
@@ -145,17 +146,20 @@ go test ./internal/grouping -run '^$' -fuzz FuzzScanFilter -fuzztime 1s
 go test ./internal/felserve -run '^$' -fuzz FuzzLoadCheckpoint -fuzztime 2s -fuzzminimizetime 100x
 go test ./internal/faultnet -run '^$' -fuzz FuzzLoadPlan -fuzztime 1s
 
-echo "== felnode -chaos smoke (deterministic replay)"
+echo "== felnode -chaos smoke (deterministic replay of every named scenario)"
 # One felnode binary serves this stage and the three after it.
 nodedir="$(stage_dir felnode)"
 go build -o "$nodedir/felnode" ./cmd/felnode
-"$nodedir/felnode" -chaos corrupt-frames > "$nodedir/run1.txt"
-"$nodedir/felnode" -chaos corrupt-frames > "$nodedir/run2.txt"
-if ! diff -u "$nodedir/run1.txt" "$nodedir/run2.txt"; then
-  echo "ci.sh: chaos scenario replay is not deterministic" >&2
-  exit 1
-fi
-echo "chaos smoke: corrupt-frames replayed byte-identically"
+scenarios="$("$nodedir/felnode" -chaos list | awk '$1 != "kill-cloud" {print $1}')"
+for sc in $scenarios; do
+  "$nodedir/felnode" -chaos "$sc" > "$nodedir/$sc.1.txt"
+  "$nodedir/felnode" -chaos "$sc" > "$nodedir/$sc.2.txt"
+  if ! diff -u "$nodedir/$sc.1.txt" "$nodedir/$sc.2.txt"; then
+    echo "ci.sh: chaos scenario $sc does not replay deterministically" >&2
+    exit 1
+  fi
+done
+echo "chaos smoke: $(echo $scenarios | wc -w) named scenarios ($(echo $scenarios)) replayed byte-identically"
 
 echo "== felnode loopback smoke (TCP on 127.0.0.1)"
 timeout 120 "$nodedir/felnode" -role loopback -clients 12 -edges 2 -rounds 2

@@ -1,9 +1,19 @@
 // Package faultnet is a deterministic fault-injection layer for the
-// networked federation stack: it wraps any transport (real TCP or
-// internal/fednode's in-memory pipes) and applies a seeded, scripted fault
-// Plan at wire-frame boundaries — per-link delay and straggler injection,
-// frame corruption and truncation, connection resets, and link partitions
-// with heal times.
+// networked federation stack and the simulator it runs in: it wraps
+// internal/fednode's in-memory transport (MemNetwork) and applies a seeded,
+// scripted fault Plan at wire-frame boundaries — per-link delay and straggler
+// injection, frame corruption and truncation, connection resets, and link
+// partitions with heal times.
+//
+// Time under a Network is simulated. Injected delays, partition heals, the
+// refusal of dials across a partition, and every deadline set on a
+// connection the Network hands out (dialed or accepted) run on its clock,
+// which internal/clock.Of finds for fednode's deadlines and backoff and for
+// the scenario runner. The clock stands still while anything in the process
+// can run and jumps to its next timer once nothing can (sim.go), so a plan's
+// waits cost no wall time and their order is fixed by the plan, not by the
+// host's load. That quiescence is read from goroutine states, which kernel
+// buffers hide: TCP transports are not supported.
 //
 // Links are identified by the node tags internal/fednode supplies through
 // its TagNetwork hooks ("cloud", "edge/<e>", "client/<id>"), never by
@@ -25,14 +35,15 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/metrics"
 	"repro/internal/stats"
 	"repro/internal/wire"
 )
 
 // Transport is the dial/listen surface faultnet wraps — structurally
-// identical to internal/fednode's Network, so fednode's TCPNetwork and
-// MemNetwork both satisfy it without faultnet importing fednode.
+// identical to internal/fednode's Network. Only an in-process transport
+// (fednode's MemNetwork) may be wrapped: see the package doc.
 type Transport interface {
 	Listen(addr string) (net.Listener, error)
 	Dial(addr string) (net.Conn, error)
@@ -50,6 +61,7 @@ type Network struct {
 	plan  *Plan
 	log   *Log
 	reg   *metrics.Registry
+	clk   *sim
 
 	mu           sync.Mutex
 	listenerTags map[string]string    // addr → listener tag
@@ -58,15 +70,17 @@ type Network struct {
 	anonDials    int
 }
 
-// Wrap builds a fault-injecting view of inner executing plan. reg (which
-// may be nil) receives fel_faultnet_injected_total{action} counters as
-// faults fire. The plan must already be validated.
+// Wrap builds a fault-injecting view of inner executing plan, on a simulated
+// clock of its own. reg (which may be nil) receives
+// fel_faultnet_injected_total{action} counters as faults fire. The plan must
+// already be validated.
 func Wrap(inner Transport, plan *Plan, reg *metrics.Registry) *Network {
 	return &Network{
 		inner:        inner,
 		plan:         plan,
 		log:          &Log{},
 		reg:          reg,
+		clk:          newSim(),
 		listenerTags: make(map[string]string),
 		dirs:         make(map[string]*dirState),
 		partitions:   make(map[string]time.Time),
@@ -75,6 +89,29 @@ func Wrap(inner Transport, plan *Plan, reg *metrics.Registry) *Network {
 
 // Log exposes the injected-fault event log.
 func (n *Network) Log() *Log { return n.log }
+
+// Clock returns the network's simulated clock.
+func (n *Network) Clock() clock.Clock { return n.clk }
+
+// listener hands out accepted connections whose deadlines run on the
+// network's clock. Faults are injected on the dialing end only, so an
+// accepted connection carries none of its own.
+type listener struct {
+	net.Listener
+	clk *sim
+}
+
+// Accept wraps the next connection for simulated deadlines.
+func (l *listener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &simConn{Conn: conn, clk: l.clk}, nil
+}
+
+// Clock returns the network's simulated clock.
+func (l *listener) Clock() clock.Clock { return l.clk }
 
 // ListenAs opens a listener on addr and remembers its tag, so later dials
 // of the same address resolve their link identity.
@@ -86,7 +123,7 @@ func (n *Network) ListenAs(tag, addr string) (net.Listener, error) {
 	n.mu.Lock()
 	n.listenerTags[ln.Addr().String()] = tag
 	n.mu.Unlock()
-	return ln, nil
+	return &listener{Listener: ln, clk: n.clk}, nil
 }
 
 // Listen opens an untagged listener; its tag defaults to its address.
@@ -101,7 +138,7 @@ func (n *Network) Listen(addr string) (net.Listener, error) {
 		n.listenerTags[resolved] = resolved
 	}
 	n.mu.Unlock()
-	return ln, nil
+	return &listener{Listener: ln, clk: n.clk}, nil
 }
 
 // DialFrom dials addr on behalf of the node tagged fromTag and wraps the
@@ -110,7 +147,7 @@ func (n *Network) Listen(addr string) (net.Listener, error) {
 // retry/backoff loop absorbs it, exactly like a real SYN black-hole).
 func (n *Network) DialFrom(fromTag, addr string) (net.Conn, error) {
 	toTag := n.tagFor(addr)
-	if until := n.healDeadline(fromTag, toTag); time.Now().Before(until) {
+	if until := n.healDeadline(fromTag, toTag); n.clk.Now().Before(until) {
 		return nil, fmt.Errorf("faultnet: dial %s from %s: link partitioned", addr, fromTag)
 	}
 	conn, err := n.inner.Dial(addr)
@@ -118,10 +155,10 @@ func (n *Network) DialFrom(fromTag, addr string) (net.Conn, error) {
 		return nil, err
 	}
 	return &faultConn{
-		Conn: conn,
-		nw:   n,
-		out:  n.dir(fromTag, toTag),
-		in:   n.dir(toTag, fromTag),
+		simConn: &simConn{Conn: conn, clk: n.clk},
+		nw:      n,
+		out:     n.dir(fromTag, toTag),
+		in:      n.dir(toTag, fromTag),
 	}, nil
 }
 
@@ -171,8 +208,7 @@ func (n *Network) dir(from, to string) *dirState {
 // partition blocks both directions between a and b until now+heal.
 func (n *Network) partition(a, b string, heal time.Duration) {
 	key := pairKey(a, b)
-	//lint:ignore wallclock partition heal time: bounds waiting, never feeds a result (see faultConn.waitOut)
-	deadline := time.Now().Add(heal)
+	deadline := n.clk.Now().Add(heal)
 	n.mu.Lock()
 	if deadline.After(n.partitions[key]) {
 		n.partitions[key] = deadline

@@ -2,6 +2,7 @@ package faultnet_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"net"
 	"os"
@@ -224,12 +225,12 @@ func TestReadDelayHonorsDeadlineAsTimeout(t *testing.T) {
 	}
 	//lint:ignore dropped-error test cleanup; close failure is irrelevant here
 	defer conn.Close()
-	if err := conn.SetReadDeadline(time.Now().Add(80 * time.Millisecond)); err != nil {
+	clk := nw.Clock()
+	start := clk.Now()
+	if err := conn.SetReadDeadline(start.Add(80 * time.Millisecond)); err != nil {
 		t.Fatalf("set deadline: %v", err)
 	}
-	start := time.Now()
 	_, derr := wire.Decode(conn, 0)
-	elapsed := time.Since(start)
 	var ne net.Error
 	if !errors.As(derr, &ne) || !ne.Timeout() {
 		t.Fatalf("delayed read returned %v, want net timeout", derr)
@@ -237,11 +238,46 @@ func TestReadDelayHonorsDeadlineAsTimeout(t *testing.T) {
 	if got := wire.ErrorClass(derr); got != "timeout" {
 		t.Fatalf("ErrorClass = %q, want timeout", got)
 	}
-	if elapsed >= 5*time.Second {
-		t.Fatalf("read blocked %v: deadline not honored against injected delay", elapsed)
+	if got := clk.Now().Sub(start); got != 80*time.Millisecond {
+		t.Fatalf("read timed out at +%v of simulated time, want exactly the +80ms deadline", got)
 	}
 	if err := <-served; err != nil {
 		t.Fatalf("server write: %v", err)
+	}
+}
+
+// TestDeadlineOnAcceptedConnIsSimulated holds the listener half to the same
+// clock: a read deadline on an accepted connection expires at exactly its
+// simulated instant, with nothing written to it.
+func TestDeadlineOnAcceptedConnIsSimulated(t *testing.T) {
+	nw := faultnet.Wrap(fednode.NewMemNetwork(), &faultnet.Plan{Name: "quiet"}, nil)
+	ln, err := nw.ListenAs("srv", "s")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	dialed, err := nw.DialFrom("a", "s")
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	//lint:ignore dropped-error test cleanup; close failure is irrelevant here
+	defer dialed.Close()
+	conn, err := ln.Accept()
+	if err != nil {
+		t.Fatalf("accept: %v", err)
+	}
+	//lint:ignore dropped-error test cleanup; close failure is irrelevant here
+	defer conn.Close()
+	clk := nw.Clock()
+	start := clk.Now()
+	if err := conn.SetReadDeadline(start.Add(time.Hour)); err != nil {
+		t.Fatalf("set deadline: %v", err)
+	}
+	var ne net.Error
+	if _, err := conn.Read(make([]byte, 1)); !errors.As(err, &ne) || !ne.Timeout() {
+		t.Fatalf("silent read returned %v, want a timeout", err)
+	}
+	if got := clk.Now().Sub(start); got != time.Hour {
+		t.Fatalf("accepted conn timed out at +%v of simulated time, want exactly +1h", got)
 	}
 }
 
@@ -267,26 +303,33 @@ func TestWriteDelayAddsLatency(t *testing.T) {
 	}
 	//lint:ignore dropped-error test cleanup; close failure is irrelevant here
 	defer conn.Close()
-	start := time.Now()
+	clk := nw.Clock()
+	start := clk.Now()
 	if _, err := wire.Encode(conn, testMsg(wire.GlobalModel, 0, 0, 1)); err != nil {
 		t.Fatalf("encode: %v", err)
 	}
 	if r := <-results; r.err != nil {
 		t.Fatalf("decode: %v", r.err)
 	}
-	if elapsed := time.Since(start); elapsed < 60*time.Millisecond {
-		t.Fatalf("delayed frame arrived after %v, want >= 60ms", elapsed)
+	var ms int
+	if ev := nw.Log().Events(); len(ev) != 1 {
+		t.Fatalf("log has %d events, want the one delay", len(ev))
+	} else if _, err := fmt.Sscanf(ev[0].Detail, "delay=%dms", &ms); err != nil || ms < 60 || ms > 80 {
+		t.Fatalf("delay event %q (err %v), want delay=60..80ms", ev[0].Detail, err)
+	}
+	if got, want := clk.Now().Sub(start), time.Duration(ms)*time.Millisecond; got != want {
+		t.Fatalf("delayed frame landed at +%v of simulated time, want exactly its +%v delay", got, want)
 	}
 }
 
 func TestPartitionBlocksDialsUntilHeal(t *testing.T) {
-	const healMs = 250
+	const heal = 250 * time.Millisecond
 	plan := &faultnet.Plan{
 		Name: "split", Seed: 5,
 		Rules: []faultnet.Rule{{
 			From: "edge/1", To: "cloud", Type: "GroupAggregate",
 			Round: faultnet.MatchAny, Seq: faultnet.MatchAny,
-			Action: faultnet.ActionPartition, HealMs: healMs, Count: 1,
+			Action: faultnet.ActionPartition, HealMs: int(heal / time.Millisecond), Count: 1,
 		}},
 	}
 	nw := wrap(t, plan)
@@ -303,35 +346,35 @@ func TestPartitionBlocksDialsUntilHeal(t *testing.T) {
 	//lint:ignore dropped-error test cleanup; close failure is irrelevant here
 	defer conn.Close()
 
-	start := time.Now()
+	clk := nw.Clock()
+	start := clk.Now()
 	sent := make(chan error, 1)
 	go func() {
 		_, err := wire.Encode(conn, testMsg(wire.GroupAggregate, 0, 0, 2))
 		sent <- err
 	}()
 
-	// Give the writer time to trigger the partition, then dial across it.
-	time.Sleep(50 * time.Millisecond)
+	// Simulated time moves only once the writer has triggered the partition
+	// and is waiting out the heal, so every dial below sees it.
+	clk.Sleep(heal - time.Nanosecond)
 	if _, err := nw.DialFrom("edge/1", "c"); err == nil {
 		t.Fatal("dial across active partition succeeded")
 	} else if !strings.Contains(err.Error(), "partitioned") {
 		t.Fatalf("partitioned dial failed with %v, want partition refusal", err)
 	}
 
+	clk.Sleep(time.Nanosecond)
+	if _, err := nw.DialFrom("edge/1", "c"); err != nil {
+		t.Fatalf("dial at exactly the heal time: %v", err)
+	}
 	if err := <-sent; err != nil {
 		t.Fatalf("partitioned write: %v", err)
 	}
 	if r := <-results; r.err != nil {
 		t.Fatalf("decode after heal: %v", r.err)
 	}
-	if elapsed := time.Since(start); elapsed < healMs*time.Millisecond {
-		t.Fatalf("partitioned frame arrived after %v, want >= %dms", elapsed, healMs)
-	}
-
-	// Healed: dialing works again.
-	time.Sleep(20 * time.Millisecond)
-	if _, err := nw.DialFrom("edge/1", "c"); err != nil {
-		t.Fatalf("dial after heal: %v", err)
+	if got := clk.Now().Sub(start); got != heal {
+		t.Fatalf("partitioned frame landed at +%v of simulated time, want exactly the +%v heal", got, heal)
 	}
 }
 

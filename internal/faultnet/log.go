@@ -46,12 +46,15 @@ func (l *Log) add(e Event) {
 	l.mu.Unlock()
 }
 
-// Events returns the injected faults sorted by (link, frame, action).
+// Events returns the injected faults sorted by (link, frame, action). Two
+// rules of one action firing on one frame keep the plan's rule order: a
+// link's events are recorded by one goroutine at a time, in that order, and
+// the sort is stable.
 func (l *Log) Events() []Event {
 	l.mu.Lock()
 	out := append([]Event(nil), l.events...)
 	l.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
+	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].Link != out[j].Link {
 			return out[i].Link < out[j].Link
 		}

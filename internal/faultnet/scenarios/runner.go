@@ -3,8 +3,17 @@
 // process, talking through a faultnet-wrapped in-memory transport. Each
 // scenario pairs a fault plan with the recovery invariants it must uphold —
 // exact dropout/straggler/decode-error counts, crash-restart adoption,
-// byte-identical fault logs across replays, and, for plans that only
-// reshape time, bit-identical final weights against a fault-free run.
+// byte-identical fault logs and masked metric snapshots across replays, and,
+// for plans that only reshape time, bit-identical final weights against a
+// fault-free run.
+//
+// The faulted run lives in the faultnet network's simulated time: its
+// injected delays, partition heals, every fednode deadline and backoff, and
+// the supervisors' restart backoff move a clock that jumps whenever the
+// process is idle, so a 1.5 s straggler costs milliseconds and a crashed
+// client always rejoins at the same round boundary. Only in-process
+// transports can run that way; the fault-free baseline is an ordinary
+// MemNetwork job.
 //
 // Plans target links by node tag. One design rule keeps replays
 // byte-comparable: rules should only match links with a single sequential
@@ -160,6 +169,22 @@ func Run(sc Scenario, logf func(format string, args ...any)) (*Result, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
+	res, plan, err := execute(sc, logf)
+	if err != nil {
+		return nil, err
+	}
+	if err := verify(sc, plan, res); err != nil {
+		return nil, err
+	}
+	logf("scenario %s: ok (%d faults injected, %d rounds, %d casualties, %d restarts)",
+		sc.Name, res.Log.Len(), res.Report.RoundsRun, len(res.Casualties), res.Restarts)
+	return res, nil
+}
+
+// execute builds the scenario's plan and runs its job — after a fault-free
+// baseline when the plan is delay-only — returning the finished run for
+// verify. An error means the plan was invalid or the job itself failed.
+func execute(sc Scenario, logf func(format string, args ...any)) (*Result, *faultnet.Plan, error) {
 	sys := baseSystem(24, 1)
 	cfg := baseJobConfig()
 	if sc.Tune != nil {
@@ -170,12 +195,12 @@ func Run(sc Scenario, logf func(format string, args ...any)) (*Result, error) {
 	// targets are deterministically in play and replays line up.
 	groups, err := cfg.PinAllGroups(sys)
 	if err != nil {
-		return nil, fmt.Errorf("scenarios: %w", err)
+		return nil, nil, fmt.Errorf("scenarios: %w", err)
 	}
 
 	plan := sc.Plan(&Context{Sys: sys, Groups: groups, Cfg: &cfg})
 	if err := plan.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	// Delay-only plans must not change the trajectory: run the identical
@@ -187,7 +212,7 @@ func Run(sc Scenario, logf func(format string, args ...any)) (*Result, error) {
 		base.Meter = fednode.NewMeter(metrics.New())
 		rep, err := fednode.RunJob(fednode.NewMemNetwork(), sys, base, "")
 		if err != nil {
-			return nil, fmt.Errorf("scenarios: fault-free baseline: %w", err)
+			return nil, nil, fmt.Errorf("scenarios: fault-free baseline: %w", err)
 		}
 		baselineParams = rep.Params
 	}
@@ -199,7 +224,7 @@ func Run(sc Scenario, logf func(format string, args ...any)) (*Result, error) {
 
 	cloudLn, err := fnet.ListenAs("cloud", "")
 	if err != nil {
-		return nil, fmt.Errorf("scenarios: cloud listen: %w", err)
+		return nil, nil, fmt.Errorf("scenarios: cloud listen: %w", err)
 	}
 	defer closeQuiet(cloudLn)
 	edgeLns := make([]net.Listener, len(sys.Edges))
@@ -207,7 +232,7 @@ func Run(sc Scenario, logf func(format string, args ...any)) (*Result, error) {
 	for e := range sys.Edges {
 		ln, err := fnet.ListenAs(fmt.Sprintf("edge/%d", e), "")
 		if err != nil {
-			return nil, fmt.Errorf("scenarios: edge %d listen: %w", e, err)
+			return nil, nil, fmt.Errorf("scenarios: edge %d listen: %w", e, err)
 		}
 		defer closeQuiet(ln)
 		edgeLns[e] = ln
@@ -250,7 +275,7 @@ func Run(sc Scenario, logf func(format string, args ...any)) (*Result, error) {
 					}
 					restarts.Add(1)
 					logf("scenario %s: client %d restarting after: %v", sc.Name, id, err)
-					time.Sleep(time.Duration(plan.RestartBackoffMs) * time.Millisecond)
+					fnet.Clock().Sleep(time.Duration(plan.RestartBackoffMs) * time.Millisecond)
 				}
 			}(cl.ID, edgeAddrs[e])
 		}
@@ -270,10 +295,10 @@ func Run(sc Scenario, logf func(format string, args ...any)) (*Result, error) {
 	close(casualtyCh)
 
 	if cloudErr != nil {
-		return nil, fmt.Errorf("scenarios: %s: cloud: %w", sc.Name, cloudErr)
+		return nil, nil, fmt.Errorf("scenarios: %s: cloud: %w", sc.Name, cloudErr)
 	}
 	for err := range edgeErrs {
-		return nil, fmt.Errorf("scenarios: %s: %w", sc.Name, err)
+		return nil, nil, fmt.Errorf("scenarios: %s: %w", sc.Name, err)
 	}
 
 	res := &Result{
@@ -287,12 +312,7 @@ func Run(sc Scenario, logf func(format string, args ...any)) (*Result, error) {
 	for c := range casualtyCh {
 		res.Casualties = append(res.Casualties, c)
 	}
-	if err := verify(sc, plan, res); err != nil {
-		return nil, err
-	}
-	logf("scenario %s: ok (%d faults injected, %d rounds, %d casualties, %d restarts)",
-		sc.Name, res.Log.Len(), rep.RoundsRun, len(res.Casualties), res.Restarts)
-	return res, nil
+	return res, plan, nil
 }
 
 // verify checks the universal invariants every scenario shares, then the

@@ -125,8 +125,9 @@ func corruptFrames() Scenario {
 // assignment, adopt the rejoined connection at the next round boundary, and
 // finish with the client back in its seat. The round-1 broadcast is held
 // back well past the restart backoff so that a round boundary is still to
-// come when the redial lands: without it the scenario races the rest of the
-// job — a few milliseconds of local SGD — against that backoff.
+// come when the redial lands: local SGD takes no simulated time, so without
+// the hold-back the job would end before the backoff does. Both waits run on
+// the simulated clock, so the rejoin lands at round 1's boundary every run.
 func clientCrashRestart() Scenario {
 	return Scenario{
 		Name:  "client-crash-restart",
@@ -213,8 +214,8 @@ func stragglerStorm() Scenario {
 		Name:  "straggler-storm",
 		About: "two clients straggle past the deadline; edges classify timeouts and recover",
 		Tune: func(cfg *fednode.JobConfig) {
-			// Short enough to keep the scenario quick, long enough that
-			// honest clients never miss it even under the race detector.
+			// Simulated time, like the 1.5 s delays: honest clients, whose
+			// training takes none, never miss it.
 			cfg.StragglerTimeout = 600 * time.Millisecond
 		},
 		Plan: func(ctx *Context) *faultnet.Plan {

@@ -1,4 +1,4 @@
-package scenarios_test
+package scenarios
 
 import (
 	"os"
@@ -8,37 +8,25 @@ import (
 	"time"
 
 	"repro/internal/faultnet"
-	"repro/internal/faultnet/scenarios"
 	"repro/internal/metrics"
 )
 
-// snapshotStable lists the scenarios whose *entire* counter snapshot —
-// frames, bytes, secagg ops, dropouts — is deterministic across runs once
-// timing histograms are masked. client-crash-restart is excluded: the
-// round boundary at which the edge adopts the rejoined client depends on
-// when the redial lands, so its wire-frame totals may legitimately differ
-// between runs even though its fault log cannot.
-var snapshotStable = map[string]bool{
-	"corrupt-frames":      true,
-	"edge-partition-heal": true,
-	"straggler-storm":     true,
-	"slow-links":          true,
-	"mixed":               true,
-}
-
 // TestChaosSuite runs every named scenario twice. The first run proves the
-// recovery invariants (inside scenarios.Run); the second proves replay
-// determinism: the injected-fault event log must be byte-identical, and for
-// snapshot-stable scenarios the full masked metrics snapshot must be too.
+// recovery invariants (inside Run); the second proves replay determinism:
+// the injected-fault event log and the full timing-masked metrics snapshot —
+// frames, bytes, secagg ops, dropouts, rejoins — must be byte-identical.
+// That holds for client-crash-restart too: its restart backoff and the
+// round-1 hold-back run on the simulated clock, so the rejoin always lands
+// at the same round boundary.
 func TestChaosSuite(t *testing.T) {
-	for _, sc := range scenarios.All() {
+	for _, sc := range All() {
 		t.Run(sc.Name, func(t *testing.T) {
 			before := runtime.NumGoroutine()
-			r1, err := scenarios.Run(sc, t.Logf)
+			r1, err := Run(sc, t.Logf)
 			if err != nil {
 				t.Fatal(err)
 			}
-			r2, err := scenarios.Run(sc, t.Logf)
+			r2, err := Run(sc, t.Logf)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -49,12 +37,10 @@ func TestChaosSuite(t *testing.T) {
 			if l1, l2 := r1.Log.String(), r2.Log.String(); l1 != l2 {
 				t.Fatalf("fault event log differs between two seeded runs:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", l1, l2)
 			}
-			if snapshotStable[sc.Name] {
-				s1 := metrics.MaskTimings(r1.Registry.Snapshot())
-				s2 := metrics.MaskTimings(r2.Registry.Snapshot())
-				if s1 != s2 {
-					t.Fatalf("masked metrics snapshot differs between two seeded runs:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", s1, s2)
-				}
+			s1 := metrics.MaskTimings(r1.Registry.Snapshot())
+			s2 := metrics.MaskTimings(r2.Registry.Snapshot())
+			if s1 != s2 {
+				t.Fatalf("masked metrics snapshot differs between two seeded runs:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", s1, s2)
 			}
 			waitGoroutines(t, before)
 		})
@@ -67,11 +53,11 @@ func TestChaosSuite(t *testing.T) {
 // any difference).
 func TestDelayOnlyScenariosRanBaseline(t *testing.T) {
 	for _, name := range []string{"edge-partition-heal", "slow-links"} {
-		sc, ok := scenarios.ByName(name)
+		sc, ok := ByName(name)
 		if !ok {
 			t.Fatalf("scenario %q missing from suite", name)
 		}
-		r, err := scenarios.Run(sc, t.Logf)
+		r, err := Run(sc, t.Logf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +87,7 @@ func TestFromPlanFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := scenarios.Run(scenarios.FromPlan(plan), t.Logf)
+	r, err := Run(FromPlan(plan), t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,11 +103,11 @@ func TestFromPlanFile(t *testing.T) {
 }
 
 func TestByNameUnknown(t *testing.T) {
-	if _, ok := scenarios.ByName("no-such-scenario"); ok {
+	if _, ok := ByName("no-such-scenario"); ok {
 		t.Fatal("ByName invented a scenario")
 	}
-	if len(scenarios.All()) < 5 {
-		t.Fatalf("suite has %d scenarios, want at least 5", len(scenarios.All()))
+	if len(All()) < 5 {
+		t.Fatalf("suite has %d scenarios, want at least 5", len(All()))
 	}
 }
 

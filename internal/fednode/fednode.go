@@ -23,7 +23,10 @@
 // Control plane and failure are real here: stragglers are read deadlines,
 // a client dropout is a closed connection or a missed deadline, and the
 // edge recovers by collecting Shamir shares from the survivors
-// (internal/secagg) — the round completes without the lost update. The
+// (internal/secagg) — the round completes without the lost update. Every
+// deadline and retry backoff is read off the clock its connection, listener
+// or network carries (internal/clock.Of): the wall clock over TCP and
+// MemNetwork, faultnet's simulated clock under a fault plan. The
 // data plane stays deterministic: every process builds the same synthetic
 // System from the shared seed, so only model parameters, masked updates,
 // and shares cross the wire, and a loopback run reproduces the in-process
@@ -50,6 +53,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/grouping"
@@ -273,11 +277,10 @@ func sendFrame(conn net.Conn, m *Meter, msg *wire.Message, timeout time.Duration
 // sendEncoded writes one already-encoded frame of type typ to conn in a
 // single Write under the write deadline, counting it in the meter — the
 // send half of sendFrame, for a broadcaster that encodes once and sends the
-// same bytes to many peers.
+// same bytes to many peers. The deadline is read off conn's clock.
 func sendEncoded(conn net.Conn, m *Meter, typ wire.Type, frame []byte, timeout time.Duration) error {
 	if timeout > 0 {
-		//lint:ignore wallclock I/O deadline under the networked executor: bounds waiting, never feeds a result (TestTrajectoryPinned)
-		if err := conn.SetWriteDeadline(time.Now().Add(timeout)); err != nil {
+		if err := conn.SetWriteDeadline(clock.Of(conn).Now().Add(timeout)); err != nil {
 			return fmt.Errorf("fednode: set write deadline: %w", err)
 		}
 	}
@@ -293,15 +296,14 @@ func sendEncoded(conn net.Conn, m *Meter, typ wire.Type, frame []byte, timeout t
 
 // readFrame reads one frame from conn into m under the read deadline,
 // classifying any decode failure into mt's fel_wire_decode_errors_total (mt
-// may be nil). A zero timeout blocks indefinitely; a frame whose payload
-// exceeds wire.DefaultMaxFrame is refused before it is read. m's previous
-// vectors are overwritten (wire.DecodeInto).
+// may be nil). A zero timeout blocks indefinitely, and any other is measured
+// on conn's clock; a frame whose payload exceeds wire.DefaultMaxFrame is
+// refused before it is read. m's previous vectors are overwritten
+// (wire.DecodeInto).
 func readFrame(conn net.Conn, mt *Meter, timeout time.Duration, m *wire.Message) error {
-	var zero time.Time
-	deadline := zero
+	var deadline time.Time
 	if timeout > 0 {
-		//lint:ignore wallclock I/O deadline under the networked executor: bounds waiting, never feeds a result (TestTrajectoryPinned)
-		deadline = time.Now().Add(timeout)
+		deadline = clock.Of(conn).Now().Add(timeout)
 	}
 	if err := conn.SetReadDeadline(deadline); err != nil {
 		return fmt.Errorf("fednode: set read deadline: %w", err)

@@ -1,11 +1,14 @@
 package fednode
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync"
+	"syscall"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/metrics"
 	"repro/internal/stats"
 	"repro/internal/wire"
@@ -258,6 +261,9 @@ func (c *meteredConn) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// Clock returns the wrapped connection's clock.
+func (c *meteredConn) Clock() clock.Clock { return clock.Of(c.Conn) }
+
 // meter wraps conn so its traffic lands in m.
 func meter(conn net.Conn, m *Meter) net.Conn {
 	return &meteredConn{Conn: conn, m: m}
@@ -301,16 +307,18 @@ func dialSeed(seed uint64, tag string) uint64 {
 // backoff, absorbing the startup races of a distributed launch (an edge
 // dialing the cloud before its listener is up), transient refusals, and
 // partition-heal reconnect bursts; the serving layer and load harnesses reuse
-// it so their connection storms get the same stampede-free schedule. Retries
-// land in m's fel_net_dial_retries_total; m and rng may be nil.
+// it so their connection storms get the same stampede-free schedule. The
+// pauses are slept on nw's clock. Retries land in m's
+// fel_net_dial_retries_total; m and rng may be nil.
 func DialRetry(nw Network, fromTag, addr string, attempts int, backoff time.Duration, m *Meter, rng *stats.RNG) (net.Conn, error) {
+	clk := clock.Of(nw)
 	var err error
 	for i := 0; i < attempts; i++ {
 		if i > 0 {
 			if m != nil {
 				m.dialRetries.Inc()
 			}
-			time.Sleep(retryBackoff(backoff, i, rng))
+			clk.Sleep(retryBackoff(backoff, i, rng))
 		}
 		var c net.Conn
 		c, err = dialTagged(nw, fromTag, addr)
@@ -321,17 +329,19 @@ func DialRetry(nw Network, fromTag, addr string, attempts int, backoff time.Dura
 	return nil, fmt.Errorf("fednode: dial %s failed after %d attempts: %w", addr, attempts, err)
 }
 
-// AcceptRetry accepts one connection from ln, retrying transient
-// (timeout-class) failures with bounded backoff; any other error is fatal.
-// Retries land in m's fel_net_accept_retries_total (m may be nil).
+// AcceptRetry accepts one connection from ln, retrying transient failures —
+// a timeout, or a loaded host out of file descriptors (EMFILE, ENFILE) —
+// with bounded exponential backoff slept on ln's clock; any other error is
+// fatal. Retries land in m's fel_net_accept_retries_total (m may be nil).
 func AcceptRetry(ln net.Listener, attempts int, backoff time.Duration, m *Meter) (net.Conn, error) {
+	clk := clock.Of(ln)
 	var err error
 	for i := 0; i < attempts; i++ {
 		if i > 0 {
 			if m != nil {
 				m.acceptRetries.Inc()
 			}
-			time.Sleep(backoff)
+			clk.Sleep(backoff)
 			if backoff < time.Second {
 				backoff *= 2
 			}
@@ -341,7 +351,9 @@ func AcceptRetry(ln net.Listener, attempts int, backoff time.Duration, m *Meter)
 		if err == nil {
 			return c, nil
 		}
-		if ne, ok := err.(net.Error); !ok || !ne.Timeout() {
+		var ne net.Error
+		timeout := errors.As(err, &ne) && ne.Timeout()
+		if !timeout && !errors.Is(err, syscall.EMFILE) && !errors.Is(err, syscall.ENFILE) {
 			return nil, err
 		}
 	}

@@ -1,9 +1,12 @@
 package fednode
 
 import (
+	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -120,5 +123,62 @@ func TestConcurrentReconnectsAfterHeal(t *testing.T) {
 	}
 	if got := m.reg.CounterValue("fel_net_dial_retries_total"); got == 0 {
 		t.Fatal("no dial retries counted: the listener was late, clients must have retried")
+	}
+}
+
+// scriptedListener fails its first Accepts with err, then serves the conns
+// queued on it until closed.
+type scriptedListener struct {
+	fails int
+	err   error
+	conns chan net.Conn
+}
+
+func (l *scriptedListener) Accept() (net.Conn, error) {
+	if l.fails > 0 {
+		l.fails--
+		return nil, l.err
+	}
+	if c, ok := <-l.conns; ok {
+		return c, nil
+	}
+	return nil, net.ErrClosed
+}
+
+func (l *scriptedListener) Close() error   { return nil }
+func (l *scriptedListener) Addr() net.Addr { return memAddr("scripted") }
+
+// TestAcceptRetryRetriesFDExhaustion: a loaded TCP listener fails accepts
+// with EMFILE or ENFILE, whose Timeout() is false; AcceptRetry backs off and
+// retries them like a timeout, counting each retry, while any other error
+// stays fatal.
+func TestAcceptRetryRetriesFDExhaustion(t *testing.T) {
+	for _, errno := range []syscall.Errno{syscall.EMFILE, syscall.ENFILE} {
+		server, client := net.Pipe()
+		ln := &scriptedListener{
+			fails: 2,
+			err:   &net.OpError{Op: "accept", Net: "tcp", Err: os.NewSyscallError("accept", errno)},
+			conns: make(chan net.Conn, 1),
+		}
+		ln.conns <- server
+		m := NewMeter(nil)
+		conn, err := AcceptRetry(ln, 5, time.Millisecond, m)
+		if err != nil || conn != server {
+			t.Fatalf("%v: AcceptRetry = %v, %v; want the queued conn", errno, conn, err)
+		}
+		if got := m.reg.CounterValue("fel_net_accept_retries_total"); got != 2 {
+			t.Fatalf("%v: fel_net_accept_retries_total = %d, want 2", errno, got)
+		}
+		closeQuiet(client)
+		closeQuiet(server)
+	}
+
+	ln := &scriptedListener{fails: 1, err: net.ErrClosed, conns: make(chan net.Conn)}
+	m := NewMeter(nil)
+	if _, err := AcceptRetry(ln, 5, time.Millisecond, m); !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("closed listener: AcceptRetry err = %v, want net.ErrClosed", err)
+	}
+	if got := m.reg.CounterValue("fel_net_accept_retries_total"); got != 0 {
+		t.Fatalf("closed listener was retried %d times", got)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"net"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/fednode"
 	"repro/internal/metrics"
 	"repro/internal/wire"
@@ -14,8 +15,8 @@ import (
 // Admission control: one listener multiplexes subscribers for every job on
 // the service. A subscriber opens a connection, sends a JobControl hello
 // naming its job, and receives an admit or reject verdict; a connection
-// whose first frame is not a well-formed hello is counted and closed with
-// no verdict. Admitted
+// whose first frame is not a well-formed hello, or that sends none within
+// helloTimeout, is counted and closed with no verdict. Admitted
 // subscribers immediately get the job's current model version — a late
 // joiner adopts the live model, the serving-layer generalization of
 // fednode's crash-rejoin adoption — and then a GlobalModel frame per
@@ -114,10 +115,10 @@ func (s *Service) Serve(ln net.Listener) {
 	go func() {
 		defer s.connWG.Done()
 		for {
-			// Transient (timeout-class) accept failures — fd exhaustion
-			// under a subscriber storm — back off and retry instead of
-			// killing the front door; anything else means the listener is
-			// closed (stop) or broken, and the loop drains.
+			// Transient accept failures — a timeout, or fd exhaustion
+			// (EMFILE, ENFILE) under a subscriber storm — back off and
+			// retry instead of killing the front door; anything else means
+			// the listener is closed (stop) or broken, and the loop drains.
 			conn, err := fednode.AcceptRetry(ln, 5, 10*time.Millisecond, nil)
 			if err != nil {
 				return
@@ -157,11 +158,15 @@ func (s *Service) untrack(conn net.Conn) {
 // handle runs one subscriber session: hello, verdict, then the version
 // stream until the job completes, the peer leaves, or the service stops.
 func (s *Service) handle(conn net.Conn) {
-	name, ok := readHello(conn)
-	if !ok {
-		// The peer is not speaking the protocol: counted, and dropped
-		// without a verdict frame.
-		s.countRejected("malformed_hello")
+	name, err := readHello(conn)
+	if err != nil {
+		// The peer is silent or not speaking the protocol: counted, and
+		// dropped without a verdict frame.
+		reason := "malformed_hello"
+		if wire.ErrorClass(err) == "timeout" {
+			reason = "hello_timeout"
+		}
+		s.countRejected(reason)
 		return
 	}
 	j := s.Job(name)
@@ -214,24 +219,35 @@ func (s *Service) handle(conn net.Conn) {
 	}
 }
 
-// readHello reads a subscriber's hello and returns the job it names — one
-// byte of the name per element of Ints. A torn or undecodable frame, a frame
-// larger than a hello can be (so a name longer than any JobSpec may carry),
-// a frame that is not a hello, or an element that is not a byte makes the
-// hello malformed.
-func readHello(conn net.Conn) (job string, ok bool) {
+// errNotHello is readHello's error for a well-framed first frame that is not
+// a hello naming a job.
+var errNotHello = errors.New("felserve: first frame is not a hello")
+
+// readHello reads a subscriber's hello, within helloTimeout on conn's clock,
+// and returns the job it names — one byte of the name per element of Ints.
+// A read that times out returns the timeout. A torn or undecodable frame, a
+// frame larger than a hello can be (so a name longer than any JobSpec may
+// carry), a frame that is not a hello, or an element that is not a byte
+// makes the hello malformed.
+func readHello(conn net.Conn) (job string, err error) {
+	if err := conn.SetReadDeadline(clock.Of(conn).Now().Add(helloTimeout)); err != nil {
+		return "", err
+	}
 	hello, err := wire.Decode(conn, maxHelloPayload)
-	if err != nil || hello.Type != wire.JobControl || hello.Seq != opHello {
-		return "", false
+	if err != nil {
+		return "", err
+	}
+	if hello.Type != wire.JobControl || hello.Seq != opHello {
+		return "", errNotHello
 	}
 	name := make([]byte, len(hello.Ints))
 	for i, b := range hello.Ints {
 		if b < 0 || b > 255 {
-			return "", false
+			return "", errNotHello
 		}
 		name[i] = byte(b)
 	}
-	return string(name), true
+	return string(name), nil
 }
 
 // nameInts spells a job name the way a hello carries it, one element per

@@ -7,11 +7,15 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"runtime"
+	"sync"
+	"syscall"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/faultnet"
 	"repro/internal/fednode"
 	"repro/internal/metrics"
 	"repro/internal/wire"
@@ -272,5 +276,121 @@ func TestFanoutFramesIdentical(t *testing.T) {
 	if err := svc.Close(); err != nil {
 		t.Fatal(err)
 	}
+	waitGoroutines(t, before)
+}
+
+// TestSilentSubscriberDroppedAtHelloTimeout runs the front door on a
+// faultnet-wrapped network, whose time is simulated: a peer that connects and
+// never speaks is dropped at exactly helloTimeout, counted once as
+// hello_timeout, within half of that on the wall clock; an honest subscriber
+// on the same service is still admitted.
+func TestSilentSubscriberDroppedAtHelloTimeout(t *testing.T) {
+	before := runtime.NumGoroutine()
+	nw := faultnet.Wrap(fednode.NewMemNetwork(), &faultnet.Plan{Name: "quiet"}, nil)
+	ln, err := nw.Listen("cloud")
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := New(Config{StartHeld: true})
+	svc.Serve(ln)
+	spec := demoSpecs(3)[0]
+	if _, err := svc.Submit(spec); err != nil {
+		t.Fatal(err)
+	}
+
+	silent, err := nw.DialFrom("silent", "cloud")
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk := nw.Clock()
+	start := clk.Now()
+	// Half the bound on the wall clock: a front door that does not drop the
+	// peer in simulated time fails here instead of hanging the run.
+	watchdog := time.AfterFunc(helloTimeout/2, func() { closeQuiet(silent) })
+	_, err = silent.Read(make([]byte, 1))
+	watchdog.Stop()
+	if !errors.Is(err, io.EOF) {
+		t.Fatalf("silent peer read %v, want the front door to close the connection", err)
+	}
+	if got := clk.Now().Sub(start); got != helloTimeout {
+		t.Fatalf("silent peer dropped at +%v of simulated time, want exactly +%v", got, helloTimeout)
+	}
+	closeQuiet(silent)
+	rejected := func(reason string) int64 {
+		return svc.Registry().CounterValue("fel_serve_subscribers_rejected_total", metrics.L("reason", reason))
+	}
+	if got := rejected("hello_timeout"); got != 1 {
+		t.Fatalf("hello_timeout counter reads %d, want 1", got)
+	}
+	if got := rejected("malformed_hello"); got != 0 {
+		t.Fatalf("a silent peer was counted %d times as malformed_hello", got)
+	}
+
+	honest, err := nw.DialFrom("honest", "cloud")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Subscribe(honest, spec.Name); err != nil {
+		t.Fatalf("honest subscriber after the silent one: %v", err)
+	}
+	closeQuiet(honest)
+	svc.Kill()
+	waitGoroutines(t, before)
+}
+
+// exhaustedListener fails its first Accepts with fd exhaustion, as a loaded
+// TCP listener does, then serves the conns queued on it until closed.
+type exhaustedListener struct {
+	fails int
+	conns chan net.Conn
+	done  chan struct{}
+	once  sync.Once
+}
+
+func (l *exhaustedListener) Accept() (net.Conn, error) {
+	if l.fails > 0 {
+		l.fails--
+		return nil, &net.OpError{Op: "accept", Net: "tcp", Err: os.NewSyscallError("accept", syscall.EMFILE)}
+	}
+	select {
+	case c := <-l.conns:
+		return c, nil
+	case <-l.done:
+		return nil, net.ErrClosed
+	}
+}
+
+func (l *exhaustedListener) Close() error {
+	l.once.Do(func() { close(l.done) })
+	return nil
+}
+
+func (l *exhaustedListener) Addr() net.Addr { return &net.TCPAddr{} }
+
+// TestServeRetriesFDExhaustion: two EMFILE accept failures back the front
+// door off instead of closing it, and the subscriber behind them is admitted.
+func TestServeRetriesFDExhaustion(t *testing.T) {
+	before := runtime.NumGoroutine()
+	server, client := net.Pipe()
+	ln := &exhaustedListener{fails: 2, conns: make(chan net.Conn, 1), done: make(chan struct{})}
+	ln.conns <- server
+	svc := New(Config{StartHeld: true})
+	spec := demoSpecs(3)[0]
+	if _, err := svc.Submit(spec); err != nil {
+		t.Fatal(err)
+	}
+	svc.Serve(ln)
+	// Bounded, so a front door that stopped accepting fails here, not the run.
+	if err := client.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Subscribe(client, spec.Name); err != nil {
+		t.Fatalf("subscriber behind two EMFILE accepts: %v", err)
+	}
+	closeQuiet(client)
+	if v := svc.subAdmitted.Value(); v != 1 {
+		t.Fatalf("fel_serve_subscribers_admitted_total = %d, want 1", v)
+	}
+	svc.Kill()
 	waitGoroutines(t, before)
 }

@@ -24,7 +24,7 @@
 // bytes, how many Recover quarantined as unreadable and how many it resumed
 // from the older slot because the newest was torn,
 // subscribers admitted/active and rejected by reason — unknown_job, busy,
-// malformed_hello — versions sent); each job's private
+// malformed_hello, hello_timeout — versions sent); each job's private
 // registry carries its own fel_core_* training stream plus
 // fel_serve_job_* counters, which is what makes the tenant-isolation proof
 // (byte-identical masked snapshots, concurrent vs. serial) checkable.

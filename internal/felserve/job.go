@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"time"
 
 	"repro/internal/async"
 	"repro/internal/core"
@@ -114,6 +115,12 @@ const maxJobName = 128
 // decodes with it as the frame limit, so a header announcing more is refused
 // before the peer is admitted and before any payload buffer is taken.
 const maxHelloPayload = 20 + 4*maxJobName
+
+// helloTimeout bounds how long a connection may stay silent before its
+// hello: a peer that connects and never speaks is dropped then, and counted
+// as rejected for "hello_timeout", instead of holding a handler and a
+// tracked connection until shutdown.
+const helloTimeout = 10 * time.Second
 
 // nameOK restricts job names to filename- and wire-safe bytes: the name is
 // the checkpoint filename stem and rides in JobControl hellos.

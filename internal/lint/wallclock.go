@@ -12,7 +12,8 @@ import (
 // clock; a stray time.Now deep in a helper silently breaks bit-identical
 // replay. Legitimate wall-clock uses on a deterministic path (e.g. the
 // metrics span layer measuring real elapsed time without feeding it back
-// into results) carry //lint:ignore wallclock directives at the use site.
+// into results) carry a //lint:ignore directive naming this rule at the use
+// site.
 var Wallclock = &Analyzer{
 	Name: "wallclock",
 	Doc:  "time.Now/Since/Sleep/... must not be reachable from //lint:deterministic roots",
