@@ -17,7 +17,6 @@ import (
 	"repro/internal/data"
 	"repro/internal/experiments"
 	"repro/internal/grouping"
-	"repro/internal/hfl"
 	"repro/internal/sampling"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -330,30 +329,6 @@ func BenchmarkDropoutRobustness(b *testing.B) {
 		f := experiments.DropoutRobustness(sc, benchSeed)
 		if i == b.N-1 {
 			reportFinals(b, f)
-		}
-	}
-}
-
-// BenchmarkSecureDistributedRound times one protocol-faithful global round
-// (modelled links + secagg) to quantify the overhead of the secure path relative
-// to the in-process trainer.
-func BenchmarkSecureDistributedRound(b *testing.B) {
-	sc := benchScale()
-	sys := sc.NewSystem(experiments.CIFAR, 0.2, benchSeed)
-	groups := grouping.FormAll(
-		grouping.CoVGrouping{Config: grouping.Config{MinGS: sc.MinGS, MaxCoV: sc.MaxCoV, MergeLeftover: true}},
-		sys.Edges, sys.Classes, stats.NewRNG(benchSeed))
-	params := sys.NewModel(sys.ModelSeed).ParamVector()
-	cfg := hfl.RoundConfig{GroupRounds: 2, LocalEpochs: 1, BatchSize: 16, LR: 0.05, Seed: benchSeed}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := hfl.RunGlobalRound(sys, groups, []int{0, 1}, params, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			b.ReportMetric(res.WallClock, "sim_wallclock_s")
-			b.ReportMetric(float64(res.MaskStreams), "mask_streams")
 		}
 	}
 }

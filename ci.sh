@@ -3,7 +3,7 @@
 # why lives in DESIGN.md (the S-row of each subsystem names its gate; §8 the
 # no-FMA rule of stage 1; S26 repolint); this is only the list:
 #
-#   1. build       go build ./..., the arm64 fused-multiply-add check of 16
+#   1. build       go build ./..., the arm64 fused-multiply-add check of 15
 #                  packages and the amd64 one of the assembly, then the
 #                  print-only `placement`
 #   2. vet         go vet ./... (asmdecl among it) + gofmt -l
@@ -15,7 +15,8 @@
 #                  files) targets
 #   6. chaos       felnode -chaos <name> twice for each of the six named
 #                  scenarios, outputs byte-identical (simulated time: seconds for all six)
-#   7. felnode     a loopback TCP job, cross-checked against core.Train
+#   7. felnode     a loopback TCP job, cross-checked against core.Train; the
+#                  two modelled-link examples print a simulated round time
 #   8. metrics     the same job's live /metrics endpoint parses
 #   9. load        felserve under -race, then -chaos kill-cloud
 #  10. results     every deterministic results/medium CSV regenerated and diffed
@@ -89,10 +90,10 @@ case "${1:-}" in
     ;;
 esac
 
-echo "== go build ./... + fused-multiply-add checks (arm64: tensor, nn, grouping, core, sampling, secagg, async, hfl, cost, theory, stats, data, compress, baselines, backdoor, multimodel; amd64: every internal/*/*_amd64.s)"
+echo "== go build ./... + fused-multiply-add checks (arm64: tensor, nn, grouping, core, sampling, secagg, async, cost, theory, stats, data, compress, baselines, backdoor, multimodel; amd64: every internal/*/*_amd64.s)"
 go build ./...
 fmadir="$(stage_dir fma)"
-for pkg in tensor nn grouping core sampling secagg async hfl cost theory stats data compress baselines backdoor multimodel; do
+for pkg in tensor nn grouping core sampling secagg async cost theory stats data compress baselines backdoor multimodel; do
   GOARCH=arm64 go build -o "$fmadir/$pkg.a" "./internal/$pkg"
   go tool objdump "$fmadir/$pkg.a" > "$fmadir/$pkg.s"
   if grep -E 'FN?M(ADD|SUB)' "$fmadir/$pkg.s" >&2; then
@@ -100,7 +101,7 @@ for pkg in tensor nn grouping core sampling secagg async hfl cost theory stats d
     exit 1
   fi
 done
-echo "arm64 check: internal/{tensor,nn,grouping,core,sampling,secagg,async,hfl,cost,theory,stats,data,compress,baselines,backdoor,multimodel} hold no FMADD/FMSUB/FNMADD/FNMSUB"
+echo "arm64 check: internal/{tensor,nn,grouping,core,sampling,secagg,async,cost,theory,stats,data,compress,baselines,backdoor,multimodel} hold no FMADD/FMSUB/FNMADD/FNMSUB"
 # The assembler's listing, not `go tool objdump`: its x86 decoder has no VEX
 # tables (it prints VBROADCASTSD as `SBBL AX, 0x38(SP)`), so a grep over its
 # output could never fire.
@@ -161,8 +162,19 @@ for sc in $scenarios; do
 done
 echo "chaos smoke: $(echo $scenarios | wc -w) named scenarios ($(echo $scenarios)) replayed byte-identically"
 
-echo "== felnode loopback smoke (TCP on 127.0.0.1)"
+echo "== felnode loopback smoke (TCP on 127.0.0.1) + modelled-link examples"
 timeout 120 "$nodedir/felnode" -role loopback -clients 12 -edges 2 -rounds 2
+# Each runs fednode rounds on faultnet's simulated clock and prints the
+# round's modelled duration in simulated seconds.
+for ex in distributed secureagg; do
+  go build -o "$nodedir/$ex" "./examples/$ex"
+  timeout 120 "$nodedir/$ex" > "$nodedir/$ex.txt"
+  if ! grep 'simulated seconds' "$nodedir/$ex.txt"; then
+    cat "$nodedir/$ex.txt" >&2
+    echo "ci.sh: examples/$ex printed no simulated round time" >&2
+    exit 1
+  fi
+done
 
 echo "== felnode -metrics smoke (live HTTP endpoint)"
 "$nodedir/felnode" -role loopback -clients 12 -edges 2 -rounds 2 \

@@ -4,39 +4,13 @@ import (
 	"net"
 
 	"repro/internal/fednode"
-	"repro/internal/hfl"
 )
-
-// Distributed execution: Group-FEL rounds as the message flow of Fig. 1,
-// priced on the modelled edge network, with secure aggregation inside groups
-// (internal/hfl). The in-process Train is the fast path; this is the
-// protocol-faithful path.
-type (
-	// DistributedRoundConfig parameterizes one distributed global round.
-	DistributedRoundConfig = hfl.RoundConfig
-	// DistributedRoundResult reports the outcome and wall-clock time.
-	DistributedRoundResult = hfl.RoundResult
-	// NetworkTopology models client–edge and edge–cloud links.
-	NetworkTopology = hfl.Topology
-	// NetworkLink is one latency/bandwidth link.
-	NetworkLink = hfl.Link
-)
-
-// RunDistributedRound executes one global round of Alg. 1 for the selected
-// groups as a message exchange priced on the modelled links, with
-// secure-aggregation-masked group aggregation.
-func RunDistributedRound(sys *System, groups []*Group, selected []int, globalParams []float64, cfg DistributedRoundConfig) (*DistributedRoundResult, error) {
-	return hfl.RunGlobalRound(sys, groups, selected, globalParams, cfg)
-}
-
-// DefaultTopology returns edge-computing-typical link parameters.
-func DefaultTopology() NetworkTopology { return hfl.DefaultTopology() }
 
 // Networked execution: Group-FEL over real net.Conn transports — TCP
 // sockets between processes, or in-memory pipes inside one — with the wire
 // codec of internal/wire and straggler/dropout handling mapped onto secure
-// aggregation (internal/fednode). Where RunDistributedRound *models* link
-// times, this path *measures* wall-clock and bytes on the wire.
+// aggregation (internal/fednode). On a faultnet network running
+// faultnet.ModelPlan a round takes Fig. 1's modelled time, in simulated seconds.
 type (
 	// NetworkedJobConfig parameterizes a multi-round networked job.
 	NetworkedJobConfig = fednode.JobConfig
@@ -61,8 +35,7 @@ func RunNetworkedJob(nw NetworkTransport, sys *System, cfg NetworkedJobConfig, l
 }
 
 // RunNetworkedRound executes one global round over real connections for
-// pre-formed groups and an explicit selection — the measured counterpart of
-// RunDistributedRound.
+// pre-formed groups and an explicit selection.
 func RunNetworkedRound(nw NetworkTransport, sys *System, groups []*Group, selected []int, globalParams []float64, cfg NetworkedJobConfig, listenAddr string) ([]float64, *NetworkedReport, error) {
 	return fednode.RunRound(nw, sys, groups, selected, globalParams, cfg, listenAddr)
 }

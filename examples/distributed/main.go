@@ -1,15 +1,20 @@
-// Distributed: Group-FEL executed as an actual protocol — every round is a
-// message exchange over the simulated cloud–edge–client network, and every
-// group aggregation runs the real secure-aggregation substrate (pairwise
-// masks, Shamir shares), so the edge never sees an individual client's
-// update. Compares the learned model and wall-clock profile against the
-// in-process trainer.
+// Distributed: Group-FEL as the protocol of the paper's Fig. 1 — cloud, edges
+// and clients exchanging wire frames, every group aggregated under real
+// secure aggregation, so an edge never sees one client's update. A delay-only
+// fault plan prices each frame on its link and each masked update with its
+// client's compute time on a simulated clock: a round's modelled seconds cost
+// milliseconds, and the weights are those of an undelayed run.
 package main
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
+	"time"
 
 	groupfel "repro"
+	"repro/internal/faultnet"
 )
 
 func main() {
@@ -30,9 +35,8 @@ func main() {
 		ModelSeed: 7,
 	})
 
-	groups := groupfel.FormGroups(
-		groupfel.CoVGrouping{Config: groupfel.GroupingConfig{MinGS: 4, MaxCoV: 0.5, MergeLeftover: true}},
-		sys.Edges, sys.Classes, seed)
+	grouping := groupfel.CoVGrouping{Config: groupfel.GroupingConfig{MinGS: 4, MaxCoV: 0.5, MergeLeftover: true}}
+	groups := groupfel.FormGroups(grouping, sys.Edges, sys.Classes, seed)
 	probs := groupfel.SamplingProbabilities(groups, groupfel.ESRCoV)
 	fmt.Printf("formed %d groups; sampling probabilities:", len(groups))
 	for _, p := range probs {
@@ -44,49 +48,48 @@ func main() {
 	params := model.ParamVector()
 	before, _ := groupfel.Evaluate(model, sys.Test, 0)
 
-	cfg := groupfel.DistributedRoundConfig{
-		GroupRounds: 3, LocalEpochs: 1, BatchSize: 16, LR: 0.08, Seed: seed,
-		Topology: groupfel.DefaultTopology(),
+	cfg := groupfel.NetworkedJobConfig{
+		GroupRounds: 3, LocalEpochs: 1, BatchSize: 16, LR: 0.08, SampleGroups: 2,
+		Grouping: grouping, Weights: groupfel.BiasedWeights,
+		StragglerTimeout: time.Minute, // above the slowest client's compute time
 	}
-	fmt.Println("\nround  wall-clock(s)  messages  mask-streams  quant-err      accuracy")
-	totalWall := 0.0
+	// An edge deployment's links — 5 ms at 25 MB/s client–edge, 40 ms at
+	// 5 MB/s edge–cloud — and each client's E·H_i(n_i) on the CIFAR profile.
+	computeMs := make([]int, len(sys.Clients))
+	for _, c := range sys.Clients {
+		computeMs[c.ID] = int(math.Round(1000 * float64(cfg.LocalEpochs) * groupfel.CIFARProfile().Training(c.NumSamples())))
+	}
+	plan, err := faultnet.ModelPlan(faultnet.Link{DelayMs: 5, BytesPerMs: 25_000}, faultnet.Link{DelayMs: 40, BytesPerMs: 5_000}, computeMs)
+	if err != nil {
+		panic(err)
+	}
+	nw := faultnet.Wrap(groupfel.NewMemTransport(), plan, nil)
+	clk := nw.Clock()
+	start := clk.Now()
+
+	// Select the top two groups by probability (ESRCoV is near top-k).
+	sel := make([]int, len(groups))
+	for i := range sel {
+		sel[i] = i
+	}
+	slices.SortStableFunc(sel, func(a, b int) int { return cmp.Compare(probs[b], probs[a]) })
+	sel = sel[:2]
+	fmt.Println("\nround  simulated(s)  frames  wire-bytes  accuracy")
 	for r := 0; r < 8; r++ {
 		cfg.Seed = uint64(seed + r)
-		// Select the top two groups by probability (ESRCoV is near top-k).
-		sel := topK(probs, 2)
-		res, err := groupfel.RunDistributedRound(sys, groups, sel, params, cfg)
+		roundStart := clk.Now()
+		next, rep, err := groupfel.RunNetworkedRound(nw, sys, groups, sel, params, cfg, "")
 		if err != nil {
 			panic(err)
 		}
-		params = res.Params
-		totalWall += res.WallClock
-		model.SetParamVector(params)
-		acc, _ := groupfel.Evaluate(model, sys.Test, 0)
-		fmt.Printf("%5d  %12.2f  %8d  %12d  %9.2e  %10.4f\n",
-			r, res.WallClock, res.Messages, res.MaskStreams, res.QuantError, acc)
+		params = next
+		fmt.Printf("%5d  %12.3f  %6d  %10d  %8.4f\n",
+			r, clk.Now().Sub(roundStart).Seconds(), rep.Frames, rep.WireWritten, rep.FinalAccuracy)
 	}
+	model.SetParamVector(params)
 	after, _ := groupfel.Evaluate(model, sys.Test, 0)
-	fmt.Printf("\naccuracy %.4f → %.4f over %.1f simulated seconds of protocol time\n",
-		before, after, totalWall)
+	fmt.Printf("\naccuracy %.4f → %.4f over %.3f simulated seconds of protocol time\n",
+		before, after, clk.Now().Sub(start).Seconds())
 	fmt.Println("every group aggregate was computed under secure aggregation: the")
 	fmt.Println("edge reconstructed only the masked sum, never a client's update.")
-}
-
-// topK returns the indices of the k largest probabilities.
-func topK(p []float64, k int) []int {
-	idx := make([]int, len(p))
-	for i := range idx {
-		idx[i] = i
-	}
-	for i := 0; i < k && i < len(idx); i++ {
-		for j := i + 1; j < len(idx); j++ {
-			if p[idx[j]] > p[idx[i]] {
-				idx[i], idx[j] = idx[j], idx[i]
-			}
-		}
-	}
-	if k > len(idx) {
-		k = len(idx)
-	}
-	return idx[:k]
 }

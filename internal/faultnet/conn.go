@@ -273,7 +273,7 @@ func frameHeaderOK(hdr []byte, payLen int) bool {
 	if binary.BigEndian.Uint16(hdr) != wire.Magic || hdr[2] != wire.Version {
 		return false
 	}
-	if t := wire.Type(hdr[3]); t < wire.GlobalModel || t > wire.GlobalAggregate {
+	if !wire.Type(hdr[3]).Valid() {
 		return false
 	}
 	return payLen >= 0 && payLen <= wire.DefaultMaxFrame

@@ -305,6 +305,12 @@ func (ds *dirState) decide(fi frameInfo, frameLen int) decision {
 			}
 			d.sleep += time.Duration(ms) * time.Millisecond
 			ev.Detail = fmt.Sprintf("delay=%dms", ms)
+			if r.BytesPerMs > 0 {
+				// In nanoseconds, so 25000 and 5000 bytes/ms price exactly.
+				perByte := time.Duration(frameLen) * time.Millisecond / time.Duration(r.BytesPerMs)
+				d.sleep += perByte
+				ev.Detail += fmt.Sprintf("+%v", perByte)
+			}
 		case ActionCorrupt:
 			payloadBits := (frameLen - wire.HeaderSize) * 8
 			if payloadBits <= 0 {

@@ -563,6 +563,8 @@ func TestPlanValidateRejectsBadRules(t *testing.T) {
 		{Name: "max-jitter", Rules: []faultnet.Rule{{From: "*", To: "*", Action: faultnet.ActionDelay, JitterMs: math.MaxInt}}},
 		{Name: "negative-delay", Rules: []faultnet.Rule{{From: "*", To: "*", Action: faultnet.ActionDelay, DelayMs: -5, JitterMs: 3}}},
 		{Name: "negative-jitter", Rules: []faultnet.Rule{{From: "*", To: "*", Action: faultnet.ActionDelay, DelayMs: 5, JitterMs: -3}}},
+		{Name: "negative-bandwidth", Rules: []faultnet.Rule{{From: "*", To: "*", Action: faultnet.ActionDelay, DelayMs: 5, BytesPerMs: -1}}},
+		{Name: "huge-bandwidth", Rules: []faultnet.Rule{{From: "*", To: "*", Action: faultnet.ActionDelay, BytesPerMs: 1<<30 + 1}}},
 		{Name: "delay-past-duration", Rules: []faultnet.Rule{{From: "*", To: "*", Action: faultnet.ActionDelay, DelayMs: 1 << 44}}},
 		{Name: "heal-past-duration", Rules: []faultnet.Rule{{From: "*", To: "*", Action: faultnet.ActionPartition, HealMs: 1 << 44}}},
 		{Name: "negative-count", Rules: []faultnet.Rule{{From: "*", To: "*", Action: faultnet.ActionReset, Count: -1}}},

@@ -61,7 +61,7 @@ func parseFrame(p []byte) (frameInfo, bool) {
 		return frameInfo{}, false
 	}
 	typ := wire.Type(p[3])
-	if typ < wire.GlobalModel || typ > wire.GlobalAggregate {
+	if !typ.Valid() {
 		return frameInfo{}, false
 	}
 	payLen := int(uint32(p[8])<<24 | uint32(p[9])<<16 | uint32(p[10])<<8 | uint32(p[11]))

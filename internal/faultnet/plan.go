@@ -18,8 +18,8 @@ type Action string
 // Truncate, and Reset destroy frames or connections and must surface as
 // secagg dropouts, straggler timeouts, or crash-restarts downstream.
 const (
-	// ActionDelay sleeps before forwarding the matched frame (base plus
-	// seeded jitter), modeling stragglers and slow links.
+	// ActionDelay sleeps before forwarding the matched frame (base, seeded
+	// jitter and a per-byte term), modeling stragglers and slow links.
 	ActionDelay Action = "delay"
 	// ActionCorrupt flips Flips payload bits in the matched frame; the
 	// receiver's CRC32 check must reject it.
@@ -67,10 +67,13 @@ type Rule struct {
 	// (0 = unlimited).
 	Count int `json:"count,omitempty"`
 
-	// DelayMs and JitterMs parameterize ActionDelay: sleep DelayMs plus a
-	// seeded uniform draw from [0, JitterMs].
-	DelayMs  int `json:"delay_ms,omitempty"`
-	JitterMs int `json:"jitter_ms,omitempty"`
+	// DelayMs, JitterMs and BytesPerMs parameterize ActionDelay: sleep
+	// DelayMs plus a seeded uniform draw from [0, JitterMs], plus, when
+	// BytesPerMs is set, one millisecond per BytesPerMs bytes of the frame,
+	// header included — a link's latency and bandwidth (25000 is 25 MB/s).
+	DelayMs    int `json:"delay_ms,omitempty"`
+	JitterMs   int `json:"jitter_ms,omitempty"`
+	BytesPerMs int `json:"bytes_per_ms,omitempty"`
 	// HealMs parameterizes ActionPartition: the link heals after this long.
 	HealMs int `json:"heal_ms,omitempty"`
 	// Flips parameterizes ActionCorrupt: payload bits to flip (default 1).
@@ -102,12 +105,15 @@ func (r Rule) withDefaults() Rule {
 
 // Bounds on a rule's magnitudes. A wait past an hour is a hung run, not a
 // straggler, and the bound keeps delay plus jitter, a heal and a restart
-// backoff far inside time.Duration. A thousand flipped bits already defeats
-// any frame's CRC many times over, and the injector draws one position per
-// flip per frame.
+// backoff far inside time.Duration. A link faster than a terabyte per second
+// prices even the largest frame under a tenth of a millisecond, and at one
+// byte per millisecond that frame waits under a day. A thousand flipped bits
+// already defeats any frame's CRC many times over, and the injector draws
+// one position per flip per frame.
 const (
-	maxWaitMs = 3_600_000
-	maxFlips  = 1024
+	maxWaitMs     = 3_600_000
+	maxBytesPerMs = 1 << 30
+	maxFlips      = 1024
 )
 
 // checkRange rejects a plan value outside [0, hi].
@@ -124,8 +130,8 @@ func checkRange(name string, v, hi int) error {
 func (r Rule) validate() error {
 	switch r.Action {
 	case ActionDelay:
-		if r.DelayMs <= 0 && r.JitterMs <= 0 {
-			return fmt.Errorf("faultnet: delay rule needs delay_ms or jitter_ms")
+		if r.DelayMs <= 0 && r.JitterMs <= 0 && r.BytesPerMs <= 0 {
+			return fmt.Errorf("faultnet: delay rule needs delay_ms, jitter_ms or bytes_per_ms")
 		}
 	case ActionCorrupt, ActionTruncate, ActionReset:
 	case ActionPartition:
@@ -148,6 +154,7 @@ func (r Rule) validate() error {
 		checkRange("count", r.Count, math.MaxInt),
 		checkRange("delay_ms", r.DelayMs, maxWaitMs),
 		checkRange("jitter_ms", r.JitterMs, maxWaitMs),
+		checkRange("bytes_per_ms", r.BytesPerMs, maxBytesPerMs),
 		checkRange("heal_ms", r.HealMs, maxWaitMs),
 		checkRange("flips", r.Flips, maxFlips),
 	} {
@@ -189,7 +196,7 @@ func matchTag(pattern, tag string) bool {
 
 // wireTypeByName resolves a wire type name; 0 means unknown.
 func wireTypeByName(name string) wire.Type {
-	for t := wire.GlobalModel; t <= wire.GlobalAggregate; t++ {
+	for t := wire.GlobalModel; t.Valid(); t++ {
 		if t.String() == name {
 			return t
 		}
@@ -247,6 +254,38 @@ func (p *Plan) DelayOnly() bool {
 		}
 	}
 	return true
+}
+
+// Link is one modelled network link: a frame crossing it waits DelayMs plus
+// one millisecond per BytesPerMs bytes (0: no per-byte term).
+type Link struct{ DelayMs, BytesPerMs int }
+
+// ModelPlan prices a fednode round on the client–edge–cloud tree of the
+// paper's Fig. 1 as a delay-only plan. The global model crosses edgeCloud
+// down to each edge and every group model crosses it back; each group-round
+// broadcast and each masked update crosses clientEdge; and client id's masked
+// update also waits computeMs[id], its local compute time E·H_i(n_i) in
+// milliseconds (0: none). Registration, share reveal and the shutdown
+// broadcast take no time. Under a wrapped network a round's simulated
+// duration is then its modelled wall clock, with the weights untouched.
+func ModelPlan(clientEdge, edgeCloud Link, computeMs []int) (*Plan, error) {
+	p := &Plan{Name: "modelled-links"}
+	add := func(from, to, typ string, l Link) {
+		if l != (Link{}) {
+			p.Rules = append(p.Rules, Rule{
+				From: from, To: to, Type: typ, Round: MatchAny, Seq: MatchAny,
+				Action: ActionDelay, DelayMs: l.DelayMs, BytesPerMs: l.BytesPerMs,
+			})
+		}
+	}
+	add("cloud", "edge/*", "GlobalModel", edgeCloud)
+	add("edge/*", "cloud", "GroupAggregate", edgeCloud)
+	add("edge/*", "client/*", "GlobalModel", clientEdge)
+	add("client/*", "edge/*", "MaskedUpdate", clientEdge)
+	for id, ms := range computeMs {
+		add(fmt.Sprintf("client/%d", id), "edge/*", "MaskedUpdate", Link{DelayMs: ms})
+	}
+	return p, p.Validate()
 }
 
 // LoadPlan reads and validates a JSON plan file.

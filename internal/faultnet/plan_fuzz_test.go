@@ -10,8 +10,9 @@ import (
 
 // FuzzLoadPlan feeds whole plan files to LoadPlan. Every input must either
 // return an error or yield rules the per-frame decision executes without
-// panicking, for every message type on every kind of link, with a sleep that
-// is never negative and bit positions and cuts inside the frame.
+// panicking, for every message type on every kind of link and for frames up
+// to the largest the wire admits, with a sleep that is never negative and bit
+// positions and cuts inside the frame.
 //
 //	go test ./internal/faultnet -run '^$' -fuzz FuzzLoadPlan -fuzztime 30s
 func FuzzLoadPlan(f *testing.F) {
@@ -28,6 +29,13 @@ func FuzzLoadPlan(f *testing.F) {
 		`{"name": "huge-flips", "rules": [{"from": "*", "to": "*", "action": "corrupt", "flips": 4611686018427387904}]}`,
 		`{"name": "negative", "rules": [{"from": "*", "to": "*", "action": "delay", "delay_ms": -5, "jitter_ms": 3, "count": -1}]}`,
 		`{"name": "long-heal", "rules": [{"from": "*", "to": "*", "action": "partition", "heal_ms": 9300000000000}]}`,
+		`{"name": "bandwidth-only", "rules": [{"from": "edge/*", "to": "cloud", "type": "GroupAggregate", "action": "delay", "bytes_per_ms": 5000}]}`,
+		`{"name": "slow-one-byte", "rules": [{"from": "*", "to": "*", "action": "delay", "delay_ms": 3600000, "jitter_ms": 3600000, "bytes_per_ms": 1}]}`,
+		`{"name": "job-control", "rules": [{"from": "sub", "to": "cloud", "type": "JobControl", "action": "corrupt"},
+			{"from": "*", "to": "*", "type": "Checkpoint", "action": "reset"}]}`,
+		`{"name": "negative-bandwidth", "rules": [{"from": "*", "to": "*", "action": "delay", "delay_ms": 5, "bytes_per_ms": -25000}]}`,
+		`{"name": "huge-bandwidth", "rules": [{"from": "*", "to": "*", "action": "delay", "bytes_per_ms": 1073741825}]}`,
+		`{"name": "overflowing-bandwidth", "rules": [{"from": "*", "to": "*", "action": "delay", "bytes_per_ms": 9223372036854775808}]}`,
 		`{"rules": []}`,
 		`not json`,
 	} {
@@ -47,8 +55,8 @@ func FuzzLoadPlan(f *testing.F) {
 		links := [][2]string{{"client/1", "edge/0"}, {"edge/0", "client/1"}, {"edge/1", "cloud"}, {"cloud", "edge/1"}}
 		for _, link := range links {
 			ds := nw.dir(link[0], link[1])
-			for typ := wire.GlobalModel; typ <= wire.GlobalAggregate; typ++ {
-				for _, frameLen := range []int{wire.HeaderSize + 8, wire.HeaderSize + 4096} {
+			for typ := wire.GlobalModel; typ.Valid(); typ++ {
+				for _, frameLen := range []int{wire.HeaderSize + 8, wire.HeaderSize + 4096, wire.HeaderSize + wire.DefaultMaxFrame} {
 					d := ds.decide(frameInfo{typ: typ, round: 1, seq: 0}, frameLen)
 					if d.sleep < 0 {
 						t.Fatalf("%s→%s %v: negative sleep %v", link[0], link[1], typ, d.sleep)

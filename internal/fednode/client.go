@@ -206,8 +206,8 @@ func (c *Client) answer(m *wire.Message, st *membership) (*[]byte, error) {
 	u.params = w.Model.ParamVectorInto(u.params)
 	reply := wire.Message{Type: wire.MaskedUpdate, Round: m.Round, Seq: m.Seq, From: int32(c.id)}
 	if st.n == 1 {
-		// Singleton group: nothing to hide from itself; ship plaintext
-		// (the hfl convention).
+		// Singleton group: secure aggregation needs two parties and a lone
+		// client has nothing to hide from itself, so it ships plaintext.
 		reply.Floats = u.params
 	} else {
 		for j := range u.params {

@@ -464,8 +464,9 @@ func (e *Edge) runGroup(g *edgeGroup, t int, globalParams []float64, cloud *lock
 		}
 		sess.PublishOps(e.meter.Registry())
 		if len(dropped) > 0 {
-			// Dropout renormalization: rescale so the surviving members'
-			// n_i/n_g weights sum to one (the hfl convention).
+			// Dropout renormalization: the unmasked sum is
+			// Σ_surv (n_i/n_g)·x_i, so scale it by n_g / Σ_surv n_i and the
+			// surviving members' weights sum to one.
 			survivedSamples := 0
 			for i, s := range g.samples {
 				if !g.dead[i] {

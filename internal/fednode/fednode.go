@@ -1,10 +1,10 @@
 // Package fednode runs Group-FEL as a real networked service: a cloud
 // coordinator, edge servers, and clients exchanging wire-framed bytes over
-// net.Conn — TCP sockets in production, in-memory pipes in tests — instead
-// of the closed-form link model of internal/hfl. It is the deployment
-// shape of the paper's Fig. 1: the cloud forms groups and samples them each
-// round, edges drive K secure-aggregation group rounds against their
-// connected clients, and the cloud aggregates the returned group models.
+// net.Conn — TCP sockets in production, in-memory pipes in tests. It is the
+// deployment shape of the paper's Fig. 1: the cloud forms groups and samples
+// them each round, edges drive K secure-aggregation group rounds against
+// their connected clients, and the cloud aggregates the returned group
+// models.
 //
 // The cloud owns no algorithm. Cloud.Run registers the edges, pushes the
 // group assignment, and then steps a core.Trainer — the round loop the
@@ -32,10 +32,11 @@
 // and shares cross the wire, and a loopback run reproduces the in-process
 // trainer (internal/core.Train) up to secure-aggregation quantization.
 //
-// internal/hfl is the third way to run a round: one modelled-time secure
-// round over its own link model, with its own arrival-order fold. It
-// remains the source of *modeled* link times, while this package reports
-// measured wall-clock and bytes on the wire.
+// It is also the repository's modelled clock: on a faultnet network running
+// faultnet.ModelPlan (link latency and bandwidth per frame, each client's
+// E·H_i(n_i) before its masked update) a round lasts its modelled time in
+// simulated seconds on clock.Of(network), with the weights of an undelayed
+// run. Report stays measured: WallClock is wall time.
 //
 // Observability runs through the Meter, a thin façade over an
 // internal/metrics registry: per-message-type frame and byte counters

@@ -1,17 +1,22 @@
 package fednode
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/cost"
 	"repro/internal/data"
+	"repro/internal/faultnet"
 	"repro/internal/grouping"
 	"repro/internal/nn"
 	"repro/internal/sampling"
 	"repro/internal/stats"
+	"repro/internal/wire"
 )
 
 // testSystem builds a small, fast federated population on two edges.
@@ -180,34 +185,153 @@ func TestTCPLoopback(t *testing.T) {
 	}
 }
 
-// TestRunRoundMatchesHFLShape runs the single-round API over explicit groups.
-func TestRunRoundMatchesHFLShape(t *testing.T) {
-	sys := testSystem(10, 11)
+// runModelledRound runs the single-round API with K group rounds over every
+// group on a faultnet network priced by ModelPlan: 5 ms at 25 MB/s
+// client–edge, 40 ms at 5 MB/s edge–cloud, and E·H_i(n_i) of prof's compute
+// before each client's masked update. It fails t unless the round's
+// simulated duration equals the closed form over the frames' actual sizes to
+// the nanosecond, every client's update waited out its own compute time, and
+// the weights are Float64bits-equal to the same round on a bare MemNetwork,
+// because the plan only delays. It returns the simulated duration.
+func runModelledRound(t *testing.T, k int, prof cost.Profile) time.Duration {
+	t.Helper()
+	// Four groups; each edge holds two whose slowest members tie, so their
+	// group models reach the edge–cloud link together.
+	sys := testSystem(14, 10)
 	jcfg := testJobConfig()
+	jcfg.GroupRounds = k
+	// A modelled client computes for seconds, past the 5 s default.
+	jcfg.StragglerTimeout = time.Minute
 	groups := grouping.FormAll(jcfg.Grouping, sys.Edges, sys.Classes, stats.NewRNG(jcfg.Seed).Split(1))
-	if len(groups) == 0 {
-		t.Fatal("no groups formed")
+	selected := make([]int, len(groups))
+	perEdge := make([]int, len(sys.Edges))
+	for i, g := range groups {
+		selected[i] = i
+		perEdge[g.Edge]++
 	}
+	jcfg.SampleGroups = len(selected)
 	global := sys.NewModel(sys.ModelSeed).ParamVector()
-	params, rep, err := RunRound(NewMemNetwork(), sys, groups, []int{0}, global, jcfg, "")
+	dim := len(global)
+
+	bare, _, err := RunRound(NewMemNetwork(), sys, groups, selected, global, jcfg, "")
 	if err != nil {
-		t.Fatalf("RunRound: %v", err)
+		t.Fatalf("K=%d: RunRound: %v", k, err)
 	}
-	if len(params) != len(global) {
-		t.Fatalf("round returned %d params, want %d", len(params), len(global))
+	if slices.Equal(bare, global) {
+		t.Fatalf("K=%d: round did not change the global model", k)
 	}
-	if rep.RoundsRun != 1 {
-		t.Fatalf("ran %d rounds, want 1", rep.RoundsRun)
+
+	clientEdge := faultnet.Link{DelayMs: 5, BytesPerMs: 25_000}
+	edgeCloud := faultnet.Link{DelayMs: 40, BytesPerMs: 5_000}
+	cross := func(l faultnet.Link, m wire.Message) time.Duration {
+		return time.Duration(l.DelayMs)*time.Millisecond + time.Duration(m.EncodedSize())*time.Millisecond/time.Duration(l.BytesPerMs)
 	}
-	same := true
+	broadcast := cross(clientEdge, wire.Message{Floats: make([]float64, dim)})
+	update := cross(clientEdge, wire.Message{Words: make([]uint64, dim)})
+	report := cross(edgeCloud, wire.Message{Floats: make([]float64, dim), Ints: make([]int32, 2)})
+	computeMs := make([]int, len(sys.Clients))
+	for _, c := range sys.Clients {
+		computeMs[c.ID] = int(math.Round(1000 * float64(jcfg.LocalEpochs) * prof.Training(c.NumSamples())))
+	}
+	// The closed form. An edge's groups start once the global model has
+	// crossed its edge–cloud link and run K group rounds, each gated by the
+	// slowest member. They report through the edge's one cloud connection, so
+	// a group model ready while another is on that link waits behind it.
+	var want time.Duration
+	for e := range sys.Edges {
+		down := cross(edgeCloud, wire.Message{Floats: make([]float64, dim), Ints: make([]int32, perEdge[e])})
+		var ready []time.Duration
+		for _, g := range groups {
+			if g.Edge != e {
+				continue
+			}
+			slowest := 0
+			for _, c := range g.Clients {
+				slowest = max(slowest, computeMs[c.ID])
+			}
+			ready = append(ready, down+time.Duration(k)*(broadcast+time.Duration(slowest)*time.Millisecond+update))
+		}
+		slices.Sort(ready)
+		var free time.Duration
+		for _, r := range ready {
+			free = max(free, r) + report
+		}
+		want = max(want, free)
+	}
+
+	plan, err := faultnet.ModelPlan(clientEdge, edgeCloud, computeMs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw := faultnet.Wrap(NewMemNetwork(), plan, nil)
+	clk := nw.Clock()
+	start := clk.Now()
+	params, _, err := RunRound(nw, sys, groups, selected, global, jcfg, "")
+	if err != nil {
+		t.Fatalf("K=%d %s: RunRound on modelled links: %v", k, prof.Name, err)
+	}
+	got := clk.Now().Sub(start)
+	if got != want {
+		t.Errorf("K=%d %s: round took %v of simulated time, closed form %v", k, prof.Name, got, want)
+	}
 	for j := range params {
-		if math.Abs(params[j]-global[j]) > 1e-12 {
-			same = false
-			break
+		if math.Float64bits(params[j]) != math.Float64bits(bare[j]) {
+			t.Fatalf("K=%d %s: param %d is %x on modelled links, %x on a bare network", k, prof.Name, j, math.Float64bits(params[j]), math.Float64bits(bare[j]))
 		}
 	}
-	if same {
-		t.Fatal("round did not change the global model")
+	waits := map[string]int{}
+	for _, ev := range nw.Log().Events() {
+		if ev.Type == wire.MaskedUpdate.String() {
+			waits[ev.Link+" "+ev.Detail]++
+		}
+	}
+	for _, g := range groups {
+		for _, c := range g.Clients {
+			key := fmt.Sprintf("client/%d→edge/%d delay=%dms", c.ID, g.Edge, computeMs[c.ID])
+			if waits[key] != k {
+				t.Errorf("K=%d %s: client %d's updates waited out its compute time %d times, want %d", k, prof.Name, c.ID, waits[key], k)
+			}
+		}
+	}
+	return got
+}
+
+// TestRunRoundMatchesHFLShape runs the single-round API over every group of
+// the client–edge–cloud tree on modelled links, for K = 1, 2, 3 under both
+// cost profiles, and holds each round to runModelledRound's closed form.
+func TestRunRoundMatchesHFLShape(t *testing.T) {
+	for k := 1; k <= 3; k++ {
+		for _, prof := range []cost.Profile{cost.CIFARProfile(), cost.SCProfile()} {
+			runModelledRound(t, k, prof)
+		}
+	}
+}
+
+// TestModelledTimeScalesWithGroupRounds: each further group round adds a
+// broadcast, the slowest member's compute and an update to the round's
+// simulated duration, under either cost profile.
+func TestModelledTimeScalesWithGroupRounds(t *testing.T) {
+	for _, prof := range []cost.Profile{cost.CIFARProfile(), cost.SCProfile()} {
+		var last time.Duration
+		for k := 1; k <= 3; k++ {
+			got := runModelledRound(t, k, prof)
+			if got <= last {
+				t.Errorf("%s: K=%d round took %v, K=%d %v", prof.Name, k, got, k-1, last)
+			}
+			last = got
+		}
+	}
+}
+
+// TestCostProfileDrivesComputeTime: the CIFAR profile's heavier per-sample
+// training cost makes its modelled round outlast the SC profile's at every K.
+func TestCostProfileDrivesComputeTime(t *testing.T) {
+	for k := 1; k <= 3; k++ {
+		cifar := runModelledRound(t, k, cost.CIFARProfile())
+		sc := runModelledRound(t, k, cost.SCProfile())
+		if cifar <= sc {
+			t.Errorf("K=%d: the CIFAR profile's round took %v, the lighter SC profile's %v", k, cifar, sc)
+		}
 	}
 }
 

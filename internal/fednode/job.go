@@ -130,8 +130,11 @@ func (cfg *JobConfig) PinAllGroups(sys *core.System) ([]*grouping.Group, error) 
 }
 
 // RunRound runs one networked global round over pre-formed groups and an
-// explicit selection, returning the new global parameters — the real-socket
-// counterpart of hfl.RunGlobalRound.
+// explicit selection, returning the new global parameters. On a faultnet
+// network running faultnet.ModelPlan the round is priced on the modelled
+// links of the paper's Fig. 1: its duration is the simulated time that passes
+// on clock.Of(nw) while it runs. The caller sets cfg.StragglerTimeout above
+// its slowest client's modelled compute time.
 func RunRound(nw Network, sys *core.System, groups []*grouping.Group, selected []int, globalParams []float64, cfg JobConfig, listenAddr string) ([]float64, *Report, error) {
 	cfg.GlobalRounds = 1
 	cfg.Groups = groups

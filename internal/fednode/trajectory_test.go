@@ -7,10 +7,6 @@ import (
 	"math"
 	"testing"
 	"time"
-
-	"repro/internal/grouping"
-	"repro/internal/hfl"
-	"repro/internal/stats"
 )
 
 // paramDigest is the SHA-256 of the parameters' IEEE-754 bit patterns: two
@@ -24,7 +20,7 @@ func paramDigest(params []float64) string {
 	return hex.EncodeToString(sum[:8])
 }
 
-// TestTrajectoryPinned pins the final parameters of the executors that run
+// TestTrajectoryPinned pins the final parameters of the executor that runs
 // above internal/secagg. Pairwise and personal masks cancel exactly in the
 // masking ring, so what an aggregate dequantises to depends only on the
 // quantised inputs — never on the mask generator, the ring it folds in, its
@@ -63,22 +59,6 @@ func TestTrajectoryPinned(t *testing.T) {
 		}
 		return paramDigest(rep.Params)
 	}
-	hflRound := func() string {
-		sys := testSystem(12, 1)
-		alg := grouping.CoVGrouping{Config: grouping.Config{MinGS: 3, MaxCoV: 0.6, MergeLeftover: true}}
-		groups := grouping.FormAll(alg, sys.Edges, sys.Classes, stats.NewRNG(3))
-		if len(groups) < 2 {
-			t.Fatalf("need >= 2 groups, got %d", len(groups))
-		}
-		global := sys.NewModel(sys.ModelSeed).ParamVector()
-		res, err := hfl.RunGlobalRound(sys, groups, []int{0, 1}, global, hfl.RoundConfig{
-			GroupRounds: 2, LocalEpochs: 1, BatchSize: 8, LR: 0.05, Seed: 9, DropoutProb: 0.3,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return paramDigest(res.Params)
-	}
 	for _, tc := range []struct {
 		name string
 		got  string
@@ -87,7 +67,6 @@ func TestTrajectoryPinned(t *testing.T) {
 		{"fednode/seed42/clean", runJob(42, false), "f484796b291980d6"},
 		{"fednode/seed2024/clean", runJob(2024, false), "aa27c874b484ffeb"},
 		{"fednode/seed42/forcedrop", runJob(42, true), "6b89bfb88df846ec"},
-		{"hfl/round", hflRound(), "1aee0f3864bc08d6"},
 	} {
 		if tc.got != tc.want {
 			t.Errorf("%s: parameter digest %s, pinned %s", tc.name, tc.got, tc.want)

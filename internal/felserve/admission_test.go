@@ -280,13 +280,160 @@ func TestFanoutFramesIdentical(t *testing.T) {
 }
 
 // TestSilentSubscriberDroppedAtHelloTimeout runs the front door on a
-// faultnet-wrapped network, whose time is simulated: a peer that connects and
-// never speaks is dropped at exactly helloTimeout, counted once as
-// hello_timeout, within half of that on the wall clock; an honest subscriber
-// on the same service is still admitted.
+// faultnet-wrapped network, whose time is simulated, against one peer of
+// each kind on one service, with exact counts:
+//   - silent: connects and never speaks; dropped at exactly helloTimeout and
+//     counted once as hello_timeout;
+//   - garbage: its hello is corrupted in flight; dropped with no verdict,
+//     counted once as malformed_hello, one corrupt injected;
+//   - slow: every model version reaches it late; one delay injected per
+//     GlobalModel frame it decodes;
+//   - honest.
+//
+// The job then runs all its rounds, both admitted streams end on a final
+// frame bit-equal to the job's result, and no goroutine outlives the service.
+// A wall-clock watchdog kills the service, so a front door that misses a
+// drop fails here instead of hanging the run.
 func TestSilentSubscriberDroppedAtHelloTimeout(t *testing.T) {
 	before := runtime.NumGoroutine()
-	nw := faultnet.Wrap(fednode.NewMemNetwork(), &faultnet.Plan{Name: "quiet"}, nil)
+	plan := &faultnet.Plan{Name: "front-door", Seed: 5, Rules: []faultnet.Rule{
+		{From: "garbage", To: "cloud", Type: "JobControl", Round: faultnet.MatchAny, Seq: faultnet.MatchAny,
+			Action: faultnet.ActionCorrupt, Flips: 3},
+		{From: "cloud", To: "slow", Type: "GlobalModel", Round: faultnet.MatchAny, Seq: faultnet.MatchAny,
+			Action: faultnet.ActionDelay, DelayMs: 5},
+	}}
+	if err := plan.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	nw := faultnet.Wrap(fednode.NewMemNetwork(), plan, nil)
+	ln, err := nw.Listen("cloud")
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := New(Config{StartHeld: true})
+	svc.Serve(ln)
+	watchdog := time.AfterFunc(time.Minute, svc.Kill)
+	defer watchdog.Stop()
+	spec := demoSpecs(3)[0]
+	j, err := svc.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dial := func(tag string) net.Conn {
+		conn, err := nw.DialFrom(tag, "cloud")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return conn
+	}
+	rejected := func(reason string) int64 {
+		return svc.Registry().CounterValue("fel_serve_subscribers_rejected_total", metrics.L("reason", reason))
+	}
+
+	silent := dial("silent")
+	clk := nw.Clock()
+	start := clk.Now()
+	_, err = silent.Read(make([]byte, 1))
+	if !errors.Is(err, io.EOF) {
+		t.Fatalf("silent peer read %v, want the front door to close the connection", err)
+	}
+	if got := clk.Now().Sub(start); got != helloTimeout {
+		t.Fatalf("silent peer dropped at +%v of simulated time, want exactly +%v", got, helloTimeout)
+	}
+	closeQuiet(silent)
+
+	garbage := dial("garbage")
+	if _, err := Subscribe(garbage, spec.Name); err == nil {
+		t.Fatal("a corrupted hello was admitted")
+	}
+	closeQuiet(garbage)
+	if got := rejected("hello_timeout"); got != 1 {
+		t.Fatalf("hello_timeout counter reads %d, want 1", got)
+	}
+	if got := rejected("malformed_hello"); got != 1 {
+		t.Fatalf("malformed_hello counter reads %d, want 1", got)
+	}
+
+	// The two admitted peers follow the job to its end.
+	type stream struct {
+		models int // GlobalModel frames decoded
+		final  []float64
+		err    error
+	}
+	follow := func(tag string) <-chan stream {
+		conn := dial(tag)
+		done := make(chan stream, 1)
+		sub, err := Subscribe(conn, spec.Name)
+		if err != nil {
+			t.Fatalf("%s subscriber: %v", tag, err)
+		}
+		go func() {
+			defer closeQuiet(conn)
+			var s stream
+			for {
+				version, params, final, err := sub.Next()
+				if err != nil {
+					s.err = err
+					break
+				}
+				if final {
+					if version != spec.Rounds {
+						s.err = fmt.Errorf("final frame carries round %d, want %d", version, spec.Rounds)
+					}
+					s.final = append([]float64(nil), params...)
+					break
+				}
+				s.models++
+			}
+			done <- s
+		}()
+		return done
+	}
+	slow, honest := follow("slow"), follow("honest")
+	svc.Start()
+	res, err := j.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.RoundsRun != spec.Rounds {
+		t.Fatalf("job ran %d rounds, want %d", res.RoundsRun, spec.Rounds)
+	}
+	s, h := <-slow, <-honest
+	for name, st := range map[string]stream{"slow": s, "honest": h} {
+		t.Logf("%s subscriber decoded %d of %d model versions", name, st.models, spec.Rounds)
+		if st.err != nil || !sameBits(st.final, res.Params) {
+			t.Errorf("%s subscriber: stream ended with err %v after %d versions; final frame bit-equal to the result: %v",
+				name, st.err, st.models, sameBits(st.final, res.Params))
+		}
+	}
+	if c := nw.Log().Counts(); c[faultnet.ActionDelay] != s.models || c[faultnet.ActionCorrupt] != 1 {
+		t.Errorf("injected %v; want one corrupt and one delay per model version the slow subscriber decoded (%d)", c, s.models)
+	}
+	if v := svc.subAdmitted.Value(); v != 2 {
+		t.Fatalf("fel_serve_subscribers_admitted_total = %d, want 2", v)
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitGoroutines(t, before)
+}
+
+// TestDelayedVersionAfterVerdict holds a wrapped connection to its frame
+// boundaries past a JobControl frame: a subscriber reads its verdict, then
+// version 0, which a rule delays by 50 ms on the way from the cloud. Next
+// must return it at exactly +50 ms of simulated time, the rule having fired
+// once. A wall-clock watchdog closes the connection, so a reader that lost
+// the boundaries fails instead of hanging.
+func TestDelayedVersionAfterVerdict(t *testing.T) {
+	before := runtime.NumGoroutine()
+	plan := &faultnet.Plan{Name: "late-version", Rules: []faultnet.Rule{{
+		From: "cloud", To: "sub", Type: "GlobalModel", Round: faultnet.MatchAny, Seq: faultnet.MatchAny,
+		Action: faultnet.ActionDelay, DelayMs: 50,
+	}}}
+	if err := plan.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	nw := faultnet.Wrap(fednode.NewMemNetwork(), plan, nil)
 	ln, err := nw.Listen("cloud")
 	if err != nil {
 		t.Fatal(err)
@@ -297,43 +444,29 @@ func TestSilentSubscriberDroppedAtHelloTimeout(t *testing.T) {
 	if _, err := svc.Submit(spec); err != nil {
 		t.Fatal(err)
 	}
-
-	silent, err := nw.DialFrom("silent", "cloud")
+	conn, err := nw.DialFrom("sub", "cloud")
 	if err != nil {
 		t.Fatal(err)
 	}
+	watchdog := time.AfterFunc(5*time.Second, func() { closeQuiet(conn) })
+	defer watchdog.Stop()
 	clk := nw.Clock()
 	start := clk.Now()
-	// Half the bound on the wall clock: a front door that does not drop the
-	// peer in simulated time fails here instead of hanging the run.
-	watchdog := time.AfterFunc(helloTimeout/2, func() { closeQuiet(silent) })
-	_, err = silent.Read(make([]byte, 1))
-	watchdog.Stop()
-	if !errors.Is(err, io.EOF) {
-		t.Fatalf("silent peer read %v, want the front door to close the connection", err)
-	}
-	if got := clk.Now().Sub(start); got != helloTimeout {
-		t.Fatalf("silent peer dropped at +%v of simulated time, want exactly +%v", got, helloTimeout)
-	}
-	closeQuiet(silent)
-	rejected := func(reason string) int64 {
-		return svc.Registry().CounterValue("fel_serve_subscribers_rejected_total", metrics.L("reason", reason))
-	}
-	if got := rejected("hello_timeout"); got != 1 {
-		t.Fatalf("hello_timeout counter reads %d, want 1", got)
-	}
-	if got := rejected("malformed_hello"); got != 0 {
-		t.Fatalf("a silent peer was counted %d times as malformed_hello", got)
-	}
-
-	honest, err := nw.DialFrom("honest", "cloud")
+	sub, err := Subscribe(conn, spec.Name)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("subscribe: %v", err)
 	}
-	if _, err := Subscribe(honest, spec.Name); err != nil {
-		t.Fatalf("honest subscriber after the silent one: %v", err)
+	version, _, final, err := sub.Next()
+	if err != nil || version != 0 || final {
+		t.Fatalf("Next returned version %d final %v err %v, want version 0", version, final, err)
 	}
-	closeQuiet(honest)
+	if got := clk.Now().Sub(start); got != 50*time.Millisecond {
+		t.Fatalf("version 0 arrived at +%v of simulated time, want exactly +50ms", got)
+	}
+	if n := nw.Log().Len(); n != 1 {
+		t.Fatalf("log holds %d events, want the one delay:\n%s", n, nw.Log())
+	}
+	closeQuiet(conn)
 	svc.Kill()
 	waitGoroutines(t, before)
 }

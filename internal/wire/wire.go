@@ -87,6 +87,12 @@ const (
 	typeMax = JobControl
 )
 
+// Valid reports whether t is one of the defined message types — the one
+// range check the encoder, the decoder and every frame inspector share. The
+// types are dense from GlobalModel, so `for t := GlobalModel; t.Valid(); t++`
+// visits each of them.
+func (t Type) Valid() bool { return t >= GlobalModel && t <= typeMax }
+
 // String returns the wire name of the type.
 func (t Type) String() string {
 	switch t {
@@ -169,7 +175,7 @@ func (m *Message) payloadSize() int {
 // many peers encodes once into a buffer it reuses and writes those bytes to
 // each.
 func AppendFrame(dst []byte, m *Message) ([]byte, error) {
-	if m.Type < 1 || m.Type > typeMax {
+	if !m.Type.Valid() {
 		return dst, fmt.Errorf("%w: %d", ErrBadType, uint8(m.Type))
 	}
 	payLen := m.payloadSize()
@@ -265,7 +271,7 @@ func DecodeInto(r io.Reader, maxFrame int, m *Message) error {
 		return fmt.Errorf("%w: got %d, want %d", ErrVersion, hdr[2], Version)
 	}
 	typ := Type(hdr[3])
-	if typ < 1 || typ > typeMax {
+	if !typ.Valid() {
 		return fmt.Errorf("%w: %d", ErrBadType, hdr[3])
 	}
 	payLen := int(binary.BigEndian.Uint32(hdr[8:]))
