@@ -16,7 +16,8 @@
 #   6. chaos       felnode -chaos <name> twice for each of the six named
 #                  scenarios, outputs byte-identical (simulated time: seconds for all six)
 #   7. felnode     a loopback TCP job, cross-checked against core.Train; the
-#                  two modelled-link examples print a simulated round time
+#                  two modelled-link examples print a simulated round time;
+#                  examples/fednet recovers a client reset by a faultnet rule
 #   8. metrics     the same job's live /metrics endpoint parses
 #   9. load        felserve under -race, then -chaos kill-cloud
 #  10. results     every deterministic results/medium CSV regenerated and diffed
@@ -162,7 +163,7 @@ for sc in $scenarios; do
 done
 echo "chaos smoke: $(echo $scenarios | wc -w) named scenarios ($(echo $scenarios)) replayed byte-identically"
 
-echo "== felnode loopback smoke (TCP on 127.0.0.1) + modelled-link examples"
+echo "== felnode loopback smoke (TCP on 127.0.0.1) + modelled-link examples + fednet reset recovery"
 timeout 120 "$nodedir/felnode" -role loopback -clients 12 -edges 2 -rounds 2
 # Each runs fednode rounds on faultnet's simulated clock and prints the
 # round's modelled duration in simulated seconds.
@@ -175,6 +176,14 @@ for ex in distributed secureagg; do
     exit 1
   fi
 done
+# Its second job resets one client mid-round; the group must recover.
+go build -o "$nodedir/fednet" ./examples/fednet
+timeout 120 "$nodedir/fednet" > "$nodedir/fednet.txt"
+if ! grep -E 'recovered group rounds=[1-9]' "$nodedir/fednet.txt"; then
+  cat "$nodedir/fednet.txt" >&2
+  echo "ci.sh: examples/fednet recovered no group round after the reset" >&2
+  exit 1
+fi
 
 echo "== felnode -metrics smoke (live HTTP endpoint)"
 "$nodedir/felnode" -role loopback -clients 12 -edges 2 -rounds 2 \

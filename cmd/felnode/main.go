@@ -9,7 +9,6 @@
 // Usage:
 //
 //	felnode -role loopback                     # whole federation in-process over 127.0.0.1
-//	felnode -role loopback -dropclient 3       # inject a mid-round disconnect
 //
 //	felnode -role cloud -listen :9000
 //	felnode -role edge -edge 0 -cloud host:9000 -listen :9100
@@ -53,7 +52,6 @@ import (
 	"net/http"
 	"os"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -81,7 +79,6 @@ func main() {
 		lr      = flag.Float64("lr", 0.05, "local SGD learning rate")
 		sample  = flag.Int("sample", 2, "groups sampled per round S")
 		seed    = flag.Uint64("seed", 42, "shared seed: every process derives the same federation from it")
-		dropc   = flag.Int("dropclient", -1, "inject a disconnect: this client vanishes mid-round in round 0")
 		chaos   = flag.String("chaos", "", "run a chaos scenario: a name from the built-in suite, a plan.json path, or 'list'")
 		serve   = flag.Bool("serve", false, "run as a long-lived multi-job federation service (see -jobs, -ckpt)")
 		ckpt    = flag.String("ckpt", "", "service mode: checkpoint directory for durable resume (empty: in-memory only)")
@@ -132,13 +129,6 @@ func main() {
 		Weights:  sampling.Biased,
 		Seed:     *seed,
 	}
-	if *dropc >= 0 {
-		cfg.ForceDrop = &fednode.ForcedDrop{Client: *dropc, Round: 0, GroupRound: 0}
-		if err := pinDropSelection(sys, &cfg); err != nil {
-			fmt.Fprintln(os.Stderr, "felnode:", err)
-			os.Exit(1)
-		}
-	}
 	if *verbose {
 		cfg.Logf = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "felnode: "+format+"\n", args...)
@@ -161,7 +151,7 @@ func main() {
 	var err error
 	switch *role {
 	case "loopback":
-		err = runLoopback(sys, cfg, *dropc >= 0)
+		err = runLoopback(sys, cfg)
 	case "cloud":
 		err = runCloud(sys, cfg, *listen)
 	case "edge":
@@ -297,40 +287,16 @@ func (s *metricsServer) close() {
 	}
 }
 
-// pinDropSelection pins the cloud's group formation and selects every group
-// each round, so an injected disconnect is deterministically in play and the
-// recovery path demonstrably runs. Every process derives the same pin from
-// the shared flags.
-func pinDropSelection(sys *core.System, cfg *fednode.JobConfig) error {
-	groups, err := cfg.PinAllGroups(sys)
+// runLoopback runs the full federation over real localhost TCP sockets and
+// cross-checks the result against the in-process trainer: same seed, same
+// config, so no client may fail, the final accuracies must agree within
+// tolerance and the transport byte count must equal the codec's accounting.
+func runLoopback(sys *core.System, cfg fednode.JobConfig) error {
+	rep, err := fednode.RunJob(fednode.TCPNetwork{}, sys, cfg, "127.0.0.1:0")
 	if err != nil {
 		return err
 	}
-	var target *grouping.Group
-	for _, g := range groups {
-		for _, c := range g.Clients {
-			if c.ID == cfg.ForceDrop.Client {
-				target = g
-			}
-		}
-	}
-	if target == nil {
-		return fmt.Errorf("dropclient %d is not a client of this federation", cfg.ForceDrop.Client)
-	}
-	if target.Size() < 3 {
-		return fmt.Errorf("dropclient %d is in a group of %d: dropping it would break the Shamir threshold; pick a client in a larger group",
-			cfg.ForceDrop.Client, target.Size())
-	}
-	return nil
-}
-
-// runLoopback runs the full federation over real localhost TCP sockets and
-// cross-checks the result against the in-process trainer: same seed, same
-// config, so the final accuracies must agree within tolerance and — on a
-// clean run — the transport byte count must equal the codec's accounting.
-func runLoopback(sys *core.System, cfg fednode.JobConfig, injected bool) error {
-	rep, err := fednode.RunJob(fednode.TCPNetwork{}, sys, cfg, "127.0.0.1:0")
-	if err != nil {
+	if err := casualtiesErr(rep.Casualties); err != nil {
 		return err
 	}
 	fmt.Printf("loopback job: %d edges, %d clients, T=%d K=%d E=%d over 127.0.0.1\n",
@@ -342,15 +308,6 @@ func runLoopback(sys *core.System, cfg fednode.JobConfig, injected bool) error {
 	fmt.Printf("final: acc=%.4f loss=%.4f wall=%s frames=%d wire=%dB\n",
 		rep.FinalAccuracy, rep.FinalLoss, rep.WallClock.Round(0), rep.Frames, rep.WireWritten)
 
-	if injected {
-		fmt.Printf("fault injection: %d dropouts, %d recovered group rounds\n", rep.Dropouts, rep.Recoveries)
-		if rep.Recoveries == 0 {
-			return fmt.Errorf("injected disconnect was never recovered")
-		}
-		// Partial writes on a torn connection can leave unaccounted bytes;
-		// the byte cross-check only holds on clean runs.
-		return nil
-	}
 	if rep.WireWritten != rep.AccountedBytes {
 		return fmt.Errorf("byte accounting mismatch: transport wrote %d, codec accounted %d",
 			rep.WireWritten, rep.AccountedBytes)
@@ -389,47 +346,31 @@ func runCloud(sys *core.System, cfg fednode.JobConfig, listen string) error {
 	return nil
 }
 
-// runEdge serves edge id on listen, dialing the cloud — and hosts the
-// edge's clients as goroutines dialing back over real TCP, so one process
-// per edge covers its whole subtree.
+// runEdge serves edge id on listen, dialing the cloud, and hosts the edge's
+// clients dialing back over real TCP, so one process per edge covers its
+// whole subtree. A client that fails fails the process.
 func runEdge(sys *core.System, cfg fednode.JobConfig, id int, listen, cloudAddr string) error {
-	if id < 0 || id >= len(sys.Edges) {
-		return fmt.Errorf("edge id %d out of range [0,%d)", id, len(sys.Edges))
-	}
 	nw := fednode.TCPNetwork{}
 	ln, err := nw.Listen(listen)
 	if err != nil {
 		return err
 	}
-	defer func() {
-		//lint:ignore dropped-error shutdown-path close of a drained listener
-		ln.Close()
-	}()
-	addr := ln.Addr().String()
-	fmt.Printf("edge %d: listening on %s, cloud at %s, hosting %d clients\n", id, addr, cloudAddr, len(sys.Edges[id]))
-
-	errs := make(chan error, len(sys.Edges[id]))
-	var wg sync.WaitGroup
-	for _, cl := range sys.Edges[id] {
-		wg.Add(1)
-		go func(cid int) {
-			defer wg.Done()
-			if _, err := fednode.NewClient(cid, sys, cfg, nil).Run(nw, addr); err != nil {
-				errs <- fmt.Errorf("client %d: %w", cid, err)
-			}
-		}(cl.ID)
+	fmt.Printf("edge %d: listening on %s, cloud at %s\n", id, ln.Addr(), cloudAddr)
+	casualties, err := fednode.RunEdge(nw, sys, cfg, id, ln, cloudAddr)
+	if err != nil {
+		return err
 	}
-	edgeErr := fednode.NewEdge(id, sys, cfg, nil).Run(nw, ln, cloudAddr)
-	wg.Wait()
-	close(errs)
-	if edgeErr != nil {
-		return edgeErr
-	}
-	for err := range errs {
-		if err != nil {
-			return err
-		}
+	if err := casualtiesErr(casualties); err != nil {
+		return err
 	}
 	fmt.Printf("edge %d: job complete\n", id)
 	return nil
+}
+
+// casualtiesErr reports the first of cs, the clients that failed for good.
+func casualtiesErr(cs []fednode.Casualty) error {
+	if len(cs) == 0 {
+		return nil
+	}
+	return fmt.Errorf("client %d failed (%d casualties): %w", cs[0].Client, len(cs), cs[0].Err)
 }

@@ -20,8 +20,6 @@ type (
 	NetworkTransport = fednode.Network
 	// TCPTransport is the real-socket transport.
 	TCPTransport = fednode.TCPNetwork
-	// NetworkedDrop injects one mid-round client disconnect (fault demo).
-	NetworkedDrop = fednode.ForcedDrop
 )
 
 // NewMemTransport returns an in-process transport over net.Pipe pairs.

@@ -1,15 +1,17 @@
 // Fednet: Group-FEL over a real network transport. The whole federation —
 // cloud coordinator, edge servers, clients — runs as concurrent servers
 // exchanging length-prefixed binary frames over TCP on 127.0.0.1, with
-// secure aggregation inside every group and a mid-round client disconnect
-// recovered from Shamir shares. Unlike examples/distributed (which *models*
-// link times), every byte and millisecond here is measured.
+// secure aggregation inside every group. Unlike examples/distributed (which
+// *models* link times), every byte and millisecond of that run is measured.
+// A second run resets one client's connection mid-round through a faultnet
+// rule, and its group recovers the round from Shamir shares.
 package main
 
 import (
 	"fmt"
 
 	groupfel "repro"
+	"repro/internal/faultnet"
 )
 
 func main() {
@@ -52,10 +54,10 @@ func main() {
 		rep.FinalAccuracy, rep.Frames, rep.WireWritten, rep.WallClock.Round(0))
 	fmt.Printf("codec accounting matches transport: %v\n", rep.AccountedBytes == rep.WireWritten)
 
-	// Same job, but one client vanishes after training in round 0 — a real
-	// closed connection, detected by the edge and recovered via the secagg
-	// share-reveal exchange. Pin formation + selection so the faulty client
-	// is deterministically in play.
+	// Same job, but one client's connection is reset as it submits its
+	// round-0 update, after training — a real closed connection, detected by
+	// the edge and recovered via the secagg share-reveal exchange. Pin
+	// formation + selection so the faulty client is deterministically in play.
 	groups, err := cfg.PinAllGroups(sys)
 	if err != nil {
 		panic(err)
@@ -67,13 +69,19 @@ func main() {
 			break
 		}
 	}
-	cfg.ForceDrop = &groupfel.NetworkedDrop{Client: victim, Round: 0, GroupRound: 0}
+	plan := &faultnet.Plan{Name: "mid-round-crash", Rules: []faultnet.Rule{{
+		From: fmt.Sprintf("client/%d", victim), To: "edge/*", Type: "MaskedUpdate",
+		Round: 0, Seq: 0, Action: faultnet.ActionReset, Count: 1,
+	}}}
+	if err := plan.Validate(); err != nil {
+		panic(err)
+	}
 
-	fmt.Printf("\n== same job with client %d disconnecting mid-round ==\n", victim)
-	rep2, err := groupfel.RunNetworkedJob(groupfel.NewMemTransport(), sys, cfg, "")
+	fmt.Printf("\n== same job with client %d's connection reset mid-round ==\n", victim)
+	rep2, err := groupfel.RunNetworkedJob(faultnet.Wrap(groupfel.NewMemTransport(), plan, nil), sys, cfg, "")
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("dropouts=%d, recovered group rounds=%d, final acc=%.4f (clean: %.4f)\n",
-		rep2.Dropouts, rep2.Recoveries, rep2.FinalAccuracy, rep.FinalAccuracy)
+	fmt.Printf("dropouts=%d, casualties=%d, recovered group rounds=%d, final acc=%.4f (clean: %.4f)\n",
+		rep2.Dropouts, len(rep2.Casualties), rep2.Recoveries, rep2.FinalAccuracy, rep.FinalAccuracy)
 }

@@ -13,8 +13,8 @@ import (
 )
 
 // InjectedError is the error a sender (or reader) observes when a terminal
-// fault — reset or truncate — destroys its connection. Scenario supervisors
-// match on it to tell injected crashes from genuine protocol bugs.
+// fault — reset or truncate — destroys its connection. A caller can match on
+// it (errors.As) to tell injected crashes from genuine protocol bugs.
 type InjectedError struct {
 	Action Action
 	Link   string

@@ -8,8 +8,8 @@
 // Time under a Network is simulated. Injected delays, partition heals, the
 // refusal of dials across a partition, and every deadline set on a
 // connection the Network hands out (dialed or accepted) run on its clock,
-// which internal/clock.Of finds for fednode's deadlines and backoff and for
-// the scenario runner. The clock stands still while anything in the process
+// which internal/clock.Of finds for fednode's deadlines, dial backoff and
+// restart backoff. The clock stands still while anything in the process
 // can run and jumps to its next timer once nothing can (sim.go), so a plan's
 // waits cost no wall time and their order is fixed by the plan, not by the
 // host's load. That quiescence is read from goroutine states, which kernel
@@ -92,6 +92,12 @@ func (n *Network) Log() *Log { return n.log }
 
 // Clock returns the network's simulated clock.
 func (n *Network) Clock() clock.Clock { return n.clk }
+
+// RestartBudget returns the plan's crash-restart budget: how often fednode
+// redials a client whose run failed, and the pause before each redial.
+func (n *Network) RestartBudget() (int, time.Duration) {
+	return n.plan.MaxRestarts, time.Duration(n.plan.RestartBackoffMs) * time.Millisecond
+}
 
 // listener hands out accepted connections whose deadlines run on the
 // network's clock. Faults are injected on the dialing end only, so an

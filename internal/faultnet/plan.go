@@ -1,8 +1,10 @@
 package faultnet
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strings"
@@ -81,14 +83,30 @@ type Rule struct {
 }
 
 // UnmarshalJSON applies the field defaults a hand-written plan.json expects:
-// Round and Seq wildcard to MatchAny, Prob to 1, Flips to 1.
+// Round and Seq wildcard to MatchAny, Prob to 1, Flips to 1. A key Rule has
+// no field for is an error: a misspelt "count" must not fire a rule forever.
 func (r *Rule) UnmarshalJSON(b []byte) error {
 	type bare Rule
 	a := bare{Round: MatchAny, Seq: MatchAny, Prob: 1, Flips: 1}
-	if err := json.Unmarshal(b, &a); err != nil {
+	if err := decodeStrict(b, &a); err != nil {
 		return err
 	}
 	*r = Rule(a)
+	return nil
+}
+
+// decodeStrict decodes the one JSON value b holds into v, rejecting any key v
+// has no field for. A Rule decodes through its own UnmarshalJSON, out of reach
+// of an outer decoder's setting, so each level decodes strictly by itself.
+func decodeStrict(b []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("data after the top-level JSON value")
+	}
 	return nil
 }
 
@@ -205,7 +223,7 @@ func wireTypeByName(name string) wire.Type {
 }
 
 // Plan is one seeded, scripted chaos plan: the fault rules plus the
-// recovery policy knobs the scenario runner honors. The same plan and seed
+// restart budget fednode's supervised clients draw on. The same plan and seed
 // always inject the same faults in the same per-link order.
 type Plan struct {
 	// Name identifies the plan in logs and CLI output.
@@ -213,10 +231,12 @@ type Plan struct {
 	// Seed drives every probabilistic draw (per-link RNGs are derived from
 	// it); the runner may override it from the -seed flag.
 	Seed uint64 `json:"seed"`
-	// MaxRestarts is the per-client crash-restart budget the scenario
-	// runner grants (0: a crashed client stays down).
+	// MaxRestarts is the per-client crash-restart budget fednode grants on
+	// this plan's network (Network.RestartBudget; 0: a crashed client stays
+	// down).
 	MaxRestarts int `json:"max_restarts,omitempty"`
-	// RestartBackoffMs is the pause before a crashed client redials.
+	// RestartBackoffMs is the simulated pause before a crashed client
+	// redials.
 	RestartBackoffMs int `json:"restart_backoff_ms,omitempty"`
 	// Rules are evaluated in order against every frame; all matching rules
 	// that fire apply (terminal actions — truncate, reset — stop the scan).
@@ -288,14 +308,15 @@ func ModelPlan(clientEdge, edgeCloud Link, computeMs []int) (*Plan, error) {
 	return p, p.Validate()
 }
 
-// LoadPlan reads and validates a JSON plan file.
+// LoadPlan reads and validates a JSON plan file. A key that names no Plan or
+// Rule field is an error naming the key.
 func LoadPlan(path string) (*Plan, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("faultnet: read plan: %w", err)
 	}
 	p := &Plan{}
-	if err := json.Unmarshal(b, p); err != nil {
+	if err := decodeStrict(b, p); err != nil {
 		return nil, fmt.Errorf("faultnet: parse plan %s: %w", path, err)
 	}
 	if err := p.Validate(); err != nil {

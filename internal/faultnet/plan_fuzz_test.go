@@ -3,6 +3,7 @@ package faultnet
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/wire"
@@ -41,6 +42,9 @@ func FuzzLoadPlan(f *testing.F) {
 	} {
 		f.Add([]byte(seed))
 	}
+	for _, m := range misspelt {
+		f.Add([]byte(m.doc))
+	}
 	dir := f.TempDir()
 	f.Fuzz(func(t *testing.T, doc []byte) {
 		path := filepath.Join(dir, "plan.json")
@@ -73,4 +77,28 @@ func FuzzLoadPlan(f *testing.F) {
 			}
 		}
 	})
+}
+
+// misspelt are plan files with one key that names no field, at the plan's
+// level and inside a rule. Read leniently, the first would grant no restarts
+// and the second would fire a once-only reset on every match.
+var misspelt = []struct{ key, doc string }{
+	{"max_restart", `{"name": "typo", "max_restart": 2, "rules": [
+		{"from": "client/1", "to": "edge/*", "action": "reset", "count": 1}]}`},
+	{"cout", `{"name": "typo", "max_restarts": 2, "rules": [
+		{"from": "client/1", "to": "edge/*", "action": "reset", "cout": 1}]}`},
+}
+
+// TestLoadPlanRejectsUnknownKeys: each misspelt plan is refused with an
+// error that names the key.
+func TestLoadPlanRejectsUnknownKeys(t *testing.T) {
+	for _, m := range misspelt {
+		path := filepath.Join(t.TempDir(), "plan.json")
+		if err := os.WriteFile(path, []byte(m.doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadPlan(path); err == nil || !strings.Contains(err.Error(), `"`+m.key+`"`) {
+			t.Errorf("plan with key %q: LoadPlan error %v, want one naming the key", m.key, err)
+		}
+	}
 }

@@ -152,7 +152,7 @@ func runWatched(t *testing.T, sc Scenario, js string) (*Result, *faultnet.Plan, 
 // zero dropouts, final weights Float64bits-equal to one fault-free run, and
 // the same fault log on a replay.
 func TestGeneratedTimeOnlyPlans(t *testing.T) {
-	sys := baseSystem(24, 1)
+	sys := baseSystem()
 	cfg := baseJobConfig()
 	if _, err := cfg.PinAllGroups(sys); err != nil {
 		t.Fatal(err)

@@ -1,15 +1,16 @@
 // Package scenarios executes named chaos plans against a full loopback
-// federation: a cloud, edge servers, and supervised clients, all in one
-// process, talking through a faultnet-wrapped in-memory transport. Each
-// scenario pairs a fault plan with the recovery invariants it must uphold —
+// federation: one fednode.RunJob — a cloud, edge servers, and clients that
+// fednode supervises within the plan's restart budget — talking through a
+// faultnet-wrapped in-memory transport. Each scenario pairs a fault plan
+// with the recovery invariants it must uphold —
 // exact dropout/straggler/decode-error counts, crash-restart adoption,
 // byte-identical fault logs and masked metric snapshots across replays, and,
 // for plans that only reshape time, bit-identical final weights against a
 // fault-free run.
 //
 // The faulted run lives in the faultnet network's simulated time: its
-// injected delays, partition heals, every fednode deadline and backoff, and
-// the supervisors' restart backoff move a clock that jumps whenever the
+// injected delays, partition heals, and every fednode deadline and backoff,
+// the restart backoff included, move a clock that jumps whenever the
 // process is idle, so a 1.5 s straggler costs milliseconds and a crashed
 // client always rejoins at the same round boundary. Only in-process
 // transports can run that way; the fault-free baseline is an ordinary
@@ -28,18 +29,14 @@ package scenarios
 import (
 	"fmt"
 	"math"
-	"net"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/data"
 	"repro/internal/faultnet"
 	"repro/internal/fednode"
+	"repro/internal/felserve"
 	"repro/internal/grouping"
 	"repro/internal/metrics"
-	"repro/internal/nn"
 	"repro/internal/sampling"
 )
 
@@ -90,14 +87,6 @@ type Scenario struct {
 	NoBaseline bool
 }
 
-// Casualty is a client whose supervisor gave up: its process error after
-// the restart budget was spent. Scenarios decide whether casualties were
-// part of the script.
-type Casualty struct {
-	Client int
-	Err    error
-}
-
 // Result is one finished chaos run.
 type Result struct {
 	Name string
@@ -108,9 +97,10 @@ type Result struct {
 	Log *faultnet.Log
 	// Registry holds every fel_* counter the run produced.
 	Registry *metrics.Registry
-	// Casualties lists clients that died for good; Restarts counts
-	// crash-restart attempts the supervisors made.
-	Casualties []Casualty
+	// Casualties lists the clients that died for good (the Report's);
+	// Restarts counts the redials fednode made within the plan's budget.
+	// Scenarios decide whether either was part of the script.
+	Casualties []fednode.Casualty
 	Restarts   int
 	// FaultFreeParams is the final parameter vector of the fault-free
 	// baseline run, set only for delay-only plans.
@@ -122,31 +112,16 @@ func (r *Result) Counter(name string, labels ...metrics.Label) int64 {
 	return r.Registry.CounterValue(name, labels...)
 }
 
-// baseSystem builds the loopback federation population: two edges, a
-// seeded synthetic classification task, and a small MLP — the same shape
-// cmd/felnode's loopback mode uses, sized so CoV grouping yields several
-// groups of three or more per edge.
-func baseSystem(numClients int, seed uint64) *core.System {
-	gen := data.FlatConfig(4, 10, seed)
-	gen.Noise = 0.8
-	return core.NewSystem(core.SystemConfig{
-		Generator: gen,
-		Partition: data.PartitionConfig{
-			NumClients: numClients, Alpha: 0.5,
-			MinSamples: 10, MaxSamples: 40, MeanSamples: 25, StdSamples: 8,
-			Seed: seed + 1,
-		},
-		NumEdges: 2,
-		TestSize: 200,
-		NewModel: func(s uint64) *nn.Sequential {
-			return nn.NewMLP(10, []int{16}, 4, s)
-		},
-		ModelSeed: 7,
-	})
+// baseSystem builds the loopback federation population cmd/felnode builds:
+// 24 clients on two edges, a seeded synthetic classification task, and a
+// small MLP, sized so CoV grouping yields several groups of three or more
+// per edge.
+func baseSystem() *core.System {
+	return felserve.JobSpec{Clients: 24, Edges: 2, SystemSeed: 1}.System()
 }
 
 // baseJobConfig is the job every scenario starts from: small and fast, with
-// tight dial backoff so supervised restarts converge quickly.
+// tight dial backoff so restarted clients redial quickly.
 func baseJobConfig() fednode.JobConfig {
 	return fednode.JobConfig{
 		GlobalRounds: 3, GroupRounds: 2, LocalEpochs: 1,
@@ -185,7 +160,7 @@ func Run(sc Scenario, logf func(format string, args ...any)) (*Result, error) {
 // baseline when the plan is delay-only — returning the finished run for
 // verify. An error means the plan was invalid or the job itself failed.
 func execute(sc Scenario, logf func(format string, args ...any)) (*Result, *faultnet.Plan, error) {
-	sys := baseSystem(24, 1)
+	sys := baseSystem()
 	cfg := baseJobConfig()
 	if sc.Tune != nil {
 		sc.Tune(&cfg)
@@ -208,9 +183,7 @@ func execute(sc Scenario, logf func(format string, args ...any)) (*Result, *faul
 	var baselineParams []float64
 	if plan.DelayOnly() && !sc.NoBaseline {
 		logf("scenario %s: running fault-free baseline", sc.Name)
-		base := cfg
-		base.Meter = fednode.NewMeter(metrics.New())
-		rep, err := fednode.RunJob(fednode.NewMemNetwork(), sys, base, "")
+		rep, err := fednode.RunJob(fednode.NewMemNetwork(), sys, cfg, "")
 		if err != nil {
 			return nil, nil, fmt.Errorf("scenarios: fault-free baseline: %w", err)
 		}
@@ -218,101 +191,22 @@ func execute(sc Scenario, logf func(format string, args ...any)) (*Result, *faul
 	}
 
 	reg := metrics.New()
-	meter := fednode.NewMeter(reg)
-	cfg.Meter = meter
+	cfg.Meter = fednode.NewMeter(reg)
 	fnet := faultnet.Wrap(fednode.NewMemNetwork(), plan, reg)
-
-	cloudLn, err := fnet.ListenAs("cloud", "")
-	if err != nil {
-		return nil, nil, fmt.Errorf("scenarios: cloud listen: %w", err)
-	}
-	defer closeQuiet(cloudLn)
-	edgeLns := make([]net.Listener, len(sys.Edges))
-	edgeAddrs := make([]string, len(sys.Edges))
-	for e := range sys.Edges {
-		ln, err := fnet.ListenAs(fmt.Sprintf("edge/%d", e), "")
-		if err != nil {
-			return nil, nil, fmt.Errorf("scenarios: edge %d listen: %w", e, err)
-		}
-		defer closeQuiet(ln)
-		edgeLns[e] = ln
-		edgeAddrs[e] = ln.Addr().String()
-	}
-
-	// Edges must survive every scripted fault; their errors fail the run.
-	edgeErrs := make(chan error, len(sys.Edges))
-	var edgeWG sync.WaitGroup
-	for e := range sys.Edges {
-		edgeWG.Add(1)
-		go func(e int) {
-			defer edgeWG.Done()
-			if err := fednode.NewEdge(e, sys, cfg, meter).Run(fnet, edgeLns[e], cloudLn.Addr().String()); err != nil {
-				edgeErrs <- fmt.Errorf("edge %d: %w", e, err)
-			}
-		}(e)
-	}
-
-	// Clients run supervised: a crash consumes one restart from the plan's
-	// budget and redials (the edge replays its assignment and adopts it at
-	// the next round boundary); a client that spends the budget becomes a
-	// casualty for the scenario to judge.
-	var restarts atomic.Int64
-	casualtyCh := make(chan Casualty, len(sys.Clients))
-	var clientWG sync.WaitGroup
-	for e, clients := range sys.Edges {
-		for _, cl := range clients {
-			clientWG.Add(1)
-			go func(id int, addr string) {
-				defer clientWG.Done()
-				for attempt := 0; ; attempt++ {
-					_, err := fednode.NewClient(id, sys, cfg, meter).Run(fnet, addr)
-					if err == nil {
-						return
-					}
-					if attempt >= plan.MaxRestarts {
-						casualtyCh <- Casualty{Client: id, Err: err}
-						return
-					}
-					restarts.Add(1)
-					logf("scenario %s: client %d restarting after: %v", sc.Name, id, err)
-					fnet.Clock().Sleep(time.Duration(plan.RestartBackoffMs) * time.Millisecond)
-				}
-			}(cl.ID, edgeAddrs[e])
-		}
-	}
-
 	logf("scenario %s: running plan %q over %d clients", sc.Name, plan.Name, len(sys.Clients))
-	rep, cloudErr := fednode.NewCloud(sys, cfg, meter).Run(cloudLn)
-	edgeWG.Wait()
-	// Edges are done; closing the listeners unwedges any client supervisor
-	// still redialing a finished job.
-	closeQuiet(cloudLn)
-	for _, ln := range edgeLns {
-		closeQuiet(ln)
-	}
-	clientWG.Wait()
-	close(edgeErrs)
-	close(casualtyCh)
-
-	if cloudErr != nil {
-		return nil, nil, fmt.Errorf("scenarios: %s: cloud: %w", sc.Name, cloudErr)
-	}
-	for err := range edgeErrs {
+	rep, err := fednode.RunJob(fnet, sys, cfg, "")
+	if err != nil {
 		return nil, nil, fmt.Errorf("scenarios: %s: %w", sc.Name, err)
 	}
-
-	res := &Result{
+	return &Result{
 		Name:            sc.Name,
 		Report:          rep,
 		Log:             fnet.Log(),
 		Registry:        reg,
-		Restarts:        int(restarts.Load()),
+		Casualties:      rep.Casualties,
+		Restarts:        int(reg.CounterValue("fel_fednode_client_restarts_total")),
 		FaultFreeParams: baselineParams,
-	}
-	for c := range casualtyCh {
-		res.Casualties = append(res.Casualties, c)
-	}
-	return res, plan, nil
+	}, plan, nil
 }
 
 // verify checks the universal invariants every scenario shares, then the
@@ -353,10 +247,4 @@ func verify(sc Scenario, plan *faultnet.Plan, r *Result) error {
 		}
 	}
 	return nil
-}
-
-// closeQuiet closes c on a cleanup path where the error changes nothing.
-func closeQuiet(c interface{ Close() error }) {
-	//lint:ignore dropped-error cleanup-path close; the listener is being abandoned either way
-	c.Close()
 }

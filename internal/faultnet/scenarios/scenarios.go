@@ -120,8 +120,8 @@ func corruptFrames() Scenario {
 	}
 }
 
-// clientCrashRestart resets one client's connection mid-round-0. The
-// supervisor redials within the restart budget; the edge must replay the
+// clientCrashRestart resets one client's connection mid-round-0. fednode
+// redials it within the plan's restart budget; the edge must replay the
 // assignment, adopt the rejoined connection at the next round boundary, and
 // finish with the client back in its seat. The round-1 broadcast is held
 // back well past the restart backoff so that a round boundary is still to

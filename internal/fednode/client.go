@@ -77,8 +77,7 @@ type update struct {
 var updates = sync.Pool{New: func() any { return new(update) }}
 
 // Run dials the edge at edgeAddr and participates until the final global
-// model arrives, returning it — or until the injected ForceDrop disconnect,
-// returning (nil, nil).
+// model arrives, returning it.
 func (c *Client) Run(nw Network, edgeAddr string) ([]float64, error) {
 	cfg := c.cfg
 	me := clientByID(c.sys, c.id)
@@ -135,12 +134,6 @@ func (c *Client) Run(nw Network, edgeAddr string) ([]float64, error) {
 			if err != nil {
 				return nil, err
 			}
-			if frame == nil {
-				// Fault injection: vanish after training, before submitting —
-				// the edge must recover via secagg dropout handling.
-				c.logf("client %d: injected disconnect in round %d.%d", c.id, t, k)
-				return nil, nil
-			}
 			err = sendEncoded(conn, c.meter, wire.MaskedUpdate, *frame, cfg.StragglerTimeout)
 			frames.Put(frame)
 			if err != nil {
@@ -177,9 +170,8 @@ func (c *Client) Run(nw Network, edgeAddr string) ([]float64, error) {
 // borrowed from the System's pool: local SGD from the group model, then the
 // trained parameters, weighted by n_i/n_g and masked unless the group is a
 // singleton, encoded as the reply. It returns the frame, from the frames
-// pool — the caller writes it and puts it back — or nil when the injected
-// ForceDrop fires after training. The worker is back in the pool on every
-// return, before the caller's write.
+// pool — the caller writes it and puts it back. The worker is back in the
+// pool on every return, before the caller's write.
 func (c *Client) answer(m *wire.Message, st *membership) (*[]byte, error) {
 	cfg := c.cfg
 	t, k := int(m.Round), int(m.Seq)
@@ -197,9 +189,6 @@ func (c *Client) answer(m *wire.Message, st *membership) (*[]byte, error) {
 		Epochs: cfg.LocalEpochs, BatchSize: cfg.BatchSize, LR: cfg.LR,
 	})
 	trainSpan.End()
-	if d := cfg.ForceDrop; d != nil && d.Client == c.id && d.Round == t && d.GroupRound == k {
-		return nil, nil
-	}
 
 	u := updates.Get().(*update)
 	defer updates.Put(u)

@@ -76,33 +76,22 @@ func TestControlPlaneConformance(t *testing.T) {
 	}
 
 	// What the networked executor inherits from the one round loop rather
-	// than implements: the Trainer's dropout counter under a forced
-	// disconnect, the one evaluation schedule, and final weights that do not
+	// than implements: the Trainer's dropout counter under a reset
+	// connection, the one evaluation schedule, and final weights that do not
 	// depend on how many processors fold them.
 	t.Run("dropouts", func(t *testing.T) {
 		sys := testSystem(12, 5)
 		jcfg := testJobConfig()
 		jcfg.GlobalRounds = 2
 		jcfg.StragglerTimeout = 2 * time.Second
-		groups, err := jcfg.PinAllGroups(sys)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, g := range groups {
-			if g.Size() >= 3 {
-				jcfg.ForceDrop = &ForcedDrop{Client: g.Clients[0].ID, Round: 0, GroupRound: 0}
-				break
-			}
-		}
-		if jcfg.ForceDrop == nil {
-			t.Fatal("no group with >= 3 clients")
-		}
+		nw, victim := dropFirstMember(t, sys, &jcfg, 0)
 		reg := metrics.New()
 		jcfg.Meter = NewMeter(reg)
-		rep, err := RunJob(NewMemNetwork(), sys, jcfg, "")
+		rep, err := RunJob(nw, sys, jcfg, "")
 		if err != nil {
 			t.Fatalf("RunJob: %v", err)
 		}
+		checkCasualty(t, rep, victim)
 		if got := reg.CounterValue("fel_core_dropouts_total"); rep.Dropouts != 1 || got != int64(rep.Dropouts) {
 			t.Fatalf("fel_core_dropouts_total %d, Report.Dropouts %d, want both 1", got, rep.Dropouts)
 		}

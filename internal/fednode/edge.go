@@ -62,10 +62,6 @@ type edgeGroup struct {
 // and all connections are closed.
 func (e *Edge) Run(nw Network, ln net.Listener, cloudAddr string) error {
 	cfg := e.cfg
-	if e.id < 0 || e.id >= len(e.sys.Edges) {
-		return fmt.Errorf("fednode: edge id %d out of range [0,%d)", e.id, len(e.sys.Edges))
-	}
-
 	tag := fmt.Sprintf("edge/%d", e.id)
 	rawCloud, err := DialRetry(nw, tag, cloudAddr, cfg.DialAttempts, cfg.DialBackoff, e.meter,
 		stats.NewRNG(dialSeed(cfg.Seed, tag)))
@@ -354,10 +350,7 @@ func (e *Edge) runGroup(g *edgeGroup, t int, globalParams []float64, cloud *lock
 
 	for k := 0; k < cfg.GroupRounds; k++ {
 		kSpan := e.meter.Registry().Start("fel_fednode_group_round_seconds", metrics.L("role", "edge"))
-		run := &groupRun{gid: g.gid, round: t, k: k, logf: cfg.Logf}
-		if err := run.to(phaseBroadcast); err != nil {
-			return err
-		}
+		e.logf("edge: group %d round %d.%d → broadcast", g.gid, t, k)
 		// Every member gets the same frame: encode it once, write it n times.
 		msg := &wire.Message{Type: wire.GlobalModel, Round: uint32(t), Seq: uint32(k), Floats: groupParams}
 		var err error
@@ -376,9 +369,7 @@ func (e *Edge) runGroup(g *edgeGroup, t int, globalParams []float64, cloud *lock
 			}
 		}
 
-		if err := run.to(phaseCollect); err != nil {
-			return err
-		}
+		e.logf("edge: group %d round %d.%d → collect", g.gid, t, k)
 		masked := make([][]uint64, n)
 		var plain []float64 // a singleton group's update, sent in the clear
 		collectErr := make([]error, n)
@@ -443,9 +434,7 @@ func (e *Edge) runGroup(g *edgeGroup, t int, globalParams []float64, cloud *lock
 
 		sess := secagg.NewSession(n, dim, threshold, sessionSeed(cfg.Seed, t, k, g.gid), secagg.DefaultQuantizer())
 		if len(dropped) > 0 {
-			if err := run.to(phaseReveal); err != nil {
-				return err
-			}
+			e.logf("edge: group %d round %d.%d → reveal", g.gid, t, k)
 			if err := e.revealShares(g, sess, t, k, dropped); err != nil {
 				return err
 			}
@@ -453,9 +442,7 @@ func (e *Edge) runGroup(g *edgeGroup, t int, globalParams []float64, cloud *lock
 			e.meter.recoveries.Inc()
 		}
 
-		if err := run.to(phaseAggregate); err != nil {
-			return err
-		}
+		e.logf("edge: group %d round %d.%d → aggregate", g.gid, t, k)
 		aggSpan := e.meter.Registry().Start("fel_fednode_secagg_seconds", metrics.L("role", "edge"))
 		sum, err := sess.Aggregate(masked, dropped)
 		aggSpan.End()
@@ -484,10 +471,7 @@ func (e *Edge) runGroup(g *edgeGroup, t int, globalParams []float64, cloud *lock
 		kSpan.End()
 	}
 
-	run := &groupRun{gid: g.gid, round: t, k: cfg.GroupRounds, logf: cfg.Logf, state: phaseAggregate}
-	if err := run.to(phaseReport); err != nil {
-		return err
-	}
+	e.logf("edge: group %d round %d.%d → report", g.gid, t, cfg.GroupRounds)
 	g.drops += roundDrops
 	g.recov += roundRecov
 	out := &wire.Message{

@@ -23,7 +23,12 @@
 // Control plane and failure are real here: stragglers are read deadlines,
 // a client dropout is a closed connection or a missed deadline, and the
 // edge recovers by collecting Shamir shares from the survivors
-// (internal/secagg) — the round completes without the lost update. Every
+// (internal/secagg) — the round completes without the lost update. RunEdge
+// is the one launcher of an edge and its clients (RunJob runs one per edge
+// beside the cloud): it supervises each client, redialing a failed one
+// within the restart budget its network grants — faultnet's plan grants one,
+// TCP and MemNetwork none — and reporting it as a Casualty once that is
+// spent; a client's death never fails the job. Every
 // deadline and retry backoff is read off the clock its connection, listener
 // or network carries (internal/clock.Of): the wall clock over TCP and
 // MemNetwork, faultnet's simulated clock under a fault plan. The
@@ -41,7 +46,7 @@
 // Observability runs through the Meter, a thin façade over an
 // internal/metrics registry: per-message-type frame and byte counters
 // (fel_wire_*), raw transport bytes and connection retries (fel_net_*),
-// dropout/recovery/straggler tallies and per-role phase spans
+// dropout/recovery/straggler/restart tallies and per-role phase spans
 // (fel_fednode_*), and the secure-aggregation op counters each session
 // publishes (fel_secagg_*). Pass a Meter via JobConfig.Meter — or let
 // RunJob create a private one — and read Meter.Registry().Snapshot(), or
@@ -61,15 +66,6 @@ import (
 	"repro/internal/sampling"
 	"repro/internal/wire"
 )
-
-// ForcedDrop is a fault-injection directive for tests and demos: the client
-// with this global id closes its edge connection mid-round — after local
-// training, instead of submitting its masked update — during global round
-// Round, group round GroupRound. The protocol must recover via secagg
-// dropout handling.
-type ForcedDrop struct {
-	Client, Round, GroupRound int
-}
 
 // JobConfig parameterizes one networked Group-FEL job. TrainConfig spells
 // its algorithmic fields as the core.Config the cloud's Trainer runs, so a
@@ -119,8 +115,6 @@ type JobConfig struct {
 	DialAttempts int
 	DialBackoff  time.Duration
 
-	// ForceDrop, when non-nil, injects one mid-round client disconnect.
-	ForceDrop *ForcedDrop
 	// Logf, when non-nil, receives protocol trace lines.
 	Logf func(format string, args ...any)
 	// Meter, when non-nil, is the shared observability sink for every node
@@ -185,6 +179,8 @@ type Report struct {
 	RoundsRun int
 	// Dropouts and Recoveries total the per-round counts.
 	Dropouts, Recoveries int
+	// Casualties lists, by client id, the clients that failed for good.
+	Casualties []Casualty
 	// WallClock is the measured (not modeled) job duration.
 	WallClock time.Duration
 	// WireWritten / WireRead are transport-level byte counts over every
@@ -195,56 +191,6 @@ type Report struct {
 	WireWritten, WireRead int64
 	Frames                int64
 	AccountedBytes        int64
-}
-
-// phase is one state of the edge's per-group round state machine.
-type phase int
-
-const (
-	phaseIdle phase = iota
-	phaseBroadcast
-	phaseCollect
-	phaseReveal
-	phaseAggregate
-	phaseReport
-)
-
-func (p phase) String() string {
-	switch p {
-	case phaseIdle:
-		return "idle"
-	case phaseBroadcast:
-		return "broadcast"
-	case phaseCollect:
-		return "collect"
-	case phaseReveal:
-		return "reveal"
-	case phaseAggregate:
-		return "aggregate"
-	case phaseReport:
-		return "report"
-	}
-	return fmt.Sprintf("phase(%d)", int(p))
-}
-
-// groupRun is the per-(round, group) state machine an edge drives: it may
-// only advance forward through the phases, and every transition is traced.
-type groupRun struct {
-	gid, round, k int
-	state         phase
-	logf          func(format string, args ...any)
-}
-
-// to advances the state machine, enforcing forward-only transitions.
-func (r *groupRun) to(next phase) error {
-	if next < r.state {
-		return fmt.Errorf("fednode: group %d round %d.%d: illegal transition %s → %s", r.gid, r.round, r.k, r.state, next)
-	}
-	r.state = next
-	if r.logf != nil {
-		r.logf("edge: group %d round %d.%d → %s", r.gid, r.round, r.k, next)
-	}
-	return nil
 }
 
 // frames recycles encoded frames between sends: a frame's bytes are dead

@@ -118,38 +118,60 @@ func TestByteAccountingCrossChecks(t *testing.T) {
 	}
 }
 
-// TestMidRoundDisconnectRecovers injects a real client disconnect between
-// local training and update submission; the edge must detect the dead
-// connection, run the share-reveal recovery, and complete the round — and
-// every later round — without the lost client.
+// dropFirstMember pins jcfg's formation and selection, so the target's
+// group is in play every round, and returns a faultnet network whose one
+// reset rule kills the first member of the first group of three or more as
+// it submits its masked update of round 0's group round k: the client has
+// trained, its edge never gets the update, and with no restart budget the
+// client is a casualty. It also returns that client's id.
+func dropFirstMember(t *testing.T, sys *core.System, jcfg *JobConfig, k int) (*faultnet.Network, int) {
+	t.Helper()
+	groups, err := jcfg.PinAllGroups(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range groups {
+		if g.Size() < 3 {
+			continue
+		}
+		id := g.Clients[0].ID
+		plan := &faultnet.Plan{Name: "mid-round-crash", Rules: []faultnet.Rule{{
+			From: fmt.Sprintf("client/%d", id), To: "edge/*", Type: "MaskedUpdate",
+			Round: 0, Seq: k, Action: faultnet.ActionReset, Count: 1,
+		}}}
+		if err := plan.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		return faultnet.Wrap(NewMemNetwork(), plan, nil), id
+	}
+	t.Fatal("no group with >= 3 clients")
+	return nil, 0
+}
+
+// checkCasualty fails t unless client id is the report's one casualty.
+func checkCasualty(t *testing.T, rep *Report, id int) {
+	t.Helper()
+	if len(rep.Casualties) != 1 || rep.Casualties[0].Client != id {
+		t.Fatalf("casualties %v, want exactly client %d", rep.Casualties, id)
+	}
+}
+
+// TestMidRoundDisconnectRecovers resets a client's connection between local
+// training and update submission; the edge must detect the dead connection,
+// run the share-reveal recovery, and complete the round — and every later
+// round — without the lost client, which no budget restarts.
 func TestMidRoundDisconnectRecovers(t *testing.T) {
 	sys := testSystem(12, 5)
 	jcfg := testJobConfig()
 	jcfg.GlobalRounds = 2
 	jcfg.StragglerTimeout = 2 * time.Second
+	nw, victim := dropFirstMember(t, sys, &jcfg, 0)
 
-	// Pin formation and selection so the dropped client's group is
-	// deterministically in play every round.
-	groups, err := jcfg.PinAllGroups(sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var target *grouping.Group
-	for _, g := range groups {
-		if g.Size() >= 3 {
-			target = g
-			break
-		}
-	}
-	if target == nil {
-		t.Fatal("no group with >= 3 clients")
-	}
-	jcfg.ForceDrop = &ForcedDrop{Client: target.Clients[0].ID, Round: 0, GroupRound: 0}
-
-	rep, err := RunJob(NewMemNetwork(), sys, jcfg, "")
+	rep, err := RunJob(nw, sys, jcfg, "")
 	if err != nil {
 		t.Fatalf("RunJob with disconnect: %v", err)
 	}
+	checkCasualty(t, rep, victim)
 	if rep.RoundsRun != 2 {
 		t.Fatalf("ran %d rounds, want 2", rep.RoundsRun)
 	}
@@ -332,23 +354,6 @@ func TestCostProfileDrivesComputeTime(t *testing.T) {
 		if cifar <= sc {
 			t.Errorf("K=%d: the CIFAR profile's round took %v, the lighter SC profile's %v", k, cifar, sc)
 		}
-	}
-}
-
-// TestGroupRunForwardOnly pins the state machine invariant.
-func TestGroupRunForwardOnly(t *testing.T) {
-	r := &groupRun{gid: 1, round: 0, k: 0}
-	for _, p := range []phase{phaseBroadcast, phaseCollect, phaseAggregate} {
-		if err := r.to(p); err != nil {
-			t.Fatalf("forward transition to %s: %v", p, err)
-		}
-	}
-	err := r.to(phaseCollect)
-	if err == nil {
-		t.Fatal("backward transition aggregate → collect was allowed")
-	}
-	if !strings.Contains(err.Error(), "illegal transition") {
-		t.Fatalf("unexpected error text: %v", err)
 	}
 }
 

@@ -1,29 +1,35 @@
 package fednode
 
 import (
+	"cmp"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
+	"time"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/grouping"
 	"repro/internal/metrics"
 )
 
-// RunJob runs a complete networked job in this process — the cloud, every
-// edge server, and every client, each on its own goroutine, talking through
-// nw. listenAddr seeds every listener: "127.0.0.1:0" for TCP (each listener
-// gets its own ephemeral port), "" for a MemNetwork (auto-named). All nodes
-// share one Meter, so the report's byte accounting covers the whole
-// cluster and WireWritten can be cross-checked against AccountedBytes.
-// When RunJob returns, every node goroutine has been joined.
+// RunJob runs a complete networked job in this process: the cloud on this
+// goroutine and one RunEdge per edge — the edge server and its supervised
+// clients — talking through nw. listenAddr seeds every listener:
+// "127.0.0.1:0" for TCP (each listener gets its own ephemeral port), "" for a
+// MemNetwork (auto-named). All nodes share one Meter, so the report's byte
+// accounting covers the whole cluster and WireWritten can be cross-checked
+// against AccountedBytes. A client that fails for good is one of the report's
+// Casualties, not an error; a cloud or edge failure fails the job, the first
+// error winning. When RunJob returns, every node goroutine has been joined.
 func RunJob(nw Network, sys *core.System, cfg JobConfig, listenAddr string) (*Report, error) {
 	cfg = cfg.withDefaults()
-	m := cfg.Meter
-	if m == nil {
-		m = NewMeter(nil)
+	if cfg.Meter == nil {
+		cfg.Meter = NewMeter(nil)
 	}
+	m := cfg.Meter
 
 	cloudLn, err := listenTagged(nw, "cloud", listenAddr)
 	if err != nil {
@@ -33,7 +39,6 @@ func RunJob(nw Network, sys *core.System, cfg JobConfig, listenAddr string) (*Re
 	cloudAddr := cloudLn.Addr().String()
 
 	edgeLns := make([]net.Listener, len(sys.Edges))
-	edgeAddrs := make([]string, len(sys.Edges))
 	for e := range sys.Edges {
 		ln, err := listenTagged(nw, fmt.Sprintf("edge/%d", e), listenAddr)
 		if err != nil {
@@ -41,34 +46,22 @@ func RunJob(nw Network, sys *core.System, cfg JobConfig, listenAddr string) (*Re
 		}
 		defer closeQuiet(ln)
 		edgeLns[e] = ln
-		edgeAddrs[e] = ln.Addr().String()
 	}
 
-	// Node errors funnel into a buffered channel sized for every sender; a
-	// failing node tears the cluster down through its deferred connection
-	// closes, so the others unblock and report too — first error wins.
-	numClients := len(sys.Clients)
-	errs := make(chan error, len(sys.Edges)+numClients)
+	// A failing node tears the cluster down through its deferred connection
+	// closes, so the others unblock and report too.
+	errs := make(chan error, len(sys.Edges))
+	casualties := make([][]Casualty, len(sys.Edges))
 	var wg sync.WaitGroup
-	for e := range sys.Edges {
+	for e, ln := range edgeLns {
 		wg.Add(1)
-		go func(e int) {
+		go func() {
 			defer wg.Done()
-			if err := NewEdge(e, sys, cfg, m).Run(nw, edgeLns[e], cloudAddr); err != nil {
-				errs <- fmt.Errorf("fednode: edge %d: %w", e, err)
+			var err error
+			if casualties[e], err = RunEdge(nw, sys, cfg, e, ln, cloudAddr); err != nil {
+				errs <- err
 			}
-		}(e)
-	}
-	for e, clients := range sys.Edges {
-		for _, cl := range clients {
-			wg.Add(1)
-			go func(id int, addr string) {
-				defer wg.Done()
-				if _, err := NewClient(id, sys, cfg, m).Run(nw, addr); err != nil {
-					errs <- fmt.Errorf("fednode: client %d: %w", id, err)
-				}
-			}(cl.ID, edgeAddrs[e])
-		}
+		}()
 	}
 
 	rep, cloudErr := NewCloud(sys, cfg, m).Run(cloudLn)
@@ -78,10 +71,9 @@ func RunJob(nw Network, sys *core.System, cfg JobConfig, listenAddr string) (*Re
 		return nil, cloudErr
 	}
 	for err := range errs {
-		if err != nil {
-			return nil, err
-		}
+		return nil, err
 	}
+	rep.Casualties = sortCasualties(slices.Concat(casualties...))
 	// Re-snapshot the meter now that every node has joined: the cloud fills
 	// these as it returns, but on synchronous pipes an edge's final ack
 	// Write only returns — and counts itself — after the cloud has already
@@ -91,6 +83,78 @@ func RunJob(nw Network, sys *core.System, cfg JobConfig, listenAddr string) (*Re
 	rep.Frames = m.Frames()
 	rep.AccountedBytes = m.Accounted()
 	return rep, nil
+}
+
+// Casualty is a client that failed for good: the error of its last run, once
+// its restart budget was spent.
+type Casualty struct {
+	Client int
+	Err    error
+}
+
+// sortCasualties orders cs by client id, in place, and returns it.
+func sortCasualties(cs []Casualty) []Casualty {
+	slices.SortFunc(cs, func(a, b Casualty) int { return cmp.Compare(a.Client, b.Client) })
+	return cs
+}
+
+// RunEdge serves edge id of sys on ln, registering with the cloud at
+// cloudAddr, and hosts the edge's clients in this process, each dialing ln.
+// A client whose run fails is redialed while the restart budget nw grants
+// lasts, after the budget's backoff on nw's clock; then it is a Casualty.
+// RunEdge returns once the edge and every client have, with the casualties
+// by client id; only the edge's own failure is an error. Edge.Run closes ln
+// when it returns, which is what stops a client still redialing a finished
+// job.
+func RunEdge(nw Network, sys *core.System, cfg JobConfig, id int, ln net.Listener, cloudAddr string) ([]Casualty, error) {
+	if id < 0 || id >= len(sys.Edges) {
+		return nil, fmt.Errorf("fednode: edge id %d out of range [0,%d)", id, len(sys.Edges))
+	}
+	if cfg.Meter == nil {
+		cfg.Meter = NewMeter(nil)
+	}
+	restarts, backoff := restartBudget(nw)
+	addr := ln.Addr().String()
+	var (
+		mu         sync.Mutex
+		casualties []Casualty
+		wg         sync.WaitGroup
+	)
+	for _, cl := range sys.Edges[id] {
+		c := NewClient(cl.ID, sys, cfg, nil)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := c.supervise(nw, addr, restarts, backoff); err != nil {
+				mu.Lock()
+				casualties = append(casualties, Casualty{Client: c.id, Err: err})
+				mu.Unlock()
+			}
+		}()
+	}
+	err := NewEdge(id, sys, cfg, nil).Run(nw, ln, cloudAddr)
+	// An edge that failed before serving rejoins has not closed ln yet.
+	closeQuiet(ln)
+	wg.Wait()
+	if err != nil {
+		return sortCasualties(casualties), fmt.Errorf("fednode: edge %d: %w", id, err)
+	}
+	return sortCasualties(casualties), nil
+}
+
+// supervise runs the client until it finishes or has failed restarts+1
+// times, returning the last failure. Before each redial it counts
+// fel_fednode_client_restarts_total and sleeps backoff on nw's clock.
+func (c *Client) supervise(nw Network, edgeAddr string, restarts int, backoff time.Duration) error {
+	for attempt := 0; ; attempt++ {
+		_, err := c.Run(nw, edgeAddr)
+		if err == nil || attempt >= restarts {
+			return err
+		}
+		c.meter.restarts.Inc()
+		c.logf("client %d: restarting after: %v", c.id, err)
+		clock.Of(nw).Sleep(backoff)
+	}
 }
 
 // TrainConfig spells the job as the core.Config its cloud's Trainer steps —

@@ -141,38 +141,26 @@ func TestSecaggSpansCounted(t *testing.T) {
 	}
 }
 
-// TestDropoutMetricsMatchReport injects the mid-round disconnect from
+// TestDropoutMetricsMatchReport injects the mid-round reset from
 // TestMidRoundDisconnectRecovers and asserts the fel_fednode_* counters
 // agree with the Report: one dropout, a recovery per remaining group round
-// of the wounded group, revealed shares — and no straggler timeouts, since
-// a closed pipe is a connection error, not a missed deadline.
+// of the wounded group, revealed shares, no restart — and no straggler
+// timeouts, since a closed pipe is a connection error, not a missed
+// deadline.
 func TestDropoutMetricsMatchReport(t *testing.T) {
 	sys := testSystem(12, 5)
 	jcfg := testJobConfig()
 	jcfg.GlobalRounds = 2
 	jcfg.StragglerTimeout = 2 * time.Second
-	groups, err := jcfg.PinAllGroups(sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var target *grouping.Group
-	for _, g := range groups {
-		if g.Size() >= 3 {
-			target = g
-			break
-		}
-	}
-	if target == nil {
-		t.Fatal("no group with >= 3 clients")
-	}
-	jcfg.ForceDrop = &ForcedDrop{Client: target.Clients[0].ID, Round: 0, GroupRound: 0}
+	nw, victim := dropFirstMember(t, sys, &jcfg, 0)
 	reg := metrics.New()
 	jcfg.Meter = NewMeter(reg)
 
-	rep, err := RunJob(NewMemNetwork(), sys, jcfg, "")
+	rep, err := RunJob(nw, sys, jcfg, "")
 	if err != nil {
 		t.Fatalf("RunJob with disconnect: %v", err)
 	}
+	checkCasualty(t, rep, victim)
 	if got := reg.CounterValue("fel_fednode_dropouts_total"); got != int64(rep.Dropouts) {
 		t.Fatalf("dropout counter %d, report %d", got, rep.Dropouts)
 	}
@@ -187,6 +175,9 @@ func TestDropoutMetricsMatchReport(t *testing.T) {
 	}
 	if got := reg.CounterValue("fel_fednode_straggler_timeouts_total"); got != 0 {
 		t.Fatalf("closed-pipe drop counted %d straggler timeouts", got)
+	}
+	if got := reg.CounterValue("fel_fednode_client_restarts_total"); got != 0 {
+		t.Fatalf("%d restarts with no restart budget", got)
 	}
 }
 

@@ -58,6 +58,16 @@ func dialTagged(nw Network, fromTag, addr string) (net.Conn, error) {
 	return nw.Dial(addr)
 }
 
+// restartBudget returns how often RunEdge may redial a failed client and the
+// pause before each redial, when the transport grants a budget (faultnet's
+// Network returns its plan's); TCP and MemNetwork grant none.
+func restartBudget(nw Network) (int, time.Duration) {
+	if b, ok := nw.(interface{ RestartBudget() (int, time.Duration) }); ok {
+		return b.RestartBudget()
+	}
+	return 0, 0
+}
+
 // TCPNetwork is the production Network: real sockets.
 type TCPNetwork struct {
 	// DialTimeout bounds one connection attempt (default 3s).
@@ -157,8 +167,8 @@ func (a memAddr) String() string  { return string(a) }
 // Meter aggregates a job's transport-level observability into a metrics
 // registry: per-message-type frame and byte counters (fel_wire_*, indexed
 // by wire.Type), raw transport read/write bytes (fel_net_*), connection
-// retries, and the protocol layer's dropout/recovery/straggler tallies
-// (fel_fednode_*). In a loopback run a single Meter sees all nodes, so
+// retries, and the protocol layer's dropout/recovery/straggler/restart
+// tallies (fel_fednode_*). In a loopback run a single Meter sees all nodes, so
 // Written (transport bytes that left a socket) can be cross-checked
 // against Accounted (the sum of wire.Message.EncodedSize at every send
 // site): the two must agree exactly on a clean run, proving the codec's
@@ -170,6 +180,7 @@ type Meter struct {
 	dialRetries, acceptRetries *metrics.Counter
 	dropouts, recoveries       *metrics.Counter
 	stragglers, rejoins        *metrics.Counter
+	restarts                   *metrics.Counter
 	frames, bytes              [int(wire.GlobalAggregate) + 1]*metrics.Counter
 }
 
@@ -190,6 +201,7 @@ func NewMeter(reg *metrics.Registry) *Meter {
 		recoveries:    reg.Counter("fel_fednode_recoveries_total"),
 		stragglers:    reg.Counter("fel_fednode_straggler_timeouts_total"),
 		rejoins:       reg.Counter("fel_fednode_rejoins_total"),
+		restarts:      reg.Counter("fel_fednode_client_restarts_total"),
 	}
 	for t := wire.GlobalModel; t <= wire.GlobalAggregate; t++ {
 		tl := metrics.L("type", t.String())

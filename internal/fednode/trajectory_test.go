@@ -34,28 +34,21 @@ func TestTrajectoryPinned(t *testing.T) {
 		jcfg := testJobConfig()
 		jcfg.Seed = seed
 		jcfg.GlobalRounds = 2
+		var nw Network = NewMemNetwork()
+		victim := -1
 		if drop {
 			jcfg.StragglerTimeout = 2 * time.Second
-			groups, err := jcfg.PinAllGroups(sys)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, g := range groups {
-				if g.Size() >= 3 {
-					jcfg.ForceDrop = &ForcedDrop{Client: g.Clients[0].ID, Round: 0, GroupRound: 1}
-					break
-				}
-			}
-			if jcfg.ForceDrop == nil {
-				t.Fatal("no group with >= 3 clients")
-			}
+			nw, victim = dropFirstMember(t, sys, &jcfg, 1)
 		}
-		rep, err := RunJob(NewMemNetwork(), sys, jcfg, "")
+		rep, err := RunJob(nw, sys, jcfg, "")
 		if err != nil {
 			t.Fatalf("RunJob seed %d drop %v: %v", seed, drop, err)
 		}
-		if drop && rep.Recoveries == 0 {
-			t.Fatalf("seed %d: forced drop never triggered recovery", seed)
+		if drop {
+			checkCasualty(t, rep, victim)
+			if rep.Recoveries == 0 {
+				t.Fatalf("seed %d: the reset never triggered recovery", seed)
+			}
 		}
 		return paramDigest(rep.Params)
 	}
