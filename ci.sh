@@ -3,9 +3,9 @@
 # why lives in DESIGN.md (the S-row of each subsystem names its gate; §8 the
 # no-FMA rule of stage 1; S26 repolint); this is only the list:
 #
-#   1. build       go build ./..., the arm64 fused-multiply-add check of 15
-#                  packages and the amd64 one of the assembly, then the
-#                  print-only `placement`
+#   1. build       go build ./..., the arm64 fused-multiply-add check of every
+#                  package under internal/ and the amd64 one of the assembly,
+#                  then the print-only `placement`
 #   2. vet         go vet ./... (asmdecl among it) + gofmt -l
 #   3. test        go test ./... — tier-1; internal/lint's TestRepoIsLintClean
 #                  is the module-wide repolint pass, run here and nowhere else
@@ -50,7 +50,7 @@ placement() {
   go build -o "$dir/bench" ./bench || return 0
   go tool nm "$dir/bench" | while read -r addr _ sym; do
     case "$sym" in
-      repro/internal/grouping.argminScan | repro/internal/grouping.scanFilter.abi0 | repro/internal/grouping.CoVGrouping.Form | 'repro/internal/core.(*Trainer).Step' | repro/internal/tensor.accumRows | repro/internal/tensor.quadUpdate.abi0)
+      repro/internal/grouping.argminScan | repro/internal/grouping.scanFilter.abi0 | repro/internal/grouping.CoVGrouping.Form | 'repro/internal/core.(*Trainer).Step' | repro/internal/tensor.accumRows | repro/internal/tensor.rowUpdate.abi0)
         echo "placement: $sym at 0x$addr, mod 64 = $(( 0x$addr % 64 ))" ;;
     esac
   done || true
@@ -91,18 +91,20 @@ case "${1:-}" in
     ;;
 esac
 
-echo "== go build ./... + fused-multiply-add checks (arm64: tensor, nn, grouping, core, sampling, secagg, async, cost, theory, stats, data, compress, baselines, backdoor, multimodel; amd64: every internal/*/*_amd64.s)"
+echo "== go build ./... + fused-multiply-add checks (arm64: every package go list ./internal/... names; amd64: every internal/*/*_amd64.s)"
 go build ./...
 fmadir="$(stage_dir fma)"
-for pkg in tensor nn grouping core sampling secagg async cost theory stats data compress baselines backdoor multimodel; do
-  GOARCH=arm64 go build -o "$fmadir/$pkg.a" "./internal/$pkg"
-  go tool objdump "$fmadir/$pkg.a" > "$fmadir/$pkg.s"
-  if grep -E 'FN?M(ADD|SUB)' "$fmadir/$pkg.s" >&2; then
-    echo "ci.sh: internal/$pkg compiles to fused multiply-adds on arm64; write a*b + c as float64(a*b) + c" >&2
+fmapkgs="$(go list ./internal/...)"
+for pkg in $fmapkgs; do
+  out="$fmadir/$(tr / _ <<<"$pkg")"
+  GOARCH=arm64 go build -o "$out.a" "$pkg"
+  go tool objdump "$out.a" > "$out.s"
+  if grep -E 'FN?M(ADD|SUB)' "$out.s" >&2; then
+    echo "ci.sh: $pkg compiles to fused multiply-adds on arm64; write a*b + c as float64(a*b) + c" >&2
     exit 1
   fi
 done
-echo "arm64 check: internal/{tensor,nn,grouping,core,sampling,secagg,async,cost,theory,stats,data,compress,baselines,backdoor,multimodel} hold no FMADD/FMSUB/FNMADD/FNMSUB"
+echo "arm64 check: all $(wc -w <<<"$fmapkgs") packages under internal/ hold no FMADD/FMSUB/FNMADD/FNMSUB"
 # The assembler's listing, not `go tool objdump`: its x86 decoder has no VEX
 # tables (it prints VBROADCASTSD as `SBBL AX, 0x38(SP)`), so a grep over its
 # output could never fire.
@@ -140,7 +142,7 @@ go test ./internal/secagg -run '^$' -fuzz FuzzFieldOps -fuzztime 1s
 go test ./internal/secagg -run '^$' -fuzz FuzzQuantizeRoundTrip -fuzztime 1s
 go test ./internal/secagg -run '^$' -fuzz FuzzMaskCancel -fuzztime 1s
 go test ./internal/secagg -run '^$' -fuzz FuzzMaskedUpdateIntoReuse -fuzztime 1s
-go test ./internal/tensor -run '^$' -fuzz FuzzQuadUpdate -fuzztime 1s
+go test ./internal/tensor -run '^$' -fuzz FuzzRowUpdate -fuzztime 1s
 go test ./internal/tensor -run '^$' -fuzz FuzzAccumRows -fuzztime 1s
 go test ./internal/grouping -run '^$' -fuzz FuzzScanFilter -fuzztime 1s
 # Its seeds are whole files of tens of KB: minimising each new input for the

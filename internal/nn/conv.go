@@ -23,15 +23,16 @@ type Conv2D struct {
 	outH, outW  int
 
 	// Buffer-reuse mode (Sequential.EnableBufferReuse): the im2col matrix,
-	// both matmul operand/output buffers, and the input gradient are
-	// recycled across calls whenever their backing arrays are big enough —
-	// the conv analogue of Dense's out/dx recycling. The padding zeros and
-	// the col2im accumulator are re-zeroed explicitly, so a recycled buffer
-	// can never leak a previous batch's values into the result.
+	// both matmul operand/output buffers, the input gradient and wt, the
+	// [InC*KH*KW, OutC] copy of Wᵀ that Forward refreshes, are recycled
+	// across calls whenever their backing arrays are big enough — the conv
+	// analogue of Dense's out/dx/wt recycling. The padding zeros and the
+	// col2im accumulator are re-zeroed explicitly, so a recycled buffer can
+	// never leak a previous batch's values into the result.
 	reuse        bool
 	outCols, out *tensor.Tensor
 	dy, dcols    *tensor.Tensor
-	dx           *tensor.Tensor
+	dx, wt       *tensor.Tensor
 }
 
 func (c *Conv2D) setBufferReuse(on bool) { c.reuse = on }
@@ -148,10 +149,13 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	c.outH, c.outW = oh, ow
 	cols := c.im2col(x)
 	c.cols = cols
-	// outCols[n, oc] = cols[n, :]·W[oc, :]
+	// outCols[n, oc] = cols[n, :]·W[oc, :], as cols × Wᵀ with the zero test
+	// on cols.
 	outCols := scratch2(c.reuse, c.outCols, b*oh*ow, c.OutC)
 	c.outCols = outCols
-	tensor.MatMulBT(outCols, cols, c.W)
+	c.wt = scratch2(c.reuse, c.wt, c.W.Shape[1], c.OutC)
+	tensor.TransposeInto(c.wt, c.W)
+	tensor.MatMul(outCols, cols, c.wt)
 	// Reorder [B, OH*OW, OutC] -> [B, OutC, OH, OW] and add bias.
 	out := scratch4(c.reuse, c.out, b, c.OutC, oh, ow)
 	c.out = out

@@ -14,10 +14,11 @@ type Dense struct {
 	dW, dB *tensor.Tensor
 	x      *tensor.Tensor // cached input
 
-	// Buffer-reuse mode (Sequential.EnableBufferReuse): out and dx are
-	// recycled across calls whenever the batch shape repeats.
-	reuse   bool
-	out, dx *tensor.Tensor
+	// Buffer-reuse mode (Sequential.EnableBufferReuse): out, dx and wt (the
+	// [out, in] copy of Wᵀ that Backward refreshes for dX) are recycled
+	// across calls whenever the batch shape repeats.
+	reuse       bool
+	out, dx, wt *tensor.Tensor
 }
 
 func (d *Dense) setBufferReuse(on bool) { d.reuse = on }
@@ -77,12 +78,16 @@ func (d *Dense) backwardParams(grad *tensor.Tensor) {
 	}
 }
 
-// Backward computes dW and dB (backwardParams) and returns dX = grad·Wᵀ.
+// Backward computes dW and dB (backwardParams) and returns dX = grad·Wᵀ as
+// MatMul of grad by the copy of Wᵀ in wt: the zero test stays on grad, and
+// every element is the ascending reduction Σ_p grad[i,p]·W[j,p].
 func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	d.backwardParams(grad)
 	dx := scratch2(d.reuse, d.dx, grad.Shape[0], d.W.Shape[0])
 	d.dx = dx
-	tensor.MatMulBT(dx, grad, d.W)
+	d.wt = scratch2(d.reuse, d.wt, d.W.Shape[1], d.W.Shape[0])
+	tensor.TransposeInto(d.wt, d.W)
+	tensor.MatMul(dx, grad, d.wt)
 	return dx
 }
 

@@ -44,30 +44,36 @@ func mustRank2(op string, dst, a, b *Tensor) {
 // of stack, and the paper-sized rows (k <= 32) compress in one chunk.
 const stage = 32
 
-// accumRows is the kernel behind MatMul and MatMulAT. It computes rows
-// [lo, hi) of dst, where row i is the sum over p of a[i·rs + p·cs] · (row p
-// of b), so (rs, cs) = (k, 1) reads a as m×k and (1, m) reads it as k×m,
-// transposed. Each row is two passes. The compress pass walks p ascending and
-// writes every (a entry, offset of b's row p) to the next staging slot, zero
-// or not, advancing the slot count by v != 0 as an integer: no branch tests
-// the loaded value, which on a post-ReLU operand is a coin flip no predictor
-// wins. The update pass is count-driven: the staged entries are applied four
-// at a time in one pass over the output row, which then lives in a register
-// across the four updates instead of being loaded and stored once per p. A
-// row longer than the staging is taken in chunks, the <= 3 entries short of a
-// quad carried to the front, so the per-element order of additions is the
-// plain p loop's at every k.
+// accumRows is the one GEMM kernel, behind MatMul and MatMulAT (and so
+// MatMulBT). It computes rows [lo, hi) of dst, where row i is the sum over p
+// of a[i·rs + p·cs] · (row p of b), so (rs, cs) = (k, 1) reads a as m×k and
+// (1, m) reads it as k×m, transposed. Each row is two passes. The compress
+// pass walks p ascending and writes every (a entry, offset of b's row p) to
+// the next staging slot, zero or not, advancing the slot count by v != 0 as
+// an integer: no branch tests the loaded value, which on a post-ReLU operand
+// is a coin flip no predictor wins. The update pass is count-driven and
+// applies every staged entry to the output row, in staging order, before the
+// next chunk is compressed; a row longer than the staging is taken in chunks
+// of up to stage non-zero entries, so the per-element order of additions is
+// the plain p loop's at every k.
 //
 // The update has two homes and one meaning. On amd64 with AVX (hasAVX, read
-// from CPUID at init; nothing a caller can set) it is quadUpdate, assembly
-// that does four columns per step with one VMULPD and one VADDPD per term;
-// everywhere else it is the Go loop below. Each lane performs exactly the
-// IEEE multiply and the IEEE add the Go loop performs, in the same term order
-// for every output element, so the two agree in every bit (DESIGN.md §8);
-// the Go loop is the oracle, and TestRowKernelsMatchReference runs both.
+// from CPUID at init; nothing a caller can set) it is rowUpdate, assembly
+// that holds 32 columns (then 16, then a masked tail) in registers across
+// all the staged terms with one VMULPD and one VADDPD per term per four
+// columns; everywhere else it is
+// the Go loop below, four terms per pass over the row. Each lane performs
+// exactly the IEEE multiply and the IEEE add the Go loop performs, in the
+// same term order for every output element, so the two agree in every bit
+// (DESIGN.md §8); the Go loop is the oracle, and TestRowKernelsMatchReference
+// runs both.
 func accumRows(dst, a, b []float64, lo, hi, k, n, rs, cs int) {
 	if n == 0 {
-		return // no column to write, and quadUpdate is handed &drow[0]
+		return // no column to write, and rowUpdate is handed &drow[0]
+	}
+	// rowUpdate reads b[off+j] unchecked: every row p < k must be in range.
+	if len(b) < k*n {
+		panic(fmt.Sprintf("tensor: right operand holds %d elements, want %d×%d", len(b), k, n))
 	}
 	var av [stage]float64
 	var off [stage]int
@@ -90,21 +96,23 @@ func accumRows(dst, a, b []float64, lo, hi, k, n, rs, cs int) {
 				}
 				cnt += nz
 			}
-			// Update by full quads, then carry the <= 3 entries left to the front.
+			if cnt < stage && p < k {
+				continue // free slots left and entries to fill them: keep compressing
+			}
+			if hasAVX {
+				rowUpdate(&drow[0], n, &b[0], &av[0], &off[0], cnt)
+				cnt = 0
+				continue
+			}
 			q := 0
 			for ; q+4 <= cnt; q += 4 {
 				// Re-slice to len(drow) so all four b rows provably hold a full
-				// output row: the range index below needs no bounds check, and
-				// quadUpdate reads exactly len(drow) elements behind each pointer.
+				// output row: the range index below needs no bounds check.
 				b0 := b[off[q]:][:len(drow)]
 				b1 := b[off[q+1]:][:len(drow)]
 				b2 := b[off[q+2]:][:len(drow)]
 				b3 := b[off[q+3]:][:len(drow)]
 				a0, a1, a2, a3 := av[q], av[q+1], av[q+2], av[q+3]
-				if hasAVX {
-					quadUpdate(&drow[0], &b0[0], &b1[0], &b2[0], &b3[0], len(drow), a0, a1, a2, a3)
-					continue
-				}
 				for j, d := range drow {
 					d += float64(a0 * b0[j])
 					d += float64(a1 * b1[j])
@@ -113,16 +121,13 @@ func accumRows(dst, a, b []float64, lo, hi, k, n, rs, cs int) {
 					drow[j] = d
 				}
 			}
-			cnt -= q
-			for j := 0; j < cnt; j++ {
-				av[j], off[j] = av[q+j], off[q+j]
+			for ; q < cnt; q++ {
+				brow := b[off[q]:][:len(drow)]
+				for j, bv := range brow {
+					drow[j] += float64(av[q] * bv)
+				}
 			}
-		}
-		for q := 0; q < cnt; q++ {
-			brow := b[off[q]:][:len(drow)]
-			for j, bv := range brow {
-				drow[j] += float64(av[q] * bv)
-			}
+			cnt = 0
 		}
 	}
 }
@@ -142,8 +147,11 @@ func MatMulAT(dst, a, b *Tensor) {
 	accumRows(dst.Data, a.Data, b.Data, 0, m, k, n, 1, m)
 }
 
-// MatMulBT computes dst = a × bᵀ for a (m×k) and b (n×k), producing m×n.
-// Used for input gradients: dX = dY·Wᵀ.
+// MatMulBT computes dst = a × bᵀ for a (m×k) and b (n×k), producing m×n. It
+// allocates: bᵀ is copied into a fresh k×n tensor and multiplied by MatMul,
+// so every output element is the same ascending-p reduction over the
+// non-zero entries of a's row. A caller that repeats the product keeps its
+// own transpose and calls TransposeInto and MatMul, as nn's layers do.
 func MatMulBT(dst, a, b *Tensor) {
 	mustRank2("MatMulBT", dst, a, b)
 	m, k := a.Shape[0], a.Shape[1]
@@ -154,48 +162,24 @@ func MatMulBT(dst, a, b *Tensor) {
 	if dst.Shape[0] != m || dst.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulBT dst %v, want [%d %d]", dst.Shape, m, n))
 	}
-	matmulBTRows(dst.Data, a.Data, b.Data, 0, m, k, n)
+	bt := FromSlice(make([]float64, k*n), k, n)
+	TransposeInto(bt, b)
+	MatMul(dst, a, bt)
 }
 
-// matmulBTRows computes rows [lo, hi) of dst = a×bᵀ (a m×k, b n×k). Both
-// operands are contiguous along p, so this is the dot form: four output
-// columns share one walk of the a row — one load and one zero test per four
-// multiply-adds, and four independent accumulator chains where a single dot
-// product has one — each still a strictly ascending-p reduction.
-func matmulBTRows(dst, a, b []float64, lo, hi, k, n int) {
-	for i := lo; i < hi; i++ {
-		arow := a[i*k : (i+1)*k]
-		drow := dst[i*n : (i+1)*n]
-		j := 0
-		for ; j+4 <= n; j += 4 {
-			b0 := b[j*k:][:len(arow)]
-			b1 := b[(j+1)*k:][:len(arow)]
-			b2 := b[(j+2)*k:][:len(arow)]
-			b3 := b[(j+3)*k:][:len(arow)]
-			var s0, s1, s2, s3 float64
-			for p, av := range arow {
-				//lint:ignore float-eq zero skip is part of the kernel contract (see accumRows)
-				if av == 0 {
-					continue
-				}
-				s0 += float64(av * b0[p])
-				s1 += float64(av * b1[p])
-				s2 += float64(av * b2[p])
-				s3 += float64(av * b3[p])
-			}
-			drow[j], drow[j+1], drow[j+2], drow[j+3] = s0, s1, s2, s3
-		}
-		for ; j < n; j++ {
-			brow := b[j*k:][:len(arow)]
-			s := 0.0
-			for p, av := range arow {
-				//lint:ignore float-eq zero skip is part of the kernel contract (see accumRows)
-				if av == 0 {
-					continue
-				}
-				s += float64(av * brow[p])
-			}
-			drow[j] = s
+// TransposeInto writes srcᵀ into dst: src is r×c, dst c×r. It allocates
+// nothing, and dst must not alias src.
+func TransposeInto(dst, src *Tensor) {
+	if len(dst.Shape) != 2 || len(src.Shape) != 2 {
+		panic(fmt.Sprintf("tensor: TransposeInto wants 2-D operands, got dst %v, src %v", dst.Shape, src.Shape))
+	}
+	r, c := src.Shape[0], src.Shape[1]
+	if dst.Shape[0] != c || dst.Shape[1] != r {
+		panic(fmt.Sprintf("tensor: TransposeInto dst %v, want [%d %d]", dst.Shape, c, r))
+	}
+	for i := 0; i < r; i++ {
+		for j, v := range src.Data[i*c : (i+1)*c] {
+			dst.Data[j*r+i] = v
 		}
 	}
 }

@@ -141,11 +141,12 @@ var rowKernelOperands = []struct {
 			}
 		}
 	}},
-	// The first chunk of a row longer than the staging ends 1, 2 or 3 entries
-	// past a quad, which the next chunk must pick up in order.
-	{"carry_1", dropP(func(p int) bool { return 1 <= p && p < 4 })},
-	{"carry_2", dropP(func(p int) bool { return 2 <= p && p < 4 })},
-	{"carry_3", dropP(func(p int) bool { return p == 3 })},
+	// A row longer than the staging with z = 1, 2 or 3 zeros among its first
+	// stage entries: the compress pass tops the chunk up with the z entries
+	// beyond them before the update runs.
+	{"topup_1", dropP(func(p int) bool { return p == 3 })},
+	{"topup_2", dropP(func(p int) bool { return 2 <= p && p < 4 })},
+	{"topup_3", dropP(func(p int) bool { return 1 <= p && p < 4 })},
 	{"zeros_across_chunk", dropP(func(p int) bool { return stage-5 <= p && p < stage+5 })},
 	{"full_stage_then_zeros", dropP(func(p int) bool { return p >= stage })},
 }
@@ -163,20 +164,22 @@ var rowKernelOperands = []struct {
 // rows. The whole table runs twice: as shipped — accumRows' vector row update
 // where the host has one — and with that update switched off, so the Go loop
 // every other build runs stays under test on an AVX host. The subtests share
-// hasAVX and so do not run in parallel.
+// hasAVX and so do not run in parallel; they draw the same operands, so the
+// reference is computed once per case.
 func TestRowKernelsMatchReference(t *testing.T) {
-	t.Run("shipped", checkRowKernels)
+	wants := map[string][]float64{}
+	t.Run("shipped", func(t *testing.T) { checkRowKernels(t, wants) })
 	t.Run("portable", func(t *testing.T) {
 		if !hasAVX {
 			t.Skip("no vector path on this host: the shipped run was the Go loop")
 		}
 		hasAVX = false
 		t.Cleanup(func() { hasAVX = true })
-		checkRowKernels(t)
+		checkRowKernels(t, wants)
 	})
 }
 
-func checkRowKernels(t *testing.T) {
+func checkRowKernels(t *testing.T, wants map[string][]float64) {
 	type shape struct{ m, k, n int }
 	shapes := map[string][]shape{
 		"MatMul":   {{16, 24, 32}, {16, 32, 10}, {16, 64, 128}, {64, 256, 256}, {256, 24, 32}, {3, 1, 5}, {2, 7, 3}, {5, 13, 1}},
@@ -218,7 +221,11 @@ func checkRowKernels(t *testing.T) {
 		{"MatMulAT", true, false, MatMulAT,
 			func(dst, a, b []float64, lo, hi, m, k, n int) { accumRows(dst, a, b, lo, hi, k, n, 1, m) }},
 		{"MatMulBT", false, true, MatMulBT,
-			func(dst, a, b []float64, lo, hi, m, k, n int) { matmulBTRows(dst, a, b, lo, hi, k, n) }},
+			func(dst, a, b []float64, lo, hi, m, k, n int) {
+				bt := FromSlice(make([]float64, k*n), k, n)
+				TransposeInto(bt, FromSlice(b, n, k))
+				accumRows(dst, a, bt.Data, lo, hi, k, n, k, 1)
+			}},
 	}
 	for _, kern := range kernels {
 		for _, sh := range shapes[kern.name] {
@@ -237,7 +244,11 @@ func checkRowKernels(t *testing.T) {
 					pOf = func(i int) int { return i / sh.m }
 				}
 				op.fill(rng, a.Data, b.Data, a.Shape[1], pOf)
-				want := refGEMM(a.Data, b.Data, sh.m, sh.k, sh.n, kern.aT, kern.bT)
+				want, ok := wants[name]
+				if !ok {
+					want = refGEMM(a.Data, b.Data, sh.m, sh.k, sh.n, kern.aT, kern.bT)
+					wants[name] = want
+				}
 
 				got := FromSlice(make([]float64, sh.m*sh.n), sh.m, sh.n)
 				got.Fill(math.NaN()) // the kernels must overwrite, not accumulate into, dst
@@ -264,10 +275,11 @@ func checkRowKernels(t *testing.T) {
 // FuzzAccumRows is the table test's differential from raw bytes: the left
 // operand's bit patterns are read eight bytes at a time (the input repeats
 // when it runs out), so ±0, subnormals, infinities and quiet and signalling
-// NaNs land on every side of a quad and of the staging boundary; m, k (up to
-// past two chunks) and n come from the input too, aT picks the (rs, cs)
-// reading, and the result is held to refGEMM with the vector row update on
-// (where the host has one) and off.
+// NaNs land on every side of a four-term pass and of the staging boundary;
+// m, k (up to past two chunks) and n (up to past a 32-column block, a
+// 16-column one and a masked tail) come from the input too, aT picks the
+// (rs, cs) reading, and the result is held to refGEMM with the vector row
+// update on (where the host has one) and off.
 func FuzzAccumRows(f *testing.F) {
 	corners := cornerBytes()
 	f.Add(uint8(3), uint8(2*stage+3), uint8(5), false, corners)
@@ -278,7 +290,7 @@ func FuzzAccumRows(f *testing.F) {
 		if len(data) < 8 {
 			return
 		}
-		m, k, n := int(mb)%7, int(kb)%(2*stage+8), int(nb)%11
+		m, k, n := int(mb)%7, int(kb)%(2*stage+8), int(nb)%52
 		a := make([]float64, m*k)
 		for i := range a {
 			a[i] = floatAt(data, 8*i)
@@ -302,9 +314,11 @@ func FuzzAccumRows(f *testing.F) {
 	})
 }
 
-// TestMatMulZeroAllocs holds the three entry points to no heap allocation at
-// train-gemm's widest GEMM: they are a shape check and a kernel call, with no
-// dispatch closure, packing buffer or goroutine to pay for.
+// TestMatMulZeroAllocs holds MatMul and MatMulAT, and TransposeInto into a
+// kept tensor, to no heap allocation at train-gemm's widest GEMM: they are a
+// shape check and a kernel call (or a copy), with no dispatch closure,
+// packing buffer or goroutine to pay for. MatMulBT is not held: it allocates
+// its transpose by contract, and no training path calls it.
 func TestMatMulZeroAllocs(t *testing.T) {
 	const m, k, n = 64, 256, 256
 	rng := stats.NewRNG(29)
@@ -317,7 +331,7 @@ func TestMatMulZeroAllocs(t *testing.T) {
 	}{
 		{"MatMul", func() { MatMul(dst, a, b) }},
 		{"MatMulAT", func() { MatMulAT(dst, at, b) }},
-		{"MatMulBT", func() { MatMulBT(dst, a, bt) }},
+		{"TransposeInto", func() { TransposeInto(b, bt) }},
 	} {
 		if allocs := testing.AllocsPerRun(10, c.run); allocs > 0 {
 			t.Errorf("%s allocates %.0f times per call at %dx%dx%d, want 0", c.name, allocs, m, k, n)
@@ -328,7 +342,9 @@ func TestMatMulZeroAllocs(t *testing.T) {
 // benchShapes are the sizes BENCHMARKS.md refers to, named for the bench
 // workload that runs them. The paper_* cases are the five GEMMs of one SGD
 // step of the paper-sized MLP (24→32→10, batch 16) — forward x·W₁ and h·W₂
-// (MatMul), dW₁ = xᵀ·dh and dW₂ = hᵀ·dy (MatMulAT), dh = dy·W₂ᵀ (MatMulBT) —
+// (MatMul), dW₁ = xᵀ·dh and dW₂ = hᵀ·dy (MatMulAT), dh = dy·W₂ᵀ (MatMul
+// against the layer's kept W₂ᵀ; BenchmarkMatMulBT times the allocating
+// MatMulBT, transpose included) —
 // with the ~50 % exact zeros a post-ReLU left operand has; gemm_* are the
 // widest three of train-gemm's MLP 256→256→10 at batch 64, loopback_* the
 // first-layer pair of net-loopback's MLP 64→128→10 at batch 16. Each kernel
