@@ -10,9 +10,9 @@
 #   3. test        go test ./... — tier-1; internal/lint's TestRepoIsLintClean
 #                  is the module-wide repolint pass, run here and nowhere else
 #   4. race        go test -race over the concurrent packages
-#   5. fuzz        12 s across the wire, secagg, tensor, grouping, felserve
-#                  (whole checkpoint files, 2 s) and faultnet (whole plan
-#                  files) targets
+#   5. fuzz        13 s across the wire, secagg, tensor, grouping, core
+#                  (Config against validate), felserve (whole checkpoint
+#                  files, 2 s) and faultnet (whole plan files) targets
 #   6. chaos       felnode -chaos <name> twice for each of the six named
 #                  scenarios, outputs byte-identical (simulated time: seconds for all six)
 #   7. felnode     a loopback TCP job, cross-checked against core.Train; the
@@ -132,10 +132,10 @@ echo "== go test ./..."
 go test ./...
 
 # internal/tensor is not listed: it starts no goroutine and shares no state.
-echo "== go test -race (core, async, wire, fednode, faultnet, metrics, felserve, grouping, data)"
-go test -race ./internal/core ./internal/async ./internal/wire ./internal/fednode ./internal/faultnet/... ./internal/metrics ./internal/felserve ./internal/grouping ./internal/data
+echo "== go test -race (cpu, core, async, wire, fednode, faultnet, metrics, felserve, grouping, data)"
+go test -race ./internal/cpu ./internal/core ./internal/async ./internal/wire ./internal/fednode ./internal/faultnet/... ./internal/metrics ./internal/felserve ./internal/grouping ./internal/data
 
-echo "== go test -fuzz smoke (12s total across targets)"
+echo "== go test -fuzz smoke (13s total across targets)"
 go test ./internal/wire -run '^$' -fuzz FuzzDecodeFrame -fuzztime 1s
 go test ./internal/wire -run '^$' -fuzz FuzzDecodeIntoReuse -fuzztime 1s
 go test ./internal/secagg -run '^$' -fuzz FuzzFieldOps -fuzztime 1s
@@ -145,6 +145,7 @@ go test ./internal/secagg -run '^$' -fuzz FuzzMaskedUpdateIntoReuse -fuzztime 1s
 go test ./internal/tensor -run '^$' -fuzz FuzzRowUpdate -fuzztime 1s
 go test ./internal/tensor -run '^$' -fuzz FuzzAccumRows -fuzztime 1s
 go test ./internal/grouping -run '^$' -fuzz FuzzScanFilter -fuzztime 1s
+go test ./internal/core -run '^$' -fuzz FuzzTrainerConfig -fuzztime 1s
 # Its seeds are whole files of tens of KB: minimising each new input for the
 # default 60 s would spend the whole second on one input instead of fuzzing.
 go test ./internal/felserve -run '^$' -fuzz FuzzLoadCheckpoint -fuzztime 2s -fuzzminimizetime 100x

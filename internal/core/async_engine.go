@@ -2,6 +2,7 @@ package core
 
 import (
 	"repro/internal/async"
+	"repro/internal/cpu"
 	"repro/internal/tensor"
 )
 
@@ -86,7 +87,7 @@ func (sp *groupSpace) dispatch(now int64) {
 	for _, i := range sp.batch {
 		sp.clients[i].drop = cfg.DropoutProb > 0 && sp.dropRng.Float64() < cfg.DropoutProb
 	}
-	e.forEachClient(len(sp.batch), func(j int) {
+	cpu.Each(len(sp.batch), e.max, func(_, j int) {
 		w := e.workers.Acquire()
 		defer e.workers.Release(w)
 		e.trainClient(w, sp, sp.batch[j])

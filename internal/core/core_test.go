@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/cost"
+	"repro/internal/cpu"
 	"repro/internal/data"
 	"repro/internal/grouping"
 	"repro/internal/nn"
@@ -248,10 +249,12 @@ func TestEvaluateEmptyDataset(t *testing.T) {
 	}
 }
 
+// TestParallelEachCoversAll holds the fan-out the executor, evaluator and
+// tree aggregation share: cpu.Each runs every index exactly once.
 func TestParallelEachCoversAll(t *testing.T) {
 	var count int64
 	seen := make([]int32, 100)
-	parallelEach(100, 8, func(i int) {
+	cpu.Each(100, 8, func(_, i int) {
 		atomic.AddInt64(&count, 1)
 		atomic.AddInt32(&seen[i], 1)
 	})
@@ -271,7 +274,7 @@ func TestParallelEachPropagatesPanic(t *testing.T) {
 			t.Fatal("expected panic to propagate")
 		}
 	}()
-	parallelEach(10, 4, func(i int) {
+	cpu.Each(10, 4, func(_, i int) {
 		if i == 5 {
 			panic("boom")
 		}

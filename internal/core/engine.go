@@ -1,13 +1,12 @@
 package core
 
 import (
-	"fmt"
-	"runtime"
 	"strconv"
 	"sync"
 
 	"repro/internal/async"
 	"repro/internal/compress"
+	"repro/internal/cpu"
 	"repro/internal/grouping"
 	"repro/internal/metrics"
 	"repro/internal/stats"
@@ -30,9 +29,8 @@ import (
 //     before any goroutine starts.
 //  3. Each client writes its trained parameters into its own indexed slot
 //     of its group's machine; no shared accumulator is touched concurrently.
-//     A machine is borrowed per group run and begin resets everything the
-//     run reads, so which pooled machine runs a group cannot leak into
-//     results either.
+//     begin resets everything a group's run reads, so which goroutine's
+//     machine runs a group cannot leak into results either.
 //  4. The weighted reduction over slots is a fixed-pairing tree fold
 //     (treeagg.go): the pairing is a pure function of the surviving client
 //     count, so floating-point operation order never depends on scheduling —
@@ -52,11 +50,10 @@ import (
 // Workers (worker.go) are created lazily up to max and recycled through the
 // engine's WorkerPool, so the steady state allocates nothing: models reuse
 // their layer buffers (EnableBufferReuse), SGD scratch lives in per-worker
-// arenas, and a group round's n×dim storage lives in group-round machines
-// recycled through a second free list, one machine per group in flight. A
-// Worker's sample buffer is what bounds a round's data footprint on a
-// virtual system: at most max workers × one client batch exist at any
-// instant, independent of the population size.
+// arenas, and a group round's n×dim storage lives in group-round machines,
+// one per goroutine of RunGroups' fan-out. A Worker's sample buffer is what
+// bounds a round's data footprint on a virtual system: at most max workers ×
+// one client batch exist at any instant, independent of the population size.
 type engine struct {
 	sys   *System
 	cfg   Config
@@ -66,15 +63,14 @@ type engine struct {
 
 	workers *WorkerPool
 
-	// mu guards idle and edgeLabels.
+	// mu guards edgeLabels.
 	mu sync.Mutex
-	// idle holds the group-round machines no group is running. RunGroups
-	// borrows one per group and returns it once the group's update is out,
-	// so at most its fan-out width ever exist. It is a plain list, not a
-	// sync.Pool, whose per-P and victim caches keep more n×dim matrices
-	// alive than a round uses (EXPERIMENTS.md: replacing such a pool cut
-	// train-gemm's peak RSS 18 %).
-	idle []*groupSpace
+	// spaces[w] is the group-round machine RunGroups' goroutine w runs each
+	// of its groups on, so at most the fan-out width ever exist. It is a
+	// plain list, not a sync.Pool, whose per-P and victim caches keep more
+	// n×dim matrices alive than a round uses (EXPERIMENTS.md: replacing such
+	// a pool cut train-gemm's peak RSS 18 %).
+	spaces []*groupSpace
 
 	// slots[si] is the group vector selection slot si's update aliases —
 	// O(dim), never a per-client array — and updates the result slice
@@ -99,13 +95,13 @@ type engine struct {
 }
 
 // groupSpace is one group-round machine (async_engine.go) and the n×dim
-// storage it runs in, borrowed from the engine's free list for one group's
-// run and reused from run to run so a warm machine allocates nothing: the
+// storage it runs in, reused from one group's run to the next on the same
+// goroutine of RunGroups' fan-out so a warm machine allocates nothing: the
 // per-client result slots (views into one flat backing array), the
 // tree-reduction node scratch, then the run state — logical-clock heap,
 // per-client bookkeeping (pre-drawn dropout flag and uplink bytes included),
-// the batch scratch — and the run's outcome. group belongs to the borrowing
-// selection slot (begin takes it, RunGroups hands it back).
+// the batch scratch — and the run's outcome. group belongs to the selection
+// slot being run (begin takes it, RunGroups hands it back).
 type groupSpace struct {
 	e *engine
 
@@ -148,22 +144,10 @@ type clientRun struct {
 // single-CPU CI hosts; production runs never do.
 var testUncapWorkers bool
 
-// procs is the effective processor count, min(GOMAXPROCS, NumCPU): the
-// default width of every fan-out in this package (the engine's worker pool,
-// Evaluate, parallelEach), which is the only layer that starts goroutines
-// for compute — a tensor GEMM runs on its caller's. GOMAXPROCS above the
-// physical core count is pure oversubscription for compute-bound work: PR 9
-// measured a medium-scale training round at 0.60× the serial baseline with
-// GOMAXPROCS=8 on one core before this cap.
-func procs() int {
-	return min(runtime.GOMAXPROCS(0), runtime.NumCPU())
-}
-
 // NewExecutor builds the in-process Executor: the training engine for one
-// run. MaxParallel <= 0 follows the effective processor count; MaxParallel ==
-// 1 is the serial reference path: one worker, groups and their clients
-// training one after another on the calling goroutine. Only Evaluate, which
-// MaxParallel does not govern, still fans out.
+// run. MaxParallel <= 0 follows the effective processor count (cpu.Procs);
+// MaxParallel == 1 is the serial reference path: one worker, groups and
+// their clients training one after another on the calling goroutine.
 func NewExecutor(sys *System, cfg Config) Executor {
 	local := cfg.Local
 	if local == nil {
@@ -215,7 +199,7 @@ func asyncRegistry(cfg Config) *metrics.Registry {
 // here shows in `go run ./bench` workload train-gemm (rounds_per_s,
 // parallel_speedup).
 func workerBound(maxParallel int) int {
-	cpus := procs()
+	cpus := cpu.Procs()
 	if maxParallel <= 0 || (maxParallel > cpus && !testUncapWorkers) {
 		return cpus
 	}
@@ -233,25 +217,6 @@ func (e *engine) edgeLabel(edge int) metrics.Label {
 	}
 	e.mu.Unlock()
 	return l
-}
-
-// borrowSpace hands out an idle group-round machine, creating one when every
-// existing machine is running a group.
-func (e *engine) borrowSpace() *groupSpace {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if n := len(e.idle); n > 0 {
-		sp := e.idle[n-1]
-		e.idle = e.idle[:n-1]
-		return sp
-	}
-	return &groupSpace{e: e, dropRng: stats.NewRNG(0), delayRng: stats.NewRNG(0)}
-}
-
-func (e *engine) returnSpace(sp *groupSpace) {
-	e.mu.Lock()
-	e.idle = append(e.idle, sp)
-	e.mu.Unlock()
 }
 
 // begin readies the machine to run group g from params in global round
@@ -300,41 +265,6 @@ func (sp *groupSpace) end() GroupUpdate {
 	}
 	sp.g, sp.group = nil, nil
 	return u
-}
-
-// forEachClient runs fn(0..n-1), inline when the engine is serial and on one
-// goroutine per client otherwise (each blocks on a pooled worker, so true
-// concurrency stays bounded by max). Panics are re-raised on the caller.
-func (e *engine) forEachClient(n int, fn func(i int)) {
-	if e.max == 1 || n == 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstPanic any
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					mu.Lock()
-					if firstPanic == nil {
-						firstPanic = r
-					}
-					mu.Unlock()
-				}
-			}()
-			fn(i)
-		}(i)
-	}
-	wg.Wait()
-	if firstPanic != nil {
-		panic(fmt.Sprintf("fel: client worker panic: %v", firstPanic))
-	}
 }
 
 // LocalSeed derives the local-training RNG seed of client cid training in

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/async"
 	"repro/internal/compress"
+	"repro/internal/cpu"
 	"repro/internal/tensor"
 )
 
@@ -136,11 +137,11 @@ func TestTrainParallelSpeedup(t *testing.T) {
 	}
 }
 
-// TestGroupSpaceSteadyState: the group-round machine a group borrows keeps
+// TestGroupSpaceSteadyState: the group-round machine a group runs on keeps
 // its run state — per-client bookkeeping, event heap, batch scratch, result
 // slots — in the same backing arrays from round to round, and the selection
-// slot keeps its group vector the same way. At MaxParallel 1 one machine
-// runs every group and is back on the free list when RunGroups returns.
+// slot keeps its group vector the same way. At MaxParallel 1 one machine,
+// spaces[0], runs every group.
 // Three rounds warm it; replaying the same three (same draws, so the same
 // event counts) may move none of them, whichever trigger flushes. The
 // machine's two ends then allocate nothing warm: begin, readying it for a
@@ -160,10 +161,10 @@ func TestGroupSpaceSteadyState(t *testing.T) {
 			if _, err := e.RunGroups(round, tr.Groups(), []int{0}, tr.Params()); err != nil {
 				t.Fatal(err)
 			}
-			if len(e.idle) != 1 {
-				t.Fatalf("%s: %d idle machines after a serial round, want 1", name, len(e.idle))
+			if len(e.spaces) != 1 {
+				t.Fatalf("%s: %d machines after a serial round, want 1", name, len(e.spaces))
 			}
-			sp := e.idle[0]
+			sp := e.spaces[0]
 			return [5]unsafe.Pointer{
 				unsafe.Pointer(unsafe.SliceData(sp.clients)),
 				unsafe.Pointer(unsafe.SliceData(sp.heap)),
@@ -181,7 +182,7 @@ func TestGroupSpaceSteadyState(t *testing.T) {
 				t.Errorf("%s: round %d moved the run state: %v, warm %v", name, round, got, warm)
 			}
 		}
-		sp, g := e.idle[0], tr.Groups()[0]
+		sp, g := e.spaces[0], tr.Groups()[0]
 		if allocs := testing.AllocsPerRun(10, func() {
 			sp.begin(e.slots[0], g, tr.Params(), 0)
 			for i := range sp.clients {
@@ -192,5 +193,30 @@ func TestGroupSpaceSteadyState(t *testing.T) {
 		}); allocs != 0 {
 			t.Errorf("%s: begin + a full-buffer flush on the warm machine allocate %.1f objects, want 0", name, allocs)
 		}
+	}
+}
+
+// TestGroupSpacesAtMostProcs: RunGroups fans out no wider than its worker
+// pool. With the test binary's cap lifted, MaxParallel 8 over 8 selected
+// groups would build 8 machines, each holding n×dim storage while only
+// cpu.Procs() workers train; under the production cap at most cpu.Procs()
+// exist after a round.
+func TestGroupSpacesAtMostProcs(t *testing.T) {
+	testUncapWorkers = false
+	defer func() { testUncapWorkers = true }()
+	sys := testSystem(32, 0.5, 3)
+	cfg := testConfig()
+	cfg.MaxParallel = 8
+	tr := NewTrainer(sys, cfg)
+	e := NewExecutor(sys, cfg).(*engine)
+	if len(tr.Groups()) < 8 {
+		t.Fatalf("%d groups formed, want at least 8", len(tr.Groups()))
+	}
+	selected := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	if _, err := e.RunGroups(0, tr.Groups(), selected, tr.Params()); err != nil {
+		t.Fatal(err)
+	}
+	if len(e.spaces) == 0 || len(e.spaces) > cpu.Procs() {
+		t.Fatalf("%d group-round machines after an 8-group round at MaxParallel 8, want 1 to cpu.Procs() = %d", len(e.spaces), cpu.Procs())
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"repro/internal/cpu"
 	"repro/internal/data"
 	"repro/internal/nn"
 	"repro/internal/tensor"
@@ -9,10 +10,10 @@ import (
 // Evaluate computes accuracy and mean loss of model on ds, batching to
 // bound memory. batch <= 0 defaults to 256.
 //
-// Batches are scored in parallel across procs() model clones (GOMAXPROCS
-// capped at physical CPUs), each batch writing into its own indexed slot; the
-// final reduction runs in batch order, so the result is bit-identical to a
-// serial evaluation at any parallelism.
+// Batches are scored in parallel across cpu.Procs() model clones, each batch
+// writing into its own indexed slot; the final reduction runs in batch
+// order, so the result is bit-identical to a serial evaluation at any
+// parallelism.
 func Evaluate(model *nn.Sequential, ds *data.Dataset, batch int) (acc, loss float64) {
 	return newEvaluator(model.Clone(), ds, batch).run(model.ParamVector())
 }
@@ -29,7 +30,7 @@ type evaluator struct {
 	n  int
 	xs []*tensor.Tensor
 	ys [][]int
-	// workers[w] scores batches w, w+W, w+2W, … of a run with W workers.
+	// workers[w] scores the batches goroutine w of a run's fan-out takes.
 	workers []*evalWorker
 	// correct and losses are the per-batch slots the reduction reads in
 	// batch order.
@@ -78,7 +79,7 @@ func (e *evaluator) run(params []float64) (acc, loss float64) {
 	if nb == 0 {
 		return 0, 0
 	}
-	workers := min(procs(), nb)
+	workers := min(cpu.Procs(), nb)
 	for len(e.workers) < workers {
 		m := e.workers[0].model.Clone()
 		m.EnableBufferReuse()
@@ -87,11 +88,7 @@ func (e *evaluator) run(params []float64) (acc, loss float64) {
 	for _, w := range e.workers[:workers] {
 		w.model.SetParamVector(params)
 	}
-	parallelEach(workers, workers, func(w int) {
-		for bi := w; bi < nb; bi += workers {
-			e.score(e.workers[w], bi)
-		}
-	})
+	cpu.Each(nb, workers, func(w, bi int) { e.score(e.workers[w], bi) })
 	tc := 0
 	tl := 0.0
 	for bi := 0; bi < nb; bi++ {

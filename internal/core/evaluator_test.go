@@ -33,7 +33,7 @@ var evalPins = map[string][3][2]uint64{
 // run leaves behind — activations, probabilities, batch slots — can reach
 // the next. Then it bounds what a warm run allocates by a constant that is
 // the same for both models and every test-set size: the goroutines
-// parallelEach starts, nothing per batch or per parameter.
+// cpu.Each starts, nothing per batch or per parameter.
 func TestEvaluatorPinned(t *testing.T) {
 	models := []struct {
 		name string

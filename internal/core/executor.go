@@ -4,7 +4,9 @@ import (
 	"slices"
 
 	"repro/internal/async"
+	"repro/internal/cpu"
 	"repro/internal/grouping"
+	"repro/internal/stats"
 )
 
 // Executor is the seam under the Plan: everything below "run these groups
@@ -35,18 +37,20 @@ type GroupUpdate struct {
 	Carryovers, LateDrops int
 }
 
-// RunGroups trains the selected groups in parallel, each on a group-round
-// machine borrowed for its run and each update kept in its selection slot;
-// the mode only picks the machine's flush trigger.
+// RunGroups trains the selected groups in parallel, at most max at once,
+// each on its goroutine's group-round machine and each update kept in its
+// selection slot; the mode only picks the machine's flush trigger.
 func (e *engine) RunGroups(t int, groups []*grouping.Group, selected []int, params []float64) ([]GroupUpdate, error) {
 	if n := len(selected) - len(e.slots); n > 0 {
 		e.slots = append(e.slots, make([][]float64, n)...)
 	}
+	for len(e.spaces) < min(e.max, len(selected)) {
+		e.spaces = append(e.spaces, &groupSpace{e: e, dropRng: stats.NewRNG(0), delayRng: stats.NewRNG(0)})
+	}
 	e.updates = slices.Grow(e.updates[:0], len(selected))[:len(selected)]
 	updates := e.updates
-	parallelEach(len(selected), e.cfg.MaxParallel, func(si int) {
-		sp := e.borrowSpace()
-		defer e.returnSpace(sp)
+	cpu.Each(len(selected), e.max, func(w, si int) {
+		sp := e.spaces[w]
 		sp.begin(e.slots[si], groups[selected[si]], params, t)
 		if e.cfg.Async.Mode == async.SemiSync {
 			sp.runDeadlines()

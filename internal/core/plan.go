@@ -134,13 +134,18 @@ func (p *Plan) publish() {
 // different formation. The adaptive EWMAs are keyed by group identity, so a
 // new formation starts the estimator over from the fresh CoV prior.
 func (p *Plan) regroup(t int) {
-	if p.cfg.RegroupEvery <= 0 || t == 0 || t%p.cfg.RegroupEvery != 0 {
+	if !p.regroupDue(t) {
 		return
 	}
 	p.form(uint64(100 + t))
 	if p.adaptive != nil {
 		p.adaptive.Reset(len(p.groups))
 	}
+}
+
+// regroupDue reports whether round t is on the RegroupEvery schedule.
+func (p *Plan) regroupDue(t int) bool {
+	return p.cfg.RegroupEvery > 0 && t > 0 && t%p.cfg.RegroupEvery == 0
 }
 
 // Groups returns the live formation. Selections index into it.
@@ -217,13 +222,21 @@ func (p *Plan) Export(st *TrainerState) {
 }
 
 // Restore brings a freshly built plan to the boundary before round st.Round:
-// it replays every regroup the original run performed before the snapshot,
-// consuming the parent stream exactly as Next would have, then overwrites
-// the sampling stream and the adaptive state with the serialized values.
+// it consumes the parent stream exactly as the original run's regroups did
+// before the snapshot, forming only the last of them — the formation in
+// force — since each earlier one was superseded, then overwrites the
+// sampling stream and the adaptive state with the serialized values.
 func (p *Plan) Restore(st *TrainerState) error {
+	last := 0
 	for r := 1; r < st.Round; r++ {
-		p.regroup(r)
+		if p.regroupDue(r) {
+			if last > 0 {
+				p.rng.Split(uint64(100 + last)) // the one parent word form would draw
+			}
+			last = r
+		}
 	}
+	p.regroup(last)
 	p.sampleRng.SetState(st.SampleHi, st.SampleLo)
 	if st.Adaptive != nil {
 		if p.adaptive == nil {

@@ -18,7 +18,7 @@ import (
 // identical final weights whether training runs single-threaded or fanned
 // out across workers. tensor.MatMul documents that each output element is a
 // sequentially-ordered reduction regardless of GOMAXPROCS, and
-// core.parallelEach writes group results into indexed slots; this test is
+// RunGroups writes group results into indexed slots; this test is
 // what keeps those guarantees from regressing as more parallel code lands.
 func TestReplayBitIdenticalAcrossParallelism(t *testing.T) {
 	run := func(procs int) []float64 {

@@ -12,9 +12,9 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 
+	"repro/internal/cpu"
 	"repro/internal/data"
 	"repro/internal/nn"
 	"repro/internal/tensor"
@@ -232,13 +232,13 @@ func (s *System) SubSystem(clients []*data.Client, numEdges int) *System {
 	}
 }
 
-// Workers returns the System's shared WorkerPool, procs() wide and built on
-// first use. Every in-process trainer outside the engine borrows from it —
+// Workers returns the System's shared WorkerPool, cpu.Procs() wide and built
+// on first use. Every in-process trainer outside the engine borrows from it —
 // fednode's Client, however many of them one process hosts — so together
-// they build at most procs() models, never one per client. The engine keeps
+// they build at most cpu.Procs() models, never one per client. The engine keeps
 // its own pool, sized by Config.MaxParallel.
 func (s *System) Workers() *WorkerPool {
-	s.workersOnce.Do(func() { s.workers = newWorkerPool(s, procs()) })
+	s.workersOnce.Do(func() { s.workers = newWorkerPool(s, cpu.Procs()) })
 	return s.workers
 }
 
@@ -265,54 +265,4 @@ func (s *System) clientBatchInto(c *data.Client, buf *data.SampleBuffer) (*tenso
 		return s.vp.MaterializeInto(c.ID, buf)
 	}
 	return s.ClientBatch(c)
-}
-
-// parallelEach runs fn(0..n-1) across at most workers goroutines. workers
-// <= 0 defaults to procs(). Panics inside fn are re-raised on the
-// caller goroutine so test failures surface normally.
-func parallelEach(n, workers int, fn func(i int)) {
-	if workers <= 0 {
-		workers = procs()
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstPanic any
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							mu.Lock()
-							if firstPanic == nil {
-								firstPanic = r
-							}
-							mu.Unlock()
-						}
-					}()
-					fn(i)
-				}()
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	if firstPanic != nil {
-		panic(fmt.Sprintf("fel: worker panic: %v", firstPanic))
-	}
 }

@@ -48,10 +48,11 @@ type Config struct {
 	// RegroupEvery reruns group formation every n global rounds (0 =
 	// never), the paper's Sec. 6.1 suggestion for reusing high-CoV data.
 	RegroupEvery int
-	// MaxParallel bounds how many clients train at once (0 = one worker per
-	// effective CPU, min(GOMAXPROCS, NumCPU); 1 = serial training on the
-	// calling goroutine). It is the only parallelism knob: GEMMs never fan
-	// out, and evaluation always uses the effective CPU count. Results are
+	// MaxParallel bounds how many groups and clients train at once (0 = one
+	// worker per effective CPU, cpu.Procs(); 1 = serial training on the
+	// calling goroutine), capped at cpu.Procs(). It governs training only:
+	// evaluation, group formation and virtual-population synthesis fan out
+	// at cpu.Procs() whatever it is, and GEMMs never fan out. Results are
 	// bit-identical at every value.
 	MaxParallel int
 	// InitParams, when non-nil, seeds the global model with these

@@ -3,12 +3,14 @@ package core
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/async"
 	"repro/internal/compress"
 	"repro/internal/cost"
 	"repro/internal/grouping"
+	"repro/internal/metrics"
 )
 
 // sameBits fails the test unless a and b are bit-for-bit identical.
@@ -86,7 +88,9 @@ func TestResumeBitIdentical(t *testing.T) {
 			}
 			full := Train(testSystem(12, 0.5, 3), makeCfg())
 
-			for _, stopAt := range []int{1, 4} {
+			// Stopping at 6 has dropout-regroup's resume skip the regroup at
+			// round 2 and form only round 4's.
+			for _, stopAt := range []int{1, 4, 6} {
 				tr := NewTrainer(testSystem(12, 0.5, 3), makeCfg())
 				for tr.Round() < stopAt {
 					tr.Step()
@@ -135,6 +139,43 @@ func TestResumeBitIdentical(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestResumeFormsOnce: a resume forms the initial formation and the one in
+// force at the snapshot, not every regroup before it — an uninterrupted run
+// of the same schedule times 1 + 3 formations over 7 rounds.
+func TestResumeFormsOnce(t *testing.T) {
+	makeCfg := func(reg *metrics.Registry) Config {
+		cfg := testConfig()
+		cfg.GlobalRounds = 7
+		cfg.RegroupEvery = 2
+		cfg.Metrics = reg
+		return cfg
+	}
+	full := metrics.New()
+	tr := NewTrainer(testSystem(12, 0.5, 3), makeCfg(full))
+	for tr.Round() < 6 {
+		tr.Step()
+	}
+	st, err := tr.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for !tr.Done() {
+		tr.Step()
+	}
+	resumed := metrics.New()
+	if _, err := NewTrainerResumed(testSystem(12, 0.5, 3), makeCfg(resumed), st); err != nil {
+		t.Fatal(err)
+	}
+	for reg, want := range map[*metrics.Registry]string{
+		full:    "fel_core_formation_seconds_count 4",
+		resumed: "fel_core_formation_seconds_count 2",
+	} {
+		if snap := reg.Snapshot(); !strings.Contains(snap, want+"\n") {
+			t.Errorf("snapshot is missing %q:\n%s", want, snap)
+		}
 	}
 }
 
@@ -278,4 +319,59 @@ func TestNewTrainerOnRejectsWithErrors(t *testing.T) {
 	if tr.Step(); tr.SelectedClients() != pinned[0].Size() {
 		t.Fatalf("fixed selection trained %d clients, group 0 has %d", tr.SelectedClients(), pinned[0].Size())
 	}
+}
+
+// FuzzTrainerConfig holds the boundary between validate and a run over the
+// numeric Config fields on a 12-client system: a configuration validate
+// rejects is an error from NewTrainerOn, never a panic, and one it accepts
+// steps three rounds without a panic and ends with finite parameters or a
+// non-nil Err. The counts are taken modulo small bounds, signs kept, so zero
+// and negative values reach validate while an accepted run stays cheap; LR,
+// DropoutProb and BufferFrac are raw floats, NaN and ±Inf included. Above
+// LR 1 local SGD on this model may diverge on its own, so there only the
+// absence of a panic is held.
+func FuzzTrainerConfig(f *testing.F) {
+	f.Add(int8(3), int8(2), int8(1), int8(16), 0.05, int8(3), int8(0), int8(0), uint8(0), 0.0, int8(0), 0.0, int8(0))
+	f.Add(int8(3), int8(2), int8(2), int8(0), 0.1, int8(12), int8(2), int8(2), uint8(1), 0.3, int8(1), 0.5, int8(0))
+	f.Add(int8(4), int8(1), int8(1), int8(5), 0.5, int8(2), int8(-1), int8(1), uint8(2), 1.5, int8(2), 0.0, int8(3))
+	f.Add(int8(0), int8(-1), int8(0), int8(-3), math.Inf(1), int8(0), int8(0), int8(0), uint8(0), math.NaN(), int8(7), 2.0, int8(0))
+	sys := testSystem(12, 0.5, 3)
+	f.Fuzz(func(t *testing.T, rounds, k, e, batch int8, lr float64, s, evalEvery, regroupEvery int8,
+		par uint8, dropout float64, mode int8, bufferFrac float64, deadline int8) {
+		cfg := testConfig()
+		cfg.GlobalRounds = int(rounds) % 6
+		cfg.GroupRounds = int(k) % 4
+		cfg.LocalEpochs = int(e) % 4
+		cfg.BatchSize = int(batch)
+		cfg.LR = lr
+		cfg.SampleGroups = int(s) % 16
+		cfg.EvalEvery = int(evalEvery)
+		cfg.RegroupEvery = int(regroupEvery) % 4
+		cfg.MaxParallel = []int{0, 1, 8}[par%3]
+		cfg.DropoutProb = dropout
+		cfg.Async.Mode = async.Mode(mode)
+		cfg.Async.BufferFrac = bufferFrac
+		cfg.Async.DeadlineTicks = int64(deadline)
+		tr, err := NewTrainerOn(sys, cfg, NewExecutor(sys, cfg), nil, nil)
+		if verr := validate(sys, cfg, false, false); verr != nil {
+			if err == nil {
+				t.Fatalf("validate rejects %+v (%v), NewTrainerOn accepted it", cfg, verr)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("validate accepts %+v, NewTrainerOn returned %v", cfg, err)
+		}
+		for i := 0; i < 3; i++ {
+			tr.Step()
+		}
+		if tr.Err() != nil || cfg.LR > 1 {
+			return
+		}
+		for i, v := range tr.Params() {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("%+v: param %d is %v after three rounds", cfg, i, v)
+			}
+		}
+	})
 }

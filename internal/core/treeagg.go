@@ -1,8 +1,7 @@
 package core
 
 import (
-	"sync"
-
+	"repro/internal/cpu"
 	"repro/internal/tensor"
 )
 
@@ -53,8 +52,8 @@ func foldSumPairs(nodes [][]float64, lo, hi int) {
 // helpers — no closure, no goroutine, zero allocations
 // (TestTreeFoldSerialZeroAlloc) — so the serial training path keeps its
 // zero-alloc steady state. Large levels chunk the
-// pairs across up to par goroutines; every pair writes only its own nodes[2j],
-// so the fan-out changes scheduling, never operation order.
+// pairs across up to par goroutines (cpu.Each); every pair writes only its own
+// nodes[2j], so the fan-out changes scheduling, never operation order.
 func foldPairs(nodes [][]float64, w []float64, pairs, dim, par int, weighted bool) {
 	if par <= 1 || pairs < 2 || pairs*dim < treeParMin {
 		if weighted {
@@ -66,20 +65,14 @@ func foldPairs(nodes [][]float64, w []float64, pairs, dim, par int, weighted boo
 	}
 	workers := min(par, pairs)
 	chunk := (pairs + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < pairs; lo += chunk {
-		hi := min(lo+chunk, pairs)
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			if weighted {
-				foldWeightedPairs(nodes, w, lo, hi)
-			} else {
-				foldSumPairs(nodes, lo, hi)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
+	cpu.Each((pairs+chunk-1)/chunk, workers, func(_, c int) {
+		lo, hi := c*chunk, min((c+1)*chunk, pairs)
+		if weighted {
+			foldWeightedPairs(nodes, w, lo, hi)
+		} else {
+			foldSumPairs(nodes, lo, hi)
+		}
+	})
 }
 
 // treeFold computes Σ w[j]·nodes[j] over j in [0, n) with the fixed

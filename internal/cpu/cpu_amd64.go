@@ -1,7 +1,3 @@
-// Package cpu is the module's one CPU feature probe: what the hand-written
-// amd64 kernels (internal/tensor's row update, internal/grouping's scan
-// filter) may assume about the processor they run on. It is what the program
-// can observe and nothing a user can set.
 package cpu
 
 // HasAVX reports that CPUID.1:ECX shows OSXSAVE and AVX (bits 27, 28) and

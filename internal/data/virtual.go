@@ -2,9 +2,8 @@ package data
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
+	"repro/internal/cpu"
 	"repro/internal/stats"
 	"repro/internal/tensor"
 )
@@ -140,9 +139,10 @@ func (vp *VirtualPartition) Client(id int) *Client {
 	return c
 }
 
-// Clients synthesizes the whole population's flyweights, fanning the
-// per-client work across GOMAXPROCS goroutines. The result is deterministic
-// (each client is a pure function of its ID) and position i holds client i.
+// Clients synthesizes the whole population's flyweights, fanning blocks of
+// clients across cpu.Procs() goroutines, each with its own synthesis RNG. The
+// result is deterministic (each client is a pure function of its ID, its RNG
+// reseeded per client) and position i holds client i.
 // The population is two slabs, not two heap objects per client: one []Client
 // and one histogram backing, of which each client's Counts is a window with
 // its capacity capped so an append cannot reach a neighbour. At 100k clients
@@ -150,9 +150,19 @@ func (vp *VirtualPartition) Client(id int) *Client {
 func (vp *VirtualPartition) Clients() []*Client {
 	n, k := vp.cfg.NumClients, vp.gen.cfg.Classes
 	slab, counts, clients := make([]Client, n), make([]float64, n*k), make([]*Client, n)
-	parallelRanges(n, func(lo, hi int) {
-		rng := stats.NewRNG(0)
-		for id := lo; id < hi; id++ {
+	// Neighbouring clients share cache lines in all three slabs, so a worker
+	// takes a run of them at a time, never a single client. For the same
+	// reason each worker allocates its own RNG on its first run: two PCG
+	// states allocated back to back share a line, and every draw would
+	// bounce it between cores.
+	const block = 1024
+	rngs := make([]*stats.RNG, cpu.Procs())
+	cpu.Each((n+block-1)/block, len(rngs), func(w, b int) {
+		if rngs[w] == nil {
+			rngs[w] = stats.NewRNG(0)
+		}
+		rng := rngs[w]
+		for id, hi := b*block, min((b+1)*block, n); id < hi; id++ {
 			vp.fill(&slab[id], counts[id*k:(id+1)*k:(id+1)*k], id, rng)
 			clients[id] = &slab[id]
 		}
@@ -260,34 +270,4 @@ func (vp *VirtualPartition) MaterializeAll() (*Dataset, []*Client) {
 		off += c.N
 	}
 	return ds, clients
-}
-
-// parallelRanges covers [0, n) with one fn(lo, hi) call per GOMAXPROCS
-// goroutine, in fixed index blocks. Used for population-wide synthesis where
-// every index writes only its own slot; determinism holds because block
-// boundaries are pure functions of n and what fn does at i is a pure
-// function of i.
-func parallelRanges(n int, fn func(lo, hi int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		fn(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	block := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*block, min((w+1)*block, n)
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }

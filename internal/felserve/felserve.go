@@ -38,6 +38,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/cpu"
 	"repro/internal/metrics"
 )
 
@@ -298,15 +299,7 @@ func (s *Service) scheduler() {
 			return
 		default:
 		}
-		var wg sync.WaitGroup
-		for _, j := range jobs {
-			wg.Add(1)
-			go func(j *Job) {
-				defer wg.Done()
-				s.turn(j)
-			}(j)
-		}
-		wg.Wait()
+		cpu.Each(len(jobs), len(jobs), func(_, i int) { s.turn(jobs[i]) })
 		waves++
 		if s.cfg.HaltAfterWaves > 0 && waves >= s.cfg.HaltAfterWaves {
 			s.logf("scheduler: halting after wave %d (simulated crash)", waves)

@@ -9,10 +9,7 @@
 package grouping
 
 import (
-	"fmt"
-	"runtime"
-	"sync"
-
+	"repro/internal/cpu"
 	"repro/internal/data"
 	"repro/internal/stats"
 )
@@ -100,7 +97,7 @@ type Algorithm interface {
 // mirroring Alg. 1 lines 2–3, and returns the union of all groups with
 // globally unique IDs.
 //
-// Edges form in parallel across GOMAXPROCS goroutines. The result is
+// Edges form in parallel across cpu.Procs() goroutines. The result is
 // bit-identical to forming them serially: each edge's RNG is split from the
 // parent serially up front (preserving the parent's consumption order), the
 // per-edge formations are independent, and every Algorithm assigns IDs
@@ -114,48 +111,9 @@ func FormAll(alg Algorithm, edges [][]*data.Client, classes int, rng *stats.RNG)
 		rngs[e] = rng.Split(uint64(e))
 	}
 	perEdge := make([][]*Group, len(edges))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(edges) {
-		workers = len(edges)
-	}
-	if workers <= 1 {
-		for e, clients := range edges {
-			perEdge[e] = alg.Form(clients, classes, e, 0, rngs[e])
-		}
-	} else {
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		var firstPanic any
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for e := range next {
-					func() {
-						defer func() {
-							if r := recover(); r != nil {
-								mu.Lock()
-								if firstPanic == nil {
-									firstPanic = r
-								}
-								mu.Unlock()
-							}
-						}()
-						perEdge[e] = alg.Form(edges[e], classes, e, 0, rngs[e])
-					}()
-				}
-			}()
-		}
-		for e := range edges {
-			next <- e
-		}
-		close(next)
-		wg.Wait()
-		if firstPanic != nil {
-			panic(fmt.Sprintf("grouping: edge formation panic: %v", firstPanic))
-		}
-	}
+	cpu.Each(len(edges), 0, func(_, e int) {
+		perEdge[e] = alg.Form(edges[e], classes, e, 0, rngs[e])
+	})
 	var all []*Group
 	for _, groups := range perEdge {
 		base := len(all)
