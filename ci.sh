@@ -17,7 +17,8 @@
 #                  scenarios, outputs byte-identical (simulated time: seconds for all six)
 #   7. felnode     a loopback TCP job, cross-checked against core.Train; the
 #                  two modelled-link examples print a simulated round time;
-#                  examples/fednet recovers a client reset by a faultnet rule
+#                  examples/fednet recovers a client reset by a faultnet rule;
+#                  examples/quickstart prints the same bytes twice
 #   8. metrics     the same job's live /metrics endpoint parses
 #   9. load        felserve under -race, then -chaos kill-cloud
 #  10. results     every deterministic results/medium CSV regenerated and diffed
@@ -166,7 +167,7 @@ for sc in $scenarios; do
 done
 echo "chaos smoke: $(echo $scenarios | wc -w) named scenarios ($(echo $scenarios)) replayed byte-identically"
 
-echo "== felnode loopback smoke (TCP on 127.0.0.1) + modelled-link examples + fednet reset recovery"
+echo "== felnode loopback smoke (TCP on 127.0.0.1) + modelled-link examples + fednet reset recovery + quick start"
 timeout 120 "$nodedir/felnode" -role loopback -clients 12 -edges 2 -rounds 2
 # Each runs fednode rounds on faultnet's simulated clock and prints the
 # round's modelled duration in simulated seconds.
@@ -187,6 +188,15 @@ if ! grep -E 'recovered group rounds=[1-9]' "$nodedir/fednet.txt"; then
   echo "ci.sh: examples/fednet recovered no group round after the reset" >&2
   exit 1
 fi
+# README's quick start, run twice: a seeded run prints the same bytes.
+go build -o "$nodedir/quickstart" ./examples/quickstart
+timeout 120 "$nodedir/quickstart" > "$nodedir/quickstart.1.txt"
+timeout 120 "$nodedir/quickstart" > "$nodedir/quickstart.2.txt"
+if ! diff -u "$nodedir/quickstart.1.txt" "$nodedir/quickstart.2.txt"; then
+  echo "ci.sh: examples/quickstart does not replay byte-identically" >&2
+  exit 1
+fi
+echo "quick start: two runs of examples/quickstart printed identical output ($(wc -l < "$nodedir/quickstart.1.txt") lines)"
 
 echo "== felnode -metrics smoke (live HTTP endpoint)"
 "$nodedir/felnode" -role loopback -clients 12 -edges 2 -rounds 2 \

@@ -335,7 +335,7 @@ func runCloud(sys *core.System, cfg fednode.JobConfig, listen string) error {
 		ln.Close()
 	}()
 	fmt.Printf("cloud: listening on %s for %d edges\n", ln.Addr(), len(sys.Edges))
-	rep, err := fednode.NewCloud(sys, cfg, nil).Run(ln)
+	rep, err := fednode.NewCloud(sys, cfg).Run(ln)
 	if err != nil {
 		return err
 	}

@@ -41,5 +41,5 @@ func RunNetworkedRound(nw NetworkTransport, sys *System, groups []*Group, select
 // ServeCloud runs the cloud coordinator of a networked job on ln, blocking
 // until the job drains; edge servers are expected to dial in and register.
 func ServeCloud(ln net.Listener, sys *System, cfg NetworkedJobConfig) (*NetworkedReport, error) {
-	return fednode.NewCloud(sys, cfg, nil).Run(ln)
+	return fednode.NewCloud(sys, cfg).Run(ln)
 }

@@ -4,6 +4,12 @@
 // clock of the transport, listener or connection they act on: the wall clock
 // in production, faultnet's simulated clock under a fault plan. Nothing
 // chooses between them; a value carries its clock or it runs on Real.
+//
+// It is the one library package that reads the wall clock. repolint's
+// wallclock rule flags package time's Now, Sleep, AfterFunc and their kin
+// anywhere else outside package main and tests, and lets only fednode,
+// faultnet, felserve, metrics and experiments import this package, so
+// replay-pinned code (core, grouping, sampling, secagg) reads no clock.
 package clock
 
 import "time"
@@ -32,7 +38,6 @@ var Real Clock = wall{}
 
 type wall struct{}
 
-//lint:ignore wallclock the wall clock itself: a deadline or backoff read from it bounds waiting and never feeds a result (TestTrajectoryPinned)
 func (wall) Now() time.Time                            { return time.Now() }
 func (wall) Sleep(d time.Duration)                     { time.Sleep(d) }
 func (wall) AfterFunc(d time.Duration, f func()) Timer { return time.AfterFunc(d, f) }

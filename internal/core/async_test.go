@@ -25,6 +25,8 @@ type wholeEdgeGrouping struct{}
 
 func (wholeEdgeGrouping) Name() string { return "WholeEdge" }
 
+func (wholeEdgeGrouping) Validate() error { return nil }
+
 func (wholeEdgeGrouping) Form(clients []*data.Client, classes, edge, firstID int, _ *stats.RNG) []*grouping.Group {
 	return []*grouping.Group{grouping.NewGroup(firstID, edge, clients, classes)}
 }

@@ -138,13 +138,12 @@ type Result struct {
 }
 
 // Train runs Algorithm 1 on the system. Given equal (System, Config) inputs
-// the run is bit-for-bit reproducible at any parallelism; the deterministic
-// annotation makes the lint engine prove no wall-clock read is reachable.
+// the run is bit-for-bit reproducible at any parallelism; repolint's
+// wallclock rule keeps every wall-clock read out of core and the packages it
+// imports.
 //
 // Train is a thin wrapper over Trainer — the stateful, stepwise form that
 // felserve checkpoints and resumes — so the two can never drift apart.
-//
-//lint:deterministic
 func Train(sys *System, cfg Config) *Result {
 	tr := NewTrainer(sys, cfg)
 	for !tr.Done() {
@@ -190,12 +189,21 @@ func validate(sys *System, cfg Config, pinned, fixed bool) error {
 		return errors.New("SampleGroups must be positive")
 	case !pinned && cfg.Grouping == nil:
 		return errors.New("Grouping algorithm is required")
+	case !cfg.Sampling.Valid():
+		return fmt.Errorf("unknown sampling method %d", int(cfg.Sampling))
+	case !cfg.Weights.Valid():
+		return fmt.Errorf("unknown weight scheme %d", int(cfg.Weights))
 	case cfg.CostProfile.Name == "":
 		return fmt.Errorf("CostProfile is required (got %+v)", cfg.CostProfile)
 	case cfg.Async.Mode != async.Sync && cfg.NewCompressor != nil:
 		// The compressed-delta uplink is defined for the full buffer only:
 		// nothing says what a stale error-feedback residual should mean.
 		return errors.New("NewCompressor requires synchronous aggregation")
+	}
+	if !pinned {
+		if err := cfg.Grouping.Validate(); err != nil {
+			return fmt.Errorf("%s grouping: %w", cfg.Grouping.Name(), err)
+		}
 	}
 	if cfg.AdaptiveSampling != nil {
 		if err := cfg.AdaptiveSampling.Validate(); err != nil {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/grouping"
 	"repro/internal/metrics"
+	"repro/internal/sampling"
 )
 
 // sameBits fails the test unless a and b are bit-for-bit identical.
@@ -298,6 +299,10 @@ func TestNewTrainerOnRejectsWithErrors(t *testing.T) {
 		"CostProfile": func(c *Config) { c.CostProfile = cost.Profile{} },
 		"InitParams":  func(c *Config) { c.InitParams = []float64{1, 2, 3} },
 		"Async":       func(c *Config) { c.Async.Mode = async.Buffered; c.Async.BufferFrac = 2 },
+		"MinGS":       func(c *Config) { c.Grouping = grouping.CoVGrouping{Config: grouping.Config{MinGS: 0}} },
+		"RG size":     func(c *Config) { c.Grouping = grouping.RandomGrouping{} },
+		"Sampling":    func(c *Config) { c.Sampling = sampling.Method(99) },
+		"Weights":     func(c *Config) { c.Weights = sampling.WeightScheme(99) },
 	} {
 		cfg := testConfig()
 		mutate(&cfg)
@@ -327,17 +332,19 @@ func TestNewTrainerOnRejectsWithErrors(t *testing.T) {
 // steps three rounds without a panic and ends with finite parameters or a
 // non-nil Err. The counts are taken modulo small bounds, signs kept, so zero
 // and negative values reach validate while an accepted run stays cheap; LR,
-// DropoutProb and BufferFrac are raw floats, NaN and ±Inf included. Above
-// LR 1 local SGD on this model may diverge on its own, so there only the
-// absence of a panic is held.
+// DropoutProb and BufferFrac are raw floats, NaN and ±Inf included; the
+// sampling method, weight scheme and CoVGrouping's MinGS reach one past
+// their valid ranges on both sides. Above LR 1 local SGD on this model may
+// diverge on its own, so there only the absence of a panic is held.
 func FuzzTrainerConfig(f *testing.F) {
-	f.Add(int8(3), int8(2), int8(1), int8(16), 0.05, int8(3), int8(0), int8(0), uint8(0), 0.0, int8(0), 0.0, int8(0))
-	f.Add(int8(3), int8(2), int8(2), int8(0), 0.1, int8(12), int8(2), int8(2), uint8(1), 0.3, int8(1), 0.5, int8(0))
-	f.Add(int8(4), int8(1), int8(1), int8(5), 0.5, int8(2), int8(-1), int8(1), uint8(2), 1.5, int8(2), 0.0, int8(3))
-	f.Add(int8(0), int8(-1), int8(0), int8(-3), math.Inf(1), int8(0), int8(0), int8(0), uint8(0), math.NaN(), int8(7), 2.0, int8(0))
+	f.Add(int8(3), int8(2), int8(1), int8(16), 0.05, int8(3), int8(0), int8(0), uint8(0), 0.0, int8(0), 0.0, int8(0), int8(3), int8(0), int8(3))
+	f.Add(int8(3), int8(2), int8(2), int8(0), 0.1, int8(12), int8(2), int8(2), uint8(1), 0.3, int8(1), 0.5, int8(0), int8(1), int8(2), int8(2))
+	f.Add(int8(4), int8(1), int8(1), int8(5), 0.5, int8(2), int8(-1), int8(1), uint8(2), 1.5, int8(2), 0.0, int8(3), int8(0), int8(1), int8(5))
+	f.Add(int8(0), int8(-1), int8(0), int8(-3), math.Inf(1), int8(0), int8(0), int8(0), uint8(0), math.NaN(), int8(7), 2.0, int8(0), int8(4), int8(-1), int8(0))
+	f.Add(int8(3), int8(2), int8(1), int8(16), 0.05, int8(3), int8(0), int8(0), uint8(0), 0.0, int8(0), 0.0, int8(0), int8(-1), int8(3), int8(-1))
 	sys := testSystem(12, 0.5, 3)
 	f.Fuzz(func(t *testing.T, rounds, k, e, batch int8, lr float64, s, evalEvery, regroupEvery int8,
-		par uint8, dropout float64, mode int8, bufferFrac float64, deadline int8) {
+		par uint8, dropout float64, mode int8, bufferFrac float64, deadline int8, method, scheme, minGS int8) {
 		cfg := testConfig()
 		cfg.GlobalRounds = int(rounds) % 6
 		cfg.GroupRounds = int(k) % 4
@@ -352,6 +359,9 @@ func FuzzTrainerConfig(f *testing.F) {
 		cfg.Async.Mode = async.Mode(mode)
 		cfg.Async.BufferFrac = bufferFrac
 		cfg.Async.DeadlineTicks = int64(deadline)
+		cfg.Sampling = sampling.Method(int(method) % 5)
+		cfg.Weights = sampling.WeightScheme(int(scheme) % 4)
+		cfg.Grouping = grouping.CoVGrouping{Config: grouping.Config{MinGS: int(minGS) % 6, MaxCoV: 0.5, MergeLeftover: true}}
 		tr, err := NewTrainerOn(sys, cfg, NewExecutor(sys, cfg), nil, nil)
 		if verr := validate(sys, cfg, false, false); verr != nil {
 			if err == nil {

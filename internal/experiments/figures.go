@@ -2,9 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/backdoor"
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/data"
@@ -71,9 +71,9 @@ func Fig5(sc Scale, seed uint64) *trace.Figure {
 	for _, n := range sizes {
 		clients := syntheticClients(n, 10, 0.3, seed)
 		for i, a := range algs {
-			start := time.Now()
+			start := clock.Real.Now()
 			a.Form(clients, 10, 0, 0, stats.NewRNG(seed+uint64(i)))
-			series[i].Add(float64(n), time.Since(start).Seconds())
+			series[i].Add(float64(n), clock.Real.Now().Sub(start).Seconds())
 		}
 	}
 	return f

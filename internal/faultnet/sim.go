@@ -119,8 +119,7 @@ const (
 // pause waits one step of the backoff and returns the next step's yields.
 func pause(yields int) int {
 	if yields > maxYields {
-		//lint:ignore wallclock the simulator's own poll: a pause between scans of goroutine states, never a simulated instant
-		time.Sleep(scanGap)
+		clock.Real.Sleep(scanGap)
 		return yields
 	}
 	for i := 0; i < yields; i++ {

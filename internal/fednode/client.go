@@ -29,22 +29,15 @@ import (
 // connection, the one Message it decodes every frame into, and the secagg
 // session of its latest masked update.
 type Client struct {
-	id    int
-	sys   *core.System
-	cfg   JobConfig
-	meter *Meter
+	id  int
+	sys *core.System
+	cfg JobConfig
 }
 
-// NewClient prepares client id (a global client id from the system). meter
-// may be nil (falls back to cfg.Meter, then to a fresh private meter).
-func NewClient(id int, sys *core.System, cfg JobConfig, meter *Meter) *Client {
-	if meter == nil {
-		meter = cfg.Meter
-	}
-	if meter == nil {
-		meter = NewMeter(nil)
-	}
-	return &Client{id: id, sys: sys, cfg: cfg.withDefaults(), meter: meter}
+// NewClient prepares client id (a global client id from the system),
+// metered by cfg.Meter, or by a fresh private meter when that is nil.
+func NewClient(id int, sys *core.System, cfg JobConfig) *Client {
+	return &Client{id: id, sys: sys, cfg: cfg.withDefaults()}
 }
 
 func (c *Client) logf(format string, args ...any) {
@@ -86,21 +79,21 @@ func (c *Client) Run(nw Network, edgeAddr string) ([]float64, error) {
 	}
 
 	tag := fmt.Sprintf("client/%d", c.id)
-	raw, err := DialRetry(nw, tag, edgeAddr, cfg.DialAttempts, cfg.DialBackoff, c.meter,
+	raw, err := DialRetry(nw, tag, edgeAddr, cfg.DialAttempts, cfg.DialBackoff, cfg.Meter,
 		stats.NewRNG(dialSeed(cfg.Seed, tag)))
 	if err != nil {
 		return nil, err
 	}
-	conn := meter(raw, c.meter)
+	conn := meter(raw, cfg.Meter)
 	defer closeQuiet(conn)
 	hello := &wire.Message{Type: wire.GroupAssign, From: int32(c.id)}
-	if err := sendFrame(conn, c.meter, hello, cfg.RoundTimeout); err != nil {
+	if err := sendFrame(conn, cfg.Meter, hello, cfg.RoundTimeout); err != nil {
 		return nil, fmt.Errorf("fednode: client %d register: %w", c.id, err)
 	}
 
 	// Group assignment: group id, this client's index within the group, and
 	// the full membership (needed to derive the secagg session locally).
-	assign, err := expectFrame(conn, c.meter, cfg.RoundTimeout, wire.GroupAssign)
+	assign, err := expectFrame(conn, cfg.Meter, cfg.RoundTimeout, wire.GroupAssign)
 	if err != nil {
 		return nil, fmt.Errorf("fednode: client %d assignment: %w", c.id, err)
 	}
@@ -124,7 +117,7 @@ func (c *Client) Run(nw Network, edgeAddr string) ([]float64, error) {
 	for {
 		// Between requests the client blocks without a deadline: its edge
 		// decides the pace.
-		if err := readFrame(conn, c.meter, 0, &m); err != nil {
+		if err := readFrame(conn, cfg.Meter, 0, &m); err != nil {
 			return nil, fmt.Errorf("fednode: client %d read: %w", c.id, err)
 		}
 		switch m.Type {
@@ -134,7 +127,7 @@ func (c *Client) Run(nw Network, edgeAddr string) ([]float64, error) {
 			if err != nil {
 				return nil, err
 			}
-			err = sendEncoded(conn, c.meter, wire.MaskedUpdate, *frame, cfg.StragglerTimeout)
+			err = sendEncoded(conn, cfg.Meter, wire.MaskedUpdate, *frame, cfg.StragglerTimeout)
 			frames.Put(frame)
 			if err != nil {
 				return nil, fmt.Errorf("fednode: client %d submit round %d.%d: %w", c.id, t, k, err)
@@ -152,9 +145,9 @@ func (c *Client) Run(nw Network, edgeAddr string) ([]float64, error) {
 			for _, sh := range shares {
 				words = append(words, sh.X, sh.Y)
 			}
-			c.meter.Registry().Counter("fel_fednode_shares_revealed_total").Add(int64(len(shares)))
+			cfg.Meter.Registry().Counter("fel_fednode_shares_revealed_total").Add(int64(len(shares)))
 			out := &wire.Message{Type: wire.ShareReveal, Round: m.Round, Seq: m.Seq, From: int32(c.id), Words: words}
-			if err := sendFrame(conn, c.meter, out, cfg.StragglerTimeout); err != nil {
+			if err := sendFrame(conn, cfg.Meter, out, cfg.StragglerTimeout); err != nil {
 				return nil, fmt.Errorf("fednode: client %d reveal reply: %w", c.id, err)
 			}
 		case wire.GlobalAggregate:
@@ -183,7 +176,7 @@ func (c *Client) answer(m *wire.Message, st *membership) (*[]byte, error) {
 		return nil, fmt.Errorf("fednode: client %d: round %d.%d model has %d params, want %d", c.id, t, k, len(m.Floats), dim)
 	}
 	x, y := w.Load(c.sys, st.me, m.Floats)
-	trainSpan := c.meter.Registry().Start("fel_fednode_local_train_seconds", metrics.L("role", "client"))
+	trainSpan := cfg.Meter.Registry().Start("fel_fednode_local_train_seconds", metrics.L("role", "client"))
 	w.Train(core.SGDUpdater{}, x, y, core.LocalSeed(cfg.Seed, t, st.gid, c.id), core.LocalContext{
 		ClientID: c.id, Anchor: m.Floats,
 		Epochs: cfg.LocalEpochs, BatchSize: cfg.BatchSize, LR: cfg.LR,
@@ -202,13 +195,13 @@ func (c *Client) answer(m *wire.Message, st *membership) (*[]byte, error) {
 		for j := range u.params {
 			u.params[j] *= st.weight
 		}
-		maskSpan := c.meter.Registry().Start("fel_fednode_secagg_seconds", metrics.L("role", "client"))
+		maskSpan := cfg.Meter.Registry().Start("fel_fednode_secagg_seconds", metrics.L("role", "client"))
 		st.sess = secagg.NewSession(st.n, len(u.params), st.threshold, sessionSeed(cfg.Seed, t, k, st.gid), secagg.DefaultQuantizer())
 		st.sessT, st.sessK = t, k
 		u.words = st.sess.MaskedUpdateInto(u.words, st.idx, u.params)
 		maskSpan.End()
 		reply.Words = u.words
-		st.sess.PublishOps(c.meter.Registry())
+		st.sess.PublishOps(cfg.Meter.Registry())
 	}
 	return encodeFrame(&reply)
 }

@@ -58,7 +58,7 @@ func TestClientExchangeSteadyState(t *testing.T) {
 			defer closeQuiet(ln)
 			done := make(chan error, 1)
 			go func() {
-				_, err := NewClient(0, sys, testJobConfig(), nil).Run(nw, ln.Addr().String())
+				_, err := NewClient(0, sys, testJobConfig()).Run(nw, ln.Addr().String())
 				done <- err
 			}()
 			conn, err := ln.Accept()
@@ -151,7 +151,7 @@ func TestClientRejectsUnknownMember(t *testing.T) {
 		}
 		done := make(chan error, 1)
 		go func() {
-			_, err := NewClient(0, sys, testJobConfig(), nil).Run(nw, ln.Addr().String())
+			_, err := NewClient(0, sys, testJobConfig()).Run(nw, ln.Addr().String())
 			done <- err
 		}()
 		conn, err := ln.Accept()

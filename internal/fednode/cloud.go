@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/grouping"
 	"repro/internal/metrics"
@@ -17,21 +18,14 @@ import (
 // global rounds over the edge connections (cloudExec), and finally broadcasts
 // the converged model and drains every connection before returning.
 type Cloud struct {
-	sys   *core.System
-	cfg   JobConfig
-	meter *Meter
+	sys *core.System
+	cfg JobConfig
 }
 
-// NewCloud prepares a coordinator. meter may be nil (falls back to
-// cfg.Meter, then to a fresh private meter).
-func NewCloud(sys *core.System, cfg JobConfig, meter *Meter) *Cloud {
-	if meter == nil {
-		meter = cfg.Meter
-	}
-	if meter == nil {
-		meter = NewMeter(nil)
-	}
-	return &Cloud{sys: sys, cfg: cfg.withDefaults(), meter: meter}
+// NewCloud prepares a coordinator metered by cfg.Meter, or by a fresh
+// private meter when that is nil.
+func NewCloud(sys *core.System, cfg JobConfig) *Cloud {
+	return &Cloud{sys: sys, cfg: cfg.withDefaults()}
 }
 
 // logf traces when a logger is configured.
@@ -62,12 +56,12 @@ func (c *Cloud) Run(ln net.Listener) (*Report, error) {
 		}
 	}()
 	for i := 0; i < numEdges; i++ {
-		raw, err := AcceptRetry(ln, cfg.DialAttempts, cfg.DialBackoff, c.meter)
+		raw, err := AcceptRetry(ln, cfg.DialAttempts, cfg.DialBackoff, cfg.Meter)
 		if err != nil {
 			return nil, fmt.Errorf("fednode: cloud accept: %w", err)
 		}
-		conn := meter(raw, c.meter)
-		reg, err := expectFrame(conn, c.meter, cfg.RoundTimeout, wire.GroupAssign)
+		conn := meter(raw, cfg.Meter)
+		reg, err := expectFrame(conn, cfg.Meter, cfg.RoundTimeout, wire.GroupAssign)
 		if err != nil {
 			closeQuiet(conn)
 			return nil, fmt.Errorf("fednode: edge registration: %w", err)
@@ -89,8 +83,8 @@ func (c *Cloud) Run(ln net.Listener) (*Report, error) {
 	// steps, over an executor that reaches the groups through the edge
 	// connections. Built only now: a rejected config then closes registered
 	// connections, so every edge unblocks.
-	reg := c.meter.Registry()
-	exec := &cloudExec{timeout: cfg.RoundTimeout, meter: c.meter, conns: conns}
+	reg := cfg.Meter.Registry()
+	exec := &cloudExec{timeout: cfg.RoundTimeout, meter: cfg.Meter, conns: conns}
 	tr, err := core.NewTrainerOn(c.sys, cfg.TrainConfig(reg), exec, cfg.Groups, cfg.FixedSelection)
 	if err != nil {
 		return nil, fmt.Errorf("fednode: %w", err)
@@ -109,26 +103,26 @@ func (c *Cloud) Run(ln net.Listener) (*Report, error) {
 				members[i] = int32(cl.ID)
 			}
 			msg := &wire.Message{Type: wire.GroupAssign, From: int32(g.ID), Ints: members}
-			if err := sendFrame(conn, c.meter, msg, cfg.RoundTimeout); err != nil {
+			if err := sendFrame(conn, cfg.Meter, msg, cfg.RoundTimeout); err != nil {
 				return nil, err
 			}
 		}
 		end := &wire.Message{Type: wire.GroupAssign, From: -1}
-		if err := sendFrame(conn, c.meter, end, cfg.RoundTimeout); err != nil {
+		if err := sendFrame(conn, cfg.Meter, end, cfg.RoundTimeout); err != nil {
 			return nil, err
 		}
 	}
 
 	rep := &Report{}
-	start := time.Now()
-	bytesMark := c.meter.Written()
+	start := clock.Real.Now()
+	bytesMark := cfg.Meter.Written()
 	for !tr.Done() {
 		roundSpan := reg.Start("fel_fednode_round_seconds", metrics.L("role", "cloud"))
 		rec := tr.Step()
 		if err := tr.Err(); err != nil {
 			return nil, err
 		}
-		written := c.meter.Written()
+		written := cfg.Meter.Written()
 		stat := RoundStat{
 			Round: rec.Round, Accuracy: rec.Accuracy, Loss: rec.Loss,
 			Selected: len(exec.updates), Dropouts: exec.drops, Recoveries: exec.recoveries,
@@ -148,23 +142,23 @@ func (c *Cloud) Run(ln net.Listener) (*Report, error) {
 	// edge's ack so all downstream forwards have drained before we close.
 	final := &wire.Message{Type: wire.GlobalAggregate, Round: uint32(cfg.GlobalRounds), Floats: tr.Params()}
 	for e, conn := range conns {
-		if err := sendFrame(conn, c.meter, final, cfg.RoundTimeout); err != nil {
+		if err := sendFrame(conn, cfg.Meter, final, cfg.RoundTimeout); err != nil {
 			return nil, fmt.Errorf("fednode: final broadcast to edge %d: %w", e, err)
 		}
 	}
 	for e, conn := range conns {
-		if _, err := expectFrame(conn, c.meter, cfg.RoundTimeout, wire.GlobalAggregate); err != nil {
+		if _, err := expectFrame(conn, cfg.Meter, cfg.RoundTimeout, wire.GlobalAggregate); err != nil {
 			return nil, fmt.Errorf("fednode: shutdown ack from edge %d: %w", e, err)
 		}
 	}
 
 	res := tr.Finish()
 	rep.FinalAccuracy, rep.FinalLoss, rep.Params = res.FinalAccuracy, res.FinalLoss, res.Params
-	rep.WallClock = time.Since(start)
-	rep.WireWritten = c.meter.Written()
-	rep.WireRead = c.meter.Read()
-	rep.Frames = c.meter.Frames()
-	rep.AccountedBytes = c.meter.Accounted()
+	rep.WallClock = clock.Real.Now().Sub(start)
+	rep.WireWritten = cfg.Meter.Written()
+	rep.WireRead = cfg.Meter.Read()
+	rep.Frames = cfg.Meter.Frames()
+	rep.AccountedBytes = cfg.Meter.Accounted()
 	return rep, nil
 }
 

@@ -20,22 +20,15 @@ import (
 // straggler deadlines mapping missed masked updates onto secagg dropout
 // recovery.
 type Edge struct {
-	id    int
-	sys   *core.System
-	cfg   JobConfig
-	meter *Meter
+	id  int
+	sys *core.System
+	cfg JobConfig
 }
 
-// NewEdge prepares edge server id (an index into sys.Edges). meter may be
-// nil (falls back to cfg.Meter, then to a fresh private meter).
-func NewEdge(id int, sys *core.System, cfg JobConfig, meter *Meter) *Edge {
-	if meter == nil {
-		meter = cfg.Meter
-	}
-	if meter == nil {
-		meter = NewMeter(nil)
-	}
-	return &Edge{id: id, sys: sys, cfg: cfg.withDefaults(), meter: meter}
+// NewEdge prepares edge server id (an index into sys.Edges), metered by
+// cfg.Meter, or by a fresh private meter when that is nil.
+func NewEdge(id int, sys *core.System, cfg JobConfig) *Edge {
+	return &Edge{id: id, sys: sys, cfg: cfg.withDefaults()}
 }
 
 func (e *Edge) logf(format string, args ...any) {
@@ -63,15 +56,15 @@ type edgeGroup struct {
 func (e *Edge) Run(nw Network, ln net.Listener, cloudAddr string) error {
 	cfg := e.cfg
 	tag := fmt.Sprintf("edge/%d", e.id)
-	rawCloud, err := DialRetry(nw, tag, cloudAddr, cfg.DialAttempts, cfg.DialBackoff, e.meter,
+	rawCloud, err := DialRetry(nw, tag, cloudAddr, cfg.DialAttempts, cfg.DialBackoff, cfg.Meter,
 		stats.NewRNG(dialSeed(cfg.Seed, tag)))
 	if err != nil {
 		return err
 	}
-	cloudConn := meter(rawCloud, e.meter)
+	cloudConn := meter(rawCloud, cfg.Meter)
 	defer closeQuiet(cloudConn)
 	reg := &wire.Message{Type: wire.GroupAssign, From: int32(e.id)}
-	if err := sendFrame(cloudConn, e.meter, reg, cfg.RoundTimeout); err != nil {
+	if err := sendFrame(cloudConn, cfg.Meter, reg, cfg.RoundTimeout); err != nil {
 		return fmt.Errorf("fednode: edge %d register: %w", e.id, err)
 	}
 
@@ -87,12 +80,12 @@ func (e *Edge) Run(nw Network, ln net.Listener, cloudAddr string) error {
 		}
 	}()
 	for len(clientConns) < len(mine) {
-		raw, err := AcceptRetry(ln, cfg.DialAttempts, cfg.DialBackoff, e.meter)
+		raw, err := AcceptRetry(ln, cfg.DialAttempts, cfg.DialBackoff, cfg.Meter)
 		if err != nil {
 			return fmt.Errorf("fednode: edge %d accept: %w", e.id, err)
 		}
-		conn := meter(raw, e.meter)
-		hello, err := expectFrame(conn, e.meter, cfg.RoundTimeout, wire.GroupAssign)
+		conn := meter(raw, cfg.Meter)
+		hello, err := expectFrame(conn, cfg.Meter, cfg.RoundTimeout, wire.GroupAssign)
 		if err != nil {
 			closeQuiet(conn)
 			return fmt.Errorf("fednode: client registration: %w", err)
@@ -116,7 +109,7 @@ func (e *Edge) Run(nw Network, ln net.Listener, cloudAddr string) error {
 	assigns := make(map[int]*wire.Message, len(mine))
 	seats := make(map[int]seat, len(mine))
 	for {
-		m, err := expectFrame(cloudConn, e.meter, cfg.RoundTimeout, wire.GroupAssign)
+		m, err := expectFrame(cloudConn, cfg.Meter, cfg.RoundTimeout, wire.GroupAssign)
 		if err != nil {
 			return fmt.Errorf("fednode: edge %d assignment: %w", e.id, err)
 		}
@@ -142,7 +135,7 @@ func (e *Edge) Run(nw Network, ln net.Listener, cloudAddr string) error {
 		for i, cid := range g.members {
 			assign := &wire.Message{Type: wire.GroupAssign, From: int32(g.gid), Seq: uint32(i), Ints: m.Ints}
 			assigns[cid] = assign
-			if err := sendFrame(clientConns[cid], e.meter, assign, cfg.RoundTimeout); err != nil {
+			if err := sendFrame(clientConns[cid], cfg.Meter, assign, cfg.RoundTimeout); err != nil {
 				return fmt.Errorf("fednode: forward assignment to client %d: %w", cid, err)
 			}
 		}
@@ -168,7 +161,7 @@ func (e *Edge) Run(nw Network, ln net.Listener, cloudAddr string) error {
 		// Between rounds the edge blocks on the cloud without a deadline:
 		// the cloud decides the job's pace.
 		m := new(wire.Message)
-		if err := readFrame(cloudConn, e.meter, 0, m); err != nil {
+		if err := readFrame(cloudConn, cfg.Meter, 0, m); err != nil {
 			return fmt.Errorf("fednode: edge %d read from cloud: %w", e.id, err)
 		}
 		switch m.Type {
@@ -208,12 +201,12 @@ func (e *Edge) Run(nw Network, ln net.Listener, cloudAddr string) error {
 				if s, ok := seats[cid]; ok && s.g.dead[s.idx] {
 					continue
 				}
-				if err := sendFrame(conn, e.meter, m, cfg.RoundTimeout); err != nil {
+				if err := sendFrame(conn, cfg.Meter, m, cfg.RoundTimeout); err != nil {
 					return fmt.Errorf("fednode: forward final model to client %d: %w", cid, err)
 				}
 			}
 			ack := &wire.Message{Type: wire.GlobalAggregate, Round: m.Round, From: int32(e.id)}
-			if err := cloud.send(e.meter, ack, cfg.RoundTimeout); err != nil {
+			if err := cloud.send(cfg.Meter, ack, cfg.RoundTimeout); err != nil {
 				return fmt.Errorf("fednode: edge %d shutdown ack: %w", e.id, err)
 			}
 			return nil
@@ -252,8 +245,8 @@ func (e *Edge) rejoinLoop(ln net.Listener, mine map[int]bool, assigns map[int]*w
 		if err != nil {
 			return
 		}
-		conn := meter(raw, e.meter)
-		hello, err := expectFrame(conn, e.meter, cfg.RoundTimeout, wire.GroupAssign)
+		conn := meter(raw, cfg.Meter)
+		hello, err := expectFrame(conn, cfg.Meter, cfg.RoundTimeout, wire.GroupAssign)
 		if err != nil {
 			e.rejectRejoin(conn, "bad_hello")
 			continue
@@ -264,7 +257,7 @@ func (e *Edge) rejoinLoop(ln net.Listener, mine map[int]bool, assigns map[int]*w
 			e.rejectRejoin(conn, "foreign")
 			continue
 		}
-		if err := sendFrame(conn, e.meter, assign, cfg.RoundTimeout); err != nil {
+		if err := sendFrame(conn, cfg.Meter, assign, cfg.RoundTimeout); err != nil {
 			e.rejectRejoin(conn, "replay")
 			continue
 		}
@@ -287,7 +280,7 @@ func (e *Edge) rejoinLoop(ln net.Listener, mine map[int]bool, assigns map[int]*w
 // adoption queue was full), or "shutdown" (queued, but the job ended before
 // the next round boundary).
 func (e *Edge) rejectRejoin(conn net.Conn, reason string) {
-	e.meter.reg.Counter("fel_fednode_rejoin_rejected_total", metrics.L("reason", reason)).Inc()
+	e.cfg.Meter.reg.Counter("fel_fednode_rejoin_rejected_total", metrics.L("reason", reason)).Inc()
 	closeQuiet(conn)
 }
 
@@ -311,7 +304,7 @@ func (e *Edge) adoptRejoins(ch <-chan rejoin, seats map[int]seat, clientConns ma
 			s.g.conns[s.idx] = r.conn
 			s.g.dead[s.idx] = false
 			clientConns[r.cid] = r.conn
-			e.meter.rejoins.Inc()
+			e.cfg.Meter.rejoins.Inc()
 			e.logf("edge %d: client %d rejoined group %d", e.id, r.cid, s.g.gid)
 		default:
 			return
@@ -349,7 +342,7 @@ func (e *Edge) runGroup(g *edgeGroup, t int, globalParams []float64, cloud *lock
 	var frame []byte // the broadcast's encoding, reused across group rounds
 
 	for k := 0; k < cfg.GroupRounds; k++ {
-		kSpan := e.meter.Registry().Start("fel_fednode_group_round_seconds", metrics.L("role", "edge"))
+		kSpan := cfg.Meter.Registry().Start("fel_fednode_group_round_seconds", metrics.L("role", "edge"))
 		e.logf("edge: group %d round %d.%d → broadcast", g.gid, t, k)
 		// Every member gets the same frame: encode it once, write it n times.
 		msg := &wire.Message{Type: wire.GlobalModel, Round: uint32(t), Seq: uint32(k), Floats: groupParams}
@@ -361,7 +354,7 @@ func (e *Edge) runGroup(g *edgeGroup, t int, globalParams []float64, cloud *lock
 			if g.dead[i] {
 				continue
 			}
-			if err := sendEncoded(g.conns[i], e.meter, msg.Type, frame, cfg.StragglerTimeout); err != nil {
+			if err := sendEncoded(g.conns[i], cfg.Meter, msg.Type, frame, cfg.StragglerTimeout); err != nil {
 				// The connection died between rounds; the member becomes a
 				// dropout now rather than at collect time.
 				e.markDead(g, i, err)
@@ -381,7 +374,7 @@ func (e *Edge) runGroup(g *edgeGroup, t int, globalParams []float64, cloud *lock
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				m, err := expectFrame(g.conns[i], e.meter, cfg.StragglerTimeout, wire.MaskedUpdate)
+				m, err := expectFrame(g.conns[i], cfg.Meter, cfg.StragglerTimeout, wire.MaskedUpdate)
 				if err != nil {
 					collectErr[i] = err
 					return
@@ -439,17 +432,17 @@ func (e *Edge) runGroup(g *edgeGroup, t int, globalParams []float64, cloud *lock
 				return err
 			}
 			roundRecov++
-			e.meter.recoveries.Inc()
+			cfg.Meter.recoveries.Inc()
 		}
 
 		e.logf("edge: group %d round %d.%d → aggregate", g.gid, t, k)
-		aggSpan := e.meter.Registry().Start("fel_fednode_secagg_seconds", metrics.L("role", "edge"))
+		aggSpan := cfg.Meter.Registry().Start("fel_fednode_secagg_seconds", metrics.L("role", "edge"))
 		sum, err := sess.Aggregate(masked, dropped)
 		aggSpan.End()
 		if err != nil {
 			return fmt.Errorf("fednode: group %d round %d.%d aggregate: %w", g.gid, t, k, err)
 		}
-		sess.PublishOps(e.meter.Registry())
+		sess.PublishOps(cfg.Meter.Registry())
 		if len(dropped) > 0 {
 			// Dropout renormalization: the unmasked sum is
 			// Σ_surv (n_i/n_g)·x_i, so scale it by n_g / Σ_surv n_i and the
@@ -478,7 +471,7 @@ func (e *Edge) runGroup(g *edgeGroup, t int, globalParams []float64, cloud *lock
 		Type: wire.GroupAggregate, Round: uint32(t), From: int32(g.gid),
 		Floats: groupParams, Ints: []int32{int32(roundDrops), int32(roundRecov)},
 	}
-	return cloud.send(e.meter, out, cfg.RoundTimeout)
+	return cloud.send(cfg.Meter, out, cfg.RoundTimeout)
 }
 
 // markDead retires a member's connection after a drop, tallying the
@@ -487,10 +480,10 @@ func (e *Edge) runGroup(g *edgeGroup, t int, globalParams []float64, cloud *lock
 func (e *Edge) markDead(g *edgeGroup, i int, cause error) {
 	g.dead[i] = true
 	closeQuiet(g.conns[i])
-	e.meter.dropouts.Inc()
+	e.cfg.Meter.dropouts.Inc()
 	var ne net.Error
 	if errors.As(cause, &ne) && ne.Timeout() {
-		e.meter.stragglers.Inc()
+		e.cfg.Meter.stragglers.Inc()
 	}
 	e.logf("edge %d: client %d dropped from group %d: %v", e.id, g.members[i], g.gid, cause)
 }
@@ -511,10 +504,10 @@ func (e *Edge) revealShares(g *edgeGroup, sess *secagg.Session, t, k int, droppe
 		if g.dead[i] || isDropped[i] {
 			continue
 		}
-		if err := sendFrame(g.conns[i], e.meter, req, cfg.StragglerTimeout); err != nil {
+		if err := sendFrame(g.conns[i], cfg.Meter, req, cfg.StragglerTimeout); err != nil {
 			return fmt.Errorf("fednode: group %d reveal request to client %d: %w", g.gid, g.members[i], err)
 		}
-		reply, err := expectFrame(g.conns[i], e.meter, cfg.StragglerTimeout, wire.ShareReveal)
+		reply, err := expectFrame(g.conns[i], cfg.Meter, cfg.StragglerTimeout, wire.ShareReveal)
 		if err != nil {
 			return fmt.Errorf("fednode: group %d reveal reply from client %d: %w", g.gid, g.members[i], err)
 		}

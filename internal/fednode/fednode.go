@@ -125,7 +125,7 @@ type JobConfig struct {
 	Meter *Meter
 }
 
-// withDefaults fills zero-valued tuning knobs.
+// withDefaults fills zero-valued tuning knobs and a nil Meter.
 func (cfg JobConfig) withDefaults() JobConfig {
 	if cfg.StragglerTimeout <= 0 {
 		cfg.StragglerTimeout = 5 * time.Second
@@ -138,6 +138,9 @@ func (cfg JobConfig) withDefaults() JobConfig {
 	}
 	if cfg.DialBackoff <= 0 {
 		cfg.DialBackoff = 25 * time.Millisecond
+	}
+	if cfg.Meter == nil {
+		cfg.Meter = NewMeter(nil)
 	}
 	return cfg
 }

@@ -3,6 +3,7 @@ package fednode
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -374,11 +375,14 @@ func TestMemNetworkRefusesUnknownAddr(t *testing.T) {
 	}
 }
 
-// TestRunJobRejectsBadConfig: T/K/E/LR/S and the selection shape are the
-// Trainer's to reject, which the cloud only builds once its edges have
-// registered — so the rejection must also tear the started nodes down, not
-// leave them waiting out their timeouts.
+// TestRunJobRejectsBadConfig: T/K/E/LR/S, the formation, sampling and
+// weighting configuration and the selection shape are the Trainer's to
+// reject, which the cloud only builds once its edges have registered — so
+// the rejection must be an error, never a panic on the caller's goroutine,
+// and must also tear the started nodes down, not leave them waiting out
+// their timeouts or behind the returned error.
 func TestRunJobRejectsBadConfig(t *testing.T) {
+	before := runtime.NumGoroutine()
 	for name, tc := range map[string]struct {
 		mutate func(*JobConfig)
 		want   string
@@ -389,6 +393,9 @@ func TestRunJobRejectsBadConfig(t *testing.T) {
 		"Grouping":       {func(c *JobConfig) { c.Grouping = nil }, "Grouping algorithm is required"},
 		"FixedSelection": {func(c *JobConfig) { c.FixedSelection = [][]int{{0}} }, "fixed selection has 1 rounds, want 3"},
 		"InitParams":     {func(c *JobConfig) { c.InitParams = []float64{1} }, "InitParams length 1"},
+		"MinGS":          {func(c *JobConfig) { c.Grouping = grouping.CoVGrouping{} }, "CoVG grouping: MinGS must be positive"},
+		"Sampling":       {func(c *JobConfig) { c.Sampling = sampling.Method(99) }, "unknown sampling method 99"},
+		"Weights":        {func(c *JobConfig) { c.Weights = sampling.WeightScheme(-1) }, "unknown weight scheme -1"},
 	} {
 		jcfg := testJobConfig()
 		tc.mutate(&jcfg)
@@ -399,6 +406,13 @@ func TestRunJobRejectsBadConfig(t *testing.T) {
 		}
 		if d := time.Since(start); d > 10*time.Second {
 			t.Errorf("%s: rejection took %v: the nodes waited out a timeout", name, d)
+		}
+		// A joined goroutine may still be between its wg.Done and its exit.
+		for settle := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+			if time.Now().After(settle) {
+				buf := make([]byte, 1<<16)
+				t.Fatalf("%s: %d goroutines before RunJob, %d after it returned\n%s", name, before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+			}
 		}
 	}
 }

@@ -26,10 +26,6 @@ import (
 // error winning. When RunJob returns, every node goroutine has been joined.
 func RunJob(nw Network, sys *core.System, cfg JobConfig, listenAddr string) (*Report, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Meter == nil {
-		cfg.Meter = NewMeter(nil)
-	}
-	m := cfg.Meter
 
 	cloudLn, err := listenTagged(nw, "cloud", listenAddr)
 	if err != nil {
@@ -64,7 +60,7 @@ func RunJob(nw Network, sys *core.System, cfg JobConfig, listenAddr string) (*Re
 		}()
 	}
 
-	rep, cloudErr := NewCloud(sys, cfg, m).Run(cloudLn)
+	rep, cloudErr := NewCloud(sys, cfg).Run(cloudLn)
 	wg.Wait()
 	close(errs)
 	if cloudErr != nil {
@@ -78,10 +74,10 @@ func RunJob(nw Network, sys *core.System, cfg JobConfig, listenAddr string) (*Re
 	// these as it returns, but on synchronous pipes an edge's final ack
 	// Write only returns — and counts itself — after the cloud has already
 	// read it, so the cloud-side snapshot can run a frame short.
-	rep.WireWritten = m.Written()
-	rep.WireRead = m.Read()
-	rep.Frames = m.Frames()
-	rep.AccountedBytes = m.Accounted()
+	rep.WireWritten = cfg.Meter.Written()
+	rep.WireRead = cfg.Meter.Read()
+	rep.Frames = cfg.Meter.Frames()
+	rep.AccountedBytes = cfg.Meter.Accounted()
 	return rep, nil
 }
 
@@ -110,9 +106,7 @@ func RunEdge(nw Network, sys *core.System, cfg JobConfig, id int, ln net.Listene
 	if id < 0 || id >= len(sys.Edges) {
 		return nil, fmt.Errorf("fednode: edge id %d out of range [0,%d)", id, len(sys.Edges))
 	}
-	if cfg.Meter == nil {
-		cfg.Meter = NewMeter(nil)
-	}
+	cfg = cfg.withDefaults()
 	restarts, backoff := restartBudget(nw)
 	addr := ln.Addr().String()
 	var (
@@ -121,7 +115,7 @@ func RunEdge(nw Network, sys *core.System, cfg JobConfig, id int, ln net.Listene
 		wg         sync.WaitGroup
 	)
 	for _, cl := range sys.Edges[id] {
-		c := NewClient(cl.ID, sys, cfg, nil)
+		c := NewClient(cl.ID, sys, cfg)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -132,7 +126,7 @@ func RunEdge(nw Network, sys *core.System, cfg JobConfig, id int, ln net.Listene
 			}
 		}()
 	}
-	err := NewEdge(id, sys, cfg, nil).Run(nw, ln, cloudAddr)
+	err := NewEdge(id, sys, cfg).Run(nw, ln, cloudAddr)
 	// An edge that failed before serving rejoins has not closed ln yet.
 	closeQuiet(ln)
 	wg.Wait()
@@ -151,7 +145,7 @@ func (c *Client) supervise(nw Network, edgeAddr string, restarts int, backoff ti
 		if err == nil || attempt >= restarts {
 			return err
 		}
-		c.meter.restarts.Inc()
+		c.cfg.Meter.restarts.Inc()
 		c.logf("client %d: restarting after: %v", c.id, err)
 		clock.Of(nw).Sleep(backoff)
 	}

@@ -254,7 +254,7 @@ func TestTruncatedUpdateBecomesDropout(t *testing.T) {
 	jcfg.Groups = []*grouping.Group{grouping.NewGroup(0, 0, sys.Edges[0], sys.Classes)}
 	jcfg.FixedSelection = [][]int{{0}, {0}}
 	reg := metrics.New()
-	m := NewMeter(reg)
+	jcfg.Meter = NewMeter(reg)
 
 	nw := NewMemNetwork()
 	cloudLn, err := nw.Listen("")
@@ -275,7 +275,7 @@ func TestTruncatedUpdateBecomesDropout(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		errs <- NewEdge(0, sys, jcfg, m).Run(nw, edgeLn, cloudLn.Addr().String())
+		errs <- NewEdge(0, sys, jcfg).Run(nw, edgeLn, cloudLn.Addr().String())
 	}()
 	for _, cl := range sys.Edges[0] {
 		wg.Add(1)
@@ -285,11 +285,11 @@ func TestTruncatedUpdateBecomesDropout(t *testing.T) {
 				errs <- truncatingClient(nw, edgeAddr, id)
 				return
 			}
-			_, err := NewClient(id, sys, jcfg, m).Run(nw, edgeAddr)
+			_, err := NewClient(id, sys, jcfg).Run(nw, edgeAddr)
 			errs <- err
 		}(cl.ID)
 	}
-	rep, err := NewCloud(sys, jcfg, m).Run(cloudLn)
+	rep, err := NewCloud(sys, jcfg).Run(cloudLn)
 	wg.Wait()
 	close(errs)
 	if err != nil {
@@ -325,7 +325,7 @@ func TestRejoinRejectionsCounted(t *testing.T) {
 	sys := oneEdgeSystem(3, 21)
 	jcfg := testJobConfig()
 	reg := metrics.New()
-	m := NewMeter(reg)
+	jcfg.Meter = NewMeter(reg)
 	nw := NewMemNetwork()
 	cloudLn, err := nw.Listen("")
 	if err != nil {
@@ -344,13 +344,13 @@ func TestRejoinRejectionsCounted(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		errs <- NewEdge(0, sys, jcfg, m).Run(nw, edgeLn, cloudLn.Addr().String())
+		errs <- NewEdge(0, sys, jcfg).Run(nw, edgeLn, cloudLn.Addr().String())
 	}()
 	for _, cl := range sys.Clients {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			_, err := NewClient(id, sys, jcfg, m).Run(nw, edgeAddr)
+			_, err := NewClient(id, sys, jcfg).Run(nw, edgeAddr)
 			errs <- err
 		}(cl.ID)
 	}

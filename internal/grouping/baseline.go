@@ -1,6 +1,7 @@
 package grouping
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/data"
@@ -19,15 +20,30 @@ type RandomGrouping struct {
 // Name returns "RG".
 func (RandomGrouping) Name() string { return "RG" }
 
+// Validate reports that neither TargetGS nor MinGS sets a group size.
+func (a RandomGrouping) Validate() error { return sizeErr("RandomGrouping", a.TargetGS, a.Config) }
+
+// groupSize is a baseline's group size: target, or MinGS when target is
+// zero.
+func groupSize(target int, c Config) int {
+	if target > 0 {
+		return target
+	}
+	return c.MinGS
+}
+
+// sizeErr is a baseline's Validate: it needs a positive group size.
+func sizeErr(name string, target int, c Config) error {
+	if groupSize(target, c) <= 0 {
+		return fmt.Errorf("%s needs TargetGS or MinGS", name)
+	}
+	return nil
+}
+
 // Form chunks a shuffled client list.
 func (a RandomGrouping) Form(clients []*data.Client, classes, edge, firstID int, rng *stats.RNG) []*Group {
-	size := a.TargetGS
-	if size <= 0 {
-		size = a.MinGS
-	}
-	if size <= 0 {
-		panic("grouping: RandomGrouping needs TargetGS or MinGS")
-	}
+	mustValidate(a)
+	size := groupSize(a.TargetGS, a.Config)
 	pool := append([]*data.Client(nil), clients...)
 	rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
 	var groups []*Group
@@ -71,15 +87,13 @@ type CDGrouping struct {
 // Name returns "CDG".
 func (CDGrouping) Name() string { return "CDG" }
 
+// Validate reports that neither TargetGS nor MinGS sets a group size.
+func (a CDGrouping) Validate() error { return sizeErr("CDGrouping", a.TargetGS, a.Config) }
+
 // Form clusters then distributes.
 func (a CDGrouping) Form(clients []*data.Client, classes, edge, firstID int, rng *stats.RNG) []*Group {
-	size := a.TargetGS
-	if size <= 0 {
-		size = a.MinGS
-	}
-	if size <= 0 {
-		panic("grouping: CDGrouping needs TargetGS or MinGS")
-	}
+	mustValidate(a)
+	size := groupSize(a.TargetGS, a.Config)
 	if len(clients) == 0 {
 		return nil
 	}
@@ -191,15 +205,13 @@ type KLDGrouping struct {
 // Name returns "KLDG".
 func (KLDGrouping) Name() string { return "KLDG" }
 
+// Validate reports that neither TargetGS nor MinGS sets a group size.
+func (a KLDGrouping) Validate() error { return sizeErr("KLDGrouping", a.TargetGS, a.Config) }
+
 // Form greedily minimizes group-to-global KL divergence.
 func (a KLDGrouping) Form(clients []*data.Client, classes, edge, firstID int, rng *stats.RNG) []*Group {
-	size := a.TargetGS
-	if size <= 0 {
-		size = a.MinGS
-	}
-	if size <= 0 {
-		panic("grouping: KLDGrouping needs TargetGS or MinGS")
-	}
+	mustValidate(a)
+	size := groupSize(a.TargetGS, a.Config)
 	global := stats.Normalize(data.GlobalCounts(clients, classes))
 	pool := append([]*data.Client(nil), clients...)
 	var groups []*Group

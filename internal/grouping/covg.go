@@ -285,9 +285,7 @@ func argminScan(rows [][4]float64, n int, gc []float64, acSum, acSumSq float64) 
 // the order a one-at-a-time scan would, so which client is admitted does not
 // depend on how the scan is scheduled.
 func (a CoVGrouping) Form(clients []*data.Client, classes, edge, firstID int, rng *stats.RNG) []*Group {
-	if a.MinGS <= 0 {
-		panic("grouping: MinGS must be positive")
-	}
+	mustValidate(a)
 	pool := packPool(clients, classes)
 	var groups []*Group
 
@@ -368,9 +366,7 @@ func (VarianceGrouping) Name() string { return "VarG" }
 
 // Form greedily minimizes the post-addition histogram variance.
 func (a VarianceGrouping) Form(clients []*data.Client, classes, edge, firstID int, rng *stats.RNG) []*Group {
-	if a.MinGS <= 0 {
-		panic("grouping: MinGS must be positive")
-	}
+	mustValidate(a)
 	pool := append([]*data.Client(nil), clients...)
 	var groups []*Group
 	for len(pool) > 0 {

@@ -9,6 +9,8 @@
 package grouping
 
 import (
+	"errors"
+
 	"repro/internal/cpu"
 	"repro/internal/data"
 	"repro/internal/stats"
@@ -83,14 +85,35 @@ type Config struct {
 	MergeLeftover bool
 }
 
+// Validate reports a non-positive MinGS, the condition CoVGrouping and
+// VarianceGrouping cannot form under; the baselines, which fall back on
+// TargetGS, override it.
+func (c Config) Validate() error {
+	if c.MinGS <= 0 {
+		return errors.New("MinGS must be positive")
+	}
+	return nil
+}
+
 // Algorithm forms groups from the clients of one edge server.
 type Algorithm interface {
 	// Name is a short identifier used in experiment output (e.g. "CoVG").
 	Name() string
+	// Validate returns the configuration error Form would panic on, worded
+	// without a package tag, or nil.
+	Validate() error
 	// Form partitions clients into groups. edge tags the produced groups;
 	// rng drives any randomized choices. IDs are assigned densely from
 	// firstID.
 	Form(clients []*data.Client, classes, edge, firstID int, rng *stats.RNG) []*Group
+}
+
+// mustValidate is Form's precondition: it panics with a's configuration
+// error.
+func mustValidate(a Algorithm) {
+	if err := a.Validate(); err != nil {
+		panic("grouping: " + err.Error())
+	}
 }
 
 // FormAll runs alg independently on every edge server's client set,
@@ -103,8 +126,6 @@ type Algorithm interface {
 // per-edge formations are independent, and every Algorithm assigns IDs
 // densely from firstID — so forming with firstID 0 and renumbering after
 // concatenation reproduces exactly the serial numbering.
-//
-//lint:deterministic
 func FormAll(alg Algorithm, edges [][]*data.Client, classes int, rng *stats.RNG) []*Group {
 	rngs := make([]*stats.RNG, len(edges))
 	for e := range edges {

@@ -95,21 +95,27 @@ func Parse(r io.Reader) (*Input, error) {
 }
 
 // AlgorithmByName resolves a formation algorithm name (covg, rg, cdg, kldg,
-// varg — case-insensitive).
+// varg — case-insensitive) and returns its configuration error, if any.
 func AlgorithmByName(name string, cfg grouping.Config, targetGS int) (grouping.Algorithm, error) {
+	var a grouping.Algorithm
 	switch strings.ToLower(name) {
 	case "covg", "cov":
-		return grouping.CoVGrouping{Config: cfg}, nil
+		a = grouping.CoVGrouping{Config: cfg}
 	case "rg", "random":
-		return grouping.RandomGrouping{Config: cfg, TargetGS: targetGS}, nil
+		a = grouping.RandomGrouping{Config: cfg, TargetGS: targetGS}
 	case "cdg":
-		return grouping.CDGrouping{Config: cfg, TargetGS: targetGS}, nil
+		a = grouping.CDGrouping{Config: cfg, TargetGS: targetGS}
 	case "kldg", "kld":
-		return grouping.KLDGrouping{Config: cfg, TargetGS: targetGS}, nil
+		a = grouping.KLDGrouping{Config: cfg, TargetGS: targetGS}
 	case "varg", "variance":
-		return grouping.VarianceGrouping{Config: cfg}, nil
+		a = grouping.VarianceGrouping{Config: cfg}
+	default:
+		return nil, fmt.Errorf("groupio: unknown algorithm %q", name)
 	}
-	return nil, fmt.Errorf("groupio: unknown algorithm %q", name)
+	if err := a.Validate(); err != nil {
+		return nil, fmt.Errorf("groupio: %s: %w", a.Name(), err)
+	}
+	return a, nil
 }
 
 // SamplingByName resolves a sampling method name.

@@ -90,6 +90,32 @@ func TestAlgorithmByName(t *testing.T) {
 	}
 }
 
+// TestAlgorithmByNameRejectsNoGroupSize: a configuration Form would panic on
+// is an error here, so covgroup -mings 0 exits with a message, not a trace.
+func TestAlgorithmByNameRejectsNoGroupSize(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		minGS    int
+		targetGS int
+		want     string
+	}{
+		{"covg", 0, 3, "groupio: CoVG: MinGS must be positive"},
+		{"varg", -1, 0, "groupio: VarG: MinGS must be positive"},
+		{"rg", 0, 0, "groupio: RG: RandomGrouping needs TargetGS or MinGS"},
+		{"cdg", 0, 0, "groupio: CDG: CDGrouping needs TargetGS or MinGS"},
+		{"kldg", 0, -2, "groupio: KLDG: KLDGrouping needs TargetGS or MinGS"},
+	} {
+		a, err := AlgorithmByName(c.name, grouping.Config{MinGS: c.minGS}, c.targetGS)
+		if err == nil || err.Error() != c.want || a != nil {
+			t.Errorf("AlgorithmByName(%s, MinGS %d, TargetGS %d) = %v, %v; want nil, %q", c.name, c.minGS, c.targetGS, a, err, c.want)
+		}
+	}
+	// The baselines fall back on TargetGS, so MinGS 0 alone is no error.
+	if _, err := AlgorithmByName("rg", grouping.Config{}, 3); err != nil {
+		t.Errorf("rg with TargetGS 3: %v", err)
+	}
+}
+
 func TestSamplingByName(t *testing.T) {
 	for name, want := range map[string]sampling.Method{
 		"random": sampling.Random, "rs": sampling.Random,

@@ -9,8 +9,9 @@ import (
 	"testing"
 )
 
-// TestGoldenFixtures runs each analyzer over its intentionally-good and
-// intentionally-bad fixture packages under testdata/src and asserts exact
+// TestGoldenFixtures runs each analyzer, with ignore-audit beside it so every
+// fixture's //lint:ignore must be live, over its intentionally-good and
+// intentionally-bad fixture trees under testdata/src and asserts exact
 // diagnostic positions against the fixtures' `// want "substring"`
 // annotations. A want comment sits on the offending line, or alone on the
 // following line when the offending line is itself a comment (malformed
@@ -41,7 +42,7 @@ func TestGoldenFixtures(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.dir+"/"+c.analyzer.Name, func(t *testing.T) {
-			runFixture(t, []*Analyzer{c.analyzer}, c.dir)
+			runFixture(t, []*Analyzer{c.analyzer, IgnoreAudit}, c.dir)
 		})
 	}
 }
@@ -61,15 +62,15 @@ var wantArgRe = regexp.MustCompile(`"([^"]*)"`)
 
 func runFixture(t *testing.T, analyzers []*Analyzer, rel string) {
 	dir := filepath.Join("testdata", "src", filepath.FromSlash(rel))
-	pkg, err := LoadDir(dir, rel)
+	pkgs, err := LoadDir(dir, rel)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", dir, err)
 	}
-	diags := Check([]*Package{pkg}, analyzers)
+	diags := Check(pkgs, analyzers)
 	wants := parseWants(t, dir)
 
 	for _, d := range diags {
-		key := fmt.Sprintf("%s:%d", filepath.Base(d.File), d.Line)
+		key := fmt.Sprintf("%s:%d", d.File, d.Line)
 		matched := false
 		for i, w := range wants[key] {
 			if strings.Contains(d.Message, w) {
@@ -89,22 +90,22 @@ func runFixture(t *testing.T, analyzers []*Analyzer, rel string) {
 	}
 }
 
-// parseWants scans fixture files for want annotations and returns them
-// keyed by "file.go:line". A line that consists solely of a want comment
-// annotates the line above it.
+// parseWants scans the fixture tree's files for want annotations and
+// returns them keyed by "path/file.go:line", the path relative to dir. A
+// line that consists solely of a want comment annotates the line above it.
 func parseWants(t *testing.T, dir string) map[string][]string {
 	wants := make(map[string][]string)
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
+	err := filepath.WalkDir(dir, func(path string, e os.DirEntry, err error) error {
+		if err != nil || e.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
 		}
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		data, err := os.ReadFile(path)
 		if err != nil {
-			t.Fatal(err)
+			return err
+		}
+		rel, err := filepath.Rel(dir, path)
+		if err != nil {
+			return err
 		}
 		for i, line := range strings.Split(string(data), "\n") {
 			m := wantRe.FindStringSubmatch(line)
@@ -115,11 +116,15 @@ func parseWants(t *testing.T, dir string) map[string][]string {
 			if strings.HasPrefix(strings.TrimSpace(line), "// want") {
 				target = i // annotates the previous line
 			}
-			key := fmt.Sprintf("%s:%d", e.Name(), target)
+			key := fmt.Sprintf("%s:%d", filepath.ToSlash(rel), target)
 			for _, arg := range wantArgRe.FindAllStringSubmatch(m[1], -1) {
 				wants[key] = append(wants[key], arg[1])
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	return wants
 }

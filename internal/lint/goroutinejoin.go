@@ -119,7 +119,7 @@ func spawnSignals(pass *Pass, g *ast.GoStmt) (tokens []signalToken, known bool) 
 		return nil, false
 	}
 	fi := pass.Mod.FuncInfoOf(callee)
-	if fi == nil || fi.Decl.Body == nil {
+	if fi == nil {
 		return nil, false
 	}
 	raw := bodySignals(fi.Pkg, fi.Decl.Body)

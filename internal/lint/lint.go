@@ -19,8 +19,8 @@
 //   - map-order: a range over a map whose body feeds floating-point
 //     accumulation, an unsorted slice append, or byte/wire encoding is a
 //     determinism violation — iteration order would leak into results.
-//   - wallclock: time.Now/Since/Sleep/... must not be reachable, through
-//     the module call graph, from functions marked //lint:deterministic.
+//   - wallclock: only internal/clock reads time.Now/Since/Sleep/..., and
+//     only the networked stack, metrics and experiments import it.
 //   - metric-schema: literal metric names handed to internal/metrics follow
 //     fel_<layer>_<name> with a known layer and the suffix of their kind.
 //   - ignore-audit: every //lint:ignore directive still suppresses at
@@ -30,11 +30,10 @@
 //
 //	//lint:ignore <rule> <reason>
 //
-// comment on the offending line or the line directly above it. The one
-// function role, //lint:deterministic, is declared on the declaration (doc
-// comment or the line above). Steady-state allocation is not a lint rule:
-// the testing.AllocsPerRun tests beside each hot function measure what
-// escape analysis decided (DESIGN.md S26).
+// comment on the offending line or the line directly above it; any other
+// //lint: comment is reported as an unknown directive. Steady-state
+// allocation is not a lint rule: the testing.AllocsPerRun tests beside each
+// hot function measure what escape analysis decided (DESIGN.md S26).
 package lint
 
 import (
@@ -100,8 +99,8 @@ func ByName(name string) (*Analyzer, error) {
 }
 
 // Pass is the per-(package, analyzer) context handed to Analyzer.Run. Mod
-// gives flow-sensitive analyzers the whole-module view (call graph,
-// annotations, cross-package suppression).
+// gives the analyzers the whole-module view (the function index
+// goroutine-join reads callee bodies through, cross-package suppression).
 type Pass struct {
 	Analyzer *Analyzer
 	Pkg      *Package

@@ -42,8 +42,7 @@ type Package struct {
 	// package checked on its own. Pass.TypeOf consults it after Info.
 	TestInfo *types.Info
 
-	ignores        map[string][]*ignoreEntry   // filename -> directives
-	annots         map[string]map[int][]string // filename -> line -> annotations
+	ignores        map[string][]*ignoreEntry // filename -> directives
 	directiveDiags []Diagnostic
 }
 
@@ -75,18 +74,12 @@ func (p *Package) relFile(filename string) string {
 
 var ignoreRe = regexp.MustCompile(`^//lint:ignore(?:\s+(\S+))?(?:\s+(\S.*))?$`)
 
-// annotationRe matches the function-level annotation vocabulary, which is
-// //lint:deterministic with an optional trailing rationale.
-var annotationRe = regexp.MustCompile(`^//lint:(deterministic)(?:\s+\S.*)?$`)
-
 // collectDirectives scans a parsed file for //lint: comments. A well-formed
-// ignore names a rule and gives a non-empty reason; a deterministic
-// annotation marks the function it precedes. Anything else starting with
-// //lint: is itself reported so directives cannot silently rot.
+// ignore names a rule and gives a non-empty reason. Anything else starting
+// with //lint: is itself reported so directives cannot silently rot.
 func (p *Package) collectDirectives(f *ast.File) {
 	if p.ignores == nil {
 		p.ignores = make(map[string][]*ignoreEntry)
-		p.annots = make(map[string]map[int][]string)
 	}
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
@@ -103,17 +96,8 @@ func (p *Package) collectDirectives(f *ast.File) {
 					Message: msg,
 				})
 			}
-			if m := annotationRe.FindStringSubmatch(c.Text); m != nil {
-				byLine := p.annots[pos.Filename]
-				if byLine == nil {
-					byLine = make(map[int][]string)
-					p.annots[pos.Filename] = byLine
-				}
-				byLine[pos.Line] = append(byLine[pos.Line], m[1])
-				continue
-			}
 			if !strings.HasPrefix(c.Text, "//lint:ignore") {
-				bad("unknown directive: want //lint:ignore <rule> <reason> or //lint:deterministic")
+				bad("unknown directive: want //lint:ignore <rule> <reason>")
 				continue
 			}
 			m := ignoreRe.FindStringSubmatch(c.Text)
@@ -152,31 +136,6 @@ func (p *Package) suppressed(rule string, pos token.Position) bool {
 		}
 	}
 	return found
-}
-
-// FuncAnnotations returns the //lint: annotations attached to fd: any
-// annotation line inside fd's doc comment or on the line directly above the
-// declaration.
-func (p *Package) FuncAnnotations(fd *ast.FuncDecl) []string {
-	pos := p.Fset.Position(fd.Pos())
-	byLine := p.annots[pos.Filename]
-	if byLine == nil {
-		return nil
-	}
-	start := pos.Line - 1
-	if fd.Doc != nil {
-		start = p.Fset.Position(fd.Doc.Pos()).Line
-	}
-	var out []string
-	for l := start; l <= pos.Line; l++ {
-		out = append(out, byLine[l]...)
-	}
-	return out
-}
-
-// HasAnnotation reports whether fd carries the named //lint: annotation.
-func (p *Package) HasAnnotation(fd *ast.FuncDecl, name string) bool {
-	return slices.Contains(p.FuncAnnotations(fd), name)
 }
 
 // FindModuleRoot walks upward from dir until it finds a go.mod.
@@ -421,8 +380,26 @@ func LoadModule(root string) ([]*Package, error) {
 	if err != nil {
 		return nil, err
 	}
+	return loadTree(root, module)
+}
+
+// LoadDir loads the tree rooted at dir as a module whose path is importPath,
+// with no go.mod: the root package first, then every package below it.
+// Used by the golden-file fixture tests; fixture packages may import the
+// standard library and each other.
+func LoadDir(dir, importPath string) ([]*Package, error) {
+	abs, err := filepath.Abs(dir)
+	if err != nil {
+		return nil, err
+	}
+	return loadTree(abs, importPath)
+}
+
+// loadTree loads and type-checks, tests included, every package under root,
+// whose import path is module.
+func loadTree(root, module string) ([]*Package, error) {
 	var dirs []string
-	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -470,23 +447,4 @@ func LoadModule(root string) ([]*Package, error) {
 		}
 	}
 	return pkgs, nil
-}
-
-// LoadDir loads a single directory as a standalone package under the given
-// synthetic import path. Used by the golden-file fixture tests; fixture
-// packages may import only the standard library.
-func LoadDir(dir, importPath string) (*Package, error) {
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return nil, err
-	}
-	l := newLoader(abs, importPath)
-	pkg, err := l.load(abs, importPath)
-	if err != nil {
-		return nil, err
-	}
-	if err := l.checkTests(pkg); err != nil {
-		return nil, err
-	}
-	return pkg, nil
 }

@@ -5,11 +5,9 @@
 // parses every .go file reports both names as redeclared.
 package buildtags
 
-// scale is a deterministic root whose inner step lives in assembly on one
-// architecture: the body-less declaration is outside the call graph, like the
-// stdlib, and must raise no finding.
-//
-//lint:deterministic
+// scale's inner step lives in assembly on one architecture: the body-less
+// declaration is outside the module's function index, like the stdlib, and
+// must raise no finding.
 func scale(d []float64) {
 	if fast && len(d) > 0 {
 		rowUpdate(&d[0], len(d))

@@ -1,40 +1,16 @@
-// Package good keeps wall-clock reads off deterministic paths.
+// Package good keeps the wall clock out of replayable code.
 package good
 
 import "time"
 
-// Train is the replayable entry point; everything it reaches is clock-free.
-//
-//lint:deterministic
-func Train() float64 {
-	return compute(3)
+// Overran compares instants and does duration arithmetic: methods of
+// time.Time are not the package's wall-clock functions.
+func Overran(start, end time.Time, budget time.Duration) bool {
+	return end.After(start.Add(2*budget)) || end.Sub(start) > budget/2
 }
 
-func compute(n int) float64 {
-	total := 0.0
-	for i := 0; i < n; i++ {
-		total += float64(i)
-	}
-	return total
-}
-
-// Measure times real execution outside any deterministic path.
-func Measure() time.Duration {
-	start := time.Now()
-	compute(10)
-	return time.Since(start)
-}
-
-// SpanTrain reaches a wall-clock read that is declared an intentional
-// observability-only exception.
-//
-//lint:deterministic
-func SpanTrain() float64 {
-	span()
-	return compute(3)
-}
-
-func span() {
+// Span reads the wall clock under a reasoned exception.
+func Span() time.Time {
 	//lint:ignore wallclock span timing is observability-only and never feeds results
-	_ = time.Now()
+	return time.Now()
 }

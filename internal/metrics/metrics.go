@@ -8,6 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // Label is one key=value dimension attached to a metric. Label sets are
@@ -59,7 +61,7 @@ type family struct {
 }
 
 // New returns an empty registry whose spans read wall-clock time.
-func New() *Registry { return NewWithClock(time.Now) }
+func New() *Registry { return NewWithClock(clock.Real.Now) }
 
 // NewWithClock returns a registry whose spans read time from now — tests
 // inject a fake clock to make span histograms deterministic.

@@ -45,6 +45,10 @@ func (m Method) String() string {
 	return fmt.Sprintf("Method(%d)", int(m))
 }
 
+// Valid reports whether m is one of the four methods; Probabilities panics
+// on any other.
+func (m Method) Valid() bool { return m >= Random && m <= ESRCoV }
+
 // covFloor keeps 1/CoV finite for perfectly balanced groups. The resulting
 // cap on the reciprocal (1e3) is far above any realistic separation between
 // groups, so the prioritization order is unaffected.
@@ -54,8 +58,6 @@ const covFloor = 1e-3
 // (Eq. 34): p_g = w(1/CoV(g)) / Σ w(1/CoV(g)). ESRCoV is evaluated in
 // log-space so extreme reciprocals cannot overflow. The returned vector
 // sums to 1.
-//
-//lint:deterministic
 func Probabilities(groups []*grouping.Group, m Method) []float64 {
 	if len(groups) == 0 {
 		return nil
@@ -115,8 +117,6 @@ func Probabilities(groups []*grouping.Group, m Method) []float64 {
 // Each call allocates O(len(p)) scratch; round loops that sample every
 // global round should hold a Sampler instead, whose scratch persists across
 // calls.
-//
-//lint:deterministic
 func Sample(rng *stats.RNG, p []float64, s int) []int {
 	var sp Sampler
 	return sp.Sample(rng, p, s)
@@ -135,8 +135,6 @@ type Sampler struct {
 // Sample is identical to the package-level Sample — same draw sequence from
 // rng, same result — but the returned slice aliases the Sampler's scratch
 // and is only valid until the next call.
-//
-//lint:deterministic
 func (sp *Sampler) Sample(rng *stats.RNG, p []float64, s int) []int {
 	if s <= 0 {
 		panic("sampling: sample size must be positive")
@@ -215,6 +213,10 @@ func (w WeightScheme) String() string {
 	return fmt.Sprintf("WeightScheme(%d)", int(w))
 }
 
+// Valid reports whether w is one of the three schemes; Weights panics on any
+// other.
+func (w WeightScheme) Valid() bool { return w >= Biased && w <= Stabilized }
+
 // Weights computes the per-selected-group aggregation weights.
 //   - selected: indices into groups of the sampled set S_t,
 //   - p: the sampling probability vector over all groups,
@@ -223,8 +225,6 @@ func (w WeightScheme) String() string {
 // For Biased the weights sum to 1 by construction; for Stabilized they are
 // normalized to 1 (Eq. 35); for Unbiased they are returned raw and their sum
 // is only 1 in expectation.
-//
-//lint:deterministic
 func Weights(groups []*grouping.Group, selected []int, p []float64, totalSamples int, scheme WeightScheme) []float64 {
 	if totalSamples <= 0 {
 		panic("sampling: totalSamples must be positive")

@@ -63,8 +63,6 @@ func Threshold(frac float64, n int) int {
 // NewSession prepares a secure aggregation session. threshold is the Shamir
 // reconstruction threshold T; the aggregation can tolerate up to
 // n−threshold dropped clients.
-//
-//lint:deterministic
 func NewSession(n, dim, threshold int, seed uint64, q Quantizer) *Session {
 	if n < 2 {
 		panic("secagg: need at least 2 clients")
@@ -95,8 +93,6 @@ func NewSession(n, dim, threshold int, seed uint64, q Quantizer) *Session {
 }
 
 // MaskedUpdate produces client i's blinded, quantized update.
-//
-//lint:deterministic
 func (s *Session) MaskedUpdate(i int, update []float64) []uint64 {
 	return s.MaskedUpdateInto(make([]uint64, s.Dim), i, update)
 }
@@ -104,8 +100,6 @@ func (s *Session) MaskedUpdate(i int, update []float64) []uint64 {
 // MaskedUpdateInto is MaskedUpdate writing into dst's storage: the result is
 // dst resized to Dim, reallocated only when its capacity is short, and
 // whatever dst held does not matter.
-//
-//lint:deterministic
 func (s *Session) MaskedUpdateInto(dst []uint64, i int, update []float64) []uint64 {
 	if i < 0 || i >= s.N {
 		panic(fmt.Sprintf("secagg: client %d out of range", i))
@@ -142,8 +136,6 @@ func (s *Session) fold(acc []uint64, seed uint64, subtract bool) {
 // peers, so a short or long one is an error, not a panic or a silent
 // truncation. It returns the dequantized sum of the surviving clients'
 // updates.
-//
-//lint:deterministic
 func (s *Session) Aggregate(masked [][]uint64, dropped []int) ([]float64, error) {
 	if len(masked) != s.N {
 		return nil, fmt.Errorf("secagg: %d masked updates for %d clients", len(masked), s.N)
