@@ -2,7 +2,9 @@
 // the hand-written amd64 kernels (internal/tensor's row update,
 // internal/grouping's scan filter) may run (HasAVX), how wide an in-process
 // fan-out goes (Procs), and the one helper every such fan-out runs on
-// (Each). It is what the program can observe and nothing a user can set.
+// (Each) — compute at Procs() width, and the networked stack's per-peer
+// fan-outs at width n, one goroutine per peer. It is what the program can
+// observe and nothing a user can set.
 package cpu
 
 import (
@@ -47,18 +49,20 @@ func Each(n, width int, fn func(w, i int)) {
 	var next atomic.Int64
 	next.Store(int64(width))
 	panics := make([]any, width) // worker w's first panic value
-	var wg sync.WaitGroup
-	wg.Add(width)
 	work := func(w int) {
-		defer wg.Done()
 		for i := w; i < n; i = int(next.Add(1) - 1) {
 			if p := call(fn, w, i); p != nil && panics[w] == nil {
 				panics[w] = p
 			}
 		}
 	}
+	var wg sync.WaitGroup
+	wg.Add(width - 1)
 	for w := 1; w < width; w++ {
-		go work(w)
+		go func() {
+			defer wg.Done()
+			work(w)
+		}()
 	}
 	work(0)
 	wg.Wait()

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestHasAVXMatchesKernel: Linux publishes its own reading of the same CPUID
@@ -35,10 +36,27 @@ func TestHasAVXMatchesKernel(t *testing.T) {
 
 // TestEach holds the fan-out's contract over sizes and widths (0 = Procs()):
 // every index runs exactly once, w stays below the effective width and never
-// runs two calls at once, width 1 is the index-ordered loop on w 0, and a
-// panic at one index reaches the caller with its own value only after every
-// other index has run.
+// runs two calls at once, width 1 is the index-ordered loop on w 0, a panic
+// at one index reaches the caller with its own value only after every other
+// index has run, and at width n every call runs beside every other — the
+// property the networked stack's per-peer fan-outs rest on, whatever the
+// processor count.
 func TestEach(t *testing.T) {
+	t.Run("n8/width8/all-at-once", func(t *testing.T) {
+		const n = 8
+		var started atomic.Int32
+		all := make(chan struct{})
+		Each(n, n, func(_, i int) {
+			if started.Add(1) == n {
+				close(all)
+			}
+			select {
+			case <-all:
+			case <-time.After(10 * time.Second):
+				t.Errorf("index %d: %d of %d calls had started after 10s", i, started.Load(), n)
+			}
+		})
+	})
 	for _, n := range []int{0, 1, 5, 100} {
 		for _, width := range []int{0, 1, 2, 7} {
 			eff := width

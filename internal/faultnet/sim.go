@@ -73,16 +73,20 @@ func (s *sim) AfterFunc(d time.Duration, f func()) clock.Timer {
 	s.timers = slices.Insert(s.timers, i, t)
 	if s.idle == nil {
 		s.idle = make(chan struct{})
-		go s.poll(s.idle)
+		// poll sets s.idle to nil before it exits: the literal closes the
+		// channel it was started with.
+		go func(idle chan struct{}) {
+			defer close(idle)
+			s.poll()
+		}(s.idle)
 	}
 	return t
 }
 
-// poll moves simulated time until no timer is pending, then exits and closes
-// idle. A scan stops the world, so a look that finds the clock used since the
-// previous look skips it: something was still running.
-func (s *sim) poll(idle chan struct{}) {
-	defer close(idle)
+// poll moves simulated time until no timer is pending, then exits. A scan
+// stops the world, so a look that finds the clock used since the previous
+// look skips it: something was still running.
+func (s *sim) poll() {
 	var buf []byte
 	var seen uint64
 	yields := minYields

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/core"
+	"repro/internal/cpu"
 	"repro/internal/grouping"
 	"repro/internal/metrics"
 	"repro/internal/wire"
@@ -196,45 +197,38 @@ func (x *cloudExec) RunGroups(t int, groups []*grouping.Group, selected []int, p
 	x.drops, x.recoveries = 0, 0
 	errs := make([]error, len(x.conns))
 	var mu sync.Mutex // updates and the totals: an edge may name any group
-	var wg sync.WaitGroup
-	for e, conn := range x.conns {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for range selByEdge[e] {
-				m, err := expectFrame(conn, x.meter, x.timeout, wire.GroupAggregate)
-				if err != nil {
-					errs[e] = err
-					return
-				}
-				si, known := slot[m.From]
-				switch {
-				case int(m.Round) != t:
-					errs[e] = fmt.Errorf("fednode: edge %d aggregate for round %d during round %d", e, m.Round, t)
-				case !known:
-					errs[e] = fmt.Errorf("fednode: edge %d reported unknown group %d", e, m.From)
-				case len(m.Floats) != len(params):
-					errs[e] = fmt.Errorf("fednode: group %d aggregate has %d params, want %d", m.From, len(m.Floats), len(params))
-				}
-				if errs[e] != nil {
-					return
-				}
-				mu.Lock()
-				x.updates[si].Params = m.Floats
-				if len(m.Ints) == 2 {
-					x.updates[si].Drops = int(m.Ints[0])
-					x.drops += int(m.Ints[0])
-					x.recoveries += int(m.Ints[1])
-				}
-				mu.Unlock()
+	cpu.Each(len(x.conns), len(x.conns), func(_, e int) {
+		conn := x.conns[e]
+		for range selByEdge[e] {
+			m, err := expectFrame(conn, x.meter, x.timeout, wire.GroupAggregate)
+			if err != nil {
+				errs[e] = err
+				return
 			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+			si, known := slot[m.From]
+			switch {
+			case int(m.Round) != t:
+				errs[e] = fmt.Errorf("fednode: edge %d aggregate for round %d during round %d", e, m.Round, t)
+			case !known:
+				errs[e] = fmt.Errorf("fednode: edge %d reported unknown group %d", e, m.From)
+			case len(m.Floats) != len(params):
+				errs[e] = fmt.Errorf("fednode: group %d aggregate has %d params, want %d", m.From, len(m.Floats), len(params))
+			}
+			if errs[e] != nil {
+				return
+			}
+			mu.Lock()
+			x.updates[si].Params = m.Floats
+			if len(m.Ints) == 2 {
+				x.updates[si].Drops = int(m.Ints[0])
+				x.drops += int(m.Ints[0])
+				x.recoveries += int(m.Ints[1])
+			}
+			mu.Unlock()
 		}
+	})
+	if err := firstErr(errs); err != nil {
+		return nil, err
 	}
 	for si, u := range x.updates {
 		if u.Params == nil {

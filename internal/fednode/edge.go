@@ -4,9 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 
 	"repro/internal/core"
+	"repro/internal/cpu"
 	"repro/internal/metrics"
 	"repro/internal/secagg"
 	"repro/internal/stats"
@@ -50,7 +50,9 @@ type edgeGroup struct {
 }
 
 // Run serves the job: dial the cloud at cloudAddr, accept this edge's
-// clients on ln, then execute rounds until the final model arrives. When
+// clients on ln, then execute rounds until the final model arrives. A round
+// whose groups fail reports the failure of the earliest failing group in the
+// cloud's selection order, however the group runners were scheduled. When
 // Run returns, every group-runner and collector goroutine has been joined
 // and all connections are closed.
 func (e *Edge) Run(nw Network, ln net.Listener, cloudAddr string) error {
@@ -149,7 +151,10 @@ func (e *Edge) Run(nw Network, ln net.Listener, cloudAddr string) error {
 	// kinds).
 	rejoinCh := make(chan rejoin, len(mine))
 	acceptDone := make(chan struct{})
-	go e.rejoinLoop(ln, mine, assigns, rejoinCh, acceptDone)
+	go func() {
+		defer close(acceptDone)
+		e.rejoinLoop(ln, mine, assigns, rejoinCh)
+	}()
 	defer func() {
 		closeQuiet(ln)
 		<-acceptDone
@@ -168,29 +173,17 @@ func (e *Edge) Run(nw Network, ln net.Listener, cloudAddr string) error {
 		case wire.GlobalModel:
 			e.adoptRejoins(rejoinCh, seats, clientConns)
 			t := int(m.Round)
-			var wg sync.WaitGroup
-			var mu sync.Mutex
-			var firstErr error
 			for _, gidRaw := range m.Ints {
-				g := groups[int(gidRaw)]
-				if g == nil {
+				if groups[int(gidRaw)] == nil {
 					return fmt.Errorf("fednode: edge %d asked to run unknown group %d", e.id, gidRaw)
 				}
-				wg.Add(1)
-				go func(g *edgeGroup) {
-					defer wg.Done()
-					if err := e.runGroup(g, t, m.Floats, cloud); err != nil {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						mu.Unlock()
-					}
-				}(g)
 			}
-			wg.Wait()
-			if firstErr != nil {
-				return firstErr
+			errs := make([]error, len(m.Ints))
+			cpu.Each(len(errs), len(errs), func(_, i int) {
+				errs[i] = e.runGroup(groups[int(m.Ints[i])], t, m.Floats, cloud)
+			})
+			if err := firstErr(errs); err != nil {
+				return err
 			}
 		case wire.GlobalAggregate:
 			// Graceful shutdown: adopt any last rejoins so they receive the
@@ -237,8 +230,7 @@ type rejoin struct {
 // drops the connection — a chaos run must not let one corrupted
 // registration kill the edge — and every drop is counted by reason
 // (rejectRejoin). The loop exits when ln closes.
-func (e *Edge) rejoinLoop(ln net.Listener, mine map[int]bool, assigns map[int]*wire.Message, ch chan<- rejoin, done chan<- struct{}) {
-	defer close(done)
+func (e *Edge) rejoinLoop(ln net.Listener, mine map[int]bool, assigns map[int]*wire.Message, ch chan<- rejoin) {
 	cfg := e.cfg
 	for {
 		raw, err := ln.Accept()
@@ -366,32 +358,24 @@ func (e *Edge) runGroup(g *edgeGroup, t int, globalParams []float64, cloud *lock
 		masked := make([][]uint64, n)
 		var plain []float64 // a singleton group's update, sent in the clear
 		collectErr := make([]error, n)
-		var wg sync.WaitGroup
-		for i := range g.members {
+		cpu.Each(n, n, func(_, i int) {
 			if g.dead[i] {
-				continue
+				return
 			}
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				m, err := expectFrame(g.conns[i], cfg.Meter, cfg.StragglerTimeout, wire.MaskedUpdate)
-				if err != nil {
-					collectErr[i] = err
-					return
-				}
-				switch {
-				case n == 1:
-					plain = m.Floats
-				case len(m.Words) != dim:
-					// Like a corrupt frame: the member is a dropout, not a
-					// panic or a truncated sum in Aggregate.
-					collectErr[i] = fmt.Errorf("fednode: masked update has %d words, want %d", len(m.Words), dim)
-				default:
-					masked[i] = m.Words
-				}
-			}(i)
-		}
-		wg.Wait()
+			m, err := expectFrame(g.conns[i], cfg.Meter, cfg.StragglerTimeout, wire.MaskedUpdate)
+			switch {
+			case err != nil:
+				collectErr[i] = err
+			case n == 1:
+				plain = m.Floats
+			case len(m.Words) != dim:
+				// Like a corrupt frame: the member is a dropout, not a
+				// panic or a truncated sum in Aggregate.
+				collectErr[i] = fmt.Errorf("fednode: masked update has %d words, want %d", len(m.Words), dim)
+			default:
+				masked[i] = m.Words
+			}
+		})
 		var dropped []int
 		for i := range g.members {
 			if g.dead[i] {

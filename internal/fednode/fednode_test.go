@@ -3,6 +3,7 @@ package fednode
 import (
 	"fmt"
 	"math"
+	"net"
 	"runtime"
 	"slices"
 	"strings"
@@ -11,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cost"
+	"repro/internal/cpu"
 	"repro/internal/data"
 	"repro/internal/faultnet"
 	"repro/internal/grouping"
@@ -188,6 +190,71 @@ func TestMidRoundDisconnectRecovers(t *testing.T) {
 	}
 	if rep.FinalAccuracy <= 0.3 {
 		t.Fatalf("final accuracy %.3f after recovery, want > 0.3", rep.FinalAccuracy)
+	}
+}
+
+// TestEdgeReportsLowestFailingGroup fails two of edge 0's groups in one
+// round: every member of its second group is reset as it submits, so that
+// group fails at once, and every member of its first group is delayed past
+// the straggler deadline, so that group fails 500 ms of simulated time later.
+// The edge reports the failure of the earliest group in selection order, not
+// the one that failed first.
+func TestEdgeReportsLowestFailingGroup(t *testing.T) {
+	sys := testSystem(24, 3)
+	jcfg := testJobConfig()
+	jcfg.GlobalRounds = 1
+	jcfg.StragglerTimeout = 500 * time.Millisecond
+	groups, err := jcfg.PinAllGroups(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mine []*grouping.Group
+	for _, g := range groups {
+		if g.Edge == 0 {
+			mine = append(mine, g)
+		}
+	}
+	if len(mine) < 2 || mine[0].Size() < 2 || mine[1].Size() < 2 {
+		t.Fatalf("edge 0 needs two groups of two or more clients, has %d groups", len(mine))
+	}
+	var rules []faultnet.Rule
+	for gi, action := range []faultnet.Action{faultnet.ActionDelay, faultnet.ActionReset} {
+		for _, c := range mine[gi].Clients {
+			rules = append(rules, faultnet.Rule{
+				From: fmt.Sprintf("client/%d", c.ID), To: "edge/*", Type: "MaskedUpdate",
+				Round: 0, Seq: 0, Action: action, DelayMs: 2000,
+			})
+		}
+	}
+	plan := &faultnet.Plan{Name: "two-failing-groups", Rules: rules}
+	if err := plan.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	nw := faultnet.Wrap(NewMemNetwork(), plan, nil)
+
+	cloudLn, err := listenTagged(nw, "cloud", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeQuiet(cloudLn)
+	edgeLns := make([]net.Listener, len(sys.Edges))
+	for e := range edgeLns {
+		if edgeLns[e], err = listenTagged(nw, fmt.Sprintf("edge/%d", e), ""); err != nil {
+			t.Fatal(err)
+		}
+		defer closeQuiet(edgeLns[e])
+	}
+	errs := make([]error, 1+len(edgeLns))
+	cpu.Each(len(errs), len(errs), func(_, i int) {
+		if i == 0 {
+			_, errs[0] = NewCloud(sys, jcfg).Run(cloudLn)
+			return
+		}
+		_, errs[i] = RunEdge(nw, sys, jcfg, i-1, edgeLns[i-1], cloudLn.Addr().String())
+	})
+	want := fmt.Sprintf("group %d round 0.0: 0 survivors below threshold", mine[0].ID)
+	if errs[1] == nil || !strings.Contains(errs[1].Error(), want) {
+		t.Fatalf("edge 0 returned %v, want the first group's %q", errs[1], want)
 	}
 }
 

@@ -5,12 +5,12 @@ import (
 	"fmt"
 	"net"
 	"slices"
-	"sync"
 	"time"
 
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/cost"
+	"repro/internal/cpu"
 	"repro/internal/grouping"
 	"repro/internal/metrics"
 )
@@ -22,8 +22,9 @@ import (
 // MemNetwork (auto-named). All nodes share one Meter, so the report's byte
 // accounting covers the whole cluster and WireWritten can be cross-checked
 // against AccountedBytes. A client that fails for good is one of the report's
-// Casualties, not an error; a cloud or edge failure fails the job, the first
-// error winning. When RunJob returns, every node goroutine has been joined.
+// Casualties, not an error; a cloud or edge failure fails the job with the
+// cloud's error if it has one, else the lowest-numbered failing edge's. When
+// RunJob returns, every node goroutine has been joined.
 func RunJob(nw Network, sys *core.System, cfg JobConfig, listenAddr string) (*Report, error) {
 	cfg = cfg.withDefaults()
 
@@ -44,29 +45,20 @@ func RunJob(nw Network, sys *core.System, cfg JobConfig, listenAddr string) (*Re
 		edgeLns[e] = ln
 	}
 
-	// A failing node tears the cluster down through its deferred connection
-	// closes, so the others unblock and report too.
-	errs := make(chan error, len(sys.Edges))
-	casualties := make([][]Casualty, len(sys.Edges))
-	var wg sync.WaitGroup
-	for e, ln := range edgeLns {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var err error
-			if casualties[e], err = RunEdge(nw, sys, cfg, e, ln, cloudAddr); err != nil {
-				errs <- err
-			}
-		}()
-	}
-
-	rep, cloudErr := NewCloud(sys, cfg).Run(cloudLn)
-	wg.Wait()
-	close(errs)
-	if cloudErr != nil {
-		return nil, cloudErr
-	}
-	for err := range errs {
+	// Index 0 is the cloud, on this goroutine; edge e is index e+1. A failing
+	// node tears the cluster down through its deferred connection closes, so
+	// the others unblock and report too.
+	var rep *Report
+	errs := make([]error, 1+len(edgeLns))
+	casualties := make([][]Casualty, len(edgeLns))
+	cpu.Each(len(errs), len(errs), func(_, i int) {
+		if i == 0 {
+			rep, errs[0] = NewCloud(sys, cfg).Run(cloudLn)
+			return
+		}
+		casualties[i-1], errs[i] = RunEdge(nw, sys, cfg, i-1, edgeLns[i-1], cloudAddr)
+	})
+	if err := firstErr(errs); err != nil {
 		return nil, err
 	}
 	rep.Casualties = sortCasualties(slices.Concat(casualties...))
@@ -94,14 +86,25 @@ func sortCasualties(cs []Casualty) []Casualty {
 	return cs
 }
 
+// firstErr returns the lowest-indexed non-nil error of a fan-out, so a
+// failure is reported by position, not by which goroutine failed first.
+func firstErr(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // RunEdge serves edge id of sys on ln, registering with the cloud at
 // cloudAddr, and hosts the edge's clients in this process, each dialing ln.
 // A client whose run fails is redialed while the restart budget nw grants
 // lasts, after the budget's backoff on nw's clock; then it is a Casualty.
 // RunEdge returns once the edge and every client have, with the casualties
-// by client id; only the edge's own failure is an error. Edge.Run closes ln
-// when it returns, which is what stops a client still redialing a finished
-// job.
+// by client id, whatever order they failed in; only the edge's own failure
+// is an error. Edge.Run closes ln when it returns, which is what stops a
+// client still redialing a finished job.
 func RunEdge(nw Network, sys *core.System, cfg JobConfig, id int, ln net.Listener, cloudAddr string) ([]Casualty, error) {
 	if id < 0 || id >= len(sys.Edges) {
 		return nil, fmt.Errorf("fednode: edge id %d out of range [0,%d)", id, len(sys.Edges))
@@ -109,31 +112,30 @@ func RunEdge(nw Network, sys *core.System, cfg JobConfig, id int, ln net.Listene
 	cfg = cfg.withDefaults()
 	restarts, backoff := restartBudget(nw)
 	addr := ln.Addr().String()
-	var (
-		mu         sync.Mutex
-		casualties []Casualty
-		wg         sync.WaitGroup
-	)
-	for _, cl := range sys.Edges[id] {
-		c := NewClient(cl.ID, sys, cfg)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := c.supervise(nw, addr, restarts, backoff); err != nil {
-				mu.Lock()
-				casualties = append(casualties, Casualty{Client: c.id, Err: err})
-				mu.Unlock()
-			}
-		}()
+	// Index 0 is the edge, on this goroutine; client j of the edge is index
+	// j+1.
+	clients := sys.Edges[id]
+	errs := make([]error, 1+len(clients))
+	cpu.Each(len(errs), len(errs), func(_, i int) {
+		if i == 0 {
+			errs[0] = NewEdge(id, sys, cfg).Run(nw, ln, cloudAddr)
+			// An edge that failed before serving rejoins has not closed ln yet.
+			closeQuiet(ln)
+			return
+		}
+		errs[i] = NewClient(clients[i-1].ID, sys, cfg).supervise(nw, addr, restarts, backoff)
+	})
+	var casualties []Casualty
+	for j, err := range errs[1:] {
+		if err != nil {
+			casualties = append(casualties, Casualty{Client: clients[j].ID, Err: err})
+		}
 	}
-	err := NewEdge(id, sys, cfg).Run(nw, ln, cloudAddr)
-	// An edge that failed before serving rejoins has not closed ln yet.
-	closeQuiet(ln)
-	wg.Wait()
-	if err != nil {
-		return sortCasualties(casualties), fmt.Errorf("fednode: edge %d: %w", id, err)
+	casualties = sortCasualties(casualties)
+	if errs[0] != nil {
+		return casualties, fmt.Errorf("fednode: edge %d: %w", id, errs[0])
 	}
-	return sortCasualties(casualties), nil
+	return casualties, nil
 }
 
 // supervise runs the client until it finishes or has failed restarts+1

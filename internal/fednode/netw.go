@@ -69,10 +69,10 @@ func restartBudget(nw Network) (int, time.Duration) {
 }
 
 // TCPNetwork is the production Network: real sockets.
-type TCPNetwork struct {
-	// DialTimeout bounds one connection attempt (default 3s).
-	DialTimeout time.Duration
-}
+type TCPNetwork struct{}
+
+// tcpDialTimeout bounds one TCP connection attempt.
+const tcpDialTimeout = 3 * time.Second
 
 // Listen opens a TCP listener.
 func (t TCPNetwork) Listen(addr string) (net.Listener, error) {
@@ -81,11 +81,7 @@ func (t TCPNetwork) Listen(addr string) (net.Listener, error) {
 
 // Dial connects over TCP.
 func (t TCPNetwork) Dial(addr string) (net.Conn, error) {
-	d := t.DialTimeout
-	if d <= 0 {
-		d = 3 * time.Second
-	}
-	return net.DialTimeout("tcp", addr, d)
+	return net.DialTimeout("tcp", addr, tcpDialTimeout)
 }
 
 // MemNetwork is an in-process Network over synchronous net.Pipe pairs —

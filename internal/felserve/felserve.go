@@ -148,7 +148,10 @@ func newService(cfg Config, fs fileSystem) *Service {
 	if !cfg.StartHeld {
 		s.Start()
 	}
-	go s.scheduler()
+	go func() {
+		defer close(s.schedDone)
+		s.scheduler()
+	}()
 	return s
 }
 
@@ -277,7 +280,6 @@ func (s *Service) runnable() []*Job {
 // the rounds of a wave executing concurrently — fair interleaving by
 // construction, no tenant can starve another.
 func (s *Service) scheduler() {
-	defer close(s.schedDone)
 	select {
 	case <-s.start:
 	case <-s.quit:

@@ -3,21 +3,23 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 )
 
-// GoroutineJoin requires every `go` statement to be part of a join protocol
-// the type checker can certify: the spawned body must signal completion
-// through a concrete token — a sync.WaitGroup (Done/Add) or a channel (send
-// or close) — and that same token object must be waited on by the spawner
-// (WaitGroup.Wait, a receive, a range, a select case) or escape as a join
-// handle (struct field, argument to another function, return value). It
-// supersedes the purely syntactic naked-goroutine rule: "there is a Wait
-// somewhere in this function" no longer counts unless it waits on the
-// goroutine's own token. Genuinely fire-and-forget goroutines must carry a
+// GoroutineJoin requires every `go` statement to spawn a function literal
+// whose join the type checker can certify: the literal's body must signal
+// completion through a concrete token — a sync.WaitGroup (Done/Add) or a
+// channel (send or close) — and that same token object must be waited on by
+// the spawner (WaitGroup.Wait, a receive, a range, a select case) or escape
+// as a join handle (struct field, argument to another function, return
+// value). A named function or a function value is never spawned directly:
+// its body lies elsewhere, so the literal that calls it carries the token.
+// A token the analyzer cannot resolve to an object is a violation too.
+// Genuinely fire-and-forget goroutines must carry a
 // //lint:ignore goroutine-join <reason> directive.
 var GoroutineJoin = &Analyzer{
 	Name: "goroutine-join",
-	Doc:  "every go statement's WaitGroup or channel token must be joined by its spawner or escape as a join handle",
+	Doc:  "every go statement spawns a func literal whose WaitGroup or channel token is joined by its spawner or escapes as a join handle",
 	Run:  runGoroutineJoin,
 }
 
@@ -67,32 +69,22 @@ type signalToken struct {
 	waitGroup bool // true: WaitGroup Done/Add; false: channel send/close
 }
 
-// escapingSentinel marks tokens that are, by construction, join handles
-// owned elsewhere (receiver fields or package state of a named callee).
-var escapingSentinel types.Object = types.NewVar(0, nil, "<escaping>", nil)
-
 func checkOneGoroutine(pass *Pass, g *ast.GoStmt, spawner *ast.BlockStmt) {
-	tokens, known := spawnSignals(pass, g)
-	if !known {
-		// The spawned callee's body lies outside the module (or the call is
-		// dynamically dispatched): fall back to requiring any join evidence
-		// at all in the spawner.
-		if !hasAnyJoin(pass, spawner) {
-			pass.Reportf(g.Pos(), "goroutine runs an unresolvable callee and the spawner shows no join (WaitGroup.Wait, receive, range, or select); it can outlive its spawner")
-		}
+	lit, ok := ast.Unparen(g.Call.Fun).(*ast.FuncLit)
+	if !ok {
+		pass.Reportf(g.Pos(), "goroutine runs a named function or function value; spawn a func literal whose body signals the join token")
 		return
 	}
+	tokens := substituteParams(pass.Pkg, bodySignals(pass.Pkg, lit.Body), lit.Type, g.Call.Args)
 	if len(tokens) == 0 {
 		pass.Reportf(g.Pos(), "goroutine never signals completion (no WaitGroup.Done, channel send, or close in its body); it cannot be joined and can leak")
 		return
 	}
+	if slices.ContainsFunc(tokens, func(tok signalToken) bool { return tok.obj == nil }) {
+		pass.Reportf(g.Pos(), "goroutine signals completion through an expression the analyzer cannot resolve; signal a variable or field the spawner joins")
+		return
+	}
 	for _, tok := range tokens {
-		if tok.obj == nil {
-			if !hasAnyJoin(pass, spawner) {
-				pass.Reportf(g.Pos(), "goroutine signals completion through an expression the analyzer cannot resolve and the spawner shows no join; it can outlive its spawner")
-			}
-			return
-		}
 		if isEscapingToken(tok.obj) || tokenJoined(pass, spawner, g, tok) {
 			return
 		}
@@ -107,64 +99,26 @@ func checkOneGoroutine(pass *Pass, g *ast.GoStmt, spawner *ast.BlockStmt) {
 	pass.Reportf(g.Pos(), "goroutine signals completion on %s but the spawner never %s and the token does not escape as a join handle; the goroutine can leak", what, join)
 }
 
-// spawnSignals resolves the completion signals of the spawned computation.
-// known reports whether a body was available to inspect.
-func spawnSignals(pass *Pass, g *ast.GoStmt) (tokens []signalToken, known bool) {
-	if fun, ok := ast.Unparen(g.Call.Fun).(*ast.FuncLit); ok {
-		raw := bodySignals(pass.Pkg, fun.Body)
-		return substituteParams(pass.Pkg, pass.Pkg, raw, fun.Type, g.Call.Args), true
-	}
-	callee := calleeOf(pass.Pkg, g.Call)
-	if callee == nil || pass.Mod == nil {
-		return nil, false
-	}
-	fi := pass.Mod.FuncInfoOf(callee)
-	if fi == nil {
-		return nil, false
-	}
-	raw := bodySignals(fi.Pkg, fi.Decl.Body)
-	// Signals on the callee's own parameters map back to the spawner's
-	// argument objects; signals on anything else the callee owns (receiver
-	// fields, locals, package state) mean the callee manages its own join
-	// protocol — treat those as escaping handles.
-	mapped := substituteParams(fi.Pkg, pass.Pkg, raw, fi.Decl.Type, g.Call.Args)
-	for i := range mapped {
-		if mapped[i].obj != nil && mapped[i].obj == raw[i].obj {
-			mapped[i].obj = escapingSentinel
-		}
-	}
-	return mapped, true
-}
-
-// substituteParams rewrites signal tokens that are parameters of fnType into
-// the root objects of the corresponding call arguments, so the join check
-// runs against the spawner's own variables. Parameter idents resolve in the
-// declaring package, argument expressions in the calling package.
-func substituteParams(declPkg, callPkg *Package, tokens []signalToken, fnType *ast.FuncType, args []ast.Expr) []signalToken {
-	if fnType == nil || fnType.Params == nil {
-		return tokens
-	}
+// substituteParams rewrites, in place, signal tokens that are parameters of
+// fnType into the root objects of the corresponding call arguments, so the
+// join check runs against the spawner's own variables.
+func substituteParams(pkg *Package, tokens []signalToken, fnType *ast.FuncType, args []ast.Expr) []signalToken {
 	paramIdx := make(map[types.Object]int)
 	i := 0
 	for _, field := range fnType.Params.List {
 		for _, name := range field.Names {
-			if obj := declPkg.objectOf(name); obj != nil {
+			if obj := pkg.objectOf(name); obj != nil {
 				paramIdx[obj] = i
 			}
 			i++
 		}
 	}
-	out := make([]signalToken, len(tokens))
-	copy(out, tokens)
-	for i, tok := range out {
-		if tok.obj == nil {
-			continue
-		}
+	for i, tok := range tokens {
 		if idx, ok := paramIdx[tok.obj]; ok && idx < len(args) {
-			out[i].obj = rootObject(callPkg, args[idx])
+			tokens[i].obj = rootObject(pkg, args[idx])
 		}
 	}
-	return out
+	return tokens
 }
 
 // objectOf resolves an ident (definition or use) across both type-checked
@@ -227,9 +181,6 @@ func rootObject(pkg *Package, e ast.Expr) types.Object {
 // handle owned beyond the spawning function: struct fields and package-level
 // variables outlive the call.
 func isEscapingToken(obj types.Object) bool {
-	if obj == escapingSentinel {
-		return true
-	}
 	v, ok := obj.(*types.Var)
 	if !ok {
 		return false
@@ -260,8 +211,8 @@ func tokenJoined(pass *Pass, body *ast.BlockStmt, g *ast.GoStmt, tok signalToken
 		case *ast.GoStmt:
 			if n == g {
 				// The goroutine cannot join itself; its own statement (call
-				// arguments included — they were already resolved through
-				// spawnSignals) contributes no join evidence.
+				// arguments included — they were already mapped onto the
+				// literal's parameters) contributes no join evidence.
 				return false
 			}
 		case *ast.UnaryExpr:
@@ -328,38 +279,6 @@ func tokenJoined(pass *Pass, body *ast.BlockStmt, g *ast.GoStmt, tok signalToken
 			}
 		case *ast.SendStmt:
 			if sameObj(n.Value) {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
-}
-
-// hasAnyJoin is the syntactic fallback for goroutines whose signal tokens
-// cannot be resolved: any WaitGroup.Wait, receive, channel range, or select
-// in the spawning body counts.
-func hasAnyJoin(pass *Pass, body *ast.BlockStmt) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.UnaryExpr:
-			if n.Op.String() == "<-" {
-				found = true
-			}
-		case *ast.SelectStmt:
-			found = true
-		case *ast.RangeStmt:
-			if t := pass.TypeOf(n.X); t != nil {
-				if _, ok := t.Underlying().(*types.Chan); ok {
-					found = true
-				}
-			}
-		case *ast.CallExpr:
-			if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Wait" && isWaitGroupRecv(pass.Pkg, sel.X) {
 				found = true
 			}
 		}

@@ -9,9 +9,10 @@
 //   - rng-discipline: all stochasticity flows through the seeded
 //     repro/internal/stats.RNG, so experiment runs are replayable and the
 //     paper's sampling-variance results are the ones actually measured.
-//   - goroutine-join: every go statement's completion token (WaitGroup or
-//     channel, resolved through go/types) is actually waited on by the
-//     spawner or escapes as a join handle, so parallel code cannot leak.
+//   - goroutine-join: every go statement spawns a func literal whose
+//     completion token (WaitGroup or channel, resolved through go/types) is
+//     waited on by the spawner or escapes as a join handle, so parallel code
+//     cannot leak.
 //   - float-eq: no ==/!= on floating-point operands outside test files;
 //     numeric comparisons go through the epsilon helpers in internal/stats.
 //   - dropped-error: no silently discarded error returns, in tests either.
@@ -99,8 +100,8 @@ func ByName(name string) (*Analyzer, error) {
 }
 
 // Pass is the per-(package, analyzer) context handed to Analyzer.Run. Mod
-// gives the analyzers the whole-module view (the function index
-// goroutine-join reads callee bodies through, cross-package suppression).
+// gives the analyzers the whole-module view: the file index through which a
+// diagnostic finds the //lint:ignore scope of the package that owns it.
 type Pass struct {
 	Analyzer *Analyzer
 	Pkg      *Package

@@ -35,11 +35,14 @@ func Closer() {
 	<-done
 }
 
-// Named spawns a named module function; the rule resolves its body, maps the
-// signalled parameter back to ch, and finds the range join.
-func Named() int {
+// Param spawns a literal that signals on its own parameter; the rule maps
+// the parameter back to the argument ch and finds the range join.
+func Param() int {
 	ch := make(chan int)
-	go produce(ch)
+	go func(out chan int) {
+		defer close(out)
+		produce(out)
+	}(ch)
 	total := 0
 	for v := range ch {
 		total += v
@@ -49,7 +52,6 @@ func Named() int {
 
 func produce(ch chan int) {
 	ch <- 1
-	close(ch)
 }
 
 // Selected joins through a select case on the signalled channel.
@@ -86,14 +88,17 @@ func (w *Worker) Start() {
 	}()
 }
 
-// MethodState spawns a named method whose completion token is receiver
-// state; the callee owns its join protocol.
+// StartRun spawns a method through a literal that signals on the receiver's
+// field: the token escapes with the owning value.
 func (w *Worker) run() {
-	close(w.done)
+	println("work")
 }
 
-func (w *Worker) StartNamed() {
-	go w.run()
+func (w *Worker) StartRun() {
+	go func() {
+		defer close(w.done)
+		w.run()
+	}()
 }
 
 // Daemon is a deliberate fire-and-forget, declared as such.
