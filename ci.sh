@@ -10,9 +10,10 @@
 #   3. test        go test ./... — tier-1; internal/lint's TestRepoIsLintClean
 #                  is the module-wide repolint pass, run here and nowhere else
 #   4. race        go test -race over the concurrent packages
-#   5. fuzz        13 s across the wire, secagg, tensor, grouping, core
-#                  (Config against validate), felserve (whole checkpoint
-#                  files, 2 s) and faultnet (whole plan files) targets
+#   5. fuzz        14 s across the wire, secagg, tensor, grouping, core
+#                  (Config against validate), fednode (MemNetwork byte
+#                  streams), felserve (whole checkpoint files, 2 s) and
+#                  faultnet (whole plan files) targets
 #   6. chaos       felnode -chaos <name> twice for each of the six named
 #                  scenarios and kill-cloud, outputs byte-identical
 #                  (simulated time: seconds for all six)
@@ -23,6 +24,8 @@
 #   8. metrics     the same job's live /metrics endpoint parses
 #   9. load        felserve under -race, then stage 6's kill-cloud verdict
 #  10. results     every deterministic results/medium CSV regenerated and diffed
+#  11. contention  the packages whose tests run on fednode's MemNetwork at
+#                  -count=3 beside one busy loop per CPU
 #
 # Not stages (print-only, never fail): `./ci.sh placement`, `./ci.sh reach`.
 # Performance is judged by `go run ./bench` (bench/README.md), not here.
@@ -30,7 +33,8 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 # One scratch root for every stage (each takes a subdirectory), removed by
-# the single EXIT trap along with the metrics smoke's background felnode.
+# the single EXIT trap along with the metrics smoke's background felnode and
+# the contention stage's busy loops.
 scratch="$(mktemp -d)"
 smokepid=""
 stop_smoke() {
@@ -40,7 +44,15 @@ stop_smoke() {
     smokepid=""
   fi
 }
-trap 'stop_smoke; rm -rf "$scratch"' EXIT
+spinpids=()
+stop_spin() {
+  if [ "${#spinpids[@]}" -gt 0 ]; then
+    kill "${spinpids[@]}" 2>/dev/null || true
+    wait "${spinpids[@]}" 2>/dev/null || true
+    spinpids=()
+  fi
+}
+trap 'stop_smoke; stop_spin; rm -rf "$scratch"' EXIT
 stage_dir() { mkdir -p "$scratch/$1" && echo "$scratch/$1"; }
 
 # placement prints the addresses mod 64 of the functions whose 64-byte code
@@ -137,7 +149,7 @@ go test ./...
 echo "== go test -race (cpu, core, async, wire, fednode, faultnet, metrics, felserve, grouping, data)"
 go test -race ./internal/cpu ./internal/core ./internal/async ./internal/wire ./internal/fednode ./internal/faultnet/... ./internal/metrics ./internal/felserve ./internal/grouping ./internal/data
 
-echo "== go test -fuzz smoke (13s total across targets)"
+echo "== go test -fuzz smoke (14s total across targets)"
 go test ./internal/wire -run '^$' -fuzz FuzzDecodeFrame -fuzztime 1s
 go test ./internal/wire -run '^$' -fuzz FuzzDecodeIntoReuse -fuzztime 1s
 go test ./internal/secagg -run '^$' -fuzz FuzzFieldOps -fuzztime 1s
@@ -148,6 +160,7 @@ go test ./internal/tensor -run '^$' -fuzz FuzzRowUpdate -fuzztime 1s
 go test ./internal/tensor -run '^$' -fuzz FuzzAccumRows -fuzztime 1s
 go test ./internal/grouping -run '^$' -fuzz FuzzScanFilter -fuzztime 1s
 go test ./internal/core -run '^$' -fuzz FuzzTrainerConfig -fuzztime 1s
+go test ./internal/fednode -run '^$' -fuzz FuzzMemConnStream -fuzztime 1s
 # Its seeds are whole files of tens of KB: minimising each new input for the
 # default 60 s would spend the whole second on one input instead of fuzzing.
 go test ./internal/felserve -run '^$' -fuzz FuzzLoadCheckpoint -fuzztime 2s -fuzzminimizetime 100x
@@ -250,5 +263,19 @@ for golden in results/medium/*.csv; do
   fi || { echo "ci.sh: $golden no longer regenerates; a figure moved — find out why before re-recording" >&2; exit 1; }
 done
 echo "results: $(ls results/medium/*.csv | wc -l) CSVs regenerate byte-identically (fig5 on its shape columns)"
+
+echo "== contention (MemNetwork packages, -count=3, beside one busy loop per CPU)"
+# A test that leans on timing — a write that returns only once its peer has
+# read, a sleep long enough on an idle host — fails here rather than for a
+# user on a loaded one. The loops are processes, not goroutines: faultnet's
+# simulated clock only moves while every goroutine of its own process waits.
+for _ in $(seq "$(nproc)"); do
+  (while :; do :; done) &
+  spinpids+=($!)
+done
+contention_start=$SECONDS
+go test -count=3 ./internal/fednode ./internal/felserve ./internal/faultnet/...
+stop_spin
+echo "contention: passed three times beside $(nproc) busy loops in $((SECONDS - contention_start)) s"
 
 echo "ci.sh: all gates passed"

@@ -7,7 +7,8 @@ import (
 )
 
 // Networked execution: Group-FEL over real net.Conn transports — TCP
-// sockets between processes, or in-memory pipes inside one — with the wire
+// sockets between processes, or buffered in-memory connections inside one —
+// with the wire
 // codec of internal/wire and straggler/dropout handling mapped onto secure
 // aggregation (internal/fednode). On a faultnet network running
 // faultnet.ModelPlan a round takes Fig. 1's modelled time, in simulated seconds.
@@ -22,7 +23,9 @@ type (
 	TCPTransport = fednode.TCPNetwork
 )
 
-// NewMemTransport returns an in-process transport over net.Pipe pairs.
+// NewMemTransport returns an in-process transport: each connection is a
+// pair of 64 KiB in-memory buffers, so a write returns once its bytes are
+// queued, as on a socket, and deadlines behave as on net.Pipe.
 func NewMemTransport() NetworkTransport { return fednode.NewMemNetwork() }
 
 // RunNetworkedJob runs a complete multi-round job — cloud, edges, clients —

@@ -133,7 +133,7 @@ func (sp *groupSpace) arrive(ev arrivalEvent) {
 // group model carries over.
 func (sp *groupSpace) flush() {
 	e := sp.e
-	aggSpan := e.reg.Start("fel_core_group_aggregate_seconds", e.edgeLabel(sp.g.Edge))
+	aggSpan := e.groupAggHist(sp.g.Edge).Start()
 	alpha := e.cfg.Async.Alpha
 	live, folded := 0, 0
 	wsum := 0.0

@@ -63,7 +63,7 @@ type engine struct {
 
 	workers *WorkerPool
 
-	// mu guards edgeLabels.
+	// mu guards groupAggHists.
 	mu sync.Mutex
 	// spaces[w] is the group-round machine RunGroups' goroutine w runs each
 	// of its groups on, so at most the fan-out width ever exist. It is a
@@ -78,9 +78,11 @@ type engine struct {
 	slots   [][]float64
 	updates []GroupUpdate
 
-	reg        *metrics.Registry
-	epochsCtr  *metrics.Counter
-	edgeLabels map[int]metrics.Label
+	epochsCtr *metrics.Counter
+	trainHist *metrics.Histogram
+	// groupAggHists[edge] is fel_core_group_aggregate_seconds{edge}, looked
+	// up at the edge's first flush.
+	groupAggHists []*metrics.Histogram
 
 	// fel_async_* handles: the nil registry's discard instruments unless an
 	// async mode or a delay model is configured, so the paper's configuration
@@ -159,15 +161,14 @@ func NewExecutor(sys *System, cfg Config) Executor {
 	}
 	max := workerBound(cfg.MaxParallel)
 	e := &engine{
-		sys:        sys,
-		cfg:        cfg,
-		local:      local,
-		comp:       comp,
-		max:        max,
-		workers:    newWorkerPool(sys, max),
-		reg:        cfg.Metrics,
-		epochsCtr:  cfg.Metrics.Counter("fel_core_local_epochs_total"),
-		edgeLabels: make(map[int]metrics.Label),
+		sys:       sys,
+		cfg:       cfg,
+		local:     local,
+		comp:      comp,
+		max:       max,
+		workers:   newWorkerPool(sys, max),
+		epochsCtr: cfg.Metrics.Counter("fel_core_local_epochs_total"),
+		trainHist: cfg.Metrics.Histogram("fel_core_local_train_seconds"),
 	}
 	areg := asyncRegistry(cfg)
 	e.asyncStale = areg.Histogram("fel_async_staleness")
@@ -206,17 +207,21 @@ func workerBound(maxParallel int) int {
 	return maxParallel
 }
 
-// edgeLabel caches the metrics label for an edge so the per-group aggregation
-// span does not re-render strconv output every group round.
-func (e *engine) edgeLabel(edge int) metrics.Label {
+// groupAggHist returns edge's group-aggregation histogram, looking it up on
+// the edge's first flush only, so a flush's span renders no label and
+// searches no registry.
+func (e *engine) groupAggHist(edge int) *metrics.Histogram {
 	e.mu.Lock()
-	l, ok := e.edgeLabels[edge]
-	if !ok {
-		l = metrics.L("edge", strconv.Itoa(edge))
-		e.edgeLabels[edge] = l
+	defer e.mu.Unlock()
+	if edge >= len(e.groupAggHists) {
+		e.groupAggHists = append(e.groupAggHists, make([]*metrics.Histogram, edge+1-len(e.groupAggHists))...)
 	}
-	e.mu.Unlock()
-	return l
+	h := e.groupAggHists[edge]
+	if h == nil {
+		h = e.cfg.Metrics.Histogram("fel_core_group_aggregate_seconds", metrics.L("edge", strconv.Itoa(edge)))
+		e.groupAggHists[edge] = h
+	}
+	return h
 }
 
 // begin readies the machine to run group g from params in global round
@@ -298,7 +303,7 @@ func (e *engine) trainClient(w *Worker, sp *groupSpace, i int) {
 	cfg := &e.cfg
 	c := sp.g.Clients[i]
 	x, y := w.Load(e.sys, c, sp.group)
-	trainSpan := e.reg.Start("fel_core_local_train_seconds")
+	trainSpan := e.trainHist.Start()
 	w.Train(e.local, x, y, LocalSeed(cfg.Seed, sp.round, sp.g.ID, c.ID), LocalContext{
 		ClientID:  c.ID,
 		Anchor:    sp.group,

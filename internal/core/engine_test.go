@@ -10,6 +10,7 @@ import (
 	"repro/internal/async"
 	"repro/internal/compress"
 	"repro/internal/cpu"
+	"repro/internal/metrics"
 	"repro/internal/tensor"
 )
 
@@ -192,6 +193,33 @@ func TestGroupSpaceSteadyState(t *testing.T) {
 			e.slots[0] = sp.end().Params
 		}); allocs != 0 {
 			t.Errorf("%s: begin + a full-buffer flush on the warm machine allocate %.1f objects, want 0", name, allocs)
+		}
+	}
+}
+
+// TestStepRegistryAllocsLevel: a warm Trainer.Step with cfg.Metrics set
+// allocates no more than the same Step without a registry, in sync and in
+// buffered-async mode. Its spans open on histograms looked up once, so the
+// registry costs no label render and no lookup per client, group or round.
+func TestStepRegistryAllocsLevel(t *testing.T) {
+	modes := map[string]async.Config{"sync": {}, "buffered": asyncModeConfigs()["buffered"]}
+	for name, acfg := range modes {
+		stepAllocs := func(reg *metrics.Registry) float64 {
+			cfg := asyncTestConfig()
+			cfg.GlobalRounds = 100
+			cfg.MaxParallel = 1
+			cfg.Async = acfg
+			cfg.Metrics = reg
+			tr := NewTrainer(asyncTestSystem(9, 5), cfg)
+			for range 3 {
+				tr.Step()
+			}
+			return testing.AllocsPerRun(10, func() { tr.Step() })
+		}
+		bare, withReg := stepAllocs(nil), stepAllocs(metrics.New())
+		t.Logf("%s: %.1f objects per Step without a registry, %.1f with one", name, bare, withReg)
+		if withReg > bare {
+			t.Errorf("%s: a Step with a registry allocates %.1f objects, %.1f without one", name, withReg, bare)
 		}
 	}
 }

@@ -44,6 +44,8 @@ type Trainer struct {
 	aggNodes [][]float64
 
 	dropsCtr *metrics.Counter
+	// aggHist and evalHist time the global aggregation and the evaluation.
+	aggHist, evalHist *metrics.Histogram
 	// roundTicks is fel_async_round_ticks on asyncRegistry: the paper's
 	// configuration publishes no fel_async_*.
 	roundTicks *metrics.Gauge
@@ -95,6 +97,8 @@ func NewTrainerOn(sys *System, cfg Config, exec Executor, pinned []*grouping.Gro
 	tr.res = &Result{Participation: make(map[int]int)}
 	tr.next = make([]float64, len(tr.globalParams))
 	tr.dropsCtr = cfg.Metrics.Counter("fel_core_dropouts_total")
+	tr.aggHist = cfg.Metrics.Histogram("fel_core_global_aggregate_seconds")
+	tr.evalHist = cfg.Metrics.Histogram("fel_core_eval_seconds")
 	tr.roundTicks = asyncRegistry(cfg).Gauge("fel_async_round_ticks")
 	return tr, nil
 }
@@ -176,7 +180,7 @@ func (tr *Trainer) Step() RoundRecord {
 
 	// Line 15: global aggregation into the reused double buffer. The fold
 	// consumes the group models as tree nodes.
-	aggSpan := cfg.Metrics.Start("fel_core_global_aggregate_seconds")
+	aggSpan := tr.aggHist.Start()
 	tr.plan.Fold(tr.aggNodes, tr.globalParams, tr.next, workerBound(cfg.MaxParallel))
 	tr.globalParams, tr.next = tr.next, tr.globalParams
 	clear(tr.aggNodes) // the vectors are the executor's: keep no reference past the fold
@@ -209,7 +213,7 @@ func (tr *Trainer) Step() RoundRecord {
 		AvgSelectedCoV: covSum / float64(len(selected)),
 	}
 	if cfg.EvalEvery <= 1 || t%cfg.EvalEvery == 0 || t == cfg.GlobalRounds-1 {
-		evalSpan := cfg.Metrics.Start("fel_core_eval_seconds")
+		evalSpan := tr.evalHist.Start()
 		rec.Accuracy, rec.Loss = tr.eval.run(tr.globalParams)
 		evalSpan.End()
 	}

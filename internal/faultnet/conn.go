@@ -33,10 +33,11 @@ func (timeoutError) Error() string   { return "faultnet: injected delay exceeded
 func (timeoutError) Timeout() bool   { return true }
 func (timeoutError) Temporary() bool { return true }
 
-// simConn runs a pipe end's deadlines on the simulated clock. Each deadline
-// is a timer; when it fires it expires the pipe's own deadline, so a blocked
-// Read or Write fails with os.ErrDeadlineExceeded at exactly that simulated
-// instant. The pipe itself only ever holds no deadline or one long past.
+// simConn runs an in-process connection end's deadlines on the simulated
+// clock. Each deadline is a timer; when it fires it expires the connection's
+// own deadline, so a blocked Read or Write fails with os.ErrDeadlineExceeded
+// at exactly that simulated instant. The connection itself only ever holds
+// no deadline or one long past.
 type simConn struct {
 	net.Conn
 	clk *sim
@@ -51,7 +52,8 @@ type deadline struct {
 	timer clock.Timer
 }
 
-// expired is the deadline a pipe gets once its simulated one has passed.
+// expired is the deadline a connection gets once its simulated one has
+// passed.
 var expired = time.Unix(1, 0)
 
 // Clock returns the connection's simulated clock.
@@ -76,7 +78,7 @@ func (c *simConn) SetDeadline(t time.Time) error {
 }
 
 // arm replaces one direction's deadline with t (zero: none); set is the
-// pipe's setter for that direction.
+// underlying connection's setter for that direction.
 func (c *simConn) arm(d *deadline, t time.Time, set func(time.Time) error) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -98,7 +100,7 @@ func (c *simConn) arm(d *deadline, t time.Time, set func(time.Time) error) error
 		defer c.mu.Unlock()
 		if d.timer == timer {
 			d.timer = nil
-			//lint:ignore dropped-error a pipe refuses a deadline only once closed, when its reads and writes have already returned
+			//lint:ignore dropped-error a connection refuses a deadline only once closed, when its reads and writes have already returned
 			set(expired)
 		}
 	})
@@ -113,7 +115,7 @@ func (c *simConn) readDeadline() time.Time {
 	return c.rd.at
 }
 
-// Close stops both deadline timers and closes the pipe.
+// Close stops both deadline timers and closes the connection.
 func (c *simConn) Close() error {
 	c.mu.Lock()
 	for _, d := range []*deadline{&c.rd, &c.wd} {

@@ -19,7 +19,7 @@ import (
 //
 // "Nothing can make progress" is read off the whole process, not off
 // faultnet's own connections: fednode also blocks on WaitGroups, mutexes and
-// the accepted ends of pipes. A poller goroutine, alive while a timer is
+// the accepted ends of MemNetwork connections. A poller goroutine, alive while a timer is
 // pending, scans every goroutine's state (runtime.Stack) and calls the
 // process quiescent when all of them but itself are waiting. Kernel buffers
 // hide in-flight bytes from that scan, so only in-process transports

@@ -32,12 +32,21 @@ type Client struct {
 	id  int
 	sys *core.System
 	cfg JobConfig
+
+	// trainHist and maskHist time local SGD and masking, role "client".
+	trainHist, maskHist *metrics.Histogram
 }
 
 // NewClient prepares client id (a global client id from the system),
 // metered by cfg.Meter, or by a fresh private meter when that is nil.
 func NewClient(id int, sys *core.System, cfg JobConfig) *Client {
-	return &Client{id: id, sys: sys, cfg: cfg.withDefaults()}
+	cfg = cfg.withDefaults()
+	reg, role := cfg.Meter.Registry(), metrics.L("role", "client")
+	return &Client{
+		id: id, sys: sys, cfg: cfg,
+		trainHist: reg.Histogram("fel_fednode_local_train_seconds", role),
+		maskHist:  reg.Histogram("fel_fednode_secagg_seconds", role),
+	}
 }
 
 func (c *Client) logf(format string, args ...any) {
@@ -58,6 +67,7 @@ type membership struct {
 
 	sess         *secagg.Session
 	sessT, sessK int
+	ops          *secagg.OpCounters // nil in a singleton group, which never masks
 }
 
 // update is one exchange's scratch: the trained parameters, then their
@@ -111,6 +121,9 @@ func (c *Client) Run(nw Network, edgeAddr string) ([]float64, error) {
 	}
 	st.weight = float64(me.NumSamples()) / float64(ng)
 	st.threshold = secagg.Threshold(0, st.n)
+	if st.n > 1 {
+		st.ops = secagg.NewOpCounters(cfg.Meter.Registry(), st.n)
+	}
 	c.logf("client %d: joined group %d as member %d/%d", c.id, st.gid, st.idx, st.n)
 
 	var m wire.Message // every frame from the edge decodes into this one
@@ -176,7 +189,7 @@ func (c *Client) answer(m *wire.Message, st *membership) (*[]byte, error) {
 		return nil, fmt.Errorf("fednode: client %d: round %d.%d model has %d params, want %d", c.id, t, k, len(m.Floats), dim)
 	}
 	x, y := w.Load(c.sys, st.me, m.Floats)
-	trainSpan := cfg.Meter.Registry().Start("fel_fednode_local_train_seconds", metrics.L("role", "client"))
+	trainSpan := c.trainHist.Start()
 	w.Train(core.SGDUpdater{}, x, y, core.LocalSeed(cfg.Seed, t, st.gid, c.id), core.LocalContext{
 		ClientID: c.id, Anchor: m.Floats,
 		Epochs: cfg.LocalEpochs, BatchSize: cfg.BatchSize, LR: cfg.LR,
@@ -195,13 +208,13 @@ func (c *Client) answer(m *wire.Message, st *membership) (*[]byte, error) {
 		for j := range u.params {
 			u.params[j] *= st.weight
 		}
-		maskSpan := cfg.Meter.Registry().Start("fel_fednode_secagg_seconds", metrics.L("role", "client"))
+		maskSpan := c.maskHist.Start()
 		st.sess = secagg.NewSession(st.n, len(u.params), st.threshold, sessionSeed(cfg.Seed, t, k, st.gid), secagg.DefaultQuantizer())
 		st.sessT, st.sessK = t, k
 		u.words = st.sess.MaskedUpdateInto(u.words, st.idx, u.params)
 		maskSpan.End()
 		reply.Words = u.words
-		st.sess.PublishOps(cfg.Meter.Registry())
+		st.sess.PublishOps(st.ops)
 	}
 	return encodeFrame(&reply)
 }

@@ -117,8 +117,9 @@ func (c *Cloud) Run(ln net.Listener) (*Report, error) {
 	rep := &Report{}
 	start := clock.Real.Now()
 	bytesMark := cfg.Meter.Written()
+	roundHist := reg.Histogram("fel_fednode_round_seconds", metrics.L("role", "cloud"))
 	for !tr.Done() {
-		roundSpan := reg.Start("fel_fednode_round_seconds", metrics.L("role", "cloud"))
+		roundSpan := roundHist.Start()
 		rec := tr.Step()
 		if err := tr.Err(); err != nil {
 			return nil, err

@@ -23,12 +23,22 @@ type Edge struct {
 	id  int
 	sys *core.System
 	cfg JobConfig
+
+	// groupRoundHist and aggHist time a group round and its unmasking,
+	// role "edge".
+	groupRoundHist, aggHist *metrics.Histogram
 }
 
 // NewEdge prepares edge server id (an index into sys.Edges), metered by
 // cfg.Meter, or by a fresh private meter when that is nil.
 func NewEdge(id int, sys *core.System, cfg JobConfig) *Edge {
-	return &Edge{id: id, sys: sys, cfg: cfg.withDefaults()}
+	cfg = cfg.withDefaults()
+	reg, role := cfg.Meter.Registry(), metrics.L("role", "edge")
+	return &Edge{
+		id: id, sys: sys, cfg: cfg,
+		groupRoundHist: reg.Histogram("fel_fednode_group_round_seconds", role),
+		aggHist:        reg.Histogram("fel_fednode_secagg_seconds", role),
+	}
 }
 
 func (e *Edge) logf(format string, args ...any) {
@@ -44,9 +54,10 @@ type edgeGroup struct {
 	samples []int // per-member sample counts
 	ng      int   // total group samples
 	conns   []net.Conn
-	dead    []bool // true once a member dropped; sticky across rounds
-	drops   int    // new deaths observed (reported upstream)
-	recov   int    // group rounds completed via dropout recovery
+	dead    []bool             // true once a member dropped; sticky across rounds
+	drops   int                // new deaths observed (reported upstream)
+	recov   int                // group rounds completed via dropout recovery
+	ops     *secagg.OpCounters // nil for a singleton, which runs no secagg
 }
 
 // Run serves the job: dial the cloud at cloudAddr, accept this edge's
@@ -122,6 +133,9 @@ func (e *Edge) Run(nw Network, ln net.Listener, cloudAddr string) error {
 		g.samples = make([]int, len(g.members))
 		g.conns = make([]net.Conn, len(g.members))
 		g.dead = make([]bool, len(g.members))
+		if len(g.members) > 1 {
+			g.ops = secagg.NewOpCounters(cfg.Meter.Registry(), len(g.members))
+		}
 		for i, cid := range g.members {
 			ref := clientByID(e.sys, cid)
 			conn := clientConns[cid]
@@ -334,7 +348,7 @@ func (e *Edge) runGroup(g *edgeGroup, t int, globalParams []float64, cloud *lock
 	var frame []byte // the broadcast's encoding, reused across group rounds
 
 	for k := 0; k < cfg.GroupRounds; k++ {
-		kSpan := cfg.Meter.Registry().Start("fel_fednode_group_round_seconds", metrics.L("role", "edge"))
+		kSpan := e.groupRoundHist.Start()
 		e.logf("edge: group %d round %d.%d → broadcast", g.gid, t, k)
 		// Every member gets the same frame: encode it once, write it n times.
 		msg := &wire.Message{Type: wire.GlobalModel, Round: uint32(t), Seq: uint32(k), Floats: groupParams}
@@ -420,13 +434,13 @@ func (e *Edge) runGroup(g *edgeGroup, t int, globalParams []float64, cloud *lock
 		}
 
 		e.logf("edge: group %d round %d.%d → aggregate", g.gid, t, k)
-		aggSpan := cfg.Meter.Registry().Start("fel_fednode_secagg_seconds", metrics.L("role", "edge"))
+		aggSpan := e.aggHist.Start()
 		sum, err := sess.Aggregate(masked, dropped)
 		aggSpan.End()
 		if err != nil {
 			return fmt.Errorf("fednode: group %d round %d.%d aggregate: %w", g.gid, t, k, err)
 		}
-		sess.PublishOps(cfg.Meter.Registry())
+		sess.PublishOps(g.ops)
 		if len(dropped) > 0 {
 			// Dropout renormalization: the unmasked sum is
 			// Σ_surv (n_i/n_g)·x_i, so scale it by n_g / Σ_surv n_i and the

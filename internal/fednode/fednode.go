@@ -1,6 +1,7 @@
 // Package fednode runs Group-FEL as a real networked service: a cloud
 // coordinator, edge servers, and clients exchanging wire-framed bytes over
-// net.Conn — TCP sockets in production, in-memory pipes in tests. It is the
+// net.Conn — TCP sockets in production, buffered in-memory connections
+// (MemNetwork) in tests. It is the
 // deployment shape of the paper's Fig. 1: the cloud forms groups and samples
 // them each round, edges drive K secure-aggregation group rounds against
 // their connected clients, and the cloud aggregates the returned group

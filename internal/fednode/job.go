@@ -63,9 +63,9 @@ func RunJob(nw Network, sys *core.System, cfg JobConfig, listenAddr string) (*Re
 	}
 	rep.Casualties = sortCasualties(slices.Concat(casualties...))
 	// Re-snapshot the meter now that every node has joined: the cloud fills
-	// these as it returns, but on synchronous pipes an edge's final ack
-	// Write only returns — and counts itself — after the cloud has already
-	// read it, so the cloud-side snapshot can run a frame short.
+	// these as it returns, but a writer counts its bytes only once its Write
+	// has returned, and the cloud can read an edge's final ack before that,
+	// so the cloud-side snapshot can run a frame short.
 	rep.WireWritten = cfg.Meter.Written()
 	rep.WireRead = cfg.Meter.Read()
 	rep.Frames = cfg.Meter.Frames()

@@ -326,6 +326,15 @@ func TestRejoinRejectionsCounted(t *testing.T) {
 	jcfg := testJobConfig()
 	reg := metrics.New()
 	jcfg.Meter = NewMeter(reg)
+	// The edge logs its assignment count once registration is over; every
+	// dial after that meets the rejoin loop.
+	assigned := make(chan struct{})
+	var assignedOnce sync.Once
+	jcfg.Logf = func(format string, args ...any) {
+		if strings.HasSuffix(format, "groups assigned") {
+			assignedOnce.Do(func() { close(assigned) })
+		}
+	}
 	nw := NewMemNetwork()
 	cloudLn, err := nw.Listen("")
 	if err != nil {
@@ -371,11 +380,14 @@ func TestRejoinRejectionsCounted(t *testing.T) {
 		{Type: wire.GroupAssign, From: 0, Ints: members},
 		{Type: wire.GroupAssign, From: -1},
 	} {
-		// A pipe write returns once the edge has read the frame: after the
-		// sentinel, registration is over and every dial meets the rejoin loop.
 		if _, err := wire.Encode(cloud, msg); err != nil {
 			t.Fatal(err)
 		}
+	}
+	select {
+	case <-assigned:
+	case err := <-errs:
+		t.Fatalf("a node ended before the edge's registration did: %v", err)
 	}
 
 	rogue := func(first []byte) {

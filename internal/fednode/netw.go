@@ -15,7 +15,8 @@ import (
 )
 
 // Network abstracts how nodes reach each other: real TCP in production,
-// in-memory net.Pipe pairs in tests. Every conn a Network hands out is
+// buffered in-process connections (MemNetwork) in tests, examples and
+// benchmarks. Every conn a Network hands out is
 // already wrapped for byte metering by the callers in this package.
 type Network interface {
 	// Listen opens a listener on addr. For TCP, addr is a host:port (use
@@ -84,8 +85,10 @@ func (t TCPNetwork) Dial(addr string) (net.Conn, error) {
 	return net.DialTimeout("tcp", addr, tcpDialTimeout)
 }
 
-// MemNetwork is an in-process Network over synchronous net.Pipe pairs —
-// no ports, no kernel buffers, full deadline support. Used by tests.
+// MemNetwork is an in-process Network: no ports, no kernel. Each connection
+// is a pair of memConn ends, a socket's contract in process memory — a
+// Write returns once its bytes are queued for the peer (memBuffer of them
+// per direction), deadlines and close behave as on net.Pipe.
 type MemNetwork struct {
 	mu        sync.Mutex
 	listeners map[string]*memListener
@@ -115,7 +118,7 @@ func (m *MemNetwork) Listen(addr string) (net.Listener, error) {
 	return l, nil
 }
 
-// Dial creates a pipe pair, delivering the server end to addr's listener.
+// Dial creates a connection, delivering the server end to addr's listener.
 func (m *MemNetwork) Dial(addr string) (net.Conn, error) {
 	m.mu.Lock()
 	l := m.listeners[addr]
@@ -123,7 +126,7 @@ func (m *MemNetwork) Dial(addr string) (net.Conn, error) {
 	if l == nil {
 		return nil, fmt.Errorf("fednode: memnet dial %q: connection refused", addr)
 	}
-	client, server := net.Pipe()
+	client, server := memConnPair(addr)
 	select {
 	case l.backlog <- server:
 		return client, nil

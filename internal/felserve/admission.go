@@ -21,8 +21,10 @@ import (
 // joiner adopts the live model, the serving-layer generalization of
 // fednode's crash-rejoin adoption — and then a GlobalModel frame per
 // published round, coalesced latest-wins: a subscriber that cannot keep up
-// skips intermediate versions instead of buffering them, so no consumer can
-// apply backpressure to training or grow an unbounded queue. A version is
+// skips intermediate versions instead of queueing them, so no consumer can
+// apply backpressure to training or grow an unbounded queue. The transport's
+// own buffer is the one exception: versions already written to it are
+// delivered first, in order, before coalescing skips any. A version is
 // encoded once per version, by the job when it publishes, and written to
 // every subscriber: the mailbox carries the frame's bytes, shared and never
 // modified, so the fan-out costs one Write per subscriber and no encoding.

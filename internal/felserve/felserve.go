@@ -15,7 +15,10 @@
 // broadcasts into a one-slot latest-wins queue so slow consumers exert
 // backpressure on themselves, never on training. A version is encoded once,
 // when it is published, and those frame bytes are written to every
-// subscriber. Late joiners — including
+// subscriber. On any buffering transport — TCP's socket buffers, fednode's
+// MemNetwork — a version already written sits in the connection's buffer and
+// is delivered before anything newer: latest-wins coalescing applies only
+// to versions not yet written, once the buffer is full. Late joiners — including
 // subscribers to already-completed jobs — adopt the current model version
 // immediately, generalizing fednode's crash-rejoin adoption.
 //

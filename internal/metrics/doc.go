@@ -16,6 +16,10 @@
 //	... the phase ...
 //	span.End()
 //
+// A span on a per-round path opens on its histogram, looked up once:
+// evalHist := reg.Histogram("fel_core_eval_seconds"), then
+// evalHist.Start() each round.
+//
 // Every instrument is addressed by a name plus an optional label set:
 //
 //	reg.Counter("fel_core_group_selected_total", metrics.L("group", "3")).Inc()

@@ -129,16 +129,21 @@ func (r *Registry) Histogram(name string, labels ...Label) *Histogram {
 	h := f.hists[key]
 	if h == nil {
 		h = newHistogram()
+		if strings.HasSuffix(name, "_seconds") {
+			h.now = r.now
+		}
 		f.hists[key] = h
 	}
 	return h
 }
 
-// Start opens a timed phase span that records elapsed seconds into the
-// histogram name{labels} when End is called; name must end in "_seconds"
-// so MaskTimings can identify timing-valued series:
+// Start opens a timed phase span on the histogram name{labels}: a lookup,
+// then Histogram.Start. name must end in "_seconds" so MaskTimings can
+// identify timing-valued series. A span opened every round looks its
+// histogram up once and opens on that handle instead:
 //
-//	span := reg.Start("fel_fednode_round_seconds", metrics.L("role", "cloud"))
+//	roundHist := reg.Histogram("fel_fednode_round_seconds", metrics.L("role", "cloud"))
+//	span := roundHist.Start()
 //	... the phase ...
 //	span.End()
 func (r *Registry) Start(name string, labels ...Label) Span {
@@ -148,7 +153,7 @@ func (r *Registry) Start(name string, labels ...Label) Span {
 	if !strings.HasSuffix(name, "_seconds") {
 		panic("metrics: span name " + strconv.Quote(name) + " must end in _seconds")
 	}
-	return Span{h: r.Histogram(name, labels...), now: r.now, start: r.now()}
+	return r.Histogram(name, labels...).Start()
 }
 
 // CounterValue reads a counter without registering it; absent series read
@@ -267,6 +272,9 @@ type Histogram struct {
 	counts []int64 // len(bounds)+1; the final bucket is +Inf
 	sum    float64
 	n      int64
+	// now is the registry's clock on a _seconds histogram, which spans may
+	// open on; nil on every other histogram.
+	now func() time.Time
 }
 
 func newHistogram() *Histogram {
@@ -291,11 +299,25 @@ func (h *Histogram) read() (counts []int64, sum float64, n int64) {
 	return append([]int64(nil), h.counts...), h.sum, h.n
 }
 
-// Span is one timed phase opened by Registry.Start; End records the
-// elapsed seconds. The zero Span (from a nil registry) is a no-op.
+// Start opens a timed phase span on h, a _seconds histogram, reading the
+// registry's clock: no name check, no label rendering, no lookup. On the
+// nil registry's discard histogram it returns the zero Span and reads no
+// clock.
+func (h *Histogram) Start() Span {
+	if h == discardHist {
+		return Span{}
+	}
+	if h.now == nil {
+		panic("metrics: span on a histogram whose name does not end in _seconds")
+	}
+	return Span{h: h, start: h.now()}
+}
+
+// Span is one timed phase opened by Histogram.Start or Registry.Start; End
+// records the elapsed seconds. The zero Span (from a nil registry) is a
+// no-op.
 type Span struct {
 	h     *Histogram
-	now   func() time.Time
 	start time.Time
 }
 
@@ -304,7 +326,7 @@ func (s Span) End() {
 	if s.h == nil {
 		return
 	}
-	s.h.Observe(s.now().Sub(s.start).Seconds())
+	s.h.Observe(s.h.now().Sub(s.start).Seconds())
 }
 
 // checkName enforces the repo-wide schema fel_<layer>_<name>: a "fel_"

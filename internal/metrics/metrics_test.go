@@ -3,6 +3,7 @@ package metrics
 import (
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -221,6 +222,40 @@ func TestConcurrentUpdates(t *testing.T) {
 	if !strings.Contains(r.Snapshot(), "fel_test_span_seconds_count 4000") {
 		t.Fatalf("span count missing from snapshot")
 	}
+}
+
+// TestHistogramStart: a span opened on a looked-up handle lands in the
+// series Registry.Start records into, timed on the registry's clock; the nil
+// registry's handle opens spans that read no clock; a histogram whose name
+// does not end in _seconds refuses to time one.
+func TestHistogramStart(t *testing.T) {
+	reads := 0
+	clk := fakeClock()
+	r := NewWithClock(func() time.Time { reads++; return clk() })
+	h := r.Histogram("fel_test_phase_seconds", L("role", "edge"))
+	for range 3 {
+		h.Start().End()
+	}
+	r.Start("fel_test_phase_seconds", L("role", "edge")).End()
+	if _, sum, n := h.read(); n != 4 || math.Abs(sum-0.012) > 1e-12 {
+		t.Fatalf("handle spans and Registry.Start recorded n=%d sum=%v, want 4 spans of 3ms", n, sum)
+	}
+	if reads != 8 {
+		t.Fatalf("four spans read the clock %d times, want 8", reads)
+	}
+
+	var nilReg *Registry
+	nilReg.Histogram("fel_test_phase_seconds").Start().End()
+	if reads != 8 {
+		t.Fatal("a span on the nil registry read a clock")
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Error("span on a histogram not named _seconds: no panic")
+		}
+	}()
+	r.Histogram("fel_test_staleness").Start()
 }
 
 func TestJSONAndTable(t *testing.T) {

@@ -252,24 +252,42 @@ func (s *Session) collectShares(all []Share, isDropped []bool) []Share {
 // Ops returns the accumulated operation counts.
 func (s *Session) Ops() OpCounts { return s.ops }
 
+// OpCounters is the fel_secagg_* counter set of one group size, labeled
+// gs="n" so snapshots expose the quadratic O_g(|g|) cost shape (Eq. 5 /
+// Fig. 8) directly. A node looks it up once per group and every session of
+// that group publishes into it.
+type OpCounters struct {
+	maskStreams, sharesDealt, sharesUsed, fieldOps *metrics.Counter
+}
+
+// NewOpCounters looks up reg's fel_secagg_* counters for groups of n
+// clients. reg may be nil.
+func NewOpCounters(reg *metrics.Registry, n int) *OpCounters {
+	gs := metrics.L("gs", strconv.Itoa(n))
+	return &OpCounters{
+		maskStreams: reg.Counter("fel_secagg_mask_streams_total", gs),
+		sharesDealt: reg.Counter("fel_secagg_shares_dealt_total", gs),
+		sharesUsed:  reg.Counter("fel_secagg_shares_used_total", gs),
+		fieldOps:    reg.Counter("fel_secagg_field_ops_total", gs),
+	}
+}
+
 // PublishOps flushes the operation counts accumulated since the previous
-// PublishOps call into reg's fel_secagg_* counters, labeled with the group
-// size so snapshots expose the quadratic O_g(|g|) cost shape (Eq. 5 /
-// Fig. 8) directly: on a clean round the per-session mask-stream count is
-// n(n−1) pairwise + n personal at masking time plus n personal removals at
-// aggregation time — n²+n total. The delta bookkeeping makes the method
-// safe to call at several protocol points (client-side after MaskedUpdate,
-// edge-side after Aggregate) without double counting. reg may be nil.
-func (s *Session) PublishOps(reg *metrics.Registry) {
+// PublishOps call into c, the counters of this session's group size: on a
+// clean round the per-session mask-stream count is n(n−1) pairwise + n
+// personal at masking time plus n personal removals at aggregation time —
+// n²+n total. The delta bookkeeping makes the method safe to call at
+// several protocol points (client-side after MaskedUpdate, edge-side after
+// Aggregate) without double counting.
+func (s *Session) PublishOps(c *OpCounters) {
 	d := s.ops
 	d.MaskStreams -= s.published.MaskStreams
 	d.SharesDealt -= s.published.SharesDealt
 	d.SharesUsed -= s.published.SharesUsed
 	d.FieldOps -= s.published.FieldOps
 	s.published = s.ops
-	gs := metrics.L("gs", strconv.Itoa(s.N))
-	reg.Counter("fel_secagg_mask_streams_total", gs).Add(int64(d.MaskStreams))
-	reg.Counter("fel_secagg_shares_dealt_total", gs).Add(int64(d.SharesDealt))
-	reg.Counter("fel_secagg_shares_used_total", gs).Add(int64(d.SharesUsed))
-	reg.Counter("fel_secagg_field_ops_total", gs).Add(int64(d.FieldOps))
+	c.maskStreams.Add(int64(d.MaskStreams))
+	c.sharesDealt.Add(int64(d.SharesDealt))
+	c.sharesUsed.Add(int64(d.SharesUsed))
+	c.fieldOps.Add(int64(d.FieldOps))
 }

@@ -5,7 +5,8 @@
 // extensions Checkpoint and JobControl (internal/felserve) — carrying float
 // parameter vectors, field-element words, and integer id lists between the
 // cloud, edge servers, and clients over any io.Reader/io.Writer (TCP in
-// production, net.Pipe in tests) or into durable checkpoint files.
+// production, fednode's in-process MemNetwork in tests, examples and
+// benchmarks) or into durable checkpoint files.
 //
 // Frame layout (big endian):
 //
