@@ -10,10 +10,11 @@
 #   3. test        go test ./... — tier-1; internal/lint's TestRepoIsLintClean
 #                  is the module-wide repolint pass, run here and nowhere else
 #   4. race        go test -race over the concurrent packages
-#   5. fuzz        14 s across the wire, secagg, tensor, grouping, core
+#   5. fuzz        17 s across the wire, secagg, tensor, grouping, core
 #                  (Config against validate), fednode (MemNetwork byte
-#                  streams), felserve (whole checkpoint files, 2 s) and
-#                  faultnet (whole plan files) targets
+#                  streams), felserve (whole checkpoint files, 2 s), faultnet
+#                  (whole plan files), stats (CoV, KL) and groupio (request
+#                  JSON) targets
 #   6. chaos       felnode -chaos <name> twice for each of the six named
 #                  scenarios and kill-cloud, outputs byte-identical
 #                  (simulated time: seconds for all six)
@@ -146,10 +147,10 @@ echo "== go test ./..."
 go test ./...
 
 # internal/tensor is not listed: it starts no goroutine and shares no state.
-echo "== go test -race (cpu, core, async, wire, fednode, faultnet, metrics, felserve, grouping, data)"
-go test -race ./internal/cpu ./internal/core ./internal/async ./internal/wire ./internal/fednode ./internal/faultnet/... ./internal/metrics ./internal/felserve ./internal/grouping ./internal/data
+echo "== go test -race (cpu, core, async, wire, fednode, faultnet, metrics, felserve, grouping, data, leakcheck, cmd/felnode)"
+go test -race ./internal/cpu ./internal/core ./internal/async ./internal/wire ./internal/fednode ./internal/faultnet/... ./internal/metrics ./internal/felserve ./internal/grouping ./internal/data ./internal/leakcheck ./cmd/felnode
 
-echo "== go test -fuzz smoke (14s total across targets)"
+echo "== go test -fuzz smoke (17s total across targets)"
 go test ./internal/wire -run '^$' -fuzz FuzzDecodeFrame -fuzztime 1s
 go test ./internal/wire -run '^$' -fuzz FuzzDecodeIntoReuse -fuzztime 1s
 go test ./internal/secagg -run '^$' -fuzz FuzzFieldOps -fuzztime 1s
@@ -165,6 +166,9 @@ go test ./internal/fednode -run '^$' -fuzz FuzzMemConnStream -fuzztime 1s
 # default 60 s would spend the whole second on one input instead of fuzzing.
 go test ./internal/felserve -run '^$' -fuzz FuzzLoadCheckpoint -fuzztime 2s -fuzzminimizetime 100x
 go test ./internal/faultnet -run '^$' -fuzz FuzzLoadPlan -fuzztime 1s
+go test ./internal/stats -run '^$' -fuzz FuzzCoVOfCounts -fuzztime 1s
+go test ./internal/stats -run '^$' -fuzz FuzzKLDivergence -fuzztime 1s
+go test ./internal/groupio -run '^$' -fuzz FuzzParse -fuzztime 1s
 
 echo "== felnode -chaos smoke (deterministic replay of every named scenario)"
 # One felnode binary serves this stage and the three after it.

@@ -8,8 +8,9 @@
 // It is the one library package that reads the wall clock. repolint's
 // wallclock rule flags package time's Now, Sleep, AfterFunc and their kin
 // anywhere else outside package main and tests, and lets only fednode,
-// faultnet, felserve, metrics and experiments import this package, so
-// replay-pinned code (core, grouping, sampling, secagg) reads no clock.
+// faultnet, felserve, metrics, experiments and the tests' leakcheck import
+// this package, so replay-pinned code (core, grouping, sampling, secagg)
+// reads no clock.
 package clock
 
 import "time"

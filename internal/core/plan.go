@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 
 	"repro/internal/grouping"
@@ -75,9 +76,12 @@ func NewPlan(sys *System, cfg Config, pinned []*grouping.Group, fixed [][]int) (
 		if len(sel) == 0 {
 			return nil, fmt.Errorf("core: fixed selection for round %d is empty", t)
 		}
-		for _, gi := range sel {
+		for i, gi := range sel {
 			if gi < 0 || gi >= len(p.groups) {
 				return nil, fmt.Errorf("core: fixed selection index %d out of range [0,%d)", gi, len(p.groups))
+			}
+			if slices.Contains(sel[:i], gi) {
+				return nil, fmt.Errorf("core: fixed selection for round %d names group %d twice", t, gi)
 			}
 		}
 	}

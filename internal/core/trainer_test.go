@@ -324,6 +324,10 @@ func TestNewTrainerOnRejectsWithErrors(t *testing.T) {
 	if tr.Step(); tr.SelectedClients() != pinned[0].Size() {
 		t.Fatalf("fixed selection trained %d clients, group 0 has %d", tr.SelectedClients(), pinned[0].Size())
 	}
+	if tr, err := NewTrainerOn(sys, cfg, NewExecutor(sys, cfg), pinned, [][]int{{0, 0}}); err == nil || tr != nil ||
+		!strings.Contains(err.Error(), "fixed selection for round 0 names group 0 twice") {
+		t.Errorf("a fixed selection naming one group twice: NewTrainerOn built a trainer: %v, error %v", tr != nil, err)
+	}
 }
 
 // FuzzTrainerConfig holds the boundary between validate and a run over the

@@ -10,7 +10,11 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/leakcheck"
 )
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 // TestHasAVXMatchesKernel: Linux publishes its own reading of the same CPUID
 // and XCR0 bits as the "avx" flag of /proc/cpuinfo. A probe that wrongly read

@@ -12,10 +12,13 @@ import (
 
 	"repro/internal/faultnet"
 	"repro/internal/fednode"
+	"repro/internal/leakcheck"
 	"repro/internal/metrics"
 	"repro/internal/stats"
 	"repro/internal/wire"
 )
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 // testMsg builds a small frame with a recognizable payload.
 func testMsg(typ wire.Type, round, seq uint32, floats int) *wire.Message {

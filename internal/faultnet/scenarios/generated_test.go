@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/faultnet"
 	"repro/internal/fednode"
+	"repro/internal/leakcheck"
 	"repro/internal/metrics"
 	"repro/internal/stats"
 )
@@ -168,7 +169,7 @@ func TestGeneratedTimeOnlyPlans(t *testing.T) {
 		sc := Scenario{Name: plan.Name, Plan: func(*Context) *faultnet.Plan { return plan }, NoBaseline: true}
 		var logs [2]string
 		for i := range logs {
-			before := runtime.NumGoroutine()
+			noLeaks := leakcheck.Check(t)
 			res, _, err := runWatched(t, sc, js)
 			if err != nil {
 				t.Fatalf("seed %d: %v\n%s", seed, err, replayHelp(js))
@@ -183,7 +184,7 @@ func TestGeneratedTimeOnlyPlans(t *testing.T) {
 				}
 			}
 			logs[i] = res.Log.String()
-			waitGoroutines(t, before)
+			noLeaks()
 		}
 		if logs[0] != logs[1] {
 			t.Fatalf("seed %d: fault log differs between two runs:\n--- run 1\n%s--- run 2\n%s%s", seed, logs[0], logs[1], replayHelp(js))
@@ -199,7 +200,7 @@ func TestGeneratedMixedPlans(t *testing.T) {
 		plan := genPlan(seed, true)
 		js := checkReplayable(t, plan)
 		sc := Scenario{Name: plan.Name, Plan: func(*Context) *faultnet.Plan { return plan }, NoBaseline: true}
-		before := runtime.NumGoroutine()
+		noLeaks := leakcheck.Check(t)
 		res, validated, err := runWatched(t, sc, js)
 		if err == nil {
 			err = verify(sc, validated, res)
@@ -211,6 +212,6 @@ func TestGeneratedMixedPlans(t *testing.T) {
 		} else {
 			t.Logf("seed %d: job failed: %v", seed, err)
 		}
-		waitGoroutines(t, before)
+		noLeaks()
 	}
 }

@@ -3,13 +3,14 @@ package scenarios
 import (
 	"os"
 	"path/filepath"
-	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/faultnet"
+	"repro/internal/leakcheck"
 	"repro/internal/metrics"
 )
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 // TestChaosSuite runs every named scenario twice. The first run proves the
 // recovery invariants (inside Run); the second proves replay determinism:
@@ -21,7 +22,7 @@ import (
 func TestChaosSuite(t *testing.T) {
 	for _, sc := range All() {
 		t.Run(sc.Name, func(t *testing.T) {
-			before := runtime.NumGoroutine()
+			noLeaks := leakcheck.Check(t)
 			r1, err := Run(sc, t.Logf)
 			if err != nil {
 				t.Fatal(err)
@@ -42,7 +43,7 @@ func TestChaosSuite(t *testing.T) {
 			if s1 != s2 {
 				t.Fatalf("masked metrics snapshot differs between two seeded runs:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", s1, s2)
 			}
-			waitGoroutines(t, before)
+			noLeaks()
 		})
 	}
 }
@@ -108,24 +109,5 @@ func TestByNameUnknown(t *testing.T) {
 	}
 	if len(All()) < 5 {
 		t.Fatalf("suite has %d scenarios, want at least 5", len(All()))
-	}
-}
-
-// waitGoroutines fails the test if the goroutine count does not return to
-// (near) its pre-run level: a leaked edge accept loop or client supervisor
-// would hold it up.
-func waitGoroutines(t *testing.T, before int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		n := runtime.NumGoroutine()
-		if n <= before+3 {
-			return
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			t.Fatalf("goroutines leaked: %d before run, %d after\n%s", before, n, buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(25 * time.Millisecond)
 	}
 }

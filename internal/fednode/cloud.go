@@ -214,17 +214,17 @@ func (x *cloudExec) RunGroups(t int, groups []*grouping.Group, selected []int, p
 				errs[e] = fmt.Errorf("fednode: edge %d reported unknown group %d", e, m.From)
 			case len(m.Floats) != len(params):
 				errs[e] = fmt.Errorf("fednode: group %d aggregate has %d params, want %d", m.From, len(m.Floats), len(params))
+			case len(m.Ints) != 2 || m.Ints[0] < 0 || int(m.Ints[0]) > groups[selected[si]].Size() || m.Ints[1] < 0:
+				errs[e] = fmt.Errorf("fednode: edge %d reported drops and recoveries %v for group %d of %d members", e, m.Ints, m.From, groups[selected[si]].Size())
 			}
 			if errs[e] != nil {
 				return
 			}
 			mu.Lock()
 			x.updates[si].Params = m.Floats
-			if len(m.Ints) == 2 {
-				x.updates[si].Drops = int(m.Ints[0])
-				x.drops += int(m.Ints[0])
-				x.recoveries += int(m.Ints[1])
-			}
+			x.updates[si].Drops = int(m.Ints[0])
+			x.drops += int(m.Ints[0])
+			x.recoveries += int(m.Ints[1])
 			mu.Unlock()
 		}
 	})

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"net"
-	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -16,11 +15,14 @@ import (
 	"repro/internal/data"
 	"repro/internal/faultnet"
 	"repro/internal/grouping"
+	"repro/internal/leakcheck"
 	"repro/internal/nn"
 	"repro/internal/sampling"
 	"repro/internal/stats"
 	"repro/internal/wire"
 )
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 // testSystem builds a small, fast federated population on two edges.
 func testSystem(numClients int, seed uint64) *core.System {
@@ -449,7 +451,7 @@ func TestMemNetworkRefusesUnknownAddr(t *testing.T) {
 // and must also tear the started nodes down, not leave them waiting out
 // their timeouts or behind the returned error.
 func TestRunJobRejectsBadConfig(t *testing.T) {
-	before := runtime.NumGoroutine()
+	noLeaks := leakcheck.Check(t)
 	for name, tc := range map[string]struct {
 		mutate func(*JobConfig)
 		want   string
@@ -459,6 +461,7 @@ func TestRunJobRejectsBadConfig(t *testing.T) {
 		"S":              {func(c *JobConfig) { c.SampleGroups = 0 }, "SampleGroups must be positive"},
 		"Grouping":       {func(c *JobConfig) { c.Grouping = nil }, "Grouping algorithm is required"},
 		"FixedSelection": {func(c *JobConfig) { c.FixedSelection = [][]int{{0}} }, "fixed selection has 1 rounds, want 3"},
+		"FixedDuplicate": {func(c *JobConfig) { c.FixedSelection = [][]int{{0, 0}, {0}, {0}} }, "fixed selection for round 0 names group 0 twice"},
 		"InitParams":     {func(c *JobConfig) { c.InitParams = []float64{1} }, "InitParams length 1"},
 		"MinGS":          {func(c *JobConfig) { c.Grouping = grouping.CoVGrouping{} }, "CoVG grouping: MinGS must be positive"},
 		"Sampling":       {func(c *JobConfig) { c.Sampling = sampling.Method(99) }, "unknown sampling method 99"},
@@ -474,12 +477,75 @@ func TestRunJobRejectsBadConfig(t *testing.T) {
 		if d := time.Since(start); d > 10*time.Second {
 			t.Errorf("%s: rejection took %v: the nodes waited out a timeout", name, d)
 		}
-		// A joined goroutine may still be between its wg.Done and its exit.
-		for settle := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
-			if time.Now().After(settle) {
-				buf := make([]byte, 1<<16)
-				t.Fatalf("%s: %d goroutines before RunJob, %d after it returned\n%s", name, before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
-			}
+		noLeaks()
+	}
+}
+
+// TestCloudRejectsBadAggregateCounts answers the cloud's broadcast as a
+// hand-written edge whose aggregate carries impossible drop and recovery
+// counts. The job must end in an error naming the edge: not a panic in the
+// round loop's dropout counter, and not a frame taken as zero drops.
+func TestCloudRejectsBadAggregateCounts(t *testing.T) {
+	sys := oneEdgeSystem(4, 21)
+	jcfg := testJobConfig()
+	jcfg.GlobalRounds = 1
+	jcfg.Groups = []*grouping.Group{grouping.NewGroup(0, 0, sys.Edges[0], sys.Classes)}
+	jcfg.FixedSelection = [][]int{{0}}
+	for name, ints := range map[string][]int32{
+		"negative drops": {-1, 0},
+		"too many drops": {5, 0},
+		"one int":        {0},
+	} {
+		nw := NewMemNetwork()
+		ln, err := nw.Listen("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		edge := make(chan error, 1)
+		go func() { edge <- badCountsEdge(nw, ln.Addr().String(), ints) }()
+		_, err = NewCloud(sys, jcfg).Run(ln)
+		closeQuiet(ln)
+		if err == nil || !strings.Contains(err.Error(), "fednode: edge 0 reported drops and recoveries") {
+			t.Errorf("%s: cloud returned %v, want an error naming edge 0's counts", name, err)
+		}
+		if err := <-edge; err != nil {
+			t.Errorf("%s: edge: %v", name, err)
 		}
 	}
+}
+
+// badCountsEdge registers as edge 0, reads its assignment and the first
+// broadcast, and reports every selected group with the model it was sent and
+// ints as its drop and recovery counts. It returns nil once the cloud has
+// hung up on it.
+func badCountsEdge(nw Network, cloudAddr string, ints []int32) error {
+	conn, err := nw.Dial(cloudAddr)
+	if err != nil {
+		return err
+	}
+	defer closeQuiet(conn)
+	if _, err := wire.Encode(conn, &wire.Message{Type: wire.GroupAssign, From: 0}); err != nil {
+		return err
+	}
+	for from := int32(0); from != -1; { // the assignment, closed by a From = -1 sentinel
+		m, err := wire.Decode(conn, 0)
+		if err != nil {
+			return err
+		}
+		from = m.From
+	}
+	model, err := wire.Decode(conn, 0)
+	if err != nil {
+		return err
+	}
+	for _, gid := range model.Ints {
+		agg := &wire.Message{Type: wire.GroupAggregate, Round: model.Round, From: gid, Floats: model.Floats, Ints: ints}
+		if _, err := wire.Encode(conn, agg); err != nil {
+			return err
+		}
+	}
+	if m, err := wire.Decode(conn, 0); err == nil {
+		return fmt.Errorf("cloud kept talking (%s frame) to an edge that reported impossible counts", m.Type)
+	}
+	return nil
 }

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net"
 	"os"
-	"runtime"
 	"sync"
 	"syscall"
 	"testing"
@@ -17,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/faultnet"
 	"repro/internal/fednode"
+	"repro/internal/leakcheck"
 	"repro/internal/metrics"
 	"repro/internal/wire"
 )
@@ -58,7 +58,7 @@ func readRawFrame(r io.Reader) ([]byte, error) {
 // exactly once, under
 // fel_serve_subscribers_rejected_total{reason="malformed_hello"}.
 func TestMalformedHelloCounted(t *testing.T) {
-	before := runtime.NumGoroutine()
+	noLeaks := leakcheck.Check(t)
 	nw := fednode.NewMemNetwork()
 	ln, err := nw.Listen("cloud")
 	if err != nil {
@@ -139,7 +139,7 @@ func TestMalformedHelloCounted(t *testing.T) {
 		t.Fatalf("fel_serve_subscribers_admitted_total = %d, want 1", v)
 	}
 	svc.Kill()
-	waitGoroutines(t, before)
+	noLeaks()
 }
 
 // TestFanoutFramesIdentical holds the fan-out to "encoded once per version,
@@ -152,7 +152,7 @@ func TestMalformedHelloCounted(t *testing.T) {
 // then EOF. ci.sh runs this under -race with every handler writing the same
 // frame bytes at once, so a writer that touched them would be reported.
 func TestFanoutFramesIdentical(t *testing.T) {
-	before := runtime.NumGoroutine()
+	noLeaks := leakcheck.Check(t)
 	spec := demoSpecs(17)[1] // SCAFFOLD with dropout: the busier tenant
 	spec.Rounds = 6
 
@@ -276,7 +276,7 @@ func TestFanoutFramesIdentical(t *testing.T) {
 	if err := svc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	waitGoroutines(t, before)
+	noLeaks()
 }
 
 // TestSilentSubscriberDroppedAtHelloTimeout runs the front door on a
@@ -295,7 +295,7 @@ func TestFanoutFramesIdentical(t *testing.T) {
 // A wall-clock watchdog kills the service, so a front door that misses a
 // drop fails here instead of hanging the run.
 func TestSilentSubscriberDroppedAtHelloTimeout(t *testing.T) {
-	before := runtime.NumGoroutine()
+	noLeaks := leakcheck.Check(t)
 	plan := &faultnet.Plan{Name: "front-door", Seed: 5, Rules: []faultnet.Rule{
 		{From: "garbage", To: "cloud", Type: "JobControl", Round: faultnet.MatchAny, Seq: faultnet.MatchAny,
 			Action: faultnet.ActionCorrupt, Flips: 3},
@@ -415,7 +415,7 @@ func TestSilentSubscriberDroppedAtHelloTimeout(t *testing.T) {
 	if err := svc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	waitGoroutines(t, before)
+	noLeaks()
 }
 
 // TestDelayedVersionAfterVerdict holds a wrapped connection to its frame
@@ -425,7 +425,7 @@ func TestSilentSubscriberDroppedAtHelloTimeout(t *testing.T) {
 // once. A wall-clock watchdog closes the connection, so a reader that lost
 // the boundaries fails instead of hanging.
 func TestDelayedVersionAfterVerdict(t *testing.T) {
-	before := runtime.NumGoroutine()
+	noLeaks := leakcheck.Check(t)
 	plan := &faultnet.Plan{Name: "late-version", Rules: []faultnet.Rule{{
 		From: "cloud", To: "sub", Type: "GlobalModel", Round: faultnet.MatchAny, Seq: faultnet.MatchAny,
 		Action: faultnet.ActionDelay, DelayMs: 50,
@@ -468,7 +468,7 @@ func TestDelayedVersionAfterVerdict(t *testing.T) {
 	}
 	closeQuiet(conn)
 	svc.Kill()
-	waitGoroutines(t, before)
+	noLeaks()
 }
 
 // exhaustedListener fails its first Accepts with fd exhaustion, as a loaded
@@ -503,7 +503,7 @@ func (l *exhaustedListener) Addr() net.Addr { return &net.TCPAddr{} }
 // TestServeRetriesFDExhaustion: two EMFILE accept failures back the front
 // door off instead of closing it, and the subscriber behind them is admitted.
 func TestServeRetriesFDExhaustion(t *testing.T) {
-	before := runtime.NumGoroutine()
+	noLeaks := leakcheck.Check(t)
 	server, client := net.Pipe()
 	ln := &exhaustedListener{fails: 2, conns: make(chan net.Conn, 1), done: make(chan struct{})}
 	ln.conns <- server
@@ -525,5 +525,5 @@ func TestServeRetriesFDExhaustion(t *testing.T) {
 		t.Fatalf("fel_serve_subscribers_admitted_total = %d, want 1", v)
 	}
 	svc.Kill()
-	waitGoroutines(t, before)
+	noLeaks()
 }

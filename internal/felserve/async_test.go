@@ -2,11 +2,11 @@ package felserve
 
 import (
 	"math"
-	"runtime"
 	"testing"
 
 	"repro/internal/async"
 	"repro/internal/core"
+	"repro/internal/leakcheck"
 )
 
 // asyncJobSpec is the checkpoint-format workout for the async frames: a
@@ -121,7 +121,7 @@ func asyncDemoSpecs(seed uint64) []JobSpec {
 // only possible if the checkpoint's async and adaptive frames restore
 // exactly.
 func TestAsyncKillRecoverBitIdentical(t *testing.T) {
-	before := runtime.NumGoroutine()
+	noLeaks := leakcheck.Check(t)
 	specs := asyncDemoSpecs(31)
 
 	ref := map[string]*core.Result{}
@@ -157,7 +157,9 @@ func TestAsyncKillRecoverBitIdentical(t *testing.T) {
 	<-crashed.Halted()
 	crashed.Kill()
 
-	rec := New(Config{Dir: dir, CheckpointEvery: 2, Logf: t.Logf})
+	// Held until the resume rounds are read: a running scheduler can finish
+	// the jobs before the test looks.
+	rec := New(Config{Dir: dir, CheckpointEvery: 2, StartHeld: true, Logf: t.Logf})
 	jobs, err := rec.Recover()
 	if err != nil {
 		t.Fatal(err)
@@ -170,6 +172,7 @@ func TestAsyncKillRecoverBitIdentical(t *testing.T) {
 			t.Fatalf("job %s resumed from round %d, want mid-run", j.Name(), r)
 		}
 	}
+	rec.Start()
 	rec.Wait()
 	for _, j := range jobs {
 		res, err := j.Wait()
@@ -189,5 +192,5 @@ func TestAsyncKillRecoverBitIdentical(t *testing.T) {
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
-	waitGoroutines(t, before)
+	noLeaks()
 }

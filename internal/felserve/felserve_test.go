@@ -6,34 +6,16 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/fednode"
+	"repro/internal/leakcheck"
 	"repro/internal/metrics"
 	"repro/internal/wire"
 )
 
-// waitGoroutines fails the test if the goroutine count does not settle back
-// to (near) its pre-run level — a leaked accept loop, subscriber handler, or
-// scheduler would hold it up.
-func waitGoroutines(t *testing.T, before int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		n := runtime.NumGoroutine()
-		if n <= before+3 {
-			return
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			t.Fatalf("goroutines leaked: %d before run, %d after\n%s", before, n, buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-}
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 func sameBits(a, b []float64) bool {
 	if len(a) != len(b) {
@@ -52,7 +34,7 @@ func sameBits(a, b []float64) bool {
 // finish every job with weights bit-identical to an uninterrupted run — with
 // no goroutines left behind by any of the three service instances.
 func TestKillCloudResume(t *testing.T) {
-	before := runtime.NumGoroutine()
+	noLeaks := leakcheck.Check(t)
 	rep, err := KillCloudDemo(t.TempDir(), 42, t.Logf)
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +54,7 @@ func TestKillCloudResume(t *testing.T) {
 			t.Fatalf("job %s: resumed from round %d — checkpoint never captured progress", name, resumed)
 		}
 	}
-	waitGoroutines(t, before)
+	noLeaks()
 }
 
 // crashThreeTenants runs three tenants uninterrupted for reference, then
@@ -157,7 +139,7 @@ func recoverAndFinish(t *testing.T, dir string, ref map[string]*core.Result, wan
 // tenants on either side of it — each finishing bit-identically to its
 // uninterrupted run.
 func TestRecoverQuarantinesCorruptCheckpoint(t *testing.T) {
-	before := runtime.NumGoroutine()
+	noLeaks := leakcheck.Check(t)
 	ref, dir := crashThreeTenants(t)
 
 	bad := checkpointPath(dir, "tenant-b")
@@ -186,7 +168,7 @@ func TestRecoverQuarantinesCorruptCheckpoint(t *testing.T) {
 	if _, err := os.Stat(bad); !os.IsNotExist(err) {
 		t.Errorf("corrupt checkpoint still in place (stat err %v)", err)
 	}
-	waitGoroutines(t, before)
+	noLeaks()
 }
 
 // TestRecoverFallsBackToOlderSlot crashes the same cloud and halves the
@@ -194,7 +176,7 @@ func TestRecoverQuarantinesCorruptCheckpoint(t *testing.T) {
 // that tenant from the older slot's round 2 — counted as a fallback, not a
 // quarantine — and every tenant must finish bit-identically.
 func TestRecoverFallsBackToOlderSlot(t *testing.T) {
-	before := runtime.NumGoroutine()
+	noLeaks := leakcheck.Check(t)
 	ref, dir := crashThreeTenants(t)
 
 	torn := checkpointPath(dir, "tenant-b")
@@ -220,7 +202,7 @@ func TestRecoverFallsBackToOlderSlot(t *testing.T) {
 	if len(entries) != 0 {
 		t.Errorf("checkpoint directory holds %d entries after every job finished, want 0", len(entries))
 	}
-	waitGoroutines(t, before)
+	noLeaks()
 }
 
 // TestTwoJobIsolation runs the same two specs once concurrently on a single
@@ -229,7 +211,7 @@ func TestRecoverFallsBackToOlderSlot(t *testing.T) {
 // bit-identical and the per-job metric registries byte-identical after
 // timing masking.
 func TestTwoJobIsolation(t *testing.T) {
-	before := runtime.NumGoroutine()
+	noLeaks := leakcheck.Check(t)
 	specs := demoSpecs(7)
 
 	type out struct {
@@ -288,7 +270,7 @@ func TestTwoJobIsolation(t *testing.T) {
 	if sameBits(concurrent[specs[0].Name].res.Params, concurrent[specs[1].Name].res.Params) {
 		t.Fatal("the two tenants produced identical weights; specs are not exercising isolation")
 	}
-	waitGoroutines(t, before)
+	noLeaks()
 }
 
 // TestSubmitValidation pins the Submit-side guard rails: bad specs and
@@ -330,7 +312,7 @@ func TestSubmitValidation(t *testing.T) {
 // with ErrUnknownJob, capacity overflow with ErrJobBusy, and an admitted
 // subscriber immediately receives the job's current model version.
 func TestAdmissionVerdicts(t *testing.T) {
-	before := runtime.NumGoroutine()
+	noLeaks := leakcheck.Check(t)
 	nw := fednode.NewMemNetwork()
 	ln, err := nw.Listen("cloud")
 	if err != nil {
@@ -382,7 +364,7 @@ func TestAdmissionVerdicts(t *testing.T) {
 	closeQuiet(sub1)
 
 	svc.Kill()
-	waitGoroutines(t, before)
+	noLeaks()
 }
 
 // TestLateJoinerAdoptsCurrentVersion freezes a cloud mid-job (HaltAfterWaves
@@ -391,7 +373,7 @@ func TestAdmissionVerdicts(t *testing.T) {
 // A second part subscribes to an already-completed job and must get the
 // final aggregate immediately.
 func TestLateJoinerAdoptsCurrentVersion(t *testing.T) {
-	before := runtime.NumGoroutine()
+	noLeaks := leakcheck.Check(t)
 	nw := fednode.NewMemNetwork()
 	ln, err := nw.Listen("cloud")
 	if err != nil {
@@ -426,7 +408,7 @@ func TestLateJoinerAdoptsCurrentVersion(t *testing.T) {
 	}
 	closeQuiet(sub)
 	svc.Kill()
-	waitGoroutines(t, before)
+	noLeaks()
 
 	// Completed job: the adoption frame doubles as the final aggregate.
 	done := New(Config{})
@@ -465,7 +447,7 @@ func TestLateJoinerAdoptsCurrentVersion(t *testing.T) {
 	if err := done.Close(); err != nil {
 		t.Fatal(err)
 	}
-	waitGoroutines(t, before)
+	noLeaks()
 }
 
 // TestSubscriberStreamEndsWithAggregate follows a full job from version 0 to
@@ -473,7 +455,7 @@ func TestLateJoinerAdoptsCurrentVersion(t *testing.T) {
 // may skip, never rewind), and the closing GlobalAggregate must carry the
 // job's final weights bit for bit.
 func TestSubscriberStreamEndsWithAggregate(t *testing.T) {
-	before := runtime.NumGoroutine()
+	noLeaks := leakcheck.Check(t)
 	nw := fednode.NewMemNetwork()
 	ln, err := nw.Listen("cloud")
 	if err != nil {
@@ -531,5 +513,5 @@ func TestSubscriberStreamEndsWithAggregate(t *testing.T) {
 	if err := svc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	waitGoroutines(t, before)
+	noLeaks()
 }

@@ -2,11 +2,11 @@ package felserve
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 
 	"repro/internal/fednode"
+	"repro/internal/leakcheck"
 )
 
 // TestServeLoadSmoke is the serving layer's load gate (`go run ./bench`
@@ -16,7 +16,7 @@ import (
 // counters must balance, and — the leak contract — the goroutine count must
 // settle back once the service closes. ci.sh runs this under -race.
 func TestServeLoadSmoke(t *testing.T) {
-	before := runtime.NumGoroutine()
+	noLeaks := leakcheck.Check(t)
 	const subsPerJob = 150
 
 	nw := fednode.NewMemNetwork()
@@ -137,5 +137,5 @@ func TestServeLoadSmoke(t *testing.T) {
 	if v := svc.subActive.Value(); v != 0 {
 		t.Fatalf("fel_serve_subscribers_active = %g after Close, want 0", v)
 	}
-	waitGoroutines(t, before)
+	noLeaks()
 }

@@ -9,10 +9,9 @@
 //   - rng-discipline: all stochasticity flows through the seeded
 //     repro/internal/stats.RNG, so experiment runs are replayable and the
 //     paper's sampling-variance results are the ones actually measured.
-//   - goroutine-join: every go statement spawns a func literal whose
-//     completion token (WaitGroup or channel, resolved through go/types) is
-//     waited on by the spawner or escapes as a join handle, so parallel code
-//     cannot leak.
+//   - goroutine-join: a go statement outside tests sits in one of nine
+//     listed functions; that each goroutine is joined is checked by running
+//     it, under internal/leakcheck in those packages' tests.
 //   - float-eq: no ==/!= on floating-point operands outside test files;
 //     numeric comparisons go through the epsilon helpers in internal/stats.
 //   - dropped-error: no silently discarded error returns, in tests either.
@@ -114,17 +113,13 @@ type Pass struct {
 // first and the test-unit information second, or nil when expr lies outside
 // both checked file sets.
 func (p *Pass) TypeOf(expr ast.Expr) types.Type {
-	return p.Pkg.typeOf(expr)
-}
-
-func (p *Package) typeOf(expr ast.Expr) types.Type {
-	if p.Info != nil {
-		if t := p.Info.TypeOf(expr); t != nil {
+	if p.Pkg.Info != nil {
+		if t := p.Pkg.Info.TypeOf(expr); t != nil {
 			return t
 		}
 	}
-	if p.TestInfo != nil {
-		return p.TestInfo.TypeOf(expr)
+	if p.Pkg.TestInfo != nil {
+		return p.Pkg.TestInfo.TypeOf(expr)
 	}
 	return nil
 }

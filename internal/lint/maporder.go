@@ -214,3 +214,35 @@ func checkEncodingSink(pass *Pass, rng *ast.RangeStmt, call *ast.CallExpr) {
 	}
 	pass.Reportf(call.Pos(), "%s inside a map range encodes bytes in nondeterministic map iteration order; iterate sorted keys instead", verb)
 }
+
+// rootObject resolves the object an expression names: the variable of an
+// identifier, the field of a selector, the collection of an index expression,
+// the operand of a unary one. Returns nil for anything else (call results,
+// literals).
+func rootObject(pkg *Package, e ast.Expr) types.Object {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		return pkg.objectOf(e)
+	case *ast.SelectorExpr:
+		return pkg.objectOf(e.Sel)
+	case *ast.IndexExpr:
+		return rootObject(pkg, e.X)
+	case *ast.UnaryExpr:
+		return rootObject(pkg, e.X)
+	}
+	return nil
+}
+
+// objectOf resolves an ident (definition or use) across both type-checked
+// units of the package.
+func (p *Package) objectOf(id *ast.Ident) types.Object {
+	if p.Info != nil {
+		if o := p.Info.ObjectOf(id); o != nil {
+			return o
+		}
+	}
+	if p.TestInfo != nil {
+		return p.TestInfo.ObjectOf(id)
+	}
+	return nil
+}

@@ -1,113 +1,58 @@
-// Package bad spawns goroutines that violate the token join protocol.
+// Package bad starts goroutines outside the listed spawners. The rule reads
+// only where a go statement sits, not what its goroutine does: a joined one
+// is flagged like a leaking one, and which leaks is for leakcheck to find.
 package bad
 
 import "sync"
 
-// Leak fires and forgets: no signal, no join.
+// Leak fires and forgets.
 func Leak() {
-	go func() { // want "never signals completion"
+	go func() { // want "outside the listed spawners"
 		println("orphan")
 	}()
 }
 
-// NoJoin signals through the WaitGroup but the spawner never waits on it.
-func NoJoin() {
+// Joined waits for its goroutine, but is not a listed spawner.
+func Joined() {
 	var wg sync.WaitGroup
 	wg.Add(1)
-	go func() { // want "spawner never calls wg.Wait()"
+	go func() { // want "outside the listed spawners"
 		defer wg.Done()
-		println("work")
 	}()
+	wg.Wait()
 }
 
-// NoSignal joins a channel the goroutine never touches: the goroutine body
-// has no signal, so the receive below proves nothing about it.
-func NoSignal() {
-	done := make(chan struct{})
-	go func() { // want "never signals completion"
-		println("work")
-	}()
-	<-done
+// EarlyReturn leaks its worker on the error path: the result channel is
+// unbuffered and the spawner returns before its receive. A proof that finds
+// the receive somewhere in the body would pass it.
+func EarlyReturn(fail bool) (int, bool) {
+	out := make(chan int)
+	go func() { out <- 1 }() // want "outside the listed spawners"
+	if fail {
+		return 0, false
+	}
+	return <-out, true
 }
 
-// WrongToken signals on one channel and waits on another; per-token
-// resolution catches what a "some receive exists" heuristic would miss.
-func WrongToken() {
-	done := make(chan struct{})
-	other := make(chan struct{}, 1)
-	go func() { // want "spawner never receives from, ranges over, or selects on it"
-		close(done)
-	}()
-	other <- struct{}{}
-	<-other
-}
-
-// NamedNoConsumer spawns a named producer, and nothing drains the channel.
-func NamedNoConsumer() {
-	ch := make(chan int)
-	go produce(ch) // want "spawn a func literal"
-	println("not consuming")
-}
-
-func produce(ch chan int) {
-	ch <- 1
-	close(ch)
-}
-
-// Named spawns a named function that closes only a channel of its own: no
-// spawner can join it, whatever the spawner waits on.
+// Named spawns a named function.
 func Named() {
-	done := make(chan struct{})
-	go leaky() // want "spawn a func literal"
-	close(done)
-	<-done
+	go println("named") // want "outside the listed spawners"
 }
 
-func leaky() {
-	own := make(chan struct{})
-	close(own)
+// Each has a listed spawner's name in the wrong package.
+func Each(fn func()) {
+	go fn() // want "outside the listed spawners"
 }
 
-// FuncValue spawns a function value that signals nothing while the spawner
-// waits on an unrelated channel.
-func FuncValue(f func()) {
-	done := make(chan struct{}, 1)
-	go f() // want "spawn a func literal"
-	done <- struct{}{}
-	<-done
+// Edge has a listed method's name, but in the wrong package.
+type Edge struct{}
+
+// Run is not fednode's (*Edge).Run.
+func (e *Edge) Run() {
+	go func() {}() // want "outside the listed spawners"
 }
 
-// LocalToken closes a channel the literal made itself: the spawner cannot
-// name it, let alone join it.
-func LocalToken() {
-	done := make(chan struct{}, 1)
-	go func() { // want "channel own but the spawner never"
-		own := make(chan struct{})
-		close(own)
-	}()
-	done <- struct{}{}
-	<-done
-}
-
-// ParamNoJoin signals on its parameter, which maps back to ch; the spawner
-// waits on a different channel.
-func ParamNoJoin() {
-	ch := make(chan int, 1)
-	other := make(chan int, 1)
-	go func(out chan int) { // want "channel ch but the spawner never receives"
-		out <- 1
-	}(ch)
-	other <- 1
-	<-other
-}
-
-// Unresolved sends on a channel returned by a call: the token has no object
-// to join, and a receive elsewhere in the spawner does not vouch for it.
-func Unresolved(chans func() chan int) {
-	ch := make(chan int, 1)
-	go func() { // want "cannot resolve"
-		chans() <- 1
-	}()
-	ch <- 1
-	<-ch
+// start sits in no function at all.
+var start = func() {
+	go func() {}() // want "outside the listed spawners"
 }

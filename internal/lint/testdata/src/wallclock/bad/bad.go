@@ -5,7 +5,7 @@ package bad
 import (
 	"time"
 
-	"wallclock/bad/internal/clock" // want "only fednode, faultnet, felserve, metrics and experiments take time from internal/clock"
+	"wallclock/bad/internal/clock" // want "only fednode, faultnet, felserve, metrics, experiments and leakcheck take time from internal/clock"
 )
 
 // now hands the wall clock around as a value.

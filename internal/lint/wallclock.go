@@ -18,10 +18,11 @@ var wallclockFuncs = map[string]bool{
 }
 
 // clockImporters are the packages that may take time from internal/clock:
-// the networked stack, the metrics span layer and Fig. 5's formation timer.
+// the networked stack, the metrics span layer, Fig. 5's formation timer and
+// the tests' leak check.
 var clockImporters = []string{
 	"internal/fednode", "internal/faultnet", "internal/felserve",
-	"internal/metrics", "internal/experiments",
+	"internal/metrics", "internal/experiments", "internal/leakcheck",
 }
 
 // Wallclock makes internal/clock the one owner of time. Replayable runs derive
@@ -40,7 +41,7 @@ var clockImporters = []string{
 // span, is invisible to the rule.
 var Wallclock = &Analyzer{
 	Name: "wallclock",
-	Doc:  "only internal/clock calls time.Now/Since/Sleep/...; only the networked stack, metrics and experiments import it",
+	Doc:  "only internal/clock calls time.Now/Since/Sleep/...; only the networked stack, metrics, experiments and leakcheck import it",
 	Run:  runWallclock,
 }
 
@@ -54,7 +55,7 @@ func runWallclock(pass *Pass) {
 		for _, imp := range f.Imports {
 			path, err := strconv.Unquote(imp.Path.Value)
 			if err == nil && strings.HasSuffix(path, "internal/clock") && !mayImport {
-				pass.Reportf(imp.Pos(), "import %q: only fednode, faultnet, felserve, metrics and experiments take time from internal/clock; replayable code reads no clock", path)
+				pass.Reportf(imp.Pos(), "import %q: only fednode, faultnet, felserve, metrics, experiments and leakcheck take time from internal/clock; replayable code reads no clock", path)
 			}
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
