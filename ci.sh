@@ -25,8 +25,9 @@
 #   8. metrics     the same job's live /metrics endpoint parses
 #   9. load        felserve under -race, then stage 6's kill-cloud verdict
 #  10. results     every deterministic results/medium CSV regenerated and diffed
-#  11. contention  the packages whose tests run on fednode's MemNetwork at
-#                  -count=3 beside one busy loop per CPU
+#  11. contention  internal/core and the packages whose tests run on
+#                  fednode's MemNetwork at -count=3 beside one busy loop per
+#                  CPU
 #
 # Not stages (print-only, never fail): `./ci.sh placement`, `./ci.sh reach`.
 # Performance is judged by `go run ./bench` (bench/README.md), not here.
@@ -57,15 +58,17 @@ trap 'stop_smoke; stop_spin; rm -rf "$scratch"' EXIT
 stage_dir() { mkdir -p "$scratch/$1" && echo "$scratch/$1"; }
 
 # placement prints the addresses mod 64 of the functions whose 64-byte code
-# placement has moved pop-regroup (CHANGES.md, PR 15 and PR 19). It reports,
-# it never judges: every failure inside it is swallowed.
+# placement has moved pop-regroup (CHANGES.md, PR 15 and PR 19), and of
+# main.speedKernel, the host-speed sampler every normalised rate is divided
+# by, whose 32-byte placement moves them all. It reports, it never judges:
+# every failure inside it is swallowed.
 placement() {
   local dir
   dir="$(stage_dir placement)"
   go build -o "$dir/bench" ./bench || return 0
   go tool nm "$dir/bench" | while read -r addr _ sym; do
     case "$sym" in
-      repro/internal/grouping.argminScan | repro/internal/grouping.scanFilter.abi0 | repro/internal/grouping.CoVGrouping.Form | 'repro/internal/core.(*Trainer).Step' | repro/internal/tensor.accumRows | repro/internal/tensor.rowUpdate.abi0)
+      repro/internal/grouping.argminScan | repro/internal/grouping.scanFilter.abi0 | repro/internal/grouping.CoVGrouping.Form | 'repro/internal/core.(*Trainer).Step' | repro/internal/tensor.accumRows | repro/internal/tensor.rowUpdate.abi0 | main.speedKernel)
         echo "placement: $sym at 0x$addr, mod 64 = $(( 0x$addr % 64 ))" ;;
     esac
   done || true
@@ -268,17 +271,18 @@ for golden in results/medium/*.csv; do
 done
 echo "results: $(ls results/medium/*.csv | wc -l) CSVs regenerate byte-identically (fig5 on its shape columns)"
 
-echo "== contention (MemNetwork packages, -count=3, beside one busy loop per CPU)"
+echo "== contention (core and the MemNetwork packages, -count=3, beside one busy loop per CPU)"
 # A test that leans on timing — a write that returns only once its peer has
-# read, a sleep long enough on an idle host — fails here rather than for a
-# user on a loaded one. The loops are processes, not goroutines: faultnet's
-# simulated clock only moves while every goroutine of its own process waits.
+# read, a sleep long enough on an idle host, a formation collected by the
+# time a regroup's runtime.GC returns — fails here rather than for a user on
+# a loaded one. The loops are processes, not goroutines: faultnet's simulated
+# clock only moves while every goroutine of its own process waits.
 for _ in $(seq "$(nproc)"); do
   (while :; do :; done) &
   spinpids+=($!)
 done
 contention_start=$SECONDS
-go test -count=3 ./internal/fednode ./internal/felserve ./internal/faultnet/...
+go test -count=3 ./internal/core ./internal/fednode ./internal/felserve ./internal/faultnet/...
 stop_spin
 echo "contention: passed three times beside $(nproc) busy loops in $((SECONDS - contention_start)) s"
 

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/grouping"
 	"repro/internal/metrics"
 	"repro/internal/sampling"
 )
@@ -101,5 +102,73 @@ func TestSamplingFrequencyAudit(t *testing.T) {
 			t.Fatalf("group %d empirical frequency %.4f vs p_g %.4f: relative error %.3f > 5%%",
 				g.ID, emp, res.Probs[i], rel)
 		}
+	}
+}
+
+// TestRegroupClearsVanishedGroupGauges: a regroup that forms fewer groups
+// leaves no stale per-group gauge behind. Every fel_core_group_{prob,cov,size}
+// series either describes a group of the formation in force or reads as an
+// empty group (probability 0, CoV +Inf, size 0), so the exported
+// probabilities sum to 1 as the sampling-frequency audit assumes, and the
+// registry still renders as JSON (bench's traced runs read it that way).
+func TestRegroupClearsVanishedGroupGauges(t *testing.T) {
+	cfg := testConfig()
+	cfg.Sampling = sampling.RCoV
+	cfg.Grouping = grouping.CoVGrouping{Config: grouping.Config{MinGS: 3, MaxCoV: 0.3, MergeLeftover: true}}
+	cfg.RegroupEvery = 1
+	reg := metrics.New()
+	cfg.Metrics = reg
+	tr := NewTrainer(testSystem(200, 0.5, 2), cfg)
+	for tr.Round() <= 7 {
+		tr.Step()
+	}
+
+	live := map[string]*grouping.Group{}
+	for _, g := range tr.Groups() {
+		live[strconv.Itoa(g.ID)] = g
+	}
+	series := map[string]map[string]float64{} // family -> group label -> value
+	for _, line := range strings.Split(reg.Snapshot(), "\n") {
+		name, rest, ok := strings.Cut(line, `{group="`)
+		if !ok || !strings.HasPrefix(name, "fel_core_group_") || name == "fel_core_group_selected_total" {
+			continue
+		}
+		id, val, _ := strings.Cut(rest, `"} `)
+		v, err := strconv.ParseFloat(val, 64)
+		if err != nil {
+			t.Fatalf("%s: %v", line, err)
+		}
+		if series[name] == nil {
+			series[name] = map[string]float64{}
+		}
+		series[name][id] = v
+	}
+	sizes := series["fel_core_group_size"]
+	vanished := 0
+	for id := range sizes {
+		if live[id] == nil {
+			vanished++
+		}
+	}
+	if vanished == 0 {
+		t.Fatalf("no regroup formed fewer groups than an earlier one (%d series, %d live groups); the test checks nothing", len(sizes), len(live))
+	}
+	sum := 0.0
+	for id, p := range series["fel_core_group_prob"] {
+		sum += p
+		cov, size := series["fel_core_group_cov"][id], sizes[id]
+		if g := live[id]; g != nil {
+			if cov != g.CoV() || size != float64(g.Size()) {
+				t.Errorf("group %s gauges cov %v size %v, the live group has %v and %d", id, cov, size, g.CoV(), g.Size())
+			}
+		} else if p != 0 || !math.IsInf(cov, 1) || size != 0 {
+			t.Errorf("group %s is not in the formation in force but reads prob %v cov %v size %v, want 0 +Inf 0", id, p, cov, size)
+		}
+	}
+	if math.Abs(sum-1) > 1e-9 {
+		t.Errorf("fel_core_group_prob sums to %.6f over %d series, want 1", sum, len(series["fel_core_group_prob"]))
+	}
+	if _, err := reg.JSON(); err != nil {
+		t.Errorf("the registry of a run with a vanished group does not render as JSON: %v", err)
 	}
 }

@@ -137,13 +137,44 @@ func (p *Plan) publish() {
 // (Sec. 6.1): the random first pick in Alg. 2 makes each regroup explore a
 // different formation. The adaptive EWMAs are keyed by group identity, so a
 // new formation starts the estimator over from the fresh CoV prior.
+//
+// The superseded formation is let go before FormAll allocates its
+// replacement, so a run never holds two formations at once; only the IDs of
+// its published gauges outlive it, for clearGauges.
 func (p *Plan) regroup(t int) {
 	if !p.regroupDue(t) {
 		return
 	}
+	var gauged []int
+	if p.cfg.Metrics != nil {
+		gauged = make([]int, len(p.groups))
+		for i, g := range p.groups {
+			gauged[i] = g.ID
+		}
+	}
+	p.groups, p.probs, p.drawn, p.selCtrs = nil, nil, nil, nil
 	p.form(uint64(100 + t))
+	p.clearGauges(gauged)
 	if p.adaptive != nil {
 		p.adaptive.Reset(len(p.groups))
+	}
+}
+
+// clearGauges sets the gauges of every ID in gauged that the live formation
+// lacks to an empty group's reading: probability 0, size 0 and CoV +Inf (what
+// stats.CoVOfCounts returns for an empty histogram). FormAll numbers a
+// formation densely from 0, so an ID is absent exactly when it is at least
+// the live group count.
+func (p *Plan) clearGauges(gauged []int) {
+	reg := p.cfg.Metrics
+	for _, id := range gauged {
+		if id < len(p.groups) {
+			continue
+		}
+		gl := metrics.L("group", strconv.Itoa(id))
+		reg.Gauge("fel_core_group_prob", gl).Set(0)
+		reg.Gauge("fel_core_group_cov", gl).Set(math.Inf(1))
+		reg.Gauge("fel_core_group_size", gl).Set(0)
 	}
 }
 
@@ -152,7 +183,8 @@ func (p *Plan) regroupDue(t int) bool {
 	return p.cfg.RegroupEvery > 0 && t > 0 && t%p.cfg.RegroupEvery == 0
 }
 
-// Groups returns the live formation. Selections index into it.
+// Groups returns the live formation. Selections index into it. The next
+// regroup supersedes it, so a caller must not keep it across Next.
 func (p *Plan) Groups() []*grouping.Group { return p.groups }
 
 // Probs returns the live formation's base sampling vector p_g (Eq. 34).

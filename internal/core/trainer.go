@@ -115,7 +115,8 @@ func (tr *Trainer) Round() int { return tr.t }
 func (tr *Trainer) SelectedClients() int { return tr.lastSelected }
 
 // Groups returns the live formation — what a networked executor's owner
-// pushes to its edges before the first round. Read-only.
+// pushes to its edges before the first round. Read-only. The next regroup
+// supersedes it, so a caller must not keep it across Step.
 func (tr *Trainer) Groups() []*grouping.Group { return tr.plan.Groups() }
 
 // Params returns the live global parameter vector. Callers must treat it as

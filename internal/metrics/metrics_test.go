@@ -262,6 +262,7 @@ func TestJSONAndTable(t *testing.T) {
 	r := NewWithClock(fakeClock())
 	r.Counter("fel_test_frames_total", L("type", "GlobalModel")).Add(7)
 	r.Gauge("fel_test_prob", L("group", "0")).Set(0.5)
+	r.Gauge("fel_test_cov", L("group", "1")).Set(math.Inf(1))
 	s := r.Start("fel_test_phase_seconds")
 	s.End()
 
@@ -271,7 +272,7 @@ func TestJSONAndTable(t *testing.T) {
 	}
 	var doc struct {
 		Counters   map[string]int64 `json:"counters"`
-		Gauges     map[string]float64
+		Gauges     map[string]any   `json:"gauges"`
 		Histograms map[string]struct {
 			Count int64 `json:"count"`
 		}
@@ -284,6 +285,9 @@ func TestJSONAndTable(t *testing.T) {
 	}
 	if doc.Histograms["fel_test_phase_seconds"].Count != 1 {
 		t.Fatalf("JSON histograms = %v", doc.Histograms)
+	}
+	if doc.Gauges[`fel_test_prob{group="0"}`] != 0.5 || doc.Gauges[`fel_test_cov{group="1"}`] != "+Inf" {
+		t.Fatalf("JSON gauges = %v, want 0.5 and the string +Inf", doc.Gauges)
 	}
 
 	tbl := r.Table("metrics", "test")

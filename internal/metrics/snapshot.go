@@ -3,6 +3,7 @@ package metrics
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -81,8 +82,11 @@ type histogramJSON struct {
 // JSON renders the registry as an indented JSON document with three
 // top-level sections (counters, gauges, histograms) keyed by the same
 // name{labels} series identifiers as Snapshot. encoding/json sorts map
-// keys, so the document is deterministic given deterministic values.
-// cmd/felbench writes this next to each experiment's CSV artifact.
+// keys, so the document is deterministic given deterministic values. JSON
+// has no number for a gauge that is not finite (an empty group's CoV reads
+// +Inf), so such a gauge is written as its exposition-format string: "+Inf",
+// "-Inf" or "NaN". cmd/felbench writes this next to each experiment's CSV
+// artifact.
 func (r *Registry) JSON() ([]byte, error) {
 	if r == nil {
 		return []byte("{}"), nil
@@ -90,7 +94,7 @@ func (r *Registry) JSON() ([]byte, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	counters := map[string]int64{}
-	gauges := map[string]float64{}
+	gauges := map[string]any{}
 	hists := map[string]histogramJSON{}
 	for name, f := range r.families {
 		switch f.kind {
@@ -100,7 +104,11 @@ func (r *Registry) JSON() ([]byte, error) {
 			}
 		case kindGauge:
 			for key, g := range f.gauges {
-				gauges[name+key] = g.Value()
+				if v := g.Value(); math.IsInf(v, 0) || math.IsNaN(v) {
+					gauges[name+key] = formatFloat(v)
+				} else {
+					gauges[name+key] = v
+				}
 			}
 		default:
 			for key, h := range f.hists {
