@@ -10,11 +10,12 @@
 #   3. test        go test ./... — tier-1; internal/lint's TestRepoIsLintClean
 #                  is the module-wide repolint pass, run here and nowhere else
 #   4. race        go test -race over the concurrent packages
-#   5. fuzz        17 s across the wire, secagg, tensor, grouping, core
+#   5. fuzz        18 s across the wire, secagg, tensor, grouping, core
 #                  (Config against validate), fednode (MemNetwork byte
 #                  streams), felserve (whole checkpoint files, 2 s), faultnet
-#                  (whole plan files), stats (CoV, KL) and groupio (request
-#                  JSON) targets
+#                  (whole plan files), stats (CoV, KL), groupio (request
+#                  JSON) and data (a label-only partition redrawn against the
+#                  pooled one) targets
 #   6. chaos       felnode -chaos <name> twice for each of the six named
 #                  scenarios and kill-cloud, outputs byte-identical
 #                  (simulated time: seconds for all six)
@@ -153,7 +154,7 @@ go test ./...
 echo "== go test -race (cpu, core, async, wire, fednode, faultnet, metrics, felserve, grouping, data, leakcheck, cmd/felnode)"
 go test -race ./internal/cpu ./internal/core ./internal/async ./internal/wire ./internal/fednode ./internal/faultnet/... ./internal/metrics ./internal/felserve ./internal/grouping ./internal/data ./internal/leakcheck ./cmd/felnode
 
-echo "== go test -fuzz smoke (17s total across targets)"
+echo "== go test -fuzz smoke (18s total across targets)"
 go test ./internal/wire -run '^$' -fuzz FuzzDecodeFrame -fuzztime 1s
 go test ./internal/wire -run '^$' -fuzz FuzzDecodeIntoReuse -fuzztime 1s
 go test ./internal/secagg -run '^$' -fuzz FuzzFieldOps -fuzztime 1s
@@ -172,6 +173,7 @@ go test ./internal/faultnet -run '^$' -fuzz FuzzLoadPlan -fuzztime 1s
 go test ./internal/stats -run '^$' -fuzz FuzzCoVOfCounts -fuzztime 1s
 go test ./internal/stats -run '^$' -fuzz FuzzKLDivergence -fuzztime 1s
 go test ./internal/groupio -run '^$' -fuzz FuzzParse -fuzztime 1s
+go test ./internal/data -run '^$' -fuzz FuzzRedraw -fuzztime 1s
 
 echo "== felnode -chaos smoke (deterministic replay of every named scenario)"
 # One felnode binary serves this stage and the three after it.

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -294,23 +296,73 @@ func TestClientBatchCached(t *testing.T) {
 	}
 }
 
+// paperShapeSystem is the train-paper population of the bench: 300 clients
+// on 3 edges holding 20–200 samples each, 10 classes of 24 features.
+func paperShapeSystem(seed uint64) SystemConfig {
+	gen := data.FlatConfig(10, 24, seed)
+	gen.Noise = 1.9
+	return SystemConfig{
+		Generator: gen,
+		Partition: data.PartitionConfig{
+			NumClients: 300, Alpha: 0.5,
+			MinSamples: 20, MaxSamples: 200, MeanSamples: 110, StdSamples: 45,
+			Seed: seed + 1,
+		},
+		NumEdges: 3,
+		TestSize: 2000,
+		NewModel: func(s uint64) *nn.Sequential {
+			return nn.NewMLP(24, []int{32}, 10, s)
+		},
+		ModelSeed: 7,
+	}
+}
+
 // TestNewSystemCompactsPartition holds NewSystem's layout: Train is exactly
 // the assigned samples, client i's rows are one contiguous range in client
-// order holding what the pool held at its drawn indices, and ClientBatch —
-// a SubSystem's too — is a view into Train, not a copy. Compaction keeps
-// client IDs dense, sys.Clients[i].ID == i, which is how fednode looks a
-// group member up.
+// order holding what a materialized pool (Sample) held at the indices its
+// partition drew, and ClientBatch — a SubSystem's too — is a view into
+// Train, not a copy. Compaction keeps client IDs dense, sys.Clients[i].ID ==
+// i, which is how fednode looks a group member up. Each shape is built at
+// GOMAXPROCS 1 and 2, since Train's rows are redrawn in parallel.
 func TestNewSystemCompactsPartition(t *testing.T) {
-	const numClients, seed = 9, 21
-	sys := testSystem(numClients, 0.5, seed)
-	gen := data.FlatConfig(4, 10, seed)
-	gen.Noise = 0.8
-	part := data.PartitionConfig{
-		NumClients: numClients, Alpha: 0.5,
-		MinSamples: 10, MaxSamples: 40, MeanSamples: 25, StdSamples: 8,
-		Seed: seed + 1,
+	small := func(gen data.GeneratorConfig, numClients int, seed uint64) SystemConfig {
+		return SystemConfig{
+			Generator: gen,
+			Partition: data.PartitionConfig{
+				NumClients: numClients, Alpha: 0.5,
+				MinSamples: 10, MaxSamples: 40, MeanSamples: 25, StdSamples: 8,
+				Seed: seed + 1,
+			},
+			NumEdges: 2,
+			TestSize: 100,
+			NewModel: func(s uint64) *nn.Sequential { return nn.NewMLP(1, []int{1}, 1, s) },
+		}
 	}
-	pool := data.NewGenerator(gen).Sample(numClients*part.MaxSamples, 0)
+	flat := data.FlatConfig(4, 10, 21)
+	flat.Noise = 0.8
+	cases := []struct {
+		name string
+		cfg  SystemConfig
+	}{
+		{"flat-4x10", small(flat, 9, 21)},
+		{"train-paper", paperShapeSystem(49)},
+		{"image-3x8x8", small(data.SynthCIFARConfig(5), 40, 5)},
+		{"classes-35", small(data.FlatConfig(35, 16, 6), 60, 6)},
+	}
+	for _, tc := range cases {
+		for _, procs := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/procs=%d", tc.name, procs), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				checkCompactedSystem(t, tc.cfg)
+			})
+		}
+	}
+}
+
+func checkCompactedSystem(t *testing.T, cfg SystemConfig) {
+	sys := NewSystem(cfg)
+	part := cfg.Partition
+	pool := data.NewGenerator(cfg.Generator).Sample(part.NumClients*part.MaxSamples, 0)
 	drawn := data.DirichletPartition(pool, part)
 
 	total := 0
@@ -320,6 +372,7 @@ func TestNewSystemCompactsPartition(t *testing.T) {
 	if sys.Train.Len() != total || len(sys.Train.X) != total*sys.Train.Dim() {
 		t.Fatalf("Train holds %d rows (%d floats), want exactly the %d assigned", sys.Train.Len(), len(sys.Train.X), total)
 	}
+	numClients := part.NumClients
 	sub := sys.SubSystem(sys.Clients[numClients/2:], 1)
 	dim, off := sys.Train.Dim(), 0
 	for ci, c := range sys.Clients {
@@ -356,6 +409,27 @@ func TestNewSystemCompactsPartition(t *testing.T) {
 		}
 		off += c.N
 	}
+}
+
+// TestNewSystemHoldsNoPool bounds what building a train-paper-shaped system
+// allocates by twice its Train and Test feature bytes. Materializing the
+// partition pool's features — NumClients × MaxSamples rows, against the
+// ≈ 110 per client assigned — would alone exceed it.
+func TestNewSystemHoldsNoPool(t *testing.T) {
+	cfg := paperShapeSystem(49)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	sys := NewSystem(cfg)
+	runtime.ReadMemStats(&after)
+	alloc := after.TotalAlloc - before.TotalAlloc
+	features := uint64(len(sys.Train.X)+len(sys.Test.X)) * 8
+	if alloc > 2*features {
+		t.Fatalf("NewSystem allocated %d bytes (%d mallocs), want at most 2× the %d bytes of Train and Test features",
+			alloc, after.Mallocs-before.Mallocs, features)
+	}
+	t.Logf("NewSystem allocated %d bytes in %d mallocs; Train+Test features %d bytes",
+		alloc, after.Mallocs-before.Mallocs, features)
 }
 
 func TestCoVGroupingOutperformsRandomUnderSkew(t *testing.T) {

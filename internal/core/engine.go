@@ -51,7 +51,9 @@ import (
 // engine's WorkerPool, so the steady state allocates nothing: models reuse
 // their layer buffers (EnableBufferReuse), SGD scratch lives in per-worker
 // arenas, and a group round's n×dim storage lives in group-round machines,
-// one per goroutine of RunGroups' fan-out. A Worker's sample buffer is what
+// one per goroutine of RunGroups' fan-out. When the run finishes, workers,
+// machines and slot vectors go to the System's spare list (spare.go), and
+// the next engine on that System takes them before it builds any. A Worker's sample buffer is what
 // bounds a round's data footprint on a virtual system: at most max workers ×
 // one client batch exist at any instant, independent of the population size.
 type engine struct {
@@ -66,10 +68,10 @@ type engine struct {
 	// mu guards groupAggHists.
 	mu sync.Mutex
 	// spaces[w] is the group-round machine RunGroups' goroutine w runs each
-	// of its groups on, so at most the fan-out width ever exist. It is a
-	// plain list, not a sync.Pool, whose per-P and victim caches keep more
-	// n×dim matrices alive than a round uses (EXPERIMENTS.md: replacing such
-	// a pool cut train-gemm's peak RSS 18 %).
+	// of its groups on, so at most the fan-out width ever exist per run. It
+	// is a plain list, not a sync.Pool, whose per-P and victim caches keep
+	// more n×dim matrices alive than a round uses (EXPERIMENTS.md: replacing
+	// such a pool cut train-gemm's peak RSS 18 %).
 	spaces []*groupSpace
 
 	// slots[si] is the group vector selection slot si's update aliases —

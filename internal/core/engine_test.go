@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"math"
 	"runtime"
 	"testing"
@@ -246,5 +247,97 @@ func TestGroupSpacesAtMostProcs(t *testing.T) {
 	}
 	if len(e.spaces) == 0 || len(e.spaces) > cpu.Procs() {
 		t.Fatalf("%d group-round machines after an 8-group round at MaxParallel 8, want 1 to cpu.Procs() = %d", len(e.spaces), cpu.Procs())
+	}
+}
+
+// TestFinishedRunLeavesStorageForNext: Trainer.Finish hands the run's
+// group-round machines, workers, slot vectors and evaluator to its System,
+// and a run that follows on that System — here the serial rerun of a
+// parallel run on the same seed — takes them instead of building its own:
+// after it finishes, the System holds exactly what the first run left, and
+// the rerun lands on the same bits. A machine left on the System refers to
+// no engine, group or group vector, so it keeps no finished run alive.
+func TestFinishedRunLeavesStorageForNext(t *testing.T) {
+	sys := testSystem(24, 0.5, 3)
+	run := func(maxParallel int) []float64 {
+		cfg := testConfig()
+		cfg.GlobalRounds = 3
+		cfg.MaxParallel = maxParallel
+		return Train(sys, cfg).Params
+	}
+	left := func() map[unsafe.Pointer]string {
+		s := &sys.spare
+		held := map[unsafe.Pointer]string{}
+		for _, sp := range s.spaces {
+			if sp.e != nil || sp.g != nil || sp.group != nil {
+				t.Fatalf("a spare machine still refers to its last run: engine %v, group %v, vector %v",
+					sp.e != nil, sp.g != nil, sp.group != nil)
+			}
+			held[unsafe.Pointer(sp)] = "machine"
+		}
+		for _, w := range s.workers {
+			held[unsafe.Pointer(w)] = "worker"
+		}
+		for _, v := range s.vecs {
+			held[unsafe.Pointer(unsafe.SliceData(v))] = "slot vector"
+		}
+		for _, ev := range s.evals {
+			held[unsafe.Pointer(ev)] = "evaluator"
+		}
+		return held
+	}
+	parallel := run(2)
+	first := left()
+	kinds := map[string]int{}
+	for _, k := range first {
+		kinds[k]++
+	}
+	// Workers are built only while two clients train at once, so a loaded
+	// host may see one.
+	if kinds["machine"] != 2 || kinds["worker"] < 1 || kinds["worker"] > 2 || kinds["slot vector"] != 3 || kinds["evaluator"] != 1 {
+		t.Fatalf("a finished MaxParallel 2 run with S = 3 left %v, want 2 machines, 1 or 2 workers, 3 slot vectors, 1 evaluator", kinds)
+	}
+	serial := run(1)
+	if second := left(); !maps.Equal(second, first) {
+		kept := 0
+		for p, k := range second {
+			if first[p] == k {
+				kept++
+			}
+		}
+		t.Fatalf("after the serial rerun the System holds %d pieces of storage, %d of them the first run's; want exactly the first run's %d",
+			len(second), kept, len(first))
+	}
+	if !sameFloatBits(parallel, serial) {
+		t.Fatal("the serial rerun in the parallel run's storage trained different weights")
+	}
+}
+
+// TestConcurrentRunsOnOneSystem: runs stepping at the same time on one
+// System — a first wave that builds its storage, then a second that takes
+// what the first left — each train the weights they train alone. Under
+// -race this also checks the spare list's locking.
+func TestConcurrentRunsOnOneSystem(t *testing.T) {
+	config := func(j int) Config {
+		cfg := testConfig()
+		cfg.GlobalRounds = 3
+		cfg.MaxParallel = 2
+		cfg.Seed += uint64(j)
+		return cfg
+	}
+	const jobs = 3
+	var alone [jobs][]float64
+	for j := range alone {
+		alone[j] = Train(testSystem(24, 0.5, 3), config(j)).Params
+	}
+	sys := testSystem(24, 0.5, 3)
+	for wave := range 2 {
+		var together [jobs][]float64
+		cpu.Each(jobs, jobs, func(_, j int) { together[j] = Train(sys, config(j)).Params })
+		for j := range alone {
+			if !sameFloatBits(alone[j], together[j]) {
+				t.Errorf("wave %d, job %d trained different weights beside two others on one System", wave, j)
+			}
+		}
 	}
 }

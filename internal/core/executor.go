@@ -41,11 +41,17 @@ type GroupUpdate struct {
 // each on its goroutine's group-round machine and each update kept in its
 // selection slot; the mode only picks the machine's flush trigger.
 func (e *engine) RunGroups(t int, groups []*grouping.Group, selected []int, params []float64) ([]GroupUpdate, error) {
-	if n := len(selected) - len(e.slots); n > 0 {
-		e.slots = append(e.slots, make([][]float64, n)...)
+	for len(e.slots) < len(selected) {
+		v, _ := take(&e.sys.spare, &e.sys.spare.vecs)
+		e.slots = append(e.slots, v)
 	}
 	for len(e.spaces) < min(e.max, len(selected)) {
-		e.spaces = append(e.spaces, &groupSpace{e: e, dropRng: stats.NewRNG(0), delayRng: stats.NewRNG(0)})
+		sp, ok := take(&e.sys.spare, &e.sys.spare.spaces)
+		if !ok {
+			sp = &groupSpace{dropRng: stats.NewRNG(0), delayRng: stats.NewRNG(0)}
+		}
+		sp.e = e
+		e.spaces = append(e.spaces, sp)
 	}
 	e.updates = slices.Grow(e.updates[:0], len(selected))[:len(selected)]
 	updates := e.updates

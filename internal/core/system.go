@@ -55,6 +55,9 @@ type System struct {
 	// workers is the pool Workers hands out, built on first use.
 	workersOnce sync.Once
 	workers     *WorkerPool
+
+	// spare is what finished runs left for the next (spare.go).
+	spare spare
 }
 
 type clientBatch struct {
@@ -73,10 +76,12 @@ type SystemConfig struct {
 }
 
 // NewSystem samples the dataset, partitions it across clients and edges,
-// and prepares the model factory. The partition is drawn from a pool with
-// MaxSamples of headroom per client, then compacted: Train keeps only the
-// assigned rows, client by client in draw order, and each client's Indices
-// is rewritten to its range there — the layout Materialize produces.
+// and prepares the model factory. The partition is drawn on the labels of a
+// pool with MaxSamples of headroom per client (data.Generator.Labels), whose
+// features are never drawn: Train is redrawn from the pool's stream marks
+// and holds only the assigned rows, client by client in draw order, each
+// client's Indices rewritten to its range there — the layout Materialize
+// produces, bit for bit the rows the materialized pool would have held.
 func NewSystem(cfg SystemConfig) *System {
 	if cfg.NumEdges <= 0 {
 		panic("fel: NumEdges must be positive")
@@ -85,13 +90,12 @@ func NewSystem(cfg SystemConfig) *System {
 		panic("fel: NewModel is required")
 	}
 	gen := data.NewGenerator(cfg.Generator)
-	pool := gen.Sample(cfg.Partition.NumClients*cfg.Partition.MaxSamples, 0)
-	test := gen.Sample(cfg.TestSize, 1)
-	clients := data.DirichletPartition(pool, cfg.Partition)
-	train := compactPartition(pool, clients)
+	labels, marks := gen.Labels(cfg.Partition.NumClients*cfg.Partition.MaxSamples, 0)
+	clients := data.DirichletPartition(labels, cfg.Partition)
+	train := gen.Redraw(marks, clients)
 	return &System{
 		Train:     train,
-		Test:      test,
+		Test:      gen.Sample(cfg.TestSize, 1),
 		Clients:   clients,
 		Edges:     data.SplitAcrossEdges(clients, cfg.NumEdges),
 		Classes:   cfg.Generator.Classes,
@@ -101,37 +105,9 @@ func NewSystem(cfg SystemConfig) *System {
 	}
 }
 
-// compactPartition copies the clients' samples out of the partitioned pool
-// into a dataset of exactly Σ n_i rows — clients in slice order, each
-// client's rows in its Indices order — and rewrites every Indices, in place,
-// to its contiguous range there. The pool's unassigned rows are left behind.
-func compactPartition(pool *data.Dataset, clients []*data.Client) *data.Dataset {
-	total := 0
-	for _, c := range clients {
-		total += len(c.Indices)
-	}
-	dim := pool.Dim()
-	train := &data.Dataset{
-		X:           make([]float64, total*dim),
-		Y:           make([]int, total),
-		SampleShape: pool.SampleShape,
-		Classes:     pool.Classes,
-	}
-	off := 0
-	for _, c := range clients {
-		for j, i := range c.Indices {
-			copy(train.X[off*dim:(off+1)*dim], pool.X[i*dim:(i+1)*dim])
-			train.Y[off] = pool.Y[i]
-			c.Indices[j] = off
-			off++
-		}
-	}
-	return train
-}
-
 // batchViews builds every client's full batch as a view into train, indexed
 // by client ID. Each client's Indices must be one ascending contiguous
-// range, as compactPartition and MaterializeAll lay them out. The views'
+// range, as data.Generator.Redraw and MaterializeAll lay them out. The views'
 // capacities are capped, so an append cannot reach a neighbour's rows.
 func batchViews(train *data.Dataset, clients []*data.Client) []clientBatch {
 	ids := 0

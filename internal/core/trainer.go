@@ -34,7 +34,8 @@ type Trainer struct {
 	globalParams []float64
 	next         []float64
 	// eval scores globalParams on the test set out of storage it keeps, so
-	// evaluating every round allocates nothing model-sized.
+	// evaluating every round allocates nothing model-sized; a finished run's
+	// spare when the System has one.
 	eval *evaluator
 
 	acct *cost.Accountant
@@ -86,7 +87,11 @@ func NewTrainerOn(sys *System, cfg Config, exec Executor, pinned []*grouping.Gro
 	tr := &Trainer{cfg: cfg, plan: plan, exec: exec}
 	model := sys.NewModel(sys.ModelSeed)
 	tr.globalParams = model.ParamVector()
-	tr.eval = newEvaluator(model, sys.Test, 0)
+	if ev, ok := take(&sys.spare, &sys.spare.evals); ok {
+		tr.eval = ev
+	} else {
+		tr.eval = newEvaluator(model, sys.Test, 0)
+	}
 	if cfg.InitParams != nil {
 		if len(cfg.InitParams) != len(tr.globalParams) {
 			return nil, fmt.Errorf("InitParams length %d, model has %d", len(cfg.InitParams), len(tr.globalParams))
@@ -225,7 +230,9 @@ func (tr *Trainer) Step() RoundRecord {
 }
 
 // Finish runs the final evaluation and seals the Result. The trainer must
-// not be stepped afterwards.
+// not be stepped afterwards: its evaluator and the in-process engine's
+// workers, group-round machines and slot vectors go to the System's spare
+// list (spare.go) for the next run on it. Result.Params is the trainer's own.
 func (tr *Trainer) Finish() *Result {
 	res := tr.res
 	if n := len(res.Records); n > 0 && res.Records[n-1].Round == tr.t-1 && res.Records[n-1].Accuracy >= 0 {
@@ -239,6 +246,7 @@ func (tr *Trainer) Finish() *Result {
 	res.Probs = tr.plan.Probs()
 	res.TotalCost = tr.acct.Total()
 	res.Params = tr.globalParams
+	tr.release()
 	return res
 }
 

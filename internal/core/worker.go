@@ -47,9 +47,10 @@ func (w *Worker) Train(u LocalUpdater, x *tensor.Tensor, y []int, seed uint64, c
 }
 
 // WorkerPool is a bounded free list of Workers over one System: Workers are
-// built lazily while fewer than its bound exist, and Acquire blocks once
-// they are all out. The engine keeps one sized by Config.MaxParallel;
-// System.Workers is the one every other in-process trainer shares.
+// taken from the System's spare list, or built, lazily while fewer than its
+// bound exist, and Acquire blocks once they are all out. The engine keeps
+// one sized by Config.MaxParallel; System.Workers is the one every other
+// in-process trainer shares.
 type WorkerPool struct {
 	sys *System
 	max int
@@ -63,8 +64,9 @@ func newWorkerPool(sys *System, max int) *WorkerPool {
 	return &WorkerPool{sys: sys, max: max, free: make(chan *Worker, max)}
 }
 
-// Acquire hands out a pooled Worker, creating one while fewer than the
-// pool's bound exist, and blocking on the free list otherwise.
+// Acquire hands out a pooled Worker, adding one while fewer than the pool's
+// bound exist — a finished run's spare first — and blocking on the free list
+// otherwise.
 func (p *WorkerPool) Acquire() *Worker {
 	select {
 	case w := <-p.free:
@@ -75,6 +77,9 @@ func (p *WorkerPool) Acquire() *Worker {
 	if p.created < p.max {
 		p.created++
 		p.mu.Unlock()
+		if w, ok := take(&p.sys.spare, &p.sys.spare.workers); ok {
+			return w
+		}
 		m := p.sys.NewModel(p.sys.ModelSeed)
 		m.EnableBufferReuse()
 		return &Worker{Model: m, arena: newSGDArena()}

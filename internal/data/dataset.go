@@ -6,10 +6,11 @@
 // consumes.
 //
 // Client populations come in two equivalent representations: materialized
-// (DirichletPartition slices a pooled Dataset, clients carry sample
-// indices) and virtual (VirtualPartition, clients are flyweights carrying
-// only histogram + count, samples synthesized deterministically from
-// (seed, client ID) on selection). Training over either produces
+// (DirichletPartition partitions a pool's labels, drawn by Labels, and
+// Redraw draws only the assigned rows' features, so the pool's features
+// never exist; clients carry sample indices) and virtual (VirtualPartition,
+// clients are flyweights carrying only histogram + count, samples
+// synthesized deterministically from (seed, client ID) on selection). Training over either produces
 // bit-identical results; the virtual form scales to millions of clients.
 package data
 
@@ -17,6 +18,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/cpu"
 	"repro/internal/stats"
 	"repro/internal/tensor"
 )
@@ -170,7 +172,7 @@ func (g *Generator) makeProto(rng *stats.RNG) []float64 {
 // stream derived from the generator seed and tag (so distinct tags give
 // independent datasets with the same class geometry).
 func (g *Generator) Sample(n int, tag uint64) *Dataset {
-	rng := stats.NewRNG(g.cfg.Seed ^ 0xabcdef).Split(tag)
+	rng := g.stream(tag)
 	ds := &Dataset{
 		X:           make([]float64, n*g.dim),
 		Y:           make([]int, n),
@@ -178,16 +180,88 @@ func (g *Generator) Sample(n int, tag uint64) *Dataset {
 		Classes:     g.cfg.Classes,
 	}
 	for i := 0; i < n; i++ {
-		cls := rng.IntN(g.cfg.Classes)
-		mode := rng.IntN(g.cfg.Modes)
-		proto := g.protos[cls*g.cfg.Modes+mode]
-		row := ds.X[i*g.dim : (i+1)*g.dim]
-		for j := range row {
-			row[j] = proto[j] + rng.Normal(0, g.cfg.Noise)
-		}
-		ds.Y[i] = cls
+		ds.Y[i] = g.row(rng, ds.X[i*g.dim:(i+1)*g.dim])
 	}
 	return ds
+}
+
+// Labels draws the stream Sample(n, tag) draws but keeps only each row's
+// label and, in marks[i], the stream position row i starts at. The Dataset
+// is label-only (X is nil): DirichletPartition accepts it, and Redraw turns
+// the rows a partition assigns back into features, bit for bit the ones
+// Sample would have held.
+func (g *Generator) Labels(n int, tag uint64) (ds *Dataset, marks []stats.Mark) {
+	rng := g.stream(tag)
+	ds = &Dataset{
+		Y:           make([]int, n),
+		SampleShape: append([]int(nil), g.cfg.SampleShape...),
+		Classes:     g.cfg.Classes,
+	}
+	marks = make([]stats.Mark, n)
+	for i := range marks {
+		marks[i] = rng.Mark()
+		ds.Y[i] = g.row(rng, nil)
+	}
+	return ds, marks
+}
+
+// Redraw builds the Dataset a materialized population trains on from the
+// marks of a Labels pass and a partition of its labels: exactly the rows the
+// clients' Indices name, clients in slice order and each client's rows in
+// its Indices order, every row redrawn from its mark into its slot. Each
+// Indices is rewritten, in place, to its contiguous range in the result.
+// Clients are redrawn in parallel; every row is a pure function of its mark,
+// so the result does not depend on the schedule.
+func (g *Generator) Redraw(marks []stats.Mark, clients []*Client) *Dataset {
+	offs := make([]int, len(clients)+1)
+	for ci, c := range clients {
+		offs[ci+1] = offs[ci] + len(c.Indices)
+	}
+	total := offs[len(clients)]
+	ds := &Dataset{
+		X:           make([]float64, total*g.dim),
+		Y:           make([]int, total),
+		SampleShape: append([]int(nil), g.cfg.SampleShape...),
+		Classes:     g.cfg.Classes,
+	}
+	cpu.Each(len(clients), cpu.Procs(), func(_, ci int) {
+		// Each client gets its own RNG, allocated here: RNGs allocated back
+		// to back by the caller would share a cache line across workers.
+		rng := stats.NewRNG(0)
+		idx := clients[ci].Indices
+		for j, i := range idx {
+			at := offs[ci] + j
+			rng.Rewind(marks[i])
+			ds.Y[at] = g.row(rng, ds.X[at*g.dim:(at+1)*g.dim])
+			idx[j] = at
+		}
+	})
+	return ds
+}
+
+// stream returns the RNG Sample(n, tag) draws its rows from.
+func (g *Generator) stream(tag uint64) *stats.RNG {
+	return stats.NewRNG(g.cfg.Seed ^ 0xabcdef).Split(tag)
+}
+
+// row draws the next row of a sample stream from rng and returns its label:
+// the label, the mode, then one Gaussian noise draw per coordinate added to
+// the mode's prototype in x. With x nil every draw is made and dropped, so
+// the stream advances exactly as far as a stored row's would. This is the
+// one definition of a row's draw order.
+func (g *Generator) row(rng *stats.RNG, x []float64) int {
+	cls := rng.IntN(g.cfg.Classes)
+	proto := g.protos[cls*g.cfg.Modes+rng.IntN(g.cfg.Modes)]
+	if x == nil {
+		for range proto {
+			rng.Normal(0, g.cfg.Noise)
+		}
+		return cls
+	}
+	for j := range x {
+		x[j] = proto[j] + rng.Normal(0, g.cfg.Noise)
+	}
+	return cls
 }
 
 // SynthCIFARConfig is the CIFAR-10 stand-in: 10 classes of 3×8×8

@@ -69,6 +69,10 @@ func DefaultPartitionConfig(numClients int, alpha float64, seed uint64) Partitio
 // pool is exhausted the remaining probability mass is renormalized over
 // non-empty labels, so the partition always succeeds as long as the dataset
 // has at least NumClients×MinSamples samples.
+//
+// It reads only ds's labels (Y, Classes and Len), so the label-only Dataset
+// Generator.Labels returns is a valid input; Generator.Redraw then draws
+// the rows the clients' Indices name.
 func DirichletPartition(ds *Dataset, cfg PartitionConfig) []*Client {
 	if cfg.NumClients <= 0 {
 		panic("data: NumClients must be positive")
@@ -82,8 +86,15 @@ func DirichletPartition(ds *Dataset, cfg PartitionConfig) []*Client {
 	}
 	rng := stats.NewRNG(cfg.Seed)
 
-	// Per-label index pools, pre-shuffled.
+	// Per-label index pools, sized by a label count, pre-shuffled.
 	pools := make([][]int, ds.Classes)
+	sizes := make([]int, ds.Classes)
+	for _, y := range ds.Y {
+		sizes[y]++
+	}
+	for y, n := range sizes {
+		pools[y] = make([]int, 0, n)
+	}
 	for i, y := range ds.Y {
 		pools[y] = append(pools[y], i)
 	}
@@ -91,6 +102,7 @@ func DirichletPartition(ds *Dataset, cfg PartitionConfig) []*Client {
 		rng.Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
 	}
 	remaining := ds.Len()
+	masked := make([]float64, ds.Classes)
 
 	clients := make([]*Client, cfg.NumClients)
 	for ci := 0; ci < cfg.NumClients; ci++ {
@@ -107,13 +119,13 @@ func DirichletPartition(ds *Dataset, cfg PartitionConfig) []*Client {
 			want = maxTake
 		}
 		p := rng.Dirichlet(cfg.Alpha, ds.Classes)
-		c := &Client{ID: ci, Counts: make([]float64, ds.Classes)}
+		c := &Client{ID: ci, Indices: make([]int, 0, want), Counts: make([]float64, ds.Classes)}
 		for len(c.Indices) < want {
 			// Zero out exhausted labels and renormalize by drawing from the
 			// masked categorical.
-			masked := make([]float64, ds.Classes)
 			any := false
 			for y := range masked {
+				masked[y] = 0
 				if len(pools[y]) > 0 {
 					masked[y] = p[y]
 					if p[y] > 0 {

@@ -204,11 +204,12 @@ func backdoorOps(n, dim int) int {
 }
 
 // syntheticClients builds a Dirichlet-partitioned population without a full
-// System (no model/test set), for formation-only experiments.
+// System (no model/test set), for formation-only experiments. Formation
+// reads only label histograms, so the pool is drawn label-only.
 func syntheticClients(n, classes int, alpha float64, seed uint64) []*data.Client {
 	gen := data.NewGenerator(data.FlatConfig(classes, 4, seed))
-	ds := gen.Sample(n*60, 0)
-	return data.DirichletPartition(ds, data.PartitionConfig{
+	labels, _ := gen.Labels(n*60, 0)
+	return data.DirichletPartition(labels, data.PartitionConfig{
 		NumClients: n, Alpha: alpha,
 		MinSamples: 10, MaxSamples: 50, MeanSamples: 30, StdSamples: 10,
 		Seed: seed + 13,

@@ -241,3 +241,41 @@ func TestStateIsIdempotentRead(t *testing.T) {
 		t.Fatal("reading State() disturbed the stream")
 	}
 }
+
+// mixedDraws appends n rounds of IntN, Normal, Float64 and Uint64 draws from
+// r to dst, each as its bit pattern, and returns the extended slice.
+func mixedDraws(r *RNG, n int, dst []uint64) []uint64 {
+	for i := 0; i < n; i++ {
+		dst = append(dst,
+			uint64(r.IntN(7+i)),
+			math.Float64bits(r.Normal(0.5, 1.9)),
+			math.Float64bits(r.Float64()),
+			r.Uint64())
+	}
+	return dst
+}
+
+func TestMarkRewindReplaysSuffix(t *testing.T) {
+	r := NewRNG(4949)
+	mixedDraws(r, 23, nil) // a prefix, so the mark is mid-stream
+	m := r.Mark()
+	want := mixedDraws(r, 40, nil)
+
+	r.Rewind(m)
+	if got := mixedDraws(r, 40, nil); !slices.Equal(got, want) {
+		t.Fatal("rewinding the same RNG did not replay the suffix")
+	}
+	other := NewRNG(7)
+	mixedDraws(other, 5, nil)
+	other.Rewind(m)
+	if got := mixedDraws(other, 40, nil); !slices.Equal(got, want) {
+		t.Fatal("rewinding another RNG to the mark did not replay the suffix")
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		m = r.Mark()
+		r.Uint64()
+		r.Rewind(m)
+	}); n != 0 {
+		t.Fatalf("Mark and Rewind allocated %.1f times per run, want 0", n)
+	}
+}
