@@ -47,46 +47,17 @@ func (a *sgdArena) ensureOrder(n int) []int {
 }
 
 // ensure sizes the batch buffers for rows samples shaped like src's trailing
-// dimensions. Like nn's scratch2 it resizes by capacity, so clients whose
-// tail batches differ in length share one allocation.
+// dimensions. The features resize by capacity (tensor.Resize), so clients
+// whose tail batches differ in length share one allocation.
 func (b *sgdBatch) ensure(rows int, src *tensor.Tensor) {
-	n := rows * (src.Size() / src.Shape[0])
-	if b.x == nil || !sameTrailing(b.x.Shape, src.Shape) || cap(b.x.Data) < n {
-		shape := make([]int, len(src.Shape))
-		copy(shape, src.Shape)
-		shape[0] = rows
-		b.x = tensor.New(shape...)
-	}
-	b.x.Shape[0], b.x.Data = rows, b.x.Data[:n]
+	var dims [4]int
+	shape := append(dims[:0], src.Shape...)
+	shape[0] = rows
+	b.x = tensor.Resize(b.x, shape...)
 	if cap(b.y) < rows {
 		b.y = make([]int, rows)
 	}
 	b.y = b.y[:rows]
-}
-
-// ensureProbs returns a probability buffer shaped like logits, resized by
-// capacity like the batch itself.
-func (b *sgdBatch) ensureProbs(logits *tensor.Tensor) *tensor.Tensor {
-	if b.probs == nil || len(b.probs.Shape) != len(logits.Shape) || cap(b.probs.Data) < len(logits.Data) {
-		b.probs = tensor.New(logits.Shape...)
-	}
-	copy(b.probs.Shape, logits.Shape)
-	b.probs.Data = b.probs.Data[:len(logits.Data)]
-	return b.probs
-}
-
-// sameTrailing reports whether two shapes agree in every dimension after the
-// leading (batch) one.
-func sameTrailing(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := 1; i < len(a); i++ {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // growFloats returns a zeroed slice of length n, reusing buf's backing array

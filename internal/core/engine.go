@@ -48,8 +48,8 @@ import (
 //     runs one (async_engine.go).
 //
 // Workers (worker.go) are created lazily up to max and recycled through the
-// engine's WorkerPool, so the steady state allocates nothing: models reuse
-// their layer buffers (EnableBufferReuse), SGD scratch lives in per-worker
+// engine's WorkerPool, so the steady state allocates nothing: models recycle
+// their layer buffers (nn.Layer), SGD scratch lives in per-worker
 // arenas, and a group round's n×dim storage lives in group-round machines,
 // one per goroutine of RunGroups' fan-out. When the run finishes, workers,
 // machines and slot vectors go to the System's spare list (spare.go), and

@@ -21,7 +21,7 @@ import (
 func init() { testUncapWorkers = true }
 
 // TestSGDEpochsSteadyStateAllocs locks in the zero-alloc hot path: once a
-// worker's arena and the model's reuse buffers are warm, an entire local
+// worker's arena and the model's layer buffers are warm, an entire local
 // training pass through SGDUpdater (shuffle, batch fill incl. tail batch,
 // forward, loss, backward, SGD step) must not allocate — also when the
 // worker alternates between two clients whose tail batches differ in length.
@@ -29,7 +29,6 @@ func TestSGDEpochsSteadyStateAllocs(t *testing.T) {
 	const bs = 7 // deliberately misaligned so the tail-batch path runs
 	sys := testSystem(6, 0.5, 9)
 	model := sys.NewModel(sys.ModelSeed)
-	model.EnableBufferReuse()
 	arena := newSGDArena()
 	type client struct {
 		id int

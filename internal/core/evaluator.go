@@ -21,7 +21,7 @@ func Evaluate(model *nn.Sequential, ds *data.Dataset, batch int) (acc, loss floa
 // evaluator scores parameter vectors on one test set out of storage it
 // keeps: the rows of ds are contiguous and a forward pass only reads its
 // input, so each batch is a view over ds.X instead of a gathered copy, and
-// the per-worker models run in buffer-reuse mode. A Trainer that evaluates
+// the per-worker models recycle their layer buffers. A Trainer that evaluates
 // every round builds one and, after the first run, allocates nothing
 // model- or batch-sized again.
 type evaluator struct {
@@ -66,7 +66,6 @@ func newEvaluator(model *nn.Sequential, ds *data.Dataset, batch int) *evaluator 
 		e.xs[bi] = tensor.FromSlice(ds.X[lo*dim:hi*dim], shape...)
 		e.ys[bi] = ds.Y[lo:hi]
 	}
-	model.EnableBufferReuse()
 	e.workers = []*evalWorker{{model: model}}
 	return e
 }
@@ -81,9 +80,7 @@ func (e *evaluator) run(params []float64) (acc, loss float64) {
 	}
 	workers := min(cpu.Procs(), nb)
 	for len(e.workers) < workers {
-		m := e.workers[0].model.Clone()
-		m.EnableBufferReuse()
-		e.workers = append(e.workers, &evalWorker{model: m})
+		e.workers = append(e.workers, &evalWorker{model: e.workers[0].model.Clone()})
 	}
 	for _, w := range e.workers[:workers] {
 		w.model.SetParamVector(params)
@@ -103,10 +100,7 @@ func (e *evaluator) score(w *evalWorker, bi int) {
 	y := e.ys[bi]
 	logits := w.model.Forward(e.xs[bi], false)
 	rows, classes := logits.Shape[0], logits.Shape[1]
-	if w.probs == nil || cap(w.probs.Data) < len(logits.Data) {
-		w.probs = tensor.New(rows, classes)
-	}
-	w.probs.Shape[0], w.probs.Data = rows, w.probs.Data[:len(logits.Data)]
+	w.probs = tensor.Resize(w.probs, rows, classes)
 	var lossFn nn.SoftmaxCrossEntropy
 	e.losses[bi] = lossFn.ForwardInto(w.probs, logits, y) * float64(rows)
 	c := 0

@@ -83,10 +83,10 @@ func sgdEpochs(model *nn.Sequential, x *tensor.Tensor, y []int, ctx LocalContext
 				yb[bi] = y[src]
 			}
 			logits := model.Forward(xb, true)
-			probs := buf.ensureProbs(logits)
-			lossFn.ProbsInto(probs, logits, yb)
-			lossFn.BackwardInPlace(probs, yb)
-			model.Backward(probs)
+			buf.probs = tensor.Resize(buf.probs, logits.Shape...)
+			lossFn.ProbsInto(buf.probs, logits, yb)
+			lossFn.BackwardInPlace(buf.probs, yb)
+			model.Backward(buf.probs)
 			if adjust != nil {
 				adjust(model)
 			}

@@ -64,6 +64,7 @@ type Config struct {
 	// aggregation renormalizes over the survivors (the behaviour the
 	// secure-aggregation substrate's dropout recovery enables). Dropped
 	// clients still pay their training cost — work done is work paid for.
+	// It must lie in [0,1).
 	DropoutProb float64
 	// NewCompressor, when non-nil, compresses every client's update delta
 	// before group aggregation (one stateful compressor per client, so
@@ -183,8 +184,8 @@ func validate(sys *System, cfg Config, pinned, fixed bool) error {
 		return errors.New("T, K, E must be positive")
 	case !(cfg.LR > 0) || math.IsInf(cfg.LR, 1):
 		return fmt.Errorf("LR must be positive and finite, got %v", cfg.LR)
-	case math.IsNaN(cfg.DropoutProb):
-		return errors.New("DropoutProb is NaN")
+	case !(cfg.DropoutProb >= 0 && cfg.DropoutProb < 1):
+		return fmt.Errorf("DropoutProb must be in [0,1), got %v", cfg.DropoutProb)
 	case !fixed && cfg.SampleGroups <= 0:
 		return errors.New("SampleGroups must be positive")
 	case !pinned && cfg.Grouping == nil:

@@ -294,6 +294,8 @@ func TestNewTrainerOnRejectsWithErrors(t *testing.T) {
 		"LR NaN":      func(c *Config) { c.LR = math.NaN() },
 		"LR +Inf":     func(c *Config) { c.LR = math.Inf(1) },
 		"Dropout NaN": func(c *Config) { c.DropoutProb = math.NaN() },
+		"Dropout < 0": func(c *Config) { c.DropoutProb = -0.1 },
+		"Dropout > 1": func(c *Config) { c.DropoutProb = 1.5 },
 		"S":           func(c *Config) { c.SampleGroups = 0 },
 		"Grouping":    func(c *Config) { c.Grouping = nil },
 		"CostProfile": func(c *Config) { c.CostProfile = cost.Profile{} },

@@ -8,9 +8,9 @@ import (
 	"repro/internal/tensor"
 )
 
-// Worker is one training slot: a private model clone with buffer reuse
-// enabled, the SGD scratch arena, and the sample buffer a virtual client
-// materializes into — everything local training needs, so a warm Worker
+// Worker is one training slot: a private model clone, whose layers recycle
+// their buffers, the SGD scratch arena, and the sample buffer a virtual
+// client materializes into — everything local training needs, so a warm Worker
 // trains any client of its System without allocating. Borrow one from a
 // WorkerPool and give it back when the client's update has been read out of
 // Model. Load overwrites the whole model and Train reseeds the arena's RNG,
@@ -80,9 +80,7 @@ func (p *WorkerPool) Acquire() *Worker {
 		if w, ok := take(&p.sys.spare, &p.sys.spare.workers); ok {
 			return w
 		}
-		m := p.sys.NewModel(p.sys.ModelSeed)
-		m.EnableBufferReuse()
-		return &Worker{Model: m, arena: newSGDArena()}
+		return &Worker{Model: p.sys.NewModel(p.sys.ModelSeed), arena: newSGDArena()}
 	}
 	p.mu.Unlock()
 	return <-p.free

@@ -297,6 +297,8 @@ func TestSubmitValidation(t *testing.T) {
 		func(s *JobSpec) { s.LR = math.Inf(1) },
 		func(s *JobSpec) { s.SampleGroups = 0 },
 		func(s *JobSpec) { s.DropoutProb = 1 },
+		func(s *JobSpec) { s.DropoutProb = -0.1 },
+		func(s *JobSpec) { s.DropoutProb = 1.5 },
 		func(s *JobSpec) { s.DropoutProb = math.NaN() },
 	} {
 		bad := good

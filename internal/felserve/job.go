@@ -2,7 +2,6 @@ package felserve
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
@@ -64,18 +63,11 @@ type JobSpec struct {
 	AdaptiveExplore float64
 }
 
-// adaptiveConfig normalizes the spec's adaptive knobs into the sampler
-// config (shared by Validate and TrainConfig so they can never disagree).
-func (s JobSpec) adaptiveConfig() sampling.AdaptiveConfig {
-	beta := s.AdaptiveBeta
-	if beta <= 0 {
-		beta = 0.3
-	}
-	return sampling.AdaptiveConfig{Beta: beta, Explore: s.AdaptiveExplore}
-}
-
-// Validate rejects specs the trainer would panic on, so Submit can fail
-// with an error instead of taking the scheduler down.
+// Validate rejects what only the spec knows is wrong: a name that cannot be
+// a checkpoint filename or ride in a hello, and a federation with no clients
+// or edges, which System cannot build. Everything else is the trainer's
+// config, and core.NewTrainerOn judges it when the job is built, so Submit
+// fails with an error instead of taking the scheduler down.
 func (s JobSpec) Validate() error {
 	switch {
 	case s.Name == "":
@@ -86,22 +78,6 @@ func (s JobSpec) Validate() error {
 		return fmt.Errorf("felserve: job name %q: want [a-zA-Z0-9._-]+, not starting with '.'", s.Name)
 	case s.Clients <= 0 || s.Edges <= 0:
 		return fmt.Errorf("felserve: job %q: Clients and Edges must be positive", s.Name)
-	case s.Rounds <= 0 || s.GroupRounds <= 0 || s.LocalEpochs <= 0:
-		return fmt.Errorf("felserve: job %q: Rounds, GroupRounds, LocalEpochs must be positive", s.Name)
-	case !(s.LR > 0) || math.IsInf(s.LR, 1):
-		return fmt.Errorf("felserve: job %q: LR must be positive and finite", s.Name)
-	case s.SampleGroups <= 0:
-		return fmt.Errorf("felserve: job %q: SampleGroups must be positive", s.Name)
-	case !(s.DropoutProb >= 0 && s.DropoutProb < 1):
-		return fmt.Errorf("felserve: job %q: DropoutProb must be in [0,1)", s.Name)
-	}
-	if err := s.Async.Validate(); err != nil {
-		return fmt.Errorf("felserve: job %q: %w", s.Name, err)
-	}
-	if s.Adaptive {
-		if err := s.adaptiveConfig().Validate(); err != nil {
-			return fmt.Errorf("felserve: job %q: %w", s.Name, err)
-		}
 	}
 	return nil
 }
@@ -191,8 +167,11 @@ func (s JobSpec) TrainConfig(reg *metrics.Registry) core.Config {
 	}
 	cfg.Async = s.Async
 	if s.Adaptive {
-		ac := s.adaptiveConfig()
-		cfg.AdaptiveSampling = &ac
+		beta := s.AdaptiveBeta
+		if beta <= 0 {
+			beta = 0.3
+		}
+		cfg.AdaptiveSampling = &sampling.AdaptiveConfig{Beta: beta, Explore: s.AdaptiveExplore}
 	}
 	return cfg
 }
@@ -246,14 +225,14 @@ func newJob(svc *Service, spec JobSpec, st *core.TrainerState) (*Job, error) {
 	}
 	sys := spec.System()
 	cfg := spec.TrainConfig(j.reg)
+	var err error
 	if st == nil {
-		j.tr = core.NewTrainer(sys, cfg)
+		j.tr, err = core.NewTrainerOn(sys, cfg, core.NewExecutor(sys, cfg), nil, nil)
 	} else {
-		var err error
 		j.tr, err = core.NewTrainerResumed(sys, cfg, st)
-		if err != nil {
-			return nil, fmt.Errorf("felserve: resume job %q: %w", spec.Name, err)
-		}
+	}
+	if err != nil {
+		return nil, fmt.Errorf("felserve: job %q: %w", spec.Name, err)
 	}
 	j.publish()
 	return j, nil

@@ -10,35 +10,12 @@ import (
 type ReLU struct {
 	mask []bool
 
-	// Buffer-reuse mode (Sequential.EnableBufferReuse): out and dgrad are
-	// recycled across calls whenever the input shape repeats.
-	reuse      bool
+	// out and dgrad are recycled across calls (tensor.Resize).
 	out, dgrad *tensor.Tensor
 }
 
 // NewReLU returns a ReLU activation layer.
 func NewReLU() *ReLU { return &ReLU{} }
-
-func (r *ReLU) setBufferReuse(on bool) { r.reuse = on }
-
-// scratchLike returns a tensor shaped like x. With reuse on, the cached
-// buffer is returned on a shape match and resized in place when its rank
-// matches and its backing array is large enough — so alternating batch
-// shapes (full vs tail mini-batches) stop allocating once both have been
-// seen.
-func scratchLike(reuse bool, buf, x *tensor.Tensor) *tensor.Tensor {
-	if reuse && buf != nil {
-		if buf.SameShape(x) {
-			return buf
-		}
-		if len(buf.Shape) == len(x.Shape) && cap(buf.Data) >= x.Size() {
-			copy(buf.Shape, x.Shape)
-			buf.Data = buf.Data[:x.Size()]
-			return buf
-		}
-	}
-	return tensor.New(x.Shape...)
-}
 
 // keepIf returns v when keep holds and +0 otherwise — the same bits as the
 // obvious if/else, selected with an integer mask the compiler turns into a
@@ -56,8 +33,8 @@ func keepIf(v float64, keep bool) float64 {
 
 // Forward clamps negatives to zero and records the active mask.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	out := scratchLike(r.reuse, r.out, x)
-	r.out = out
+	r.out = tensor.Resize(r.out, x.Shape...)
+	out := r.out
 	if cap(r.mask) < len(out.Data) {
 		r.mask = make([]bool, len(out.Data))
 	}
@@ -72,8 +49,8 @@ func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward zeroes gradients where the forward input was non-positive.
 func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	out := scratchLike(r.reuse, r.dgrad, grad)
-	r.dgrad = out
+	r.dgrad = tensor.Resize(r.dgrad, grad.Shape...)
+	out := r.dgrad
 	od, mask := out.Data[:len(grad.Data)], r.mask[:len(grad.Data)]
 	for i, g := range grad.Data {
 		od[i] = keepIf(g, mask[i])
@@ -97,25 +74,18 @@ func (r *ReLU) Name() string { return "relu" }
 // already-2-D inputs.
 type Flatten struct {
 	inShape []int
-
-	// Buffer-reuse mode (Sequential.EnableBufferReuse): Forward returns the
-	// same view header on every call, re-pointed at the new input.
-	reuse bool
-	view  *tensor.Tensor
+	// view is the header Forward returns on every call, re-pointed at the
+	// new input.
+	view *tensor.Tensor
 }
 
 // NewFlatten returns a flattening layer.
 func NewFlatten() *Flatten { return &Flatten{} }
 
-func (f *Flatten) setBufferReuse(on bool) { f.reuse = on }
-
 // Forward flattens all trailing dimensions into one.
 func (f *Flatten) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	f.inShape = append(f.inShape[:0], x.Shape...)
 	batch := x.Shape[0]
-	if !f.reuse {
-		return x.Reshape(batch, x.Size()/batch)
-	}
 	if f.view == nil {
 		f.view = &tensor.Tensor{Shape: make([]int, 2)}
 	}

@@ -29,41 +29,35 @@ func TestSequentialBackwardMatchesLayerChain(t *testing.T) {
 			func(b int) []int { return []int{b, 3, 8, 8} }, 10},
 	}
 	for _, tc := range cases {
-		for _, reuse := range []bool{false, true} {
-			seq, chain := tc.build(), tc.build()
-			if reuse {
-				seq.EnableBufferReuse()
-				chain.EnableBufferReuse()
+		seq, chain := tc.build(), tc.build()
+		rng := stats.NewRNG(17)
+		var loss SoftmaxCrossEntropy
+		for _, batch := range []int{16, 7} {
+			x := tensor.New(tc.shape(batch)...)
+			x.RandNormal(rng, 1)
+			y := make([]int, batch)
+			for i := range y {
+				y[i] = rng.IntN(tc.classes)
 			}
-			rng := stats.NewRNG(17)
-			var loss SoftmaxCrossEntropy
-			for _, batch := range []int{16, 7} {
-				x := tensor.New(tc.shape(batch)...)
-				x.RandNormal(rng, 1)
-				y := make([]int, batch)
-				for i := range y {
-					y[i] = rng.IntN(tc.classes)
-				}
 
-				_, probs := loss.Forward(seq.Forward(x, true), y)
-				seq.Backward(loss.Backward(probs, y))
+			_, probs := loss.Forward(seq.Forward(x, true), y)
+			seq.Backward(loss.Backward(probs, y))
 
-				_, probs = loss.Forward(chain.Forward(x, true), y)
-				grad := loss.Backward(probs, y)
-				for i := len(chain.Layers) - 1; i >= 0; i-- {
-					grad = chain.Layers[i].Backward(grad)
-				}
-				if !grad.SameShape(x) {
-					t.Fatalf("%s: hand chain returned data gradient %v for input %v", tc.name, grad.Shape, x.Shape)
-				}
+			_, probs = loss.Forward(chain.Forward(x, true), y)
+			grad := loss.Backward(probs, y)
+			for i := len(chain.Layers) - 1; i >= 0; i-- {
+				grad = chain.Layers[i].Backward(grad)
+			}
+			if !grad.SameShape(x) {
+				t.Fatalf("%s: hand chain returned data gradient %v for input %v", tc.name, grad.Shape, x.Shape)
+			}
 
-				want := chain.Grads()
-				for gi, g := range seq.Grads() {
-					for j := range g.Data {
-						if math.Float64bits(g.Data[j]) != math.Float64bits(want[gi].Data[j]) {
-							t.Fatalf("%s reuse=%v batch %d: grad tensor %d element %d is %x, layer chain %x",
-								tc.name, reuse, batch, gi, j, math.Float64bits(g.Data[j]), math.Float64bits(want[gi].Data[j]))
-						}
+			want := chain.Grads()
+			for gi, g := range seq.Grads() {
+				for j := range g.Data {
+					if math.Float64bits(g.Data[j]) != math.Float64bits(want[gi].Data[j]) {
+						t.Fatalf("%s batch %d: grad tensor %d element %d is %x, layer chain %x",
+							tc.name, batch, gi, j, math.Float64bits(g.Data[j]), math.Float64bits(want[gi].Data[j]))
 					}
 				}
 			}
@@ -78,7 +72,6 @@ func TestFirstLayerKeepsNoInputGradient(t *testing.T) {
 	rng := stats.NewRNG(19)
 	var loss SoftmaxCrossEntropy
 	run := func(m *Sequential, shape ...int) {
-		m.EnableBufferReuse()
 		x := tensor.New(shape...)
 		x.RandNormal(rng, 1)
 		y := make([]int, shape[0])

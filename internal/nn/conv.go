@@ -22,30 +22,15 @@ type Conv2D struct {
 	inShape     []int
 	outH, outW  int
 
-	// Buffer-reuse mode (Sequential.EnableBufferReuse): the im2col matrix,
-	// both matmul operand/output buffers, the input gradient and wt, the
-	// [InC*KH*KW, OutC] copy of Wᵀ that Forward refreshes, are recycled
-	// across calls whenever their backing arrays are big enough — the conv
-	// analogue of Dense's out/dx/wt recycling. The padding zeros and the
-	// col2im accumulator are re-zeroed explicitly, so a recycled buffer can
-	// never leak a previous batch's values into the result.
-	reuse        bool
+	// The im2col matrix, both matmul operand/output buffers, the input
+	// gradient and wt, the [InC*KH*KW, OutC] copy of Wᵀ that Forward
+	// refreshes, are recycled across calls (tensor.Resize). The padding
+	// zeros and the col2im accumulator are re-zeroed explicitly, so a
+	// recycled buffer can never leak a previous batch's values into the
+	// result.
 	outCols, out *tensor.Tensor
 	dy, dcols    *tensor.Tensor
 	dx, wt       *tensor.Tensor
-}
-
-func (c *Conv2D) setBufferReuse(on bool) { c.reuse = on }
-
-// scratch4 is scratch2 for rank-4 buffers (conv activations and gradients).
-func scratch4(reuse bool, buf *tensor.Tensor, s0, s1, s2, s3 int) *tensor.Tensor {
-	n := s0 * s1 * s2 * s3
-	if reuse && buf != nil && len(buf.Shape) == 4 && cap(buf.Data) >= n {
-		buf.Shape[0], buf.Shape[1], buf.Shape[2], buf.Shape[3] = s0, s1, s2, s3
-		buf.Data = buf.Data[:n]
-		return buf
-	}
-	return tensor.New(s0, s1, s2, s3)
 }
 
 // NewConv2D creates a conv layer with He initialization.
@@ -77,7 +62,7 @@ func (c *Conv2D) im2col(x *tensor.Tensor) *tensor.Tensor {
 	b, ch, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	oh, ow := c.outDims(h, w)
 	k := ch * c.KH * c.KW
-	cols := scratch2(c.reuse, c.cols, b*oh*ow, k)
+	cols := tensor.Resize(c.cols, b*oh*ow, k)
 	for bi := 0; bi < b; bi++ {
 		for oy := 0; oy < oh; oy++ {
 			for ox := 0; ox < ow; ox++ {
@@ -111,8 +96,8 @@ func (c *Conv2D) im2col(x *tensor.Tensor) *tensor.Tensor {
 func (c *Conv2D) col2im(cols *tensor.Tensor, b, ch, h, w int) *tensor.Tensor {
 	oh, ow := c.outDims(h, w)
 	k := ch * c.KH * c.KW
-	dx := scratch4(c.reuse, c.dx, b, ch, h, w)
-	c.dx = dx
+	c.dx = tensor.Resize(c.dx, b, ch, h, w)
+	dx := c.dx
 	dx.Zero() // scatter-add accumulator: a recycled buffer must start clean
 	for bi := 0; bi < b; bi++ {
 		for oy := 0; oy < oh; oy++ {
@@ -151,14 +136,14 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	c.cols = cols
 	// outCols[n, oc] = cols[n, :]·W[oc, :], as cols × Wᵀ with the zero test
 	// on cols.
-	outCols := scratch2(c.reuse, c.outCols, b*oh*ow, c.OutC)
-	c.outCols = outCols
-	c.wt = scratch2(c.reuse, c.wt, c.W.Shape[1], c.OutC)
+	c.outCols = tensor.Resize(c.outCols, b*oh*ow, c.OutC)
+	outCols := c.outCols
+	c.wt = tensor.Resize(c.wt, c.W.Shape[1], c.OutC)
 	tensor.TransposeInto(c.wt, c.W)
 	tensor.MatMul(outCols, cols, c.wt)
 	// Reorder [B, OH*OW, OutC] -> [B, OutC, OH, OW] and add bias.
-	out := scratch4(c.reuse, c.out, b, c.OutC, oh, ow)
-	c.out = out
+	c.out = tensor.Resize(c.out, b, c.OutC, oh, ow)
+	out := c.out
 	hw := oh * ow
 	for bi := 0; bi < b; bi++ {
 		for n := 0; n < hw; n++ {
@@ -177,8 +162,8 @@ func (c *Conv2D) backwardParams(grad *tensor.Tensor) {
 	b := c.inShape[0]
 	hw := c.outH * c.outW
 	// Reorder grad [B, OutC, OH, OW] -> dYcols [B*OH*OW, OutC].
-	dy := scratch2(c.reuse, c.dy, b*hw, c.OutC)
-	c.dy = dy
+	c.dy = tensor.Resize(c.dy, b*hw, c.OutC)
+	dy := c.dy
 	for bi := 0; bi < b; bi++ {
 		for oc := 0; oc < c.OutC; oc++ {
 			src := grad.Data[(bi*c.OutC+oc)*hw : (bi*c.OutC+oc+1)*hw]
@@ -203,10 +188,9 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	c.backwardParams(grad)
 	b := c.inShape[0]
 	// dcols = dy × W, then scatter back.
-	dcols := scratch2(c.reuse, c.dcols, b*c.outH*c.outW, c.W.Shape[1])
-	c.dcols = dcols
-	tensor.MatMul(dcols, c.dy, c.W)
-	return c.col2im(dcols, b, c.inShape[1], c.inShape[2], c.inShape[3])
+	c.dcols = tensor.Resize(c.dcols, b*c.outH*c.outW, c.W.Shape[1])
+	tensor.MatMul(c.dcols, c.dy, c.W)
+	return c.col2im(c.dcols, b, c.inShape[1], c.inShape[2], c.inShape[3])
 }
 
 // Params returns [W, B].

@@ -14,26 +14,9 @@ type Dense struct {
 	dW, dB *tensor.Tensor
 	x      *tensor.Tensor // cached input
 
-	// Buffer-reuse mode (Sequential.EnableBufferReuse): out, dx and wt (the
-	// [out, in] copy of Wᵀ that Backward refreshes for dX) are recycled
-	// across calls whenever the batch shape repeats.
-	reuse       bool
+	// out, dx and wt (the [out, in] copy of Wᵀ that Backward refreshes for
+	// dX) are recycled across calls (tensor.Resize).
 	out, dx, wt *tensor.Tensor
-}
-
-func (d *Dense) setBufferReuse(on bool) { d.reuse = on }
-
-// scratch2 returns a [rows, cols] tensor for an output buffer. With reuse on,
-// the cached buffer is returned as-is on a shape match and resized in place
-// when its backing array is large enough — so alternating batch shapes (the
-// SGD loop's full and tail batches) stop allocating once both have been seen.
-func scratch2(reuse bool, buf *tensor.Tensor, rows, cols int) *tensor.Tensor {
-	if reuse && buf != nil && len(buf.Shape) == 2 && cap(buf.Data) >= rows*cols {
-		buf.Shape[0], buf.Shape[1] = rows, cols
-		buf.Data = buf.Data[:rows*cols]
-		return buf
-	}
-	return tensor.New(rows, cols)
 }
 
 // NewDense creates a dense layer with He-initialized weights.
@@ -52,8 +35,8 @@ func NewDense(in, out int, rng *stats.RNG) *Dense {
 func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	d.x = x
 	batch := x.Shape[0]
-	out := scratch2(d.reuse, d.out, batch, d.W.Shape[1])
-	d.out = out
+	d.out = tensor.Resize(d.out, batch, d.W.Shape[1])
+	out := d.out
 	tensor.MatMul(out, x, d.W)
 	ncols := d.B.Size()
 	for i := 0; i < batch; i++ {
@@ -83,12 +66,11 @@ func (d *Dense) backwardParams(grad *tensor.Tensor) {
 // every element is the ascending reduction Σ_p grad[i,p]·W[j,p].
 func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	d.backwardParams(grad)
-	dx := scratch2(d.reuse, d.dx, grad.Shape[0], d.W.Shape[0])
-	d.dx = dx
-	d.wt = scratch2(d.reuse, d.wt, d.W.Shape[1], d.W.Shape[0])
+	d.dx = tensor.Resize(d.dx, grad.Shape[0], d.W.Shape[0])
+	d.wt = tensor.Resize(d.wt, d.W.Shape[1], d.W.Shape[0])
 	tensor.TransposeInto(d.wt, d.W)
-	tensor.MatMul(dx, grad, d.wt)
-	return dx
+	tensor.MatMul(d.dx, grad, d.wt)
+	return d.dx
 }
 
 // Params returns [W, B].

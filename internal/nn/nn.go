@@ -8,7 +8,9 @@
 //
 // All layers are single-goroutine objects: clone a model per concurrent
 // client. Heavy math (matrix multiplies inside dense/conv layers) runs in the
-// tensor package, on the calling goroutine.
+// tensor package, on the calling goroutine. Layers recycle their output and
+// gradient buffers from call to call (tensor.Resize); a caller that keeps an
+// activation past the layer's next call copies it.
 package nn
 
 import (
@@ -20,6 +22,10 @@ import (
 
 // Layer is one differentiable stage of a network. Forward must be called
 // before Backward; layers cache activations internally between the two.
+//
+// Forward and Backward may return buffers the layer owns and recycles: a
+// result is valid only until the layer's next Forward or Backward call, so
+// the caller consumes it before then or copies it.
 //
 // Backward computes both gradients a layer owns: the parameter gradients it
 // leaves in Grads, and the input gradient it returns for the layer below.
@@ -180,29 +186,9 @@ func (s *Sequential) SetParamVector(v []float64) {
 	}
 }
 
-// bufferReuser is implemented by layers that can serve Forward/Backward from
-// cached output buffers instead of fresh allocations.
-type bufferReuser interface{ setBufferReuse(on bool) }
-
-// EnableBufferReuse switches supporting layers (Dense, ReLU, Conv2D, the
-// layers inside Residual blocks, and the forward halves of MaxPool2D and
-// Flatten) into buffer-reuse mode: Forward and Backward
-// return the same cached tensors on every call with a matching shape instead
-// of freshly allocated ones, which removes the steady-state allocations of
-// the SGD inner loop. For Conv2D that includes the im2col matrix and both
-// matmul staging buffers — by far the largest per-step garbage of a conv net.
-//
-// A reused output is only valid until the layer's next Forward or Backward
-// call, so enable this only on models whose intermediate tensors are
-// consumed immediately — the training engine's per-worker clones, never a
-// model whose activations a caller retains across steps.
-func (s *Sequential) EnableBufferReuse() {
-	for _, l := range s.Layers {
-		if r, ok := l.(bufferReuser); ok {
-			r.setBufferReuse(true)
-		}
-	}
-}
+// EnableBufferReuse does nothing: every layer recycles its buffers (see
+// Layer). It is kept only because bench/probes.go calls it.
+func (s *Sequential) EnableBufferReuse() {}
 
 // GradVector flattens all gradients into a single new vector aligned with
 // ParamVector.

@@ -64,11 +64,10 @@ func BenchmarkForwardResNetLite(b *testing.B) {
 }
 
 // benchStepReuse measures one step of the paper-sized MLP (24→32→10) with
-// buffer reuse and the in-place loss head — the training engine's zero-alloc
-// hot path, exactly as core.sgdEpochs strings it together.
+// the in-place loss head into a reused probability buffer — the training
+// engine's zero-alloc hot path, exactly as core.sgdEpochs strings it together.
 func benchStepReuse(b *testing.B, batch int) {
 	m := NewMLP(24, []int{32}, 10, 1)
-	m.EnableBufferReuse()
 	rng := stats.NewRNG(1)
 	x := tensor.New(batch, 24)
 	x.RandNormal(rng, 1)
@@ -90,10 +89,10 @@ func benchStepReuse(b *testing.B, batch int) {
 	}
 }
 
-// BenchmarkTrainStepMLPReuse is the reuse-mode step at batch 32.
+// BenchmarkTrainStepMLPReuse is benchStepReuse at batch 32.
 func BenchmarkTrainStepMLPReuse(b *testing.B) { benchStepReuse(b, 32) }
 
-// BenchmarkTrainStepPaperMLP is the reuse-mode step at batch 16 — the one
+// BenchmarkTrainStepPaperMLP is benchStepReuse at batch 16 — the one
 // SGD step every executor of the train-paper, pop-regroup, net-loopback and
 // serve-fanout workloads repeats (its five GEMMs are the paper_* shapes of
 // internal/tensor/BENCHMARKS.md).

@@ -33,16 +33,6 @@ func NewResidual(inC, outC int, rng *stats.RNG) *Residual {
 	return r
 }
 
-func (r *Residual) setBufferReuse(on bool) {
-	r.relu1.setBufferReuse(on)
-	r.relu2.setBufferReuse(on)
-	r.Conv1.setBufferReuse(on)
-	r.Conv2.setBufferReuse(on)
-	if r.Proj != nil {
-		r.Proj.setBufferReuse(on)
-	}
-}
-
 // Forward runs the block.
 func (r *Residual) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	h := r.relu1.Forward(r.Conv1.Forward(x, train), train)

@@ -34,6 +34,25 @@ func New(shape ...int) *Tensor {
 	return &Tensor{Shape: s, Data: make([]float64, n)}
 }
 
+// Resize returns a tensor of the given shape for use as an output buffer.
+// When buf has the same rank and its backing array holds the new volume, buf
+// itself is reshaped in place and returned, its contents left as they are;
+// otherwise (buf nil included) it returns New(shape...). A caller that keeps
+// the result and passes it back stops allocating once it has seen its
+// largest shape. shape is copied only on the New path, so it never escapes.
+func Resize(buf *Tensor, shape ...int) *Tensor {
+	n := 1
+	for _, d := range shape {
+		n *= d
+	}
+	if buf == nil || len(buf.Shape) != len(shape) || cap(buf.Data) < n {
+		return New(append([]int(nil), shape...)...)
+	}
+	copy(buf.Shape, shape)
+	buf.Data = buf.Data[:n]
+	return buf
+}
+
 // FromSlice wraps data in a tensor of the given shape. The slice is used
 // directly (not copied); its length must match the shape volume.
 func FromSlice(data []float64, shape ...int) *Tensor {

@@ -54,6 +54,35 @@ func TestFromSlicePanicsOnMismatch(t *testing.T) {
 	FromSlice([]float64{1, 2, 3}, 2, 2)
 }
 
+// TestResize pins the resize-by-capacity contract: the same tensor back
+// when the rank matches and the capacity fits, a new zero tensor otherwise,
+// and no allocation on the warm path.
+func TestResize(t *testing.T) {
+	a := Resize(nil, 4, 3)
+	if a.Size() != 12 || a.Shape[0] != 4 || a.Shape[1] != 3 {
+		t.Fatalf("Resize(nil, 4, 3) = %v", a.Shape)
+	}
+	a.Fill(1)
+	if b := Resize(a, 2, 5); b != a || b.Size() != 10 || b.Shape[0] != 2 || b.Shape[1] != 5 || b.Data[9] != 1 {
+		t.Fatalf("a fitting resize did not reshape in place: %v (same %v)", b.Shape, b == a)
+	}
+	if b := Resize(a, 4, 3); b != a || b.Size() != 12 {
+		t.Fatalf("growing back within capacity reallocated: %v", b.Shape)
+	}
+	for _, shape := range [][]int{{13, 1}, {12}, {1, 2, 6}} {
+		if b := Resize(a, shape...); b == a || !b.SameShape(New(shape...)) || b.Data[0] != 0 {
+			t.Fatalf("Resize to %v returned the old buffer, a dirty one or the wrong shape", shape)
+		}
+	}
+	shape := []int{3, 4}
+	if b := Resize(nil, shape...); &b.Shape[0] == &shape[0] {
+		t.Fatal("Resize kept the caller's shape slice")
+	}
+	if allocs := testing.AllocsPerRun(20, func() { a = Resize(a, 3, 4) }); allocs != 0 {
+		t.Fatalf("warm Resize allocated %.1f times, want 0", allocs)
+	}
+}
+
 func TestCloneIndependence(t *testing.T) {
 	x := FromSlice([]float64{1, 2}, 2)
 	y := x.Clone()
