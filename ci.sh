@@ -151,8 +151,8 @@ echo "== go test ./..."
 go test ./...
 
 # internal/tensor is not listed: it starts no goroutine and shares no state.
-echo "== go test -race (cpu, core, async, wire, fednode, faultnet, metrics, felserve, grouping, data, leakcheck, cmd/felnode)"
-go test -race ./internal/cpu ./internal/core ./internal/async ./internal/wire ./internal/fednode ./internal/faultnet/... ./internal/metrics ./internal/felserve ./internal/grouping ./internal/data ./internal/leakcheck ./cmd/felnode
+echo "== go test -race (cpu, core, async, wire, fednode, faultnet, metrics, felserve, grouping, data, leakcheck, multimodel, cmd/felnode)"
+go test -race ./internal/cpu ./internal/core ./internal/async ./internal/wire ./internal/fednode ./internal/faultnet/... ./internal/metrics ./internal/felserve ./internal/grouping ./internal/data ./internal/leakcheck ./internal/multimodel ./cmd/felnode
 
 echo "== go test -fuzz smoke (18s total across targets)"
 go test ./internal/wire -run '^$' -fuzz FuzzDecodeFrame -fuzztime 1s

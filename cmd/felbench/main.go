@@ -87,7 +87,11 @@ func main() {
 		mreg := metrics.New()
 		scRun := sc
 		scRun.Metrics = mreg
-		a := reg[id](scRun, *seed)
+		a, err := reg[id](scRun, *seed)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "felbench:", err)
+			os.Exit(1)
+		}
 		fmt.Println(a.Pretty)
 		if *out != "" {
 			path := filepath.Join(*out, id+".csv")

@@ -59,14 +59,3 @@ func (b *sgdBatch) ensure(rows int, src *tensor.Tensor) {
 	}
 	b.y = b.y[:rows]
 }
-
-// growFloats returns a zeroed slice of length n, reusing buf's backing array
-// when it is large enough.
-func growFloats(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	buf = buf[:n]
-	clear(buf)
-	return buf
-}

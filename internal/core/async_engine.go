@@ -88,8 +88,8 @@ func (sp *groupSpace) dispatch(now int64) {
 		sp.clients[i].drop = cfg.DropoutProb > 0 && sp.dropRng.Float64() < cfg.DropoutProb
 	}
 	cpu.Each(len(sp.batch), e.max, func(_, j int) {
-		w := e.workers.Acquire()
-		defer e.workers.Release(w)
+		w := e.sys.BorrowWorker()
+		defer e.sys.ReturnWorker(w)
 		e.trainClient(w, sp, sp.batch[j])
 	})
 	for _, i := range sp.batch {

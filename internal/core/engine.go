@@ -13,10 +13,10 @@ import (
 	"repro/internal/tensor"
 )
 
-// engine is the deterministic parallel training core behind Train: a bounded
-// pool of workers (one model clone + SGD arena each) fans client training out
-// across goroutines while keeping every result bit-for-bit identical to the
-// serial schedule at any MaxParallel.
+// engine is the deterministic parallel training core behind Train: workers
+// (one model clone + SGD arena each) train clients across goroutines while
+// every result stays bit-for-bit identical to the serial schedule at any
+// MaxParallel.
 //
 // The determinism contract rests on six rules:
 //
@@ -39,23 +39,26 @@ import (
 //  5. Arrival order is decided by (tick, dispatch ordinal) on the group's
 //     event heap, every delay a pure function of (seed, round, group,
 //     client, dispatch ordinal) — never by goroutine scheduling. Training
-//     fans out over the worker pool only within a dispatch batch, between
-//     clock events.
+//     fans out only within a dispatch batch, between clock events.
 //  6. A client is redispatched only by the flush that consumed its previous
 //     update, anchored on the post-flush group model. At a full buffer every
 //     flush consumes every client in client order at staleness zero: that is
 //     the synchronous group round of Alg. 1, and the only way this engine
 //     runs one (async_engine.go).
 //
-// Workers (worker.go) are created lazily up to max and recycled through the
-// engine's WorkerPool, so the steady state allocates nothing: models recycle
-// their layer buffers (nn.Layer), SGD scratch lives in per-worker
-// arenas, and a group round's n×dim storage lives in group-round machines,
-// one per goroutine of RunGroups' fan-out. When the run finishes, workers,
-// machines and slot vectors go to the System's spare list (spare.go), and
-// the next engine on that System takes them before it builds any. A Worker's sample buffer is what
-// bounds a round's data footprint on a virtual system: at most max workers ×
-// one client batch exist at any instant, independent of the population size.
+// The engine holds no run storage between calls: each client's training
+// borrows a Worker (worker.go) from the System's lender (lender.go), and
+// RunGroups one group-round machine, which holds a group's n×dim storage,
+// per goroutine of its fan-out; both go back before the borrowing call
+// returns. Warm, training a client allocates nothing: models recycle their
+// layer buffers (nn.Layer) and SGD scratch lives in per-worker arenas.
+// MaxParallel sets only the width of the fan-outs, max; the lender builds
+// at most cpu.Procs() Workers, and a Worker's sample buffer is what bounds a
+// round's data footprint on a virtual system: at most that many client
+// batches exist at any instant, independent of the population size. The
+// lender's lists are plain lists, not a sync.Pool, whose per-P and victim
+// caches keep more n×dim matrices alive than a round uses (EXPERIMENTS.md:
+// replacing such a pool cut train-gemm's peak RSS 18 %).
 type engine struct {
 	sys   *System
 	cfg   Config
@@ -63,21 +66,11 @@ type engine struct {
 	comp  *compressorPool
 	max   int
 
-	workers *WorkerPool
-
 	// mu guards groupAggHists.
 	mu sync.Mutex
-	// spaces[w] is the group-round machine RunGroups' goroutine w runs each
-	// of its groups on, so at most the fan-out width ever exist per run. It
-	// is a plain list, not a sync.Pool, whose per-P and victim caches keep
-	// more n×dim matrices alive than a round uses (EXPERIMENTS.md: replacing
-	// such a pool cut train-gemm's peak RSS 18 %).
-	spaces []*groupSpace
 
-	// slots[si] is the group vector selection slot si's update aliases —
-	// O(dim), never a per-client array — and updates the result slice
-	// RunGroups returns, both reused from round to round.
-	slots   [][]float64
+	// updates is the result slice RunGroups returns, reused from round to
+	// round.
 	updates []GroupUpdate
 
 	epochsCtr *metrics.Counter
@@ -99,13 +92,13 @@ type engine struct {
 }
 
 // groupSpace is one group-round machine (async_engine.go) and the n×dim
-// storage it runs in, reused from one group's run to the next on the same
-// goroutine of RunGroups' fan-out so a warm machine allocates nothing: the
+// storage it runs in, lent by the System to one goroutine of a RunGroups
+// fan-out at a time, so a warm machine allocates nothing: the
 // per-client result slots (views into one flat backing array), the
 // tree-reduction node scratch, then the run state — logical-clock heap,
 // per-client bookkeeping (pre-drawn dropout flag and uplink bytes included),
-// the batch scratch — and the run's outcome. group belongs to the selection
-// slot being run (begin takes it, RunGroups hands it back).
+// the batch scratch — and the run's outcome. group is the vector of the
+// selection slot being run, the caller's (begin takes it, end lets it go).
 type groupSpace struct {
 	e *engine
 
@@ -142,16 +135,17 @@ type clientRun struct {
 	bytes      int64 // uplink size of the latest update, 0 when dropped
 }
 
-// testUncapWorkers lifts the physical-CPU cap on the worker pool. The test
-// binary sets it (engine_test.go init) so the -race pool test and the
-// MaxParallel replay sweeps exercise real multi-worker concurrency even on
-// single-CPU CI hosts; production runs never do.
+// testUncapWorkers lifts the physical-CPU cap on the fan-out width and on the
+// Workers a System builds. The test binary sets it (engine_test.go init) so
+// the -race engine test and the MaxParallel replay sweeps exercise real
+// multi-worker concurrency even on single-CPU CI hosts; production runs
+// never do.
 var testUncapWorkers bool
 
 // NewExecutor builds the in-process Executor: the training engine for one
 // run. MaxParallel <= 0 follows the effective processor count (cpu.Procs);
-// MaxParallel == 1 is the serial reference path: one worker, groups and
-// their clients training one after another on the calling goroutine.
+// MaxParallel == 1 is the serial reference path: groups and their clients
+// training one after another on the calling goroutine.
 func NewExecutor(sys *System, cfg Config) Executor {
 	local := cfg.Local
 	if local == nil {
@@ -161,14 +155,13 @@ func NewExecutor(sys *System, cfg Config) Executor {
 	if cfg.NewCompressor != nil {
 		comp = &compressorPool{factory: cfg.NewCompressor, byClient: make(map[int]compress.Compressor)}
 	}
-	max := workerBound(cfg.MaxParallel)
+	width := workerBound(cfg.MaxParallel)
 	e := &engine{
 		sys:       sys,
 		cfg:       cfg,
 		local:     local,
 		comp:      comp,
-		max:       max,
-		workers:   newWorkerPool(sys, max),
+		max:       width,
 		epochsCtr: cfg.Metrics.Counter("fel_core_local_epochs_total"),
 		trainHist: cfg.Metrics.Histogram("fel_core_local_train_seconds"),
 	}
@@ -180,6 +173,10 @@ func NewExecutor(sys *System, cfg Config) Executor {
 	e.asyncCarry = areg.Counter("fel_async_carryover_total")
 	e.asyncLate = areg.Counter("fel_async_late_total")
 	e.asyncTicks = areg.Counter("fel_async_ticks_total")
+	// The test binary's cap on the System's Workers follows its widest engine.
+	sys.lend.mu.Lock()
+	sys.lend.asked = max(sys.lend.asked, width)
+	sys.lend.mu.Unlock()
 	return e
 }
 
@@ -193,9 +190,9 @@ func asyncRegistry(cfg Config) *metrics.Registry {
 	return nil
 }
 
-// workerBound is the number of workers a MaxParallel setting buys — a bound,
-// not a worker count: results are bit-identical however many workers actually
-// run, so the pool is free to stay at the physical CPU count. Beyond it,
+// workerBound is the fan-out width a MaxParallel setting buys — a bound, not
+// a worker count: results are bit-identical however many workers actually
+// run, so the width is free to stay at the physical CPU count. Beyond it,
 // extra workers only multiply resident model clones and thread handoffs on
 // the same cores — PR 9 measured large-model rounds ~15% slower with 8
 // workers on one CPU, PR 18 no faster and +7% peak RSS with 8 on two. A change
@@ -226,14 +223,19 @@ func (e *engine) groupAggHist(edge int) *metrics.Histogram {
 	return h
 }
 
-// begin readies the machine to run group g from params in global round
-// round in a selection slot's group vector: storage for its n clients of
-// len(params) parameters, backing arrays kept, and the run state of a group
-// nobody has dispatched yet.
-func (sp *groupSpace) begin(group []float64, g *grouping.Group, params []float64, round int) {
+// newGroupSpace builds a group-round machine with no storage yet.
+func newGroupSpace() *groupSpace {
+	return &groupSpace{dropRng: stats.NewRNG(0), delayRng: stats.NewRNG(0)}
+}
+
+// begin readies the machine to run group g for e from params in global round
+// round in a selection slot's group vector, of len(params): storage for its
+// n clients of len(params) parameters, backing arrays kept, and the run
+// state of a group nobody has dispatched yet.
+func (sp *groupSpace) begin(e *engine, group []float64, g *grouping.Group, params []float64, round int) {
 	n, dim := g.Size(), len(params)
-	sp.g, sp.round = g, round
-	sp.group = growFloats(group, dim)
+	sp.e, sp.g, sp.round = e, g, round
+	sp.group = group[:dim]
 	copy(sp.group, params)
 	if cap(sp.flat) < n*dim {
 		sp.flat = make([]float64, n*dim)
@@ -263,14 +265,15 @@ func (sp *groupSpace) begin(group []float64, g *grouping.Group, params []float64
 	sp.drops, sp.bytes, sp.ticks, sp.carry, sp.late = 0, 0, 0, 0, 0
 }
 
-// end closes the run: the returned update's Params is the group vector,
-// which the machine lets go of, so it can run another slot's group next.
+// end closes the run, the group model left in the slot's vector, and lets
+// go of the engine, the group and the vector, so a free machine keeps no run
+// alive.
 func (sp *groupSpace) end() GroupUpdate {
 	u := GroupUpdate{
-		Params: sp.group, Drops: sp.drops, UplinkBytes: sp.bytes,
+		Drops: sp.drops, UplinkBytes: sp.bytes,
 		Ticks: sp.ticks, Carryovers: sp.carry, LateDrops: sp.late,
 	}
-	sp.g, sp.group = nil, nil
+	sp.e, sp.g, sp.group = nil, nil, nil
 	return u
 }
 

@@ -4,6 +4,7 @@ import (
 	"maps"
 	"math"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
@@ -12,12 +13,13 @@ import (
 	"repro/internal/compress"
 	"repro/internal/cpu"
 	"repro/internal/metrics"
+	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
-// The test binary lifts the engine's physical-CPU worker cap so the -race
-// pool test and the MaxParallel replay sweeps exercise real multi-worker
-// concurrency even when CI runs on a single-CPU host.
+// The test binary lifts the physical-CPU cap on fan-out width and Workers so
+// the -race engine test and the MaxParallel replay sweeps exercise real
+// multi-worker concurrency even when CI runs on a single-CPU host.
 func init() { testUncapWorkers = true }
 
 // TestSGDEpochsSteadyStateAllocs locks in the zero-alloc hot path: once a
@@ -84,11 +86,11 @@ func TestEvaluateParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestEngineWorkerPoolRace drives the full engine — worker pool, pooled
-// group-round machines, compressor pool, SCAFFOLD's shared state — at high
-// parallelism so ci.sh's race stage (go test -race ./internal/core) can
-// catch any unsynchronized access.
-func TestEngineWorkerPoolRace(t *testing.T) {
+// TestEngineRace drives the full engine — lent Workers and group-round
+// machines, compressor pool, SCAFFOLD's shared state — at high parallelism
+// so ci.sh's race stage (go test -race ./internal/core) can catch any
+// unsynchronized access.
+func TestEngineRace(t *testing.T) {
 	old := runtime.GOMAXPROCS(8)
 	defer runtime.GOMAXPROCS(old)
 	sys := testSystem(16, 0.5, 11)
@@ -141,8 +143,8 @@ func TestTrainParallelSpeedup(t *testing.T) {
 // TestGroupSpaceSteadyState: the group-round machine a group runs on keeps
 // its run state — per-client bookkeeping, event heap, batch scratch, result
 // slots — in the same backing arrays from round to round, and the selection
-// slot keeps its group vector the same way. At MaxParallel 1 one machine,
-// spaces[0], runs every group.
+// slot keeps its group vector the same way. At MaxParallel 1 the System lends
+// one machine, which runs every group.
 // Three rounds warm it; replaying the same three (same draws, so the same
 // event counts) may move none of them, whichever trigger flushes. The
 // machine's two ends then allocate nothing warm: begin, readying it for a
@@ -158,20 +160,21 @@ func TestGroupSpaceSteadyState(t *testing.T) {
 		cfg.Async = acfg
 		tr := NewTrainer(sys, cfg)
 		e := NewExecutor(sys, cfg).(*engine)
+		out := [][]float64{make([]float64, len(tr.Params()))}
 		run := func(round int) [5]unsafe.Pointer {
-			if _, err := e.RunGroups(round, tr.Groups(), []int{0}, tr.Params()); err != nil {
+			if _, err := e.RunGroups(round, tr.Groups(), []int{0}, tr.Params(), out); err != nil {
 				t.Fatal(err)
 			}
-			if len(e.spaces) != 1 {
-				t.Fatalf("%s: %d machines after a serial round, want 1", name, len(e.spaces))
+			if n := len(sys.lend.spaces); n != 1 {
+				t.Fatalf("%s: %d machines after a serial round, want 1", name, n)
 			}
-			sp := e.spaces[0]
+			sp := sys.lend.spaces[0]
 			return [5]unsafe.Pointer{
 				unsafe.Pointer(unsafe.SliceData(sp.clients)),
 				unsafe.Pointer(unsafe.SliceData(sp.heap)),
 				unsafe.Pointer(unsafe.SliceData(sp.batch)),
 				unsafe.Pointer(unsafe.SliceData(sp.flat)),
-				unsafe.Pointer(unsafe.SliceData(e.slots[0])),
+				unsafe.Pointer(unsafe.SliceData(out[0])),
 			}
 		}
 		var warm [5]unsafe.Pointer
@@ -183,14 +186,14 @@ func TestGroupSpaceSteadyState(t *testing.T) {
 				t.Errorf("%s: round %d moved the run state: %v, warm %v", name, round, got, warm)
 			}
 		}
-		sp, g := e.spaces[0], tr.Groups()[0]
+		sp, g := sys.lend.spaces[0], tr.Groups()[0]
 		if allocs := testing.AllocsPerRun(10, func() {
-			sp.begin(e.slots[0], g, tr.Params(), 0)
+			sp.begin(e, out[0], g, tr.Params(), 0)
 			for i := range sp.clients {
 				sp.clients[i].arrived = true
 			}
 			sp.flush()
-			e.slots[0] = sp.end().Params
+			sp.end()
 		}); allocs != 0 {
 			t.Errorf("%s: begin + a full-buffer flush on the warm machine allocate %.1f objects, want 0", name, allocs)
 		}
@@ -224,11 +227,11 @@ func TestStepRegistryAllocsLevel(t *testing.T) {
 	}
 }
 
-// TestGroupSpacesAtMostProcs: RunGroups fans out no wider than its worker
-// pool. With the test binary's cap lifted, MaxParallel 8 over 8 selected
-// groups would build 8 machines, each holding n×dim storage while only
-// cpu.Procs() workers train; under the production cap at most cpu.Procs()
-// exist after a round.
+// TestGroupSpacesAtMostProcs: RunGroups fans out no wider than the Workers
+// its System lends. With the test binary's cap lifted, MaxParallel 8 over 8
+// selected groups would build 8 machines, each holding n×dim storage while
+// only cpu.Procs() workers train; under the production cap the System holds
+// at most cpu.Procs() after a round.
 func TestGroupSpacesAtMostProcs(t *testing.T) {
 	testUncapWorkers = false
 	defer func() { testUncapWorkers = true }()
@@ -241,20 +244,24 @@ func TestGroupSpacesAtMostProcs(t *testing.T) {
 		t.Fatalf("%d groups formed, want at least 8", len(tr.Groups()))
 	}
 	selected := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	if _, err := e.RunGroups(0, tr.Groups(), selected, tr.Params()); err != nil {
+	out := make([][]float64, len(selected))
+	for si := range out {
+		out[si] = make([]float64, len(tr.Params()))
+	}
+	if _, err := e.RunGroups(0, tr.Groups(), selected, tr.Params(), out); err != nil {
 		t.Fatal(err)
 	}
-	if len(e.spaces) == 0 || len(e.spaces) > cpu.Procs() {
-		t.Fatalf("%d group-round machines after an 8-group round at MaxParallel 8, want 1 to cpu.Procs() = %d", len(e.spaces), cpu.Procs())
+	if n := len(sys.lend.spaces); n == 0 || n > cpu.Procs() {
+		t.Fatalf("%d group-round machines after an 8-group round at MaxParallel 8, want 1 to cpu.Procs() = %d", n, cpu.Procs())
 	}
 }
 
-// TestFinishedRunLeavesStorageForNext: Trainer.Finish hands the run's
-// group-round machines, workers, slot vectors and evaluator to its System,
-// and a run that follows on that System — here the serial rerun of a
-// parallel run on the same seed — takes them instead of building its own:
-// after it finishes, the System holds exactly what the first run left, and
-// the rerun lands on the same bits. A machine left on the System refers to
+// TestFinishedRunLeavesStorageForNext: a finished run has given every
+// group-round machine, worker, slot vector and the evaluator it used back to
+// its System, and a run that follows on that System — here the serial rerun
+// of a parallel run on the same seed — borrows them instead of building its
+// own: after it finishes, the System holds exactly what the first run left,
+// and the rerun lands on the same bits. A machine the System holds refers to
 // no engine, group or group vector, so it keeps no finished run alive.
 func TestFinishedRunLeavesStorageForNext(t *testing.T) {
 	sys := testSystem(24, 0.5, 3)
@@ -265,23 +272,23 @@ func TestFinishedRunLeavesStorageForNext(t *testing.T) {
 		return Train(sys, cfg).Params
 	}
 	left := func() map[unsafe.Pointer]string {
-		s := &sys.spare
+		l := &sys.lend
 		held := map[unsafe.Pointer]string{}
-		for _, sp := range s.spaces {
+		for _, sp := range l.spaces {
 			if sp.e != nil || sp.g != nil || sp.group != nil {
-				t.Fatalf("a spare machine still refers to its last run: engine %v, group %v, vector %v",
+				t.Fatalf("a free machine still refers to its last run: engine %v, group %v, vector %v",
 					sp.e != nil, sp.g != nil, sp.group != nil)
 			}
 			held[unsafe.Pointer(sp)] = "machine"
 		}
-		for _, w := range s.workers {
+		for _, w := range l.workers {
 			held[unsafe.Pointer(w)] = "worker"
 		}
-		for _, v := range s.vecs {
+		for _, v := range l.vecs {
 			held[unsafe.Pointer(unsafe.SliceData(v))] = "slot vector"
 		}
-		for _, ev := range s.evals {
-			held[unsafe.Pointer(ev)] = "evaluator"
+		if l.eval != nil {
+			held[unsafe.Pointer(l.eval)] = "evaluator"
 		}
 		return held
 	}
@@ -315,7 +322,7 @@ func TestFinishedRunLeavesStorageForNext(t *testing.T) {
 // TestConcurrentRunsOnOneSystem: runs stepping at the same time on one
 // System — a first wave that builds its storage, then a second that takes
 // what the first left — each train the weights they train alone. Under
-// -race this also checks the spare list's locking.
+// -race this also checks the lender's locking.
 func TestConcurrentRunsOnOneSystem(t *testing.T) {
 	config := func(j int) Config {
 		cfg := testConfig()
@@ -338,5 +345,58 @@ func TestConcurrentRunsOnOneSystem(t *testing.T) {
 				t.Errorf("wave %d, job %d trained different weights beside two others on one System", wave, j)
 			}
 		}
+	}
+}
+
+// TestRunsShareOneLender: every run on a System borrows its storage from the
+// System for the call that uses it and gives it back before the call
+// returns, so no run strands storage or holds a set of its own. Both cases
+// run under the production cap on Workers, cpu.Procs(). (a) A MaxParallel 2
+// Trainer stepped twice and dropped without Finish, as multimodel's executor
+// always is and a killed serving job is, leaves its workers and evaluator
+// behind: a Train that follows builds one model, its global init. It runs at
+// GOMAXPROCS 1, where the cap is one Worker, so what the dropped run built
+// does not hinge on whether two of its clients ever trained at once. (b)
+// Three concurrent MaxParallel 2 runs at GOMAXPROCS 2 build at most
+// cpu.Procs() worker models between them, beside their three global inits
+// (the first of which the System scores on).
+func TestRunsShareOneLender(t *testing.T) {
+	testUncapWorkers = false
+	defer func() { testUncapWorkers = true }()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	counted := func() (*System, *atomic.Int64) {
+		sys := testSystem(24, 0.5, 3)
+		var built atomic.Int64
+		newModel := sys.NewModel
+		sys.NewModel = func(s uint64) *nn.Sequential {
+			built.Add(1)
+			return newModel(s)
+		}
+		return sys, &built
+	}
+	config := func(j int) Config {
+		cfg := testConfig()
+		cfg.GlobalRounds = 3
+		cfg.MaxParallel = 2
+		cfg.Seed += uint64(j)
+		return cfg
+	}
+
+	sys, built := counted()
+	dropped := NewTrainer(sys, config(0))
+	dropped.Step()
+	dropped.Step()
+	built.Store(0)
+	Train(sys, config(0))
+	if n := built.Load(); n != 1 {
+		t.Errorf("(a) a Train after a run dropped without Finish built %d models, want 1: its global init", n)
+	}
+
+	runtime.GOMAXPROCS(2)
+	const jobs = 3
+	sys, built = counted()
+	cpu.Each(jobs, jobs, func(_, j int) { Train(sys, config(j)) })
+	if n := built.Load() - jobs; n > int64(cpu.Procs()) {
+		t.Errorf("(b) %d concurrent runs built %d worker models, want at most cpu.Procs() = %d", jobs, n, cpu.Procs())
 	}
 }

@@ -12,9 +12,6 @@
 package core
 
 import (
-	"sync"
-
-	"repro/internal/cpu"
 	"repro/internal/data"
 	"repro/internal/nn"
 	"repro/internal/tensor"
@@ -52,12 +49,8 @@ type System struct {
 	// its SubSystems.
 	views []clientBatch
 
-	// workers is the pool Workers hands out, built on first use.
-	workersOnce sync.Once
-	workers     *WorkerPool
-
-	// spare is what finished runs left for the next (spare.go).
-	spare spare
+	// lend lends every run on the system its storage (lender.go).
+	lend lender
 }
 
 type clientBatch struct {
@@ -206,16 +199,6 @@ func (s *System) SubSystem(clients []*data.Client, numEdges int) *System {
 		vp:        s.vp,
 		views:     s.views,
 	}
-}
-
-// Workers returns the System's shared WorkerPool, cpu.Procs() wide and built
-// on first use. Every in-process trainer outside the engine borrows from it —
-// fednode's Client, however many of them one process hosts — so together
-// they build at most cpu.Procs() models, never one per client. The engine keeps
-// its own pool, sized by Config.MaxParallel.
-func (s *System) Workers() *WorkerPool {
-	s.workersOnce.Do(func() { s.workers = newWorkerPool(s, cpu.Procs()) })
-	return s.workers
 }
 
 // ClientBatch returns the full batch (features + labels) of one client.

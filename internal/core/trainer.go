@@ -33,16 +33,14 @@ type Trainer struct {
 
 	globalParams []float64
 	next         []float64
-	// eval scores globalParams on the test set out of storage it keeps, so
-	// evaluating every round allocates nothing model-sized; a finished run's
-	// spare when the System has one.
-	eval *evaluator
 
 	acct *cost.Accountant
 	res  *Result
-	// aggNodes is the global fold's tree-node scratch, reused across rounds
-	// so the steady-state Step stays allocation-free.
-	aggNodes [][]float64
+	// slots holds the selection-slot vectors a Step borrows from its System
+	// for the group models, which the global fold then consumes as tree
+	// nodes; only the slice is reused across rounds, its entries nil between
+	// Steps.
+	slots [][]float64
 
 	dropsCtr *metrics.Counter
 	// aggHist and evalHist time the global aggregation and the evaluation.
@@ -87,11 +85,7 @@ func NewTrainerOn(sys *System, cfg Config, exec Executor, pinned []*grouping.Gro
 	tr := &Trainer{cfg: cfg, plan: plan, exec: exec}
 	model := sys.NewModel(sys.ModelSeed)
 	tr.globalParams = model.ParamVector()
-	if ev, ok := take(&sys.spare, &sys.spare.evals); ok {
-		tr.eval = ev
-	} else {
-		tr.eval = newEvaluator(model, sys.Test, 0)
-	}
+	sys.lend.stock(model, sys.Test)
 	if cfg.InitParams != nil {
 		if len(cfg.InitParams) != len(tr.globalParams) {
 			return nil, fmt.Errorf("InitParams length %d, model has %d", len(cfg.InitParams), len(tr.globalParams))
@@ -158,17 +152,19 @@ func (tr *Trainer) Step() RoundRecord {
 	selected := tr.plan.Next(t)
 	groups := tr.plan.Groups()
 
-	// Lines 7–14: the executor trains every selected group. It owns what it
-	// hands back; the global aggregation below consumes it.
-	updates, err := tr.exec.RunGroups(t, groups, selected, tr.globalParams)
+	// Lines 7–14: the executor trains every selected group into the slot
+	// vectors borrowed here; the global aggregation below consumes them.
+	l, dim := &tr.plan.sys.lend, len(tr.globalParams)
+	tr.slots = take(l, &l.vecs, tr.slots, len(selected), func() []float64 { return make([]float64, dim) })
+	updates, err := tr.exec.RunGroups(t, groups, selected, tr.globalParams, tr.slots)
 	if err != nil {
+		give(l, &l.vecs, tr.slots)
 		tr.err = err
 		return RoundRecord{}
 	}
 	// A round's logical time is the slowest selected group (the cloud
 	// barrier).
 	roundTicks := int64(0)
-	tr.aggNodes = tr.aggNodes[:0]
 	for si := range updates {
 		u := &updates[si]
 		res.Dropouts += u.Drops
@@ -177,7 +173,6 @@ func (tr *Trainer) Step() RoundRecord {
 		res.Carryovers += u.Carryovers
 		res.LateDrops += u.LateDrops
 		roundTicks = max(roundTicks, u.Ticks)
-		tr.aggNodes = append(tr.aggNodes, u.Params)
 	}
 	res.LogicalTicks += roundTicks
 	// Published here, from the barrier value: written per group, the gauge
@@ -187,9 +182,9 @@ func (tr *Trainer) Step() RoundRecord {
 	// Line 15: global aggregation into the reused double buffer. The fold
 	// consumes the group models as tree nodes.
 	aggSpan := tr.aggHist.Start()
-	tr.plan.Fold(tr.aggNodes, tr.globalParams, tr.next, workerBound(cfg.MaxParallel))
+	tr.plan.Fold(tr.slots, tr.globalParams, tr.next, workerBound(cfg.MaxParallel))
 	tr.globalParams, tr.next = tr.next, tr.globalParams
-	clear(tr.aggNodes) // the vectors are the executor's: keep no reference past the fold
+	give(l, &l.vecs, tr.slots)
 	aggSpan.End()
 
 	if gf, ok := cfg.Local.(globalRoundFinisher); ok {
@@ -220,7 +215,7 @@ func (tr *Trainer) Step() RoundRecord {
 	}
 	if cfg.EvalEvery <= 1 || t%cfg.EvalEvery == 0 || t == cfg.GlobalRounds-1 {
 		evalSpan := tr.evalHist.Start()
-		rec.Accuracy, rec.Loss = tr.eval.run(tr.globalParams)
+		rec.Accuracy, rec.Loss = l.evaluate(tr.globalParams)
 		evalSpan.End()
 	}
 	res.Records = append(res.Records, rec)
@@ -230,9 +225,9 @@ func (tr *Trainer) Step() RoundRecord {
 }
 
 // Finish runs the final evaluation and seals the Result. The trainer must
-// not be stepped afterwards: its evaluator and the in-process engine's
-// workers, group-round machines and slot vectors go to the System's spare
-// list (spare.go) for the next run on it. Result.Params is the trainer's own.
+// not be stepped afterwards. It holds no storage of its System's to hand
+// back: every Step returned what it borrowed. Result.Params is the trainer's
+// own.
 func (tr *Trainer) Finish() *Result {
 	res := tr.res
 	if n := len(res.Records); n > 0 && res.Records[n-1].Round == tr.t-1 && res.Records[n-1].Accuracy >= 0 {
@@ -240,13 +235,12 @@ func (tr *Trainer) Finish() *Result {
 		// round GlobalRounds-1); only a CostBudget stop can leave them unscored.
 		res.FinalAccuracy, res.FinalLoss = res.Records[n-1].Accuracy, res.Records[n-1].Loss
 	} else {
-		res.FinalAccuracy, res.FinalLoss = tr.eval.run(tr.globalParams)
+		res.FinalAccuracy, res.FinalLoss = tr.plan.sys.lend.evaluate(tr.globalParams)
 	}
 	res.Groups = tr.plan.Groups()
 	res.Probs = tr.plan.Probs()
 	res.TotalCost = tr.acct.Total()
 	res.Params = tr.globalParams
-	tr.release()
 	return res
 }
 

@@ -233,12 +233,12 @@ type flakyExecutor struct {
 	err           error
 }
 
-func (f *flakyExecutor) RunGroups(t int, groups []*grouping.Group, selected []int, params []float64) ([]GroupUpdate, error) {
+func (f *flakyExecutor) RunGroups(t int, groups []*grouping.Group, selected []int, params []float64, out [][]float64) ([]GroupUpdate, error) {
 	f.calls++
 	if f.calls > f.failAt {
 		return nil, f.err
 	}
-	return f.Executor.RunGroups(t, groups, selected, params)
+	return f.Executor.RunGroups(t, groups, selected, params, out)
 }
 
 // TestExecutorErrorEndsRun drives a Trainer over an executor that fails in

@@ -79,7 +79,8 @@ func foldPairs(nodes [][]float64, w []float64, pairs, dim, par int, weighted boo
 // adjacent-pair tree and returns the root slice (nil when n is 0). The fold
 // is destructive: node buffers are overwritten as partial sums, and the root
 // aliases nodes[0]'s buffer (except n == 1, where it aliases the sole node,
-// scaled in place). The caller may pass any par ≥ 1; results are
+// scaled in place). nodes[:n] is permuted, never duplicated, so it still
+// holds every buffer once. The caller may pass any par ≥ 1; results are
 // bit-identical for all values.
 func treeFold(nodes [][]float64, w []float64, n, par int) []float64 {
 	if n == 0 {
@@ -99,7 +100,7 @@ func treeFold(nodes [][]float64, w []float64, n, par int) []float64 {
 	}
 	count := (n + 1) / 2
 	for j := 1; j < count; j++ {
-		nodes[j] = nodes[2*j]
+		nodes[j], nodes[2*j] = nodes[2*j], nodes[j]
 	}
 	// Higher levels pair the weighted survivors; an odd tail node carries up
 	// by reference, costing nothing.
@@ -108,7 +109,7 @@ func treeFold(nodes [][]float64, w []float64, n, par int) []float64 {
 		foldPairs(nodes, nil, pairs, dim, par, false)
 		count = (count + 1) / 2
 		for j := 1; j < count; j++ {
-			nodes[j] = nodes[2*j]
+			nodes[j], nodes[2*j] = nodes[2*j], nodes[j]
 		}
 	}
 	return nodes[0]

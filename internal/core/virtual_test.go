@@ -247,28 +247,32 @@ func TestVirtualRoundMemoryOSelected(t *testing.T) {
 }
 
 // TestSelectionSlotMemoryODim is the per-slot half of the O(selected)
-// memory model: a selection slot keeps only what its GroupUpdate aliases,
-// the group vector, while the n×dim client storage of a group round lives
-// in machines bounded by RunGroups' fan-out width. At MaxParallel 1 there is
-// one machine whatever S is, so going from S = 2 to S = 8 on a warm
-// wide-model Trainer grows retained heap by about ΔS·dim floats. Keeping the
-// client storage per slot would grow it by ΔS·|g|·dim, at least MinGS times
-// more.
+// memory model: a selection slot keeps only its vector, the group model,
+// while the n×dim client storage of a group round lives in machines bounded
+// by RunGroups' fan-out width. At MaxParallel 1 there is one machine whatever
+// S is, so going from S = 2 to S = 8 on a warm wide-model Trainer grows
+// retained heap — the Trainer's and what its System lent it — by about
+// ΔS·dim floats. Keeping the client storage per slot would grow it by
+// ΔS·|g|·dim, at least MinGS times more. Each measurement runs on a System of
+// its own, so neither finds storage the other left.
 func TestSelectionSlotMemoryODim(t *testing.T) {
 	const minGS = 8
-	sys := NewSystem(SystemConfig{
-		Generator: data.FlatConfig(10, 32, 3),
-		Partition: data.PartitionConfig{
-			NumClients: 96, Alpha: 0.5,
-			MinSamples: 8, MaxSamples: 16, MeanSamples: 12, StdSamples: 3,
-			Seed: 4,
-		},
-		NumEdges:  2,
-		TestSize:  64,
-		NewModel:  func(s uint64) *nn.Sequential { return nn.NewMLP(32, []int{512}, 10, s) },
-		ModelSeed: 7,
-	})
+	newSystem := func() *System {
+		return NewSystem(SystemConfig{
+			Generator: data.FlatConfig(10, 32, 3),
+			Partition: data.PartitionConfig{
+				NumClients: 96, Alpha: 0.5,
+				MinSamples: 8, MaxSamples: 16, MeanSamples: 12, StdSamples: 3,
+				Seed: 4,
+			},
+			NumEdges:  2,
+			TestSize:  64,
+			NewModel:  func(s uint64) *nn.Sequential { return nn.NewMLP(32, []int{512}, 10, s) },
+			ModelSeed: 7,
+		})
+	}
 	retained := func(s int) (heap int64, dim int) {
+		sys := newSystem()
 		cfg := testConfig()
 		cfg.GlobalRounds, cfg.GroupRounds, cfg.SampleGroups = 4, 1, s
 		cfg.MaxParallel = 1

@@ -279,8 +279,8 @@ func TestRegistryRunnersProduceOutput(t *testing.T) {
 	sc.GlobalRounds = 3
 	reg := Registry()
 	for _, id := range []string{"fig2a", "fig8"} {
-		a := reg[id](sc, testSeed)
-		if !strings.Contains(a.CSV, id) || a.Pretty == "" {
+		a, err := reg[id](sc, testSeed)
+		if err != nil || !strings.Contains(a.CSV, id) || a.Pretty == "" {
 			t.Errorf("%s: bad artifact", id)
 		}
 	}

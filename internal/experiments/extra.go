@@ -194,7 +194,7 @@ func CompressionTable(sc Scale, seed uint64) *trace.Table {
 // MultiModelTable compares group-to-model schedulers in the multi-model
 // HFL scenario the paper cites as reference [23] (Wei et al.): several
 // models share the edge fleet and each group serves one model per round.
-func MultiModelTable(sc Scale, seed uint64) *trace.Table {
+func MultiModelTable(sc Scale, seed uint64) (*trace.Table, error) {
 	t := &trace.Table{
 		ID:     "multimodel",
 		Title:  "Multi-model HFL: scheduler comparison (2 models)",
@@ -205,10 +205,13 @@ func MultiModelTable(sc Scale, seed uint64) *trace.Table {
 		base := sc.BaseConfig(CIFAR, seed)
 		base.Grouping = grouping.CoVGrouping{Config: grouping.Config{MinGS: sc.MinGS, MergeLeftover: true}}
 		base.Sampling = sampling.ESRCoV
-		res := multimodel.Train(sys, multimodel.Config{
+		res, err := multimodel.Train(sys, multimodel.Config{
 			Models: 2, GroupsPerModel: sc.SampleGroups / 2,
 			Scheduler: sched, Train: base,
 		})
+		if err != nil {
+			return nil, fmt.Errorf("experiments: %s: %w", sched, err)
+		}
 		accs := ""
 		asg := ""
 		for m, st := range res.Models {
@@ -221,5 +224,5 @@ func MultiModelTable(sc Scale, seed uint64) *trace.Table {
 		}
 		t.AddRow(sched.String(), fmt.Sprintf("%.2f%%", res.MeanAccuracy*100), accs, asg)
 	}
-	return t
+	return t, nil
 }

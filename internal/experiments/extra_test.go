@@ -163,7 +163,10 @@ func TestConvModelScalePath(t *testing.T) {
 func TestMultiModelTableShape(t *testing.T) {
 	sc := Small()
 	sc.GlobalRounds = 6
-	tb := MultiModelTable(sc, testSeed)
+	tb, err := MultiModelTable(sc, testSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(tb.Rows) != 3 {
 		t.Fatalf("want 3 schedulers, got %d", len(tb.Rows))
 	}

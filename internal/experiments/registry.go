@@ -16,33 +16,33 @@ type Artifact struct {
 }
 
 // Runner regenerates one paper artifact at the given scale and seed.
-type Runner func(sc Scale, seed uint64) Artifact
+type Runner func(sc Scale, seed uint64) (Artifact, error)
 
 // Registry maps experiment IDs (fig2a … table1, plus ablations) to runners.
 func Registry() map[string]Runner {
 	return map[string]Runner{
-		"fig2a":           func(sc Scale, seed uint64) Artifact { return figArtifact(Fig2a()) },
-		"fig2b":           func(sc Scale, seed uint64) Artifact { return figArtifact(Fig2b(sc, seed)) },
-		"fig5":            func(sc Scale, seed uint64) Artifact { return figArtifact(Fig5(sc, seed)) },
-		"fig6":            func(sc Scale, seed uint64) Artifact { return figArtifact(Fig6(sc, seed)) },
-		"fig7":            func(sc Scale, seed uint64) Artifact { return figArtifact(Fig7(sc, seed)) },
-		"fig8":            func(sc Scale, seed uint64) Artifact { return figArtifact(Fig8()) },
-		"fig9":            func(sc Scale, seed uint64) Artifact { return figArtifact(Fig9(sc, seed)) },
-		"fig10":           func(sc Scale, seed uint64) Artifact { return figArtifact(Fig10(sc, seed)) },
-		"fig11":           func(sc Scale, seed uint64) Artifact { return figArtifact(Fig11(sc, seed)) },
-		"fig12":           func(sc Scale, seed uint64) Artifact { return figArtifact(Fig12(sc, seed)) },
-		"table1":          func(sc Scale, seed uint64) Artifact { return tableArtifact(Table1(sc, seed)) },
-		"abl-variance":    func(sc Scale, seed uint64) Artifact { return figArtifact(AblationVariance(sc, seed)) },
-		"abl-aggregation": func(sc Scale, seed uint64) Artifact { return figArtifact(AblationAggregation(sc, seed)) },
-		"abl-regroup":     func(sc Scale, seed uint64) Artifact { return figArtifact(AblationRegroup(sc, seed)) },
-		"abl-gamma":       func(sc Scale, seed uint64) Artifact { return figArtifact(AblationGamma(sc, seed)) },
-		"theory":          func(sc Scale, seed uint64) Artifact { return figArtifact(TheoryFigure(sc, seed)) },
-		"dropout":         func(sc Scale, seed uint64) Artifact { return figArtifact(DropoutRobustness(sc, seed)) },
-		"costbreak":       func(sc Scale, seed uint64) Artifact { return tableArtifact(CostBreakdown(sc, seed)) },
-		"fairness":        func(sc Scale, seed uint64) Artifact { return tableArtifact(FairnessTable(sc, seed)) },
-		"compression":     func(sc Scale, seed uint64) Artifact { return tableArtifact(CompressionTable(sc, seed)) },
-		"multimodel":      func(sc Scale, seed uint64) Artifact { return tableArtifact(MultiModelTable(sc, seed)) },
-		"async-vs-sync":   func(sc Scale, seed uint64) Artifact { return tableArtifact(AsyncVsSync(sc, seed)) },
+		"fig2a":           func(sc Scale, seed uint64) (Artifact, error) { return figArtifact(Fig2a()) },
+		"fig2b":           func(sc Scale, seed uint64) (Artifact, error) { return figArtifact(Fig2b(sc, seed)) },
+		"fig5":            func(sc Scale, seed uint64) (Artifact, error) { return figArtifact(Fig5(sc, seed)) },
+		"fig6":            func(sc Scale, seed uint64) (Artifact, error) { return figArtifact(Fig6(sc, seed)) },
+		"fig7":            func(sc Scale, seed uint64) (Artifact, error) { return figArtifact(Fig7(sc, seed)) },
+		"fig8":            func(sc Scale, seed uint64) (Artifact, error) { return figArtifact(Fig8()) },
+		"fig9":            func(sc Scale, seed uint64) (Artifact, error) { return figArtifact(Fig9(sc, seed)) },
+		"fig10":           func(sc Scale, seed uint64) (Artifact, error) { return figArtifact(Fig10(sc, seed)) },
+		"fig11":           func(sc Scale, seed uint64) (Artifact, error) { return figArtifact(Fig11(sc, seed)) },
+		"fig12":           func(sc Scale, seed uint64) (Artifact, error) { return figArtifact(Fig12(sc, seed)) },
+		"table1":          func(sc Scale, seed uint64) (Artifact, error) { return tableArtifact(Table1(sc, seed), nil) },
+		"abl-variance":    func(sc Scale, seed uint64) (Artifact, error) { return figArtifact(AblationVariance(sc, seed)) },
+		"abl-aggregation": func(sc Scale, seed uint64) (Artifact, error) { return figArtifact(AblationAggregation(sc, seed)) },
+		"abl-regroup":     func(sc Scale, seed uint64) (Artifact, error) { return figArtifact(AblationRegroup(sc, seed)) },
+		"abl-gamma":       func(sc Scale, seed uint64) (Artifact, error) { return figArtifact(AblationGamma(sc, seed)) },
+		"theory":          func(sc Scale, seed uint64) (Artifact, error) { return figArtifact(TheoryFigure(sc, seed)) },
+		"dropout":         func(sc Scale, seed uint64) (Artifact, error) { return figArtifact(DropoutRobustness(sc, seed)) },
+		"costbreak":       func(sc Scale, seed uint64) (Artifact, error) { return tableArtifact(CostBreakdown(sc, seed), nil) },
+		"fairness":        func(sc Scale, seed uint64) (Artifact, error) { return tableArtifact(FairnessTable(sc, seed), nil) },
+		"compression":     func(sc Scale, seed uint64) (Artifact, error) { return tableArtifact(CompressionTable(sc, seed), nil) },
+		"multimodel":      func(sc Scale, seed uint64) (Artifact, error) { return tableArtifact(MultiModelTable(sc, seed)) },
+		"async-vs-sync":   func(sc Scale, seed uint64) (Artifact, error) { return tableArtifact(AsyncVsSync(sc, seed), nil) },
 	}
 }
 
@@ -76,10 +76,14 @@ type csvSummarizer interface {
 	Sparklines() string
 }
 
-func figArtifact(f csvSummarizer) Artifact {
-	return Artifact{CSV: f.CSV(), Pretty: f.Summary() + "\n" + f.Sparklines()}
+func figArtifact(f csvSummarizer) (Artifact, error) {
+	return Artifact{CSV: f.CSV(), Pretty: f.Summary() + "\n" + f.Sparklines()}, nil
 }
 
-func tableArtifact(t *trace.Table) Artifact {
-	return Artifact{CSV: t.CSV(), Pretty: t.Markdown()}
+// tableArtifact renders t, or passes on the error of the run that built it.
+func tableArtifact(t *trace.Table, err error) (Artifact, error) {
+	if err != nil {
+		return Artifact{}, err
+	}
+	return Artifact{CSV: t.CSV(), Pretty: t.Markdown()}, nil
 }

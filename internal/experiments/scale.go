@@ -66,7 +66,7 @@ type Scale struct {
 	MeanSamples, StdSamples float64
 	// EvalEvery thins test-set evaluations.
 	EvalEvery int
-	// MaxParallel bounds the training engine's worker pool (0 = one worker per CPU,
+	// MaxParallel bounds the training engine's fan-out (0 = one worker per CPU,
 	// 1 = serial reference path). Results are bit-identical at any value.
 	MaxParallel int
 	// Metrics, when non-nil, instruments every run at this scale; felbench

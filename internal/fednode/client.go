@@ -20,11 +20,11 @@ import (
 // clean loopback run follows the in-process trainer's trajectory.
 //
 // A Client holds no model between requests. Each broadcast borrows a
-// core.Worker from its System's shared pool (core.System.Workers) for
-// train → parameters → scale → mask → encode, and returns it before the
-// reply is written, so a slow link never holds a compute slot, and however
-// many clients one process hosts they build at most that pool's width of
-// models between them. The update's vectors and the encoded reply come from
+// core.Worker from its System (core.System.BorrowWorker) for train →
+// parameters → scale → mask → encode, and returns it before the reply is
+// written, so a slow link never holds a compute slot, and however many
+// clients one process hosts they build at most cpu.Procs() models between
+// them. The update's vectors and the encoded reply come from
 // pools and live for that one exchange; between requests a client keeps its
 // connection, the one Message it decodes every frame into, and the secagg
 // session of its latest masked update.
@@ -173,17 +173,16 @@ func (c *Client) Run(nw Network, edgeAddr string) ([]float64, error) {
 }
 
 // answer runs the client's side of one group-round broadcast m on a worker
-// borrowed from the System's pool: local SGD from the group model, then the
+// borrowed from the System: local SGD from the group model, then the
 // trained parameters, weighted by n_i/n_g and masked unless the group is a
 // singleton, encoded as the reply. It returns the frame, from the frames
-// pool — the caller writes it and puts it back. The worker is back in the
-// pool on every return, before the caller's write.
+// pool — the caller writes it and puts it back. The worker is back with the
+// System on every return, before the caller's write.
 func (c *Client) answer(m *wire.Message, st *membership) (*[]byte, error) {
 	cfg := c.cfg
 	t, k := int(m.Round), int(m.Seq)
-	pool := c.sys.Workers()
-	w := pool.Acquire()
-	defer pool.Release(w)
+	w := c.sys.BorrowWorker()
+	defer c.sys.ReturnWorker(w)
 
 	if dim := w.Model.NumParams(); len(m.Floats) != dim {
 		return nil, fmt.Errorf("fednode: client %d: round %d.%d model has %d params, want %d", c.id, t, k, len(m.Floats), dim)

@@ -115,11 +115,11 @@ func TestClientExchangeSteadyState(t *testing.T) {
 	}
 }
 
-// TestClientsShareWorkerPool: a loopback job's clients train on their
-// System's shared pool, so the job builds procs() models for its clients
-// however many it hosts — plus the one the cloud's Trainer holds the global
-// model in. GOMAXPROCS is pinned so the bound means the same on every host.
-func TestClientsShareWorkerPool(t *testing.T) {
+// TestClientsShareWorkers: a loopback job's clients train on Workers their
+// System lends, so the job builds procs() models for its clients however
+// many it hosts — plus the one the cloud's Trainer holds the global model
+// in. GOMAXPROCS is pinned so the bound means the same on every host.
+func TestClientsShareWorkers(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	const numClients = 12
 	sys := testSystem(numClients, 1)

@@ -178,10 +178,12 @@ type cloudExec struct {
 
 // RunGroups broadcasts the global model with each edge's share of the
 // selection (possibly empty — edges stay in lockstep) and collects one
-// GroupAggregate per selected group, one joined reader per edge connection.
-func (x *cloudExec) RunGroups(t int, groups []*grouping.Group, selected []int, params []float64) ([]core.GroupUpdate, error) {
+// GroupAggregate per selected group into its slot's vector, one joined
+// reader per edge connection.
+func (x *cloudExec) RunGroups(t int, groups []*grouping.Group, selected []int, params []float64, out [][]float64) ([]core.GroupUpdate, error) {
 	selByEdge := make([][]int32, len(x.conns))
 	slot := make(map[int32]int, len(selected)) // group ID → selection slot
+	got := make([]bool, len(selected))
 	x.updates = append(x.updates[:0], make([]core.GroupUpdate, len(selected))...)
 	for si, gi := range selected {
 		g := groups[gi]
@@ -197,7 +199,7 @@ func (x *cloudExec) RunGroups(t int, groups []*grouping.Group, selected []int, p
 
 	x.drops, x.recoveries = 0, 0
 	errs := make([]error, len(x.conns))
-	var mu sync.Mutex // updates and the totals: an edge may name any group
+	var mu sync.Mutex // the slots, updates and totals: an edge may name any group
 	cpu.Each(len(x.conns), len(x.conns), func(_, e int) {
 		conn := x.conns[e]
 		for range selByEdge[e] {
@@ -221,7 +223,8 @@ func (x *cloudExec) RunGroups(t int, groups []*grouping.Group, selected []int, p
 				return
 			}
 			mu.Lock()
-			x.updates[si].Params = m.Floats
+			copy(out[si], m.Floats)
+			got[si] = true
 			x.updates[si].Drops = int(m.Ints[0])
 			x.drops += int(m.Ints[0])
 			x.recoveries += int(m.Ints[1])
@@ -231,8 +234,8 @@ func (x *cloudExec) RunGroups(t int, groups []*grouping.Group, selected []int, p
 	if err := firstErr(errs); err != nil {
 		return nil, err
 	}
-	for si, u := range x.updates {
-		if u.Params == nil {
+	for si, ok := range got {
+		if !ok {
 			return nil, fmt.Errorf("fednode: round %d missing aggregate for group %d", t, groups[selected[si]].ID)
 		}
 	}

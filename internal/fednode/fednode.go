@@ -14,9 +14,9 @@
 // surfaces as Trainer.Err.
 //
 // A client holds no model between requests. Every client one process hosts
-// trains on a worker borrowed from its System's shared pool
-// (core.System.Workers, procs() wide) for the one broadcast it is answering
-// and returns it before writing the reply, and its update vectors and reply
+// trains on a worker borrowed from its System (core.System.BorrowWorker, at
+// most procs() built) for the one broadcast it is answering and returns it
+// before writing the reply, and its update vectors and reply
 // frame are pooled for that exchange — so a loopback job of hundreds of
 // clients holds procs() models, not one per client, and a warm exchange
 // allocates nothing model-sized on the client's side.

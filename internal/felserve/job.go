@@ -46,7 +46,7 @@ type JobSpec struct {
 	Scaffold bool
 	// DropoutProb simulates unreliable clients (see core.Config).
 	DropoutProb float64
-	// MaxParallel bounds the trainer's worker pool (0 = one worker per physical CPU).
+	// MaxParallel bounds the trainer's fan-out (0 = one worker per physical CPU).
 	MaxParallel int
 	// EvalEvery evaluates every n rounds (0/1 = every round).
 	EvalEvery int

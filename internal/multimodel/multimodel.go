@@ -11,6 +11,7 @@
 package multimodel
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -78,16 +79,17 @@ type Result struct {
 	Assignments []int
 }
 
-// Train runs T global rounds of multi-model HFL on the system.
-func Train(sys *core.System, cfg Config) *Result {
+// Train runs T global rounds of multi-model HFL on the system. A
+// configuration no run can start from, and an executor failure, are errors.
+func Train(sys *core.System, cfg Config) (*Result, error) {
 	if cfg.Models < 1 {
-		panic("multimodel: need at least one model")
+		return nil, errors.New("multimodel: need at least one model")
 	}
 	if cfg.GroupsPerModel < 1 {
-		panic("multimodel: GroupsPerModel must be positive")
+		return nil, errors.New("multimodel: GroupsPerModel must be positive")
 	}
 	if cfg.Train.Grouping == nil {
-		panic("multimodel: Train.Grouping is required")
+		return nil, errors.New("multimodel: Train.Grouping is required")
 	}
 	rng := stats.NewRNG(cfg.Train.Seed ^ 0x3417130de1)
 	groups := grouping.FormAll(cfg.Train.Grouping, sys.Edges, sys.Classes, rng.Split(1))
@@ -101,9 +103,13 @@ func Train(sys *core.System, cfg Config) *Result {
 	}
 	res := &Result{Models: states, Assignments: make([]int, cfg.Models)}
 
-	// One executor — one worker pool — serves every model: a model's picked
-	// groups train in parallel, the models one after another.
+	// One executor serves every model: a model's picked groups train in
+	// parallel into out, the models one after another.
 	exec := core.NewExecutor(sys, cfg.Train)
+	out := make([][]float64, cfg.GroupsPerModel)
+	for i := range out {
+		out[i] = make([]float64, len(states[0].Params))
+	}
 	for t := 0; t < cfg.Train.GlobalRounds; t++ {
 		assignment := assign(cfg, states, groups, probs, rng.Split(uint64(10+t)))
 		for m, picked := range assignment {
@@ -111,9 +117,8 @@ func Train(sys *core.System, cfg Config) *Result {
 				continue
 			}
 			res.Assignments[m] += len(picked)
-			updates, err := exec.RunGroups(t, groups, picked, states[m].Params)
-			if err != nil {
-				panic(fmt.Sprintf("multimodel: %v", err))
+			if _, err := exec.RunGroups(t, groups, picked, states[m].Params, out[:len(picked)]); err != nil {
+				return nil, fmt.Errorf("multimodel: %w", err)
 			}
 			// Weighted (biased) aggregation over this model's groups, a plain
 			// sum in pick order — the order results/medium/multimodel.csv pins.
@@ -124,7 +129,7 @@ func Train(sys *core.System, cfg Config) *Result {
 			}
 			for si, gi := range picked {
 				w := float64(groups[gi].NumSamples()) / float64(nt)
-				for j, v := range updates[si].Params {
+				for j, v := range out[si] {
 					next[j] += float64(w * v)
 				}
 			}
@@ -141,7 +146,7 @@ func Train(sys *core.System, cfg Config) *Result {
 		sum += st.Accuracy
 	}
 	res.MeanAccuracy = sum / float64(len(states))
-	return res
+	return res, nil
 }
 
 // assign distributes up to Models×GroupsPerModel distinct groups.

@@ -1,6 +1,7 @@
 package multimodel
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -48,7 +49,10 @@ func testConfig(sched Scheduler) Config {
 
 func TestMultiModelAllSchedulersLearn(t *testing.T) {
 	for _, sched := range []Scheduler{Random, RoundRobin, NeedyFirst} {
-		res := Train(testSystem(1), testConfig(sched))
+		res, err := Train(testSystem(1), testConfig(sched))
+		if err != nil {
+			t.Fatalf("%v: %v", sched, err)
+		}
 		if len(res.Models) != 2 {
 			t.Fatalf("%v: got %d models", sched, len(res.Models))
 		}
@@ -114,25 +118,39 @@ func TestNeedyFirstPrioritizesWorstModel(t *testing.T) {
 	}
 }
 
-func TestMultiModelPanics(t *testing.T) {
+// TestTrainConfigErrors: a configuration no run can start from is an error,
+// returned before anything trains, and names what is wrong.
+func TestTrainConfigErrors(t *testing.T) {
 	sys := testSystem(4)
-	for i, mutate := range []func(*Config){
-		func(c *Config) { c.Models = 0 },
-		func(c *Config) { c.GroupsPerModel = 0 },
-		func(c *Config) { c.Train.Grouping = nil },
-		func(c *Config) { c.Scheduler = Scheduler(99) },
+	for _, tc := range []struct {
+		mutate func(*Config)
+		want   string
+	}{
+		{func(c *Config) { c.Models = 0 }, "at least one model"},
+		{func(c *Config) { c.GroupsPerModel = 0 }, "GroupsPerModel must be positive"},
+		{func(c *Config) { c.Train.Grouping = nil }, "Train.Grouping is required"},
 	} {
 		cfg := testConfig(Random)
-		mutate(&cfg)
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d: expected panic", i)
-				}
-			}()
-			Train(sys, cfg)
-		}()
+		tc.mutate(&cfg)
+		res, err := Train(sys, cfg)
+		if res != nil || err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Train = %v, %v; want an error containing %q", res, err, tc.want)
+		}
 	}
+}
+
+// TestMultiModelPanics: an unknown Scheduler is an internal invariant, not
+// a configuration error, and panics.
+func TestMultiModelPanics(t *testing.T) {
+	cfg := testConfig(Random)
+	cfg.Scheduler = Scheduler(99)
+	defer func() {
+		if recover() == nil {
+			t.Error("an unknown scheduler did not panic")
+		}
+	}()
+	res, err := Train(testSystem(4), cfg)
+	t.Logf("Train returned %v, %v", res, err)
 }
 
 func TestSchedulerStrings(t *testing.T) {
