@@ -90,17 +90,17 @@ type (
 	Tensor = tensor.Tensor
 )
 
-// NewSystem builds a federated population from a system config,
-// materializing every client's samples up front.
+// NewSystem builds a federated population from a system config: the
+// paper's Dirichlet partition, each client's rows kept as the stream marks
+// they are drawn from while a round trains it.
 func NewSystem(cfg SystemConfig) *System { return core.NewSystem(cfg) }
 
 // NewVirtualSystem builds a flyweight federated population: clients carry
 // only label histograms and sample counts, and a client's samples are
 // synthesized deterministically from (seed, client id) only while a round
-// trains it. Training results are bit-identical to NewSystem with the same
-// config, but a round's memory is O(selected clients) instead of
-// O(population) — the form that scales to millions of clients (see
-// README "Population scaling").
+// trains it. It holds O(population) histograms and no per-row state — the
+// form that scales to millions of clients (see README "Population
+// scaling").
 func NewVirtualSystem(cfg SystemConfig) *System { return core.NewVirtualSystem(cfg) }
 
 // Train runs Algorithm 1 and returns the result.

@@ -36,10 +36,7 @@ func newSGDArena() *sgdArena {
 // array. The contents are reset every call because successive epochs shuffle
 // in place and each client must start from the identity.
 func (a *sgdArena) ensureOrder(n int) []int {
-	if cap(a.order) < n {
-		a.order = make([]int, n)
-	}
-	a.order = a.order[:n]
+	a.order = tensor.Grow(a.order, n)
 	for i := range a.order {
 		a.order[i] = i
 	}
@@ -53,9 +50,5 @@ func (b *sgdBatch) ensure(rows int, src *tensor.Tensor) {
 	var dims [4]int
 	shape := append(dims[:0], src.Shape...)
 	shape[0] = rows
-	b.x = tensor.Resize(b.x, shape...)
-	if cap(b.y) < rows {
-		b.y = make([]int, rows)
-	}
-	b.y = b.y[:rows]
+	b.x, b.y = tensor.Resize(b.x, shape...), tensor.Grow(b.y, rows)
 }

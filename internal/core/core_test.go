@@ -283,16 +283,29 @@ func TestParallelEachPropagatesPanic(t *testing.T) {
 	})
 }
 
-func TestClientBatchCached(t *testing.T) {
+// TestClientBatchDrawsAfresh: ClientBatch is a cold draw. Every call returns
+// the client's N rows with the same bits, in storage of its own, so no
+// caller's batch aliases another's or anything the System keeps.
+func TestClientBatchDrawsAfresh(t *testing.T) {
 	sys := testSystem(6, 0.5, 12)
 	c := sys.Clients[0]
 	x1, y1 := sys.ClientBatch(c)
 	x2, y2 := sys.ClientBatch(c)
-	if x1 != x2 {
-		t.Fatal("batch not cached")
+	if len(y1) != c.NumSamples() || len(y2) != len(y1) || x1.Shape[0] != c.NumSamples() || len(x2.Data) != len(x1.Data) {
+		t.Fatalf("batches of %d and %d labels, %v and %v shapes, for N = %d", len(y1), len(y2), x1.Shape, x2.Shape, c.NumSamples())
 	}
-	if len(y1) != len(y2) || len(y1) != c.NumSamples() {
-		t.Fatal("label cache wrong")
+	if &x1.Data[0] == &x2.Data[0] || &y1[0] == &y2[0] {
+		t.Fatal("two ClientBatch calls share storage")
+	}
+	for i := range y1 {
+		if y1[i] != y2[i] {
+			t.Fatalf("label %d: %d, then %d", i, y1[i], y2[i])
+		}
+	}
+	for i := range x1.Data {
+		if math.Float64bits(x1.Data[i]) != math.Float64bits(x2.Data[i]) {
+			t.Fatalf("feature %d: %v, then %v", i, x1.Data[i], x2.Data[i])
+		}
 	}
 }
 
@@ -317,13 +330,13 @@ func paperShapeSystem(seed uint64) SystemConfig {
 	}
 }
 
-// TestNewSystemCompactsPartition holds NewSystem's layout: Train is exactly
-// the assigned samples, client i's rows are one contiguous range in client
-// order holding what a materialized pool (Sample) held at the indices its
-// partition drew, and ClientBatch — a SubSystem's too — is a view into
-// Train, not a copy. Compaction keeps client IDs dense, sys.Clients[i].ID ==
-// i, which is how fednode looks a group member up. Each shape is built at
-// GOMAXPROCS 1 and 2, since Train's rows are redrawn in parallel.
+// TestNewSystemCompactsPartition holds NewSystem's recipe, the partition
+// compacted to its assigned rows' marks: ClientBatch — a SubSystem's too —
+// equals, bit for bit, what a materialized pool (Sample) held at the rows
+// its partition assigned the client. Client IDs stay dense,
+// sys.Clients[i].ID == i, which is how fednode looks a group member up. Each
+// shape is drawn at GOMAXPROCS 1 and 2, every client on cpu.Each, so at 2
+// the draws run concurrently.
 func TestNewSystemCompactsPartition(t *testing.T) {
 	small := func(gen data.GeneratorConfig, numClients int, seed uint64) SystemConfig {
 		return SystemConfig{
@@ -363,73 +376,85 @@ func checkCompactedSystem(t *testing.T, cfg SystemConfig) {
 	sys := NewSystem(cfg)
 	part := cfg.Partition
 	pool := data.NewGenerator(cfg.Generator).Sample(part.NumClients*part.MaxSamples, 0)
-	drawn := data.DirichletPartition(pool, part)
-
-	total := 0
-	for _, c := range drawn {
-		total += c.N
-	}
-	if sys.Train.Len() != total || len(sys.Train.X) != total*sys.Train.Dim() {
-		t.Fatalf("Train holds %d rows (%d floats), want exactly the %d assigned", sys.Train.Len(), len(sys.Train.X), total)
+	drawn, rows := data.DirichletPartition(pool, part)
+	offs := make([]int, len(drawn)+1)
+	for ci, c := range drawn {
+		offs[ci+1] = offs[ci] + c.N
 	}
 	numClients := part.NumClients
+	if len(sys.Clients) != numClients {
+		t.Fatalf("%d clients, want %d", len(sys.Clients), numClients)
+	}
 	sub := sys.SubSystem(sys.Clients[numClients/2:], 1)
-	dim, off := sys.Train.Dim(), 0
-	for ci, c := range sys.Clients {
+	dim := pool.Dim()
+	errs := make([]string, numClients)
+	cpu.Each(numClients, cpu.Procs(), func(_, ci int) {
+		c := sys.Clients[ci]
 		if c.ID != ci || c.N != drawn[ci].N {
-			t.Fatalf("sys.Clients[%d]: ID %d, N %d, want ID %d, N %d", ci, c.ID, c.N, ci, drawn[ci].N)
+			errs[ci] = fmt.Sprintf("sys.Clients[%d]: ID %d, N %d, want ID %d, N %d", ci, c.ID, c.N, ci, drawn[ci].N)
+			return
 		}
-		for j, i := range c.Indices {
-			if i != off+j {
-				t.Fatalf("client %d: Indices[%d] = %d, want %d", ci, j, i, off+j)
-			}
-		}
-		wantX, wantY := pool.Batch(drawn[ci].Indices)
-		x, y := sys.ClientBatch(c)
-		if len(y) != c.N || len(x.Data) != c.N*dim || x.Shape[0] != c.N {
-			t.Fatalf("client %d: batch of %d labels, %d floats, shape %v", ci, len(y), len(x.Data), x.Shape)
-		}
-		for j := range wantY {
-			if y[j] != wantY[j] {
-				t.Fatalf("client %d: label %d is %d, want %d", ci, j, y[j], wantY[j])
-			}
-		}
-		for j := range wantX.Data {
-			if math.Float64bits(x.Data[j]) != math.Float64bits(wantX.Data[j]) {
-				t.Fatalf("client %d: feature %d differs from the pool's row", ci, j)
-			}
-		}
-		if &x.Data[0] != &sys.Train.X[off*dim] || &y[0] != &sys.Train.Y[off] {
-			t.Fatalf("client %d: ClientBatch is a copy, not a view into Train", ci)
-		}
+		wantX, wantY := pool.Batch(rows[offs[ci]:offs[ci+1]])
+		batches := []*System{sys}
 		if ci >= numClients/2 {
-			if sx, sy := sub.ClientBatch(c); sx != x || &sy[0] != &y[0] {
-				t.Fatalf("client %d: the SubSystem's batch is not the parent's view", ci)
+			batches = append(batches, sub)
+		}
+		for _, from := range batches {
+			x, y := from.ClientBatch(c)
+			if len(y) != c.N || len(x.Data) != c.N*dim || x.Shape[0] != c.N {
+				errs[ci] = fmt.Sprintf("client %d: batch of %d labels, %d floats, shape %v", ci, len(y), len(x.Data), x.Shape)
+				return
+			}
+			for j := range wantY {
+				if y[j] != wantY[j] {
+					errs[ci] = fmt.Sprintf("client %d: label %d is %d, want %d", ci, j, y[j], wantY[j])
+					return
+				}
+			}
+			for j := range wantX.Data {
+				if math.Float64bits(x.Data[j]) != math.Float64bits(wantX.Data[j]) {
+					errs[ci] = fmt.Sprintf("client %d: feature %d differs from the pool's row", ci, j)
+					return
+				}
 			}
 		}
-		off += c.N
+	})
+	for _, e := range errs {
+		if e != "" {
+			t.Fatal(e)
+		}
 	}
 }
 
-// TestNewSystemHoldsNoPool bounds what building a train-paper-shaped system
-// allocates by twice its Train and Test feature bytes. Materializing the
-// partition pool's features — NumClients × MaxSamples rows, against the
-// ≈ 110 per client assigned — would alone exceed it.
-func TestNewSystemHoldsNoPool(t *testing.T) {
+// TestNewSystemRetainsNoRows bounds what a train-paper-shaped System keeps
+// alive once built: its Test features, one 16-byte stream mark per assigned
+// row, and a slack for the clients' histograms, the Test labels and the
+// generator. Keeping the assigned rows' features (≈ 6 MB here), the label
+// pool (NumClients × MaxSamples labels and marks, ≈ 1.4 MB) or any part of
+// them beyond the slack fails it.
+func TestNewSystemRetainsNoRows(t *testing.T) {
 	cfg := paperShapeSystem(49)
 	var before, after runtime.MemStats
 	runtime.GC()
+	runtime.GC()
 	runtime.ReadMemStats(&before)
 	sys := NewSystem(cfg)
+	runtime.GC()
+	runtime.GC()
 	runtime.ReadMemStats(&after)
-	alloc := after.TotalAlloc - before.TotalAlloc
-	features := uint64(len(sys.Train.X)+len(sys.Test.X)) * 8
-	if alloc > 2*features {
-		t.Fatalf("NewSystem allocated %d bytes (%d mallocs), want at most 2× the %d bytes of Train and Test features",
-			alloc, after.Mallocs-before.Mallocs, features)
+	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	assigned := 0
+	for _, c := range sys.Clients {
+		assigned += c.N
 	}
-	t.Logf("NewSystem allocated %d bytes in %d mallocs; Train+Test features %d bytes",
-		alloc, after.Mallocs-before.Mallocs, features)
+	const slack = 128 << 10
+	bound := int64(8*len(sys.Test.X)+16*assigned) + slack
+	t.Logf("NewSystem retains %d bytes: Test features %d, %d assigned rows (%d bytes of marks), bound %d",
+		retained, 8*len(sys.Test.X), assigned, 16*assigned, bound)
+	if retained > bound {
+		t.Fatalf("NewSystem retains %d bytes, want at most %d: Test features + 16 B per assigned row + %d slack", retained, bound, slack)
+	}
+	runtime.KeepAlive(sys)
 }
 
 func TestCoVGroupingOutperformsRandomUnderSkew(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/async"
 	"repro/internal/compress"
 	"repro/internal/cpu"
+	"repro/internal/data"
 	"repro/internal/grouping"
 	"repro/internal/metrics"
 	"repro/internal/stats"
@@ -48,17 +49,17 @@ import (
 //
 // The engine holds no run storage between calls: each client's training
 // borrows a Worker (worker.go) from the System's lender (lender.go), and
-// RunGroups one group-round machine, which holds a group's n×dim storage,
-// per goroutine of its fan-out; both go back before the borrowing call
-// returns. Warm, training a client allocates nothing: models recycle their
-// layer buffers (nn.Layer) and SGD scratch lives in per-worker arenas.
+// RunGroups one group-round machine per goroutine of its fan-out, which holds
+// a group's n×dim storage and its members' rows, each drawn at the member's
+// first dispatch of the run; both go back before the borrowing call returns,
+// so a round's data footprint is the rows of at most max groups, whatever
+// the population. Warm, training a client allocates nothing: models recycle
+// their layer buffers (nn.Layer), SGD scratch lives in per-worker arenas.
 // MaxParallel sets only the width of the fan-outs, max; the lender builds
-// at most cpu.Procs() Workers, and a Worker's sample buffer is what bounds a
-// round's data footprint on a virtual system: at most that many client
-// batches exist at any instant, independent of the population size. The
-// lender's lists are plain lists, not a sync.Pool, whose per-P and victim
-// caches keep more n×dim matrices alive than a round uses (EXPERIMENTS.md:
-// replacing such a pool cut train-gemm's peak RSS 18 %).
+// at most cpu.Procs() Workers. The lender's lists are plain lists, not a
+// sync.Pool, whose per-P and victim caches keep more n×dim matrices alive
+// than a round uses (EXPERIMENTS.md: replacing such a pool cut train-gemm's
+// peak RSS 18 %).
 type engine struct {
 	sys   *System
 	cfg   Config
@@ -69,9 +70,10 @@ type engine struct {
 	// mu guards groupAggHists.
 	mu sync.Mutex
 
-	// updates is the result slice RunGroups returns, reused from round to
-	// round.
+	// updates is the result slice RunGroups returns and spaces its borrowed
+	// machines, both reused from round to round.
 	updates []GroupUpdate
+	spaces  []*groupSpace
 
 	epochsCtr *metrics.Counter
 	trainHist *metrics.Histogram
@@ -91,14 +93,15 @@ type engine struct {
 	asyncTicks   *metrics.Counter
 }
 
-// groupSpace is one group-round machine (async_engine.go) and the n×dim
-// storage it runs in, lent by the System to one goroutine of a RunGroups
-// fan-out at a time, so a warm machine allocates nothing: the
-// per-client result slots (views into one flat backing array), the
-// tree-reduction node scratch, then the run state — logical-clock heap,
-// per-client bookkeeping (pre-drawn dropout flag and uplink bytes included),
-// the batch scratch — and the run's outcome. group is the vector of the
-// selection slot being run, the caller's (begin takes it, end lets it go).
+// groupSpace is one group-round machine (async_engine.go) and the storage it
+// runs in, lent by the System to one goroutine of a RunGroups fan-out at a
+// time, so a warm machine allocates nothing: the per-client result slots
+// (views into one flat backing array), the tree-reduction node scratch, the
+// members' rows (views into one slab), then the run state — logical-clock
+// heap, per-client bookkeeping (pre-drawn dropout flag and uplink bytes
+// included), the batch scratch — and the run's outcome. group is the
+// vector of the selection slot being run, the caller's (begin takes it, end
+// lets it go).
 type groupSpace struct {
 	e *engine
 
@@ -107,6 +110,10 @@ type groupSpace struct {
 	slots [][]float64
 	nodes [][]float64
 	nodeW []float64
+
+	feats  []float64
+	labels []int
+	rows   []memberRows // longest group's length: its shapes are kept
 
 	g        *grouping.Group
 	round    int
@@ -123,6 +130,12 @@ type groupSpace struct {
 	bytes       int64
 	ticks       int64
 	carry, late int
+}
+
+// memberRows is one member's batch, views into its machine's slab.
+type memberRows struct {
+	x tensor.Tensor
+	y []int
 }
 
 // clientRun is one member's place in the group round.
@@ -237,32 +250,37 @@ func (sp *groupSpace) begin(e *engine, group []float64, g *grouping.Group, param
 	sp.e, sp.g, sp.round = e, g, round
 	sp.group = group[:dim]
 	copy(sp.group, params)
-	if cap(sp.flat) < n*dim {
-		sp.flat = make([]float64, n*dim)
-	}
-	sp.flat = sp.flat[:n*dim]
-	if cap(sp.slots) < n {
-		sp.slots = make([][]float64, n)
-		sp.nodes = make([][]float64, n)
-		sp.nodeW = make([]float64, n)
-		sp.clients = make([]clientRun, n)
-		sp.batch = make([]int, 0, n)
-		sp.heap = make(arrivalHeap, 0, n)
-	}
-	sp.slots = sp.slots[:n]
+	sp.flat = tensor.Grow(sp.flat, n*dim)
+	sp.slots, sp.nodes, sp.nodeW = tensor.Grow(sp.slots, n), tensor.Grow(sp.nodes, n), tensor.Grow(sp.nodeW, n)
+	sp.clients, sp.batch, sp.heap = tensor.Grow(sp.clients, n), tensor.Grow(sp.batch, n)[:0], tensor.Grow(sp.heap, n)[:0]
 	for i := range sp.slots {
 		sp.slots[i] = sp.flat[i*dim : (i+1)*dim : (i+1)*dim]
 	}
-	sp.nodes = sp.nodes[:n]
-	sp.nodeW = sp.nodeW[:n]
-	sp.clients = sp.clients[:n]
 	clear(sp.clients)
+	sp.layRows(e.sys.Test)
 	// The dropout stream is per (round, group) and drawn in dispatch order
 	// (rule 2); at a full buffer that is client order, K times over.
 	sp.dropRng.Reseed(dropSeed(sp.e.cfg.Seed, round, g.ID))
-	sp.heap = sp.heap[:0]
 	sp.seq, sp.version, sp.arrivals = 0, 0, 0
 	sp.drops, sp.bytes, sp.ticks, sp.carry, sp.late = 0, 0, 0, 0, 0
+}
+
+// layRows lays the members' batches out in the slab, member i's c.N rows
+// after member i−1's, for trainClient to draw into.
+func (sp *groupSpace) layRows(test *data.Dataset) {
+	total, dim := 0, test.Dim()
+	for _, c := range sp.g.Clients {
+		total += c.N
+	}
+	sp.feats, sp.labels = tensor.Grow(sp.feats, total*dim), tensor.Grow(sp.labels, total)
+	sp.rows = append(sp.rows, make([]memberRows, max(0, len(sp.g.Clients)-len(sp.rows)))...)
+	off := 0
+	for i, c := range sp.g.Clients {
+		r, hi := &sp.rows[i], off+c.N
+		r.x.Data, r.y = sp.feats[off*dim:hi*dim:hi*dim], sp.labels[off:hi:hi]
+		r.x.Shape = append(append(r.x.Shape[:0], c.N), test.SampleShape...)
+		off = hi
+	}
 }
 
 // end closes the run, the group model left in the slot's vector, and lets
@@ -298,7 +316,8 @@ func dropSeed(seed uint64, round, gid int) uint64 {
 }
 
 // trainClient runs lines 9–13 of Alg. 1 for member i of sp's group on worker
-// w: E local epochs from the group model in sp.group, seeded by LocalSeed.
+// w: E local epochs from the group model in sp.group, seeded by LocalSeed,
+// over the member's rows, drawn at its first dispatch of the run.
 // Unless the client's update was drawn as dropped, what the edge receives
 // lands in sp.slots[i] — the trained parameters priced as a dense uplink, or
 // with a compressor the group model plus the decoded delta at the encoding's
@@ -306,10 +325,12 @@ func dropSeed(seed uint64, round, gid int) uint64 {
 // nothing.
 func (e *engine) trainClient(w *Worker, sp *groupSpace, i int) {
 	cfg := &e.cfg
-	c := sp.g.Clients[i]
-	x, y := w.Load(e.sys, c, sp.group)
+	c, rows, run := sp.g.Clients[i], &sp.rows[i], &sp.clients[i]
 	trainSpan := e.trainHist.Start()
-	w.Train(e.local, x, y, LocalSeed(cfg.Seed, sp.round, sp.g.ID, c.ID), LocalContext{
+	if run.dispatched == 0 {
+		e.sys.rows.DrawInto(c.ID, rows.x.Data, rows.y, &w.draw)
+	}
+	w.Train(e.local, &rows.x, rows.y, LocalSeed(cfg.Seed, sp.round, sp.g.ID, c.ID), LocalContext{
 		ClientID:  c.ID,
 		Anchor:    sp.group,
 		Epochs:    cfg.LocalEpochs,
@@ -318,7 +339,6 @@ func (e *engine) trainClient(w *Worker, sp *groupSpace, i int) {
 	})
 	trainSpan.End()
 	e.epochsCtr.Add(int64(cfg.LocalEpochs))
-	run := &sp.clients[i]
 	run.bytes = 0
 	if run.drop {
 		return
@@ -330,10 +350,7 @@ func (e *engine) trainClient(w *Worker, sp *groupSpace, i int) {
 	}
 	// The client ships a compressed delta; the edge applies the decoded
 	// delta to its copy of the group model.
-	if cap(w.delta) < len(slot) {
-		w.delta = make([]float64, len(slot))
-	}
-	w.delta = w.delta[:len(slot)]
+	w.delta = tensor.Grow(w.delta, len(slot))
 	tensor.SubInto(slot, sp.group, w.delta)
 	enc := e.comp.forClient(c.ID).Compress(w.delta)
 	run.bytes = int64(enc.Bytes())

@@ -4,6 +4,7 @@ import (
 	"maps"
 	"math"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/async"
 	"repro/internal/compress"
 	"repro/internal/cpu"
+	"repro/internal/data"
 	"repro/internal/metrics"
 	"repro/internal/nn"
 	"repro/internal/tensor"
@@ -204,8 +206,12 @@ func TestGroupSpaceSteadyState(t *testing.T) {
 // allocates no more than the same Step without a registry, in sync and in
 // buffered-async mode. Its spans open on histograms looked up once, so the
 // registry costs no label render and no lookup per client, group or round.
+// Without one a warm Step allocates at most 7 objects in sync mode and 9
+// buffered: RunGroups keeps its machine slice on the engine, and a machine's
+// rows grow by capacity, so drawing the selected members allocates nothing.
 func TestStepRegistryAllocsLevel(t *testing.T) {
 	modes := map[string]async.Config{"sync": {}, "buffered": asyncModeConfigs()["buffered"]}
+	limits := map[string]float64{"sync": 7, "buffered": 9}
 	for name, acfg := range modes {
 		stepAllocs := func(reg *metrics.Registry) float64 {
 			cfg := asyncTestConfig()
@@ -223,6 +229,72 @@ func TestStepRegistryAllocsLevel(t *testing.T) {
 		t.Logf("%s: %.1f objects per Step without a registry, %.1f with one", name, bare, withReg)
 		if withReg > bare {
 			t.Errorf("%s: a Step with a registry allocates %.1f objects, %.1f without one", name, withReg, bare)
+		}
+		if bare > limits[name] {
+			t.Errorf("%s: a warm Step allocates %.1f objects, want at most %.0f", name, bare, limits[name])
+		}
+	}
+}
+
+// countingRows counts the draws a System's recipe serves, by client ID.
+type countingRows struct {
+	data.Rows
+	mu    sync.Mutex
+	draws map[int]int
+}
+
+func (c *countingRows) DrawInto(id int, x []float64, y []int, s *data.Scratch) {
+	c.mu.Lock()
+	c.draws[id]++
+	c.mu.Unlock()
+	c.Rows.DrawInto(id, x, y, s)
+}
+
+// TestMachineDrawsEachMemberOnce: a group-round machine draws each member's
+// rows once per run, at its first dispatch, and every later dispatch of the
+// run — K = 3 group rounds, so up to three — trains on the rows it holds.
+// Held for the sync, buffered and semi-sync triggers, two rounds each, four
+// groups on machines at MaxParallel 2.
+func TestMachineDrawsEachMemberOnce(t *testing.T) {
+	modes := asyncModeConfigs()
+	modes["sync"] = async.Config{}
+	for name, acfg := range modes {
+		sys := testSystem(32, 0.5, 3)
+		rows := &countingRows{Rows: sys.rows}
+		sys.rows = rows
+		cfg := testConfig()
+		cfg.GroupRounds = 3
+		cfg.MaxParallel = 2
+		cfg.DropoutProb = 0.2
+		cfg.Async = acfg
+		tr := NewTrainer(sys, cfg)
+		e := NewExecutor(sys, cfg).(*engine)
+		selected := []int{0, 1, 2, 3}
+		out := make([][]float64, len(selected))
+		for si := range out {
+			out[si] = make([]float64, len(tr.Params()))
+		}
+		for round := range 2 {
+			rows.draws = map[int]int{}
+			epochs := e.epochsCtr.Value()
+			if _, err := e.RunGroups(round, tr.Groups(), selected, tr.Params(), out); err != nil {
+				t.Fatal(err)
+			}
+			members := 0
+			for _, si := range selected {
+				for _, c := range tr.Groups()[si].Clients {
+					members++
+					if n := rows.draws[c.ID]; n != 1 {
+						t.Errorf("%s round %d: client %d drawn %d times, want 1", name, round, c.ID, n)
+					}
+				}
+			}
+			if len(rows.draws) != members {
+				t.Errorf("%s round %d: %d clients drawn, %d members selected", name, round, len(rows.draws), members)
+			}
+			if trained := int(e.epochsCtr.Value()-epochs) / cfg.LocalEpochs; trained <= members {
+				t.Errorf("%s round %d: %d trainings for %d members; no member was dispatched twice", name, round, trained, members)
+			}
 		}
 	}
 }

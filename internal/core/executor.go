@@ -42,7 +42,8 @@ func (e *engine) RunGroups(t int, groups []*grouping.Group, selected []int, para
 	e.updates = slices.Grow(e.updates[:0], len(selected))[:len(selected)]
 	updates := e.updates
 	l := &e.sys.lend
-	spaces := take(l, &l.spaces, nil, min(e.max, len(selected)), newGroupSpace)
+	e.spaces = take(l, &l.spaces, e.spaces, min(e.max, len(selected)), newGroupSpace)
+	spaces := e.spaces
 	cpu.Each(len(selected), e.max, func(w, si int) {
 		sp := spaces[w]
 		sp.begin(e, out[si], groups[selected[si]], params, t)

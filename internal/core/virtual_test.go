@@ -57,7 +57,7 @@ func TestVirtualTrainBitIdenticalToMaterialized(t *testing.T) {
 			t.Fatal("NewVirtualSystem built a non-virtual system")
 		}
 		materialized := virtual.Materialize()
-		if materialized.Virtual() || materialized.Train == nil {
+		if materialized.Virtual() || materialized == virtual || materialized.rows == virtual.rows {
 			t.Fatal("Materialize did not produce a materialized system")
 		}
 		v := run(virtual)
@@ -74,21 +74,26 @@ func TestVirtualTrainBitIdenticalToMaterialized(t *testing.T) {
 	}
 }
 
-// TestVirtualSystemShape sanity-checks the flyweight population: no Train
-// dataset, histogram-only clients, and ClientBatch synthesizing the same
-// batch the materialized copy gathers.
+// TestVirtualSystemShape sanity-checks the flyweight population: its recipe
+// is the virtual partition itself, clients are histograms whose counts sum
+// to N, and ClientBatch synthesizes the same batch the materialized copy
+// holds.
 func TestVirtualSystemShape(t *testing.T) {
 	sys := NewVirtualSystem(virtualTestConfig(10, 5))
-	if sys.Train != nil {
-		t.Fatal("virtual system holds a materialized Train dataset")
+	if _, ok := sys.rows.(*data.VirtualPartition); !ok {
+		t.Fatalf("virtual system's recipe is a %T, not its virtual partition", sys.rows)
 	}
 	if len(sys.Clients) != 10 || len(sys.Edges) != 2 {
 		t.Fatalf("population %d clients across %d edges", len(sys.Clients), len(sys.Edges))
 	}
 	mat := sys.Materialize()
 	for _, c := range sys.Clients {
-		if c.Indices != nil {
-			t.Fatalf("virtual client %d has indices", c.ID)
+		sum := 0.0
+		for _, n := range c.Counts {
+			sum += n
+		}
+		if int(sum) != c.N {
+			t.Fatalf("virtual client %d: Counts sum to %v, N = %d", c.ID, sum, c.N)
 		}
 		x, y := sys.ClientBatch(c)
 		mx, my := mat.ClientBatch(mat.Clients[c.ID])

@@ -2,6 +2,7 @@ package data
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -139,18 +140,19 @@ func TestDirichletPartitionInvariants(t *testing.T) {
 	g := NewGenerator(FlatConfig(10, 4, 3))
 	ds := g.Sample(5000, 0)
 	cfg := DefaultPartitionConfig(30, 0.5, 7)
-	clients := DirichletPartition(ds, cfg)
+	clients, rows := DirichletPartition(ds, cfg)
 
 	if len(clients) != 30 {
 		t.Fatalf("got %d clients", len(clients))
 	}
 	seen := make(map[int]bool)
+	off := 0
 	for _, c := range clients {
 		if c.NumSamples() < cfg.MinSamples || c.NumSamples() > cfg.MaxSamples {
 			t.Errorf("client %d has %d samples outside [%d,%d]", c.ID, c.NumSamples(), cfg.MinSamples, cfg.MaxSamples)
 		}
 		counts := make([]float64, ds.Classes)
-		for _, i := range c.Indices {
+		for _, i := range rows[off : off+c.N] {
 			if seen[i] {
 				t.Fatalf("sample %d assigned to two clients", i)
 			}
@@ -163,6 +165,10 @@ func TestDirichletPartitionInvariants(t *testing.T) {
 				t.Fatalf("client %d counts mismatch at label %d", c.ID, y)
 			}
 		}
+		off += c.N
+	}
+	if off != len(rows) {
+		t.Fatalf("%d rows assigned, clients hold %d", len(rows), off)
 	}
 }
 
@@ -170,7 +176,7 @@ func TestDirichletPartitionSkewTracksAlpha(t *testing.T) {
 	g := NewGenerator(FlatConfig(10, 4, 3))
 	ds := g.Sample(20000, 0)
 	avgCoV := func(alpha float64) float64 {
-		clients := DirichletPartition(ds, DefaultPartitionConfig(50, alpha, 11))
+		clients, _ := DirichletPartition(ds, DefaultPartitionConfig(50, alpha, 11))
 		s := 0.0
 		for _, c := range clients {
 			s += stats.CoVOfCounts(c.Counts)
@@ -187,17 +193,15 @@ func TestDirichletPartitionSkewTracksAlpha(t *testing.T) {
 func TestDirichletPartitionDeterministic(t *testing.T) {
 	g := NewGenerator(FlatConfig(5, 4, 3))
 	ds := g.Sample(3000, 0)
-	a := DirichletPartition(ds, DefaultPartitionConfig(20, 0.5, 13))
-	b := DirichletPartition(ds, DefaultPartitionConfig(20, 0.5, 13))
+	a, ra := DirichletPartition(ds, DefaultPartitionConfig(20, 0.5, 13))
+	b, rb := DirichletPartition(ds, DefaultPartitionConfig(20, 0.5, 13))
 	for i := range a {
-		if len(a[i].Indices) != len(b[i].Indices) {
+		if a[i].N != b[i].N {
 			t.Fatal("partition not deterministic")
 		}
-		for j := range a[i].Indices {
-			if a[i].Indices[j] != b[i].Indices[j] {
-				t.Fatal("partition not deterministic")
-			}
-		}
+	}
+	if !slices.Equal(ra, rb) {
+		t.Fatal("partition not deterministic")
 	}
 }
 
@@ -247,8 +251,15 @@ func TestPartitionCountDistribution(t *testing.T) {
 	g := NewGenerator(FlatConfig(6, 4, 3))
 	ds := g.Sample(4000, 0)
 	err := quick.Check(func(seed uint64) bool {
-		clients := DirichletPartition(ds, DefaultPartitionConfig(15, 0.3, seed))
+		clients, rows := DirichletPartition(ds, DefaultPartitionConfig(15, 0.3, seed))
+		total := 0
+		for _, i := range rows {
+			if i < 0 || i >= ds.Len() {
+				return false
+			}
+		}
 		for _, c := range clients {
+			total += c.N
 			sum := 0.0
 			for _, n := range c.Counts {
 				sum += n
@@ -257,7 +268,7 @@ func TestPartitionCountDistribution(t *testing.T) {
 				return false
 			}
 		}
-		return true
+		return total == len(rows)
 	}, &quick.Config{MaxCount: 10})
 	if err != nil {
 		t.Fatal(err)

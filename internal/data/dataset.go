@@ -5,20 +5,18 @@
 // client-side label histograms ("label matrix L") that CoV grouping
 // consumes.
 //
-// Client populations come in two equivalent representations: materialized
-// (DirichletPartition partitions a pool's labels, drawn by Labels, and
-// Redraw draws only the assigned rows' features, so the pool's features
-// never exist; clients carry sample indices) and virtual (VirtualPartition,
-// clients are flyweights carrying only histogram + count, samples
-// synthesized deterministically from (seed, client ID) on selection). Training over either produces
-// bit-identical results; the virtual form scales to millions of clients.
+// A client population is flyweight clients (histogram + count) and a Rows
+// recipe their rows are drawn from, into the consumer's storage, when a
+// consumer trains them: the paper's partition (DirichletPartition on the
+// labels Labels draws) keeps each assigned row's 16-byte stream mark
+// (Generator.Marked), a virtual population (VirtualPartition) only its seeds
+// — the form that scales to millions of clients.
 package data
 
 import (
 	"fmt"
 	"math"
 
-	"repro/internal/cpu"
 	"repro/internal/stats"
 	"repro/internal/tensor"
 )
@@ -187,9 +185,9 @@ func (g *Generator) Sample(n int, tag uint64) *Dataset {
 
 // Labels draws the stream Sample(n, tag) draws but keeps only each row's
 // label and, in marks[i], the stream position row i starts at. The Dataset
-// is label-only (X is nil): DirichletPartition accepts it, and Redraw turns
-// the rows a partition assigns back into features, bit for bit the ones
-// Sample would have held.
+// is label-only (X is nil): DirichletPartition accepts it, and Marked keeps
+// the marks of the rows a partition assigns, from which each client draws
+// its rows, bit for bit the ones Sample would have held.
 func (g *Generator) Labels(n int, tag uint64) (ds *Dataset, marks []stats.Mark) {
 	rng := g.stream(tag)
 	ds = &Dataset{
@@ -205,38 +203,65 @@ func (g *Generator) Labels(n int, tag uint64) (ds *Dataset, marks []stats.Mark) 
 	return ds, marks
 }
 
-// Redraw builds the Dataset a materialized population trains on from the
-// marks of a Labels pass and a partition of its labels: exactly the rows the
-// clients' Indices name, clients in slice order and each client's rows in
-// its Indices order, every row redrawn from its mark into its slot. Each
-// Indices is rewritten, in place, to its contiguous range in the result.
-// Clients are redrawn in parallel; every row is a pure function of its mark,
-// so the result does not depend on the schedule.
-func (g *Generator) Redraw(marks []stats.Mark, clients []*Client) *Dataset {
-	offs := make([]int, len(clients)+1)
+// Rows is a client population's recipe: what each client's rows are, not
+// the rows. DrawInto writes client id's N rows — x its N×dim features,
+// row-major, y its N labels — into storage the caller owns, on scratch s:
+// the same bits every time, on any goroutine.
+type Rows interface {
+	DrawInto(id int, x []float64, y []int, s *Scratch)
+}
+
+// Scratch is what a draw runs on: an RNG, rewound or reseeded before every
+// use, and a virtual client's label distribution. The zero value is ready;
+// a Scratch serves one goroutine at a time.
+type Scratch struct {
+	rng *stats.RNG
+	p   []float64
+}
+
+// ready returns s's RNG and a label-distribution slice of classes entries,
+// building them on first use.
+func (s *Scratch) ready(classes int) (*stats.RNG, []float64) {
+	if s.rng == nil {
+		s.rng = stats.NewRNG(0)
+	}
+	s.p = tensor.Grow(s.p, classes)
+	return s.rng, s.p
+}
+
+// Marked is the recipe of a partition of a Labels pass: the marks of the rows
+// DirichletPartition assigned, client by client (client i has ID i). A client
+// draws, bit for bit, the rows Sample would have held there.
+func (g *Generator) Marked(marks []stats.Mark, rows []int, clients []*Client) Rows {
+	m := &marked{g: g, marks: make([]stats.Mark, len(rows)), offs: make([]int, len(clients)+1)}
+	for k, i := range rows {
+		m.marks[k] = marks[i]
+	}
 	for ci, c := range clients {
-		offs[ci+1] = offs[ci] + len(c.Indices)
+		m.offs[ci+1] = m.offs[ci] + c.N
 	}
-	total := offs[len(clients)]
-	ds := &Dataset{
-		X:           make([]float64, total*g.dim),
-		Y:           make([]int, total),
-		SampleShape: append([]int(nil), g.cfg.SampleShape...),
-		Classes:     g.cfg.Classes,
+	return m
+}
+
+// marked is Generator.Marked's recipe: client id's marks are
+// marks[offs[id]:offs[id+1]].
+type marked struct {
+	g     *Generator
+	marks []stats.Mark
+	offs  []int
+}
+
+// DrawInto redraws each of client id's rows from its mark.
+func (m *marked) DrawInto(id int, x []float64, y []int, s *Scratch) {
+	marks := m.marks[m.offs[id]:m.offs[id+1]]
+	if len(y) != len(marks) {
+		panic(fmt.Sprintf("data: client %d has %d rows, not %d", id, len(marks), len(y)))
 	}
-	cpu.Each(len(clients), cpu.Procs(), func(_, ci int) {
-		// Each client gets its own RNG, allocated here: RNGs allocated back
-		// to back by the caller would share a cache line across workers.
-		rng := stats.NewRNG(0)
-		idx := clients[ci].Indices
-		for j, i := range idx {
-			at := offs[ci] + j
-			rng.Rewind(marks[i])
-			ds.Y[at] = g.row(rng, ds.X[at*g.dim:(at+1)*g.dim])
-			idx[j] = at
-		}
-	})
-	return ds
+	rng, _ := s.ready(0)
+	for j, mk := range marks {
+		rng.Rewind(mk)
+		y[j] = m.g.row(rng, x[j*m.g.dim:(j+1)*m.g.dim])
+	}
 }
 
 // stream returns the RNG Sample(n, tag) draws its rows from.
@@ -246,16 +271,14 @@ func (g *Generator) stream(tag uint64) *stats.RNG {
 
 // row draws the next row of a sample stream from rng and returns its label:
 // the label, the mode, then one Gaussian noise draw per coordinate added to
-// the mode's prototype in x. With x nil every draw is made and dropped, so
-// the stream advances exactly as far as a stored row's would. This is the
-// one definition of a row's draw order.
+// the mode's prototype in x. With x nil the noise draws are skipped
+// (stats.RNG.SkipNormals), so the stream advances exactly as far as a stored
+// row's would. This is the one definition of a row's draw order.
 func (g *Generator) row(rng *stats.RNG, x []float64) int {
 	cls := rng.IntN(g.cfg.Classes)
 	proto := g.protos[cls*g.cfg.Modes+rng.IntN(g.cfg.Modes)]
 	if x == nil {
-		for range proto {
-			rng.Normal(0, g.cfg.Noise)
-		}
+		rng.SkipNormals(len(proto))
 		return cls
 	}
 	for j := range x {

@@ -11,20 +11,14 @@ import (
 // histogram Counts ("row of the label matrix L") — matching the paper's
 // privacy posture (Sec. 5.1).
 //
-// Client is a flyweight: the histogram fields are mandatory, the Indices
-// slice is not. Materialized populations (DirichletPartition) fill Indices
-// with positions into a shared Dataset; virtual populations
-// (VirtualPartition) leave Indices nil and synthesize
-// samples on demand from (seed, ID), so a million-client population costs
-// only its histograms.
+// Client is a flyweight: it holds no rows and no row indices. Its rows are
+// drawn from its population's Rows recipe, by ID, when a consumer trains it,
+// so a population costs only its histograms.
 type Client struct {
 	ID int
 	// N is the client's total sample count n_i. It always equals the sum of
-	// Counts, and equals len(Indices) when the client is materialized.
+	// Counts and the number of rows its recipe draws.
 	N int
-	// Indices locates the client's samples in a shared Dataset. Nil for
-	// virtual clients.
-	Indices []int
 	// Counts is the per-label sample histogram, length = number of classes.
 	Counts []float64
 }
@@ -46,6 +40,22 @@ type PartitionConfig struct {
 	MeanSamples, StdSamples float64
 	// Seed fixes the partition.
 	Seed uint64
+}
+
+// check panics on a configuration no partition can follow.
+func (cfg PartitionConfig) check() {
+	if cfg.NumClients <= 0 {
+		panic("data: NumClients must be positive")
+	}
+	if cfg.MinSamples <= 0 || cfg.MaxSamples < cfg.MinSamples {
+		panic("data: invalid sample count bounds")
+	}
+}
+
+// sampleCount draws a client's sample count from rng: normal, clipped to
+// [MinSamples, MaxSamples].
+func (cfg PartitionConfig) sampleCount(rng *stats.RNG) int {
+	return min(max(int(rng.Normal(cfg.MeanSamples, cfg.StdSamples)), cfg.MinSamples), cfg.MaxSamples)
 }
 
 // DefaultPartitionConfig mirrors the paper's CIFAR-10 setup scaled by
@@ -70,16 +80,13 @@ func DefaultPartitionConfig(numClients int, alpha float64, seed uint64) Partitio
 // non-empty labels, so the partition always succeeds as long as the dataset
 // has at least NumClients×MinSamples samples.
 //
-// It reads only ds's labels (Y, Classes and Len), so the label-only Dataset
-// Generator.Labels returns is a valid input; Generator.Redraw then draws
-// the rows the clients' Indices name.
-func DirichletPartition(ds *Dataset, cfg PartitionConfig) []*Client {
-	if cfg.NumClients <= 0 {
-		panic("data: NumClients must be positive")
-	}
-	if cfg.MinSamples <= 0 || cfg.MaxSamples < cfg.MinSamples {
-		panic("data: invalid sample count bounds")
-	}
+// Besides the clients it returns rows, the ds rows it assigned, client by
+// client in client order and each client's in draw order: client i's are
+// the N_i that follow client i−1's. It reads only ds's labels (Y, Classes
+// and Len), so the label-only Dataset Generator.Labels returns is a valid
+// input; Generator.Marked then keeps the assigned rows' marks.
+func DirichletPartition(ds *Dataset, cfg PartitionConfig) (clients []*Client, rows []int) {
+	cfg.check()
 	if ds.Len() < cfg.NumClients*cfg.MinSamples {
 		panic(fmt.Sprintf("data: dataset of %d samples cannot give %d clients at least %d each",
 			ds.Len(), cfg.NumClients, cfg.MinSamples))
@@ -104,23 +111,17 @@ func DirichletPartition(ds *Dataset, cfg PartitionConfig) []*Client {
 	remaining := ds.Len()
 	masked := make([]float64, ds.Classes)
 
-	clients := make([]*Client, cfg.NumClients)
+	clients = make([]*Client, cfg.NumClients)
 	for ci := 0; ci < cfg.NumClients; ci++ {
-		want := int(rng.Normal(cfg.MeanSamples, cfg.StdSamples))
-		if want < cfg.MinSamples {
-			want = cfg.MinSamples
-		}
-		if want > cfg.MaxSamples {
-			want = cfg.MaxSamples
-		}
+		want := cfg.sampleCount(rng)
 		// Never starve later clients below MinSamples.
 		clientsLeft := cfg.NumClients - ci - 1
 		if maxTake := remaining - clientsLeft*cfg.MinSamples; want > maxTake {
 			want = maxTake
 		}
 		p := rng.Dirichlet(cfg.Alpha, ds.Classes)
-		c := &Client{ID: ci, Indices: make([]int, 0, want), Counts: make([]float64, ds.Classes)}
-		for len(c.Indices) < want {
+		c := &Client{ID: ci, Counts: make([]float64, ds.Classes)}
+		for ; c.N < want; c.N++ {
 			// Zero out exhausted labels and renormalize by drawing from the
 			// masked categorical.
 			any := false
@@ -148,15 +149,14 @@ func DirichletPartition(ds *Dataset, cfg PartitionConfig) []*Client {
 			}
 			y := rng.Categorical(masked)
 			pool := pools[y]
-			c.Indices = append(c.Indices, pool[len(pool)-1])
+			rows = append(rows, pool[len(pool)-1])
 			pools[y] = pool[:len(pool)-1]
 			c.Counts[y]++
 			remaining--
 		}
-		c.N = len(c.Indices)
 		clients[ci] = c
 	}
-	return clients
+	return clients, rows
 }
 
 // GlobalCounts sums the label histograms of all clients.

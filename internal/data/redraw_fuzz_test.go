@@ -6,11 +6,13 @@ import (
 	"testing"
 )
 
-// FuzzRedraw holds the label-only path a materialized system is built on
-// (Labels, DirichletPartition on the labels, Redraw) to the pooled one it
-// replaces (Sample, DirichletPartition on the pool, copy-out by Indices):
-// the same clients with the same rows, bit for bit, or the same panic on a
-// configuration no partition can satisfy.
+// FuzzRedraw holds the recipe a System's clients are drawn from (Labels,
+// DirichletPartition on the labels, Marked, then each client's DrawInto) to
+// the pooled path it replaces (Sample, DirichletPartition on the pool, the
+// assigned rows read out of it): the same clients with the same rows, bit
+// for bit, or the same panic on a configuration no partition can satisfy.
+// The clients are drawn in reverse on one Scratch, so no draw may lean on
+// where the previous one left the stream.
 func FuzzRedraw(f *testing.F) {
 	f.Add(uint8(3), uint8(1), uint8(6), uint8(5), uint8(4), uint8(10), uint8(12), uint8(6), uint8(8), uint16(120), uint64(1), uint64(2))
 	f.Add(uint8(9), uint8(2), uint8(0x7f), uint8(7), uint8(2), uint8(3), uint8(5), uint8(2), uint8(1), uint16(90), uint64(5), uint64(3))
@@ -42,16 +44,18 @@ func FuzzRedraw(f *testing.F) {
 
 		var pool *Dataset
 		var want []*Client
+		var assigned []int
 		wantPanic := panicOf(func() {
 			pool = gen.Sample(n, 0)
-			want = DirichletPartition(pool, pcfg)
+			want, assigned = DirichletPartition(pool, pcfg)
 		})
-		var train *Dataset
+		var recipe Rows
 		var got []*Client
 		gotPanic := panicOf(func() {
 			labels, marks := gen.Labels(n, 0)
-			got = DirichletPartition(labels, pcfg)
-			train = gen.Redraw(marks, got)
+			var rows []int
+			got, rows = DirichletPartition(labels, pcfg)
+			recipe = gen.Marked(marks, rows, got)
 		})
 		if gotPanic != wantPanic {
 			t.Fatalf("label path panicked with %q, pooled path with %q", gotPanic, wantPanic)
@@ -60,35 +64,37 @@ func FuzzRedraw(f *testing.F) {
 			return
 		}
 
-		dim, off := pool.Dim(), 0
-		for ci, c := range got {
-			w := want[ci]
-			if c.ID != w.ID || c.N != w.N || len(c.Indices) != c.N {
-				t.Fatalf("client %d: ID %d, N %d, %d indices; want ID %d, N %d", ci, c.ID, c.N, len(c.Indices), w.ID, w.N)
+		dim := pool.Dim()
+		offs := make([]int, len(want)+1)
+		for ci, w := range want {
+			offs[ci+1] = offs[ci] + w.N
+		}
+		if offs[len(want)] != len(assigned) {
+			t.Fatalf("%d rows assigned, clients hold %d", len(assigned), offs[len(want)])
+		}
+		var s Scratch
+		for ci := len(got) - 1; ci >= 0; ci-- {
+			c, w := got[ci], want[ci]
+			if c.ID != w.ID || c.N != w.N {
+				t.Fatalf("client %d: ID %d, N %d; want ID %d, N %d", ci, c.ID, c.N, w.ID, w.N)
 			}
 			for y := range c.Counts {
 				if c.Counts[y] != w.Counts[y] {
 					t.Fatalf("client %d: Counts %v, want %v", ci, c.Counts, w.Counts)
 				}
 			}
-			for j, i := range w.Indices {
-				at := off + j
-				if c.Indices[j] != at {
-					t.Fatalf("client %d: Indices[%d] = %d, want %d", ci, j, c.Indices[j], at)
-				}
-				if train.Y[at] != pool.Y[i] {
-					t.Fatalf("client %d row %d: label %d, pool's %d", ci, j, train.Y[at], pool.Y[i])
+			x, y := make([]float64, c.N*dim), make([]int, c.N)
+			recipe.DrawInto(c.ID, x, y, &s)
+			for j, i := range assigned[offs[ci]:offs[ci+1]] {
+				if y[j] != pool.Y[i] {
+					t.Fatalf("client %d row %d: label %d, pool's %d", ci, j, y[j], pool.Y[i])
 				}
 				for k := 0; k < dim; k++ {
-					if math.Float64bits(train.X[at*dim+k]) != math.Float64bits(pool.X[i*dim+k]) {
-						t.Fatalf("client %d row %d: feature %d is %v, pool's %v", ci, j, k, train.X[at*dim+k], pool.X[i*dim+k])
+					if math.Float64bits(x[j*dim+k]) != math.Float64bits(pool.X[i*dim+k]) {
+						t.Fatalf("client %d row %d: feature %d is %v, pool's %v", ci, j, k, x[j*dim+k], pool.X[i*dim+k])
 					}
 				}
 			}
-			off += c.N
-		}
-		if train.Len() != off || len(train.X) != off*dim {
-			t.Fatalf("redrawn dataset holds %d rows (%d floats), want exactly the %d assigned", train.Len(), len(train.X), off)
 		}
 	})
 }

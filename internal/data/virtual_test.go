@@ -17,14 +17,22 @@ func virtualTestPartition(n int, seed uint64) *VirtualPartition {
 	return NewVirtualPartition(gen, part)
 }
 
+// client synthesizes client id's flyweight on its own: per-ID synthesis, the
+// oracle of the population build.
+func client(vp *VirtualPartition, id int) *Client {
+	c := new(Client)
+	vp.fill(c, make([]float64, vp.gen.cfg.Classes), id, new(Scratch))
+	return c
+}
+
 // TestVirtualClientSelfConsistent checks that the flyweight histogram a
 // VirtualPartition reports for a client is exactly the histogram of the
 // samples it materializes for that client.
 func TestVirtualClientSelfConsistent(t *testing.T) {
 	vp := virtualTestPartition(20, 3)
 	for id := 0; id < vp.NumClients(); id++ {
-		c := vp.Client(id)
-		x, y := vp.Materialize(id)
+		c := client(vp, id)
+		x, y := vp.MaterializeInto(id, new(SampleBuffer))
 		if c.N != len(y) {
 			t.Fatalf("client %d: N=%d but materialized %d labels", id, c.N, len(y))
 		}
@@ -34,7 +42,7 @@ func TestVirtualClientSelfConsistent(t *testing.T) {
 		if x.Shape[0] != c.N || x.Shape[1] != 6 {
 			t.Fatalf("client %d: batch shape %v, want [%d 6]", id, x.Shape, c.N)
 		}
-		hist := make([]float64, vp.Classes())
+		hist := make([]float64, 5) // virtualTestPartition's classes
 		for _, label := range y {
 			hist[label]++
 		}
@@ -48,31 +56,32 @@ func TestVirtualClientSelfConsistent(t *testing.T) {
 
 // TestVirtualMaterializeMatchesMaterializeAll pins the bridge the core
 // equivalence tests stand on: per-client synthesis into a SampleBuffer is
-// bit-identical to the rows MaterializeAll lays out in the pooled dataset.
+// bit-identical to the rows MaterializeAll holds for the client, which its
+// recipe copies out, and to DrawInto's into fresh storage on a fresh scratch.
 func TestVirtualMaterializeMatchesMaterializeAll(t *testing.T) {
 	vp := virtualTestPartition(15, 9)
-	ds, clients := vp.MaterializeAll()
+	rows, clients := vp.MaterializeAll()
 	if len(clients) != 15 {
 		t.Fatalf("MaterializeAll returned %d clients", len(clients))
 	}
 	var buf SampleBuffer
 	for _, c := range clients {
-		if len(c.Indices) != c.N {
-			t.Fatalf("client %d: %d indices, N=%d", c.ID, len(c.Indices), c.N)
-		}
-		xa, ya := ds.Batch(c.Indices)
 		xb, yb := vp.MaterializeInto(c.ID, &buf)
-		if len(ya) != len(yb) {
-			t.Fatalf("client %d: %d vs %d labels", c.ID, len(ya), len(yb))
-		}
-		for i := range ya {
-			if ya[i] != yb[i] {
-				t.Fatalf("client %d sample %d: label %d vs %d", c.ID, i, ya[i], yb[i])
+		for _, r := range []Rows{rows, vp} {
+			xa, ya := make([]float64, c.N*6), make([]int, c.N) // 6 features a row
+			r.DrawInto(c.ID, xa, ya, new(Scratch))
+			if len(ya) != len(yb) {
+				t.Fatalf("client %d: %d vs %d labels", c.ID, len(ya), len(yb))
 			}
-		}
-		for i := range xa.Data {
-			if math.Float64bits(xa.Data[i]) != math.Float64bits(xb.Data[i]) {
-				t.Fatalf("client %d: feature %d differs: %v vs %v", c.ID, i, xa.Data[i], xb.Data[i])
+			for i := range ya {
+				if ya[i] != yb[i] {
+					t.Fatalf("client %d sample %d: label %d vs %d", c.ID, i, ya[i], yb[i])
+				}
+			}
+			for i := range xa {
+				if math.Float64bits(xa[i]) != math.Float64bits(xb.Data[i]) {
+					t.Fatalf("client %d: feature %d differs: %v vs %v", c.ID, i, xa[i], xb.Data[i])
+				}
 			}
 		}
 	}
@@ -87,7 +96,7 @@ func TestVirtualClientsParallelDeterministic(t *testing.T) {
 	clients := vp.Clients()
 	_ = append(clients[0].Counts, -1)
 	for id, got := range clients {
-		want := vp.Client(id)
+		want := client(vp, id)
 		if got.ID != id || got.N != want.N || len(got.Counts) != len(want.Counts) {
 			t.Fatalf("client %d: parallel (ID=%d N=%d, %d classes) vs serial (N=%d, %d classes)", id, got.ID, got.N, len(got.Counts), want.N, len(want.Counts))
 		}
@@ -100,15 +109,14 @@ func TestVirtualClientsParallelDeterministic(t *testing.T) {
 }
 
 // TestSampleBufferReuse: repeated materialization through one buffer reuses
-// its backing storage — the O(selected) memory story depends on per-worker
-// buffers absorbing every synthesized batch.
+// its backing storage once it has held the largest client.
 func TestSampleBufferReuse(t *testing.T) {
 	vp := virtualTestPartition(10, 7)
 	var buf SampleBuffer
 	// Warm the buffer with the largest client so later calls never grow it.
 	largest := 0
 	for id := 0; id < vp.NumClients(); id++ {
-		if c := vp.Client(id); c.N > vp.Client(largest).N {
+		if c := client(vp, id); c.N > client(vp, largest).N {
 			largest = id
 		}
 	}

@@ -209,11 +209,12 @@ func backdoorOps(n, dim int) int {
 func syntheticClients(n, classes int, alpha float64, seed uint64) []*data.Client {
 	gen := data.NewGenerator(data.FlatConfig(classes, 4, seed))
 	labels, _ := gen.Labels(n*60, 0)
-	return data.DirichletPartition(labels, data.PartitionConfig{
+	clients, _ := data.DirichletPartition(labels, data.PartitionConfig{
 		NumClients: n, Alpha: alpha,
 		MinSamples: 10, MaxSamples: 50, MeanSamples: 30, StdSamples: 10,
 		Seed: seed + 13,
 	})
+	return clients
 }
 
 type xAxis int

@@ -9,6 +9,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/secagg"
 	"repro/internal/stats"
+	"repro/internal/tensor"
 	"repro/internal/wire"
 )
 
@@ -26,8 +27,9 @@ import (
 // clients one process hosts they build at most cpu.Procs() models between
 // them. The update's vectors and the encoded reply come from
 // pools and live for that one exchange; between requests a client keeps its
-// connection, the one Message it decodes every frame into, and the secagg
-// session of its latest masked update.
+// connection, the one Message it decodes every frame into, its rows (drawn
+// from the System's recipe at its first broadcast, once per job) and the
+// secagg session of its latest masked update.
 type Client struct {
 	id  int
 	sys *core.System
@@ -56,10 +58,13 @@ func (c *Client) logf(format string, args ...any) {
 }
 
 // membership is what a client's group assignment fixes for the rest of the
-// job, plus the secagg session of its latest masked update, which a
-// share-reveal request for that group round needs again.
+// job — its rows too, drawn at its first broadcast — plus the secagg session
+// of its latest masked update, which a share-reveal request for that group
+// round needs again.
 type membership struct {
 	me        *data.Client
+	x         *tensor.Tensor
+	y         []int
 	gid, idx  int
 	n         int     // group size
 	weight    float64 // n_i / n_g
@@ -173,23 +178,25 @@ func (c *Client) Run(nw Network, edgeAddr string) ([]float64, error) {
 }
 
 // answer runs the client's side of one group-round broadcast m on a worker
-// borrowed from the System: local SGD from the group model, then the
-// trained parameters, weighted by n_i/n_g and masked unless the group is a
-// singleton, encoded as the reply. It returns the frame, from the frames
-// pool — the caller writes it and puts it back. The worker is back with the
-// System on every return, before the caller's write.
+// borrowed from the System: local SGD over its rows from the group model,
+// then the trained parameters, weighted by n_i/n_g and masked unless the
+// group is a singleton, encoded as the reply. It returns the frame, from the
+// frames pool — the caller writes it and puts it back. The worker is back
+// with the System on every return, before the caller's write.
 func (c *Client) answer(m *wire.Message, st *membership) (*[]byte, error) {
 	cfg := c.cfg
 	t, k := int(m.Round), int(m.Seq)
+	if st.x == nil {
+		st.x, st.y = c.sys.ClientBatch(st.me)
+	}
 	w := c.sys.BorrowWorker()
 	defer c.sys.ReturnWorker(w)
 
 	if dim := w.Model.NumParams(); len(m.Floats) != dim {
 		return nil, fmt.Errorf("fednode: client %d: round %d.%d model has %d params, want %d", c.id, t, k, len(m.Floats), dim)
 	}
-	x, y := w.Load(c.sys, st.me, m.Floats)
 	trainSpan := c.trainHist.Start()
-	w.Train(core.SGDUpdater{}, x, y, core.LocalSeed(cfg.Seed, t, st.gid, c.id), core.LocalContext{
+	w.Train(core.SGDUpdater{}, st.x, st.y, core.LocalSeed(cfg.Seed, t, st.gid, c.id), core.LocalContext{
 		ClientID: c.id, Anchor: m.Floats,
 		Epochs: cfg.LocalEpochs, BatchSize: cfg.BatchSize, LR: cfg.LR,
 	})

@@ -15,7 +15,8 @@ func makeClients(t *testing.T, n int, alpha float64, seed uint64) ([]*data.Clien
 	g := data.NewGenerator(data.FlatConfig(10, 4, seed))
 	ds := g.Sample(n*150, 0)
 	cfg := data.DefaultPartitionConfig(n, alpha, seed)
-	return data.DirichletPartition(ds, cfg), ds.Classes
+	clients, _ := data.DirichletPartition(ds, cfg)
+	return clients, ds.Classes
 }
 
 // checkPartition verifies that groups exactly partition the client set.
@@ -291,7 +292,7 @@ func TestCoVGroupingPropertyInvariants(t *testing.T) {
 		n := 10 + int(seed%30)
 		g := data.NewGenerator(data.FlatConfig(6, 4, seed))
 		ds := g.Sample(n*60, 0)
-		clients := data.DirichletPartition(ds, data.PartitionConfig{
+		clients, _ := data.DirichletPartition(ds, data.PartitionConfig{
 			NumClients: n, Alpha: 0.3,
 			MinSamples: 10, MaxSamples: 50, MeanSamples: 30, StdSamples: 10,
 			Seed: seed,

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/grouping"
 	"repro/internal/stats"
+	"repro/internal/tensor"
 )
 
 // Method identifies a sampling probability scheme.
@@ -142,15 +143,9 @@ func (sp *Sampler) Sample(rng *stats.RNG, p []float64, s int) []int {
 	if s > len(p) {
 		panic(fmt.Sprintf("sampling: cannot draw %d from %d groups", s, len(p)))
 	}
-	if cap(sp.w) < len(p) {
-		sp.w = make([]float64, len(p))
-	}
-	w := sp.w[:len(p)]
+	sp.w, sp.out = tensor.Grow(sp.w, len(p)), tensor.Grow(sp.out, s)[:0]
+	w, out := sp.w, sp.out
 	copy(w, p)
-	if cap(sp.out) < s {
-		sp.out = make([]int, 0, s)
-	}
-	out := sp.out[:0]
 	for len(out) < s {
 		total := 0.0
 		for _, v := range w {

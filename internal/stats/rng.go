@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"sync"
 )
 
 // RNG is a deterministic pseudo-random number generator used throughout the
@@ -103,6 +104,56 @@ func (r *RNG) Normal(mu, sigma float64) float64 {
 	return mu + float64(sigma*r.src.NormFloat64())
 }
 
+// SkipNormals advances the generator past n NormFloat64 draws without
+// computing them, leaving the stream where n NormFloat64 calls would. A word
+// NormFloat64's ziggurat accepts on its fast path — over 99 % of them — is
+// skipped for a table lookup; any other draw is replayed through NormFloat64.
+func (r *RNG) SkipNormals(n int) {
+	kn := zigguratBounds()
+	for range n {
+		m := *r.pcg
+		u := r.pcg.Uint64()
+		if j := int64(int32(u)); max(j, -j) >= kn[u>>32&0x7F] {
+			*r.pcg = m
+			r.src.NormFloat64()
+		}
+	}
+}
+
+// zigguratBounds returns, per strip u>>32&0x7F of NormFloat64's ziggurat, the
+// bound under which it returns on the word u alone, |int32(u)| < bound, read
+// off NormFloat64 itself by bisection over a source counting its words.
+var zigguratBounds = sync.OnceValue(func() *[128]int64 {
+	var kn [128]int64
+	var first uint64
+	words := 0
+	r := rand.New(sourceFunc(func() uint64 {
+		if words++; words == 1 {
+			return first
+		}
+		return 0
+	}))
+	for i := range kn {
+		lo, hi := int64(0), int64(1)<<31
+		for lo < hi {
+			mid := (lo + hi) / 2
+			first, words = uint64(i)<<32|uint64(mid), 0
+			if r.NormFloat64(); words == 1 {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		kn[i] = lo
+	}
+	return &kn
+})
+
+// sourceFunc is a rand.Source drawing from a function.
+type sourceFunc func() uint64
+
+func (f sourceFunc) Uint64() uint64 { return f() }
+
 // Perm returns a random permutation of [0, n).
 func (r *RNG) Perm(n int) []int { return r.src.Perm(n) }
 
@@ -150,7 +201,15 @@ func (r *RNG) Dirichlet(alpha float64, dim int) []float64 {
 	if dim <= 0 {
 		panic("stats: Dirichlet dimension must be positive")
 	}
-	out := make([]float64, dim)
+	return r.DirichletInto(make([]float64, dim), alpha)
+}
+
+// DirichletInto draws what Dirichlet(alpha, len(out)) draws into out and
+// returns it, so a caller drawing one vector per client reuses one slice.
+func (r *RNG) DirichletInto(out []float64, alpha float64) []float64 {
+	if len(out) == 0 {
+		panic("stats: Dirichlet dimension must be positive")
+	}
 	sum := 0.0
 	for i := range out {
 		g := r.Gamma(alpha)
@@ -161,7 +220,7 @@ func (r *RNG) Dirichlet(alpha float64, dim int) []float64 {
 	if sum == 0 {
 		// Extremely small alpha can underflow every component; fall back to
 		// a one-hot vector, which is the limiting distribution.
-		out[r.IntN(dim)] = 1
+		out[r.IntN(len(out))] = 1
 		return out
 	}
 	for i := range out {
@@ -173,6 +232,12 @@ func (r *RNG) Dirichlet(alpha float64, dim int) []float64 {
 // Categorical draws an index in [0, len(p)) with probability proportional to
 // p[i]. Weights must be non-negative and not all zero.
 func (r *RNG) Categorical(p []float64) int {
+	return r.CategoricalSum(p, CategoricalTotal(p))
+}
+
+// CategoricalTotal validates p as Categorical does and returns the total its
+// draws scale by, for a caller drawing many times from one p (CategoricalSum).
+func CategoricalTotal(p []float64) float64 {
 	total := 0.0
 	for _, w := range p {
 		if w < 0 || math.IsNaN(w) {
@@ -183,6 +248,12 @@ func (r *RNG) Categorical(p []float64) int {
 	if total <= 0 {
 		panic("stats: Categorical weights sum to zero")
 	}
+	return total
+}
+
+// CategoricalSum draws what Categorical(p) draws, given total =
+// CategoricalTotal(p).
+func (r *RNG) CategoricalSum(p []float64, total float64) int {
 	u := r.Float64() * total
 	acc := 0.0
 	for i, w := range p {

@@ -170,6 +170,121 @@ func TestCategoricalPanics(t *testing.T) {
 	}
 }
 
+// TestSetupOnceDrawsMatch holds the set-up-once label draw — DirichletInto
+// into one reused slice, CategoricalTotal once per vector, CategoricalSum per
+// draw — to the per-draw form it replaces (refDirichlet, a fresh slice per
+// vector, and refCategorical, which validates and sums p on every draw),
+// draw for draw over seeded streams: the same vectors and indices bit for
+// bit, and the two streams at the same position afterwards. The alphas reach
+// down to where every gamma draw underflows and the one-hot fallback runs.
+func TestSetupOnceDrawsMatch(t *testing.T) {
+	for seed := uint64(0); seed < 40; seed++ {
+		alpha := []float64{1e-3, 0.05, 0.5, 2, 30}[seed%5]
+		dim := 1 + int(seed%13)
+		a, b := NewRNG(seed), NewRNG(seed)
+		scratch := make([]float64, dim)
+		for v := 0; v < 25; v++ {
+			p := a.DirichletInto(scratch, alpha)
+			want := refDirichlet(b, alpha, dim)
+			for i := range want {
+				if math.Float64bits(p[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("seed %d vector %d: component %d is %v, want %v", seed, v, i, p[i], want[i])
+				}
+			}
+			total := CategoricalTotal(p)
+			for d := 0; d < 40; d++ {
+				got, w := a.CategoricalSum(p, total), refCategorical(b, want)
+				if got != w {
+					t.Fatalf("seed %d vector %d draw %d: %d, want %d", seed, v, d, got, w)
+				}
+				if c := b.Categorical(want); c != refCategorical(a, p) {
+					t.Fatalf("seed %d vector %d draw %d: Categorical %d differs from the reference", seed, v, d, c)
+				}
+			}
+		}
+		if a.Uint64() != b.Uint64() {
+			t.Fatalf("seed %d: the streams ended at different positions", seed)
+		}
+	}
+}
+
+// refDirichlet and refCategorical are Dirichlet and Categorical as they drew
+// before the set-up-once split, kept as the oracle of TestSetupOnceDrawsMatch.
+func refDirichlet(r *RNG, alpha float64, dim int) []float64 {
+	out := make([]float64, dim)
+	sum := 0.0
+	for i := range out {
+		g := r.Gamma(alpha)
+		out[i] = g
+		sum += g
+	}
+	if sum == 0 {
+		out[r.IntN(dim)] = 1
+		return out
+	}
+	for i := range out {
+		out[i] /= sum
+	}
+	return out
+}
+
+func refCategorical(r *RNG, p []float64) int {
+	total := 0.0
+	for _, w := range p {
+		if w < 0 || math.IsNaN(w) {
+			panic("stats: Categorical weights must be non-negative")
+		}
+		total += w
+	}
+	if total <= 0 {
+		panic("stats: Categorical weights sum to zero")
+	}
+	u := r.Float64() * total
+	acc := 0.0
+	for i, w := range p {
+		acc += w
+		if u < acc {
+			return i
+		}
+	}
+	return len(p) - 1
+}
+
+// TestSkipNormalsMatchesNormFloat64: skipping n normals leaves the stream
+// exactly where n NormFloat64 calls leave it, over runs long enough that the
+// ziggurat's slow paths — the base strip's tail included — are replayed
+// thousands of times, and at every run length from 0 to 300.
+func TestSkipNormalsMatchesNormFloat64(t *testing.T) {
+	kn := zigguratBounds()
+	slow, tail := 0, 0
+	for seed := uint64(0); seed < 301; seed++ {
+		a, b := NewRNG(seed), NewRNG(seed)
+		for range 20 {
+			probe := *a.pcg
+			for range int(seed) {
+				u := probe.Uint64()
+				if j := int64(int32(u)); max(j, -j) >= kn[u>>32&0x7F] {
+					slow++
+					if u>>32&0x7F == 0 {
+						tail++
+					}
+				}
+			}
+			a.SkipNormals(int(seed))
+			for range int(seed) {
+				b.NormFloat64()
+			}
+			if a.Mark() != b.Mark() {
+				t.Fatalf("seed %d: SkipNormals(%d) left the stream elsewhere than %d NormFloat64 calls", seed, seed, seed)
+			}
+		}
+	}
+	if slow < 1000 || tail == 0 {
+		t.Fatalf("only %d slow-path words (%d in the base strip): the replay went untested", slow, tail)
+	}
+	t.Logf("%d slow-path words replayed, %d in the base strip", slow, tail)
+}
+
 func TestPermIsPermutation(t *testing.T) {
 	r := NewRNG(23)
 	p := r.Perm(100)

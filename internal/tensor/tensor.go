@@ -53,6 +53,17 @@ func Resize(buf *Tensor, shape ...int) *Tensor {
 	return buf
 }
 
+// Grow returns s resliced to n elements, or a new slice of exactly n when
+// its backing array is shorter, so the caller must overwrite what it reads.
+// It is Resize for slices: a caller that keeps the result stops allocating
+// once it has seen its largest n.
+func Grow[S ~[]E, E any](s S, n int) S {
+	if cap(s) < n {
+		return make(S, n)
+	}
+	return s[:n]
+}
+
 // FromSlice wraps data in a tensor of the given shape. The slice is used
 // directly (not copied); its length must match the shape volume.
 func FromSlice(data []float64, shape ...int) *Tensor {

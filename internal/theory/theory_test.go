@@ -93,7 +93,7 @@ func TestDeriveLambdasPositive(t *testing.T) {
 func TestFromSystem(t *testing.T) {
 	g := data.NewGenerator(data.FlatConfig(10, 4, 1))
 	ds := g.Sample(4000, 0)
-	clients := data.DirichletPartition(ds, data.DefaultPartitionConfig(30, 0.3, 2))
+	clients, _ := data.DirichletPartition(ds, data.DefaultPartitionConfig(30, 0.3, 2))
 	covg := grouping.CoVGrouping{Config: grouping.Config{MinGS: 5, MaxCoV: 0.5, MergeLeftover: true}}
 	groups := covg.Form(clients, ds.Classes, 0, 0, stats.NewRNG(3))
 	p := sampling.Probabilities(groups, sampling.RCoV)
