@@ -25,7 +25,8 @@
 #                  examples/quickstart prints the same bytes twice
 #   8. metrics     the same job's live /metrics endpoint parses
 #   9. load        felserve under -race, then stage 6's kill-cloud verdict
-#  10. results     every deterministic results/medium CSV regenerated and diffed
+#  10. results     every deterministic results/medium CSV regenerated and diffed,
+#                  the golden and regenerated name sets equal both ways
 #  11. contention  internal/core and the packages whose tests run on
 #                  fednode's MemNetwork at -count=3 beside one busy loop per
 #                  CPU
@@ -263,6 +264,20 @@ echo "== results (every deterministic results/medium CSV at -scale medium -seed 
 resdir="$(stage_dir results)"
 go build -o "$resdir/felbench" ./cmd/felbench
 "$resdir/felbench" -exp all -scale medium -seed 2024 -out "$resdir/medium" > /dev/null
+# Both directions: a golden file no experiment writes is stale, and a CSV
+# felbench writes with no golden file would be regenerated and never held.
+(cd results/medium && ls -1 -- *.csv) > "$resdir/golden.names"
+(cd "$resdir/medium" && ls -1 -- *.csv) > "$resdir/fresh.names"
+odd=0
+for name in $(comm -23 "$resdir/golden.names" "$resdir/fresh.names"); do
+  echo "ci.sh: results/medium/$name is written by no experiment; delete it" >&2
+  odd=1
+done
+for name in $(comm -13 "$resdir/golden.names" "$resdir/fresh.names"); do
+  echo "ci.sh: felbench -exp all writes $name, but results/medium holds no golden copy; record it" >&2
+  odd=1
+done
+[ "$odd" = 0 ] || exit 1
 for golden in results/medium/*.csv; do
   fresh="$resdir/medium/$(basename "$golden")"
   if [ "$(basename "$golden")" = fig5.csv ]; then

@@ -114,7 +114,7 @@ func (sp *groupSpace) arrive(ev arrivalEvent) {
 		sp.drops++
 		return
 	}
-	sp.bytes += c.bytes
+	sp.bytes += int64(8 * len(sp.group))
 	if sp.observes() {
 		// The flush that consumes this arrival is the next one, and v only
 		// moves at flushes, so the version lag is already final here.

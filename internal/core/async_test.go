@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/async"
-	"repro/internal/compress"
 	"repro/internal/cost"
 	"repro/internal/data"
 	"repro/internal/grouping"
@@ -268,10 +267,16 @@ func TestAsyncTrainerResume(t *testing.T) {
 // checkAsyncAccounting holds an async run's books to each other. arrive
 // observes one staleness per update that lands, so every arrival folds
 // exactly once when fel_async_folds_total equals the fel_async_staleness
-// count; each flush observes one buffer depth; and the carryover and late
-// counters count what the Result counts.
+// count; each flush observes one buffer depth; the carryover and late
+// counters count what the Result counts; and the uplink is one dense vector
+// per arrival that ships — late updates never arrive, dropped ones ship
+// nothing.
 func checkAsyncAccounting(t *testing.T, res *Result, reg *metrics.Registry) {
 	t.Helper()
+	arrivals := seriesValue(t, reg, "fel_async_staleness_count")
+	if want := 8 * float64(len(res.Params)) * arrivals; float64(res.UplinkBytes) != want {
+		t.Errorf("UplinkBytes = %d, want 8 · %d params · %v arrivals = %v", res.UplinkBytes, len(res.Params), arrivals, want)
+	}
 	for _, c := range []struct {
 		name string
 		want float64
@@ -400,30 +405,20 @@ func TestAsyncConfigValidation(t *testing.T) {
 			t.Errorf("case %d: Validate rejected a good config: %v", i, err)
 		}
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("compressor + async mode did not panic")
-			}
-		}()
-		cfg := asyncTestConfig()
-		cfg.Async.Mode = async.Buffered
-		// The panic fires in validate before the factory is ever called.
-		cfg.NewCompressor = func() compress.Compressor { return nil }
-		Train(asyncTestSystem(4, 1), cfg)
-	}()
 }
 
 // TestSyncGroupRoundPinned holds a synchronous run to what the bulk-
 // synchronous group loop produced before Sync became the machine's full
 // buffer (recorded at PR 27's tree, where runGroup folded, reduceGroup
-// accounted and syncGroupTicks priced the barrier): straggler-storm delays,
-// a top-k compressor, and a dropout rate at which 6 of the run's 30 group
-// rounds lose all three clients and carry the group model over. Ticks,
-// dropouts, uplink bytes, weights and the whole timing-masked metric surface
-// — one group-aggregate span per group round, folded or not, and the
-// fel_async_* series a delay model registers but a sync run leaves idle —
-// may not move, at either end of MaxParallel.
+// accounted and syncGroupTicks priced the barrier): straggler-storm delays
+// and a dropout rate at which 6 of the run's 30 group rounds lose all three
+// clients and carry the group model over. Ticks, dropouts, uplink bytes,
+// weights and the whole timing-masked metric surface — one group-aggregate
+// span per group round, folded or not, and the fel_async_* series a delay
+// model registers but a sync run leaves idle — may not move, at either end
+// of MaxParallel. The uplink bytes and weights were recorded later, for this
+// configuration on the full-buffer machine; the uplink is the dense count,
+// 68 320 bytes = 8 · 244 params · 35 delivered updates.
 func TestSyncGroupRoundPinned(t *testing.T) {
 	for _, par := range []int{1, 8} {
 		cfg := testConfig()
@@ -431,17 +426,16 @@ func TestSyncGroupRoundPinned(t *testing.T) {
 		cfg.MaxParallel = par
 		cfg.DropoutProb = 0.6
 		cfg.Async.Delays = async.StragglerStorm()
-		cfg.NewCompressor = func() compress.Compressor { return compress.NewTopK(16) }
 		reg := metrics.New()
 		cfg.Metrics = reg
 		res := Train(testSystem(12, 0.5, 28), cfg)
 
-		if res.LogicalTicks != 2088 || res.Dropouts != 55 || res.UplinkBytes != 6720 {
-			t.Errorf("par=%d: ticks %d, dropouts %d, uplink %d; pinned 2088, 55, 6720",
+		if res.LogicalTicks != 2088 || res.Dropouts != 55 || res.UplinkBytes != 68320 {
+			t.Errorf("par=%d: ticks %d, dropouts %d, uplink %d; pinned 2088, 55, 68320",
 				par, res.LogicalTicks, res.Dropouts, res.UplinkBytes)
 		}
-		if got := paramDigest(res.Params); got != "50c4b7c60f875c71" {
-			t.Errorf("par=%d: parameter digest %s, pinned 50c4b7c60f875c71", par, got)
+		if got := paramDigest(res.Params); got != "f176f503edddfd9f" {
+			t.Errorf("par=%d: parameter digest %s, pinned f176f503edddfd9f", par, got)
 		}
 		snap := metrics.MaskTimings(reg.Snapshot())
 		for _, want := range []string{

@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"repro/internal/compress"
 	"repro/internal/sampling"
 )
 
@@ -99,35 +98,5 @@ func TestFairnessRandomBeatsESRCoV(t *testing.T) {
 	esr := run(sampling.ESRCoV)
 	if random < esr {
 		t.Fatalf("Random fairness %v should be >= ESRCoV %v", random, esr)
-	}
-}
-
-func TestCompressionReducesUplinkBytes(t *testing.T) {
-	run := func(factory func() compress.Compressor) *Result {
-		sys := testSystem(10, 0.5, 50)
-		cfg := testConfig()
-		cfg.GlobalRounds = 5
-		cfg.NewCompressor = factory
-		return Train(sys, cfg)
-	}
-	dense := run(nil)
-	if dense.UplinkBytes == 0 {
-		t.Fatal("dense run recorded no uplink bytes")
-	}
-	topk := run(func() compress.Compressor { return compress.NewTopK(20) })
-	if topk.UplinkBytes >= dense.UplinkBytes/5 {
-		t.Fatalf("top-20 uplink %d not much smaller than dense %d", topk.UplinkBytes, dense.UplinkBytes)
-	}
-	// Error feedback keeps learning alive despite heavy sparsification.
-	if topk.FinalAccuracy <= 0.3 {
-		t.Fatalf("compressed training accuracy %.3f", topk.FinalAccuracy)
-	}
-	// 8-bit quantization: ~8x smaller, near-dense accuracy.
-	q8 := run(func() compress.Compressor { return compress.NewUniform(8, 1) })
-	if q8.UplinkBytes >= dense.UplinkBytes/4 {
-		t.Fatalf("q8 uplink %d not smaller than dense %d", q8.UplinkBytes, dense.UplinkBytes)
-	}
-	if q8.FinalAccuracy < dense.FinalAccuracy-0.15 {
-		t.Fatalf("q8 accuracy %.3f far below dense %.3f", q8.FinalAccuracy, dense.FinalAccuracy)
 	}
 }

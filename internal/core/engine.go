@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"repro/internal/async"
-	"repro/internal/compress"
 	"repro/internal/cpu"
 	"repro/internal/data"
 	"repro/internal/grouping"
@@ -64,7 +63,6 @@ type engine struct {
 	sys   *System
 	cfg   Config
 	local LocalUpdater
-	comp  *compressorPool
 	max   int
 
 	// mu guards groupAggHists.
@@ -98,10 +96,9 @@ type engine struct {
 // time, so a warm machine allocates nothing: the per-client result slots
 // (views into one flat backing array), the tree-reduction node scratch, the
 // members' rows (views into one slab), then the run state — logical-clock
-// heap, per-client bookkeeping (pre-drawn dropout flag and uplink bytes
-// included), the batch scratch — and the run's outcome. group is the
-// vector of the selection slot being run, the caller's (begin takes it, end
-// lets it go).
+// heap, per-client bookkeeping (pre-drawn dropout flag included), the batch
+// scratch — and the run's outcome. group is the vector of the selection slot
+// being run, the caller's (begin takes it, end lets it go).
 type groupSpace struct {
 	e *engine
 
@@ -140,12 +137,11 @@ type memberRows struct {
 
 // clientRun is one member's place in the group round.
 type clientRun struct {
-	dispatched int   // how many times dispatched (the next ordinal k)
-	dispVer    int   // model version at dispatch of the latest update
-	inflight   bool  // dispatched, not yet arrived
-	arrived    bool  // arrived (buffered or dropped), awaiting flush
-	drop       bool  // the latest update was drawn as lost (rule 2)
-	bytes      int64 // uplink size of the latest update, 0 when dropped
+	dispatched int  // how many times dispatched (the next ordinal k)
+	dispVer    int  // model version at dispatch of the latest update
+	inflight   bool // dispatched, not yet arrived
+	arrived    bool // arrived (buffered or dropped), awaiting flush
+	drop       bool // the latest update was drawn as lost (rule 2)
 }
 
 // testUncapWorkers lifts the physical-CPU cap on the fan-out width and on the
@@ -164,16 +160,11 @@ func NewExecutor(sys *System, cfg Config) Executor {
 	if local == nil {
 		local = SGDUpdater{}
 	}
-	var comp *compressorPool
-	if cfg.NewCompressor != nil {
-		comp = &compressorPool{factory: cfg.NewCompressor, byClient: make(map[int]compress.Compressor)}
-	}
 	width := workerBound(cfg.MaxParallel)
 	e := &engine{
 		sys:       sys,
 		cfg:       cfg,
 		local:     local,
-		comp:      comp,
 		max:       width,
 		epochsCtr: cfg.Metrics.Counter("fel_core_local_epochs_total"),
 		trainHist: cfg.Metrics.Histogram("fel_core_local_train_seconds"),
@@ -318,11 +309,9 @@ func dropSeed(seed uint64, round, gid int) uint64 {
 // trainClient runs lines 9–13 of Alg. 1 for member i of sp's group on worker
 // w: E local epochs from the group model in sp.group, seeded by LocalSeed,
 // over the member's rows, drawn at its first dispatch of the run.
-// Unless the client's update was drawn as dropped, what the edge receives
-// lands in sp.slots[i] — the trained parameters priced as a dense uplink, or
-// with a compressor the group model plus the decoded delta at the encoding's
-// size; a dropped client trains (work done is work paid for) and ships
-// nothing.
+// Unless the client's update was drawn as dropped, its trained parameters —
+// the dense uplink the edge receives — land in sp.slots[i]; a dropped client
+// trains (work done is work paid for) and ships nothing.
 func (e *engine) trainClient(w *Worker, sp *groupSpace, i int) {
 	cfg := &e.cfg
 	c, rows, run := sp.g.Clients[i], &sp.rows[i], &sp.clients[i]
@@ -339,20 +328,7 @@ func (e *engine) trainClient(w *Worker, sp *groupSpace, i int) {
 	})
 	trainSpan.End()
 	e.epochsCtr.Add(int64(cfg.LocalEpochs))
-	run.bytes = 0
-	if run.drop {
-		return
+	if !run.drop {
+		w.Model.ParamVectorInto(sp.slots[i])
 	}
-	slot := w.Model.ParamVectorInto(sp.slots[i])
-	run.bytes = int64(8 * len(slot))
-	if e.comp == nil {
-		return
-	}
-	// The client ships a compressed delta; the edge applies the decoded
-	// delta to its copy of the group model.
-	w.delta = tensor.Grow(w.delta, len(slot))
-	tensor.SubInto(slot, sp.group, w.delta)
-	enc := e.comp.forClient(c.ID).Compress(w.delta)
-	run.bytes = int64(enc.Bytes())
-	tensor.AddInto(sp.group, enc.Decode(), slot)
 }

@@ -11,7 +11,6 @@ import (
 	"unsafe"
 
 	"repro/internal/async"
-	"repro/internal/compress"
 	"repro/internal/cpu"
 	"repro/internal/data"
 	"repro/internal/metrics"
@@ -89,9 +88,8 @@ func TestEvaluateParallelMatchesSerial(t *testing.T) {
 }
 
 // TestEngineRace drives the full engine — lent Workers and group-round
-// machines, compressor pool, SCAFFOLD's shared state — at high parallelism
-// so ci.sh's race stage (go test -race ./internal/core) can catch any
-// unsynchronized access.
+// machines, SCAFFOLD's shared state — at high parallelism so ci.sh's race
+// stage (go test -race ./internal/core) can catch any unsynchronized access.
 func TestEngineRace(t *testing.T) {
 	old := runtime.GOMAXPROCS(8)
 	defer runtime.GOMAXPROCS(old)
@@ -100,7 +98,6 @@ func TestEngineRace(t *testing.T) {
 	cfg.GlobalRounds = 2
 	cfg.MaxParallel = 8
 	cfg.DropoutProb = 0.2
-	cfg.NewCompressor = func() compress.Compressor { return compress.NewTopK(16) }
 	cfg.Local = &ScaffoldUpdater{NumClients: 16}
 	res := Train(sys, cfg)
 	if res.RoundsRun != 2 {

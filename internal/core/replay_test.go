@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/compress"
 	"repro/internal/data"
 	"repro/internal/nn"
 )
@@ -51,9 +50,9 @@ func TestReplayBitIdenticalAcrossParallelism(t *testing.T) {
 // TestReplayBitIdenticalAcrossMaxParallel extends the determinism contract
 // to the engine's intra-group client fan-out, with every stateful feature
 // that could break it switched on at once: client dropout (shared dropout
-// RNG per group), update compression (stateful per-client error feedback),
-// and SCAFFOLD (shared server variate + per-client drift folding). The
-// final weights must be bit-for-bit identical at any worker-pool size.
+// RNG per group) and SCAFFOLD (shared server variate + per-client drift
+// folding). The final weights must be bit-for-bit identical at any
+// worker-pool size.
 func TestReplayBitIdenticalAcrossMaxParallel(t *testing.T) {
 	old := runtime.GOMAXPROCS(8)
 	defer runtime.GOMAXPROCS(old)
@@ -63,7 +62,6 @@ func TestReplayBitIdenticalAcrossMaxParallel(t *testing.T) {
 		cfg.GlobalRounds = 3
 		cfg.MaxParallel = maxParallel
 		cfg.DropoutProb = 0.25
-		cfg.NewCompressor = func() compress.Compressor { return compress.NewTopK(16) }
 		cfg.Local = &ScaffoldUpdater{NumClients: 12}
 		return Train(sys, cfg).Params
 	}

@@ -4,10 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/async"
-	"repro/internal/compress"
 	"repro/internal/cost"
 	"repro/internal/grouping"
 	"repro/internal/metrics"
@@ -66,11 +64,6 @@ type Config struct {
 	// clients still pay their training cost — work done is work paid for.
 	// It must lie in [0,1).
 	DropoutProb float64
-	// NewCompressor, when non-nil, compresses every client's update delta
-	// before group aggregation (one stateful compressor per client, so
-	// error-feedback schemes work). The decoded delta is applied to the
-	// group model; Result.UplinkBytes records the wire size saved.
-	NewCompressor func() compress.Compressor
 	// Async selects the aggregation semantics (sync, buffered-async, or
 	// semi-sync) plus the staleness discount and the logical-clock delay
 	// model driving arrival order. The zero value is the paper's
@@ -122,8 +115,8 @@ type Result struct {
 	// Participation maps client ID to the number of global rounds the
 	// client trained in (fairness accounting; see FairnessIndex).
 	Participation map[int]int
-	// UplinkBytes totals the client→edge update payload; with a compressor
-	// configured it reflects the compressed wire size.
+	// UplinkBytes totals the client→edge update payload: 8 bytes a
+	// parameter for every update that reaches its edge.
 	UplinkBytes int64
 	// Params is the final global parameter vector.
 	Params []float64
@@ -153,25 +146,6 @@ func Train(sys *System, cfg Config) *Result {
 	return tr.Finish()
 }
 
-// compressorPool hands out one stateful compressor per client (error
-// feedback needs persistent residuals). Safe for concurrent groups.
-type compressorPool struct {
-	mu       sync.Mutex
-	factory  func() compress.Compressor
-	byClient map[int]compress.Compressor
-}
-
-func (p *compressorPool) forClient(id int) compress.Compressor {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	c, ok := p.byClient[id]
-	if !ok {
-		c = p.factory()
-		p.byClient[id] = c
-	}
-	return c
-}
-
 // validate rejects a configuration no run can start from. With a pinned
 // formation Grouping is never read, with fixed selections SampleGroups. The
 // messages carry no package tag: NewTrainer panics with "fel: " in front,
@@ -196,10 +170,6 @@ func validate(sys *System, cfg Config, pinned, fixed bool) error {
 		return fmt.Errorf("unknown weight scheme %d", int(cfg.Weights))
 	case cfg.CostProfile.Name == "":
 		return fmt.Errorf("CostProfile is required (got %+v)", cfg.CostProfile)
-	case cfg.Async.Mode != async.Sync && cfg.NewCompressor != nil:
-		// The compressed-delta uplink is defined for the full buffer only:
-		// nothing says what a stale error-feedback residual should mean.
-		return errors.New("NewCompressor requires synchronous aggregation")
 	}
 	if !pinned {
 		if err := cfg.Grouping.Validate(); err != nil {

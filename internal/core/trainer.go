@@ -285,14 +285,8 @@ type TrainerState struct {
 }
 
 // ExportState captures the trainer's state at the current round boundary.
-// Call it only between Steps (or before the first / after the last). It
-// fails for runs with a compressor configured: per-client error-feedback
-// residuals live inside the compressor implementations and have no
-// serialization surface.
+// Call it only between Steps (or before the first / after the last).
 func (tr *Trainer) ExportState() (*TrainerState, error) {
-	if tr.cfg.NewCompressor != nil {
-		return nil, errors.New("core: cannot checkpoint a run with NewCompressor set (per-client residual state is not serializable)")
-	}
 	st := &TrainerState{
 		Round:         tr.t,
 		Params:        append([]float64(nil), tr.globalParams...),
@@ -324,9 +318,6 @@ func (tr *Trainer) ExportState() (*TrainerState, error) {
 // When the snapshot carries SCAFFOLD state, cfg.Local must be a fresh
 // *ScaffoldUpdater for the variates to be restored into.
 func NewTrainerResumed(sys *System, cfg Config, st *TrainerState) (*Trainer, error) {
-	if cfg.NewCompressor != nil {
-		return nil, errors.New("core: cannot resume a run with NewCompressor set")
-	}
 	tr, err := NewTrainerOn(sys, cfg, NewExecutor(sys, cfg), nil, nil)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)

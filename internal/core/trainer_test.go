@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/async"
-	"repro/internal/compress"
 	"repro/internal/cost"
 	"repro/internal/grouping"
 	"repro/internal/metrics"
@@ -177,23 +176,6 @@ func TestResumeFormsOnce(t *testing.T) {
 		if snap := reg.Snapshot(); !strings.Contains(snap, want+"\n") {
 			t.Errorf("snapshot is missing %q:\n%s", want, snap)
 		}
-	}
-}
-
-// TestExportStateRejectsCompressor: error-feedback residuals live inside
-// compressor implementations with no serialization surface, so checkpoints
-// of compressed runs must be refused loudly rather than resumed wrong.
-func TestExportStateRejectsCompressor(t *testing.T) {
-	cfg := testConfig()
-	cfg.GlobalRounds = 2
-	cfg.NewCompressor = func() compress.Compressor { return compress.NewTopK(10) }
-	tr := NewTrainer(testSystem(10, 0.5, 2), cfg)
-	tr.Step()
-	if _, err := tr.ExportState(); err == nil {
-		t.Fatal("ExportState accepted a run with a compressor")
-	}
-	if _, err := NewTrainerResumed(testSystem(10, 0.5, 2), cfg, &TrainerState{}); err == nil {
-		t.Fatal("NewTrainerResumed accepted a config with a compressor")
 	}
 }
 

@@ -22,7 +22,6 @@ type Worker struct {
 
 	arena *sgdArena
 	draw  data.Scratch // the engine's client draws (groupSpace)
-	delta []float64    // the engine's compressed-delta scratch
 }
 
 // Train sets the worker's model to ctx.Anchor and runs u's local update over

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/compress"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/grouping"
@@ -130,61 +129,6 @@ func FairnessTable(sc Scale, seed uint64) *trace.Table {
 			v.name,
 			fmt.Sprintf("%.3f", res.FairnessIndex(sys)),
 			fmt.Sprintf("%d/%d", res.UniqueParticipants(), len(sys.Clients)),
-			fmt.Sprintf("%.2f%%", res.FinalAccuracy*100),
-		)
-	}
-	return t
-}
-
-// CompressionTable evaluates the update-compression techniques the paper's
-// Sec. 2.3 cites as the communication-side cost lever: accuracy and total
-// uplink bytes for dense updates, top-k sparsification with error
-// feedback, and 8-bit stochastic quantization, all under Group-FEL.
-func CompressionTable(sc Scale, seed uint64) *trace.Table {
-	t := &trace.Table{
-		ID:     "compression",
-		Title:  "Update compression: accuracy vs uplink traffic",
-		Header: []string{"scheme", "uplink MB", "vs dense", "accuracy"},
-	}
-	type variant struct {
-		name    string
-		factory func() compress.Compressor
-	}
-	run := func(v variant) *core.Result {
-		sys := sc.NewSystem(CIFAR, 0.2, seed)
-		cfg := sc.BaseConfig(CIFAR, seed)
-		cfg.Grouping = grouping.CoVGrouping{Config: grouping.Config{MinGS: sc.MinGS, MergeLeftover: true}}
-		cfg.Sampling = sampling.ESRCoV
-		cfg.NewCompressor = v.factory
-		return core.Train(sys, cfg)
-	}
-	variants := []variant{
-		{"dense", nil},
-		{"q8", func() compress.Compressor { return compress.NewUniform(8, seed) }},
-		{"top-10%", nil}, // factory filled below (needs model size)
-	}
-	// Size top-k to ~10% of the model.
-	probe := sc.NewSystem(CIFAR, 0.2, seed)
-	k := probe.NewModel(probe.ModelSeed).NumParams() / 10
-	if k < 1 {
-		k = 1
-	}
-	variants[2].factory = func() compress.Compressor { return compress.NewTopK(k) }
-
-	var denseBytes int64
-	for i, v := range variants {
-		res := run(v)
-		if i == 0 {
-			denseBytes = res.UplinkBytes
-		}
-		ratio := 1.0
-		if denseBytes > 0 {
-			ratio = float64(res.UplinkBytes) / float64(denseBytes)
-		}
-		t.AddRow(
-			v.name,
-			fmt.Sprintf("%.1f", float64(res.UplinkBytes)/1e6),
-			fmt.Sprintf("%.0f%%", ratio*100),
 			fmt.Sprintf("%.2f%%", res.FinalAccuracy*100),
 		)
 	}

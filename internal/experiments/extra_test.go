@@ -114,28 +114,6 @@ func TestFairnessTableShape(t *testing.T) {
 	}
 }
 
-func TestCompressionTableShape(t *testing.T) {
-	sc := Small()
-	sc.GlobalRounds = 6
-	tb := CompressionTable(sc, testSeed)
-	if len(tb.Rows) != 3 {
-		t.Fatalf("want 3 rows, got %d", len(tb.Rows))
-	}
-	// Dense is 100%; q8 and top-10% are clearly smaller.
-	if tb.Rows[0][2] != "100%" {
-		t.Fatalf("dense ratio %s", tb.Rows[0][2])
-	}
-	for _, row := range tb.Rows[1:] {
-		var pct float64
-		if _, err := fmt.Sscanf(row[2], "%f%%", &pct); err != nil {
-			t.Fatal(err)
-		}
-		if pct >= 60 {
-			t.Fatalf("%s not compressive: %s of dense", row[0], row[2])
-		}
-	}
-}
-
 func TestConvModelScalePath(t *testing.T) {
 	// The Paper scale's convolutional branch, shrunk to one round: builds
 	// the ResNet/CNN systems and runs a round end to end.

@@ -40,7 +40,6 @@ func Registry() map[string]Runner {
 		"dropout":         func(sc Scale, seed uint64) (Artifact, error) { return figArtifact(DropoutRobustness(sc, seed)) },
 		"costbreak":       func(sc Scale, seed uint64) (Artifact, error) { return tableArtifact(CostBreakdown(sc, seed), nil) },
 		"fairness":        func(sc Scale, seed uint64) (Artifact, error) { return tableArtifact(FairnessTable(sc, seed), nil) },
-		"compression":     func(sc Scale, seed uint64) (Artifact, error) { return tableArtifact(CompressionTable(sc, seed), nil) },
 		"multimodel":      func(sc Scale, seed uint64) (Artifact, error) { return tableArtifact(MultiModelTable(sc, seed)) },
 		"async-vs-sync":   func(sc Scale, seed uint64) (Artifact, error) { return tableArtifact(AsyncVsSync(sc, seed), nil) },
 	}

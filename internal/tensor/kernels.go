@@ -39,23 +39,8 @@ func ScaleInto(k float64, x, dst []float64) {
 	}
 }
 
-// SubInto computes dst = a − b, the delta a client ships before compression.
-func SubInto(a, b, dst []float64) {
-	checkLen("SubInto", len(a), len(dst))
-	checkLen("SubInto", len(b), len(dst))
-	i := 0
-	for ; i+4 <= len(dst); i += 4 {
-		dst[i] = a[i] - b[i]
-		dst[i+1] = a[i+1] - b[i+1]
-		dst[i+2] = a[i+2] - b[i+2]
-		dst[i+3] = a[i+3] - b[i+3]
-	}
-	for ; i < len(dst); i++ {
-		dst[i] = a[i] - b[i]
-	}
-}
-
-// AddInto computes dst = a + b, the edge-side decode of a shipped delta.
+// AddInto computes dst = a + b, the plain pairwise sum of the aggregation
+// tree's upper levels (dst may alias a).
 func AddInto(a, b, dst []float64) {
 	checkLen("AddInto", len(a), len(dst))
 	checkLen("AddInto", len(b), len(dst))

@@ -43,12 +43,6 @@ func TestKernelsMatchNaive(t *testing.T) {
 		mustEqualBits(t, "ScaleInto", n, got, want)
 
 		for i := range want {
-			want[i] = a[i] - b[i]
-		}
-		SubInto(a, b, got)
-		mustEqualBits(t, "SubInto", n, got, want)
-
-		for i := range want {
 			want[i] = a[i] + b[i]
 		}
 		AddInto(a, b, got)
@@ -90,7 +84,6 @@ func TestKernelsLengthMismatchPanics(t *testing.T) {
 	cases := []func(){
 		func() { Axpy(1, make([]float64, 3), make([]float64, 4)) },
 		func() { ScaleInto(1, make([]float64, 3), make([]float64, 4)) },
-		func() { SubInto(make([]float64, 4), make([]float64, 3), make([]float64, 4)) },
 		func() { AddInto(make([]float64, 3), make([]float64, 4), make([]float64, 4)) },
 		func() { AxpbyInto(1, make([]float64, 3), 1, make([]float64, 4), make([]float64, 4)) },
 	}
@@ -115,7 +108,6 @@ func TestKernelsZeroAlloc(t *testing.T) {
 		Axpy(0.5, a, dst)
 		ScaleInto(0.5, a, dst)
 		AddInto(a, a, dst)
-		SubInto(a, a, dst)
 		ScaleSlice(0.999, dst)
 		AxpbyInto(0.5, a, 0.5, a, dst)
 	}); n != 0 {
