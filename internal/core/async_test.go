@@ -224,15 +224,13 @@ func TestAsyncReplayIdentical(t *testing.T) {
 
 // TestAsyncTrainerResume checks the mid-run boundary: exporting after 2 of
 // 4 rounds and resuming yields the same final weights and logical-clock
-// totals as the uninterrupted run — which takes the adaptive sampler's EWMA
-// state surviving the checkpoint for the remaining selections to replay.
+// totals as the uninterrupted run.
 func TestAsyncTrainerResume(t *testing.T) {
 	for name, acfg := range asyncModeConfigs() {
 		t.Run(name, func(t *testing.T) {
 			cfg := asyncTestConfig()
 			cfg.GlobalRounds = 4
 			cfg.Async = acfg
-			cfg.AdaptiveSampling = &sampling.AdaptiveConfig{Beta: 0.3, Explore: 0.1}
 
 			full := Train(asyncTestSystem(12, 5), cfg)
 

@@ -18,16 +18,16 @@ import (
 // client. It forms the groups (and re-forms them on the RegroupEvery
 // schedule), derives p_g, draws S_t, publishes the fel_core_group_* audit
 // series, and folds the returned group models with Eq. 4 / Eq. 35 weights
-// computed against the very vector the draw used — the coupling the
-// estimator's soundness rests on (Fraboni et al., PAPERS.md). Trainer.Step is
-// the one caller of Next and Fold, whatever Executor trains the groups in
-// between.
+// computed against the formation's p_g, the very vector the draw used — the
+// coupling the estimator's soundness rests on (Fraboni et al., PAPERS.md).
+// Trainer.Step is the one caller of Next and Fold, whatever Executor trains
+// the groups in between.
 //
 // The parent stream is consumed only by Split calls whose tags are pure
 // functions of the round index — Split(1) formation, Split(2) the sampling
 // stream, Split(100+t) the regroup at round t — so Restore replays them
-// instead of serializing the parent; the sampling stream's two PCG words and
-// the adaptive EWMAs are the only state a snapshot carries.
+// instead of serializing the parent; the sampling stream's two PCG words are
+// the only state a snapshot carries.
 type Plan struct {
 	sys *System
 	cfg Config
@@ -36,15 +36,13 @@ type Plan struct {
 	sampleRng *stats.RNG
 	// sampler carries the O(groups) selection scratch across rounds, so a
 	// steady-state Next allocates nothing.
-	sampler  sampling.Sampler
-	adaptive *sampling.Adaptive
-	fixed    [][]int
+	sampler sampling.Sampler
+	fixed   [][]int
 
 	groups []*grouping.Group
-	// probs is the formation's base p_g; drawn is the vector the most recent
-	// Next sampled from (probs, or the adaptive mix) and selected its S_t.
+	// probs is the formation's p_g, which every Next samples from; selected
+	// is the most recent Next's S_t.
 	probs    []float64
-	drawn    []float64
 	selected []int
 
 	selCtrs      []*metrics.Counter
@@ -54,9 +52,9 @@ type Plan struct {
 
 // NewPlan forms the groups and derives the sampling state for one run. Of
 // cfg it reads Seed, Grouping, Sampling, Weights, SampleGroups, RegroupEvery,
-// AdaptiveSampling, Metrics and (to size fixed) GlobalRounds. pinned, when
-// non-nil, is used verbatim in place of the initial formation; fixed, when
-// non-nil, replaces sampling — round t selects fixed[t], group-list indices.
+// Metrics and (to size fixed) GlobalRounds. pinned, when non-nil, is used
+// verbatim in place of the initial formation; fixed, when non-nil, replaces
+// sampling — round t selects fixed[t], group-list indices.
 func NewPlan(sys *System, cfg Config, pinned []*grouping.Group, fixed [][]int) (*Plan, error) {
 	p := &Plan{sys: sys, cfg: cfg, rng: stats.NewRNG(cfg.Seed), fixed: fixed}
 	p.roundsCtr = cfg.Metrics.Counter("fel_core_rounds_total")
@@ -88,9 +86,6 @@ func NewPlan(sys *System, cfg Config, pinned []*grouping.Group, fixed [][]int) (
 	p.sampleRng = p.rng.Split(2)
 	for _, c := range sys.Clients {
 		p.totalSamples += c.NumSamples()
-	}
-	if cfg.AdaptiveSampling != nil {
-		p.adaptive = sampling.NewAdaptive(*cfg.AdaptiveSampling, len(p.groups))
 	}
 	return p, nil
 }
@@ -135,8 +130,7 @@ func (p *Plan) publish() {
 
 // regroup re-forms the groups when round t is on the RegroupEvery schedule
 // (Sec. 6.1): the random first pick in Alg. 2 makes each regroup explore a
-// different formation. The adaptive EWMAs are keyed by group identity, so a
-// new formation starts the estimator over from the fresh CoV prior.
+// different formation.
 //
 // The superseded formation is let go before FormAll allocates its
 // replacement, so a run never holds two formations at once; only the IDs of
@@ -152,12 +146,9 @@ func (p *Plan) regroup(t int) {
 			gauged[i] = g.ID
 		}
 	}
-	p.groups, p.probs, p.drawn, p.selCtrs = nil, nil, nil, nil
+	p.groups, p.probs, p.selCtrs = nil, nil, nil
 	p.form(uint64(100 + t))
 	p.clearGauges(gauged)
-	if p.adaptive != nil {
-		p.adaptive.Reset(len(p.groups))
-	}
 }
 
 // clearGauges sets the gauges of every ID in gauged that the live formation
@@ -187,24 +178,18 @@ func (p *Plan) regroupDue(t int) bool {
 // regroup supersedes it, so a caller must not keep it across Next.
 func (p *Plan) Groups() []*grouping.Group { return p.groups }
 
-// Probs returns the live formation's base sampling vector p_g (Eq. 34).
+// Probs returns the live formation's sampling vector p_g (Eq. 34).
 func (p *Plan) Probs() []float64 { return p.probs }
 
 // Next opens global round t (Alg. 1 line 6): regroups when due, then draws
-// S_t. With adaptive sampling the draw uses the EWMA-adapted vector — the
-// base vector verbatim until the first observation after a (re)formation.
-// The returned indices into Groups alias internal scratch and are valid
-// until the following Next.
+// S_t from p_g. The returned indices into Groups alias internal scratch and
+// are valid until the following Next.
 func (p *Plan) Next(t int) []int {
 	p.regroup(t)
-	p.drawn = p.probs
-	if p.adaptive != nil {
-		p.drawn = p.adaptive.Mix(p.probs)
-	}
 	if p.fixed != nil {
 		p.selected = p.fixed[t]
 	} else {
-		p.selected = p.sampler.Sample(p.sampleRng, p.drawn, min(p.cfg.SampleGroups, len(p.groups)))
+		p.selected = p.sampler.Sample(p.sampleRng, p.probs, min(p.cfg.SampleGroups, len(p.groups)))
 	}
 	p.roundsCtr.Inc()
 	for _, gi := range p.selected {
@@ -214,55 +199,34 @@ func (p *Plan) Next(t int) []int {
 }
 
 // Weights returns the aggregation weights of the current selection, aligned
-// with it, against the same probability vector Next drew from.
+// with it, against the probability vector Next drew from.
 func (p *Plan) Weights() []float64 {
-	return sampling.Weights(p.groups, p.selected, p.drawn, p.totalSamples, p.cfg.Weights)
+	return sampling.Weights(p.groups, p.selected, p.probs, p.totalSamples, p.cfg.Weights)
 }
 
 // Fold closes the round (Alg. 1 line 15): dst = Σ w_si·updates[si] as a
 // fixed-pairing tree over selection order, so the float sum is replay-stable
 // at any par. updates holds the selected groups' models in selection order
-// and is consumed as tree scratch; base is the global vector they trained
-// from, against which the adaptive sampler measures each update's norm. The
-// unbiased estimator targets the full-population average, so the weights may
-// not sum to 1 in-sample — which is the point (Eq. 4).
-func (p *Plan) Fold(updates [][]float64, base, dst []float64, par int) {
-	if p.adaptive != nil {
-		for si, gi := range p.selected {
-			p.adaptive.Observe(gi, updateNorm(updates[si], base))
-		}
-	}
+// and is consumed as tree scratch. The unbiased estimator targets the
+// full-population average, so the weights may not sum to 1 in-sample — which
+// is the point (Eq. 4).
+func (p *Plan) Fold(updates [][]float64, dst []float64, par int) {
 	copy(dst, treeFold(updates, p.Weights(), len(updates), par))
 }
 
-// updateNorm is ‖g − base‖₂, the observed group update magnitude the
-// adaptive sampler treats as utility evidence.
-func updateNorm(g, base []float64) float64 {
-	s := 0.0
-	for i := range g {
-		d := g[i] - base[i]
-		s += float64(d * d)
-	}
-	return math.Sqrt(s)
-}
-
 // Export writes the plan's cross-round state into st: the sampling stream's
-// PCG words and, when sampling adaptively, the EWMA utilities. Formation is
-// deliberately absent — Restore replays it from the seed.
+// PCG words. Formation is deliberately absent — Restore replays it from the
+// seed.
 func (p *Plan) Export(st *TrainerState) {
 	st.SampleHi, st.SampleLo = p.sampleRng.State()
-	if p.adaptive != nil {
-		ast := p.adaptive.Export()
-		st.Adaptive = &ast
-	}
 }
 
 // Restore brings a freshly built plan to the boundary before round st.Round:
 // it consumes the parent stream exactly as the original run's regroups did
 // before the snapshot, forming only the last of them — the formation in
 // force — since each earlier one was superseded, then overwrites the
-// sampling stream and the adaptive state with the serialized values.
-func (p *Plan) Restore(st *TrainerState) error {
+// sampling stream with the serialized words.
+func (p *Plan) Restore(st *TrainerState) {
 	last := 0
 	for r := 1; r < st.Round; r++ {
 		if p.regroupDue(r) {
@@ -274,11 +238,4 @@ func (p *Plan) Restore(st *TrainerState) error {
 	}
 	p.regroup(last)
 	p.sampleRng.SetState(st.SampleHi, st.SampleLo)
-	if st.Adaptive != nil {
-		if p.adaptive == nil {
-			return errors.New("core: snapshot carries adaptive-sampling state but cfg.AdaptiveSampling is nil")
-		}
-		return p.adaptive.Restore(*st.Adaptive)
-	}
-	return nil
 }

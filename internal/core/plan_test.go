@@ -32,75 +32,47 @@ func groupValue(g *grouping.Group) float64 { return 1 + 0.37*float64(g.ID%7) }
 // full-participation aggregate Σ (n_g/n)·x_g — provided the weight divides
 // by the very probability the draw used. Over N seeded draws the sample mean
 // must land within z=5 standard errors (σ from the known draw distribution),
-// for every sampling method and with the adaptive sampler mid-run, where the
-// drawn vector is the EWMA mix rather than the base p_g.
+// for every sampling method.
 func TestPlanUnbiasedWeightsMatchFullParticipation(t *testing.T) {
 	const draws = 20000
 	sys := testSystem(24, 0.1, 3)
-	for _, adaptive := range []bool{false, true} {
-		for _, m := range []sampling.Method{sampling.Random, sampling.RCoV, sampling.SRCoV, sampling.ESRCoV} {
-			t.Run(fmt.Sprintf("%s/adaptive=%v", m, adaptive), func(t *testing.T) {
-				cfg := planConfig()
-				cfg.Sampling = m
-				if adaptive {
-					cfg.AdaptiveSampling = &sampling.AdaptiveConfig{Beta: 0.5, Explore: 0.2}
+	for _, m := range []sampling.Method{sampling.Random, sampling.RCoV, sampling.SRCoV, sampling.ESRCoV} {
+		t.Run(m.String(), func(t *testing.T) {
+			cfg := planConfig()
+			cfg.Sampling = m
+			p, err := NewPlan(sys, cfg, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			groups, n := p.Groups(), 0
+			for _, g := range groups {
+				n += g.NumSamples()
+			}
+			if n != p.totalSamples {
+				t.Fatalf("groups hold %d samples, population %d", n, p.totalSamples)
+			}
+			probs := p.Probs()
+			want, second := 0.0, 0.0
+			for g, gr := range groups {
+				if probs[g]*draws < 50 {
+					t.Fatalf("group %d has p=%g: too rare for %d draws to be a fair check", g, probs[g], draws)
 				}
-				p, err := NewPlan(sys, cfg, nil, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				round := 0
-				if adaptive {
-					// Warm the EWMAs with group-dependent update norms, then
-					// stop observing: the mix stays put while we sample it.
-					base := []float64{0}
-					for ; round < 3*len(p.Groups()); round++ {
-						gi := p.Next(round)[0]
-						p.Fold([][]float64{{groupValue(p.Groups()[gi])}}, base, []float64{0}, 1)
-					}
-				}
+				y := float64(gr.NumSamples()) / float64(n) * groupValue(gr)
+				want += y
+				second += y * y / probs[g]
+			}
+			tol := 5 * math.Sqrt((second-want*want)/draws)
 
-				groups, n := p.Groups(), 0
-				for _, g := range groups {
-					n += g.NumSamples()
-				}
-				if n != p.totalSamples {
-					t.Fatalf("groups hold %d samples, population %d", n, p.totalSamples)
-				}
-				p.Next(round)
-				round++
-				drawn := append([]float64(nil), p.drawn...)
-				if adaptive {
-					same := true
-					for g := range drawn {
-						same = same && math.Float64bits(drawn[g]) == math.Float64bits(p.Probs()[g])
-					}
-					if same {
-						t.Fatal("adaptive mix equals the base vector; the test would not tell the two apart")
-					}
-				}
-				want, second := 0.0, 0.0
-				for g, gr := range groups {
-					if drawn[g]*draws < 50 {
-						t.Fatalf("group %d has p=%g: too rare for %d draws to be a fair check", g, drawn[g], draws)
-					}
-					y := float64(gr.NumSamples()) / float64(n) * groupValue(gr)
-					want += y
-					second += y * y / drawn[g]
-				}
-				tol := 5 * math.Sqrt((second-want*want)/draws)
-
-				sum := 0.0
-				for i := 0; i < draws; i++ {
-					gi := p.Next(round + i)[0]
-					sum += p.Weights()[0] * groupValue(groups[gi])
-				}
-				if got := sum / draws; math.Abs(got-want) > tol {
-					t.Fatalf("mean of w·x_g = %.6f, full-participation aggregate %.6f: off by %.2g > 5σ/√N = %.2g",
-						got, want, math.Abs(got-want), tol)
-				}
-			})
-		}
+			sum := 0.0
+			for i := 0; i < draws; i++ {
+				gi := p.Next(i)[0]
+				sum += p.Weights()[0] * groupValue(groups[gi])
+			}
+			if got := sum / draws; math.Abs(got-want) > tol {
+				t.Fatalf("mean of w·x_g = %.6f, full-participation aggregate %.6f: off by %.2g > 5σ/√N = %.2g",
+					got, want, math.Abs(got-want), tol)
+			}
+		})
 	}
 }
 
@@ -154,18 +126,18 @@ func TestPlanProbsInvariantToSampleScale(t *testing.T) {
 // planRound is everything one Plan round decides, captured bit for bit.
 type planRound struct {
 	selected       []int
-	drawn, weights []uint64
+	probs, weights []uint64
 	next           []uint64
 }
 
 // stepPlan drives one control-plane round with synthetic group models
-// (group-, round- and coordinate-dependent, so the adaptive EWMAs move) and
-// returns the decisions plus the folded vector, which becomes the next base.
+// (group-, round- and coordinate-dependent) and returns the decisions plus
+// the folded vector, which becomes the next base.
 func stepPlan(p *Plan, t int, base []float64) (planRound, []float64) {
 	sel := p.Next(t)
 	rec := planRound{selected: append([]int(nil), sel...)}
-	for _, v := range p.drawn {
-		rec.drawn = append(rec.drawn, math.Float64bits(v))
+	for _, v := range p.Probs() {
+		rec.probs = append(rec.probs, math.Float64bits(v))
 	}
 	for _, v := range p.Weights() {
 		rec.weights = append(rec.weights, math.Float64bits(v))
@@ -178,7 +150,7 @@ func stepPlan(p *Plan, t int, base []float64) (planRound, []float64) {
 		}
 	}
 	next := make([]float64, len(base))
-	p.Fold(updates, base, next, 1)
+	p.Fold(updates, next, 1)
 	for _, v := range next {
 		rec.next = append(rec.next, math.Float64bits(v))
 	}
@@ -186,9 +158,9 @@ func stepPlan(p *Plan, t int, base []float64) (planRound, []float64) {
 }
 
 // TestPlanStateRoundTrip is the direct test of the regroup-replay logic:
-// with regrouping and adaptive sampling on, a Plan exported at a boundary
-// and restored into a fresh Plan must make Float64bits-identical decisions —
-// selections, drawn probabilities, weights, folded vector — for every
+// with regrouping on, a Plan exported at a boundary and restored into a
+// fresh Plan must make Float64bits-identical decisions — selections,
+// sampling probabilities, weights, folded vector — for every
 // remaining round. The boundaries straddle round 0, the first regroup, and
 // the last round.
 func TestPlanStateRoundTrip(t *testing.T) {
@@ -197,7 +169,6 @@ func TestPlanStateRoundTrip(t *testing.T) {
 	cfg := testConfig()
 	cfg.RegroupEvery = regroup
 	cfg.Weights = sampling.Stabilized
-	cfg.AdaptiveSampling = &sampling.AdaptiveConfig{Beta: 0.4, Explore: 0.1}
 	boundaries := map[int]bool{0: true, 1: true, regroup: true, regroup + 1: true, rounds - 1: true}
 
 	ref, err := NewPlan(sys, cfg, nil, nil)
@@ -223,9 +194,7 @@ func TestPlanStateRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := p.Restore(st); err != nil {
-			t.Fatalf("restore at round %d: %v", at, err)
-		}
+		p.Restore(st)
 		base := st.Params
 		for r := at; r < rounds; r++ {
 			var got planRound

@@ -71,13 +71,6 @@ type Config struct {
 	// buffer, so with a delay model configured a sync run's rounds cost the
 	// barrier's ticks on the same clock and draws (Result.LogicalTicks).
 	Async async.Config
-	// AdaptiveSampling, when non-nil, re-estimates the group selection
-	// probabilities online from an EWMA of observed group update norms
-	// (Chen & Vikalo-style heterogeneity-guided sampling), falling back to
-	// the configured Sampling method's CoV-derived p_g until the first
-	// observations land. Aggregation weights follow the adapted
-	// probabilities, so the global estimator stays consistent.
-	AdaptiveSampling *sampling.AdaptiveConfig
 	// Metrics, when non-nil, receives the run's observability stream:
 	// phase spans (local train, group/global aggregation, eval), per-group
 	// selection counters for auditing the sampling distribution against
@@ -174,11 +167,6 @@ func validate(sys *System, cfg Config, pinned, fixed bool) error {
 	if !pinned {
 		if err := cfg.Grouping.Validate(); err != nil {
 			return fmt.Errorf("%s grouping: %w", cfg.Grouping.Name(), err)
-		}
-	}
-	if cfg.AdaptiveSampling != nil {
-		if err := cfg.AdaptiveSampling.Validate(); err != nil {
-			return err
 		}
 	}
 	return cfg.Async.Validate()

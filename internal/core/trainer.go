@@ -7,7 +7,6 @@ import (
 	"repro/internal/cost"
 	"repro/internal/grouping"
 	"repro/internal/metrics"
-	"repro/internal/sampling"
 )
 
 // Trainer runs Algorithm 1 one global round at a time. It holds every piece
@@ -182,7 +181,7 @@ func (tr *Trainer) Step() RoundRecord {
 	// Line 15: global aggregation into the reused double buffer. The fold
 	// consumes the group models as tree nodes.
 	aggSpan := tr.aggHist.Start()
-	tr.plan.Fold(tr.slots, tr.globalParams, tr.next, workerBound(cfg.MaxParallel))
+	tr.plan.Fold(tr.slots, tr.next, workerBound(cfg.MaxParallel))
 	tr.globalParams, tr.next = tr.next, tr.globalParams
 	give(l, &l.vecs, tr.slots)
 	aggSpan.End()
@@ -248,14 +247,13 @@ func (tr *Trainer) Finish() *Result {
 // boundary. Everything a resumed run needs that cannot be re-derived from
 // (System, Config) is here: the global parameters, the sampling stream's
 // PCG words, the cost components, the accumulated Result accounting, and —
-// when the local updater is SCAFFOLD — the control variates, and under
-// adaptive sampling the EWMA norms. Group formation is deliberately absent:
-// it is replayed from the seed (including every regroup before Round). So is
-// what a round did, async arrivals included: it is state only where a later
-// round reads it, and the fel_async_* series count it. What remains is
-// O(model + rounds) — the global vector and one Records entry per round so
-// far, which a resumed run's Result must carry — plus, under SCAFFOLD, one
-// variate per client that has trained.
+// when the local updater is SCAFFOLD — the control variates. Group formation
+// is deliberately absent: it is replayed from the seed (including every
+// regroup before Round). So is what a round did, async arrivals included: it
+// is state only where a later round reads it, and the fel_async_* series
+// count it. What remains is O(model + rounds) — the global vector and one
+// Records entry per round so far, which a resumed run's Result must carry —
+// plus, under SCAFFOLD, one variate per client that has trained.
 type TrainerState struct {
 	// Round is the next global round to run (= rounds already executed).
 	Round int
@@ -279,9 +277,6 @@ type TrainerState struct {
 	LogicalTicks int64
 	Carryovers   int
 	LateDrops    int
-	// Adaptive is non-nil when the run samples adaptively: the EWMA
-	// utilities and seen flags at the boundary.
-	Adaptive *sampling.AdaptiveState
 }
 
 // ExportState captures the trainer's state at the current round boundary.
@@ -328,9 +323,7 @@ func NewTrainerResumed(sys *System, cfg Config, st *TrainerState) (*Trainer, err
 	if st.Round > cfg.GlobalRounds {
 		return nil, fmt.Errorf("core: snapshot round %d exceeds GlobalRounds %d", st.Round, cfg.GlobalRounds)
 	}
-	if err := tr.plan.Restore(st); err != nil {
-		return nil, err
-	}
+	tr.plan.Restore(st)
 
 	tr.t = st.Round
 	copy(tr.globalParams, st.Params)

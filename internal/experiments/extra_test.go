@@ -169,8 +169,8 @@ func TestAsyncVsSyncGates(t *testing.T) {
 	ticksCol := slices.Index(tab.Header, "logical_ticks")
 	byName := map[string]asyncRun{}
 	for i, want := range []struct{ name, ticks string }{
-		{"sync", "8380"}, {"buffered", "7616"}, {"buffered-adaptive", "7010"},
-		{"semisync", "1800"}, {"buffered-alpha0-full", "8380"},
+		{"sync", "8380"}, {"buffered", "7616"}, {"semisync", "1800"},
+		{"buffered-alpha0-full", "8380"},
 	} {
 		if row := tab.Rows[i]; row[0] != want.name || row[ticksCol] != want.ticks {
 			t.Errorf("row %d: %s with %s logical ticks, want %s with %s",
@@ -189,12 +189,12 @@ func TestAsyncVsSyncGates(t *testing.T) {
 				i, probe.Params[i], ref.Params[i])
 		}
 	}
-	buffered, adaptive, semi := byName["buffered"].res, byName["buffered-adaptive"].res, byName["semisync"].res
+	buffered, semi := byName["buffered"].res, byName["semisync"].res
 	if buffered.LogicalTicks >= ref.LogicalTicks || semi.LogicalTicks >= ref.LogicalTicks {
 		t.Errorf("buffered %d / semisync %d ticks, want both strictly fewer than sync's %d",
 			buffered.LogicalTicks, semi.LogicalTicks, ref.LogicalTicks)
 	}
-	if best := max(buffered.FinalAccuracy, adaptive.FinalAccuracy, semi.FinalAccuracy); best < ref.FinalAccuracy {
+	if best := max(buffered.FinalAccuracy, semi.FinalAccuracy); best < ref.FinalAccuracy {
 		t.Errorf("best async accuracy %.4f below sync %.4f", best, ref.FinalAccuracy)
 	}
 }

@@ -1,7 +1,6 @@
 package felserve
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/async"
@@ -9,9 +8,9 @@ import (
 	"repro/internal/leakcheck"
 )
 
-// asyncJobSpec is the checkpoint-format workout for the async frames: a
-// buffered FedBuff job with staleness discounting, straggler delays, and
-// the adaptive sampler, so kinds 6 and 7 both appear.
+// asyncJobSpec is the checkpoint-format workout for the async frame: a
+// buffered FedBuff job with staleness discounting and straggler delays, so
+// kind 6 appears.
 func asyncJobSpec() JobSpec {
 	return JobSpec{
 		Name: "async-job", Clients: 10, Edges: 2,
@@ -23,13 +22,11 @@ func asyncJobSpec() JobSpec {
 			Mode: async.Buffered, Alpha: 0.5, BufferFrac: 0.5,
 			Delays: async.StragglerStorm(),
 		},
-		Adaptive: true, AdaptiveBeta: 0.3, AdaptiveExplore: 0.1,
 	}
 }
 
 // TestAsyncCheckpointRoundTrip: the async frame vocabulary survives
-// save/load bit for bit — spec knobs, logical-clock totals and adaptive EWMA
-// state.
+// save/load bit for bit — spec knobs and logical-clock totals.
 func TestAsyncCheckpointRoundTrip(t *testing.T) {
 	spec := asyncJobSpec()
 	tr := core.NewTrainer(spec.System(), spec.TrainConfig(nil))
@@ -39,9 +36,6 @@ func TestAsyncCheckpointRoundTrip(t *testing.T) {
 	st, err := tr.ExportState()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if st.Adaptive == nil {
-		t.Fatal("adaptive snapshot missing")
 	}
 
 	dir := t.TempDir()
@@ -60,20 +54,6 @@ func TestAsyncCheckpointRoundTrip(t *testing.T) {
 			gotSt.LogicalTicks, gotSt.Carryovers, gotSt.LateDrops,
 			st.LogicalTicks, st.Carryovers, st.LateDrops)
 	}
-	if gotSt.Adaptive == nil {
-		t.Fatal("adaptive state lost in round trip")
-	}
-	if len(gotSt.Adaptive.Norms) != len(st.Adaptive.Norms) {
-		t.Fatalf("%d norms, want %d", len(gotSt.Adaptive.Norms), len(st.Adaptive.Norms))
-	}
-	for i := range st.Adaptive.Norms {
-		if math.Float64bits(gotSt.Adaptive.Norms[i]) != math.Float64bits(st.Adaptive.Norms[i]) {
-			t.Fatalf("adaptive norm %d differs", i)
-		}
-		if gotSt.Adaptive.Seen[i] != st.Adaptive.Seen[i] {
-			t.Fatalf("adaptive seen flag %d differs", i)
-		}
-	}
 
 	// The loaded snapshot must actually resume: rebuild the trainer and
 	// step one round without error.
@@ -85,7 +65,7 @@ func TestAsyncCheckpointRoundTrip(t *testing.T) {
 }
 
 // asyncDemoSpecs is the two-tenant async workload for the kill-and-resume
-// exercise: a buffered job with adaptive sampling and a semi-sync job with
+// exercise: a buffered job and a semi-sync job with
 // carryover pressure, both under straggler-storm delays.
 func asyncDemoSpecs(seed uint64) []JobSpec {
 	return []JobSpec{
@@ -99,7 +79,6 @@ func asyncDemoSpecs(seed uint64) []JobSpec {
 				Mode: async.Buffered, Alpha: 0.5, BufferFrac: 0.5,
 				Delays: async.StragglerStorm(),
 			},
-			Adaptive: true, AdaptiveBeta: 0.3, AdaptiveExplore: 0.1,
 		},
 		{
 			Name: "semisync", Clients: 10, Edges: 2,
@@ -118,8 +97,7 @@ func asyncDemoSpecs(seed uint64) []JobSpec {
 // service layer: crash a cloud mid-buffer (past its last checkpoint),
 // recover from disk, and the finished jobs must match an uninterrupted
 // reference bit for bit — final weights and logical-clock totals, which is
-// only possible if the checkpoint's async and adaptive frames restore
-// exactly.
+// only possible if the checkpoint's async frame restores exactly.
 func TestAsyncKillRecoverBitIdentical(t *testing.T) {
 	noLeaks := leakcheck.Check(t)
 	specs := asyncDemoSpecs(31)

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/async"
 	"repro/internal/core"
-	"repro/internal/sampling"
 	"repro/internal/wire"
 )
 
@@ -31,14 +30,17 @@ import (
 //	                      Floats=c (present only for SCAFFOLD jobs)
 //	Seq 5  scaffold c_i   From=client id; Floats=c_i (one per client,
 //	                      ascending id)
-//	Seq 6  async          Ints=[mode, adaptive01]; Words=[baseTicks,
+//	Seq 6  async          Ints=[mode, 0 (reserved)]; Words=[baseTicks,
 //	                      jitterTicks, stragglerFactor, deadlineTicks,
 //	                      stragglerProbBits, alphaBits, bufferFracBits,
-//	                      adaptiveBetaBits, adaptiveExploreBits,
-//	                      logicalTicks, carryovers, lateDrops] (present only
-//	                      when the job configures async or adaptive modes)
-//	Seq 7  adaptive       Floats=EWMA norms; Ints=seen flags (present only
-//	                      when the snapshot carries adaptive state)
+//	                      0, 0 (reserved), logicalTicks, carryovers,
+//	                      lateDrops] (present only when the job configures
+//	                      an async mode)
+//
+// The three reserved async slots and kind 7 once carried an adaptive group
+// sampler's switch, gains and EWMA state; that sampler is retired, so a file
+// that sets a reserved slot or holds a kind-7 frame fails the decode and
+// Recover quarantines it, while every other file keeps its bytes.
 //
 // A checkpoint carries state, not history: no frame records the async
 // arrivals (the fel_async_* series count them), so an async job's checkpoint
@@ -49,9 +51,8 @@ import (
 // EOF terminates the sequence. Decoding is strict: frames of another type,
 // unknown kinds, a missing mandatory frame (spec, trainer, records,
 // participation), a frame the encoder would not have written (an async frame
-// configuring neither async nor adaptive sampling, adaptive state without
-// it), a non-zero reserved word, or cross-frame round disagreement are
-// errors — so whatever decodes re-encodes to itself.
+// configuring no async mode), a non-zero reserved slot, or cross-frame round
+// disagreement are errors — so whatever decodes re-encodes to itself.
 const (
 	ckptFormat uint8 = 1
 
@@ -62,7 +63,6 @@ const (
 	ckptScaffoldC     uint32 = 4
 	ckptScaffoldCI    uint32 = 5
 	ckptAsync         uint32 = 6
-	ckptAdaptive      uint32 = 7
 )
 
 // checkpointPath is dir/<name>.ckpt.
@@ -167,36 +167,21 @@ func appendCheckpoint(dst []byte, spec JobSpec, st *core.TrainerState) ([]byte, 
 		}
 	}
 
-	if spec.Async != (async.Config{}) || spec.Adaptive {
-		adaptive01 := int32(0)
-		if spec.Adaptive {
-			adaptive01 = 1
-		}
+	if spec.Async != (async.Config{}) {
 		d := spec.Async.Delays
 		if err := emit(&wire.Message{
 			Seq:  ckptAsync,
-			Ints: []int32{int32(spec.Async.Mode), adaptive01},
+			Ints: []int32{int32(spec.Async.Mode), 0},
 			Words: []uint64{
 				uint64(d.BaseTicks), uint64(d.JitterTicks),
 				uint64(d.StragglerFactor), uint64(spec.Async.DeadlineTicks),
 				math.Float64bits(d.StragglerProb),
 				math.Float64bits(spec.Async.Alpha), math.Float64bits(spec.Async.BufferFrac),
-				math.Float64bits(spec.AdaptiveBeta), math.Float64bits(spec.AdaptiveExplore),
+				0, 0,
 				uint64(st.LogicalTicks), uint64(st.Carryovers), uint64(st.LateDrops),
 			},
 		}); err != nil {
 			return dst, err
-		}
-		if st.Adaptive != nil {
-			seenInts := make([]int32, len(st.Adaptive.Seen))
-			for i, s := range st.Adaptive.Seen {
-				if s {
-					seenInts[i] = 1
-				}
-			}
-			if err := emit(&wire.Message{Seq: ckptAdaptive, Floats: st.Adaptive.Norms, Ints: seenInts}); err != nil {
-				return dst, err
-			}
 		}
 	}
 	return dst, nil
@@ -298,6 +283,9 @@ func DecodeCheckpoint(r io.Reader) (JobSpec, *core.TrainerState, error) {
 				return spec, nil, fmt.Errorf("felserve: malformed async frame (%d ints, %d words)",
 					len(m.Ints), len(m.Words))
 			}
+			if m.Ints[1] != 0 || m.Words[7] != 0 || m.Words[8] != 0 {
+				return spec, nil, fmt.Errorf("felserve: async frame sets a reserved slot (the retired adaptive sampler's)")
+			}
 			spec.Async = async.Config{
 				Mode:          async.Mode(m.Ints[0]),
 				Alpha:         math.Float64frombits(m.Words[5]),
@@ -310,28 +298,12 @@ func DecodeCheckpoint(r io.Reader) (JobSpec, *core.TrainerState, error) {
 					StragglerFactor: int64(m.Words[2]),
 				},
 			}
-			spec.Adaptive = m.Ints[1] != 0
-			if spec.Async == (async.Config{}) && !spec.Adaptive {
-				return spec, nil, fmt.Errorf("felserve: async frame configures neither async nor adaptive sampling")
+			if spec.Async == (async.Config{}) {
+				return spec, nil, fmt.Errorf("felserve: async frame configures no async mode")
 			}
-			spec.AdaptiveBeta = math.Float64frombits(m.Words[7])
-			spec.AdaptiveExplore = math.Float64frombits(m.Words[8])
 			st.LogicalTicks = int64(m.Words[9])
 			st.Carryovers = int(m.Words[10])
 			st.LateDrops = int(m.Words[11])
-		case ckptAdaptive:
-			if len(m.Ints) != len(m.Floats) {
-				return spec, nil, fmt.Errorf("felserve: malformed adaptive frame (%d norms, %d seen flags)",
-					len(m.Floats), len(m.Ints))
-			}
-			ad := &sampling.AdaptiveState{Norms: m.Floats, Seen: make([]bool, len(m.Ints))}
-			if ad.Norms == nil {
-				ad.Norms = []float64{}
-			}
-			for i, v := range m.Ints {
-				ad.Seen[i] = v != 0
-			}
-			st.Adaptive = ad
 		default:
 			return spec, nil, fmt.Errorf("felserve: unknown checkpoint frame kind %d", m.Seq)
 		}
@@ -340,9 +312,6 @@ func DecodeCheckpoint(r io.Reader) (JobSpec, *core.TrainerState, error) {
 	if !seen[ckptSpec] || !seen[ckptTrainer] || !seen[ckptRecords] || !seen[ckptParticipation] {
 		return spec, nil, fmt.Errorf("felserve: checkpoint missing mandatory frames (spec=%v trainer=%v records=%v participation=%v)",
 			seen[ckptSpec], seen[ckptTrainer], seen[ckptRecords], seen[ckptParticipation])
-	}
-	if st.Adaptive != nil && !seen[ckptAsync] {
-		return spec, nil, fmt.Errorf("felserve: adaptive frame without an async frame")
 	}
 	return spec, st, nil
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/async"
@@ -190,7 +191,8 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 // not for what they say. A well-framed file whose reserved trainer word is
 // set fails the decode, and one whose spec frame carries a non-finite
 // learning rate or dropout probability decodes but cannot become a job —
-// Recover quarantines both instead of training to NaN.
+// Recover quarantines both instead of training to NaN (the second is
+// TestRecoverQuarantinesCheckpointThatCannotBecomeJob).
 func TestCheckpointRejectsValidFramesBadValues(t *testing.T) {
 	spec := goldenSpec()
 	st := goldenState(t, spec)
@@ -244,7 +246,9 @@ func TestCheckpointRejectsValidFramesBadValues(t *testing.T) {
 // TestDecodeCheckpointRejectsUnencodable: well-framed sequences describing a
 // state EncodeCheckpoint never writes fail the decode, because that state
 // would not survive a re-encode — FuzzLoadCheckpoint's property, which
-// mutated bytes seldom reach through the CRCs.
+// mutated bytes seldom reach through the CRCs. So do the retired adaptive
+// sampler's traces: a kind-7 frame, or an async frame that sets one of the
+// slots its switch, gain and floor once held.
 func TestDecodeCheckpointRejectsUnencodable(t *testing.T) {
 	spec := goldenSpec()
 	st := goldenState(t, spec)
@@ -273,15 +277,28 @@ func TestDecodeCheckpointRejectsUnencodable(t *testing.T) {
 	with := func(extra ...*wire.Message) []*wire.Message {
 		return append(append([]*wire.Message(nil), frames...), extra...)
 	}
+	// asyncFrame is a buffered job's async frame (α = 0.5, half buffer) with
+	// the given mode-frame int and reserved words 7 and 8.
+	asyncFrame := func(ints1 int32, w7, w8 uint64) *wire.Message {
+		words := make([]uint64, 12)
+		words[5], words[6] = math.Float64bits(0.5), math.Float64bits(0.5)
+		words[7], words[8] = w7, w8
+		return &wire.Message{Type: wire.Checkpoint, Round: round, Seq: ckptAsync,
+			Ints: []int32{int32(async.Buffered), ints1}, Words: words}
+	}
 	for name, seq := range map[string][]*wire.Message{
-		"as encoded":             frames,
-		"no records frame":       without(ckptRecords),
-		"no participation frame": without(ckptParticipation),
-		"adaptive state, no async frame": with(&wire.Message{
-			Type: wire.Checkpoint, Round: round, Seq: ckptAdaptive}),
+		"as encoded":                  frames,
+		"as encoded with async frame": with(asyncFrame(0, 0, 0)),
+		"no records frame":            without(ckptRecords),
+		"no participation frame":      without(ckptParticipation),
 		"async frame configuring nothing": with(&wire.Message{
 			Type: wire.Checkpoint, Round: round, Seq: ckptAsync,
 			Ints: []int32{0, 0}, Words: make([]uint64, 12)}),
+		"kind 7 after an async frame": with(asyncFrame(0, 0, 0),
+			&wire.Message{Type: wire.Checkpoint, Round: round, Seq: 7}),
+		"async frame, Ints[1] = 1":  with(asyncFrame(1, 0, 0)),
+		"async frame, Words[7] set": with(asyncFrame(0, math.Float64bits(0.3), 0)),
+		"async frame, Words[8] set": with(asyncFrame(0, 0, math.Float64bits(0.1))),
 	} {
 		var buf bytes.Buffer
 		for _, m := range seq {
@@ -290,7 +307,7 @@ func TestDecodeCheckpointRejectsUnencodable(t *testing.T) {
 			}
 		}
 		_, _, err := DecodeCheckpoint(&buf)
-		if (err == nil) != (name == "as encoded") {
+		if (err == nil) != strings.HasPrefix(name, "as encoded") {
 			t.Errorf("%s: decode error %v", name, err)
 		}
 	}

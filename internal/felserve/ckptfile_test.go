@@ -255,11 +255,14 @@ var cuts = map[string]func(p []byte) int{
 // clients a round: a client's variate joins the checkpoint when it first
 // trains, which grows each checkpoint past its slot (10.5 KB at round 2,
 // 16.5 KB or more by round 8), so both a fresh file and a slot doubling are
-// in the history.
+// in the history. MaxCoV 1 closes groups near CoV 1, where ESRCoV's
+// e^{1/CoV²} is nearly flat, so the draw moves between groups and new
+// clients train; at the default 0.5 one group takes almost every draw and
+// the buffered tenant's checkpoint never outgrows its first slot.
 func TestCheckpointCrashEnumeration(t *testing.T) {
 	specs := asyncDemoSpecs(41)
 	for i := range specs {
-		specs[i].Scaffold, specs[i].Clients, specs[i].SampleGroups = true, 30, 1
+		specs[i].Scaffold, specs[i].Clients, specs[i].SampleGroups, specs[i].MaxCoV = true, 30, 1, 1
 	}
 	ref := map[string]*core.Result{}
 	for _, spec := range specs {
@@ -552,8 +555,8 @@ func terminated(frames []byte, round int) []byte {
 // FuzzLoadCheckpoint feeds whole checkpoint files to the loader: it must
 // never panic, and whatever state it returns must survive a re-encode and
 // decode unchanged. Seeds: the golden checkpoint in both slots, with the
-// newer slot torn, and an async job's first checkpoint — the async and
-// adaptive frames the golden lacks — alone in a new file.
+// newer slot torn, and an async job's first checkpoint — the async frame
+// the golden lacks — alone in a new file.
 func FuzzLoadCheckpoint(f *testing.F) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "checkpoint.golden"))
 	if err != nil {
@@ -598,9 +601,9 @@ func FuzzLoadCheckpoint(f *testing.F) {
 // differ, comparing floats by their bits; "" when none does.
 func diffCheckpoint(as JobSpec, a *core.TrainerState, bs JobSpec, b *core.TrainerState) string {
 	specFloats := func(s *JobSpec) []uint64 {
-		fs := bitsOf(s.LR, s.MaxCoV, s.DropoutProb, s.AdaptiveBeta, s.AdaptiveExplore,
+		fs := bitsOf(s.LR, s.MaxCoV, s.DropoutProb,
 			s.Async.Alpha, s.Async.BufferFrac, s.Async.Delays.StragglerProb)
-		s.LR, s.MaxCoV, s.DropoutProb, s.AdaptiveBeta, s.AdaptiveExplore = 0, 0, 0, 0, 0
+		s.LR, s.MaxCoV, s.DropoutProb = 0, 0, 0
 		s.Async.Alpha, s.Async.BufferFrac, s.Async.Delays.StragglerProb = 0, 0, 0
 		return fs
 	}
@@ -632,8 +635,6 @@ func diffCheckpoint(as JobSpec, a *core.TrainerState, bs JobSpec, b *core.Traine
 		return "scaffold presence"
 	case a.LogicalTicks != b.LogicalTicks || a.Carryovers != b.Carryovers || a.LateDrops != b.LateDrops:
 		return "async totals"
-	case (a.Adaptive == nil) != (b.Adaptive == nil):
-		return "adaptive presence"
 	}
 	if a.Scaffold != nil {
 		if (a.Scaffold.C == nil) != (b.Scaffold.C == nil) || !slices.Equal(bitsOf(a.Scaffold.C...), bitsOf(b.Scaffold.C...)) ||
@@ -645,10 +646,6 @@ func diffCheckpoint(as JobSpec, a *core.TrainerState, bs JobSpec, b *core.Traine
 				return "scaffold client variate"
 			}
 		}
-	}
-	if a.Adaptive != nil && (!slices.Equal(bitsOf(a.Adaptive.Norms...), bitsOf(b.Adaptive.Norms...)) ||
-		!slices.Equal(a.Adaptive.Seen, b.Adaptive.Seen)) {
-		return "adaptive"
 	}
 	return ""
 }

@@ -195,9 +195,10 @@ func (s *Service) Submit(spec JobSpec) (*Job, error) {
 // newest valid slot of its file and goes on overwriting that file; one
 // resumed from the older slot because the newest was torn mid-write is
 // counted in fel_serve_checkpoint_fallbacks_total. A checkpoint with no
-// valid slot is renamed to <name>.ckpt.bad and counted in
-// fel_serve_checkpoints_quarantined_total; the scan goes on, so one corrupt
-// file never strands the other tenants.
+// valid slot, or whose snapshot cannot become a job (a non-finite learning
+// rate, say), is renamed to <name>.ckpt.bad and counted in
+// fel_serve_checkpoints_quarantined_total; the scan goes on, so one bad file
+// neither strands the other tenants nor fails every later restart.
 func (s *Service) Recover() ([]*Job, error) {
 	if s.cfg.Dir == "" {
 		return nil, nil
@@ -210,6 +211,10 @@ func (s *Service) Recover() ([]*Job, error) {
 	jobs := make([]*Job, 0, len(paths))
 	for _, path := range paths {
 		spec, st, read, err := loadCheckpoint(path)
+		var j *Job
+		if err == nil {
+			j, err = newJob(s, spec, st)
+		}
 		if err != nil {
 			if rerr := os.Rename(path, path+".bad"); rerr != nil {
 				return jobs, fmt.Errorf("felserve: recover %s: %w (quarantine failed: %v)", path, err, rerr)
@@ -221,10 +226,6 @@ func (s *Service) Recover() ([]*Job, error) {
 		if read.fellBack {
 			s.ckptsOlder.Inc()
 			s.logf("recover: %s: the newest slot is torn; resuming from the older one", path)
-		}
-		j, err := newJob(s, spec, st)
-		if err != nil {
-			return jobs, err
 		}
 		if path == checkpointPath(s.cfg.Dir, spec.Name) {
 			j.ckpt.slot, j.ckpt.newest = read.size, read.slot

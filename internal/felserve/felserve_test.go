@@ -171,6 +171,38 @@ func TestRecoverQuarantinesCorruptCheckpoint(t *testing.T) {
 	noLeaks()
 }
 
+// TestRecoverQuarantinesCheckpointThatCannotBecomeJob crashes the same
+// cloud and re-saves the middle tenant's checkpoint with a NaN learning
+// rate: a file that decodes but whose spec the trainer refuses. Recover must
+// quarantine it like an undecodable one and still resume the tenants on
+// either side — not stop at it, which would fail every later restart too.
+func TestRecoverQuarantinesCheckpointThatCannotBecomeJob(t *testing.T) {
+	noLeaks := leakcheck.Check(t)
+	ref, dir := crashThreeTenants(t)
+
+	bad := checkpointPath(dir, "tenant-b")
+	spec, st, err := LoadCheckpoint(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.LR = math.NaN()
+	if _, err := SaveCheckpoint(dir, spec, st); err != nil {
+		t.Fatal(err)
+	}
+
+	reg := recoverAndFinish(t, dir, ref, map[string]int{"tenant-a": 4, "tenant-c": 4})
+	if n := reg.CounterValue("fel_serve_checkpoints_quarantined_total"); n != 1 {
+		t.Errorf("fel_serve_checkpoints_quarantined_total = %v, want 1", n)
+	}
+	if _, err := os.Stat(bad + ".bad"); err != nil {
+		t.Errorf("quarantined file missing: %v", err)
+	}
+	if _, err := os.Stat(bad); !os.IsNotExist(err) {
+		t.Errorf("unrecoverable checkpoint still in place (stat err %v)", err)
+	}
+	noLeaks()
+}
+
 // TestRecoverFallsBackToOlderSlot crashes the same cloud and halves the
 // middle tenant's file, which cuts off its newest slot: Recover must resume
 // that tenant from the older slot's round 2 — counted as a fallback, not a

@@ -56,11 +56,6 @@ type JobSpec struct {
 	// the knobs ride in the checkpoint's async frame and a recovered job
 	// replays the identical arrival schedule.
 	Async async.Config
-	// Adaptive enables the EWMA adaptive group sampler; Beta is the gain,
-	// Explore the uniform floor (zero Beta means the 0.3 default).
-	Adaptive        bool
-	AdaptiveBeta    float64
-	AdaptiveExplore float64
 }
 
 // Validate rejects what only the spec knows is wrong: a name that cannot be
@@ -159,19 +154,12 @@ func (s JobSpec) TrainConfig(reg *metrics.Registry) core.Config {
 		DropoutProb: s.DropoutProb,
 		MaxParallel: s.MaxParallel,
 		EvalEvery:   s.EvalEvery,
+		Async:       s.Async,
 		Metrics:     reg,
 	}
 	if s.Scaffold {
 		cfg.Local = &core.ScaffoldUpdater{NumClients: s.Clients}
 		cfg.CostOps.Scaffold = true
-	}
-	cfg.Async = s.Async
-	if s.Adaptive {
-		beta := s.AdaptiveBeta
-		if beta <= 0 {
-			beta = 0.3
-		}
-		cfg.AdaptiveSampling = &sampling.AdaptiveConfig{Beta: beta, Explore: s.AdaptiveExplore}
 	}
 	return cfg
 }
