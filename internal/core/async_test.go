@@ -1,8 +1,6 @@
 package core
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"math"
 	"strconv"
 	"strings"
@@ -146,30 +144,9 @@ func TestAsyncFullBufferEquivalenceAnyAlpha(t *testing.T) {
 	}
 }
 
-// TestSemiSyncLargeDeadlineMatchesSync: a deadline no update can miss
-// degenerates semi-sync to the synchronous schedule — every round folds
-// the full membership at staleness zero.
-func TestSemiSyncLargeDeadlineMatchesSync(t *testing.T) {
-	sys := asyncTestSystem(8, 11)
-	ref := asyncTestConfig()
-	sync := Train(sys, ref)
-	cfg := asyncTestConfig()
-	cfg.Async = async.Config{
-		Mode: async.SemiSync, Alpha: 0.5, DeadlineTicks: 1 << 20,
-		Delays: async.StragglerStorm(),
-	}
-	res := Train(sys, cfg)
-	if !sameFloatBits(sync.Params, res.Params) {
-		t.Fatal("semi-sync with an unmissable deadline diverges from sync")
-	}
-	if res.Carryovers != 0 || res.LateDrops != 0 {
-		t.Fatalf("unmissable deadline produced %d carryovers, %d late drops", res.Carryovers, res.LateDrops)
-	}
-}
-
-// asyncModeConfigs are the non-degenerate configurations the replay and
-// resume regressions sweep: a partial buffer with a real staleness
-// discount, and a tight semi-sync deadline that forces carryovers.
+// asyncModeConfigs are the non-degenerate configurations the machine and
+// allocation tests sweep: a partial buffer with a real staleness discount,
+// and a tight semi-sync deadline that forces carryovers.
 func asyncModeConfigs() map[string]async.Config {
 	return map[string]async.Config{
 		"buffered": {
@@ -180,85 +157,6 @@ func asyncModeConfigs() map[string]async.Config {
 			Mode: async.SemiSync, Alpha: 0.5, DeadlineTicks: 30,
 			Delays: async.StragglerStorm(),
 		},
-	}
-}
-
-// TestAsyncReplayIdentical is the replay regression: for each async mode,
-// two runs from the same seed — and runs at MaxParallel 1 vs 8 — produce
-// byte-identical timing-masked metric snapshots, the staleness and
-// buffer-depth histograms of every arrival and flush among them, and
-// Float64bits-equal final weights.
-func TestAsyncReplayIdentical(t *testing.T) {
-	for name, acfg := range asyncModeConfigs() {
-		t.Run(name, func(t *testing.T) {
-			sys := asyncTestSystem(12, 3)
-			var refSnap string
-			var refParams []float64
-			for i, par := range []int{1, 1, 8} {
-				cfg := asyncTestConfig()
-				cfg.GlobalRounds = 3
-				cfg.MaxParallel = par
-				reg := metrics.New()
-				cfg.Metrics = reg
-				cfg.Async = acfg
-				res := Train(sys, cfg)
-				snap := metrics.MaskTimings(reg.Snapshot())
-				if seriesValue(t, reg, "fel_async_staleness_count") == 0 || seriesValue(t, reg, "fel_async_buffer_depth_count") == 0 {
-					t.Fatalf("no arrival or flush observed:\n%s", snap)
-				}
-				if i == 0 {
-					refSnap = snap
-					refParams = res.Params
-					continue
-				}
-				if snap != refSnap {
-					t.Fatalf("run %d (par %d): masked metric snapshot diverges:\n%s\nfirst run:\n%s", i, par, snap, refSnap)
-				}
-				if !sameFloatBits(refParams, res.Params) {
-					t.Fatalf("run %d (par %d): final weights diverge", i, par)
-				}
-			}
-		})
-	}
-}
-
-// TestAsyncTrainerResume checks the mid-run boundary: exporting after 2 of
-// 4 rounds and resuming yields the same final weights and logical-clock
-// totals as the uninterrupted run.
-func TestAsyncTrainerResume(t *testing.T) {
-	for name, acfg := range asyncModeConfigs() {
-		t.Run(name, func(t *testing.T) {
-			cfg := asyncTestConfig()
-			cfg.GlobalRounds = 4
-			cfg.Async = acfg
-
-			full := Train(asyncTestSystem(12, 5), cfg)
-
-			sys := asyncTestSystem(12, 5)
-			tr := NewTrainer(sys, cfg)
-			tr.Step()
-			tr.Step()
-			st, err := tr.ExportState()
-			if err != nil {
-				t.Fatal(err)
-			}
-			tr2, err := NewTrainerResumed(asyncTestSystem(12, 5), cfg, st)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for !tr2.Done() {
-				tr2.Step()
-			}
-			res := tr2.Finish()
-			if !sameFloatBits(full.Params, res.Params) {
-				t.Fatal("resumed weights diverge from uninterrupted run")
-			}
-			if full.Carryovers != res.Carryovers || full.LateDrops != res.LateDrops || full.LogicalTicks != res.LogicalTicks {
-				t.Fatalf("resumed counters diverge: carry %d/%d late %d/%d ticks %d/%d",
-					full.Carryovers, res.Carryovers, full.LateDrops, res.LateDrops,
-					full.LogicalTicks, res.LogicalTicks)
-			}
-		})
 	}
 }
 
@@ -401,58 +299,6 @@ func TestAsyncConfigValidation(t *testing.T) {
 	} {
 		if err := c.Validate(); err != nil {
 			t.Errorf("case %d: Validate rejected a good config: %v", i, err)
-		}
-	}
-}
-
-// TestSyncGroupRoundPinned holds a synchronous run to what the bulk-
-// synchronous group loop produced before Sync became the machine's full
-// buffer (recorded at PR 27's tree, where runGroup folded, reduceGroup
-// accounted and syncGroupTicks priced the barrier): straggler-storm delays
-// and a dropout rate at which 6 of the run's 30 group rounds lose all three
-// clients and carry the group model over. Ticks, dropouts, uplink bytes,
-// weights and the whole timing-masked metric surface — one group-aggregate
-// span per group round, folded or not, and the fel_async_* series a delay
-// model registers but a sync run leaves idle — may not move, at either end
-// of MaxParallel. The uplink bytes and weights were recorded later, for this
-// configuration on the full-buffer machine; the uplink is the dense count,
-// 68 320 bytes = 8 · 244 params · 35 delivered updates.
-func TestSyncGroupRoundPinned(t *testing.T) {
-	for _, par := range []int{1, 8} {
-		cfg := testConfig()
-		cfg.GlobalRounds = 5
-		cfg.MaxParallel = par
-		cfg.DropoutProb = 0.6
-		cfg.Async.Delays = async.StragglerStorm()
-		reg := metrics.New()
-		cfg.Metrics = reg
-		res := Train(testSystem(12, 0.5, 28), cfg)
-
-		if res.LogicalTicks != 2088 || res.Dropouts != 55 || res.UplinkBytes != 68320 {
-			t.Errorf("par=%d: ticks %d, dropouts %d, uplink %d; pinned 2088, 55, 68320",
-				par, res.LogicalTicks, res.Dropouts, res.UplinkBytes)
-		}
-		if got := paramDigest(res.Params); got != "f176f503edddfd9f" {
-			t.Errorf("par=%d: parameter digest %s, pinned f176f503edddfd9f", par, got)
-		}
-		snap := metrics.MaskTimings(reg.Snapshot())
-		for _, want := range []string{
-			`fel_core_group_aggregate_seconds_count{edge="0"} 18`,
-			`fel_core_group_aggregate_seconds_count{edge="1"} 12`,
-			"fel_async_ticks_total 4172",
-			"fel_async_round_ticks 540",
-			"fel_async_flushes_total 0",
-			"fel_async_folds_total 0",
-			"fel_async_staleness_count 0",
-			"fel_async_buffer_depth_count 0",
-		} {
-			if !strings.Contains(snap, want+"\n") {
-				t.Errorf("par=%d: snapshot is missing %q", par, want)
-			}
-		}
-		sum := sha256.Sum256([]byte(snap))
-		if got := hex.EncodeToString(sum[:8]); got != "5c8acf2d84f3ffa0" {
-			t.Errorf("par=%d: masked snapshot digest %s, pinned 5c8acf2d84f3ffa0:\n%s", par, got, snap)
 		}
 	}
 }

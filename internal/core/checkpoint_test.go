@@ -44,17 +44,6 @@ func TestTrainWithTotalDropoutStillFinishes(t *testing.T) {
 	}
 }
 
-func TestDropoutDeterministic(t *testing.T) {
-	cfg := testConfig()
-	cfg.GlobalRounds = 4
-	cfg.DropoutProb = 0.25
-	a := Train(testSystem(10, 0.5, 35), cfg)
-	b := Train(testSystem(10, 0.5, 35), cfg)
-	if a.Dropouts != b.Dropouts || a.FinalAccuracy != b.FinalAccuracy {
-		t.Fatal("dropout simulation not deterministic")
-	}
-}
-
 func TestParticipationTracking(t *testing.T) {
 	sys := testSystem(10, 0.5, 40)
 	cfg := testConfig()

@@ -54,94 +54,6 @@ func TestTrainerStepwiseMatchesTrain(t *testing.T) {
 	}
 }
 
-// TestResumeBitIdentical is the checkpoint/resume contract: exporting the
-// trainer's state at an arbitrary round boundary and rebuilding from it
-// (fresh System, fresh Config, fresh updater) must finish with final
-// weights bit-identical to the uninterrupted run — with every stateful
-// feature exercised: dropout, regrouping, SCAFFOLD variates.
-func TestResumeBitIdentical(t *testing.T) {
-	cases := []struct {
-		name string
-		mod  func(*Config)
-	}{
-		{"sgd", func(cfg *Config) {}},
-		{"dropout-regroup", func(cfg *Config) {
-			cfg.DropoutProb = 0.25
-			cfg.RegroupEvery = 2
-		}},
-		{"scaffold", func(cfg *Config) {
-			cfg.Local = &ScaffoldUpdater{NumClients: 12}
-			cfg.DropoutProb = 0.2
-		}},
-		{"scaffold-regroup", func(cfg *Config) {
-			cfg.Local = &ScaffoldUpdater{NumClients: 12}
-			cfg.RegroupEvery = 3
-		}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			makeCfg := func() Config {
-				cfg := testConfig()
-				cfg.GlobalRounds = 7
-				tc.mod(&cfg)
-				return cfg
-			}
-			full := Train(testSystem(12, 0.5, 3), makeCfg())
-
-			// Stopping at 6 has dropout-regroup's resume skip the regroup at
-			// round 2 and form only round 4's.
-			for _, stopAt := range []int{1, 4, 6} {
-				tr := NewTrainer(testSystem(12, 0.5, 3), makeCfg())
-				for tr.Round() < stopAt {
-					tr.Step()
-				}
-				st, err := tr.ExportState()
-				if err != nil {
-					t.Fatal(err)
-				}
-				// The snapshot must be detached: keep stepping the original
-				// trainer and it must not disturb the resumed run.
-				for !tr.Done() {
-					tr.Step()
-				}
-
-				resumed, err := NewTrainerResumed(testSystem(12, 0.5, 3), makeCfg(), st)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if resumed.Round() != stopAt {
-					t.Fatalf("resumed at round %d, want %d", resumed.Round(), stopAt)
-				}
-				for !resumed.Done() {
-					resumed.Step()
-				}
-				res := resumed.Finish()
-				sameBits(t, "final params", full.Params, res.Params)
-				if res.TotalCost != full.TotalCost || res.FinalAccuracy != full.FinalAccuracy {
-					t.Fatalf("stop@%d: cost/accuracy diverged: %v/%v vs %v/%v",
-						stopAt, res.TotalCost, res.FinalAccuracy, full.TotalCost, full.FinalAccuracy)
-				}
-				if res.Dropouts != full.Dropouts || res.UplinkBytes != full.UplinkBytes {
-					t.Fatalf("stop@%d: dropout/uplink accounting diverged", stopAt)
-				}
-				if len(res.Records) != len(full.Records) {
-					t.Fatalf("stop@%d: %d records, want %d", stopAt, len(res.Records), len(full.Records))
-				}
-				for i := range full.Records {
-					if res.Records[i] != full.Records[i] {
-						t.Fatalf("stop@%d: record %d diverged: %+v vs %+v", stopAt, i, res.Records[i], full.Records[i])
-					}
-				}
-				for id, n := range full.Participation {
-					if res.Participation[id] != n {
-						t.Fatalf("stop@%d: participation[%d] = %d, want %d", stopAt, id, res.Participation[id], n)
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestResumeFormsOnce: a resume forms the initial formation and the one in
 // force at the snapshot, not every regroup before it — an uninterrupted run
 // of the same schedule times 1 + 3 formations over 7 rounds.

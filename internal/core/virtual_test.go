@@ -12,74 +12,12 @@ import (
 	"repro/internal/sampling"
 )
 
-// virtualTestConfig builds the SystemConfig shared by the virtual and
-// materialized sides of the equivalence tests.
-func virtualTestConfig(numClients int, seed uint64) SystemConfig {
-	gen := data.FlatConfig(4, 10, seed)
-	gen.Noise = 0.8
-	return SystemConfig{
-		Generator: gen,
-		Partition: data.PartitionConfig{
-			NumClients: numClients, Alpha: 0.5,
-			MinSamples: 10, MaxSamples: 40, MeanSamples: 25, StdSamples: 8,
-			Seed: seed + 1,
-		},
-		NumEdges: 2,
-		TestSize: 400,
-		NewModel: func(s uint64) *nn.Sequential {
-			return nn.NewMLP(10, []int{16}, 4, s)
-		},
-		ModelSeed: 7,
-	}
-}
-
-// TestVirtualTrainBitIdenticalToMaterialized is the correctness gate of the
-// flyweight refactor: training on a virtual population (samples synthesized
-// per selection into worker buffers) must produce Float64bits-identical
-// weights to training on its materialized copy (samples read through views
-// into a shared dataset), with every stateful feature that could diverge switched
-// on — client dropout, periodic regrouping, and SCAFFOLD variates — across
-// serial and parallel engines.
-func TestVirtualTrainBitIdenticalToMaterialized(t *testing.T) {
-	scfg := virtualTestConfig(12, 3)
-	for _, par := range []int{1, 4} {
-		run := func(sys *System) []float64 {
-			cfg := testConfig()
-			cfg.GlobalRounds = 4
-			cfg.RegroupEvery = 2
-			cfg.DropoutProb = 0.25
-			cfg.MaxParallel = par
-			cfg.Local = &ScaffoldUpdater{NumClients: 12}
-			return Train(sys, cfg).Params
-		}
-		virtual := NewVirtualSystem(scfg)
-		if !virtual.Virtual() {
-			t.Fatal("NewVirtualSystem built a non-virtual system")
-		}
-		materialized := virtual.Materialize()
-		if materialized.Virtual() || materialized == virtual || materialized.rows == virtual.rows {
-			t.Fatal("Materialize did not produce a materialized system")
-		}
-		v := run(virtual)
-		m := run(materialized)
-		if len(v) == 0 || len(v) != len(m) {
-			t.Fatalf("MaxParallel=%d: parameter counts %d vs %d", par, len(v), len(m))
-		}
-		for i := range v {
-			if math.Float64bits(v[i]) != math.Float64bits(m[i]) {
-				t.Fatalf("MaxParallel=%d: param %d differs: %x vs %x (%.17g vs %.17g)",
-					par, i, math.Float64bits(v[i]), math.Float64bits(m[i]), v[i], m[i])
-			}
-		}
-	}
-}
-
 // TestVirtualSystemShape sanity-checks the flyweight population: its recipe
 // is the virtual partition itself, clients are histograms whose counts sum
 // to N, and ClientBatch synthesizes the same batch the materialized copy
 // holds.
 func TestVirtualSystemShape(t *testing.T) {
-	sys := NewVirtualSystem(virtualTestConfig(10, 5))
+	sys := NewVirtualSystem(testSystemConfig(10, 0.5, 5))
 	if _, ok := sys.rows.(*data.VirtualPartition); !ok {
 		t.Fatalf("virtual system's recipe is a %T, not its virtual partition", sys.rows)
 	}
@@ -109,44 +47,6 @@ func TestVirtualSystemShape(t *testing.T) {
 			if math.Float64bits(x.Data[i]) != math.Float64bits(mx.Data[i]) {
 				t.Fatalf("client %d feature %d differs", c.ID, i)
 			}
-		}
-	}
-}
-
-// TestVirtualTrainerCheckpointResume extends the PR-7 resume guarantee to
-// virtual systems: kill a run at a round boundary, rebuild from the
-// snapshot, and the remaining rounds are bit-identical.
-func TestVirtualTrainerCheckpointResume(t *testing.T) {
-	scfg := virtualTestConfig(12, 11)
-	cfg := testConfig()
-	cfg.GlobalRounds = 6
-	cfg.RegroupEvery = 3
-
-	full := NewTrainer(NewVirtualSystem(scfg), cfg)
-	for !full.Done() {
-		full.Step()
-	}
-	want := full.Finish().Params
-
-	half := NewTrainer(NewVirtualSystem(scfg), cfg)
-	for i := 0; i < 3; i++ {
-		half.Step()
-	}
-	st, err := half.ExportState()
-	if err != nil {
-		t.Fatalf("ExportState: %v", err)
-	}
-	resumed, err := NewTrainerResumed(NewVirtualSystem(scfg), cfg, st)
-	if err != nil {
-		t.Fatalf("NewTrainerResumed: %v", err)
-	}
-	for !resumed.Done() {
-		resumed.Step()
-	}
-	got := resumed.Finish().Params
-	for i := range want {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("param %d differs after resume: %.17g vs %.17g", i, got[i], want[i])
 		}
 	}
 }

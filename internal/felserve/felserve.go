@@ -194,11 +194,11 @@ func (s *Service) Submit(spec JobSpec) (*Job, error) {
 // name. A service without a Dir recovers nothing. A job resumes from the
 // newest valid slot of its file and goes on overwriting that file; one
 // resumed from the older slot because the newest was torn mid-write is
-// counted in fel_serve_checkpoint_fallbacks_total. A checkpoint with no
-// valid slot, or whose snapshot cannot become a job (a non-finite learning
-// rate, say), is renamed to <name>.ckpt.bad and counted in
-// fel_serve_checkpoints_quarantined_total; the scan goes on, so one bad file
-// neither strands the other tenants nor fails every later restart.
+// counted in fel_serve_checkpoint_fallbacks_total. A checkpoint with no valid
+// slot, whose snapshot cannot become a job (a NaN learning rate, say), or not
+// at <job>.ckpt for the job it holds (a copy, a renamed file) becomes
+// <file>.bad, counted in fel_serve_checkpoints_quarantined_total, and the scan
+// goes on: one bad file strands no other tenant and fails no later restart.
 func (s *Service) Recover() ([]*Job, error) {
 	if s.cfg.Dir == "" {
 		return nil, nil
@@ -212,7 +212,9 @@ func (s *Service) Recover() ([]*Job, error) {
 	for _, path := range paths {
 		spec, st, read, err := loadCheckpoint(path)
 		var j *Job
-		if err == nil {
+		if err == nil && path != checkpointPath(s.cfg.Dir, spec.Name) {
+			err = fmt.Errorf("it holds job %q, whose checkpoint is %s.ckpt", spec.Name, spec.Name)
+		} else if err == nil {
 			j, err = newJob(s, spec, st)
 		}
 		if err != nil {
@@ -227,9 +229,7 @@ func (s *Service) Recover() ([]*Job, error) {
 			s.ckptsOlder.Inc()
 			s.logf("recover: %s: the newest slot is torn; resuming from the older one", path)
 		}
-		if path == checkpointPath(s.cfg.Dir, spec.Name) {
-			j.ckpt.slot, j.ckpt.newest = read.size, read.slot
-		}
+		j.ckpt.slot, j.ckpt.newest = read.size, read.slot
 		if err := s.register(j); err != nil {
 			return jobs, err
 		}

@@ -203,6 +203,39 @@ func TestRecoverQuarantinesCheckpointThatCannotBecomeJob(t *testing.T) {
 	noLeaks()
 }
 
+// TestRecoverQuarantinesMisplacedCheckpoint crashes the same cloud and
+// copies tenant-a's checkpoint to tenant-a-copy.ckpt, which sorts first: a
+// file that decodes but is not at <job>.ckpt for the job it names. Recover
+// must quarantine the copy, not resume tenant-a from it and then refuse the
+// real file as a duplicate, which would strand tenant-b and tenant-c and
+// fail every later restart the same way.
+func TestRecoverQuarantinesMisplacedCheckpoint(t *testing.T) {
+	noLeaks := leakcheck.Check(t)
+	ref, dir := crashThreeTenants(t)
+
+	b, err := os.ReadFile(checkpointPath(dir, "tenant-a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	copied := checkpointPath(dir, "tenant-a-copy")
+	if err := os.WriteFile(copied, b, 0o600); err != nil {
+		t.Fatal(err)
+	}
+
+	reg := recoverAndFinish(t, dir, ref, map[string]int{"tenant-a": 4, "tenant-b": 4, "tenant-c": 4})
+	if n := reg.CounterValue("fel_serve_checkpoints_quarantined_total"); n != 1 {
+		t.Errorf("fel_serve_checkpoints_quarantined_total = %v, want 1", n)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "tenant-a-copy.ckpt.bad" {
+		t.Errorf("checkpoint directory holds %v after every job finished, want only the quarantined copy", entries)
+	}
+	noLeaks()
+}
+
 // TestRecoverFallsBackToOlderSlot crashes the same cloud and halves the
 // middle tenant's file, which cuts off its newest slot: Recover must resume
 // that tenant from the older slot's round 2 — counted as a fallback, not a
