@@ -15,7 +15,8 @@
 #                  streams), felserve (whole checkpoint files, 2 s), faultnet
 #                  (whole plan files), stats (CoV, KL), groupio (request
 #                  JSON) and data (a label-only partition redrawn against the
-#                  pooled one) targets
+#                  pooled one) targets; the fednode, felserve and faultnet
+#                  runs end in leakcheck.Main's goroutine check
 #   6. chaos       felnode -chaos <name> twice for each of the six named
 #                  scenarios and kill-cloud, outputs byte-identical
 #                  (simulated time: seconds for all six)

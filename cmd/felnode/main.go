@@ -52,6 +52,7 @@ import (
 	"net/http"
 	"os"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -223,7 +224,16 @@ func runChaos(arg string, seed uint64, seedSet, verbose bool) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("chaos %s: %d rounds, final acc=%.4f, dropouts=%d, recoveries=%d, casualties=%d, restarts=%d\n",
+	fmt.Print(chaosReport(r))
+	return nil
+}
+
+// chaosReport renders a chaos run: its outcome, the injected faults by
+// action, the fault event log and the timing-masked metrics — bytes a rerun
+// of the same plan and seed reproduces.
+func chaosReport(r *scenarios.Result) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "chaos %s: %d rounds, final acc=%.4f, dropouts=%d, recoveries=%d, casualties=%d, restarts=%d\n",
 		r.Name, r.Report.RoundsRun, r.Report.FinalAccuracy, r.Report.Dropouts, r.Report.Recoveries,
 		len(r.Casualties), r.Restarts)
 	counts := r.Log.Counts()
@@ -233,16 +243,16 @@ func runChaos(arg string, seed uint64, seedSet, verbose bool) error {
 	}
 	sort.Strings(actions)
 	for _, a := range actions {
-		fmt.Printf("  injected %s: %d\n", a, counts[faultnet.Action(a)])
+		fmt.Fprintf(&b, "  injected %s: %d\n", a, counts[faultnet.Action(a)])
 	}
 	if r.FaultFreeParams != nil {
-		fmt.Println("  delay-only plan: final weights bit-identical to the fault-free baseline")
+		b.WriteString("  delay-only plan: final weights bit-identical to the fault-free baseline\n")
 	}
-	fmt.Println("--- fault event log ---")
-	fmt.Print(r.Log.String())
-	fmt.Println("--- metrics (timings masked) ---")
-	fmt.Print(metrics.MaskTimings(r.Registry.Snapshot()))
-	return nil
+	b.WriteString("--- fault event log ---\n")
+	b.WriteString(r.Log.String())
+	b.WriteString("--- metrics (timings masked) ---\n")
+	b.WriteString(metrics.MaskTimings(r.Registry.Snapshot()))
+	return b.String()
 }
 
 // metricsServer is the optional -metrics HTTP endpoint; done carries the

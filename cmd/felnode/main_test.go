@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/faultnet/scenarios"
 	"repro/internal/leakcheck"
 	"repro/internal/metrics"
 )
@@ -38,5 +39,29 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "fel_fednode_dropouts_total 3\n") {
 		t.Fatalf("GET /metrics: %s\n%s", resp.Status, body)
+	}
+}
+
+// TestChaosReportReplays: a chaos run's report is the same bytes however
+// often it is rendered, so nothing in it follows map iteration order. The
+// mixed scenario injects four kinds of fault, and an unsorted count table
+// would come out in a different order on some renders.
+func TestChaosReportReplays(t *testing.T) {
+	sc, ok := scenarios.ByName("mixed")
+	if !ok {
+		t.Fatal("no scenario named mixed")
+	}
+	r, err := scenarios.Run(sc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := chaosReport(r)
+	if n := strings.Count(first, "  injected "); n < 2 {
+		t.Fatalf("the report counts %d fault kinds; the check needs two or more:\n%s", n, first)
+	}
+	for i := 1; i < 32; i++ {
+		if again := chaosReport(r); again != first {
+			t.Fatalf("render %d differs from the first:\n%s\n--- first ---\n%s", i, again, first)
+		}
 	}
 }

@@ -116,7 +116,7 @@ func (c *Cloud) Run(ln net.Listener) (*Report, error) {
 
 	rep := &Report{}
 	start := clock.Real.Now()
-	bytesMark := cfg.Meter.Written()
+	bytesMark := cfg.Meter.roundBytes()
 	roundHist := reg.Histogram("fel_fednode_round_seconds", metrics.L("role", "cloud"))
 	for !tr.Done() {
 		roundSpan := roundHist.Start()
@@ -124,13 +124,13 @@ func (c *Cloud) Run(ln net.Listener) (*Report, error) {
 		if err := tr.Err(); err != nil {
 			return nil, err
 		}
-		written := cfg.Meter.Written()
+		sent := cfg.Meter.roundBytes()
 		stat := RoundStat{
 			Round: rec.Round, Accuracy: rec.Accuracy, Loss: rec.Loss,
 			Selected: len(exec.updates), Dropouts: exec.drops, Recoveries: exec.recoveries,
-			WireBytes: written - bytesMark,
+			WireBytes: sent - bytesMark,
 		}
-		bytesMark = written
+		bytesMark = sent
 		rep.Rounds = append(rep.Rounds, stat)
 		rep.RoundsRun = rec.Round + 1
 		rep.Dropouts += stat.Dropouts
@@ -157,10 +157,7 @@ func (c *Cloud) Run(ln net.Listener) (*Report, error) {
 	res := tr.Finish()
 	rep.FinalAccuracy, rep.FinalLoss, rep.Params = res.FinalAccuracy, res.FinalLoss, res.Params
 	rep.WallClock = clock.Real.Now().Sub(start)
-	rep.WireWritten = cfg.Meter.Written()
-	rep.WireRead = cfg.Meter.Read()
-	rep.Frames = cfg.Meter.Frames()
-	rep.AccountedBytes = cfg.Meter.Accounted()
+	cfg.Meter.fill(rep)
 	return rep, nil
 }
 

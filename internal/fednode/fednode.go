@@ -167,8 +167,10 @@ type RoundStat struct {
 	// connections); Recoveries counts group rounds completed via secagg
 	// dropout recovery.
 	Dropouts, Recoveries int
-	// WireBytes is the transport bytes written by all metered nodes during
-	// this round (loopback: the whole cluster; distributed: this process).
+	// WireBytes is the accounted bytes of this round's frames (GlobalModel,
+	// MaskedUpdate, ShareReveal, GroupAggregate) sent by all metered nodes
+	// (loopback: the whole cluster; distributed: this process). A seeded
+	// clean job repeats it exactly.
 	WireBytes int64
 }
 
@@ -195,6 +197,12 @@ type Report struct {
 	WireWritten, WireRead int64
 	Frames                int64
 	AccountedBytes        int64
+	// SetupBytes and ShutdownBytes are the accounted bytes of the frames
+	// outside every round: GroupAssign (registration, the assignment and a
+	// rejoining client's replay) and GlobalAggregate (the final broadcast
+	// and its acks). On a clean loopback run SetupBytes, the rounds'
+	// WireBytes and ShutdownBytes sum to WireWritten.
+	SetupBytes, ShutdownBytes int64
 }
 
 // frames recycles encoded frames between sends: a frame's bytes are dead
@@ -235,12 +243,13 @@ func sendEncoded(conn net.Conn, m *Meter, typ wire.Type, frame []byte, timeout t
 			return fmt.Errorf("fednode: set write deadline: %w", err)
 		}
 	}
-	n, err := conn.Write(frame)
-	if err != nil {
-		return fmt.Errorf("fednode: send %s: %w", typ, err)
-	}
+	// Counted before the write, so a peer that has read the frame finds it
+	// counted: when the cloud closes a round, every frame of it is in.
 	if m != nil {
-		m.countFrame(typ, n)
+		m.countFrame(typ, len(frame))
+	}
+	if _, err := conn.Write(frame); err != nil {
+		return fmt.Errorf("fednode: send %s: %w", typ, err)
 	}
 	return nil
 }

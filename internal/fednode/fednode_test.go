@@ -123,6 +123,38 @@ func TestByteAccountingCrossChecks(t *testing.T) {
 	}
 }
 
+// TestRoundWireBytesRepeat: ten runs of one seeded clean job count the same
+// bytes in every round, and set-up, the rounds and shutdown account for
+// every byte written. Round 0 must not take in the set-up frames edges and
+// clients may still be writing when the cloud opens it.
+func TestRoundWireBytesRepeat(t *testing.T) {
+	var first []int64
+	for run := 0; run < 10; run++ {
+		sys := testSystem(12, 5)
+		jcfg := testJobConfig()
+		jcfg.GlobalRounds = 2
+		rep, err := RunJob(NewMemNetwork(), sys, jcfg, "")
+		if err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		got := make([]int64, len(rep.Rounds))
+		sum := rep.SetupBytes + rep.ShutdownBytes
+		for i, r := range rep.Rounds {
+			got[i] = r.WireBytes
+			sum += r.WireBytes
+		}
+		if sum != rep.WireWritten {
+			t.Fatalf("run %d: set-up %d + rounds %v + shutdown %d = %d bytes, transport wrote %d",
+				run, rep.SetupBytes, got, rep.ShutdownBytes, sum, rep.WireWritten)
+		}
+		if run == 0 {
+			first = got
+		} else if !slices.Equal(got, first) {
+			t.Fatalf("run %d: per-round bytes %v, run 0 counted %v", run, got, first)
+		}
+	}
+}
+
 // dropFirstMember pins jcfg's formation and selection, so the target's
 // group is in play every round, and returns a faultnet network whose one
 // reset rule kills the first member of the first group of three or more as

@@ -63,13 +63,10 @@ func RunJob(nw Network, sys *core.System, cfg JobConfig, listenAddr string) (*Re
 	}
 	rep.Casualties = sortCasualties(slices.Concat(casualties...))
 	// Re-snapshot the meter now that every node has joined: the cloud fills
-	// these as it returns, but a writer counts its bytes only once its Write
-	// has returned, and the cloud can read an edge's final ack before that,
-	// so the cloud-side snapshot can run a frame short.
-	rep.WireWritten = cfg.Meter.Written()
-	rep.WireRead = cfg.Meter.Read()
-	rep.Frames = cfg.Meter.Frames()
-	rep.AccountedBytes = cfg.Meter.Accounted()
+	// these as it returns, but the transport counts a write's bytes only once
+	// the Write has returned, and the cloud can read an edge's final ack
+	// before that, so the cloud-side snapshot can run a frame short.
+	cfg.Meter.fill(rep)
 	return rep, nil
 }
 

@@ -214,7 +214,8 @@ func NewMeter(reg *metrics.Registry) *Meter {
 // and the -metrics HTTP endpoint. Never nil.
 func (m *Meter) Registry() *metrics.Registry { return m.reg }
 
-// countFrame records one sent frame of type t carrying n accounted bytes.
+// countFrame records one frame of type t carrying n accounted bytes, as it
+// is handed to its connection.
 func (m *Meter) countFrame(t wire.Type, n int) {
 	m.frames[t].Inc()
 	m.bytes[t].Add(int64(n))
@@ -236,7 +237,8 @@ func (m *Meter) Written() int64 { return m.written.Value() }
 // Read returns the total bytes read from metered conns.
 func (m *Meter) Read() int64 { return m.read.Value() }
 
-// Frames returns the number of frames sent through sendFrame.
+// Frames returns the number of frames handed to a metered connection; a
+// frame whose write then failed is among them.
 func (m *Meter) Frames() int64 {
 	var n int64
 	for t := wire.GlobalModel; t <= wire.GlobalAggregate; t++ {
@@ -252,6 +254,21 @@ func (m *Meter) Accounted() int64 {
 		n += m.bytes[t].Value()
 	}
 	return n
+}
+
+// roundBytes returns the accounted bytes of the frame types a round sends:
+// all but GroupAssign and GlobalAggregate (Report.SetupBytes and
+// ShutdownBytes).
+func (m *Meter) roundBytes() int64 {
+	return m.Accounted() - m.bytes[wire.GroupAssign].Value() - m.bytes[wire.GlobalAggregate].Value()
+}
+
+// fill copies the meter's job totals into rep.
+func (m *Meter) fill(rep *Report) {
+	rep.WireWritten, rep.WireRead = m.Written(), m.Read()
+	rep.Frames, rep.AccountedBytes = m.Frames(), m.Accounted()
+	rep.SetupBytes = m.bytes[wire.GroupAssign].Value()
+	rep.ShutdownBytes = m.bytes[wire.GlobalAggregate].Value()
 }
 
 // meteredConn counts transport bytes through a net.Conn.

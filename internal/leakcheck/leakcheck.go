@@ -10,7 +10,6 @@ package leakcheck
 
 import (
 	"bytes"
-	"flag"
 	"fmt"
 	"os"
 	"runtime"
@@ -25,12 +24,11 @@ import (
 const settle = 5 * time.Second
 
 // Main runs m's tests and exits non-zero when they passed but left a
-// goroutine behind. A fuzzing run (-test.fuzz) is not checked: the fuzzing
-// engine starts os/signal's watcher, which lives as long as the process.
+// goroutine behind.
 func Main(m *testing.M) {
 	before := running()
 	code := m.Run()
-	if code == 0 && flag.Lookup("test.fuzz").Value.String() == "" {
+	if code == 0 {
 		if leaked := survivors(before, settle); leaked != nil {
 			fmt.Fprintf(os.Stderr, "leakcheck: goroutines outlived the tests:\n\n%s\n", bytes.Join(leaked, []byte("\n\n")))
 			code = 1
@@ -52,13 +50,13 @@ func Check(t testing.TB) func() {
 }
 
 // survivors waits up to bound for every goroutine not in before to exit and
-// returns the stacks of those that have not.
+// returns the stacks of those that have not, os/signal's watcher aside.
 func survivors(before map[string]bool, bound time.Duration) [][]byte {
 	deadline := clock.Real.Now().Add(bound)
 	for {
 		var leaked [][]byte
 		for _, block := range stacks() {
-			if !before[id(block)] {
+			if !before[id(block)] && !signalWatcher(block) {
 				leaked = append(leaked, block)
 			}
 		}
@@ -67,6 +65,14 @@ func survivors(before map[string]bool, bound time.Duration) [][]byte {
 		}
 		clock.Real.Sleep(10 * time.Millisecond)
 	}
+}
+
+// signalWatcher reports whether block is the goroutine os/signal starts at
+// the first signal.Notify and never stops (the fuzzing engine calls Notify):
+// the one goroutine whose "created by" frame is in package os/signal.
+func signalWatcher(block []byte) bool {
+	_, site, ok := bytes.Cut(block, []byte("\ncreated by "))
+	return ok && bytes.HasPrefix(site, []byte("os/signal."))
 }
 
 // running returns the IDs of the goroutines alive now.

@@ -3,6 +3,8 @@ package leakcheck
 import (
 	"bytes"
 	"errors"
+	"os"
+	"os/signal"
 	"sync"
 	"testing"
 	"time"
@@ -86,6 +88,41 @@ func TestSurvivors(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSignalWatcherExempt: os/signal's watcher, which the first
+// signal.Notify starts and nothing stops (a fuzzing run's engine calls
+// Notify), is the one goroutine the check lets outlive a test. It is the
+// only live goroutine the exemption matches, a stack that merely passes
+// through os/signal is not exempt, and a goroutine the test starts is still
+// reported beside the watcher.
+func TestSignalWatcherExempt(t *testing.T) {
+	before := running()
+	c := make(chan os.Signal, 1)
+	signal.Notify(c, os.Interrupt)
+	defer signal.Stop(c)
+	var exempt [][]byte
+	for _, block := range stacks() {
+		if signalWatcher(block) {
+			exempt = append(exempt, block)
+		}
+	}
+	if len(exempt) != 1 {
+		t.Fatalf("the exemption matches %d live goroutines, want os/signal's watcher alone:\n%s", len(exempt), bytes.Join(exempt, []byte("\n\n")))
+	}
+	passing := []byte("goroutine 9 [chan receive]:\nos/signal.Notify(...)\ncreated by repro/internal/leakcheck.spawn in goroutine 8")
+	if signalWatcher(passing) {
+		t.Errorf("a goroutine the test created is exempt because its stack runs through os/signal")
+	}
+
+	ch := make(chan int)
+	blockedRecv(ch)
+	leaked := survivors(before, 100*time.Millisecond)
+	const site = "created by repro/internal/leakcheck.blockedRecv"
+	if len(leaked) != 1 || !bytes.Contains(leaked[0], []byte(site)) {
+		t.Fatalf("want one survivor %s, got %d:\n%s", site, len(leaked), bytes.Join(leaked, []byte("\n\n")))
+	}
+	ch <- 1
 }
 
 func TestMain(m *testing.M) { Main(m) }

@@ -4,7 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -29,11 +29,8 @@ var MetricSchema = &Analyzer{
 // incl. Recover's fel_serve_checkpoints_quarantined_total, and the per-job
 // fel_serve_job_* streams), and the buffered-async
 // aggregation layer (fel_async_* staleness/buffer/clock instrumentation).
-var metricLayers = map[string]bool{
-	"core": true, "wire": true, "net": true,
-	"fednode": true, "secagg": true, "faultnet": true,
-	"serve": true, "async": true,
-}
+// Sorted: a diagnostic lists them in this order.
+var metricLayers = []string{"async", "core", "faultnet", "fednode", "net", "secagg", "serve", "wire"}
 
 // registryMethods maps internal/metrics Registry methods to the suffix rule
 // class they imply for the name argument.
@@ -99,13 +96,8 @@ func checkMetricName(pass *Pass, pos token.Pos, name, kind string) {
 	}
 	rest := strings.TrimPrefix(name, "fel_")
 	layer, _, ok := strings.Cut(rest, "_")
-	if !ok || !metricLayers[layer] {
-		layers := make([]string, 0, len(metricLayers))
-		for l := range metricLayers {
-			layers = append(layers, l)
-		}
-		sort.Strings(layers)
-		pass.Reportf(pos, "metric name %q has unknown layer %q; known layers: %s (schema: fel_<layer>_<name>)", name, layer, strings.Join(layers, ", "))
+	if !ok || !slices.Contains(metricLayers, layer) {
+		pass.Reportf(pos, "metric name %q has unknown layer %q; known layers: %s (schema: fel_<layer>_<name>)", name, layer, strings.Join(metricLayers, ", "))
 		return
 	}
 	switch kind {
