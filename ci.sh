@@ -262,9 +262,12 @@ echo "== results (every deterministic results/medium CSV at -scale medium -seed 
 # The north star's second fixed point: the figure CSVs are regenerated, not
 # trusted. fig5 times group formation on this host, so only its shape columns
 # (series, client count) are held.
+results_start=$SECONDS
 resdir="$(stage_dir results)"
 go build -o "$resdir/felbench" ./cmd/felbench
-"$resdir/felbench" -exp all -scale medium -seed 2024 -out "$resdir/medium" > /dev/null
+"$resdir/felbench" -exp all -scale medium -seed 2024 -out "$resdir/medium" > "$resdir/felbench.out"
+# felbench's last line counts the runs it trained and the ones it reused.
+tail -n 1 "$resdir/felbench.out"
 # Both directions: a golden file no experiment writes is stale, and a CSV
 # felbench writes with no golden file would be regenerated and never held.
 (cd results/medium && ls -1 -- *.csv) > "$resdir/golden.names"
@@ -287,7 +290,7 @@ for golden in results/medium/*.csv; do
     diff -u "$golden" "$fresh"
   fi || { echo "ci.sh: $golden no longer regenerates; a figure moved — find out why before re-recording" >&2; exit 1; }
 done
-echo "results: $(ls results/medium/*.csv | wc -l) CSVs regenerate byte-identically (fig5 on its shape columns)"
+echo "results: $(ls results/medium/*.csv | wc -l) CSVs regenerate byte-identically (fig5 on its shape columns) in $((SECONDS - results_start)) s"
 
 echo "== contention (core and the MemNetwork packages, -count=3, beside one busy loop per CPU)"
 # A test that leans on timing — a write that returns only once its peer has

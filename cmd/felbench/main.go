@@ -9,6 +9,12 @@
 //	felbench -exp all -scale medium -out results/
 //	felbench -exp fig7,async-vs-sync -scale small
 //
+// One invocation trains each distinct run once: artifacts that plot the
+// same run (fig9 and fig10, say) share it, and the last line of -exp counts
+// the runs trained and the requests answered from an earlier training. With
+// -out it writes <id>.csv per experiment and one metrics.json, the counters
+// and spans of every run trained in the invocation.
+//
 // felbench does not measure performance: that is `go run ./bench` (see
 // bench/README.md), judged against the committed baseline with
 // `go run ./bench -compare`.
@@ -59,7 +65,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "felbench:", err)
 		os.Exit(2)
 	}
-	reg := experiments.Registry()
+	runs := experiments.NewRuns()
+	reg := experiments.Registry(runs)
 	var ids []string
 	if *exp == "all" {
 		ids = experiments.IDs()
@@ -80,14 +87,11 @@ func main() {
 			os.Exit(1)
 		}
 	}
+	mreg := metrics.New()
+	sc.Metrics = mreg
 	for _, id := range ids {
 		fmt.Printf("=== %s (scale=%s seed=%d) ===\n", id, sc.Name, *seed)
-		// Each experiment gets its own registry, so the JSON dump isolates
-		// that run's counters and spans.
-		mreg := metrics.New()
-		scRun := sc
-		scRun.Metrics = mreg
-		a, err := reg[id](scRun, *seed)
+		a, err := reg[id](sc, *seed)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "felbench:", err)
 			os.Exit(1)
@@ -100,18 +104,21 @@ func main() {
 				os.Exit(1)
 			}
 			fmt.Println("wrote", path)
-			mjson, err := mreg.JSON()
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "felbench:", err)
-				os.Exit(1)
-			}
-			mpath := filepath.Join(*out, id+".metrics.json")
-			if err := os.WriteFile(mpath, mjson, 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, "felbench:", err)
-				os.Exit(1)
-			}
-			fmt.Println("wrote", mpath)
 		}
 		fmt.Println()
 	}
+	if *out != "" {
+		path := filepath.Join(*out, "metrics.json")
+		mjson, err := mreg.JSON()
+		if err == nil {
+			err = os.WriteFile(path, mjson, 0o644)
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "felbench:", err)
+			os.Exit(1)
+		}
+		fmt.Println("wrote", path)
+	}
+	trained, reused := runs.Counts()
+	fmt.Printf("runs: %d trained, %d reused\n", trained, reused)
 }

@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 
@@ -33,6 +34,10 @@ func main() {
 
 	sc, err := experiments.ScaleByName(*scale)
 	if err != nil {
+		fmt.Fprintln(os.Stderr, "groupfel:", err)
+		os.Exit(2)
+	}
+	if err := checkRanges(*alpha, *dropout); err != nil {
 		fmt.Fprintln(os.Stderr, "groupfel:", err)
 		os.Exit(2)
 	}
@@ -87,4 +92,17 @@ func main() {
 		res.FinalAccuracy, res.FinalLoss, res.TotalCost)
 	fmt.Printf("participation: %d/%d clients, Jain fairness %.3f\n",
 		res.UniqueParticipants(), len(sys.Clients), res.FairnessIndex(sys))
+}
+
+// checkRanges rejects a flag value no run can start from, naming the valid
+// range: the partition draws Gamma(α) variates, and a dropout probability
+// of 1 or more leaves no update to aggregate.
+func checkRanges(alpha, dropout float64) error {
+	if !(alpha > 0) || math.IsInf(alpha, 1) {
+		return fmt.Errorf("-alpha must be positive and finite, got %g", alpha)
+	}
+	if !(dropout >= 0 && dropout < 1) {
+		return fmt.Errorf("-dropout must be in [0, 1), got %g", dropout)
+	}
+	return nil
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"repro/internal/core"
 	"repro/internal/grouping"
 	"repro/internal/sampling"
 	"repro/internal/trace"
@@ -10,83 +9,34 @@ import (
 // AblationVariance compares the paper's CoV criterion against the raw
 // variance criterion it argues is scale-susceptible (Sec. 5.1): identical
 // pipeline, only the greedy score differs.
-func AblationVariance(sc Scale, seed uint64) *trace.Figure {
+func AblationVariance(runs *Runs, sc Scale, seed uint64) *trace.Figure {
 	f := &trace.Figure{ID: "abl-variance", Title: "CoV vs variance grouping criterion", XLabel: "cost", YLabel: "accuracy"}
-	algs := []struct {
-		name string
-		alg  grouping.Algorithm
-	}{
-		{"CoVG", grouping.CoVGrouping{Config: grouping.Config{MinGS: sc.MinGS, MaxCoV: sc.MaxCoV, MergeLeftover: true}}},
-		{"VarG", grouping.VarianceGrouping{Config: grouping.Config{MinGS: sc.MinGS, MergeLeftover: true}}},
-	}
-	for _, a := range algs {
-		sys := sc.NewSystem(CIFAR, 0.05, seed)
-		cfg := sc.BaseConfig(CIFAR, seed)
-		cfg.Grouping = a.alg
-		cfg.Sampling = sampling.ESRCoV
-		res := core.Train(sys, cfg)
-		addAccuracyVs(f.AddSeries(a.name), res, byCost)
-	}
-	return f
+	return runs.accuracy(f, byCost, sc, CIFAR, 0.05, seed,
+		namedArm{"CoVG", arm{Grouping: covg(sc.MinGS, sc.MaxCoV), Sampling: sampling.ESRCoV}},
+		namedArm{"VarG", arm{Grouping: grouping.VarianceGrouping{Config: grouping.Config{MinGS: sc.MinGS, MergeLeftover: true}}, Sampling: sampling.ESRCoV}},
+	)
 }
 
 // AblationAggregation compares the three aggregation weight schemes of
 // Sec. 6.2 under prioritized (RCoV) sampling: biased, raw unbiased (Eq. 4),
 // and stabilized (Eq. 35).
-func AblationAggregation(sc Scale, seed uint64) *trace.Figure {
+func AblationAggregation(runs *Runs, sc Scale, seed uint64) *trace.Figure {
 	f := &trace.Figure{ID: "abl-aggregation", Title: "Aggregation weight schemes", XLabel: "global round", YLabel: "accuracy"}
+	var arms []namedArm
 	for _, w := range []sampling.WeightScheme{sampling.Biased, sampling.Unbiased, sampling.Stabilized} {
-		sys := sc.NewSystem(CIFAR, 0.3, seed)
-		cfg := sc.BaseConfig(CIFAR, seed)
-		cfg.Grouping = grouping.CoVGrouping{Config: grouping.Config{MinGS: sc.MinGS, MaxCoV: sc.MaxCoV, MergeLeftover: true}}
-		cfg.Sampling = sampling.RCoV
-		cfg.Weights = w
-		res := core.Train(sys, cfg)
-		addAccuracyVs(f.AddSeries(w.String()), res, byRound)
+		arms = append(arms, namedArm{w.String(), arm{Grouping: covg(sc.MinGS, sc.MaxCoV), Sampling: sampling.RCoV, Weights: w}})
 	}
-	return f
+	return runs.accuracy(f, byRound, sc, CIFAR, 0.3, seed, arms...)
 }
 
 // AblationRegroup compares never regrouping against periodic regrouping
 // (Sec. 6.1's suggestion for reusing the data stranded in high-CoV groups;
-// enabled by the random first pick in Alg. 2).
-func AblationRegroup(sc Scale, seed uint64) *trace.Figure {
+// enabled by the random first pick in Alg. 2). Its static arm is
+// abl-variance's CoVG run.
+func AblationRegroup(runs *Runs, sc Scale, seed uint64) *trace.Figure {
 	f := &trace.Figure{ID: "abl-regroup", Title: "Periodic regrouping", XLabel: "cost", YLabel: "accuracy"}
-	for _, every := range []int{0, 5} {
-		sys := sc.NewSystem(CIFAR, 0.05, seed)
-		cfg := sc.BaseConfig(CIFAR, seed)
-		cfg.Grouping = grouping.CoVGrouping{Config: grouping.Config{MinGS: sc.MinGS, MaxCoV: sc.MaxCoV, MergeLeftover: true}}
-		cfg.Sampling = sampling.ESRCoV
-		cfg.RegroupEvery = every
-		res := core.Train(sys, cfg)
-		name := "static groups"
-		if every > 0 {
-			name = "regroup every 5"
-		}
-		addAccuracyVs(f.AddSeries(name), res, byCost)
-	}
-	return f
-}
-
-// AblationGamma compares plain CoVG against the γ-aware variant the paper
-// leaves as future work (Sec. 8): the greedy score also balances per-client
-// sample counts to shrink γ = 1 + CoV²(n_i).
-func AblationGamma(sc Scale, seed uint64) *trace.Figure {
-	f := &trace.Figure{ID: "abl-gamma", Title: "Gamma-aware group formation", XLabel: "cost", YLabel: "accuracy"}
-	for _, gw := range []float64{0, 0.5} {
-		sys := sc.NewSystem(CIFAR, 0.05, seed)
-		cfg := sc.BaseConfig(CIFAR, seed)
-		cfg.Grouping = grouping.CoVGrouping{
-			Config:      grouping.Config{MinGS: sc.MinGS, MaxCoV: sc.MaxCoV, MergeLeftover: true},
-			GammaWeight: gw,
-		}
-		cfg.Sampling = sampling.ESRCoV
-		res := core.Train(sys, cfg)
-		name := "CoV only"
-		if gw > 0 {
-			name = "CoV + gamma"
-		}
-		addAccuracyVs(f.AddSeries(name), res, byCost)
-	}
-	return f
+	return runs.accuracy(f, byCost, sc, CIFAR, 0.05, seed,
+		namedArm{"static groups", arm{Grouping: covg(sc.MinGS, sc.MaxCoV), Sampling: sampling.ESRCoV}},
+		namedArm{"regroup every 5", arm{Grouping: covg(sc.MinGS, sc.MaxCoV), Sampling: sampling.ESRCoV, RegroupEvery: 5}},
+	)
 }

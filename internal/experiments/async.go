@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/async"
 	"repro/internal/core"
-	"repro/internal/grouping"
 	"repro/internal/metrics"
 	"repro/internal/sampling"
 	"repro/internal/trace"
@@ -36,8 +35,7 @@ func asyncVsSyncRuns(sc Scale, seed uint64) []asyncRun {
 	for i := range runs {
 		r := &runs[i]
 		cfg := sc.BaseConfig(CIFAR, seed)
-		cfg.Grouping = grouping.CoVGrouping{Config: grouping.Config{
-			MinGS: sc.MinGS, MaxCoV: sc.MaxCoV, MergeLeftover: true}}
+		cfg.Grouping = covg(sc.MinGS, sc.MaxCoV)
 		cfg.Sampling = sampling.ESRCoV
 		cfg.Weights = sampling.Biased
 		cfg.Async = r.mode

@@ -4,24 +4,15 @@ import (
 	"fmt"
 
 	"repro/internal/baselines"
-	"repro/internal/core"
 	"repro/internal/grouping"
 	"repro/internal/sampling"
 	"repro/internal/trace"
 )
 
-// Comparison holds the per-method results of one baseline sweep, shared by
-// Figs. 9 and 10 (one training run, two axes).
-type Comparison struct {
-	Task    Task
-	Results map[baselines.Name]*core.Result
-	Order   []baselines.Name
-}
-
-// RunComparison trains every baseline on the given task, mirroring the
-// setup of Sec. 7.3: all methods hierarchical, uniform group sampling for
-// the baselines, tuned to similar group sizes.
-func RunComparison(task Task, sc Scale, alpha float64, seed uint64) *Comparison {
+// comparisonArms is every baseline of Sec. 7.3 on the given task: all
+// methods hierarchical, uniform group sampling for the baselines, tuned to
+// similar group sizes.
+func comparisonArms(task Task, sc Scale) []namedArm {
 	opts := baselines.DefaultOptions(sc.Clients, sc.TargetGS)
 	opts.MinGS = sc.MinGS
 	// No MaxCoV constraint for Group-FEL in the comparisons: Table 1 shows
@@ -36,27 +27,12 @@ func RunComparison(task Task, sc Scale, alpha float64, seed uint64) *Comparison 
 		// method ("We set MinGS = 15 for all"), no MaxCoV constraint.
 		opts.MinGS = sc.MinGS * 3
 		opts.TargetGS = opts.MinGS
-		opts.MaxCoV = 0
 	}
-	out := &Comparison{Task: task, Results: map[baselines.Name]*core.Result{}, Order: baselines.All()}
-	for _, m := range out.Order {
-		sys := sc.NewSystem(task, alpha, seed)
-		out.Results[m] = baselines.Run(m, sys, sc.BaseConfig(task, seed), opts)
+	var arms []namedArm
+	for _, m := range baselines.All() {
+		arms = append(arms, namedArm{string(m), arm{Method: m, Opts: opts}})
 	}
-	return out
-}
-
-func (c *Comparison) figure(id, title string, axis xAxis) *trace.Figure {
-	xl := "global round"
-	if axis == byCost {
-		xl = "cost"
-	}
-	f := &trace.Figure{ID: id, Title: title, XLabel: xl, YLabel: "accuracy"}
-	for _, m := range c.Order {
-		s := f.AddSeries(string(m))
-		addAccuracyVs(s, c.Results[m], axis)
-	}
-	return f
+	return arms
 }
 
 // comparisonAlpha is the Dirichlet skew of the Figs. 9–10 comparison — a
@@ -64,70 +40,47 @@ func (c *Comparison) figure(id, title string, axis xAxis) *trace.Figure {
 const comparisonAlpha = 0.05
 
 // Fig9 regenerates Fig. 9: accuracy vs global round, all methods, CIFAR.
-func Fig9(sc Scale, seed uint64) *trace.Figure {
-	return RunComparison(CIFAR, sc, comparisonAlpha, seed).figure("fig9", "Accuracy vs round — CIFAR", byRound)
+func Fig9(runs *Runs, sc Scale, seed uint64) *trace.Figure {
+	f := &trace.Figure{ID: "fig9", Title: "Accuracy vs round — CIFAR", XLabel: "global round", YLabel: "accuracy"}
+	return runs.accuracy(f, byRound, sc, CIFAR, comparisonAlpha, seed, comparisonArms(CIFAR, sc)...)
 }
 
-// Fig10 regenerates Fig. 10: accuracy vs cost, all methods, CIFAR.
-func Fig10(sc Scale, seed uint64) *trace.Figure {
-	return RunComparison(CIFAR, sc, comparisonAlpha, seed).figure("fig10", "Accuracy vs cost — CIFAR", byCost)
-}
-
-// Fig9And10 runs the comparison once and returns both views.
-func Fig9And10(sc Scale, seed uint64) (*trace.Figure, *trace.Figure) {
-	c := RunComparison(CIFAR, sc, comparisonAlpha, seed)
-	return c.figure("fig9", "Accuracy vs round — CIFAR", byRound),
-		c.figure("fig10", "Accuracy vs cost — CIFAR", byCost)
+// Fig10 regenerates Fig. 10: accuracy vs cost, all methods, CIFAR — Fig. 9's
+// runs on the other axis.
+func Fig10(runs *Runs, sc Scale, seed uint64) *trace.Figure {
+	f := &trace.Figure{ID: "fig10", Title: "Accuracy vs cost — CIFAR", XLabel: "cost", YLabel: "accuracy"}
+	return runs.accuracy(f, byCost, sc, CIFAR, comparisonAlpha, seed, comparisonArms(CIFAR, sc)...)
 }
 
 // Fig11 regenerates Fig. 11: accuracy vs cost on the SpeechCommands
 // stand-in at extreme skew (α = 0.01, larger MinGS, no MaxCoV).
-func Fig11(sc Scale, seed uint64) *trace.Figure {
-	return RunComparison(SC, sc, 0.01, seed).figure("fig11", "Accuracy vs cost — SC (alpha=0.01)", byCost)
+func Fig11(runs *Runs, sc Scale, seed uint64) *trace.Figure {
+	f := &trace.Figure{ID: "fig11", Title: "Accuracy vs cost — SC (alpha=0.01)", XLabel: "cost", YLabel: "accuracy"}
+	return runs.accuracy(f, byCost, sc, SC, 0.01, seed, comparisonArms(SC, sc)...)
 }
 
 // Fig12 regenerates Fig. 12: the grouping × sampling ablation — CoVG+RS,
-// RG+CoVS, CoVG+CoVS, KLDG+RS, KLDG+CoVS on CIFAR.
-func Fig12(sc Scale, seed uint64) *trace.Figure {
+// RG+CoVS, CoVG+CoVS, KLDG+RS, KLDG+CoVS on CIFAR. CoVG is the comparison's
+// uncapped-MaxCoV formation, so CoVG+RS and CoVG+CoVS are Fig. 7's Random
+// and ESRCoV runs.
+func Fig12(runs *Runs, sc Scale, seed uint64) *trace.Figure {
 	f := &trace.Figure{ID: "fig12", Title: "Grouping x sampling ablation", XLabel: "cost", YLabel: "accuracy"}
-	covg := func() grouping.Algorithm {
-		// Same uncapped-MaxCoV formation as the Figs. 9–10 comparison.
-		return grouping.CoVGrouping{Config: grouping.Config{MinGS: sc.MinGS, MergeLeftover: true}}
-	}
-	rg := func() grouping.Algorithm {
-		return grouping.RandomGrouping{Config: grouping.Config{MinGS: sc.TargetGS}, TargetGS: sc.TargetGS}
-	}
-	kldg := func() grouping.Algorithm {
-		return grouping.KLDGrouping{Config: grouping.Config{MinGS: sc.TargetGS, MergeLeftover: true}, TargetGS: sc.TargetGS}
-	}
-	combos := []struct {
-		name string
-		alg  grouping.Algorithm
-		m    sampling.Method
-	}{
-		{"CoVG+RS", covg(), sampling.Random},
-		{"RG+CoVS", rg(), sampling.ESRCoV},
-		{"CoVG+CoVS", covg(), sampling.ESRCoV},
-		{"KLDG+RS", kldg(), sampling.Random},
-		{"KLDG+CoVS", kldg(), sampling.ESRCoV},
-	}
-	for _, c := range combos {
-		sys := sc.NewSystem(CIFAR, 0.05, seed)
-		cfg := sc.BaseConfig(CIFAR, seed)
-		cfg.Grouping = c.alg
-		cfg.Sampling = c.m
-		cfg.Weights = sampling.Biased
-		res := core.Train(sys, cfg)
-		s := f.AddSeries(c.name)
-		addAccuracyVs(s, res, byCost)
-	}
-	return f
+	kldg := grouping.KLDGrouping{Config: grouping.Config{MinGS: sc.TargetGS, MergeLeftover: true}, TargetGS: sc.TargetGS}
+	return runs.accuracy(f, byCost, sc, CIFAR, comparisonAlpha, seed,
+		namedArm{"CoVG+RS", arm{Grouping: covg(sc.MinGS, 0), Sampling: sampling.Random}},
+		namedArm{"RG+CoVS", arm{Grouping: rg(sc.TargetGS), Sampling: sampling.ESRCoV}},
+		namedArm{"CoVG+CoVS", arm{Grouping: covg(sc.MinGS, 0), Sampling: sampling.ESRCoV}},
+		namedArm{"KLDG+RS", arm{Grouping: kldg, Sampling: sampling.Random}},
+		namedArm{"KLDG+CoVS", arm{Grouping: kldg, Sampling: sampling.ESRCoV}},
+	)
 }
 
 // Table1 regenerates Table 1: Group-FEL's group size range/average, average
 // group CoV, and final accuracy across α ∈ {0.1, 0.5, 1.0} ×
-// MaxCoV ∈ {0.1, 0.5, 1.0} under a fixed cost budget.
-func Table1(sc Scale, seed uint64) *trace.Table {
+// MaxCoV ∈ {0.1, 0.5, 1.0}. The paper runs it under a fixed cost budget;
+// of the scales only Paper() sets one (CostBudget), the others run every
+// round.
+func Table1(runs *Runs, sc Scale, seed uint64) *trace.Table {
 	t := &trace.Table{
 		ID:    "table1",
 		Title: "Group-FEL performance by alpha and MaxCoV",
@@ -137,14 +90,7 @@ func Table1(sc Scale, seed uint64) *trace.Table {
 	}
 	for _, alpha := range []float64{0.1, 0.5, 1.0} {
 		for _, maxCoV := range []float64{0.1, 0.5, 1.0} {
-			sys := sc.NewSystem(CIFAR, alpha, seed)
-			cfg := sc.BaseConfig(CIFAR, seed)
-			cfg.Grouping = grouping.CoVGrouping{Config: grouping.Config{
-				MinGS: sc.MinGS, MaxCoV: maxCoV, MergeLeftover: true}}
-			cfg.Sampling = sampling.ESRCoV
-			cfg.Weights = sampling.Biased
-			res := core.Train(sys, cfg)
-
+			res := runs.result(sc, CIFAR, alpha, seed, arm{Grouping: covg(sc.MinGS, maxCoV), Sampling: sampling.ESRCoV})
 			minGS, maxGS, sumGS, sumCoV := 1<<30, 0, 0, 0.0
 			for _, g := range res.Groups {
 				if g.Size() < minGS {

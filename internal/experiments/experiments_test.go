@@ -35,7 +35,7 @@ func TestFig2aShapes(t *testing.T) {
 func TestFig2bRuns(t *testing.T) {
 	sc := Small()
 	sc.GlobalRounds = 6
-	f := Fig2b(sc, testSeed)
+	f := Fig2b(nil, sc, testSeed)
 	if len(f.Series) != 4 {
 		t.Fatalf("want 4 group-size series, got %d", len(f.Series))
 	}
@@ -92,7 +92,7 @@ func TestFig6CoVGBest(t *testing.T) {
 func TestFig7SamplingOrdering(t *testing.T) {
 	sc := Small()
 	sc.GlobalRounds = 12
-	f := Fig7(sc, testSeed)
+	f := Fig7(nil, sc, testSeed)
 	if len(f.Series) != 4 {
 		t.Fatalf("want 4 sampling series, got %d", len(f.Series))
 	}
@@ -132,7 +132,8 @@ func TestFig8MeasuredMatchesModelShape(t *testing.T) {
 func TestComparisonFig9Fig10(t *testing.T) {
 	sc := Small()
 	sc.GlobalRounds = 12
-	f9, f10 := Fig9And10(sc, testSeed)
+	runs := NewRuns()
+	f9, f10 := Fig9(runs, sc, testSeed), Fig10(runs, sc, testSeed)
 	if len(f9.Series) != 7 || len(f10.Series) != 7 {
 		t.Fatalf("want 7 methods, got %d / %d", len(f9.Series), len(f10.Series))
 	}
@@ -167,7 +168,7 @@ func TestComparisonFig9Fig10(t *testing.T) {
 func TestFig11Runs(t *testing.T) {
 	sc := Small()
 	sc.GlobalRounds = 8
-	f := Fig11(sc, testSeed)
+	f := Fig11(nil, sc, testSeed)
 	if len(f.Series) != 7 {
 		t.Fatalf("want 7 methods, got %d", len(f.Series))
 	}
@@ -181,7 +182,7 @@ func TestFig11Runs(t *testing.T) {
 func TestFig12ComboOrdering(t *testing.T) {
 	sc := Small()
 	sc.GlobalRounds = 12
-	f := Fig12(sc, testSeed)
+	f := Fig12(nil, sc, testSeed)
 	if len(f.Series) != 5 {
 		t.Fatalf("want 5 combos, got %d", len(f.Series))
 	}
@@ -202,7 +203,7 @@ func TestFig12ComboOrdering(t *testing.T) {
 func TestTable1Shapes(t *testing.T) {
 	sc := Small()
 	sc.GlobalRounds = 8
-	tb := Table1(sc, testSeed)
+	tb := Table1(nil, sc, testSeed)
 	if len(tb.Rows) != 9 {
 		t.Fatalf("want 9 rows (3 alpha x 3 MaxCoV), got %d", len(tb.Rows))
 	}
@@ -232,13 +233,12 @@ func TestTable1Shapes(t *testing.T) {
 func TestAblationsRun(t *testing.T) {
 	sc := Small()
 	sc.GlobalRounds = 6
-	for name, fn := range map[string]func(Scale, uint64) *trace.Figure{
+	for name, fn := range map[string]func(*Runs, Scale, uint64) *trace.Figure{
 		"variance":    AblationVariance,
 		"aggregation": AblationAggregation,
 		"regroup":     AblationRegroup,
-		"gamma":       AblationGamma,
 	} {
-		f := fn(sc, testSeed)
+		f := fn(nil, sc, testSeed)
 		if len(f.Series) < 2 {
 			t.Errorf("%s: want >= 2 series", name)
 		}
@@ -251,10 +251,10 @@ func TestAblationsRun(t *testing.T) {
 }
 
 func TestRegistryComplete(t *testing.T) {
-	reg := Registry()
+	reg := Registry(nil)
 	want := []string{"fig2a", "fig2b", "fig5", "fig6", "fig7", "fig8",
 		"fig9", "fig10", "fig11", "fig12", "table1",
-		"abl-variance", "abl-aggregation", "abl-regroup", "abl-gamma",
+		"abl-variance", "abl-aggregation", "abl-regroup",
 		"theory", "dropout", "costbreak", "fairness", "multimodel",
 		"async-vs-sync"}
 	for _, id := range want {
@@ -277,7 +277,7 @@ func TestRegistryRunnersProduceOutput(t *testing.T) {
 	// Smoke-run the cheap runners through the registry interface.
 	sc := Small()
 	sc.GlobalRounds = 3
-	reg := Registry()
+	reg := Registry(nil)
 	for _, id := range []string{"fig2a", "fig8"} {
 		a, err := reg[id](sc, testSeed)
 		if err != nil || !strings.Contains(a.CSV, id) || a.Pretty == "" {

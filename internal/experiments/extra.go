@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/grouping"
 	"repro/internal/multimodel"
@@ -29,8 +28,8 @@ func TheoryFigure(sc Scale, seed uint64) *trace.Figure {
 		alg  grouping.Algorithm
 		m    sampling.Method
 	}{
-		{"RG+Random", grouping.RandomGrouping{Config: grouping.Config{MinGS: sc.TargetGS}, TargetGS: sc.TargetGS}, sampling.Random},
-		{"CoVG+Random", grouping.CoVGrouping{Config: grouping.Config{MinGS: sc.MinGS, MaxCoV: sc.MaxCoV, MergeLeftover: true}}, sampling.Random},
+		{"RG+Random", rg(sc.TargetGS), sampling.Random},
+		{"CoVG+Random", covg(sc.MinGS, sc.MaxCoV), sampling.Random},
 	}
 	for _, a := range algs {
 		groups := a.alg.Form(clients, 10, 0, 0, stats.NewRNG(seed))
@@ -80,17 +79,12 @@ func CostBreakdown(sc Scale, seed uint64) *trace.Table {
 // DropoutRobustness sweeps the client dropout probability and reports
 // Group-FEL's final accuracy — the robustness property the secure
 // aggregation substrate's dropout recovery buys.
-func DropoutRobustness(sc Scale, seed uint64) *trace.Figure {
+func DropoutRobustness(runs *Runs, sc Scale, seed uint64) *trace.Figure {
 	f := &trace.Figure{ID: "dropout", Title: "Robustness to client dropout", XLabel: "dropout probability", YLabel: "final accuracy"}
 	s := f.AddSeries("Group-FEL")
 	d := f.AddSeries("dropped updates")
 	for _, p := range []float64{0, 0.1, 0.2, 0.4} {
-		sys := sc.NewSystem(CIFAR, 0.3, seed)
-		cfg := sc.BaseConfig(CIFAR, seed)
-		cfg.Grouping = grouping.CoVGrouping{Config: grouping.Config{MinGS: sc.MinGS, MaxCoV: sc.MaxCoV, MergeLeftover: true}}
-		cfg.Sampling = sampling.ESRCoV
-		cfg.DropoutProb = p
-		res := core.Train(sys, cfg)
+		res := runs.result(sc, CIFAR, 0.3, seed, arm{Grouping: covg(sc.MinGS, sc.MaxCoV), Sampling: sampling.ESRCoV, DropoutProb: p})
 		s.Add(p, res.FinalAccuracy)
 		d.Add(p, float64(res.Dropouts))
 	}
@@ -102,7 +96,7 @@ func DropoutRobustness(sc Scale, seed uint64) *trace.Figure {
 // reports Jain's index over client participation counts, the fraction of
 // clients that ever trained, and the final accuracy. Periodic regrouping
 // (Sec. 6.1) is included as the paper's suggested mitigation.
-func FairnessTable(sc Scale, seed uint64) *trace.Table {
+func FairnessTable(runs *Runs, sc Scale, seed uint64) *trace.Table {
 	t := &trace.Table{
 		ID:     "fairness",
 		Title:  "Participation fairness by sampling method",
@@ -113,18 +107,16 @@ func FairnessTable(sc Scale, seed uint64) *trace.Table {
 		m       sampling.Method
 		regroup int
 	}
+	// Every run trains on its own copy of this population; Jain's index is
+	// taken over its clients, trained or not.
+	sys := sc.NewSystem(CIFAR, 0.2, seed)
 	for _, v := range []variant{
 		{"Random", sampling.Random, 0},
 		{"RCoV", sampling.RCoV, 0},
 		{"ESRCoV", sampling.ESRCoV, 0},
 		{"ESRCoV+regroup", sampling.ESRCoV, 5},
 	} {
-		sys := sc.NewSystem(CIFAR, 0.2, seed)
-		cfg := sc.BaseConfig(CIFAR, seed)
-		cfg.Grouping = grouping.CoVGrouping{Config: grouping.Config{MinGS: sc.MinGS, MaxCoV: sc.MaxCoV, MergeLeftover: true}}
-		cfg.Sampling = v.m
-		cfg.RegroupEvery = v.regroup
-		res := core.Train(sys, cfg)
+		res := runs.result(sc, CIFAR, 0.2, seed, arm{Grouping: covg(sc.MinGS, sc.MaxCoV), Sampling: v.m, RegroupEvery: v.regroup})
 		t.AddRow(
 			v.name,
 			fmt.Sprintf("%.3f", res.FairnessIndex(sys)),
@@ -147,7 +139,7 @@ func MultiModelTable(sc Scale, seed uint64) (*trace.Table, error) {
 	for _, sched := range []multimodel.Scheduler{multimodel.Random, multimodel.RoundRobin, multimodel.NeedyFirst} {
 		sys := sc.NewSystem(CIFAR, 0.2, seed)
 		base := sc.BaseConfig(CIFAR, seed)
-		base.Grouping = grouping.CoVGrouping{Config: grouping.Config{MinGS: sc.MinGS, MergeLeftover: true}}
+		base.Grouping = covg(sc.MinGS, 0)
 		base.Sampling = sampling.ESRCoV
 		res, err := multimodel.Train(sys, multimodel.Config{
 			Models: 2, GroupsPerModel: sc.SampleGroups / 2,

@@ -57,7 +57,7 @@ func TestCostBreakdownShareGrows(t *testing.T) {
 func TestDropoutRobustnessShape(t *testing.T) {
 	sc := Small()
 	sc.GlobalRounds = 8
-	f := DropoutRobustness(sc, testSeed)
+	f := DropoutRobustness(nil, sc, testSeed)
 	acc := f.Get("Group-FEL")
 	drops := f.Get("dropped updates")
 	if acc == nil || drops == nil {
@@ -79,7 +79,7 @@ func TestDropoutRobustnessShape(t *testing.T) {
 }
 
 func TestExtraExperimentsRegistered(t *testing.T) {
-	reg := Registry()
+	reg := Registry(nil)
 	for _, id := range []string{"theory", "costbreak", "dropout"} {
 		if _, ok := reg[id]; !ok {
 			t.Errorf("registry missing %s", id)
@@ -90,7 +90,7 @@ func TestExtraExperimentsRegistered(t *testing.T) {
 func TestFairnessTableShape(t *testing.T) {
 	sc := Small()
 	sc.GlobalRounds = 10
-	tb := FairnessTable(sc, testSeed)
+	tb := FairnessTable(nil, sc, testSeed)
 	if len(tb.Rows) != 4 {
 		t.Fatalf("want 4 rows, got %d", len(tb.Rows))
 	}

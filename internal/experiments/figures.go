@@ -35,19 +35,13 @@ func Fig2a() *trace.Figure {
 // GS ∈ {5, 10, 15, 20} under random grouping and uniform sampling — the
 // motivating observation that shrinking groups alone does not cut total
 // cost, because smaller random groups are more skewed.
-func Fig2b(sc Scale, seed uint64) *trace.Figure {
+func Fig2b(runs *Runs, sc Scale, seed uint64) *trace.Figure {
 	f := &trace.Figure{ID: "fig2b", Title: "Accuracy over cost by group size", XLabel: "cost", YLabel: "accuracy"}
+	var arms []namedArm
 	for _, gs := range []int{5, 10, 15, 20} {
-		sys := sc.NewSystem(CIFAR, 0.02, seed)
-		cfg := sc.BaseConfig(CIFAR, seed)
-		cfg.Grouping = grouping.RandomGrouping{Config: grouping.Config{MinGS: gs}, TargetGS: gs}
-		cfg.Sampling = sampling.Random
-		cfg.Weights = sampling.Biased
-		res := core.Train(sys, cfg)
-		s := f.AddSeries(fmt.Sprintf("GS=%d", gs))
-		addAccuracyVs(s, res, byCost)
+		arms = append(arms, namedArm{fmt.Sprintf("GS=%d", gs), arm{Grouping: rg(gs), Sampling: sampling.Random}})
 	}
-	return f
+	return runs.accuracy(f, byCost, sc, CIFAR, 0.02, seed, arms...)
 }
 
 // Fig5 regenerates Fig. 5: wall-clock running time of the four grouping
@@ -59,10 +53,10 @@ func Fig5(sc Scale, seed uint64) *trace.Figure {
 		sizes = []int{50, 100, 150, 200}
 	}
 	algs := []grouping.Algorithm{
-		grouping.RandomGrouping{Config: grouping.Config{MinGS: sc.TargetGS}, TargetGS: sc.TargetGS},
+		rg(sc.TargetGS),
 		grouping.CDGrouping{Config: grouping.Config{MinGS: sc.TargetGS}, TargetGS: sc.TargetGS},
 		grouping.KLDGrouping{Config: grouping.Config{MinGS: sc.TargetGS, MergeLeftover: true}, TargetGS: sc.TargetGS},
-		grouping.CoVGrouping{Config: grouping.Config{MinGS: sc.TargetGS, MaxCoV: sc.MaxCoV, MergeLeftover: true}},
+		covg(sc.TargetGS, sc.MaxCoV),
 	}
 	series := make([]*trace.Series, len(algs))
 	for i, a := range algs {
@@ -91,10 +85,10 @@ func Fig6(sc Scale, seed uint64) *trace.Figure {
 	clients := syntheticClients(sc.Clients*3, 10, 0.2, seed)
 	build := func(gs int) []grouping.Algorithm {
 		return []grouping.Algorithm{
-			grouping.RandomGrouping{Config: grouping.Config{MinGS: gs}, TargetGS: gs},
+			rg(gs),
 			grouping.CDGrouping{Config: grouping.Config{MinGS: gs}, TargetGS: gs},
 			grouping.KLDGrouping{Config: grouping.Config{MinGS: gs, MergeLeftover: true}, TargetGS: gs},
-			grouping.CoVGrouping{Config: grouping.Config{MinGS: gs, MergeLeftover: true}},
+			covg(gs, 0),
 		}
 	}
 	names := []string{"RG", "CDG", "KLDG", "CoVG"}
@@ -119,22 +113,16 @@ func Fig6(sc Scale, seed uint64) *trace.Figure {
 
 // Fig7 regenerates Fig. 7: accuracy over cost for the four sampling methods
 // (Random, RCoV, SRCoV, ESRCoV) with CoVG formation held fixed.
-func Fig7(sc Scale, seed uint64) *trace.Figure {
+func Fig7(runs *Runs, sc Scale, seed uint64) *trace.Figure {
 	f := &trace.Figure{ID: "fig7", Title: "Sampling methods", XLabel: "cost", YLabel: "accuracy"}
+	var arms []namedArm
 	for _, m := range []sampling.Method{sampling.Random, sampling.RCoV, sampling.SRCoV, sampling.ESRCoV} {
-		sys := sc.NewSystem(CIFAR, comparisonAlpha, seed)
-		cfg := sc.BaseConfig(CIFAR, seed)
 		// No MaxCoV cap: group quality must vary for the sampling methods
 		// to differ (the paper selects "based on their CoV values" from a
 		// population of mixed-quality groups).
-		cfg.Grouping = grouping.CoVGrouping{Config: grouping.Config{MinGS: sc.MinGS, MergeLeftover: true}}
-		cfg.Sampling = m
-		cfg.Weights = sampling.Biased
-		res := core.Train(sys, cfg)
-		s := f.AddSeries(m.String())
-		addAccuracyVs(s, res, byCost)
+		arms = append(arms, namedArm{m.String(), arm{Grouping: covg(sc.MinGS, 0), Sampling: m}})
 	}
-	return f
+	return runs.accuracy(f, byCost, sc, CIFAR, comparisonAlpha, seed, arms...)
 }
 
 // Fig8 regenerates Fig. 8: the calibrated overhead model curves for both
@@ -223,6 +211,32 @@ const (
 	byRound xAxis = iota
 	byCost
 )
+
+// namedArm is one series of an accuracy figure and the run it plots.
+type namedArm struct {
+	name string
+	arm  arm
+}
+
+// accuracy adds one accuracy series per arm to f, every run on the same
+// task, skew and seed: the one path by which a figure trains.
+func (r *Runs) accuracy(f *trace.Figure, axis xAxis, sc Scale, task Task, alpha float64, seed uint64, arms ...namedArm) *trace.Figure {
+	for _, a := range arms {
+		addAccuracyVs(f.AddSeries(a.name), r.result(sc, task, alpha, seed, a.arm), axis)
+	}
+	return f
+}
+
+// covg is Alg. 2 as the experiments run it: leftovers merged, MaxCoV ≤ 0
+// uncapped.
+func covg(minGS int, maxCoV float64) grouping.Algorithm {
+	return grouping.CoVGrouping{Config: grouping.Config{MinGS: minGS, MaxCoV: maxCoV, MergeLeftover: true}}
+}
+
+// rg is random grouping tuned to groups of gs.
+func rg(gs int) grouping.Algorithm {
+	return grouping.RandomGrouping{Config: grouping.Config{MinGS: gs}, TargetGS: gs}
+}
 
 // addAccuracyVs appends a run's evaluated records to a series with the
 // chosen x-axis.

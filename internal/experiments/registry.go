@@ -18,28 +18,36 @@ type Artifact struct {
 // Runner regenerates one paper artifact at the given scale and seed.
 type Runner func(sc Scale, seed uint64) (Artifact, error)
 
-// Registry maps experiment IDs (fig2a … table1, plus ablations) to runners.
-func Registry() map[string]Runner {
+// Registry maps experiment IDs (fig2a … table1, plus ablations) to
+// runners. Every runner that trains asks runs for its runs, so a run two
+// artifacts share is trained once; a nil runs trains every run each time it
+// is asked for.
+func Registry(runs *Runs) map[string]Runner {
+	fig := func(f func(*Runs, Scale, uint64) *trace.Figure) Runner {
+		return func(sc Scale, seed uint64) (Artifact, error) { return figArtifact(f(runs, sc, seed)) }
+	}
+	table := func(f func(*Runs, Scale, uint64) *trace.Table) Runner {
+		return func(sc Scale, seed uint64) (Artifact, error) { return tableArtifact(f(runs, sc, seed), nil) }
+	}
 	return map[string]Runner{
 		"fig2a":           func(sc Scale, seed uint64) (Artifact, error) { return figArtifact(Fig2a()) },
-		"fig2b":           func(sc Scale, seed uint64) (Artifact, error) { return figArtifact(Fig2b(sc, seed)) },
+		"fig2b":           fig(Fig2b),
 		"fig5":            func(sc Scale, seed uint64) (Artifact, error) { return figArtifact(Fig5(sc, seed)) },
 		"fig6":            func(sc Scale, seed uint64) (Artifact, error) { return figArtifact(Fig6(sc, seed)) },
-		"fig7":            func(sc Scale, seed uint64) (Artifact, error) { return figArtifact(Fig7(sc, seed)) },
+		"fig7":            fig(Fig7),
 		"fig8":            func(sc Scale, seed uint64) (Artifact, error) { return figArtifact(Fig8()) },
-		"fig9":            func(sc Scale, seed uint64) (Artifact, error) { return figArtifact(Fig9(sc, seed)) },
-		"fig10":           func(sc Scale, seed uint64) (Artifact, error) { return figArtifact(Fig10(sc, seed)) },
-		"fig11":           func(sc Scale, seed uint64) (Artifact, error) { return figArtifact(Fig11(sc, seed)) },
-		"fig12":           func(sc Scale, seed uint64) (Artifact, error) { return figArtifact(Fig12(sc, seed)) },
-		"table1":          func(sc Scale, seed uint64) (Artifact, error) { return tableArtifact(Table1(sc, seed), nil) },
-		"abl-variance":    func(sc Scale, seed uint64) (Artifact, error) { return figArtifact(AblationVariance(sc, seed)) },
-		"abl-aggregation": func(sc Scale, seed uint64) (Artifact, error) { return figArtifact(AblationAggregation(sc, seed)) },
-		"abl-regroup":     func(sc Scale, seed uint64) (Artifact, error) { return figArtifact(AblationRegroup(sc, seed)) },
-		"abl-gamma":       func(sc Scale, seed uint64) (Artifact, error) { return figArtifact(AblationGamma(sc, seed)) },
+		"fig9":            fig(Fig9),
+		"fig10":           fig(Fig10),
+		"fig11":           fig(Fig11),
+		"fig12":           fig(Fig12),
+		"table1":          table(Table1),
+		"abl-variance":    fig(AblationVariance),
+		"abl-aggregation": fig(AblationAggregation),
+		"abl-regroup":     fig(AblationRegroup),
 		"theory":          func(sc Scale, seed uint64) (Artifact, error) { return figArtifact(TheoryFigure(sc, seed)) },
-		"dropout":         func(sc Scale, seed uint64) (Artifact, error) { return figArtifact(DropoutRobustness(sc, seed)) },
+		"dropout":         fig(DropoutRobustness),
 		"costbreak":       func(sc Scale, seed uint64) (Artifact, error) { return tableArtifact(CostBreakdown(sc, seed), nil) },
-		"fairness":        func(sc Scale, seed uint64) (Artifact, error) { return tableArtifact(FairnessTable(sc, seed), nil) },
+		"fairness":        table(FairnessTable),
 		"multimodel":      func(sc Scale, seed uint64) (Artifact, error) { return tableArtifact(MultiModelTable(sc, seed)) },
 		"async-vs-sync":   func(sc Scale, seed uint64) (Artifact, error) { return tableArtifact(AsyncVsSync(sc, seed), nil) },
 	}
@@ -47,7 +55,7 @@ func Registry() map[string]Runner {
 
 // IDs returns the registered experiment IDs in sorted order.
 func IDs() []string {
-	reg := Registry()
+	reg := Registry(nil)
 	out := make([]string, 0, len(reg))
 	for id := range reg {
 		out = append(out, id)

@@ -69,8 +69,10 @@ type Scale struct {
 	// MaxParallel bounds the training engine's fan-out (0 = one worker per CPU,
 	// 1 = serial reference path). Results are bit-identical at any value.
 	MaxParallel int
-	// Metrics, when non-nil, instruments every run at this scale; felbench
-	// wires one per experiment and dumps its JSON next to the CSV.
+	// Metrics, when non-nil, instruments every run trained at this scale. It
+	// is not part of a run's description: a run Runs hands out again is not
+	// retrained and emits nothing twice. felbench wires one registry per
+	// invocation and writes it once, as metrics.json beside the CSVs.
 	Metrics *metrics.Registry
 }
 

@@ -13,14 +13,8 @@ import (
 // client whose addition minimizes the group CoV is added until both the
 // MinGS and MaxCoV requirements hold (or no addition improves the CoV and
 // the size constraint is already met).
-//
-// GammaWeight optionally mixes the γ criterion of the paper's future-work
-// section into the score: score = CoV(labels) + GammaWeight·CoV(sample
-// counts), so groups are also balanced in per-client data volume. Zero
-// (the default) reproduces Alg. 2 exactly.
 type CoVGrouping struct {
 	Config
-	GammaWeight float64
 }
 
 // Name returns "CoVG".
@@ -30,9 +24,10 @@ func (CoVGrouping) Name() string { return "CoVG" }
 // a vector. A block of four candidates is classes+3 four-lane rows: the
 // histogram transposed (row y holds the four candidates' class-y counts),
 // then their totals Σ_y c_y, self-products Σ_y c_y² and sample counts n_i —
-// everything about a candidate the greedy loop reads, precomputed once per
-// Form call. Candidate ci is lane ci&3 of block ci>>2 and clients[ci] is its
-// client; the live pool is len(clients) long and the lanes past it are stale.
+// everything about a candidate the greedy loop and admit read, precomputed
+// once per Form call. Candidate ci is lane ci&3 of block ci>>2 and
+// clients[ci] is its client; the live pool is len(clients) long and the
+// lanes past it are stale.
 // One layout on every architecture: the scan streams sequential memory, the
 // amd64 filter loads a row as one vector, and after packing nothing in Form
 // dereferences a *data.Client (they are 100k scattered cache misses at
@@ -87,9 +82,8 @@ func (p *lanePool) remove(ci int) {
 }
 
 // covAccum carries the running sums that let one candidate addition be
-// scored in O(|Y|) flops with no histogram copies: for the group label
-// histogram it tracks Σ_y g_y and Σ_y g_y², and for the per-client sample
-// counts Σ n_i and Σ n_i². The post-addition sums follow algebraically —
+// scored in O(|Y|) flops with no histogram copies: Σ_y g_y and Σ_y g_y² over
+// the group label histogram. The post-addition sums follow algebraically —
 // Σ (g_y+c_y)² = Σ g_y² + 2·(g·c) + Σ c_y² — so only the dot product g·c
 // touches the histogram; everything else about the candidate is a
 // precomputed lane. This is what gets Alg. 2 over a million clients in
@@ -97,9 +91,7 @@ func (p *lanePool) remove(ci int) {
 // handful of scalar ops, where the naive form copies the histogram and
 // rescans it three times.
 type covAccum struct {
-	sum, sumSq   float64 // over the group's label histogram
-	nSum, nSumSq float64 // over the members' sample counts
-	size         float64
+	sum, sumSq float64
 }
 
 // admit moves candidate ci out of the pool into g, folding it into the
@@ -113,13 +105,9 @@ func (p *lanePool) admit(g *Group, ac *covAccum, ci int) {
 		cross = float64(g.Counts[y]*c) + cross
 		g.Counts[y] += c
 	}
-	n := blk[p.classes+2][l]
 	ac.sum += blk[p.classes][l]
 	ac.sumSq += float64(2*cross) + blk[p.classes+1][l]
-	ac.nSum += n
-	ac.nSumSq += float64(n * n)
-	ac.size++
-	g.samples += int(n)
+	g.samples += int(blk[p.classes+2][l])
 	g.Clients = append(g.Clients, p.clients[ci])
 	p.remove(ci)
 }
@@ -141,54 +129,10 @@ func covSquared(sum, sumSq float64, y int) float64 {
 	return v / (mu * mu)
 }
 
-// scoreCurrent evaluates the criterion for the group as it stands. With
-// GammaWeight zero (Alg. 2 exactly) the returned value is the *squared*
-// CoV — monotone in the CoV, so argmin candidates and threshold checks
-// against the squared bound are unchanged while every evaluation skips a
-// sqrt. With GammaWeight set the criterion mixes two CoVs additively and
-// squaring would not commute, so both terms take their sqrt.
-func (a CoVGrouping) scoreCurrent(ac covAccum, classes int) float64 {
-	s := covSquared(ac.sum, ac.sumSq, classes)
-	if a.GammaWeight <= 0 {
-		return s
-	}
-	return math.Sqrt(s) + float64(a.GammaWeight*covOfSums(ac.nSum, ac.nSumSq, ac.size))
-}
-
-// scoreWith evaluates the GammaWeight > 0 criterion with the candidate in
-// lane l of blk tentatively added to a group with label histogram gc.
-func (a CoVGrouping) scoreWith(ac covAccum, gc []float64, blk [][4]float64, l int) float64 {
-	classes := len(gc)
-	cross := 0.0
-	for y, g := range gc {
-		cross = float64(g*blk[y][l]) + cross
-	}
-	sum := ac.sum + blk[classes][l]
-	sumSq := ac.sumSq + float64(2*cross) + blk[classes+1][l]
-	n := blk[classes+2][l]
-	return math.Sqrt(covSquared(sum, sumSq, classes)) +
-		float64(a.GammaWeight*covOfSums(ac.nSum+n, ac.nSumSq+float64(n*n), ac.size+1))
-}
-
-// covOfSums is the CoV of a count list given its running sums, matching
-// stats.CoV semantics: an all-zero list has CoV 0 (nonnegative counts sum
-// to zero only when every count is zero).
-func covOfSums(sum, sumSq, n float64) float64 {
-	if sum <= 0 {
-		return 0
-	}
-	mu := sum / n
-	v := sumSq/n - float64(mu*mu)
-	if v < 0 {
-		v = 0
-	}
-	return math.Sqrt(v) / mu
-}
-
-// argminScan is Alg. 2 line 5 with GammaWeight zero: over the first n
-// candidates of a lanePool's rows it returns the index of the candidate
-// whose addition to a group with label histogram gc and running sums acSum,
-// acSumSq minimizes the CoV, with that candidate's post-addition sums. The
+// argminScan is Alg. 2 line 5: over the first n candidates of a lanePool's
+// rows it returns the index of the candidate whose addition to a group with
+// label histogram gc and running sums acSum, acSumSq minimizes the CoV, with
+// that candidate's post-addition sums. The
 // squared CoV is y·sumSq/sum² − 1, a monotone function of sumSq/sum², so the
 // argmin is found by cross-multiplied comparison — no division and no call
 // per candidate, just the dot product g·c against the rows. Ties keep the
@@ -280,10 +224,12 @@ func argminScan(rows [][4]float64, n int, gc []float64, acSum, acSumSq float64) 
 // argmin scan is a sequential stream (the pool is consumed by swap-delete,
 // which moves one lane per removal); at a million clients this memory
 // layout, not the flop count, is what keeps formation in seconds. The scan
-// itself — nearly all of a formation's time — is argminScan when
-// GammaWeight is zero: four candidates per pass, each summed and compared in
-// the order a one-at-a-time scan would, so which client is admitted does not
-// depend on how the scan is scheduled.
+// itself — nearly all of a formation's time — is argminScan: four
+// candidates per pass, each summed and compared in the order a
+// one-at-a-time scan would, so which client is admitted does not depend on
+// how the scan is scheduled. The criterion is compared squared — σ²/μ² is
+// monotone in the CoV, so the argmin and the MaxCoV check are unchanged
+// while no evaluation takes a sqrt.
 func (a CoVGrouping) Form(clients []*data.Client, classes, edge, firstID int, rng *stats.RNG) []*Group {
 	mustValidate(a)
 	pool := packPool(clients, classes)
@@ -293,11 +239,7 @@ func (a CoVGrouping) Form(clients []*data.Client, classes, edge, firstID int, rn
 	if maxCoV <= 0 {
 		maxCoV = math.Inf(1)
 	}
-	// The threshold the (possibly squared) score is compared against.
-	maxScore := maxCoV
-	if a.GammaWeight <= 0 {
-		maxScore = maxCoV * maxCoV
-	}
+	maxScore := maxCoV * maxCoV // the criterion is compared squared
 
 	for len(pool.clients) > 0 {
 		// Line 3: seed the new group with a random client.
@@ -310,22 +252,11 @@ func (a CoVGrouping) Form(clients []*data.Client, classes, edge, firstID int, rn
 		pool.admit(g, &ac, pick)
 
 		// Line 4: grow while the requirement is unmet and clients remain.
-		for (a.scoreCurrent(ac, classes) > maxScore || g.Size() < a.MinGS) && len(pool.clients) > 0 {
-			cur := a.scoreCurrent(ac, classes)
+		for (covSquared(ac.sum, ac.sumSq, classes) > maxScore || g.Size() < a.MinGS) && len(pool.clients) > 0 {
+			cur := covSquared(ac.sum, ac.sumSq, classes)
 			// Line 5: the candidate minimizing the post-addition criterion.
-			best, bestScore := -1, math.Inf(1)
-			if a.GammaWeight <= 0 {
-				var bestSum, bestSumSq float64
-				best, bestSum, bestSumSq = argminScan(pool.rows, len(pool.clients), g.Counts, ac.sum, ac.sumSq)
-				bestScore = covSquared(bestSum, bestSumSq, classes)
-			} else {
-				for ci := range pool.clients {
-					blk, l := pool.block(ci)
-					if s := a.scoreWith(ac, g.Counts, blk, l); s < bestScore {
-						best, bestScore = ci, s
-					}
-				}
-			}
+			best, bestSum, bestSumSq := argminScan(pool.rows, len(pool.clients), g.Counts, ac.sum, ac.sumSq)
+			bestScore := covSquared(bestSum, bestSumSq, classes)
 			// Line 6: accept if it improves the criterion or the group is
 			// still too small.
 			if bestScore < cur || g.Size() < a.MinGS {

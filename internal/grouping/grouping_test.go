@@ -173,26 +173,6 @@ func TestCoVGroupingLeftoverKeptWhenDisabled(t *testing.T) {
 	}
 }
 
-func TestCoVGroupingGammaWeight(t *testing.T) {
-	clients, classes := makeClients(t, 40, 0.5, 10)
-	plain := CoVGrouping{Config: Config{MinGS: 5, MergeLeftover: true}}
-	gamma := CoVGrouping{Config: Config{MinGS: 5, MergeLeftover: true}, GammaWeight: 1.0}
-	pg := plain.Form(clients, classes, 0, 0, stats.NewRNG(3))
-	gg := gamma.Form(clients, classes, 0, 0, stats.NewRNG(3))
-	checkPartition(t, clients, gg)
-	avgGamma := func(groups []*Group) float64 {
-		s := 0.0
-		for _, g := range groups {
-			s += g.Gamma()
-		}
-		return s / float64(len(groups))
-	}
-	// γ-aware formation should not produce *worse* sample-count balance.
-	if avgGamma(gg) > avgGamma(pg)*1.15 {
-		t.Fatalf("gamma-aware grouping γ=%.3f much worse than plain γ=%.3f", avgGamma(gg), avgGamma(pg))
-	}
-}
-
 func TestRandomGroupingSizes(t *testing.T) {
 	clients, classes := makeClients(t, 23, 0.5, 11)
 	alg := RandomGrouping{Config: Config{MinGS: 5}}

@@ -236,8 +236,6 @@ func TestCoVGroupingGroupsMatchNewGroup(t *testing.T) {
 	}
 	propCases(func(t *testing.T, seed uint64, clients []*data.Client, classes int, alg CoVGrouping) {
 		check(alg.Form(clients, classes, 0, 0, stats.NewRNG(seed+5000)), classes)
-		alg.GammaWeight = 0.5
-		check(alg.Form(clients, classes, 0, 0, stats.NewRNG(seed+5000)), classes)
 	})(t)
 	check(benchGrouping.Form(popRegroupEdge(1250), 10, 0, 0, stats.NewRNG(1)), 10)
 }
