@@ -24,7 +24,8 @@
 #                  two modelled-link examples print a simulated round time;
 #                  examples/fednet recovers a client reset by a faultnet rule;
 #                  examples/quickstart prints the same bytes twice
-#   8. metrics     the same job's live /metrics endpoint parses
+#   8. metrics     the same job's live /metrics endpoint parses, carries
+#                  fel_core_groups and fel_core_gamma_p, and no group label
 #   9. load        felserve under -race, then stage 6's kill-cloud verdict
 #  10. results     every deterministic results/medium CSV regenerated and diffed,
 #                  the golden and regenerated name sets equal both ways
@@ -230,14 +231,15 @@ smokepid=$!
 snapshot=""
 for _ in $(seq 1 120); do
   if snapshot="$(curl -sf http://127.0.0.1:19137/metrics 2>/dev/null)" \
-     && grep -q '^fel_wire_bytes_total' <<<"$snapshot"; then
+     && grep -q '^fel_wire_bytes_total' <<<"$snapshot" \
+     && grep -q '^fel_core_gamma_p ' <<<"$snapshot"; then
     break
   fi
   snapshot=""
   sleep 0.5
 done
 if [ -z "$snapshot" ]; then
-  echo "ci.sh: metrics endpoint never served fel_wire_bytes_total" >&2
+  echo "ci.sh: metrics endpoint never served fel_wire_bytes_total and fel_core_gamma_p" >&2
   cat "$nodedir/metrics.log" >&2 || true
   exit 1
 fi
@@ -246,7 +248,16 @@ if bad="$(grep -Ev '^#|^$|^fel_[a-z0-9_]+(\{[^}]*\})? -?[0-9][0-9eE+.-]*$' <<<"$
   echo "$bad" >&2
   exit 1
 fi
-echo "metrics smoke: $(grep -c '^fel_' <<<"$snapshot") samples parsed, fel_wire_bytes_total present"
+if ! grep -q '^fel_core_groups ' <<<"$snapshot"; then
+  echo "ci.sh: metrics snapshot lacks fel_core_groups" >&2
+  exit 1
+fi
+if perGroup="$(grep -F 'group="' <<<"$snapshot")"; then
+  echo "ci.sh: metrics snapshot has per-group series:" >&2
+  echo "$perGroup" >&2
+  exit 1
+fi
+echo "metrics smoke: $(grep -c '^fel_' <<<"$snapshot") samples parsed, fel_wire_bytes_total, fel_core_groups and fel_core_gamma_p present, no group label"
 stop_smoke
 
 echo "== felserve load smoke (loopback subscriber fan-in + leak check under -race)"

@@ -37,7 +37,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "groupfel:", err)
 		os.Exit(2)
 	}
-	if err := checkRanges(*alpha, *dropout); err != nil {
+	if err := checkRanges(*alpha, *dropout, *rounds, *budget); err != nil {
 		fmt.Fprintln(os.Stderr, "groupfel:", err)
 		os.Exit(2)
 	}
@@ -95,14 +95,21 @@ func main() {
 }
 
 // checkRanges rejects a flag value no run can start from, naming the valid
-// range: the partition draws Gamma(α) variates, and a dropout probability
-// of 1 or more leaves no update to aggregate.
-func checkRanges(alpha, dropout float64) error {
+// range: the partition draws Gamma(α) variates, a dropout probability of 1
+// or more leaves no update to aggregate, and a negative round count or cost
+// budget means nothing (0 keeps the scale's default).
+func checkRanges(alpha, dropout float64, rounds int, budget float64) error {
 	if !(alpha > 0) || math.IsInf(alpha, 1) {
 		return fmt.Errorf("-alpha must be positive and finite, got %g", alpha)
 	}
 	if !(dropout >= 0 && dropout < 1) {
 		return fmt.Errorf("-dropout must be in [0, 1), got %g", dropout)
+	}
+	if rounds < 0 {
+		return fmt.Errorf("-rounds must be non-negative (0 = scale default), got %d", rounds)
+	}
+	if !(budget >= 0) {
+		return fmt.Errorf("-budget must be non-negative (0 = scale default), got %g", budget)
 	}
 	return nil
 }

@@ -2,7 +2,7 @@ package core
 
 import (
 	"math"
-	"strconv"
+	"slices"
 	"strings"
 	"testing"
 
@@ -31,8 +31,8 @@ func TestTrainMetricsSnapshotDeterministic(t *testing.T) {
 	}
 	for _, want := range []string{
 		"fel_core_rounds_total 4",
-		"fel_core_group_selected_total",
-		"fel_core_group_prob",
+		"fel_core_groups ",
+		"fel_core_gamma_p ",
 		"fel_core_local_train_seconds_count",
 		"fel_core_global_aggregate_seconds_count 4",
 		"fel_core_formation_seconds_count 1", // no RegroupEvery: NewTrainer's formation only
@@ -62,12 +62,15 @@ func TestTrainWithoutMetricsUnchanged(t *testing.T) {
 }
 
 // TestSamplingFrequencyAudit reproduces the Sec. 6.1 sampling check from
-// metrics alone: with SRCoV and S=1 each round draws exactly one group from
-// the categorical distribution p, so over a long seeded run the selection
-// counters must track the configured probabilities. The run is
+// the Result alone: with SRCoV and S=1 each round draws exactly one group
+// from the categorical distribution p, so over a long seeded run the
+// selection counts must track the configured probabilities. Without a
+// regroup the formation is fixed, and every member of a selected group is
+// counted in Participation whether or not it drops out, so a group's
+// selection count is its first member's participation. The run is
 // deterministic, so the 5% relative-error bound is exact, not flaky; the
-// same audit on a live felnode snapshot is walked through in
-// EXPERIMENTS.md.
+// same audit on a networked job reads fednode's Report.Participation
+// (EXPERIMENTS.md).
 func TestSamplingFrequencyAudit(t *testing.T) {
 	const rounds = 3000
 	sys := testSystem(12, 0.5, 1)
@@ -77,26 +80,20 @@ func TestSamplingFrequencyAudit(t *testing.T) {
 	cfg.Sampling = sampling.SRCoV
 	cfg.Seed = 11
 	cfg.EvalEvery = rounds + 1
-	reg := metrics.New()
-	cfg.Metrics = reg
 	res := Train(sys, cfg)
 
 	if len(res.Groups) < 2 {
 		t.Fatalf("only %d groups formed; the audit needs a real distribution", len(res.Groups))
 	}
-	var total int64
-	for i := range res.Groups {
-		total += reg.CounterValue("fel_core_group_selected_total", metrics.L("group", strconv.Itoa(res.Groups[i].ID)))
+	total := 0
+	for _, g := range res.Groups {
+		total += res.Participation[g.Clients[0].ID]
 	}
 	if total != rounds {
-		t.Fatalf("selection counters total %d, want %d (S=1 over %d rounds)", total, rounds, rounds)
+		t.Fatalf("selection counts total %d, want %d (S=1 over %d rounds)", total, rounds, rounds)
 	}
 	for i, g := range res.Groups {
-		gl := metrics.L("group", strconv.Itoa(g.ID))
-		if p := reg.GaugeValue("fel_core_group_prob", gl); p != res.Probs[i] {
-			t.Fatalf("group %d prob gauge %v, result says %v", g.ID, p, res.Probs[i])
-		}
-		emp := float64(reg.CounterValue("fel_core_group_selected_total", gl)) / rounds
+		emp := float64(res.Participation[g.Clients[0].ID]) / rounds
 		rel := math.Abs(emp-res.Probs[i]) / res.Probs[i]
 		if rel > 0.05 {
 			t.Fatalf("group %d empirical frequency %.4f vs p_g %.4f: relative error %.3f > 5%%",
@@ -105,70 +102,58 @@ func TestSamplingFrequencyAudit(t *testing.T) {
 	}
 }
 
-// TestRegroupClearsVanishedGroupGauges: a regroup that forms fewer groups
-// leaves no stale per-group gauge behind. Every fel_core_group_{prob,cov,size}
-// series either describes a group of the formation in force or reads as an
-// empty group (probability 0, CoV +Inf, size 0), so the exported
-// probabilities sum to 1 as the sampling-frequency audit assumes, and the
-// registry still renders as JSON (bench's traced runs read it that way).
-func TestRegroupClearsVanishedGroupGauges(t *testing.T) {
-	cfg := testConfig()
-	cfg.Sampling = sampling.RCoV
-	cfg.Grouping = grouping.CoVGrouping{Config: grouping.Config{MinGS: 3, MaxCoV: 0.3, MergeLeftover: true}}
-	cfg.RegroupEvery = 1
-	reg := metrics.New()
-	cfg.Metrics = reg
-	tr := NewTrainer(testSystem(200, 0.5, 2), cfg)
-	for tr.Round() <= 7 {
-		tr.Step()
-	}
-
-	live := map[string]*grouping.Group{}
-	for _, g := range tr.Groups() {
-		live[strconv.Itoa(g.ID)] = g
-	}
-	series := map[string]map[string]float64{} // family -> group label -> value
-	for _, line := range strings.Split(reg.Snapshot(), "\n") {
-		name, rest, ok := strings.Cut(line, `{group="`)
-		if !ok || !strings.HasPrefix(name, "fel_core_group_") || name == "fel_core_group_selected_total" {
-			continue
+// TestMetricSeriesDoNotGrowWithGroups: no core series is per group or per
+// client. Two populations on the same two edges, 60 and 600 clients
+// regrouped every round, publish the same 11 series (27 exposition lines
+// besides histogram buckets), none labelled by group. The two formation
+// gauges describe the formation in force after a regroup that formed fewer
+// groups than the one before: fel_core_groups its count, fel_core_gamma_p
+// sampling.GammaP of its p_g bit for bit. The registry still renders as
+// JSON, where a Γ_p of +Inf (a p_g that underflowed) is written as a string.
+func TestMetricSeriesDoNotGrowWithGroups(t *testing.T) {
+	keys := func(clients int) []string {
+		cfg := testConfig()
+		cfg.Sampling = sampling.RCoV
+		cfg.Grouping = grouping.CoVGrouping{Config: grouping.Config{MinGS: 3, MaxCoV: 0.3, MergeLeftover: true}}
+		cfg.RegroupEvery = 1
+		reg := metrics.New()
+		cfg.Metrics = reg
+		tr := NewTrainer(testSystem(clients, 0.5, 2), cfg)
+		shrank := false
+		for prev := len(tr.Groups()); !tr.Done() && !shrank; {
+			tr.Step()
+			shrank = len(tr.Groups()) < prev
+			prev = len(tr.Groups())
 		}
-		id, val, _ := strings.Cut(rest, `"} `)
-		v, err := strconv.ParseFloat(val, 64)
-		if err != nil {
-			t.Fatalf("%s: %v", line, err)
+		if !shrank {
+			t.Fatalf("%d clients: no regroup formed fewer groups than the one before; the test checks nothing", clients)
 		}
-		if series[name] == nil {
-			series[name] = map[string]float64{}
+		if got, want := reg.GaugeValue("fel_core_groups"), float64(len(tr.Groups())); got != want {
+			t.Errorf("%d clients: fel_core_groups %v, the live formation has %v groups", clients, got, want)
 		}
-		series[name][id] = v
-	}
-	sizes := series["fel_core_group_size"]
-	vanished := 0
-	for id := range sizes {
-		if live[id] == nil {
-			vanished++
+		got, want := reg.GaugeValue("fel_core_gamma_p"), sampling.GammaP(tr.plan.Probs())
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%d clients: fel_core_gamma_p %v, GammaP of the live p_g is %v", clients, got, want)
 		}
-	}
-	if vanished == 0 {
-		t.Fatalf("no regroup formed fewer groups than an earlier one (%d series, %d live groups); the test checks nothing", len(sizes), len(live))
-	}
-	sum := 0.0
-	for id, p := range series["fel_core_group_prob"] {
-		sum += p
-		cov, size := series["fel_core_group_cov"][id], sizes[id]
-		if g := live[id]; g != nil {
-			if cov != g.CoV() || size != float64(g.Size()) {
-				t.Errorf("group %s gauges cov %v size %v, the live group has %v and %d", id, cov, size, g.CoV(), g.Size())
+		if _, err := reg.JSON(); err != nil {
+			t.Errorf("%d clients: the registry does not render as JSON: %v", clients, err)
+		}
+		var keys []string
+		for _, line := range strings.Split(metrics.MaskTimings(reg.Snapshot()), "\n") {
+			if key, _, ok := strings.Cut(line, " "); ok && line[0] != '#' {
+				keys = append(keys, key)
 			}
-		} else if p != 0 || !math.IsInf(cov, 1) || size != 0 {
-			t.Errorf("group %s is not in the formation in force but reads prob %v cov %v size %v, want 0 +Inf 0", id, p, cov, size)
 		}
+		return keys
 	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("fel_core_group_prob sums to %.6f over %d series, want 1", sum, len(series["fel_core_group_prob"]))
+	small, large := keys(60), keys(600)
+	if len(small) != 11 || !slices.Equal(small, large) {
+		t.Fatalf("series keys depend on the population: %d at 60 clients, %d at 600, want the same 11\n%q\n%q",
+			len(small), len(large), small, large)
 	}
-	if _, err := reg.JSON(); err != nil {
-		t.Errorf("the registry of a run with a vanished group does not render as JSON: %v", err)
+	for _, key := range small {
+		if strings.Contains(key, `group="`) {
+			t.Errorf("series %s is labelled by group", key)
+		}
 	}
 }

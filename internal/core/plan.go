@@ -3,9 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 	"slices"
-	"strconv"
 
 	"repro/internal/grouping"
 	"repro/internal/metrics"
@@ -16,8 +14,8 @@ import (
 // Plan is the control plane of Alg. 1: everything between "here is a System
 // and a seed" and "here is next round's global vector" that does not train a
 // client. It forms the groups (and re-forms them on the RegroupEvery
-// schedule), derives p_g, draws S_t, publishes the fel_core_group_* audit
-// series, and folds the returned group models with Eq. 4 / Eq. 35 weights
+// schedule), derives p_g, draws S_t, publishes the formation's group count
+// and Γ_p, and folds the returned group models with Eq. 4 / Eq. 35 weights
 // computed against the formation's p_g, the very vector the draw used — the
 // coupling the estimator's soundness rests on (Fraboni et al., PAPERS.md).
 // Trainer.Step is the one caller of Next and Fold, whatever Executor trains
@@ -45,7 +43,6 @@ type Plan struct {
 	probs    []float64
 	selected []int
 
-	selCtrs      []*metrics.Counter
 	roundsCtr    *metrics.Counter
 	totalSamples int
 }
@@ -99,33 +96,15 @@ func (p *Plan) form(tag uint64) {
 	p.publish()
 }
 
-// publish derives p_g for the live formation and exports one probability,
-// CoV and size gauge per group, so the gauges always describe the formation
-// in force. The sampling-frequency audit (EXPERIMENTS.md) compares
-// fel_core_group_selected_total empirical frequencies against these
-// fel_core_group_prob values. The selection counter handle of every group is
-// cached, so Next increments counters instead of paying a strconv render
-// plus registry lookup per selection.
+// publish derives p_g for the live formation and sets the two gauges that
+// describe it: fel_core_groups, the group count, and fel_core_gamma_p, the
+// sampling spread Γ_p = Σ 1/p_g of Theorem 1 (Eq. 12). Neither grows with
+// the number of groups; a group's selection count is its members' entry in
+// Result.Participation.
 func (p *Plan) publish() {
-	reg := p.cfg.Metrics
 	p.probs = sampling.Probabilities(p.groups, p.cfg.Sampling)
-	p.selCtrs = make([]*metrics.Counter, len(p.groups))
-	if reg == nil {
-		// Nothing to export: every handle is the one discard counter, and a
-		// label render plus a CoV per group is pure waste at 20k groups.
-		discard := reg.Counter("fel_core_group_selected_total")
-		for i := range p.selCtrs {
-			p.selCtrs[i] = discard
-		}
-		return
-	}
-	for i, g := range p.groups {
-		gl := metrics.L("group", strconv.Itoa(g.ID))
-		reg.Gauge("fel_core_group_prob", gl).Set(p.probs[i])
-		reg.Gauge("fel_core_group_cov", gl).Set(g.CoV())
-		reg.Gauge("fel_core_group_size", gl).Set(float64(g.Size()))
-		p.selCtrs[i] = reg.Counter("fel_core_group_selected_total", gl)
-	}
+	p.cfg.Metrics.Gauge("fel_core_groups").Set(float64(len(p.groups)))
+	p.cfg.Metrics.Gauge("fel_core_gamma_p").Set(sampling.GammaP(p.probs))
 }
 
 // regroup re-forms the groups when round t is on the RegroupEvery schedule
@@ -133,40 +112,13 @@ func (p *Plan) publish() {
 // different formation.
 //
 // The superseded formation is let go before FormAll allocates its
-// replacement, so a run never holds two formations at once; only the IDs of
-// its published gauges outlive it, for clearGauges.
+// replacement, so a run never holds two formations at once.
 func (p *Plan) regroup(t int) {
 	if !p.regroupDue(t) {
 		return
 	}
-	var gauged []int
-	if p.cfg.Metrics != nil {
-		gauged = make([]int, len(p.groups))
-		for i, g := range p.groups {
-			gauged[i] = g.ID
-		}
-	}
-	p.groups, p.probs, p.selCtrs = nil, nil, nil
+	p.groups, p.probs = nil, nil
 	p.form(uint64(100 + t))
-	p.clearGauges(gauged)
-}
-
-// clearGauges sets the gauges of every ID in gauged that the live formation
-// lacks to an empty group's reading: probability 0, size 0 and CoV +Inf (what
-// stats.CoVOfCounts returns for an empty histogram). FormAll numbers a
-// formation densely from 0, so an ID is absent exactly when it is at least
-// the live group count.
-func (p *Plan) clearGauges(gauged []int) {
-	reg := p.cfg.Metrics
-	for _, id := range gauged {
-		if id < len(p.groups) {
-			continue
-		}
-		gl := metrics.L("group", strconv.Itoa(id))
-		reg.Gauge("fel_core_group_prob", gl).Set(0)
-		reg.Gauge("fel_core_group_cov", gl).Set(math.Inf(1))
-		reg.Gauge("fel_core_group_size", gl).Set(0)
-	}
 }
 
 // regroupDue reports whether round t is on the RegroupEvery schedule.
@@ -192,9 +144,6 @@ func (p *Plan) Next(t int) []int {
 		p.selected = p.sampler.Sample(p.sampleRng, p.probs, min(p.cfg.SampleGroups, len(p.groups)))
 	}
 	p.roundsCtr.Inc()
-	for _, gi := range p.selected {
-		p.selCtrs[gi].Inc()
-	}
 	return p.selected
 }
 

@@ -72,9 +72,9 @@ type Config struct {
 	// barrier's ticks on the same clock and draws (Result.LogicalTicks).
 	Async async.Config
 	// Metrics, when non-nil, receives the run's observability stream:
-	// phase spans (local train, group/global aggregation, eval), per-group
-	// selection counters for auditing the sampling distribution against
-	// fel_core_group_prob, and round/dropout totals. All registry methods
+	// phase spans (local train, group/global aggregation, eval), the live
+	// formation's group count and Γ_p, and round/dropout totals — a fixed
+	// set of series, whatever the number of groups. All registry methods
 	// are nil-safe, so leaving this unset costs nothing.
 	Metrics *metrics.Registry
 }

@@ -156,6 +156,7 @@ func (c *Cloud) Run(ln net.Listener) (*Report, error) {
 
 	res := tr.Finish()
 	rep.FinalAccuracy, rep.FinalLoss, rep.Params = res.FinalAccuracy, res.FinalLoss, res.Params
+	rep.Participation = res.Participation
 	rep.WallClock = clock.Real.Now().Sub(start)
 	cfg.Meter.fill(rep)
 	return rep, nil

@@ -2,6 +2,7 @@ package fednode
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"runtime"
 	"strings"
@@ -14,12 +15,9 @@ import (
 )
 
 // controlPlaneLines keeps the snapshot lines the Alg. 1 control plane
-// publishes: formation (size, CoV), p_g, and the per-round selections.
+// publishes: the formation's group count and Γ_p, and the round count.
 func controlPlaneLines(snapshot string) string {
-	families := []string{
-		"fel_core_group_prob{", "fel_core_group_cov{", "fel_core_group_size{",
-		"fel_core_group_selected_total{", "fel_core_rounds_total ",
-	}
+	families := []string{"fel_core_groups ", "fel_core_gamma_p ", "fel_core_rounds_total "}
 	var b strings.Builder
 	for _, line := range strings.Split(snapshot, "\n") {
 		for _, f := range families {
@@ -33,10 +31,11 @@ func controlPlaneLines(snapshot string) string {
 }
 
 // TestControlPlaneConformance is the executor table: it holds the networked
-// executor to the in-process one. On the same System and seed, every
-// fel_core_group_{prob,cov,size,selected_total} and fel_core_rounds_total
-// line the two publish must be byte-equal — same formation, same p_g, same
-// S_t every round.
+// executor to the in-process one. On the same System and seed, the
+// fel_core_groups, fel_core_gamma_p and fel_core_rounds_total lines the two
+// publish must be byte-equal and Report.Participation must equal
+// Result.Participation — same formation, same p_g, the same groups selected
+// as often.
 func TestControlPlaneConformance(t *testing.T) {
 	schemes := []struct {
 		m sampling.Method
@@ -55,21 +54,25 @@ func TestControlPlaneConformance(t *testing.T) {
 				jcfg.Seed, jcfg.Sampling, jcfg.Weights = seed, sc.m, sc.w
 
 				tcfg := jcfg.TrainConfig(metrics.New())
-				core.Train(sys, tcfg)
-				want := controlPlaneLines(metrics.MaskTimings(tcfg.Metrics.Snapshot()))
+				res := core.Train(sys, tcfg)
+				want := controlPlaneLines(tcfg.Metrics.Snapshot())
 
 				reg := metrics.New()
 				jcfg.Meter = NewMeter(reg)
-				if _, err := RunJob(NewMemNetwork(), sys, jcfg, ""); err != nil {
+				rep, err := RunJob(NewMemNetwork(), sys, jcfg, "")
+				if err != nil {
 					t.Fatalf("RunJob: %v", err)
 				}
-				got := controlPlaneLines(metrics.MaskTimings(reg.Snapshot()))
+				got := controlPlaneLines(reg.Snapshot())
 
-				if !strings.Contains(want, "fel_core_group_selected_total") || !strings.Contains(want, "fel_core_rounds_total 4") {
+				if strings.Count(want, "\n") != 3 || !strings.Contains(want, "fel_core_rounds_total 4") {
 					t.Fatalf("trainer published no control-plane series:\n%s", want)
 				}
 				if got != want {
 					t.Fatalf("control-plane series differ\n--- core.Train ---\n%s--- fednode.RunJob ---\n%s", want, got)
+				}
+				if len(res.Participation) == 0 || !maps.Equal(rep.Participation, res.Participation) {
+					t.Fatalf("participation differs\ncore.Train:     %v\nfednode.RunJob: %v", res.Participation, rep.Participation)
 				}
 			})
 		}

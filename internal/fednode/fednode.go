@@ -187,6 +187,9 @@ type Report struct {
 	Dropouts, Recoveries int
 	// Casualties lists, by client id, the clients that failed for good.
 	Casualties []Casualty
+	// Participation is the cloud Trainer's Result.Participation: client id
+	// to the global rounds the client's group was selected in.
+	Participation map[int]int
 	// WallClock is the measured (not modeled) job duration.
 	WallClock time.Duration
 	// WireWritten / WireRead are transport-level byte counts over every

@@ -2,6 +2,7 @@ package fednode
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"net"
 	"slices"
@@ -88,6 +89,9 @@ func TestLoopbackMatchesTrain(t *testing.T) {
 	}
 	if d := math.Abs(rep.FinalAccuracy - res.FinalAccuracy); d > 0.02 {
 		t.Fatalf("accuracy gap %v: networked %.4f vs in-process %.4f", d, rep.FinalAccuracy, res.FinalAccuracy)
+	}
+	if !maps.Equal(rep.Participation, res.Participation) {
+		t.Fatalf("networked participation %v, in-process %v", rep.Participation, res.Participation)
 	}
 }
 

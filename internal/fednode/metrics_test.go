@@ -201,7 +201,7 @@ func TestJobSnapshotDeterministic(t *testing.T) {
 	if a != b {
 		t.Fatalf("masked snapshots differ between identical seeded runs:\n--- a ---\n%s\n--- b ---\n%s", a, b)
 	}
-	for _, want := range []string{"fel_wire_bytes_total", "fel_net_written_bytes_total", "fel_fednode_round_seconds_count", "fel_fednode_secagg_seconds_count", "fel_secagg_mask_streams_total", "fel_core_group_selected_total", "fel_core_group_prob"} {
+	for _, want := range []string{"fel_wire_bytes_total", "fel_net_written_bytes_total", "fel_fednode_round_seconds_count", "fel_fednode_secagg_seconds_count", "fel_secagg_mask_streams_total", "fel_core_groups ", "fel_core_gamma_p "} {
 		if !strings.Contains(a, want) {
 			t.Fatalf("snapshot is missing %s:\n%s", want, a)
 		}

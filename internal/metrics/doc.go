@@ -22,7 +22,11 @@
 //
 // Every instrument is addressed by a name plus an optional label set:
 //
-//	reg.Counter("fel_core_group_selected_total", metrics.L("group", "3")).Inc()
+//	reg.Counter("fel_wire_frames_total", metrics.L("type", "GlobalModel")).Inc()
+//
+// A label's values come from a fixed vocabulary — a message type, a role,
+// an edge — never a group or client ID, so no family's series count grows
+// with the population.
 //
 // Names follow the repo-wide schema fel_<layer>_<name>{label=...} (layers:
 // core, net, wire, fednode, secagg); the registry panics on names outside

@@ -83,8 +83,8 @@ type histogramJSON struct {
 // top-level sections (counters, gauges, histograms) keyed by the same
 // name{labels} series identifiers as Snapshot. encoding/json sorts map
 // keys, so the document is deterministic given deterministic values. JSON
-// has no number for a gauge that is not finite (an empty group's CoV reads
-// +Inf), so such a gauge is written as its exposition-format string: "+Inf",
+// has no number for a gauge that is not finite (fel_core_gamma_p reads +Inf
+// when a p_g underflows to 0), so such a gauge is written as its exposition-format string: "+Inf",
 // "-Inf" or "NaN". cmd/felbench writes this next to each experiment's CSV
 // artifact.
 func (r *Registry) JSON() ([]byte, error) {
