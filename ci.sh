@@ -20,8 +20,9 @@
 #   6. chaos       felnode -chaos <name> twice for each of the six named
 #                  scenarios and kill-cloud, outputs byte-identical
 #                  (simulated time: seconds for all six)
-#   7. felnode     a loopback TCP job, cross-checked against core.Train; the
-#                  two modelled-link examples print a simulated round time;
+#   7. felnode     a loopback TCP job, cross-checked against core.Train;
+#                  -clients 0 exits 2 with one line; the two modelled-link
+#                  examples print a simulated round time;
 #                  examples/fednet recovers a client reset by a faultnet rule;
 #                  examples/quickstart prints the same bytes twice
 #   8. metrics     the same job's live /metrics endpoint parses, carries
@@ -154,8 +155,8 @@ echo "== go test ./..."
 go test ./...
 
 # internal/tensor is not listed: it starts no goroutine and shares no state.
-echo "== go test -race (cpu, core, async, wire, fednode, faultnet, metrics, felserve, grouping, data, leakcheck, multimodel, cmd/felnode)"
-go test -race ./internal/cpu ./internal/core ./internal/async ./internal/wire ./internal/fednode ./internal/faultnet/... ./internal/metrics ./internal/felserve ./internal/grouping ./internal/data ./internal/leakcheck ./internal/multimodel ./cmd/felnode
+echo "== go test -race (cpu, core, async, wire, fednode, faultnet, metrics, felserve, grouping, data, leakcheck, cmd/felnode)"
+go test -race ./internal/cpu ./internal/core ./internal/async ./internal/wire ./internal/fednode ./internal/faultnet/... ./internal/metrics ./internal/felserve ./internal/grouping ./internal/data ./internal/leakcheck ./cmd/felnode
 
 echo "== go test -fuzz smoke (18s total across targets)"
 go test ./internal/wire -run '^$' -fuzz FuzzDecodeFrame -fuzztime 1s
@@ -193,8 +194,17 @@ for sc in $scenarios; do
 done
 echo "chaos smoke: $(echo $scenarios | wc -w) named scenarios ($(echo $scenarios)) replayed byte-identically"
 
-echo "== felnode loopback smoke (TCP on 127.0.0.1) + modelled-link examples + fednet reset recovery + quick start"
+echo "== felnode loopback smoke (TCP on 127.0.0.1) + empty federation + modelled-link examples + fednet reset recovery + quick start"
 timeout 120 "$nodedir/felnode" -role loopback -clients 12 -edges 2 -rounds 2
+# An empty federation is a usage error: exit 2 and one line, no panic dump.
+empty=0
+timeout 30 "$nodedir/felnode" -role loopback -clients 0 2> "$nodedir/empty.txt" || empty=$?
+if [ "$empty" -ne 2 ] || [ "$(wc -l < "$nodedir/empty.txt")" -ne 1 ] || grep -q goroutine "$nodedir/empty.txt"; then
+  cat "$nodedir/empty.txt" >&2
+  echo "ci.sh: felnode -clients 0 exited $empty; want 2 with one stderr line and no stack trace" >&2
+  exit 1
+fi
+echo "empty federation: $(cat "$nodedir/empty.txt")"
 # Each runs fednode rounds on faultnet's simulated clock and prints the
 # round's modelled duration in simulated seconds.
 for ex in distributed secureagg; do

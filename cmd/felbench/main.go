@@ -91,11 +91,7 @@ func main() {
 	sc.Metrics = mreg
 	for _, id := range ids {
 		fmt.Printf("=== %s (scale=%s seed=%d) ===\n", id, sc.Name, *seed)
-		a, err := reg[id](sc, *seed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "felbench:", err)
-			os.Exit(1)
-		}
+		a := reg[id](sc, *seed)
 		fmt.Println(a.Pretty)
 		if *out != "" {
 			path := filepath.Join(*out, id+".csv")

@@ -118,6 +118,10 @@ func main() {
 		return
 	}
 
+	if err := checkRanges(*clients, *edges); err != nil {
+		fmt.Fprintln(os.Stderr, "felnode:", err)
+		os.Exit(2)
+	}
 	// Every process derives the same synthetic federation from the shared
 	// flags, so cloud, edges, and clients agree on data, partition, and model
 	// without exchanging any of it.
@@ -173,6 +177,18 @@ func main() {
 		}
 		msrv.close()
 	}
+}
+
+// checkRanges rejects a federation no role can build, naming the flag;
+// -serve checks the same in felserve.JobSpec.Validate.
+func checkRanges(clients, edges int) error {
+	if clients <= 0 {
+		return fmt.Errorf("-clients must be positive, got %d", clients)
+	}
+	if edges <= 0 {
+		return fmt.Errorf("-edges must be positive, got %d", edges)
+	}
+	return nil
 }
 
 // runChaos executes one chaos scenario — named or loaded from a plan file —

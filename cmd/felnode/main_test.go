@@ -13,6 +13,33 @@ import (
 
 func TestMain(m *testing.M) { leakcheck.Main(m) }
 
+// TestCheckRanges: main exits 2 with this message, before any System is
+// built, for a federation no role can build; each used to panic in the
+// partition or the edge assignment, with a goroutine dump.
+func TestCheckRanges(t *testing.T) {
+	for _, c := range []struct {
+		clients, edges int
+		want           string
+	}{
+		{24, 2, ""},
+		{1, 1, ""},
+		{1, 2, ""},
+		{0, 2, "-clients must be positive, got 0"},
+		{-3, 2, "-clients must be positive, got -3"},
+		{24, 0, "-edges must be positive, got 0"},
+		{24, -1, "-edges must be positive, got -1"},
+		{0, 0, "-clients must be positive, got 0"},
+	} {
+		got := ""
+		if err := checkRanges(c.clients, c.edges); err != nil {
+			got = err.Error()
+		}
+		if got != c.want {
+			t.Errorf("checkRanges(%d, %d) = %q, want %q", c.clients, c.edges, got, c.want)
+		}
+	}
+}
+
 // TestMetricsEndpoint serves a registry on an ephemeral port, reads /metrics
 // over a connection the client does not keep alive, and closes the endpoint.
 // The snapshot must carry the registry's counter, and TestMain's leak check

@@ -421,9 +421,9 @@ func TestConcurrentRunsOnOneSystem(t *testing.T) {
 // System for the call that uses it and gives it back before the call
 // returns, so no run strands storage or holds a set of its own. Both cases
 // run under the production cap on Workers, cpu.Procs(). (a) A MaxParallel 2
-// Trainer stepped twice and dropped without Finish, as multimodel's executor
-// always is and a killed serving job is, leaves its workers and evaluator
-// behind: a Train that follows builds one model, its global init. It runs at
+// Trainer stepped twice and dropped without Finish, as a killed serving job
+// is, leaves its workers and evaluator behind: a Train that follows builds
+// one model, its global init. It runs at
 // GOMAXPROCS 1, where the cap is one Worker, so what the dropped run built
 // does not hinge on whether two of its clients ever trained at once. (b)
 // Three concurrent MaxParallel 2 runs at GOMAXPROCS 2 build at most

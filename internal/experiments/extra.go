@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/grouping"
-	"repro/internal/multimodel"
 	"repro/internal/sampling"
 	"repro/internal/stats"
 	"repro/internal/theory"
@@ -125,40 +124,4 @@ func FairnessTable(runs *Runs, sc Scale, seed uint64) *trace.Table {
 		)
 	}
 	return t
-}
-
-// MultiModelTable compares group-to-model schedulers in the multi-model
-// HFL scenario the paper cites as reference [23] (Wei et al.): several
-// models share the edge fleet and each group serves one model per round.
-func MultiModelTable(sc Scale, seed uint64) (*trace.Table, error) {
-	t := &trace.Table{
-		ID:     "multimodel",
-		Title:  "Multi-model HFL: scheduler comparison (2 models)",
-		Header: []string{"scheduler", "mean accuracy", "model accuracies", "assignments"},
-	}
-	for _, sched := range []multimodel.Scheduler{multimodel.Random, multimodel.RoundRobin, multimodel.NeedyFirst} {
-		sys := sc.NewSystem(CIFAR, 0.2, seed)
-		base := sc.BaseConfig(CIFAR, seed)
-		base.Grouping = covg(sc.MinGS, 0)
-		base.Sampling = sampling.ESRCoV
-		res, err := multimodel.Train(sys, multimodel.Config{
-			Models: 2, GroupsPerModel: sc.SampleGroups / 2,
-			Scheduler: sched, Train: base,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", sched, err)
-		}
-		accs := ""
-		asg := ""
-		for m, st := range res.Models {
-			if m > 0 {
-				accs += " / "
-				asg += " / "
-			}
-			accs += fmt.Sprintf("%.2f%%", st.Accuracy*100)
-			asg += fmt.Sprintf("%d", res.Assignments[m])
-		}
-		t.AddRow(sched.String(), fmt.Sprintf("%.2f%%", res.MeanAccuracy*100), accs, asg)
-	}
-	return t, nil
 }

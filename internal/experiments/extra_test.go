@@ -138,27 +138,6 @@ func TestConvModelScalePath(t *testing.T) {
 	}
 }
 
-func TestMultiModelTableShape(t *testing.T) {
-	sc := Small()
-	sc.GlobalRounds = 6
-	tb, err := MultiModelTable(sc, testSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tb.Rows) != 3 {
-		t.Fatalf("want 3 schedulers, got %d", len(tb.Rows))
-	}
-	for _, row := range tb.Rows {
-		var pct float64
-		if _, err := fmt.Sscanf(row[1], "%f%%", &pct); err != nil {
-			t.Fatal(err)
-		}
-		if pct <= 15 { // chance = 10 classes → 10%
-			t.Errorf("%s mean accuracy %s too low", row[0], row[1])
-		}
-	}
-}
-
 // TestAsyncVsSyncGates pins the async-vs-sync table at the CI scale: the
 // structural gates (α=0 full-buffer ≡ sync bit for bit, both async modes
 // strictly fewer logical ticks, best async accuracy ≥ sync) and the exact

@@ -16,7 +16,7 @@ type Artifact struct {
 }
 
 // Runner regenerates one paper artifact at the given scale and seed.
-type Runner func(sc Scale, seed uint64) (Artifact, error)
+type Runner func(sc Scale, seed uint64) Artifact
 
 // Registry maps experiment IDs (fig2a … table1, plus ablations) to
 // runners. Every runner that trains asks runs for its runs, so a run two
@@ -24,18 +24,18 @@ type Runner func(sc Scale, seed uint64) (Artifact, error)
 // is asked for.
 func Registry(runs *Runs) map[string]Runner {
 	fig := func(f func(*Runs, Scale, uint64) *trace.Figure) Runner {
-		return func(sc Scale, seed uint64) (Artifact, error) { return figArtifact(f(runs, sc, seed)) }
+		return func(sc Scale, seed uint64) Artifact { return figArtifact(f(runs, sc, seed)) }
 	}
 	table := func(f func(*Runs, Scale, uint64) *trace.Table) Runner {
-		return func(sc Scale, seed uint64) (Artifact, error) { return tableArtifact(f(runs, sc, seed), nil) }
+		return func(sc Scale, seed uint64) Artifact { return tableArtifact(f(runs, sc, seed)) }
 	}
 	return map[string]Runner{
-		"fig2a":           func(sc Scale, seed uint64) (Artifact, error) { return figArtifact(Fig2a()) },
+		"fig2a":           func(sc Scale, seed uint64) Artifact { return figArtifact(Fig2a()) },
 		"fig2b":           fig(Fig2b),
-		"fig5":            func(sc Scale, seed uint64) (Artifact, error) { return figArtifact(Fig5(sc, seed)) },
-		"fig6":            func(sc Scale, seed uint64) (Artifact, error) { return figArtifact(Fig6(sc, seed)) },
+		"fig5":            func(sc Scale, seed uint64) Artifact { return figArtifact(Fig5(sc, seed)) },
+		"fig6":            func(sc Scale, seed uint64) Artifact { return figArtifact(Fig6(sc, seed)) },
 		"fig7":            fig(Fig7),
-		"fig8":            func(sc Scale, seed uint64) (Artifact, error) { return figArtifact(Fig8()) },
+		"fig8":            func(sc Scale, seed uint64) Artifact { return figArtifact(Fig8()) },
 		"fig9":            fig(Fig9),
 		"fig10":           fig(Fig10),
 		"fig11":           fig(Fig11),
@@ -44,12 +44,11 @@ func Registry(runs *Runs) map[string]Runner {
 		"abl-variance":    fig(AblationVariance),
 		"abl-aggregation": fig(AblationAggregation),
 		"abl-regroup":     fig(AblationRegroup),
-		"theory":          func(sc Scale, seed uint64) (Artifact, error) { return figArtifact(TheoryFigure(sc, seed)) },
+		"theory":          func(sc Scale, seed uint64) Artifact { return figArtifact(TheoryFigure(sc, seed)) },
 		"dropout":         fig(DropoutRobustness),
-		"costbreak":       func(sc Scale, seed uint64) (Artifact, error) { return tableArtifact(CostBreakdown(sc, seed), nil) },
+		"costbreak":       func(sc Scale, seed uint64) Artifact { return tableArtifact(CostBreakdown(sc, seed)) },
 		"fairness":        table(FairnessTable),
-		"multimodel":      func(sc Scale, seed uint64) (Artifact, error) { return tableArtifact(MultiModelTable(sc, seed)) },
-		"async-vs-sync":   func(sc Scale, seed uint64) (Artifact, error) { return tableArtifact(AsyncVsSync(sc, seed), nil) },
+		"async-vs-sync":   func(sc Scale, seed uint64) Artifact { return tableArtifact(AsyncVsSync(sc, seed)) },
 	}
 }
 
@@ -83,14 +82,10 @@ type csvSummarizer interface {
 	Sparklines() string
 }
 
-func figArtifact(f csvSummarizer) (Artifact, error) {
-	return Artifact{CSV: f.CSV(), Pretty: f.Summary() + "\n" + f.Sparklines()}, nil
+func figArtifact(f csvSummarizer) Artifact {
+	return Artifact{CSV: f.CSV(), Pretty: f.Summary() + "\n" + f.Sparklines()}
 }
 
-// tableArtifact renders t, or passes on the error of the run that built it.
-func tableArtifact(t *trace.Table, err error) (Artifact, error) {
-	if err != nil {
-		return Artifact{}, err
-	}
-	return Artifact{CSV: t.CSV(), Pretty: t.Markdown()}, nil
+func tableArtifact(t *trace.Table) Artifact {
+	return Artifact{CSV: t.CSV(), Pretty: t.Markdown()}
 }

@@ -109,33 +109,22 @@ func Probabilities(groups []*grouping.Group, m Method) []float64 {
 	panic(fmt.Sprintf("sampling: unknown method %d", int(m)))
 }
 
-// Sample draws s distinct group indices without replacement, each draw
-// proportional to the remaining probability mass. When the groups with
-// positive probability run out before s are drawn, the rest are filled
-// uniformly from the unchosen zero-probability groups, which are never drawn
-// otherwise. It panics only when s ≤ 0 or s > len(p).
-//
-// Each call allocates O(len(p)) scratch; round loops that sample every
-// global round should hold a Sampler instead, whose scratch persists across
-// calls.
-func Sample(rng *stats.RNG, p []float64, s int) []int {
-	var sp Sampler
-	return sp.Sample(rng, p, s)
-}
-
-// Sampler is the reusable-scratch form of Sample. The zero value is ready
-// to use; after the first call, subsequent calls over populations of the
-// same size allocate nothing, which keeps a training round's memory
-// independent of the group count (a million-client population can carry
-// hundreds of thousands of groups). Not safe for concurrent use.
+// Sampler draws groups for a round. The zero value is ready to use; after
+// the first call, subsequent calls over populations of the same size
+// allocate nothing, which keeps a training round's memory independent of the
+// group count (a million-client population can carry hundreds of thousands
+// of groups). Not safe for concurrent use.
 type Sampler struct {
 	w   []float64
 	out []int
 }
 
-// Sample is identical to the package-level Sample — same draw sequence from
-// rng, same result — but the returned slice aliases the Sampler's scratch
-// and is only valid until the next call.
+// Sample draws s distinct group indices without replacement, each draw
+// proportional to the remaining probability mass. When the groups with
+// positive probability run out before s are drawn, the rest are filled
+// uniformly from the unchosen zero-probability groups, which are never drawn
+// otherwise. It panics only when s ≤ 0 or s > len(p). The returned slice
+// aliases the Sampler's scratch and is only valid until the next call.
 func (sp *Sampler) Sample(rng *stats.RNG, p []float64, s int) []int {
 	if s <= 0 {
 		panic("sampling: sample size must be positive")

@@ -104,7 +104,7 @@ func TestSampleDistinctAndComplete(t *testing.T) {
 	err := quick.Check(func(seed uint64) bool {
 		rng := stats.NewRNG(seed)
 		p := []float64{0.4, 0.3, 0.2, 0.05, 0.05}
-		got := Sample(rng, p, 3)
+		got := new(Sampler).Sample(rng, p, 3)
 		if len(got) != 3 {
 			return false
 		}
@@ -125,7 +125,7 @@ func TestSampleDistinctAndComplete(t *testing.T) {
 func TestSampleAllReturnsEverything(t *testing.T) {
 	rng := stats.NewRNG(1)
 	p := []float64{0.25, 0.25, 0.25, 0.25}
-	got := Sample(rng, p, 4)
+	got := new(Sampler).Sample(rng, p, 4)
 	seen := make([]bool, 4)
 	for _, i := range got {
 		seen[i] = true
@@ -140,10 +140,11 @@ func TestSampleAllReturnsEverything(t *testing.T) {
 func TestSampleRespectsWeights(t *testing.T) {
 	rng := stats.NewRNG(2)
 	p := []float64{0.9, 0.05, 0.03, 0.02}
+	var sp Sampler // one Sampler across draws, as a Plan holds one across rounds
 	first := 0
 	const n = 5000
 	for i := 0; i < n; i++ {
-		got := Sample(rng, p, 1)
+		got := sp.Sample(rng, p, 1)
 		if got[0] == 0 {
 			first++
 		}
@@ -156,7 +157,7 @@ func TestSampleRespectsWeights(t *testing.T) {
 func TestSampleZeroMassFill(t *testing.T) {
 	rng := stats.NewRNG(3)
 	p := []float64{1, 0, 0}
-	got := Sample(rng, p, 3)
+	got := new(Sampler).Sample(rng, p, 3)
 	if len(got) != 3 {
 		t.Fatalf("got %v", got)
 	}
@@ -165,8 +166,8 @@ func TestSampleZeroMassFill(t *testing.T) {
 func TestSamplePanics(t *testing.T) {
 	rng := stats.NewRNG(1)
 	for _, fn := range []func(){
-		func() { Sample(rng, []float64{1}, 0) },
-		func() { Sample(rng, []float64{1}, 2) },
+		func() { new(Sampler).Sample(rng, []float64{1}, 0) },
+		func() { new(Sampler).Sample(rng, []float64{1}, 2) },
 	} {
 		func() {
 			defer func() {
@@ -218,9 +219,10 @@ func TestUnbiasedWeightsExpectation(t *testing.T) {
 	}
 	rng := stats.NewRNG(11)
 	const rounds = 200000
+	var sp Sampler
 	acc := 0.0
 	for r := 0; r < rounds; r++ {
-		sel := Sample(rng, p, 1) // without-replacement bias vanishes at S=1
+		sel := sp.Sample(rng, p, 1) // without-replacement bias vanishes at S=1
 		w := Weights(groups, sel, p, n, Unbiased)
 		for i, gi := range sel {
 			acc += w[i] * float64(gi)
