@@ -104,6 +104,10 @@ func main() {
 		return
 	}
 
+	if err := checkRanges(*clients, *edges, *rounds, *krounds, *epochs, *sample); err != nil {
+		fmt.Fprintln(os.Stderr, "felnode:", err)
+		os.Exit(2)
+	}
 	if *serve {
 		tmpl := felserve.JobSpec{
 			Clients: *clients, Edges: *edges,
@@ -118,10 +122,6 @@ func main() {
 		return
 	}
 
-	if err := checkRanges(*clients, *edges); err != nil {
-		fmt.Fprintln(os.Stderr, "felnode:", err)
-		os.Exit(2)
-	}
 	// Every process derives the same synthetic federation from the shared
 	// flags, so cloud, edges, and clients agree on data, partition, and model
 	// without exchanging any of it.
@@ -179,14 +179,16 @@ func main() {
 	}
 }
 
-// checkRanges rejects a federation no role can build, naming the flag;
-// -serve checks the same in felserve.JobSpec.Validate.
-func checkRanges(clients, edges int) error {
-	if clients <= 0 {
-		return fmt.Errorf("-clients must be positive, got %d", clients)
-	}
-	if edges <= 0 {
-		return fmt.Errorf("-edges must be positive, got %d", edges)
+// checkRanges rejects a federation or a job no role and no -serve job can
+// run, naming the first flag out of range.
+func checkRanges(clients, edges, rounds, krounds, epochs, sample int) error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"clients", clients}, {"edges", edges}, {"rounds", rounds}, {"krounds", krounds}, {"epochs", epochs}, {"sample", sample}} {
+		if f.v <= 0 {
+			return fmt.Errorf("-%s must be positive, got %d", f.name, f.v)
+		}
 	}
 	return nil
 }

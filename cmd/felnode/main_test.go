@@ -14,28 +14,36 @@ import (
 func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 // TestCheckRanges: main exits 2 with this message, before any System is
-// built, for a federation no role can build; each used to panic in the
-// partition or the edge assignment, with a goroutine dump.
+// built and before -serve starts, for a federation or a job no role can run;
+// bad -clients or -edges used to panic in the partition or the edge
+// assignment, and the other four exited 1 with a runtime message from fednode.
 func TestCheckRanges(t *testing.T) {
 	for _, c := range []struct {
-		clients, edges int
-		want           string
+		clients, edges, rounds, krounds, epochs, sample int
+		want                                            string
 	}{
-		{24, 2, ""},
-		{1, 1, ""},
-		{1, 2, ""},
-		{0, 2, "-clients must be positive, got 0"},
-		{-3, 2, "-clients must be positive, got -3"},
-		{24, 0, "-edges must be positive, got 0"},
-		{24, -1, "-edges must be positive, got -1"},
-		{0, 0, "-clients must be positive, got 0"},
+		{24, 2, 3, 2, 1, 2, ""},
+		{1, 1, 1, 1, 1, 1, ""},
+		{1, 2, 3, 2, 1, 2, ""},
+		{0, 2, 3, 2, 1, 2, "-clients must be positive, got 0"},
+		{-3, 2, 3, 2, 1, 2, "-clients must be positive, got -3"},
+		{24, 0, 3, 2, 1, 2, "-edges must be positive, got 0"},
+		{24, -1, 3, 2, 1, 2, "-edges must be positive, got -1"},
+		{0, 0, 3, 2, 1, 2, "-clients must be positive, got 0"},
+		{24, 2, -1, 2, 1, 2, "-rounds must be positive, got -1"},
+		{24, 2, 0, 2, 1, 2, "-rounds must be positive, got 0"},
+		{24, 2, 3, 0, 1, 2, "-krounds must be positive, got 0"},
+		{24, 2, 3, 2, -1, 2, "-epochs must be positive, got -1"},
+		{24, 2, 3, 2, 1, 0, "-sample must be positive, got 0"},
+		{24, 2, 3, 0, 0, 0, "-krounds must be positive, got 0"},
 	} {
 		got := ""
-		if err := checkRanges(c.clients, c.edges); err != nil {
+		if err := checkRanges(c.clients, c.edges, c.rounds, c.krounds, c.epochs, c.sample); err != nil {
 			got = err.Error()
 		}
 		if got != c.want {
-			t.Errorf("checkRanges(%d, %d) = %q, want %q", c.clients, c.edges, got, c.want)
+			t.Errorf("checkRanges(%d, %d, %d, %d, %d, %d) = %q, want %q",
+				c.clients, c.edges, c.rounds, c.krounds, c.epochs, c.sample, got, c.want)
 		}
 	}
 }

@@ -40,45 +40,52 @@ func mustRank2(op string, dst, a, b *Tensor) {
 // every shape, because no other kernel exists for a large or dense problem
 // to be routed to. TestRowKernelsMatchReference pins it, skip rule included.
 
-// stage is the capacity of accumRows' staging area, a power of two: 512 bytes
-// of stack, and the paper-sized rows (k <= 32) compress in one chunk.
+// stage is the capacity of the Go loop's staging area, a power of two: 512
+// bytes of stack, and the paper-sized rows (k <= 32) compress in one chunk.
 const stage = 32
 
 // accumRows is the one GEMM kernel, behind MatMul and MatMulAT (and so
 // MatMulBT). It computes rows [lo, hi) of dst, where row i is the sum over p
 // of a[i·rs + p·cs] · (row p of b), so (rs, cs) = (k, 1) reads a as m×k and
-// (1, m) reads it as k×m, transposed. Each row is two passes. The compress
-// pass walks p ascending and writes every (a entry, offset of b's row p) to
-// the next staging slot, zero or not, advancing the slot count by v != 0 as
-// an integer: no branch tests the loaded value, which on a post-ReLU operand
-// is a coin flip no predictor wins. The update pass is count-driven and
-// applies every staged entry to the output row, in staging order, before the
-// next chunk is compressed; a row longer than the staging is taken in chunks
-// of up to stage non-zero entries, so the per-element order of additions is
-// the plain p loop's at every k.
+// (1, m) reads it as k×m, transposed.
 //
-// The update has two homes and one meaning. On amd64 with AVX (hasAVX, read
-// from CPUID at init; nothing a caller can set) it is rowUpdate, assembly
-// that holds 32 columns (then 16, then a masked tail) in registers across
-// all the staged terms with one VMULPD and one VADDPD per term per four
-// columns; everywhere else it is
-// the Go loop below, four terms per pass over the row. Each lane performs
-// exactly the IEEE multiply and the IEEE add the Go loop performs, in the
-// same term order for every output element, so the two agree in every bit
-// (DESIGN.md §8); the Go loop is the oracle, and TestRowKernelsMatchReference
-// runs both.
+// On amd64 with AVX (hasAVX, read from CPUID at init; nothing a caller can
+// set) a row is one rowUpdate call: assembly that reads the left row in
+// place and applies all k terms, zero or not, to 32 columns (then 16, then a
+// masked tail) held in registers from +0. By the argument above an applied
+// ±0 term changes no bit unless its right entry is Inf or NaN, and then the
+// output element is NaN; rowUpdate reports any non-finite element it wrote,
+// and that row alone is computed again by the Go loop below.
+//
+// The Go loop is every other build's path and the oracle. Each row is two
+// passes. The compress pass walks p ascending and writes every (a entry,
+// offset of b's row p) to the next staging slot, zero or not, advancing the
+// slot count by v != 0 as an integer: no branch tests the loaded value, which
+// on a post-ReLU operand is a coin flip no predictor wins. The update pass
+// applies every staged entry to the output row, four terms per pass, before
+// the next chunk of up to stage non-zero entries is compressed, so the
+// per-element order of additions is the plain p loop's at every k. Both
+// paths perform the same IEEE multiplies and adds in the same order on every
+// element they keep, so they agree in every bit (DESIGN.md §8), and
+// TestRowKernelsMatchReference runs both.
 func accumRows(dst, a, b []float64, lo, hi, k, n, rs, cs int) {
 	if n == 0 {
 		return // no column to write, and rowUpdate is handed &drow[0]
 	}
-	// rowUpdate reads b[off+j] unchecked: every row p < k must be in range.
+	// rowUpdate reads a and b unchecked: every term of every row must be in range.
 	if len(b) < k*n {
 		panic(fmt.Sprintf("tensor: right operand holds %d elements, want %d×%d", len(b), k, n))
+	}
+	if need := (hi-1)*rs + (k-1)*cs + 1; hi > lo && k > 0 && len(a) < need {
+		panic(fmt.Sprintf("tensor: left operand holds %d elements, want %d", len(a), need))
 	}
 	var av [stage]float64
 	var off [stage]int
 	for i := lo; i < hi; i++ {
 		drow := dst[i*n : (i+1)*n]
+		if hasAVX && k > 0 && !rowUpdate(&drow[0], n, &b[0], &a[i*rs], cs, k) {
+			continue // every element finite: the skip below would change no bit
+		}
 		clear(drow)
 		cnt, ai, bo := 0, i*rs, 0
 		for p := 0; p < k; {
@@ -98,11 +105,6 @@ func accumRows(dst, a, b []float64, lo, hi, k, n, rs, cs int) {
 			}
 			if cnt < stage && p < k {
 				continue // free slots left and entries to fill them: keep compressing
-			}
-			if hasAVX {
-				rowUpdate(&drow[0], n, &b[0], &av[0], &off[0], cnt)
-				cnt = 0
-				continue
 			}
 			q := 0
 			for ; q+4 <= cnt; q += 4 {

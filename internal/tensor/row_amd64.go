@@ -7,9 +7,10 @@ import "repro/internal/cpu"
 var hasAVX = cpu.HasAVX
 
 // rowUpdate is accumRows' row update over n contiguous columns of d
-// (row_amd64.s): it adds av[e]·b[off[e]+j] to d[j] for each of the cnt
-// staged terms in turn. Callers must have checked hasAVX and that every
-// b[off[e] : off[e]+n] is in range; the routine checks nothing.
+// (row_amd64.s): it writes d[j] = Σ a[p·cs]·b[p·n+j] over all k terms, from
+// +0 in ascending p, and reports whether any element it wrote is not finite.
+// Callers must have checked hasAVX and that every a[p·cs] and b[p·n+j] is in
+// range; the routine checks nothing.
 //
 //go:noescape
-func rowUpdate(d *float64, n int, b *float64, av *float64, off *int, cnt int)
+func rowUpdate(d *float64, n int, b *float64, a *float64, cs int, k int) bool

@@ -21,46 +21,53 @@ DATA rowmask<>+112(SB)/8, $-1
 DATA rowmask<>+120(SB)/8, $-1
 GLOBL rowmask<>(SB), RODATA|NOPTR, $256
 
-// func rowUpdate(d *float64, n int, b *float64, av *float64, off *int, cnt int)
+// FLAG ORs r−r into Y10: +0 in a lane where r is finite, NaN where it is not.
+#define FLAG(r) VSUBPD r, r, r; VORPD r, Y10, Y10
+
+// func rowUpdate(d *float64, n int, b *float64, a *float64, cs int, k int) bool
 //
-// d[j] = (…((d[j] + av[0]·b[off[0]+j]) + av[1]·b[off[1]+j]) + …) + av[cnt-1]·b[off[cnt-1]+j]
-// for j in [0, n): blocks of 32 columns in eight YMM accumulators, loaded
-// and stored once while every staged term is applied to them (eight
-// independent add chains: four would leave a wide row waiting on the add's
-// latency), then at most one block of 16 in four, then the last 1–15
-// columns in four through VMASKMOVPD lane masks, so a 10-wide row is one
-// pass over the terms. Every lane is one IEEE multiply (av first) and one
-// IEEE add per term, in ascending-term order, with d as the add's first
-// source like the Go loop's ADDSD — never a fused multiply-add, which rounds
-// once where the contract rounds twice (ci.sh stage 1 greps the assembler's
-// listing for it). A masked-off lane is neither read nor written.
-TEXT ·rowUpdate(SB), NOSPLIT, $0-48
-	MOVQ d+0(FP), DI
-	MOVQ n+8(FP), CX
-	MOVQ b+16(FP), SI
-	MOVQ av+24(FP), R8
-	MOVQ off+32(FP), R9
-	MOVQ cnt+40(FP), R10
-	TESTQ R10, R10
-	JLE   done
-	SUBQ  $32, CX
-	JLT   half
+// d[j] = (…((+0 + a[0]·b[j]) + a[cs]·b[n+j]) + …) + a[(k-1)·cs]·b[(k-1)·n+j]
+// for j in [0, n), zero terms included; d is written, never read. Blocks of
+// 32 columns in eight YMM accumulators from +0, stored once after all k terms
+// (eight independent add chains: four would leave a wide row waiting on the
+// add's latency), then at most one block of 16 in four, then the last 1–15
+// columns in four through VMASKMOVPD lane masks. Every lane is one IEEE
+// multiply (a first) and one IEEE add per term, in ascending p — never a
+// fused multiply-add, which rounds once where the contract rounds twice
+// (ci.sh stage 1 greps the assembler's listing for it). A masked-off lane is
+// neither read nor written. The result is true when a stored element is not
+// finite (FLAG, then VPTEST); a masked-off lane sums a·(+0), non-finite only
+// when some a is, and then so is every stored lane, so it needs no mask.
+TEXT ·rowUpdate(SB), NOSPLIT, $0-49
+	MOVQ   d+0(FP), DI
+	MOVQ   n+8(FP), CX
+	MOVQ   b+16(FP), SI
+	MOVQ   a+24(FP), R8
+	MOVQ   cs+32(FP), R11
+	MOVQ   k+40(FP), R10
+	SHLQ   $3, R11
+	LEAQ   0(CX*8), R12
+	VXORPD Y10, Y10, Y10
+	SUBQ   $32, CX
+	JLT    half
 
 wide:
-	VMOVUPD 0(DI), Y0
-	VMOVUPD 32(DI), Y1
-	VMOVUPD 64(DI), Y2
-	VMOVUPD 96(DI), Y3
-	VMOVUPD 128(DI), Y4
-	VMOVUPD 160(DI), Y5
-	VMOVUPD 192(DI), Y6
-	VMOVUPD 224(DI), Y7
-	XORQ    BX, BX
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	MOVQ   R8, AX
+	MOVQ   SI, DX
+	MOVQ   R10, BX
+	TESTQ  BX, BX
+	JLE    widestore
 
 wideterm:
-	VBROADCASTSD (R8)(BX*8), Y8
-	MOVQ         (R9)(BX*8), DX
-	LEAQ         (SI)(DX*8), DX
+	VBROADCASTSD (AX), Y8
 	VMULPD       0(DX), Y8, Y9
 	VADDPD       Y9, Y0, Y0
 	VMULPD       32(DX), Y8, Y9
@@ -77,10 +84,12 @@ wideterm:
 	VADDPD       Y9, Y6, Y6
 	VMULPD       224(DX), Y8, Y9
 	VADDPD       Y9, Y7, Y7
-	INCQ         BX
-	CMPQ         BX, R10
-	JLT          wideterm
+	ADDQ         R11, AX
+	ADDQ         R12, DX
+	DECQ         BX
+	JNZ          wideterm
 
+widestore:
 	VMOVUPD Y0, 0(DI)
 	VMOVUPD Y1, 32(DI)
 	VMOVUPD Y2, 64(DI)
@@ -89,24 +98,34 @@ wideterm:
 	VMOVUPD Y5, 160(DI)
 	VMOVUPD Y6, 192(DI)
 	VMOVUPD Y7, 224(DI)
+	FLAG(Y0)
+	FLAG(Y1)
+	FLAG(Y2)
+	FLAG(Y3)
+	FLAG(Y4)
+	FLAG(Y5)
+	FLAG(Y6)
+	FLAG(Y7)
 	ADDQ    $256, DI
 	ADDQ    $256, SI
 	SUBQ    $32, CX
 	JGE     wide
 
 half:
-	ADDQ    $16, CX
-	JLT     tail
-	VMOVUPD 0(DI), Y0
-	VMOVUPD 32(DI), Y1
-	VMOVUPD 64(DI), Y2
-	VMOVUPD 96(DI), Y3
-	XORQ    BX, BX
+	ADDQ   $16, CX
+	JLT    tail
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ   R8, AX
+	MOVQ   SI, DX
+	MOVQ   R10, BX
+	TESTQ  BX, BX
+	JLE    halfstore
 
 halfterm:
-	VBROADCASTSD (R8)(BX*8), Y4
-	MOVQ         (R9)(BX*8), DX
-	LEAQ         (SI)(DX*8), DX
+	VBROADCASTSD (AX), Y4
 	VMULPD       0(DX), Y4, Y5
 	VADDPD       Y5, Y0, Y0
 	VMULPD       32(DX), Y4, Y6
@@ -115,38 +134,46 @@ halfterm:
 	VADDPD       Y7, Y2, Y2
 	VMULPD       96(DX), Y4, Y8
 	VADDPD       Y8, Y3, Y3
-	INCQ         BX
-	CMPQ         BX, R10
-	JLT          halfterm
+	ADDQ         R11, AX
+	ADDQ         R12, DX
+	DECQ         BX
+	JNZ          halfterm
 
+halfstore:
 	VMOVUPD Y0, 0(DI)
 	VMOVUPD Y1, 32(DI)
 	VMOVUPD Y2, 64(DI)
 	VMOVUPD Y3, 96(DI)
+	FLAG(Y0)
+	FLAG(Y1)
+	FLAG(Y2)
+	FLAG(Y3)
 	ADDQ    $128, DI
 	ADDQ    $128, SI
 	SUBQ    $16, CX
 
 tail:
-	ADDQ $16, CX
-	JZ   done
-	LEAQ rowmask<>+128(SB), AX
-	SHLQ $3, CX
-	SUBQ CX, AX
-	VMOVUPD    0(AX), Y12
-	VMOVUPD    32(AX), Y13
-	VMOVUPD    64(AX), Y14
-	VMOVUPD    96(AX), Y15
-	VMASKMOVPD 0(DI), Y12, Y0
-	VMASKMOVPD 32(DI), Y13, Y1
-	VMASKMOVPD 64(DI), Y14, Y2
-	VMASKMOVPD 96(DI), Y15, Y3
-	XORQ       BX, BX
+	ADDQ       $16, CX
+	JZ         done
+	LEAQ       rowmask<>+128(SB), R9
+	SHLQ       $3, CX
+	SUBQ       CX, R9
+	VMOVUPD    0(R9), Y12
+	VMOVUPD    32(R9), Y13
+	VMOVUPD    64(R9), Y14
+	VMOVUPD    96(R9), Y15
+	VXORPD     Y0, Y0, Y0
+	VXORPD     Y1, Y1, Y1
+	VXORPD     Y2, Y2, Y2
+	VXORPD     Y3, Y3, Y3
+	MOVQ       R8, AX
+	MOVQ       SI, DX
+	MOVQ       R10, BX
+	TESTQ      BX, BX
+	JLE        tailstore
 
 tailterm:
-	VBROADCASTSD (R8)(BX*8), Y4
-	MOVQ         (R9)(BX*8), DX
-	LEAQ         (SI)(DX*8), DX
+	VBROADCASTSD (AX), Y4
 	VMASKMOVPD   0(DX), Y12, Y5
 	VMULPD       Y5, Y4, Y5
 	VADDPD       Y5, Y0, Y0
@@ -159,15 +186,23 @@ tailterm:
 	VMASKMOVPD   96(DX), Y15, Y8
 	VMULPD       Y8, Y4, Y8
 	VADDPD       Y8, Y3, Y3
-	INCQ         BX
-	CMPQ         BX, R10
-	JLT          tailterm
+	ADDQ         R11, AX
+	ADDQ         R12, DX
+	DECQ         BX
+	JNZ          tailterm
 
+tailstore:
 	VMASKMOVPD Y0, Y12, 0(DI)
 	VMASKMOVPD Y1, Y13, 32(DI)
 	VMASKMOVPD Y2, Y14, 64(DI)
 	VMASKMOVPD Y3, Y15, 96(DI)
+	FLAG(Y0)
+	FLAG(Y1)
+	FLAG(Y2)
+	FLAG(Y3)
 
 done:
+	VPTEST     Y10, Y10
+	SETNE      ret+48(FP)
 	VZEROUPPER
 	RET

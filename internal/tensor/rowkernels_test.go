@@ -61,15 +61,15 @@ func sameResult(got, want []float64) int {
 }
 
 // operandFill plants one pattern in fresh random operands: a is the left one,
-// aCols wide as stored, and pOf maps an index into a to the reduction index p
-// the kernel under test reads that entry at.
-type operandFill func(rng *stats.RNG, a, b []float64, aCols int, pOf func(int) int)
+// aCols wide as stored, and pOf and bpOf map an index into a and into b to
+// the reduction index p the kernel under test reads that entry at.
+type operandFill func(rng *stats.RNG, a, b []float64, aCols int, pOf, bpOf func(int) int)
 
 // dropP zeroes the left entries whose reduction index satisfies drop: every
 // output row then meets the same run of zeros and non-zeros along p, placed
 // against accumRows' staging boundary.
 func dropP(drop func(p int) bool) operandFill {
-	return func(_ *stats.RNG, a, _ []float64, _ int, pOf func(int) int) {
+	return func(_ *stats.RNG, a, _ []float64, _ int, pOf, _ func(int) int) {
 		for i := range a {
 			if drop(pOf(i)) {
 				a[i] = 0
@@ -83,17 +83,17 @@ var rowKernelOperands = []struct {
 	name string
 	fill operandFill
 }{
-	{"dense", func(*stats.RNG, []float64, []float64, int, func(int) int) {}},
-	{"half_zero", func(rng *stats.RNG, a, _ []float64, _ int, _ func(int) int) { sparsify(rng, a, 0.5) }},
-	{"mostly_zero", func(rng *stats.RNG, a, _ []float64, _ int, _ func(int) int) { sparsify(rng, a, 0.95) }},
-	{"zero_row", func(_ *stats.RNG, a, _ []float64, aCols int, _ func(int) int) {
+	{"dense", func(*stats.RNG, []float64, []float64, int, func(int) int, func(int) int) {}},
+	{"half_zero", func(rng *stats.RNG, a, _ []float64, _ int, _, _ func(int) int) { sparsify(rng, a, 0.5) }},
+	{"mostly_zero", func(rng *stats.RNG, a, _ []float64, _ int, _, _ func(int) int) { sparsify(rng, a, 0.95) }},
+	{"zero_row", func(_ *stats.RNG, a, _ []float64, aCols int, _, _ func(int) int) {
 		// One stored row of a (an output row for MatMul/BT, one p for AT).
 		if len(a) > 0 {
 			clear(a[len(a)/aCols/2*aCols:][:aCols])
 		}
 	}},
-	{"all_zero", func(_ *stats.RNG, a, _ []float64, _ int, _ func(int) int) { clear(a) }},
-	{"neg_zero", func(rng *stats.RNG, a, b []float64, _ int, _ func(int) int) {
+	{"all_zero", func(_ *stats.RNG, a, _ []float64, _ int, _, _ func(int) int) { clear(a) }},
+	{"neg_zero", func(rng *stats.RNG, a, b []float64, _ int, _, _ func(int) int) {
 		negZero := math.Copysign(0, -1)
 		for i := range a {
 			if rng.Float64() < 0.3 {
@@ -106,7 +106,7 @@ var rowKernelOperands = []struct {
 			}
 		}
 	}},
-	{"cancel_to_zero", func(_ *stats.RNG, a, b []float64, _ int, _ func(int) int) {
+	{"cancel_to_zero", func(_ *stats.RNG, a, b []float64, _ int, _, _ func(int) int) {
 		// Partial sums that hit exactly +0 mid-reduction, then meet −0 terms.
 		for i := range a {
 			a[i] = float64(1 - 2*(i%2))
@@ -115,7 +115,7 @@ var rowKernelOperands = []struct {
 			b[i] = float64(i%3) - 1
 		}
 	}},
-	{"inf_nan_right", func(rng *stats.RNG, a, b []float64, _ int, _ func(int) int) {
+	{"inf_nan_right", func(rng *stats.RNG, a, b []float64, _ int, _, _ func(int) int) {
 		// Zeros in a against Inf/NaN in b: the skipped 0·Inf must stay
 		// skipped, the unskipped ones must poison the sum.
 		sparsify(rng, a, 0.5)
@@ -130,7 +130,7 @@ var rowKernelOperands = []struct {
 			}
 		}
 	}},
-	{"inf_nan_left", func(rng *stats.RNG, a, _ []float64, _ int, _ func(int) int) {
+	{"inf_nan_left", func(rng *stats.RNG, a, _ []float64, _ int, _, _ func(int) int) {
 		sparsify(rng, a, 0.4)
 		for i := range a {
 			switch r := rng.Float64(); {
@@ -138,6 +138,32 @@ var rowKernelOperands = []struct {
 				a[i] = math.Inf(1)
 			case r < 0.10:
 				a[i] = math.NaN()
+			}
+		}
+	}},
+	{"overflow", func(rng *stats.RNG, a, b []float64, _ int, _, _ func(int) int) {
+		// Finite operands whose products overflow to ±Inf (and whose sums of
+		// ±Inf go NaN), beside zeros in a that meet only finite b.
+		sparsify(rng, a, 0.3)
+		for _, x := range [][]float64{a, b} {
+			for i := range x {
+				if rng.Float64() < 0.1 {
+					x[i] *= 1e160
+				}
+			}
+		}
+	}},
+	{"inf_nan_meets_zeros", func(rng *stats.RNG, a, b []float64, _ int, pOf, bpOf func(int) int) {
+		// Inf and NaN right entries on every third p, where every left entry
+		// is zero: the vector path's 0·Inf flags the row, the skip keeps it finite.
+		for i := range a {
+			if pOf(i)%3 == 1 {
+				a[i] = 0
+			}
+		}
+		for i := range b {
+			if bpOf(i)%3 == 1 && rng.Float64() < 0.3 {
+				b[i] = []float64{math.Inf(1), math.Inf(-1), math.NaN()}[rng.IntN(3)]
 			}
 		}
 	}},
@@ -243,7 +269,11 @@ func checkRowKernels(t *testing.T, wants map[string][]float64) {
 				if kern.aT {
 					pOf = func(i int) int { return i / sh.m }
 				}
-				op.fill(rng, a.Data, b.Data, a.Shape[1], pOf)
+				bpOf := func(i int) int { return i / sh.n }
+				if kern.bT {
+					bpOf = func(i int) int { return i % sh.k }
+				}
+				op.fill(rng, a.Data, b.Data, a.Shape[1], pOf, bpOf)
 				want, ok := wants[name]
 				if !ok {
 					want = refGEMM(a.Data, b.Data, sh.m, sh.k, sh.n, kern.aT, kern.bT)
