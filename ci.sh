@@ -24,7 +24,9 @@
 #                  -clients 0 exits 2 with one line; the two modelled-link
 #                  examples print a simulated round time;
 #                  examples/fednet recovers a client reset by a faultnet rule;
-#                  examples/quickstart prints the same bytes twice
+#                  examples/quickstart prints the same bytes twice; covgroup
+#                  prints the same bytes twice for an inline histogram, and
+#                  -targetgs -1 exits 2 with one line
 #   8. metrics     the same job's live /metrics endpoint parses, carries
 #                  fel_core_groups and fel_core_gamma_p, and no group label
 #   9. load        felserve under -race, then stage 6's kill-cloud verdict
@@ -194,7 +196,7 @@ for sc in $scenarios; do
 done
 echo "chaos smoke: $(echo $scenarios | wc -w) named scenarios ($(echo $scenarios)) replayed byte-identically"
 
-echo "== felnode loopback smoke (TCP on 127.0.0.1) + empty federation + modelled-link examples + fednet reset recovery + quick start"
+echo "== felnode loopback smoke (TCP on 127.0.0.1) + empty federation + modelled-link examples + fednet reset recovery + quick start + covgroup"
 timeout 120 "$nodedir/felnode" -role loopback -clients 12 -edges 2 -rounds 2
 # An empty federation is a usage error: exit 2 and one line, no panic dump.
 empty=0
@@ -233,6 +235,31 @@ if ! diff -u "$nodedir/quickstart.1.txt" "$nodedir/quickstart.2.txt"; then
   exit 1
 fi
 echo "quick start: two runs of examples/quickstart printed identical output ($(wc -l < "$nodedir/quickstart.1.txt") lines)"
+# The edge-side grouping tool on a histogram document, twice: seeded, so the
+# same bytes; an out-of-range flag is a usage error, one line, no panic dump.
+go build -o "$nodedir/covgroup" ./cmd/covgroup
+cat > "$nodedir/hist.json" <<'JSON'
+{"classes": 3, "clients": [
+  {"id": 0, "counts": [12, 0, 3], "edge": 0}, {"id": 1, "counts": [0, 9, 8], "edge": 0},
+  {"id": 2, "counts": [5, 5, 0], "edge": 0}, {"id": 3, "counts": [1, 0, 14], "edge": 0},
+  {"id": 4, "counts": [7, 2, 2], "edge": 1}, {"id": 5, "counts": [0, 11, 1], "edge": 1},
+  {"id": 6, "counts": [3, 3, 9], "edge": 1}, {"id": 7, "counts": [10, 1, 0], "edge": 1}]}
+JSON
+for i in 1 2; do
+  timeout 30 "$nodedir/covgroup" -mings 2 -maxcov 0.5 < "$nodedir/hist.json" > "$nodedir/covgroup.$i.json"
+done
+if ! diff -u "$nodedir/covgroup.1.json" "$nodedir/covgroup.2.json"; then
+  echo "ci.sh: covgroup does not replay byte-identically" >&2
+  exit 1
+fi
+badflag=0
+timeout 30 "$nodedir/covgroup" -targetgs -1 < "$nodedir/hist.json" > /dev/null 2> "$nodedir/covgroup.err" || badflag=$?
+if [ "$badflag" -ne 2 ] || [ "$(wc -l < "$nodedir/covgroup.err")" -ne 1 ] || grep -q goroutine "$nodedir/covgroup.err"; then
+  cat "$nodedir/covgroup.err" >&2
+  echo "ci.sh: covgroup -targetgs -1 exited $badflag; want 2 with one stderr line and no stack trace" >&2
+  exit 1
+fi
+echo "covgroup: two runs printed identical output ($(wc -c < "$nodedir/covgroup.1.json") bytes); $(cat "$nodedir/covgroup.err")"
 
 echo "== felnode -metrics smoke (live HTTP endpoint)"
 "$nodedir/felnode" -role loopback -clients 12 -edges 2 -rounds 2 \

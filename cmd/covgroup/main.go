@@ -19,6 +19,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"repro/internal/grouping"
@@ -35,6 +36,10 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "random seed")
 	)
 	flag.Parse()
+	if err := checkRanges(*minGS, *targetGS, *maxCoV); err != nil {
+		fmt.Fprintln(os.Stderr, "covgroup:", err)
+		os.Exit(2)
+	}
 
 	in, err := groupio.Parse(os.Stdin)
 	if err != nil {
@@ -61,4 +66,21 @@ func main() {
 		fmt.Fprintln(os.Stderr, "covgroup:", err)
 		os.Exit(1)
 	}
+}
+
+// checkRanges rejects a flag value outside its range, naming the flag. 0
+// keeps its documented meaning (mings for -targetgs, no cap for -maxcov); a
+// negative, NaN or infinite value has none. Whether a size suits the
+// algorithm is the algorithm's Validate to say.
+func checkRanges(minGS, targetGS int, maxCoV float64) error {
+	if minGS < 0 {
+		return fmt.Errorf("-mings must be non-negative, got %d", minGS)
+	}
+	if targetGS < 0 {
+		return fmt.Errorf("-targetgs must be non-negative (0 = mings), got %d", targetGS)
+	}
+	if !(maxCoV >= 0) || math.IsInf(maxCoV, 1) {
+		return fmt.Errorf("-maxcov must be non-negative and finite (0 disables), got %g", maxCoV)
+	}
+	return nil
 }

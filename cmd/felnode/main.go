@@ -329,9 +329,10 @@ func runLoopback(sys *core.System, cfg fednode.JobConfig) error {
 	}
 	fmt.Printf("loopback job: %d edges, %d clients, T=%d K=%d E=%d over 127.0.0.1\n",
 		len(sys.Edges), len(sys.Clients), cfg.GlobalRounds, cfg.GroupRounds, cfg.LocalEpochs)
-	for _, r := range rep.Rounds {
+	for t, r := range rep.Rounds {
+		rec := rep.Records[t]
 		fmt.Printf("  round %d: acc=%.4f loss=%.4f groups=%d dropouts=%d recoveries=%d bytes=%d\n",
-			r.Round, r.Accuracy, r.Loss, r.Selected, r.Dropouts, r.Recoveries, r.WireBytes)
+			rec.Round, rec.Accuracy, rec.Loss, r.Selected, r.Dropouts, r.Recoveries, r.WireBytes)
 	}
 	fmt.Printf("final: acc=%.4f loss=%.4f wall=%s frames=%d wire=%dB\n",
 		rep.FinalAccuracy, rep.FinalLoss, rep.WallClock.Round(0), rep.Frames, rep.WireWritten)
@@ -367,8 +368,9 @@ func runCloud(sys *core.System, cfg fednode.JobConfig, listen string) error {
 	if err != nil {
 		return err
 	}
-	for _, r := range rep.Rounds {
-		fmt.Printf("  round %d: acc=%.4f dropouts=%d recoveries=%d\n", r.Round, r.Accuracy, r.Dropouts, r.Recoveries)
+	for t, r := range rep.Rounds {
+		rec := rep.Records[t]
+		fmt.Printf("  round %d: acc=%.4f dropouts=%d recoveries=%d\n", rec.Round, rec.Accuracy, r.Dropouts, r.Recoveries)
 	}
 	fmt.Printf("final: acc=%.4f loss=%.4f wall=%s\n", rep.FinalAccuracy, rep.FinalLoss, rep.WallClock.Round(0))
 	return nil

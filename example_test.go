@@ -61,15 +61,3 @@ func ExampleFormGroups() {
 	fmt.Println(len(groups) == len(probs))
 	// Output: true
 }
-
-// ExampleDetectBackdoors shows the FLAME-style filter flagging a poisoned
-// update among benign ones.
-func ExampleDetectBackdoors() {
-	updates := [][]float64{
-		{1, 1, 1}, {1.1, 0.9, 1}, {0.9, 1, 1.1}, {1, 1.05, 0.95},
-		{-9, -9, -9}, // the attacker
-	}
-	res := groupfel.DetectBackdoors(updates, groupfel.DefaultBackdoorConfig())
-	fmt.Println(res.Flagged)
-	// Output: [4]
-}

@@ -47,8 +47,9 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	for _, r := range rep.Rounds {
-		fmt.Printf("round %d: acc=%.4f groups=%d bytes=%d\n", r.Round, r.Accuracy, r.Selected, r.WireBytes)
+	for t, r := range rep.Rounds {
+		rec := rep.Records[t]
+		fmt.Printf("round %d: acc=%.4f groups=%d bytes=%d\n", rec.Round, rec.Accuracy, r.Selected, r.WireBytes)
 	}
 	fmt.Printf("final acc=%.4f, %d frames, %d bytes on the wire, wall %s\n",
 		rep.FinalAccuracy, rep.Frames, rep.WireWritten, rep.WallClock.Round(0))

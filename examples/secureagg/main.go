@@ -1,7 +1,7 @@
 // Secureagg: the group operations whose quadratic cost motivates the whole
 // paper, run for real — a secure aggregation session with a dropout, then
-// backdoor detection catching a poisoned update, and one hierarchical round
-// of the networked protocol, timed on modelled links in simulated seconds.
+// one hierarchical round of the networked protocol, timed on modelled links
+// in simulated seconds.
 package main
 
 import (
@@ -61,27 +61,6 @@ func main() {
 		ops.MaskStreams, ops.SharesDealt, ops.SharesUsed)
 	fmt.Printf("  (mask streams ~ n(n-1)+2n = %d: this quadratic growth is Fig. 8's SecAgg curve)\n",
 		groupSize*(groupSize-1)+2*groupSize)
-
-	// --- Backdoor detection ----------------------------------------------
-	fmt.Println("\nbackdoor detection over the group's raw updates:")
-	poisoned := make([][]float64, groupSize)
-	base := make([]float64, dim)
-	for d := range base {
-		base[d] = rng.Normal(0, 1)
-	}
-	for i := range poisoned {
-		poisoned[i] = make([]float64, dim)
-		for d := range poisoned[i] {
-			poisoned[i][d] = base[d] + rng.Normal(0, 0.2)
-		}
-	}
-	for d := range poisoned[6] {
-		poisoned[6][d] = -8 * base[d] // the attacker
-	}
-	res := groupfel.DetectBackdoors(poisoned, groupfel.DefaultBackdoorConfig())
-	fmt.Printf("  flagged clients: %v (injected attacker: 6)\n", res.Flagged)
-	fmt.Printf("  accepted %d updates, clipped to norm %.3f, %d pairwise similarity ops\n",
-		len(res.Accepted), res.ClipNorm, res.PairwiseOps)
 
 	// --- One hierarchical round over the modelled edge network -----------
 	// 5 ms at 25 MB/s client–edge, 40 ms at 5 MB/s edge–cloud, and each

@@ -12,9 +12,8 @@
 //     unbiased (Eq. 4), and stabilized (Eq. 35) aggregation,
 //   - the quadratic group-operation cost model of Eq. 5 (CostProfile,
 //     CostOps) calibrated to the paper's Fig. 8,
-//   - executable group-operation substrates: Bonawitz-style secure
-//     aggregation (SecAggSession) and FLAME-style backdoor detection
-//     (DetectBackdoors),
+//   - an executable group-operation substrate: Bonawitz-style secure
+//     aggregation (SecAggSession),
 //   - the baseline methods of the evaluation (FedAvg, FedProx, SCAFFOLD,
 //     OUEA, SHARE, FedCLAR) and the Theorem 1 bound calculator.
 //
@@ -35,7 +34,6 @@
 package groupfel
 
 import (
-	"repro/internal/backdoor"
 	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/cost"
@@ -266,22 +264,6 @@ func NewSecAggSession(n, dim, t int, seed uint64, q SecAggQuantizer) *SecAggSess
 
 // DefaultQuantizer returns the standard fixed-point quantizer.
 func DefaultQuantizer() SecAggQuantizer { return secagg.DefaultQuantizer() }
-
-// Backdoor detection substrate (FLAME-style cosine clustering + norm clip).
-type (
-	// BackdoorConfig tunes the detector.
-	BackdoorConfig = backdoor.Config
-	// BackdoorResult reports accepted/flagged updates.
-	BackdoorResult = backdoor.Result
-)
-
-// DetectBackdoors filters a group's update vectors.
-func DetectBackdoors(updates [][]float64, cfg BackdoorConfig) BackdoorResult {
-	return backdoor.Detect(updates, cfg)
-}
-
-// DefaultBackdoorConfig mirrors FLAME's posture.
-func DefaultBackdoorConfig() BackdoorConfig { return backdoor.DefaultConfig() }
 
 // Convergence bound (Theorem 1).
 type (

@@ -117,30 +117,6 @@ func TestPublicAPISecureAggregation(t *testing.T) {
 	}
 }
 
-func TestPublicAPIBackdoorDetection(t *testing.T) {
-	updates := make([][]float64, 8)
-	for i := range updates {
-		updates[i] = make([]float64, 10)
-		for d := range updates[i] {
-			updates[i][d] = 1 + 0.01*float64(i)
-		}
-	}
-	// Flip the last one.
-	for d := range updates[7] {
-		updates[7][d] = -5
-	}
-	res := groupfel.DetectBackdoors(updates, groupfel.DefaultBackdoorConfig())
-	found := false
-	for _, f := range res.Flagged {
-		if f == 7 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("poisoned update not flagged: %v", res.Flagged)
-	}
-}
-
 func TestPublicAPITheory(t *testing.T) {
 	sys := newSystem(4)
 	groups := groupfel.FormGroups(

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/backdoor"
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/cost"
@@ -126,9 +125,9 @@ func Fig7(runs *Runs, sc Scale, seed uint64) *trace.Figure {
 }
 
 // Fig8 regenerates Fig. 8: the calibrated overhead model curves for both
-// tasks, plus *measured* operation counts from the executable secure
-// aggregation and backdoor detection substrates (scaled to overlay),
-// confirming the quadratic shape the cost model assumes.
+// tasks, plus operation counts scaled to overlay them: secure aggregation's
+// measured on the executable substrate, backdoor detection's as its pair
+// count. Both confirm the quadratic shape the cost model assumes.
 func Fig8() *trace.Figure {
 	f := &trace.Figure{ID: "fig8", Title: "Overhead measurement", XLabel: "data/client number", YLabel: "time (s)"}
 	for _, task := range []Task{CIFAR, SC} {
@@ -154,10 +153,9 @@ func Fig8() *trace.Figure {
 		meas.Add(float64(n), float64(secaggOps(n))*k)
 	}
 	bmeas := f.AddSeries("Backdoor (measured ops, scaled)")
-	anchorPairs := backdoorOps(20, 64)
-	kb := p.Backdoor(20) / float64(anchorPairs)
+	kb := p.Backdoor(20) / float64(backdoorOps(20))
 	for _, n := range []int{4, 10, 20, 30, 40} {
-		bmeas.Add(float64(n), float64(backdoorOps(n, 64))*kb)
+		bmeas.Add(float64(n), float64(backdoorOps(n))*kb)
 	}
 	return f
 }
@@ -177,19 +175,9 @@ func secaggOps(n int) int {
 	return s.Ops().MaskStreams
 }
 
-// backdoorOps runs the detector over n synthetic updates and returns the
-// pairwise similarity evaluations.
-func backdoorOps(n, dim int) int {
-	rng := stats.NewRNG(uint64(n))
-	updates := make([][]float64, n)
-	for i := range updates {
-		updates[i] = make([]float64, dim)
-		for d := range updates[i] {
-			updates[i][d] = rng.Normal(0, 1)
-		}
-	}
-	return backdoor.Detect(updates, backdoor.DefaultConfig()).PairwiseOps
-}
+// backdoorOps is the pair count n(n−1)/2: the similarity evaluations a
+// FLAME-style detector makes over a group of n updates, one per pair.
+func backdoorOps(n int) int { return n * (n - 1) / 2 }
 
 // syntheticClients builds a Dirichlet-partitioned population without a full
 // System (no model/test set), for formation-only experiments. Formation

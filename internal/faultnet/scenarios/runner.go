@@ -215,7 +215,7 @@ func verify(sc Scenario, plan *faultnet.Plan, r *Result) error {
 	if len(r.Report.Rounds) == 0 {
 		return fmt.Errorf("scenarios: %s: report has no rounds", sc.Name)
 	}
-	if r.Report.RoundsRun != r.Report.Rounds[len(r.Report.Rounds)-1].Round+1 {
+	if r.Report.RoundsRun != len(r.Report.Rounds) {
 		return fmt.Errorf("scenarios: %s: round accounting inconsistent", sc.Name)
 	}
 	// Every injected fault must land in both the log and the registry, in

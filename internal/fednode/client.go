@@ -125,7 +125,7 @@ func (c *Client) Run(nw Network, edgeAddr string) ([]float64, error) {
 		ng += ref.NumSamples()
 	}
 	st.weight = float64(me.NumSamples()) / float64(ng)
-	st.threshold = secagg.Threshold(0, st.n)
+	st.threshold = secagg.Threshold(st.n)
 	if st.n > 1 {
 		st.ops = secagg.NewOpCounters(cfg.Meter.Registry(), st.n)
 	}

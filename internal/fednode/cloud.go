@@ -126,18 +126,15 @@ func (c *Cloud) Run(ln net.Listener) (*Report, error) {
 		}
 		sent := cfg.Meter.roundBytes()
 		stat := RoundStat{
-			Round: rec.Round, Accuracy: rec.Accuracy, Loss: rec.Loss,
 			Selected: len(exec.updates), Dropouts: exec.drops, Recoveries: exec.recoveries,
 			WireBytes: sent - bytesMark,
 		}
 		bytesMark = sent
 		rep.Rounds = append(rep.Rounds, stat)
-		rep.RoundsRun = rec.Round + 1
-		rep.Dropouts += stat.Dropouts
 		rep.Recoveries += stat.Recoveries
 		roundSpan.End()
 		c.logf("cloud: round %d done: acc=%.4f dropouts=%d recoveries=%d bytes=%d",
-			rec.Round, stat.Accuracy, stat.Dropouts, stat.Recoveries, stat.WireBytes)
+			rec.Round, rec.Accuracy, stat.Dropouts, stat.Recoveries, stat.WireBytes)
 	}
 
 	// Graceful shutdown: broadcast the final model, then wait for every
@@ -154,9 +151,7 @@ func (c *Cloud) Run(ln net.Listener) (*Report, error) {
 		}
 	}
 
-	res := tr.Finish()
-	rep.FinalAccuracy, rep.FinalLoss, rep.Params = res.FinalAccuracy, res.FinalLoss, res.Params
-	rep.Participation = res.Participation
+	rep.Result = tr.Finish()
 	rep.WallClock = clock.Real.Now().Sub(start)
 	cfg.Meter.fill(rep)
 	return rep, nil

@@ -109,7 +109,7 @@ func TestControlPlaneConformance(t *testing.T) {
 			t.Fatalf("RunJob: %v", err)
 		}
 		ref := core.Train(sys, jcfg.TrainConfig(nil))
-		for i, r := range rep.Rounds {
+		for i, r := range rep.Records {
 			evaluated := i%4 == 0 || i == 5
 			if (r.Accuracy != -1) != evaluated || (r.Loss != -1) != evaluated {
 				t.Errorf("round %d: accuracy %v loss %v, evaluated should be %v", i, r.Accuracy, r.Loss, evaluated)

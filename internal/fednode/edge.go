@@ -343,7 +343,7 @@ func (e *Edge) runGroup(g *edgeGroup, t int, globalParams []float64, cloud *lock
 	dim := len(globalParams)
 	groupParams := append([]float64(nil), globalParams...)
 	n := len(g.members)
-	threshold := secagg.Threshold(0, n)
+	threshold := secagg.Threshold(n)
 	roundDrops, roundRecov := 0, 0
 	var frame []byte // the broadcast's encoding, reused across group rounds
 

@@ -156,11 +156,10 @@ func sessionSeed(seed uint64, t, k, gid int) uint64 {
 		(uint64(gid+1) * 0xff51afd7ed558ccd)
 }
 
-// RoundStat reports one global round as observed at the cloud.
+// RoundStat reports what the network adds to one global round, as observed
+// at the cloud; Rounds[t] sits beside the Trainer's Records[t], which holds
+// the round's accuracy and loss.
 type RoundStat struct {
-	Round int
-	// Accuracy and Loss on the held-out test set (-1 when skipped).
-	Accuracy, Loss float64
 	// Selected is the number of groups trained.
 	Selected int
 	// Dropouts counts client updates lost this round (timeouts and closed
@@ -176,20 +175,15 @@ type RoundStat struct {
 
 // Report is the outcome of a networked job.
 type Report struct {
+	// Result is the cloud Trainer's: the per-round Records, FinalAccuracy,
+	// FinalLoss, Params, RoundsRun, Participation, and Dropouts, the sum of
+	// the per-round counts below.
+	*core.Result
 	Rounds []RoundStat
-	// FinalAccuracy and FinalLoss are measured after the last round.
-	FinalAccuracy, FinalLoss float64
-	// Params is the final global parameter vector.
-	Params []float64
-	// RoundsRun counts completed global rounds.
-	RoundsRun int
-	// Dropouts and Recoveries total the per-round counts.
-	Dropouts, Recoveries int
+	// Recoveries totals the per-round counts.
+	Recoveries int
 	// Casualties lists, by client id, the clients that failed for good.
 	Casualties []Casualty
-	// Participation is the cloud Trainer's Result.Participation: client id
-	// to the global rounds the client's group was selected in.
-	Participation map[int]int
 	// WallClock is the measured (not modeled) job duration.
 	WallClock time.Duration
 	// WireWritten / WireRead are transport-level byte counts over every

@@ -116,9 +116,9 @@ func TestByteAccountingCrossChecks(t *testing.T) {
 		t.Fatalf("read %d bytes of %d written: frames left undrained", rep.WireRead, rep.WireWritten)
 	}
 	var roundSum int64
-	for _, r := range rep.Rounds {
+	for i, r := range rep.Rounds {
 		if r.WireBytes <= 0 {
-			t.Fatalf("round %d moved %d bytes", r.Round, r.WireBytes)
+			t.Fatalf("round %d moved %d bytes", i, r.WireBytes)
 		}
 		roundSum += r.WireBytes
 	}

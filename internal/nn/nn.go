@@ -147,7 +147,7 @@ func (s *Sequential) NumParams() int {
 
 // ParamVector flattens all parameters into a single new vector, in a stable
 // layer order. This is the representation exchanged by the federated
-// aggregation, secure aggregation, and backdoor detection code.
+// aggregation and secure aggregation code.
 func (s *Sequential) ParamVector() []float64 {
 	return s.ParamVectorInto(nil)
 }

@@ -71,7 +71,7 @@ func FuzzMaskCancel(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, dimRaw uint16, nRaw uint8, dropBits uint16) {
 		n := 2 + int(nRaw)%11
 		dim := int(dimRaw) % (4 * maskChunk)
-		threshold := Threshold(0, n)
+		threshold := Threshold(n)
 		var dropped []int
 		for i := 0; i < n && len(dropped) < n-threshold; i++ {
 			if dropBits>>i&1 == 1 {
@@ -124,7 +124,7 @@ func FuzzMaskedUpdateIntoReuse(f *testing.F) {
 		same("QuantizeInto (dirty buffer)", got, want)
 		same("QuantizeInto (reused)", q.QuantizeInto(got, update), want)
 
-		s := NewSession(n, dim, Threshold(0, n), seed, q)
+		s := NewSession(n, dim, Threshold(n), seed, q)
 		for i := 0; i < n; i++ {
 			want := s.MaskedUpdate(i, update)
 			got := s.MaskedUpdateInto(dst[:cap(dst)], i, update)

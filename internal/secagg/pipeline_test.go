@@ -179,7 +179,7 @@ func TestStreamedPipelineMatchesReference(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		n := 2 + rng.IntN(11)
 		dim := dims[trial%len(dims)]
-		threshold := Threshold(0, n)
+		threshold := Threshold(n)
 		for k := 0; k <= n-threshold; k++ {
 			checkRound(t, n, dim, threshold, rng.Uint64(), rng.Perm(n)[:k])
 		}
@@ -296,7 +296,7 @@ func TestMaskPipelineAllocs(t *testing.T) {
 	for _, n := range []int{2, 12} {
 		var maskAllocs, intoAllocs, aggAllocs [2]int
 		for di, dim := range []int{maskChunk, 100 * maskChunk} {
-			s := NewSession(n, dim, Threshold(0, n), 5, DefaultQuantizer())
+			s := NewSession(n, dim, Threshold(n), 5, DefaultQuantizer())
 			update := make([]float64, dim)
 			masked := make([][]uint64, n)
 			for i := range masked {

@@ -404,7 +404,7 @@ func benchSecAgg(b *testing.B, n int) {
 // the quantised update. MB/s is keystream folded per second.
 func BenchmarkMaskStream(b *testing.B) {
 	const n, dim = 6, 9610
-	s := NewSession(n, dim, Threshold(0, n), 2024, DefaultQuantizer())
+	s := NewSession(n, dim, Threshold(n), 2024, DefaultQuantizer())
 	rng := stats.NewRNG(1)
 	update := make([]float64, dim)
 	for i := range update {

@@ -52,12 +52,9 @@ type Session struct {
 }
 
 // Threshold returns the Shamir reconstruction threshold for a group of n
-// clients: ceil(frac·n) clamped to [2, n]. frac <= 0 means the 2/3 default.
-func Threshold(frac float64, n int) int {
-	if frac <= 0 {
-		frac = 2.0 / 3
-	}
-	return min(max(int(math.Ceil(frac*float64(n))), 2), n)
+// clients: ceil(2n/3), with 2/3 as a float64, clamped to [2, n].
+func Threshold(n int) int {
+	return min(max(int(math.Ceil(2.0/3*float64(n))), 2), n)
 }
 
 // NewSession prepares a secure aggregation session. threshold is the Shamir

@@ -65,23 +65,3 @@ func L2Distance(p, q []float64) float64 {
 	}
 	return math.Sqrt(d)
 }
-
-// CosineSimilarity returns the cosine of the angle between vectors a and b.
-// If either vector is zero the similarity is defined as 0, which is what the
-// backdoor detector wants for degenerate updates.
-func CosineSimilarity(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("stats: CosineSimilarity length mismatch")
-	}
-	dot, na, nb := 0.0, 0.0, 0.0
-	for i := range a {
-		dot += float64(a[i] * b[i])
-		na += float64(a[i] * a[i])
-		nb += float64(b[i] * b[i])
-	}
-	//lint:ignore float-eq a sum of squares is exactly zero iff the vector is all zeros
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return dot / (math.Sqrt(na) * math.Sqrt(nb))
-}

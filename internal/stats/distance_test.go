@@ -67,26 +67,10 @@ func TestL2Distance(t *testing.T) {
 	}
 }
 
-func TestCosineSimilarity(t *testing.T) {
-	if got := CosineSimilarity([]float64{1, 0}, []float64{1, 0}); !approxEq(got, 1, 1e-12) {
-		t.Errorf("parallel cosine = %v, want 1", got)
-	}
-	if got := CosineSimilarity([]float64{1, 0}, []float64{0, 1}); !approxEq(got, 0, 1e-12) {
-		t.Errorf("orthogonal cosine = %v, want 0", got)
-	}
-	if got := CosineSimilarity([]float64{1, 1}, []float64{-1, -1}); !approxEq(got, -1, 1e-12) {
-		t.Errorf("antiparallel cosine = %v, want -1", got)
-	}
-	if got := CosineSimilarity([]float64{0, 0}, []float64{1, 1}); got != 0 {
-		t.Errorf("zero-vector cosine = %v, want 0", got)
-	}
-}
-
 func TestDistanceLengthMismatchPanics(t *testing.T) {
 	fns := []func(){
 		func() { KLDivergence([]float64{1}, []float64{0.5, 0.5}) },
 		func() { L2Distance([]float64{1}, []float64{1, 2}) },
-		func() { CosineSimilarity([]float64{1}, []float64{1, 2}) },
 	}
 	for i, fn := range fns {
 		func() {

@@ -55,19 +55,10 @@ const stage = 32
 // masked tail) held in registers from +0. By the argument above an applied
 // ±0 term changes no bit unless its right entry is Inf or NaN, and then the
 // output element is NaN; rowUpdate reports any non-finite element it wrote,
-// and that row alone is computed again by the Go loop below.
-//
-// The Go loop is every other build's path and the oracle. Each row is two
-// passes. The compress pass walks p ascending and writes every (a entry,
-// offset of b's row p) to the next staging slot, zero or not, advancing the
-// slot count by v != 0 as an integer: no branch tests the loaded value, which
-// on a post-ReLU operand is a coin flip no predictor wins. The update pass
-// applies every staged entry to the output row, four terms per pass, before
-// the next chunk of up to stage non-zero entries is compressed, so the
-// per-element order of additions is the plain p loop's at every k. Both
-// paths perform the same IEEE multiplies and adds in the same order on every
-// element they keep, so they agree in every bit (DESIGN.md §8), and
-// TestRowKernelsMatchReference runs both.
+// and that row alone is computed again by skipRows. Every other build runs
+// skipRows over the whole range. Both paths perform the same IEEE multiplies
+// and adds in the same order on every element they keep, so they agree in
+// every bit (DESIGN.md §8), and TestRowKernelsMatchReference runs both.
 func accumRows(dst, a, b []float64, lo, hi, k, n, rs, cs int) {
 	if n == 0 {
 		return // no column to write, and rowUpdate is handed &drow[0]
@@ -79,13 +70,33 @@ func accumRows(dst, a, b []float64, lo, hi, k, n, rs, cs int) {
 	if need := (hi-1)*rs + (k-1)*cs + 1; hi > lo && k > 0 && len(a) < need {
 		panic(fmt.Sprintf("tensor: left operand holds %d elements, want %d", len(a), need))
 	}
+	if !hasAVX || k == 0 {
+		skipRows(dst, a, b, lo, hi, k, n, rs, cs)
+		return
+	}
+	for i := lo; i < hi; i++ {
+		drow := dst[i*n : (i+1)*n]
+		if rowUpdate(&drow[0], n, &b[0], &a[i*rs], cs, k) {
+			skipRows(dst, a, b, i, i+1, k, n, rs, cs) // a non-finite element: redo with the skip
+		}
+	}
+}
+
+// skipRows is the Go compress-and-skip loop over rows [lo, hi), with
+// accumRows' arguments: every non-AVX build's path, the AVX path's fallback
+// for a flagged row, and the oracle. Each row is two passes. The compress
+// pass walks p ascending and writes every (a entry, offset of b's row p) to
+// the next staging slot, zero or not, advancing the slot count by v != 0 as
+// an integer: no branch tests the loaded value, which on a post-ReLU operand
+// is a coin flip no predictor wins. The update pass applies every staged
+// entry to the output row, four terms per pass, before the next chunk of up
+// to stage non-zero entries is compressed, so the per-element order of
+// additions is the plain p loop's at every k.
+func skipRows(dst, a, b []float64, lo, hi, k, n, rs, cs int) {
 	var av [stage]float64
 	var off [stage]int
 	for i := lo; i < hi; i++ {
 		drow := dst[i*n : (i+1)*n]
-		if hasAVX && k > 0 && !rowUpdate(&drow[0], n, &b[0], &a[i*rs], cs, k) {
-			continue // every element finite: the skip below would change no bit
-		}
 		clear(drow)
 		cnt, ai, bo := 0, i*rs, 0
 		for p := 0; p < k; {
