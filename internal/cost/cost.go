@@ -10,8 +10,8 @@
 // The paper measured these costs on Raspberry Pi 4 devices (Fig. 8); that
 // hardware is unavailable here, so the coefficients below are calibrated to
 // the published curves (see DESIGN.md substitution table). The secagg
-// package's mask-stream count and backdoor detection's pair count, n(n−1)/2,
-// confirm the quadratic shape (experiments.Fig8).
+// package's mask-stream count confirms the quadratic shape; backdoor
+// detection's is its pair count, n(n−1)/2 (experiments.Fig8).
 package cost
 
 import "fmt"

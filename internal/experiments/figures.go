@@ -125,9 +125,10 @@ func Fig7(runs *Runs, sc Scale, seed uint64) *trace.Figure {
 }
 
 // Fig8 regenerates Fig. 8: the calibrated overhead model curves for both
-// tasks, plus operation counts scaled to overlay them: secure aggregation's
-// measured on the executable substrate, backdoor detection's as its pair
-// count. Both confirm the quadratic shape the cost model assumes.
+// tasks, plus two operation counts scaled to overlay them at size 20:
+// secure aggregation's mask streams, measured on the executable substrate,
+// which confirm the quadratic shape the cost model assumes, and backdoor
+// detection's pair count.
 func Fig8() *trace.Figure {
 	f := &trace.Figure{ID: "fig8", Title: "Overhead measurement", XLabel: "data/client number", YLabel: "time (s)"}
 	for _, task := range []Task{CIFAR, SC} {
