@@ -21,8 +21,8 @@
 #                  scenarios and kill-cloud, outputs byte-identical
 #                  (simulated time: seconds for all six)
 #   7. felnode     a loopback TCP job, cross-checked against core.Train;
-#                  -clients 0 exits 2 with one line; the two modelled-link
-#                  examples print a simulated round time;
+#                  -clients 0 and -lr NaN each exit 2 with one line; the
+#                  two modelled-link examples print a simulated round time;
 #                  examples/fednet recovers a client reset by a faultnet rule;
 #                  examples/quickstart prints the same bytes twice; covgroup
 #                  prints the same bytes twice for an inline histogram, and
@@ -75,7 +75,7 @@ placement() {
   go build -o "$dir/bench" ./bench || return 0
   go tool nm "$dir/bench" | while read -r addr _ sym; do
     case "$sym" in
-      repro/internal/grouping.argminScan | repro/internal/grouping.scanFilter.abi0 | repro/internal/grouping.CoVGrouping.Form | 'repro/internal/core.(*Trainer).Step' | repro/internal/tensor.accumRows | repro/internal/tensor.rowUpdate.abi0 | main.speedKernel)
+      repro/internal/grouping.argminScan | repro/internal/grouping.scanFilter.abi0 | repro/internal/grouping.CoVGrouping.Form | 'repro/internal/core.(*Trainer).Step' | repro/internal/tensor.accumRows | repro/internal/tensor.rowsUpdate.abi0 | main.speedKernel)
         echo "placement: $sym at 0x$addr, mod 64 = $(( 0x$addr % 64 ))" ;;
     esac
   done || true
@@ -207,6 +207,15 @@ if [ "$empty" -ne 2 ] || [ "$(wc -l < "$nodedir/empty.txt")" -ne 1 ] || grep -q 
   exit 1
 fi
 echo "empty federation: $(cat "$nodedir/empty.txt")"
+# So is a learning rate no job can train with, refused before any listener opens.
+badlr=0
+timeout 30 "$nodedir/felnode" -role loopback -lr NaN 2> "$nodedir/badlr.txt" || badlr=$?
+if [ "$badlr" -ne 2 ] || [ "$(wc -l < "$nodedir/badlr.txt")" -ne 1 ] || grep -q goroutine "$nodedir/badlr.txt"; then
+  cat "$nodedir/badlr.txt" >&2
+  echo "ci.sh: felnode -lr NaN exited $badlr; want 2 with one stderr line and no stack trace" >&2
+  exit 1
+fi
+echo "bad learning rate: $(cat "$nodedir/badlr.txt")"
 # Each runs fednode rounds on faultnet's simulated clock and prints the
 # round's modelled duration in simulated seconds.
 for ex in distributed secureagg; do

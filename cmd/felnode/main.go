@@ -76,7 +76,7 @@ func main() {
 		rounds  = flag.Int("rounds", 3, "global rounds T")
 		krounds = flag.Int("krounds", 2, "group rounds K")
 		epochs  = flag.Int("epochs", 1, "local epochs E")
-		batch   = flag.Int("batch", 16, "local SGD batch size")
+		batch   = flag.Int("batch", 16, "local SGD batch size (0: each client's whole dataset as one batch)")
 		lr      = flag.Float64("lr", 0.05, "local SGD learning rate")
 		sample  = flag.Int("sample", 2, "groups sampled per round S")
 		seed    = flag.Uint64("seed", 42, "shared seed: every process derives the same federation from it")
@@ -104,7 +104,10 @@ func main() {
 		return
 	}
 
-	if err := checkRanges(*clients, *edges, *rounds, *krounds, *epochs, *sample); err != nil {
+	if err := checkRanges(flags{
+		clients: *clients, edges: *edges, rounds: *rounds, krounds: *krounds, epochs: *epochs, sample: *sample,
+		batch: *batch, lr: *lr, serve: *serve, jobs: *jobs, role: *role, edge: *edgeID,
+	}); err != nil {
 		fmt.Fprintln(os.Stderr, "felnode:", err)
 		os.Exit(2)
 	}
@@ -179,16 +182,40 @@ func main() {
 	}
 }
 
+// flags are the values checkRanges holds: the federation's and the job's
+// numbers, and those only the chosen mode reads (-jobs with -serve, -edge
+// with -role edge).
+type flags struct {
+	clients, edges, rounds, krounds, epochs, sample, batch int
+	lr                                                     float64
+	serve                                                  bool
+	jobs                                                   int
+	role                                                   string
+	edge                                                   int
+}
+
 // checkRanges rejects a federation or a job no role and no -serve job can
-// run, naming the first flag out of range.
-func checkRanges(clients, edges, rounds, krounds, epochs, sample int) error {
-	for _, f := range []struct {
+// run, naming the first flag out of range, before any listener opens. A
+// -batch of 0 is the whole dataset as one batch (core.Config's BatchSize
+// <= 0); a negative one is refused rather than read the same way.
+func checkRanges(f flags) error {
+	for _, c := range []struct {
 		name string
 		v    int
-	}{{"clients", clients}, {"edges", edges}, {"rounds", rounds}, {"krounds", krounds}, {"epochs", epochs}, {"sample", sample}} {
-		if f.v <= 0 {
-			return fmt.Errorf("-%s must be positive, got %d", f.name, f.v)
+	}{{"clients", f.clients}, {"edges", f.edges}, {"rounds", f.rounds}, {"krounds", f.krounds}, {"epochs", f.epochs}, {"sample", f.sample}} {
+		if c.v <= 0 {
+			return fmt.Errorf("-%s must be positive, got %d", c.name, c.v)
 		}
+	}
+	switch {
+	case f.batch < 0:
+		return fmt.Errorf("-batch must be positive, or 0 for the whole dataset, got %d", f.batch)
+	case !(f.lr > 0) || math.IsInf(f.lr, 1):
+		return fmt.Errorf("-lr must be positive and finite, got %v", f.lr)
+	case f.serve && f.jobs <= 0:
+		return fmt.Errorf("-jobs must be positive, got %d", f.jobs)
+	case !f.serve && f.role == "edge" && (f.edge < 0 || f.edge >= f.edges):
+		return fmt.Errorf("-edge must be in [0, %d) for -edges %d, got %d", f.edges, f.edges, f.edge)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"io"
+	"math"
 	"net/http"
 	"strings"
 	"testing"
@@ -14,36 +15,58 @@ import (
 func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 // TestCheckRanges: main exits 2 with this message, before any System is
-// built and before -serve starts, for a federation or a job no role can run;
-// bad -clients or -edges used to panic in the partition or the edge
-// assignment, and the other four exited 1 with a runtime message from fednode.
+// built, before -serve starts and before any listener opens, for a
+// federation or a job no role can run; bad -clients or -edges used to panic
+// in the partition or the edge assignment, the other four, a bad -lr and
+// -serve -jobs 0 exited 1 with a runtime message, a negative -batch trained
+// full-batch, and -role edge with an -edge out of range printed "listening"
+// first. -batch 0 is full batch and stays allowed.
 func TestCheckRanges(t *testing.T) {
+	ok := flags{clients: 24, edges: 2, rounds: 3, krounds: 2, epochs: 1, sample: 2, batch: 16, lr: 0.05, jobs: 2, role: "loopback"}
+	with := func(edit func(*flags)) flags {
+		f := ok
+		edit(&f)
+		return f
+	}
 	for _, c := range []struct {
-		clients, edges, rounds, krounds, epochs, sample int
-		want                                            string
+		f    flags
+		want string
 	}{
-		{24, 2, 3, 2, 1, 2, ""},
-		{1, 1, 1, 1, 1, 1, ""},
-		{1, 2, 3, 2, 1, 2, ""},
-		{0, 2, 3, 2, 1, 2, "-clients must be positive, got 0"},
-		{-3, 2, 3, 2, 1, 2, "-clients must be positive, got -3"},
-		{24, 0, 3, 2, 1, 2, "-edges must be positive, got 0"},
-		{24, -1, 3, 2, 1, 2, "-edges must be positive, got -1"},
-		{0, 0, 3, 2, 1, 2, "-clients must be positive, got 0"},
-		{24, 2, -1, 2, 1, 2, "-rounds must be positive, got -1"},
-		{24, 2, 0, 2, 1, 2, "-rounds must be positive, got 0"},
-		{24, 2, 3, 0, 1, 2, "-krounds must be positive, got 0"},
-		{24, 2, 3, 2, -1, 2, "-epochs must be positive, got -1"},
-		{24, 2, 3, 2, 1, 0, "-sample must be positive, got 0"},
-		{24, 2, 3, 0, 0, 0, "-krounds must be positive, got 0"},
+		{ok, ""},
+		{with(func(f *flags) { *f = flags{clients: 1, edges: 1, rounds: 1, krounds: 1, epochs: 1, sample: 1, lr: 1} }), ""},
+		{with(func(f *flags) { f.clients = 1 }), ""},
+		{with(func(f *flags) { f.clients = 0 }), "-clients must be positive, got 0"},
+		{with(func(f *flags) { f.clients = -3 }), "-clients must be positive, got -3"},
+		{with(func(f *flags) { f.edges = 0 }), "-edges must be positive, got 0"},
+		{with(func(f *flags) { f.edges = -1 }), "-edges must be positive, got -1"},
+		{with(func(f *flags) { f.clients, f.edges = 0, 0 }), "-clients must be positive, got 0"},
+		{with(func(f *flags) { f.rounds = -1 }), "-rounds must be positive, got -1"},
+		{with(func(f *flags) { f.rounds = 0 }), "-rounds must be positive, got 0"},
+		{with(func(f *flags) { f.krounds = 0 }), "-krounds must be positive, got 0"},
+		{with(func(f *flags) { f.epochs = -1 }), "-epochs must be positive, got -1"},
+		{with(func(f *flags) { f.sample = 0 }), "-sample must be positive, got 0"},
+		{with(func(f *flags) { f.krounds, f.epochs, f.sample = 0, 0, 0 }), "-krounds must be positive, got 0"},
+		{with(func(f *flags) { f.batch = 0 }), ""},
+		{with(func(f *flags) { f.batch = -5 }), "-batch must be positive, or 0 for the whole dataset, got -5"},
+		{with(func(f *flags) { f.lr = 0 }), "-lr must be positive and finite, got 0"},
+		{with(func(f *flags) { f.lr = math.NaN() }), "-lr must be positive and finite, got NaN"},
+		{with(func(f *flags) { f.lr = -1 }), "-lr must be positive and finite, got -1"},
+		{with(func(f *flags) { f.lr = math.Inf(1) }), "-lr must be positive and finite, got +Inf"},
+		{with(func(f *flags) { f.jobs = 0 }), ""}, // -jobs is read by -serve only
+		{with(func(f *flags) { f.serve, f.jobs = true, 0 }), "-jobs must be positive, got 0"},
+		{with(func(f *flags) { f.serve, f.jobs = true, -2 }), "-jobs must be positive, got -2"},
+		{with(func(f *flags) { f.role, f.edge = "edge", 1 }), ""},
+		{with(func(f *flags) { f.role, f.edge = "edge", 5 }), "-edge must be in [0, 2) for -edges 2, got 5"},
+		{with(func(f *flags) { f.role, f.edge = "edge", 2 }), "-edge must be in [0, 2) for -edges 2, got 2"},
+		{with(func(f *flags) { f.role, f.edge = "edge", -1 }), "-edge must be in [0, 2) for -edges 2, got -1"},
+		{with(func(f *flags) { f.edge = 5 }), ""}, // -edge is read by -role edge only
 	} {
 		got := ""
-		if err := checkRanges(c.clients, c.edges, c.rounds, c.krounds, c.epochs, c.sample); err != nil {
+		if err := checkRanges(c.f); err != nil {
 			got = err.Error()
 		}
 		if got != c.want {
-			t.Errorf("checkRanges(%d, %d, %d, %d, %d, %d) = %q, want %q",
-				c.clients, c.edges, c.rounds, c.krounds, c.epochs, c.sample, got, c.want)
+			t.Errorf("checkRanges(%+v) = %q, want %q", c.f, got, c.want)
 		}
 	}
 }

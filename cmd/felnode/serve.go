@@ -17,9 +17,6 @@ import (
 // completes. A process killed mid-run leaves its checkpoints behind;
 // rerunning the same command resumes them bit-identically.
 func runServe(listen, ckptDir string, jobs int, tmpl felserve.JobSpec, maddr string, hold time.Duration, verbose bool) error {
-	if jobs <= 0 {
-		return fmt.Errorf("-serve needs -jobs >= 1, got %d", jobs)
-	}
 	cfg := felserve.Config{Dir: ckptDir, CheckpointEvery: 2, StartHeld: true}
 	if verbose {
 		cfg.Logf = func(format string, args ...any) {

@@ -134,14 +134,14 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	c.outH, c.outW = oh, ow
 	cols := c.im2col(x)
 	c.cols = cols
-	// outCols[n, oc] = cols[n, :]·W[oc, :], as cols × Wᵀ with the zero test
-	// on cols.
+	// outCols[n, oc] = cols[n, :]·W[oc, :] + B[oc], as cols × Wᵀ with the
+	// zero test on cols and the bias added in the kernel's store.
 	c.outCols = tensor.Resize(c.outCols, b*oh*ow, c.OutC)
 	outCols := c.outCols
 	c.wt = tensor.Resize(c.wt, c.W.Shape[1], c.OutC)
 	tensor.TransposeInto(c.wt, c.W)
-	tensor.MatMul(outCols, cols, c.wt)
-	// Reorder [B, OH*OW, OutC] -> [B, OutC, OH, OW] and add bias.
+	tensor.MatMulBias(outCols, cols, c.wt, c.B)
+	// Reorder [B, OH*OW, OutC] -> [B, OutC, OH, OW].
 	c.out = tensor.Resize(c.out, b, c.OutC, oh, ow)
 	out := c.out
 	hw := oh * ow
@@ -149,7 +149,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		for n := 0; n < hw; n++ {
 			src := outCols.Data[(bi*hw+n)*c.OutC : (bi*hw+n+1)*c.OutC]
 			for oc, v := range src {
-				out.Data[(bi*c.OutC+oc)*hw+n] = v + c.B.Data[oc]
+				out.Data[(bi*c.OutC+oc)*hw+n] = v
 			}
 		}
 	}
@@ -174,13 +174,7 @@ func (c *Conv2D) backwardParams(grad *tensor.Tensor) {
 	}
 	// dW = dyᵀ × cols, dB = column sums of dy.
 	tensor.MatMulAT(c.dW, dy, c.cols)
-	c.dB.Zero()
-	for n := 0; n < b*hw; n++ {
-		row := dy.Data[n*c.OutC : (n+1)*c.OutC]
-		for oc, v := range row {
-			c.dB.Data[oc] += v
-		}
-	}
+	tensor.ColSum(c.dB, dy)
 }
 
 // Backward computes dW and dB (backwardParams) and returns dX.

@@ -31,34 +31,20 @@ func NewDense(in, out int, rng *stats.RNG) *Dense {
 	return d
 }
 
-// Forward computes y = x·W + b.
+// Forward computes y = x·W + b, the bias added to each row's sum inside the
+// product's one kernel call.
 func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	d.x = x
-	batch := x.Shape[0]
-	d.out = tensor.Resize(d.out, batch, d.W.Shape[1])
-	out := d.out
-	tensor.MatMul(out, x, d.W)
-	ncols := d.B.Size()
-	for i := 0; i < batch; i++ {
-		row := out.Data[i*ncols : (i+1)*ncols]
-		for j, b := range d.B.Data {
-			row[j] += b
-		}
-	}
-	return out
+	d.out = tensor.Resize(d.out, x.Shape[0], d.W.Shape[1])
+	tensor.MatMulBias(d.out, x, d.W, d.B)
+	return d.out
 }
 
-// backwardParams computes dW = xᵀ·grad and dB = column-sum(grad).
+// backwardParams computes dW = xᵀ·grad and dB = column-sum(grad), each one
+// kernel call.
 func (d *Dense) backwardParams(grad *tensor.Tensor) {
 	tensor.MatMulAT(d.dW, d.x, grad)
-	ncols := d.B.Size()
-	d.dB.Zero()
-	for i := 0; i < grad.Shape[0]; i++ {
-		row := grad.Data[i*ncols : (i+1)*ncols]
-		for j, g := range row {
-			d.dB.Data[j] += g
-		}
-	}
+	tensor.ColSum(d.dB, grad)
 }
 
 // Backward computes dW and dB (backwardParams) and returns dX = grad·Wᵀ as

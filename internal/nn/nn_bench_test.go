@@ -94,8 +94,11 @@ func BenchmarkTrainStepMLPReuse(b *testing.B) { benchStepReuse(b, 32) }
 
 // BenchmarkTrainStepPaperMLP is benchStepReuse at batch 16 — the one
 // SGD step every executor of the train-paper, pop-regroup, net-loopback and
-// serve-fanout workloads repeats (its five GEMMs are the paper_* shapes of
-// internal/tensor/BENCHMARKS.md).
+// serve-fanout workloads repeats. A step is seven kernel calls, one per
+// product: the two forward products with their biases, the two weight
+// gradients and dX of the second layer (the paper_* shapes of
+// internal/tensor/BENCHMARKS.md), and the two dB column sums (its
+// colsum_* shapes).
 func BenchmarkTrainStepPaperMLP(b *testing.B) { benchStepReuse(b, 16) }
 
 // BenchmarkParamVectorInto measures the reused-buffer flatten against the

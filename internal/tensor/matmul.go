@@ -9,17 +9,50 @@ import "fmt"
 // result depends on the operands alone. Callers that want more than one
 // core split work above this call — internal/core trains clients and scores
 // evaluation batches in parallel — and a GEMM itself never spawns.
-func MatMul(dst, a, b *Tensor) {
-	mustRank2("MatMul", dst, a, b)
+func MatMul(dst, a, b *Tensor) { mulRows("MatMul", dst, a, b, nil) }
+
+// MatMulBias computes dst = a × b + bias, bias (n elements, any shape) added
+// to every row of the m×n product: each element is MatMul's reduction, then
+// one IEEE add of bias[j], inside the one kernel call. dst must not alias
+// a, b or bias.
+func MatMulBias(dst, a, b, bias *Tensor) { mulRows("MatMulBias", dst, a, b, bias) }
+
+// mulRows checks the shapes of the named product dst = a × b (+ bias, where
+// bias is not nil) and computes it.
+func mulRows(op string, dst, a, b, bias *Tensor) {
+	mustRank2(op, dst, a, b)
 	m, k := a.Shape[0], a.Shape[1]
 	k2, n := b.Shape[0], b.Shape[1]
 	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMul inner dims %d vs %d", k, k2))
+		panic(fmt.Sprintf("tensor: %s inner dims %d vs %d", op, k, k2))
 	}
 	if dst.Shape[0] != m || dst.Shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMul dst %v, want [%d %d]", dst.Shape, m, n))
+		panic(fmt.Sprintf("tensor: %s dst %v, want [%d %d]", op, dst.Shape, m, n))
 	}
-	accumRows(dst.Data, a.Data, b.Data, 0, m, k, n, k, 1)
+	var bd []float64
+	if bias != nil {
+		if bias.Size() != n {
+			panic(fmt.Sprintf("tensor: %s bias %v, want %d elements", op, bias.Shape, n))
+		}
+		bd = bias.Data
+	}
+	accumRows(dst.Data, a.Data, b.Data, bd, 0, m, k, n, k, 1)
+}
+
+// ColSum writes the column sums of the m×n tensor a into dst (n elements,
+// any shape): dst[j] = Σ a[i,j] from +0 in ascending i. It is the kernel's
+// product 1ᵀ·a, its left operand one 1.0 read at stride 0; 1·x is exact, so
+// each element is the plain ascending sum. dst must not alias a.
+func ColSum(dst, a *Tensor) {
+	if len(a.Shape) != 2 {
+		panic(fmt.Sprintf("tensor: ColSum wants a 2-D operand, got %v", a.Shape))
+	}
+	m, n := a.Shape[0], a.Shape[1]
+	if dst.Size() != n {
+		panic(fmt.Sprintf("tensor: ColSum dst %v, want %d elements", dst.Shape, n))
+	}
+	one := [1]float64{1}
+	accumRows(dst.Data, one[:], a.Data, nil, 0, 1, m, n, 0, 0)
 }
 
 // mustRank2 panics unless all three operands of the named product are 2-D.
@@ -36,62 +69,96 @@ func mustRank2(op string, dst, a, b *Tensor) {
 // optimisation: the skipped 0·Inf / 0·NaN would have been NaN, and a model
 // whose weights have diverged keeps whatever these kernels made of it. So
 // the contract is the reduction itself — each output element is the sum, in
-// ascending p from +0, of float64(a·b) over the non-zero a — and it holds at
-// every shape, because no other kernel exists for a large or dense problem
-// to be routed to. TestRowKernelsMatchReference pins it, skip rule included.
+// ascending p from +0, of float64(a·b) over the non-zero a, then one add of
+// the bias where the product has one — and it holds at every shape, because
+// no other kernel exists for a large or dense problem to be routed to.
+// TestRowKernelsMatchReference pins it, skip rule included.
 
 // stage is the capacity of the Go loop's staging area, a power of two: 512
 // bytes of stack, and the paper-sized rows (k <= 32) compress in one chunk.
 const stage = 32
 
-// accumRows is the one GEMM kernel, behind MatMul and MatMulAT (and so
-// MatMulBT). It computes rows [lo, hi) of dst, where row i is the sum over p
-// of a[i·rs + p·cs] · (row p of b), so (rs, cs) = (k, 1) reads a as m×k and
-// (1, m) reads it as k×m, transposed.
+// accumRows is the one GEMM kernel, behind MatMul, MatMulBias and MatMulAT
+// (and so MatMulBT) and ColSum. It computes rows [lo, hi) of dst, where row
+// i is the sum over p of a[i·rs + p·cs] · (row p of b), plus bias after the
+// last term where bias is not nil, so (rs, cs) = (k, 1) reads a as m×k,
+// (1, m) reads it as k×m, transposed, and (0, 0) reads one entry for every
+// term (ColSum's ones row).
 //
 // On amd64 with AVX (hasAVX, read from CPUID at init; nothing a caller can
-// set) a row is one rowUpdate call: assembly that reads the left row in
-// place and applies all k terms, zero or not, to 32 columns (then 16, then a
-// masked tail) held in registers from +0. By the argument above an applied
-// ±0 term changes no bit unless its right entry is Inf or NaN, and then the
-// output element is NaN; rowUpdate reports any non-finite element it wrote,
-// and that row alone is computed again by skipRows. Every other build runs
-// skipRows over the whole range. Both paths perform the same IEEE multiplies
-// and adds in the same order on every element they keep, so they agree in
-// every bit (DESIGN.md §8), and TestRowKernelsMatchReference runs both.
-func accumRows(dst, a, b []float64, lo, hi, k, n, rs, cs int) {
-	if n == 0 {
-		return // no column to write, and rowUpdate is handed &drow[0]
+// set) the whole range is one rowsUpdate call: assembly that reads each
+// left row in place and applies all k terms, zero or not, to register
+// accumulators from +0, adds the bias, stores, and walks on to the next
+// row. By the argument above an applied ±0 term changes no bit unless its
+// right entry is Inf or NaN, and then the output element is NaN; rowsUpdate
+// stops at the first row with a non-finite element and returns its index,
+// that row alone is computed again by skipRows and addBias, and the call
+// resumes behind it. Every other build runs skipRows and addBias over the
+// whole range. Both paths perform the same IEEE multiplies and adds in the
+// same order on every element they keep, so they agree in every bit
+// (DESIGN.md §8), and TestRowKernelsMatchReference runs both.
+func accumRows(dst, a, b, bias []float64, lo, hi, k, n, rs, cs int) {
+	if n == 0 || hi <= lo {
+		return // no element to write, and rowsUpdate is handed &dst[lo·n]
 	}
-	// rowUpdate reads a and b unchecked: every term of every row must be in range.
+	// rowsUpdate reads a, b and bias and writes dst unchecked: every term
+	// and every element of every row must be in range.
+	if len(dst) < hi*n {
+		panic(fmt.Sprintf("tensor: output holds %d elements, want %d×%d", len(dst), hi, n))
+	}
 	if len(b) < k*n {
 		panic(fmt.Sprintf("tensor: right operand holds %d elements, want %d×%d", len(b), k, n))
 	}
-	if need := (hi-1)*rs + (k-1)*cs + 1; hi > lo && k > 0 && len(a) < need {
+	if need := (hi-1)*rs + (k-1)*cs + 1; k > 0 && len(a) < need {
 		panic(fmt.Sprintf("tensor: left operand holds %d elements, want %d", len(a), need))
+	}
+	if bias != nil && len(bias) != n {
+		panic(fmt.Sprintf("tensor: bias holds %d elements, want %d", len(bias), n))
 	}
 	if !hasAVX || k == 0 {
 		skipRows(dst, a, b, lo, hi, k, n, rs, cs)
+		addBias(dst, bias, lo, hi, n)
+		return
+	}
+	var bp *float64
+	if bias != nil {
+		bp = &bias[0]
+	}
+	for i := lo; i < hi; i++ {
+		i += rowsUpdate(&dst[i*n], n, &b[0], &a[i*rs], rs, cs, k, hi-i, bp)
+		if i < hi { // a non-finite element: redo that row with the skip
+			skipRows(dst, a, b, i, i+1, k, n, rs, cs)
+			addBias(dst, bias, i, i+1, n)
+		}
+	}
+}
+
+// addBias adds bias to every row of [lo, hi) of dst, n columns each, after
+// the row's sum: the one IEEE add rowsUpdate makes before its store. A nil
+// bias adds nothing.
+func addBias(dst, bias []float64, lo, hi, n int) {
+	if bias == nil {
 		return
 	}
 	for i := lo; i < hi; i++ {
-		drow := dst[i*n : (i+1)*n]
-		if rowUpdate(&drow[0], n, &b[0], &a[i*rs], cs, k) {
-			skipRows(dst, a, b, i, i+1, k, n, rs, cs) // a non-finite element: redo with the skip
+		row := dst[i*n : (i+1)*n]
+		for j, v := range bias {
+			row[j] += v
 		}
 	}
 }
 
 // skipRows is the Go compress-and-skip loop over rows [lo, hi), with
-// accumRows' arguments: every non-AVX build's path, the AVX path's fallback
-// for a flagged row, and the oracle. Each row is two passes. The compress
-// pass walks p ascending and writes every (a entry, offset of b's row p) to
-// the next staging slot, zero or not, advancing the slot count by v != 0 as
-// an integer: no branch tests the loaded value, which on a post-ReLU operand
-// is a coin flip no predictor wins. The update pass applies every staged
-// entry to the output row, four terms per pass, before the next chunk of up
-// to stage non-zero entries is compressed, so the per-element order of
-// additions is the plain p loop's at every k.
+// accumRows' arguments but the bias (addBias follows it): every non-AVX
+// build's path, the AVX path's fallback for a flagged row, and the oracle.
+// Each row is two passes. The compress pass walks p ascending and writes
+// every (a entry, offset of b's row p) to the next staging slot, zero or
+// not, advancing the slot count by v != 0 as an integer: no branch tests
+// the loaded value, which on a post-ReLU operand is a coin flip no
+// predictor wins. The update pass applies every staged entry to the output
+// row, four terms per pass, before the next chunk of up to stage non-zero
+// entries is compressed, so the per-element order of additions is the plain
+// p loop's at every k.
 func skipRows(dst, a, b []float64, lo, hi, k, n, rs, cs int) {
 	var av [stage]float64
 	var off [stage]int
@@ -157,7 +224,7 @@ func MatMulAT(dst, a, b *Tensor) {
 	if dst.Shape[0] != m || dst.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulAT dst %v, want [%d %d]", dst.Shape, m, n))
 	}
-	accumRows(dst.Data, a.Data, b.Data, 0, m, k, n, 1, m)
+	accumRows(dst.Data, a.Data, b.Data, nil, 0, m, k, n, 1, m)
 }
 
 // MatMulBT computes dst = a × bᵀ for a (m×k) and b (n×k), producing m×n. It

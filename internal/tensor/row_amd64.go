@@ -6,11 +6,13 @@ import "repro/internal/cpu"
 // copied so the tests can switch the assembly off.
 var hasAVX = cpu.HasAVX
 
-// rowUpdate is accumRows' row update over n contiguous columns of d
-// (row_amd64.s): it writes d[j] = Σ a[p·cs]·b[p·n+j] over all k terms, from
-// +0 in ascending p, and reports whether any element it wrote is not finite.
-// Callers must have checked hasAVX and that every a[p·cs] and b[p·n+j] is in
-// range; the routine checks nothing.
+// rowsUpdate is accumRows' update over rows output rows of n contiguous
+// columns from d (row_amd64.s): row i is d[i·n+j] = Σ a[i·rs+p·cs]·b[p·n+j]
+// over all k terms, from +0 in ascending p, plus bias[j] after the last term
+// where bias is not nil. It returns the index of the first row holding an
+// element that is not finite, having written no row behind it, or rows if
+// none does. Callers must have checked hasAVX and that every a, b, bias
+// and d element the rows address is in range; the routine checks nothing.
 //
 //go:noescape
-func rowUpdate(d *float64, n int, b *float64, a *float64, cs int, k int) bool
+func rowsUpdate(d *float64, n int, b *float64, a *float64, rs, cs, k, rows int, bias *float64) int

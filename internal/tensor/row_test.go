@@ -38,85 +38,199 @@ func floatAt(data []byte, pos int) float64 {
 	return math.Float64frombits(binary.LittleEndian.Uint64(w[:]))
 }
 
-// rowGuard is how many sentinel elements sit on each side of the output row:
-// an assembly routine that runs past either end fails no bounds check.
+// rowGuard is how many sentinel elements sit on each side of the output
+// rows: an assembly routine that runs past either end fails no bounds check.
 const rowGuard = 8
 
-// checkRowUpdate calls rowUpdate on n columns that start off elements into
-// their backing array (every 8-byte phase of a 32-byte vector), over k terms
-// read from a left row at element stride cs, against k right rows at their
-// own phase. Operands come from next in a fixed order. The output row starts
-// as NaN (the routine writes it, never reads it), the left row's unread
-// elements between strides are NaN, and so are rowGuard elements past the
-// right operand's last row, where a masked-off tail lane that read memory
-// would pick them up. The result is held to a Go loop that applies every
-// term from +0 in ascending p: same bits, NaN for NaN (sameResult says why
-// the payload is not promised); the flag to "some written element is not
-// finite"; and not one element may be written outside the row.
-func checkRowUpdate(t testing.TB, n, off, k, cs int, next func() float64) {
+// Where checkRowsUpdate plants a non-finite left entry: nowhere, in the first
+// row, in the second row (of the first pair, on the pair path) or in the last.
+const (
+	plantNone = iota
+	plantFirst
+	plantSecond
+	plantLast
+	plants
+)
+
+// Bias kinds of checkRowsUpdate: none (a nil pointer), finite values with
+// signed zeros, finite values with ±Inf among them, and finite with a NaN.
+const (
+	biasNil = iota
+	biasFinite
+	biasInf
+	biasNaN
+	biasKinds
+)
+
+// rowsCase is one call of rowsUpdate: rows output rows of n columns that
+// start off elements into their backing array (every 8-byte phase of a
+// 32-byte vector), over k terms read from the left operand at row stride
+// rs and term stride cs, with a bias of kind bias and a non-finite left
+// entry planted per plant.
+type rowsCase struct {
+	rows, n, off, k, rs, cs int
+	bias, plant             int
+}
+
+// checkRowsUpdate calls rowsUpdate on c, operands drawn from next in a fixed
+// order. The output rows start as NaN (the routine writes them, never reads
+// them) inside rowGuard sentinels either side; the left operand's unread
+// elements, rowGuard elements past the right operand's last row and past
+// the bias are NaN, where a masked-off lane that read memory would pick them
+// up (and raise the flag). The result is held to a Go loop that applies
+// every term from +0 in ascending p and then the bias: the returned index to
+// the first row holding a non-finite element (rows if none); every row up to
+// it, it included, to the loop's bits, NaN for NaN (sameResult says why the
+// payload is not promised); the row behind it to the same where the pair
+// path computed it with the returned row (n < 16, an even index), and to
+// its NaN start where not; every row after that, and every sentinel, not
+// written at all. So each boundary between rows meets a guard whenever the
+// returned index stops the routine there.
+func checkRowsUpdate(t testing.TB, c rowsCase, next func() float64) {
 	sentinel, nan := math.Float64frombits(0xdeadbeefcafef00d), math.NaN()
-	back := make([]float64, rowGuard+off+n+rowGuard)
+	size := c.rows * c.n
+	back := make([]float64, rowGuard+c.off+size+rowGuard)
 	for i := range back {
 		back[i] = sentinel
 	}
-	at := rowGuard + off
-	d := back[at : at+n]
-	a := make([]float64, max(1, (k-1)*cs+1)) // never empty, so &a[0] is valid at k = 0
+	at := rowGuard + c.off
+	d := back[at : at+size]
+	for i := range d {
+		d[i] = nan
+	}
+	aLen := 1 // never empty, so &a[0] is valid at k = 0
+	if c.k > 0 {
+		aLen = max(aLen, (c.rows-1)*c.rs+(c.k-1)*c.cs+1)
+	}
+	a := make([]float64, aLen)
 	for i := range a {
 		a[i] = nan
 	}
-	for p := 0; p < k; p++ {
-		a[p*cs] = next()
+	for i := 0; i < c.rows; i++ {
+		for p := 0; p < c.k; p++ {
+			a[i*c.rs+p*c.cs] = next()
+		}
 	}
-	bBack := make([]float64, 4+k*n+rowGuard)
-	b := bBack[(off+1)%4:] // never empty, so &b[0] is valid at n = 0 or k = 0
+	plantRow := -1
+	switch c.plant {
+	case plantFirst:
+		plantRow = 0
+	case plantSecond:
+		plantRow = 1
+	case plantLast:
+		plantRow = c.rows - 1
+	}
+	if c.k > 0 && plantRow >= 0 && plantRow < c.rows {
+		a[plantRow*c.rs+(c.k-1)/2*c.cs] = []float64{math.Inf(1), math.Inf(-1), nan}[c.k%3]
+	}
+	bBack := make([]float64, 4+c.k*c.n+rowGuard)
+	b := bBack[(c.off+1)%4:] // never empty, so &b[0] is valid at n = 0 or k = 0
 	for i := range b {
 		b[i] = nan
 	}
-	for i := range b[:k*n] {
+	for i := range b[:c.k*c.n] {
 		b[i] = next()
 	}
-	want := make([]float64, n)
-	wantFlag := false
-	for j := range want {
-		d[j] = nan
-		w := 0.0
-		for p := 0; p < k; p++ {
-			w += float64(a[p*cs] * b[p*n+j])
+	var bias []float64
+	var bp *float64
+	if c.bias != biasNil {
+		biasBack := make([]float64, c.n+rowGuard)
+		for i := range biasBack {
+			biasBack[i] = nan
 		}
-		want[j] = w
-		wantFlag = wantFlag || math.IsNaN(w) || math.IsInf(w, 0)
+		bias = biasBack[:c.n]
+		for j := range bias {
+			switch v := next(); {
+			case math.IsInf(v, 0) || math.IsNaN(v):
+				bias[j] = 0.5 // finite unless the kind says otherwise
+			case v == 0:
+				bias[j] = math.Copysign(0, float64(j%2)-0.5)
+			default:
+				bias[j] = v
+			}
+		}
+		if c.n > 0 {
+			switch c.bias {
+			case biasInf:
+				bias[c.n/2] = math.Inf(1)
+				bias[c.n-1] = math.Inf(-1)
+			case biasNaN:
+				bias[(c.n-1)/3] = nan
+			}
+		}
+		bp = &biasBack[0]
+	}
+	want := make([]float64, size)
+	wantIdx := c.rows
+	for i := c.rows - 1; i >= 0; i-- {
+		for j := 0; j < c.n; j++ {
+			w := 0.0
+			for p := 0; p < c.k; p++ {
+				w += float64(a[i*c.rs+p*c.cs] * b[p*c.n+j])
+			}
+			if bias != nil {
+				w += bias[j]
+			}
+			want[i*c.n+j] = w
+			if math.IsNaN(w) || math.IsInf(w, 0) {
+				wantIdx = i
+			}
+		}
 	}
 
-	flag := rowUpdate(&back[at], n, &b[0], &a[0], cs, k)
+	dp := &back[at] // rows·n = 0 only when n = 0: the routine then stores nothing
+	got := rowsUpdate(dp, c.n, &b[0], &a[0], c.rs, c.cs, c.k, c.rows, bp)
 
-	if i := sameResult(d, want); i >= 0 {
-		t.Fatalf("n=%d off=%d k=%d cs=%d: column %d is %x (%v), the Go loop gives %x (%v); a=%v", n, off, k, cs, i,
-			math.Float64bits(d[i]), d[i], math.Float64bits(want[i]), want[i], a)
+	if got != wantIdx {
+		t.Fatalf("%+v: returned row %d, want %d (the first row holding a non-finite element, or rows); rows %v, want %v", c, got, wantIdx, d, want)
 	}
-	if flag != wantFlag {
-		t.Fatalf("n=%d off=%d k=%d cs=%d: flag %v, want %v for the row %v", n, off, k, cs, flag, wantFlag, d)
+	written := min(wantIdx+1, c.rows) // rows [0, written) hold the loop's values
+	if c.n < 16 && wantIdx%2 == 0 && wantIdx+1 < c.rows {
+		written++ // the pair path stored the returned row's partner too
+	}
+	if i := sameResult(d[:written*c.n], want[:written*c.n]); i >= 0 {
+		t.Fatalf("%+v: row %d column %d is %x (%v), the Go loop gives %x (%v); a=%v bias=%v", c, i/max(c.n, 1), i%max(c.n, 1),
+			math.Float64bits(d[i]), d[i], math.Float64bits(want[i]), want[i], a, bias)
+	}
+	for i := written * c.n; i < size; i++ {
+		if !math.IsNaN(d[i]) || math.Float64bits(d[i]) != math.Float64bits(nan) {
+			t.Fatalf("%+v: returned row %d, but row %d column %d was written (%x)", c, got, i/c.n, i%c.n, math.Float64bits(d[i]))
+		}
 	}
 	for i, v := range back {
-		if (i < at || i >= at+n) && math.Float64bits(v) != math.Float64bits(sentinel) {
-			t.Fatalf("n=%d off=%d k=%d cs=%d: guard element %d (row is [%d, %d)) was overwritten with %x", n, off, k, cs, i, at, at+n, math.Float64bits(v))
+		if (i < at || i >= at+size) && math.Float64bits(v) != math.Float64bits(sentinel) {
+			t.Fatalf("%+v: guard element %d (rows are [%d, %d)) was overwritten with %x", c, i, at, at+size, math.Float64bits(v))
 		}
 	}
 }
 
+// rowReadings are the left operand's (rs, cs) for a case of rows rows over k
+// terms: MatMul's row-major reading, MatMulAT's transposed one (m = 7, so
+// every row count here is a column of it) and ColSum's single entry.
+var rowReadings = []struct {
+	name   string
+	rs, cs func(rows, k int) int
+}{
+	{"row-major", func(_, k int) int { return k }, func(int, int) int { return 1 }},
+	{"transposed", func(int, int) int { return 1 }, func(int, int) int { return 7 }},
+	{"ones", func(int, int) int { return 0 }, func(int, int) int { return 0 }},
+}
+
 // TestRowUpdateMatchesGo drives the assembly routine directly over every row
-// width that mixes its three parts (blocks of 32 and 16 columns, a masked
-// tail of 1–15) from every 8-byte phase of a 32-byte vector, at strides 1
-// and rowStride, each at eight term counts nine apart, so every count 0–70
-// meets every tail length. Three operand mixes take turns: finite values
-// with zeros, whose flag stays down; ones with a few corner values, so that
-// some rows are flagged and some not; and corner values in 40 % of the
-// operand positions.
+// width that mixes its parts (the pair path's 1–15 columns, blocks of 32
+// and 16 columns and a masked tail of 1–15) from every 8-byte phase of a
+// 32-byte vector, in each of rowReadings, each at eight term counts nine
+// apart, so every count 0–70 meets every tail length. Each width's 96 calls
+// run through all 80 combinations of 1–5 rows (odd counts leave one row
+// behind the pairs), the four bias kinds and the four plants of a
+// non-finite left entry. Three operand mixes take turns: finite values with
+// zeros, whose flag stays down; ones with a few corner values, so that some
+// rows are flagged and some not; and corner values in 40 % of the operand
+// positions.
 func TestRowUpdateMatchesGo(t *testing.T) {
 	if !hasAVX {
 		t.Skip("hasAVX is false: no assembly row update on this host")
 	}
-	const rowStride = 7 // a left operand read transposed, m = 7
 	rng := stats.NewRNG(23)
 	corners := 0.0
 	next := func() float64 {
@@ -132,31 +246,45 @@ func TestRowUpdateMatchesGo(t *testing.T) {
 	call := 0
 	for n := 0; n <= 67; n++ {
 		for off := 0; off < 4; off++ {
-			for _, cs := range []int{1, rowStride} {
+			for _, rd := range rowReadings {
 				for k := (4*n + off) % 9; k <= 70; k += 9 {
+					combo := call % (5 * biasKinds * plants)
+					rows := 1 + combo%5
+					c := rowsCase{rows: rows, n: n, off: off, k: k, rs: rd.rs(rows, k), cs: rd.cs(rows, k),
+						bias: combo / 5 % biasKinds, plant: combo / (5 * biasKinds)}
 					corners = []float64{0, 0.002, 0.4}[call%3]
 					call++
-					checkRowUpdate(t, n, off, k, cs, next)
+					checkRowsUpdate(t, c, next)
 				}
 			}
 		}
 	}
 }
 
-// FuzzRowUpdate is the same differential from raw bytes: a row width, a
-// start phase, a term count, a stride, and operand bit patterns read eight
-// bytes at a time (the input repeats when it runs out), so signalling NaNs
-// and arbitrary payloads get in.
+// FuzzRowUpdate is the same differential from raw bytes: a row count, a row
+// width, a start phase, a term count, a reading, a bias kind, a plant, and
+// operand bit patterns read eight bytes at a time (the input repeats when it
+// runs out), so signalling NaNs and arbitrary payloads get in.
 func FuzzRowUpdate(f *testing.F) {
 	if !hasAVX {
 		f.Skip("hasAVX is false: no assembly row update on this host")
 	}
 	corners := cornerBytes()
-	f.Add(uint8(67), uint8(3), uint8(31), uint8(1), corners)
-	f.Add(uint8(10), uint8(1), uint8(4), uint8(7), corners[8:])
-	f.Add(uint8(3), uint8(2), uint8(0), uint8(1), corners[:5*8])
-	f.Add(uint8(0), uint8(0), uint8(70), uint8(3), corners[:8])
-	f.Fuzz(func(t *testing.T, n, off, k, cs uint8, data []byte) {
+	var finite []byte // values whose sums round, none of them zero or non-finite
+	for _, v := range []float64{0.1, -1.0 / 3, 2.7e-3, 12345.678, -0.7} {
+		finite = binary.LittleEndian.AppendUint64(finite, math.Float64bits(v))
+	}
+	f.Add(uint8(1), uint8(67), uint8(3), uint8(31), uint8(0), corners)
+	f.Add(uint8(5), uint8(10), uint8(1), uint8(4), uint8(1+3*biasFinite+12*plantSecond), corners[8:])
+	f.Add(uint8(3), uint8(3), uint8(2), uint8(0), uint8(2+3*biasInf), corners[:5*8])
+	f.Add(uint8(2), uint8(0), uint8(0), uint8(70), uint8(3*biasNaN+12*plantLast), corners[:8])
+	f.Add(uint8(4), uint8(15), uint8(0), uint8(16), uint8(3*biasFinite+12*plantFirst), corners[16:])
+	// Only the second row of the first pair is flagged, and a finite bias
+	// meets sums that round: a dropped second-row flag or a bias added
+	// before the sum fails these two.
+	f.Add(uint8(3), uint8(10), uint8(1), uint8(9), uint8(3*biasFinite+12*plantSecond), finite)
+	f.Add(uint8(2), uint8(32), uint8(0), uint8(11), uint8(3*biasFinite), finite)
+	f.Fuzz(func(t *testing.T, rows, n, off, k, mode uint8, data []byte) {
 		if len(data) < 8 {
 			return
 		}
@@ -165,11 +293,15 @@ func FuzzRowUpdate(f *testing.F) {
 			pos += 8
 			return floatAt(data, pos-8)
 		}
-		checkRowUpdate(t, int(n)%68, int(off)%4, int(k)%71, 1+int(cs)%8, next)
+		rd := rowReadings[int(mode)%3]
+		c := rowsCase{rows: 1 + int(rows)%5, n: int(n) % 68, off: int(off) % 4, k: int(k) % 71,
+			bias: int(mode) / 3 % biasKinds, plant: int(mode) / 12 % plants}
+		c.rs, c.cs = rd.rs(c.rows, c.k), rd.cs(c.rows, c.k)
+		checkRowsUpdate(t, c, next)
 	})
 }
 
-// TestMatMulRejectsShortRightOperand: rowUpdate reads the right operand
+// TestMatMulRejectsShortRightOperand: rowsUpdate reads the right operand
 // unchecked, so a tensor whose data is shorter than its shape says is refused
 // before any row is computed, on both paths.
 func TestMatMulRejectsShortRightOperand(t *testing.T) {
@@ -188,7 +320,7 @@ func TestMatMulRejectsShortRightOperand(t *testing.T) {
 	}
 }
 
-// TestMatMulRejectsShortLeftOperand: rowUpdate reads the left operand
+// TestMatMulRejectsShortLeftOperand: rowsUpdate reads the left operand
 // unchecked too, so a short one is refused before any row is computed, on
 // both paths and in both readings.
 func TestMatMulRejectsShortLeftOperand(t *testing.T) {
@@ -226,6 +358,34 @@ func TestMatMulRejectsNon2D(t *testing.T) {
 					}
 				}()
 				run(args[0], args[1], args[2])
+			}()
+		}
+	}
+}
+
+// TestBiasAndColSumRejectBadShapes: a bias or a column-sum destination that
+// is not one element per output column, a column sum of a tensor that is
+// not 2-D, and an output whose data is shorter than its shape says are
+// refused by name before any row is computed, on both paths — rowsUpdate
+// reads the bias and writes the output unchecked.
+func TestBiasAndColSumRejectBadShapes(t *testing.T) {
+	shipped := hasAVX
+	defer func() { hasAVX = shipped }()
+	for _, hasAVX = range []bool{shipped, false} {
+		for want, run := range map[string]func(){
+			"tensor: MatMulBias bias [4]":       func() { MatMulBias(New(2, 3), New(2, 4), New(4, 3), New(4)) },
+			"tensor: ColSum wants a 2-D":        func() { ColSum(New(3), New(3)) },
+			"tensor: ColSum dst [4]":            func() { ColSum(New(4), New(2, 3)) },
+			"tensor: output holds 5 elements":   func() { MatMul(&Tensor{Shape: []int{2, 3}, Data: make([]float64, 5)}, New(2, 4), New(4, 3)) },
+			"tensor: MatMulBias wants 2-D oper": func() { MatMulBias(New(3), New(2, 4), New(4, 3), New(3)) },
+		} {
+			func() {
+				defer func() {
+					if msg, _ := recover().(string); !strings.HasPrefix(msg, want) {
+						t.Errorf("hasAVX=%v: panic %q, want one starting %q", hasAVX, msg, want)
+					}
+				}()
+				run()
 			}()
 		}
 	}

@@ -177,8 +177,9 @@ var rowKernelOperands = []struct {
 	{"full_stage_then_zeros", dropP(func(p int) bool { return p >= stage })},
 }
 
-// TestRowKernelsMatchReference pins MatMul, MatMulAT and MatMulBT — the
-// kernels' only oracle — to refGEMM at every GEMM shape the bench workloads
+// TestRowKernelsMatchReference pins MatMul, MatMulBias, MatMulAT, MatMulBT
+// and ColSum — the kernels' only oracle — to refGEMM (plus the bias, or
+// refColSum) at every GEMM shape the bench workloads
 // run: one SGD step of the paper-sized MLP (forward 16×24×32 and 16×32×10,
 // weight gradients 24×16×32 and 32×16×10, input gradient 16×10×32) at every
 // tail batch 1..15, net-loopback's 16×64×128 / 64×16×128, train-gemm's
@@ -187,7 +188,11 @@ var rowKernelOperands = []struct {
 // gather width, and on either side of accumRows' staging capacity; at the
 // three zero-width products, which must return without
 // touching an element; and on row-range calls, which must produce the same
-// rows. The whole table runs twice: as shipped — accumRows' vector row update
+// rows. MatMulBias runs MatMul's shapes with a bias of finite values and
+// signed zeros, one with ±Inf, one with a NaN, and one of −0s in turn;
+// ColSum runs batches 0–16 and 64 at widths either side of the pair path,
+// the 16- and 32-column blocks and the tail, over gradients with ±0, ±Inf
+// and NaN. The whole table runs twice: as shipped — accumRows' vector row update
 // where the host has one — and with that update switched off, so the Go loop
 // every other build runs stays under test on an AVX host. The subtests share
 // hasAVX and so do not run in parallel; they draw the same operands, so the
@@ -236,26 +241,30 @@ func checkRowKernels(t *testing.T, wants map[string][]float64) {
 		shapes[name] = append(shapes[name], gemmShapes...)
 		shapes[name] = append(shapes[name], shape{0, 5, 3}, shape{4, 0, 3}, shape{4, 5, 0})
 	}
+	shapes["MatMulBias"] = shapes["MatMul"]
 	kernels := []struct {
 		name   string
 		aT, bT bool
-		run    func(dst, a, b *Tensor)
-		rows   func(dst, a, b []float64, lo, hi, m, k, n int)
+		bias   bool
+		run    func(dst, a, b, bias *Tensor)
+		rows   func(dst, a, b, bias []float64, lo, hi, m, k, n int)
 	}{
-		{"MatMul", false, false, MatMul,
-			func(dst, a, b []float64, lo, hi, m, k, n int) { accumRows(dst, a, b, lo, hi, k, n, k, 1) }},
-		{"MatMulAT", true, false, MatMulAT,
-			func(dst, a, b []float64, lo, hi, m, k, n int) { accumRows(dst, a, b, lo, hi, k, n, 1, m) }},
-		{"MatMulBT", false, true, MatMulBT,
-			func(dst, a, b []float64, lo, hi, m, k, n int) {
+		{"MatMul", false, false, false, func(dst, a, b, _ *Tensor) { MatMul(dst, a, b) },
+			func(dst, a, b, _ []float64, lo, hi, m, k, n int) { accumRows(dst, a, b, nil, lo, hi, k, n, k, 1) }},
+		{"MatMulBias", false, false, true, MatMulBias,
+			func(dst, a, b, bias []float64, lo, hi, m, k, n int) { accumRows(dst, a, b, bias, lo, hi, k, n, k, 1) }},
+		{"MatMulAT", true, false, false, func(dst, a, b, _ *Tensor) { MatMulAT(dst, a, b) },
+			func(dst, a, b, _ []float64, lo, hi, m, k, n int) { accumRows(dst, a, b, nil, lo, hi, k, n, 1, m) }},
+		{"MatMulBT", false, true, false, func(dst, a, b, _ *Tensor) { MatMulBT(dst, a, b) },
+			func(dst, a, b, _ []float64, lo, hi, m, k, n int) {
 				bt := FromSlice(make([]float64, k*n), k, n)
 				TransposeInto(bt, FromSlice(b, n, k))
-				accumRows(dst, a, bt.Data, lo, hi, k, n, k, 1)
+				accumRows(dst, a, bt.Data, nil, lo, hi, k, n, k, 1)
 			}},
 	}
 	for _, kern := range kernels {
 		for _, sh := range shapes[kern.name] {
-			for _, op := range rowKernelOperands {
+			for oi, op := range rowKernelOperands {
 				name := fmt.Sprintf("%s/%dx%dx%d/%s", kern.name, sh.m, sh.k, sh.n, op.name)
 				rng := stats.NewRNG(uint64(sh.m*10007 + sh.k*101 + sh.n))
 				a, b := randomTensor(rng, sh.m, sh.k), randomTensor(rng, sh.k, sh.n)
@@ -274,15 +283,29 @@ func checkRowKernels(t *testing.T, wants map[string][]float64) {
 					bpOf = func(i int) int { return i % sh.k }
 				}
 				op.fill(rng, a.Data, b.Data, a.Shape[1], pOf, bpOf)
+				var bias *Tensor
+				if kern.bias {
+					bias = testBias(rng, sh.n, oi)
+					name += fmt.Sprintf("/bias%d", oi%4)
+				}
 				want, ok := wants[name]
 				if !ok {
 					want = refGEMM(a.Data, b.Data, sh.m, sh.k, sh.n, kern.aT, kern.bT)
+					if bias != nil {
+						for i, w := range want {
+							want[i] = w + bias.Data[i%sh.n]
+						}
+					}
 					wants[name] = want
+				}
+				var biasData []float64
+				if bias != nil {
+					biasData = bias.Data
 				}
 
 				got := FromSlice(make([]float64, sh.m*sh.n), sh.m, sh.n)
 				got.Fill(math.NaN()) // the kernels must overwrite, not accumulate into, dst
-				kern.run(got, a, b)
+				kern.run(got, a, b, bias)
 				if i := sameResult(got.Data, want); i >= 0 {
 					t.Fatalf("%s: element %d is %x (%v), reference %x (%v)", name, i,
 						math.Float64bits(got.Data[i]), got.Data[i], math.Float64bits(want[i]), want[i])
@@ -291,11 +314,92 @@ func checkRowKernels(t *testing.T, wants map[string][]float64) {
 				// The same rows as two row-range calls, upper half first.
 				got.Fill(math.NaN())
 				split := sh.m / 2
-				kern.rows(got.Data, a.Data, b.Data, split, sh.m, sh.m, sh.k, sh.n)
-				kern.rows(got.Data, a.Data, b.Data, 0, split, sh.m, sh.k, sh.n)
+				kern.rows(got.Data, a.Data, b.Data, biasData, split, sh.m, sh.m, sh.k, sh.n)
+				kern.rows(got.Data, a.Data, b.Data, biasData, 0, split, sh.m, sh.k, sh.n)
 				if i := sameResult(got.Data, want); i >= 0 {
 					t.Fatalf("%s: row-range call: element %d is %x, reference %x", name, i,
 						math.Float64bits(got.Data[i]), math.Float64bits(want[i]))
+				}
+			}
+		}
+	}
+	checkColSum(t, wants)
+}
+
+// testBias is an n-element bias of the kind the operand fill's index picks:
+// finite values with signed zeros, the same with +Inf and −Inf in two
+// columns, the same with a NaN in one, or all −0 (a sum plus −0 is the sum,
+// and at k = 0 it is +0, not the −0 a copied bias would leave).
+func testBias(rng *stats.RNG, n, kind int) *Tensor {
+	bias := randomTensor(rng, n)
+	for j := range bias.Data {
+		if rng.Float64() < 0.3 {
+			bias.Data[j] = math.Copysign(0, float64(j%2)-0.5)
+		}
+	}
+	switch kind % 4 {
+	case 1:
+		if n > 0 {
+			bias.Data[n/2], bias.Data[n-1] = math.Inf(1), math.Inf(-1)
+		}
+	case 2:
+		if n > 0 {
+			bias.Data[(n-1)/3] = math.NaN()
+		}
+	case 3:
+		bias.Fill(math.Copysign(0, -1))
+	}
+	return bias
+}
+
+// refColSum is ColSum's reference: dst[j] = Σ g[i,j] from +0 in ascending i,
+// the loop every layer's dB ran before the kernel took it.
+func refColSum(g []float64, m, n int) []float64 {
+	out := make([]float64, n)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			out[j] += g[i*n+j]
+		}
+	}
+	return out
+}
+
+// checkColSum holds ColSum to refColSum at every batch 0–16 and at 64, at
+// widths on both sides of the pair path (1, 3, 10), of the 16- and
+// 32-column blocks (16, 17, 32, 37) and a wide one (128), over gradients of
+// normals with ±0 (one third), and with ±Inf and NaN among them.
+func checkColSum(t *testing.T, wants map[string][]float64) {
+	batches := []int{64}
+	for m := 0; m <= 16; m++ {
+		batches = append(batches, m)
+	}
+	for _, m := range batches {
+		for _, n := range []int{1, 3, 10, 16, 17, 32, 37, 128} {
+			for fill, pick := range [][]float64{
+				{0, math.Copysign(0, -1)},
+				{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1)},
+				{0, math.Copysign(0, -1), math.NaN()},
+				{math.Copysign(0, -1)},
+			} {
+				name := fmt.Sprintf("ColSum/%dx%d/fill%d", m, n, fill)
+				rng := stats.NewRNG(uint64(m*1009 + n*7 + fill))
+				g := randomTensor(rng, m, n)
+				for i := range g.Data {
+					if fill == 3 || rng.Float64() < 0.3 {
+						g.Data[i] = pick[rng.IntN(len(pick))]
+					}
+				}
+				want, ok := wants[name]
+				if !ok {
+					want = refColSum(g.Data, m, n)
+					wants[name] = want
+				}
+				got := New(n)
+				got.Fill(math.NaN())
+				ColSum(got, g)
+				if i := sameResult(got.Data, want); i >= 0 {
+					t.Fatalf("%s: element %d is %x (%v), reference %x (%v)", name, i,
+						math.Float64bits(got.Data[i]), got.Data[i], math.Float64bits(want[i]), want[i])
 				}
 			}
 		}
@@ -335,7 +439,7 @@ func FuzzAccumRows(f *testing.F) {
 		defer func() { hasAVX = shipped }()
 		for _, hasAVX = range []bool{shipped, false} {
 			got := make([]float64, m*n)
-			accumRows(got, a, b, 0, m, k, n, rs, cs)
+			accumRows(got, a, b, nil, 0, m, k, n, rs, cs)
 			if i := sameResult(got, want); i >= 0 {
 				t.Fatalf("%dx%dx%d aT=%v hasAVX=%v: element %d is %x (%v), reference %x (%v)", m, k, n, aT, hasAVX, i,
 					math.Float64bits(got[i]), got[i], math.Float64bits(want[i]), want[i])
@@ -344,23 +448,26 @@ func FuzzAccumRows(f *testing.F) {
 	})
 }
 
-// TestMatMulZeroAllocs holds MatMul and MatMulAT, and TransposeInto into a
-// kept tensor, to no heap allocation at train-gemm's widest GEMM: they are a
-// shape check and a kernel call (or a copy), with no dispatch closure,
-// packing buffer or goroutine to pay for. MatMulBT is not held: it allocates
+// TestMatMulZeroAllocs holds MatMul, MatMulBias, MatMulAT and ColSum (whose
+// ones row sits in its frame), and TransposeInto into a kept tensor, to no
+// heap allocation at train-gemm's widest GEMM: they are a shape check and a
+// kernel call (or a copy), with no dispatch closure, packing buffer or
+// goroutine to pay for. MatMulBT is not held: it allocates
 // its transpose by contract, and no training path calls it.
 func TestMatMulZeroAllocs(t *testing.T) {
 	const m, k, n = 64, 256, 256
 	rng := stats.NewRNG(29)
 	a, at := randomTensor(rng, m, k), randomTensor(rng, k, m)
 	b, bt := randomTensor(rng, k, n), randomTensor(rng, n, k)
-	dst := New(m, n)
+	dst, bias, sums := New(m, n), randomTensor(rng, n), New(n)
 	for _, c := range []struct {
 		name string
 		run  func()
 	}{
 		{"MatMul", func() { MatMul(dst, a, b) }},
+		{"MatMulBias", func() { MatMulBias(dst, a, b, bias) }},
 		{"MatMulAT", func() { MatMulAT(dst, at, b) }},
+		{"ColSum", func() { ColSum(sums, b) }},
 		{"TransposeInto", func() { TransposeInto(b, bt) }},
 	} {
 		if allocs := testing.AllocsPerRun(10, c.run); allocs > 0 {
@@ -452,3 +559,30 @@ func benchKernels(b *testing.B, aT, bT bool, run func(dst, a, bb *Tensor)) {
 func BenchmarkMatMul(b *testing.B)   { benchKernels(b, false, false, MatMul) }
 func BenchmarkMatMulAT(b *testing.B) { benchKernels(b, true, false, MatMulAT) }
 func BenchmarkMatMulBT(b *testing.B) { benchKernels(b, false, true, MatMulBT) }
+
+// colSumShapes are the dB column sums of the steps benchShapes come from,
+// batch × layer width: the paper-sized MLP's two layers (colsum_16x32,
+// colsum_16x10) and train-gemm's hidden and output layers.
+var colSumShapes = []struct {
+	name string
+	m, n int
+}{
+	{"colsum_16x32", 16, 32},
+	{"colsum_16x10", 16, 10},
+	{"colsum_64x256", 64, 256},
+	{"colsum_64x10", 64, 10},
+}
+
+// BenchmarkColSum times ColSum, the ones-row product every layer's dB is,
+// on a dense gradient.
+func BenchmarkColSum(b *testing.B) {
+	for _, sh := range colSumShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			g, dst := randomTensor(stats.NewRNG(7), sh.m, sh.n), New(sh.n)
+			b.SetBytes(int64(8 * sh.m * sh.n))
+			for i := 0; i < b.N; i++ {
+				ColSum(dst, g)
+			}
+		})
+	}
+}
