@@ -21,7 +21,8 @@
 #                  scenarios and kill-cloud, outputs byte-identical
 #                  (simulated time: seconds for all six)
 #   7. felnode     a loopback TCP job, cross-checked against core.Train;
-#                  -clients 0 and -lr NaN each exit 2 with one line; the
+#                  -clients 0, -lr NaN and -role bogus each exit 2 with one
+#                  line, -role bogus before its -metrics listener opens; the
 #                  two modelled-link examples print a simulated round time;
 #                  examples/fednet recovers a client reset by a faultnet rule;
 #                  examples/quickstart prints the same bytes twice; covgroup
@@ -216,6 +217,15 @@ if [ "$badlr" -ne 2 ] || [ "$(wc -l < "$nodedir/badlr.txt")" -ne 1 ] || grep -q 
   exit 1
 fi
 echo "bad learning rate: $(cat "$nodedir/badlr.txt")"
+# So is an unknown role, refused before the -metrics listener opens.
+badrole=0
+timeout 30 "$nodedir/felnode" -role bogus -metrics 127.0.0.1:0 > "$nodedir/badrole.out" 2> "$nodedir/badrole.txt" || badrole=$?
+if [ "$badrole" -ne 2 ] || [ "$(wc -l < "$nodedir/badrole.txt")" -ne 1 ] || grep -q goroutine "$nodedir/badrole.txt" || [ -s "$nodedir/badrole.out" ]; then
+  cat "$nodedir/badrole.out" "$nodedir/badrole.txt" >&2
+  echo "ci.sh: felnode -role bogus exited $badrole; want 2 with one stderr line, nothing on stdout and no stack trace" >&2
+  exit 1
+fi
+echo "unknown role: $(cat "$nodedir/badrole.txt")"
 # Each runs fednode rounds on faultnet's simulated clock and prints the
 # round's modelled duration in simulated seconds.
 for ex in distributed secureagg; do

@@ -162,10 +162,8 @@ func main() {
 		err = runLoopback(sys, cfg)
 	case "cloud":
 		err = runCloud(sys, cfg, *listen)
-	case "edge":
+	default: // "edge": checkRanges admits no other role
 		err = runEdge(sys, cfg, *edgeID, *listen, *cloud)
-	default:
-		err = fmt.Errorf("unknown role %q (want cloud, edge, or loopback)", *role)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "felnode:", err)
@@ -183,8 +181,8 @@ func main() {
 }
 
 // flags are the values checkRanges holds: the federation's and the job's
-// numbers, and those only the chosen mode reads (-jobs with -serve, -edge
-// with -role edge).
+// numbers, and those only the chosen mode reads (-jobs with -serve, -role
+// without it, -edge with -role edge).
 type flags struct {
 	clients, edges, rounds, krounds, epochs, sample, batch int
 	lr                                                     float64
@@ -214,6 +212,8 @@ func checkRanges(f flags) error {
 		return fmt.Errorf("-lr must be positive and finite, got %v", f.lr)
 	case f.serve && f.jobs <= 0:
 		return fmt.Errorf("-jobs must be positive, got %d", f.jobs)
+	case !f.serve && f.role != "loopback" && f.role != "cloud" && f.role != "edge":
+		return fmt.Errorf("-role must be cloud, edge, or loopback, got %q", f.role)
 	case !f.serve && f.role == "edge" && (f.edge < 0 || f.edge >= f.edges):
 		return fmt.Errorf("-edge must be in [0, %d) for -edges %d, got %d", f.edges, f.edges, f.edge)
 	}

@@ -19,8 +19,9 @@ func TestMain(m *testing.M) { leakcheck.Main(m) }
 // federation or a job no role can run; bad -clients or -edges used to panic
 // in the partition or the edge assignment, the other four, a bad -lr and
 // -serve -jobs 0 exited 1 with a runtime message, a negative -batch trained
-// full-batch, and -role edge with an -edge out of range printed "listening"
-// first. -batch 0 is full batch and stays allowed.
+// full-batch, -role edge with an -edge out of range printed "listening"
+// first, and an unknown -role opened the -metrics listener before it exited
+// 1. -batch 0 is full batch and stays allowed.
 func TestCheckRanges(t *testing.T) {
 	ok := flags{clients: 24, edges: 2, rounds: 3, krounds: 2, epochs: 1, sample: 2, batch: 16, lr: 0.05, jobs: 2, role: "loopback"}
 	with := func(edit func(*flags)) flags {
@@ -33,7 +34,7 @@ func TestCheckRanges(t *testing.T) {
 		want string
 	}{
 		{ok, ""},
-		{with(func(f *flags) { *f = flags{clients: 1, edges: 1, rounds: 1, krounds: 1, epochs: 1, sample: 1, lr: 1} }), ""},
+		{flags{clients: 1, edges: 1, rounds: 1, krounds: 1, epochs: 1, sample: 1, lr: 1, role: "loopback"}, ""},
 		{with(func(f *flags) { f.clients = 1 }), ""},
 		{with(func(f *flags) { f.clients = 0 }), "-clients must be positive, got 0"},
 		{with(func(f *flags) { f.clients = -3 }), "-clients must be positive, got -3"},
@@ -60,6 +61,10 @@ func TestCheckRanges(t *testing.T) {
 		{with(func(f *flags) { f.role, f.edge = "edge", 2 }), "-edge must be in [0, 2) for -edges 2, got 2"},
 		{with(func(f *flags) { f.role, f.edge = "edge", -1 }), "-edge must be in [0, 2) for -edges 2, got -1"},
 		{with(func(f *flags) { f.edge = 5 }), ""}, // -edge is read by -role edge only
+		{with(func(f *flags) { f.role = "cloud" }), ""},
+		{with(func(f *flags) { f.role = "bogus" }), `-role must be cloud, edge, or loopback, got "bogus"`},
+		{with(func(f *flags) { f.role = "" }), `-role must be cloud, edge, or loopback, got ""`},
+		{with(func(f *flags) { f.serve, f.role = true, "bogus" }), ""}, // -role is not read with -serve
 	} {
 		got := ""
 		if err := checkRanges(c.f); err != nil {

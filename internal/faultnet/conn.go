@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync"
 	"time"
 
 	"repro/internal/clock"
@@ -33,113 +32,36 @@ func (timeoutError) Error() string   { return "faultnet: injected delay exceeded
 func (timeoutError) Timeout() bool   { return true }
 func (timeoutError) Temporary() bool { return true }
 
-// simConn runs an in-process connection end's deadlines on the simulated
-// clock. Each deadline is a timer; when it fires it expires the connection's
-// own deadline, so a blocked Read or Write fails with os.ErrDeadlineExceeded
-// at exactly that simulated instant. The connection itself only ever holds
-// no deadline or one long past.
-type simConn struct {
-	net.Conn
-	clk *sim
-
-	mu     sync.Mutex
-	rd, wd deadline
-}
-
-// deadline is one direction's simulated deadline and the timer enforcing it.
-type deadline struct {
-	at    time.Time
-	timer clock.Timer
-}
-
-// expired is the deadline a connection gets once its simulated one has
-// passed.
-var expired = time.Unix(1, 0)
-
-// Clock returns the connection's simulated clock.
-func (c *simConn) Clock() clock.Clock { return c.clk }
-
-// SetReadDeadline arms the read deadline at simulated instant t.
-func (c *simConn) SetReadDeadline(t time.Time) error {
-	return c.arm(&c.rd, t, c.Conn.SetReadDeadline)
-}
-
-// SetWriteDeadline arms the write deadline at simulated instant t.
-func (c *simConn) SetWriteDeadline(t time.Time) error {
-	return c.arm(&c.wd, t, c.Conn.SetWriteDeadline)
-}
-
-// SetDeadline arms both deadlines at simulated instant t.
-func (c *simConn) SetDeadline(t time.Time) error {
-	if err := c.SetReadDeadline(t); err != nil {
-		return err
-	}
-	return c.SetWriteDeadline(t)
-}
-
-// arm replaces one direction's deadline with t (zero: none); set is the
-// underlying connection's setter for that direction.
-func (c *simConn) arm(d *deadline, t time.Time, set func(time.Time) error) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if d.timer != nil {
-		d.timer.Stop()
-		d.timer = nil
-	}
-	d.at = t
-	wait := t.Sub(c.clk.Now())
-	if !t.IsZero() && wait <= 0 {
-		return set(expired)
-	}
-	if err := set(time.Time{}); err != nil || t.IsZero() {
-		return err
-	}
-	var timer clock.Timer
-	timer = c.clk.AfterFunc(wait, func() {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		if d.timer == timer {
-			d.timer = nil
-			//lint:ignore dropped-error a connection refuses a deadline only once closed, when its reads and writes have already returned
-			set(expired)
-		}
-	})
-	d.timer = timer
-	return nil
-}
-
-// readDeadline returns the simulated read deadline (zero: none).
-func (c *simConn) readDeadline() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.rd.at
-}
-
-// Close stops both deadline timers and closes the connection.
-func (c *simConn) Close() error {
-	c.mu.Lock()
-	for _, d := range []*deadline{&c.rd, &c.wd} {
-		if d.timer != nil {
-			d.timer.Stop()
-			d.timer = nil
-		}
-	}
-	c.mu.Unlock()
-	return c.Conn.Close()
-}
-
 // faultConn injects the plan's faults into one dialed connection, frame by
 // frame: writes fault on the dialer→listener direction, reads on the
-// reverse. Reads and deadline updates must come from a single goroutine
-// (the invariant every fednode node already upholds); Close may race.
+// reverse. The connection enforces its deadlines on the network's clock;
+// faultConn keeps the read one so an injected wait can stop at it. Reads and
+// deadline updates must come from a single goroutine (the invariant every
+// fednode node already upholds), as rd is not locked; Close may race.
 type faultConn struct {
-	*simConn
+	net.Conn
 	nw  *Network
 	out *dirState // frames this end writes
 	in  *dirState // frames the peer writes, delivered to this end
+	rd  time.Time // the read deadline (zero: none)
 
 	rbuf []byte
 	rerr error
+}
+
+// Clock returns the network's simulated clock.
+func (c *faultConn) Clock() clock.Clock { return c.nw.clk }
+
+// SetReadDeadline keeps t for waitIn and sets it on the connection.
+func (c *faultConn) SetReadDeadline(t time.Time) error {
+	c.rd = t
+	return c.Conn.SetReadDeadline(t)
+}
+
+// SetDeadline keeps t for waitIn and sets both deadlines to it.
+func (c *faultConn) SetDeadline(t time.Time) error {
+	c.rd = t
+	return c.Conn.SetDeadline(t)
 }
 
 // Write applies the plan to one outgoing frame. Non-frame writes (partial
@@ -179,9 +101,9 @@ func (c *faultConn) Write(p []byte) (int, error) {
 // fires first, the peer times out and this end's eventual write fails —
 // the straggler path, end to end.
 func (c *faultConn) waitOut(sleep time.Duration) {
-	c.clk.Sleep(sleep)
+	c.nw.clk.Sleep(sleep)
 	// With no partition the heal deadline is the zero time, long past.
-	c.clk.Sleep(c.nw.healDeadline(c.out.from, c.out.to).Sub(c.clk.Now()))
+	c.nw.clk.Sleep(c.nw.healDeadline(c.out.from, c.out.to).Sub(c.nw.clk.Now()))
 }
 
 // Read buffers one inbound frame, applies the plan to it, and serves it.
@@ -250,16 +172,16 @@ func (c *faultConn) Read(b []byte) (int, error) {
 // frame is dropped and a net-timeout error surfaces at the deadline instead
 // — an injected straggler, indistinguishable from a genuinely slow peer.
 func (c *faultConn) waitIn(sleep time.Duration) (dropped bool, err error) {
-	now := c.clk.Now()
+	now := c.nw.clk.Now()
 	target := now.Add(sleep)
 	if until := c.nw.healDeadline(c.in.from, c.in.to); until.After(target) {
 		target = until
 	}
-	if dl := c.readDeadline(); !dl.IsZero() && target.After(dl) {
-		c.clk.Sleep(dl.Sub(now))
+	if !c.rd.IsZero() && target.After(c.rd) {
+		c.nw.clk.Sleep(c.rd.Sub(now))
 		return true, timeoutError{}
 	}
-	c.clk.Sleep(target.Sub(now))
+	c.nw.clk.Sleep(target.Sub(now))
 	return false, nil
 }
 

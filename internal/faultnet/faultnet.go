@@ -7,13 +7,15 @@
 //
 // Time under a Network is simulated. Injected delays, partition heals, the
 // refusal of dials across a partition, and every deadline set on a
-// connection the Network hands out (dialed or accepted) run on its clock,
-// which internal/clock.Of finds for fednode's deadlines, dial backoff and
-// restart backoff. The clock stands still while anything in the process
-// can run and jumps to its next timer once nothing can (sim.go), so a plan's
-// waits cost no wall time and their order is fixed by the plan, not by the
-// host's load. That quiescence is read from goroutine states, which kernel
-// buffers hide: TCP transports are not supported.
+// connection the Network hands out (dialed or accepted) run on its clock:
+// Wrap hands the clock to the MemNetwork it wraps, whose own deadline timers
+// then fire at simulated instants. internal/clock.Of finds it for fednode's
+// deadlines, dial backoff and restart backoff. The clock stands still while
+// anything in the process can run and jumps to its next timer once nothing
+// can (sim.go), so a plan's waits cost no wall time and their order is fixed
+// by the plan, not by the host's load. That quiescence is read from
+// goroutine states, which kernel buffers hide: TCP transports are not
+// supported.
 //
 // Links are identified by the node tags internal/fednode supplies through
 // its TagNetwork hooks ("cloud", "edge/<e>", "client/<id>"), never by
@@ -71,16 +73,21 @@ type Network struct {
 }
 
 // Wrap builds a fault-injecting view of inner executing plan, on a simulated
-// clock of its own. reg (which may be nil) receives
+// clock of its own that it hands to inner through SetClock (fednode's
+// MemNetwork has it). reg (which may be nil) receives
 // fel_faultnet_injected_total{action} counters as faults fire. The plan must
 // already be validated.
 func Wrap(inner Transport, plan *Plan, reg *metrics.Registry) *Network {
+	clk := newSim()
+	if c, ok := inner.(interface{ SetClock(clock.Clock) }); ok {
+		c.SetClock(clk)
+	}
 	return &Network{
 		inner:        inner,
 		plan:         plan,
 		log:          &Log{},
 		reg:          reg,
-		clk:          newSim(),
+		clk:          clk,
 		listenerTags: make(map[string]string),
 		dirs:         make(map[string]*dirState),
 		partitions:   make(map[string]time.Time),
@@ -99,26 +106,6 @@ func (n *Network) RestartBudget() (int, time.Duration) {
 	return n.plan.MaxRestarts, time.Duration(n.plan.RestartBackoffMs) * time.Millisecond
 }
 
-// listener hands out accepted connections whose deadlines run on the
-// network's clock. Faults are injected on the dialing end only, so an
-// accepted connection carries none of its own.
-type listener struct {
-	net.Listener
-	clk *sim
-}
-
-// Accept wraps the next connection for simulated deadlines.
-func (l *listener) Accept() (net.Conn, error) {
-	conn, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return &simConn{Conn: conn, clk: l.clk}, nil
-}
-
-// Clock returns the network's simulated clock.
-func (l *listener) Clock() clock.Clock { return l.clk }
-
 // ListenAs opens a listener on addr and remembers its tag, so later dials
 // of the same address resolve their link identity.
 func (n *Network) ListenAs(tag, addr string) (net.Listener, error) {
@@ -129,7 +116,7 @@ func (n *Network) ListenAs(tag, addr string) (net.Listener, error) {
 	n.mu.Lock()
 	n.listenerTags[ln.Addr().String()] = tag
 	n.mu.Unlock()
-	return &listener{Listener: ln, clk: n.clk}, nil
+	return ln, nil
 }
 
 // Listen opens an untagged listener; its tag defaults to its address.
@@ -144,7 +131,7 @@ func (n *Network) Listen(addr string) (net.Listener, error) {
 		n.listenerTags[resolved] = resolved
 	}
 	n.mu.Unlock()
-	return &listener{Listener: ln, clk: n.clk}, nil
+	return ln, nil
 }
 
 // DialFrom dials addr on behalf of the node tagged fromTag and wraps the
@@ -161,10 +148,10 @@ func (n *Network) DialFrom(fromTag, addr string) (net.Conn, error) {
 		return nil, err
 	}
 	return &faultConn{
-		simConn: &simConn{Conn: conn, clk: n.clk},
-		nw:      n,
-		out:     n.dir(fromTag, toTag),
-		in:      n.dir(toTag, fromTag),
+		Conn: conn,
+		nw:   n,
+		out:  n.dir(fromTag, toTag),
+		in:   n.dir(toTag, fromTag),
 	}, nil
 }
 

@@ -19,13 +19,15 @@ const memBuffer = 64 << 10
 // and blocks only while that queue is full; a Read drains this end's queue.
 // Errors follow net.Pipe: io.ErrClosedPipe once either end is closed (a Read
 // after the peer's Close first returns what was queued, then io.EOF), and a
-// passed deadline as os.ErrDeadlineExceeded in a *net.OpError. A blocked
-// Read or Write waits in a select, so faultnet's quiescence scan sees a
-// parked end as waiting.
+// passed deadline as os.ErrDeadlineExceeded in a *net.OpError. Deadlines
+// run on clk, the clock of the MemNetwork that made the connection. A
+// blocked Read or Write waits in a select, so faultnet's quiescence scan
+// sees a parked end as waiting.
 type memConn struct {
 	rdMu, wrMu sync.Mutex // one Read and one Write at a time
 	in, out    *memQueue
 	addr       memAddr
+	clk        clock.Clock
 
 	closeOnce sync.Once
 	done      chan struct{} // closed by Close
@@ -35,11 +37,11 @@ type memConn struct {
 }
 
 // memConnPair returns the two connected ends of a new MemNetwork connection
-// to addr.
-func memConnPair(addr string) (*memConn, *memConn) {
+// to addr, whose deadlines run on clk.
+func memConnPair(addr string, clk clock.Clock) (*memConn, *memConn) {
 	ab, ba := newMemQueue(), newMemQueue()
-	a := &memConn{in: ba, out: ab, addr: memAddr(addr), done: make(chan struct{}), rd: newMemDeadline(), wd: newMemDeadline()}
-	b := &memConn{in: ab, out: ba, addr: memAddr(addr), done: make(chan struct{}), rd: newMemDeadline(), wd: newMemDeadline()}
+	a := &memConn{in: ba, out: ab, addr: memAddr(addr), clk: clk, done: make(chan struct{}), rd: newMemDeadline(), wd: newMemDeadline()}
+	b := &memConn{in: ab, out: ba, addr: memAddr(addr), clk: clk, done: make(chan struct{}), rd: newMemDeadline(), wd: newMemDeadline()}
 	a.peerDone, b.peerDone = b.done, a.done
 	return a, b
 }
@@ -91,10 +93,13 @@ func (c *memConn) Write(p []byte) (int, error) {
 
 // Close closes this end: its own Reads and Writes fail from now on, the
 // peer's Writes fail, and the peer's Reads return what is queued, then EOF.
-// It wakes every Read and Write parked on either end, which then see done.
+// It wakes every Read and Write parked on either end, which then see done,
+// and disarms both deadlines, so a closed end leaves no timer on its clock.
 func (c *memConn) Close() error {
 	c.closeOnce.Do(func() {
 		close(c.done)
+		c.rd.set(c.clk, time.Time{})
+		c.wd.set(c.clk, time.Time{})
 		for _, q := range []*memQueue{c.in, c.out} {
 			wake(q.readable)
 			wake(q.writable)
@@ -106,6 +111,9 @@ func (c *memConn) Close() error {
 func (c *memConn) LocalAddr() net.Addr  { return c.addr }
 func (c *memConn) RemoteAddr() net.Addr { return c.addr }
 
+// Clock returns the clock the connection's deadlines run on.
+func (c *memConn) Clock() clock.Clock { return c.clk }
+
 // SetDeadline sets both deadlines; see SetReadDeadline.
 func (c *memConn) SetDeadline(t time.Time) error {
 	if err := c.SetReadDeadline(t); err != nil {
@@ -115,14 +123,14 @@ func (c *memConn) SetDeadline(t time.Time) error {
 }
 
 // SetReadDeadline sets when a pending or future Read fails with a timeout:
-// the zero time means never, an instant already past means at once. Only a
-// closed end refuses a deadline: after the peer's Close, queued bytes can
-// still be read under one.
+// the zero time means never, an instant already past on the connection's
+// clock means at once. Only a closed end refuses a deadline: after the
+// peer's Close, queued bytes can still be read under one.
 func (c *memConn) SetReadDeadline(t time.Time) error {
 	if isClosed(c.done) {
 		return io.ErrClosedPipe
 	}
-	c.rd.set(t)
+	c.rd.set(c.clk, t)
 	return nil
 }
 
@@ -132,7 +140,7 @@ func (c *memConn) SetWriteDeadline(t time.Time) error {
 	if isClosed(c.done) {
 		return io.ErrClosedPipe
 	}
-	c.wd.set(t)
+	c.wd.set(c.clk, t)
 	return nil
 }
 
@@ -215,8 +223,10 @@ func (q *memQueue) write(p []byte) int {
 	return n
 }
 
-// memDeadline is one direction's deadline on the wall clock, net.Pipe's
-// contract: cancel is closed once the deadline has passed.
+// memDeadline is one direction's deadline, net.Pipe's contract on the
+// connection's clock: cancel is closed once the deadline has passed. Under
+// faultnet that clock is simulated, and the timer closing cancel fires at
+// exactly the deadline's simulated instant.
 type memDeadline struct {
 	mu     sync.Mutex
 	timer  clock.Timer
@@ -225,9 +235,10 @@ type memDeadline struct {
 
 func newMemDeadline() memDeadline { return memDeadline{cancel: make(chan struct{})} }
 
-// set moves the deadline to t: the zero time clears it, an instant already
-// past closes cancel at once, a future one arms a timer that closes it then.
-func (d *memDeadline) set(t time.Time) {
+// set moves the deadline to t on clk: the zero time clears it, an instant
+// already past closes cancel at once, a future one arms a timer on clk that
+// closes it then.
+func (d *memDeadline) set(clk clock.Clock, t time.Time) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.timer != nil && !d.timer.Stop() {
@@ -241,12 +252,12 @@ func (d *memDeadline) set(t time.Time) {
 		}
 		return
 	}
-	if wait := t.Sub(clock.Real.Now()); wait > 0 {
+	if wait := t.Sub(clk.Now()); wait > 0 {
 		if closed {
 			d.cancel = make(chan struct{})
 		}
 		cancel := d.cancel
-		d.timer = clock.Real.AfterFunc(wait, func() { close(cancel) })
+		d.timer = clk.AfterFunc(wait, func() { close(cancel) })
 		return
 	}
 	if !closed {

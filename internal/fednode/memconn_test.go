@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/stats"
 	"repro/internal/wire"
 )
@@ -135,7 +136,7 @@ func TestMemConnConformance(t *testing.T) {
 		name string
 		pair func() (net.Conn, net.Conn)
 	}{
-		{"MemNetwork", func() (net.Conn, net.Conn) { return memConnPair("t") }},
+		{"MemNetwork", func() (net.Conn, net.Conn) { return memConnPair("t", clock.Real) }},
 		{"net.Pipe", net.Pipe},
 	}
 	for _, row := range connRows {
@@ -162,7 +163,7 @@ func TestMemConnConformance(t *testing.T) {
 // still read, in full, and only then does the reader see EOF — the buffered
 // row net.Pipe has no counterpart for.
 func TestMemConnDrainsAfterPeerClose(t *testing.T) {
-	a, b := memConnPair("t")
+	a, b := memConnPair("t", clock.Real)
 	defer closeQuiet(a)
 	if _, err := b.Write([]byte("queued")); err != nil {
 		t.Fatal(err)
@@ -180,7 +181,7 @@ func TestMemConnDrainsAfterPeerClose(t *testing.T) {
 // TestMemConnWriteDoesNotWaitForReader: a write that fits the buffer returns
 // before anyone reads, which is what makes a served version a copy.
 func TestMemConnWriteDoesNotWaitForReader(t *testing.T) {
-	a, b := memConnPair("t")
+	a, b := memConnPair("t", clock.Real)
 	defer closeQuiet(a)
 	defer closeQuiet(b)
 	if n, err := a.Write(make([]byte, memBuffer)); n != memBuffer || err != nil {
@@ -193,7 +194,7 @@ func TestMemConnWriteDoesNotWaitForReader(t *testing.T) {
 // reports whether the reader got exactly stream, then EOF.
 func streamThrough(t *testing.T, stream []byte, writeSize, readSize func(i int) int) {
 	t.Helper()
-	a, b := memConnPair("t")
+	a, b := memConnPair("t", clock.Real)
 	defer closeQuiet(b)
 	werr := make(chan error, 1)
 	go func() {

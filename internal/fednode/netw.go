@@ -88,16 +88,29 @@ func (t TCPNetwork) Dial(addr string) (net.Conn, error) {
 // MemNetwork is an in-process Network: no ports, no kernel. Each connection
 // is a pair of memConn ends, a socket's contract in process memory — a
 // Write returns once its bytes are queued for the peer (memBuffer of them
-// per direction), deadlines and close behave as on net.Pipe.
+// per direction), deadlines and close behave as on net.Pipe. Its listeners
+// and connections carry the network's clock (clock.Of finds it), and their
+// deadlines and accept backoff run on it: the wall clock, unless a
+// simulator hands the network its own through SetClock.
 type MemNetwork struct {
 	mu        sync.Mutex
 	listeners map[string]*memListener
 	autoN     int
+	clk       clock.Clock
 }
 
-// NewMemNetwork returns an empty in-memory network.
+// NewMemNetwork returns an empty in-memory network on the wall clock.
 func NewMemNetwork() *MemNetwork {
-	return &MemNetwork{listeners: make(map[string]*memListener)}
+	return &MemNetwork{listeners: make(map[string]*memListener), clk: clock.Real}
+}
+
+// SetClock makes clk the clock of every listener and connection the network
+// hands out from now on. faultnet.Wrap calls it with its simulated clock, so
+// every deadline under a fault plan fires at its simulated instant.
+func (m *MemNetwork) SetClock(clk clock.Clock) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.clk = clk
 }
 
 // Listen registers addr; later Dials of the same addr reach this listener.
@@ -113,7 +126,7 @@ func (m *MemNetwork) Listen(addr string) (net.Listener, error) {
 	if _, dup := m.listeners[addr]; dup {
 		return nil, fmt.Errorf("fednode: memnet address %q already in use", addr)
 	}
-	l := &memListener{addr: addr, backlog: make(chan net.Conn, 64), done: make(chan struct{})}
+	l := &memListener{addr: addr, clk: m.clk, backlog: make(chan net.Conn, 64), done: make(chan struct{})}
 	m.listeners[addr] = l
 	return l, nil
 }
@@ -121,12 +134,12 @@ func (m *MemNetwork) Listen(addr string) (net.Listener, error) {
 // Dial creates a connection, delivering the server end to addr's listener.
 func (m *MemNetwork) Dial(addr string) (net.Conn, error) {
 	m.mu.Lock()
-	l := m.listeners[addr]
+	l, clk := m.listeners[addr], m.clk
 	m.mu.Unlock()
 	if l == nil {
 		return nil, fmt.Errorf("fednode: memnet dial %q: connection refused", addr)
 	}
-	client, server := memConnPair(addr)
+	client, server := memConnPair(addr, clk)
 	select {
 	case l.backlog <- server:
 		return client, nil
@@ -137,6 +150,7 @@ func (m *MemNetwork) Dial(addr string) (net.Conn, error) {
 
 type memListener struct {
 	addr    string
+	clk     clock.Clock
 	backlog chan net.Conn
 	done    chan struct{}
 	closed  sync.Once
@@ -157,6 +171,9 @@ func (l *memListener) Close() error {
 }
 
 func (l *memListener) Addr() net.Addr { return memAddr(l.addr) }
+
+// Clock returns the clock of the network that opened the listener.
+func (l *memListener) Clock() clock.Clock { return l.clk }
 
 type memAddr string
 

@@ -60,18 +60,26 @@ func sameResult(got, want []float64) int {
 	return -1
 }
 
-// operandFill plants one pattern in fresh random operands: a is the left one,
-// aCols wide as stored, and pOf and bpOf map an index into a and into b to
-// the reduction index p the kernel under test reads that entry at.
-type operandFill func(rng *stats.RNG, a, b []float64, aCols int, pOf, bpOf func(int) int)
+// operandFill plants one pattern in fresh random operands: a is the left
+// one, and ix says how the kernel under test reads them.
+type operandFill func(rng *stats.RNG, a, b []float64, ix operandIndex)
+
+// operandIndex maps an index into a test's operands to what the kernel under
+// test reads there: aRow and aP map an index into a to the output row and
+// the reduction index p it feeds, bP an index into b to its p. aCols is a's
+// stored width.
+type operandIndex struct {
+	aCols        int
+	aRow, aP, bP func(int) int
+}
 
 // dropP zeroes the left entries whose reduction index satisfies drop: every
 // output row then meets the same run of zeros and non-zeros along p, placed
 // against accumRows' staging boundary.
 func dropP(drop func(p int) bool) operandFill {
-	return func(_ *stats.RNG, a, _ []float64, _ int, pOf, _ func(int) int) {
+	return func(_ *stats.RNG, a, _ []float64, ix operandIndex) {
 		for i := range a {
-			if drop(pOf(i)) {
+			if drop(ix.aP(i)) {
 				a[i] = 0
 			}
 		}
@@ -83,17 +91,17 @@ var rowKernelOperands = []struct {
 	name string
 	fill operandFill
 }{
-	{"dense", func(*stats.RNG, []float64, []float64, int, func(int) int, func(int) int) {}},
-	{"half_zero", func(rng *stats.RNG, a, _ []float64, _ int, _, _ func(int) int) { sparsify(rng, a, 0.5) }},
-	{"mostly_zero", func(rng *stats.RNG, a, _ []float64, _ int, _, _ func(int) int) { sparsify(rng, a, 0.95) }},
-	{"zero_row", func(_ *stats.RNG, a, _ []float64, aCols int, _, _ func(int) int) {
+	{"dense", func(*stats.RNG, []float64, []float64, operandIndex) {}},
+	{"half_zero", func(rng *stats.RNG, a, _ []float64, _ operandIndex) { sparsify(rng, a, 0.5) }},
+	{"mostly_zero", func(rng *stats.RNG, a, _ []float64, _ operandIndex) { sparsify(rng, a, 0.95) }},
+	{"zero_row", func(_ *stats.RNG, a, _ []float64, ix operandIndex) {
 		// One stored row of a (an output row for MatMul/BT, one p for AT).
 		if len(a) > 0 {
-			clear(a[len(a)/aCols/2*aCols:][:aCols])
+			clear(a[len(a)/ix.aCols/2*ix.aCols:][:ix.aCols])
 		}
 	}},
-	{"all_zero", func(_ *stats.RNG, a, _ []float64, _ int, _, _ func(int) int) { clear(a) }},
-	{"neg_zero", func(rng *stats.RNG, a, b []float64, _ int, _, _ func(int) int) {
+	{"all_zero", func(_ *stats.RNG, a, _ []float64, _ operandIndex) { clear(a) }},
+	{"neg_zero", func(rng *stats.RNG, a, b []float64, _ operandIndex) {
 		negZero := math.Copysign(0, -1)
 		for i := range a {
 			if rng.Float64() < 0.3 {
@@ -106,7 +114,7 @@ var rowKernelOperands = []struct {
 			}
 		}
 	}},
-	{"cancel_to_zero", func(_ *stats.RNG, a, b []float64, _ int, _, _ func(int) int) {
+	{"cancel_to_zero", func(_ *stats.RNG, a, b []float64, _ operandIndex) {
 		// Partial sums that hit exactly +0 mid-reduction, then meet −0 terms.
 		for i := range a {
 			a[i] = float64(1 - 2*(i%2))
@@ -115,7 +123,7 @@ var rowKernelOperands = []struct {
 			b[i] = float64(i%3) - 1
 		}
 	}},
-	{"inf_nan_right", func(rng *stats.RNG, a, b []float64, _ int, _, _ func(int) int) {
+	{"inf_nan_right", func(rng *stats.RNG, a, b []float64, _ operandIndex) {
 		// Zeros in a against Inf/NaN in b: the skipped 0·Inf must stay
 		// skipped, the unskipped ones must poison the sum.
 		sparsify(rng, a, 0.5)
@@ -130,7 +138,7 @@ var rowKernelOperands = []struct {
 			}
 		}
 	}},
-	{"inf_nan_left", func(rng *stats.RNG, a, _ []float64, _ int, _, _ func(int) int) {
+	{"inf_nan_left", func(rng *stats.RNG, a, _ []float64, _ operandIndex) {
 		sparsify(rng, a, 0.4)
 		for i := range a {
 			switch r := rng.Float64(); {
@@ -141,7 +149,7 @@ var rowKernelOperands = []struct {
 			}
 		}
 	}},
-	{"overflow", func(rng *stats.RNG, a, b []float64, _ int, _, _ func(int) int) {
+	{"overflow", func(rng *stats.RNG, a, b []float64, _ operandIndex) {
 		// Finite operands whose products overflow to ±Inf (and whose sums of
 		// ±Inf go NaN), beside zeros in a that meet only finite b.
 		sparsify(rng, a, 0.3)
@@ -153,16 +161,16 @@ var rowKernelOperands = []struct {
 			}
 		}
 	}},
-	{"inf_nan_meets_zeros", func(rng *stats.RNG, a, b []float64, _ int, pOf, bpOf func(int) int) {
+	{"inf_nan_meets_zeros", func(rng *stats.RNG, a, b []float64, ix operandIndex) {
 		// Inf and NaN right entries on every third p, where every left entry
 		// is zero: the vector path's 0·Inf flags the row, the skip keeps it finite.
 		for i := range a {
-			if pOf(i)%3 == 1 {
+			if ix.aP(i)%3 == 1 {
 				a[i] = 0
 			}
 		}
 		for i := range b {
-			if bpOf(i)%3 == 1 && rng.Float64() < 0.3 {
+			if ix.bP(i)%3 == 1 && rng.Float64() < 0.3 {
 				b[i] = []float64{math.Inf(1), math.Inf(-1), math.NaN()}[rng.IntN(3)]
 			}
 		}
@@ -175,6 +183,18 @@ var rowKernelOperands = []struct {
 	{"topup_3", dropP(func(p int) bool { return 1 <= p && p < 4 })},
 	{"zeros_across_chunk", dropP(func(p int) bool { return stage-5 <= p && p < stage+5 })},
 	{"full_stage_then_zeros", dropP(func(p int) bool { return p >= stage })},
+	{"inf_nan_odd_rows", func(rng *stats.RNG, a, _ []float64, ix operandIndex) {
+		// Inf, NaN and overflowing left entries on odd output rows only,
+		// beside zeros: every even row stays finite, so on the pair path
+		// (n < 16, the only shapes it runs at) a pair's second row is
+		// non-finite while its first is not.
+		sparsify(rng, a, 0.3)
+		for i := range a {
+			if ix.aRow(i)%2 == 1 && rng.Float64() < 0.2 {
+				a[i] = []float64{math.Inf(1), math.Inf(-1), math.NaN(), math.MaxFloat64}[rng.IntN(4)]
+			}
+		}
+	}},
 }
 
 // TestRowKernelsMatchReference pins MatMul, MatMulBias, MatMulAT, MatMulBT
@@ -265,6 +285,9 @@ func checkRowKernels(t *testing.T, wants map[string][]float64) {
 	for _, kern := range kernels {
 		for _, sh := range shapes[kern.name] {
 			for oi, op := range rowKernelOperands {
+				if op.name == "inf_nan_odd_rows" && sh.n >= 16 {
+					continue // it is about the pair path's two rows
+				}
 				name := fmt.Sprintf("%s/%dx%dx%d/%s", kern.name, sh.m, sh.k, sh.n, op.name)
 				rng := stats.NewRNG(uint64(sh.m*10007 + sh.k*101 + sh.n))
 				a, b := randomTensor(rng, sh.m, sh.k), randomTensor(rng, sh.k, sh.n)
@@ -274,15 +297,20 @@ func checkRowKernels(t *testing.T, wants map[string][]float64) {
 				if kern.bT {
 					b = randomTensor(rng, sh.n, sh.k)
 				}
-				pOf := func(i int) int { return i % sh.k }
+				ix := operandIndex{
+					aCols: a.Shape[1],
+					aRow:  func(i int) int { return i / sh.k },
+					aP:    func(i int) int { return i % sh.k },
+					bP:    func(i int) int { return i / sh.n },
+				}
 				if kern.aT {
-					pOf = func(i int) int { return i / sh.m }
+					ix.aRow = func(i int) int { return i % sh.m }
+					ix.aP = func(i int) int { return i / sh.m }
 				}
-				bpOf := func(i int) int { return i / sh.n }
 				if kern.bT {
-					bpOf = func(i int) int { return i % sh.k }
+					ix.bP = func(i int) int { return i % sh.k }
 				}
-				op.fill(rng, a.Data, b.Data, a.Shape[1], pOf, bpOf)
+				op.fill(rng, a.Data, b.Data, ix)
 				var bias *Tensor
 				if kern.bias {
 					bias = testBias(rng, sh.n, oi)
@@ -412,15 +440,20 @@ func checkColSum(t *testing.T, wants map[string][]float64) {
 // NaNs land on every side of a four-term pass and of the staging boundary;
 // m, k (up to past two chunks) and n (up to past a 32-column block, a
 // 16-column one and a masked tail) come from the input too, aT picks the
-// (rs, cs) reading, and the result is held to refGEMM with the vector row
-// update on (where the host has one) and off.
+// (rs, cs) reading, bias picks one of checkRowsUpdate's bias kinds (nil,
+// finite with signed zeros, with ±Inf, with a NaN), and the result is held
+// to refGEMM plus the bias with the vector row update on (where the host has
+// one) and off.
 func FuzzAccumRows(f *testing.F) {
 	corners := cornerBytes()
-	f.Add(uint8(3), uint8(2*stage+3), uint8(5), false, corners)
-	f.Add(uint8(5), uint8(stage+1), uint8(9), true, corners[8:])
-	f.Add(uint8(1), uint8(stage), uint8(1), false, corners[:3*8])
-	f.Add(uint8(2), uint8(7), uint8(4), true, corners[:8])
-	f.Fuzz(func(t *testing.T, mb, kb, nb uint8, aT bool, data []byte) {
+	f.Add(uint8(3), uint8(2*stage+3), uint8(5), false, uint8(biasNil), corners)
+	f.Add(uint8(5), uint8(stage+1), uint8(9), true, uint8(biasNil), corners[8:])
+	f.Add(uint8(1), uint8(stage), uint8(1), false, uint8(biasNil), corners[:3*8])
+	f.Add(uint8(2), uint8(7), uint8(4), true, uint8(biasNil), corners[:8])
+	f.Add(uint8(4), uint8(11), uint8(10), false, uint8(biasFinite), corners[3*8:])
+	f.Add(uint8(5), uint8(9), uint8(37), true, uint8(biasInf), corners[5*8:])
+	f.Add(uint8(3), uint8(stage+2), uint8(17), false, uint8(biasNaN), corners[:4*8])
+	f.Fuzz(func(t *testing.T, mb, kb, nb uint8, aT bool, biasKind uint8, data []byte) {
 		if len(data) < 8 {
 			return
 		}
@@ -429,8 +462,17 @@ func FuzzAccumRows(f *testing.F) {
 		for i := range a {
 			a[i] = floatAt(data, 8*i)
 		}
-		b := randomTensor(stats.NewRNG(uint64(len(data))), k, n).Data
+		rng := stats.NewRNG(uint64(len(data)))
+		b := randomTensor(rng, k, n).Data
 		want := refGEMM(a, b, m, k, n, aT, false)
+		var bias []float64
+		if kind := int(biasKind) % biasKinds; kind != biasNil {
+			// testBias' kinds 0–2 are biasFinite, biasInf and biasNaN.
+			bias = testBias(rng, n, kind-biasFinite).Data
+			for i := range want {
+				want[i] += bias[i%n]
+			}
+		}
 		rs, cs := k, 1
 		if aT {
 			rs, cs = 1, m
@@ -439,9 +481,9 @@ func FuzzAccumRows(f *testing.F) {
 		defer func() { hasAVX = shipped }()
 		for _, hasAVX = range []bool{shipped, false} {
 			got := make([]float64, m*n)
-			accumRows(got, a, b, nil, 0, m, k, n, rs, cs)
+			accumRows(got, a, b, bias, 0, m, k, n, rs, cs)
 			if i := sameResult(got, want); i >= 0 {
-				t.Fatalf("%dx%dx%d aT=%v hasAVX=%v: element %d is %x (%v), reference %x (%v)", m, k, n, aT, hasAVX, i,
+				t.Fatalf("%dx%dx%d aT=%v bias=%v hasAVX=%v: element %d is %x (%v), reference %x (%v)", m, k, n, aT, bias, hasAVX, i,
 					math.Float64bits(got[i]), got[i], math.Float64bits(want[i]), want[i])
 			}
 		}
