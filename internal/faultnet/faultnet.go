@@ -74,13 +74,14 @@ type Network struct {
 
 // Wrap builds a fault-injecting view of inner executing plan, on a simulated
 // clock of its own that it hands to inner through SetClock (fednode's
-// MemNetwork has it). reg (which may be nil) receives
+// MemNetwork has it; an inner without it panics, as its deadlines would
+// answer another clock). reg (which may be nil) receives
 // fel_faultnet_injected_total{action} counters as faults fire. The plan must
 // already be validated.
 func Wrap(inner Transport, plan *Plan, reg *metrics.Registry) *Network {
 	clk := newSim()
-	if c, ok := inner.(interface{ SetClock(clock.Clock) }); ok {
-		c.SetClock(clk)
+	if inner != nil {
+		inner.(interface{ SetClock(clock.Clock) }).SetClock(clk)
 	}
 	return &Network{
 		inner:        inner,

@@ -249,6 +249,20 @@ func TestReadDelayHonorsDeadlineAsTimeout(t *testing.T) {
 	}
 }
 
+// TestWrapRejectsTransportWithoutClock: a transport that cannot take the
+// simulated clock (TCP) would hand out connections whose deadlines answer
+// the wall clock while fednode reads the sim's; Wrap panics, naming the
+// missing SetClock.
+func TestWrapRejectsTransportWithoutClock(t *testing.T) {
+	defer func() {
+		err, _ := recover().(error)
+		if err == nil || !strings.Contains(err.Error(), "missing method SetClock") {
+			t.Fatalf("Wrap(TCPNetwork) panicked with %v, want an error naming the missing SetClock", err)
+		}
+	}()
+	faultnet.Wrap(fednode.TCPNetwork{}, &faultnet.Plan{Name: "quiet"}, nil)
+}
+
 // TestDeadlineOnAcceptedConnIsSimulated holds the listener half to the same
 // clock: a read deadline on an accepted connection expires at exactly its
 // simulated instant, with nothing written to it.

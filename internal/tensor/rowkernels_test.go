@@ -60,26 +60,18 @@ func sameResult(got, want []float64) int {
 	return -1
 }
 
-// operandFill plants one pattern in fresh random operands: a is the left
-// one, and ix says how the kernel under test reads them.
-type operandFill func(rng *stats.RNG, a, b []float64, ix operandIndex)
-
-// operandIndex maps an index into a test's operands to what the kernel under
-// test reads there: aRow and aP map an index into a to the output row and
-// the reduction index p it feeds, bP an index into b to its p. aCols is a's
-// stored width.
-type operandIndex struct {
-	aCols        int
-	aRow, aP, bP func(int) int
-}
+// operandFill plants one pattern in fresh random operands: a is the left one,
+// aCols wide as stored, and pOf and bpOf map an index into a and into b to
+// the reduction index p the kernel under test reads that entry at.
+type operandFill func(rng *stats.RNG, a, b []float64, aCols int, pOf, bpOf func(int) int)
 
 // dropP zeroes the left entries whose reduction index satisfies drop: every
 // output row then meets the same run of zeros and non-zeros along p, placed
 // against accumRows' staging boundary.
 func dropP(drop func(p int) bool) operandFill {
-	return func(_ *stats.RNG, a, _ []float64, ix operandIndex) {
+	return func(_ *stats.RNG, a, _ []float64, _ int, pOf, _ func(int) int) {
 		for i := range a {
-			if drop(ix.aP(i)) {
+			if drop(pOf(i)) {
 				a[i] = 0
 			}
 		}
@@ -91,17 +83,17 @@ var rowKernelOperands = []struct {
 	name string
 	fill operandFill
 }{
-	{"dense", func(*stats.RNG, []float64, []float64, operandIndex) {}},
-	{"half_zero", func(rng *stats.RNG, a, _ []float64, _ operandIndex) { sparsify(rng, a, 0.5) }},
-	{"mostly_zero", func(rng *stats.RNG, a, _ []float64, _ operandIndex) { sparsify(rng, a, 0.95) }},
-	{"zero_row", func(_ *stats.RNG, a, _ []float64, ix operandIndex) {
+	{"dense", func(*stats.RNG, []float64, []float64, int, func(int) int, func(int) int) {}},
+	{"half_zero", func(rng *stats.RNG, a, _ []float64, _ int, _, _ func(int) int) { sparsify(rng, a, 0.5) }},
+	{"mostly_zero", func(rng *stats.RNG, a, _ []float64, _ int, _, _ func(int) int) { sparsify(rng, a, 0.95) }},
+	{"zero_row", func(_ *stats.RNG, a, _ []float64, aCols int, _, _ func(int) int) {
 		// One stored row of a (an output row for MatMul/BT, one p for AT).
 		if len(a) > 0 {
-			clear(a[len(a)/ix.aCols/2*ix.aCols:][:ix.aCols])
+			clear(a[len(a)/aCols/2*aCols:][:aCols])
 		}
 	}},
-	{"all_zero", func(_ *stats.RNG, a, _ []float64, _ operandIndex) { clear(a) }},
-	{"neg_zero", func(rng *stats.RNG, a, b []float64, _ operandIndex) {
+	{"all_zero", func(_ *stats.RNG, a, _ []float64, _ int, _, _ func(int) int) { clear(a) }},
+	{"neg_zero", func(rng *stats.RNG, a, b []float64, _ int, _, _ func(int) int) {
 		negZero := math.Copysign(0, -1)
 		for i := range a {
 			if rng.Float64() < 0.3 {
@@ -114,7 +106,7 @@ var rowKernelOperands = []struct {
 			}
 		}
 	}},
-	{"cancel_to_zero", func(_ *stats.RNG, a, b []float64, _ operandIndex) {
+	{"cancel_to_zero", func(_ *stats.RNG, a, b []float64, _ int, _, _ func(int) int) {
 		// Partial sums that hit exactly +0 mid-reduction, then meet −0 terms.
 		for i := range a {
 			a[i] = float64(1 - 2*(i%2))
@@ -123,7 +115,7 @@ var rowKernelOperands = []struct {
 			b[i] = float64(i%3) - 1
 		}
 	}},
-	{"inf_nan_right", func(rng *stats.RNG, a, b []float64, _ operandIndex) {
+	{"inf_nan_right", func(rng *stats.RNG, a, b []float64, _ int, _, _ func(int) int) {
 		// Zeros in a against Inf/NaN in b: the skipped 0·Inf must stay
 		// skipped, the unskipped ones must poison the sum.
 		sparsify(rng, a, 0.5)
@@ -138,7 +130,7 @@ var rowKernelOperands = []struct {
 			}
 		}
 	}},
-	{"inf_nan_left", func(rng *stats.RNG, a, _ []float64, _ operandIndex) {
+	{"inf_nan_left", func(rng *stats.RNG, a, _ []float64, _ int, _, _ func(int) int) {
 		sparsify(rng, a, 0.4)
 		for i := range a {
 			switch r := rng.Float64(); {
@@ -149,7 +141,7 @@ var rowKernelOperands = []struct {
 			}
 		}
 	}},
-	{"overflow", func(rng *stats.RNG, a, b []float64, _ operandIndex) {
+	{"overflow", func(rng *stats.RNG, a, b []float64, _ int, _, _ func(int) int) {
 		// Finite operands whose products overflow to ±Inf (and whose sums of
 		// ±Inf go NaN), beside zeros in a that meet only finite b.
 		sparsify(rng, a, 0.3)
@@ -161,16 +153,16 @@ var rowKernelOperands = []struct {
 			}
 		}
 	}},
-	{"inf_nan_meets_zeros", func(rng *stats.RNG, a, b []float64, ix operandIndex) {
+	{"inf_nan_meets_zeros", func(rng *stats.RNG, a, b []float64, _ int, pOf, bpOf func(int) int) {
 		// Inf and NaN right entries on every third p, where every left entry
 		// is zero: the vector path's 0·Inf flags the row, the skip keeps it finite.
 		for i := range a {
-			if ix.aP(i)%3 == 1 {
+			if pOf(i)%3 == 1 {
 				a[i] = 0
 			}
 		}
 		for i := range b {
-			if ix.bP(i)%3 == 1 && rng.Float64() < 0.3 {
+			if bpOf(i)%3 == 1 && rng.Float64() < 0.3 {
 				b[i] = []float64{math.Inf(1), math.Inf(-1), math.NaN()}[rng.IntN(3)]
 			}
 		}
@@ -183,18 +175,6 @@ var rowKernelOperands = []struct {
 	{"topup_3", dropP(func(p int) bool { return 1 <= p && p < 4 })},
 	{"zeros_across_chunk", dropP(func(p int) bool { return stage-5 <= p && p < stage+5 })},
 	{"full_stage_then_zeros", dropP(func(p int) bool { return p >= stage })},
-	{"inf_nan_odd_rows", func(rng *stats.RNG, a, _ []float64, ix operandIndex) {
-		// Inf, NaN and overflowing left entries on odd output rows only,
-		// beside zeros: every even row stays finite, so on the pair path
-		// (n < 16, the only shapes it runs at) a pair's second row is
-		// non-finite while its first is not.
-		sparsify(rng, a, 0.3)
-		for i := range a {
-			if ix.aRow(i)%2 == 1 && rng.Float64() < 0.2 {
-				a[i] = []float64{math.Inf(1), math.Inf(-1), math.NaN(), math.MaxFloat64}[rng.IntN(4)]
-			}
-		}
-	}},
 }
 
 // TestRowKernelsMatchReference pins MatMul, MatMulBias, MatMulAT, MatMulBT
@@ -285,9 +265,6 @@ func checkRowKernels(t *testing.T, wants map[string][]float64) {
 	for _, kern := range kernels {
 		for _, sh := range shapes[kern.name] {
 			for oi, op := range rowKernelOperands {
-				if op.name == "inf_nan_odd_rows" && sh.n >= 16 {
-					continue // it is about the pair path's two rows
-				}
 				name := fmt.Sprintf("%s/%dx%dx%d/%s", kern.name, sh.m, sh.k, sh.n, op.name)
 				rng := stats.NewRNG(uint64(sh.m*10007 + sh.k*101 + sh.n))
 				a, b := randomTensor(rng, sh.m, sh.k), randomTensor(rng, sh.k, sh.n)
@@ -297,20 +274,15 @@ func checkRowKernels(t *testing.T, wants map[string][]float64) {
 				if kern.bT {
 					b = randomTensor(rng, sh.n, sh.k)
 				}
-				ix := operandIndex{
-					aCols: a.Shape[1],
-					aRow:  func(i int) int { return i / sh.k },
-					aP:    func(i int) int { return i % sh.k },
-					bP:    func(i int) int { return i / sh.n },
-				}
+				pOf := func(i int) int { return i % sh.k }
 				if kern.aT {
-					ix.aRow = func(i int) int { return i % sh.m }
-					ix.aP = func(i int) int { return i / sh.m }
+					pOf = func(i int) int { return i / sh.m }
 				}
+				bpOf := func(i int) int { return i / sh.n }
 				if kern.bT {
-					ix.bP = func(i int) int { return i % sh.k }
+					bpOf = func(i int) int { return i % sh.k }
 				}
-				op.fill(rng, a.Data, b.Data, ix)
+				op.fill(rng, a.Data, b.Data, a.Shape[1], pOf, bpOf)
 				var bias *Tensor
 				if kern.bias {
 					bias = testBias(rng, sh.n, oi)
