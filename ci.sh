@@ -31,8 +31,9 @@
 #   8. metrics     the same job's live /metrics endpoint parses, carries
 #                  fel_core_groups and fel_core_gamma_p, and no group label
 #   9. load        felserve under -race, then stage 6's kill-cloud verdict
-#  10. results     every deterministic results/medium CSV regenerated and diffed,
-#                  the golden and regenerated name sets equal both ways
+#  10. results     the 18 results/medium CSVs regenerated and diffed (fig5 on
+#                  its shape columns), the golden and regenerated name sets
+#                  equal both ways
 #  11. contention  internal/core and the packages whose tests run on
 #                  fednode's MemNetwork at -count=3 beside one busy loop per
 #                  CPU
@@ -158,8 +159,8 @@ echo "== go test ./..."
 go test ./...
 
 # internal/tensor is not listed: it starts no goroutine and shares no state.
-echo "== go test -race (cpu, core, async, wire, fednode, faultnet, metrics, felserve, grouping, data, leakcheck, cmd/felnode)"
-go test -race ./internal/cpu ./internal/core ./internal/async ./internal/wire ./internal/fednode ./internal/faultnet/... ./internal/metrics ./internal/felserve ./internal/grouping ./internal/data ./internal/leakcheck ./cmd/felnode
+echo "== go test -race (cpu, core, wire, fednode, faultnet, metrics, felserve, grouping, data, leakcheck, cmd/felnode)"
+go test -race ./internal/cpu ./internal/core ./internal/wire ./internal/fednode ./internal/faultnet/... ./internal/metrics ./internal/felserve ./internal/grouping ./internal/data ./internal/leakcheck ./cmd/felnode
 
 echo "== go test -fuzz smoke (18s total across targets)"
 go test ./internal/wire -run '^$' -fuzz FuzzDecodeFrame -fuzztime 1s

@@ -7,7 +7,7 @@
 //	felbench -list
 //	felbench -exp fig9 -scale small -seed 7
 //	felbench -exp all -scale medium -out results/
-//	felbench -exp fig7,async-vs-sync -scale small
+//	felbench -exp fig7,fig8 -scale small
 //
 // One invocation trains each distinct run once: artifacts that plot the
 // same run (fig9 and fig10, say) share it, and the last line of -exp counts

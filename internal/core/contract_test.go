@@ -13,7 +13,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/async"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/data"
@@ -22,7 +21,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/nn"
 	"repro/internal/sampling"
-	"repro/internal/stats"
 )
 
 // TestDeterminismContract holds the determinism contract (DESIGN.md §8,
@@ -85,10 +83,6 @@ var held = []heldCells{
 	{"TestReplayWideModelsPinned", "wide-mlp256x256x10", nil},
 	{"TestVirtualTrainBitIdenticalToMaterialized", "virtual", []string{"reference", "materialized", "par=4", "materialized par=4"}},
 	{"TestVirtualTrainerCheckpointResume", "virtual", []string{"resume@3"}},
-	{"TestAsyncReplayIdentical/buffered", "async-buffered", []string{"reference", "par=8"}},
-	{"TestAsyncReplayIdentical/semisync", "async-semisync", []string{"reference", "par=8"}},
-	{"TestAsyncTrainerResume/buffered", "async-buffered", []string{"resume@2"}},
-	{"TestAsyncTrainerResume/semisync", "async-semisync", []string{"resume@2"}},
 }
 
 func TestTrainDeterministic(t *testing.T)                     { runHeld(t) }
@@ -99,8 +93,6 @@ func TestResumeBitIdentical(t *testing.T)                     { runHeld(t) }
 func TestReplayWideModelsPinned(t *testing.T)                 { runHeld(t) }
 func TestVirtualTrainBitIdenticalToMaterialized(t *testing.T) { runHeld(t) }
 func TestVirtualTrainerCheckpointResume(t *testing.T)         { runHeld(t) }
-func TestAsyncReplayIdentical(t *testing.T)                   { runHeld(t) }
-func TestAsyncTrainerResume(t *testing.T)                     { runHeld(t) }
 
 // runHeld runs the cells held lists for t, and those it lists for a subtest
 // of t in that subtest.
@@ -158,7 +150,7 @@ func rowNamed(rows []row, name string) (row, bool) {
 // after round r, first or last, in one column, is reported at that cell.
 func TestDeterminismContractNamesCell(t *testing.T) {
 	rows := contractRows()
-	for _, cell := range [][2]string{{"sgd", "procs=8"}, {"async-buffered", "par=8"}} {
+	for _, cell := range [][2]string{{"sgd", "procs=8"}, {"sync-storm", "par=8"}} {
 		r, _ := rowNamed(rows, cell[0])
 		c := r.cols[slices.IndexFunc(r.cols, func(c column) bool { return c.name == cell[1] })]
 		recorded := readDigests(r.name)
@@ -197,11 +189,10 @@ type row struct {
 // column is one cell of a row: the reference's run with one axis moved.
 type column struct {
 	name        string
-	procs, par  int           // GOMAXPROCS and MaxParallel for the run; 0 keeps them
-	materialize bool          // train on the system's Materialize() copy
-	resumeAt    int           // resume a fresh trainer from the reference's export here
-	async       *async.Config // replaces the row's synchronous aggregation
-	skip        []string      // final-line fields the column moves by construction
+	procs, par  int      // GOMAXPROCS and MaxParallel for the run; 0 keeps them
+	materialize bool     // train on the system's Materialize() copy
+	resumeAt    int      // resume a fresh trainer from the reference's export here
+	skip        []string // final-line fields the column moves by construction
 }
 
 var reference = column{name: "reference"}
@@ -215,21 +206,10 @@ func resume(at int) column {
 }
 
 func contractRows() []row {
-	storm := async.StragglerStorm()
 	scaffold := func() core.LocalUpdater { return &core.ScaffoldUpdater{NumClients: 12} }
 	resumes := []column{resume(1), resume(4), resume(6)}
 	grid := []column{{name: "procs=1 par=1", procs: 1, par: 1}, {name: "procs=1 par=8", procs: 1, par: 8},
 		{name: "procs=8 par=1", procs: 8, par: 1}, {name: "procs=8 par=8", procs: 8, par: 8}}
-	// A full buffer at α=0 is the synchronous fold; it counts its flushes.
-	alphaZero := column{name: "alpha0-full-buffer", skip: []string{"snap"}, async: &async.Config{
-		Mode: async.Buffered, Alpha: 0, BufferFrac: 1, Delays: storm}}
-	// Under a deadline no update can miss, every round waits it out.
-	unmissable := column{name: "semisync-unmissable", skip: []string{"ticks"}, async: &async.Config{
-		Mode: async.SemiSync, Alpha: 0.5, DeadlineTicks: 1 << 20, Delays: storm}}
-	asyncRow := func(name string, mode async.Config) row {
-		return row{name: name, shape: oneGroup(12, 3), reg: true, cols: []column{reference, par(8), resume(2)},
-			base: asyncConfig, edit: func(cfg *core.Config) { cfg.GlobalRounds, cfg.Async = 4, mode }}
-	}
 	return []row{
 		// The bench's train-paper population and schedule, cut to 60 clients
 		// and 4 rounds; two groups train at a time.
@@ -257,13 +237,10 @@ func contractRows() []row {
 			},
 			cols: []column{reference, {name: "materialized", materialize: true}, par(4),
 				{name: "materialized par=4", materialize: true, par: 4}, resume(3)}},
-		{name: "sync-storm", base: baseConfig, shape: smallShape(28, 400), reg: true, cols: []column{reference, par(8), alphaZero},
-			edit: func(cfg *core.Config) { cfg.GlobalRounds, cfg.DropoutProb, cfg.Async.Delays = 5, 0.6, storm }},
-		// The synchronous barrier is priced on the draws the async columns make.
-		{name: "async-sync", shape: oneGroup(8, 11), cols: []column{reference, unmissable, alphaZero},
-			base: asyncConfig, edit: func(cfg *core.Config) { cfg.Async.Delays = storm }},
-		asyncRow("async-buffered", async.Config{Mode: async.Buffered, Alpha: 0.5, BufferFrac: 0.5, Delays: storm}),
-		asyncRow("async-semisync", async.Config{Mode: async.SemiSync, Alpha: 0.5, DeadlineTicks: 30, Delays: storm}),
+		// Heavy dropout with a registry: the row pins the run's whole masked
+		// metric snapshot.
+		{name: "sync-storm", base: baseConfig, shape: smallShape(28, 400), reg: true, cols: []column{reference, par(8)},
+			edit: func(cfg *core.Config) { cfg.GlobalRounds, cfg.DropoutProb = 5, 0.6 }},
 	}
 }
 
@@ -294,9 +271,6 @@ func (r row) run(c column, perturb int, from map[int]export) ([]string, map[int]
 	}
 	if c.par > 0 {
 		cfg.MaxParallel = c.par
-	}
-	if c.async != nil {
-		cfg.Async = *c.async
 	}
 	tr, digests, out := (*core.Trainer)(nil), []string(nil), map[int]export{}
 	if ex, ok := from[c.resumeAt]; c.resumeAt == 0 || !ok {
@@ -338,9 +312,9 @@ func (r row) run(c column, perturb int, from map[int]export) ([]string, map[int]
 		lines = append(lines, fmt.Sprintf("round=%d params=%s acc=%s loss=%s cost=%s cov=%s", rec.Round,
 			digests[i], bits(rec.Accuracy), bits(rec.Loss), bits(rec.Cost), bits(rec.AvgSelectedCoV)))
 	}
-	final := fmt.Sprintf("final params=%s acc=%s loss=%s cost=%s rounds=%d dropouts=%d uplink=%d ticks=%d carry=%d late=%d part=%s",
+	final := fmt.Sprintf("final params=%s acc=%s loss=%s cost=%s rounds=%d dropouts=%d uplink=%d part=%s",
 		paramDigest(res.Params), bits(res.FinalAccuracy), bits(res.FinalLoss), bits(res.TotalCost), res.RoundsRun, res.Dropouts,
-		res.UplinkBytes, res.LogicalTicks, res.Carryovers, res.LateDrops, digest([]byte(fmt.Sprint(res.Participation))))
+		res.UplinkBytes, digest([]byte(fmt.Sprint(res.Participation))))
 	if reg != nil {
 		final += " snap=" + digest([]byte(metrics.MaskTimings(reg.Snapshot())))
 	}
@@ -440,14 +414,9 @@ func flatShape(classes, features, hidden int, noise float64, part data.Partition
 }
 
 // smallShape is 12 clients on two edges, 4 classes of 10 features, and an
-// MLP 10→16→4; oneGroup is n clients on one edge, which wholeEdge forms
-// into one group.
+// MLP 10→16→4.
 func smallShape(seed uint64, testSize int) core.SystemConfig {
 	return flatShape(4, 10, 16, 0.8, partition(12, 10, 40, 25, 8), 2, testSize, seed, 7)
-}
-
-func oneGroup(n int, seed uint64) core.SystemConfig {
-	return flatShape(4, 10, 8, 0.8, partition(n, 8, 16, 12, 3), 1, 64, seed, 7)
 }
 
 func covg(minGS int) grouping.Algorithm {
@@ -455,28 +424,11 @@ func covg(minGS int) grouping.Algorithm {
 }
 
 // baseConfig is CoV-Grouping, ESRCoV sampling and biased weights on the
-// serial reference path; asyncConfig trains the one whole-edge group under
-// 30 % dropout.
+// serial reference path.
 func baseConfig() core.Config {
 	return core.Config{
 		GroupRounds: 2, LocalEpochs: 1, BatchSize: 16, LR: 0.05, SampleGroups: 3, MaxParallel: 1, Seed: 42,
 		Grouping: covg(3), Sampling: sampling.ESRCoV, Weights: sampling.Biased,
 		CostProfile: cost.CIFARProfile(), CostOps: cost.DefaultOps(),
 	}
-}
-
-func asyncConfig() core.Config {
-	cfg := baseConfig()
-	cfg.GlobalRounds, cfg.BatchSize, cfg.SampleGroups, cfg.DropoutProb = 2, 8, 1, 0.3
-	cfg.Grouping, cfg.Sampling = wholeEdge{}, sampling.Random
-	return cfg
-}
-
-// wholeEdge forms one group per edge holding every client.
-type wholeEdge struct{}
-
-func (wholeEdge) Name() string    { return "WholeEdge" }
-func (wholeEdge) Validate() error { return nil }
-func (wholeEdge) Form(clients []*data.Client, classes, edge, firstID int, _ *stats.RNG) []*grouping.Group {
-	return []*grouping.Group{grouping.NewGroup(firstID, edge, clients, classes)}
 }

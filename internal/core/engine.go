@@ -4,7 +4,6 @@ import (
 	"strconv"
 	"sync"
 
-	"repro/internal/async"
 	"repro/internal/cpu"
 	"repro/internal/data"
 	"repro/internal/grouping"
@@ -18,7 +17,7 @@ import (
 // every result stays bit-for-bit identical to the serial schedule at any
 // MaxParallel.
 //
-// The determinism contract rests on six rules:
+// The determinism contract rests on four rules:
 //
 //  1. Every client's RNG is derived from (seed, round, group, client), never
 //     from which worker runs it, and each worker's model is fully overwritten
@@ -36,21 +35,16 @@ import (
 //     count, so floating-point operation order never depends on scheduling —
 //     the tree levels may fan out across goroutines and still produce the
 //     same bits as the inline fold.
-//  5. Arrival order is decided by (tick, dispatch ordinal) on the group's
-//     event heap, every delay a pure function of (seed, round, group,
-//     client, dispatch ordinal) — never by goroutine scheduling. Training
-//     fans out only within a dispatch batch, between clock events.
-//  6. A client is redispatched only by the flush that consumed its previous
-//     update, anchored on the post-flush group model. At a full buffer every
-//     flush consumes every client in client order at staleness zero: that is
-//     the synchronous group round of Alg. 1, and the only way this engine
-//     runs one (async_engine.go).
+//
+// A group round (groupround.go) draws the dropout flags, trains every member
+// on the fan-out and folds the survivors; round k+1 trains from round k's
+// group model, so training fans out only within a round.
 //
 // The engine holds no run storage between calls: each client's training
 // borrows a Worker (worker.go) from the System's lender (lender.go), and
 // RunGroups one group-round machine per goroutine of its fan-out, which holds
-// a group's n×dim storage and its members' rows, each drawn at the member's
-// first dispatch of the run; both go back before the borrowing call returns,
+// a group's n×dim storage and its members' rows, each drawn in the member's
+// first group round of the run; both go back before the borrowing call returns,
 // so a round's data footprint is the rows of at most max groups, whatever
 // the population. Warm, training a client allocates nothing: models recycle
 // their layer buffers (nn.Layer), SGD scratch lives in per-worker arenas.
@@ -76,29 +70,17 @@ type engine struct {
 	epochsCtr *metrics.Counter
 	trainHist *metrics.Histogram
 	// groupAggHists[edge] is fel_core_group_aggregate_seconds{edge}, looked
-	// up at the edge's first flush.
+	// up at the edge's first fold.
 	groupAggHists []*metrics.Histogram
-
-	// fel_async_* handles: the nil registry's discard instruments unless an
-	// async mode or a delay model is configured, so the paper's configuration
-	// publishes no fel_async_* series and the machine never asks.
-	asyncStale   *metrics.Histogram
-	asyncDepth   *metrics.Histogram
-	asyncFolds   *metrics.Counter
-	asyncFlushes *metrics.Counter
-	asyncCarry   *metrics.Counter
-	asyncLate    *metrics.Counter
-	asyncTicks   *metrics.Counter
 }
 
-// groupSpace is one group-round machine (async_engine.go) and the storage it
+// groupSpace is one group-round machine (groupround.go) and the storage it
 // runs in, lent by the System to one goroutine of a RunGroups fan-out at a
 // time, so a warm machine allocates nothing: the per-client result slots
 // (views into one flat backing array), the tree-reduction node scratch, the
-// members' rows (views into one slab), then the run state — logical-clock
-// heap, per-client bookkeeping (pre-drawn dropout flag included), the batch
-// scratch — and the run's outcome. group is the vector of the selection slot
-// being run, the caller's (begin takes it, end lets it go).
+// members' rows (views into one slab), the pre-drawn dropout flags, and the
+// run's outcome. group is the vector of the selection slot being run, the
+// caller's (begin takes it, end lets it go).
 type groupSpace struct {
 	e *engine
 
@@ -112,36 +94,19 @@ type groupSpace struct {
 	labels []int
 	rows   []memberRows // longest group's length: its shapes are kept
 
-	g        *grouping.Group
-	round    int
-	dropRng  *stats.RNG
-	delayRng *stats.RNG
-	heap     arrivalHeap
-	seq      int // next dispatch ordinal within the group
-	version  int // group model version v: increments per nonempty fold
-	arrivals int // arrivals (incl. drops) since the last flush
-	clients  []clientRun
-	batch    []int // client indices, in client order: next to dispatch, or just consumed
+	g       *grouping.Group
+	round   int
+	dropRng *stats.RNG
+	dropped []bool // member i's update in this group round is lost (rule 2)
 
-	drops       int
-	bytes       int64
-	ticks       int64
-	carry, late int
+	drops int
+	bytes int64
 }
 
 // memberRows is one member's batch, views into its machine's slab.
 type memberRows struct {
 	x tensor.Tensor
 	y []int
-}
-
-// clientRun is one member's place in the group round.
-type clientRun struct {
-	dispatched int  // how many times dispatched (the next ordinal k)
-	dispVer    int  // model version at dispatch of the latest update
-	inflight   bool // dispatched, not yet arrived
-	arrived    bool // arrived (buffered or dropped), awaiting flush
-	drop       bool // the latest update was drawn as lost (rule 2)
 }
 
 // testUncapWorkers lifts the physical-CPU cap on the fan-out width and on the
@@ -169,29 +134,11 @@ func NewExecutor(sys *System, cfg Config) Executor {
 		epochsCtr: cfg.Metrics.Counter("fel_core_local_epochs_total"),
 		trainHist: cfg.Metrics.Histogram("fel_core_local_train_seconds"),
 	}
-	areg := asyncRegistry(cfg)
-	e.asyncStale = areg.Histogram("fel_async_staleness")
-	e.asyncDepth = areg.Histogram("fel_async_buffer_depth")
-	e.asyncFolds = areg.Counter("fel_async_folds_total")
-	e.asyncFlushes = areg.Counter("fel_async_flushes_total")
-	e.asyncCarry = areg.Counter("fel_async_carryover_total")
-	e.asyncLate = areg.Counter("fel_async_late_total")
-	e.asyncTicks = areg.Counter("fel_async_ticks_total")
 	// The test binary's cap on the System's Workers follows its widest engine.
 	sys.lend.mu.Lock()
 	sys.lend.asked = max(sys.lend.asked, width)
 	sys.lend.mu.Unlock()
 	return e
-}
-
-// asyncRegistry is where a run's fel_async_* series go: cfg.Metrics when an
-// async mode or a delay model is configured, the nil (discard) registry
-// otherwise.
-func asyncRegistry(cfg Config) *metrics.Registry {
-	if cfg.Async.Mode != async.Sync || cfg.Async.Delays.Enabled() {
-		return cfg.Metrics
-	}
-	return nil
 }
 
 // workerBound is the fan-out width a MaxParallel setting buys — a bound, not
@@ -211,8 +158,8 @@ func workerBound(maxParallel int) int {
 }
 
 // groupAggHist returns edge's group-aggregation histogram, looking it up on
-// the edge's first flush only, so a flush's span renders no label and
-// searches no registry.
+// the edge's first fold only, so a fold's span renders no label and searches
+// no registry.
 func (e *engine) groupAggHist(edge int) *metrics.Histogram {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -229,13 +176,13 @@ func (e *engine) groupAggHist(edge int) *metrics.Histogram {
 
 // newGroupSpace builds a group-round machine with no storage yet.
 func newGroupSpace() *groupSpace {
-	return &groupSpace{dropRng: stats.NewRNG(0), delayRng: stats.NewRNG(0)}
+	return &groupSpace{dropRng: stats.NewRNG(0)}
 }
 
 // begin readies the machine to run group g for e from params in global round
 // round in a selection slot's group vector, of len(params): storage for its
 // n clients of len(params) parameters, backing arrays kept, and the run
-// state of a group nobody has dispatched yet.
+// state of a group that has run no group round yet.
 func (sp *groupSpace) begin(e *engine, group []float64, g *grouping.Group, params []float64, round int) {
 	n, dim := g.Size(), len(params)
 	sp.e, sp.g, sp.round = e, g, round
@@ -243,17 +190,15 @@ func (sp *groupSpace) begin(e *engine, group []float64, g *grouping.Group, param
 	copy(sp.group, params)
 	sp.flat = tensor.Grow(sp.flat, n*dim)
 	sp.slots, sp.nodes, sp.nodeW = tensor.Grow(sp.slots, n), tensor.Grow(sp.nodes, n), tensor.Grow(sp.nodeW, n)
-	sp.clients, sp.batch, sp.heap = tensor.Grow(sp.clients, n), tensor.Grow(sp.batch, n)[:0], tensor.Grow(sp.heap, n)[:0]
+	sp.dropped = tensor.Grow(sp.dropped, n)
 	for i := range sp.slots {
 		sp.slots[i] = sp.flat[i*dim : (i+1)*dim : (i+1)*dim]
 	}
-	clear(sp.clients)
 	sp.layRows(e.sys.Test)
-	// The dropout stream is per (round, group) and drawn in dispatch order
-	// (rule 2); at a full buffer that is client order, K times over.
+	// The dropout stream is per (round, group) and drawn in client order, K
+	// times over (rule 2).
 	sp.dropRng.Reseed(dropSeed(sp.e.cfg.Seed, round, g.ID))
-	sp.seq, sp.version, sp.arrivals = 0, 0, 0
-	sp.drops, sp.bytes, sp.ticks, sp.carry, sp.late = 0, 0, 0, 0, 0
+	sp.drops, sp.bytes = 0, 0
 }
 
 // layRows lays the members' batches out in the slab, member i's c.N rows
@@ -278,10 +223,7 @@ func (sp *groupSpace) layRows(test *data.Dataset) {
 // go of the engine, the group and the vector, so a free machine keeps no run
 // alive.
 func (sp *groupSpace) end() GroupUpdate {
-	u := GroupUpdate{
-		Drops: sp.drops, UplinkBytes: sp.bytes,
-		Ticks: sp.ticks, Carryovers: sp.carry, LateDrops: sp.late,
-	}
+	u := GroupUpdate{Drops: sp.drops, UplinkBytes: sp.bytes}
 	sp.e, sp.g, sp.group = nil, nil, nil
 	return u
 }
@@ -306,17 +248,17 @@ func dropSeed(seed uint64, round, gid int) uint64 {
 		(uint64(gid+1) * 0xc4ceb9fe1a85ec53)
 }
 
-// trainClient runs lines 9–13 of Alg. 1 for member i of sp's group on worker
-// w: E local epochs from the group model in sp.group, seeded by LocalSeed,
-// over the member's rows, drawn at its first dispatch of the run.
+// trainClient runs lines 9–13 of Alg. 1 for member i of sp's group in group
+// round k on worker w: E local epochs from the group model in sp.group,
+// seeded by LocalSeed, over the member's rows, drawn in round 0.
 // Unless the client's update was drawn as dropped, its trained parameters —
 // the dense uplink the edge receives — land in sp.slots[i]; a dropped client
 // trains (work done is work paid for) and ships nothing.
-func (e *engine) trainClient(w *Worker, sp *groupSpace, i int) {
+func (e *engine) trainClient(w *Worker, sp *groupSpace, i, k int) {
 	cfg := &e.cfg
-	c, rows, run := sp.g.Clients[i], &sp.rows[i], &sp.clients[i]
+	c, rows := sp.g.Clients[i], &sp.rows[i]
 	trainSpan := e.trainHist.Start()
-	if run.dispatched == 0 {
+	if k == 0 {
 		e.sys.rows.DrawInto(c.ID, rows.x.Data, rows.y, &w.draw)
 	}
 	w.Train(e.local, &rows.x, rows.y, LocalSeed(cfg.Seed, sp.round, sp.g.ID, c.ID), LocalContext{
@@ -328,7 +270,7 @@ func (e *engine) trainClient(w *Worker, sp *groupSpace, i int) {
 	})
 	trainSpan.End()
 	e.epochsCtr.Add(int64(cfg.LocalEpochs))
-	if !run.drop {
+	if !sp.dropped[i] {
 		w.Model.ParamVectorInto(sp.slots[i])
 	}
 }

@@ -10,11 +10,14 @@ import (
 	"time"
 	"unsafe"
 
-	"repro/internal/async"
+	"repro/internal/cost"
 	"repro/internal/cpu"
 	"repro/internal/data"
+	"repro/internal/grouping"
 	"repro/internal/metrics"
 	"repro/internal/nn"
+	"repro/internal/sampling"
+	"repro/internal/stats"
 	"repro/internal/tensor"
 )
 
@@ -140,96 +143,79 @@ func TestTrainParallelSpeedup(t *testing.T) {
 }
 
 // TestGroupSpaceSteadyState: the group-round machine a group runs on keeps
-// its run state — per-client bookkeeping, event heap, batch scratch, result
-// slots — in the same backing arrays from round to round, and the selection
-// slot keeps its group vector the same way. At MaxParallel 1 the System lends
-// one machine, which runs every group.
-// Three rounds warm it; replaying the same three (same draws, so the same
-// event counts) may move none of them, whichever trigger flushes. The
+// its run state — dropout flags, result slots — in the same backing arrays
+// from round to round, and the selection slot keeps its group vector the same
+// way. At MaxParallel 1 the System lends one machine, which runs every group.
+// Three rounds warm it; replaying the same three may move none of them. The
 // machine's two ends then allocate nothing warm: begin, readying it for a
-// slot's round, and flush, folding a full buffer n_i-weighted into the group
-// model. What a round allocates beyond them is dispatch's.
+// slot's round, and fold, averaging the survivors n_i-weighted into the group
+// model. What a round allocates beyond them is training's.
 func TestGroupSpaceSteadyState(t *testing.T) {
-	modes := asyncModeConfigs()
-	modes["sync"] = async.Config{Delays: async.StragglerStorm()}
-	for name, acfg := range modes {
-		sys := asyncTestSystem(9, 5)
-		cfg := asyncTestConfig()
-		cfg.MaxParallel = 1
-		cfg.Async = acfg
-		tr := NewTrainer(sys, cfg)
-		e := NewExecutor(sys, cfg).(*engine)
-		out := [][]float64{make([]float64, len(tr.Params()))}
-		run := func(round int) [5]unsafe.Pointer {
-			if _, err := e.RunGroups(round, tr.Groups(), []int{0}, tr.Params(), out); err != nil {
-				t.Fatal(err)
-			}
-			if n := len(sys.lend.spaces); n != 1 {
-				t.Fatalf("%s: %d machines after a serial round, want 1", name, n)
-			}
-			sp := sys.lend.spaces[0]
-			return [5]unsafe.Pointer{
-				unsafe.Pointer(unsafe.SliceData(sp.clients)),
-				unsafe.Pointer(unsafe.SliceData(sp.heap)),
-				unsafe.Pointer(unsafe.SliceData(sp.batch)),
-				unsafe.Pointer(unsafe.SliceData(sp.flat)),
-				unsafe.Pointer(unsafe.SliceData(out[0])),
-			}
+	sys := oneGroupSystem(9, 5)
+	cfg := oneGroupConfig()
+	cfg.MaxParallel = 1
+	tr := NewTrainer(sys, cfg)
+	e := NewExecutor(sys, cfg).(*engine)
+	out := [][]float64{make([]float64, len(tr.Params()))}
+	run := func(round int) [3]unsafe.Pointer {
+		if _, err := e.RunGroups(round, tr.Groups(), []int{0}, tr.Params(), out); err != nil {
+			t.Fatal(err)
 		}
-		var warm [5]unsafe.Pointer
-		for round := 0; round < 3; round++ {
-			warm = run(round)
+		if n := len(sys.lend.spaces); n != 1 {
+			t.Fatalf("%d machines after a serial round, want 1", n)
 		}
-		for round := 0; round < 3; round++ {
-			if got := run(round); got != warm {
-				t.Errorf("%s: round %d moved the run state: %v, warm %v", name, round, got, warm)
-			}
+		sp := sys.lend.spaces[0]
+		return [3]unsafe.Pointer{
+			unsafe.Pointer(unsafe.SliceData(sp.dropped)),
+			unsafe.Pointer(unsafe.SliceData(sp.flat)),
+			unsafe.Pointer(unsafe.SliceData(out[0])),
 		}
-		sp, g := sys.lend.spaces[0], tr.Groups()[0]
-		if allocs := testing.AllocsPerRun(10, func() {
-			sp.begin(e, out[0], g, tr.Params(), 0)
-			for i := range sp.clients {
-				sp.clients[i].arrived = true
-			}
-			sp.flush()
-			sp.end()
-		}); allocs != 0 {
-			t.Errorf("%s: begin + a full-buffer flush on the warm machine allocate %.1f objects, want 0", name, allocs)
+	}
+	var warm [3]unsafe.Pointer
+	for round := 0; round < 3; round++ {
+		warm = run(round)
+	}
+	for round := 0; round < 3; round++ {
+		if got := run(round); got != warm {
+			t.Errorf("round %d moved the run state: %v, warm %v", round, got, warm)
 		}
+	}
+	sp, g := sys.lend.spaces[0], tr.Groups()[0]
+	if allocs := testing.AllocsPerRun(10, func() {
+		sp.begin(e, out[0], g, tr.Params(), 0)
+		sp.fold()
+		sp.end()
+	}); allocs != 0 {
+		t.Errorf("begin + a fold on the warm machine allocate %.1f objects, want 0", allocs)
 	}
 }
 
 // TestStepRegistryAllocsLevel: a warm Trainer.Step with cfg.Metrics set
-// allocates no more than the same Step without a registry, in sync and in
-// buffered-async mode. Its spans open on histograms looked up once, so the
-// registry costs no label render and no lookup per client, group or round.
-// Without one a warm Step allocates at most 7 objects in sync mode and 9
-// buffered: RunGroups keeps its machine slice on the engine, and a machine's
-// rows grow by capacity, so drawing the selected members allocates nothing.
+// allocates no more than the same Step without a registry. Its spans open on
+// histograms looked up once, so the registry costs no label render and no
+// lookup per client, group or round. Without one a warm Step allocates at
+// most 7 objects: RunGroups keeps its machine slice on the engine, and a
+// machine's rows grow by capacity, so drawing the selected members allocates
+// nothing.
 func TestStepRegistryAllocsLevel(t *testing.T) {
-	modes := map[string]async.Config{"sync": {}, "buffered": asyncModeConfigs()["buffered"]}
-	limits := map[string]float64{"sync": 7, "buffered": 9}
-	for name, acfg := range modes {
-		stepAllocs := func(reg *metrics.Registry) float64 {
-			cfg := asyncTestConfig()
-			cfg.GlobalRounds = 100
-			cfg.MaxParallel = 1
-			cfg.Async = acfg
-			cfg.Metrics = reg
-			tr := NewTrainer(asyncTestSystem(9, 5), cfg)
-			for range 3 {
-				tr.Step()
-			}
-			return testing.AllocsPerRun(10, func() { tr.Step() })
+	stepAllocs := func(reg *metrics.Registry) float64 {
+		cfg := oneGroupConfig()
+		cfg.GlobalRounds = 100
+		cfg.MaxParallel = 1
+		cfg.Metrics = reg
+		tr := NewTrainer(oneGroupSystem(9, 5), cfg)
+		for range 3 {
+			tr.Step()
 		}
-		bare, withReg := stepAllocs(nil), stepAllocs(metrics.New())
-		t.Logf("%s: %.1f objects per Step without a registry, %.1f with one", name, bare, withReg)
-		if withReg > bare {
-			t.Errorf("%s: a Step with a registry allocates %.1f objects, %.1f without one", name, withReg, bare)
-		}
-		if bare > limits[name] {
-			t.Errorf("%s: a warm Step allocates %.1f objects, want at most %.0f", name, bare, limits[name])
-		}
+		return testing.AllocsPerRun(10, func() { tr.Step() })
+	}
+	bare, withReg := stepAllocs(nil), stepAllocs(metrics.New())
+	t.Logf("%.1f objects per Step without a registry, %.1f with one", bare, withReg)
+	if withReg > bare {
+		t.Errorf("a Step with a registry allocates %.1f objects, %.1f without one", withReg, bare)
+	}
+	if bare > 7 {
+		t.Errorf("a warm Step allocates %.1f objects, want at most 7", bare)
 	}
 }
 
@@ -248,50 +234,44 @@ func (c *countingRows) DrawInto(id int, x []float64, y []int, s *data.Scratch) {
 }
 
 // TestMachineDrawsEachMemberOnce: a group-round machine draws each member's
-// rows once per run, at its first dispatch, and every later dispatch of the
-// run — K = 3 group rounds, so up to three — trains on the rows it holds.
-// Held for the sync, buffered and semi-sync triggers, two rounds each, four
+// rows once per run, in its first group round, and the member's later group
+// rounds of the run — K = 3 — train on the rows it holds. Two rounds, four
 // groups on machines at MaxParallel 2.
 func TestMachineDrawsEachMemberOnce(t *testing.T) {
-	modes := asyncModeConfigs()
-	modes["sync"] = async.Config{}
-	for name, acfg := range modes {
-		sys := testSystem(32, 0.5, 3)
-		rows := &countingRows{Rows: sys.rows}
-		sys.rows = rows
-		cfg := testConfig()
-		cfg.GroupRounds = 3
-		cfg.MaxParallel = 2
-		cfg.DropoutProb = 0.2
-		cfg.Async = acfg
-		tr := NewTrainer(sys, cfg)
-		e := NewExecutor(sys, cfg).(*engine)
-		selected := []int{0, 1, 2, 3}
-		out := make([][]float64, len(selected))
-		for si := range out {
-			out[si] = make([]float64, len(tr.Params()))
+	sys := testSystem(32, 0.5, 3)
+	rows := &countingRows{Rows: sys.rows}
+	sys.rows = rows
+	cfg := testConfig()
+	cfg.GroupRounds = 3
+	cfg.MaxParallel = 2
+	cfg.DropoutProb = 0.2
+	tr := NewTrainer(sys, cfg)
+	e := NewExecutor(sys, cfg).(*engine)
+	selected := []int{0, 1, 2, 3}
+	out := make([][]float64, len(selected))
+	for si := range out {
+		out[si] = make([]float64, len(tr.Params()))
+	}
+	for round := range 2 {
+		rows.draws = map[int]int{}
+		epochs := e.epochsCtr.Value()
+		if _, err := e.RunGroups(round, tr.Groups(), selected, tr.Params(), out); err != nil {
+			t.Fatal(err)
 		}
-		for round := range 2 {
-			rows.draws = map[int]int{}
-			epochs := e.epochsCtr.Value()
-			if _, err := e.RunGroups(round, tr.Groups(), selected, tr.Params(), out); err != nil {
-				t.Fatal(err)
-			}
-			members := 0
-			for _, si := range selected {
-				for _, c := range tr.Groups()[si].Clients {
-					members++
-					if n := rows.draws[c.ID]; n != 1 {
-						t.Errorf("%s round %d: client %d drawn %d times, want 1", name, round, c.ID, n)
-					}
+		members := 0
+		for _, si := range selected {
+			for _, c := range tr.Groups()[si].Clients {
+				members++
+				if n := rows.draws[c.ID]; n != 1 {
+					t.Errorf("round %d: client %d drawn %d times, want 1", round, c.ID, n)
 				}
 			}
-			if len(rows.draws) != members {
-				t.Errorf("%s round %d: %d clients drawn, %d members selected", name, round, len(rows.draws), members)
-			}
-			if trained := int(e.epochsCtr.Value()-epochs) / cfg.LocalEpochs; trained <= members {
-				t.Errorf("%s round %d: %d trainings for %d members; no member was dispatched twice", name, round, trained, members)
-			}
+		}
+		if len(rows.draws) != members {
+			t.Errorf("round %d: %d clients drawn, %d members selected", round, len(rows.draws), members)
+		}
+		if trained := int(e.epochsCtr.Value()-epochs) / cfg.LocalEpochs; trained != cfg.GroupRounds*members {
+			t.Errorf("round %d: %d trainings for %d members over %d group rounds", round, trained, members, cfg.GroupRounds)
 		}
 	}
 }
@@ -468,4 +448,64 @@ func TestRunsShareOneLender(t *testing.T) {
 	if n := built.Load() - jobs; n > int64(cpu.Procs()) {
 		t.Errorf("(b) %d concurrent runs built %d worker models, want at most cpu.Procs() = %d", jobs, n, cpu.Procs())
 	}
+}
+
+// wholeEdgeGrouping forms exactly one group per edge holding every client —
+// the tests use it to pin the group size precisely.
+type wholeEdgeGrouping struct{}
+
+func (wholeEdgeGrouping) Name() string { return "WholeEdge" }
+
+func (wholeEdgeGrouping) Validate() error { return nil }
+
+func (wholeEdgeGrouping) Form(clients []*data.Client, classes, edge, firstID int, _ *stats.RNG) []*grouping.Group {
+	return []*grouping.Group{grouping.NewGroup(firstID, edge, clients, classes)}
+}
+
+// oneGroupSystem is a single-edge population of exactly n clients, sized
+// for speed: the whole-edge grouping turns it into one group of n.
+func oneGroupSystem(n int, seed uint64) *System {
+	gen := data.FlatConfig(4, 10, seed)
+	gen.Noise = 0.8
+	return NewSystem(SystemConfig{
+		Generator: gen,
+		Partition: data.PartitionConfig{
+			NumClients: n, Alpha: 0.5,
+			MinSamples: 8, MaxSamples: 16, MeanSamples: 12, StdSamples: 3,
+			Seed: seed + 1,
+		},
+		NumEdges: 1,
+		TestSize: 64,
+		NewModel: func(s uint64) *nn.Sequential {
+			return nn.NewMLP(10, []int{8}, 4, s)
+		},
+		ModelSeed: 7,
+	})
+}
+
+// oneGroupConfig trains oneGroupSystem's group under 30 % dropout.
+func oneGroupConfig() Config {
+	return Config{
+		GlobalRounds: 2, GroupRounds: 2, LocalEpochs: 1,
+		BatchSize: 8, LR: 0.05, SampleGroups: 1,
+		Grouping:    wholeEdgeGrouping{},
+		Sampling:    sampling.Random,
+		Weights:     sampling.Biased,
+		Seed:        42,
+		DropoutProb: 0.3,
+		CostProfile: cost.CIFARProfile(),
+		CostOps:     cost.DefaultOps(),
+	}
+}
+
+func sameFloatBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }

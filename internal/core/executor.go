@@ -3,7 +3,6 @@ package core
 import (
 	"slices"
 
-	"repro/internal/async"
 	"repro/internal/cpu"
 	"repro/internal/grouping"
 )
@@ -29,15 +28,11 @@ type GroupUpdate struct {
 	// payload of the updates that arrived.
 	Drops       int
 	UplinkBytes int64
-	// Ticks is the group's time on the logical clock (0 without a delay
-	// model); the rest is semi-sync's: deadline misses and discarded updates.
-	Ticks                 int64
-	Carryovers, LateDrops int
 }
 
 // RunGroups trains the selected groups in parallel, at most max at once,
 // each on the machine its System lends the goroutine of the fan-out for the
-// call; the mode only picks the machine's flush trigger.
+// call.
 func (e *engine) RunGroups(t int, groups []*grouping.Group, selected []int, params []float64, out [][]float64) ([]GroupUpdate, error) {
 	e.updates = slices.Grow(e.updates[:0], len(selected))[:len(selected)]
 	updates := e.updates
@@ -47,12 +42,7 @@ func (e *engine) RunGroups(t int, groups []*grouping.Group, selected []int, para
 	cpu.Each(len(selected), e.max, func(w, si int) {
 		sp := spaces[w]
 		sp.begin(e, out[si], groups[selected[si]], params, t)
-		if e.cfg.Async.Mode == async.SemiSync {
-			sp.runDeadlines()
-		} else {
-			sp.runBuffered()
-		}
-		e.asyncTicks.Add(sp.ticks)
+		sp.run()
 		updates[si] = sp.end()
 	})
 	give(l, &l.spaces, spaces)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/async"
 	"repro/internal/cost"
 	"repro/internal/grouping"
 	"repro/internal/metrics"
@@ -64,13 +63,6 @@ type Config struct {
 	// clients still pay their training cost — work done is work paid for.
 	// It must lie in [0,1).
 	DropoutProb float64
-	// Async selects the aggregation semantics (sync, buffered-async, or
-	// semi-sync) plus the staleness discount and the logical-clock delay
-	// model driving arrival order. The zero value is the paper's
-	// bulk-synchronous Alg. 1 — the same group-round machine at a full
-	// buffer, so with a delay model configured a sync run's rounds cost the
-	// barrier's ticks on the same clock and draws (Result.LogicalTicks).
-	Async async.Config
 	// Metrics, when non-nil, receives the run's observability stream:
 	// phase spans (local train, group/global aggregation, eval), the live
 	// formation's group count and Γ_p, and round/dropout totals — a fixed
@@ -113,15 +105,6 @@ type Result struct {
 	UplinkBytes int64
 	// Params is the final global parameter vector.
 	Params []float64
-	// LogicalTicks totals the run's time on the logical clock: per global
-	// round, the slowest selected group's ticks (in a sync run each group
-	// round costs its slowest member's delay — the barrier — on the draws
-	// the async modes make). 0 without a delay model.
-	LogicalTicks int64
-	// Carryovers counts semi-sync deadline misses (one per update per
-	// deadline it overran); LateDrops counts updates discarded after the
-	// final deadline of their group's schedule.
-	Carryovers, LateDrops int
 }
 
 // Train runs Algorithm 1 on the system. Given equal (System, Config) inputs
@@ -169,7 +152,7 @@ func validate(sys *System, cfg Config, pinned, fixed bool) error {
 			return fmt.Errorf("%s grouping: %w", cfg.Grouping.Name(), err)
 		}
 	}
-	return cfg.Async.Validate()
+	return nil
 }
 
 // FairnessIndex returns Jain's fairness index over all clients'

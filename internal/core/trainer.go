@@ -44,9 +44,6 @@ type Trainer struct {
 	dropsCtr *metrics.Counter
 	// aggHist and evalHist time the global aggregation and the evaluation.
 	aggHist, evalHist *metrics.Histogram
-	// roundTicks is fel_async_round_ticks on asyncRegistry: the paper's
-	// configuration publishes no fel_async_*.
-	roundTicks *metrics.Gauge
 
 	// lastSelected counts the clients in the most recent round's selected
 	// groups — the set O(selected)-memory claims are measured against.
@@ -97,7 +94,6 @@ func NewTrainerOn(sys *System, cfg Config, exec Executor, pinned []*grouping.Gro
 	tr.dropsCtr = cfg.Metrics.Counter("fel_core_dropouts_total")
 	tr.aggHist = cfg.Metrics.Histogram("fel_core_global_aggregate_seconds")
 	tr.evalHist = cfg.Metrics.Histogram("fel_core_eval_seconds")
-	tr.roundTicks = asyncRegistry(cfg).Gauge("fel_async_round_ticks")
 	return tr, nil
 }
 
@@ -161,22 +157,12 @@ func (tr *Trainer) Step() RoundRecord {
 		tr.err = err
 		return RoundRecord{}
 	}
-	// A round's logical time is the slowest selected group (the cloud
-	// barrier).
-	roundTicks := int64(0)
 	for si := range updates {
 		u := &updates[si]
 		res.Dropouts += u.Drops
 		res.UplinkBytes += u.UplinkBytes
 		tr.dropsCtr.Add(int64(u.Drops))
-		res.Carryovers += u.Carryovers
-		res.LateDrops += u.LateDrops
-		roundTicks = max(roundTicks, u.Ticks)
 	}
-	res.LogicalTicks += roundTicks
-	// Published here, from the barrier value: written per group, the gauge
-	// would keep whichever group happened to finish last.
-	tr.roundTicks.Set(float64(roundTicks))
 
 	// Line 15: global aggregation into the reused double buffer. The fold
 	// consumes the group models as tree nodes.
@@ -249,9 +235,8 @@ func (tr *Trainer) Finish() *Result {
 // PCG words, the cost components, the accumulated Result accounting, and —
 // when the local updater is SCAFFOLD — the control variates. Group formation
 // is deliberately absent: it is replayed from the seed (including every
-// regroup before Round). So is what a round did, async arrivals included: it
-// is state only where a later round reads it, and the fel_async_* series
-// count it. What remains is O(model + rounds) — the global vector and one
+// regroup before Round). So is what a round did: it is state only where a
+// later round reads it. What remains is O(model + rounds) — the global vector and one
 // Records entry per round so far, which a resumed run's Result must carry —
 // plus, under SCAFFOLD, one variate per client that has trained.
 type TrainerState struct {
@@ -272,11 +257,6 @@ type TrainerState struct {
 	Records []RoundRecord
 	// Scaffold is non-nil when the run trains with SCAFFOLD.
 	Scaffold *ScaffoldCheckpoint
-	// LogicalTicks, Carryovers, and LateDrops mirror the Result
-	// accumulators.
-	LogicalTicks int64
-	Carryovers   int
-	LateDrops    int
 }
 
 // ExportState captures the trainer's state at the current round boundary.
@@ -298,9 +278,6 @@ func (tr *Trainer) ExportState() (*TrainerState, error) {
 	if sc, ok := tr.cfg.Local.(*ScaffoldUpdater); ok {
 		st.Scaffold = sc.ExportState()
 	}
-	st.LogicalTicks = tr.res.LogicalTicks
-	st.Carryovers = tr.res.Carryovers
-	st.LateDrops = tr.res.LateDrops
 	tr.plan.Export(st)
 	return st, nil
 }
@@ -342,8 +319,5 @@ func NewTrainerResumed(sys *System, cfg Config, st *TrainerState) (*Trainer, err
 		}
 		sc.RestoreState(st.Scaffold)
 	}
-	tr.res.LogicalTicks = st.LogicalTicks
-	tr.res.Carryovers = st.Carryovers
-	tr.res.LateDrops = st.LateDrops
 	return tr, nil
 }

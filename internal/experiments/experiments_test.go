@@ -255,8 +255,7 @@ func TestRegistryComplete(t *testing.T) {
 	want := []string{"fig2a", "fig2b", "fig5", "fig6", "fig7", "fig8",
 		"fig9", "fig10", "fig11", "fig12", "table1",
 		"abl-variance", "abl-aggregation", "abl-regroup",
-		"theory", "dropout", "costbreak", "fairness",
-		"async-vs-sync"}
+		"theory", "dropout", "costbreak", "fairness"}
 	for _, id := range want {
 		if _, ok := reg[id]; !ok {
 			t.Errorf("registry missing %s", id)

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
-	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -135,45 +133,5 @@ func TestConvModelScalePath(t *testing.T) {
 		if res.RoundsRun != 1 || len(res.Params) == 0 {
 			t.Fatalf("%v conv path failed: %+v", task, res.RoundsRun)
 		}
-	}
-}
-
-// TestAsyncVsSyncGates pins the async-vs-sync table at the CI scale: the
-// structural gates (α=0 full-buffer ≡ sync bit for bit, both async modes
-// strictly fewer logical ticks, best async accuracy ≥ sync) and the exact
-// seed-deterministic tick counts README and DESIGN.md quote.
-func TestAsyncVsSyncGates(t *testing.T) {
-	runs := asyncVsSyncRuns(Small(), testSeed)
-	tab := asyncTable(runs)
-	ticksCol := slices.Index(tab.Header, "logical_ticks")
-	byName := map[string]asyncRun{}
-	for i, want := range []struct{ name, ticks string }{
-		{"sync", "8380"}, {"buffered", "7616"}, {"semisync", "1800"},
-		{"buffered-alpha0-full", "8380"},
-	} {
-		if row := tab.Rows[i]; row[0] != want.name || row[ticksCol] != want.ticks {
-			t.Errorf("row %d: %s with %s logical ticks, want %s with %s",
-				i, row[0], row[ticksCol], want.name, want.ticks)
-		}
-		byName[runs[i].name] = runs[i]
-	}
-
-	ref, probe := byName["sync"].res, byName["buffered-alpha0-full"].res
-	if len(probe.Params) == 0 || len(probe.Params) != len(ref.Params) {
-		t.Fatalf("alpha=0 probe has %d params, sync %d", len(probe.Params), len(ref.Params))
-	}
-	for i := range ref.Params {
-		if math.Float64bits(probe.Params[i]) != math.Float64bits(ref.Params[i]) {
-			t.Fatalf("alpha=0 full-buffer param %d differs from sync: %.17g vs %.17g",
-				i, probe.Params[i], ref.Params[i])
-		}
-	}
-	buffered, semi := byName["buffered"].res, byName["semisync"].res
-	if buffered.LogicalTicks >= ref.LogicalTicks || semi.LogicalTicks >= ref.LogicalTicks {
-		t.Errorf("buffered %d / semisync %d ticks, want both strictly fewer than sync's %d",
-			buffered.LogicalTicks, semi.LogicalTicks, ref.LogicalTicks)
-	}
-	if best := max(buffered.FinalAccuracy, semi.FinalAccuracy); best < ref.FinalAccuracy {
-		t.Errorf("best async accuracy %.4f below sync %.4f", best, ref.FinalAccuracy)
 	}
 }

@@ -48,7 +48,6 @@ func Registry(runs *Runs) map[string]Runner {
 		"dropout":         fig(DropoutRobustness),
 		"costbreak":       func(sc Scale, seed uint64) Artifact { return tableArtifact(CostBreakdown(sc, seed)) },
 		"fairness":        table(FairnessTable),
-		"async-vs-sync":   func(sc Scale, seed uint64) Artifact { return tableArtifact(AsyncVsSync(sc, seed)) },
 	}
 }
 

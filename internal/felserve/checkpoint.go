@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"sort"
 
-	"repro/internal/async"
 	"repro/internal/core"
 	"repro/internal/wire"
 )
@@ -30,29 +29,20 @@ import (
 //	                      Floats=c (present only for SCAFFOLD jobs)
 //	Seq 5  scaffold c_i   From=client id; Floats=c_i (one per client,
 //	                      ascending id)
-//	Seq 6  async          Ints=[mode, 0 (reserved)]; Words=[baseTicks,
-//	                      jitterTicks, stragglerFactor, deadlineTicks,
-//	                      stragglerProbBits, alphaBits, bufferFracBits,
-//	                      0, 0 (reserved), logicalTicks, carryovers,
-//	                      lateDrops] (present only when the job configures
-//	                      an async mode)
 //
-// The three reserved async slots and kind 7 once carried an adaptive group
-// sampler's switch, gains and EWMA state; that sampler is retired, so a file
-// that sets a reserved slot or holds a kind-7 frame fails the decode and
-// Recover quarantines it, while every other file keeps its bytes.
+// Kinds 6 and 7 are retired: 6 carried a buffered or semi-sync job's async
+// knobs and logical-clock totals, 7 an adaptive group sampler's state. A
+// file holding either fails the decode and Recover quarantines it, while
+// every other file keeps its bytes; so does an async file from before the
+// arrival log was retired, whose last frames are of wire type 9, a type that
+// no longer exists.
 //
-// A checkpoint carries state, not history: no frame records the async
-// arrivals (the fel_async_* series count them), so an async job's checkpoint
-// grows with its rounds only by its records, like a synchronous one's. Async
-// files from before the arrival log was retired end in frames of wire type 9,
-// which no longer exists: they fail the decode and Recover quarantines them.
-//
-// EOF terminates the sequence. Decoding is strict: frames of another type,
-// unknown kinds, a missing mandatory frame (spec, trainer, records,
-// participation), a frame the encoder would not have written (an async frame
-// configuring no async mode), a non-zero reserved slot, or cross-frame round
-// disagreement are errors — so whatever decodes re-encodes to itself.
+// A checkpoint carries state, not history, so a job's checkpoint grows with
+// its rounds only by its records. EOF terminates the sequence. Decoding is
+// strict: frames of another type, unknown kinds, a missing mandatory frame
+// (spec, trainer, records, participation), a non-zero reserved slot, or
+// cross-frame round disagreement are errors — so whatever decodes re-encodes
+// to itself.
 const (
 	ckptFormat uint8 = 1
 
@@ -62,7 +52,6 @@ const (
 	ckptParticipation uint32 = 3
 	ckptScaffoldC     uint32 = 4
 	ckptScaffoldCI    uint32 = 5
-	ckptAsync         uint32 = 6
 )
 
 // checkpointPath is dir/<name>.ckpt.
@@ -167,23 +156,6 @@ func appendCheckpoint(dst []byte, spec JobSpec, st *core.TrainerState) ([]byte, 
 		}
 	}
 
-	if spec.Async != (async.Config{}) {
-		d := spec.Async.Delays
-		if err := emit(&wire.Message{
-			Seq:  ckptAsync,
-			Ints: []int32{int32(spec.Async.Mode), 0},
-			Words: []uint64{
-				uint64(d.BaseTicks), uint64(d.JitterTicks),
-				uint64(d.StragglerFactor), uint64(spec.Async.DeadlineTicks),
-				math.Float64bits(d.StragglerProb),
-				math.Float64bits(spec.Async.Alpha), math.Float64bits(spec.Async.BufferFrac),
-				0, 0,
-				uint64(st.LogicalTicks), uint64(st.Carryovers), uint64(st.LateDrops),
-			},
-		}); err != nil {
-			return dst, err
-		}
-	}
 	return dst, nil
 }
 
@@ -278,32 +250,6 @@ func DecodeCheckpoint(r io.Reader) (JobSpec, *core.TrainerState, error) {
 			}
 			st.Scaffold.ClientIDs = append(st.Scaffold.ClientIDs, int(m.From))
 			st.Scaffold.CI = append(st.Scaffold.CI, m.Floats)
-		case ckptAsync:
-			if len(m.Ints) != 2 || len(m.Words) != 12 {
-				return spec, nil, fmt.Errorf("felserve: malformed async frame (%d ints, %d words)",
-					len(m.Ints), len(m.Words))
-			}
-			if m.Ints[1] != 0 || m.Words[7] != 0 || m.Words[8] != 0 {
-				return spec, nil, fmt.Errorf("felserve: async frame sets a reserved slot (the retired adaptive sampler's)")
-			}
-			spec.Async = async.Config{
-				Mode:          async.Mode(m.Ints[0]),
-				Alpha:         math.Float64frombits(m.Words[5]),
-				BufferFrac:    math.Float64frombits(m.Words[6]),
-				DeadlineTicks: int64(m.Words[3]),
-				Delays: async.DelayModel{
-					BaseTicks:       int64(m.Words[0]),
-					JitterTicks:     int64(m.Words[1]),
-					StragglerProb:   math.Float64frombits(m.Words[4]),
-					StragglerFactor: int64(m.Words[2]),
-				},
-			}
-			if spec.Async == (async.Config{}) {
-				return spec, nil, fmt.Errorf("felserve: async frame configures no async mode")
-			}
-			st.LogicalTicks = int64(m.Words[9])
-			st.Carryovers = int(m.Words[10])
-			st.LateDrops = int(m.Words[11])
 		default:
 			return spec, nil, fmt.Errorf("felserve: unknown checkpoint frame kind %d", m.Seq)
 		}

@@ -8,11 +8,10 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"strings"
 	"testing"
 
-	"repro/internal/async"
 	"repro/internal/core"
+	"repro/internal/leakcheck"
 	"repro/internal/wire"
 )
 
@@ -223,9 +222,6 @@ func TestCheckpointRejectsValidFramesBadValues(t *testing.T) {
 		"LR NaN":          func(s *JobSpec) { s.LR = math.NaN() },
 		"LR +Inf":         func(s *JobSpec) { s.LR = math.Inf(1) },
 		"DropoutProb NaN": func(s *JobSpec) { s.DropoutProb = math.NaN() },
-		"BufferFrac NaN": func(s *JobSpec) {
-			s.Async = async.Config{Mode: async.Buffered, BufferFrac: math.NaN()}
-		},
 	} {
 		bad := spec
 		mutate(&bad)
@@ -246,9 +242,10 @@ func TestCheckpointRejectsValidFramesBadValues(t *testing.T) {
 // TestDecodeCheckpointRejectsUnencodable: well-framed sequences describing a
 // state EncodeCheckpoint never writes fail the decode, because that state
 // would not survive a re-encode — FuzzLoadCheckpoint's property, which
-// mutated bytes seldom reach through the CRCs. So do the retired adaptive
-// sampler's traces: a kind-7 frame, or an async frame that sets one of the
-// slots its switch, gain and floor once held.
+// mutated bytes seldom reach through the CRCs. So do the retired kinds: 7,
+// the adaptive sampler's state, and 6, the async frame a buffered or
+// semi-sync job's checkpoint ended in. A job file holding a kind-6 frame is
+// quarantined by Recover, which still resumes the tenants beside it.
 func TestDecodeCheckpointRejectsUnencodable(t *testing.T) {
 	spec := goldenSpec()
 	st := goldenState(t, spec)
@@ -277,28 +274,12 @@ func TestDecodeCheckpointRejectsUnencodable(t *testing.T) {
 	with := func(extra ...*wire.Message) []*wire.Message {
 		return append(append([]*wire.Message(nil), frames...), extra...)
 	}
-	// asyncFrame is a buffered job's async frame (α = 0.5, half buffer) with
-	// the given mode-frame int and reserved words 7 and 8.
-	asyncFrame := func(ints1 int32, w7, w8 uint64) *wire.Message {
-		words := make([]uint64, 12)
-		words[5], words[6] = math.Float64bits(0.5), math.Float64bits(0.5)
-		words[7], words[8] = w7, w8
-		return &wire.Message{Type: wire.Checkpoint, Round: round, Seq: ckptAsync,
-			Ints: []int32{int32(async.Buffered), ints1}, Words: words}
-	}
 	for name, seq := range map[string][]*wire.Message{
-		"as encoded":                  frames,
-		"as encoded with async frame": with(asyncFrame(0, 0, 0)),
-		"no records frame":            without(ckptRecords),
-		"no participation frame":      without(ckptParticipation),
-		"async frame configuring nothing": with(&wire.Message{
-			Type: wire.Checkpoint, Round: round, Seq: ckptAsync,
-			Ints: []int32{0, 0}, Words: make([]uint64, 12)}),
-		"kind 7 after an async frame": with(asyncFrame(0, 0, 0),
-			&wire.Message{Type: wire.Checkpoint, Round: round, Seq: 7}),
-		"async frame, Ints[1] = 1":  with(asyncFrame(1, 0, 0)),
-		"async frame, Words[7] set": with(asyncFrame(0, math.Float64bits(0.3), 0)),
-		"async frame, Words[8] set": with(asyncFrame(0, 0, math.Float64bits(0.1))),
+		"as encoded":             frames,
+		"no records frame":       without(ckptRecords),
+		"no participation frame": without(ckptParticipation),
+		"kind 6":                 with(asyncFrame(round)),
+		"kind 7":                 with(&wire.Message{Type: wire.Checkpoint, Round: round, Seq: 7}),
 	} {
 		var buf bytes.Buffer
 		for _, m := range seq {
@@ -307,8 +288,47 @@ func TestDecodeCheckpointRejectsUnencodable(t *testing.T) {
 			}
 		}
 		_, _, err := DecodeCheckpoint(&buf)
-		if (err == nil) != strings.HasPrefix(name, "as encoded") {
+		if (err == nil) != (name == "as encoded") {
 			t.Errorf("%s: decode error %v", name, err)
 		}
 	}
+
+	noLeaks := leakcheck.Check(t)
+	ref, dir := crashThreeTenants(t)
+	bad := checkpointPath(dir, "tenant-b")
+	bspec, bst, err := LoadCheckpoint(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := appendCheckpoint(nil, bspec, bst)
+	if err == nil {
+		b, err = wire.AppendFrame(b, asyncFrame(uint32(bst.Round)))
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	slot := terminated(b, bst.Round)
+	if err := os.WriteFile(bad, slotFile(len(slot), slot), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	reg := recoverAndFinish(t, dir, ref, map[string]int{"tenant-a": 4, "tenant-c": 4})
+	if n := reg.CounterValue("fel_serve_checkpoints_quarantined_total"); n != 1 {
+		t.Errorf("fel_serve_checkpoints_quarantined_total = %v, want 1", n)
+	}
+	if _, err := os.Stat(bad + ".bad"); err != nil {
+		t.Errorf("quarantined file missing: %v", err)
+	}
+	if _, err := os.Stat(bad); !os.IsNotExist(err) {
+		t.Errorf("checkpoint with a kind-6 frame still in place (stat err %v)", err)
+	}
+	noLeaks()
+}
+
+// asyncFrame is the kind-6 frame a buffered job's checkpoint ended in before
+// the async modes were retired: mode 1 (buffered), α = 0.5, half buffer, the
+// straggler-storm delays (base 10, jitter 5, factor 20, probability 0.2) and
+// 1 234 logical ticks.
+func asyncFrame(round uint32) *wire.Message {
+	return &wire.Message{Type: wire.Checkpoint, Round: round, Seq: 6, Ints: []int32{1, 0},
+		Words: []uint64{10, 5, 20, 0, math.Float64bits(0.2), math.Float64bits(0.5), math.Float64bits(0.5), 0, 0, 1234, 0, 0}}
 }

@@ -244,7 +244,7 @@ var cuts = map[string]func(p []byte) int{
 // tenant's checkpoint history — open, create, WriteAt, Sync, rename,
 // directory sync — and cuts every WriteAt mid-frame, at a frame boundary and
 // just before the terminator, where the process then dies. The history is a
-// two-tenant async cloud crashed after five rounds, recovered through the
+// two-tenant cloud crashed after five rounds, recovered through the
 // same file system and run to the end; a third, clean instance recovers
 // whatever is left. Every Recover must resume each job from the newest
 // checkpoint whose every byte reached its file — the one being written, or
@@ -258,11 +258,11 @@ var cuts = map[string]func(p []byte) int{
 // in the history. MaxCoV 1 closes groups near CoV 1, where ESRCoV's
 // e^{1/CoV²} is nearly flat, so the draw moves between groups and new
 // clients train; at the default 0.5 one group takes almost every draw and
-// the buffered tenant's checkpoint never outgrows its first slot.
+// a tenant's checkpoint may never outgrow its first slot.
 func TestCheckpointCrashEnumeration(t *testing.T) {
-	specs := asyncDemoSpecs(41)
+	specs := demoSpecs(41)
 	for i := range specs {
-		specs[i].Scaffold, specs[i].Clients, specs[i].SampleGroups, specs[i].MaxCoV = true, 30, 1, 1
+		specs[i].Rounds, specs[i].Scaffold, specs[i].Clients, specs[i].SampleGroups, specs[i].MaxCoV = 8, true, 30, 1, 1
 	}
 	ref := map[string]*core.Result{}
 	for _, spec := range specs {
@@ -421,8 +421,6 @@ func diffResult(a, b *core.Result) string {
 		return "cost, accuracy or dropout totals"
 	case fmt.Sprint(a.Participation) != fmt.Sprint(b.Participation):
 		return "participation counts"
-	case a.LogicalTicks != b.LogicalTicks || a.Carryovers != b.Carryovers || a.LateDrops != b.LateDrops:
-		return "async clock totals"
 	}
 	return ""
 }
@@ -479,17 +477,14 @@ func TestCheckpointHandlesClosed(t *testing.T) {
 // TestCheckpointWriteCounts: through the seam, a steady-state checkpoint is
 // one WriteAt and one Sync on the file the job keeps open, and a 1300-round
 // job — its records growing every round, as in the serve-fanout workload —
-// creates and renames its file only O(log size) times. A semi-sync job's
-// checkpoint grows by its records alone, as a synchronous one's does, so
-// after 1300 rounds both are under 64 KiB.
+// creates and renames its file only O(log size) times. The checkpoint grows
+// by its records alone, so after 1300 rounds it is under 64 KiB.
 func TestCheckpointWriteCounts(t *testing.T) {
-	semi := asyncDemoSpecs(41)[1]
-	semi.Rounds, semi.EvalEvery = 1300, 1300
 	for _, spec := range []JobSpec{{
 		Name: "long", Clients: 24, Edges: 2, SystemSeed: 5, Seed: 6,
 		Rounds: 1300, GroupRounds: 2, LocalEpochs: 1,
 		BatchSize: 16, LR: 0.05, SampleGroups: 2, EvalEvery: 1300,
-	}, semi} {
+	}} {
 		fs := newFaultFS("", -1, nil)
 		svc := newService(Config{Dir: t.TempDir(), CheckpointEvery: 5}, fs)
 		j, err := svc.Submit(spec)
@@ -555,8 +550,7 @@ func terminated(frames []byte, round int) []byte {
 // FuzzLoadCheckpoint feeds whole checkpoint files to the loader: it must
 // never panic, and whatever state it returns must survive a re-encode and
 // decode unchanged. Seeds: the golden checkpoint in both slots, with the
-// newer slot torn, and an async job's first checkpoint — the async frame
-// the golden lacks — alone in a new file.
+// newer slot torn, and alone in a new file.
 func FuzzLoadCheckpoint(f *testing.F) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "checkpoint.golden"))
 	if err != nil {
@@ -565,19 +559,7 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	slot := terminated(golden, 3)
 	f.Add(slotFile(len(slot), slot, slot))
 	f.Add(slotFile(len(slot), slot, slot[:len(slot)/2]))
-	aspec := asyncJobSpec()
-	tr := core.NewTrainer(aspec.System(), aspec.TrainConfig(nil))
-	tr.Step()
-	st, err := tr.ExportState()
-	if err != nil {
-		f.Fatal(err)
-	}
-	frames, err := appendCheckpoint(nil, aspec, st)
-	if err != nil {
-		f.Fatal(err)
-	}
-	aslot := terminated(frames, st.Round)
-	f.Add(slotFile(len(aslot), aslot))
+	f.Add(slotFile(len(slot), slot))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		spec, st, _, err := decodeCheckpointFile(b)
 		if err != nil {
@@ -601,10 +583,8 @@ func FuzzLoadCheckpoint(f *testing.F) {
 // differ, comparing floats by their bits; "" when none does.
 func diffCheckpoint(as JobSpec, a *core.TrainerState, bs JobSpec, b *core.TrainerState) string {
 	specFloats := func(s *JobSpec) []uint64 {
-		fs := bitsOf(s.LR, s.MaxCoV, s.DropoutProb,
-			s.Async.Alpha, s.Async.BufferFrac, s.Async.Delays.StragglerProb)
+		fs := bitsOf(s.LR, s.MaxCoV, s.DropoutProb)
 		s.LR, s.MaxCoV, s.DropoutProb = 0, 0, 0
-		s.Async.Alpha, s.Async.BufferFrac, s.Async.Delays.StragglerProb = 0, 0, 0
 		return fs
 	}
 	records := func(st *core.TrainerState) ([]int, []uint64) {
@@ -633,8 +613,6 @@ func diffCheckpoint(as JobSpec, a *core.TrainerState, bs JobSpec, b *core.Traine
 		return "participation"
 	case (a.Scaffold == nil) != (b.Scaffold == nil):
 		return "scaffold presence"
-	case a.LogicalTicks != b.LogicalTicks || a.Carryovers != b.Carryovers || a.LateDrops != b.LateDrops:
-		return "async totals"
 	}
 	if a.Scaffold != nil {
 		if (a.Scaffold.C == nil) != (b.Scaffold.C == nil) || !slices.Equal(bitsOf(a.Scaffold.C...), bitsOf(b.Scaffold.C...)) ||

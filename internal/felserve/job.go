@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/async"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/data"
@@ -50,12 +49,6 @@ type JobSpec struct {
 	MaxParallel int
 	// EvalEvery evaluates every n rounds (0/1 = every round).
 	EvalEvery int
-	// Async selects the aggregation semantics (internal/async): sync,
-	// buffered, or semi-sync, plus staleness exponent, buffer fraction,
-	// deadline, and the logical-clock delay model. All scalar fields, so
-	// the knobs ride in the checkpoint's async frame and a recovered job
-	// replays the identical arrival schedule.
-	Async async.Config
 }
 
 // Validate rejects what only the spec knows is wrong: a name that cannot be
@@ -154,7 +147,6 @@ func (s JobSpec) TrainConfig(reg *metrics.Registry) core.Config {
 		DropoutProb: s.DropoutProb,
 		MaxParallel: s.MaxParallel,
 		EvalEvery:   s.EvalEvery,
-		Async:       s.Async,
 		Metrics:     reg,
 	}
 	if s.Scaffold {

@@ -27,10 +27,8 @@ var MetricSchema = &Analyzer{
 // network, federation node, secure aggregation, fault injection, the
 // felserve serving layer (fel_serve_* covers the service-level schema,
 // incl. Recover's fel_serve_checkpoints_quarantined_total, and the per-job
-// fel_serve_job_* streams), and the buffered-async
-// aggregation layer (fel_async_* staleness/buffer/clock instrumentation).
-// Sorted: a diagnostic lists them in this order.
-var metricLayers = []string{"async", "core", "faultnet", "fednode", "net", "secagg", "serve", "wire"}
+// fel_serve_job_* streams). Sorted: a diagnostic lists them in this order.
+var metricLayers = []string{"core", "faultnet", "fednode", "net", "secagg", "serve", "wire"}
 
 // registryMethods maps internal/metrics Registry methods to the suffix rule
 // class they imply for the name argument.

@@ -12,6 +12,7 @@ func Register(r *metrics.Registry) {
 	r.Counter("fel_core_rounds_")      // want "must not end with '_'"
 	stop := r.Start("fel_core_train_total") // want "must end in _seconds"
 	stop()
-	r.Counter("fel_async_folds")       // want "must end in _total"
-	r.Histogram("fel_async_late_total", 1) // want "must not end in _total"
+	r.Counter("fel_fednode_folds")       // want "must end in _total"
+	r.Histogram("fel_secagg_late_total", 1) // want "must not end in _total"
+	r.Counter("fel_async_folds_total")  // want "unknown layer"
 }

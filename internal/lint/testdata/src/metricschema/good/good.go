@@ -12,9 +12,9 @@ func Register(r *metrics.Registry) float64 {
 	r.Counter("fel_serve_subscribers_rejected_total", metrics.L("reason", "busy"))
 	r.Gauge("fel_serve_active_jobs", 1)
 	r.Histogram("fel_secagg_share_bytes", 32)
-	r.Histogram("fel_async_staleness", 1)
-	r.Counter("fel_async_carryover_total")
-	r.Gauge("fel_async_round_ticks", 12)
+	r.Histogram("fel_fednode_staleness", 1)
+	r.Counter("fel_wire_carryover_total")
+	r.Gauge("fel_faultnet_round_ticks", 12)
 	stop := r.Start("fel_core_round_seconds")
 	stop()
 	// Dynamic names are the registry's runtime problem, not the linter's.
