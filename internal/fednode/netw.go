@@ -275,9 +275,15 @@ func (m *Meter) Accounted() int64 {
 
 // roundBytes returns the accounted bytes of the frame types a round sends:
 // all but GroupAssign and GlobalAggregate (Report.SetupBytes and
-// ShutdownBytes).
+// ShutdownBytes). It sums the round types' counters rather than subtracting
+// the other two from Accounted: an edge may forward a GroupAssign between
+// those reads, which would count its bytes toward the round.
 func (m *Meter) roundBytes() int64 {
-	return m.Accounted() - m.bytes[wire.GroupAssign].Value() - m.bytes[wire.GlobalAggregate].Value()
+	var n int64
+	for _, t := range [...]wire.Type{wire.GlobalModel, wire.MaskedUpdate, wire.ShareReveal, wire.GroupAggregate} {
+		n += m.bytes[t].Value()
+	}
+	return n
 }
 
 // fill copies the meter's job totals into rep.
