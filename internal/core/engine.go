@@ -36,10 +36,6 @@ import (
 //     the tree levels may fan out across goroutines and still produce the
 //     same bits as the inline fold.
 //
-// A group round (groupround.go) draws the dropout flags, trains every member
-// on the fan-out and folds the survivors; round k+1 trains from round k's
-// group model, so training fans out only within a round.
-//
 // The engine holds no run storage between calls: each client's training
 // borrows a Worker (worker.go) from the System's lender (lender.go), and
 // RunGroups one group-round machine per goroutine of its fan-out, which holds

@@ -6,11 +6,9 @@ import (
 )
 
 // This file is the group round: lines 8–14 of Alg. 1, K bulk-synchronous
-// rounds per selected group (state in groupSpace, engine.go). Each round
-// draws the members' dropout flags, trains every member from the group
-// model, and folds the survivors into it; nothing depends on the order in
-// which members finish, so a run replays bit-identically from its
-// configuration at any MaxParallel.
+// rounds per selected group (state in groupSpace, engine.go). Nothing depends
+// on the order in which members finish, so a run replays bit-identically at
+// any MaxParallel.
 
 // run trains the group for cfg.GroupRounds rounds. Round k draws every
 // member's dropout flag serially in client order from the group's dropout
