@@ -480,50 +480,49 @@ func TestCheckpointHandlesClosed(t *testing.T) {
 // creates and renames its file only O(log size) times. The checkpoint grows
 // by its records alone, so after 1300 rounds it is under 64 KiB.
 func TestCheckpointWriteCounts(t *testing.T) {
-	for _, spec := range []JobSpec{{
+	spec := JobSpec{
 		Name: "long", Clients: 24, Edges: 2, SystemSeed: 5, Seed: 6,
 		Rounds: 1300, GroupRounds: 2, LocalEpochs: 1,
 		BatchSize: 16, LR: 0.05, SampleGroups: 2, EvalEvery: 1300,
-	}} {
-		fs := newFaultFS("", -1, nil)
-		svc := newService(Config{Dir: t.TempDir(), CheckpointEvery: 5}, fs)
-		j, err := svc.Submit(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := j.Wait(); err != nil {
-			t.Fatal(err)
-		}
-		if err := svc.Close(); err != nil {
-			t.Fatal(err)
-		}
-		ops := strings.Join(fs.ops[spec.Name], " ")
-		creates := strings.Count(ops, "create write sync rename syncdir")
-		steady := strings.Count(strings.ReplaceAll(ops, "create write sync rename syncdir", ""), "write sync")
-		if strings.Count(ops, "create") != creates || strings.Count(ops, "rename") != creates {
-			t.Fatalf("%s: a file is made other than by create, write, sync, rename, sync-dir: %s", spec.Name, ops)
-		}
-		if creates+steady != spec.Rounds/5 || len(fs.ops[spec.Name]) != 5*creates+2*steady {
-			t.Fatalf("%s: %d creates + %d steady saves for %d due checkpoints, %d operations in all",
-				spec.Name, creates, steady, spec.Rounds/5, len(fs.ops[spec.Name]))
-		}
-		st, err := svc.Job(spec.Name).tr.ExportState()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var final bytes.Buffer
-		if _, err := EncodeCheckpoint(&final, spec, st); err != nil {
-			t.Fatal(err)
-		}
-		// One file at the start, then one per doubling from 4 KiB to the final size.
-		if bound := 1 + int(math.Ceil(math.Log2(float64(final.Len()+termSize)/slotMinSize))); creates > bound {
-			t.Fatalf("%s: %d files created for a final checkpoint of %d bytes, want at most %d", spec.Name, creates, final.Len(), bound)
-		}
-		if final.Len() > 64<<10 {
-			t.Fatalf("%s: the final checkpoint is %d bytes, want at most 64 KiB", spec.Name, final.Len())
-		}
-		t.Logf("%s: %d files created, %d steady-state saves, final checkpoint %d bytes", spec.Name, creates, steady, final.Len())
 	}
+	fs := newFaultFS("", -1, nil)
+	svc := newService(Config{Dir: t.TempDir(), CheckpointEvery: 5}, fs)
+	j, err := svc.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ops := strings.Join(fs.ops[spec.Name], " ")
+	creates := strings.Count(ops, "create write sync rename syncdir")
+	steady := strings.Count(strings.ReplaceAll(ops, "create write sync rename syncdir", ""), "write sync")
+	if strings.Count(ops, "create") != creates || strings.Count(ops, "rename") != creates {
+		t.Fatalf("%s: a file is made other than by create, write, sync, rename, sync-dir: %s", spec.Name, ops)
+	}
+	if creates+steady != spec.Rounds/5 || len(fs.ops[spec.Name]) != 5*creates+2*steady {
+		t.Fatalf("%s: %d creates + %d steady saves for %d due checkpoints, %d operations in all",
+			spec.Name, creates, steady, spec.Rounds/5, len(fs.ops[spec.Name]))
+	}
+	st, err := svc.Job(spec.Name).tr.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var final bytes.Buffer
+	if _, err := EncodeCheckpoint(&final, spec, st); err != nil {
+		t.Fatal(err)
+	}
+	// One file at the start, then one per doubling from 4 KiB to the final size.
+	if bound := 1 + int(math.Ceil(math.Log2(float64(final.Len()+termSize)/slotMinSize))); creates > bound {
+		t.Fatalf("%s: %d files created for a final checkpoint of %d bytes, want at most %d", spec.Name, creates, final.Len(), bound)
+	}
+	if final.Len() > 64<<10 {
+		t.Fatalf("%s: the final checkpoint is %d bytes, want at most 64 KiB", spec.Name, final.Len())
+	}
+	t.Logf("%s: %d files created, %d steady-state saves, final checkpoint %d bytes", spec.Name, creates, steady, final.Len())
 }
 
 // slotFile lays checkpoints out as a slot file with slot size size; a nil
