@@ -21,8 +21,9 @@
 #                  scenarios and kill-cloud, outputs byte-identical
 #                  (simulated time: seconds for all six)
 #   7. felnode     a loopback TCP job, cross-checked against core.Train;
-#                  -clients 0, -lr NaN and -role bogus each exit 2 with one
-#                  line, -role bogus before its -metrics listener opens; the
+#                  -clients 0, -lr NaN, -role bogus and -hold 1s without
+#                  -metrics each exit 2 with one line, -role bogus before its
+#                  -metrics listener opens; the
 #                  two modelled-link examples print a simulated round time;
 #                  examples/fednet recovers a client reset by a faultnet rule;
 #                  examples/quickstart prints the same bytes twice; covgroup
@@ -227,6 +228,15 @@ if [ "$badrole" -ne 2 ] || [ "$(wc -l < "$nodedir/badrole.txt")" -ne 1 ] || grep
   exit 1
 fi
 echo "unknown role: $(cat "$nodedir/badrole.txt")"
+# So is a -hold with no -metrics endpoint to hold up, which used to exit 0.
+badhold=0
+timeout 30 "$nodedir/felnode" -role loopback -hold 1s > "$nodedir/badhold.out" 2> "$nodedir/badhold.txt" || badhold=$?
+if [ "$badhold" -ne 2 ] || [ "$(wc -l < "$nodedir/badhold.txt")" -ne 1 ] || grep -q goroutine "$nodedir/badhold.txt" || [ -s "$nodedir/badhold.out" ]; then
+  cat "$nodedir/badhold.out" "$nodedir/badhold.txt" >&2
+  echo "ci.sh: felnode -hold 1s without -metrics exited $badhold; want 2 with one stderr line, nothing on stdout and no stack trace" >&2
+  exit 1
+fi
+echo "hold without metrics: $(cat "$nodedir/badhold.txt")"
 # Each runs fednode rounds on faultnet's simulated clock and prints the
 # round's modelled duration in simulated seconds.
 for ex in distributed secureagg; do

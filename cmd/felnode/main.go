@@ -107,6 +107,7 @@ func main() {
 	if err := checkRanges(flags{
 		clients: *clients, edges: *edges, rounds: *rounds, krounds: *krounds, epochs: *epochs, sample: *sample,
 		batch: *batch, lr: *lr, serve: *serve, jobs: *jobs, role: *role, edge: *edgeID,
+		hold: *hold, metrics: *maddr != "",
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "felnode:", err)
 		os.Exit(2)
@@ -181,8 +182,8 @@ func main() {
 }
 
 // flags are the values checkRanges holds: the federation's and the job's
-// numbers, and those only the chosen mode reads (-jobs with -serve, -role
-// without it, -edge with -role edge).
+// numbers, those only the chosen mode reads (-jobs with -serve, -role
+// without it, -edge with -role edge), and -hold with whether -metrics is set.
 type flags struct {
 	clients, edges, rounds, krounds, epochs, sample, batch int
 	lr                                                     float64
@@ -190,12 +191,16 @@ type flags struct {
 	jobs                                                   int
 	role                                                   string
 	edge                                                   int
+	hold                                                   time.Duration
+	metrics                                                bool
 }
 
 // checkRanges rejects a federation or a job no role and no -serve job can
 // run, naming the first flag out of range, before any listener opens. A
 // -batch of 0 is the whole dataset as one batch (core.Config's BatchSize
-// <= 0); a negative one is refused rather than read the same way.
+// <= 0); a negative one is refused rather than read the same way. -hold
+// keeps the -metrics endpoint up, so a negative one, or a positive one
+// with no endpoint to keep, is refused rather than ignored.
 func checkRanges(f flags) error {
 	for _, c := range []struct {
 		name string
@@ -216,6 +221,10 @@ func checkRanges(f flags) error {
 		return fmt.Errorf("-role must be cloud, edge, or loopback, got %q", f.role)
 	case !f.serve && f.role == "edge" && (f.edge < 0 || f.edge >= f.edges):
 		return fmt.Errorf("-edge must be in [0, %d) for -edges %d, got %d", f.edges, f.edges, f.edge)
+	case f.hold < 0:
+		return fmt.Errorf("-hold must not be negative, got %v", f.hold)
+	case f.hold > 0 && !f.metrics:
+		return fmt.Errorf("-hold %v needs a -metrics address: it keeps that endpoint up", f.hold)
 	}
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/faultnet/scenarios"
 	"repro/internal/leakcheck"
@@ -20,8 +21,9 @@ func TestMain(m *testing.M) { leakcheck.Main(m) }
 // in the partition or the edge assignment, the other four, a bad -lr and
 // -serve -jobs 0 exited 1 with a runtime message, a negative -batch trained
 // full-batch, -role edge with an -edge out of range printed "listening"
-// first, and an unknown -role opened the -metrics listener before it exited
-// 1. -batch 0 is full batch and stays allowed.
+// first, an unknown -role opened the -metrics listener before it exited 1,
+// and a negative -hold, or a positive one without -metrics, did nothing and
+// exited 0. -batch 0 is full batch and stays allowed.
 func TestCheckRanges(t *testing.T) {
 	ok := flags{clients: 24, edges: 2, rounds: 3, krounds: 2, epochs: 1, sample: 2, batch: 16, lr: 0.05, jobs: 2, role: "loopback"}
 	with := func(edit func(*flags)) flags {
@@ -65,6 +67,13 @@ func TestCheckRanges(t *testing.T) {
 		{with(func(f *flags) { f.role = "bogus" }), `-role must be cloud, edge, or loopback, got "bogus"`},
 		{with(func(f *flags) { f.role = "" }), `-role must be cloud, edge, or loopback, got ""`},
 		{with(func(f *flags) { f.serve, f.role = true, "bogus" }), ""}, // -role is not read with -serve
+		{with(func(f *flags) { f.hold, f.metrics = 30*time.Second, true }), ""},
+		{with(func(f *flags) { f.serve, f.hold, f.metrics = true, 30*time.Second, true }), ""},
+		{with(func(f *flags) { f.hold = -time.Second }), "-hold must not be negative, got -1s"},
+		{with(func(f *flags) { f.hold, f.metrics = -time.Second, true }), "-hold must not be negative, got -1s"},
+		{with(func(f *flags) { f.serve, f.hold = true, -time.Second }), "-hold must not be negative, got -1s"},
+		{with(func(f *flags) { f.hold = time.Second }), "-hold 1s needs a -metrics address: it keeps that endpoint up"},
+		{with(func(f *flags) { f.serve, f.hold = true, 5*time.Second }), "-hold 5s needs a -metrics address: it keeps that endpoint up"},
 	} {
 		got := ""
 		if err := checkRanges(c.f); err != nil {
