@@ -4,9 +4,9 @@ import "fmt"
 
 // MatMul computes dst = a × b for 2-D tensors a (m×k) and b (k×n), writing
 // into dst (m×n). dst must not alias a or b. Every shape runs on the calling
-// goroutine through the one zero-skipping row kernel below: each output
-// element is a single reduction over p = 0..k-1 in ascending order, so the
-// result depends on the operands alone. Callers that want more than one
+// goroutine through the one row kernel below: each output element is a
+// single reduction over every p = 0..k-1 in ascending order, so the result
+// depends on the operands alone. Callers that want more than one
 // core split work above this call — internal/core trains clients and scores
 // evaluation batches in parallel — and a GEMM itself never spawns.
 func MatMul(dst, a, b *Tensor) { mulRows("MatMul", dst, a, b, nil) }
@@ -62,22 +62,6 @@ func mustRank2(op string, dst, a, b *Tensor) {
 	}
 }
 
-// The row kernels below skip every exact-zero (±0) entry of the left operand.
-// Against a finite right operand that changes no bit: an accumulator that
-// starts at +0 can never become −0, so the skipped ±0 term would have been
-// absorbed. Against an Inf or NaN right entry it is the semantics, not an
-// optimisation: the skipped 0·Inf / 0·NaN would have been NaN, and a model
-// whose weights have diverged keeps whatever these kernels made of it. So
-// the contract is the reduction itself — each output element is the sum, in
-// ascending p from +0, of float64(a·b) over the non-zero a, then one add of
-// the bias where the product has one — and it holds at every shape, because
-// no other kernel exists for a large or dense problem to be routed to.
-// TestRowKernelsMatchReference pins it, skip rule included.
-
-// stage is the capacity of the Go loop's staging area, a power of two: 512
-// bytes of stack, and the paper-sized rows (k <= 32) compress in one chunk.
-const stage = 32
-
 // accumRows is the one GEMM kernel, behind MatMul, MatMulBias and MatMulAT
 // (and so MatMulBT) and ColSum. It computes rows [lo, hi) of dst, where row
 // i is the sum over p of a[i·rs + p·cs] · (row p of b), plus bias after the
@@ -85,18 +69,19 @@ const stage = 32
 // (1, m) reads it as k×m, transposed, and (0, 0) reads one entry for every
 // term (ColSum's ones row).
 //
+// The contract is the textbook reduction, at every shape: each output
+// element is (+0 + float64(a₀·b₀) + … + float64(a_{k−1}·b_{k−1})) + bias,
+// every term in ascending p, each product rounded before its add. An
+// accumulator that starts at +0 never becomes −0, so a ±0 term against a
+// finite right entry changes no bit; against an Inf or NaN one it makes the
+// element NaN, as 0·Inf is. TestRowKernelsMatchReference pins it.
+//
 // On amd64 with AVX (hasAVX, read from CPUID at init; nothing a caller can
 // set) the whole range is one rowsUpdate call: assembly that reads each
-// left row in place and applies all k terms, zero or not, to register
-// accumulators from +0, adds the bias, stores, and walks on to the next
-// row. By the argument above an applied ±0 term changes no bit unless its
-// right entry is Inf or NaN, and then the output element is NaN; rowsUpdate
-// stops at the first row with a non-finite element and returns its index,
-// that row alone is computed again by skipRows and addBias, and the call
-// resumes behind it. Every other build runs skipRows and addBias over the
-// whole range. Both paths perform the same IEEE multiplies and adds in the
-// same order on every element they keep, so they agree in every bit
-// (DESIGN.md §8), and TestRowKernelsMatchReference runs both.
+// left row in place and applies all k terms to register accumulators,
+// adds the bias, stores, and walks on to the next row. Every other build,
+// and k = 0, runs goRows. Both perform the same IEEE multiplies and adds in
+// the same order, so they agree in every bit (DESIGN.md §8).
 func accumRows(dst, a, b, bias []float64, lo, hi, k, n, rs, cs int) {
 	if n == 0 || hi <= lo {
 		return // no element to write, and rowsUpdate is handed &dst[lo·n]
@@ -116,98 +101,51 @@ func accumRows(dst, a, b, bias []float64, lo, hi, k, n, rs, cs int) {
 		panic(fmt.Sprintf("tensor: bias holds %d elements, want %d", len(bias), n))
 	}
 	if !hasAVX || k == 0 {
-		skipRows(dst, a, b, lo, hi, k, n, rs, cs)
-		addBias(dst, bias, lo, hi, n)
+		goRows(dst, a, b, bias, lo, hi, k, n, rs, cs)
 		return
 	}
 	var bp *float64
 	if bias != nil {
 		bp = &bias[0]
 	}
-	for i := lo; i < hi; i++ {
-		i += rowsUpdate(&dst[i*n], n, &b[0], &a[i*rs], rs, cs, k, hi-i, bp)
-		if i < hi { // a non-finite element: redo that row with the skip
-			skipRows(dst, a, b, i, i+1, k, n, rs, cs)
-			addBias(dst, bias, i, i+1, n)
-		}
-	}
+	rowsUpdate(&dst[lo*n], n, &b[0], &a[lo*rs], rs, cs, k, hi-lo, bp)
 }
 
-// addBias adds bias to every row of [lo, hi) of dst, n columns each, after
-// the row's sum: the one IEEE add rowsUpdate makes before its store. A nil
-// bias adds nothing.
-func addBias(dst, bias []float64, lo, hi, n int) {
-	if bias == nil {
-		return
-	}
-	for i := lo; i < hi; i++ {
-		row := dst[i*n : (i+1)*n]
-		for j, v := range bias {
-			row[j] += v
-		}
-	}
-}
-
-// skipRows is the Go compress-and-skip loop over rows [lo, hi), with
-// accumRows' arguments but the bias (addBias follows it): every non-AVX
-// build's path, the AVX path's fallback for a flagged row, and the oracle.
-// Each row is two passes. The compress pass walks p ascending and writes
-// every (a entry, offset of b's row p) to the next staging slot, zero or
-// not, advancing the slot count by v != 0 as an integer: no branch tests
-// the loaded value, which on a post-ReLU operand is a coin flip no
-// predictor wins. The update pass applies every staged entry to the output
-// row, four terms per pass, before the next chunk of up to stage non-zero
-// entries is compressed, so the per-element order of additions is the plain
-// p loop's at every k.
-func skipRows(dst, a, b []float64, lo, hi, k, n, rs, cs int) {
-	var av [stage]float64
-	var off [stage]int
+// goRows is accumRows' Go loop over rows [lo, hi): every non-AVX build's
+// path, and the AVX path's at k = 0, where a may be empty. It applies four
+// terms per pass over the output row, each element's adds still in
+// ascending p, then the bias.
+func goRows(dst, a, b, bias []float64, lo, hi, k, n, rs, cs int) {
 	for i := lo; i < hi; i++ {
 		drow := dst[i*n : (i+1)*n]
 		clear(drow)
-		cnt, ai, bo := 0, i*rs, 0
-		for p := 0; p < k; {
-			// Compress as many entries as there are free slots: cnt stays below
-			// stage at every store, and the mask only tells the compiler so.
-			for end := min(k, p+stage-cnt); p < end; p++ {
-				v := a[ai]
-				av[cnt&(stage-1)], off[cnt&(stage-1)] = v, bo
-				ai += cs
-				bo += n
-				nz := 0
-				//lint:ignore float-eq zero skip is part of the kernel contract (see above)
-				if v != 0 {
-					nz = 1
-				}
-				cnt += nz
+		ai, p := i*rs, 0
+		for ; p+4 <= k; p += 4 {
+			// Re-slice to len(drow) so all four b rows provably hold a full
+			// output row: the range index below needs no bounds check.
+			b0 := b[p*n:][:len(drow)]
+			b1 := b[(p+1)*n:][:len(drow)]
+			b2 := b[(p+2)*n:][:len(drow)]
+			b3 := b[(p+3)*n:][:len(drow)]
+			a0, a1, a2, a3 := a[ai], a[ai+cs], a[ai+2*cs], a[ai+3*cs]
+			ai += 4 * cs
+			for j, d := range drow {
+				d += float64(a0 * b0[j])
+				d += float64(a1 * b1[j])
+				d += float64(a2 * b2[j])
+				d += float64(a3 * b3[j])
+				drow[j] = d
 			}
-			if cnt < stage && p < k {
-				continue // free slots left and entries to fill them: keep compressing
+		}
+		for ; p < k; p++ {
+			av := a[ai]
+			ai += cs
+			for j, bv := range b[p*n:][:len(drow)] {
+				drow[j] += float64(av * bv)
 			}
-			q := 0
-			for ; q+4 <= cnt; q += 4 {
-				// Re-slice to len(drow) so all four b rows provably hold a full
-				// output row: the range index below needs no bounds check.
-				b0 := b[off[q]:][:len(drow)]
-				b1 := b[off[q+1]:][:len(drow)]
-				b2 := b[off[q+2]:][:len(drow)]
-				b3 := b[off[q+3]:][:len(drow)]
-				a0, a1, a2, a3 := av[q], av[q+1], av[q+2], av[q+3]
-				for j, d := range drow {
-					d += float64(a0 * b0[j])
-					d += float64(a1 * b1[j])
-					d += float64(a2 * b2[j])
-					d += float64(a3 * b3[j])
-					drow[j] = d
-				}
-			}
-			for ; q < cnt; q++ {
-				brow := b[off[q]:][:len(drow)]
-				for j, bv := range brow {
-					drow[j] += float64(av[q] * bv)
-				}
-			}
-			cnt = 0
+		}
+		for j, v := range bias {
+			drow[j] += v
 		}
 	}
 }
@@ -229,8 +167,8 @@ func MatMulAT(dst, a, b *Tensor) {
 
 // MatMulBT computes dst = a × bᵀ for a (m×k) and b (n×k), producing m×n. It
 // allocates: bᵀ is copied into a fresh k×n tensor and multiplied by MatMul,
-// so every output element is the same ascending-p reduction over the
-// non-zero entries of a's row. A caller that repeats the product keeps its
+// so every output element is the same ascending-p reduction over every
+// entry of a's row. A caller that repeats the product keeps its
 // own transpose and calls TransposeInto and MatMul, as nn's layers do.
 func MatMulBT(dst, a, b *Tensor) {
 	mustRank2("MatMulBT", dst, a, b)

@@ -21,9 +21,6 @@ DATA rowmask<>+112(SB)/8, $-1
 DATA rowmask<>+120(SB)/8, $-1
 GLOBL rowmask<>(SB), RODATA|NOPTR, $256
 
-// FLAG ORs r−r into f: +0 in a lane where r is finite, NaN where it is not.
-#define FLAG(r, f) VSUBPD r, r, r; VORPD r, f, f
-
 // The pair path's steps for one vector of both rows at byte offset off of
 // the row: a full vector reads b and the bias as memory operands, the last
 // (masked) one loads each through the lane mask in Y11 once for both rows.
@@ -32,33 +29,30 @@ GLOBL rowmask<>(SB), RODATA|NOPTR, $256
 #define PMASK(off, r0, r1) VMASKMOVPD off(DX), Y11, Y14; VMULPD Y14, Y8, Y15; VADDPD Y15, r0, r0; VMULPD Y14, Y9, Y15; VADDPD Y15, r1, r1
 #define BFULL(off, r0, r1) VADDPD off(R10), r0, r0; VADDPD off(R10), r1, r1
 #define BMASK(off, r0, r1) VMASKMOVPD off(R10), Y11, Y14; VADDPD Y14, r0, r0; VADDPD Y14, r1, r1
-#define SFULL(off, r0, r1) VMOVUPD r0, off(DI); VMOVUPD r1, off(DI)(R12*1); FLAG(r0, Y12); FLAG(r1, Y13)
-#define SMASK(off, r0, r1) VMASKMOVPD r0, Y11, off(DI); VMASKMOVPD r1, Y11, off(DI)(R12*1); FLAG(r0, Y12); FLAG(r1, Y13)
+#define SFULL(off, r0, r1) VMOVUPD r0, off(DI); VMOVUPD r1, off(DI)(R12*1)
+#define SMASK(off, r0, r1) VMASKMOVPD r0, Y11, off(DI); VMASKMOVPD r1, Y11, off(DI)(R12*1)
 
-// PSTART opens a pair: both rows' flags and accumulators at +0, AX at row
-// 0's left row (row 1's is CX bytes on), DX at b, BX the term count; no
-// term jumps to store.
-#define PSTART(store) VXORPD Y12, Y12, Y12; VXORPD Y13, Y13, Y13; VXORPD Y0, Y0, Y0; VXORPD Y1, Y1, Y1; VXORPD Y2, Y2, Y2; VXORPD Y3, Y3, Y3; VXORPD Y4, Y4, Y4; VXORPD Y5, Y5, Y5; VXORPD Y6, Y6, Y6; VXORPD Y7, Y7, Y7; MOVQ R8, AX; MOVQ SI, DX; MOVQ k+48(FP), BX; TESTQ BX, BX; JLE store
+// PSTART opens a pair: both rows' accumulators at +0, AX at row 0's left
+// row (row 1's is CX bytes on), DX at b, BX the term count; no term jumps
+// to store.
+#define PSTART(store) VXORPD Y0, Y0, Y0; VXORPD Y1, Y1, Y1; VXORPD Y2, Y2, Y2; VXORPD Y3, Y3, Y3; VXORPD Y4, Y4, Y4; VXORPD Y5, Y5, Y5; VXORPD Y6, Y6, Y6; VXORPD Y7, Y7, Y7; MOVQ R8, AX; MOVQ SI, DX; MOVQ k+48(FP), BX; TESTQ BX, BX; JLE store
 
 // PTERM broadcasts both rows' left entries of one term (the loop body's
 // head); PNEXT steps to the next term and loops.
 #define PTERM VBROADCASTSD (AX), Y8; VBROADCASTSD (AX)(CX*1), Y9
 #define PNEXT(loop) ADDQ R11, AX; ADDQ R12, DX; DECQ BX; JNZ loop
 
-// PEND closes a stored pair: a flagged row 0 returns at once, then row 1's
-// flag, each row stepping DI, R8 and R13 on when clean; then the next pair.
-#define PEND(next) VPTEST Y12, Y12; JNE found; ADDQ R12, DI; ADDQ CX, R8; DECQ R13; VPTEST Y13, Y13; JNE found; ADDQ R12, DI; ADDQ CX, R8; DECQ R13; JMP next
+// PEND closes a stored pair: DI and R8 step two rows on, R13 two rows
+// down; then the next pair.
+#define PEND(next) LEAQ (DI)(R12*2), DI; LEAQ (R8)(CX*2), R8; SUBQ $2, R13; JMP next
 
-// func rowsUpdate(d *float64, n int, b *float64, a *float64, rs int, cs int, k int, rows int, bias *float64) int
+// func rowsUpdate(d *float64, n int, b *float64, a *float64, rs int, cs int, k int, rows int, bias *float64)
 //
 // For each of rows output rows i, n contiguous columns at d + i·n:
 // d[i·n+j] = ((…((+0 + a[i·rs]·b[j]) + a[i·rs+cs]·b[n+j]) + …) +
 // a[i·rs+(k-1)·cs]·b[(k-1)·n+j]) + bias[j], zero terms included, the bias
-// add only where bias is not nil; d is written, never read. Rows run in
-// ascending order and the routine returns the index of the first whose
-// stored elements are not all finite (FLAG, then VPTEST), or rows if none
-// is; n = 0 writes nothing and returns rows. A returned row's pair partner
-// (below) may have been written behind it; no other row behind it is.
+// add only where bias is not nil; d is written, never read. n = 0 writes
+// nothing.
 //
 // A row of n ≥ 16 is blocks of 32 columns in eight YMM accumulators from +0,
 // stored once after all k terms (eight independent add chains: four would
@@ -71,17 +65,15 @@ GLOBL rowmask<>(SB), RODATA|NOPTR, $256
 // the single-row path. Every lane is one IEEE multiply (a first) and one
 // IEEE add per term, in ascending p, with the accumulator as the add's first
 // source, then one IEEE add of the bias — never a fused multiply-add, which
-// rounds once where the contract rounds twice (ci.sh stage 1 greps the
-// assembler's listing for it). A masked-off lane is neither read nor
-// written. A masked-off lane's sum (a·(+0) terms, plus a +0 bias) is
-// non-finite only when some a is, and then so is every stored lane, so the
-// flag needs no mask.
+// rounds once where the contract rounds twice (ci.sh's build check greps
+// the assembler's listing for it). A masked-off lane is neither read nor
+// written.
 //
 // Registers: DI the current output row, SI b, R8 the current left row,
 // R10 the bias (0 if nil), R11 cs·8, R12 n·8, R13 the rows left (the
 // current one included); the single-row path walks its columns with R9 (byte
 // offset) and CX (columns left), the pair path holds rs·8 in CX.
-TEXT ·rowsUpdate(SB), NOSPLIT, $0-80
+TEXT ·rowsUpdate(SB), NOSPLIT, $0-72
 	MOVQ  d+0(FP), DI
 	MOVQ  b+16(FP), SI
 	MOVQ  a+24(FP), R8
@@ -92,7 +84,7 @@ TEXT ·rowsUpdate(SB), NOSPLIT, $0-80
 	MOVQ  rows+56(FP), R13
 	MOVQ  bias+64(FP), R10
 	TESTQ CX, CX
-	JZ    nocols
+	JZ    done
 	CMPQ  CX, $16
 	JGE   row
 
@@ -211,8 +203,7 @@ pair1nobias:
 	// The single-row path: every row of n ≥ 16, and an odd last row of n < 16.
 row:
 	TESTQ  R13, R13
-	JLE    found
-	VXORPD Y10, Y10, Y10
+	JLE    done
 	XORQ   R9, R9
 	MOVQ   n+8(FP), CX
 	SUBQ   $32, CX
@@ -277,14 +268,6 @@ widenobias:
 	VMOVUPD Y5, 160(DI)(R9*1)
 	VMOVUPD Y6, 192(DI)(R9*1)
 	VMOVUPD Y7, 224(DI)(R9*1)
-	FLAG(Y0, Y10)
-	FLAG(Y1, Y10)
-	FLAG(Y2, Y10)
-	FLAG(Y3, Y10)
-	FLAG(Y4, Y10)
-	FLAG(Y5, Y10)
-	FLAG(Y6, Y10)
-	FLAG(Y7, Y10)
 	ADDQ    $256, R9
 	SUBQ    $32, CX
 	JGE     wide
@@ -330,10 +313,6 @@ halfnobias:
 	VMOVUPD Y1, 32(DI)(R9*1)
 	VMOVUPD Y2, 64(DI)(R9*1)
 	VMOVUPD Y3, 96(DI)(R9*1)
-	FLAG(Y0, Y10)
-	FLAG(Y1, Y10)
-	FLAG(Y2, Y10)
-	FLAG(Y3, Y10)
 	ADDQ    $128, R9
 	SUBQ    $16, CX
 
@@ -393,32 +372,15 @@ tailnobias:
 	VMASKMOVPD Y1, Y13, 32(DI)(R9*1)
 	VMASKMOVPD Y2, Y14, 64(DI)(R9*1)
 	VMASKMOVPD Y3, Y15, 96(DI)(R9*1)
-	FLAG(Y0, Y10)
-	FLAG(Y1, Y10)
-	FLAG(Y2, Y10)
-	FLAG(Y3, Y10)
 
 rowdone:
-	VPTEST Y10, Y10
-	JNE    found
-	ADDQ   R12, DI
-	MOVQ   rs+32(FP), AX
-	SHLQ   $3, AX
-	ADDQ   AX, R8
-	DECQ   R13
-	JMP    row
+	ADDQ R12, DI
+	MOVQ rs+32(FP), AX
+	SHLQ $3, AX
+	ADDQ AX, R8
+	DECQ R13
+	JMP  row
 
-	// R13 rows are left, the current one included: the current row's index
-	// is rows − R13 (rows itself when none is left).
-found:
-	MOVQ       rows+56(FP), AX
-	SUBQ       R13, AX
-	MOVQ       AX, ret+72(FP)
+done:
 	VZEROUPPER
-	RET
-
-	// n = 0: no row holds an element.
-nocols:
-	MOVQ rows+56(FP), AX
-	MOVQ AX, ret+72(FP)
 	RET

@@ -9,9 +9,8 @@ import (
 )
 
 // refGEMM is the contract the row kernels are pinned to: every output
-// element is the sum, in ascending p from +0, of float64(a·b) over the
-// entries of the left operand that are not exactly zero. aT reads a as k×m,
-// bT reads b as n×k.
+// element is the sum, in ascending p from +0, of float64(a·b) over every
+// term. aT reads a as k×m, bT reads b as n×k.
 func refGEMM(a, b []float64, m, k, n int, aT, bT bool) []float64 {
 	out := make([]float64, m*n)
 	for i := 0; i < m; i++ {
@@ -21,9 +20,6 @@ func refGEMM(a, b []float64, m, k, n int, aT, bT bool) []float64 {
 				av := a[i*k+p]
 				if aT {
 					av = a[p*m+i]
-				}
-				if av == 0 {
-					continue
 				}
 				bv := b[p*n+j]
 				if bT {
@@ -65,19 +61,6 @@ func sameResult(got, want []float64) int {
 // the reduction index p the kernel under test reads that entry at.
 type operandFill func(rng *stats.RNG, a, b []float64, aCols int, pOf, bpOf func(int) int)
 
-// dropP zeroes the left entries whose reduction index satisfies drop: every
-// output row then meets the same run of zeros and non-zeros along p, placed
-// against accumRows' staging boundary.
-func dropP(drop func(p int) bool) operandFill {
-	return func(_ *stats.RNG, a, _ []float64, _ int, pOf, _ func(int) int) {
-		for i := range a {
-			if drop(pOf(i)) {
-				a[i] = 0
-			}
-		}
-	}
-}
-
 // rowKernelOperands are the left/right operand fills of the table test.
 var rowKernelOperands = []struct {
 	name string
@@ -116,8 +99,8 @@ var rowKernelOperands = []struct {
 		}
 	}},
 	{"inf_nan_right", func(rng *stats.RNG, a, b []float64, _ int, _, _ func(int) int) {
-		// Zeros in a against Inf/NaN in b: the skipped 0·Inf must stay
-		// skipped, the unskipped ones must poison the sum.
+		// Zeros in a against Inf/NaN in b: 0·Inf is NaN like every other
+		// term that meets a non-finite right entry, and poisons the sum.
 		sparsify(rng, a, 0.5)
 		for i := range b {
 			switch r := rng.Float64(); {
@@ -155,7 +138,7 @@ var rowKernelOperands = []struct {
 	}},
 	{"inf_nan_meets_zeros", func(rng *stats.RNG, a, b []float64, _ int, pOf, bpOf func(int) int) {
 		// Inf and NaN right entries on every third p, where every left entry
-		// is zero: the vector path's 0·Inf flags the row, the skip keeps it finite.
+		// is zero: each 0·Inf and 0·NaN is a NaN term on both paths.
 		for i := range a {
 			if pOf(i)%3 == 1 {
 				a[i] = 0
@@ -167,14 +150,6 @@ var rowKernelOperands = []struct {
 			}
 		}
 	}},
-	// A row longer than the staging with z = 1, 2 or 3 zeros among its first
-	// stage entries: the compress pass tops the chunk up with the z entries
-	// beyond them before the update runs.
-	{"topup_1", dropP(func(p int) bool { return p == 3 })},
-	{"topup_2", dropP(func(p int) bool { return 2 <= p && p < 4 })},
-	{"topup_3", dropP(func(p int) bool { return 1 <= p && p < 4 })},
-	{"zeros_across_chunk", dropP(func(p int) bool { return stage-5 <= p && p < stage+5 })},
-	{"full_stage_then_zeros", dropP(func(p int) bool { return p >= stage })},
 }
 
 // TestRowKernelsMatchReference pins MatMul, MatMulBias, MatMulAT, MatMulBT
@@ -184,9 +159,8 @@ var rowKernelOperands = []struct {
 // weight gradients 24×16×32 and 32×16×10, input gradient 16×10×32) at every
 // tail batch 1..15, net-loopback's 16×64×128 / 64×16×128, train-gemm's
 // 64×256×256 / 256×64×256 / 64×10×256 and Evaluate's 256×24×32; at
-// gemmShapes; at shared dimensions that are not a multiple of the kernels'
-// gather width, and on either side of accumRows' staging capacity; at the
-// three zero-width products, which must return without
+// gemmShapes; at shared dimensions that are not a multiple of the Go loop's
+// four terms per pass; at the three zero-width products, which must return without
 // touching an element; and on row-range calls, which must produce the same
 // rows. MatMulBias runs MatMul's shapes with a bias of finite values and
 // signed zeros, one with ±Inf, one with a NaN, and one of −0s in turn;
@@ -230,12 +204,6 @@ func checkRowKernels(t *testing.T, wants map[string][]float64) {
 		{1, 4, 4}, {3, 7, 5}, {4, 128, 128}, {5, 129, 130},
 		{63, 127, 127}, {64, 128, 128}, {65, 129, 129}, {70, 130, 90},
 		{128, 64, 256}, {96, 257, 31}, {33, 300, 17}, {127, 16, 255},
-	}
-	// Reductions one short of accumRows' staging, exactly it, one past, and
-	// two chunks and a ragged third.
-	for _, k := range []int{stage - 1, stage, stage + 1, 2*stage + 3} {
-		shapes["MatMul"] = append(shapes["MatMul"], shape{3, k, 5})
-		shapes["MatMulAT"] = append(shapes["MatMulAT"], shape{3, k, 5})
 	}
 	for name := range shapes {
 		shapes[name] = append(shapes[name], gemmShapes...)
@@ -409,27 +377,27 @@ func checkColSum(t *testing.T, wants map[string][]float64) {
 // FuzzAccumRows is the table test's differential from raw bytes: the left
 // operand's bit patterns are read eight bytes at a time (the input repeats
 // when it runs out), so ±0, subnormals, infinities and quiet and signalling
-// NaNs land on every side of a four-term pass and of the staging boundary;
-// m, k (up to past two chunks) and n (up to past a 32-column block, a
-// 16-column one and a masked tail) come from the input too, aT picks the
+// NaNs land on every side of a four-term pass; m, k (0–71) and n (up to
+// past a 32-column block, a 16-column one and a masked tail) come from the
+// input too, aT picks the
 // (rs, cs) reading, bias picks one of checkRowsUpdate's bias kinds (nil,
 // finite with signed zeros, with ±Inf, with a NaN), and the result is held
 // to refGEMM plus the bias with the vector row update on (where the host has
 // one) and off.
 func FuzzAccumRows(f *testing.F) {
 	corners := cornerBytes()
-	f.Add(uint8(3), uint8(2*stage+3), uint8(5), false, uint8(biasNil), corners)
-	f.Add(uint8(5), uint8(stage+1), uint8(9), true, uint8(biasNil), corners[8:])
-	f.Add(uint8(1), uint8(stage), uint8(1), false, uint8(biasNil), corners[:3*8])
+	f.Add(uint8(3), uint8(67), uint8(5), false, uint8(biasNil), corners)
+	f.Add(uint8(5), uint8(33), uint8(9), true, uint8(biasNil), corners[8:])
+	f.Add(uint8(1), uint8(32), uint8(1), false, uint8(biasNil), corners[:3*8])
 	f.Add(uint8(2), uint8(7), uint8(4), true, uint8(biasNil), corners[:8])
 	f.Add(uint8(4), uint8(11), uint8(10), false, uint8(biasFinite), corners[3*8:])
 	f.Add(uint8(5), uint8(9), uint8(37), true, uint8(biasInf), corners[5*8:])
-	f.Add(uint8(3), uint8(stage+2), uint8(17), false, uint8(biasNaN), corners[:4*8])
+	f.Add(uint8(3), uint8(34), uint8(17), false, uint8(biasNaN), corners[:4*8])
 	f.Fuzz(func(t *testing.T, mb, kb, nb uint8, aT bool, biasKind uint8, data []byte) {
 		if len(data) < 8 {
 			return
 		}
-		m, k, n := int(mb)%7, int(kb)%(2*stage+8), int(nb)%52
+		m, k, n := int(mb)%7, int(kb)%72, int(nb)%52
 		a := make([]float64, m*k)
 		for i := range a {
 			a[i] = floatAt(data, 8*i)

@@ -1,9 +1,7 @@
 package tensor
 
 import (
-	"math"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/stats"
 )
@@ -133,23 +131,6 @@ func TestShapeMismatchPanics(t *testing.T) {
 	}
 }
 
-// naiveMatMul is the textbook triple loop MatMul is compared against within
-// a tolerance (refGEMM is the bit-exact reference).
-func naiveMatMul(a, b *Tensor) *Tensor {
-	m, k, n := a.Shape[0], a.Shape[1], b.Shape[1]
-	out := New(m, n)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			s := 0.0
-			for p := 0; p < k; p++ {
-				s += a.At(i, p) * b.At(p, j)
-			}
-			out.Set(i, j, s)
-		}
-	}
-	return out
-}
-
 func randomTensor(rng *stats.RNG, shape ...int) *Tensor {
 	n := 1
 	for _, d := range shape {
@@ -158,103 +139,4 @@ func randomTensor(rng *stats.RNG, shape ...int) *Tensor {
 	x := FromSlice(make([]float64, n), shape...) // New refuses the zero dimensions the kernel table includes
 	x.RandNormal(rng, 1)
 	return x
-}
-
-func tensorsClose(a, b *Tensor, tol float64) bool {
-	if !a.SameShape(b) {
-		return false
-	}
-	for i := range a.Data {
-		if math.Abs(a.Data[i]-b.Data[i]) > tol {
-			return false
-		}
-	}
-	return true
-}
-
-func TestMatMulMatchesNaive(t *testing.T) {
-	err := quick.Check(func(seed uint64) bool {
-		rng := stats.NewRNG(seed)
-		m, k, n := 1+rng.IntN(20), 1+rng.IntN(20), 1+rng.IntN(20)
-		a := randomTensor(rng, m, k)
-		b := randomTensor(rng, k, n)
-		dst := New(m, n)
-		MatMul(dst, a, b)
-		return tensorsClose(dst, naiveMatMul(a, b), 1e-10)
-	}, &quick.Config{MaxCount: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMatMulATMatchesNaive(t *testing.T) {
-	err := quick.Check(func(seed uint64) bool {
-		rng := stats.NewRNG(seed)
-		k, m, n := 1+rng.IntN(15), 1+rng.IntN(15), 1+rng.IntN(15)
-		a := randomTensor(rng, k, m) // will be transposed
-		b := randomTensor(rng, k, n)
-		dst := New(m, n)
-		MatMulAT(dst, a, b)
-		// Reference: transpose a manually.
-		at := New(m, k)
-		for i := 0; i < k; i++ {
-			for j := 0; j < m; j++ {
-				at.Set(j, i, a.At(i, j))
-			}
-		}
-		return tensorsClose(dst, naiveMatMul(at, b), 1e-10)
-	}, &quick.Config{MaxCount: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMatMulBTMatchesNaive(t *testing.T) {
-	err := quick.Check(func(seed uint64) bool {
-		rng := stats.NewRNG(seed)
-		m, k, n := 1+rng.IntN(15), 1+rng.IntN(15), 1+rng.IntN(15)
-		a := randomTensor(rng, m, k)
-		b := randomTensor(rng, n, k) // will be transposed
-		dst := New(m, n)
-		MatMulBT(dst, a, b)
-		bt := New(k, n)
-		for i := 0; i < n; i++ {
-			for j := 0; j < k; j++ {
-				bt.Set(j, i, b.At(i, j))
-			}
-		}
-		return tensorsClose(dst, naiveMatMul(a, bt), 1e-10)
-	}, &quick.Config{MaxCount: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMatMulDimensionPanics(t *testing.T) {
-	a := New(2, 3)
-	b := New(4, 5) // inner mismatch
-	dst := New(2, 5)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on inner-dim mismatch")
-		}
-	}()
-	MatMul(dst, a, b)
-}
-
-func TestMatMulDeterministicAcrossRuns(t *testing.T) {
-	rng1 := stats.NewRNG(77)
-	rng2 := stats.NewRNG(77)
-	a1 := randomTensor(rng1, 40, 40)
-	b1 := randomTensor(rng1, 40, 40)
-	a2 := randomTensor(rng2, 40, 40)
-	b2 := randomTensor(rng2, 40, 40)
-	d1, d2 := New(40, 40), New(40, 40)
-	MatMul(d1, a1, b1)
-	MatMul(d2, a2, b2)
-	for i := range d1.Data {
-		if d1.Data[i] != d2.Data[i] {
-			t.Fatal("MatMul is not bit-deterministic")
-		}
-	}
 }
