@@ -159,10 +159,10 @@ var rowKernelOperands = []struct {
 // weight gradients 24×16×32 and 32×16×10, input gradient 16×10×32) at every
 // tail batch 1..15, net-loopback's 16×64×128 / 64×16×128, train-gemm's
 // 64×256×256 / 256×64×256 / 64×10×256 and Evaluate's 256×24×32; at
-// gemmShapes; at shared dimensions that are not a multiple of the Go loop's
-// four terms per pass; at the three zero-width products, which must return without
-// touching an element; and on row-range calls, which must produce the same
-// rows. MatMulBias runs MatMul's shapes with a bias of finite values and
+// gemmShapes; at shared dimensions that are not a multiple of the Go
+// loop's four terms per pass; at the three zero-width products, which must
+// return without touching an element; and on row-range calls, which must
+// produce the same rows. MatMulBias runs MatMul's shapes with a bias of finite values and
 // signed zeros, one with ±Inf, one with a NaN, and one of −0s in turn;
 // ColSum runs batches 0–16 and 64 at widths either side of the pair path,
 // the 16- and 32-column blocks and the tail, over gradients with ±0, ±Inf
@@ -379,11 +379,10 @@ func checkColSum(t *testing.T, wants map[string][]float64) {
 // when it runs out), so ±0, subnormals, infinities and quiet and signalling
 // NaNs land on every side of a four-term pass; m, k (0–71) and n (up to
 // past a 32-column block, a 16-column one and a masked tail) come from the
-// input too, aT picks the
-// (rs, cs) reading, bias picks one of checkRowsUpdate's bias kinds (nil,
-// finite with signed zeros, with ±Inf, with a NaN), and the result is held
-// to refGEMM plus the bias with the vector row update on (where the host has
-// one) and off.
+// input too, aT picks the (rs, cs) reading, bias picks one of
+// checkRowsUpdate's bias kinds (nil, finite with signed zeros, with ±Inf,
+// with a NaN), and the result is held to refGEMM plus the bias with the
+// vector row update on (where the host has one) and off.
 func FuzzAccumRows(f *testing.F) {
 	corners := cornerBytes()
 	f.Add(uint8(3), uint8(67), uint8(5), false, uint8(biasNil), corners)
