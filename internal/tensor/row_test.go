@@ -342,24 +342,38 @@ func TestMatMulRejectsNon2D(t *testing.T) {
 
 // TestBiasAndColSumRejectBadShapes: a bias or a column-sum destination that
 // is not one element per output column, a column sum of a tensor that is
-// not 2-D, an output whose data is shorter than its shape says, and a
-// product whose inner dimensions differ are refused by name before any row
-// is computed, on both paths — rowsUpdate reads the bias and the operands
-// and writes the output unchecked.
+// not 2-D, and an output whose data is shorter than its shape says are
+// refused by name before any row is computed, on both paths — rowsUpdate
+// reads the bias and the operands and writes the output unchecked.
 func TestBiasAndColSumRejectBadShapes(t *testing.T) {
+	wantPanics(t, map[string]func(){
+		"tensor: MatMulBias bias [4]":       func() { MatMulBias(New(2, 3), New(2, 4), New(4, 3), New(4)) },
+		"tensor: ColSum wants a 2-D":        func() { ColSum(New(3), New(3)) },
+		"tensor: ColSum dst [4]":            func() { ColSum(New(4), New(2, 3)) },
+		"tensor: output holds 5 elements":   func() { MatMul(&Tensor{Shape: []int{2, 3}, Data: make([]float64, 5)}, New(2, 4), New(4, 3)) },
+		"tensor: MatMulBias wants 2-D oper": func() { MatMulBias(New(3), New(2, 4), New(4, 3), New(3)) },
+	})
+}
+
+// TestMatMulDimensionPanics: a product whose inner dimensions differ is
+// refused by name, on both paths, for each of the three operand layouts.
+func TestMatMulDimensionPanics(t *testing.T) {
+	wantPanics(t, map[string]func(){
+		"tensor: MatMul inner dims 3 vs 4":   func() { MatMul(New(2, 5), New(2, 3), New(4, 5)) },
+		"tensor: MatMulAT inner dims 3 vs 4": func() { MatMulAT(New(2, 5), New(3, 2), New(4, 5)) },
+		"tensor: MatMulBT inner dims 3 vs 4": func() { MatMulBT(New(2, 5), New(2, 3), New(5, 4)) },
+	})
+}
+
+// wantPanics runs each call with the AVX path as shipped and with the
+// portable path, and fails unless it panics with a message starting with
+// its key.
+func wantPanics(t *testing.T, calls map[string]func()) {
+	t.Helper()
 	shipped := hasAVX
 	defer func() { hasAVX = shipped }()
 	for _, hasAVX = range []bool{shipped, false} {
-		for want, run := range map[string]func(){
-			"tensor: MatMulBias bias [4]":        func() { MatMulBias(New(2, 3), New(2, 4), New(4, 3), New(4)) },
-			"tensor: ColSum wants a 2-D":         func() { ColSum(New(3), New(3)) },
-			"tensor: ColSum dst [4]":             func() { ColSum(New(4), New(2, 3)) },
-			"tensor: output holds 5 elements":    func() { MatMul(&Tensor{Shape: []int{2, 3}, Data: make([]float64, 5)}, New(2, 4), New(4, 3)) },
-			"tensor: MatMulBias wants 2-D oper":  func() { MatMulBias(New(3), New(2, 4), New(4, 3), New(3)) },
-			"tensor: MatMul inner dims 3 vs 4":   func() { MatMul(New(2, 5), New(2, 3), New(4, 5)) },
-			"tensor: MatMulAT inner dims 3 vs 4": func() { MatMulAT(New(2, 5), New(3, 2), New(4, 5)) },
-			"tensor: MatMulBT inner dims 3 vs 4": func() { MatMulBT(New(2, 5), New(2, 3), New(5, 4)) },
-		} {
+		for want, run := range calls {
 			func() {
 				defer func() {
 					if msg, _ := recover().(string); !strings.HasPrefix(msg, want) {
