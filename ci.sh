@@ -5,8 +5,10 @@
 #
 #   1. build       go build ./..., the arm64 fused-multiply-add check of every
 #                  package under internal/ and the amd64 one of the assembly,
-#                  then the print-only `placement`
-#   2. vet         go vet ./... (asmdecl among it) + gofmt -l
+#                  the two AVX kernels at 0 mod 64 in the bench binary, then
+#                  the print-only `placement`
+#   2. vet         go vet ./... (asmdecl among it), GOARCH=386 go vet ./...
+#                  + gofmt -l
 #   3. test        go test ./... — tier-1; internal/lint's TestRepoIsLintClean
 #                  is the module-wide repolint pass, run here and nowhere else
 #   4. race        go test -race over the concurrent packages
@@ -145,10 +147,28 @@ for src in internal/*/*_amd64.s; do
   grep -q 'RET' "$fmadir/asm.lst" || { echo "ci.sh: $src: the assembler listing shows no instruction; the check above read nothing" >&2; exit 1; }
 done
 echo "amd64 check: $(echo internal/*/*_amd64.s) hold no VFMADD/VFMSUB/VFNMADD/VFNMSUB"
+# The two AVX kernels open with PCALIGN $64, so a size change in a package
+# linked before them cannot move their entries off a cache line (a scanFilter
+# at 32 mod 64 read pop-regroup ≈ 0.87×). Held in the bench binary, whose
+# rates they are.
+GOARCH=amd64 go build -o "$fmadir/bench" ./bench
+pinned=0
+while read -r addr _ sym; do
+  case "$sym" in
+    repro/internal/grouping.scanFilter.abi0 | repro/internal/tensor.rowsUpdate.abi0)
+      echo "kernel alignment: $sym at 0x$addr, mod 64 = $(( 0x$addr % 64 ))"
+      if [ $(( 0x$addr % 64 )) -eq 0 ]; then pinned=$((pinned + 1)); fi ;;
+  esac
+done < <(go tool nm "$fmadir/bench")
+if [ "$pinned" -ne 2 ]; then
+  echo "ci.sh: $pinned of grouping.scanFilter and tensor.rowsUpdate sit at 0 mod 64 in the bench binary; want both (PCALIGN \$64 opens each)" >&2
+  exit 1
+fi
 placement
 
-echo "== go vet ./... + gofmt"
+echo "== go vet ./... (amd64, then 386: every package and test compiles for a 32-bit int) + gofmt"
 go vet ./...
+GOARCH=386 go vet ./...
 unformatted="$(gofmt -l . | grep -v '^internal/lint/testdata/' || true)"
 if [ -n "$unformatted" ]; then
   echo "ci.sh: gofmt -l lists unformatted files:" >&2

@@ -6,6 +6,7 @@ import (
 	"math"
 	"net"
 	"os"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -578,18 +579,32 @@ func TestPlanValidateRejectsBadRules(t *testing.T) {
 		{Name: "negative-prob", Rules: []faultnet.Rule{{From: "*", To: "*", Action: faultnet.ActionReset, Prob: -0.5}}},
 		{Name: "nan-prob", Rules: []faultnet.Rule{{From: "*", To: "*", Action: faultnet.ActionReset, Prob: math.NaN()}}},
 		{Name: "max-jitter", Rules: []faultnet.Rule{{From: "*", To: "*", Action: faultnet.ActionDelay, JitterMs: math.MaxInt}}},
+		{Name: "max-delay", Rules: []faultnet.Rule{{From: "*", To: "*", Action: faultnet.ActionDelay, DelayMs: math.MaxInt}}},
+		{Name: "max-heal", Rules: []faultnet.Rule{{From: "*", To: "*", Action: faultnet.ActionPartition, HealMs: math.MaxInt}}},
+		{Name: "max-flips", Rules: []faultnet.Rule{{From: "*", To: "*", Action: faultnet.ActionCorrupt, Flips: math.MaxInt}}},
 		{Name: "negative-delay", Rules: []faultnet.Rule{{From: "*", To: "*", Action: faultnet.ActionDelay, DelayMs: -5, JitterMs: 3}}},
 		{Name: "negative-jitter", Rules: []faultnet.Rule{{From: "*", To: "*", Action: faultnet.ActionDelay, DelayMs: 5, JitterMs: -3}}},
 		{Name: "negative-bandwidth", Rules: []faultnet.Rule{{From: "*", To: "*", Action: faultnet.ActionDelay, DelayMs: 5, BytesPerMs: -1}}},
 		{Name: "huge-bandwidth", Rules: []faultnet.Rule{{From: "*", To: "*", Action: faultnet.ActionDelay, BytesPerMs: 1<<30 + 1}}},
-		{Name: "delay-past-duration", Rules: []faultnet.Rule{{From: "*", To: "*", Action: faultnet.ActionDelay, DelayMs: 1 << 44}}},
-		{Name: "heal-past-duration", Rules: []faultnet.Rule{{From: "*", To: "*", Action: faultnet.ActionPartition, HealMs: 1 << 44}}},
 		{Name: "negative-count", Rules: []faultnet.Rule{{From: "*", To: "*", Action: faultnet.ActionReset, Count: -1}}},
-		{Name: "huge-flips", Rules: []faultnet.Rule{{From: "*", To: "*", Action: faultnet.ActionCorrupt, Flips: 1 << 40}}},
 		{Name: "negative-flips", Rules: []faultnet.Rule{{From: "*", To: "*", Action: faultnet.ActionCorrupt, Flips: -2}}},
 		{Name: "negative-backoff", RestartBackoffMs: -1, Rules: []faultnet.Rule{{From: "*", To: "*", Action: faultnet.ActionReset}}},
 		{Name: "huge-backoff", RestartBackoffMs: math.MaxInt, Rules: []faultnet.Rule{{From: "*", To: "*", Action: faultnet.ActionReset}}},
 		{Name: "negative-restarts", MaxRestarts: -1, Rules: []faultnet.Rule{{From: "*", To: "*", Action: faultnet.ActionReset}}},
+	}
+	// Three rows hold values only a 64-bit int can: a delay and a heal of
+	// 2^44 ms, whose nanoseconds overflow time.Duration, and 2^40 flips.
+	// Written as shifts by strconv.IntSize, they compile on a 32-bit build,
+	// which leaves them out; each names the row that checks its bound there.
+	if strconv.IntSize == 64 {
+		bad = append(bad,
+			// 32-bit: max-delay, 2^31−1 ms.
+			faultnet.Plan{Name: "delay-past-duration", Rules: []faultnet.Rule{{From: "*", To: "*", Action: faultnet.ActionDelay, DelayMs: 1 << (strconv.IntSize - 20)}}},
+			// 32-bit: max-heal, 2^31−1 ms.
+			faultnet.Plan{Name: "heal-past-duration", Rules: []faultnet.Rule{{From: "*", To: "*", Action: faultnet.ActionPartition, HealMs: 1 << (strconv.IntSize - 20)}}},
+			// 32-bit: max-flips, 2^31−1 flips.
+			faultnet.Plan{Name: "huge-flips", Rules: []faultnet.Rule{{From: "*", To: "*", Action: faultnet.ActionCorrupt, Flips: 1 << (strconv.IntSize - 24)}}},
+		)
 	}
 	for _, p := range bad {
 		p := p

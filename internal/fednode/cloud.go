@@ -193,7 +193,7 @@ func (x *cloudExec) RunGroups(t int, groups []*grouping.Group, selected []int, p
 	x.drops, x.recoveries = 0, 0
 	errs := make([]error, len(x.conns))
 	var mu sync.Mutex // the slots, updates and totals: an edge may name any group
-	cpu.Each(len(x.conns), len(x.conns), func(_, e int) {
+	cpu.Peers(len(x.conns), func(e int) {
 		conn := x.conns[e]
 		for range selByEdge[e] {
 			m, err := expectFrame(conn, x.meter, x.timeout, wire.GroupAggregate)

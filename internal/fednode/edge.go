@@ -193,7 +193,7 @@ func (e *Edge) Run(nw Network, ln net.Listener, cloudAddr string) error {
 				}
 			}
 			errs := make([]error, len(m.Ints))
-			cpu.Each(len(errs), len(errs), func(_, i int) {
+			cpu.Peers(len(errs), func(i int) {
 				errs[i] = e.runGroup(groups[int(m.Ints[i])], t, m.Floats, cloud)
 			})
 			if err := firstErr(errs); err != nil {
@@ -372,7 +372,7 @@ func (e *Edge) runGroup(g *edgeGroup, t int, globalParams []float64, cloud *lock
 		masked := make([][]uint64, n)
 		var plain []float64 // a singleton group's update, sent in the clear
 		collectErr := make([]error, n)
-		cpu.Each(n, n, func(_, i int) {
+		cpu.Peers(n, func(i int) {
 			if g.dead[i] {
 				return
 			}

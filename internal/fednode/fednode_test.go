@@ -283,7 +283,7 @@ func TestEdgeReportsLowestFailingGroup(t *testing.T) {
 		defer closeQuiet(edgeLns[e])
 	}
 	errs := make([]error, 1+len(edgeLns))
-	cpu.Each(len(errs), len(errs), func(_, i int) {
+	cpu.Peers(len(errs), func(i int) {
 		if i == 0 {
 			_, errs[0] = NewCloud(sys, jcfg).Run(cloudLn)
 			return

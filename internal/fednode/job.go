@@ -51,7 +51,7 @@ func RunJob(nw Network, sys *core.System, cfg JobConfig, listenAddr string) (*Re
 	var rep *Report
 	errs := make([]error, 1+len(edgeLns))
 	casualties := make([][]Casualty, len(edgeLns))
-	cpu.Each(len(errs), len(errs), func(_, i int) {
+	cpu.Peers(len(errs), func(i int) {
 		if i == 0 {
 			rep, errs[0] = NewCloud(sys, cfg).Run(cloudLn)
 			return
@@ -113,7 +113,7 @@ func RunEdge(nw Network, sys *core.System, cfg JobConfig, id int, ln net.Listene
 	// j+1.
 	clients := sys.Edges[id]
 	errs := make([]error, 1+len(clients))
-	cpu.Each(len(errs), len(errs), func(_, i int) {
+	cpu.Peers(len(errs), func(i int) {
 		if i == 0 {
 			errs[0] = NewEdge(id, sys, cfg).Run(nw, ln, cloudAddr)
 			// An edge that failed before serving rejoins has not closed ln yet.

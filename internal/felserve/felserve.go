@@ -2,7 +2,8 @@
 // multi-tenant federation service: many federation jobs run concurrently on
 // one cloud process, each with its own isolated RNG streams and a private
 // metric registry; a single scheduler interleaves their global rounds
-// fairly (one round per runnable job per wave, waves executed in parallel);
+// fairly (one round per runnable job per wave; a wave's rounds are one
+// compute fan-out on cpu.Each, sharing its budget with their own fan-outs);
 // every job's cross-round state — global model, sampling-stream PCG words,
 // SCAFFOLD variates, cost counters — is serialized through the wire codec
 // (wire.Checkpoint frames) into a durable per-job checkpoint file — two
@@ -280,9 +281,11 @@ func (s *Service) runnable() []*Job {
 }
 
 // scheduler is the service's only trainer-touching goroutine. It runs in
-// waves: each wave grants every runnable job exactly one global round, with
-// the rounds of a wave executing concurrently — fair interleaving by
-// construction, no tenant can starve another.
+// waves: each wave grants every runnable job exactly one global round — fair
+// interleaving by construction, no tenant can starve another. A wave is a
+// compute fan-out at cpu.Procs() width, not one goroutine per job: each
+// round fans out again over its groups, members and test batches, and
+// cpu.Each's one budget holds all of it to the processors.
 func (s *Service) scheduler() {
 	select {
 	case <-s.start:
@@ -305,7 +308,7 @@ func (s *Service) scheduler() {
 			return
 		default:
 		}
-		cpu.Each(len(jobs), len(jobs), func(_, i int) { s.turn(jobs[i]) })
+		cpu.Each(len(jobs), 0, func(_, i int) { s.turn(jobs[i]) })
 		waves++
 		if s.cfg.HaltAfterWaves > 0 && waves >= s.cfg.HaltAfterWaves {
 			s.logf("scheduler: halting after wave %d (simulated crash)", waves)

@@ -10,6 +10,7 @@
 // ordered compare, false on NaN like Go's <. The first block with any lane
 // true is returned; nothing else leaves the routine.
 TEXT ·scanFilter(SB), NOSPLIT, $0-72
+	PCALIGN $64
 	MOVQ rows+0(FP), DI
 	MOVQ gc+8(FP), SI
 	MOVQ classes+16(FP), CX

@@ -10,7 +10,7 @@ import (
 // spawners are the functions that may hold a go statement: package path
 // suffix, then function ("pkg.F") or method ("pkg.(*T).M", "pkg.(T).M").
 var spawners = []string{
-	"internal/cpu.Each",
+	"internal/cpu.fan",
 	"internal/felserve.newService",
 	"internal/felserve.(*Service).Serve",
 	"internal/faultnet.(*sim).AfterFunc",

@@ -3,8 +3,8 @@ package cpu
 
 import "sync"
 
-// Each runs fn n times, each on its own goroutine, nested literals included.
-func Each(n int, fn func(i int)) {
+// fan runs fn n times, each on its own goroutine, nested literals included.
+func fan(n int, fn func(i int)) {
 	var wg sync.WaitGroup
 	wg.Add(n)
 	for i := 0; i < n; i++ {

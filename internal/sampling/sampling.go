@@ -123,8 +123,10 @@ type Sampler struct {
 // proportional to the remaining probability mass. When the groups with
 // positive probability run out before s are drawn, the rest are filled
 // uniformly from the unchosen zero-probability groups, which are never drawn
-// otherwise. It panics only when s ≤ 0 or s > len(p). The returned slice
-// aliases the Sampler's scratch and is only valid until the next call.
+// otherwise. It panics only when s ≤ 0 or s > len(p), or, as
+// stats.Categorical does, on a negative or NaN weight. p is checked once and
+// each draw sums the remaining weights once. The returned slice aliases the
+// Sampler's scratch and is only valid until the next call.
 func (sp *Sampler) Sample(rng *stats.RNG, p []float64, s int) []int {
 	if s <= 0 {
 		panic("sampling: sample size must be positive")
@@ -135,6 +137,7 @@ func (sp *Sampler) Sample(rng *stats.RNG, p []float64, s int) []int {
 	sp.w, sp.out = tensor.Grow(sp.w, len(p)), tensor.Grow(sp.out, s)[:0]
 	w, out := sp.w, sp.out
 	copy(w, p)
+	stats.CheckWeights(w)
 	for len(out) < s {
 		total := 0.0
 		for _, v := range w {
@@ -150,7 +153,7 @@ func (sp *Sampler) Sample(rng *stats.RNG, p []float64, s int) []int {
 			}
 			continue
 		}
-		i := rng.Categorical(w)
+		i := rng.CategoricalSum(w, total)
 		out = append(out, i)
 		w[i] = 0
 	}

@@ -178,6 +178,20 @@ func TestSamplePanics(t *testing.T) {
 			fn()
 		}()
 	}
+	// A negative or NaN weight panics as stats.Categorical does, whether or
+	// not the weights still sum above zero: {-1, 0.5} sums below it, and
+	// before p was checked up front it sent Sample round its uniform fill
+	// forever.
+	for _, p := range [][]float64{{-1, 0.5}, {0.5, -1, 2}, {1, math.NaN()}} {
+		func() {
+			defer func() {
+				if r := recover(); r != "stats: Categorical weights must be non-negative" {
+					t.Errorf("Sample over %v panicked with %v, want stats.Categorical's negative-weight panic", p, r)
+				}
+			}()
+			new(Sampler).Sample(rng, p, 1)
+		}()
+	}
 }
 
 func TestBiasedWeightsSumToOne(t *testing.T) {

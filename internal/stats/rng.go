@@ -235,13 +235,16 @@ func (r *RNG) Categorical(p []float64) int {
 	return r.CategoricalSum(p, CategoricalTotal(p))
 }
 
+// negativeWeight is the panic of a negative or NaN Categorical weight.
+const negativeWeight = "stats: Categorical weights must be non-negative"
+
 // CategoricalTotal validates p as Categorical does and returns the total its
 // draws scale by, for a caller drawing many times from one p (CategoricalSum).
 func CategoricalTotal(p []float64) float64 {
 	total := 0.0
 	for _, w := range p {
 		if w < 0 || math.IsNaN(w) {
-			panic("stats: Categorical weights must be non-negative")
+			panic(negativeWeight)
 		}
 		total += w
 	}
@@ -249,6 +252,17 @@ func CategoricalTotal(p []float64) float64 {
 		panic("stats: Categorical weights sum to zero")
 	}
 	return total
+}
+
+// CheckWeights panics as Categorical does on a negative or NaN weight in p,
+// and accepts an all-zero p: for a caller that draws from p's totals with
+// CategoricalSum and handles a zero total itself.
+func CheckWeights(p []float64) {
+	for _, w := range p {
+		if w < 0 || math.IsNaN(w) {
+			panic(negativeWeight)
+		}
+	}
 }
 
 // CategoricalSum draws what Categorical(p) draws, given total =

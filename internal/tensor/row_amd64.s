@@ -74,6 +74,7 @@ GLOBL rowmask<>(SB), RODATA|NOPTR, $256
 // current one included); the single-row path walks its columns with R9 (byte
 // offset) and CX (columns left), the pair path holds rs·8 in CX.
 TEXT ·rowsUpdate(SB), NOSPLIT, $0-72
+	PCALIGN $64
 	MOVQ  d+0(FP), DI
 	MOVQ  b+16(FP), SI
 	MOVQ  a+24(FP), R8
