@@ -52,17 +52,19 @@ func Each(n, width int, fn func(w, i int)) {
 		width = Procs()
 	}
 	width = min(width, n)
+	first := budget.calls.Add(1) == 1
+	defer budget.calls.Add(-1)
 	if width <= 1 {
+		// Counted all the same: what it nests is not outermost.
 		fan(n, 1, fn, false)
 		return
 	}
 	helpers := width - 1
-	if budget.calls.Add(1) == 1 {
+	if first {
 		budget.helpers.Add(int64(helpers))
 	} else {
 		helpers = claim(helpers)
 	}
-	defer budget.calls.Add(-1)
 	fan(n, 1+helpers, fn, true)
 }
 

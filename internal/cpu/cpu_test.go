@@ -40,10 +40,16 @@ func TestHasAVXMatchesKernel(t *testing.T) {
 
 // TestEach holds the fan-out's contract over sizes and widths (0 = Procs()):
 // every index runs exactly once, w stays below the effective width and never
-// runs two calls at once, width 1 is the index-ordered loop on w 0, and a
-// panic at one index reaches the caller with its own value only after every
-// other index has run.
+// runs two calls at once, width 1 is the index-ordered loop on w 0, a panic
+// at one index reaches the caller with its own value only after every other
+// index has run, and an outermost call at width n runs every call beside
+// every other, whatever the processor count.
 func TestEach(t *testing.T) {
+	t.Run("n8/width8/all-at-once", func(t *testing.T) {
+		allAtOnce(t, 8, func(fn func(i int)) {
+			Each(8, 8, func(_, i int) { fn(i) })
+		})
+	})
 	for _, n := range []int{0, 1, 5, 100} {
 		for _, width := range []int{0, 1, 2, 7} {
 			eff := width
@@ -172,8 +178,9 @@ func TestPeers(t *testing.T) {
 // never run more than Procs() innermost calls at once, whatever the inner
 // widths ask for; a call nested while the budget is spent runs on its
 // caller's goroutine in index order; the budget is back to zero after every
-// call, a panicking one included; and an outermost call wider than Procs()
-// still runs every index at once.
+// call, a panicking one included; a call of effective width one counts as
+// one in progress; and an outermost call wider than Procs() still runs every
+// index at once.
 func TestEachBudget(t *testing.T) {
 	procs := Procs()
 	drained := func(when string) {
@@ -254,6 +261,23 @@ func TestEachBudget(t *testing.T) {
 			})
 		}()
 		drained("after a panicking call")
+	})
+
+	t.Run("width-one-caller-counts", func(t *testing.T) {
+		// A call of effective width one is still a call in progress: a call
+		// nested in it draws on the budget and so on at most Procs() workers.
+		n := procs + 2
+		var top atomic.Int32
+		Each(1, 0, func(_, _ int) {
+			Each(n, n, func(w, _ int) {
+				for m := top.Load(); int32(w) > m && !top.CompareAndSwap(m, int32(w)); m = top.Load() {
+				}
+			})
+		})
+		if w := int(top.Load()); w >= procs {
+			t.Errorf("a call nested in a width-one call ran on worker %d, want one of [0, Procs() = %d)", w, procs)
+		}
+		drained("after the width-one call")
 	})
 
 	t.Run("outermost-runs-full-width", func(t *testing.T) {
