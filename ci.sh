@@ -180,8 +180,8 @@ echo "== go test ./..."
 go test ./...
 
 # internal/tensor is not listed: it starts no goroutine and shares no state.
-echo "== go test -race (cpu, core, wire, fednode, faultnet, metrics, felserve, grouping, data, leakcheck, cmd/felnode)"
-go test -race ./internal/cpu ./internal/core ./internal/wire ./internal/fednode ./internal/faultnet/... ./internal/metrics ./internal/felserve ./internal/grouping ./internal/data ./internal/leakcheck ./cmd/felnode
+echo "== go test -race (cpu, core, wire, secagg, fednode, faultnet, metrics, felserve, grouping, data, leakcheck, cmd/felnode)"
+go test -race ./internal/cpu ./internal/core ./internal/wire ./internal/secagg ./internal/fednode ./internal/faultnet/... ./internal/metrics ./internal/felserve ./internal/grouping ./internal/data ./internal/leakcheck ./cmd/felnode
 
 echo "== go test -fuzz smoke (18s total across targets)"
 go test ./internal/wire -run '^$' -fuzz FuzzDecodeFrame -fuzztime 1s

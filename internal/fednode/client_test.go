@@ -115,6 +115,66 @@ func TestClientExchangeSteadyState(t *testing.T) {
 	}
 }
 
+// TestJobRoundSteadyState holds a warm global round of a whole MemNetwork
+// job — the cloud, both edges and every client, in this process — to less
+// than one model vector of allocation per selected group. Past the client's
+// own gate (TestClientExchangeSteadyState), that is the edge folding each
+// member's masked words into its group's kept sum from a Message lent for
+// the one decode, unmasking into the group model it keeps across rounds and
+// re-encoding the broadcast into the group's kept frame, and the cloud
+// copying each group aggregate into its slot from a lent Message too. The
+// round's cost is the difference between a long and a short job, so set-up
+// and shutdown cancel out.
+func TestJobRoundSteadyState(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race drops pooled buffers at random")
+	}
+	gen := data.FlatConfig(4, 10, 3)
+	gen.Noise = 0.8
+	sys := core.NewSystem(core.SystemConfig{
+		Generator: gen,
+		Partition: data.PartitionConfig{
+			NumClients: 12, Alpha: 0.5,
+			MinSamples: 10, MaxSamples: 40, MeanSamples: 25, StdSamples: 8,
+			Seed: 4,
+		},
+		NumEdges: 2,
+		TestSize: 10,
+		NewModel: func(s uint64) *nn.Sequential {
+			return nn.NewMLP(10, []int{256, 32}, 4, s)
+		},
+		ModelSeed: 7,
+	})
+	dim := sys.NewModel(sys.ModelSeed).NumParams()
+	cfg := testJobConfig()
+	cfg.SampleGroups = len(sys.Clients) // every group, every round
+	cfg.EvalEvery = 1000                // the final round only, in both jobs
+	job := func(rounds int) (bytes uint64, selected int) {
+		cfg.GlobalRounds = rounds
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rep, err := RunJob(NewMemNetwork(), sys, cfg, "")
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("RunJob: %v", err)
+		}
+		for _, r := range rep.Rounds {
+			selected += r.Selected
+		}
+		return after.TotalAlloc - before.TotalAlloc, selected
+	}
+	job(2) // warm the pools and the System's workers
+	shortBytes, shortSel := job(4)
+	longBytes, longSel := job(16)
+	groups := longSel - shortSel
+	perGroup := (float64(longBytes) - float64(shortBytes)) / float64(groups)
+	t.Logf("%d parameters: %.0f bytes per selected group per global round over %d group rounds (one model vector = %d bytes; jobs of 4 and 16 rounds allocated %d and %d bytes)",
+		dim, perGroup, groups, 8*dim, shortBytes, longBytes)
+	if perGroup >= float64(8*dim) {
+		t.Errorf("a warm global round allocates %.0f bytes per selected group, want less than one model vector (%d bytes)", perGroup, 8*dim)
+	}
+}
+
 // TestClientsShareWorkers: a loopback job's clients train on Workers their
 // System lends, so the job builds procs() models for its clients however
 // many it hosts — plus the one the cloud's Trainer holds the global model

@@ -196,32 +196,32 @@ func (x *cloudExec) RunGroups(t int, groups []*grouping.Group, selected []int, p
 	cpu.Peers(len(x.conns), func(e int) {
 		conn := x.conns[e]
 		for range selByEdge[e] {
-			m, err := expectFrame(conn, x.meter, x.timeout, wire.GroupAggregate)
-			if err != nil {
-				errs[e] = err
-				return
-			}
-			si, known := slot[m.From]
-			switch {
-			case int(m.Round) != t:
-				errs[e] = fmt.Errorf("fednode: edge %d aggregate for round %d during round %d", e, m.Round, t)
-			case !known:
-				errs[e] = fmt.Errorf("fednode: edge %d reported unknown group %d", e, m.From)
-			case len(m.Floats) != len(params):
-				errs[e] = fmt.Errorf("fednode: group %d aggregate has %d params, want %d", m.From, len(m.Floats), len(params))
-			case len(m.Ints) != 2 || m.Ints[0] < 0 || int(m.Ints[0]) > groups[selected[si]].Size() || m.Ints[1] < 0:
-				errs[e] = fmt.Errorf("fednode: edge %d reported drops and recoveries %v for group %d of %d members", e, m.Ints, m.From, groups[selected[si]].Size())
-			}
+			// Each aggregate is copied into its slot as it lands, from a
+			// Message lent for that one decode.
+			errs[e] = lendFrame(conn, x.meter, x.timeout, wire.GroupAggregate, func(m *wire.Message) error {
+				si, known := slot[m.From]
+				switch {
+				case int(m.Round) != t:
+					return fmt.Errorf("fednode: edge %d aggregate for round %d during round %d", e, m.Round, t)
+				case !known:
+					return fmt.Errorf("fednode: edge %d reported unknown group %d", e, m.From)
+				case len(m.Floats) != len(params):
+					return fmt.Errorf("fednode: group %d aggregate has %d params, want %d", m.From, len(m.Floats), len(params))
+				case len(m.Ints) != 2 || m.Ints[0] < 0 || int(m.Ints[0]) > groups[selected[si]].Size() || m.Ints[1] < 0:
+					return fmt.Errorf("fednode: edge %d reported drops and recoveries %v for group %d of %d members", e, m.Ints, m.From, groups[selected[si]].Size())
+				}
+				mu.Lock()
+				copy(out[si], m.Floats)
+				got[si] = true
+				x.updates[si].Drops = int(m.Ints[0])
+				x.drops += int(m.Ints[0])
+				x.recoveries += int(m.Ints[1])
+				mu.Unlock()
+				return nil
+			})
 			if errs[e] != nil {
 				return
 			}
-			mu.Lock()
-			copy(out[si], m.Floats)
-			got[si] = true
-			x.updates[si].Drops = int(m.Ints[0])
-			x.drops += int(m.Ints[0])
-			x.recoveries += int(m.Ints[1])
-			mu.Unlock()
 		}
 	})
 	if err := firstErr(errs); err != nil {

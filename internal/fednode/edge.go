@@ -58,6 +58,13 @@ type edgeGroup struct {
 	drops   int                // new deaths observed (reported upstream)
 	recov   int                // group rounds completed via dropout recovery
 	ops     *secagg.OpCounters // nil for a singleton, which runs no secagg
+
+	// Kept across rounds, so a warm group round allocates nothing
+	// model-sized: the group model, the running sum the members' masked
+	// words fold into, and the broadcast's encoding.
+	params []float64
+	sum    []uint64
+	frame  []byte
 }
 
 // Run serves the job: dial the cloud at cloudAddr, accept this edge's
@@ -176,10 +183,12 @@ func (e *Edge) Run(nw Network, ln net.Listener, cloudAddr string) error {
 	}()
 
 	cloud := &lockedConn{conn: cloudConn}
+	// Every cloud frame decodes into m: the group runners read a round's
+	// global model from it, and the next frame is read once they are done.
+	m := new(wire.Message)
 	for {
 		// Between rounds the edge blocks on the cloud without a deadline:
 		// the cloud decides the job's pace.
-		m := new(wire.Message)
 		if err := readFrame(cloudConn, cfg.Meter, 0, m); err != nil {
 			return fmt.Errorf("fednode: edge %d read from cloud: %w", e.id, err)
 		}
@@ -334,33 +343,38 @@ func (e *Edge) drainRejoins(ch <-chan rejoin) {
 
 // runGroup executes K group rounds for one group in global round t and
 // reports the aggregate to the cloud. Each group round walks the
-// broadcast → collect → [reveal] → aggregate state machine; clients that
+// broadcast → collect → [reveal] → unmask state machine; clients that
 // miss the straggler deadline or whose connection drops become secagg
 // dropouts, recovered from the survivors' shares, and stay excluded for the
-// rest of the job.
+// rest of the job. A member's masked words are folded into the group's
+// running sum as its frame arrives, from storage lent for that one decode,
+// so collecting holds no vector per member; the group model, the sum and the
+// broadcast frame are the group's, reused every round.
 func (e *Edge) runGroup(g *edgeGroup, t int, globalParams []float64, cloud *lockedConn) error {
 	cfg := e.cfg
 	dim := len(globalParams)
-	groupParams := append([]float64(nil), globalParams...)
+	g.params = append(g.params[:0], globalParams...)
+	if len(g.sum) != dim {
+		g.sum = make([]uint64, dim)
+	}
 	n := len(g.members)
 	threshold := secagg.Threshold(n)
 	roundDrops, roundRecov := 0, 0
-	var frame []byte // the broadcast's encoding, reused across group rounds
 
 	for k := 0; k < cfg.GroupRounds; k++ {
 		kSpan := e.groupRoundHist.Start()
 		e.logf("edge: group %d round %d.%d → broadcast", g.gid, t, k)
 		// Every member gets the same frame: encode it once, write it n times.
-		msg := &wire.Message{Type: wire.GlobalModel, Round: uint32(t), Seq: uint32(k), Floats: groupParams}
+		msg := &wire.Message{Type: wire.GlobalModel, Round: uint32(t), Seq: uint32(k), Floats: g.params}
 		var err error
-		if frame, err = wire.AppendFrame(frame[:0], msg); err != nil {
+		if g.frame, err = wire.AppendFrame(g.frame[:0], msg); err != nil {
 			return fmt.Errorf("fednode: group %d broadcast: %w", g.gid, err)
 		}
 		for i := range g.members {
 			if g.dead[i] {
 				continue
 			}
-			if err := sendEncoded(g.conns[i], cfg.Meter, msg.Type, frame, cfg.StragglerTimeout); err != nil {
+			if err := sendEncoded(g.conns[i], cfg.Meter, msg.Type, g.frame, cfg.StragglerTimeout); err != nil {
 				// The connection died between rounds; the member becomes a
 				// dropout now rather than at collect time.
 				e.markDead(g, i, err)
@@ -369,26 +383,35 @@ func (e *Edge) runGroup(g *edgeGroup, t int, globalParams []float64, cloud *lock
 		}
 
 		e.logf("edge: group %d round %d.%d → collect", g.gid, t, k)
-		masked := make([][]uint64, n)
-		var plain []float64 // a singleton group's update, sent in the clear
+		// The session depends on nothing the round collects, so it is
+		// ready before the first masked update lands. A singleton group
+		// runs none: secure aggregation needs two parties, so the lone
+		// client trains in the clear (nothing to hide from itself).
+		var sess *secagg.Session
+		if n > 1 {
+			sess = secagg.NewSession(n, dim, threshold, sessionSeed(cfg.Seed, t, k, g.gid), secagg.DefaultQuantizer())
+			sess.Begin(g.sum)
+		}
+		plainLen := -1 // a singleton's update length, copied into g.params when it is dim
 		collectErr := make([]error, n)
 		cpu.Peers(n, func(i int) {
 			if g.dead[i] {
 				return
 			}
-			m, err := expectFrame(g.conns[i], cfg.Meter, cfg.StragglerTimeout, wire.MaskedUpdate)
-			switch {
-			case err != nil:
-				collectErr[i] = err
-			case n == 1:
-				plain = m.Floats
-			case len(m.Words) != dim:
-				// Like a corrupt frame: the member is a dropout, not a
-				// panic or a truncated sum in Aggregate.
-				collectErr[i] = fmt.Errorf("fednode: masked update has %d words, want %d", len(m.Words), dim)
-			default:
-				masked[i] = m.Words
-			}
+			collectErr[i] = lendFrame(g.conns[i], cfg.Meter, cfg.StragglerTimeout, wire.MaskedUpdate, func(m *wire.Message) error {
+				switch {
+				case n == 1:
+					if plainLen = len(m.Floats); plainLen == dim {
+						copy(g.params, m.Floats)
+					}
+					return nil
+				case len(m.Words) != dim:
+					// Like a corrupt frame: the member is a dropout, not a
+					// panic or a truncated sum.
+					return fmt.Errorf("fednode: masked update has %d words, want %d", len(m.Words), dim)
+				}
+				return sess.Fold(i, m.Words)
+			})
 		})
 		var dropped []int
 		for i := range g.members {
@@ -404,14 +427,9 @@ func (e *Edge) runGroup(g *edgeGroup, t int, globalParams []float64, cloud *lock
 		}
 
 		if n == 1 {
-			// Singleton group: secure aggregation needs two parties, so the
-			// lone client trains in the clear (nothing to hide from
-			// itself). A dropped singleton carries the group model over.
-			if len(dropped) == 0 {
-				if len(plain) != dim {
-					return fmt.Errorf("fednode: group %d singleton update has %d params, want %d", g.gid, len(plain), dim)
-				}
-				groupParams = plain
+			// A dropped singleton carries the group model over.
+			if len(dropped) == 0 && plainLen != dim {
+				return fmt.Errorf("fednode: group %d singleton update has %d params, want %d", g.gid, plainLen, dim)
 			}
 			kSpan.End()
 			continue
@@ -423,7 +441,6 @@ func (e *Edge) runGroup(g *edgeGroup, t int, globalParams []float64, cloud *lock
 				g.gid, t, k, survivors, threshold)
 		}
 
-		sess := secagg.NewSession(n, dim, threshold, sessionSeed(cfg.Seed, t, k, g.gid), secagg.DefaultQuantizer())
 		if len(dropped) > 0 {
 			e.logf("edge: group %d round %d.%d → reveal", g.gid, t, k)
 			if err := e.revealShares(g, sess, t, k, dropped); err != nil {
@@ -435,7 +452,7 @@ func (e *Edge) runGroup(g *edgeGroup, t int, globalParams []float64, cloud *lock
 
 		e.logf("edge: group %d round %d.%d → aggregate", g.gid, t, k)
 		aggSpan := e.aggHist.Start()
-		sum, err := sess.Aggregate(masked, dropped)
+		g.params, err = sess.Unmask(g.params, dropped)
 		aggSpan.End()
 		if err != nil {
 			return fmt.Errorf("fednode: group %d round %d.%d aggregate: %w", g.gid, t, k, err)
@@ -453,12 +470,11 @@ func (e *Edge) runGroup(g *edgeGroup, t int, globalParams []float64, cloud *lock
 			}
 			if survivedSamples > 0 {
 				scale := float64(g.ng) / float64(survivedSamples)
-				for j := range sum {
-					sum[j] *= scale
+				for j := range g.params {
+					g.params[j] *= scale
 				}
 			}
 		}
-		groupParams = sum
 		kSpan.End()
 	}
 
@@ -467,7 +483,7 @@ func (e *Edge) runGroup(g *edgeGroup, t int, globalParams []float64, cloud *lock
 	g.recov += roundRecov
 	out := &wire.Message{
 		Type: wire.GroupAggregate, Round: uint32(t), From: int32(g.gid),
-		Floats: groupParams, Ints: []int32{int32(roundDrops), int32(roundRecov)},
+		Floats: g.params, Ints: []int32{int32(roundDrops), int32(roundRecov)},
 	}
 	return cloud.send(cfg.Meter, out, cfg.RoundTimeout)
 }

@@ -16,10 +16,18 @@
 // A client holds no model between requests. Every client one process hosts
 // trains on a worker borrowed from its System (core.System.BorrowWorker, at
 // most procs() built) for the one broadcast it is answering and returns it
-// before writing the reply, and its update vectors and reply
-// frame are pooled for that exchange — so a loopback job of hundreds of
-// clients holds procs() models, not one per client, and a warm exchange
-// allocates nothing model-sized on the client's side.
+// before writing the reply, and its update vectors and reply frame are
+// pooled for that exchange — so a loopback job of hundreds of clients holds
+// procs() models, not one per client. The edge folds each member's masked
+// words into its group's running sum in Z₂⁶⁴ (secagg.Session.Fold) as the
+// frame arrives, from a Message lent for that one decode (wire.DecodeFunc),
+// so it holds no vector per member across the wait for their training; each
+// group keeps its model, its sum and its broadcast frame across rounds, and
+// unmasks into the model. The cloud copies each group aggregate into its
+// round slot from a lent Message too. A warm global round therefore
+// allocates nothing model-sized at any tier: a client's exchange stays
+// under one model vector (TestClientExchangeSteadyState), and a whole job's
+// round under one per selected group (TestJobRoundSteadyState).
 //
 // Control plane and failure are real here: stragglers are read deadlines,
 // a client dropout is a closed connection or a missed deadline, and the
@@ -258,6 +266,19 @@ func sendEncoded(conn net.Conn, m *Meter, typ wire.Type, frame []byte, timeout t
 // refused before it is read. m's previous vectors are overwritten
 // (wire.DecodeInto).
 func readFrame(conn net.Conn, mt *Meter, timeout time.Duration, m *wire.Message) error {
+	if err := setReadDeadline(conn, timeout); err != nil {
+		return err
+	}
+	err := wire.DecodeInto(conn, wire.DefaultMaxFrame, m)
+	if err != nil && mt != nil {
+		mt.countDecodeError(err)
+	}
+	return err
+}
+
+// setReadDeadline arms conn's read deadline timeout from now on conn's clock,
+// or clears it when timeout is zero.
+func setReadDeadline(conn net.Conn, timeout time.Duration) error {
 	var deadline time.Time
 	if timeout > 0 {
 		deadline = clock.Of(conn).Now().Add(timeout)
@@ -265,8 +286,27 @@ func readFrame(conn net.Conn, mt *Meter, timeout time.Duration, m *wire.Message)
 	if err := conn.SetReadDeadline(deadline); err != nil {
 		return fmt.Errorf("fednode: set read deadline: %w", err)
 	}
-	err := wire.DecodeInto(conn, wire.DefaultMaxFrame, m)
-	if err != nil && mt != nil {
+	return nil
+}
+
+// lendFrame reads one frame from conn under the read deadline into a
+// Message lent for the call of fn (wire.DecodeFunc), checks its type, and
+// returns fn's error: fn folds or copies out what it needs before it
+// returns, and the reader holds no decode storage while it waits. Decode
+// failures are classified as readFrame's are.
+func lendFrame(conn net.Conn, mt *Meter, timeout time.Duration, want wire.Type, fn func(*wire.Message) error) error {
+	if err := setReadDeadline(conn, timeout); err != nil {
+		return err
+	}
+	decoded := false
+	err := wire.DecodeFunc(conn, wire.DefaultMaxFrame, func(m *wire.Message) error {
+		decoded = true
+		if err := checkType(m, want); err != nil {
+			return err
+		}
+		return fn(m)
+	})
+	if err != nil && !decoded && mt != nil {
 		mt.countDecodeError(err)
 	}
 	return err
@@ -279,10 +319,18 @@ func expectFrame(conn net.Conn, mt *Meter, timeout time.Duration, want wire.Type
 	if err := readFrame(conn, mt, timeout, m); err != nil {
 		return nil, err
 	}
-	if m.Type != want {
-		return nil, fmt.Errorf("fednode: got %s frame, want %s", m.Type, want)
+	if err := checkType(m, want); err != nil {
+		return nil, err
 	}
 	return m, nil
+}
+
+// checkType returns an error unless m is a frame of type want.
+func checkType(m *wire.Message, want wire.Type) error {
+	if m.Type != want {
+		return fmt.Errorf("fednode: got %s frame, want %s", m.Type, want)
+	}
+	return nil
 }
 
 // lockedConn serializes frame writes to one conn shared by several

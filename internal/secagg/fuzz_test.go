@@ -20,7 +20,7 @@ func FuzzQuantizeRoundTrip(f *testing.F) {
 		q := DefaultQuantizer()
 		in := []float64{a, b}
 		enc := q.Quantize(in)
-		dec := q.Dequantize(enc, 1)
+		dec := q.DequantizeInto(nil, enc, 1)
 		for i, v := range in {
 			if math.IsNaN(v) {
 				if enc[i] != 0 {

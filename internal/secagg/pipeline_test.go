@@ -282,8 +282,9 @@ func TestOpCountsUnchanged(t *testing.T) {
 // fixed-size objects, measured here rather than assumed — and nothing
 // proportional to the vector. MaskedUpdate therefore allocates the returned
 // vector plus n stream states, MaskedUpdateInto into a buffer of Dim words
-// (QuantizeInto under it) the n stream states alone, and Aggregate its sum,
-// its result, its share bookkeeping and n stream states, whatever the
+// (QuantizeInto under it) the n stream states alone, Aggregate its result
+// and n stream states, and the streaming form — Begin on a kept sum, n
+// Folds, Unmask into a kept result — the n stream states alone, whatever the
 // dimension. Folding on a stream already keyed allocates the keystream chunk
 // alone, one object for four chunks' worth of accumulator.
 func TestMaskPipelineAllocs(t *testing.T) {
@@ -294,7 +295,7 @@ func TestMaskPipelineAllocs(t *testing.T) {
 	}
 	perStream := int(testing.AllocsPerRun(50, func() { foldMask(acc, newMaskPRG(7), false) }))
 	for _, n := range []int{2, 12} {
-		var maskAllocs, intoAllocs, aggAllocs [2]int
+		var maskAllocs, intoAllocs, aggAllocs, streamAllocs [2]int
 		for di, dim := range []int{maskChunk, 100 * maskChunk} {
 			s := NewSession(n, dim, Threshold(n), 5, DefaultQuantizer())
 			update := make([]float64, dim)
@@ -310,6 +311,19 @@ func TestMaskPipelineAllocs(t *testing.T) {
 					t.Fatal(err)
 				}
 			}))
+			sum, result := make([]uint64, dim), make([]float64, dim)
+			streamAllocs[di] = int(testing.AllocsPerRun(20, func() {
+				s.Begin(sum)
+				for i, w := range masked {
+					if err := s.Fold(i, w); err != nil {
+						t.Fatal(err)
+					}
+				}
+				var err error
+				if result, err = s.Unmask(result, nil); err != nil {
+					t.Fatal(err)
+				}
+			}))
 		}
 		if want := 1 + n*perStream; maskAllocs[0] != want || maskAllocs[1] != want {
 			t.Errorf("n=%d: MaskedUpdate allocates %v objects at dim %d and %v at dim %d, want 1 + n·%v = %v at both",
@@ -319,10 +333,15 @@ func TestMaskPipelineAllocs(t *testing.T) {
 			t.Errorf("n=%d: MaskedUpdateInto a reused buffer allocates %v objects at dim %d and %v at dim %d, want n·%v = %v at both",
 				n, intoAllocs[0], maskChunk, intoAllocs[1], 100*maskChunk, perStream, want)
 		}
-		// sum, result, isDropped, and one share slice per survivor.
-		if want := 3 + n + n*perStream; aggAllocs[0] != want || aggAllocs[1] != want {
-			t.Errorf("n=%d: Aggregate allocates %v objects at dim %d and %v at dim %d, want 3 + n + n·%v = %v at both",
+		// The result; the sum, the folded and dropped sets and the share
+		// scratch are the session's, kept across calls.
+		if want := 1 + n*perStream; aggAllocs[0] != want || aggAllocs[1] != want {
+			t.Errorf("n=%d: Aggregate allocates %v objects at dim %d and %v at dim %d, want 1 + n·%v = %v at both",
 				n, aggAllocs[0], maskChunk, aggAllocs[1], 100*maskChunk, perStream, want)
+		}
+		if want := n * perStream; streamAllocs[0] != want || streamAllocs[1] != want {
+			t.Errorf("n=%d: Begin, n Folds and Unmask into kept storage allocate %v objects at dim %d and %v at dim %d, want n·%v = %v at both",
+				n, streamAllocs[0], maskChunk, streamAllocs[1], 100*maskChunk, perStream, want)
 		}
 	}
 }

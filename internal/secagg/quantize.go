@@ -63,12 +63,16 @@ func (q Quantizer) QuantizeInto(dst []uint64, v []float64) []uint64 {
 	return out
 }
 
-// Dequantize decodes a vector of Z₂⁶⁴ words that encodes a sum of at most
-// maxParties quantized updates back to floats, reading each word as a
-// two's-complement integer.
-func (q Quantizer) Dequantize(v []uint64, maxParties int) []float64 {
+// DequantizeInto decodes a vector of Z₂⁶⁴ words that encodes a sum of at
+// most maxParties quantized updates back to floats, reading each word as a
+// two's-complement integer, into dst's storage: the result is dst resized
+// to len(v), reallocated only when its capacity is short (nil allocates).
+func (q Quantizer) DequantizeInto(dst []float64, v []uint64, maxParties int) []float64 {
 	q.Check(maxParties)
-	out := make([]float64, len(v))
+	if cap(dst) < len(v) {
+		dst = make([]float64, len(v))
+	}
+	out := dst[:len(v)]
 	for i, x := range v {
 		out[i] = float64(int64(x)) / q.Scale
 	}

@@ -164,7 +164,7 @@ func TestQuantizeRoundTrip(t *testing.T) {
 	q := DefaultQuantizer()
 	v := []float64{0, 1.5, -2.25, 7.99, -7.99, 0.000001}
 	enc := q.Quantize(v)
-	dec := q.Dequantize(enc, 1)
+	dec := q.DequantizeInto(nil, enc, 1)
 	for i := range v {
 		if math.Abs(dec[i]-v[i]) > 2/q.Scale {
 			t.Fatalf("round trip %v -> %v", v[i], dec[i])
@@ -174,7 +174,7 @@ func TestQuantizeRoundTrip(t *testing.T) {
 
 func TestQuantizeClips(t *testing.T) {
 	q := Quantizer{Scale: 1 << 16, Clip: 1}
-	dec := q.Dequantize(q.Quantize([]float64{5, -5}), 1)
+	dec := q.DequantizeInto(nil, q.Quantize([]float64{5, -5}), 1)
 	if dec[0] != 1 || dec[1] != -1 {
 		t.Fatalf("clip failed: %v", dec)
 	}

@@ -1,9 +1,11 @@
 package secagg
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
+	"sync"
 
 	"repro/internal/metrics"
 	"repro/internal/stats"
@@ -33,10 +35,13 @@ type OpCounts struct {
 //     its secret key s_i and b_i with the group (threshold T).
 //  2. MaskedUpdate(i, v): client i submits v, quantized into Z₂⁶⁴, blinded
 //     by its personal mask and all pairwise masks.
-//  3. Aggregate(masked, dropped): the server removes the personal masks of
+//  3. Fold(i, masked): the server adds each arriving masked vector to a
+//     running sum in Z₂⁶⁴, in whatever order the vectors arrive.
+//  4. Unmask(dst, dropped): the server removes the personal masks of
 //     survivors (reconstructing b_i from shares) and the pairwise masks of
 //     dropped clients (reconstructing s_i), yielding exactly the sum of
-//     surviving clients' quantized updates.
+//     surviving clients' quantized updates. Aggregate runs 3 and 4 over a
+//     batch of vectors.
 type Session struct {
 	N, Dim    int
 	Threshold int
@@ -49,6 +54,16 @@ type Session struct {
 
 	ops       OpCounts
 	published OpCounts // high-water mark of counts already flushed by PublishOps
+
+	// The streaming aggregation (Begin, Fold, Unmask): collectors fold
+	// concurrently, so mu guards the sum, the folded set and the counts
+	// Fold adds to. isDropped and shares are Unmask's scratch.
+	mu        sync.Mutex
+	sum       []uint64
+	folded    []bool
+	unmasked  bool
+	isDropped []bool
+	shares    []Share
 }
 
 // Threshold returns the Shamir reconstruction threshold for a group of n
@@ -75,6 +90,8 @@ func NewSession(n, dim, threshold int, seed uint64, q Quantizer) *Session {
 		selfSeeds:   make([]uint64, n),
 		selfShares:  make([][]Share, n),
 		keyShares:   make([][]Share, n),
+		folded:      make([]bool, n),
+		isDropped:   make([]bool, n),
 	}
 	for i := 0; i < n; i++ {
 		s.selfSeeds[i] = rng.Uint64()
@@ -124,20 +141,88 @@ func (s *Session) fold(acc []uint64, seed uint64, subtract bool) {
 	s.ops.FieldOps += s.Dim
 }
 
-// Aggregate sums the survivors' masked updates and removes the residual
-// masks: survivors' personal masks (via their Shamir shares) and dropped
-// clients' pairwise masks (via their reconstructed keys). The sum is taken
-// in Z₂⁶⁴, where every 64-bit word is a ring element. masked[i] must be nil
-// exactly for dropped clients, dropped must name each client at most once,
-// and every submitted vector must hold Dim words — the vectors arrive from
-// peers, so a short or long one is an error, not a panic or a silent
-// truncation. It returns the dequantized sum of the surviving clients'
-// updates.
-func (s *Session) Aggregate(masked [][]uint64, dropped []int) ([]float64, error) {
-	if len(masked) != s.N {
-		return nil, fmt.Errorf("secagg: %d masked updates for %d clients", len(masked), s.N)
+// Begin starts a streaming aggregation whose running sum lives in sum's
+// storage: resized to Dim, reallocated only when its capacity is short, and
+// cleared. Fold adds the survivors' masked vectors to it and Unmask ends it.
+// A caller that keeps one buffer across sessions allocates nothing
+// model-sized per aggregation; without Begin, the first Fold allocates the
+// sum.
+func (s *Session) Begin(sum []uint64) {
+	if cap(sum) < s.Dim {
+		sum = make([]uint64, s.Dim)
 	}
-	isDropped := make([]bool, s.N)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.sum = sum[:s.Dim]
+	clear(s.sum)
+	clear(s.folded)
+	s.unmasked = false
+}
+
+// Fold adds client i's masked vector to the running sum, in Z₂⁶⁴: safe to
+// call from concurrent goroutines, and words is not kept past the call, so a
+// collector can fold a vector as it arrives and reuse its storage at once.
+// Addition in the ring is associative and commutative, so the order of the
+// folds moves no bit of the result. The vector arrives from a peer: an index
+// out of range, a second vector for the same client, a vector that does not
+// hold Dim words, and a fold after Unmask are errors, and leave the sum as
+// it was.
+func (s *Session) Fold(i int, words []uint64) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch {
+	case s.unmasked:
+		return errors.New("secagg: fold after unmask")
+	case i < 0 || i >= s.N:
+		return fmt.Errorf("secagg: client %d out of range", i)
+	case s.folded[i]:
+		return fmt.Errorf("secagg: client %d submitted a second update", i)
+	case len(words) != s.Dim:
+		return fmt.Errorf("secagg: client %d submitted %d words, want %d", i, len(words), s.Dim)
+	}
+	if s.sum == nil {
+		s.sum = make([]uint64, s.Dim)
+	}
+	s.folded[i] = true
+	addWords(s.sum, words)
+	s.ops.FieldOps += s.Dim
+	return nil
+}
+
+// addWords adds w to acc element-wise in Z₂⁶⁴, four words a step through
+// array pointers (no bounds check in the loop body), the tail word by word.
+func addWords(acc, w []uint64) {
+	w = w[:len(acc)]
+	for len(acc) >= 4 {
+		a, b := (*[4]uint64)(acc), (*[4]uint64)(w)
+		a[0] += b[0]
+		a[1] += b[1]
+		a[2] += b[2]
+		a[3] += b[3]
+		acc, w = acc[4:], w[4:]
+	}
+	for d := range acc {
+		acc[d] += w[d]
+	}
+}
+
+// Unmask ends the streaming aggregation: it removes the residual masks from
+// the running sum — survivors' personal masks (via their Shamir shares) and
+// dropped clients' pairwise masks (via their reconstructed keys) — and
+// writes the dequantized sum of the surviving clients' updates into dst's
+// storage, resized to Dim and reallocated only when its capacity is short.
+// dropped must name each client at most once, a client is dropped exactly
+// when it folded nothing, and the survivors must reach the threshold;
+// otherwise Unmask returns an error and the session may still take folds.
+// After Unmask, Fold and Unmask fail until the next Begin.
+func (s *Session) Unmask(dst []float64, dropped []int) ([]float64, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.unmasked {
+		return nil, errors.New("secagg: session already unmasked")
+	}
+	isDropped := s.isDropped
+	clear(isDropped)
 	for _, d := range dropped {
 		if d < 0 || d >= s.N {
 			return nil, fmt.Errorf("secagg: dropped index %d out of range", d)
@@ -150,33 +235,21 @@ func (s *Session) Aggregate(masked [][]uint64, dropped []int) ([]float64, error)
 	survivors := 0
 	for i := 0; i < s.N; i++ {
 		if isDropped[i] {
-			if masked[i] != nil {
+			if s.folded[i] {
 				return nil, fmt.Errorf("secagg: dropped client %d submitted an update", i)
 			}
 			continue
 		}
-		if masked[i] == nil {
+		if !s.folded[i] {
 			return nil, fmt.Errorf("secagg: surviving client %d missing update", i)
-		}
-		if len(masked[i]) != s.Dim {
-			return nil, fmt.Errorf("secagg: client %d submitted %d words, want %d", i, len(masked[i]), s.Dim)
 		}
 		survivors++
 	}
 	if survivors < s.Threshold {
 		return nil, fmt.Errorf("secagg: %d survivors below threshold %d", survivors, s.Threshold)
 	}
-
-	sum := make([]uint64, s.Dim)
-	for i := 0; i < s.N; i++ {
-		if isDropped[i] {
-			continue
-		}
-		for d, w := range masked[i] {
-			sum[d] += w
-		}
-		s.ops.FieldOps += s.Dim
-	}
+	s.unmasked = true
+	sum := s.sum
 
 	// Remove survivors' personal masks: reconstruct b_i from the first
 	// Threshold shares held by surviving clients.
@@ -184,8 +257,7 @@ func (s *Session) Aggregate(masked [][]uint64, dropped []int) ([]float64, error)
 		if isDropped[i] {
 			continue
 		}
-		shares := s.collectShares(s.selfShares[i], isDropped)
-		b := Reconstruct(shares)
+		b := Reconstruct(s.collectShares(s.selfShares[i], isDropped))
 		if b != Reduce(s.selfSeeds[i]) {
 			return nil, fmt.Errorf("secagg: personal mask reconstruction failed for client %d", i)
 		}
@@ -196,8 +268,7 @@ func (s *Session) Aggregate(masked [][]uint64, dropped []int) ([]float64, error)
 	// reconstruction of the dropped client's key token authorizes the
 	// server to re-derive its pairwise seeds.
 	for _, dc := range dropped {
-		shares := s.collectShares(s.keyShares[dc], isDropped)
-		if got := Reconstruct(shares); got != Reduce(uint64(dc)+1) {
+		if got := Reconstruct(s.collectShares(s.keyShares[dc], isDropped)); got != Reduce(uint64(dc)+1) {
 			return nil, fmt.Errorf("secagg: key reconstruction failed for dropped client %d", dc)
 		}
 		for j := 0; j < s.N; j++ {
@@ -210,7 +281,45 @@ func (s *Session) Aggregate(masked [][]uint64, dropped []int) ([]float64, error)
 		}
 	}
 
-	return s.Quant.Dequantize(sum, survivors), nil
+	return s.Quant.DequantizeInto(dst, sum, survivors), nil
+}
+
+// Aggregate is the batch form of Begin, Fold and Unmask: it folds every
+// non-nil masked[i] as client i's vector into the session's own sum storage
+// and unmasks into a fresh result. masked[i] must be nil exactly for dropped
+// clients and hold Dim words otherwise — the vectors arrive from peers, so a
+// short or long one is an error, not a panic or a silent truncation — and
+// the rules on dropped are Unmask's. It returns the dequantized sum of the
+// surviving clients' updates.
+func (s *Session) Aggregate(masked [][]uint64, dropped []int) ([]float64, error) {
+	if len(masked) != s.N {
+		return nil, fmt.Errorf("secagg: %d masked updates for %d clients", len(masked), s.N)
+	}
+	s.Begin(s.sum)
+	for i, words := range masked {
+		if words == nil {
+			continue
+		}
+		if err := s.Fold(i, words); err != nil {
+			return nil, err
+		}
+	}
+	return s.Unmask(nil, dropped)
+}
+
+// collectShares gathers Threshold shares from surviving holders into the
+// session's scratch, valid until the next call. Share k of a secret is held
+// by client k.
+func (s *Session) collectShares(all []Share, isDropped []bool) []Share {
+	out := s.shares[:0]
+	for k := 0; k < s.N && len(out) < s.Threshold; k++ {
+		if !isDropped[k] {
+			out = append(out, all[k])
+			s.ops.SharesUsed++
+		}
+	}
+	s.shares = out
+	return out
 }
 
 // HeldShares returns the shares client holder holds for each subject: its
@@ -231,19 +340,6 @@ func (s *Session) HeldShares(holder int, subjects []int) ([]Share, error) {
 		out = append(out, s.selfShares[d][holder], s.keyShares[d][holder])
 	}
 	return out, nil
-}
-
-// collectShares gathers Threshold shares from surviving holders. Share k of
-// a secret is held by client k.
-func (s *Session) collectShares(all []Share, isDropped []bool) []Share {
-	out := make([]Share, 0, s.Threshold)
-	for k := 0; k < s.N && len(out) < s.Threshold; k++ {
-		if !isDropped[k] {
-			out = append(out, all[k])
-			s.ops.SharesUsed++
-		}
-	}
-	return out
 }
 
 // Ops returns the accumulated operation counts.

@@ -3,8 +3,10 @@ package wire_test
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -95,6 +97,84 @@ func corpusMessages() []*wire.Message {
 	}
 }
 
+// tailBits are the float bit patterns and words the tail tests cycle
+// through: quiet and signalling NaNs with payloads, −0, ±Inf, the smallest
+// and largest subnormals, all ones, and ordinary values.
+var tailBits = []uint64{
+	0x7ff8000000000001, 0x8000000000000000, 0x7ff0000000000000, 0xfff0000000000000,
+	0x0000000000000001, 0x000fffffffffffff, 0xffffffffffffffff, 0x7ff00000deadbeef,
+	0x3ff0000000000000, 0xc00921fb54442d18, 0x0000000000000000,
+}
+
+// tailMessages returns one message per vector length 0 through 9 — every
+// tail of the codec's four-word steps, twice over — whose Floats and Words
+// cycle through tailBits from a different start each.
+func tailMessages() []*wire.Message {
+	var out []*wire.Message
+	for n := 0; n <= 9; n++ {
+		m := &wire.Message{Type: wire.MaskedUpdate, Round: uint32(n), Seq: 3, From: int32(-n),
+			Floats: make([]float64, n), Words: make([]uint64, n), Ints: make([]int32, n%3)}
+		for i := 0; i < n; i++ {
+			m.Floats[i] = math.Float64frombits(tailBits[(n+i)%len(tailBits)])
+			m.Words[i] = tailBits[(2*n+3*i)%len(tailBits)]
+		}
+		for i := range m.Ints {
+			m.Ints[i] = int32(-1 - i)
+		}
+		out = append(out, m)
+	}
+	return out
+}
+
+// TestCodecTails round-trips every vector length from 0 to 9 through one
+// reused Message — lengths rising, then falling, so the vectors both grow
+// and shrink in place — and through DecodeFunc's lent one, and compares bit
+// for bit. Each frame's payload is also held to a value-by-value big-endian
+// encoding written here, so a fault the encoder and decoder share (a swapped
+// pair in the four-word step, say) cannot cancel out.
+func TestCodecTails(t *testing.T) {
+	msgs := tailMessages()
+	var m wire.Message
+	for _, idx := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0} {
+		want := msgs[idx]
+		frame := encodeFrame(t, want)
+		pay := binary.BigEndian.AppendUint32(nil, want.Seq)
+		pay = binary.BigEndian.AppendUint32(pay, uint32(want.From))
+		pay = binary.BigEndian.AppendUint32(pay, uint32(len(want.Floats)))
+		for _, f := range want.Floats {
+			pay = binary.BigEndian.AppendUint64(pay, math.Float64bits(f))
+		}
+		pay = binary.BigEndian.AppendUint32(pay, uint32(len(want.Words)))
+		for _, w := range want.Words {
+			pay = binary.BigEndian.AppendUint64(pay, w)
+		}
+		pay = binary.BigEndian.AppendUint32(pay, uint32(len(want.Ints)))
+		for _, v := range want.Ints {
+			pay = binary.BigEndian.AppendUint32(pay, uint32(v))
+		}
+		if !bytes.Equal(frame[wire.HeaderSize:], pay) {
+			t.Fatalf("length %d: payload % x, want % x", idx, frame[wire.HeaderSize:], pay)
+		}
+		same := func(got *wire.Message) error {
+			sameBits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+			if got.Type != want.Type || got.Round != want.Round || got.Seq != want.Seq || got.From != want.From ||
+				!slices.EqualFunc(got.Floats, want.Floats, sameBits) || !slices.Equal(got.Words, want.Words) || !slices.Equal(got.Ints, want.Ints) {
+				return fmt.Errorf("decoded %+v, want %+v", got, want)
+			}
+			return nil
+		}
+		if err := wire.DecodeInto(bytes.NewReader(frame), 0, &m); err != nil {
+			t.Fatalf("length %d: DecodeInto: %v", idx, err)
+		}
+		if err := same(&m); err != nil {
+			t.Fatalf("length %d, reused Message: %v", idx, err)
+		}
+		if err := wire.DecodeFunc(bytes.NewReader(frame), 0, same); err != nil {
+			t.Fatalf("length %d, lent Message: %v", idx, err)
+		}
+	}
+}
+
 // FuzzDecodeFrame asserts the decoder's contract over arbitrary bytes:
 // it never panics, every failure maps to a named error class, and every
 // successful decode re-encodes to a frame that decodes back to the same
@@ -108,6 +188,9 @@ func FuzzDecodeFrame(f *testing.F) {
 		f.Add(frame)
 		f.Add(faultnet.CorruptBits(frame, 3, rng))
 		f.Add(faultnet.TruncateFrame(frame, rng))
+	}
+	for _, m := range tailMessages() {
+		f.Add(encodeFrame(f, m))
 	}
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xFE}, wire.HeaderSize))
@@ -152,9 +235,9 @@ func FuzzDecodeFrame(f *testing.F) {
 
 // FuzzDecodeIntoReuse is the differential check on storage reuse: for any
 // input, DecodeInto on a deliberately dirty Message — every field set, every
-// vector longer than the corpus frames carry — agrees with a fresh Decode
-// on the error class and, on success, on every field. Seeded like
-// FuzzDecodeFrame.
+// vector longer than the corpus frames carry — and DecodeFunc on a pooled
+// one agree with a fresh Decode on the error class and, on success, on
+// every field. Seeded like FuzzDecodeFrame.
 func FuzzDecodeIntoReuse(f *testing.F) {
 	rng := stats.NewRNG(0xFE1D)
 	for _, m := range corpusMessages() {
@@ -162,6 +245,9 @@ func FuzzDecodeIntoReuse(f *testing.F) {
 		f.Add(frame)
 		f.Add(faultnet.CorruptBits(frame, 3, rng))
 		f.Add(faultnet.TruncateFrame(frame, rng))
+	}
+	for _, m := range tailMessages() {
+		f.Add(encodeFrame(f, m))
 	}
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xFE}, wire.HeaderSize))
@@ -176,19 +262,31 @@ func FuzzDecodeIntoReuse(f *testing.F) {
 			Ints:   []int32{17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32},
 		}
 		errInto := wire.DecodeInto(bytes.NewReader(data), fuzzMaxFrame, &dirty)
-		if a, b := wire.ErrorClass(errFresh), wire.ErrorClass(errInto); a != b {
-			t.Fatalf("Decode fails with class %q (%v), DecodeInto with %q (%v)", a, errFresh, b, errInto)
+		var lent wire.Message // DecodeFunc's Message, copied out of the call
+		errLent := wire.DecodeFunc(bytes.NewReader(data), fuzzMaxFrame, func(m *wire.Message) error {
+			lent = *m
+			lent.Floats, lent.Words, lent.Ints = slices.Clone(m.Floats), slices.Clone(m.Words), slices.Clone(m.Ints)
+			return nil
+		})
+		a, b, c := wire.ErrorClass(errFresh), wire.ErrorClass(errInto), wire.ErrorClass(errLent)
+		if a != b || a != c {
+			t.Fatalf("Decode fails with class %q (%v), DecodeInto with %q (%v), DecodeFunc with %q (%v)", a, errFresh, b, errInto, c, errLent)
 		}
 		if errFresh != nil {
 			return
 		}
-		m := &dirty
-		if m.Type != fresh.Type || m.Round != fresh.Round || m.Seq != fresh.Seq || m.From != fresh.From {
-			t.Fatalf("envelope differs: reused %+v, fresh %+v", m, fresh)
-		}
 		sameBits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
-		if !slices.EqualFunc(m.Floats, fresh.Floats, sameBits) || !slices.Equal(m.Words, fresh.Words) || !slices.Equal(m.Ints, fresh.Ints) {
-			t.Fatalf("vectors differ: reused %+v, fresh %+v", m, fresh)
+		for _, c := range []struct {
+			name string
+			m    *wire.Message
+		}{{"reused", &dirty}, {"lent", &lent}} {
+			name, m := c.name, c.m
+			if m.Type != fresh.Type || m.Round != fresh.Round || m.Seq != fresh.Seq || m.From != fresh.From {
+				t.Fatalf("envelope differs: %s %+v, fresh %+v", name, m, fresh)
+			}
+			if !slices.EqualFunc(m.Floats, fresh.Floats, sameBits) || !slices.Equal(m.Words, fresh.Words) || !slices.Equal(m.Ints, fresh.Ints) {
+				t.Fatalf("vectors differ: %s %+v, fresh %+v", name, m, fresh)
+			}
 		}
 	})
 }

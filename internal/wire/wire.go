@@ -29,17 +29,25 @@
 // tests pin to the transport byte count exactly.
 //
 // Who owns a decoded Message: Decode hands back a fresh one that is the
-// caller's for good — fednode's edge holds Words across an aggregation, its
-// cloud holds Floats across a fold. DecodeInto is the same decoder writing
-// into a Message the caller already owns, reusing its vectors' capacity, for
-// a reader that consumes one frame before it asks for the next: a felserve
-// subscriber following a version stream, and a fednode client, which trains
-// on each broadcast and has its reply on the wire before it reads again. A
-// steady stream of equal-size frames then allocates nothing model-sized. Either way the raw payload
-// bytes live only in a pooled scratch buffer, taken after the header has
-// arrived and returned before the call does — never across the blocking
-// header read, so a reader idle between frames pins no buffer, however
-// many hundred of them there are.
+// caller's for good, for a frame read once — a registration, an
+// acknowledgement. DecodeInto is the same decoder writing into a Message the
+// caller already owns, reusing its vectors' capacity, for a reader that
+// consumes one frame before it asks for the next: a felserve subscriber
+// following a version stream, a fednode client, which trains on each
+// broadcast and has its reply on the wire before it reads again, and a
+// fednode edge, whose groups train on one global model before it reads the
+// next. DecodeFunc lends a pooled Message for the length of one callback,
+// taken only once the frame's header has arrived: for a reader that folds or
+// copies each frame out as it lands and keeps nothing of it — fednode's edge
+// folding a member's masked words into its group's sum, its cloud copying a
+// group model into the round's slot — so a reader waiting on a slow peer
+// holds no decode storage. A steady stream of equal-size frames then
+// allocates nothing model-sized on any of the three. Either way the raw
+// payload bytes live only in a pooled scratch buffer, taken after the header
+// has arrived and returned before the call does (before DecodeFunc's
+// callback runs) — never across the blocking header read, so a reader idle
+// between frames pins no buffer, however many hundred of them there are.
+// Vectors move four words a step through array pointers in both directions.
 package wire
 
 import (
@@ -190,16 +198,12 @@ func AppendFrame(dst []byte, m *Message) ([]byte, error) {
 	off := 8
 	binary.BigEndian.PutUint32(p[off:], uint32(len(m.Floats)))
 	off += 4
-	for _, f := range m.Floats {
-		binary.BigEndian.PutUint64(p[off:], math.Float64bits(f))
-		off += 8
-	}
+	putFloats(p[off:off+8*len(m.Floats)], m.Floats)
+	off += 8 * len(m.Floats)
 	binary.BigEndian.PutUint32(p[off:], uint32(len(m.Words)))
 	off += 4
-	for _, v := range m.Words {
-		binary.BigEndian.PutUint64(p[off:], v)
-		off += 8
-	}
+	putWords(p[off:off+8*len(m.Words)], m.Words)
+	off += 8 * len(m.Words)
 	binary.BigEndian.PutUint32(p[off:], uint32(len(m.Ints)))
 	off += 4
 	for _, v := range m.Ints {
@@ -252,52 +256,102 @@ var payloads = sync.Pool{New: func() any { return new([]byte) }}
 // Decode's; after an error m's contents are unspecified and its storage is
 // still reusable.
 func DecodeInto(r io.Reader, maxFrame int, m *Message) error {
+	h, err := readHeader(r, maxFrame)
+	if err != nil {
+		return err
+	}
+	return h.readPayload(r, m)
+}
+
+// lent holds the Messages DecodeFunc lends.
+var lent = sync.Pool{New: func() any { return new(Message) }}
+
+// DecodeFunc reads one frame from r into a Message lent for the call of fn,
+// and returns fn's error. The Message comes from a pool once the frame's
+// header has arrived and goes back to it when fn returns, so fn copies out
+// whatever must outlive the call, and a reader blocked on a silent peer holds
+// no decode storage. Limits and errors are Decode's; fn runs only on a frame
+// that decoded.
+func DecodeFunc(r io.Reader, maxFrame int, fn func(*Message) error) error {
+	h, err := readHeader(r, maxFrame)
+	if err != nil {
+		return err
+	}
+	m := lent.Get().(*Message)
+	defer lent.Put(m)
+	if err := h.readPayload(r, m); err != nil {
+		return err
+	}
+	return fn(m)
+}
+
+// header is a frame's checked fixed header.
+type header struct {
+	typ    Type
+	round  uint32
+	payLen int
+	crc    uint32
+}
+
+// readHeader reads and checks one frame header: magic, version, type and the
+// payload length against maxFrame (<= 0 uses DefaultMaxFrame).
+func readHeader(r io.Reader, maxFrame int) (header, error) {
 	if maxFrame <= 0 {
 		maxFrame = DefaultMaxFrame
 	}
 	var hdr [HeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if errors.Is(err, io.EOF) {
-			return io.EOF
+			return header{}, io.EOF
 		}
 		// Wrap (not flatten) the transport error: a net.Error timeout must
 		// stay visible through errors.As so callers can tell a straggler
 		// deadline from a torn frame.
-		return fmt.Errorf("%w: header: %w", ErrTruncated, err)
+		return header{}, fmt.Errorf("%w: header: %w", ErrTruncated, err)
 	}
 	if got := binary.BigEndian.Uint16(hdr[0:]); got != Magic {
-		return fmt.Errorf("%w: 0x%04x", ErrBadMagic, got)
+		return header{}, fmt.Errorf("%w: 0x%04x", ErrBadMagic, got)
 	}
 	if hdr[2] != Version {
-		return fmt.Errorf("%w: got %d, want %d", ErrVersion, hdr[2], Version)
+		return header{}, fmt.Errorf("%w: got %d, want %d", ErrVersion, hdr[2], Version)
 	}
-	typ := Type(hdr[3])
-	if !typ.Valid() {
-		return fmt.Errorf("%w: %d", ErrBadType, hdr[3])
+	h := header{
+		typ:    Type(hdr[3]),
+		round:  binary.BigEndian.Uint32(hdr[4:]),
+		payLen: int(binary.BigEndian.Uint32(hdr[8:])),
+		crc:    binary.BigEndian.Uint32(hdr[12:]),
 	}
-	payLen := int(binary.BigEndian.Uint32(hdr[8:]))
-	if payLen > maxFrame {
-		return fmt.Errorf("%w: payload %d > limit %d", ErrTooLarge, payLen, maxFrame)
+	if !h.typ.Valid() {
+		return header{}, fmt.Errorf("%w: %d", ErrBadType, hdr[3])
 	}
-	if payLen < 20 { // seq + from + three zero-length vector counts
-		return fmt.Errorf("%w: payload %d below minimum 20", ErrMalformed, payLen)
+	if h.payLen > maxFrame {
+		return header{}, fmt.Errorf("%w: payload %d > limit %d", ErrTooLarge, h.payLen, maxFrame)
 	}
+	if h.payLen < 20 { // seq + from + three zero-length vector counts
+		return header{}, fmt.Errorf("%w: payload %d below minimum 20", ErrMalformed, h.payLen)
+	}
+	return h, nil
+}
+
+// readPayload reads the payload h announces, checks its CRC and parses it
+// into m.
+func (h header) readPayload(r io.Reader, m *Message) error {
 	// The scratch is taken only now that a header has arrived: a reader
 	// blocked between frames holds nothing but its own Message.
 	bp := payloads.Get().(*[]byte)
 	defer payloads.Put(bp)
-	if cap(*bp) < payLen {
-		*bp = make([]byte, payLen)
+	if cap(*bp) < h.payLen {
+		*bp = make([]byte, h.payLen)
 	}
-	p := (*bp)[:payLen]
+	p := (*bp)[:h.payLen]
 	if _, err := io.ReadFull(r, p); err != nil {
 		return fmt.Errorf("%w: payload: %w", ErrTruncated, err)
 	}
-	if got, want := crc32.ChecksumIEEE(p), binary.BigEndian.Uint32(hdr[12:]); got != want {
-		return fmt.Errorf("%w: got 0x%08x, want 0x%08x", ErrChecksum, got, want)
+	if got := crc32.ChecksumIEEE(p); got != h.crc {
+		return fmt.Errorf("%w: got 0x%08x, want 0x%08x", ErrChecksum, got, h.crc)
 	}
-	m.Type = typ
-	m.Round = binary.BigEndian.Uint32(hdr[4:])
+	m.Type = h.typ
+	m.Round = h.round
 	return parsePayload(m, p)
 }
 
@@ -314,10 +368,8 @@ func parsePayload(m *Message, p []byte) error {
 		m.Floats = make([]float64, n)
 	}
 	m.Floats = m.Floats[:n]
-	for i := range m.Floats {
-		m.Floats[i] = math.Float64frombits(binary.BigEndian.Uint64(p[off:]))
-		off += 8
-	}
+	getFloats(m.Floats, p[off:off+8*n])
+	off += 8 * n
 	n, off, err = vectorLen(p, off, 8)
 	if err != nil {
 		return err
@@ -326,10 +378,8 @@ func parsePayload(m *Message, p []byte) error {
 		m.Words = make([]uint64, n)
 	}
 	m.Words = m.Words[:n]
-	for i := range m.Words {
-		m.Words[i] = binary.BigEndian.Uint64(p[off:])
-		off += 8
-	}
+	getWords(m.Words, p[off:off+8*n])
+	off += 8 * n
 	n, off, err = vectorLen(p, off, 4)
 	if err != nil {
 		return err
@@ -346,6 +396,66 @@ func parsePayload(m *Message, p []byte) error {
 		return fmt.Errorf("%w: %d trailing payload bytes", ErrMalformed, len(p)-off)
 	}
 	return nil
+}
+
+// putFloats writes fs big-endian into p (8·len(fs) bytes), four values a
+// step through array pointers, so the loop body holds no bounds check; the
+// tail goes value by value. putWords, getFloats and getWords are the same
+// loop for the other vector and the other direction.
+func putFloats(p []byte, fs []float64) {
+	for len(fs) >= 4 {
+		d, s := (*[32]byte)(p), (*[4]float64)(fs)
+		binary.BigEndian.PutUint64(d[0:], math.Float64bits(s[0]))
+		binary.BigEndian.PutUint64(d[8:], math.Float64bits(s[1]))
+		binary.BigEndian.PutUint64(d[16:], math.Float64bits(s[2]))
+		binary.BigEndian.PutUint64(d[24:], math.Float64bits(s[3]))
+		p, fs = p[32:], fs[4:]
+	}
+	for i, f := range fs {
+		binary.BigEndian.PutUint64(p[8*i:], math.Float64bits(f))
+	}
+}
+
+func putWords(p []byte, ws []uint64) {
+	for len(ws) >= 4 {
+		d, s := (*[32]byte)(p), (*[4]uint64)(ws)
+		binary.BigEndian.PutUint64(d[0:], s[0])
+		binary.BigEndian.PutUint64(d[8:], s[1])
+		binary.BigEndian.PutUint64(d[16:], s[2])
+		binary.BigEndian.PutUint64(d[24:], s[3])
+		p, ws = p[32:], ws[4:]
+	}
+	for i, w := range ws {
+		binary.BigEndian.PutUint64(p[8*i:], w)
+	}
+}
+
+func getFloats(fs []float64, p []byte) {
+	for len(fs) >= 4 {
+		d, s := (*[4]float64)(fs), (*[32]byte)(p)
+		d[0] = math.Float64frombits(binary.BigEndian.Uint64(s[0:]))
+		d[1] = math.Float64frombits(binary.BigEndian.Uint64(s[8:]))
+		d[2] = math.Float64frombits(binary.BigEndian.Uint64(s[16:]))
+		d[3] = math.Float64frombits(binary.BigEndian.Uint64(s[24:]))
+		fs, p = fs[4:], p[32:]
+	}
+	for i := range fs {
+		fs[i] = math.Float64frombits(binary.BigEndian.Uint64(p[8*i:]))
+	}
+}
+
+func getWords(ws []uint64, p []byte) {
+	for len(ws) >= 4 {
+		d, s := (*[4]uint64)(ws), (*[32]byte)(p)
+		d[0] = binary.BigEndian.Uint64(s[0:])
+		d[1] = binary.BigEndian.Uint64(s[8:])
+		d[2] = binary.BigEndian.Uint64(s[16:])
+		d[3] = binary.BigEndian.Uint64(s[24:])
+		ws, p = ws[4:], p[32:]
+	}
+	for i := range ws {
+		ws[i] = binary.BigEndian.Uint64(p[8*i:])
+	}
 }
 
 // ErrorClass maps a Decode error to a short stable label, the reason

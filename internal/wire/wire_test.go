@@ -314,3 +314,37 @@ func TestDecodeIntoReuse(t *testing.T) {
 		t.Fatalf("decode after a truncated frame: %+v, err %v", m, err)
 	}
 }
+
+// TestDecodeFunc: the lent Message carries the frame into the callback, the
+// callback's error is DecodeFunc's, and a frame that fails to decode never
+// reaches the callback. (Its steady-state allocation is held by fednode's
+// TestJobRoundSteadyState, whose edge and cloud decode through it.)
+func TestDecodeFunc(t *testing.T) {
+	m := &Message{Type: MaskedUpdate, Round: 4, Seq: 1, From: 2, Words: make([]uint64, 301)}
+	for i := range m.Words {
+		m.Words[i] = uint64(i) * 0x9e3779b97f4a7c15
+	}
+	frame, err := AppendFrame(nil, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := errors.New("stop")
+	for range 3 { // the second and third calls take a pooled Message
+		if err := DecodeFunc(bytes.NewReader(frame), 0, func(got *Message) error {
+			if !sameMessage(got, m) {
+				t.Errorf("lent Message %+v, want %+v", got, m)
+			}
+			return stop
+		}); err != stop {
+			t.Errorf("DecodeFunc returned %v, want the callback's error", err)
+		}
+	}
+	bad := append([]byte(nil), frame...)
+	bad[len(bad)-1] ^= 1
+	if err := DecodeFunc(bytes.NewReader(bad), 0, func(*Message) error {
+		t.Error("the callback ran on a frame that failed its checksum")
+		return nil
+	}); !errors.Is(err, ErrChecksum) {
+		t.Errorf("corrupt frame: err = %v, want ErrChecksum", err)
+	}
+}
