@@ -183,7 +183,7 @@ go test ./...
 echo "== go test -race (cpu, core, wire, secagg, fednode, faultnet, metrics, felserve, grouping, data, leakcheck, cmd/felnode)"
 go test -race ./internal/cpu ./internal/core ./internal/wire ./internal/secagg ./internal/fednode ./internal/faultnet/... ./internal/metrics ./internal/felserve ./internal/grouping ./internal/data ./internal/leakcheck ./cmd/felnode
 
-echo "== go test -fuzz smoke (18s total across targets)"
+echo "== go test -fuzz smoke (19s total across targets)"
 go test ./internal/wire -run '^$' -fuzz FuzzDecodeFrame -fuzztime 1s
 go test ./internal/wire -run '^$' -fuzz FuzzDecodeIntoReuse -fuzztime 1s
 go test ./internal/secagg -run '^$' -fuzz FuzzFieldOps -fuzztime 1s
@@ -199,6 +199,7 @@ go test ./internal/fednode -run '^$' -fuzz FuzzMemConnStream -fuzztime 1s
 # default 60 s would spend the whole second on one input instead of fuzzing.
 go test ./internal/felserve -run '^$' -fuzz FuzzLoadCheckpoint -fuzztime 2s -fuzzminimizetime 100x
 go test ./internal/faultnet -run '^$' -fuzz FuzzLoadPlan -fuzztime 1s
+go test ./internal/faultnet -run '^$' -fuzz FuzzFaultConnPassThrough -fuzztime 1s
 go test ./internal/stats -run '^$' -fuzz FuzzCoVOfCounts -fuzztime 1s
 go test ./internal/stats -run '^$' -fuzz FuzzKLDivergence -fuzztime 1s
 go test ./internal/groupio -run '^$' -fuzz FuzzParse -fuzztime 1s

@@ -1,7 +1,6 @@
 package faultnet
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
@@ -64,14 +63,16 @@ func (c *faultConn) SetDeadline(t time.Time) error {
 	return c.Conn.SetDeadline(t)
 }
 
-// Write applies the plan to one outgoing frame. Non-frame writes (partial
-// or foreign bytes) pass through untouched.
+// Write applies the plan to one outgoing frame: p holds exactly one whole
+// frame, the invariant wire.Encode's single Write guarantees. Anything else
+// — partial writes, foreign bytes — passes through untouched.
 func (c *faultConn) Write(p []byte) (int, error) {
-	fi, ok := parseFrame(p)
-	if !ok {
+	h, err := wire.ParseHeader(p, 0)
+	seq, whole := h.Seq(p)
+	if err != nil || !whole {
 		return c.Conn.Write(p)
 	}
-	d := c.out.decide(fi, len(p))
+	d := c.out.decide(h, seq)
 	for _, e := range d.events {
 		c.nw.record(e)
 	}
@@ -107,7 +108,9 @@ func (c *faultConn) waitOut(sleep time.Duration) {
 }
 
 // Read buffers one inbound frame, applies the plan to it, and serves it.
-// Non-frame byte streams pass through unmodified.
+// Non-frame byte streams pass through unmodified: 16 bytes that are no
+// header (wire.ParseHeader) are served as they came, and so is a frame the
+// stream ends inside, followed by the stream's own error.
 func (c *faultConn) Read(b []byte) (int, error) {
 	if len(c.rbuf) > 0 {
 		n := copy(b, c.rbuf)
@@ -118,33 +121,27 @@ func (c *faultConn) Read(b []byte) (int, error) {
 		return 0, c.rerr
 	}
 
-	var hdr [wire.HeaderSize]byte
-	n, err := io.ReadFull(c.Conn, hdr[:])
+	frame := make([]byte, wire.HeaderSize)
+	n, err := io.ReadFull(c.Conn, frame)
 	if err != nil {
 		if n == 0 {
 			return 0, err
 		}
-		c.rbuf, c.rerr = append([]byte(nil), hdr[:n]...), err
+		c.rbuf, c.rerr = frame[:n], ended(err)
 		return c.Read(b)
 	}
-	payLen := int(binary.BigEndian.Uint32(hdr[8:]))
-	if !frameHeaderOK(hdr[:], payLen) {
-		c.rbuf = append([]byte(nil), hdr[:]...)
-		return c.Read(b)
-	}
-	frame := make([]byte, wire.HeaderSize+payLen)
-	copy(frame, hdr[:])
-	if m, err := io.ReadFull(c.Conn, frame[wire.HeaderSize:]); err != nil {
-		c.rbuf, c.rerr = frame[:wire.HeaderSize+m], err
-		return c.Read(b)
-	}
-
-	fi, ok := parseFrame(frame)
-	if !ok { // paranoia: a buffered frame always parses
+	h, err := wire.ParseHeader(frame, 0)
+	if err != nil {
 		c.rbuf = frame
 		return c.Read(b)
 	}
-	d := c.in.decide(fi, len(frame))
+	frame = append(frame, make([]byte, h.PayLen)...)
+	if m, err := io.ReadFull(c.Conn, frame[wire.HeaderSize:]); err != nil {
+		c.rbuf, c.rerr = frame[:wire.HeaderSize+m], ended(err)
+		return c.Read(b)
+	}
+	seq, _ := h.Seq(frame)
+	d := c.in.decide(h, seq)
 	for _, e := range d.events {
 		c.nw.record(e)
 	}
@@ -165,6 +162,15 @@ func (c *faultConn) Read(b []byte) (int, error) {
 	}
 	c.rbuf = frame
 	return c.Read(b)
+}
+
+// ended undoes io.ReadFull's rewrite of io.EOF: a stream that ends inside a
+// frame ends in the io.EOF the connection returned, as it does unwrapped.
+func ended(err error) error {
+	if err == io.ErrUnexpectedEOF {
+		return io.EOF
+	}
+	return err
 }
 
 // waitIn sleeps through an injected inbound delay plus any active partition,
@@ -190,22 +196,4 @@ func (c *faultConn) waitIn(sleep time.Duration) (dropped bool, err error) {
 func closeQuiet(c io.Closer) {
 	//lint:ignore dropped-error fault-path close; the connection is being destroyed by design
 	c.Close()
-}
-
-// frameHeaderOK reports whether a 16-byte header opens a bufferable frame.
-func frameHeaderOK(hdr []byte, payLen int) bool {
-	if binary.BigEndian.Uint16(hdr) != wire.Magic || hdr[2] != wire.Version {
-		return false
-	}
-	if !wire.Type(hdr[3]).Valid() {
-		return false
-	}
-	return payLen >= 0 && payLen <= wire.DefaultMaxFrame
-}
-
-// flipBits inverts the given payload bit positions in a full frame.
-func flipBits(frame []byte, bits []int) {
-	for _, bit := range bits {
-		frame[wire.HeaderSize+bit/8] ^= 1 << (bit % 8)
-	}
 }

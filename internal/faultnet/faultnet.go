@@ -264,12 +264,14 @@ type decision struct {
 }
 
 // decide consumes one frame slot on the direction and returns the faults
-// the plan injects into it. All randomness is drawn here, under the lock.
-func (ds *dirState) decide(fi frameInfo, frameLen int) decision {
+// the plan injects into the frame h heads, whose payload opens with seq. All
+// randomness is drawn here, under the lock.
+func (ds *dirState) decide(h wire.Header, seq uint32) decision {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
 	frame := ds.frames
 	ds.frames++
+	frameLen, round, k := h.FrameLen(), int(h.Round), int(seq)
 
 	var d decision
 	for i := range ds.net.plan.Rules {
@@ -277,7 +279,7 @@ func (ds *dirState) decide(fi frameInfo, frameLen int) decision {
 		if d.terminal != "" {
 			break
 		}
-		if !r.matches(ds.from, ds.to, fi.typ, fi.round, fi.seq) {
+		if !r.matches(ds.from, ds.to, h.Type, round, k) {
 			continue
 		}
 		if r.Count > 0 && ds.fired[i] >= r.Count {
@@ -289,7 +291,7 @@ func (ds *dirState) decide(fi frameInfo, frameLen int) decision {
 		ds.fired[i]++
 		ev := Event{
 			Link: ds.link, Frame: frame, Action: r.Action,
-			Type: fi.typ.String(), Round: fi.round, Seq: fi.seq,
+			Type: h.Type.String(), Round: round, Seq: k,
 		}
 		switch r.Action {
 		case ActionDelay:
@@ -306,20 +308,10 @@ func (ds *dirState) decide(fi frameInfo, frameLen int) decision {
 				ev.Detail += fmt.Sprintf("+%v", perByte)
 			}
 		case ActionCorrupt:
-			payloadBits := (frameLen - wire.HeaderSize) * 8
-			if payloadBits <= 0 {
-				continue
-			}
-			for f := 0; f < r.Flips; f++ {
-				d.corrupt = append(d.corrupt, ds.rng.IntN(payloadBits))
-			}
+			d.corrupt = drawFlips(d.corrupt, frameLen, r.Flips, ds.rng)
 			ev.Detail = fmt.Sprintf("flips=%d", r.Flips)
 		case ActionTruncate:
-			lo := wire.HeaderSize
-			if frameLen <= lo+1 {
-				lo = 1
-			}
-			d.cut = lo + ds.rng.IntN(frameLen-lo)
+			d.cut = drawCut(frameLen, ds.rng)
 			d.terminal = ActionTruncate
 			ev.Detail = fmt.Sprintf("cut=%d/%d", d.cut, frameLen)
 		case ActionReset:

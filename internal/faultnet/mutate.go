@@ -5,9 +5,12 @@ import (
 	"repro/internal/wire"
 )
 
-// Corruption mutators, shared between the injector's write path and the
-// wire fuzz corpus (internal/wire's FuzzDecodeFrame seeds itself from these
-// so the fuzzer starts exactly where chaos runs leave off).
+// The corruption and truncation draws. The injector's decide draws a fault's
+// bit positions or cut from its link's RNG with drawFlips and drawCut, and
+// the exported mutators apply the same draws to a copy of a frame: the wire
+// fuzz corpus (internal/wire's FuzzDecodeFrame) and faultnet's own
+// FuzzFaultConnPassThrough seed themselves from CorruptBits and
+// TruncateFrame, so the fuzzers start exactly where chaos runs leave off.
 
 // CorruptBits returns a copy of frame with flips payload bits inverted at
 // seeded positions. The header (including the CRC of the original payload)
@@ -15,14 +18,7 @@ import (
 // Frames too short to carry a payload are returned unchanged.
 func CorruptBits(frame []byte, flips int, rng *stats.RNG) []byte {
 	out := append([]byte(nil), frame...)
-	if len(out) <= wire.HeaderSize || flips <= 0 {
-		return out
-	}
-	payloadBits := (len(out) - wire.HeaderSize) * 8
-	for i := 0; i < flips; i++ {
-		bit := rng.IntN(payloadBits)
-		out[wire.HeaderSize+bit/8] ^= 1 << (bit % 8)
-	}
+	flipBits(out, drawFlips(nil, len(out), flips, rng))
 	return out
 }
 
@@ -33,42 +29,39 @@ func TruncateFrame(frame []byte, rng *stats.RNG) []byte {
 	if len(frame) <= 1 {
 		return nil
 	}
+	return append([]byte(nil), frame[:drawCut(len(frame), rng)]...)
+}
+
+// drawFlips appends flips payload bit positions of a frameLen-byte frame,
+// drawn from rng, to dst. A frame with no payload has no bit to flip and
+// draws nothing.
+func drawFlips(dst []int, frameLen, flips int, rng *stats.RNG) []int {
+	payloadBits := (frameLen - wire.HeaderSize) * 8
+	if payloadBits <= 0 {
+		return dst
+	}
+	for i := 0; i < flips; i++ {
+		dst = append(dst, rng.IntN(payloadBits))
+	}
+	return dst
+}
+
+// drawCut draws how many bytes of a frameLen-byte frame (at least 2) a
+// truncation keeps: a strict prefix that ends inside the payload, or inside
+// the header when there is no payload. Every frame the injector sees has
+// one — a header-checked frame is at least wire.HeaderSize + wire.MinPayload
+// = 36 bytes — so its cuts always keep the whole header.
+func drawCut(frameLen int, rng *stats.RNG) int {
 	lo := wire.HeaderSize
-	if len(frame) <= wire.HeaderSize {
+	if frameLen <= lo {
 		lo = 1
 	}
-	cut := lo + rng.IntN(len(frame)-lo)
-	return append([]byte(nil), frame[:cut]...)
+	return lo + rng.IntN(frameLen-lo)
 }
 
-// frameInfo is the injector's view of one encoded frame: enough header and
-// payload structure to match rules without a full decode.
-type frameInfo struct {
-	typ   wire.Type
-	round int
-	seq   int
-}
-
-// parseFrame inspects p and, when it holds exactly one well-formed frame
-// (the invariant wire.Encode's single-Write guarantees), returns its info.
-// Anything else — partial writes, foreign bytes — is reported unparsed and
-// passes through the injector untouched.
-func parseFrame(p []byte) (frameInfo, bool) {
-	if len(p) < wire.HeaderSize+8 {
-		return frameInfo{}, false
+// flipBits inverts the given payload bit positions in a full frame.
+func flipBits(frame []byte, bits []int) {
+	for _, bit := range bits {
+		frame[wire.HeaderSize+bit/8] ^= 1 << (bit % 8)
 	}
-	if uint16(p[0])<<8|uint16(p[1]) != wire.Magic || p[2] != wire.Version {
-		return frameInfo{}, false
-	}
-	typ := wire.Type(p[3])
-	if !typ.Valid() {
-		return frameInfo{}, false
-	}
-	payLen := int(uint32(p[8])<<24 | uint32(p[9])<<16 | uint32(p[10])<<8 | uint32(p[11]))
-	if len(p) != wire.HeaderSize+payLen {
-		return frameInfo{}, false
-	}
-	round := int(uint32(p[4])<<24 | uint32(p[5])<<16 | uint32(p[6])<<8 | uint32(p[7]))
-	seq := int(uint32(p[16])<<24 | uint32(p[17])<<16 | uint32(p[18])<<8 | uint32(p[19]))
-	return frameInfo{typ: typ, round: round, seq: seq}, true
 }

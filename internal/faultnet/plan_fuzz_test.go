@@ -61,7 +61,7 @@ func FuzzLoadPlan(f *testing.F) {
 			ds := nw.dir(link[0], link[1])
 			for typ := wire.GlobalModel; typ.Valid(); typ++ {
 				for _, frameLen := range []int{wire.HeaderSize + 8, wire.HeaderSize + 4096, wire.HeaderSize + wire.DefaultMaxFrame} {
-					d := ds.decide(frameInfo{typ: typ, round: 1, seq: 0}, frameLen)
+					d := ds.decide(wire.Header{Type: typ, Round: 1, PayLen: frameLen - wire.HeaderSize}, 0)
 					if d.sleep < 0 {
 						t.Fatalf("%s→%s %v: negative sleep %v", link[0], link[1], typ, d.sleep)
 					}

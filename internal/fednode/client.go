@@ -8,7 +8,6 @@ import (
 	"repro/internal/data"
 	"repro/internal/metrics"
 	"repro/internal/secagg"
-	"repro/internal/stats"
 	"repro/internal/tensor"
 	"repro/internal/wire"
 )
@@ -51,12 +50,6 @@ func NewClient(id int, sys *core.System, cfg JobConfig) *Client {
 	}
 }
 
-func (c *Client) logf(format string, args ...any) {
-	if c.cfg.Logf != nil {
-		c.cfg.Logf(format, args...)
-	}
-}
-
 // membership is what a client's group assignment fixes for the rest of the
 // job — its rows too, drawn at its first broadcast — plus the secagg session
 // of its latest masked update, which a share-reveal request for that group
@@ -93,22 +86,15 @@ func (c *Client) Run(nw Network, edgeAddr string) ([]float64, error) {
 		return nil, fmt.Errorf("fednode: client %d not in system", c.id)
 	}
 
-	tag := fmt.Sprintf("client/%d", c.id)
-	raw, err := DialRetry(nw, tag, edgeAddr, cfg.DialAttempts, cfg.DialBackoff, cfg.Meter,
-		stats.NewRNG(dialSeed(cfg.Seed, tag)))
+	conn, err := dialHello(nw, cfg, fmt.Sprintf("client/%d", c.id), edgeAddr, c.id)
 	if err != nil {
 		return nil, err
 	}
-	conn := meter(raw, cfg.Meter)
 	defer closeQuiet(conn)
-	hello := &wire.Message{Type: wire.GroupAssign, From: int32(c.id)}
-	if err := sendFrame(conn, cfg.Meter, hello, cfg.RoundTimeout); err != nil {
-		return nil, fmt.Errorf("fednode: client %d register: %w", c.id, err)
-	}
 
 	// Group assignment: group id, this client's index within the group, and
 	// the full membership (needed to derive the secagg session locally).
-	assign, err := expectFrame(conn, cfg.Meter, cfg.RoundTimeout, wire.GroupAssign)
+	assign, err := expectFrame(conn, cfg.Meter, cfg.RoundTimeout, 0, wire.GroupAssign)
 	if err != nil {
 		return nil, fmt.Errorf("fednode: client %d assignment: %w", c.id, err)
 	}
@@ -129,13 +115,13 @@ func (c *Client) Run(nw Network, edgeAddr string) ([]float64, error) {
 	if st.n > 1 {
 		st.ops = secagg.NewOpCounters(cfg.Meter.Registry(), st.n)
 	}
-	c.logf("client %d: joined group %d as member %d/%d", c.id, st.gid, st.idx, st.n)
+	c.cfg.Logf("client %d: joined group %d as member %d/%d", c.id, st.gid, st.idx, st.n)
 
 	var m wire.Message // every frame from the edge decodes into this one
 	for {
 		// Between requests the client blocks without a deadline: its edge
 		// decides the pace.
-		if err := readFrame(conn, cfg.Meter, 0, &m); err != nil {
+		if err := readFrame(conn, cfg.Meter, 0, 0, &m); err != nil {
 			return nil, fmt.Errorf("fednode: client %d read: %w", c.id, err)
 		}
 		switch m.Type {
@@ -169,7 +155,7 @@ func (c *Client) Run(nw Network, edgeAddr string) ([]float64, error) {
 				return nil, fmt.Errorf("fednode: client %d reveal reply: %w", c.id, err)
 			}
 		case wire.GlobalAggregate:
-			c.logf("client %d: received final model", c.id)
+			c.cfg.Logf("client %d: received final model", c.id)
 			return m.Floats, nil
 		default:
 			return nil, fmt.Errorf("fednode: client %d unexpected %s frame", c.id, m.Type)

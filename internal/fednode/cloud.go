@@ -29,13 +29,6 @@ func NewCloud(sys *core.System, cfg JobConfig) *Cloud {
 	return &Cloud{sys: sys, cfg: cfg.withDefaults()}
 }
 
-// logf traces when a logger is configured.
-func (c *Cloud) logf(format string, args ...any) {
-	if c.cfg.Logf != nil {
-		c.cfg.Logf(format, args...)
-	}
-}
-
 // Run serves one complete job on ln and returns the report. It expects
 // len(sys.Edges) edge servers to register and blocks until the job drains:
 // when Run returns, every protocol goroutine it spawned has been joined and
@@ -57,17 +50,10 @@ func (c *Cloud) Run(ln net.Listener) (*Report, error) {
 		}
 	}()
 	for i := 0; i < numEdges; i++ {
-		raw, err := AcceptRetry(ln, cfg.DialAttempts, cfg.DialBackoff, cfg.Meter)
+		conn, id, err := acceptHello(ln, cfg)
 		if err != nil {
-			return nil, fmt.Errorf("fednode: cloud accept: %w", err)
-		}
-		conn := meter(raw, cfg.Meter)
-		reg, err := expectFrame(conn, cfg.Meter, cfg.RoundTimeout, wire.GroupAssign)
-		if err != nil {
-			closeQuiet(conn)
 			return nil, fmt.Errorf("fednode: edge registration: %w", err)
 		}
-		id := int(reg.From)
 		if id < 0 || id >= numEdges {
 			closeQuiet(conn)
 			return nil, fmt.Errorf("fednode: edge id %d out of range [0,%d)", id, numEdges)
@@ -77,7 +63,7 @@ func (c *Cloud) Run(ln net.Listener) (*Report, error) {
 			return nil, fmt.Errorf("fednode: duplicate registration for edge %d", id)
 		}
 		conns[id] = conn
-		c.logf("cloud: edge %d registered (%d/%d)", id, i+1, numEdges)
+		c.cfg.Logf("cloud: edge %d registered (%d/%d)", id, i+1, numEdges)
 	}
 
 	// The one round loop: the cloud steps the core.Trainer the in-process path
@@ -133,7 +119,7 @@ func (c *Cloud) Run(ln net.Listener) (*Report, error) {
 		rep.Rounds = append(rep.Rounds, stat)
 		rep.Recoveries += stat.Recoveries
 		roundSpan.End()
-		c.logf("cloud: round %d done: acc=%.4f dropouts=%d recoveries=%d bytes=%d",
+		c.cfg.Logf("cloud: round %d done: acc=%.4f dropouts=%d recoveries=%d bytes=%d",
 			rec.Round, rec.Accuracy, stat.Dropouts, stat.Recoveries, stat.WireBytes)
 	}
 
@@ -146,7 +132,7 @@ func (c *Cloud) Run(ln net.Listener) (*Report, error) {
 		}
 	}
 	for e, conn := range conns {
-		if _, err := expectFrame(conn, cfg.Meter, cfg.RoundTimeout, wire.GlobalAggregate); err != nil {
+		if _, err := expectFrame(conn, cfg.Meter, cfg.RoundTimeout, 0, wire.GlobalAggregate); err != nil {
 			return nil, fmt.Errorf("fednode: shutdown ack from edge %d: %w", e, err)
 		}
 	}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/metrics"
 	"repro/internal/secagg"
-	"repro/internal/stats"
 	"repro/internal/wire"
 )
 
@@ -41,12 +40,6 @@ func NewEdge(id int, sys *core.System, cfg JobConfig) *Edge {
 	}
 }
 
-func (e *Edge) logf(format string, args ...any) {
-	if e.cfg.Logf != nil {
-		e.cfg.Logf(format, args...)
-	}
-}
-
 // edgeGroup is one assigned group's connection-side state.
 type edgeGroup struct {
 	gid     int
@@ -75,18 +68,11 @@ type edgeGroup struct {
 // and all connections are closed.
 func (e *Edge) Run(nw Network, ln net.Listener, cloudAddr string) error {
 	cfg := e.cfg
-	tag := fmt.Sprintf("edge/%d", e.id)
-	rawCloud, err := DialRetry(nw, tag, cloudAddr, cfg.DialAttempts, cfg.DialBackoff, cfg.Meter,
-		stats.NewRNG(dialSeed(cfg.Seed, tag)))
+	cloudConn, err := dialHello(nw, cfg, fmt.Sprintf("edge/%d", e.id), cloudAddr, e.id)
 	if err != nil {
 		return err
 	}
-	cloudConn := meter(rawCloud, cfg.Meter)
 	defer closeQuiet(cloudConn)
-	reg := &wire.Message{Type: wire.GroupAssign, From: int32(e.id)}
-	if err := sendFrame(cloudConn, cfg.Meter, reg, cfg.RoundTimeout); err != nil {
-		return fmt.Errorf("fednode: edge %d register: %w", e.id, err)
-	}
 
 	// Accept and register this edge's clients.
 	mine := make(map[int]bool, len(e.sys.Edges[e.id]))
@@ -100,17 +86,10 @@ func (e *Edge) Run(nw Network, ln net.Listener, cloudAddr string) error {
 		}
 	}()
 	for len(clientConns) < len(mine) {
-		raw, err := AcceptRetry(ln, cfg.DialAttempts, cfg.DialBackoff, cfg.Meter)
+		conn, cid, err := acceptHello(ln, cfg)
 		if err != nil {
-			return fmt.Errorf("fednode: edge %d accept: %w", e.id, err)
+			return fmt.Errorf("fednode: edge %d client registration: %w", e.id, err)
 		}
-		conn := meter(raw, cfg.Meter)
-		hello, err := expectFrame(conn, cfg.Meter, cfg.RoundTimeout, wire.GroupAssign)
-		if err != nil {
-			closeQuiet(conn)
-			return fmt.Errorf("fednode: client registration: %w", err)
-		}
-		cid := int(hello.From)
 		if !mine[cid] {
 			closeQuiet(conn)
 			return fmt.Errorf("fednode: client %d does not belong to edge %d", cid, e.id)
@@ -121,7 +100,7 @@ func (e *Edge) Run(nw Network, ln net.Listener, cloudAddr string) error {
 		}
 		clientConns[cid] = conn
 	}
-	e.logf("edge %d: %d clients registered", e.id, len(clientConns))
+	e.cfg.Logf("edge %d: %d clients registered", e.id, len(clientConns))
 
 	// Receive the group assignment and forward each member its group view
 	// (group id, its index, the full membership).
@@ -129,7 +108,7 @@ func (e *Edge) Run(nw Network, ln net.Listener, cloudAddr string) error {
 	assigns := make(map[int]*wire.Message, len(mine))
 	seats := make(map[int]seat, len(mine))
 	for {
-		m, err := expectFrame(cloudConn, cfg.Meter, cfg.RoundTimeout, wire.GroupAssign)
+		m, err := expectFrame(cloudConn, cfg.Meter, cfg.RoundTimeout, 0, wire.GroupAssign)
 		if err != nil {
 			return fmt.Errorf("fednode: edge %d assignment: %w", e.id, err)
 		}
@@ -163,7 +142,7 @@ func (e *Edge) Run(nw Network, ln net.Listener, cloudAddr string) error {
 			}
 		}
 	}
-	e.logf("edge %d: %d groups assigned", e.id, len(groups))
+	e.cfg.Logf("edge %d: %d groups assigned", e.id, len(groups))
 
 	// From here on the listener serves crash-restarted clients: the rejoin
 	// loop replays their assignment and queues them for adoption at the next
@@ -189,7 +168,7 @@ func (e *Edge) Run(nw Network, ln net.Listener, cloudAddr string) error {
 	for {
 		// Between rounds the edge blocks on the cloud without a deadline:
 		// the cloud decides the job's pace.
-		if err := readFrame(cloudConn, cfg.Meter, 0, m); err != nil {
+		if err := readFrame(cloudConn, cfg.Meter, 0, 0, m); err != nil {
 			return fmt.Errorf("fednode: edge %d read from cloud: %w", e.id, err)
 		}
 		switch m.Type {
@@ -248,25 +227,22 @@ type rejoin struct {
 
 // rejoinLoop serves the edge's listener after initial registration: each
 // accepted connection is a crash-restarted client re-registering. The loop
-// validates the hello, replays the client's stored group assignment, and
-// queues the connection for adoption. A malformed or foreign hello just
-// drops the connection — a chaos run must not let one corrupted
+// reads the hello (acceptHello), replays the client's stored group
+// assignment, and queues the connection for adoption. A malformed or foreign
+// hello just drops the connection — a chaos run must not let one corrupted
 // registration kill the edge — and every drop is counted by reason
 // (rejectRejoin). The loop exits when ln closes.
 func (e *Edge) rejoinLoop(ln net.Listener, mine map[int]bool, assigns map[int]*wire.Message, ch chan<- rejoin) {
 	cfg := e.cfg
 	for {
-		raw, err := ln.Accept()
-		if err != nil {
+		conn, cid, err := acceptHello(ln, cfg)
+		if conn == nil {
 			return
 		}
-		conn := meter(raw, cfg.Meter)
-		hello, err := expectFrame(conn, cfg.Meter, cfg.RoundTimeout, wire.GroupAssign)
 		if err != nil {
 			e.rejectRejoin(conn, "bad_hello")
 			continue
 		}
-		cid := int(hello.From)
 		assign := assigns[cid]
 		if !mine[cid] || assign == nil {
 			e.rejectRejoin(conn, "foreign")
@@ -278,7 +254,7 @@ func (e *Edge) rejoinLoop(ln net.Listener, mine map[int]bool, assigns map[int]*w
 		}
 		select {
 		case ch <- rejoin{cid: cid, conn: conn}:
-			e.logf("edge %d: client %d re-registered", e.id, cid)
+			e.cfg.Logf("edge %d: client %d re-registered", e.id, cid)
 		default:
 			// The adoption queue is full (a client redialing faster than
 			// rounds turn over); drop this attempt, it can redial.
@@ -320,7 +296,7 @@ func (e *Edge) adoptRejoins(ch <-chan rejoin, seats map[int]seat, clientConns ma
 			s.g.dead[s.idx] = false
 			clientConns[r.cid] = r.conn
 			e.cfg.Meter.rejoins.Inc()
-			e.logf("edge %d: client %d rejoined group %d", e.id, r.cid, s.g.gid)
+			e.cfg.Logf("edge %d: client %d rejoined group %d", e.id, r.cid, s.g.gid)
 		default:
 			return
 		}
@@ -363,7 +339,7 @@ func (e *Edge) runGroup(g *edgeGroup, t int, globalParams []float64, cloud *lock
 
 	for k := 0; k < cfg.GroupRounds; k++ {
 		kSpan := e.groupRoundHist.Start()
-		e.logf("edge: group %d round %d.%d → broadcast", g.gid, t, k)
+		e.cfg.Logf("edge: group %d round %d.%d → broadcast", g.gid, t, k)
 		// Every member gets the same frame: encode it once, write it n times.
 		msg := &wire.Message{Type: wire.GlobalModel, Round: uint32(t), Seq: uint32(k), Floats: g.params}
 		var err error
@@ -382,7 +358,7 @@ func (e *Edge) runGroup(g *edgeGroup, t int, globalParams []float64, cloud *lock
 			}
 		}
 
-		e.logf("edge: group %d round %d.%d → collect", g.gid, t, k)
+		e.cfg.Logf("edge: group %d round %d.%d → collect", g.gid, t, k)
 		// The session depends on nothing the round collects, so it is
 		// ready before the first masked update lands. A singleton group
 		// runs none: secure aggregation needs two parties, so the lone
@@ -399,17 +375,15 @@ func (e *Edge) runGroup(g *edgeGroup, t int, globalParams []float64, cloud *lock
 				return
 			}
 			collectErr[i] = lendFrame(g.conns[i], cfg.Meter, cfg.StragglerTimeout, wire.MaskedUpdate, func(m *wire.Message) error {
-				switch {
-				case n == 1:
+				if n == 1 {
 					if plainLen = len(m.Floats); plainLen == dim {
 						copy(g.params, m.Floats)
 					}
 					return nil
-				case len(m.Words) != dim:
-					// Like a corrupt frame: the member is a dropout, not a
-					// panic or a truncated sum.
-					return fmt.Errorf("fednode: masked update has %d words, want %d", len(m.Words), dim)
 				}
+				// Fold refuses a vector that does not hold dim words and
+				// leaves the sum as it was: like a corrupt frame, the member
+				// becomes a dropout.
 				return sess.Fold(i, m.Words)
 			})
 		})
@@ -442,7 +416,7 @@ func (e *Edge) runGroup(g *edgeGroup, t int, globalParams []float64, cloud *lock
 		}
 
 		if len(dropped) > 0 {
-			e.logf("edge: group %d round %d.%d → reveal", g.gid, t, k)
+			e.cfg.Logf("edge: group %d round %d.%d → reveal", g.gid, t, k)
 			if err := e.revealShares(g, sess, t, k, dropped); err != nil {
 				return err
 			}
@@ -450,7 +424,7 @@ func (e *Edge) runGroup(g *edgeGroup, t int, globalParams []float64, cloud *lock
 			cfg.Meter.recoveries.Inc()
 		}
 
-		e.logf("edge: group %d round %d.%d → aggregate", g.gid, t, k)
+		e.cfg.Logf("edge: group %d round %d.%d → aggregate", g.gid, t, k)
 		aggSpan := e.aggHist.Start()
 		g.params, err = sess.Unmask(g.params, dropped)
 		aggSpan.End()
@@ -478,7 +452,7 @@ func (e *Edge) runGroup(g *edgeGroup, t int, globalParams []float64, cloud *lock
 		kSpan.End()
 	}
 
-	e.logf("edge: group %d round %d.%d → report", g.gid, t, cfg.GroupRounds)
+	e.cfg.Logf("edge: group %d round %d.%d → report", g.gid, t, cfg.GroupRounds)
 	g.drops += roundDrops
 	g.recov += roundRecov
 	out := &wire.Message{
@@ -499,7 +473,7 @@ func (e *Edge) markDead(g *edgeGroup, i int, cause error) {
 	if errors.As(cause, &ne) && ne.Timeout() {
 		e.cfg.Meter.stragglers.Inc()
 	}
-	e.logf("edge %d: client %d dropped from group %d: %v", e.id, g.members[i], g.gid, cause)
+	e.cfg.Logf("edge %d: client %d dropped from group %d: %v", e.id, g.members[i], g.gid, cause)
 }
 
 // revealShares runs the dropout-recovery exchange: every survivor is told
@@ -521,7 +495,7 @@ func (e *Edge) revealShares(g *edgeGroup, sess *secagg.Session, t, k int, droppe
 		if err := sendFrame(g.conns[i], cfg.Meter, req, cfg.StragglerTimeout); err != nil {
 			return fmt.Errorf("fednode: group %d reveal request to client %d: %w", g.gid, g.members[i], err)
 		}
-		reply, err := expectFrame(g.conns[i], cfg.Meter, cfg.StragglerTimeout, wire.ShareReveal)
+		reply, err := expectFrame(g.conns[i], cfg.Meter, cfg.StragglerTimeout, 0, wire.ShareReveal)
 		if err != nil {
 			return fmt.Errorf("fednode: group %d reveal reply from client %d: %w", g.gid, g.members[i], err)
 		}

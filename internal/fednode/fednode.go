@@ -73,6 +73,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/grouping"
 	"repro/internal/sampling"
+	"repro/internal/stats"
 	"repro/internal/wire"
 )
 
@@ -134,8 +135,11 @@ type JobConfig struct {
 	Meter *Meter
 }
 
-// withDefaults fills zero-valued tuning knobs and a nil Meter.
+// withDefaults fills zero-valued tuning knobs, a nil Meter and a nil Logf.
 func (cfg JobConfig) withDefaults() JobConfig {
+	if cfg.Logf == nil {
+		cfg.Logf = func(string, ...any) {}
+	}
 	if cfg.StragglerTimeout <= 0 {
 		cfg.StragglerTimeout = 5 * time.Second
 	}
@@ -250,9 +254,7 @@ func sendEncoded(conn net.Conn, m *Meter, typ wire.Type, frame []byte, timeout t
 	}
 	// Counted before the write, so a peer that has read the frame finds it
 	// counted: when the cloud closes a round, every frame of it is in.
-	if m != nil {
-		m.countFrame(typ, len(frame))
-	}
+	m.countFrame(typ, len(frame))
 	if _, err := conn.Write(frame); err != nil {
 		return fmt.Errorf("fednode: send %s: %w", typ, err)
 	}
@@ -260,17 +262,17 @@ func sendEncoded(conn net.Conn, m *Meter, typ wire.Type, frame []byte, timeout t
 }
 
 // readFrame reads one frame from conn into m under the read deadline,
-// classifying any decode failure into mt's fel_wire_decode_errors_total (mt
-// may be nil). A zero timeout blocks indefinitely, and any other is measured
-// on conn's clock; a frame whose payload exceeds wire.DefaultMaxFrame is
+// classifying any decode failure into mt's fel_wire_decode_errors_total. A
+// zero timeout blocks indefinitely, and any other is measured on conn's
+// clock; a frame whose payload exceeds limit (<= 0: wire.DefaultMaxFrame) is
 // refused before it is read. m's previous vectors are overwritten
 // (wire.DecodeInto).
-func readFrame(conn net.Conn, mt *Meter, timeout time.Duration, m *wire.Message) error {
+func readFrame(conn net.Conn, mt *Meter, timeout time.Duration, limit int, m *wire.Message) error {
 	if err := setReadDeadline(conn, timeout); err != nil {
 		return err
 	}
-	err := wire.DecodeInto(conn, wire.DefaultMaxFrame, m)
-	if err != nil && mt != nil {
+	err := wire.DecodeInto(conn, limit, m)
+	if err != nil {
 		mt.countDecodeError(err)
 	}
 	return err
@@ -306,23 +308,64 @@ func lendFrame(conn net.Conn, mt *Meter, timeout time.Duration, want wire.Type, 
 		}
 		return fn(m)
 	})
-	if err != nil && !decoded && mt != nil {
+	if err != nil && !decoded {
 		mt.countDecodeError(err)
 	}
 	return err
 }
 
-// expectFrame reads one frame into a fresh Message the caller keeps, and
-// checks its type.
-func expectFrame(conn net.Conn, mt *Meter, timeout time.Duration, want wire.Type) (*wire.Message, error) {
+// expectFrame reads one frame into a fresh Message the caller keeps, as
+// readFrame does, and checks its type.
+func expectFrame(conn net.Conn, mt *Meter, timeout time.Duration, limit int, want wire.Type) (*wire.Message, error) {
 	m := new(wire.Message)
-	if err := readFrame(conn, mt, timeout, m); err != nil {
+	if err := readFrame(conn, mt, timeout, limit, m); err != nil {
 		return nil, err
 	}
 	if err := checkType(m, want); err != nil {
 		return nil, err
 	}
 	return m, nil
+}
+
+// maxHelloPayload is a registration hello's payload, a GroupAssign naming
+// its sender in From with every vector empty: acceptHello's frame limit, so
+// a header announcing more fails at once, before any payload is awaited.
+const maxHelloPayload = wire.MinPayload
+
+// dialHello dials addr as the node tagged tag (DialRetry, jittered by the
+// node's seed) and sends its hello naming id, returning the metered
+// connection.
+func dialHello(nw Network, cfg JobConfig, tag, addr string, id int) (net.Conn, error) {
+	raw, err := DialRetry(nw, tag, addr, cfg.DialAttempts, cfg.DialBackoff, cfg.Meter,
+		stats.NewRNG(dialSeed(cfg.Seed, tag)))
+	if err != nil {
+		return nil, err
+	}
+	conn := meter(raw, cfg.Meter)
+	hello := &wire.Message{Type: wire.GroupAssign, From: int32(id)}
+	if err := sendFrame(conn, cfg.Meter, hello, cfg.RoundTimeout); err != nil {
+		closeQuiet(conn)
+		return nil, fmt.Errorf("fednode: %s register: %w", tag, err)
+	}
+	return conn, nil
+}
+
+// acceptHello accepts the next peer on ln (AcceptRetry) and reads its hello
+// under cfg.RoundTimeout, returning the metered connection and the id the
+// hello names. A failed accept returns no connection; a bad hello returns
+// the connection, closed, beside the error.
+func acceptHello(ln net.Listener, cfg JobConfig) (net.Conn, int, error) {
+	raw, err := AcceptRetry(ln, cfg.DialAttempts, cfg.DialBackoff, cfg.Meter)
+	if err != nil {
+		return nil, 0, fmt.Errorf("fednode: accept: %w", err)
+	}
+	conn := meter(raw, cfg.Meter)
+	hello, err := expectFrame(conn, cfg.Meter, cfg.RoundTimeout, maxHelloPayload, wire.GroupAssign)
+	if err != nil {
+		closeQuiet(conn)
+		return conn, 0, fmt.Errorf("fednode: registration hello: %w", err)
+	}
+	return conn, int(hello.From), nil
 }
 
 // checkType returns an error unless m is a frame of type want.

@@ -145,7 +145,7 @@ func (c *Client) supervise(nw Network, edgeAddr string, restarts int, backoff ti
 			return err
 		}
 		c.cfg.Meter.restarts.Inc()
-		c.logf("client %d: restarting after: %v", c.id, err)
+		c.cfg.Logf("client %d: restarting after: %v", c.id, err)
 		clock.Of(nw).Sleep(backoff)
 	}
 }

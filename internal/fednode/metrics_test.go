@@ -1,7 +1,10 @@
 package fednode
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"net"
 	"strconv"
 	"strings"
 	"sync"
@@ -315,12 +318,28 @@ func TestTruncatedUpdateBecomesDropout(t *testing.T) {
 	}
 }
 
+// oversizedHello is what a hostile peer opens with: a well-formed GroupAssign
+// header announcing a payload of 64 MiB − 1, far past a hello's, and nothing
+// after it.
+func oversizedHello(t *testing.T) []byte {
+	h := make([]byte, wire.HeaderSize)
+	binary.BigEndian.PutUint16(h, wire.Magic)
+	h[2], h[3] = wire.Version, byte(wire.GroupAssign)
+	binary.BigEndian.PutUint32(h[8:], wire.DefaultMaxFrame-1)
+	if _, err := wire.ParseHeader(h, 0); err != nil {
+		t.Fatalf("the oversized hello's header does not parse: %v", err)
+	}
+	return h
+}
+
 // TestRejoinRejectionsCounted dials a registered edge's listener the way a
 // broken crash-restart would — a hello naming a client this edge never
-// seated, then sixteen bytes that are no frame header — and requires each
-// rejection counted exactly once under its reason, while the job the edge is
-// serving finishes untouched. The test speaks the cloud's side: an
-// assignment, then the shutdown broadcast once both rejections are in.
+// seated, sixteen bytes that are no frame header, and a header announcing
+// more payload than a hello holds — and requires each rejection counted
+// exactly once under its reason, at once rather than at the registration
+// timeout, while the job the edge is serving finishes untouched. The test
+// speaks the cloud's side: an assignment, then the shutdown broadcast once
+// the rejections are in.
 func TestRejoinRejectionsCounted(t *testing.T) {
 	sys := oneEdgeSystem(3, 21)
 	jcfg := testJobConfig()
@@ -399,9 +418,19 @@ func TestRejoinRejectionsCounted(t *testing.T) {
 		if _, err := conn.Write(first); err != nil {
 			t.Fatal(err)
 		}
-		// The edge counts a rejection before it closes the connection.
-		if _, err := conn.Read(make([]byte, 1)); err == nil {
+		// The edge counts a rejection before it closes the connection, and
+		// one still waiting for bytes after five seconds waits for a payload
+		// a hello cannot hold.
+		if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		_, err = conn.Read(make([]byte, 1))
+		var ne net.Error
+		switch {
+		case err == nil:
 			t.Fatal("the edge answered a connection it should have rejected")
+		case errors.As(err, &ne) && ne.Timeout():
+			t.Fatalf("the edge still held the connection after %d bytes", len(first))
 		}
 	}
 	foreign, err := wire.AppendFrame(nil, &wire.Message{Type: wire.GroupAssign, From: 999})
@@ -410,6 +439,7 @@ func TestRejoinRejectionsCounted(t *testing.T) {
 	}
 	rogue(foreign)
 	rogue([]byte(strings.Repeat("\xff", wire.HeaderSize)))
+	rogue(oversizedHello(t))
 
 	params := sys.NewModel(sys.ModelSeed).ParamVector()
 	if _, err := wire.Encode(cloud, &wire.Message{Type: wire.GlobalAggregate, Floats: params}); err != nil {
@@ -425,15 +455,61 @@ func TestRejoinRejectionsCounted(t *testing.T) {
 			t.Fatalf("node: %v", err)
 		}
 	}
-	for reason, want := range map[string]int64{"bad_hello": 1, "foreign": 1, "replay": 0, "queue_full": 0, "shutdown": 0} {
+	for reason, want := range map[string]int64{"bad_hello": 2, "foreign": 1, "replay": 0, "queue_full": 0, "shutdown": 0} {
 		if got := reg.CounterValue("fel_fednode_rejoin_rejected_total", metrics.L("reason", reason)); got != want {
 			t.Errorf("fel_fednode_rejoin_rejected_total{reason=%q} = %d, want %d", reason, got, want)
 		}
 	}
-	if got := reg.CounterValue("fel_wire_decode_errors_total", metrics.L("reason", "bad_magic")); got != 1 {
-		t.Errorf("fel_wire_decode_errors_total{reason=\"bad_magic\"} = %d, want 1", got)
+	for _, reason := range []string{"bad_magic", "too_large"} {
+		if got := reg.CounterValue("fel_wire_decode_errors_total", metrics.L("reason", reason)); got != 1 {
+			t.Errorf("fel_wire_decode_errors_total{reason=%q} = %d, want 1", reason, got)
+		}
 	}
 	if got := reg.CounterValue("fel_fednode_rejoins_total"); got != 0 {
 		t.Errorf("%d rejoins adopted, want 0", got)
+	}
+}
+
+// TestOversizedHelloFailsRegistration sends a cloud awaiting its edges the
+// oversized hello. Registration must fail at once on the frame limit, counted
+// as too_large, not after the payload has been awaited until RoundTimeout
+// (two minutes by default).
+func TestOversizedHelloFailsRegistration(t *testing.T) {
+	sys := oneEdgeSystem(3, 21)
+	jcfg := testJobConfig()
+	reg := metrics.New()
+	jcfg.Meter = NewMeter(reg)
+	nw := NewMemNetwork()
+	ln, err := nw.Listen("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeQuiet(ln)
+	done := make(chan error, 1)
+	go func() {
+		_, err := NewCloud(sys, jcfg).Run(ln)
+		done <- err
+	}()
+	conn, err := nw.Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeQuiet(conn)
+	if _, err := conn.Write(oversizedHello(t)); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if !errors.Is(err, wire.ErrTooLarge) {
+			t.Fatalf("cloud registration ended with %v, want a wire.ErrTooLarge", err)
+		}
+	case <-time.After(5 * time.Second):
+		closeQuiet(ln)
+		closeQuiet(conn)
+		<-done
+		t.Fatal("the cloud was still reading the oversized hello after 5 s")
+	}
+	if got := reg.CounterValue("fel_wire_decode_errors_total", metrics.L("reason", "too_large")); got != 1 {
+		t.Errorf("fel_wire_decode_errors_total{reason=\"too_large\"} = %d, want 1", got)
 	}
 }

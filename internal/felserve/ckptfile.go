@@ -299,13 +299,15 @@ func slotBytes(body []byte, size uint64, i int) []byte {
 func decodeSlot(s []byte) (JobSpec, *core.TrainerState, error) {
 	off := 0
 	for len(s)-off < termSize || string(s[off:off+len(termMagic)]) != termMagic {
-		if len(s)-off < wire.HeaderSize || binary.BigEndian.Uint16(s[off:]) != wire.Magic {
+		h, err := wire.ParseHeader(s[off:], 0)
+		if err != nil || h.FrameLen() > len(s)-off {
 			return JobSpec{}, nil, fmt.Errorf("felserve: checkpoint slot has no terminator after %d bytes of frames", off)
 		}
-		off += wire.HeaderSize + int(binary.BigEndian.Uint32(s[off+8:]))
+		off += h.FrameLen()
 	}
-	round := binary.BigEndian.Uint32(s[off+4:])
-	if n := binary.BigEndian.Uint32(s[off+8:]); int(n) != off {
+	term := s[off+len(termMagic):] // the terminator's round, then its byte count
+	round := binary.BigEndian.Uint32(term)
+	if n := binary.BigEndian.Uint32(term[4:]); int(n) != off {
 		return JobSpec{}, nil, fmt.Errorf("felserve: checkpoint slot terminator counts %d bytes of frames, found %d", n, off)
 	}
 	spec, st, err := DecodeCheckpoint(bytes.NewReader(s[:off]))

@@ -74,11 +74,11 @@ func (s JobSpec) Validate() error {
 // name a job.
 const maxJobName = 128
 
-// maxHelloPayload is the largest payload a hello can carry: Seq, From and the
-// three vector counts, then one 4-byte Ints element per name byte. readHello
-// decodes with it as the frame limit, so a header announcing more is refused
-// before the peer is admitted and before any payload buffer is taken.
-const maxHelloPayload = 20 + 4*maxJobName
+// maxHelloPayload is the largest payload a hello can carry: wire.MinPayload,
+// then one 4-byte Ints element per name byte. readHello decodes with it as
+// the frame limit, so a header announcing more is refused before the peer is
+// admitted and before any payload buffer is taken.
+const maxHelloPayload = wire.MinPayload + 4*maxJobName
 
 // helloTimeout bounds how long a connection may stay silent before its
 // hello: a peer that connects and never speaks is dropped then, and counted

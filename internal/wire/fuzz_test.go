@@ -176,9 +176,10 @@ func TestCodecTails(t *testing.T) {
 }
 
 // FuzzDecodeFrame asserts the decoder's contract over arbitrary bytes:
-// it never panics, every failure maps to a named error class, and every
-// successful decode re-encodes to a frame that decodes back to the same
-// message. The corpus seeds valid frames of every type plus frames mangled
+// it never panics, every failure maps to a named error class, the exported
+// header view agrees with it on every input's header (checkHeaderView), and
+// every successful decode re-encodes to a frame that decodes back to the
+// same message. The corpus seeds valid frames of every type plus frames mangled
 // by the faultnet mutators, so the fuzzer starts at the exact boundaries
 // the chaos harness exercises at runtime.
 func FuzzDecodeFrame(f *testing.F) {
@@ -198,6 +199,7 @@ func FuzzDecodeFrame(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := wire.Decode(bytes.NewReader(data), fuzzMaxFrame)
+		checkHeaderView(t, data, m, err)
 		if err != nil {
 			if class := wire.ErrorClass(err); class == "" || class == "timeout" {
 				t.Fatalf("Decode error %v maps to class %q; every decode failure needs a real class", err, class)
@@ -231,6 +233,36 @@ func FuzzDecodeFrame(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkHeaderView holds wire.ParseHeader over data to what Decode made of the
+// same bytes (m, err): a header it rejects fails Decode with the same class,
+// a header it accepts leaves Decode to fail only on what follows the header
+// and otherwise to agree on the type, the round and, for exactly one frame,
+// the Seq the view reports. A stream shorter than a header is truncated to
+// the view and truncated or a clean EOF to Decode.
+func checkHeaderView(t *testing.T, data []byte, m *wire.Message, err error) {
+	h, herr := wire.ParseHeader(data, fuzzMaxFrame)
+	view, class := wire.ErrorClass(herr), wire.ErrorClass(err)
+	switch {
+	case len(data) < wire.HeaderSize:
+		if view != "truncated" || (class != "truncated" && class != "eof") {
+			t.Fatalf("%d-byte stream: header view %q (%v), Decode %q (%v)", len(data), view, herr, class, err)
+		}
+	case herr != nil:
+		if class != view {
+			t.Fatalf("header view fails with %q (%v), Decode with %q (%v)", view, herr, class, err)
+		}
+	case class != "" && class != "truncated" && class != "checksum" && class != "malformed":
+		t.Fatalf("header view accepts %+v, Decode fails it with %q (%v)", h, class, err)
+	case err == nil:
+		if m.Type != h.Type || m.Round != h.Round {
+			t.Fatalf("header view reads %+v, Decode %s round %d", h, m.Type, m.Round)
+		}
+		if seq, whole := h.Seq(data); whole != (len(data) == h.FrameLen()) || whole && seq != m.Seq {
+			t.Fatalf("header view reads Seq %d (whole %v) of a %d-byte frame, Decode %d", seq, whole, len(data), m.Seq)
+		}
+	}
 }
 
 // FuzzDecodeIntoReuse is the differential check on storage reuse: for any

@@ -174,8 +174,8 @@ func (m *Message) EncodedSize() int {
 }
 
 func (m *Message) payloadSize() int {
-	// seq(4) + from(4) + three length-prefixed vectors.
-	return 8 + 4 + 8*len(m.Floats) + 4 + 8*len(m.Words) + 4 + 4*len(m.Ints)
+	// Seq, From and the three counts, then the vectors' elements.
+	return MinPayload + 8*len(m.Floats) + 8*len(m.Words) + 4*len(m.Ints)
 }
 
 // AppendFrame appends the message's frame — header and payload,
@@ -285,73 +285,105 @@ func DecodeFunc(r io.Reader, maxFrame int, fn func(*Message) error) error {
 	return fn(m)
 }
 
-// header is a frame's checked fixed header.
-type header struct {
-	typ    Type
-	round  uint32
-	payLen int
-	crc    uint32
+// MinPayload is the smallest payload a frame carries: Seq, From and the
+// three vector counts, every vector empty.
+const MinPayload = 20
+
+// Header is a frame's checked fixed header, the tree's one reading of the
+// header layout: the decoder reads every frame through it, and so do a relay
+// matching rules on frames (internal/faultnet) and a walk over frames laid
+// end to end (internal/felserve's checkpoint slots).
+type Header struct {
+	Type  Type
+	Round uint32
+	// PayLen is the payload byte count, at least MinPayload and at most the
+	// limit the header was parsed under.
+	PayLen int
+	CRC    uint32
 }
 
-// readHeader reads and checks one frame header: magic, version, type and the
-// payload length against maxFrame (<= 0 uses DefaultMaxFrame).
-func readHeader(r io.Reader, maxFrame int) (header, error) {
+// ParseHeader checks the first HeaderSize bytes of b as a frame header:
+// magic, version, type, and the payload length against maxFrame (<= 0 uses
+// DefaultMaxFrame) and MinPayload, with Decode's errors for those bytes. A b
+// shorter than a header is ErrTruncated.
+func ParseHeader(b []byte, maxFrame int) (Header, error) {
+	if len(b) < HeaderSize {
+		return Header{}, fmt.Errorf("%w: header of %d bytes", ErrTruncated, len(b))
+	}
 	if maxFrame <= 0 {
 		maxFrame = DefaultMaxFrame
 	}
-	var hdr [HeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if errors.Is(err, io.EOF) {
-			return header{}, io.EOF
-		}
-		// Wrap (not flatten) the transport error: a net.Error timeout must
-		// stay visible through errors.As so callers can tell a straggler
-		// deadline from a torn frame.
-		return header{}, fmt.Errorf("%w: header: %w", ErrTruncated, err)
+	if got := binary.BigEndian.Uint16(b[0:]); got != Magic {
+		return Header{}, fmt.Errorf("%w: 0x%04x", ErrBadMagic, got)
 	}
-	if got := binary.BigEndian.Uint16(hdr[0:]); got != Magic {
-		return header{}, fmt.Errorf("%w: 0x%04x", ErrBadMagic, got)
+	if b[2] != Version {
+		return Header{}, fmt.Errorf("%w: got %d, want %d", ErrVersion, b[2], Version)
 	}
-	if hdr[2] != Version {
-		return header{}, fmt.Errorf("%w: got %d, want %d", ErrVersion, hdr[2], Version)
+	h := Header{
+		Type:   Type(b[3]),
+		Round:  binary.BigEndian.Uint32(b[4:]),
+		PayLen: int(binary.BigEndian.Uint32(b[8:])),
+		CRC:    binary.BigEndian.Uint32(b[12:]),
 	}
-	h := header{
-		typ:    Type(hdr[3]),
-		round:  binary.BigEndian.Uint32(hdr[4:]),
-		payLen: int(binary.BigEndian.Uint32(hdr[8:])),
-		crc:    binary.BigEndian.Uint32(hdr[12:]),
+	if !h.Type.Valid() {
+		return Header{}, fmt.Errorf("%w: %d", ErrBadType, b[3])
 	}
-	if !h.typ.Valid() {
-		return header{}, fmt.Errorf("%w: %d", ErrBadType, hdr[3])
+	if h.PayLen > maxFrame {
+		return Header{}, fmt.Errorf("%w: payload %d > limit %d", ErrTooLarge, h.PayLen, maxFrame)
 	}
-	if h.payLen > maxFrame {
-		return header{}, fmt.Errorf("%w: payload %d > limit %d", ErrTooLarge, h.payLen, maxFrame)
-	}
-	if h.payLen < 20 { // seq + from + three zero-length vector counts
-		return header{}, fmt.Errorf("%w: payload %d below minimum 20", ErrMalformed, h.payLen)
+	if h.PayLen < MinPayload {
+		return Header{}, fmt.Errorf("%w: payload %d below minimum %d", ErrMalformed, h.PayLen, MinPayload)
 	}
 	return h, nil
 }
 
+// FrameLen is the byte count of the whole frame h opens, header included.
+func (h Header) FrameLen() int { return HeaderSize + h.PayLen }
+
+// Seq returns the Seq field of frame, its payload's first word, when frame
+// is exactly the whole frame h was parsed from, and false otherwise (always
+// for the zero Header, which no frame parses to).
+func (h Header) Seq(frame []byte) (uint32, bool) {
+	if h.PayLen < MinPayload || len(frame) != h.FrameLen() {
+		return 0, false
+	}
+	return binary.BigEndian.Uint32(frame[HeaderSize:]), true
+}
+
+// readHeader reads one frame header from r and checks it (ParseHeader).
+func readHeader(r io.Reader, maxFrame int) (Header, error) {
+	var hdr [HeaderSize]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		if errors.Is(err, io.EOF) {
+			return Header{}, io.EOF
+		}
+		// Wrap (not flatten) the transport error: a net.Error timeout must
+		// stay visible through errors.As so callers can tell a straggler
+		// deadline from a torn frame.
+		return Header{}, fmt.Errorf("%w: header: %w", ErrTruncated, err)
+	}
+	return ParseHeader(hdr[:], maxFrame)
+}
+
 // readPayload reads the payload h announces, checks its CRC and parses it
 // into m.
-func (h header) readPayload(r io.Reader, m *Message) error {
+func (h Header) readPayload(r io.Reader, m *Message) error {
 	// The scratch is taken only now that a header has arrived: a reader
 	// blocked between frames holds nothing but its own Message.
 	bp := payloads.Get().(*[]byte)
 	defer payloads.Put(bp)
-	if cap(*bp) < h.payLen {
-		*bp = make([]byte, h.payLen)
+	if cap(*bp) < h.PayLen {
+		*bp = make([]byte, h.PayLen)
 	}
-	p := (*bp)[:h.payLen]
+	p := (*bp)[:h.PayLen]
 	if _, err := io.ReadFull(r, p); err != nil {
 		return fmt.Errorf("%w: payload: %w", ErrTruncated, err)
 	}
-	if got := crc32.ChecksumIEEE(p); got != h.crc {
-		return fmt.Errorf("%w: got 0x%08x, want 0x%08x", ErrChecksum, got, h.crc)
+	if got := crc32.ChecksumIEEE(p); got != h.CRC {
+		return fmt.Errorf("%w: got 0x%08x, want 0x%08x", ErrChecksum, got, h.CRC)
 	}
-	m.Type = h.typ
-	m.Round = h.round
+	m.Type = h.Type
+	m.Round = h.Round
 	return parsePayload(m, p)
 }
 
